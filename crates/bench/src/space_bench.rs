@@ -5,15 +5,15 @@
 //! footprint a first-class measured artifact alongside the construction and
 //! query timings. Per family it reports the in-memory footprint
 //! (`size_bytes()`, cross-checked against the counting allocator by
-//! `tests/size_accounting.rs`), the serialized file size, save/load wall
-//! times over in-memory buffers, and the load-vs-rebuild speedup — loading
-//! never re-runs construction (no z-estimation, no suffix sorting, no tree
-//! merging), so it beats a rebuild by an order of magnitude and makes
-//! build-once / serve-many deployments practical. A second section measures
-//! sharded ([`ius_index::ShardedIndex`]) vs unsharded query throughput at
-//! `S ∈ {1, 4, 8}`.
+//! `tests/size_accounting.rs`), the serialized file size, the save and
+//! arena-open wall times over in-memory buffers, and the load-vs-rebuild
+//! speedup — opening never re-runs construction (no z-estimation, no suffix
+//! sorting, no tree merging), so it beats a rebuild by orders of magnitude
+//! and makes build-once / serve-many deployments practical. A second
+//! section measures sharded ([`ius_index::ShardedIndex`]) vs unsharded
+//! query throughput at `S ∈ {1, 4, 8}`.
 //!
-//! Correctness is asserted before any number is trusted: every loaded index
+//! Correctness is asserted before any number is trusted: every opened index
 //! must answer the pattern set exactly like the index it was saved from (and
 //! re-save byte-identically), and every sharded configuration must answer
 //! exactly like the unsharded index.
@@ -21,10 +21,9 @@
 use ius_arena::Arena;
 use ius_datasets::corpora::bench_corpus;
 use ius_datasets::patterns::PatternSampler;
-use ius_index::persist::save_index_v2;
 use ius_index::{
-    load_index, open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec,
-    IndexVariant, QueryScratch, SaveOptions, ShardedIndex, UncertainIndex,
+    open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
+    QueryScratch, SaveOptions, ShardedIndex, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use std::time::Instant;
@@ -62,7 +61,7 @@ impl Default for SpaceBenchConfig {
     }
 }
 
-/// Footprint and save/load timings of one family on one dataset.
+/// Footprint and save/open timings of one family on one dataset.
 #[derive(Debug, Clone)]
 pub struct FamilySpaceBench {
     /// Family label (`WSA`, `MWSA-G`, …).
@@ -75,19 +74,12 @@ pub struct FamilySpaceBench {
     /// (`SaveOptions { pack_u32: true }`; ≤ `file_bytes` — the writer keeps
     /// a section raw when packing would not shrink it).
     pub file_bytes_packed: usize,
-    /// Milliseconds to serialize v3 (one buffered `write_all`).
+    /// Milliseconds to serialize (one buffered `write_all`).
     pub save_ms: f64,
-    /// Milliseconds to serialize the legacy v2 format (streamed,
-    /// element-encoded) — the save-side delta of the format change.
-    pub save_ms_v2: f64,
-    /// Milliseconds to deserialize v3 through the streaming (owned) path.
-    pub load_ms: f64,
-    /// Milliseconds to deserialize the legacy v2 format.
-    pub load_ms_v2: f64,
-    /// Milliseconds to **open** the v3 bytes through the zero-copy arena
-    /// path: one aligned copy + CRC pass + O(sections) validation, no
-    /// element decoding.
-    pub open_ms_v3: f64,
+    /// Milliseconds to **open** the bytes through the zero-copy arena path
+    /// (the one read path): CRC pass + O(sections) validation + view
+    /// carving out of a resident arena, no element decoding.
+    pub open_ms: f64,
     /// Bytes of the arena covered by the opened index's typed views after
     /// the first query — the data a query can touch, as opposed to the
     /// whole decoded structure (the open itself streams the file once for
@@ -99,15 +91,9 @@ pub struct FamilySpaceBench {
 }
 
 impl FamilySpaceBench {
-    /// `rebuild / load`: how much faster loading is than rebuilding.
+    /// `rebuild / open`: how much faster loading is than rebuilding.
     pub fn load_speedup(&self) -> f64 {
-        self.rebuild_ms / self.load_ms
-    }
-
-    /// `load / open`: how much faster the zero-copy arena open is than the
-    /// element-decoding streaming load of the same bytes.
-    pub fn open_speedup(&self) -> f64 {
-        self.load_ms / self.open_ms_v3
+        self.rebuild_ms / self.open_ms
     }
 }
 
@@ -189,8 +175,8 @@ fn time_queries(
     (total, total_ms * 1e3 / patterns.len() as f64)
 }
 
-/// Measures one family: footprint, serialized size, save/load/rebuild times,
-/// with the loaded index asserted identical before timing is trusted.
+/// Measures one family: footprint, serialized size, save/open/rebuild times,
+/// with the opened index asserted identical before timing is trusted.
 fn bench_family(
     spec: IndexSpec,
     x: &WeightedString,
@@ -201,50 +187,30 @@ fn bench_family(
     let label = spec.family.name();
     let index = spec.build_with_estimation(x, estimation).expect("build");
 
-    // Serialize once for correctness checks, then time both directions.
+    // Serialize once for the correctness checks: the opened index re-saves
+    // byte-identically, accounts its arena, and answers like the build —
+    // and so does the bit-packed encoding.
     let mut bytes = Vec::new();
     index.save_to(&mut bytes).expect("save");
-    let loaded = load_index(&mut bytes.as_slice()).expect("load");
-    let mut resaved = Vec::new();
-    loaded.save_to(&mut resaved).expect("re-save");
-    assert_eq!(bytes, resaved, "{label}: re-save not byte-identical");
-    assert_eq!(
-        loaded.size_bytes(),
-        index.size_bytes(),
-        "{label}: size drift"
-    );
-    let mut scratch = QueryScratch::new();
-    for pattern in patterns {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        index
-            .query_into(pattern, x, &mut scratch, &mut a)
-            .expect("query");
-        loaded
-            .query_into(pattern, x, &mut scratch, &mut b)
-            .expect("loaded query");
-        assert_eq!(a, b, "{label}: loaded index answers differently");
-    }
-
-    // The zero-copy open path must answer identically too, and so must the
-    // bit-packed encoding through both read paths.
     let arena = Arena::from_bytes(&bytes);
     let opened = open_index(&arena).expect("arena open");
+    let mut resaved = Vec::new();
+    opened.save_to(&mut resaved).expect("re-save");
+    assert_eq!(bytes, resaved, "{label}: re-save not byte-identical");
+    assert!(
+        opened.size_bytes() >= bytes.len(),
+        "{label}: opened index does not account its arena"
+    );
     let mut packed = Vec::new();
     save_index_with(&index, &mut packed, SaveOptions { pack_u32: true }).expect("save packed");
-    let packed_loaded = load_index(&mut packed.as_slice()).expect("load packed");
-    let packed_arena = Arena::from_bytes(&packed);
-    let packed_opened = open_index(&packed_arena).expect("open packed");
+    let packed_opened = open_index(&Arena::from_bytes(&packed)).expect("open packed");
+    let mut scratch = QueryScratch::new();
     for pattern in patterns {
         let mut expect = Vec::new();
         index
             .query_into(pattern, x, &mut scratch, &mut expect)
             .expect("query");
-        for (path, other) in [
-            ("arena open", &opened),
-            ("packed load", &packed_loaded),
-            ("packed open", &packed_opened),
-        ] {
+        for (path, other) in [("open", &opened), ("packed open", &packed_opened)] {
             let mut got = Vec::new();
             other
                 .query_into(pattern, x, &mut scratch, &mut got)
@@ -255,7 +221,7 @@ fn bench_family(
     // Views attribute at creation, so after the open + first query the
     // attribution is exactly the data a query can dereference.
     let bytes_touched_at_first_query = arena.attributed_bytes();
-    drop((opened, packed_loaded, packed_opened, packed_arena));
+    drop((opened, packed_opened, arena));
 
     let mut buf = Vec::with_capacity(bytes.len());
     let (_, save_ms) = time_min(config.reps, || {
@@ -263,27 +229,12 @@ fn bench_family(
         index.save_to(&mut buf).expect("save");
         buf.len()
     });
-    let mut v2_bytes = Vec::new();
-    let (_, save_ms_v2) = time_min(config.reps, || {
-        v2_bytes.clear();
-        save_index_v2(&index, &mut v2_bytes).expect("save v2");
-        v2_bytes.len()
-    });
-    let (reloaded, load_ms) = time_min(config.reps, || {
-        load_index(&mut bytes.as_slice()).expect("load")
-    });
-    drop::<AnyIndex>(reloaded);
-    let (reloaded_v2, load_ms_v2) = time_min(config.reps, || {
-        load_index(&mut v2_bytes.as_slice()).expect("load v2")
-    });
-    drop::<AnyIndex>(reloaded_v2);
     // The open path from a resident arena: CRC pass, section validation,
-    // view carving — no element decoding. Symmetric with `load_ms`, which
-    // decodes from a resident byte slice: the one file read both paths
-    // start with is excluded from both timers. (This is also exactly the
-    // server's hot-reload cost — its arena is already mapped in.)
+    // view carving — no element decoding. The one file read is excluded
+    // (this is also exactly the server's hot-reload cost — its arena is
+    // already read in).
     let open_arena = Arena::from_bytes(&bytes);
-    let (opened, open_ms_v3) = time_min(config.reps, || open_index(&open_arena).expect("open"));
+    let (opened, open_ms) = time_min(config.reps, || open_index(&open_arena).expect("open"));
     drop::<AnyIndex>(opened);
     drop(open_arena);
     // The rebuild side runs the full from-scratch construction, including
@@ -298,23 +249,18 @@ fn bench_family(
         file_bytes: bytes.len(),
         file_bytes_packed: packed.len(),
         save_ms,
-        save_ms_v2,
-        load_ms,
-        load_ms_v2,
-        open_ms_v3,
+        open_ms,
         bytes_touched_at_first_query,
         rebuild_ms,
     };
     eprintln!(
         "  {label:<8} size {:>8.2} MB  file {:>8.2} MB (packed {:>6.2} MB)  save {:>6.1} ms  \
-         load {:>7.1} ms  open {:>6.2} ms ({:.0}x)  rebuild {:>8.1} ms  ({:.1}x)",
+         open {:>6.2} ms  rebuild {:>8.1} ms  ({:.1}x)",
         result.size_bytes as f64 / 1e6,
         result.file_bytes as f64 / 1e6,
         result.file_bytes_packed as f64 / 1e6,
         result.save_ms,
-        result.load_ms,
-        result.open_ms_v3,
-        result.open_speedup(),
+        result.open_ms,
         result.rebuild_ms,
         result.load_speedup(),
     );
@@ -490,21 +436,17 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
          size of the v3 format (raw sections) and file_bytes_packed with bit-packed u32 \
-         sections; save/load are timed over in-memory buffers and rebuild runs the full \
-         from-scratch construction including the z-estimation where the family needs it \
+         sections; save_ms and open_ms are timed over in-memory buffers and rebuild runs the \
+         full from-scratch construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \
-         construction. open_ms_v3 times the zero-copy arena path separately from the \
-         element-decoding load: CRC pass + section validation + view carving out of a resident \
-         arena, no element decode — symmetric with load_ms, which decodes from a resident byte \
-         slice, so the one file read both paths start with is excluded from both timers \
-         (open_speedup = load_ms / open_ms_v3); save_ms_v2/load_ms_v2 are the legacy streamed \
-         format's times for the same index; bytes_touched_at_first_query = arena bytes covered \
-         by the opened index's typed views. Before timing, every loaded index is asserted \
-         byte-identical on re-save and answer-identical on the pattern set (v3 stream, v3 \
-         arena-open and packed paths alike), and every sharded configuration is asserted \
-         answer-identical to the unsharded index. Sharded query times route through the \
-         QueryBatch executor with per-shard scratch — on a single-CPU host they measure the \
-         routing overhead, not parallelism.\",\n",
+         construction. open_ms times the one read path, the zero-copy arena open: CRC pass + \
+         section validation + view carving out of a resident arena, no element decode, the one \
+         file read excluded; load_speedup = rebuild_ms / open_ms. \
+         bytes_touched_at_first_query = arena bytes covered by the opened index's typed views. \
+         Before timing, every opened index is asserted byte-identical on re-save and \
+         answer-identical on the pattern set (raw and packed alike), and every sharded \
+         configuration is asserted answer-identical to the unsharded index. Sharded query \
+         times route through the QueryBatch executor with per-shard scratch.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -516,21 +458,15 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         for (j, f) in d.families.iter().enumerate() {
             out.push_str(&format!(
                 "        {{ \"family\": \"{}\", \"size_bytes\": {}, \"file_bytes\": {}, \
-                 \"file_bytes_packed\": {}, \"save_ms\": {:.2}, \"save_ms_v2\": {:.2}, \
-                 \"load_ms\": {:.2}, \"load_ms_v2\": {:.2}, \"open_ms_v3\": {:.3}, \
-                 \"open_speedup\": {:.1}, \"bytes_touched_at_first_query\": {}, \
-                 \"rebuild_ms\": {:.2}, \"load_speedup\": {:.2}, \
-                 \"loaded_outputs_identical\": true }}{}\n",
+                 \"file_bytes_packed\": {}, \"save_ms\": {:.2}, \"open_ms\": {:.3}, \
+                 \"bytes_touched_at_first_query\": {}, \"rebuild_ms\": {:.2}, \
+                 \"load_speedup\": {:.2}, \"loaded_outputs_identical\": true }}{}\n",
                 f.family,
                 f.size_bytes,
                 f.file_bytes,
                 f.file_bytes_packed,
                 f.save_ms,
-                f.save_ms_v2,
-                f.load_ms,
-                f.load_ms_v2,
-                f.open_ms_v3,
-                f.open_speedup(),
+                f.open_ms,
                 f.bytes_touched_at_first_query,
                 f.rebuild_ms,
                 f.load_speedup(),
@@ -599,13 +535,12 @@ mod tests {
             for f in &d.families {
                 assert!(json.contains(&format!("\"family\": \"{}\"", f.family)));
                 assert!(f.size_bytes > 0 && f.file_bytes > 0);
-                assert!(f.save_ms >= 0.0 && f.load_ms > 0.0 && f.rebuild_ms > 0.0);
+                assert!(f.save_ms >= 0.0 && f.open_ms > 0.0 && f.rebuild_ms > 0.0);
                 assert!(
                     f.file_bytes_packed <= f.file_bytes,
                     "{}: packing must never grow the file",
                     f.family
                 );
-                assert!(f.open_ms_v3 > 0.0 && f.load_ms_v2 > 0.0 && f.save_ms_v2 >= 0.0);
                 assert!(
                     f.bytes_touched_at_first_query > 0
                         && f.bytes_touched_at_first_query <= f.file_bytes,
@@ -613,7 +548,7 @@ mod tests {
                     f.family
                 );
             }
-            assert!(json.contains("\"open_ms_v3\":"));
+            assert!(json.contains("\"open_ms\":"));
             assert!(json.contains("\"page_size\":"));
             for s in &d.sharded {
                 assert!(s.size_bytes > 0 && s.query_us > 0.0);

@@ -8,8 +8,8 @@ use ius_arena::ArenaVec;
 /// load. `node_lens[i]` is the number of `(y, payload)` entries of segment
 /// tree node `i`; the entries themselves are concatenated in node order in
 /// `ys`/`payloads`. Each array is an [`ArenaVec`], so the parts can either
-/// own their storage (the stream load path) or borrow it zero-copy from a
-/// persisted arena.
+/// own their storage (a fresh build, a bit-packed section) or borrow it
+/// zero-copy from a persisted arena.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReporterParts {
     /// Number of stored points.

@@ -86,8 +86,8 @@ pub struct MinimizerIndex {
     /// interleaved `[fwd₀, bwd₀, fwd₁, bwd₁, …]` so the pool is one flat
     /// array an arena open can view zero-copy.
     pairs: ArenaVec<u32>,
-    /// The persisted arena the index's views borrow from, when it was opened
-    /// through the arena path (`None` for built or stream-loaded indexes).
+    /// The persisted arena the index's views borrow from, when it was
+    /// loaded from a file (`None` for built indexes and shard members).
     /// Held so size accounting can count the single backing allocation once.
     arena: Option<Arena>,
     /// `"explicit"` (from a z-estimation) or `"space-efficient"` (Section 4).

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 3** (current):
+//! behind a fixed envelope. Format **version 3**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -27,27 +27,26 @@
 //! little-endian u64 words`, LSB-first; packed sections decode to owned
 //! vectors at open.
 //!
-//! Two read paths exist for v3 files:
+//! There is **one read path**: the whole file sits in one 8-byte-aligned
+//! [`Arena`] allocation, the CRC32 trailer is verified over the raw bytes
+//! (PCLMUL-folded, so this is bandwidth-bound), and every raw section
+//! becomes a borrowed view. Open cost is O(header + validation), not
+//! O(elements) — no per-element decode, no per-table allocation.
+//! [`open_index`]/[`open_any_index`] take an arena the caller filled (e.g.
+//! [`Arena::from_file`]); the `Read` entry points ([`load_index`],
+//! [`load_any_index`] and every family's `load_from`) read the stream to
+//! its end into an arena and open that. A file must end at its trailer:
+//! trailing bytes are refused.
 //!
-//! - **Streaming** ([`load_index`]/[`load_any_index`]): decodes every
-//!   section into owned memory; works mid-stream (the live-index segment
-//!   files embed an envelope after a segment prefix).
-//! - **Arena open** ([`open_index`]/[`open_any_index`]): the whole file is
-//!   read into one 8-byte-aligned [`Arena`] allocation up front, the CRC32
-//!   trailer is verified over the raw bytes (slicing-by-8, so this is
-//!   bandwidth-bound), and every raw section becomes a borrowed view.
-//!   Open cost is O(header + validation), not O(elements) — no per-element
-//!   decode, no per-table allocation.
-//!
-//! Version-2 files (streamed scalar payload, no length field, no
-//! alignment) are still **read** bit-compatibly by [`load_index`]; the v2
-//! writer survives as the `#[doc(hidden)]` [`save_index_v2`] for the
-//! backward-compat differential suite. Version bumps are rejected typed;
-//! there is no silent migration. Every envelope — including the nested
-//! per-shard envelopes inside a sharded file — carries its own CRC32
-//! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
-//! open, not served, and a mismatch is a typed `InvalidData` error, never
-//! a panic.
+//! **Version policy:** this build reads and writes version 3 only. Any
+//! layout change bumps [`FORMAT_VERSION`]; every other version — including
+//! the earlier streamed version 2 — is refused with a typed `InvalidData`
+//! error naming the version, and there is no silent migration (load and
+//! re-save a version-2 file with an older build to convert it). Every
+//! envelope — including the nested per-shard envelopes inside a sharded
+//! file — carries its own CRC32 (IEEE, from [`ius_faultio`]) trailer;
+//! silent bit-rot is detected at open, not served, and a mismatch is a
+//! typed `InvalidData` error, never a panic.
 //!
 //! Derived data is not stored when reloading it is linear-time and
 //! allocation-only — leaf fragments of the WST, anchor view coordinates
@@ -63,8 +62,8 @@
 //! bit-exact).
 //!
 //! Entry points: [`save_index`]/[`load_index`]/[`open_index`] over
-//! [`AnyIndex`], [`open_any_index`] for files that may be sharded, and
-//! inherent `save_to`/`load_from` on every concrete family.
+//! [`AnyIndex`], [`load_any_index`]/[`open_any_index`] for files that may
+//! be sharded, and inherent `save_to`/`load_from` on every concrete family.
 
 use crate::builder::AnyIndex;
 use crate::encode::{Direction, EncodedFactorSet};
@@ -77,7 +76,7 @@ use crate::traits::UncertainIndex;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
-use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
+use ius_faultio::crc32;
 use ius_grid::{RangeReporter, ReporterParts};
 use ius_sampling::KmerOrder;
 use ius_text::trie::{CompactedTrie, TrieParts};
@@ -88,14 +87,10 @@ use std::sync::Arc;
 /// The four magic bytes opening every saved index.
 pub const MAGIC: [u8; 4] = *b"IUSX";
 
-/// The current on-disk format version: arena-openable 8-byte-aligned
-/// sections with an envelope length field. Version 2 (streamed scalars,
-/// CRC32 trailer) is still read; version-1 files (no checksum) are
-/// rejected typed like any other unknown version.
+/// The on-disk format version, the only one this build reads or writes:
+/// arena-openable 8-byte-aligned sections with an envelope length field.
+/// Files of any other version are refused typed.
 pub const FORMAT_VERSION: u16 = 3;
-
-/// The previous streamed format, still accepted by every load path.
-pub const V2_FORMAT_VERSION: u16 = 2;
 
 const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
@@ -126,15 +121,11 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 // ---------------------------------------------------------------------------
-// Wire primitives (shared by the v2 stream format and v3 scalar fields)
+// Wire primitives (scalar fields of the writer)
 // ---------------------------------------------------------------------------
 
 fn write_u8(w: &mut dyn Write, v: u8) -> io::Result<()> {
     w.write_all(&[v])
-}
-
-fn write_u16(w: &mut dyn Write, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
 }
 
 fn write_u32(w: &mut dyn Write, v: u32) -> io::Result<()> {
@@ -147,168 +138,6 @@ fn write_u64(w: &mut dyn Write, v: u64) -> io::Result<()> {
 
 fn write_f64(w: &mut dyn Write, v: f64) -> io::Result<()> {
     w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn read_u8(r: &mut dyn Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn read_u16(r: &mut dyn Read) -> io::Result<u16> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
-}
-
-fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(r: &mut dyn Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_f64(r: &mut dyn Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
-fn read_len(r: &mut dyn Read) -> io::Result<usize> {
-    let len = read_u64(r)?;
-    usize::try_from(len).map_err(|_| bad("length prefix exceeds the address space"))
-}
-
-/// Reads `len` raw bytes in bounded chunks, so a corrupted length prefix
-/// fails with EOF instead of one absurd up-front allocation.
-fn read_byte_vec(r: &mut dyn Read, len: usize) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; 8192];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(buf.len());
-        r.read_exact(&mut buf[..take])?;
-        out.extend_from_slice(&buf[..take]);
-        remaining -= take;
-    }
-    // Loaded vectors are retained for the index's lifetime: keep them exact
-    // so a loaded index's footprint matches the built one's.
-    out.shrink_to_fit();
-    Ok(out)
-}
-
-fn write_bytes(w: &mut dyn Write, bytes: &[u8]) -> io::Result<()> {
-    write_u64(w, bytes.len() as u64)?;
-    w.write_all(bytes)
-}
-
-fn read_bytes(r: &mut dyn Read) -> io::Result<Vec<u8>> {
-    let len = read_len(r)?;
-    read_byte_vec(r, len)
-}
-
-/// Elements per chunk of the v2 vector writers below: conversions go
-/// through a bounded stack-side buffer and reach the writer as large
-/// `write_all`s, so saving to an unbuffered `File` does not degenerate
-/// into one syscall per element.
-const WRITE_CHUNK: usize = 8192;
-
-fn write_vec_u32(w: &mut dyn Write, values: &[u32]) -> io::Result<()> {
-    write_u64(w, values.len() as u64)?;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(values.len()) * 4);
-    for chunk in values.chunks(WRITE_CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_vec_u32(r: &mut dyn Read) -> io::Result<Vec<u32>> {
-    let len = read_len(r)?;
-    let bytes = read_byte_vec(
-        r,
-        len.checked_mul(4)
-            .ok_or_else(|| bad("u32 vector overflow"))?,
-    )?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn write_vec_u16(w: &mut dyn Write, values: &[u16]) -> io::Result<()> {
-    write_u64(w, values.len() as u64)?;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(values.len()) * 2);
-    for chunk in values.chunks(WRITE_CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_vec_u16(r: &mut dyn Read) -> io::Result<Vec<u16>> {
-    let len = read_len(r)?;
-    let bytes = read_byte_vec(
-        r,
-        len.checked_mul(2)
-            .ok_or_else(|| bad("u16 vector overflow"))?,
-    )?;
-    Ok(bytes
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect())
-}
-
-fn write_vec_u64(w: &mut dyn Write, values: &[u64]) -> io::Result<()> {
-    write_u64(w, values.len() as u64)?;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(values.len()) * 8);
-    for chunk in values.chunks(WRITE_CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_vec_u64(r: &mut dyn Read) -> io::Result<Vec<u64>> {
-    let len = read_len(r)?;
-    let bytes = read_byte_vec(
-        r,
-        len.checked_mul(8)
-            .ok_or_else(|| bad("u64 vector overflow"))?,
-    )?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect())
-}
-
-fn write_vec_f64(w: &mut dyn Write, values: &[f64]) -> io::Result<()> {
-    write_u64(w, values.len() as u64)?;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(values.len()) * 8);
-    for chunk in values.chunks(WRITE_CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_vec_f64(r: &mut dyn Read) -> io::Result<Vec<f64>> {
-    Ok(read_vec_u64(r)?.into_iter().map(f64::from_bits).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -449,176 +278,12 @@ fn write_checksummed_v3(
 }
 
 // ---------------------------------------------------------------------------
-// v3 readers: one generic payload decoder over two sources
+// Reader: one validated cursor over an arena
 // ---------------------------------------------------------------------------
 
-/// One v3 payload byte source. Each family's payload reader is written
-/// once, generic over this trait; the stream impl decodes sections into
-/// owned vectors, the arena impl hands out zero-copy views.
-trait SectionSource {
-    /// Reads exactly `buf.len()` bytes (scalar header fields).
-    fn read_buf(&mut self, buf: &mut [u8]) -> io::Result<()>;
-    /// Current offset from the envelope start.
-    fn pos(&self) -> u64;
-    /// Consumes `n` padding bytes, rejecting nonzero padding.
-    fn skip_pad(&mut self, n: usize) -> io::Result<()>;
-    /// Takes `elems` raw little-endian elements at the current (8-aligned)
-    /// position: a borrowed view for the arena source, a decoded owned
-    /// vector for the stream source.
-    fn take<T: Pod>(&mut self, elems: usize) -> io::Result<ArenaVec<T>>;
-    /// The arena handle the loaded index should retain for size
-    /// accounting, if any (`None` for streams and for nested envelopes,
-    /// whose enclosing sharded index retains the one handle).
-    fn retained_arena(&self) -> Option<Arena>;
-    /// Reads one complete nested single-family envelope starting at the
-    /// current position (the caller aligns to 8 first).
-    fn read_nested_index(&mut self) -> io::Result<AnyIndex>;
-}
-
-fn src_u8<S: SectionSource>(s: &mut S) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    s.read_buf(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn src_u32<S: SectionSource>(s: &mut S) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    s.read_buf(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn src_u64<S: SectionSource>(s: &mut S) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    s.read_buf(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn src_f64<S: SectionSource>(s: &mut S) -> io::Result<f64> {
-    Ok(f64::from_bits(src_u64(s)?))
-}
-
-fn src_len<S: SectionSource>(s: &mut S) -> io::Result<usize> {
-    usize::try_from(src_u64(s)?).map_err(|_| bad("length prefix exceeds the address space"))
-}
-
-/// Skips to the next 8-byte-aligned offset relative to the envelope start.
-fn src_align8<S: SectionSource>(s: &mut S) -> io::Result<()> {
-    let pad = (8 - (s.pos() % 8) as usize) % 8;
-    s.skip_pad(pad)
-}
-
-/// Reads one section of any [`Pod`] type (raw encoding only).
-fn read_section<T: Pod, S: SectionSource>(s: &mut S) -> io::Result<ArenaVec<T>> {
-    let elems = src_len(s)?;
-    match src_u8(s)? {
-        ENC_RAW => {
-            src_align8(s)?;
-            s.take::<T>(elems)
-        }
-        other => Err(bad(format!("unsupported section encoding {other}"))),
-    }
-}
-
-/// Reads one `u32` section (raw or bit-packed).
-fn read_section_u32<S: SectionSource>(s: &mut S) -> io::Result<ArenaVec<u32>> {
-    let elems = src_len(s)?;
-    match src_u8(s)? {
-        ENC_RAW => {
-            src_align8(s)?;
-            s.take::<u32>(elems)
-        }
-        ENC_PACKED => {
-            let width = src_u8(s)? as usize;
-            if !(1..=32).contains(&width) {
-                return Err(bad(format!("invalid packed-section width {width}")));
-            }
-            let words = src_len(s)?;
-            let expected = elems
-                .checked_mul(width)
-                .ok_or_else(|| bad("packed section overflows"))?
-                .div_ceil(64);
-            if words != expected {
-                return Err(bad("packed section word count does not match"));
-            }
-            src_align8(s)?;
-            let packed = s.take::<u64>(words)?;
-            Ok(ArenaVec::from(unpack_u32(&packed, elems, width)))
-        }
-        other => Err(bad(format!("unsupported section encoding {other}"))),
-    }
-}
-
-/// Byte-counting reader adapter: tracks the offset from the envelope start
-/// across scalar reads, sections and nested envelopes alike.
-struct CountingReader<'a> {
-    inner: &'a mut dyn Read,
-    pos: u64,
-}
-
-impl Read for CountingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-/// The streaming v3 source: decodes every section into owned memory.
-/// Needed wherever the envelope is embedded mid-stream (live-index segment
-/// files) or the caller wants plain owned vectors.
-struct StreamSource<'a> {
-    cr: CountingReader<'a>,
-}
-
-impl<'a> StreamSource<'a> {
-    /// `r` must be positioned just past the 7 header bytes the envelope
-    /// reader consumed (magic, version, tag).
-    fn new(r: &'a mut dyn Read) -> Self {
-        Self {
-            cr: CountingReader { inner: r, pos: 7 },
-        }
-    }
-}
-
-impl SectionSource for StreamSource<'_> {
-    fn read_buf(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.cr.read_exact(buf)
-    }
-
-    fn pos(&self) -> u64 {
-        self.cr.pos
-    }
-
-    fn skip_pad(&mut self, n: usize) -> io::Result<()> {
-        let mut buf = [0u8; 8];
-        self.cr.read_exact(&mut buf[..n])?;
-        if buf[..n].iter().any(|&b| b != 0) {
-            return Err(bad("nonzero section padding"));
-        }
-        Ok(())
-    }
-
-    fn take<T: Pod>(&mut self, elems: usize) -> io::Result<ArenaVec<T>> {
-        let bytes = elems
-            .checked_mul(T::SIZE)
-            .ok_or_else(|| bad("section length overflows"))?;
-        let raw = read_byte_vec(&mut self.cr, bytes)?;
-        let mut out = Vec::with_capacity(elems);
-        out.extend(raw.chunks_exact(T::SIZE).map(T::read_le));
-        Ok(ArenaVec::from(out))
-    }
-
-    fn retained_arena(&self) -> Option<Arena> {
-        None
-    }
-
-    fn read_nested_index(&mut self) -> io::Result<AnyIndex> {
-        load_index(&mut self.cr)
-    }
-}
-
-/// The zero-copy v3 source: a bounds-checked cursor over an [`Arena`]
-/// whose envelope CRC was verified once, up front.
+/// The one v3 decoder: a bounds-checked cursor over an [`Arena`] whose
+/// envelope CRC was verified once, up front. Raw sections come back as
+/// zero-copy views; bit-packed sections decode to owned vectors.
 struct ArenaSource {
     arena: Arena,
     base: usize,
@@ -633,9 +298,9 @@ struct ArenaSource {
 }
 
 impl ArenaSource {
-    /// Validates the envelope at `base` (magic, version, length bounds,
-    /// CRC32 over the raw bytes) and returns its family tag plus a cursor
-    /// positioned at the first payload byte.
+    /// Validates the envelope at `base` (magic, version, family tag, length
+    /// bounds, CRC32 over the raw bytes) and returns its family tag plus a
+    /// cursor positioned at the first payload byte.
     fn open(arena: &Arena, base: usize, retain: bool) -> io::Result<(u8, Self)> {
         if !base.is_multiple_of(8) {
             return Err(bad("envelope does not start 8-byte aligned"));
@@ -650,11 +315,16 @@ impl ArenaSource {
         let version = u16::from_le_bytes([head[4], head[5]]);
         if version != FORMAT_VERSION {
             return Err(bad(format!(
-                "unsupported format version {version} for arena open \
-                 (this build opens version {FORMAT_VERSION})"
+                "unsupported IUSX format version {version} (this build reads only version \
+                 {FORMAT_VERSION}; load and re-save the file with an older build to convert it)"
             )));
         }
+        // The header fields are checked before the checksum: they give the
+        // most informative failures.
         let tag = head[6];
+        if tag > TAG_SHARDED {
+            return Err(bad(format!("unknown family tag {tag}")));
+        }
         let envelope_len = usize::try_from(u64::from_le_bytes(
             head[7..V3_HEADER].try_into().expect("8-byte slice"),
         ))
@@ -685,6 +355,19 @@ impl ArenaSource {
         ))
     }
 
+    /// [`ArenaSource::open`] for a whole-file envelope: nothing may follow
+    /// the trailer.
+    fn open_file(arena: &Arena) -> io::Result<(u8, Self)> {
+        let (tag, src) = Self::open(arena, 0, true)?;
+        if src.envelope_len != arena.len() {
+            return Err(bad(format!(
+                "{} trailing bytes after the index checksum trailer",
+                arena.len() - src.envelope_len
+            )));
+        }
+        Ok((tag, src))
+    }
+
     /// Rejects trailing payload bytes the decoder did not consume.
     fn expect_consumed(&self) -> io::Result<()> {
         if self.cursor != self.end {
@@ -695,9 +378,8 @@ impl ArenaSource {
         }
         Ok(())
     }
-}
 
-impl SectionSource for ArenaSource {
+    /// Reads exactly `buf.len()` bytes (scalar header fields).
     fn read_buf(&mut self, buf: &mut [u8]) -> io::Result<()> {
         let next = self
             .cursor
@@ -709,19 +391,20 @@ impl SectionSource for ArenaSource {
         Ok(())
     }
 
-    fn pos(&self) -> u64 {
-        (self.cursor - self.base) as u64
-    }
-
-    fn skip_pad(&mut self, n: usize) -> io::Result<()> {
+    /// Skips to the next 8-byte-aligned offset relative to the envelope
+    /// start, rejecting nonzero padding.
+    fn align8(&mut self) -> io::Result<()> {
+        let pad = (8 - (self.cursor - self.base) % 8) % 8;
         let mut buf = [0u8; 8];
-        self.read_buf(&mut buf[..n])?;
-        if buf[..n].iter().any(|&b| b != 0) {
+        self.read_buf(&mut buf[..pad])?;
+        if buf[..pad].iter().any(|&b| b != 0) {
             return Err(bad("nonzero section padding"));
         }
         Ok(())
     }
 
+    /// Borrows `elems` raw little-endian elements at the current (8-aligned)
+    /// position as a zero-copy view.
     fn take<T: Pod>(&mut self, elems: usize) -> io::Result<ArenaVec<T>> {
         let bytes = elems
             .checked_mul(T::SIZE)
@@ -739,10 +422,15 @@ impl SectionSource for ArenaSource {
         Ok(view)
     }
 
+    /// The arena handle the loaded index should retain for size accounting
+    /// (`None` for nested envelopes, whose enclosing sharded index retains
+    /// the one handle).
     fn retained_arena(&self) -> Option<Arena> {
         self.retain.then(|| self.arena.clone())
     }
 
+    /// Reads one complete nested single-family envelope starting at the
+    /// current position (the caller aligns to 8 first).
     fn read_nested_index(&mut self) -> io::Result<AnyIndex> {
         let (tag, mut nested) = ArenaSource::open(&self.arena, self.cursor, false)?;
         let index = load_index_payload_v3(tag, &mut nested)?;
@@ -752,88 +440,75 @@ impl SectionSource for ArenaSource {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Envelope
-// ---------------------------------------------------------------------------
-
-fn write_envelope_v2(w: &mut dyn Write, tag: u8) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_u16(w, V2_FORMAT_VERSION)?;
-    write_u8(w, tag)
+fn src_u8(s: &mut ArenaSource) -> io::Result<u8> {
+    let mut buf = [0u8; 1];
+    s.read_buf(&mut buf)?;
+    Ok(buf[0])
 }
 
-/// Reads magic, version and family tag, accepting versions 2 and 3.
-fn read_envelope(r: &mut dyn Read) -> io::Result<(u8, u16)> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(bad("not an IUSX index file (bad magic)"));
-    }
-    let version = read_u16(r)?;
-    if version != FORMAT_VERSION && version != V2_FORMAT_VERSION {
-        return Err(bad(format!(
-            "unsupported format version {version} \
-             (this build reads versions {V2_FORMAT_VERSION} and {FORMAT_VERSION})"
-        )));
-    }
-    Ok((read_u8(r)?, version))
+fn src_u32(s: &mut ArenaSource) -> io::Result<u32> {
+    let mut buf = [0u8; 4];
+    s.read_buf(&mut buf)?;
+    Ok(u32::from_le_bytes(buf))
 }
 
-/// Writes one complete checksummed **v2** envelope (the doc(hidden)
-/// backward-compat writer): magic/version/tag and the payload emitted by
-/// `payload` go through a CRC32 hasher, then the checksum follows as a
-/// trailer.
-fn write_checksummed_v2(
-    w: &mut dyn Write,
-    tag: u8,
-    payload: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut cw = Crc32Writer::new(w);
-    write_envelope_v2(&mut cw, tag)?;
-    payload(&mut cw)?;
-    let crc = cw.crc();
-    write_u32(cw.into_inner(), crc)
+fn src_u64(s: &mut ArenaSource) -> io::Result<u64> {
+    let mut buf = [0u8; 8];
+    s.read_buf(&mut buf)?;
+    Ok(u64::from_le_bytes(buf))
 }
 
-/// Reads one complete checksummed envelope (either version), handing the
-/// tag, version and checksummed payload stream to `body`, then verifies
-/// the trailer.
-fn read_checksummed<T>(
-    r: &mut dyn Read,
-    body: impl FnOnce(u8, u16, &mut dyn Read) -> io::Result<T>,
-) -> io::Result<T> {
-    let mut cr = Crc32Reader::new(r);
-    let (tag, version) = read_envelope(&mut cr)?;
-    let value = body(tag, version, &mut cr)?;
-    let computed = cr.crc();
-    let stored = read_u32(cr.inner_mut())?;
-    if stored != computed {
-        return Err(bad(format!(
-            "index checksum mismatch (stored {stored:#010x}, computed {computed:#010x}): \
-             the file is corrupt"
-        )));
-    }
-    Ok(value)
+fn src_f64(s: &mut ArenaSource) -> io::Result<f64> {
+    Ok(f64::from_bits(src_u64(s)?))
 }
 
-/// Runs a v3 payload decoder over a stream positioned just past the 7
-/// header bytes, validating the envelope length field against the bytes
-/// actually consumed.
-fn run_v3_stream<'a, T>(
-    r: &'a mut dyn Read,
-    body: impl FnOnce(&mut StreamSource<'a>) -> io::Result<T>,
-) -> io::Result<T> {
-    let mut src = StreamSource::new(r);
-    let declared = src_u64(&mut src)?;
-    let value = body(&mut src)?;
-    if src.pos() + 4 != declared {
-        return Err(bad("envelope length field does not match the payload"));
+fn src_len(s: &mut ArenaSource) -> io::Result<usize> {
+    usize::try_from(src_u64(s)?).map_err(|_| bad("length prefix exceeds the address space"))
+}
+
+/// Reads one section of any [`Pod`] type (raw encoding only).
+fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
+    let elems = src_len(s)?;
+    match src_u8(s)? {
+        ENC_RAW => {
+            s.align8()?;
+            s.take::<T>(elems)
+        }
+        other => Err(bad(format!("unsupported section encoding {other}"))),
     }
-    Ok(value)
+}
+
+/// Reads one `u32` section (raw or bit-packed).
+fn read_section_u32(s: &mut ArenaSource) -> io::Result<ArenaVec<u32>> {
+    let elems = src_len(s)?;
+    match src_u8(s)? {
+        ENC_RAW => {
+            s.align8()?;
+            s.take::<u32>(elems)
+        }
+        ENC_PACKED => {
+            let width = src_u8(s)? as usize;
+            if !(1..=32).contains(&width) {
+                return Err(bad(format!("invalid packed-section width {width}")));
+            }
+            let words = src_len(s)?;
+            let expected = elems
+                .checked_mul(width)
+                .ok_or_else(|| bad("packed section overflows"))?
+                .div_ceil(64);
+            if words != expected {
+                return Err(bad("packed section word count does not match"));
+            }
+            s.align8()?;
+            let packed = s.take::<u64>(words)?;
+            Ok(ArenaVec::from(unpack_u32(&packed, elems, width)))
+        }
+        other => Err(bad(format!("unsupported section encoding {other}"))),
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Shared scalar components (identical bytes in v2 and v3 payloads)
+// Shared scalar components
 // ---------------------------------------------------------------------------
 
 fn write_order(w: &mut dyn Write, order: KmerOrder) -> io::Result<()> {
@@ -849,16 +524,6 @@ fn write_order(w: &mut dyn Write, order: KmerOrder) -> io::Result<()> {
     }
 }
 
-fn read_order(r: &mut dyn Read) -> io::Result<KmerOrder> {
-    let tag = read_u8(r)?;
-    let seed = read_u64(r)?;
-    match tag {
-        0 => Ok(KmerOrder::Lexicographic),
-        1 => Ok(KmerOrder::KarpRabin { seed }),
-        other => Err(bad(format!("unknown k-mer order tag {other}"))),
-    }
-}
-
 pub(crate) fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Result<()> {
     write_f64(w, params.z)?;
     write_u64(w, params.ell as u64)?;
@@ -866,26 +531,7 @@ pub(crate) fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Resul
     write_order(w, params.order)
 }
 
-pub(crate) fn read_params(r: &mut dyn Read) -> io::Result<IndexParams> {
-    let z = read_f64(r)?;
-    let ell = read_len(r)?;
-    let k = read_len(r)?;
-    let order = read_order(r)?;
-    validate_params(z, ell, k)?;
-    Ok(IndexParams { z, ell, k, order })
-}
-
-fn validate_params(z: f64, ell: usize, k: usize) -> io::Result<()> {
-    if !(z.is_finite() && z >= 1.0) {
-        return Err(bad(format!("invalid stored threshold z = {z}")));
-    }
-    if ell == 0 || k == 0 || k > ell {
-        return Err(bad(format!("invalid stored parameters ℓ = {ell}, k = {k}")));
-    }
-    Ok(())
-}
-
-fn src_order<S: SectionSource>(s: &mut S) -> io::Result<KmerOrder> {
+fn src_order(s: &mut ArenaSource) -> io::Result<KmerOrder> {
     let tag = src_u8(s)?;
     let seed = src_u64(s)?;
     match tag {
@@ -895,148 +541,18 @@ fn src_order<S: SectionSource>(s: &mut S) -> io::Result<KmerOrder> {
     }
 }
 
-fn src_params<S: SectionSource>(s: &mut S) -> io::Result<IndexParams> {
+fn src_params(s: &mut ArenaSource) -> io::Result<IndexParams> {
     let z = src_f64(s)?;
     let ell = src_len(s)?;
     let k = src_len(s)?;
     let order = src_order(s)?;
-    validate_params(z, ell, k)?;
+    if !(z.is_finite() && z >= 1.0) {
+        return Err(bad(format!("invalid stored threshold z = {z}")));
+    }
+    if ell == 0 || k == 0 || k > ell {
+        return Err(bad(format!("invalid stored parameters ℓ = {ell}, k = {k}")));
+    }
     Ok(IndexParams { z, ell, k, order })
-}
-
-// ---------------------------------------------------------------------------
-// v2 component readers/writers (streamed scalar layout)
-// ---------------------------------------------------------------------------
-
-fn write_property_text_v2(w: &mut dyn Write, pt: &PropertyText) -> io::Result<()> {
-    write_u64(w, pt.n() as u64)?;
-    write_u64(w, pt.num_strands() as u64)?;
-    write_bytes(w, pt.text())?;
-    write_vec_u32(w, pt.trunc_raw())?;
-    write_vec_u32(w, pt.psa())?;
-    match pt.trunc_lcp_raw() {
-        Some(lcps) => {
-            write_u8(w, 1)?;
-            write_vec_u32(w, lcps)
-        }
-        None => write_u8(w, 0),
-    }
-}
-
-fn read_property_text_v2(r: &mut dyn Read) -> io::Result<PropertyText> {
-    let n = read_len(r)?;
-    let num_strands = read_len(r)?;
-    let text = read_bytes(r)?;
-    let trunc = read_vec_u32(r)?;
-    let psa = read_vec_u32(r)?;
-    let trunc_lcp = match read_u8(r)? {
-        0 => None,
-        1 => Some(ArenaVec::from(read_vec_u32(r)?)),
-        other => return Err(bad(format!("bad truncated-LCP flag {other}"))),
-    };
-    PropertyText::from_parts(
-        n,
-        num_strands,
-        text.into(),
-        trunc.into(),
-        psa.into(),
-        trunc_lcp,
-    )
-    .map_err(bad)
-}
-
-fn write_trie_v2(w: &mut dyn Write, trie: &CompactedTrie) -> io::Result<()> {
-    let parts = trie.to_parts();
-    write_vec_u32(w, &parts.depth)?;
-    write_vec_u32(w, &parts.leaf_lo)?;
-    write_vec_u32(w, &parts.leaf_hi)?;
-    write_vec_u32(w, &parts.children_start)?;
-    write_vec_u16(w, &parts.children_len)?;
-    write_bytes(w, &parts.is_leaf)?;
-    write_bytes(w, &parts.child_letters)?;
-    write_vec_u32(w, &parts.child_nodes)?;
-    write_u32(w, parts.root)?;
-    write_u64(w, parts.num_leaves)
-}
-
-fn read_trie_v2(r: &mut dyn Read) -> io::Result<CompactedTrie> {
-    let parts = TrieParts {
-        depth: read_vec_u32(r)?.into(),
-        leaf_lo: read_vec_u32(r)?.into(),
-        leaf_hi: read_vec_u32(r)?.into(),
-        children_start: read_vec_u32(r)?.into(),
-        children_len: read_vec_u16(r)?.into(),
-        is_leaf: read_bytes(r)?.into(),
-        child_letters: read_bytes(r)?.into(),
-        child_nodes: read_vec_u32(r)?.into(),
-        root: read_u32(r)?,
-        num_leaves: read_u64(r)?,
-    };
-    CompactedTrie::from_parts(parts).map_err(bad)
-}
-
-fn write_reporter_v2(w: &mut dyn Write, reporter: &RangeReporter) -> io::Result<()> {
-    let parts = reporter.to_parts();
-    write_u64(w, parts.len)?;
-    write_vec_u32(w, &parts.xs)?;
-    write_vec_u32(w, &parts.node_lens)?;
-    write_vec_u32(w, &parts.ys)?;
-    write_vec_u32(w, &parts.payloads)
-}
-
-fn read_reporter_parts_v2(r: &mut dyn Read) -> io::Result<ReporterParts> {
-    Ok(ReporterParts {
-        len: read_u64(r)?,
-        xs: read_vec_u32(r)?.into(),
-        node_lens: read_vec_u32(r)?.into(),
-        ys: read_vec_u32(r)?.into(),
-        payloads: read_vec_u32(r)?.into(),
-    })
-}
-
-fn write_heavy_v2(w: &mut dyn Write, heavy: &HeavyString) -> io::Result<()> {
-    write_bytes(w, heavy.as_ranks())?;
-    write_vec_f64(w, heavy.log_prefix())
-}
-
-fn read_heavy_v2(r: &mut dyn Read) -> io::Result<HeavyString> {
-    let letters = read_bytes(r)?;
-    let log_prefix = read_vec_f64(r)?;
-    HeavyString::from_parts(letters, log_prefix.into()).map_err(|e| bad(e.to_string()))
-}
-
-/// Writes a factor set in the v2 layout: the three mismatch pools are
-/// interleaved back into the legacy `(depth, letter, ratio)` records, so
-/// the emitted bytes are identical to what version 2 of this crate wrote.
-fn write_factor_set_v2(w: &mut dyn Write, set: &EncodedFactorSet) -> io::Result<()> {
-    write_u8(
-        w,
-        match set.direction() {
-            Direction::Forward => 0,
-            Direction::Backward => 1,
-        },
-    )?;
-    write_u8(w, u8::from(set.owns_heavy_view()))?;
-    write_vec_u32(w, set.anchor_x_raw())?;
-    write_vec_u32(w, set.lens_raw())?;
-    write_vec_u32(w, set.strands_raw())?;
-    write_vec_u32(w, set.mism_start_raw())?;
-    let depths = set.mism_depths_raw();
-    let letters = set.mism_letters_raw();
-    let ratios = set.mism_ratios_raw();
-    write_u64(w, depths.len() as u64)?;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(depths.len()) * 13);
-    for start in (0..depths.len()).step_by(WRITE_CHUNK) {
-        buf.clear();
-        let end = (start + WRITE_CHUNK).min(depths.len());
-        for i in start..end {
-            buf.extend_from_slice(&depths[i].to_le_bytes());
-            buf.push(letters[i]);
-            buf.extend_from_slice(&ratios[i].to_bits().to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    write_vec_u64(w, set.prefix_keys_raw())
 }
 
 /// Reconstructs the heavy view a factor set reads through: forward sets
@@ -1052,51 +568,6 @@ fn factor_heavy_view(direction: Direction, owns_view: bool, heavy: &HeavyString)
             Arc::new(reversed)
         }
     }
-}
-
-fn read_factor_set_v2(r: &mut dyn Read, heavy: &HeavyString) -> io::Result<EncodedFactorSet> {
-    let direction = match read_u8(r)? {
-        0 => Direction::Forward,
-        1 => Direction::Backward,
-        other => return Err(bad(format!("unknown factor-set direction {other}"))),
-    };
-    let owns_view = match read_u8(r)? {
-        0 => false,
-        1 => true,
-        other => return Err(bad(format!("bad heavy-view ownership flag {other}"))),
-    };
-    let heavy_view = factor_heavy_view(direction, owns_view, heavy);
-    let anchor_x = read_vec_u32(r)?;
-    let lens = read_vec_u32(r)?;
-    let strands = read_vec_u32(r)?;
-    let mism_start = read_vec_u32(r)?;
-    let mism_count = read_len(r)?;
-    let cap = mism_count.min(1 << 20);
-    let mut mism_depths = Vec::with_capacity(cap);
-    let mut mism_letters = Vec::with_capacity(cap);
-    let mut mism_ratios = Vec::with_capacity(cap);
-    for _ in 0..mism_count {
-        mism_depths.push(read_u32(r)?);
-        mism_letters.push(read_u8(r)?);
-        mism_ratios.push(read_f64(r)?);
-    }
-    mism_depths.shrink_to_fit();
-    mism_letters.shrink_to_fit();
-    mism_ratios.shrink_to_fit();
-    let prefix_keys = read_vec_u64(r)?;
-    EncodedFactorSet::from_loaded_parts(
-        direction,
-        heavy_view,
-        anchor_x.into(),
-        lens.into(),
-        strands.into(),
-        mism_start.into(),
-        mism_depths.into(),
-        mism_letters.into(),
-        mism_ratios.into(),
-        prefix_keys.into(),
-    )
-    .map_err(bad)
 }
 
 // ---------------------------------------------------------------------------
@@ -1119,10 +590,10 @@ fn write_property_text_v3(vw: &mut V3Writer, pt: &PropertyText) -> io::Result<()
     Ok(())
 }
 
-fn read_property_text_v3<S: SectionSource>(s: &mut S) -> io::Result<PropertyText> {
+fn read_property_text_v3(s: &mut ArenaSource) -> io::Result<PropertyText> {
     let n = src_len(s)?;
     let num_strands = src_len(s)?;
-    let text = read_section::<u8, _>(s)?;
+    let text = read_section::<u8>(s)?;
     let trunc = read_section_u32(s)?;
     let psa = read_section_u32(s)?;
     let trunc_lcp = match src_u8(s)? {
@@ -1147,15 +618,15 @@ fn write_trie_v3(vw: &mut V3Writer, trie: &CompactedTrie) -> io::Result<()> {
     write_u64(vw, parts.num_leaves)
 }
 
-fn read_trie_v3<S: SectionSource>(s: &mut S) -> io::Result<CompactedTrie> {
+fn read_trie_v3(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
     let parts = TrieParts {
         depth: read_section_u32(s)?,
         leaf_lo: read_section_u32(s)?,
         leaf_hi: read_section_u32(s)?,
         children_start: read_section_u32(s)?,
-        children_len: read_section::<u16, _>(s)?,
-        is_leaf: read_section::<u8, _>(s)?,
-        child_letters: read_section::<u8, _>(s)?,
+        children_len: read_section::<u16>(s)?,
+        is_leaf: read_section::<u8>(s)?,
+        child_letters: read_section::<u8>(s)?,
         child_nodes: read_section_u32(s)?,
         root: src_u32(s)?,
         num_leaves: src_u64(s)?,
@@ -1173,7 +644,7 @@ fn write_reporter_v3(vw: &mut V3Writer, reporter: &RangeReporter) -> io::Result<
     Ok(())
 }
 
-fn read_reporter_parts_v3<S: SectionSource>(s: &mut S) -> io::Result<ReporterParts> {
+fn read_reporter_parts_v3(s: &mut ArenaSource) -> io::Result<ReporterParts> {
     Ok(ReporterParts {
         len: src_u64(s)?,
         xs: read_section_u32(s)?,
@@ -1189,12 +660,12 @@ fn write_heavy_v3(vw: &mut V3Writer, heavy: &HeavyString) -> io::Result<()> {
     Ok(())
 }
 
-fn read_heavy_v3<S: SectionSource>(s: &mut S) -> io::Result<HeavyString> {
+fn read_heavy_v3(s: &mut ArenaSource) -> io::Result<HeavyString> {
     // The heavy letters live behind an `Arc<Vec<u8>>` shared with the
     // factor sets, so they are copied out of the arena (n bytes — tiny
     // next to the O(n·z) tables that stay zero-copy).
-    let letters = read_section::<u8, _>(s)?.to_vec();
-    let log_prefix = read_section::<f64, _>(s)?;
+    let letters = read_section::<u8>(s)?.to_vec();
+    let log_prefix = read_section::<f64>(s)?;
     HeavyString::from_parts(letters, log_prefix).map_err(|e| bad(e.to_string()))
 }
 
@@ -1218,10 +689,7 @@ fn write_factor_set_v3(vw: &mut V3Writer, set: &EncodedFactorSet) -> io::Result<
     Ok(())
 }
 
-fn read_factor_set_v3<S: SectionSource>(
-    s: &mut S,
-    heavy: &HeavyString,
-) -> io::Result<EncodedFactorSet> {
+fn read_factor_set_v3(s: &mut ArenaSource, heavy: &HeavyString) -> io::Result<EncodedFactorSet> {
     let direction = match src_u8(s)? {
         0 => Direction::Forward,
         1 => Direction::Backward,
@@ -1238,9 +706,9 @@ fn read_factor_set_v3<S: SectionSource>(
     let strands = read_section_u32(s)?;
     let mism_start = read_section_u32(s)?;
     let mism_depths = read_section_u32(s)?;
-    let mism_letters = read_section::<u8, _>(s)?;
-    let mism_ratios = read_section::<f64, _>(s)?;
-    let prefix_keys = read_section::<u64, _>(s)?;
+    let mism_letters = read_section::<u8>(s)?;
+    let mism_ratios = read_section::<f64>(s)?;
+    let prefix_keys = read_section::<u64>(s)?;
     EncodedFactorSet::from_loaded_parts(
         direction,
         heavy_view,
@@ -1294,40 +762,6 @@ fn construction_from_tag(tag: u8) -> io::Result<&'static str> {
     })
 }
 
-fn write_minimizer_payload_v2(w: &mut dyn Write, index: &MinimizerIndex) -> io::Result<()> {
-    write_params(w, index.params())?;
-    write_u8(w, variant_tag(index.variant()))?;
-    write_u8(w, construction_tag(index.construction()))?;
-    let parts = index.persist_parts();
-    write_u64(w, parts.n as u64)?;
-    write_u64(w, parts.sigma as u64)?;
-    write_heavy_v2(w, parts.heavy)?;
-    write_factor_set_v2(w, parts.fwd)?;
-    write_factor_set_v2(w, parts.bwd)?;
-    for trie in [parts.fwd_trie, parts.bwd_trie] {
-        match trie {
-            Some(trie) => {
-                write_u8(w, 1)?;
-                write_trie_v2(w, trie)?;
-            }
-            None => write_u8(w, 0)?,
-        }
-    }
-    match parts.grid {
-        Some(grid) => {
-            write_u8(w, 1)?;
-            write_reporter_v2(w, grid)?;
-            write_u64(w, (parts.pairs.len() / 2) as u64)?;
-            for pair in parts.pairs.chunks_exact(2) {
-                write_u32(w, pair[0])?;
-                write_u32(w, pair[1])?;
-            }
-        }
-        None => write_u8(w, 0)?,
-    }
-    Ok(())
-}
-
 fn write_minimizer_payload_v3(vw: &mut V3Writer, index: &MinimizerIndex) -> io::Result<()> {
     write_params(vw, index.params())?;
     write_u8(vw, variant_tag(index.variant()))?;
@@ -1358,24 +792,41 @@ fn write_minimizer_payload_v3(vw: &mut V3Writer, index: &MinimizerIndex) -> io::
     Ok(())
 }
 
-/// Validates the cross-component invariants shared by both minimizer
-/// readers and assembles the index.
-#[allow(clippy::too_many_arguments)]
-fn assemble_minimizer(
-    params: IndexParams,
-    variant: IndexVariant,
-    n: usize,
-    sigma: usize,
-    heavy: HeavyString,
-    fwd: EncodedFactorSet,
-    bwd: EncodedFactorSet,
-    fwd_trie: Option<CompactedTrie>,
-    bwd_trie: Option<CompactedTrie>,
-    grid: Option<RangeReporter>,
-    pairs: ArenaVec<u32>,
-    arena: Option<Arena>,
-    construction: &'static str,
-) -> io::Result<MinimizerIndex> {
+fn read_minimizer_payload_v3(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
+    let params = src_params(src)?;
+    let variant = variant_from_tag(src_u8(src)?)?;
+    let construction = construction_from_tag(src_u8(src)?)?;
+    let n = src_len(src)?;
+    let sigma = src_len(src)?;
+    let heavy = read_heavy_v3(src)?;
+    let fwd = read_factor_set_v3(src, &heavy)?;
+    let bwd = read_factor_set_v3(src, &heavy)?;
+    let mut tries = [None, None];
+    for slot in &mut tries {
+        *slot = match src_u8(src)? {
+            0 => None,
+            1 => Some(read_trie_v3(src)?),
+            other => return Err(bad(format!("bad trie presence flag {other}"))),
+        };
+    }
+    let [fwd_trie, bwd_trie] = tries;
+    let (grid, pairs) = match src_u8(src)? {
+        0 => (None, ArenaVec::new()),
+        1 => {
+            let grid_parts = read_reporter_parts_v3(src)?;
+            let pairs = read_section_u32(src)?;
+            let worst = grid_parts.payloads.iter().fold(0u32, |m, &p| m.max(p));
+            if !grid_parts.payloads.is_empty() && worst as usize >= pairs.len() / 2 {
+                return Err(bad("grid payload references a pair out of range"));
+            }
+            (
+                Some(RangeReporter::from_parts(grid_parts).map_err(bad)?),
+                pairs,
+            )
+        }
+        other => return Err(bad(format!("bad grid presence flag {other}"))),
+    };
+    // Cross-component invariants.
     if sigma == 0 || sigma > 256 {
         return Err(bad(format!("invalid stored alphabet size {sigma}")));
     }
@@ -1431,123 +882,9 @@ fn assemble_minimizer(
         bwd_trie,
         grid,
         pairs,
-        arena,
-        construction,
-    ))
-}
-
-fn read_minimizer_payload_v2(r: &mut dyn Read) -> io::Result<MinimizerIndex> {
-    let params = read_params(r)?;
-    let variant = variant_from_tag(read_u8(r)?)?;
-    let construction = construction_from_tag(read_u8(r)?)?;
-    let n = read_len(r)?;
-    let sigma = read_len(r)?;
-    let heavy = read_heavy_v2(r)?;
-    let fwd = read_factor_set_v2(r, &heavy)?;
-    let bwd = read_factor_set_v2(r, &heavy)?;
-    let mut tries = [None, None];
-    for slot in &mut tries {
-        *slot = match read_u8(r)? {
-            0 => None,
-            1 => Some(read_trie_v2(r)?),
-            other => return Err(bad(format!("bad trie presence flag {other}"))),
-        };
-    }
-    let [fwd_trie, bwd_trie] = tries;
-    let (grid, pairs) = match read_u8(r)? {
-        0 => (None, Vec::new()),
-        1 => {
-            let grid_parts = read_reporter_parts_v2(r)?;
-            let count = read_len(r)?;
-            let mut pairs = Vec::with_capacity(count.min(1 << 20).saturating_mul(2));
-            for _ in 0..count {
-                pairs.push(read_u32(r)?);
-                pairs.push(read_u32(r)?);
-            }
-            pairs.shrink_to_fit();
-            // Every grid point's payload indexes the pair table at query
-            // time; reject out-of-range payloads here rather than panicking
-            // on the first grid query.
-            if grid_parts
-                .payloads
-                .iter()
-                .any(|&payload| payload as usize >= count)
-            {
-                return Err(bad("grid payload references a pair out of range"));
-            }
-            (
-                Some(RangeReporter::from_parts(grid_parts).map_err(bad)?),
-                pairs,
-            )
-        }
-        other => return Err(bad(format!("bad grid presence flag {other}"))),
-    };
-    assemble_minimizer(
-        params,
-        variant,
-        n,
-        sigma,
-        heavy,
-        fwd,
-        bwd,
-        fwd_trie,
-        bwd_trie,
-        grid,
-        pairs.into(),
-        None,
-        construction,
-    )
-}
-
-fn read_minimizer_payload_v3<S: SectionSource>(src: &mut S) -> io::Result<MinimizerIndex> {
-    let params = src_params(src)?;
-    let variant = variant_from_tag(src_u8(src)?)?;
-    let construction = construction_from_tag(src_u8(src)?)?;
-    let n = src_len(src)?;
-    let sigma = src_len(src)?;
-    let heavy = read_heavy_v3(src)?;
-    let fwd = read_factor_set_v3(src, &heavy)?;
-    let bwd = read_factor_set_v3(src, &heavy)?;
-    let mut tries = [None, None];
-    for slot in &mut tries {
-        *slot = match src_u8(src)? {
-            0 => None,
-            1 => Some(read_trie_v3(src)?),
-            other => return Err(bad(format!("bad trie presence flag {other}"))),
-        };
-    }
-    let [fwd_trie, bwd_trie] = tries;
-    let (grid, pairs) = match src_u8(src)? {
-        0 => (None, ArenaVec::new()),
-        1 => {
-            let grid_parts = read_reporter_parts_v3(src)?;
-            let pairs = read_section_u32(src)?;
-            let worst = grid_parts.payloads.iter().fold(0u32, |m, &p| m.max(p));
-            if !grid_parts.payloads.is_empty() && worst as usize >= pairs.len() / 2 {
-                return Err(bad("grid payload references a pair out of range"));
-            }
-            (
-                Some(RangeReporter::from_parts(grid_parts).map_err(bad)?),
-                pairs,
-            )
-        }
-        other => return Err(bad(format!("bad grid presence flag {other}"))),
-    };
-    assemble_minimizer(
-        params,
-        variant,
-        n,
-        sigma,
-        heavy,
-        fwd,
-        bwd,
-        fwd_trie,
-        bwd_trie,
-        grid,
-        pairs,
         src.retained_arena(),
         construction,
-    )
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1746,70 +1083,33 @@ pub fn save_index_with(index: &AnyIndex, w: &mut dyn Write, opts: SaveOptions) -
     }
 }
 
-/// Serializes any index family in the **version-2** stream layout — byte
-/// identical to what version 2 of this crate wrote. Kept only for the
-/// backward-compat differential suite; new files should use
-/// [`save_index`].
-///
-/// # Errors
-///
-/// Propagates I/O errors of the writer.
-#[doc(hidden)]
-pub fn save_index_v2(index: &AnyIndex, w: &mut dyn Write) -> io::Result<()> {
-    match index {
-        AnyIndex::Naive(index) => write_checksummed_v2(w, TAG_NAIVE, |w| write_f64(w, index.z())),
-        AnyIndex::Wst(index) => write_checksummed_v2(w, TAG_WST, |w| {
-            write_f64(w, index.z())?;
-            write_property_text_v2(w, index.property_text_ref())?;
-            write_trie_v2(w, index.trie_ref())
-        }),
-        AnyIndex::Wsa(index) => write_checksummed_v2(w, TAG_WSA, |w| {
-            write_f64(w, index.z())?;
-            write_property_text_v2(w, index.property_text())
-        }),
-        AnyIndex::Minimizer(index) => {
-            write_checksummed_v2(w, TAG_MINIMIZER, |w| write_minimizer_payload_v2(w, index))
-        }
-    }
-}
-
 /// Deserializes an index saved by [`save_index`] (or any family's
-/// `save_to`), dispatching on the stored version and family tag. Reads
-/// both format versions; every section is decoded into owned memory (use
-/// [`open_index`] for the zero-copy arena path). Loading performs only
-/// linear-time reassembly — the z-estimation, suffix sorts and tree merges
-/// of construction are never re-run.
+/// `save_to`): reads the stream to its end into an [`Arena`], then opens
+/// it with [`open_index`] — the one validated decoder. Loading performs
+/// only linear-time reassembly — the z-estimation, suffix sorts and tree
+/// merges of construction are never re-run.
 ///
 /// # Errors
 ///
-/// I/O errors, or `InvalidData` on bad magic, an unknown version/tag, or a
-/// structurally inconsistent payload.
+/// I/O errors, or `InvalidData` on bad magic, an unknown version/tag, a
+/// checksum mismatch, bytes after the trailer, or a structurally
+/// inconsistent payload.
 pub fn load_index(r: &mut dyn Read) -> io::Result<AnyIndex> {
-    read_checksummed(r, |tag, version, r| {
-        if version == V2_FORMAT_VERSION {
-            load_index_payload_v2(tag, r)
-        } else {
-            run_v3_stream(r, |src| load_index_payload_v3(tag, src))
-        }
-    })
+    open_index(&Arena::from_reader(r)?)
 }
 
 /// Opens any single-machine family from an in-memory [`Arena`]: the CRC32
 /// trailer is verified over the raw bytes, then every raw section becomes
 /// a zero-copy borrowed view — open cost is O(header + validation), not
-/// O(elements). Version-2 bytes fall back to the streaming decoder
-/// transparently.
+/// O(elements).
 ///
 /// # Errors
 ///
 /// `InvalidData` on bad magic, an unknown version/tag, a checksum
-/// mismatch, or a structurally inconsistent payload.
+/// mismatch, bytes after the trailer, or a structurally inconsistent
+/// payload.
 pub fn open_index(arena: &Arena) -> io::Result<AnyIndex> {
-    if header_version(arena.as_bytes(), 0)? == V2_FORMAT_VERSION {
-        let mut bytes = arena.as_bytes();
-        return load_index(&mut bytes);
-    }
-    let (tag, mut src) = ArenaSource::open(arena, 0, true)?;
+    let (tag, mut src) = ArenaSource::open_file(arena)?;
     let index = load_index_payload_v3(tag, &mut src)?;
     src.expect_consumed()?;
     Ok(index)
@@ -1833,46 +1133,29 @@ pub enum LoadedAny {
 }
 
 /// Deserializes **any** index file — single-machine families and sharded
-/// composites alike — dispatching on the stored version and family tag.
+/// composites alike — by reading the stream to its end into an [`Arena`]
+/// and opening it with [`open_any_index`].
 ///
 /// # Errors
 ///
-/// I/O errors, or `InvalidData` on bad magic, an unknown version/tag, or a
-/// structurally inconsistent payload.
+/// I/O errors, or `InvalidData` on bad magic, an unknown version/tag, a
+/// checksum mismatch, bytes after the trailer, or a structurally
+/// inconsistent payload.
 pub fn load_any_index(r: &mut dyn Read) -> io::Result<LoadedAny> {
-    read_checksummed(r, |tag, version, r| {
-        if version == V2_FORMAT_VERSION {
-            if tag == TAG_SHARDED {
-                read_sharded_payload_v2(r).map(LoadedAny::Sharded)
-            } else {
-                load_index_payload_v2(tag, r).map(LoadedAny::Index)
-            }
-        } else {
-            run_v3_stream(r, |src| {
-                if tag == TAG_SHARDED {
-                    read_sharded_payload_v3(src).map(LoadedAny::Sharded)
-                } else {
-                    load_index_payload_v3(tag, src).map(LoadedAny::Index)
-                }
-            })
-        }
-    })
+    open_any_index(&Arena::from_reader(r)?)
 }
 
 /// Opens **any** index file from an in-memory [`Arena`] (see
-/// [`open_index`] for the cost model). Version-2 bytes fall back to the
-/// streaming decoder transparently.
+/// [`open_index`] for the cost model).
 ///
 /// # Errors
 ///
 /// `InvalidData` on bad magic, an unknown version/tag, a checksum
-/// mismatch, or a structurally inconsistent payload.
+/// mismatch, bytes after the trailer, or a structurally inconsistent
+/// payload.
 pub fn open_any_index(arena: &Arena) -> io::Result<LoadedAny> {
-    if header_version(arena.as_bytes(), 0)? == V2_FORMAT_VERSION {
-        let mut bytes = arena.as_bytes();
-        return load_any_index(&mut bytes);
-    }
-    Ok(open_any_index_at(arena, 0)?.0)
+    let (tag, mut src) = ArenaSource::open_file(arena)?;
+    load_any_payload(tag, &mut src)
 }
 
 /// Opens a v3 envelope embedded at `offset` inside an arena (the live
@@ -1886,72 +1169,22 @@ pub fn open_any_index(arena: &Arena) -> io::Result<LoadedAny> {
 /// a structurally inconsistent payload.
 pub fn open_any_index_at(arena: &Arena, offset: usize) -> io::Result<(LoadedAny, usize)> {
     let (tag, mut src) = ArenaSource::open(arena, offset, true)?;
+    Ok((load_any_payload(tag, &mut src)?, src.envelope_len))
+}
+
+/// Decodes a validated envelope's payload of any family, sharded included,
+/// and rejects undecoded payload bytes.
+fn load_any_payload(tag: u8, src: &mut ArenaSource) -> io::Result<LoadedAny> {
     let loaded = if tag == TAG_SHARDED {
-        LoadedAny::Sharded(read_sharded_payload_v3(&mut src)?)
+        LoadedAny::Sharded(read_sharded_payload_v3(src)?)
     } else {
-        LoadedAny::Index(load_index_payload_v3(tag, &mut src)?)
+        LoadedAny::Index(load_index_payload_v3(tag, src)?)
     };
     src.expect_consumed()?;
-    Ok((loaded, src.envelope_len))
+    Ok(loaded)
 }
 
-/// Parses the magic and version of the envelope header at `offset`.
-fn header_version(bytes: &[u8], offset: usize) -> io::Result<u16> {
-    let head = bytes
-        .get(offset..offset + 7)
-        .ok_or_else(|| bad("file too short for an IUSX envelope"))?;
-    if head[..4] != MAGIC {
-        return Err(bad("not an IUSX index file (bad magic)"));
-    }
-    Ok(u16::from_le_bytes([head[4], head[5]]))
-}
-
-fn load_index_payload_v2(tag: u8, r: &mut dyn Read) -> io::Result<AnyIndex> {
-    match tag {
-        TAG_NAIVE => {
-            let z = read_f64(r)?;
-            NaiveIndex::new(z)
-                .map(AnyIndex::Naive)
-                .map_err(|e| bad(e.to_string()))
-        }
-        TAG_WST => {
-            let z = read_f64(r)?;
-            if !(z.is_finite() && z >= 1.0) {
-                return Err(bad(format!("invalid stored threshold z = {z}")));
-            }
-            let property_text = read_property_text_v2(r)?;
-            let trie = read_trie_v2(r)?;
-            if trie.num_leaves() != property_text.psa().len() {
-                return Err(bad("trie does not match the property suffix array"));
-            }
-            Ok(AnyIndex::Wst(Wst::from_loaded_parts(
-                z,
-                property_text,
-                trie,
-                None,
-            )))
-        }
-        TAG_WSA => {
-            let z = read_f64(r)?;
-            if !(z.is_finite() && z >= 1.0) {
-                return Err(bad(format!("invalid stored threshold z = {z}")));
-            }
-            let property_text = read_property_text_v2(r)?;
-            Ok(AnyIndex::Wsa(Wsa::from_loaded_parts(
-                z,
-                property_text,
-                None,
-            )))
-        }
-        TAG_MINIMIZER => Ok(AnyIndex::Minimizer(Box::new(read_minimizer_payload_v2(r)?))),
-        TAG_SHARDED => Err(bad(
-            "this is a sharded-index file; use ShardedIndex::load_from",
-        )),
-        other => Err(bad(format!("unknown family tag {other}"))),
-    }
-}
-
-fn load_index_payload_v3<S: SectionSource>(tag: u8, src: &mut S) -> io::Result<AnyIndex> {
+fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
     match tag {
         TAG_NAIVE => {
             let z = src_f64(src)?;
@@ -2040,51 +1273,19 @@ impl ShardedIndex {
         })
     }
 
-    /// Serializes the sharded index in the **version-2** stream layout.
-    /// Kept only for the backward-compat differential suite.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    #[doc(hidden)]
-    pub fn save_to_v2(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_checksummed_v2(w, TAG_SHARDED, |w| {
-            write_params(w, &self.spec().params)?;
-            write_u8(w, family_tag(self.spec().family))?;
-            write_u64(w, self.len() as u64)?;
-            write_u64(w, self.max_pattern_len() as u64)?;
-            write_u64(w, self.num_shards() as u64)?;
-            for shard in self.shards() {
-                write_u64(w, shard.offset as u64)?;
-                write_u64(w, shard.home_len as u64)?;
-                write_bytes(w, shard.x.alphabet().symbols())?;
-                write_u64(w, shard.x.len() as u64)?;
-                write_vec_f64(w, shard.x.flat_probs())?;
-                save_index_v2(&shard.index, w)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Deserializes a sharded index written by [`ShardedIndex::save_to`]
-    /// (either format version).
+    /// Deserializes a sharded index written by [`ShardedIndex::save_to`].
     ///
     /// # Errors
     ///
     /// I/O errors, or `InvalidData` on a malformed file.
     pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        read_checksummed(r, |tag, version, r| {
-            if tag != TAG_SHARDED {
-                return Err(bad(format!(
-                    "expected a sharded-index file (tag {TAG_SHARDED}), found tag {tag}"
-                )));
-            }
-            if version == V2_FORMAT_VERSION {
-                read_sharded_payload_v2(r)
-            } else {
-                run_v3_stream(r, read_sharded_payload_v3)
-            }
-        })
+        match load_any_index(r)? {
+            LoadedAny::Sharded(sharded) => Ok(sharded),
+            LoadedAny::Index(other) => Err(bad(format!(
+                "expected a sharded-index file, found {}",
+                other.name()
+            ))),
+        }
     }
 }
 
@@ -2112,40 +1313,11 @@ fn assemble_shard(
     })
 }
 
-/// Reads the v2 sharded payload (everything after the envelope).
-fn read_sharded_payload_v2(r: &mut dyn Read) -> io::Result<ShardedIndex> {
-    let params = read_params(r)?;
-    let family = family_from_tag(read_u8(r)?)?;
-    let n = read_len(r)?;
-    let max_pattern_len = read_len(r)?;
-    let num_shards = read_len(r)?;
-    let mut shards = Vec::with_capacity(num_shards.min(1 << 16));
-    for _ in 0..num_shards {
-        let offset = read_len(r)?;
-        let home_len = read_len(r)?;
-        let symbols = read_bytes(r)?;
-        let chunk_len = read_len(r)?;
-        let probs = read_vec_f64(r)?;
-        let index = load_index(r)?;
-        shards.push(assemble_shard(
-            offset, home_len, &symbols, chunk_len, probs, index,
-        )?);
-    }
-    ShardedIndex::from_loaded_parts(
-        crate::builder::IndexSpec::new(family, params),
-        n,
-        max_pattern_len,
-        shards,
-        None,
-    )
-    .map_err(bad)
-}
-
 /// Reads the v3 sharded payload (everything after the length field). The
 /// per-shard weighted strings are decoded into owned memory even on the
 /// arena path (they are consumed by value); the nested index envelopes
 /// stay zero-copy.
-fn read_sharded_payload_v3<S: SectionSource>(src: &mut S) -> io::Result<ShardedIndex> {
+fn read_sharded_payload_v3(src: &mut ArenaSource) -> io::Result<ShardedIndex> {
     let params = src_params(src)?;
     let family = family_from_tag(src_u8(src)?)?;
     let n = src_len(src)?;
@@ -2155,10 +1327,10 @@ fn read_sharded_payload_v3<S: SectionSource>(src: &mut S) -> io::Result<ShardedI
     for _ in 0..num_shards {
         let offset = src_len(src)?;
         let home_len = src_len(src)?;
-        let symbols = read_section::<u8, _>(src)?;
+        let symbols = read_section::<u8>(src)?;
         let chunk_len = src_len(src)?;
-        let probs = read_section::<f64, _>(src)?.to_vec();
-        src_align8(src)?;
+        let probs = read_section::<f64>(src)?.to_vec();
+        src.align8()?;
         let index = src.read_nested_index()?;
         shards.push(assemble_shard(
             offset, home_len, &symbols, chunk_len, probs, index,
@@ -2252,11 +1424,20 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version.
-        let mut corrupt = bytes.clone();
-        corrupt[4] = 0xFF;
-        assert!(load_index(&mut corrupt.as_slice()).is_err());
-        assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
+        // Unknown version, and version 2: refused naming the version.
+        for version in [0x03FF, 2u16] {
+            let mut corrupt = bytes.clone();
+            corrupt[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = load_index(&mut corrupt.as_slice()).unwrap_err();
+            assert!(err.to_string().contains(&format!("version {version}")));
+            assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
+        }
+        // Bytes after the trailer.
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0u8; 12]);
+        let err = load_index(&mut longer.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("12 trailing bytes"), "{err}");
+        assert!(open_index(&Arena::from_bytes(&longer)).is_err());
         // Unknown family tag.
         let mut corrupt = bytes;
         corrupt[6] = 0xEE;
@@ -2267,7 +1448,7 @@ mod tests {
     #[test]
     fn checksum_detects_silent_bit_rot() {
         let bytes = sample_bytes();
-        // An untouched file round-trips on both read paths.
+        // An untouched file opens through both entry points.
         assert!(load_index(&mut bytes.as_slice()).is_ok());
         assert!(open_index(&Arena::from_bytes(&bytes)).is_ok());
         // Flip one bit deep in the payload (past the envelope, before the
@@ -2314,7 +1495,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_open_matches_streaming_load() {
+    fn load_and_open_answer_like_the_build() {
         let index = sample_index();
         let mut bytes = Vec::new();
         index.save_to(&mut bytes).unwrap();
@@ -2332,17 +1513,18 @@ mod tests {
             assert_eq!(loaded.query(pattern, &x).unwrap(), built);
             assert_eq!(opened.query(pattern, &x).unwrap(), built);
         }
-        // The arena-opened index accounts the backing allocation once.
+        // Both retain the one backing arena and account it once.
+        assert!(loaded.size_bytes() >= bytes.len());
         assert!(opened.size_bytes() >= bytes.len());
     }
 
     #[test]
-    fn resave_is_byte_identical_after_both_read_paths() {
+    fn resave_is_byte_identical() {
         let bytes = sample_bytes();
         let loaded = load_index(&mut bytes.as_slice()).unwrap();
         let mut resaved = Vec::new();
         loaded.save_to(&mut resaved).unwrap();
-        assert_eq!(bytes, resaved, "stream load → save must be byte identical");
+        assert_eq!(bytes, resaved, "load → save must be byte identical");
         let opened = open_index(&Arena::from_bytes(&bytes)).unwrap();
         let mut resaved = Vec::new();
         opened.save_to(&mut resaved).unwrap();
@@ -2371,29 +1553,6 @@ mod tests {
         .generate();
         let loaded = load_index(&mut packed.as_slice()).unwrap();
         let opened = open_index(&Arena::from_bytes(&packed)).unwrap();
-        for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB"] {
-            let built = index.query(pattern, &x).unwrap();
-            assert_eq!(loaded.query(pattern, &x).unwrap(), built);
-            assert_eq!(opened.query(pattern, &x).unwrap(), built);
-        }
-    }
-
-    #[test]
-    fn v2_writer_round_trips_through_every_path() {
-        let index = sample_index();
-        let mut v2 = Vec::new();
-        save_index_v2(&index, &mut v2).unwrap();
-        assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), V2_FORMAT_VERSION);
-        let x = UniformConfig {
-            n: 160,
-            sigma: 2,
-            spread: 0.5,
-            seed: 8,
-        }
-        .generate();
-        let loaded = load_index(&mut v2.as_slice()).unwrap();
-        // Arena open of v2 bytes falls back to the streaming decoder.
-        let opened = open_index(&Arena::from_bytes(&v2)).unwrap();
         for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB"] {
             let built = index.query(pattern, &x).unwrap();
             assert_eq!(loaded.query(pattern, &x).unwrap(), built);

@@ -1,29 +1,30 @@
-//! Backward-compatibility differential suite for the IUSX on-disk format:
-//! the same index saved as **version 2** (streamed, element-decoded) and
-//! **version 3** (aligned sections, arena-openable) must answer exactly the
-//! same queries through every load path —
+//! Format differential suite for the IUSX on-disk format (version 3, the
+//! only version this build reads or writes): the same index saved with raw
+//! sections and with bit-packed `u32` sections must answer exactly like the
+//! in-memory build it was saved from —
 //!
-//! * v2 bytes → streaming loader,
-//! * v3 bytes → streaming loader,
-//! * v3 bytes → zero-copy arena open,
-//! * v3 bytes with packed `u32` sections → both paths again,
+//! * raw bytes → zero-copy arena open, and through the `Read` entry point,
+//! * packed bytes → arena open,
+//! * the sharded composite's nested envelopes → arena open and
+//!   `ShardedIndex::load_from`,
 //!
 //! across every buildable family and all four benchmark preset corpora
-//! (`uniform`, `uniform_high_entropy`, `pangenome`, `rssi`), plus the
-//! sharded composite's nested envelopes.
+//! (`uniform`, `uniform_high_entropy`, `pangenome`, `rssi`). Re-saving an
+//! opened index reproduces its file byte for byte.
 //!
-//! The second half is the corruption side of the arena path: the envelope
-//! CRC is validated **at open**, so any bit flip or truncation of a v3
-//! file must be rejected with a typed error before a single view is
-//! handed out — never a panic, never a lazily-corrupt index.
+//! The second half is the corruption side of the one read path: the
+//! envelope is validated **at open**, so any bit flip, truncation or
+//! appended byte of a v3 file, and any file whose header names another
+//! version (the earlier version 2 included), must be rejected with a typed
+//! error before a single view is handed out — never a panic, never a
+//! lazily-corrupt index.
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
-use ius_index::persist::save_index_v2;
 use ius_index::{
-    load_index, open_any_index, save_index, save_index_with, AnyIndex, IndexFamily, IndexParams,
-    IndexSpec, LoadedAny, SaveOptions, ShardedIndex, UncertainIndex,
+    load_any_index, load_index, open_any_index, save_index_with, AnyIndex, IndexFamily,
+    IndexParams, IndexSpec, LoadedAny, SaveOptions, ShardedIndex, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use proptest::prelude::*;
@@ -35,8 +36,10 @@ use std::sync::OnceLock;
 /// all families four times in a debug test run.
 const N: usize = 400;
 
-/// `(family label, built index, v2 bytes, v3 bytes, v3 packed bytes)`.
-type FamilyCase = (String, AnyIndex, Vec<u8>, Vec<u8>, Vec<u8>);
+const PACKED: SaveOptions = SaveOptions { pack_u32: true };
+
+/// `(family label, built index, raw bytes, packed bytes)`.
+type FamilyCase = (String, AnyIndex, Vec<u8>, Vec<u8>);
 
 struct Case {
     label: String,
@@ -44,8 +47,7 @@ struct Case {
     patterns: Vec<Vec<u8>>,
     families: Vec<FamilyCase>,
     sharded: ShardedIndex,
-    sharded_v2: Vec<u8>,
-    sharded_v3: Vec<u8>,
+    sharded_bytes: Vec<u8>,
 }
 
 fn cases() -> &'static Vec<Case> {
@@ -67,14 +69,11 @@ fn cases() -> &'static Vec<Case> {
                     .map(|family| {
                         let spec = IndexSpec::new(family, params);
                         let index = spec.build_with_estimation(&corpus.x, &est).expect("build");
-                        let mut v2 = Vec::new();
-                        save_index_v2(&index, &mut v2).expect("save v2");
-                        let mut v3 = Vec::new();
-                        index.save_to(&mut v3).expect("save v3");
+                        let mut raw = Vec::new();
+                        index.save_to(&mut raw).expect("save raw");
                         let mut packed = Vec::new();
-                        save_index_with(&index, &mut packed, SaveOptions { pack_u32: true })
-                            .expect("save v3 packed");
-                        (family.name().to_string(), index, v2, v3, packed)
+                        save_index_with(&index, &mut packed, PACKED).expect("save packed");
+                        (family.name().to_string(), index, raw, packed)
                     })
                     .collect();
                 let spec = IndexSpec::new(
@@ -83,20 +82,15 @@ fn cases() -> &'static Vec<Case> {
                 );
                 let sharded =
                     ShardedIndex::build(&corpus.x, spec, 3, 2 * corpus.ell).expect("sharded");
-                let mut sharded_v2 = Vec::new();
-                sharded
-                    .save_to_v2(&mut sharded_v2)
-                    .expect("save sharded v2");
-                let mut sharded_v3 = Vec::new();
-                sharded.save_to(&mut sharded_v3).expect("save sharded v3");
+                let mut sharded_bytes = Vec::new();
+                sharded.save_to(&mut sharded_bytes).expect("save sharded");
                 Case {
                     label: corpus.name.to_string(),
                     x: corpus.x,
                     patterns,
                     families,
                     sharded,
-                    sharded_v2,
-                    sharded_v3,
+                    sharded_bytes,
                 }
             })
             .collect()
@@ -111,27 +105,24 @@ fn open_single(bytes: &[u8]) -> AnyIndex {
     }
 }
 
-/// Every load path of every family answers exactly like the in-memory
-/// build it was saved from, on all four preset corpora.
+/// Every family, raw and packed, and the sharded composite answer exactly
+/// like the in-memory build they were saved from, on all four preset
+/// corpora.
 #[test]
-fn v2_and_v3_load_paths_answer_identically() {
+fn raw_packed_and_sharded_files_answer_like_the_build() {
     for case in cases() {
-        for (label, built, v2, v3, packed) in &case.families {
-            let from_v2 = load_index(&mut v2.as_slice()).expect("load v2");
-            let from_v3 = load_index(&mut v3.as_slice()).expect("load v3");
-            let opened = open_single(v3);
-            let from_packed = load_index(&mut packed.as_slice()).expect("load packed");
+        for (label, built, raw, packed) in &case.families {
+            let opened = open_single(raw);
+            let loaded = load_index(&mut raw.as_slice()).expect("load raw");
             let opened_packed = open_single(packed);
             for pattern in &case.patterns {
                 let expected = built.query(pattern, &case.x);
-                for (path, loaded) in [
-                    ("v2 stream", &from_v2),
-                    ("v3 stream", &from_v3),
-                    ("v3 arena", &opened),
-                    ("v3 packed stream", &from_packed),
-                    ("v3 packed arena", &opened_packed),
+                for (path, other) in [
+                    ("raw open", &opened),
+                    ("raw load", &loaded),
+                    ("packed open", &opened_packed),
                 ] {
-                    let got = loaded.query(pattern, &case.x);
+                    let got = other.query(pattern, &case.x);
                     match (&expected, &got) {
                         (Ok(a), Ok(b)) => assert_eq!(
                             a, b,
@@ -147,21 +138,16 @@ fn v2_and_v3_load_paths_answer_identically() {
                 }
             }
         }
-        // The sharded composite (nested envelopes) through all three paths.
-        let from_v2 = ShardedIndex::load_from(&mut case.sharded_v2.as_slice()).expect("v2");
-        let from_v3 = ShardedIndex::load_from(&mut case.sharded_v3.as_slice()).expect("v3");
-        let arena = Arena::from_bytes(&case.sharded_v3);
+        // The sharded composite (nested envelopes).
+        let loaded = ShardedIndex::load_from(&mut case.sharded_bytes.as_slice()).expect("load");
+        let arena = Arena::from_bytes(&case.sharded_bytes);
         let LoadedAny::Sharded(opened) = open_any_index(&arena).expect("arena open") else {
             panic!("expected a sharded composite");
         };
         for pattern in &case.patterns {
             let expected = case.sharded.query_owned(pattern);
-            for (path, loaded) in [
-                ("v2 stream", &from_v2),
-                ("v3 stream", &from_v3),
-                ("v3 arena", &opened),
-            ] {
-                let got = loaded.query_owned(pattern);
+            for (path, other) in [("open", &opened), ("load", &loaded)] {
+                let got = other.query_owned(pattern);
                 match (&expected, &got) {
                     (Ok(a), Ok(b)) => assert_eq!(
                         a, b,
@@ -179,35 +165,64 @@ fn v2_and_v3_load_paths_answer_identically() {
     }
 }
 
-/// A v3 save of an arena-opened index is byte-identical to the file it was
-/// opened from, for every family and corpus — the zero-copy views carry the
-/// full structure, not a lossy projection of it.
+/// Re-saving an opened index is byte-identical to the file it was opened
+/// from, for every family (raw and packed) and corpus and for the sharded
+/// composite — the zero-copy views carry the full structure, not a lossy
+/// projection of it.
 #[test]
-fn v3_arena_resave_is_byte_identical() {
+fn resave_after_open_is_byte_identical() {
     for case in cases() {
-        for (label, _, _, v3, _) in &case.families {
-            let opened = open_single(v3);
-            let mut resaved = Vec::new();
-            save_index(&opened, &mut resaved).expect("resave v3");
-            assert_eq!(
-                v3, &resaved,
-                "{}/{label}: arena round trip changed bytes",
-                case.label
-            );
+        for (label, _, raw, packed) in &case.families {
+            for (encoding, bytes, opts) in [
+                ("raw", raw, SaveOptions::default()),
+                ("packed", packed, PACKED),
+            ] {
+                let mut resaved = Vec::new();
+                save_index_with(&open_single(bytes), &mut resaved, opts).expect("resave");
+                assert_eq!(
+                    bytes, &resaved,
+                    "{}/{label}/{encoding}: open round trip changed bytes",
+                    case.label
+                );
+            }
         }
+        let loaded = ShardedIndex::load_from(&mut case.sharded_bytes.as_slice()).expect("load");
+        let mut resaved = Vec::new();
+        loaded.save_to(&mut resaved).expect("resave sharded");
+        assert_eq!(
+            case.sharded_bytes, resaved,
+            "{}/sharded: round trip changed bytes",
+            case.label
+        );
     }
 }
 
-/// A v2 re-save of a v2 load is byte-identical — the hidden compat writer
-/// really is the old format, not an approximation.
+/// A header naming any version but 3 — the earlier streamed version 2
+/// included — is refused with a typed `InvalidData` error that names the
+/// version, through both entry points.
 #[test]
-fn v2_resave_is_byte_identical() {
+fn other_versions_are_refused_naming_the_version() {
     let case = &cases()[0];
-    for (label, _, v2, _, _) in &case.families {
-        let loaded = load_index(&mut v2.as_slice()).expect("load v2");
-        let mut resaved = Vec::new();
-        save_index_v2(&loaded, &mut resaved).expect("resave v2");
-        assert_eq!(v2, &resaved, "{label}: v2 round trip changed bytes");
+    let files = case
+        .families
+        .iter()
+        .map(|(label, _, raw, _)| (label.as_str(), raw))
+        .chain([("sharded", &case.sharded_bytes)]);
+    for (label, bytes) in files {
+        for version in [2u16, 4] {
+            let mut other = bytes.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            for err in [
+                open_any_index(&Arena::from_bytes(&other)).expect_err("open must fail"),
+                load_any_index(&mut other.as_slice()).expect_err("load must fail"),
+            ] {
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
+                assert!(
+                    err.to_string().contains(&format!("version {version}")),
+                    "{label}: {err}"
+                );
+            }
+        }
     }
 }
 
@@ -227,8 +242,8 @@ proptest! {
         bit in 0u8..8,
     ) {
         let case = &cases()[pick % cases().len()];
-        let (label, _, _, v3, _) = &case.families[pick % case.families.len()];
-        let mut corrupted = v3.clone();
+        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let mut corrupted = raw.clone();
         let offset = ((corrupted.len() as f64 - 1.0) * offset_frac) as usize;
         corrupted[offset] ^= 1 << bit;
         match open_any_index(&Arena::from_bytes(&corrupted)) {
@@ -251,15 +266,47 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let case = &cases()[pick % cases().len()];
-        let (label, _, _, v3, _) = &case.families[pick % case.families.len()];
-        let cut = ((v3.len() as f64 - 1.0) * cut_frac) as usize;
-        match open_any_index(&Arena::from_bytes(&v3[..cut])) {
+        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let cut = ((raw.len() as f64 - 1.0) * cut_frac) as usize;
+        match open_any_index(&Arena::from_bytes(&raw[..cut])) {
             Err(err) => prop_assert!(
                 is_typed(err.kind()),
                 "{label}: truncation at {cut} failed with untyped kind {:?}: {err}",
                 err.kind()
             ),
-            Ok(_) => prop_assert!(false, "{label}: truncation at {cut}/{} opened", v3.len()),
+            Ok(_) => prop_assert!(false, "{label}: truncation at {cut}/{} opened", raw.len()),
+        }
+    }
+
+    /// Bytes appended after the CRC trailer are refused typed, through
+    /// both entry points: a file ends at its trailer.
+    #[test]
+    fn open_rejects_any_appended_bytes(
+        pick in 0usize..16,
+        extra in prop::collection::vec(0u8..=255, 1..64),
+    ) {
+        let case = &cases()[pick % cases().len()];
+        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let mut longer = raw.clone();
+        longer.extend_from_slice(&extra);
+        for result in [
+            open_any_index(&Arena::from_bytes(&longer)),
+            load_any_index(&mut longer.as_slice()),
+        ] {
+            match result {
+                Err(err) => prop_assert!(
+                    err.kind() == ErrorKind::InvalidData
+                        && err.to_string().contains("trailing bytes"),
+                    "{label}: {} appended bytes failed untyped ({:?}): {err}",
+                    extra.len(),
+                    err.kind()
+                ),
+                Ok(_) => prop_assert!(
+                    false,
+                    "{label}: {} appended bytes opened",
+                    extra.len()
+                ),
+            }
         }
     }
 }

@@ -18,16 +18,17 @@
 //!
 //! Everything is little-endian (`f64` as the LE bytes of its IEEE-754
 //! bits), matching the `IUSX` on-disk format. **Version policy** is the
-//! same too: any layout change bumps the version and readers reject
-//! versions they do not know — version 2 added the CRC32 trailer (over
-//! everything from the magic to the last payload byte), so version-1
-//! files (no checksum) are rejected typed; version 3 zero-pads the
-//! segment prefix so the nested index envelope starts on an 8-aligned
-//! offset. Reopening never re-runs construction: a version-3 segment is
-//! read into one [`ius_arena::Arena`] and its index opened zero-copy by
+//! same too: this build reads and writes version 3 only, any layout
+//! change bumps the version, and every other version is refused with a
+//! typed `InvalidData` error naming it (load and re-save a version-2
+//! directory with an older build to convert it). Version 2 added the
+//! CRC32 trailer (over everything from the magic to the last payload
+//! byte); version 3 zero-pads the segment prefix so the nested index
+//! envelope starts on an 8-aligned offset. Reopening never re-runs
+//! construction, and there is one read path: each segment file is read
+//! into one [`ius_arena::Arena`] and its index opened zero-copy by
 //! `ius_index::persist::open_any_index_at` (O(header + validation), not
-//! O(elements)); version-2 segment files stay loadable through the
-//! streaming decoder and answer identically.
+//! O(elements)).
 //!
 //! [`LiveIndex::save_to_dir`] writes the segment files first and the
 //! manifest last, **every file through a temporary name + atomic rename**;
@@ -49,9 +50,7 @@ use crate::{insert_tombstone, LiveConfig, LiveIndex, LiveState, Memtable, Segmen
 use ius_arena::Arena;
 use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
 use ius_index::overlap::overlap_len;
-use ius_index::{
-    AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant, LoadedAny, UncertainIndex,
-};
+use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, LoadedAny, UncertainIndex};
 use ius_sampling::KmerOrder;
 use ius_weighted::{Alphabet, WeightedString};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -64,15 +63,12 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"IUSL";
 /// The four magic bytes opening a segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"IUSG";
 
-/// The current manifest / segment-file format version. Version 2 added
-/// the CRC32 trailer behind both file kinds; version-1 files (no
-/// checksum) are rejected typed. Version 3 zero-pads the segment prefix
-/// so the nested `IUSX` envelope starts 8-aligned and reopens through
-/// the zero-copy arena path; version-2 files are still read (streaming).
+/// The manifest / segment-file format version, the only one this build
+/// reads or writes. Version 2 added the CRC32 trailer behind both file
+/// kinds; version 3 zero-pads the segment prefix so the nested `IUSX`
+/// envelope starts 8-aligned and reopens through the zero-copy arena
+/// path. Files of any other version are refused typed.
 pub const LIVE_FORMAT_VERSION: u16 = 3;
-
-/// The oldest format version this build still reads.
-pub const LIVE_MIN_READ_VERSION: u16 = 2;
 
 /// File name of the manifest inside a live-index directory.
 pub const MANIFEST_FILE: &str = "live.iusl";
@@ -266,20 +262,21 @@ fn read_spec(r: &mut dyn Read) -> io::Result<IndexSpec> {
     Ok(IndexSpec::new(family, IndexParams { z, ell, k, order }))
 }
 
-fn read_magic_version(r: &mut dyn Read, magic: [u8; 4], what: &str) -> io::Result<u16> {
+fn read_magic_version(r: &mut dyn Read, magic: [u8; 4], what: &str) -> io::Result<()> {
     let mut got = [0u8; 4];
     r.read_exact(&mut got)?;
     if got != magic {
         return Err(bad(format!("not a {what} file (bad magic {got:02x?})")));
     }
     let version = read_u16(r)?;
-    if !(LIVE_MIN_READ_VERSION..=LIVE_FORMAT_VERSION).contains(&version) {
+    if version != LIVE_FORMAT_VERSION {
         return Err(bad(format!(
-            "unsupported {what} version {version} (this build reads versions \
-             {LIVE_MIN_READ_VERSION}..={LIVE_FORMAT_VERSION})"
+            "unsupported {what} version {version} (this build reads only version \
+             {LIVE_FORMAT_VERSION}; load and re-save the directory with an older build to \
+             convert it)"
         )));
     }
-    Ok(version)
+    Ok(())
 }
 
 fn segment_file_name(id: u64) -> String {
@@ -682,12 +679,10 @@ fn apply_wal_record(
 
 /// Reads and fully validates one segment file against its manifest entry.
 ///
-/// Version-3 files keep the nested `IUSX` envelope at an 8-aligned offset,
-/// so the index reopens through the zero-copy arena path
+/// The nested `IUSX` envelope sits at an 8-aligned offset, so the index
+/// reopens through the zero-copy arena path
 /// (`ius_index::persist::open_any_index_at`): open cost is header parsing
-/// plus checksum validation, not element-by-element decoding. Version-2
-/// files (unaligned envelope) fall back to the streaming loader and answer
-/// identically.
+/// plus checksum validation, not element-by-element decoding.
 fn read_segment_file(
     arena: Arena,
     alphabet: &Alphabet,
@@ -704,7 +699,7 @@ fn read_segment_file(
     let mut r: &[u8] = body;
     // Magic and version first (the most informative failures), then the
     // file-wide checksum, then the payload fields.
-    let version = read_magic_version(&mut r, SEGMENT_MAGIC, "live-index segment")?;
+    read_magic_version(&mut r, SEGMENT_MAGIC, "live-index segment")?;
     let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
     let computed = crc32(body);
     if stored != computed {
@@ -743,29 +738,19 @@ fn read_segment_file(
     )?;
     let x = WeightedString::from_flat(alphabet.clone(), probs)
         .map_err(|e| bad(format!("segment rows: {e}")))?;
-    let index = if version >= 3 {
-        let pos = body.len() - r.len();
-        let aligned = pos.next_multiple_of(8);
-        match body.get(pos..aligned) {
-            Some(pad) if pad.iter().all(|&b| b == 0) => {}
-            _ => return Err(bad("segment alignment padding is missing or not zeroed")),
-        }
-        let (loaded, consumed) = ius_index::persist::open_any_index_at(&arena, aligned)?;
-        if aligned + consumed != body.len() {
-            return Err(bad("trailing bytes after the segment's index envelope"));
-        }
-        match loaded {
-            LoadedAny::Index(index) => index,
-            LoadedAny::Sharded(_) => {
-                return Err(bad("a live segment cannot hold a sharded composite"))
-            }
-        }
-    } else {
-        let index = AnyIndex::load_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after the segment checksum"));
-        }
-        index
+    let pos = body.len() - r.len();
+    let aligned = pos.next_multiple_of(8);
+    match body.get(pos..aligned) {
+        Some(pad) if pad.iter().all(|&b| b == 0) => {}
+        _ => return Err(bad("segment alignment padding is missing or not zeroed")),
+    }
+    let (loaded, consumed) = ius_index::persist::open_any_index_at(&arena, aligned)?;
+    if aligned + consumed != body.len() {
+        return Err(bad("trailing bytes after the segment's index envelope"));
+    }
+    let index = match loaded {
+        LoadedAny::Index(index) => index,
+        LoadedAny::Sharded(_) => return Err(bad("a live segment cannot hold a sharded composite")),
     };
     if let Some(expected) = index.corpus_len_hint() {
         if expected != chunk_rows {

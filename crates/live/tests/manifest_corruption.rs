@@ -243,6 +243,25 @@ fn header_corruptions_fail_with_informative_messages() {
     assert_eq!(err.kind(), ErrorKind::InvalidData);
     assert!(err.to_string().contains("magic"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+    // Version 2 — the format before aligned segment envelopes — is
+    // refused, for the manifest and for a segment file alike.
+    let dir = scratch_copy("hdr-manifest-v2");
+    let mut bytes = saved().manifest.clone();
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    std::fs::write(dir.join("live.iusl"), &bytes).unwrap();
+    let err = LiveIndex::open(&dir, config()).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version 2"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch_copy("hdr-seg-v2");
+    let (path, bytes) = &saved().segment_files[0];
+    let mut corrupted = bytes.clone();
+    corrupted[4..6].copy_from_slice(&2u16.to_le_bytes());
+    std::fs::write(dir.join(path.file_name().unwrap()), &corrupted).unwrap();
+    let err = LiveIndex::open(&dir, config()).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
     // Empty manifest.
     let dir = scratch_copy("hdr-empty");
     std::fs::write(dir.join("live.iusl"), []).unwrap();

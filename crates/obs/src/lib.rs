@@ -8,7 +8,7 @@
 //!   memtable rows).
 //! * [`Histogram`] — a mergeable log-linear (HDR-style) latency histogram
 //!   with an exact total count and bounded-relative-error quantiles.
-//! * [`EventLog`] — a fixed-capacity lock-free ring buffer of small binary
+//! * [`EventLog`] — a fixed-capacity seqlock ring buffer of small binary
 //!   events (used for the slow-query log and span-style tracing).
 //! * [`trace`] — request-scoped span tracing: a fixed-depth,
 //!   allocation-free per-thread span buffer recording one request's stage
@@ -43,7 +43,7 @@
 
 pub mod trace;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -455,12 +455,19 @@ struct EventSlot {
     b: AtomicU64,
 }
 
-/// A fixed-capacity lock-free ring buffer of [`Event`]s: the newest
-/// `capacity` events survive, older ones are overwritten. Appending is a
-/// few relaxed stores plus one release store; no locks, no allocation.
+/// Stamp of a slot no event was ever written to.
+const SLOT_EMPTY: u64 = u64::MAX;
+/// Stamp of a slot a writer currently owns.
+const SLOT_BUSY: u64 = u64::MAX - 1;
+
+/// A fixed-capacity ring buffer of [`Event`]s: the newest `capacity`
+/// events survive, older ones are overwritten. Appending claims its slot
+/// with one compare-exchange on the slot's sequence stamp, then a few
+/// relaxed stores and one release store; no allocation. A writer only
+/// waits when a writer a full lap ahead holds the same slot.
 ///
-/// A reader that races a writer on the same slot is detected by the
-/// sequence stamp and the torn entry is dropped from the snapshot — the
+/// Each slot is a seqlock: a reader that races a writer on the same slot
+/// sees the stamp change and drops the torn entry from the snapshot — the
 /// log is a diagnostic aid, not a durable record.
 pub struct EventLog {
     head: AtomicU64,
@@ -483,7 +490,7 @@ impl EventLog {
         let cap = capacity.max(2).next_power_of_two();
         let slots: Vec<EventSlot> = (0..cap)
             .map(|_| EventSlot {
-                seq: AtomicU64::new(u64::MAX),
+                seq: AtomicU64::new(SLOT_EMPTY),
                 ts_ns: AtomicU64::new(0),
                 code: AtomicU64::new(0),
                 a: AtomicU64::new(0),
@@ -501,6 +508,27 @@ impl EventLog {
     pub fn record(&self, code: u64, a: u64, b: u64) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
+        // Two writers a lap apart can race for one slot: own it first, so
+        // their field stores never interleave.
+        let prev = loop {
+            let cur = slot.seq.load(Ordering::Relaxed);
+            if cur != SLOT_BUSY
+                && slot
+                    .seq
+                    .compare_exchange_weak(cur, SLOT_BUSY, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break cur;
+            }
+            std::hint::spin_loop();
+        };
+        if prev != SLOT_EMPTY && prev > seq {
+            // The writer a lap ahead got here first: keep its newer event.
+            slot.seq.store(prev, Ordering::Release);
+            return;
+        }
+        // Order the busy stamp before the field stores for readers.
+        fence(Ordering::Release);
         slot.ts_ns.store(clock::now_ns(), Ordering::Relaxed);
         slot.code.store(code, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
@@ -521,7 +549,7 @@ impl EventLog {
         let mut events = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let seq = slot.seq.load(Ordering::Acquire);
-            if seq == u64::MAX || seq >= head {
+            if seq >= SLOT_BUSY || seq >= head {
                 continue;
             }
             let event = Event {
@@ -532,8 +560,10 @@ impl EventLog {
                 b: slot.b.load(Ordering::Relaxed),
             };
             // Re-check the stamp: if a writer claimed this slot while the
-            // fields were being read, the entry may be torn — drop it.
-            if slot.seq.load(Ordering::Acquire) == seq && head.saturating_sub(seq) <= cap {
+            // fields were being read, the entry may be torn — drop it. The
+            // fence keeps the field loads before the re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) == seq && head.saturating_sub(seq) <= cap {
                 events.push(event);
             }
         }

@@ -252,7 +252,7 @@ impl SlowQueryEntry {
 /// A fixed-capacity ring of [`SlowQueryEntry`]s: the newest `capacity`
 /// slow queries survive, older ones are overwritten.
 ///
-/// Unlike the lock-free `ius_obs::EventLog` this ring sits behind a mutex:
+/// Unlike the atomics-only `ius_obs::EventLog` this ring sits behind a mutex:
 /// an entry (with its pattern prefix) no longer fits the event log's three
 /// payload words, and queries that cross the slow threshold are — by
 /// construction — rare and already tens of milliseconds deep, so a

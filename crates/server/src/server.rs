@@ -130,10 +130,9 @@ impl ServedIndex {
     /// would otherwise surface only as per-query panics or wrong
     /// answers).
     pub fn load(path: &Path, corpus: Option<Arc<WeightedString>>) -> io::Result<Self> {
-        // One read into a single arena. Version-3 files then open
-        // zero-copy — every array view (and a hot reload's new serving
-        // snapshot) borrows the same Arc-shared buffer — while version-2
-        // files stream-decode from the same bytes.
+        // One read into a single arena, then the zero-copy open — every
+        // array view (and a hot reload's new serving snapshot) borrows the
+        // same Arc-shared buffer.
         let arena = Arena::from_file(path)?;
         match open_any_index(&arena)? {
             LoadedAny::Sharded(index) => Ok(ServedIndex::Sharded(index)),

@@ -20,8 +20,11 @@
 //!   paper's `MWST`, `MWSA`, `MWST-G`, `MWSA-G` and the space-efficient
 //!   `MWST-SE` construction — plus the lifecycle layers around them: the
 //!   unified builder (`IndexSpec` → `AnyIndex`), versioned binary
-//!   persistence (`save_index`/`load_index`; loading never re-runs
-//!   construction) and sharded composite indexes (`ShardedIndex`);
+//!   persistence (`save_index`/`load_index`/`open_index`: one format, IUSX
+//!   v3, and one read path, a validated zero-copy open of an in-memory
+//!   arena — version 2 is refused, re-save it with an older build; loading
+//!   never re-runs construction) and sharded composite indexes
+//!   (`ShardedIndex`);
 //! * [`live`] — dynamic segmented indexing: an LSM-style `LiveIndex`
 //!   whose corpus grows by appends and shrinks by range tombstones while
 //!   being served — immutable segments + memtable tail + background

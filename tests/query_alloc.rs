@@ -4,13 +4,25 @@
 //! queries, count-only sink).
 //!
 //! This integration test is its own binary, so installing the counting
-//! allocator here affects nothing else in the workspace.
+//! allocator here affects nothing else in the workspace. The allocator's
+//! counters are process-wide, so every test holds [`serialize`]'s lock
+//! from its workload build through its last assertion: a sibling test
+//! building its workload on another thread would otherwise land in the
+//! measured window.
 
 use ius::prelude::*;
 use ius_memtrack::CountingAllocator;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
+
+/// Runs this file's tests one at a time. A failed test poisons the lock;
+/// the others still run (the guarded state is `()`).
+fn serialize() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn workload() -> (WeightedString, ZEstimation, Vec<Vec<u8>>, IndexParams) {
     let x = PangenomeConfig {
@@ -34,6 +46,7 @@ fn workload() -> (WeightedString, ZEstimation, Vec<Vec<u8>>, IndexParams) {
 /// Runs every pattern once to warm the scratch, then asserts that a second
 /// full pass allocates zero heap bytes.
 fn assert_steady_state_allocation_free(variant: IndexVariant, label: &str) {
+    let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index = MinimizerIndex::build_from_estimation(&x, &est, params, variant).unwrap();
     let mut scratch = QueryScratch::new();
@@ -96,6 +109,7 @@ fn mwst_tree_query_is_allocation_free_after_warmup() {
 #[test]
 fn instrumented_query_recording_is_allocation_free_after_warmup() {
     use ius_obs::{clock, Counter, EventLog, Histogram};
+    let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
@@ -174,6 +188,7 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
 fn traced_query_path_is_allocation_free_after_warmup() {
     use ius_obs::{clock, trace};
     use ius_server::{FlightRecorder, SlowRing, TRACE_NO_ERROR};
+    let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
@@ -260,6 +275,7 @@ fn traced_query_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn collecting_into_a_warm_reused_vector_is_also_allocation_free() {
+    let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
