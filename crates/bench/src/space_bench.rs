@@ -445,8 +445,8 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
          bytes_touched_at_first_query = arena bytes covered by the opened index's typed views. \
          Before timing, every opened index is asserted byte-identical on re-save and \
          answer-identical on the pattern set (raw and packed alike), and every sharded \
-         configuration is asserted answer-identical to the unsharded index. Sharded query \
-         times route through the QueryBatch executor with per-shard scratch.\",\n",
+         configuration is asserted answer-identical to the unsharded index. Sharded queries \
+         visit the shards in order on the calling thread with one reused scratch.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {

@@ -13,11 +13,21 @@
 //!   (the chunk extends `max_pattern_len − 1` positions past the home end).
 //! * **No duplication:** each part reports only starts inside its own home
 //!   range; hits in the overlap region (starts belonging to the *next*
-//!   part's home range) are dropped by [`retain_home_and_globalize`]. That
-//!   single filter is the deduplication.
+//!   part's home range) are dropped by the home-range sink of
+//!   [`query_parts`]. That single filter is the deduplication.
 //! * **Global order for free:** home ranges are disjoint and increasing and
 //!   each part's output is sorted, so the concatenation of the filtered
 //!   per-part outputs is globally sorted — the final merge needs no sort.
+//!
+//! [`query_parts`] is the one fan-out both composites query through: the
+//! parts run in order on the calling thread with the caller's
+//! [`QueryScratch`], so a composite query spawns no thread and, once the
+//! scratch has warmed up, allocates nothing.
+
+use crate::traits::UncertainIndex;
+use ius_obs::trace;
+use ius_query::{MatchSink, QueryScratch, QueryStats};
+use ius_weighted::{Result, WeightedString};
 
 /// The chunk overlap implied by a maximum supported pattern length: a
 /// window of at most `max_pattern_len` letters starting on the last home
@@ -41,18 +51,112 @@ pub fn chunk_end(offset: usize, home_len: usize, overlap: usize, n: usize) -> us
     (offset + home_len + overlap).min(n)
 }
 
-/// The dedup-and-translate step of the composite query fan-out: keeps only
-/// chunk-local starts inside the home range (`pos < home_len` — overlap
-/// hits are the next part's responsibility) and translates the survivors to
-/// global coordinates by adding the part's `offset`.
+/// One part of a composite query: the index over a chunk of `X`, the chunk
+/// itself, and the home range `[offset, offset + home_len)` the part
+/// reports occurrence starts for.
+pub struct Part<'a> {
+    /// The index built over `chunk`.
+    pub index: &'a dyn UncertainIndex,
+    /// The chunk of `X` (home range + overlap, clipped at `n`).
+    pub chunk: &'a WeightedString,
+    /// Width of the home range.
+    pub home_len: usize,
+    /// Global position of the chunk's first letter.
+    pub offset: usize,
+}
+
+/// The dedup-and-translate step of the composite query fan-out, as a sink:
+/// keeps only chunk-local starts inside the home range (`pos < home_len` —
+/// overlap hits are the next part's responsibility) and appends the
+/// survivors to `out` in global coordinates (`pos + offset`).
 ///
 /// The input order is preserved, so a sorted per-part output stays sorted.
-#[inline]
-pub fn retain_home_and_globalize(positions: &mut Vec<usize>, home_len: usize, offset: usize) {
-    positions.retain(|&pos| pos < home_len);
-    for pos in positions.iter_mut() {
-        *pos += offset;
+struct HomeSink<'a> {
+    out: &'a mut Vec<usize>,
+    home_len: usize,
+    offset: usize,
+}
+
+impl MatchSink for HomeSink<'_> {
+    #[inline]
+    fn push(&mut self, pos: usize) -> bool {
+        if pos < self.home_len {
+            self.out.push(pos + self.offset);
+        }
+        true
     }
+}
+
+/// The composite query fan-out: queries every part in order on the calling
+/// thread with the caller's `scratch`, streaming each part's hits through
+/// the home-range filter into `scratch.merged` — which ends up globally
+/// sorted, since home ranges are disjoint and increasing. Returns the
+/// accumulated [`QueryStats`]; the caller appends any further part, then
+/// finalizes `scratch.merged` into its sink and overwrites `reported` with
+/// what the sink actually received.
+///
+/// A traced query records one [`trace::STAGE_PART`] group per part (see
+/// [`trace_part`]). The first part error stops the fan-out and is returned.
+///
+/// # Errors
+///
+/// Query errors of the per-part indexes.
+pub fn query_parts<'a>(
+    parts: impl IntoIterator<Item = Part<'a>>,
+    pattern: &[u8],
+    scratch: &mut QueryScratch,
+) -> Result<QueryStats> {
+    // Each part's engine stages its own candidates in `scratch.positions`,
+    // so the merge buffer is moved out for the fan-out (no allocation:
+    // `take` leaves an empty vector behind) and put back afterwards.
+    let mut merged = std::mem::take(&mut scratch.merged);
+    merged.clear();
+    let traced = trace::active();
+    let mut total = QueryStats::default();
+    let mut outcome = Ok(());
+    for (i, part) in parts.into_iter().enumerate() {
+        let mut home = HomeSink {
+            out: &mut merged,
+            home_len: part.home_len,
+            offset: part.offset,
+        };
+        match part
+            .index
+            .query_into(pattern, part.chunk, scratch, &mut home)
+        {
+            Ok(stats) => {
+                total.accumulate(&stats);
+                if traced {
+                    trace_part(trace::STAGE_PART, i, &stats);
+                }
+            }
+            Err(e) => {
+                outcome = Err(e);
+                break;
+            }
+        }
+    }
+    scratch.merged = merged;
+    outcome.map(|()| total)
+}
+
+/// Records one part of a traced composite query as a duration-only group
+/// (`code`, the part's staged time, its index and its delivered count)
+/// with the sampled stage breakdown nested inside when the part was timed.
+pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
+    trace::group(code, stats.staged_ns(), index as u64, stats.reported as u64);
+    if stats.timed {
+        trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
+        trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
+        trace::leaf(
+            trace::STAGE_VERIFY,
+            stats.verify_ns,
+            stats.candidates as u64,
+            0,
+        );
+        trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
+    }
+    trace::end_group();
 }
 
 #[cfg(test)]
@@ -72,10 +176,22 @@ mod tests {
         assert_eq!(chunk_end(95, 5, 0, 100), 100);
     }
 
+    fn home_filter(hits: &[usize], home_len: usize, offset: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut sink = HomeSink {
+            out: &mut out,
+            home_len,
+            offset,
+        };
+        for &pos in hits {
+            assert!(sink.push(pos), "the home filter never stops a part");
+        }
+        out
+    }
+
     #[test]
     fn home_filter_drops_overlap_hits_and_translates_the_rest() {
-        let mut positions = vec![0, 3, 9, 10, 14];
-        retain_home_and_globalize(&mut positions, 10, 100);
+        let positions = home_filter(&[0, 3, 9, 10, 14], 10, 100);
         assert_eq!(positions, vec![100, 103, 109]);
         // Order (and hence global sortedness) is preserved.
         assert!(positions.windows(2).all(|w| w[0] < w[1]));
@@ -83,8 +199,6 @@ mod tests {
 
     #[test]
     fn home_filter_handles_empty_inputs() {
-        let mut positions: Vec<usize> = Vec::new();
-        retain_home_and_globalize(&mut positions, 5, 7);
-        assert!(positions.is_empty());
+        assert!(home_filter(&[], 5, 7).is_empty());
     }
 }

@@ -11,21 +11,21 @@
 //! occurrence probabilities computed inside a chunk equal the global ones
 //! (they only read the window's distributions).
 //!
-//! A query is routed to every shard through the PR-2 [`QueryBatch`]
-//! executor (one [`QueryScratch`] per worker). Each shard reports
-//! shard-local positions; hits that fall into the overlap region (their
-//! start belongs to the *next* shard's home range) are dropped before the
-//! sink sees them — that single home-range filter is the deduplication, and
-//! it makes the concatenated per-shard outputs globally sorted, so the
-//! final merge is allocation-free and sort-free. The differential harness
-//! asserts the result identical to the unsharded index for every family.
+//! A query visits every shard in order on the calling thread through the
+//! shared fan-out [`crate::overlap::query_parts`], with the caller's
+//! [`QueryScratch`]. Each shard reports shard-local positions; hits that
+//! fall into the overlap region (their start belongs to the *next* shard's
+//! home range) are dropped before the sink sees them — that single
+//! home-range filter is the deduplication, and it makes the concatenated
+//! per-shard outputs globally sorted, so the final merge is allocation-free
+//! and sort-free. The differential harness asserts the result identical to
+//! the unsharded index for every family.
 
 use crate::builder::{AnyIndex, IndexSpec};
-use crate::overlap::{chunk_end, overlap_len, retain_home_and_globalize};
+use crate::overlap::{chunk_end, overlap_len, query_parts, Part};
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::Arena;
-use ius_obs::trace;
-use ius_query::{finalize_into, MatchSink, QueryBatch, QueryScratch, QueryStats};
+use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_weighted::{Error, Result, WeightedString};
 
 /// One shard: its global offset, the width of the home range it is
@@ -52,7 +52,6 @@ pub struct ShardedIndex {
     /// occurrences up to this length; longer patterns are rejected).
     max_pattern_len: usize,
     shards: Vec<Shard>,
-    executor: QueryBatch,
     /// The backing arena when opened zero-copy from a v3 file. The nested
     /// per-shard indexes borrow from it but do not retain a handle of their
     /// own, so the allocation is counted exactly once, here.
@@ -167,16 +166,8 @@ impl ShardedIndex {
             n,
             max_pattern_len,
             shards,
-            executor: QueryBatch::new(),
             arena: None,
         })
-    }
-
-    /// Overrides the number of worker threads the routing executor uses
-    /// (defaults to all available CPUs).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = QueryBatch::with_threads(threads);
-        self
     }
 
     /// The family/parameter descriptor the shards were built from.
@@ -238,63 +229,20 @@ impl ShardedIndex {
                 upper_bound: self.max_pattern_len,
             });
         }
-        // Fan out over the shards; every worker queries against its shard's
-        // own chunk (shard-local coordinates), then hits are filtered to the
-        // home range and translated to global offsets.
-        let per_shard = self.executor.run::<(Vec<usize>, QueryStats), Error, _>(
-            self.shards.len(),
-            |i, worker_scratch| {
-                let shard = &self.shards[i];
-                let mut local = Vec::new();
-                let stats =
-                    shard
-                        .index
-                        .query_into(pattern, &shard.x, worker_scratch, &mut local)?;
-                // Keep only home-range starts: overlap-region hits are the
-                // next shard's responsibility (this is the deduplication —
-                // see `crate::overlap`).
-                retain_home_and_globalize(&mut local, shard.home_len, shard.offset);
-                Ok((local, stats))
-            },
-        );
-        let mut total = QueryStats::default();
-        scratch.positions.clear();
-        // The shards ran on executor threads, but their stats come back to
-        // this (request) thread: record them as duration-only children of
-        // the caller's query span, one group per shard with the sampled
-        // stage breakdown nested inside.
-        let traced = trace::active();
-        for (i, entry) in per_shard.into_iter().enumerate() {
-            let (positions, stats) = entry?;
-            total.accumulate(&stats);
-            if traced {
-                trace::group(
-                    trace::STAGE_PART,
-                    stats.staged_ns(),
-                    i as u64,
-                    stats.reported as u64,
-                );
-                if stats.timed {
-                    trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                    trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-                    trace::leaf(
-                        trace::STAGE_VERIFY,
-                        stats.verify_ns,
-                        stats.candidates as u64,
-                        0,
-                    );
-                    trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
-                }
-                trace::end_group();
-            }
-            // Home ranges are disjoint and increasing, and each shard's
-            // output is sorted: the concatenation is globally sorted.
-            scratch.positions.extend(positions);
-        }
+        // Every shard queries its own chunk (shard-local coordinates); its
+        // hits are filtered to the home range and translated to global
+        // offsets on the way into `scratch.merged`.
+        let parts = self.shards.iter().map(|shard| Part {
+            index: &shard.index,
+            chunk: &shard.x,
+            home_len: shard.home_len,
+            offset: shard.offset,
+        });
+        let mut total = query_parts(parts, pattern, scratch)?;
         // The accumulated `reported` counted shard-local deliveries
-        // (including overlap hits dropped above); the authoritative count is
-        // what actually reaches the sink.
-        total.reported = finalize_into(&mut scratch.positions, true, sink);
+        // (including overlap hits the home filter dropped); the
+        // authoritative count is what actually reaches the sink.
+        total.reported = finalize_into(&mut scratch.merged, true, sink);
         Ok(total)
     }
 
@@ -349,7 +297,6 @@ impl ShardedIndex {
             n,
             max_pattern_len,
             shards,
-            executor: QueryBatch::new(),
             arena,
         })
     }
@@ -431,9 +378,7 @@ mod tests {
         patterns.extend(sampler.sample_random(ell, 10, 7));
         assert!(!patterns.is_empty());
         for num_shards in [1usize, 3, 4, 7] {
-            let sharded = ShardedIndex::build(&x, spec, num_shards, 2 * ell)
-                .unwrap()
-                .with_threads(2);
+            let sharded = ShardedIndex::build(&x, spec, num_shards, 2 * ell).unwrap();
             assert!(sharded.num_shards() >= 1 && sharded.num_shards() <= num_shards);
             assert_eq!(sharded.overlap(), 2 * ell - 1);
             for pattern in &patterns {

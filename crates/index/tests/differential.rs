@@ -250,9 +250,7 @@ fn sharded_indexes_agree_with_their_unsharded_family_and_naive() {
         for family in harness_families() {
             let spec = IndexSpec::new(family, params);
             let unsharded = spec.build(&corpus.x).unwrap();
-            let sharded = ShardedIndex::build(&corpus.x, spec, 4, max_len)
-                .unwrap()
-                .with_threads(2);
+            let sharded = ShardedIndex::build(&corpus.x, spec, 4, max_len).unwrap();
             let mut checked = 0usize;
             for pattern in &corpus.patterns {
                 if pattern.len() < spec.lower_bound() || pattern.len() > max_len {

@@ -20,8 +20,9 @@
 //!   supported pattern lies entirely inside the chunk of the segment whose
 //!   home range contains its start;
 //! * a **memtable tail**: the raw probability rows of `[h, n)`, served by
-//!   a naive `O(rows·m)` scan. Appends land here and are visible to the
-//!   very next query;
+//!   a naive `O(rows·m)` scan that abandons a window as soon as it can no
+//!   longer be solid. Appends land here and are visible to the very next
+//!   query;
 //! * a **tombstone set** of deleted logical ranges. Positions are never
 //!   renumbered: `delete_range(s, e)` invalidates every occurrence whose
 //!   window intersects `[s, e)`, and reported positions keep their
@@ -37,11 +38,13 @@
 //! ## Queries
 //!
 //! [`LiveIndex::query_owned_into`] implements the workspace-wide
-//! `query_into(pattern, scratch, sink) → QueryStats` contract by fanning
-//! out over the segments (plus the memtable scan) through the PR-2
-//! [`QueryBatch`] executor, filtering each part's output to its home range
-//! (the shared dedup rule), concatenating — which is already globally
-//! sorted — filtering tombstoned windows, and streaming into the sink.
+//! `query_into(pattern, scratch, sink) → QueryStats` contract on the
+//! calling thread: it visits the segments in order through the shared
+//! fan-out `ius_index::overlap::query_parts`, which filters each part's
+//! output to its home range (the shared dedup rule) into one merge buffer
+//! — already globally sorted — then appends the memtable scan, drops
+//! tombstoned windows and streams into the sink. No thread is spawned and,
+//! once the caller's scratch has warmed up, nothing is allocated.
 //! Queries run against an [`Arc`] snapshot of the state: appends, flushes
 //! and compactions swap the snapshot and never block or corrupt an
 //! in-flight query (the PR-4 hot-reload discipline).
@@ -92,11 +95,12 @@ pub use wal::FsyncPolicy;
 use crate::wal::{Wal, WalRecord};
 use ius_exec::{Executor, WorkerPool};
 use ius_faultio::DurableSink;
-use ius_index::overlap::{overlap_len, retain_home_and_globalize};
+use ius_index::overlap::{overlap_len, query_parts, trace_part, Part};
 use ius_index::{validate_pattern, AnyIndex, IndexSpec, IndexStats, UncertainIndex};
 use ius_obs::{clock, trace, Counter, Histogram, HistogramSnapshot};
-use ius_query::{finalize_into, MatchSink, QueryBatch, QueryScratch, QueryStats};
-use ius_weighted::{is_solid, Alphabet, Error, Result, WeightedString};
+use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
+use ius_weighted::string::DISTRIBUTION_SUM_TOLERANCE;
+use ius_weighted::{is_solid, Alphabet, Error, Result, WeightedString, PROB_EPSILON};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -115,12 +119,12 @@ pub struct LiveConfig {
     /// flush (and periodically), so queries never see an unbounded number
     /// of small segments.
     pub auto_compact: bool,
-    /// Worker threads of the query fan-out executor **and** of the
-    /// segment-build executor — flushes freeze multiple segments
-    /// concurrently and a compaction round runs multiple tier merges
-    /// concurrently, one worker each (0 = all CPUs). Individual segment
-    /// indexes always build serially inside their worker, so the built
-    /// bytes are identical at every thread count.
+    /// Worker threads of the segment-build executor — flushes freeze
+    /// multiple segments concurrently and a compaction round runs multiple
+    /// tier merges concurrently, one worker each (0 = all CPUs). Individual
+    /// segment indexes always build serially inside their worker, so the
+    /// built bytes are identical at every thread count. Queries do not use
+    /// it: they run on the calling thread.
     pub threads: usize,
 }
 
@@ -201,9 +205,13 @@ impl Memtable {
         }
     }
 
-    /// Appends `rows` row-major rows.
+    /// Appends `rows` row-major rows (never leaving an empty slab, which
+    /// the scan's row cursor relies on).
     pub(crate) fn push_rows(&mut self, flat: &[f64], rows: usize, sigma: usize) {
         debug_assert_eq!(flat.len(), rows * sigma);
+        if rows == 0 {
+            return;
+        }
         if let Some(last) = self.slabs.last_mut() {
             if last.len() < SLAB_MIN_ROWS * sigma {
                 // Coalesce into the tail slab; `make_mut` copies it only
@@ -271,17 +279,6 @@ impl Memtable {
         }
         self.rows -= rows;
         self.start += rows;
-    }
-
-    /// One borrowed slice per row, in order — the random-access view the
-    /// naive scan iterates.
-    pub(crate) fn row_slices(&self, sigma: usize) -> Vec<&[f64]> {
-        let mut rows = Vec::with_capacity(self.rows);
-        for slab in &self.slabs {
-            rows.extend(slab.chunks_exact(sigma));
-        }
-        debug_assert_eq!(rows.len(), self.rows);
-        rows
     }
 
     /// Heap bytes held by the slabs and the pointer list.
@@ -423,9 +420,8 @@ struct Inner {
     /// id-checked instead, so a long merge build never stalls appends.
     write_lock: Mutex<()>,
     next_segment_id: AtomicU64,
-    executor: QueryBatch,
-    /// Fan-out for segment builds (flush freezes, compaction merges);
-    /// shares the configured thread count with the query executor.
+    /// Fan-out for segment builds (flush freezes, compaction merges),
+    /// `config.threads` wide.
     build_executor: Executor,
     appended: AtomicU64,
     flushes: AtomicU64,
@@ -513,11 +509,6 @@ impl LiveIndex {
                 config.compact_fanout
             )));
         }
-        let executor = if config.threads == 0 {
-            QueryBatch::new()
-        } else {
-            QueryBatch::with_threads(config.threads)
-        };
         let build_executor = Executor::with_threads(config.threads);
         let auto_compact = config.auto_compact;
         let inner = Arc::new(Inner {
@@ -533,7 +524,6 @@ impl LiveIndex {
             })),
             write_lock: Mutex::new(()),
             next_segment_id: AtomicU64::new(0),
-            executor,
             build_executor,
             appended: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -1145,69 +1135,29 @@ impl LiveIndex {
             return Err(Error::UnknownSymbol(rank));
         }
         let state = self.snapshot();
+        let parts = state.segments.iter().map(|segment| Part {
+            index: &segment.index,
+            chunk: &segment.x,
+            home_len: segment.home_len,
+            offset: segment.offset,
+        });
+        let mut total = query_parts(parts, pattern, scratch)?;
+        // The memtable's data start is its home start: its hits are global
+        // already and follow every segment's, so the merge stays sorted.
         let z = self.inner.spec.params.z;
-        let jobs = state.segments.len() + 1;
-        let per_part = self
-            .inner
-            .executor
-            .run::<(Vec<usize>, QueryStats), Error, _>(jobs, |i, worker_scratch| {
-                if let Some(segment) = state.segments.get(i) {
-                    let mut local = Vec::new();
-                    let stats = segment.index.query_into(
-                        pattern,
-                        &segment.x,
-                        worker_scratch,
-                        &mut local,
-                    )?;
-                    retain_home_and_globalize(&mut local, segment.home_len, segment.offset);
-                    Ok((local, stats))
-                } else {
-                    Ok(scan_memtable(&state.memtable, sigma, pattern, z))
-                }
-            });
-        let mut total = QueryStats::default();
-        scratch.positions.clear();
-        // The fan-out parts ran on executor threads, but their stats come
-        // back to this (request) thread: record them as duration-only
-        // children of the caller's query span, one group per part with the
-        // sampled stage breakdown nested inside.
+        let memtable = scan_memtable(&state.memtable, sigma, pattern, z, &mut scratch.merged);
+        total.accumulate(&memtable);
         let traced = trace::active();
-        for (i, entry) in per_part.into_iter().enumerate() {
-            let (positions, stats) = entry?;
-            total.accumulate(&stats);
-            if traced {
-                let code = if i < state.segments.len() {
-                    trace::STAGE_PART
-                } else {
-                    trace::STAGE_MEMTABLE
-                };
-                trace::group(code, stats.staged_ns(), i as u64, stats.reported as u64);
-                if stats.timed {
-                    trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                    trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-                    trace::leaf(
-                        trace::STAGE_VERIFY,
-                        stats.verify_ns,
-                        stats.candidates as u64,
-                        0,
-                    );
-                    trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
-                }
-                trace::end_group();
-            }
-            // Home ranges are disjoint and increasing and each part's
-            // output is sorted: the concatenation is globally sorted.
-            scratch.positions.extend(positions);
-        }
         if traced {
+            trace_part(trace::STAGE_MEMTABLE, state.segments.len(), &memtable);
             trace::enter(trace::STAGE_TOMBSTONE_FILTER);
         }
-        let before = scratch.positions.len();
-        filter_tombstoned_windows(&mut scratch.positions, &state.tombstones, pattern.len());
+        let before = scratch.merged.len();
+        filter_tombstoned_windows(&mut scratch.merged, &state.tombstones, pattern.len());
         if traced {
-            trace::exit_with(before as u64, scratch.positions.len() as u64);
+            trace::exit_with(before as u64, scratch.merged.len() as u64);
         }
-        total.reported = finalize_into(&mut scratch.positions, true, sink);
+        total.reported = finalize_into(&mut scratch.merged, true, sink);
         Ok(total)
     }
 
@@ -1300,39 +1250,75 @@ impl UncertainIndex for LiveIndex {
 
 /// The naive scan over the memtable tail: enumerates every start whose
 /// window fits in `[0, rows)`, multiplies the per-position probabilities
-/// of the pattern's ranks and keeps the z-solid ones. Output positions are
-/// global (the memtable's data start *is* its home start, so no filter is
-/// needed).
+/// of the pattern's ranks and appends the z-solid starts to `out`. Output
+/// positions are global (the memtable's data start *is* its home start, so
+/// no filter is needed).
+///
+/// A window is abandoned once its running product falls below
+/// [`solid_cutoff`], which no remaining factors can lift back to `1/z`;
+/// every other window multiplies exactly as the full product does, so the
+/// answers are those of the full scan. Rows are read through a
+/// (slab, offset) cursor, so a window may span slab boundaries and the
+/// scan allocates nothing.
 fn scan_memtable(
     memtable: &Memtable,
     sigma: usize,
     pattern: &[u8],
     z: f64,
-) -> (Vec<usize>, QueryStats) {
-    let mut positions = Vec::new();
+    out: &mut Vec<usize>,
+) -> QueryStats {
     let mut stats = QueryStats::default();
     let m = pattern.len();
     if memtable.rows < m {
-        return (positions, stats);
+        return stats;
     }
-    // One slice per row: a window's rows may span slab boundaries, and
-    // this flattens the lookup back to plain indexing.
-    let rows = memtable.row_slices(sigma);
-    for start in 0..=rows.len() - m {
+    let cutoff = solid_cutoff(z, m);
+    let slabs = &memtable.slabs;
+    // The next row after `(slab, at)`; slabs hold whole rows and are never
+    // empty, so stepping past a slab's end lands on the next one's start.
+    let next_row = |(slab, at): (usize, usize)| {
+        if at + sigma < slabs[slab].len() {
+            (slab, at + sigma)
+        } else {
+            (slab + 1, 0)
+        }
+    };
+    let mut first = (0usize, 0usize);
+    for start in 0..=memtable.rows - m {
         stats.candidates += 1;
+        let mut row = first;
         let mut p = 1.0f64;
-        for (offset, &rank) in pattern.iter().enumerate() {
-            p *= rows[start + offset][rank as usize];
-            if p == 0.0 {
+        for &rank in pattern {
+            p *= slabs[row.0][row.1 + rank as usize];
+            if p < cutoff {
                 break;
             }
+            row = next_row(row);
         }
         if is_solid(p, z) {
             stats.verified += 1;
-            positions.push(memtable.start + start);
+            out.push(memtable.start + start);
         }
+        first = next_row(first);
     }
-    (positions, stats)
+    stats
+}
+
+/// The running product below which a window of at most `m` letters can no
+/// longer be z-solid, with margin to spare for rounding.
+///
+/// The validator accepts entries up to `1 + DISTRIBUTION_SUM_TOLERANCE`,
+/// so the remaining factors can lift a prefix product by at most that
+/// value to the `m`-th power, plus one rounding error per product. The
+/// growth bound `(1 + 2·tolerance)^m` covers both, and the numerator
+/// `1 − 2·PROB_EPSILON` keeps `p·z + PROB_EPSILON` (the [`is_solid`] test)
+/// below 1 after rounding. A prefix below the cutoff therefore ends below
+/// `1/z` whatever its remaining factors are; a bare "prefix not solid"
+/// test would not be exact, since a factor above 1 can lift a prefix
+/// that is just short of `1/z` back over it.
+fn solid_cutoff(z: f64, m: usize) -> f64 {
+    let growth = (1.0 + 2.0 * DISTRIBUTION_SUM_TOLERANCE).powf(m as f64);
+    (1.0 - 2.0 * PROB_EPSILON) / (z * growth)
 }
 
 /// Inserts `[start, end)` into a sorted, disjoint tombstone set,

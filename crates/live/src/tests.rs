@@ -384,10 +384,8 @@ fn memtable_slabs_coalesce_split_and_drain_at_row_boundaries() {
     }
     assert_eq!(mt.rows, 600);
     assert_eq!(mt.flat_rows(0, 600, sigma), mirror);
-    // Row views flatten the slab structure back to plain indexing.
-    let rows = mt.row_slices(sigma);
-    assert_eq!(rows.len(), 600);
-    assert_eq!(rows[599], &mirror[599 * sigma..]);
+    // Row copies flatten the slab structure back to plain indexing.
+    assert_eq!(mt.flat_rows(599, 600, sigma), &mirror[599 * sigma..]);
     // Copies and drains may land mid-slab; both stay row-aligned.
     assert_eq!(
         mt.flat_rows(100, 350, sigma),
@@ -496,5 +494,87 @@ struct AnyIndexForTest;
 impl AnyIndexForTest {
     fn build() -> ius_index::AnyIndex {
         ius_index::AnyIndex::Naive(NaiveIndex::new(2.0).unwrap())
+    }
+}
+
+/// Row `i` of the memtable-exactness corpus: fair coins (so windows hit
+/// exactly `1/z`), entries in `(1, 1 + DISTRIBUTION_SUM_TOLERANCE]`, and a
+/// prefix just short of `1/4` that the following `> 1` entry lifts back
+/// over the threshold.
+fn edge_row(i: usize) -> Vec<f64> {
+    match i % 7 {
+        0 => vec![0.25 * (1.0 - 5e-7), 1.0 - 0.25 * (1.0 - 5e-7)],
+        1 => vec![1.0 + 0.9 * DISTRIBUTION_SUM_TOLERANCE, 0.0],
+        2 => vec![0.0, 1.0 + 0.9 * DISTRIBUTION_SUM_TOLERANCE],
+        _ => vec![0.5, 0.5],
+    }
+}
+
+#[test]
+fn memtable_early_exit_matches_naive_exactly() {
+    let alphabet = uniform(1, 1).alphabet().clone();
+    let rows: Vec<Vec<f64>> = (0..1_000).map(edge_row).collect();
+    let x = WeightedString::from_rows(alphabet.clone(), &rows).unwrap();
+    // The lifted window really is solid only thanks to its second factor.
+    assert!(!is_solid(x.prob(0, 0), 4.0));
+    assert!(is_solid(x.occurrence_probability(0, &[0, 0]), 4.0));
+    // Appends of one row and of more than a slab's worth, so windows
+    // straddle slab boundaries of both kinds.
+    let mut batches = Vec::new();
+    let mut at = 0usize;
+    for len in [
+        1usize,
+        1,
+        3,
+        1,
+        SLAB_MIN_ROWS + 45,
+        1,
+        1,
+        SLAB_MIN_ROWS + 1,
+        2,
+    ]
+    .into_iter()
+    .cycle()
+    {
+        if at == x.len() {
+            break;
+        }
+        let end = (at + len).min(x.len());
+        batches.push(x.substring(at, end).unwrap());
+        at = end;
+    }
+    let max_len = 8usize;
+    let patterns: Vec<Vec<u8>> = (1..=max_len)
+        .flat_map(|m| {
+            (0..1u32 << m).map(move |bits| (0..m).map(|b| (bits >> b & 1) as u8).collect())
+        })
+        .collect();
+    for z in [4.0, 8.0] {
+        let spec = IndexSpec::new(
+            IndexFamily::Naive,
+            IndexParams::new(z, 1, alphabet.size()).unwrap(),
+        );
+        let live = LiveIndex::new(alphabet.clone(), spec, max_len, config(1_000_000)).unwrap();
+        for batch in &batches {
+            live.append(batch).unwrap();
+        }
+        let stats = live.live_stats();
+        assert_eq!(stats.segments, 0, "the corpus must stay in the memtable");
+        assert_eq!(stats.memtable_rows, x.len());
+        let mut solid = 0usize;
+        for pattern in &patterns {
+            let mut scratch = QueryScratch::new();
+            let mut out = Vec::new();
+            let query = live
+                .query_owned_into(pattern, &mut scratch, &mut out)
+                .unwrap();
+            let expected = reference(&x, &[], pattern, z);
+            assert_eq!(out, expected, "z = {z}, pattern {pattern:?}");
+            // Every window is still enumerated.
+            assert_eq!(query.candidates, x.len() - pattern.len() + 1);
+            assert_eq!(query.verified, expected.len());
+            solid += expected.len();
+        }
+        assert!(solid > 0);
     }
 }

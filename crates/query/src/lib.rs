@@ -125,6 +125,10 @@ pub struct QueryScratch {
     pub grid: Vec<u32>,
     /// k-mer keys of the pattern's first window (minimizer selection).
     pub kmer_keys: Vec<u64>,
+    /// Merged global positions of a composite (shard/segment fan-out)
+    /// query: each part's engine uses `positions` for its own candidates,
+    /// so the parts' filtered outputs gather here.
+    pub merged: Vec<usize>,
 }
 
 impl QueryScratch {
@@ -139,6 +143,7 @@ impl QueryScratch {
             + self.pattern_rev.capacity()
             + self.grid.capacity() * 4
             + self.kmer_keys.capacity() * 8
+            + self.merged.capacity() * std::mem::size_of::<usize>()
     }
 }
 

@@ -512,6 +512,66 @@ fn trace_dump_round_trips_over_the_wire() {
     server.shutdown();
 }
 
+/// A traced live query records one `part` group per segment, in segment
+/// order, then one `memtable` group, all directly under the query span —
+/// the span-tree shape `TRACE_DUMP` consumers read the fan-out from.
+#[test]
+fn live_trace_dump_records_every_segment_then_the_memtable() {
+    let x = test_corpus();
+    let params = IndexParams::new(4.0, 8, x.sigma()).expect("params");
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::Array), params);
+    let config = ius_live::LiveConfig {
+        flush_threshold: 100,
+        auto_compact: false,
+        ..Default::default()
+    };
+    let live = ius_live::LiveIndex::new(x.alphabet().clone(), spec, 16, config).expect("live");
+    live.append(&x).expect("append");
+    let stats = live.live_stats();
+    let segments = stats.segments;
+    assert!(segments >= 2, "{segments} segments");
+    assert!(
+        stats.memtable_rows >= 8,
+        "{} memtable rows",
+        stats.memtable_rows
+    );
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServedIndex::live(Arc::new(live)),
+        None,
+        &ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // The first request on a connection always draws a trace ticket.
+    client.query(&[0u8; 8]).expect("query");
+    let records = client.trace_dump().expect("trace dump");
+    let query_trace = records
+        .iter()
+        .find(|r| r.op == 1 && !r.pinned)
+        .expect("the sampled QUERY must be in the recent ring");
+    let query_span = query_trace
+        .spans
+        .iter()
+        .find(|s| s.code == ius_obs::trace::STAGE_QUERY)
+        .expect("query span");
+    let fan_out: Vec<(u16, u64)> = query_trace
+        .spans
+        .iter()
+        .filter(|s| s.depth == query_span.depth + 1)
+        .filter(|s| {
+            s.code == ius_obs::trace::STAGE_PART || s.code == ius_obs::trace::STAGE_MEMTABLE
+        })
+        .map(|s| (s.code, s.a))
+        .collect();
+    let mut expected: Vec<(u16, u64)> = (0..segments as u64)
+        .map(|i| (ius_obs::trace::STAGE_PART, i))
+        .collect();
+    expected.push((ius_obs::trace::STAGE_MEMTABLE, segments as u64));
+    assert_eq!(fan_out, expected);
+    server.shutdown();
+}
+
 #[test]
 fn error_traces_are_pinned_and_drained_over_the_wire() {
     let (server, _, _) = start_server(&ServerConfig::default());

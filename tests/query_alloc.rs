@@ -49,14 +49,26 @@ fn assert_steady_state_allocation_free(variant: IndexVariant, label: &str) {
     let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index = MinimizerIndex::build_from_estimation(&x, &est, params, variant).unwrap();
+    assert_warm_queries_allocate_nothing(&index, &x, &patterns, label);
+}
+
+/// The measurement behind every steady-state case: a warm-up pass over
+/// `patterns`, then a measured second pass that must not touch the
+/// allocator. The caller holds [`serialize`]'s lock.
+fn assert_warm_queries_allocate_nothing(
+    index: &dyn UncertainIndex,
+    x: &WeightedString,
+    patterns: &[Vec<u8>],
+    label: &str,
+) {
     let mut scratch = QueryScratch::new();
     let mut sink = CountSink::new();
 
     // Warm-up pass: buffers grow to the workload's high-water mark.
     let mut warm_count = 0usize;
-    for pattern in &patterns {
+    for pattern in patterns {
         index
-            .query_into(pattern, &x, &mut scratch, &mut sink)
+            .query_into(pattern, x, &mut scratch, &mut sink)
             .unwrap();
         warm_count = sink.count;
     }
@@ -64,9 +76,9 @@ fn assert_steady_state_allocation_free(variant: IndexVariant, label: &str) {
     // Steady-state pass: must not touch the allocator at all.
     let (steady_count, mem) = ius_memtrack::measure(|| {
         let mut sink = CountSink::new();
-        for pattern in &patterns {
+        for pattern in patterns {
             index
-                .query_into(pattern, &x, &mut scratch, &mut sink)
+                .query_into(pattern, x, &mut scratch, &mut sink)
                 .unwrap();
         }
         sink.count
@@ -100,6 +112,47 @@ fn mwsa_grid_query_is_allocation_free_after_warmup() {
 #[test]
 fn mwst_tree_query_is_allocation_free_after_warmup() {
     assert_steady_state_allocation_free(IndexVariant::Tree, "MWST");
+}
+
+/// A sharded query visits its shards on the calling thread with the
+/// caller's scratch: no thread, no per-shard buffer.
+#[test]
+fn sharded_query_is_allocation_free_after_warmup() {
+    let _serial = serialize();
+    let (x, _est, patterns, params) = workload();
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let max_len = patterns.iter().map(Vec::len).max().unwrap();
+    let sharded = ShardedIndex::build(&x, spec, 4, max_len).unwrap();
+    assert_eq!(sharded.num_shards(), 4);
+    assert_warm_queries_allocate_nothing(&sharded, &x, &patterns, "SHARDED(S=4)");
+}
+
+/// A live query visits its segments and then scans the memtable, all on
+/// the calling thread: neither part may allocate once the scratch is warm.
+#[test]
+fn live_query_is_allocation_free_after_warmup() {
+    let _serial = serialize();
+    let (x, _est, patterns, params) = workload();
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let max_len = patterns.iter().map(Vec::len).max().unwrap();
+    let config = LiveConfig {
+        flush_threshold: 500,
+        auto_compact: false,
+        ..LiveConfig::default()
+    };
+    let live = LiveIndex::new(x.alphabet().clone(), spec, max_len, config).unwrap();
+    for start in (0..x.len()).step_by(150) {
+        let end = (start + 150).min(x.len());
+        live.append(&x.substring(start, end).unwrap()).unwrap();
+    }
+    let stats = live.live_stats();
+    assert!(stats.segments >= 2, "{} segments", stats.segments);
+    assert!(
+        stats.memtable_rows >= max_len,
+        "{} memtable rows",
+        stats.memtable_rows
+    );
+    assert_warm_queries_allocate_nothing(&live, &x, &patterns, "LIVE");
 }
 
 /// The serving hot path is `query_into` **plus** metrics recording: stage
