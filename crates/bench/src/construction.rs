@@ -27,8 +27,9 @@ pub struct ConstructionBenchConfig {
     /// Repetitions per fast stage (the minimum is reported).
     pub reps: usize,
     /// Thread counts of the parallel-construction sweep (each point builds
-    /// the z-estimation and the index at that fan-out, asserted
-    /// byte-identical to the serial build before timing is trusted).
+    /// the index from the shared estimation at that fan-out, asserted
+    /// identical to the serial build before timing is trusted; the
+    /// z-estimation itself is serial).
     pub threads: Vec<usize>,
 }
 
@@ -47,18 +48,9 @@ impl Default for ConstructionBenchConfig {
 pub struct ThreadPoint {
     /// Executor fan-out of this point.
     pub threads: usize,
-    /// Milliseconds of `ZEstimation::build_with_threads` at this fan-out.
-    pub z_estimation_ms: f64,
     /// Milliseconds of the explicit MWSA build (parallel factor sorts) at
     /// this fan-out.
     pub index_build_ms: f64,
-}
-
-impl ThreadPoint {
-    /// End-to-end milliseconds (estimation + index build).
-    pub fn pipeline_ms(&self) -> f64 {
-        self.z_estimation_ms + self.index_build_ms
-    }
 }
 
 /// Old/new timing of one stage, in milliseconds.
@@ -102,9 +94,9 @@ pub struct DatasetBench {
     pub index_build: StageTiming,
     /// End-to-end construction (z-estimation + index build).
     pub pipeline: StageTiming,
-    /// The multi-core sweep: the "new" estimation + index build re-timed at
-    /// every configured executor fan-out, outputs asserted identical to the
-    /// serial build.
+    /// The multi-core sweep: the "new" index build from the shared
+    /// estimation re-timed at every configured executor fan-out, outputs
+    /// asserted identical to the serial build.
     pub thread_sweep: Vec<ThreadPoint>,
 }
 
@@ -213,27 +205,11 @@ fn bench_dataset(
         pipeline.speedup()
     );
 
-    // The multi-core sweep: the parallel estimation and index build at each
-    // configured fan-out, asserted identical to the serial results before
-    // the timing is trusted.
+    // The multi-core sweep: the index build from the shared estimation at
+    // each configured fan-out, asserted identical to the serial result
+    // before the timing is trusted.
     let mut thread_sweep = Vec::with_capacity(threads.len());
     for &t in threads {
-        let (est_t, z_ms) = time_min(reps.min(2), || {
-            ZEstimation::build_with_threads(x, z, t).expect("parallel estimation")
-        });
-        for (a, b) in est_t.strands().iter().zip(est.strands()) {
-            assert_eq!(
-                a.seq(),
-                b.seq(),
-                "parallel z-estimation differs on {name} (t = {t})"
-            );
-            assert_eq!(
-                a.extents(),
-                b.extents(),
-                "parallel extents differ on {name} (t = {t})"
-            );
-        }
-        drop(est_t);
         let (idx_t, build_ms) = time_min(reps.min(2), || {
             MinimizerIndex::build_from_estimation_with_threads(
                 x,
@@ -255,16 +231,11 @@ fn bench_dataset(
             "parallel index size differs on {name} (t = {t})"
         );
         drop(idx_t);
-        let point = ThreadPoint {
+        eprintln!("  threads={t:<3}      build {build_ms:9.1} ms");
+        thread_sweep.push(ThreadPoint {
             threads: t,
-            z_estimation_ms: z_ms,
             index_build_ms: build_ms,
-        };
-        eprintln!(
-            "  threads={t:<3}      est {z_ms:9.1} ms  build {build_ms:9.1} ms  pipeline {:9.1} ms",
-            point.pipeline_ms()
-        );
-        thread_sweep.push(point);
+        });
     }
 
     DatasetBench {
@@ -380,9 +351,10 @@ pub fn render_json(config: &ConstructionBenchConfig, results: &[DatasetBench]) -
          repetition count and outputs are asserted identical before timing. Exception: \
          the minimizer_scan row compares the per-window rescan ALGORITHM (the seed's \
          test oracle; its production scan already used the monotone deque) and is \
-         excluded from construction_pipeline. thread_sweep re-times the new estimation \
-         and index build at each executor fan-out (parallel transpose, parallel factor \
-         sorts); every point's output is asserted identical to the serial build.\",\n",
+         excluded from construction_pipeline. thread_sweep re-times only the index build \
+         (parallel factor sorts) from the shared estimation at each executor fan-out; \
+         the z-estimation is serial. Every point's output is asserted identical to the \
+         serial build.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -403,12 +375,9 @@ pub fn render_json(config: &ConstructionBenchConfig, results: &[DatasetBench]) -
         out.push_str("      \"thread_sweep\": [\n");
         for (j, p) in d.thread_sweep.iter().enumerate() {
             out.push_str(&format!(
-                "        {{ \"threads\": {}, \"z_estimation_ms\": {:.2}, \
-                 \"index_build_ms\": {:.2}, \"pipeline_ms\": {:.2} }}{}\n",
+                "        {{ \"threads\": {}, \"index_build_ms\": {:.2} }}{}\n",
                 p.threads,
-                p.z_estimation_ms,
                 p.index_build_ms,
-                p.pipeline_ms(),
                 if j + 1 == d.thread_sweep.len() {
                     ""
                 } else {

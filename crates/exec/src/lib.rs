@@ -23,11 +23,11 @@
 //!   joins them.
 //!
 //! Determinism is the point, not an accident: every parallel construction
-//! path in the workspace (z-estimation transpose, factor-set sorting,
-//! shard and segment builds) is required to produce **byte-identical**
-//! output at every thread count, and the executor's contribution is that
-//! task `i`'s result always lands in slot `i` regardless of which worker
-//! ran it or when it finished.
+//! path in the workspace (factor-set sorting, shard and segment builds)
+//! is required to produce **byte-identical** output at every thread
+//! count, and the executor's contribution is that task `i`'s result
+//! always lands in slot `i` regardless of which worker ran it or when it
+//! finished.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -123,8 +123,8 @@ impl IndexSpec {
     }
 
     /// Fans construction out over `threads` workers (0 = all CPUs): the
-    /// z-estimation transpose and the factor sorts run on the shared
-    /// executor. Queries and persistence are unaffected — the built index is
+    /// factor sorts run on the shared executor (the z-estimation is always
+    /// serial). Queries and persistence are unaffected — the built index is
     /// byte-identical at every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -157,7 +157,7 @@ impl IndexSpec {
         match self.family {
             IndexFamily::Naive | IndexFamily::SpaceEfficient(_) => self.dispatch(x, None),
             _ => {
-                let estimation = ZEstimation::build_with_threads(x, self.params.z, self.threads)?;
+                let estimation = ZEstimation::build(x, self.params.z)?;
                 self.dispatch(x, Some(&estimation))
             }
         }

@@ -21,7 +21,8 @@ pub enum Error {
         /// Human-readable reason.
         reason: String,
     },
-    /// The weight threshold `1/z` is invalid (`z` must satisfy `z ≥ 1`).
+    /// The weight threshold `1/z` is invalid (`z` must satisfy `z ≥ 1`; a
+    /// z-estimation additionally needs `⌊z⌋ ≤ u32::MAX` strands).
     InvalidThreshold(f64),
     /// A query position lies outside the string.
     PositionOutOfBounds {
@@ -70,7 +71,11 @@ impl fmt::Display for Error {
                 write!(f, "invalid probability distribution at position {position}: {reason}")
             }
             Error::InvalidThreshold(z) => {
-                write!(f, "invalid weight threshold 1/z: z = {z} (z must be >= 1 and finite)")
+                write!(
+                    f,
+                    "invalid weight threshold 1/z: z = {z} (z must be >= 1 and finite, \
+                     and a z-estimation holds at most u32::MAX strands)"
+                )
             }
             Error::PositionOutOfBounds { position, length } => {
                 write!(f, "position {position} out of bounds for string of length {length}")
