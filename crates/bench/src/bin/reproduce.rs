@@ -63,7 +63,6 @@ struct Config {
     bench_reps: usize,
     bench_patterns: usize,
     bench_threads: Option<Vec<usize>>,
-    bench_shards: Vec<usize>,
     bench_workers: Vec<usize>,
     bench_clients: usize,
     bench_batch: usize,
@@ -156,11 +155,6 @@ fn main() {
             n: config.bench_n,
             reps: config.bench_reps,
             patterns: config.bench_patterns.min(200),
-            shard_counts: config.bench_shards.clone(),
-            threads: config
-                .bench_threads
-                .clone()
-                .unwrap_or_else(default_thread_sweep),
         };
         let results = run_space_bench(&bench_config);
         let json = render_space_json(&bench_config, &results);
@@ -365,8 +359,8 @@ fn print_help() {
          \x20                      sink-based engine, single-thread and batched) and write\n\
          \x20                      BENCH_query.json (to --out or the working directory)\n\
          \x20 --bench-space        run the index-lifecycle space benchmark (footprint,\n\
-         \x20                      serialized size, save/load vs rebuild, sharded vs\n\
-         \x20                      unsharded throughput) and write BENCH_space.json\n\
+         \x20                      serialized size, save/open vs rebuild) and write\n\
+         \x20                      BENCH_space.json\n\
          \x20 --bench-serve        run the serving benchmark (persisted index served over\n\
          \x20                      loopback TCP, throughput + p50/p99 latency vs worker\n\
          \x20                      count, hot-reload stage) and write BENCH_serve.json\n\
@@ -387,10 +381,9 @@ fn print_help() {
          \x20 --bench-patterns <p> query patterns per dataset for --bench-query/--bench-space/\n\
          \x20                      --bench-serve (default 400; space/serve cap at 200/400)\n\
          \x20 --bench-threads <t,..> thread sweep (0 = all CPUs): the multi-core sweep of\n\
-         \x20                      --bench-construction/--bench-space/--bench-update, and\n\
-         \x20                      the batch worker count for --bench-query (widest entry)\n\
+         \x20                      --bench-construction/--bench-update, and the batch\n\
+         \x20                      worker count for --bench-query (widest entry)\n\
          \x20                      (default: 1,2,all CPUs)\n\
-         \x20 --bench-shards <s,..> shard counts for --bench-space (default 1,4,8)\n\
          \x20 --bench-workers <w,..> worker-pool sizes for --bench-serve (default 1,2,4)\n\
          \x20 --bench-clients <c>  concurrent client threads for --bench-serve (default 4)\n\
          \x20 --bench-rates <r,..> arrival rates (req/s) for --bench-slo (default: fractions\n\
@@ -418,7 +411,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut bench_reps = 3usize;
     let mut bench_patterns = 400usize;
     let mut bench_threads = None;
-    let mut bench_shards = vec![1usize, 4, 8];
     let mut bench_workers = vec![1usize, 2, 4];
     let mut bench_clients = 4usize;
     let mut bench_batch = 2_000usize;
@@ -511,19 +503,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
                     .map_err(|e| format!("bad --bench-clients: {e}"))?;
                 if bench_clients == 0 {
                     return Err("--bench-clients needs a positive count".into());
-                }
-                i += 2;
-            }
-            "--bench-shards" => {
-                bench_shards = args
-                    .get(i + 1)
-                    .ok_or("--bench-shards needs a value")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<usize>, _>>()
-                    .map_err(|e| format!("bad --bench-shards: {e}"))?;
-                if bench_shards.is_empty() || bench_shards.contains(&0) {
-                    return Err("--bench-shards needs positive shard counts".into());
                 }
                 i += 2;
             }
@@ -629,7 +608,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         bench_reps,
         bench_patterns,
         bench_threads,
-        bench_shards,
         bench_workers,
         bench_clients,
         bench_batch,

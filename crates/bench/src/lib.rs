@@ -28,5 +28,5 @@ pub use recovery_bench::{PolicyBench, RecoveryBenchConfig, RecoveryBenchResult, 
 pub use report::Row;
 pub use serve_bench::{ReloadBench, ServeBenchConfig, ServeDatasetBench, WorkerBench};
 pub use slo_bench::{ClosedLoopBaseline, RateBench, SloBenchConfig, SloDatasetBench};
-pub use space_bench::{FamilySpaceBench, ShardBench, SpaceBenchConfig, SpaceDatasetBench};
+pub use space_bench::{FamilySpaceBench, SpaceBenchConfig, SpaceDatasetBench};
 pub use update_bench::{CompactionPhase, QueryPhase, UpdateBenchConfig, UpdateDatasetBench};

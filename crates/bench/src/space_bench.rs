@@ -9,21 +9,20 @@
 //! arena-open wall times over in-memory buffers, and the load-vs-rebuild
 //! speedup — opening never re-runs construction (no z-estimation, no suffix
 //! sorting, no tree merging), so it beats a rebuild by orders of magnitude
-//! and makes build-once / serve-many deployments practical. A second
-//! section measures sharded ([`ius_index::ShardedIndex`]) vs unsharded
-//! query throughput at `S ∈ {1, 4, 8}`.
+//! and makes build-once / serve-many deployments practical. Segmented
+//! (partitioned) indexes are `ius_live::LiveIndex`es, measured by the
+//! update benchmark (`BENCH_update.json`).
 //!
 //! Correctness is asserted before any number is trusted: every opened index
 //! must answer the pattern set exactly like the index it was saved from (and
-//! re-save byte-identically), and every sharded configuration must answer
-//! exactly like the unsharded index.
+//! re-save byte-identically).
 
 use ius_arena::Arena;
 use ius_datasets::corpora::bench_corpus;
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{
     open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
-    QueryScratch, SaveOptions, ShardedIndex, UncertainIndex,
+    QueryScratch, SaveOptions, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use std::time::Instant;
@@ -41,12 +40,6 @@ pub struct SpaceBenchConfig {
     pub reps: usize,
     /// Query patterns per dataset (half at ℓ, half at 2ℓ).
     pub patterns: usize,
-    /// Shard counts of the sharded-vs-unsharded throughput section.
-    pub shard_counts: Vec<usize>,
-    /// Thread counts of the parallel shard-build sweep (each point builds
-    /// every shard configuration at that fan-out, asserted answer-identical
-    /// to the serial build).
-    pub threads: Vec<usize>,
 }
 
 impl Default for SpaceBenchConfig {
@@ -55,8 +48,6 @@ impl Default for SpaceBenchConfig {
             n: 100_000,
             reps: 3,
             patterns: 200,
-            shard_counts: vec![1, 4, 8],
-            threads: crate::report::default_thread_sweep(),
         }
     }
 }
@@ -97,23 +88,6 @@ impl FamilySpaceBench {
     }
 }
 
-/// One sharded configuration's build cost, footprint and query latency.
-#[derive(Debug, Clone)]
-pub struct ShardBench {
-    /// Number of shards requested.
-    pub shards: usize,
-    /// Milliseconds to build all per-shard indexes serially.
-    pub build_ms: f64,
-    /// Aggregate footprint (per-shard indexes + owned chunks).
-    pub size_bytes: usize,
-    /// Microseconds per query through the routing executor.
-    pub query_us: f64,
-    /// `(threads, build_ms)` of the parallel shard-build sweep; every point
-    /// is asserted answer-identical to the serial build before its timing
-    /// is trusted.
-    pub build_sweep: Vec<(usize, f64)>,
-}
-
 /// All space measurements for one dataset configuration.
 #[derive(Debug, Clone)]
 pub struct SpaceDatasetBench {
@@ -127,12 +101,6 @@ pub struct SpaceDatasetBench {
     pub ell: usize,
     /// Per-family footprint and persistence timings.
     pub families: Vec<FamilySpaceBench>,
-    /// Family used in the sharding section.
-    pub shard_family: String,
-    /// Microseconds per query of the unsharded shard-section family.
-    pub unsharded_query_us: f64,
-    /// Sharded configurations (one per shard count).
-    pub sharded: Vec<ShardBench>,
 }
 
 fn ms(start: Instant) -> f64 {
@@ -149,30 +117,6 @@ fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         out = Some(v);
     }
     (out.expect("at least one rep"), best)
-}
-
-/// Answers every pattern once with a reused scratch/output buffer and
-/// returns (total occurrences, microseconds per query, min over `reps`).
-fn time_queries(
-    index: &dyn UncertainIndex,
-    x: &WeightedString,
-    patterns: &[Vec<u8>],
-    reps: usize,
-) -> (usize, f64) {
-    let mut scratch = QueryScratch::new();
-    let mut out: Vec<usize> = Vec::new();
-    let (total, total_ms) = time_min(reps, || {
-        let mut total = 0usize;
-        for pattern in patterns {
-            out.clear();
-            index
-                .query_into(pattern, x, &mut scratch, &mut out)
-                .expect("query");
-            total += out.len();
-        }
-        total
-    });
-    (total, total_ms * 1e3 / patterns.len() as f64)
 }
 
 /// Measures one family: footprint, serialized size, save/open/rebuild times,
@@ -267,8 +211,8 @@ fn bench_family(
     result
 }
 
-/// Benchmarks one `(x, z, ℓ)` configuration: per-family persistence plus the
-/// sharded-vs-unsharded throughput section.
+/// Benchmarks one `(x, z, ℓ)` configuration: per-family footprint and
+/// persistence.
 fn bench_dataset(
     name: &str,
     params_label: String,
@@ -318,85 +262,12 @@ fn bench_dataset(
         })
         .collect();
 
-    // Sharded vs unsharded throughput on the grid-array family (the paper's
-    // strongest query configuration). Patterns reach 2ℓ, so the shard
-    // overlap is 2ℓ − 1.
-    let shard_spec = IndexSpec::new(
-        IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        index_params,
-    );
-    let unsharded = shard_spec
-        .build_with_estimation(x, &estimation)
-        .expect("unsharded");
-    let expected: Vec<Vec<usize>> = patterns
-        .iter()
-        .map(|p| unsharded.query(p, x).expect("unsharded query"))
-        .collect();
-    let (_, unsharded_query_us) = time_queries(&unsharded, x, &patterns, config.reps);
-    let mut sharded_results = Vec::new();
-    for &shards in &config.shard_counts {
-        let (sharded, build_ms) = time_min(1, || {
-            ShardedIndex::build(x, shard_spec, shards, 2 * ell).expect("sharded build")
-        });
-        for (pattern, expect) in patterns.iter().zip(&expected) {
-            assert_eq!(
-                &sharded.query(pattern, x).expect("sharded query"),
-                expect,
-                "S = {shards}: sharded output differs from unsharded"
-            );
-        }
-        let (_, query_us) = time_queries(&sharded, x, &patterns, config.reps);
-        // The multi-core sweep: rebuild the same configuration at each
-        // fan-out, asserted identical to the serial build before the
-        // timing is trusted.
-        let mut build_sweep = Vec::with_capacity(config.threads.len());
-        for &t in &config.threads {
-            let (parallel, parallel_ms) = time_min(1, || {
-                ShardedIndex::build_with_threads(x, shard_spec, shards, 2 * ell, t)
-                    .expect("parallel sharded build")
-            });
-            assert_eq!(
-                parallel.size_bytes(),
-                sharded.size_bytes(),
-                "S = {shards}, t = {t}: parallel shard build size drift"
-            );
-            for (pattern, expect) in patterns.iter().zip(&expected) {
-                assert_eq!(
-                    &parallel.query(pattern, x).expect("parallel sharded query"),
-                    expect,
-                    "S = {shards}, t = {t}: parallel shard build answers differently"
-                );
-            }
-            build_sweep.push((t, parallel_ms));
-        }
-        let sweep_label: Vec<String> = build_sweep
-            .iter()
-            .map(|(t, ms)| format!("t{t}={ms:.0}ms"))
-            .collect();
-        eprintln!(
-            "  sharded S={shards:<2} build {build_ms:>8.1} ms  size {:>8.2} MB  query {query_us:>8.2} us \
-             (unsharded {unsharded_query_us:.2} us)  sweep [{}]",
-            sharded.size_bytes() as f64 / 1e6,
-            sweep_label.join(", "),
-        );
-        sharded_results.push(ShardBench {
-            shards,
-            build_ms,
-            size_bytes: sharded.size_bytes(),
-            query_us,
-            build_sweep,
-        });
-    }
-
     SpaceDatasetBench {
         name: name.to_string(),
         params: params_label,
         z,
         ell,
         families,
-        shard_family: shard_spec.family.name().to_string(),
-        unsharded_query_us,
-        sharded: sharded_results,
     }
 }
 
@@ -430,7 +301,7 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         config.n,
         config.patterns,
         config.reps,
-        crate::report::json_host_fields(&config.threads)
+        crate::report::json_host_fields(&[1])
     ));
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
@@ -444,9 +315,8 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
          file read excluded; load_speedup = rebuild_ms / open_ms. \
          bytes_touched_at_first_query = arena bytes covered by the opened index's typed views. \
          Before timing, every opened index is asserted byte-identical on re-save and \
-         answer-identical on the pattern set (raw and packed alike), and every sharded \
-         configuration is asserted answer-identical to the unsharded index. Sharded queries \
-         visit the shards in order on the calling thread with one reused scratch.\",\n",
+         answer-identical on the pattern set (raw and packed alike). Segmented indexes are \
+         live indexes, measured in BENCH_update.json.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -473,30 +343,6 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
                 if j + 1 == d.families.len() { "" } else { "," }
             ));
         }
-        out.push_str("      ],\n");
-        out.push_str(&format!(
-            "      \"shard_family\": \"{}\", \"unsharded_query_us\": {:.3},\n",
-            d.shard_family, d.unsharded_query_us
-        ));
-        out.push_str("      \"sharded\": [\n");
-        for (j, s) in d.sharded.iter().enumerate() {
-            let sweep: Vec<String> = s
-                .build_sweep
-                .iter()
-                .map(|(t, ms)| format!("{{ \"threads\": {t}, \"build_ms\": {ms:.2} }}"))
-                .collect();
-            out.push_str(&format!(
-                "        {{ \"shards\": {}, \"build_ms\": {:.2}, \"size_bytes\": {}, \
-                 \"query_us\": {:.3}, \"build_sweep\": [{}], \
-                 \"outputs_identical_to_unsharded\": true }}{}\n",
-                s.shards,
-                s.build_ms,
-                s.size_bytes,
-                s.query_us,
-                sweep.join(", "),
-                if j + 1 == d.sharded.len() { "" } else { "," }
-            ));
-        }
         out.push_str("      ]\n");
         out.push_str(if i + 1 == results.len() {
             "    }\n"
@@ -514,24 +360,20 @@ mod tests {
 
     #[test]
     fn smoke_run_asserts_round_trips_and_renders_json() {
-        // A tiny end-to-end run; the assertions inside bench_family and the
-        // sharded section are the real test. Shard counts kept small so the
-        // smallest corpus still admits them.
+        // A tiny end-to-end run; the assertions inside bench_family are the
+        // real test.
         let config = SpaceBenchConfig {
             n: 3_000,
             reps: 1,
             patterns: 10,
-            shard_counts: vec![1, 2],
-            threads: vec![1, 2, 3],
         };
         let results = run_space_bench(&config);
         assert_eq!(results.len(), 3);
         let json = render_space_json(&config, &results);
         assert!(json.contains("\"host_cpus\":"));
-        assert!(json.contains("\"threads\": [1, 2, 3]"));
+        assert!(json.contains("\"threads\": [1]"));
         for d in &results {
             assert!(!d.families.is_empty());
-            assert_eq!(d.sharded.len(), 2);
             for f in &d.families {
                 assert!(json.contains(&format!("\"family\": \"{}\"", f.family)));
                 assert!(f.size_bytes > 0 && f.file_bytes > 0);
@@ -550,10 +392,6 @@ mod tests {
             }
             assert!(json.contains("\"open_ms\":"));
             assert!(json.contains("\"page_size\":"));
-            for s in &d.sharded {
-                assert!(s.size_bytes > 0 && s.query_us > 0.0);
-                assert_eq!(s.build_sweep.len(), 3);
-            }
         }
     }
 }

@@ -9,17 +9,14 @@
 //! * the full minimizer construction pipeline, compared as **persisted
 //!   IUSX bytes** (which serialize the `EncodedFactorSet` verbatim, so any
 //!   divergence in the parallel factor sort shows up here);
-//! * `ShardedIndex` built with a concurrent shard fan-out — size and
-//!   query answers;
+//! * `LiveIndex::from_corpus` freezing a whole corpus into several
+//!   segments built concurrently in one flush — size and query answers;
 //! * `LiveIndex` ingesting with parallel segment builds and tiered
 //!   compaction — query answers after every phase.
 
 use ius_datasets::corpora::bench_corpora;
 use ius_datasets::patterns::PatternSampler;
-use ius_index::{
-    save_index, IndexFamily, IndexParams, IndexSpec, IndexVariant, QueryScratch, ShardedIndex,
-    UncertainIndex,
-};
+use ius_index::{save_index, IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
 use ius_live::{LiveConfig, LiveIndex};
 use ius_weighted::ZEstimation;
 
@@ -28,7 +25,7 @@ use ius_weighted::ZEstimation;
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Corpus length: small enough for CI, large enough that every corpus
-/// spans multiple sort chunks, shards and live segments at 8 threads.
+/// spans multiple sort chunks and live segments at 8 threads.
 const N: usize = 2_500;
 
 #[test]
@@ -65,23 +62,36 @@ fn sharded_index_matches_serial_at_every_thread_count() {
         let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
         let max_pattern_len = 2 * corpus.ell;
         let patterns = sample_patterns(x, corpus.z, corpus.ell, 24);
-        let serial = ShardedIndex::build(x, spec, 4, max_pattern_len).expect("serial shards");
-        let expected: Vec<Vec<usize>> =
-            patterns.iter().map(|p| query_sharded(&serial, p)).collect();
-        for &t in &THREADS {
-            let parallel = ShardedIndex::build_with_threads(x, spec, 4, max_pattern_len, t)
-                .expect("parallel shards");
+        // A sharded index: one flush freezes the whole seed into 4
+        // segments, built on the `threads`-wide executor.
+        let seed = |threads: usize| {
+            let config = LiveConfig {
+                flush_threshold: N.div_ceil(4),
+                auto_compact: false,
+                threads,
+                ..LiveConfig::default()
+            };
+            LiveIndex::from_corpus(x, spec, max_pattern_len, config).expect("seeded live index")
+        };
+        let serial = seed(1);
+        assert_eq!(serial.num_segments(), 4, "{}", corpus.name);
+        let expected: Vec<Vec<usize>> = patterns
+            .iter()
+            .map(|p| serial.query_owned(p).expect("serial query"))
+            .collect();
+        for &t in &THREADS[1..] {
+            let parallel = seed(t);
             assert_eq!(
                 parallel.size_bytes(),
                 serial.size_bytes(),
-                "{} t={t}: sharded size",
+                "{} t={t}: seeded live index size",
                 corpus.name
             );
             for (i, pattern) in patterns.iter().enumerate() {
                 assert_eq!(
-                    query_sharded(&parallel, pattern),
+                    parallel.query_owned(pattern).expect("parallel query"),
                     expected[i],
-                    "{} t={t}: sharded answer for pattern {i}",
+                    "{} t={t}: seeded live answer for pattern {i}",
                     corpus.name
                 );
             }
@@ -171,13 +181,4 @@ fn sample_patterns(
     patterns.extend(sampler.sample_many(2 * ell, count - count / 2));
     assert!(!patterns.is_empty(), "no solid patterns sampled");
     patterns
-}
-
-fn query_sharded(index: &ShardedIndex, pattern: &[u8]) -> Vec<usize> {
-    let mut scratch = QueryScratch::new();
-    let mut out = Vec::new();
-    index
-        .query_owned_into(pattern, &mut scratch, &mut out)
-        .expect("sharded query");
-    out
 }

@@ -23,7 +23,7 @@
 //!   joins them.
 //!
 //! Determinism is the point, not an accident: every parallel construction
-//! path in the workspace (factor-set sorting, shard and segment builds)
+//! path in the workspace (factor-set sorting, live segment builds)
 //! is required to produce **byte-identical** output at every thread
 //! count, and the executor's contribution is that task `i`'s result
 //! always lands in slot `i` regardless of which worker ran it or when it

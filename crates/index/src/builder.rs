@@ -2,8 +2,8 @@
 //! family through a single entry point.
 //!
 //! Before this layer existed, every consumer that needed "an index of family
-//! F" — the benchmark harness, the differential tests, the sharding layer,
-//! the persistence layer — hand-rolled its own per-family `match` over
+//! F" — the benchmark harness, the differential tests, the live segment
+//! builds, the persistence layer — hand-rolled its own per-family `match` over
 //! constructors with slightly different signatures (`Wst::build_from_estimation`
 //! takes only the estimation, `MinimizerIndex::build_from_estimation` wants
 //! `(x, est, params, variant)`, the space-efficient builder has no estimation

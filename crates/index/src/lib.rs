@@ -35,7 +35,6 @@ pub mod overlap;
 pub mod params;
 pub mod persist;
 pub mod property_text;
-pub mod shard;
 pub mod space_efficient;
 pub mod traits;
 pub mod wsa;
@@ -50,10 +49,8 @@ pub use minimizer_index::{IndexVariant, MinimizerIndex};
 pub use naive::NaiveIndex;
 pub use params::IndexParams;
 pub use persist::{
-    load_any_index, load_index, open_any_index, open_index, save_index, save_index_with, LoadedAny,
-    SaveOptions, FORMAT_VERSION,
+    load_index, open_index, save_index, save_index_with, SaveOptions, FORMAT_VERSION,
 };
-pub use shard::ShardedIndex;
 pub use space_efficient::SpaceEfficientBuilder;
 pub use traits::{validate_pattern, IndexStats, UncertainIndex};
 pub use wsa::Wsa;

@@ -87,7 +87,7 @@ pub struct MinimizerIndex {
     /// array an arena open can view zero-copy.
     pairs: ArenaVec<u32>,
     /// The persisted arena the index's views borrow from, when it was
-    /// loaded from a file (`None` for built indexes and shard members).
+    /// loaded from a file (`None` for built indexes).
     /// Held so size accounting can count the single backing allocation once.
     arena: Option<Arena>,
     /// `"explicit"` (from a z-estimation) or `"space-efficient"` (Section 4).

@@ -1,11 +1,11 @@
-//! The shared overlap/home-range routing rule of every composite index.
+//! The overlap/home-range routing rule of the partitioned index.
 //!
-//! Both composites in this workspace — the static [`crate::ShardedIndex`]
-//! and the dynamic `ius_live::LiveIndex` — cut one logical weighted string
-//! into an ordered sequence of *home ranges* that tile `[0, n)`, and build
-//! each part's index over its home range extended by an **overlap** of
-//! `max_pattern_len − 1` positions to the right. The invariants both rely
-//! on live here, in one place:
+//! The workspace has one partitioned index, `ius_live::LiveIndex` (a static
+//! segmented index is a `LiveIndex` built with `from_corpus` and left
+//! unmutated). It cuts one logical weighted string into an ordered sequence
+//! of *home ranges* that tile `[0, n)`, and builds each part's index over
+//! its home range extended by an **overlap** of `max_pattern_len − 1`
+//! positions to the right. The invariants it relies on live here:
 //!
 //! * **No loss:** an occurrence of a pattern of length `m ≤ max_pattern_len`
 //!   starting at position `p` spans the window `[p, p + m)`, which lies
@@ -19,10 +19,10 @@
 //!   each part's output is sorted, so the concatenation of the filtered
 //!   per-part outputs is globally sorted — the final merge needs no sort.
 //!
-//! [`query_parts`] is the one fan-out both composites query through: the
-//! parts run in order on the calling thread with the caller's
-//! [`QueryScratch`], so a composite query spawns no thread and, once the
-//! scratch has warmed up, allocates nothing.
+//! [`query_parts`] is the segment fan-out: the parts run in order on the
+//! calling thread with the caller's [`QueryScratch`], so a partitioned
+//! query spawns no thread and, once the scratch has warmed up, allocates
+//! nothing.
 
 use crate::traits::UncertainIndex;
 use ius_obs::trace;
@@ -43,15 +43,7 @@ pub fn overlap_len(max_pattern_len: usize) -> usize {
     max_pattern_len - 1
 }
 
-/// The exclusive end of the chunk covering one home range
-/// `[offset, offset + home_len)` plus the overlap, clipped at the logical
-/// length `n` (the last part has nothing to its right).
-#[inline]
-pub fn chunk_end(offset: usize, home_len: usize, overlap: usize, n: usize) -> usize {
-    (offset + home_len + overlap).min(n)
-}
-
-/// One part of a composite query: the index over a chunk of `X`, the chunk
+/// One part of a partitioned query: the index over a chunk of `X`, the chunk
 /// itself, and the home range `[offset, offset + home_len)` the part
 /// reports occurrence starts for.
 pub struct Part<'a> {
@@ -65,7 +57,7 @@ pub struct Part<'a> {
     pub offset: usize,
 }
 
-/// The dedup-and-translate step of the composite query fan-out, as a sink:
+/// The dedup-and-translate step of the partitioned query fan-out, as a sink:
 /// keeps only chunk-local starts inside the home range (`pos < home_len` —
 /// overlap hits are the next part's responsibility) and appends the
 /// survivors to `out` in global coordinates (`pos + offset`).
@@ -87,7 +79,7 @@ impl MatchSink for HomeSink<'_> {
     }
 }
 
-/// The composite query fan-out: queries every part in order on the calling
+/// The partitioned query fan-out: queries every part in order on the calling
 /// thread with the caller's `scratch`, streaming each part's hits through
 /// the home-range filter into `scratch.merged` — which ends up globally
 /// sorted, since home ranges are disjoint and increasing. Returns the
@@ -140,7 +132,7 @@ pub fn query_parts<'a>(
     outcome.map(|()| total)
 }
 
-/// Records one part of a traced composite query as a duration-only group
+/// Records one part of a traced partitioned query as a duration-only group
 /// (`code`, the part's staged time, its index and its delivered count)
 /// with the sampled stage breakdown nested inside when the part was timed.
 pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
@@ -167,13 +159,6 @@ mod tests {
     fn overlap_is_one_less_than_the_pattern_bound() {
         assert_eq!(overlap_len(1), 0);
         assert_eq!(overlap_len(64), 63);
-    }
-
-    #[test]
-    fn chunk_end_clips_at_the_logical_length() {
-        assert_eq!(chunk_end(0, 10, 7, 100), 17);
-        assert_eq!(chunk_end(90, 10, 7, 100), 100);
-        assert_eq!(chunk_end(95, 5, 0, 100), 100);
     }
 
     fn home_filter(hits: &[usize], home_len: usize, offset: usize) -> Vec<usize> {

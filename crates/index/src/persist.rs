@@ -32,19 +32,19 @@
 //! (PCLMUL-folded, so this is bandwidth-bound), and every raw section
 //! becomes a borrowed view. Open cost is O(header + validation), not
 //! O(elements) — no per-element decode, no per-table allocation.
-//! [`open_index`]/[`open_any_index`] take an arena the caller filled (e.g.
-//! [`Arena::from_file`]); the `Read` entry points ([`load_index`],
-//! [`load_any_index`] and every family's `load_from`) read the stream to
-//! its end into an arena and open that. A file must end at its trailer:
-//! trailing bytes are refused.
+//! [`open_index`] takes an arena the caller filled (e.g.
+//! [`Arena::from_file`]); the `Read` entry points ([`load_index`] and every
+//! family's `load_from`) read the stream to its end into an arena and open
+//! that. A file must end at its trailer: trailing bytes are refused.
+//! [`open_index_at`] opens an envelope embedded inside a larger arena (the
+//! live index's segment files).
 //!
 //! **Version policy:** this build reads and writes version 3 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — including
 //! the earlier streamed version 2 — is refused with a typed `InvalidData`
 //! error naming the version, and there is no silent migration (load and
 //! re-save a version-2 file with an older build to convert it). Every
-//! envelope — including the nested per-shard envelopes inside a sharded
-//! file — carries its own CRC32 (IEEE, from [`ius_faultio`]) trailer;
+//! envelope carries its own CRC32 (IEEE, from [`ius_faultio`]) trailer;
 //! silent bit-rot is detected at open, not served, and a mismatch is a
 //! typed `InvalidData` error, never a panic.
 //!
@@ -56,14 +56,16 @@
 //! sorting, trie and merge-sort-tree assembly) are **never** re-run.
 //!
 //! Family tags: `0` NAIVE, `1` WST, `2` WSA, `3` minimizer (any of
-//! MWST/MWSA/MWST-G/MWSA-G, explicit or space-efficient construction),
-//! `4` sharded. Every multi-byte integer and float is little-endian
+//! MWST/MWSA/MWST-G/MWSA-G, explicit or space-efficient construction).
+//! Tag `4` belonged to the removed sharded-index format and is refused
+//! typed: a partitioned index persists as a `ius_live::LiveIndex` manifest
+//! directory instead. Every multi-byte integer and float is little-endian
 //! (`f64` as the LE bytes of its IEEE-754 bits, so round trips are
 //! bit-exact).
 //!
 //! Entry points: [`save_index`]/[`load_index`]/[`open_index`] over
-//! [`AnyIndex`], [`load_any_index`]/[`open_any_index`] for files that may
-//! be sharded, and inherent `save_to`/`load_from` on every concrete family.
+//! [`AnyIndex`], [`open_index_at`] for embedded envelopes, and inherent
+//! `save_to`/`load_from` on every concrete family.
 
 use crate::builder::AnyIndex;
 use crate::encode::{Direction, EncodedFactorSet};
@@ -71,7 +73,6 @@ use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::naive::NaiveIndex;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
-use crate::shard::ShardedIndex;
 use crate::traits::UncertainIndex;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
@@ -96,7 +97,8 @@ const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
 const TAG_WSA: u8 = 2;
 const TAG_MINIMIZER: u8 = 3;
-const TAG_SHARDED: u8 = 4;
+/// The tag of the removed sharded-index format, refused at open.
+const TAG_REMOVED_SHARDED: u8 = 4;
 
 /// Section encodings (the `u8` after the element count).
 const ENC_RAW: u8 = 0;
@@ -292,16 +294,13 @@ struct ArenaSource {
     end: usize,
     /// Total envelope length including the trailer.
     envelope_len: usize,
-    /// Whether loaded structures should retain the arena handle (false for
-    /// nested shard envelopes — the sharded composite holds the one handle).
-    retain: bool,
 }
 
 impl ArenaSource {
     /// Validates the envelope at `base` (magic, version, family tag, length
     /// bounds, CRC32 over the raw bytes) and returns its family tag plus a
     /// cursor positioned at the first payload byte.
-    fn open(arena: &Arena, base: usize, retain: bool) -> io::Result<(u8, Self)> {
+    fn open(arena: &Arena, base: usize) -> io::Result<(u8, Self)> {
         if !base.is_multiple_of(8) {
             return Err(bad("envelope does not start 8-byte aligned"));
         }
@@ -322,7 +321,14 @@ impl ArenaSource {
         // The header fields are checked before the checksum: they give the
         // most informative failures.
         let tag = head[6];
-        if tag > TAG_SHARDED {
+        if tag == TAG_REMOVED_SHARDED {
+            return Err(bad(
+                "family tag 4 is the removed sharded-index format, which this build no longer \
+                 reads; rebuild the index and persist a partitioned index with \
+                 LiveIndex::save_to_dir",
+            ));
+        }
+        if tag > TAG_MINIMIZER {
             return Err(bad(format!("unknown family tag {tag}")));
         }
         let envelope_len = usize::try_from(u64::from_le_bytes(
@@ -350,7 +356,6 @@ impl ArenaSource {
                 cursor: base + V3_HEADER,
                 end,
                 envelope_len,
-                retain,
             },
         ))
     }
@@ -358,7 +363,7 @@ impl ArenaSource {
     /// [`ArenaSource::open`] for a whole-file envelope: nothing may follow
     /// the trailer.
     fn open_file(arena: &Arena) -> io::Result<(u8, Self)> {
-        let (tag, src) = Self::open(arena, 0, true)?;
+        let (tag, src) = Self::open(arena, 0)?;
         if src.envelope_len != arena.len() {
             return Err(bad(format!(
                 "{} trailing bytes after the index checksum trailer",
@@ -422,21 +427,9 @@ impl ArenaSource {
         Ok(view)
     }
 
-    /// The arena handle the loaded index should retain for size accounting
-    /// (`None` for nested envelopes, whose enclosing sharded index retains
-    /// the one handle).
+    /// The arena handle the loaded index retains for size accounting.
     fn retained_arena(&self) -> Option<Arena> {
-        self.retain.then(|| self.arena.clone())
-    }
-
-    /// Reads one complete nested single-family envelope starting at the
-    /// current position (the caller aligns to 8 first).
-    fn read_nested_index(&mut self) -> io::Result<AnyIndex> {
-        let (tag, mut nested) = ArenaSource::open(&self.arena, self.cursor, false)?;
-        let index = load_index_payload_v3(tag, &mut nested)?;
-        nested.expect_consumed()?;
-        self.cursor += nested.envelope_len;
-        Ok(index)
+        Some(self.arena.clone())
     }
 }
 
@@ -1115,73 +1108,20 @@ pub fn open_index(arena: &Arena) -> io::Result<AnyIndex> {
     Ok(index)
 }
 
-/// Any structure a persisted index file can contain: a single-machine family
-/// or a sharded composite. Returned by [`load_any_index`]/
-/// [`open_any_index`], which is what consumers that accept *any* index file
-/// (e.g. the `ius_server` serving layer) dispatch on.
-///
-/// Like [`AnyIndex`], the variants are deliberately unboxed: one such value
-/// exists per loaded file, so the size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum LoadedAny {
-    /// A single-machine family (NAIVE/WST/WSA/minimizer variants).
-    Index(AnyIndex),
-    /// A sharded composite (self-contained: the shards own their chunks of
-    /// `X`).
-    Sharded(ShardedIndex),
-}
-
-/// Deserializes **any** index file — single-machine families and sharded
-/// composites alike — by reading the stream to its end into an [`Arena`]
-/// and opening it with [`open_any_index`].
-///
-/// # Errors
-///
-/// I/O errors, or `InvalidData` on bad magic, an unknown version/tag, a
-/// checksum mismatch, bytes after the trailer, or a structurally
-/// inconsistent payload.
-pub fn load_any_index(r: &mut dyn Read) -> io::Result<LoadedAny> {
-    open_any_index(&Arena::from_reader(r)?)
-}
-
-/// Opens **any** index file from an in-memory [`Arena`] (see
-/// [`open_index`] for the cost model).
-///
-/// # Errors
-///
-/// `InvalidData` on bad magic, an unknown version/tag, a checksum
-/// mismatch, bytes after the trailer, or a structurally inconsistent
-/// payload.
-pub fn open_any_index(arena: &Arena) -> io::Result<LoadedAny> {
-    let (tag, mut src) = ArenaSource::open_file(arena)?;
-    load_any_payload(tag, &mut src)
-}
-
 /// Opens a v3 envelope embedded at `offset` inside an arena (the live
 /// index stores its segment payloads behind a segment prefix). The offset
 /// must be 8-byte aligned — writers pad the prefix so it is. Returns the
-/// loaded structure and the envelope's total byte length.
+/// opened index and the envelope's total byte length.
 ///
 /// # Errors
 ///
 /// `InvalidData` on bad magic, a non-v3 version, a checksum mismatch, or
 /// a structurally inconsistent payload.
-pub fn open_any_index_at(arena: &Arena, offset: usize) -> io::Result<(LoadedAny, usize)> {
-    let (tag, mut src) = ArenaSource::open(arena, offset, true)?;
-    Ok((load_any_payload(tag, &mut src)?, src.envelope_len))
-}
-
-/// Decodes a validated envelope's payload of any family, sharded included,
-/// and rejects undecoded payload bytes.
-fn load_any_payload(tag: u8, src: &mut ArenaSource) -> io::Result<LoadedAny> {
-    let loaded = if tag == TAG_SHARDED {
-        LoadedAny::Sharded(read_sharded_payload_v3(src)?)
-    } else {
-        LoadedAny::Index(load_index_payload_v3(tag, src)?)
-    };
+pub fn open_index_at(arena: &Arena, offset: usize) -> io::Result<(AnyIndex, usize)> {
+    let (tag, mut src) = ArenaSource::open(arena, offset)?;
+    let index = load_index_payload_v3(tag, &mut src)?;
     src.expect_consumed()?;
-    Ok(loaded)
+    Ok((index, src.envelope_len))
 }
 
 fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
@@ -1224,161 +1164,8 @@ fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex>
         TAG_MINIMIZER => Ok(AnyIndex::Minimizer(Box::new(read_minimizer_payload_v3(
             src,
         )?))),
-        TAG_SHARDED => Err(bad(
-            "this is a sharded-index file; use ShardedIndex::load_from",
-        )),
         other => Err(bad(format!("unknown family tag {other}"))),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded indexes (payload nests one envelope per shard)
-// ---------------------------------------------------------------------------
-
-impl ShardedIndex {
-    /// Serializes the sharded index: routing metadata, the per-shard chunks
-    /// of `X` (each shard owns its chunk, so the file is self-contained) and
-    /// one nested index envelope per shard, each starting at an
-    /// 8-byte-aligned file offset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        self.save_to_with(w, SaveOptions::default())
-    }
-
-    /// [`ShardedIndex::save_to`] with explicit encoding options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed_v3(w, TAG_SHARDED, opts, |vw| {
-            write_params(vw, &self.spec().params)?;
-            write_u8(vw, family_tag(self.spec().family))?;
-            write_u64(vw, self.len() as u64)?;
-            write_u64(vw, self.max_pattern_len() as u64)?;
-            write_u64(vw, self.num_shards() as u64)?;
-            for shard in self.shards() {
-                write_u64(vw, shard.offset as u64)?;
-                write_u64(vw, shard.home_len as u64)?;
-                vw.section::<u8>(shard.x.alphabet().symbols());
-                write_u64(vw, shard.x.len() as u64)?;
-                vw.section::<f64>(shard.x.flat_probs());
-                vw.pad8();
-                save_index_with(&shard.index, vw, opts)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Deserializes a sharded index written by [`ShardedIndex::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        match load_any_index(r)? {
-            LoadedAny::Sharded(sharded) => Ok(sharded),
-            LoadedAny::Index(other) => Err(bad(format!(
-                "expected a sharded-index file, found {}",
-                other.name()
-            ))),
-        }
-    }
-}
-
-/// Builds one shard from its decoded routing fields, validating the
-/// probability matrix shape.
-fn assemble_shard(
-    offset: usize,
-    home_len: usize,
-    symbols: &[u8],
-    chunk_len: usize,
-    probs: Vec<f64>,
-    index: AnyIndex,
-) -> io::Result<crate::shard::Shard> {
-    let alphabet = ius_weighted::Alphabet::new(symbols).map_err(|e| bad(e.to_string()))?;
-    if probs.len() != chunk_len * alphabet.size() {
-        return Err(bad("shard probability matrix has the wrong shape"));
-    }
-    let x =
-        ius_weighted::WeightedString::from_flat(alphabet, probs).map_err(|e| bad(e.to_string()))?;
-    Ok(crate::shard::Shard {
-        offset,
-        home_len,
-        x,
-        index,
-    })
-}
-
-/// Reads the v3 sharded payload (everything after the length field). The
-/// per-shard weighted strings are decoded into owned memory even on the
-/// arena path (they are consumed by value); the nested index envelopes
-/// stay zero-copy.
-fn read_sharded_payload_v3(src: &mut ArenaSource) -> io::Result<ShardedIndex> {
-    let params = src_params(src)?;
-    let family = family_from_tag(src_u8(src)?)?;
-    let n = src_len(src)?;
-    let max_pattern_len = src_len(src)?;
-    let num_shards = src_len(src)?;
-    let mut shards = Vec::with_capacity(num_shards.min(1 << 16));
-    for _ in 0..num_shards {
-        let offset = src_len(src)?;
-        let home_len = src_len(src)?;
-        let symbols = read_section::<u8>(src)?;
-        let chunk_len = src_len(src)?;
-        let probs = read_section::<f64>(src)?.to_vec();
-        src.align8()?;
-        let index = src.read_nested_index()?;
-        shards.push(assemble_shard(
-            offset, home_len, &symbols, chunk_len, probs, index,
-        )?);
-    }
-    ShardedIndex::from_loaded_parts(
-        crate::builder::IndexSpec::new(family, params),
-        n,
-        max_pattern_len,
-        shards,
-        src.retained_arena(),
-    )
-    .map_err(bad)
-}
-
-fn family_tag(family: crate::builder::IndexFamily) -> u8 {
-    use crate::builder::IndexFamily;
-    match family {
-        IndexFamily::Naive => 0,
-        IndexFamily::Wst => 1,
-        IndexFamily::Wsa => 2,
-        IndexFamily::Minimizer(IndexVariant::Tree) => 3,
-        IndexFamily::Minimizer(IndexVariant::Array) => 4,
-        IndexFamily::Minimizer(IndexVariant::TreeGrid) => 5,
-        IndexFamily::Minimizer(IndexVariant::ArrayGrid) => 6,
-        IndexFamily::SpaceEfficient(IndexVariant::Tree) => 7,
-        IndexFamily::SpaceEfficient(IndexVariant::Array) => 8,
-        IndexFamily::SpaceEfficient(IndexVariant::TreeGrid) => 9,
-        IndexFamily::SpaceEfficient(IndexVariant::ArrayGrid) => 10,
-    }
-}
-
-fn family_from_tag(tag: u8) -> io::Result<crate::builder::IndexFamily> {
-    use crate::builder::IndexFamily;
-    Ok(match tag {
-        0 => IndexFamily::Naive,
-        1 => IndexFamily::Wst,
-        2 => IndexFamily::Wsa,
-        3 => IndexFamily::Minimizer(IndexVariant::Tree),
-        4 => IndexFamily::Minimizer(IndexVariant::Array),
-        5 => IndexFamily::Minimizer(IndexVariant::TreeGrid),
-        6 => IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        7 => IndexFamily::SpaceEfficient(IndexVariant::Tree),
-        8 => IndexFamily::SpaceEfficient(IndexVariant::Array),
-        9 => IndexFamily::SpaceEfficient(IndexVariant::TreeGrid),
-        10 => IndexFamily::SpaceEfficient(IndexVariant::ArrayGrid),
-        other => return Err(bad(format!("unknown index-family tag {other}"))),
-    })
 }
 
 #[cfg(test)]
@@ -1480,7 +1267,6 @@ mod tests {
         assert!(Wsa::load_from(&mut bytes.as_slice()).is_err());
         assert!(Wst::load_from(&mut bytes.as_slice()).is_err());
         assert!(NaiveIndex::load_from(&mut bytes.as_slice()).is_err());
-        assert!(ShardedIndex::load_from(&mut bytes.as_slice()).is_err());
         assert!(MinimizerIndex::load_from(&mut bytes.as_slice()).is_ok());
     }
 

@@ -6,9 +6,10 @@
 //! `check_against_naive` helpers that used to be copy-pasted across
 //! `minimizer_index.rs`, `wsa.rs`, `wst.rs` and `space_efficient.rs`.
 //!
-//! The harness also covers the **dynamic** side: `ius_live::LiveIndex`
-//! (dev-dependency back-edge) after interleaved append / delete / flush /
-//! compact sequences — scripted and proptest-driven — is checked against
+//! The harness also covers the **partitioned** side, `ius_live::LiveIndex`
+//! (dev-dependency back-edge): seeded from a whole corpus in four segments
+//! for every family, and after interleaved append / delete / flush /
+//! compact sequences — scripted and proptest-driven — checked against
 //! NAIVE over the materialized final corpus, with the documented tombstone
 //! semantics (an occurrence survives iff its window intersects no deleted
 //! range) applied to the reference.
@@ -18,7 +19,7 @@ use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
 use ius_index::{
     query_batch, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, NaiveIndex, QueryBatch,
-    QueryScratch, ShardedIndex, UncertainIndex,
+    QueryScratch, UncertainIndex,
 };
 use ius_weighted::{Error, WeightedString, ZEstimation};
 
@@ -237,48 +238,140 @@ fn every_family_loaded_from_disk_agrees_with_naive() {
     }
 }
 
-#[test]
-fn sharded_indexes_agree_with_their_unsharded_family_and_naive() {
-    // The acceptance gate of the sharding layer: S = 4 output identical to
-    // the unsharded index — and hence to NAIVE — for every family, on both
-    // corpora. Short patterns (below ℓ or above the configured maximum) are
-    // rejected by the same contract as the unsharded families.
-    for corpus in corpora() {
-        let naive = NaiveIndex::new(corpus.z).unwrap();
-        let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).unwrap();
-        let max_len = 3 * corpus.ell;
-        for family in harness_families() {
-            let spec = IndexSpec::new(family, params);
-            let unsharded = spec.build(&corpus.x).unwrap();
-            let sharded = ShardedIndex::build(&corpus.x, spec, 4, max_len).unwrap();
-            let mut checked = 0usize;
-            for pattern in &corpus.patterns {
-                if pattern.len() < spec.lower_bound() || pattern.len() > max_len {
-                    assert!(sharded.query(pattern, &corpus.x).is_err());
-                    continue;
-                }
-                let expected = naive.query(pattern, &corpus.x).unwrap();
-                assert_eq!(
-                    sharded.query(pattern, &corpus.x).unwrap(),
-                    expected,
-                    "{} on {}: sharded (S=4) disagrees with NAIVE",
-                    family.name(),
-                    corpus.label
-                );
-                assert_eq!(unsharded.query(pattern, &corpus.x).unwrap(), expected);
-                checked += 1;
-            }
-            assert!(checked > 0, "{}: no patterns checked", family.name());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Live (dynamic) differentials
+// Live (partitioned) differentials
 // ---------------------------------------------------------------------
 
 use ius_live::{LiveConfig, LiveIndex};
 use proptest::prelude::*;
+
+#[test]
+fn sharded_indexes_agree_with_their_unsharded_family_and_naive() {
+    // A sharded index is a `LiveIndex` seeded by `from_corpus` in
+    // ⌈n/4⌉-row segments and never mutated: 4 segments plus the
+    // `overlap`-row memtable tail, for every family on both corpora,
+    // answering exactly like the unsharded index of its family and like
+    // NAIVE over the whole corpus. Patterns below the family's ℓ or above
+    // the configured maximum are refused by the length contract.
+    for corpus in corpora() {
+        let naive = NaiveIndex::new(corpus.z).unwrap();
+        let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).unwrap();
+        let n = corpus.x.len();
+        let max_len = 3 * corpus.ell;
+        for family in harness_families() {
+            let label = format!("{} on {}", family.name(), corpus.label);
+            let spec = IndexSpec::new(family, params);
+            let unsharded = spec.build(&corpus.x).unwrap();
+            let config = LiveConfig {
+                flush_threshold: n.div_ceil(4),
+                auto_compact: false,
+                ..LiveConfig::default()
+            };
+            let live = LiveIndex::from_corpus(&corpus.x, spec, max_len, config).unwrap();
+            assert_eq!(live.len(), n, "{label}");
+            assert_eq!(live.num_segments(), 4, "{label}: segment count");
+            assert_eq!(live.live_stats().memtable_rows, max_len - 1, "{label}");
+            assert_eq!(
+                live.stats().name,
+                format!("LIVE-{}(S=4)", family.name()),
+                "{label}"
+            );
+            let mut scratch = QueryScratch::new();
+            let mut checked = 0usize;
+            for pattern in &corpus.patterns {
+                if pattern.len() < spec.lower_bound() || pattern.len() > max_len {
+                    assert!(
+                        live.query(pattern, &corpus.x).is_err(),
+                        "{label}: length contract"
+                    );
+                    continue;
+                }
+                let expected = naive.query(pattern, &corpus.x).unwrap();
+                let mut positions = Vec::new();
+                let stats = live
+                    .query_into(pattern, &corpus.x, &mut scratch, &mut positions)
+                    .unwrap();
+                assert_eq!(
+                    positions, expected,
+                    "{label}: sharded (S=4) live index disagrees with NAIVE"
+                );
+                assert_eq!(unsharded.query(pattern, &corpus.x).unwrap(), expected);
+                assert_eq!(stats.reported, expected.len(), "{label}");
+                assert!(stats.candidates >= stats.verified, "{label}");
+                checked += 1;
+            }
+            assert!(checked > 0, "{label}: no patterns checked");
+        }
+    }
+}
+
+#[test]
+fn sharded_live_index_answers_windows_across_every_boundary() {
+    // A tiny binary corpus whose heavy letter (probability 0.9) alternates
+    // in runs, cut into segments no longer than the longest pattern: every
+    // heavy substring of length 1..=12 is solid (0.9^12 > 1/6) and occurs
+    // at nearly every start, so windows cross every segment boundary —
+    // including the longest window starting on a segment's last home
+    // position — and end in the memtable tail. Answers must match a direct
+    // NAIVE scan.
+    let n = 64usize;
+    let heavy: Vec<u8> = (0..n).map(|i| u8::from((i / 5) % 3 == 2)).collect();
+    let rows: Vec<Vec<f64>> = heavy
+        .iter()
+        .map(|&h| {
+            if h == 0 {
+                vec![0.9, 0.1]
+            } else {
+                vec![0.1, 0.9]
+            }
+        })
+        .collect();
+    let x = WeightedString::from_rows(ius_weighted::Alphabet::integer(2).unwrap(), &rows).unwrap();
+    let z = 6.0;
+    let max_len = 12;
+    let patterns: std::collections::BTreeSet<Vec<u8>> = (1..=max_len)
+        .flat_map(|len| heavy.windows(len).map(<[u8]>::to_vec).collect::<Vec<_>>())
+        .collect();
+    let direct = NaiveIndex::new(z).unwrap();
+    let params = IndexParams::new(z, 1, x.sigma()).unwrap();
+    for family in [IndexFamily::Naive, IndexFamily::Wst, IndexFamily::Wsa] {
+        let spec = IndexSpec::new(family, params);
+        for threshold in [max_len, 20, 64] {
+            let config = LiveConfig {
+                flush_threshold: threshold,
+                auto_compact: false,
+                ..LiveConfig::default()
+            };
+            let live = LiveIndex::from_corpus(&x, spec, max_len, config).unwrap();
+            assert_eq!(
+                live.num_segments(),
+                (x.len() - (max_len - 1)).div_ceil(threshold)
+            );
+            for pattern in &patterns {
+                let expected = direct.query(pattern, &x).unwrap();
+                assert!(!expected.is_empty(), "heavy substrings are solid");
+                assert_eq!(
+                    live.query_owned(pattern).unwrap(),
+                    expected,
+                    "{} threshold {threshold}: pattern {pattern:?}",
+                    family.name()
+                );
+            }
+            // The length contract, with typed errors.
+            assert!(matches!(
+                live.query_owned(&[]),
+                Err(Error::EmptyInput("pattern"))
+            ));
+            assert!(matches!(
+                live.query_owned(&[0u8; 13]),
+                Err(Error::PatternTooLong {
+                    pattern: 13,
+                    upper_bound: 12
+                })
+            ));
+        }
+    }
+}
 
 fn live_config(flush_threshold: usize) -> LiveConfig {
     LiveConfig {

@@ -5,8 +5,6 @@
 //!
 //! * raw bytes → zero-copy arena open, and through the `Read` entry point,
 //! * packed bytes → arena open,
-//! * the sharded composite's nested envelopes → arena open and
-//!   `ShardedIndex::load_from`,
 //!
 //! across every buildable family and all four benchmark preset corpora
 //! (`uniform`, `uniform_high_entropy`, `pangenome`, `rssi`). Re-saving an
@@ -15,16 +13,18 @@
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
 //! appended byte of a v3 file, and any file whose header names another
-//! version (the earlier version 2 included), must be rejected with a typed
-//! error before a single view is handed out — never a panic, never a
-//! lazily-corrupt index.
+//! version (the earlier version 2 included) or the removed sharded-index
+//! format (family tag 4), must be rejected with a typed error before a
+//! single view is handed out — never a panic, never a lazily-corrupt index.
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
+use ius_faultio::crc32;
+use ius_index::persist::open_index_at;
 use ius_index::{
-    load_any_index, load_index, open_any_index, save_index_with, AnyIndex, IndexFamily,
-    IndexParams, IndexSpec, LoadedAny, SaveOptions, ShardedIndex, UncertainIndex,
+    load_index, open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec,
+    MinimizerIndex, SaveOptions, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use proptest::prelude::*;
@@ -46,8 +46,6 @@ struct Case {
     x: WeightedString,
     patterns: Vec<Vec<u8>>,
     families: Vec<FamilyCase>,
-    sharded: ShardedIndex,
-    sharded_bytes: Vec<u8>,
 }
 
 fn cases() -> &'static Vec<Case> {
@@ -76,21 +74,11 @@ fn cases() -> &'static Vec<Case> {
                         (family.name().to_string(), index, raw, packed)
                     })
                     .collect();
-                let spec = IndexSpec::new(
-                    IndexFamily::Minimizer(ius_index::IndexVariant::ArrayGrid),
-                    params,
-                );
-                let sharded =
-                    ShardedIndex::build(&corpus.x, spec, 3, 2 * corpus.ell).expect("sharded");
-                let mut sharded_bytes = Vec::new();
-                sharded.save_to(&mut sharded_bytes).expect("save sharded");
                 Case {
                     label: corpus.name.to_string(),
                     x: corpus.x,
                     patterns,
                     families,
-                    sharded,
-                    sharded_bytes,
                 }
             })
             .collect()
@@ -98,18 +86,13 @@ fn cases() -> &'static Vec<Case> {
 }
 
 fn open_single(bytes: &[u8]) -> AnyIndex {
-    let arena = Arena::from_bytes(bytes);
-    match open_any_index(&arena).expect("arena open") {
-        LoadedAny::Index(index) => index,
-        LoadedAny::Sharded(_) => panic!("expected a single-machine index"),
-    }
+    open_index(&Arena::from_bytes(bytes)).expect("arena open")
 }
 
-/// Every family, raw and packed, and the sharded composite answer exactly
-/// like the in-memory build they were saved from, on all four preset
-/// corpora.
+/// Every family, raw and packed, answers exactly like the in-memory build
+/// it was saved from, on all four preset corpora.
 #[test]
-fn raw_packed_and_sharded_files_answer_like_the_build() {
+fn raw_and_packed_files_answer_like_the_build() {
     for case in cases() {
         for (label, built, raw, packed) in &case.families {
             let opened = open_single(raw);
@@ -138,37 +121,12 @@ fn raw_packed_and_sharded_files_answer_like_the_build() {
                 }
             }
         }
-        // The sharded composite (nested envelopes).
-        let loaded = ShardedIndex::load_from(&mut case.sharded_bytes.as_slice()).expect("load");
-        let arena = Arena::from_bytes(&case.sharded_bytes);
-        let LoadedAny::Sharded(opened) = open_any_index(&arena).expect("arena open") else {
-            panic!("expected a sharded composite");
-        };
-        for pattern in &case.patterns {
-            let expected = case.sharded.query_owned(pattern);
-            for (path, other) in [("open", &opened), ("load", &loaded)] {
-                let got = other.query_owned(pattern);
-                match (&expected, &got) {
-                    (Ok(a), Ok(b)) => assert_eq!(
-                        a, b,
-                        "{}/sharded/{path}: answers diverge on {pattern:?}",
-                        case.label
-                    ),
-                    (Err(_), Err(_)) => {}
-                    _ => panic!(
-                        "{}/sharded/{path}: one side errored on {pattern:?}",
-                        case.label
-                    ),
-                }
-            }
-        }
     }
 }
 
 /// Re-saving an opened index is byte-identical to the file it was opened
-/// from, for every family (raw and packed) and corpus and for the sharded
-/// composite — the zero-copy views carry the full structure, not a lossy
-/// projection of it.
+/// from, for every family (raw and packed) and corpus — the zero-copy views
+/// carry the full structure, not a lossy projection of it.
 #[test]
 fn resave_after_open_is_byte_identical() {
     for case in cases() {
@@ -186,14 +144,6 @@ fn resave_after_open_is_byte_identical() {
                 );
             }
         }
-        let loaded = ShardedIndex::load_from(&mut case.sharded_bytes.as_slice()).expect("load");
-        let mut resaved = Vec::new();
-        loaded.save_to(&mut resaved).expect("resave sharded");
-        assert_eq!(
-            case.sharded_bytes, resaved,
-            "{}/sharded: round trip changed bytes",
-            case.label
-        );
     }
 }
 
@@ -202,19 +152,13 @@ fn resave_after_open_is_byte_identical() {
 /// version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
-    let case = &cases()[0];
-    let files = case
-        .families
-        .iter()
-        .map(|(label, _, raw, _)| (label.as_str(), raw))
-        .chain([("sharded", &case.sharded_bytes)]);
-    for (label, bytes) in files {
+    for (label, _, bytes, _) in &cases()[0].families {
         for version in [2u16, 4] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
-                open_any_index(&Arena::from_bytes(&other)).expect_err("open must fail"),
-                load_any_index(&mut other.as_slice()).expect_err("load must fail"),
+                open_index(&Arena::from_bytes(&other)).expect_err("open must fail"),
+                load_index(&mut other.as_slice()).expect_err("load must fail"),
             ] {
                 assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
                 assert!(
@@ -223,6 +167,32 @@ fn other_versions_are_refused_naming_the_version() {
                 );
             }
         }
+    }
+}
+
+/// A file whose envelope names family tag 4 — the removed sharded-index
+/// format — is refused with a typed `InvalidData` error that names the
+/// format and points to its replacement, through every entry point, even
+/// when its checksum is intact.
+#[test]
+fn removed_sharded_format_is_refused_typed() {
+    let (_, _, raw, _) = &cases()[0].families[0];
+    let mut sharded = raw.clone();
+    sharded[6] = 4;
+    let end = sharded.len() - 4;
+    let crc = crc32(&sharded[..end]);
+    sharded[end..].copy_from_slice(&crc.to_le_bytes());
+    let arena = Arena::from_bytes(&sharded);
+    for err in [
+        open_index(&arena).expect_err("open must fail"),
+        open_index_at(&arena, 0).expect_err("embedded open must fail"),
+        load_index(&mut sharded.as_slice()).expect_err("load must fail"),
+        MinimizerIndex::load_from(&mut sharded.as_slice()).expect_err("typed load must fail"),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        let message = err.to_string();
+        assert!(message.contains("sharded-index format"), "{message}");
+        assert!(message.contains("LiveIndex::save_to_dir"), "{message}");
     }
 }
 
@@ -246,7 +216,7 @@ proptest! {
         let mut corrupted = raw.clone();
         let offset = ((corrupted.len() as f64 - 1.0) * offset_frac) as usize;
         corrupted[offset] ^= 1 << bit;
-        match open_any_index(&Arena::from_bytes(&corrupted)) {
+        match open_index(&Arena::from_bytes(&corrupted)) {
             Err(err) => prop_assert!(
                 is_typed(err.kind()),
                 "{label}: flip at {offset} failed with untyped kind {:?}: {err}",
@@ -268,7 +238,7 @@ proptest! {
         let case = &cases()[pick % cases().len()];
         let (label, _, raw, _) = &case.families[pick % case.families.len()];
         let cut = ((raw.len() as f64 - 1.0) * cut_frac) as usize;
-        match open_any_index(&Arena::from_bytes(&raw[..cut])) {
+        match open_index(&Arena::from_bytes(&raw[..cut])) {
             Err(err) => prop_assert!(
                 is_typed(err.kind()),
                 "{label}: truncation at {cut} failed with untyped kind {:?}: {err}",
@@ -290,8 +260,8 @@ proptest! {
         let mut longer = raw.clone();
         longer.extend_from_slice(&extra);
         for result in [
-            open_any_index(&Arena::from_bytes(&longer)),
-            load_any_index(&mut longer.as_slice()),
+            open_index(&Arena::from_bytes(&longer)),
+            load_index(&mut longer.as_slice()),
         ] {
             match result {
                 Err(err) => prop_assert!(

@@ -6,12 +6,9 @@
 //! structurally valid either way, e.g. a probability byte) produce an index
 //! that still answers queries without panicking.
 //!
-//! Runs across **all** families, including the sharded composite.
+//! Runs across **all** families.
 
-use ius_index::{
-    load_any_index, IndexFamily, IndexParams, IndexSpec, IndexVariant, LoadedAny, ShardedIndex,
-    UncertainIndex,
-};
+use ius_index::{load_index, IndexFamily, IndexParams, IndexSpec, UncertainIndex};
 use ius_weighted::WeightedString;
 use proptest::prelude::*;
 use std::io::ErrorKind;
@@ -32,12 +29,6 @@ fn family_files() -> &'static Vec<(String, Vec<u8>)> {
             index.save_to(&mut bytes).expect("save");
             files.push((family.name().to_string(), bytes));
         }
-        // The sharded composite exercises the nested-envelope path.
-        let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
-        let sharded = ShardedIndex::build(&x, spec, 3, 16).expect("sharded build");
-        let mut bytes = Vec::new();
-        sharded.save_to(&mut bytes).expect("save sharded");
-        files.push(("SHARDED-MWSA-G".to_string(), bytes));
         files
     })
 }
@@ -74,7 +65,7 @@ proptest! {
         let mut corrupted = bytes.clone();
         let offset = ((corrupted.len() as f64 - 1.0) * offset_frac) as usize;
         corrupted[offset] ^= flip; // flip != 0 guarantees a real change
-        match load_any_index(&mut corrupted.as_slice()) {
+        match load_index(&mut corrupted.as_slice()) {
             Err(err) => prop_assert!(
                 is_typed_load_error(err.kind()),
                 "{label}: flip at {offset} failed with untyped kind {:?}: {err}",
@@ -86,14 +77,7 @@ proptest! {
                 // queries return — right or wrong — without panicking.
                 let x = corpus();
                 for pattern in [vec![0u8; 8], vec![1u8; 12]] {
-                    match &loaded {
-                        LoadedAny::Index(index) => {
-                            let _ = index.query(&pattern, &x);
-                        }
-                        LoadedAny::Sharded(sharded) => {
-                            let _ = sharded.query_owned(&pattern);
-                        }
-                    }
+                    let _ = loaded.query(&pattern, &x);
                 }
             }
         }
@@ -110,7 +94,7 @@ proptest! {
         let (label, bytes) = &family_files()[pick % family_files().len()];
         let cut = ((bytes.len() as f64 - 1.0) * cut_frac) as usize;
         let truncated = &bytes[..cut];
-        match load_any_index(&mut &truncated[..]) {
+        match load_index(&mut &truncated[..]) {
             Err(err) => prop_assert!(
                 is_typed_load_error(err.kind()),
                 "{label}: truncation at {cut} failed with untyped kind {:?}: {err}",
@@ -133,22 +117,22 @@ fn header_corruptions_fail_with_informative_messages() {
     // Magic.
     let mut corrupted = bytes.clone();
     corrupted[0] = b'X';
-    let err = load_any_index(&mut corrupted.as_slice()).unwrap_err();
+    let err = load_index(&mut corrupted.as_slice()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::InvalidData);
     assert!(err.to_string().contains("magic"), "{err}");
     // Version.
     let mut corrupted = bytes.clone();
     corrupted[4] = 0xFF;
-    let err = load_any_index(&mut corrupted.as_slice()).unwrap_err();
+    let err = load_index(&mut corrupted.as_slice()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::InvalidData);
     assert!(err.to_string().contains("version"), "{err}");
     // Family tag.
     let mut corrupted = bytes.clone();
     corrupted[6] = 99;
-    let err = load_any_index(&mut corrupted.as_slice()).unwrap_err();
+    let err = load_index(&mut corrupted.as_slice()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::InvalidData);
     assert!(err.to_string().contains("tag"), "{err}");
     // Empty file.
-    let err = load_any_index(&mut [].as_slice()).unwrap_err();
+    let err = load_index(&mut [].as_slice()).unwrap_err();
     assert!(is_typed_load_error(err.kind()));
 }

@@ -9,10 +9,7 @@
 use ius_datasets::pangenome::PangenomeConfig;
 use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
-use ius_index::{
-    AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexStats, IndexVariant, ShardedIndex,
-    UncertainIndex,
-};
+use ius_index::{AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexStats, UncertainIndex};
 use ius_weighted::{Alphabet, WeightedString, ZEstimation};
 use proptest::prelude::*;
 
@@ -119,39 +116,6 @@ fn every_family_round_trips_on_uniform_and_pangenome_corpora() {
             let file_bytes = assert_round_trip(IndexSpec::new(family, params), &x, &patterns);
             assert!(file_bytes > 7, "{}: implausibly small file", family.name());
         }
-    }
-}
-
-#[test]
-fn sharded_index_round_trips_with_its_chunks() {
-    let x = PangenomeConfig {
-        n: 700,
-        delta: 0.06,
-        seed: 41,
-        ..Default::default()
-    }
-    .generate();
-    let (z, ell) = (8.0, 16usize);
-    let params = IndexParams::new(z, ell, x.sigma()).unwrap();
-    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
-    let sharded = ShardedIndex::build(&x, spec, 4, 2 * ell).unwrap();
-    let mut bytes = Vec::new();
-    sharded.save_to(&mut bytes).unwrap();
-    let loaded = ShardedIndex::load_from(&mut bytes.as_slice()).unwrap();
-    assert_eq!(loaded.num_shards(), sharded.num_shards());
-    assert_eq!(loaded.max_pattern_len(), sharded.max_pattern_len());
-    assert_eq!(loaded.len(), sharded.len());
-    assert!(loaded.size_bytes() >= bytes.len());
-    let mut resaved = Vec::new();
-    loaded.save_to(&mut resaved).unwrap();
-    assert_eq!(bytes, resaved, "sharded re-save not byte-identical");
-    let est = ZEstimation::build(&x, z).unwrap();
-    let mut sampler = PatternSampler::new(&est, 6);
-    for pattern in sampler.sample_many(ell, 15) {
-        assert_eq!(
-            loaded.query(&pattern, &x).unwrap(),
-            sharded.query(&pattern, &x).unwrap()
-        );
     }
 }
 

@@ -555,6 +555,12 @@ impl LiveIndex {
     /// the remainder, so the bulk of the corpus serves from real segments
     /// and only the trailing overlap stays in the memtable.
     ///
+    /// This is also how a static sharded index is built: with
+    /// `flush_threshold = ⌈n/S⌉` and `auto_compact: false`, the seed
+    /// freezes into `⌈(n − overlap)/⌈n/S⌉⌉ ≤ S` segments, built
+    /// concurrently on `LiveConfig::threads` workers, and nothing merges
+    /// them afterwards.
+    ///
     /// # Errors
     ///
     /// Construction errors of [`LiveIndex::new`], [`LiveIndex::append`]
@@ -1203,8 +1209,8 @@ impl UncertainIndex for LiveIndex {
     }
 
     /// Delegates to [`LiveIndex::query_owned_into`]; the live index owns
-    /// its corpus, so the `x` argument is ignored (same contract as
-    /// `ShardedIndex`).
+    /// its corpus (every segment its chunk, the memtable its rows), so the
+    /// `x` argument is ignored.
     fn query_into(
         &self,
         pattern: &[u8],
@@ -1215,6 +1221,11 @@ impl UncertainIndex for LiveIndex {
         self.query_owned_into(pattern, scratch, sink)
     }
 
+    /// Heap bytes of the corpus-dependent state: every segment's index and
+    /// chunk, the memtable slabs and the tombstone list. Excludes the fixed
+    /// per-index registry (the shared `Inner`, its observability
+    /// histograms and counters), a constant of a few tens of KB that does
+    /// not grow with `n`.
     fn size_bytes(&self) -> usize {
         let state = self.snapshot();
         state

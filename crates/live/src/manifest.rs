@@ -27,7 +27,7 @@
 //! envelope starts on an 8-aligned offset. Reopening never re-runs
 //! construction, and there is one read path: each segment file is read
 //! into one [`ius_arena::Arena`] and its index opened zero-copy by
-//! `ius_index::persist::open_any_index_at` (O(header + validation), not
+//! `ius_index::persist::open_index_at` (O(header + validation), not
 //! O(elements)).
 //!
 //! [`LiveIndex::save_to_dir`] writes the segment files first and the
@@ -50,7 +50,7 @@ use crate::{insert_tombstone, LiveConfig, LiveIndex, LiveState, Memtable, Segmen
 use ius_arena::Arena;
 use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
 use ius_index::overlap::overlap_len;
-use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, LoadedAny, UncertainIndex};
+use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
 use ius_sampling::KmerOrder;
 use ius_weighted::{Alphabet, WeightedString};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -186,8 +186,8 @@ fn read_f64_vec(r: &mut dyn Read, count: usize) -> io::Result<Vec<f64>> {
 }
 
 // ---------------------------------------------------------------------
-// Spec encoding (family tag numbering matches the sharded payload of
-// ius_index::persist for consistency across formats)
+// Spec encoding (the manifest's own family numbering: one tag per
+// family/variant pair, distinct from the IUSX envelope's payload tags)
 // ---------------------------------------------------------------------
 
 fn family_tag(family: IndexFamily) -> u8 {
@@ -681,7 +681,7 @@ fn apply_wal_record(
 ///
 /// The nested `IUSX` envelope sits at an 8-aligned offset, so the index
 /// reopens through the zero-copy arena path
-/// (`ius_index::persist::open_any_index_at`): open cost is header parsing
+/// (`ius_index::persist::open_index_at`): open cost is header parsing
 /// plus checksum validation, not element-by-element decoding.
 fn read_segment_file(
     arena: Arena,
@@ -744,14 +744,10 @@ fn read_segment_file(
         Some(pad) if pad.iter().all(|&b| b == 0) => {}
         _ => return Err(bad("segment alignment padding is missing or not zeroed")),
     }
-    let (loaded, consumed) = ius_index::persist::open_any_index_at(&arena, aligned)?;
+    let (index, consumed) = ius_index::persist::open_index_at(&arena, aligned)?;
     if aligned + consumed != body.len() {
         return Err(bad("trailing bytes after the segment's index envelope"));
     }
-    let index = match loaded {
-        LoadedAny::Index(index) => index,
-        LoadedAny::Sharded(_) => return Err(bad("a live segment cannot hold a sharded composite")),
-    };
     if let Some(expected) = index.corpus_len_hint() {
         if expected != chunk_rows {
             return Err(bad(format!(

@@ -149,6 +149,13 @@ pub fn alloc_calls() -> usize {
 ///
 /// Measurements are serialised by an internal lock; nested calls would
 /// deadlock, so keep measured regions flat (the benchmark harness does).
+///
+/// The counters are **process-wide**: the lock serialises measurers, not
+/// the other threads of the process, so every allocation any thread makes
+/// while `f` runs lands in the reading. A reading is exact only while no
+/// other thread allocates — a test that asserts on it must keep its sibling
+/// tests out of the window (one `#[test]`, or a file-level lock held from
+/// workload build to last assertion).
 pub fn measure<T, F: FnOnce() -> T>(f: F) -> (T, MemoryStats) {
     // A poisoned lock only means a previous measurement panicked; the
     // counters are monotone and self-consistent, so continue regardless.

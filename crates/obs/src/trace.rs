@@ -4,7 +4,7 @@
 //! The metrics in the crate root aggregate *across* requests; this module
 //! answers the orthogonal question of *one* request's breakdown: how long
 //! it waited in the admission queue, how long the frame decode took, how
-//! the query fan-out split across segments/shards and their
+//! the query fan-out split across segments and their
 //! scan/locate/verify/report stages, and what the response encode/write
 //! cost. A trace is a flat array of [`Span`]s in pre-order with explicit
 //! depths — no pointers, no allocation, `Copy` all the way down — so a
@@ -57,7 +57,7 @@ pub const STAGE_QUEUE_WAIT: u16 = 1;
 pub const STAGE_FRAME_DECODE: u16 = 2;
 /// Stage code: the whole query execution (fan-out + merge + finalize).
 pub const STAGE_QUERY: u16 = 3;
-/// Stage code: one segment/shard of a fan-out (duration-only group; `a` is
+/// Stage code: one segment of a fan-out (duration-only group; `a` is
 /// the part index, `b` the part's reported count).
 pub const STAGE_PART: u16 = 4;
 /// Stage code: the live index's memtable scan part (duration-only group).

@@ -125,7 +125,7 @@ pub struct QueryScratch {
     pub grid: Vec<u32>,
     /// k-mer keys of the pattern's first window (minimizer selection).
     pub kmer_keys: Vec<u64>,
-    /// Merged global positions of a composite (shard/segment fan-out)
+    /// Merged global positions of a partitioned (segment fan-out)
     /// query: each part's engine uses `positions` for its own candidates,
     /// so the parts' filtered outputs gather here.
     pub merged: Vec<usize>,
@@ -177,7 +177,7 @@ pub struct QueryStats {
     /// [`ius_obs::clock::STAGE_SAMPLE_EVERY`] per thread) because five
     /// clock reads per query are too expensive for the serve hot path;
     /// consumers must skip the stage fields of untimed queries instead of
-    /// recording zeros. For a composite (shard/segment fan-out) the flag
+    /// recording zeros. For a partitioned (segment fan-out) query the flag
     /// is true if *any* part was timed, and the stage sums cover exactly
     /// the timed parts.
     pub timed: bool,
@@ -187,8 +187,8 @@ impl QueryStats {
     /// Accumulates another query's counters into this one, field by field.
     ///
     /// This is the aggregation step of every composite/batched execution:
-    /// the `ShardedIndex` shard fan-out, the live-index segment merge and
-    /// the batch executors all sum per-part stats into one total with it.
+    /// the live-index segment fan-out and the batch executors sum per-part
+    /// stats into one total with it.
     /// It is associative and commutative, and `QueryStats::default()` (all
     /// counters zero) is its identity — accumulating the empty stats
     /// changes nothing, and accumulating *into* the empty stats copies the
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn accumulating_the_empty_stats_is_the_identity() {
-        // The segment/shard merge folds from QueryStats::default(); both
+        // The segment merge folds from QueryStats::default(); both
         // identity directions must hold exactly.
         let sample = QueryStats {
             candidates: 7,

@@ -1,16 +1,12 @@
 //! `serve` — run the query server over a persisted or freshly built index.
 //!
 //! ```text
-//! # serve a persisted sharded index (self-contained):
-//! serve --index shards.iusx --port 7878
-//!
-//! # serve a persisted single-machine index; the corpus it was built over
-//! # is regenerated from the named preset:
+//! # serve a persisted index; the corpus it was built over is regenerated
+//! # from the named preset:
 //! serve --index mwsa.iusx --corpus pangenome --n 100000
 //!
 //! # build in-process, optionally persisting for later serves/reloads:
 //! serve --build mwsa-g --corpus uniform --n 100000 --save mwsa-g.iusx
-//! serve --build mwsa-g --corpus rssi --n 50000 --shards 4
 //!
 //! # serve a *mutable* live corpus (enables APPEND / DELETE_RANGE / FLUSH /
 //! # COMPACT): seed from a preset, or reopen a persisted manifest dir —
@@ -18,6 +14,10 @@
 //! serve --live --build mwsa-g --corpus uniform --n 100000
 //! serve --live --build mwsa-g --corpus uniform --n 100000 --live-dir state/
 //! serve --live --live-dir state/
+//!
+//! # serve a segmented corpus: a live index seeded in 12500-row segments
+//! # (n = 50000 gives 4 segments plus the overlap rows in the memtable):
+//! serve --live --build mwsa-g --corpus rssi --n 50000 --flush-threshold 12500
 //! ```
 //!
 //! Corpus presets mirror the benchmark corpora (`BENCH_*.json`); `--z` and
@@ -25,7 +25,7 @@
 //! until a client sends `SHUTDOWN` (or the process is killed).
 
 use ius_datasets::corpora::bench_corpus;
-use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, ShardedIndex};
+use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::{FsyncPolicy, LiveConfig, LiveIndex};
 use ius_server::{ServedIndex, Server, ServerConfig};
 use ius_weighted::WeightedString;
@@ -41,7 +41,6 @@ struct Args {
     seed: Option<u64>,
     z: Option<f64>,
     ell: Option<usize>,
-    shards: Option<usize>,
     max_pattern_len: Option<usize>,
     save: Option<PathBuf>,
     live: bool,
@@ -60,8 +59,8 @@ fn print_help() {
     println!(
         "serve — run the uncertain-string query server\n\n\
          index source (exactly one):\n\
-         \x20 --index <path>        load a persisted index file (sharded files are\n\
-         \x20                       self-contained; single-machine files also need --corpus)\n\
+         \x20 --index <path>        load a persisted index file (needs --corpus: the\n\
+         \x20                       corpus it was built over)\n\
          \x20 --build <family>      build in-process: naive|wst|wsa|mwst|mwsa|mwst-g|mwsa-g|\n\
          \x20                       se-mwst|se-mwsa (needs --corpus)\n\n\
          corpus (synthetic presets, regenerated deterministically):\n\
@@ -71,15 +70,17 @@ fn print_help() {
          \x20 --z <z>               weight threshold (default: preset's benchmark z)\n\
          \x20 --ell <ell>           minimum pattern length (default: preset's benchmark ell)\n\n\
          build options:\n\
-         \x20 --shards <S>          build a sharded composite with S shards\n\
-         \x20 --max-pattern-len <m> sharded/live pattern-length bound (default 2*ell)\n\
          \x20 --save <path>         persist the built index before serving\n\n\
          live mode (mutable corpus — APPEND/DELETE_RANGE/FLUSH/COMPACT):\n\
          \x20 --live                serve a live index (seed with --build/--corpus,\n\
          \x20                       or reopen --live-dir)\n\
          \x20 --live-dir <dir>      open the IUSL manifest dir if it exists; the live\n\
          \x20                       state is saved back there on graceful shutdown\n\
-         \x20 --flush-threshold <r> memtable rows per segment flush (default 8192)\n\
+         \x20 --max-pattern-len <m> longest pattern served; segments overlap by m-1 rows\n\
+         \x20                       (default 2*ell)\n\
+         \x20 --flush-threshold <r> memtable rows per segment flush (default 8192); a\n\
+         \x20                       seeded corpus of n rows serves from\n\
+         \x20                       ceil((n-m+1)/r) segments\n\
          \x20 --fsync <policy>      arm the write-ahead log (needs --live-dir): every\n\
          \x20                       mutation is logged before it is acked, and a crash\n\
          \x20                       replays the log on reopen. Policies: record (fsync\n\
@@ -141,7 +142,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         seed: None,
         z: None,
         ell: None,
-        shards: None,
         max_pattern_len: None,
         save: None,
         live: false,
@@ -190,13 +190,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     value(args, i, "--ell")?
                         .parse()
                         .map_err(|e| format!("bad --ell: {e}"))?,
-                )
-            }
-            "--shards" => {
-                parsed.shards = Some(
-                    value(args, i, "--shards")?
-                        .parse()
-                        .map_err(|e| format!("bad --shards: {e}"))?,
                 )
             }
             "--max-pattern-len" => {
@@ -274,9 +267,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .into(),
             );
         }
-        if parsed.shards.is_some() {
-            return Err("--live and --shards are mutually exclusive".into());
-        }
         if parsed.save.is_some() {
             return Err(
                 "--live state is a manifest directory, not a single index file; use \
@@ -314,8 +304,14 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             );
         }
     } else {
-        if parsed.live_dir.is_some() || parsed.flush_threshold.is_some() || parsed.fsync.is_some() {
-            return Err("--live-dir, --flush-threshold, and --fsync need --live".into());
+        if parsed.live_dir.is_some()
+            || parsed.flush_threshold.is_some()
+            || parsed.fsync.is_some()
+            || parsed.max_pattern_len.is_some()
+        {
+            return Err(
+                "--live-dir, --flush-threshold, --fsync, and --max-pattern-len need --live".into(),
+            );
         }
         if parsed.index.is_some() == parsed.build.is_some() {
             return Err("exactly one of --index and --build is required".into());
@@ -429,32 +425,18 @@ fn main() {
             eprintln!("error: invalid parameters: {e}");
             std::process::exit(2);
         });
-        let spec = IndexSpec::new(family, params);
-        let served = if let Some(shards) = args.shards {
-            let bound = args.max_pattern_len.unwrap_or(2 * ell);
-            let sharded = ShardedIndex::build(&x, spec, shards, bound).unwrap_or_else(|e| {
-                eprintln!("error: sharded build failed: {e}");
-                std::process::exit(1);
-            });
-            if let Some(path) = &args.save {
-                let mut file = std::fs::File::create(path).expect("create --save file");
-                sharded.save_to(&mut file).expect("persist sharded index");
-                eprintln!("saved sharded index to {}", path.display());
-            }
-            ServedIndex::sharded(sharded)
-        } else {
-            let index = spec.build(&x).unwrap_or_else(|e| {
+        let index = IndexSpec::new(family, params)
+            .build(&x)
+            .unwrap_or_else(|e| {
                 eprintln!("error: build failed: {e}");
                 std::process::exit(1);
             });
-            if let Some(path) = &args.save {
-                let mut file = std::fs::File::create(path).expect("create --save file");
-                index.save_to(&mut file).expect("persist index");
-                eprintln!("saved index to {}", path.display());
-            }
-            ServedIndex::single(index, x)
-        };
-        (served, args.save.clone())
+        if let Some(path) = &args.save {
+            let mut file = std::fs::File::create(path).expect("create --save file");
+            index.save_to(&mut file).expect("persist index");
+            eprintln!("saved index to {}", path.display());
+        }
+        (ServedIndex::single(index, x), args.save.clone())
     };
 
     let mut config = ServerConfig::default();

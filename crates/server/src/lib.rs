@@ -2,9 +2,10 @@
 //!
 //! Turns the library into a runnable system: a **std-only** concurrent TCP
 //! server (no async runtime — consistent with the workspace's offline
-//! shim-crate policy) that loads persisted indexes (`ius_index::persist`,
-//! single-machine or sharded) and answers pattern queries over a
-//! length-prefixed binary wire protocol.
+//! shim-crate policy) that serves a persisted single-machine index
+//! (`ius_index::persist`, paired with the corpus it was built over) or a
+//! mutable, segmented `ius_live::LiveIndex`, and answers pattern queries
+//! over a length-prefixed binary wire protocol.
 //!
 //! * [`protocol`] — the wire format: magic + version + request id + op,
 //!   with `QUERY` (collect / count / first-`k` result modes mapping onto
@@ -21,10 +22,15 @@
 //!
 //! ```no_run
 //! use ius_server::{Client, ServedIndex, Server, ServerConfig};
+//! use ius_weighted::WeightedString;
 //! use std::path::Path;
+//! use std::sync::Arc;
 //!
-//! // Serve a self-contained sharded index file on an ephemeral port.
-//! let served = ServedIndex::load(Path::new("index.iusx"), None)?;
+//! // Serve a persisted index file, against the corpus it was built over,
+//! // on an ephemeral port.
+//! # fn corpus() -> WeightedString { unimplemented!() }
+//! let x: Arc<WeightedString> = Arc::new(corpus());
+//! let served = ServedIndex::load(Path::new("index.iusx"), Some(x))?;
 //! let server = Server::bind("127.0.0.1:0", served, None, &ServerConfig::default())?;
 //! let mut client = Client::connect(server.local_addr())?;
 //! let hits = client.query(&[0, 1, 2, 3])?;

@@ -331,7 +331,7 @@ pub enum ErrorCode {
     /// The frame's op byte names no known request.
     UnknownOp,
     /// The query was well-formed on the wire but rejected by the engine
-    /// (empty pattern, pattern shorter than ℓ / longer than the sharded
+    /// (empty pattern, pattern shorter than ℓ / longer than the live
     /// bound, …).
     Query,
     /// The reload failed (missing path, unreadable or corrupt index file).

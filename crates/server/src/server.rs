@@ -57,7 +57,7 @@ use crate::protocol::{
 };
 use ius_arena::Arena;
 use ius_exec::WorkerPool;
-use ius_index::{open_any_index, AnyIndex, LoadedAny, ShardedIndex, UncertainIndex};
+use ius_index::{open_index, AnyIndex, UncertainIndex};
 use ius_live::LiveIndex;
 use ius_obs::{clock, trace};
 use ius_query::{CountSink, FirstKSink, QueryScratch};
@@ -74,9 +74,9 @@ use std::time::Duration;
 ///
 /// Single-machine families verify candidates by random access to the
 /// corpus, so they are paired with (shared ownership of) `X`; a
-/// [`ShardedIndex`] owns its chunks and is self-contained — which is why a
-/// persisted sharded file can be served or hot-reloaded without
-/// regenerating the corpus.
+/// [`LiveIndex`] owns its segment chunks and memtable rows and is
+/// self-contained. A segmented static corpus is served as a live index
+/// (`LiveIndex::from_corpus`) that no client mutates.
 ///
 /// Deliberately unboxed despite the variant size skew: a server holds one
 /// of these per corpus, and dispatch sits on the per-query hot path.
@@ -90,8 +90,6 @@ pub enum ServedIndex {
         /// The corpus it was built over.
         corpus: Arc<WeightedString>,
     },
-    /// A self-contained sharded composite.
-    Sharded(ShardedIndex),
     /// A mutable live index (self-contained: segments and memtable own
     /// the corpus). The `Arc` is shared, not swapped — the live index
     /// performs its own internal snapshot/swap per mutation, so `APPEND`
@@ -106,20 +104,14 @@ impl ServedIndex {
         ServedIndex::Single { index, corpus }
     }
 
-    /// Wraps a self-contained sharded index.
-    pub fn sharded(index: ShardedIndex) -> Self {
-        ServedIndex::Sharded(index)
-    }
-
     /// Wraps a mutable live index (enables the `APPEND` / `DELETE_RANGE`
     /// / `FLUSH` / `COMPACT` wire ops).
     pub fn live(index: Arc<LiveIndex>) -> Self {
         ServedIndex::Live(index)
     }
 
-    /// Loads a persisted index file of any family. Single-machine families
-    /// need the corpus they were built over; sharded files are
-    /// self-contained and ignore `corpus`.
+    /// Loads a persisted single-machine index file of any family, to be
+    /// served against `corpus`, the corpus it was built over.
     ///
     /// # Errors
     ///
@@ -133,44 +125,39 @@ impl ServedIndex {
         // One read into a single arena, then the zero-copy open — every
         // array view (and a hot reload's new serving snapshot) borrows the
         // same Arc-shared buffer.
-        let arena = Arena::from_file(path)?;
-        match open_any_index(&arena)? {
-            LoadedAny::Sharded(index) => Ok(ServedIndex::Sharded(index)),
-            LoadedAny::Index(index) => {
-                let corpus = corpus.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "{} is a single-machine index file; serving it needs the corpus \
-                             it was built over (sharded files are self-contained)",
-                            path.display()
-                        ),
-                    )
-                })?;
-                if let Some(expected) = index.corpus_len_hint() {
-                    if corpus.len() != expected {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!(
-                                "{} was built over a corpus of length {expected}, but the \
-                                 supplied corpus has length {} — wrong --n, preset or seed?",
-                                path.display(),
-                                corpus.len()
-                            ),
-                        ));
-                    }
-                }
-                Ok(ServedIndex::Single { index, corpus })
+        let index = open_index(&Arena::from_file(path)?)?;
+        let corpus = corpus.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} is a single-machine index file; serving it needs the corpus it was \
+                     built over",
+                    path.display()
+                ),
+            )
+        })?;
+        if let Some(expected) = index.corpus_len_hint() {
+            if corpus.len() != expected {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "{} was built over a corpus of length {expected}, but the supplied \
+                         corpus has length {} — wrong --n, preset or seed?",
+                        path.display(),
+                        corpus.len()
+                    ),
+                ));
             }
         }
+        Ok(ServedIndex::Single { index, corpus })
     }
 
     /// The sink-based query entry point (see
     /// [`UncertainIndex::query_into`]).
     ///
     /// When the calling thread carries an armed request trace, the whole
-    /// dispatch runs under a `query` span. Sharded and live indexes record
-    /// their per-part stage groups internally (they know the fan-out);
+    /// dispatch runs under a `query` span. A live index records its
+    /// per-part stage groups internally (it knows the fan-out);
     /// single-machine indexes report one flat stage breakdown, recorded
     /// here from the returned stats.
     ///
@@ -191,7 +178,6 @@ impl ServedIndex {
             ServedIndex::Single { index, corpus } => {
                 index.query_into(pattern, corpus, scratch, sink)
             }
-            ServedIndex::Sharded(index) => index.query_owned_into(pattern, scratch, sink),
             ServedIndex::Live(index) => index.query_owned_into(pattern, scratch, sink),
         };
         if traced {
@@ -220,7 +206,6 @@ impl ServedIndex {
     pub fn name(&self) -> String {
         match self {
             ServedIndex::Single { index, .. } => index.name().to_string(),
-            ServedIndex::Sharded(index) => index.stats().name,
             ServedIndex::Live(index) => index.stats().name,
         }
     }
@@ -229,7 +214,6 @@ impl ServedIndex {
     pub fn corpus_len(&self) -> usize {
         match self {
             ServedIndex::Single { corpus, .. } => corpus.len(),
-            ServedIndex::Sharded(index) => index.len(),
             ServedIndex::Live(index) => index.len(),
         }
     }
@@ -238,7 +222,6 @@ impl ServedIndex {
     pub fn size_bytes(&self) -> usize {
         match self {
             ServedIndex::Single { index, .. } => index.size_bytes(),
-            ServedIndex::Sharded(index) => index.size_bytes(),
             ServedIndex::Live(index) => index.size_bytes(),
         }
     }
@@ -257,7 +240,7 @@ impl ServedIndex {
     fn corpus(&self) -> Option<Arc<WeightedString>> {
         match self {
             ServedIndex::Single { corpus, .. } => Some(corpus.clone()),
-            ServedIndex::Sharded(_) | ServedIndex::Live(_) => None,
+            ServedIndex::Live(_) => None,
         }
     }
 }
@@ -1290,7 +1273,6 @@ fn query_error(shared: &Shared, id: u64, err: &ius_weighted::Error, out: &mut Ve
 /// same-length different corpus cannot be detected (no content
 /// fingerprint is stored) and yields wrong answers (or a panicked query,
 /// which costs that connection but not the worker — see `worker_loop`).
-/// Sharded files are self-contained and immune.
 fn reload(shared: &Shared, path: Option<&str>) -> Result<u64, String> {
     if shared
         .state
@@ -1319,8 +1301,7 @@ fn reload(shared: &Shared, path: Option<&str>) -> Result<u64, String> {
         }
     };
     // A reloaded single-machine index is served against the corpus already
-    // attached (the file stores the structure, not X); sharded files are
-    // self-contained.
+    // attached (the file stores the structure, not X).
     let corpus = shared.state.lock().expect("state lock").index.corpus();
     let index = ServedIndex::load(&path, corpus)
         .map_err(|e| format!("reload of {} failed: {e}", path.display()))?;

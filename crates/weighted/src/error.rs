@@ -43,13 +43,13 @@ pub enum Error {
         /// Lower bound `ℓ` the index was built for.
         lower_bound: usize,
     },
-    /// The queried pattern is longer than the sharded index's configured
-    /// maximum pattern length (the shard overlap only covers occurrences up
-    /// to that length).
+    /// The queried pattern is longer than the partitioned (live) index's
+    /// configured maximum pattern length (the segment overlap only covers
+    /// occurrences up to that length).
     PatternTooLong {
         /// Length of the supplied pattern.
         pattern: usize,
-        /// Upper bound the sharded index was built for.
+        /// Upper bound the partitioned index was built for.
         upper_bound: usize,
     },
     /// Parameters passed to a builder are inconsistent.
@@ -88,7 +88,7 @@ impl fmt::Display for Error {
             ),
             Error::PatternTooLong { pattern, upper_bound } => write!(
                 f,
-                "pattern of length {pattern} exceeds the sharded index's maximum supported \
+                "pattern of length {pattern} exceeds the partitioned index's maximum supported \
                  pattern length {upper_bound}"
             ),
             Error::InvalidParameters(reason) => write!(f, "invalid parameters: {reason}"),

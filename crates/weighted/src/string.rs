@@ -277,7 +277,7 @@ impl WeightedString {
     /// The weighted substring `X[start..end)` (half-open range): position `i`
     /// of the result carries the distribution of position `start + i`.
     ///
-    /// Used by the sharding layer to give every shard its own chunk of `X`.
+    /// Used by the live index to give every segment its own chunk of `X`.
     ///
     /// # Errors
     ///

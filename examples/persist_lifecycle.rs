@@ -1,12 +1,13 @@
 //! The full index lifecycle on disk: build once → measure → save → load →
-//! serve, plus a sharded composite index routing the same queries.
+//! serve, plus a segmented live index answering the same queries and
+//! surviving a save-to-directory / reopen round trip.
 //!
 //! Run with `cargo run --release --example persist_lifecycle`.
 //! CI runs this as the save→load→query round-trip smoke test (the files go
 //! to a scratch directory under the system temp dir).
 
 use ius::prelude::*;
-use ius_index::{load_index, IndexFamily, IndexSpec, ShardedIndex};
+use ius_index::{load_index, IndexFamily, IndexSpec};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::time::Instant;
@@ -75,34 +76,37 @@ fn main() {
         );
     }
 
-    // A sharded composite index: 4 chunks with a 2ℓ−1 overlap, answers
-    // asserted identical to the unsharded index, then saved and reloaded.
+    // A segmented index: a live index seeded in 4 segments whose chunks
+    // overlap by 2ℓ−1 rows, answers asserted identical to the unsegmented
+    // index, then saved as a manifest directory and reopened.
     let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
-    let unsharded = spec.build_with_estimation(&x, &est).expect("unsharded");
-    let sharded = ShardedIndex::build(&x, spec, 4, 2 * ell).expect("sharded build");
+    let unsegmented = spec.build_with_estimation(&x, &est).expect("unsegmented");
+    let config = LiveConfig {
+        flush_threshold: x.len().div_ceil(4),
+        auto_compact: false,
+        ..LiveConfig::default()
+    };
+    let segmented =
+        LiveIndex::from_corpus(&x, spec, 2 * ell, config.clone()).expect("segmented build");
+    let live_dir = dir.join("mwsa-g.live");
+    segmented.save_to_dir(&live_dir).expect("save live index");
+    let reopened = LiveIndex::open(&live_dir, config).expect("reopen live index");
     for pattern in &patterns {
+        let expected = unsegmented.query(pattern, &x).expect("unsegmented query");
         assert_eq!(
-            sharded.query(pattern, &x).expect("sharded query"),
-            unsharded.query(pattern, &x).expect("unsharded query"),
+            segmented.query_owned(pattern).expect("segmented query"),
+            expected
         );
-    }
-    let path = dir.join("mwsa-g.sharded.iusx");
-    let mut writer = BufWriter::new(File::create(&path).expect("create sharded file"));
-    sharded.save_to(&mut writer).expect("save sharded");
-    writer.flush().expect("flush");
-    let mut reader = BufReader::new(File::open(&path).expect("open sharded file"));
-    let reloaded = ShardedIndex::load_from(&mut reader).expect("load sharded");
-    for pattern in &patterns {
         assert_eq!(
-            reloaded.query(pattern, &x).expect("reloaded query"),
-            unsharded.query(pattern, &x).expect("unsharded query"),
+            reopened.query_owned(pattern).expect("reopened query"),
+            expected
         );
     }
     println!(
-        "SHARDED  S={} overlap={}   size {:>7.2} MB   round-trip OK",
-        sharded.num_shards(),
-        sharded.overlap(),
-        sharded.size_bytes() as f64 / 1e6,
+        "LIVE     {} segments, overlap {}   size {:>7.2} MB   round-trip OK",
+        reopened.num_segments(),
+        reopened.overlap(),
+        reopened.size_bytes() as f64 / 1e6,
     );
 
     std::fs::remove_dir_all(&dir).expect("clean scratch directory");

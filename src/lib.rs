@@ -23,12 +23,12 @@
 //!   persistence (`save_index`/`load_index`/`open_index`: one format, IUSX
 //!   v3, and one read path, a validated zero-copy open of an in-memory
 //!   arena — version 2 is refused, re-save it with an older build; loading
-//!   never re-runs construction) and sharded composite indexes
-//!   (`ShardedIndex`);
-//! * [`live`] — dynamic segmented indexing: an LSM-style `LiveIndex`
-//!   whose corpus grows by appends and shrinks by range tombstones while
-//!   being served — immutable segments + memtable tail + background
-//!   compaction + `IUSL` manifest persistence;
+//!   never re-runs construction);
+//! * [`live`] — the one partitioned index: an LSM-style segmented
+//!   `LiveIndex` whose corpus grows by appends and shrinks by range
+//!   tombstones while being served — immutable segments + memtable tail +
+//!   background compaction + `IUSL` manifest persistence. A static
+//!   segmented index is a `LiveIndex::from_corpus` that is never mutated;
 //! * [`datasets`] — synthetic stand-ins for the paper's datasets and the
 //!   pattern samplers used in the evaluation;
 //! * [`server`] — the serving subsystem: a std-only concurrent TCP server
@@ -82,10 +82,10 @@ pub mod prelude {
     pub use ius_datasets::registry::{standard_datasets, Dataset, Scale};
     pub use ius_datasets::rssi::RssiConfig;
     pub use ius_index::{
-        load_any_index, load_index, query_batch, query_batch_positions, save_index, AnyIndex,
-        CountSink, FirstKSink, IndexFamily, IndexParams, IndexSpec, IndexVariant, LoadedAny,
-        MatchSink, MinimizerIndex, NaiveIndex, QueryBatch, QueryScratch, QueryStats, ShardedIndex,
-        SpaceEfficientBuilder, UncertainIndex, Wsa, Wst,
+        load_index, query_batch, query_batch_positions, save_index, AnyIndex, CountSink,
+        FirstKSink, IndexFamily, IndexParams, IndexSpec, IndexVariant, MatchSink, MinimizerIndex,
+        NaiveIndex, QueryBatch, QueryScratch, QueryStats, SpaceEfficientBuilder, UncertainIndex,
+        Wsa, Wst,
     };
     pub use ius_live::{LiveConfig, LiveIndex, LiveStats};
     pub use ius_sampling::{KmerOrder, MinimizerScheme};

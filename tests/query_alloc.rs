@@ -114,16 +114,22 @@ fn mwst_tree_query_is_allocation_free_after_warmup() {
     assert_steady_state_allocation_free(IndexVariant::Tree, "MWST");
 }
 
-/// A sharded query visits its shards on the calling thread with the
-/// caller's scratch: no thread, no per-shard buffer.
+/// A sharded index — a live index seeded in ⌈n/4⌉-row segments — visits
+/// its 4 segments and its overlap-row memtable tail on the calling thread
+/// with the caller's scratch: no thread, no per-segment buffer.
 #[test]
 fn sharded_query_is_allocation_free_after_warmup() {
     let _serial = serialize();
     let (x, _est, patterns, params) = workload();
     let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
     let max_len = patterns.iter().map(Vec::len).max().unwrap();
-    let sharded = ShardedIndex::build(&x, spec, 4, max_len).unwrap();
-    assert_eq!(sharded.num_shards(), 4);
+    let config = LiveConfig {
+        flush_threshold: x.len().div_ceil(4),
+        auto_compact: false,
+        ..LiveConfig::default()
+    };
+    let sharded = LiveIndex::from_corpus(&x, spec, max_len, config).unwrap();
+    assert_eq!(sharded.num_segments(), 4);
     assert_warm_queries_allocate_nothing(&sharded, &x, &patterns, "SHARDED(S=4)");
 }
 

@@ -114,32 +114,6 @@ fn concurrent_clients_see_exactly_the_in_process_answers() {
 }
 
 #[test]
-fn sharded_index_files_are_served_self_contained() {
-    let (x, z, ell, patterns) = build_corpus_and_patterns();
-    let params = IndexParams::new(z, ell, x.sigma()).expect("params");
-    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::Array), params);
-    let sharded = ShardedIndex::build(&x, spec, 3, 2 * ell).expect("sharded build");
-    let dir = scratch_dir("sharded");
-    let path = dir.join("sharded.iusx");
-    let mut file = std::fs::File::create(&path).expect("create");
-    sharded.save_to(&mut file).expect("save");
-    drop(file);
-
-    // No corpus handed to the server: the file is self-contained.
-    let served = ServedIndex::load(&path, None).expect("load sharded");
-    let server = Server::bind("127.0.0.1:0", served, None, &ServerConfig::default()).expect("bind");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    for pattern in patterns.iter().take(20) {
-        assert_eq!(
-            client.query(pattern).expect("served query").positions,
-            sharded.query_owned(pattern).expect("in-process query")
-        );
-    }
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn hot_reload_swaps_generations_while_queries_are_in_flight() {
     let (x, z, ell, patterns) = build_corpus_and_patterns();
     let params = IndexParams::new(z, ell, x.sigma()).expect("params");

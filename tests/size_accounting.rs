@@ -11,7 +11,7 @@
 //! counters during a measurement.
 
 use ius::prelude::*;
-use ius_index::{AnyIndex, IndexFamily, IndexSpec, ShardedIndex};
+use ius_index::{AnyIndex, IndexFamily, IndexSpec};
 use ius_memtrack::CountingAllocator;
 
 #[global_allocator]
@@ -68,20 +68,51 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         drop::<AnyIndex>(index);
     }
 
-    // The sharded composite: shard chunks of X are owned allocations and
-    // must be part of the reported footprint. The per-shard Alphabet tables
-    // are the only heap size_bytes does not see — covered by the slack.
+    // ---- the partitioned index -------------------------------------------
+    // An empty `LiveIndex` retains a fixed registry (the shared state and
+    // its observability histograms) that does not depend on the corpus it
+    // will hold, and `size_bytes()` reports none of it.
     let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
-    let (sharded, mem) =
-        ius_memtrack::measure(|| ShardedIndex::build(&x, spec, 4, 2 * ell).unwrap());
+    let empty_live = |n: usize| {
+        let config = LiveConfig {
+            flush_threshold: n.div_ceil(4),
+            auto_compact: false,
+            ..LiveConfig::default()
+        };
+        ius_memtrack::measure(|| {
+            LiveIndex::new(x.alphabet().clone(), spec, 2 * ell, config).unwrap()
+        })
+    };
+    let (large, large_shell) = empty_live(1_000_000);
+    drop(large);
+    let (live, shell) = empty_live(x.len());
+    assert_eq!(live.size_bytes(), 0, "an empty live index reports nothing");
+    assert_eq!(
+        shell.retained_bytes, large_shell.retained_bytes,
+        "the empty live index's registry must not depend on n"
+    );
+    assert!(
+        shell.retained_bytes < 64 * 1024,
+        "an empty live index retains {} bytes",
+        shell.retained_bytes
+    );
+    // Appending the corpus and flushing it into 4 segments grows the heap
+    // by the segment chunks, their indexes and the memtable tail, which
+    // `size_bytes()` must report. The per-segment Alphabet tables are the
+    // only heap it does not see — covered by the slack.
+    let ((), mem) = ius_memtrack::measure(|| {
+        live.append(&x).unwrap();
+        live.flush().unwrap();
+    });
+    assert_eq!(live.num_segments(), 4);
     assert_close(
-        "SHARDED-MWSA-G(S=4)",
-        sharded.size_bytes(),
+        "LIVE-MWSA-G(S=4)",
+        live.size_bytes(),
         mem.retained_bytes,
         0.03,
         16 * 1024,
     );
-    drop(sharded);
+    drop(live);
 
     // ---- arena-open accounting ------------------------------------------
     // A v3 file opened through the arena path retains ONE buffer (the
