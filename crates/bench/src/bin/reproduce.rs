@@ -21,10 +21,7 @@ use ius_bench::measure::{
 };
 use ius_bench::query_bench::{render_query_json, run_query_bench, QueryBenchConfig};
 use ius_bench::recovery_bench::{render_recovery_json, run_recovery_bench, RecoveryBenchConfig};
-use ius_bench::report::{default_thread_sweep, host_cpus, render_csv, render_table, Row};
-use ius_bench::serve_bench::{
-    measure_instrumentation_overhead, render_serve_json, run_serve_bench, ServeBenchConfig,
-};
+use ius_bench::report::{default_thread_sweep, render_csv, render_table, Row};
 use ius_bench::slo_bench::{render_slo_json, run_slo_bench, SloBenchConfig};
 use ius_bench::space_bench::{render_space_json, run_space_bench, SpaceBenchConfig};
 use ius_bench::update_bench::{render_update_json, run_update_bench, UpdateBenchConfig};
@@ -55,7 +52,6 @@ struct Config {
     bench_construction: bool,
     bench_query: bool,
     bench_space: bool,
-    bench_serve: bool,
     bench_slo: bool,
     bench_update: bool,
     bench_recovery: bool,
@@ -95,10 +91,6 @@ fn main() {
         let bench_config = ConstructionBenchConfig {
             n: config.bench_n,
             reps: config.bench_reps,
-            threads: config
-                .bench_threads
-                .clone()
-                .unwrap_or_else(default_thread_sweep),
         };
         let results = run_construction_bench(&bench_config);
         let json = render_json(&bench_config, &results);
@@ -121,18 +113,6 @@ fn main() {
             n: config.bench_n,
             reps: config.bench_reps,
             patterns: config.bench_patterns,
-            // The batched query path takes one worker count: the widest
-            // entry of the sweep (0 = all CPUs).
-            threads: config
-                .bench_threads
-                .as_ref()
-                .and_then(|sweep| {
-                    sweep
-                        .iter()
-                        .map(|&t| if t == 0 { host_cpus() } else { t })
-                        .max()
-                })
-                .unwrap_or_else(|| QueryBenchConfig::default().threads),
         };
         let results = run_query_bench(&bench_config);
         let json = render_query_json(&bench_config, &results);
@@ -167,38 +147,6 @@ fn main() {
             std::fs::create_dir_all(dir).expect("create output directory");
         }
         std::fs::write(&path, &json).expect("write BENCH_space.json");
-        println!("{json}");
-        println!("wrote {}", path.display());
-        return;
-    }
-
-    if config.bench_serve {
-        let bench_config = ServeBenchConfig {
-            n: config.bench_n,
-            reps: config.bench_reps,
-            patterns: config.bench_patterns.min(400),
-            worker_counts: config.bench_workers.clone(),
-            clients: config.bench_clients,
-        };
-        let results = run_serve_bench(&bench_config);
-        // A sweep pair is ~50 ms, so the overhead comparison can afford
-        // far more reps than the dataset benchmarks — a percent-level
-        // difference needs them on a noisy virtualized host.
-        let overhead = measure_instrumentation_overhead(
-            bench_config.n,
-            bench_config.patterns,
-            bench_config.reps.max(16),
-        );
-        let json = render_serve_json(&bench_config, &results, &overhead);
-        let path = config
-            .out_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_serve.json");
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(&path, &json).expect("write BENCH_serve.json");
         println!("{json}");
         println!("wrote {}", path.display());
         return;
@@ -353,17 +301,15 @@ fn print_help() {
          \x20 --out <dir>          also write one CSV per experiment\n\
          \x20 --max-patterns <n>   cap on query patterns per configuration (default 200)\n\
          \x20 --full-sweep         sweep all five ℓ values instead of three\n\
-         \x20 --bench-construction run the before/after construction benchmark and write\n\
-         \x20                      BENCH_construction.json (to --out or the working directory)\n\
-         \x20 --bench-query        run the before/after query benchmark (old single-shot vs\n\
-         \x20                      sink-based engine, single-thread and batched) and write\n\
-         \x20                      BENCH_query.json (to --out or the working directory)\n\
+         \x20 --bench-construction run the construction benchmark (per-layer build times)\n\
+         \x20                      and write BENCH_construction.json (to --out or the working\n\
+         \x20                      directory)\n\
+         \x20 --bench-query        run the query benchmark (per-family time per query of the\n\
+         \x20                      sink-based engine) and write BENCH_query.json (to --out or\n\
+         \x20                      the working directory)\n\
          \x20 --bench-space        run the index-lifecycle space benchmark (footprint,\n\
          \x20                      serialized size, save/open vs rebuild) and write\n\
          \x20                      BENCH_space.json\n\
-         \x20 --bench-serve        run the serving benchmark (persisted index served over\n\
-         \x20                      loopback TCP, throughput + p50/p99 latency vs worker\n\
-         \x20                      count, hot-reload stage) and write BENCH_serve.json\n\
          \x20 --bench-slo          run the open-loop latency-SLO benchmark (fixed arrival\n\
          \x20                      rates, latency from intended send time, knee + max\n\
          \x20                      throughput under the p99 SLO, closed-vs-open p99 delta)\n\
@@ -377,15 +323,15 @@ fn print_help() {
          \x20                      write-ahead log off/armed per fsync policy, WAL replay\n\
          \x20                      throughput vs log size) and write BENCH_recovery.json\n\
          \x20 --bench-n <n>        string length for --bench-* (default 100000)\n\
-         \x20 --bench-reps <r>     repetitions per timed side for --bench-* (default 3)\n\
+         \x20 --bench-reps <r>     repetitions per timed stage for --bench-* (default 3)\n\
          \x20 --bench-patterns <p> query patterns per dataset for --bench-query/--bench-space/\n\
-         \x20                      --bench-serve (default 400; space/serve cap at 200/400)\n\
-         \x20 --bench-threads <t,..> thread sweep (0 = all CPUs): the multi-core sweep of\n\
-         \x20                      --bench-construction/--bench-update, and the batch\n\
-         \x20                      worker count for --bench-query (widest entry)\n\
-         \x20                      (default: 1,2,all CPUs)\n\
-         \x20 --bench-workers <w,..> worker-pool sizes for --bench-serve (default 1,2,4)\n\
-         \x20 --bench-clients <c>  concurrent client threads for --bench-serve (default 4)\n\
+         \x20                      --bench-slo/--bench-update (default 400; space caps at 200,\n\
+         \x20                      slo/update at 400)\n\
+         \x20 --bench-threads <t,..> thread sweep of --bench-update (0 = all CPUs; default:\n\
+         \x20                      1,2,all CPUs)\n\
+         \x20 --bench-workers <w,..> server worker counts for --bench-slo (the largest is\n\
+         \x20                      used; default 1,2,4)\n\
+         \x20 --bench-clients <c>  concurrent sender threads for --bench-slo (default 4)\n\
          \x20 --bench-rates <r,..> arrival rates (req/s) for --bench-slo (default: fractions\n\
          \x20                      of each corpus's measured closed-loop throughput)\n\
          \x20 --bench-batch <b>    rows per append batch for --bench-update (default 2000)\n\
@@ -403,7 +349,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut bench_construction = false;
     let mut bench_query = false;
     let mut bench_space = false;
-    let mut bench_serve = false;
     let mut bench_slo = false;
     let mut bench_update = false;
     let mut bench_recovery = false;
@@ -429,10 +374,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
             }
             "--bench-space" => {
                 bench_space = true;
-                i += 1;
-            }
-            "--bench-serve" => {
-                bench_serve = true;
                 i += 1;
             }
             "--bench-slo" => {
@@ -600,7 +541,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         bench_construction,
         bench_query,
         bench_space,
-        bench_serve,
         bench_slo,
         bench_update,
         bench_recovery,

@@ -1,36 +1,34 @@
-//! The construction-pipeline before/after benchmark behind
-//! `reproduce --bench-construction` and `BENCH_construction.json`.
+//! The construction-pipeline benchmark behind `reproduce --bench-construction`
+//! and `BENCH_construction.json`.
 //!
-//! Every "old" number is a real measurement of retained runnable code (not a
-//! simulation): [`ZEstimation::build_reference`],
-//! [`ius_text::sa::suffix_array_prefix_doubling`] and
-//! [`MinimizerIndex::build_from_estimation_reference`] are the pre-overhaul
-//! implementations; the `minimizer_scan` row alone compares against the
-//! per-window rescan *algorithm* (the seed's test oracle — its production
-//! scan already used the monotone deque) and is therefore informational and
-//! excluded from the pipeline totals. Old and new sides take the minimum
-//! over the same repetition count, and outputs are asserted identical before
-//! timing is trusted.
+//! Every row is an absolute wall-clock [`Summary`] (sample count plus
+//! min/median/max over the repetitions, in milliseconds) of one layer of the
+//! serial build: the z-estimation, the suffix array and the minimizer scan
+//! over the heavy string, the explicit MWSA build from the shared
+//! estimation, and the end-to-end pipeline (z-estimation + index build,
+//! summed per repetition). Before any timing is trusted, each layer's output
+//! is checked against its oracle: the z-estimation contract for short
+//! factors, and the naive suffix array and the brute-force minimizers on a
+//! prefix of the heavy string.
 
+use crate::report::{time_reps, Summary};
 use ius_datasets::corpora::bench_corpus;
-use ius_index::{IndexParams, IndexVariant, MinimizerIndex, UncertainIndex};
+use ius_index::{IndexParams, IndexVariant, MinimizerIndex};
 use ius_sampling::{KmerOrder, MinimizerScheme};
-use ius_text::sa::{suffix_array, suffix_array_prefix_doubling};
+use ius_text::sa::{suffix_array, suffix_array_naive};
 use ius_weighted::{HeavyString, WeightedString, ZEstimation};
-use std::time::Instant;
+
+/// Letters of the heavy string the quadratic oracles (naive suffix array,
+/// brute-force minimizers) are checked on.
+const ORACLE_PREFIX: usize = 4_000;
 
 /// Parameters of one benchmarked configuration.
 #[derive(Debug, Clone)]
 pub struct ConstructionBenchConfig {
     /// Length of the generated weighted strings.
     pub n: usize,
-    /// Repetitions per fast stage (the minimum is reported).
+    /// Repetitions per stage.
     pub reps: usize,
-    /// Thread counts of the parallel-construction sweep (each point builds
-    /// the index from the shared estimation at that fan-out, asserted
-    /// identical to the serial build before timing is trusted; the
-    /// z-estimation itself is serial).
-    pub threads: Vec<usize>,
 }
 
 impl Default for ConstructionBenchConfig {
@@ -38,38 +36,11 @@ impl Default for ConstructionBenchConfig {
         Self {
             n: 100_000,
             reps: 3,
-            threads: crate::report::default_thread_sweep(),
         }
     }
 }
 
-/// One point of the multi-core construction sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadPoint {
-    /// Executor fan-out of this point.
-    pub threads: usize,
-    /// Milliseconds of the explicit MWSA build (parallel factor sorts) at
-    /// this fan-out.
-    pub index_build_ms: f64,
-}
-
-/// Old/new timing of one stage, in milliseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTiming {
-    /// Milliseconds of the pre-overhaul implementation.
-    pub old_ms: f64,
-    /// Milliseconds of the overhauled implementation.
-    pub new_ms: f64,
-}
-
-impl StageTiming {
-    /// `old / new`.
-    pub fn speedup(&self) -> f64 {
-        self.old_ms / self.new_ms
-    }
-}
-
-/// All stage timings for one dataset configuration.
+/// All stage timings for one dataset configuration, in milliseconds.
 #[derive(Debug, Clone)]
 pub struct DatasetBench {
     /// Dataset label (`uniform`, `pangenome`, …).
@@ -80,40 +51,20 @@ pub struct DatasetBench {
     pub z: f64,
     /// Minimum pattern length ℓ.
     pub ell: usize,
-    /// z-estimation: reference vs optimised construction.
-    pub z_estimation: StageTiming,
-    /// Suffix array over the heavy string: prefix doubling vs SA-IS.
-    pub suffix_array: StageTiming,
-    /// Minimizer selection over the heavy string: per-window rescan vs
-    /// monotone-deque scan. An *algorithmic* comparison — the seed already
-    /// shipped the deque scan (the rescan was its test oracle) — so this row
-    /// is informational and excluded from [`DatasetBench::pipeline`].
-    pub minimizer_scan: StageTiming,
-    /// Explicit MWSA build from a shared estimation: reference vs
-    /// clone-free/pre-sized path.
-    pub index_build: StageTiming,
-    /// End-to-end construction (z-estimation + index build).
-    pub pipeline: StageTiming,
-    /// The multi-core sweep: the "new" index build from the shared
-    /// estimation re-timed at every configured executor fan-out, outputs
-    /// asserted identical to the serial build.
-    pub thread_sweep: Vec<ThreadPoint>,
-}
-
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let v = f();
-        best = best.min(ms(t));
-        out = Some(v);
-    }
-    (out.expect("at least one rep"), best)
+    /// Sampled minimizer factors of the built index.
+    pub factors: usize,
+    /// z-estimation.
+    pub z_estimation: Summary,
+    /// SA-IS suffix array over the heavy string (an ingredient of the factor
+    /// sort's LCE index).
+    pub suffix_array: Summary,
+    /// Monotone-deque minimizer scan over the heavy string (the index build
+    /// scans every strand the same way).
+    pub minimizer_scan: Summary,
+    /// Explicit MWSA build from the shared estimation.
+    pub index_build: Summary,
+    /// End-to-end construction: z-estimation + index build.
+    pub pipeline: Summary,
 }
 
 /// Benchmarks one `(x, z, ℓ)` configuration.
@@ -124,268 +75,147 @@ fn bench_dataset(
     z: f64,
     ell: usize,
     reps: usize,
-    threads: &[usize],
 ) -> DatasetBench {
     eprintln!(
         "[bench-construction] {name} (n = {}, z = {z}, ell = {ell})",
         x.len()
     );
 
-    // z-estimation: the reference formulation vs the overhauled one; the
-    // strands must be letter-for-letter identical. Both sides take the
-    // minimum over the same number of repetitions (like for like).
-    let (est_old, z_old) = time_min(reps.min(2), || {
-        ZEstimation::build_reference(x, z).expect("reference estimation")
-    });
-    let (est, z_new) = time_min(reps.min(2), || {
-        ZEstimation::build(x, z).expect("estimation")
-    });
-    for (a, b) in est.strands().iter().zip(est_old.strands()) {
-        assert_eq!(a.seq(), b.seq(), "z-estimation mismatch on {name}");
-        assert_eq!(
-            a.extents(),
-            b.extents(),
-            "z-estimation extents mismatch on {name}"
-        );
-    }
-    drop(est_old);
-    eprintln!("  z-estimation     old {z_old:9.1} ms  new {z_new:9.1} ms");
+    let (est, z_ms) = time_reps(reps, || ZEstimation::build(x, z).expect("estimation"));
+    let prefix = x.substring(0, x.len().min(200)).expect("prefix");
+    ZEstimation::build(&prefix, z)
+        .expect("prefix estimation")
+        .verify_contract(&prefix, 3)
+        .unwrap_or_else(|e| panic!("z-estimation contract on {name}: {e}"));
 
-    // Suffix array over the heavy string.
     let heavy = HeavyString::new(x);
-    let (sa_old_v, sa_old) = time_min(reps, || suffix_array_prefix_doubling(heavy.as_ranks()));
-    let (sa_new_v, sa_new) = time_min(reps, || suffix_array(heavy.as_ranks()));
-    assert_eq!(sa_old_v, sa_new_v, "suffix arrays disagree on {name}");
-    eprintln!("  suffix-array     old {sa_old:9.1} ms  new {sa_new:9.1} ms");
+    let ranks = heavy.as_ranks();
+    let oracle_text = &ranks[..ranks.len().min(ORACLE_PREFIX)];
+    let (_, sa_ms) = time_reps(reps, || suffix_array(ranks));
+    assert_eq!(
+        suffix_array(oracle_text),
+        suffix_array_naive(oracle_text),
+        "suffix array vs naive on {name}"
+    );
 
-    // Minimizer selection over the heavy string. NOTE: unlike every other
-    // stage, the "old" side here is the per-window rescan *algorithm*, which
-    // the seed only shipped as the test oracle — its production scan already
-    // used the monotone deque. The row quantifies the algorithmic gap and is
-    // excluded from the pipeline totals.
     let scheme = MinimizerScheme::new(
         ell,
         ius_sampling::recommended_k(ell, x.sigma()),
         x.sigma(),
         KmerOrder::default(),
     );
-    let (scan_old_v, scan_old) = time_min(reps, || scheme.minimizers_rescan(heavy.as_ranks()));
-    let (scan_new_v, scan_new) = time_min(reps, || scheme.minimizers(heavy.as_ranks()));
-    assert_eq!(scan_old_v, scan_new_v, "minimizer scans disagree on {name}");
-    eprintln!("  minimizer-scan   old {scan_old:9.1} ms  new {scan_new:9.1} ms");
+    let (_, scan_ms) = time_reps(reps, || scheme.minimizers(ranks));
+    assert_eq!(
+        scheme.minimizers(oracle_text),
+        scheme.minimizers_bruteforce(oracle_text),
+        "minimizer scan vs brute force on {name}"
+    );
 
-    // Explicit MWSA construction from the shared estimation.
     let params_idx = IndexParams::new(z, ell, x.sigma()).expect("params");
-    let (idx_old, build_old) = time_min(reps.min(2), || {
-        MinimizerIndex::build_from_estimation_reference(x, &est, params_idx, IndexVariant::Array)
-            .expect("reference build")
-    });
-    let (idx_new, build_new) = time_min(reps.min(2), || {
+    let (index, build_ms) = time_reps(reps, || {
         MinimizerIndex::build_from_estimation(x, &est, params_idx, IndexVariant::Array)
             .expect("build")
     });
-    assert_eq!(
-        idx_old.num_sampled_factors(),
-        idx_new.num_sampled_factors(),
-        "factor counts disagree on {name}"
-    );
-    eprintln!(
-        "  index-build      old {build_old:9.1} ms  new {build_new:9.1} ms  ({} factors)",
-        idx_new.num_sampled_factors()
-    );
+    let factors = index.num_sampled_factors();
+    let pipeline_ms: Vec<f64> = z_ms.iter().zip(&build_ms).map(|(a, b)| a + b).collect();
 
-    let pipeline = StageTiming {
-        old_ms: z_old + build_old,
-        new_ms: z_new + build_new,
-    };
-    eprintln!(
-        "  pipeline         old {:9.1} ms  new {:9.1} ms  speedup {:.2}x",
-        pipeline.old_ms,
-        pipeline.new_ms,
-        pipeline.speedup()
-    );
-
-    // The multi-core sweep: the index build from the shared estimation at
-    // each configured fan-out, asserted identical to the serial result
-    // before the timing is trusted.
-    let mut thread_sweep = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let (idx_t, build_ms) = time_min(reps.min(2), || {
-            MinimizerIndex::build_from_estimation_with_threads(
-                x,
-                &est,
-                params_idx,
-                IndexVariant::Array,
-                t,
-            )
-            .expect("parallel build")
-        });
-        assert_eq!(
-            idx_t.num_sampled_factors(),
-            idx_new.num_sampled_factors(),
-            "parallel factor counts differ on {name} (t = {t})"
-        );
-        assert_eq!(
-            idx_t.size_bytes(),
-            idx_new.size_bytes(),
-            "parallel index size differs on {name} (t = {t})"
-        );
-        drop(idx_t);
-        eprintln!("  threads={t:<3}      build {build_ms:9.1} ms");
-        thread_sweep.push(ThreadPoint {
-            threads: t,
-            index_build_ms: build_ms,
-        });
-    }
-
-    DatasetBench {
+    let result = DatasetBench {
         name: name.to_string(),
         params,
         z,
         ell,
-        z_estimation: StageTiming {
-            old_ms: z_old,
-            new_ms: z_new,
-        },
-        suffix_array: StageTiming {
-            old_ms: sa_old,
-            new_ms: sa_new,
-        },
-        minimizer_scan: StageTiming {
-            old_ms: scan_old,
-            new_ms: scan_new,
-        },
-        index_build: StageTiming {
-            old_ms: build_old,
-            new_ms: build_new,
-        },
-        pipeline,
-        thread_sweep,
+        factors,
+        z_estimation: Summary::of(&z_ms),
+        suffix_array: Summary::of(&sa_ms),
+        minimizer_scan: Summary::of(&scan_ms),
+        index_build: Summary::of(&build_ms),
+        pipeline: Summary::of(&pipeline_ms),
+    };
+    for (label, s) in [
+        ("z-estimation", result.z_estimation),
+        ("suffix-array", result.suffix_array),
+        ("minimizer-scan", result.minimizer_scan),
+        ("index-build", result.index_build),
+        ("pipeline", result.pipeline),
+    ] {
+        eprintln!(
+            "  {label:<16} median {:9.1} ms  [{:.1}, {:.1}]",
+            s.median, s.min, s.max
+        );
     }
+    result
 }
 
-/// Runs the full before/after construction benchmark.
+/// Runs the construction benchmark on the canonical corpora.
 pub fn run_construction_bench(config: &ConstructionBenchConfig) -> Vec<DatasetBench> {
-    let n = config.n;
-    let reps = config.reps;
-    let mut results = Vec::new();
-
     // The corpora come from the canonical shared definition
     // (`ius_datasets::corpora`); z and ell stay per-bench parameters — the
     // high-entropy corpus is deliberately measured at ell = 128 here
-    // (reported for transparency: short solid windows, the estimation
-    // dominates) instead of its query-regime ell = 24.
-    let corpus = |name: &str| bench_corpus(name, n, None).expect("known corpus name");
-
-    let threads = &config.threads;
-
-    let uniform = corpus("uniform");
-    results.push(bench_dataset(
-        uniform.name,
-        uniform.params.clone(),
-        &uniform.x,
-        uniform.z,
-        uniform.ell,
-        reps,
-        threads,
-    ));
-
-    let uniform_he = corpus("uniform_high_entropy");
-    results.push(bench_dataset(
-        uniform_he.name,
-        uniform_he.params.clone(),
-        &uniform_he.x,
-        uniform_he.z,
-        128,
-        reps,
-        threads,
-    ));
-
-    let pangenome = corpus("pangenome");
-    results.push(bench_dataset(
-        pangenome.name,
-        pangenome.params.clone(),
-        &pangenome.x,
-        pangenome.z,
-        pangenome.ell,
-        reps,
-        threads,
-    ));
-
-    let rssi = corpus("rssi");
-    results.push(bench_dataset(
-        rssi.name,
-        rssi.params.clone(),
-        &rssi.x,
-        rssi.z,
-        rssi.ell,
-        reps,
-        threads,
-    ));
-
-    results
+    // (short solid windows, the estimation dominates) instead of its
+    // query-regime ell = 24.
+    ["uniform", "uniform_high_entropy", "pangenome", "rssi"]
+        .into_iter()
+        .map(|name| {
+            let corpus = bench_corpus(name, config.n, None).expect("known corpus name");
+            let ell = if name == "uniform_high_entropy" {
+                128
+            } else {
+                corpus.ell
+            };
+            bench_dataset(
+                corpus.name,
+                corpus.params.clone(),
+                &corpus.x,
+                corpus.z,
+                ell,
+                config.reps,
+            )
+        })
+        .collect()
 }
 
 /// Renders the benchmark results as the `BENCH_construction.json` document.
 pub fn render_json(config: &ConstructionBenchConfig, results: &[DatasetBench]) -> String {
-    fn stage(name: &str, t: &StageTiming) -> String {
-        format!(
-            "      \"{}\": {{ \"old_ms\": {:.2}, \"new_ms\": {:.2}, \"speedup\": {:.2} }}",
-            name,
-            t.old_ms,
-            t.new_ms,
-            t.speedup()
-        )
-    }
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"n\": {}, {},\n",
+        "  \"n\": {}, \"reps\": {}, {},\n",
         config.n,
-        crate::report::json_host_fields(&config.threads)
+        config.reps,
+        crate::report::json_host_fields(&[1])
     ));
     out.push_str(
-        "  \"note\": \"old = retained pre-overhaul implementations (prefix-doubling SA, \
-         reference z-estimation, cloning factor encoder); new = SA-IS, level-merged \
-         z-estimation, clone-free encoder. Both sides take the minimum over the same \
-         repetition count and outputs are asserted identical before timing. Exception: \
-         the minimizer_scan row compares the per-window rescan ALGORITHM (the seed's \
-         test oracle; its production scan already used the monotone deque) and is \
-         excluded from construction_pipeline. thread_sweep re-times only the index build \
-         (parallel factor sorts) from the shared estimation at each executor fan-out; \
-         the z-estimation is serial. Every point's output is asserted identical to the \
-         serial build.\",\n",
+        "  \"note\": \"Absolute wall-clock milliseconds of the serial construction, one \
+         summary per layer (samples, min, median, max over the repetitions). \
+         construction_pipeline_ms sums z_estimation_ms and index_build_ms per repetition; \
+         suffix_array_ms and minimizer_scan_ms time one pass over the heavy string and are \
+         informational. Outputs are checked against their oracles before timing: the \
+         z-estimation contract, the naive suffix array and the brute-force minimizers on a \
+         prefix.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{}\",\n", d.name));
         out.push_str(&format!("      \"params\": \"{}\",\n", d.params));
-        out.push_str(&format!("      \"z\": {}, \"ell\": {},\n", d.z, d.ell));
-        out.push_str(&stage("z_estimation", &d.z_estimation));
-        out.push_str(",\n");
-        out.push_str(&stage("suffix_array", &d.suffix_array));
-        out.push_str(",\n");
-        out.push_str(&stage("minimizer_scan", &d.minimizer_scan));
-        out.push_str(",\n");
-        out.push_str(&stage("index_build", &d.index_build));
-        out.push_str(",\n");
-        out.push_str(&stage("construction_pipeline", &d.pipeline));
-        out.push_str(",\n");
-        out.push_str("      \"thread_sweep\": [\n");
-        for (j, p) in d.thread_sweep.iter().enumerate() {
+        out.push_str(&format!(
+            "      \"z\": {}, \"ell\": {}, \"factors\": {},\n",
+            d.z, d.ell, d.factors
+        ));
+        let stages = [
+            ("z_estimation_ms", &d.z_estimation),
+            ("suffix_array_ms", &d.suffix_array),
+            ("minimizer_scan_ms", &d.minimizer_scan),
+            ("index_build_ms", &d.index_build),
+            ("construction_pipeline_ms", &d.pipeline),
+        ];
+        for (j, (name, s)) in stages.iter().enumerate() {
             out.push_str(&format!(
-                "        {{ \"threads\": {}, \"index_build_ms\": {:.2} }}{}\n",
-                p.threads,
-                p.index_build_ms,
-                if j + 1 == d.thread_sweep.len() {
-                    ""
-                } else {
-                    ","
-                }
+                "      \"{name}\": {}{}\n",
+                s.json(2),
+                if j + 1 == stages.len() { "" } else { "," }
             ));
         }
-        out.push_str("      ]\n");
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {

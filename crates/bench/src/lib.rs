@@ -15,18 +15,16 @@ pub mod measure;
 pub mod query_bench;
 pub mod recovery_bench;
 pub mod report;
-pub mod serve_bench;
 pub mod slo_bench;
 pub mod space_bench;
 pub mod update_bench;
 
-pub use construction::{ConstructionBenchConfig, DatasetBench, StageTiming};
+pub use construction::{ConstructionBenchConfig, DatasetBench};
 pub use experiments::{Experiment, ExperimentId};
 pub use measure::{BuildMeasurement, IndexKind, QueryMeasurement};
 pub use query_bench::{FamilyQueryBench, QueryBenchConfig, QueryDatasetBench};
 pub use recovery_bench::{PolicyBench, RecoveryBenchConfig, RecoveryBenchResult, ReplayBench};
-pub use report::Row;
-pub use serve_bench::{ReloadBench, ServeBenchConfig, ServeDatasetBench, WorkerBench};
+pub use report::{Row, Summary};
 pub use slo_bench::{ClosedLoopBaseline, RateBench, SloBenchConfig, SloDatasetBench};
 pub use space_bench::{FamilySpaceBench, SpaceBenchConfig, SpaceDatasetBench};
 pub use update_bench::{CompactionPhase, QueryPhase, UpdateBenchConfig, UpdateDatasetBench};

@@ -1,30 +1,21 @@
-//! The query-path before/after benchmark behind `reproduce --bench-query`
-//! and `BENCH_query.json`.
+//! The query-path benchmark behind `reproduce --bench-query` and
+//! `BENCH_query.json`.
 //!
-//! Every "old" number is a real measurement of retained runnable code (not a
-//! simulation): [`UncertainIndex::query_reference`] is the pre-overhaul
-//! single-shot query of each family — per-call scheme construction, fresh
-//! reversed-prefix/candidate/grid-report vectors at every layer, and the
-//! letter-at-a-time `equal_range_reference` binary search. The "new" side is
-//! the sink-based `query_into` engine with one reused [`QueryScratch`] and a
-//! reused output vector; "batched" runs the same engine through the
-//! [`QueryBatch`] executor (per-worker scratch, deterministic output order).
-//! Outputs of all three paths are asserted identical, per pattern, before
-//! any timing is trusted, and both sides take the minimum over the same
-//! repetition count.
-//!
-//! On a single-CPU host the batched numbers measure the executor's overhead
-//! plus scratch reuse, not parallelism — the worker count is recorded in the
-//! JSON so the numbers can be read honestly.
+//! Each row times one index family answering a sampled pattern set through
+//! the serving engine, `query_into` with one reused [`QueryScratch`] and a
+//! reused output vector, and reports the absolute microseconds per query as
+//! a [`Summary`] over the repetitions (sample count plus min/median/max).
+//! Before any timing is trusted, every family's answers are asserted
+//! identical, pattern by pattern, to the first family's, and a count-only
+//! sink must see the same totals.
 
+use crate::report::{time_reps, Summary};
 use ius_datasets::corpora::bench_corpora;
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{
-    query_batch, IndexParams, IndexVariant, MinimizerIndex, QueryBatch, QueryScratch,
-    UncertainIndex, Wsa, Wst,
+    CountSink, IndexParams, IndexVariant, MinimizerIndex, QueryScratch, UncertainIndex, Wsa, Wst,
 };
 use ius_weighted::{WeightedString, ZEstimation};
-use std::time::Instant;
 
 /// Above this `n·⌊z⌋` product the WST baseline is skipped (its trie over the
 /// full property text dominates build time without adding query coverage).
@@ -35,12 +26,10 @@ const WST_NZ_LIMIT: usize = 1_500_000;
 pub struct QueryBenchConfig {
     /// Length of the generated weighted strings.
     pub n: usize,
-    /// Repetitions per timed side (the minimum is reported).
+    /// Timed passes over the pattern set.
     pub reps: usize,
     /// Query patterns sampled per dataset (half at ℓ, half at 2ℓ).
     pub patterns: usize,
-    /// Worker threads of the batched executor.
-    pub threads: usize,
 }
 
 impl Default for QueryBenchConfig {
@@ -49,40 +38,22 @@ impl Default for QueryBenchConfig {
             n: 100_000,
             reps: 3,
             patterns: 400,
-            threads: std::thread::available_parallelism().map_or(1, |t| t.get()),
         }
     }
 }
 
-/// Old/new/batched timings of one index family on one dataset.
+/// The timing of one index family on one dataset.
 #[derive(Debug, Clone)]
 pub struct FamilyQueryBench {
     /// Family label (`WSA`, `MWSA-G`, …).
     pub family: String,
     /// Number of patterns answered per repetition.
     pub patterns: usize,
-    /// Total occurrences reported over the pattern set (identical across the
-    /// three paths by assertion).
+    /// Total occurrences reported over the pattern set (identical across
+    /// families by assertion).
     pub occurrences: usize,
-    /// Microseconds per query of the retained pre-overhaul `query_reference`.
-    pub old_us: f64,
     /// Microseconds per query of `query_into` with a reused scratch.
-    pub new_us: f64,
-    /// Microseconds per query of the batched executor (whole set / count).
-    pub batched_us: f64,
-}
-
-impl FamilyQueryBench {
-    /// `old / new`: the single-thread gain from the engine overhaul.
-    pub fn single_thread_speedup(&self) -> f64 {
-        self.old_us / self.new_us
-    }
-
-    /// `old / batched`: the serving-throughput gain of the batched engine
-    /// over the pre-overhaul single-shot loop.
-    pub fn batched_speedup(&self) -> f64 {
-        self.old_us / self.batched_us
-    }
+    pub us_per_query: Summary,
 }
 
 /// All family timings for one dataset configuration.
@@ -100,116 +71,74 @@ pub struct QueryDatasetBench {
     pub families: Vec<FamilyQueryBench>,
 }
 
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let v = f();
-        best = best.min(ms(t));
-        out = Some(v);
-    }
-    (out.expect("at least one rep"), best)
-}
-
-/// Benchmarks one family over one pattern set, asserting the three query
-/// paths produce identical outputs before timing them.
+/// Benchmarks one family over one pattern set, asserting its answers match
+/// `oracle` (the first family's answers) before timing it.
 fn bench_family(
     label: &str,
-    index: &(dyn UncertainIndex + Sync),
+    index: &dyn UncertainIndex,
     x: &WeightedString,
     patterns: &[Vec<u8>],
     oracle: Option<&[Vec<usize>]>,
-    config: &QueryBenchConfig,
+    reps: usize,
 ) -> (FamilyQueryBench, Vec<Vec<usize>>) {
-    // Correctness first: old, new and batched answers must agree pattern by
-    // pattern (and with the previous family's answers when one is given).
-    let old_outputs: Vec<Vec<usize>> = patterns
-        .iter()
-        .map(|p| index.query_reference(p, x).expect("old query"))
-        .collect();
     let mut scratch = QueryScratch::new();
-    let new_outputs: Vec<Vec<usize>> = patterns
+    let outputs: Vec<Vec<usize>> = patterns
         .iter()
         .map(|p| {
             let mut out = Vec::new();
             index
                 .query_into(p, x, &mut scratch, &mut out)
-                .expect("new query");
+                .expect("query");
             out
         })
         .collect();
-    let executor = QueryBatch::with_threads(config.threads);
-    let batched_outputs: Vec<Vec<usize>> = query_batch(index, patterns, x, &executor)
-        .into_iter()
-        .map(|entry| entry.expect("batched query").0)
-        .collect();
-    assert_eq!(old_outputs, new_outputs, "{label}: old vs new outputs");
-    assert_eq!(
-        old_outputs, batched_outputs,
-        "{label}: old vs batched outputs"
-    );
     if let Some(oracle) = oracle {
         assert_eq!(
-            old_outputs, oracle,
-            "{label}: outputs differ from the previous family"
+            outputs, oracle,
+            "{label}: outputs differ from the first family"
         );
     }
-    let occurrences: usize = old_outputs.iter().map(Vec::len).sum();
+    let occurrences: usize = outputs.iter().map(Vec::len).sum();
+    let counted: usize = patterns
+        .iter()
+        .map(|p| {
+            let mut count = CountSink::new();
+            index
+                .query_into(p, x, &mut scratch, &mut count)
+                .expect("count query");
+            count.count
+        })
+        .sum();
+    assert_eq!(counted, occurrences, "{label}: count sink vs collect sink");
 
-    // Timing. Each side accumulates the occurrence total so the work cannot
-    // be optimised away; the totals must match the asserted outputs.
-    let (old_total, old_ms) = time_min(config.reps, || {
-        let mut total = 0usize;
-        for p in patterns {
-            total += index.query_reference(p, x).expect("old query").len();
-        }
-        total
-    });
+    // Each pass accumulates the occurrence total so the work cannot be
+    // optimised away; the total must match the asserted outputs.
     let mut out: Vec<usize> = Vec::new();
-    let (new_total, new_ms) = time_min(config.reps, || {
+    let (total, pass_ms) = time_reps(reps, || {
         let mut total = 0usize;
         for p in patterns {
             out.clear();
             index
                 .query_into(p, x, &mut scratch, &mut out)
-                .expect("new query");
+                .expect("query");
             total += out.len();
         }
         total
     });
-    let (batched_total, batched_ms) = time_min(config.reps, || {
-        query_batch(index, patterns, x, &executor)
-            .into_iter()
-            .map(|entry| entry.expect("batched query").0.len())
-            .sum::<usize>()
-    });
-    assert_eq!(old_total, occurrences);
-    assert_eq!(new_total, occurrences);
-    assert_eq!(batched_total, occurrences);
+    assert_eq!(total, occurrences);
 
-    let per_query = |total_ms: f64| total_ms * 1e3 / patterns.len() as f64;
     let result = FamilyQueryBench {
         family: label.to_string(),
         patterns: patterns.len(),
         occurrences,
-        old_us: per_query(old_ms),
-        new_us: per_query(new_ms),
-        batched_us: per_query(batched_ms),
+        us_per_query: Summary::of(&pass_ms).scaled(1e3 / patterns.len() as f64),
     };
+    let s = result.us_per_query;
     eprintln!(
-        "  {label:<8} old {:>8.2} us  new {:>8.2} us  batched {:>8.2} us  ({}x / {}x)",
-        result.old_us,
-        result.new_us,
-        result.batched_us,
-        (result.single_thread_speedup() * 100.0).round() / 100.0,
-        (result.batched_speedup() * 100.0).round() / 100.0,
+        "  {label:<8} median {:>8.3} us/query  [{:.3}, {:.3}]",
+        s.median, s.min, s.max
     );
-    (result, old_outputs)
+    (result, outputs)
 }
 
 /// Benchmarks one `(x, z, ℓ)` configuration across the index families.
@@ -222,10 +151,9 @@ fn bench_dataset(
     config: &QueryBenchConfig,
 ) -> QueryDatasetBench {
     eprintln!(
-        "[bench-query] {name} (n = {}, z = {z}, ell = {ell}, {} patterns, {} thread(s))",
+        "[bench-query] {name} (n = {}, z = {z}, ell = {ell}, {} patterns)",
         x.len(),
-        config.patterns,
-        config.threads
+        config.patterns
     );
     let est = ZEstimation::build(x, z).expect("estimation");
     let mut sampler = PatternSampler::new(&est, 0x9E41);
@@ -237,7 +165,7 @@ fn bench_dataset(
     );
 
     let index_params = IndexParams::new(z, ell, x.sigma()).expect("params");
-    let mut families: Vec<(String, Box<dyn UncertainIndex + Sync>)> = Vec::new();
+    let mut families: Vec<(String, Box<dyn UncertainIndex>)> = Vec::new();
     families.push((
         "WSA".into(),
         Box::new(Wsa::build_from_estimation(&est).expect("WSA")),
@@ -274,7 +202,7 @@ fn bench_dataset(
             x,
             &patterns,
             oracle.as_deref(),
-            config,
+            config.reps,
         );
         oracle.get_or_insert(outputs);
         results.push(result);
@@ -288,9 +216,9 @@ fn bench_dataset(
     }
 }
 
-/// Runs the full before/after query benchmark on the four canonical
-/// benchmark corpora (`ius_datasets::corpora` — the shared definition also
-/// behind the construction/space/serve benches and the `serve` presets).
+/// Runs the query benchmark on the four canonical benchmark corpora
+/// (`ius_datasets::corpora` — the shared definition also behind the
+/// construction/space benches and the `serve` presets).
 pub fn run_query_bench(config: &QueryBenchConfig) -> Vec<QueryDatasetBench> {
     bench_corpora(config.n)
         .into_iter()
@@ -312,23 +240,18 @@ pub fn render_query_json(config: &QueryBenchConfig, results: &[QueryDatasetBench
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"n\": {}, \"patterns_per_dataset\": {}, \"reps\": {}, \"batch_threads\": {}, {},\n",
+        "  \"n\": {}, \"patterns_per_dataset\": {}, \"reps\": {}, {},\n",
         config.n,
         config.patterns,
         config.reps,
-        config.threads,
-        crate::report::json_host_fields(&[config.threads])
+        crate::report::json_host_fields(&[1])
     ));
     out.push_str(
-        "  \"note\": \"old = retained pre-overhaul query path (query_reference: per-call \
-         minimizer-scheme setup, fresh reversed-prefix/candidate/grid-report vectors, \
-         letter-at-a-time equal_range_reference binary search); new = sink-based query_into \
-         with one reused QueryScratch and reused output vector; batched = the same engine \
-         through the QueryBatch executor with batch_threads workers (per-worker scratch, \
-         deterministic output order — on a 1-CPU host this measures executor overhead plus \
-         reuse, not parallelism). Both sides take the minimum over the same repetition \
-         count, and the outputs of all three paths are asserted identical per pattern \
-         before timing.\",\n",
+        "  \"note\": \"Absolute microseconds per query of the serving engine (query_into with \
+         one reused QueryScratch and a reused output vector, one thread), summarised over the \
+         timed passes (samples, min, median, max). Every family's answers are asserted \
+         identical to the first family's, pattern by pattern, and a count-only sink must see \
+         the same totals, before timing.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -340,17 +263,11 @@ pub fn render_query_json(config: &QueryBenchConfig, results: &[QueryDatasetBench
         for (j, f) in d.families.iter().enumerate() {
             out.push_str(&format!(
                 "        {{ \"family\": \"{}\", \"patterns\": {}, \"occurrences\": {}, \
-                 \"old_us_per_query\": {:.3}, \"new_us_per_query\": {:.3}, \
-                 \"batched_us_per_query\": {:.3}, \"single_thread_speedup\": {:.2}, \
-                 \"batched_speedup\": {:.2}, \"outputs_identical\": true }}{}\n",
+                 \"us_per_query\": {} }}{}\n",
                 f.family,
                 f.patterns,
                 f.occurrences,
-                f.old_us,
-                f.new_us,
-                f.batched_us,
-                f.single_thread_speedup(),
-                f.batched_speedup(),
+                f.us_per_query.json(3),
                 if j + 1 == d.families.len() { "" } else { "," }
             ));
         }
@@ -375,9 +292,8 @@ mod tests {
         // test; the JSON must contain every family row.
         let config = QueryBenchConfig {
             n: 2_000,
-            reps: 1,
+            reps: 2,
             patterns: 12,
-            threads: 2,
         };
         let results = run_query_bench(&config);
         assert_eq!(results.len(), 4);
@@ -386,7 +302,9 @@ mod tests {
             assert!(!d.families.is_empty());
             for f in &d.families {
                 assert!(json.contains(&format!("\"family\": \"{}\"", f.family)));
-                assert!(f.old_us > 0.0 && f.new_us > 0.0 && f.batched_us > 0.0);
+                let s = f.us_per_query;
+                assert_eq!(s.samples, 2);
+                assert!(s.min > 0.0 && s.min <= s.median && s.median <= s.max);
             }
         }
     }

@@ -16,6 +16,7 @@
 //!   reporting records/s and MB/s versus log size. Every replay asserts
 //!   the recovered record count before its timing is trusted.
 
+use crate::report::percentile;
 use ius_datasets::corpora::bench_corpus;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::{FsyncPolicy, LiveConfig, LiveIndex};
@@ -85,14 +86,6 @@ pub struct RecoveryBenchResult {
     pub policies: Vec<PolicyBench>,
     /// Replay throughput versus log size, ascending.
     pub replays: Vec<ReplayBench>,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// A scratch directory that is removed on drop (also on panic, so a

@@ -1,7 +1,87 @@
-//! Result rows and their text/CSV rendering, plus the host/thread metadata
-//! shared by every `BENCH_*.json` document.
+//! Result rows and their text/CSV rendering, the repeated-timing summary
+//! and percentile helpers of the `--bench-*` harnesses, plus the
+//! host/thread metadata shared by every `BENCH_*.json` document.
 
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// The spread of one repeated measurement: sample count plus the minimum,
+/// median and maximum over the samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Number of samples.
+    pub samples: usize,
+    /// Smallest sample.
+    pub min: f64,
+    /// Median sample (the upper median for an even count).
+    pub median: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Summary {
+    /// Summarises `samples`.
+    ///
+    /// # Panics
+    ///
+    /// If `samples` is empty.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "a summary needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        Self {
+            samples: sorted.len(),
+            min: sorted[0],
+            median: sorted[sorted.len() / 2],
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    /// Every statistic multiplied by `factor` (a unit conversion).
+    pub fn scaled(&self, factor: f64) -> Self {
+        Self {
+            samples: self.samples,
+            min: self.min * factor,
+            median: self.median * factor,
+            max: self.max * factor,
+        }
+    }
+
+    /// Renders the summary as a JSON object with `decimals` fraction digits.
+    pub fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{ \"samples\": {}, \"min\": {:.d$}, \"median\": {:.d$}, \"max\": {:.d$} }}",
+            self.samples,
+            self.min,
+            self.median,
+            self.max,
+            d = decimals
+        )
+    }
+}
+
+/// Runs `f` `reps` times (at least once) and returns the last output with
+/// the wall-clock milliseconds of every run.
+pub fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Vec<f64>) {
+    let mut samples = Vec::with_capacity(reps.max(1));
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        out = Some(f());
+        samples.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    (out.expect("at least one rep"), samples)
+}
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`, nearest rank) of an ascending slice; 0 for
+/// an empty one.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
 
 /// Logical CPUs of the benchmarking host (1 when undetectable). Recorded in
 /// every `BENCH_*.json` so multi-core sweeps can be read in context.
@@ -154,6 +234,29 @@ mod tests {
             metric: "index_size_mb".into(),
             value: 12.5,
         }
+    }
+
+    #[test]
+    fn percentile_is_robust() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 1.0), 4.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+    }
+
+    #[test]
+    fn summary_reports_count_and_spread() {
+        let s = Summary::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((s.samples, s.min, s.median, s.max), (3, 1.0, 2.0, 3.0));
+        assert_eq!(Summary::of(&[5.0]).median, 5.0);
+        assert_eq!(s.scaled(2.0).max, 6.0);
+        assert_eq!(
+            s.json(1),
+            "{ \"samples\": 3, \"min\": 1.0, \"median\": 2.0, \"max\": 3.0 }"
+        );
+        let (out, samples) = time_reps(0, || 7);
+        assert_eq!((out, samples.len()), (7, 1));
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The open-loop latency-SLO benchmark behind `reproduce --bench-slo` and
 //! `BENCH_slo.json`.
 //!
-//! The serving benchmark (`--bench-serve`) is *closed-loop*: each client
-//! keeps exactly one request in flight, so the offered load collapses the
-//! moment the server slows down, and queueing delay hides from the latency
-//! percentiles — the coordinated-omission trap. This harness drives the
-//! same served index *open-loop*: every request has an **intended send
+//! In a closed-loop benchmark each client keeps exactly one request in
+//! flight, so the offered load collapses the moment the server slows down,
+//! and queueing delay hides from the latency percentiles — the
+//! coordinated-omission trap. This harness drives a served index
+//! *open-loop*: every request has an **intended send
 //! time** on a fixed arrival schedule (at rate R, request i is due at
 //! `i/R` seconds), a sender that falls behind does not stretch the
 //! schedule, and every latency is measured **from the intended send
 //! time** — a request that waited behind a stalled worker is charged its
 //! full queueing delay, whether or not the client had sent it yet.
 //!
-//! Per corpus the harness first measures a closed-loop baseline (the same
-//! sweep `--bench-serve` times), then sweeps arrival rates — explicit
+//! Per corpus the harness first measures a closed-loop baseline
+//! (`timed_sweep`), then sweeps arrival rates — explicit
 //! ones (`--bench-rates`) or, by default, [`RATE_FRACTIONS`] of the
 //! measured closed-loop throughput — and reports per rate the achieved
 //! rate and the p50/p99/max latency from intended send. The sweep
@@ -34,7 +34,7 @@
 //! the closed-loop throughput; the client/worker counts are recorded in
 //! the JSON so the numbers can be read honestly.
 
-use crate::serve_bench::{percentile, timed_sweep};
+use crate::report::percentile;
 use ius_datasets::corpora::{bench_corpora, BenchCorpus};
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, QueryScratch, UncertainIndex};
@@ -169,6 +169,46 @@ pub struct SloDatasetBench {
     pub closed_vs_open_p99_delta_us: f64,
     /// The target rate the delta was read at.
     pub delta_at_qps: f64,
+}
+
+/// One timed sweep: `clients` threads, each a fresh connection, each
+/// streaming its stripe of the patterns in collect mode, asserting every
+/// answer against the expected outputs. Returns the per-request round-trip
+/// latencies (µs) and the sweep's wall time (seconds).
+fn timed_sweep(
+    addr: SocketAddr,
+    clients: usize,
+    patterns: &[Vec<u8>],
+    expected: &[Vec<usize>],
+    passes: usize,
+) -> (Vec<f64>, f64) {
+    let sweep_start = Instant::now();
+    let mut all_latencies = Vec::with_capacity(patterns.len() * passes);
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for c in 0..clients {
+            handles.push(scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("bench client connect");
+                let mut latencies = Vec::new();
+                for _ in 0..passes.max(1) {
+                    for (i, pattern) in patterns.iter().enumerate().skip(c).step_by(clients) {
+                        let t = Instant::now();
+                        let outcome = client.query(pattern).expect("bench query");
+                        latencies.push(t.elapsed().as_secs_f64() * 1e6);
+                        assert_eq!(
+                            outcome.positions, expected[i],
+                            "served output differs from in-process query_into (pattern {i})"
+                        );
+                    }
+                }
+                latencies
+            }));
+        }
+        for handle in handles {
+            all_latencies.extend(handle.join().expect("bench client thread"));
+        }
+    });
+    (all_latencies, sweep_start.elapsed().as_secs_f64())
 }
 
 /// One open-loop sweep: `clients` sender threads, each a fresh connection,

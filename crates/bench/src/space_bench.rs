@@ -17,6 +17,7 @@
 //! must answer the pattern set exactly like the index it was saved from (and
 //! re-save byte-identically).
 
+use crate::report::{time_reps, Summary};
 use ius_arena::Arena;
 use ius_datasets::corpora::bench_corpus;
 use ius_datasets::patterns::PatternSampler;
@@ -25,7 +26,6 @@ use ius_index::{
     QueryScratch, SaveOptions, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
-use std::time::Instant;
 
 /// Above this `n·⌊z⌋` product the WST baseline is skipped (same budget rule
 /// as the query benchmark).
@@ -103,22 +103,6 @@ pub struct SpaceDatasetBench {
     pub families: Vec<FamilySpaceBench>,
 }
 
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let v = f();
-        best = best.min(ms(t));
-        out = Some(v);
-    }
-    (out.expect("at least one rep"), best)
-}
-
 /// Measures one family: footprint, serialized size, save/open/rebuild times,
 /// with the opened index asserted identical before timing is trusted.
 fn bench_family(
@@ -168,7 +152,7 @@ fn bench_family(
     drop((opened, packed_opened, arena));
 
     let mut buf = Vec::with_capacity(bytes.len());
-    let (_, save_ms) = time_min(config.reps, || {
+    let (_, save_ms) = time_reps(config.reps, || {
         buf.clear();
         index.save_to(&mut buf).expect("save");
         buf.len()
@@ -178,13 +162,13 @@ fn bench_family(
     // (this is also exactly the server's hot-reload cost — its arena is
     // already read in).
     let open_arena = Arena::from_bytes(&bytes);
-    let (opened, open_ms) = time_min(config.reps, || open_index(&open_arena).expect("open"));
+    let (opened, open_ms) = time_reps(config.reps, || open_index(&open_arena).expect("open"));
     drop::<AnyIndex>(opened);
     drop(open_arena);
     // The rebuild side runs the full from-scratch construction, including
     // the z-estimation for the families that need it — the cost a serving
     // process pays when it cannot load.
-    let (rebuilt, rebuild_ms) = time_min(config.reps, || spec.build(x).expect("rebuild"));
+    let (rebuilt, rebuild_ms) = time_reps(config.reps, || spec.build(x).expect("rebuild"));
     assert_eq!(rebuilt.size_bytes(), index.size_bytes());
 
     let result = FamilySpaceBench {
@@ -192,10 +176,10 @@ fn bench_family(
         size_bytes: index.size_bytes(),
         file_bytes: bytes.len(),
         file_bytes_packed: packed.len(),
-        save_ms,
-        open_ms,
+        save_ms: Summary::of(&save_ms).min,
+        open_ms: Summary::of(&open_ms).min,
         bytes_touched_at_first_query,
-        rebuild_ms,
+        rebuild_ms: Summary::of(&rebuild_ms).min,
     };
     eprintln!(
         "  {label:<8} size {:>8.2} MB  file {:>8.2} MB (packed {:>6.2} MB)  save {:>6.1} ms  \

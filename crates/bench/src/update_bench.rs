@@ -22,6 +22,7 @@
 //! The rebuilt single index is also timed as the static baseline, so the
 //! cost of dynamism (segment fan-out) can be read directly.
 
+use crate::report::percentile;
 use ius_datasets::corpora::bench_corpora;
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{
@@ -222,14 +223,6 @@ fn query_phase(live: &LiveIndex, patterns: &[Vec<u8>], reps: usize) -> QueryPhas
         segments: live.num_segments(),
         avg_query_us: best * 1e6 / patterns.len() as f64,
     }
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn bench_dataset(

@@ -1,14 +1,10 @@
-//! Determinism suite for the shared-executor parallel paths: at every
-//! thread count the parallel construction pipeline must be **byte-identical**
-//! to the serial one, across all four preset benchmark corpora.
+//! Determinism suite for the shared-executor parallel path, the live index's
+//! segment builds: at every thread count it must answer exactly like the
+//! serial schedule, across all four preset benchmark corpora. (Index
+//! construction itself, the z-estimation and the factor sorts, is serial.)
 //!
-//! Covered surfaces (the z-estimation itself is serial and has no thread
-//! knob, so it is compared against its reference formulation in the
-//! `ius_weighted` unit tests instead):
+//! Covered surfaces:
 //!
-//! * the full minimizer construction pipeline, compared as **persisted
-//!   IUSX bytes** (which serialize the `EncodedFactorSet` verbatim, so any
-//!   divergence in the parallel factor sort shows up here);
 //! * `LiveIndex::from_corpus` freezing a whole corpus into several
 //!   segments built concurrently in one flush — size and query answers;
 //! * `LiveIndex` ingesting with parallel segment builds and tiered
@@ -16,7 +12,7 @@
 
 use ius_datasets::corpora::bench_corpora;
 use ius_datasets::patterns::PatternSampler;
-use ius_index::{save_index, IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
+use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
 use ius_live::{LiveConfig, LiveIndex};
 use ius_weighted::ZEstimation;
 
@@ -25,34 +21,8 @@ use ius_weighted::ZEstimation;
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Corpus length: small enough for CI, large enough that every corpus
-/// spans multiple sort chunks and live segments at 8 threads.
+/// spans multiple live segments at 8 threads.
 const N: usize = 2_500;
-
-#[test]
-fn persisted_index_bytes_match_serial_at_every_thread_count() {
-    for corpus in bench_corpora(N) {
-        let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).expect("params");
-        for variant in [IndexVariant::Array, IndexVariant::ArrayGrid] {
-            let spec = IndexSpec::new(IndexFamily::Minimizer(variant), params);
-            let serial = spec.build(&corpus.x).expect("serial build");
-            let mut expected = Vec::new();
-            save_index(&serial, &mut expected).expect("serialize serial");
-            for &t in &THREADS {
-                let parallel = spec
-                    .with_threads(t)
-                    .build(&corpus.x)
-                    .expect("parallel build");
-                let mut bytes = Vec::new();
-                save_index(&parallel, &mut bytes).expect("serialize parallel");
-                assert_eq!(
-                    bytes, expected,
-                    "{} {variant:?} t={t}: persisted IUSX bytes diverged",
-                    corpus.name
-                );
-            }
-        }
-    }
-}
 
 #[test]
 fn sharded_index_matches_serial_at_every_thread_count() {

@@ -1,10 +1,8 @@
 //! # ius-exec — the workspace's one thread executor
 //!
-//! Before this crate, three subsystems each rolled their own threading:
-//! the query batcher kept a scoped-thread fan-out in `ius_query`, the
-//! server spawned an acceptor plus a worker pool by hand, and the live
-//! index spawned an off-lock compaction thread. This crate extracts the
-//! two shapes they all reduce to, so there is exactly one executor
+//! The server runs an acceptor plus a worker pool, and the live index
+//! builds segments in parallel and compacts off-lock. This crate holds the
+//! two shapes they reduce to, so there is exactly one executor
 //! implementation to audit:
 //!
 //! * [`Executor`] — a fixed-width **scoped fan-out** for finite task
@@ -22,12 +20,11 @@
 //!   them, so they are `'static` and non-scoped; the pool only tracks and
 //!   joins them.
 //!
-//! Determinism is the point, not an accident: every parallel construction
-//! path in the workspace (factor-set sorting, live segment builds)
-//! is required to produce **byte-identical** output at every thread
-//! count, and the executor's contribution is that task `i`'s result
-//! always lands in slot `i` regardless of which worker ran it or when it
-//! finished.
+//! Determinism is the point, not an accident: the parallel construction
+//! path in the workspace (live segment builds) is required to produce
+//! **byte-identical** output at every thread count, and the executor's
+//! contribution is that task `i`'s result always lands in slot `i`
+//! regardless of which worker ran it or when it finished.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,9 +66,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A fixed-width scoped-thread executor for finite task lists.
 ///
 /// Cloning is free (the executor is just a thread count); every call to
-/// [`Executor::run`] / [`Executor::run_with`] spawns its own scoped
-/// threads and joins them before returning, so the executor holds no
-/// threads, no queues and no state between calls.
+/// [`Executor::run`] spawns its own scoped threads and joins them before
+/// returning, so the executor holds no threads, no queues and no state
+/// between calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -106,19 +103,8 @@ impl Executor {
         self.threads.max(1)
     }
 
-    /// Runs `count` stateless tasks; see [`Executor::run_with`] for the
-    /// full contract.
-    pub fn run<T, F>(&self, count: usize, task: F) -> Vec<Result<T, TaskPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_with(count, || (), |i, _state| task(i))
-    }
-
-    /// Runs tasks `0..count`, giving each worker one mutable state built
-    /// by `init` (a scratch buffer, a reusable allocation), and returns
-    /// the results **in input order**: slot `i` holds task `i`'s result.
+    /// Runs tasks `0..count` and returns the results **in input order**:
+    /// slot `i` holds task `i`'s result.
     ///
     /// Tasks are split into at most [`Executor::threads`] contiguous
     /// chunks, one scoped thread per chunk — the same static schedule at
@@ -127,31 +113,23 @@ impl Executor {
     /// tasks) everything runs inline on the caller's thread.
     ///
     /// A panicking task poisons only its own slot (a typed
-    /// [`TaskPanic`]); its worker rebuilds the per-worker state via
-    /// `init` — it may have been left inconsistent mid-panic — and keeps
-    /// running the remaining tasks of its chunk.
-    pub fn run_with<S, T, I, F>(&self, count: usize, init: I, task: F) -> Vec<Result<T, TaskPanic>>
+    /// [`TaskPanic`]); its worker keeps running the remaining tasks of its
+    /// chunk.
+    pub fn run<T, F>(&self, count: usize, task: F) -> Vec<Result<T, TaskPanic>>
     where
         T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
+        F: Fn(usize) -> T + Sync,
     {
         let mut slots: Vec<Option<Result<T, TaskPanic>>> = Vec::with_capacity(count);
         slots.resize_with(count, || None);
         let workers = self.threads().min(count.max(1));
         let fill = |base: usize, chunk_slots: &mut [Option<Result<T, TaskPanic>>]| {
-            let mut state = init();
             for (j, slot) in chunk_slots.iter_mut().enumerate() {
                 let index = base + j;
                 *slot = Some(
-                    catch_unwind(AssertUnwindSafe(|| task(index, &mut state))).map_err(|payload| {
-                        // The state may be mid-mutation: rebuild it before
-                        // the next task of this chunk.
-                        state = init();
-                        TaskPanic {
-                            task: index,
-                            message: payload_message(payload.as_ref()),
-                        }
+                    catch_unwind(AssertUnwindSafe(|| task(index))).map_err(|payload| TaskPanic {
+                        task: index,
+                        message: payload_message(payload.as_ref()),
                     }),
                 );
             }
@@ -236,7 +214,6 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_input_order_for_any_thread_count() {
@@ -274,33 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn a_panic_rebuilds_the_worker_state_before_the_next_task() {
-        // One worker ⇒ one shared state across all tasks. The panic in
-        // task 1 happens after the state was corrupted; task 2 must see a
-        // fresh state, not the corrupted one.
-        let inits = AtomicUsize::new(0);
-        let results = Executor::with_threads(1).run_with(
-            3,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |i, state| {
-                *state = i + 1;
-                if i == 1 {
-                    panic!("corrupted");
-                }
-                *state
-            },
-        );
-        assert_eq!(results[0], Ok(1));
-        assert!(results[1].is_err());
-        assert_eq!(results[2], Ok(3));
-        // Initial state + the rebuild after the panic.
-        assert_eq!(inits.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
     fn non_string_panic_payloads_are_summarised() {
         let results = Executor::with_threads(1).run(1, |_| {
             std::panic::panic_any(42usize);
@@ -330,34 +280,6 @@ mod tests {
         // executor (count caps the worker count).
         let results = executor.run(1, |i| i + 9);
         assert_eq!(results[0], Ok(9));
-    }
-
-    #[test]
-    fn per_worker_state_is_initialised_once_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let executor = Executor::with_threads(4);
-        let results = executor.run_with(
-            64,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                Vec::<usize>::new()
-            },
-            |i, scratch| {
-                scratch.push(i);
-                scratch.len()
-            },
-        );
-        assert_eq!(results.len(), 64);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(inits.load(Ordering::SeqCst), 4);
-        // Chunked static schedule: worker w owns tasks [w·16, w·16+16),
-        // so within a chunk the per-worker scratch length counts up.
-        let lengths: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
-        for w in 0..4 {
-            for j in 0..16 {
-                assert_eq!(lengths[w * 16 + j], j + 1);
-            }
-        }
     }
 
     #[test]

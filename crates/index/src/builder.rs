@@ -105,35 +105,12 @@ pub struct IndexSpec {
     pub family: IndexFamily,
     /// The ℓ-Weighted-Indexing instance parameters.
     pub params: IndexParams,
-    /// Construction fan-out on the shared [`ius_exec::Executor`] (1 = serial,
-    /// 0 = all CPUs). A build-time knob only: it is not part of the persisted
-    /// parameters, and the built index is byte-identical at every value.
-    threads: usize,
 }
 
 impl IndexSpec {
-    /// Creates a descriptor (serial construction; see
-    /// [`IndexSpec::with_threads`]).
+    /// Creates a descriptor.
     pub fn new(family: IndexFamily, params: IndexParams) -> Self {
-        Self {
-            family,
-            params,
-            threads: 1,
-        }
-    }
-
-    /// Fans construction out over `threads` workers (0 = all CPUs): the
-    /// factor sorts run on the shared executor (the z-estimation is always
-    /// serial). Queries and persistence are unaffected — the built index is
-    /// byte-identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The construction fan-out (1 = serial, 0 = all CPUs).
-    pub fn threads(&self) -> usize {
-        self.threads
+        Self { family, params }
     }
 
     /// The minimum pattern length this family will accept (`ℓ` for the
@@ -189,18 +166,10 @@ impl IndexSpec {
             IndexFamily::Wst => AnyIndex::Wst(Wst::build_from_estimation(est()?)?),
             IndexFamily::Wsa => AnyIndex::Wsa(Wsa::build_from_estimation(est()?)?),
             IndexFamily::Minimizer(variant) => AnyIndex::Minimizer(Box::new(
-                MinimizerIndex::build_from_estimation_with_threads(
-                    x,
-                    est()?,
-                    self.params,
-                    variant,
-                    self.threads,
-                )?,
+                MinimizerIndex::build_from_estimation(x, est()?, self.params, variant)?,
             )),
             IndexFamily::SpaceEfficient(variant) => AnyIndex::Minimizer(Box::new(
-                SpaceEfficientBuilder::new(self.params)
-                    .with_threads(self.threads)
-                    .build(x, variant)?,
+                SpaceEfficientBuilder::new(self.params).build(x, variant)?,
             )),
         })
     }
@@ -263,10 +232,6 @@ impl UncertainIndex for AnyIndex {
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
         self.as_dyn().query_into(pattern, x, scratch, sink)
-    }
-
-    fn query_reference(&self, pattern: &[u8], x: &WeightedString) -> Result<Vec<usize>> {
-        self.as_dyn().query_reference(pattern, x)
     }
 
     fn size_bytes(&self) -> usize {

@@ -95,8 +95,8 @@ pub struct EncodedFactorSet {
     /// Packed 8-letter prefix key per sorted leaf (see [`prefix_key`]),
     /// carried over from the construction sort. Non-decreasing in leaf
     /// order; used to narrow `equal_range` with integer comparisons before
-    /// any letter is compared. Empty for sets built by the retained
-    /// reference pipeline (the binary search then skips the narrowing).
+    /// any letter is compared. An empty table (accepted on load) makes the
+    /// binary search skip the narrowing.
     prefix_keys: ArenaVec<u64>,
 }
 
@@ -179,13 +179,6 @@ impl EncodedFactorSet {
         &self.mism_letters[self.mism_range(leaf)]
     }
 
-    /// The probability ratios of the `leaf`-th factor's stored mismatches,
-    /// aligned with [`EncodedFactorSet::mismatch_depths`].
-    #[inline]
-    pub fn mismatch_ratios(&self, leaf: usize) -> &[f64] {
-        &self.mism_ratios[self.mism_range(leaf)]
-    }
-
     /// The precomputed `ln(ratio)` of each stored mismatch of the `leaf`-th
     /// factor, aligned with [`EncodedFactorSet::mismatch_depths`].
     #[inline]
@@ -225,8 +218,7 @@ impl EncodedFactorSet {
     /// The half-open range of sorted leaves whose factors have `pattern` as a
     /// prefix, by binary search — the array-based (MWSA) lookup.
     ///
-    /// Two layers of acceleration over the retained reference search:
-    /// patterns of length ≥ 8 are first narrowed to the run of leaves whose
+    /// Patterns of length ≥ 8 are first narrowed to the run of leaves whose
     /// packed 8-letter [`prefix_key`] equals the pattern's (pure integer
     /// comparisons), and every remaining comparison walks the factor's
     /// heavy-view stretches *between* mismatches with slice (memcmp-style)
@@ -255,22 +247,6 @@ impl EncodedFactorSet {
                 // Leaf's prefix (of pattern length) ≤ pattern?
                 self.cmp_leaf(search_lo + i, pattern, true) != Ordering::Greater
             });
-        (lo, hi)
-    }
-
-    /// The pre-overhaul `equal_range`: binary search whose comparator decodes
-    /// the factor one [`EncodedFactorSet::letter_at`] call (a linear scan of
-    /// the mismatch list) per letter. Retained for differential testing and
-    /// as the "before" side of the query benchmark; returns exactly the same
-    /// range as [`EncodedFactorSet::equal_range`].
-    pub fn equal_range_reference(&self, pattern: &[u8]) -> (usize, usize) {
-        let lo = self.partition_point(|leaf| {
-            self.compare_leaf_to_pattern_reference(leaf, pattern)
-                .is_lt()
-        });
-        let hi = self.partition_point(|leaf| {
-            self.compare_leaf_prefix_to_pattern_reference(leaf, pattern) != Ordering::Greater
-        });
         (lo, hi)
     }
 
@@ -350,10 +326,6 @@ impl EncodedFactorSet {
         Arc::strong_count(&self.heavy_view) == 1
     }
 
-    fn partition_point<F: Fn(usize) -> bool>(&self, pred: F) -> usize {
-        partition_point_in(self.len(), pred)
-    }
-
     // ---- persistence support (see `crate::persist`) --------------------
 
     /// Anchors in `X` coordinates, per sorted leaf.
@@ -391,7 +363,8 @@ impl EncodedFactorSet {
         &self.mism_ratios
     }
 
-    /// The packed prefix keys (empty for reference-built sets).
+    /// The packed prefix keys (may be empty; `equal_range` then skips the
+    /// integer narrowing).
     pub(crate) fn prefix_keys_raw(&self) -> &[u64] {
         &self.prefix_keys
     }
@@ -482,41 +455,6 @@ impl EncodedFactorSet {
             prefix_keys,
         })
     }
-
-    /// Compares the full factor of `leaf` with `pattern` (pattern treated as
-    /// a plain string; a factor that is a proper prefix of the pattern is
-    /// smaller). Pre-overhaul letter-at-a-time comparator, retained for
-    /// [`EncodedFactorSet::equal_range_reference`].
-    fn compare_leaf_to_pattern_reference(&self, leaf: usize, pattern: &[u8]) -> Ordering {
-        let len = self.factor_len(leaf);
-        for (d, &pc) in pattern.iter().enumerate().take(len) {
-            let c = self.letter_at(leaf, d).expect("within factor");
-            match c.cmp(&pc) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        len.cmp(&pattern.len())
-    }
-
-    /// Compares the length-`|pattern|` prefix of the factor with `pattern`
-    /// (a shorter factor counts as smaller). Pre-overhaul letter-at-a-time
-    /// comparator, retained for [`EncodedFactorSet::equal_range_reference`].
-    fn compare_leaf_prefix_to_pattern_reference(&self, leaf: usize, pattern: &[u8]) -> Ordering {
-        let len = self.factor_len(leaf);
-        for (d, &pc) in pattern.iter().enumerate().take(len) {
-            let c = self.letter_at(leaf, d).expect("within factor");
-            match c.cmp(&pc) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        if len >= pattern.len() {
-            Ordering::Equal
-        } else {
-            Ordering::Less
-        }
-    }
 }
 
 impl LabelProvider for EncodedFactorSet {
@@ -591,21 +529,6 @@ impl EncodedFactorSetBuilder {
     /// together with the LCP values of neighbouring factors (entry 0 is 0) —
     /// exactly what [`ius_text::trie::CompactedTrie::build`] needs.
     pub fn finish(self) -> (EncodedFactorSet, Vec<usize>) {
-        self.finish_with_threads(1)
-    }
-
-    /// [`EncodedFactorSetBuilder::finish`] with the sort fanned out over
-    /// `threads` workers (0 = all CPUs) on the shared [`ius_exec::Executor`].
-    ///
-    /// Each worker sorts a contiguous chunk of factor indices with the *same*
-    /// comparator the serial sort uses, extended by an original-index
-    /// tiebreak that makes the order a total order; a serial k-way merge then
-    /// combines the runs. Because the tiebroken comparator admits exactly one
-    /// sorted permutation, the emitted set is byte-identical to the serial
-    /// [`EncodedFactorSetBuilder::finish`] at every thread count (and
-    /// full-comparator ties are identical records anyway — same anchor, same
-    /// string, hence same mismatch list).
-    pub fn finish_with_threads(self, threads: usize) -> (EncodedFactorSet, Vec<usize>) {
         let n = self.heavy_forward.len();
         let heavy_view: Arc<Vec<u8>> = match self.direction {
             // Forward sets read the heavy string as-is: share the allocation.
@@ -633,7 +556,8 @@ impl EncodedFactorSetBuilder {
             .iter()
             .map(|f| prefix_key(f, &heavy_view, anchor_to_view(f.anchor_x) as usize))
             .collect();
-        let cmp = |a: usize, b: usize| {
+        let mut order: Vec<usize> = (0..factors.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
             prefix_keys[a]
                 .cmp(&prefix_keys[b])
                 .then_with(|| {
@@ -648,116 +572,10 @@ impl EncodedFactorSetBuilder {
                 })
                 .then(factors[a].anchor_x.cmp(&factors[b].anchor_x))
                 .then(factors[a].strand.cmp(&factors[b].strand))
-                // Full-comparator ties are identical records; the index
-                // tiebreak pins one canonical permutation so chunked sorting
-                // and merging reproduce the serial order exactly.
-                .then(a.cmp(&b))
-        };
-        let executor = ius_exec::Executor::with_threads(threads);
-        let workers = executor.threads().min(factors.len().max(1));
-        let order: Vec<usize> = if workers <= 1 {
-            let mut order: Vec<usize> = (0..factors.len()).collect();
-            order.sort_unstable_by(|&a, &b| cmp(a, b));
-            order
-        } else {
-            let chunk = factors.len().div_ceil(workers);
-            let runs = executor.run(factors.len().div_ceil(chunk), |w| {
-                let lo = w * chunk;
-                let hi = (lo + chunk).min(factors.len());
-                let mut run: Vec<usize> = (lo..hi).collect();
-                run.sort_unstable_by(|&a, &b| cmp(a, b));
-                run
-            });
-            let runs: Vec<Vec<usize>> = runs
-                .into_iter()
-                .map(|outcome| match outcome {
-                    Ok(run) => run,
-                    Err(task_panic) => panic!("{task_panic}"),
-                })
-                .collect();
-            merge_sorted_runs(runs, &cmp)
-        };
+        });
 
         let total_mismatches: usize = factors.iter().map(|f| f.mismatches.len()).sum();
         let mut raw = RawFactorData::with_capacity(order.len(), total_mismatches);
-        let lcps = Self::emit_sorted(
-            &factors,
-            &order,
-            &mut raw,
-            &heavy_view,
-            &lce,
-            anchor_to_view,
-        );
-        // Keep the construction sort's packed keys, reordered to leaf order,
-        // as the integer narrowing index of `equal_range`.
-        let leaf_keys: Vec<u64> = order.iter().map(|&idx| prefix_keys[idx]).collect();
-        (raw.into_set(self.direction, heavy_view, leaf_keys), lcps)
-    }
-
-    /// The pre-overhaul `finish`: builds the LCE substrate from the retained
-    /// prefix-doubling suffix array and sorts with the `O(log z)` comparator
-    /// alone (no packed prefix keys). Retained for differential testing and
-    /// as the "before" measurement of the construction benchmark; produces
-    /// exactly the same sorted set as [`EncodedFactorSetBuilder::finish`].
-    pub fn finish_reference(self) -> (EncodedFactorSet, Vec<usize>) {
-        use ius_text::sa::suffix_array_prefix_doubling;
-        let n = self.heavy_forward.len();
-        let heavy_view: Arc<Vec<u8>> = {
-            // The seed copied the heavy letters into every builder; keep that
-            // cost in the reference path.
-            let mut v = (*self.heavy_forward).clone();
-            if self.direction == Direction::Backward {
-                v.reverse();
-            }
-            Arc::new(v)
-        };
-        let anchor_to_view = |anchor_x: u32| -> u32 {
-            match self.direction {
-                Direction::Forward => anchor_x,
-                Direction::Backward => (n as u32) - 1 - anchor_x,
-            }
-        };
-        let lce =
-            LceIndex::from_suffix_array(&heavy_view, suffix_array_prefix_doubling(&heavy_view));
-        let mut order: Vec<usize> = (0..self.factors.len()).collect();
-        let factors = self.factors;
-        order.sort_unstable_by(|&a, &b| {
-            compare_pending(
-                &factors[a],
-                anchor_to_view(factors[a].anchor_x) as usize,
-                &factors[b],
-                anchor_to_view(factors[b].anchor_x) as usize,
-                &heavy_view,
-                &lce,
-            )
-            .then(factors[a].anchor_x.cmp(&factors[b].anchor_x))
-            .then(factors[a].strand.cmp(&factors[b].strand))
-        });
-
-        let mut raw = RawFactorData::with_capacity(order.len(), 0);
-        let lcps = Self::emit_sorted(
-            &factors,
-            &order,
-            &mut raw,
-            &heavy_view,
-            &lce,
-            anchor_to_view,
-        );
-        // The reference pipeline predates the packed keys; leaving them
-        // empty makes `equal_range` skip the integer narrowing.
-        (raw.into_set(self.direction, heavy_view, Vec::new()), lcps)
-    }
-
-    /// Emits the factors into `raw` in sorted order and computes neighbour
-    /// LCPs (shared tail of `finish` and `finish_reference`).
-    fn emit_sorted(
-        factors: &[PendingFactor],
-        order: &[usize],
-        raw: &mut RawFactorData,
-        heavy_view: &[u8],
-        lce: &LceIndex,
-        anchor_to_view: impl Fn(u32) -> u32,
-    ) -> Vec<usize> {
         let mut lcps = vec![0usize; order.len()];
         for (rank, &idx) in order.iter().enumerate() {
             let f = &factors[idx];
@@ -779,12 +597,15 @@ impl EncodedFactorSetBuilder {
                     anchor_to_view(prev.anchor_x) as usize,
                     f,
                     anchor_to_view(f.anchor_x) as usize,
-                    heavy_view,
-                    lce,
+                    &heavy_view,
+                    &lce,
                 );
             }
         }
-        lcps
+        // Keep the construction sort's packed keys, reordered to leaf order,
+        // as the integer narrowing index of `equal_range`.
+        let leaf_keys: Vec<u64> = order.iter().map(|&idx| prefix_keys[idx]).collect();
+        (raw.into_set(self.direction, heavy_view, leaf_keys), lcps)
     }
 }
 
@@ -842,34 +663,8 @@ impl RawFactorData {
     }
 }
 
-/// Serial k-way merge of sorted index runs under a strict total order (the
-/// tiebroken factor comparator), the combine step of the parallel sort. The
-/// run count equals the worker count, so the per-element linear scan over
-/// run heads is cheap.
-fn merge_sorted_runs(runs: Vec<Vec<usize>>, cmp: &impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; runs.len()];
-    let mut merged = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if heads[r] >= run.len() {
-                continue;
-            }
-            best = match best {
-                Some(b) if cmp(runs[b][heads[b]], run[heads[r]]).is_le() => Some(b),
-                _ => Some(r),
-            };
-        }
-        let b = best.expect("total counts the remaining elements");
-        merged.push(runs[b][heads[b]]);
-        heads[b] += 1;
-    }
-    merged
-}
-
 /// First index in `0..len` for which `pred` is false (`pred` must be
-/// monotone), the shared binary-search kernel of the range lookups.
+/// monotone), the binary-search kernel of [`EncodedFactorSet::equal_range`].
 fn partition_point_in<F: Fn(usize) -> bool>(len: usize, pred: F) -> usize {
     let mut lo = 0usize;
     let mut hi = len;
@@ -1133,51 +928,10 @@ mod tests {
                 (0..m).map(|_| rng.gen_range(0..sigma)).collect()
             };
             let (lo, hi) = set.equal_range(&pattern);
-            // The slice-stretch comparator must agree exactly with the
-            // retained letter-at-a-time binary search.
-            assert_eq!(
-                (lo, hi),
-                set.equal_range_reference(&pattern),
-                "pattern {pattern:?}"
-            );
             for leaf in 0..set.len() {
                 let is_prefix = set.materialize(leaf).starts_with(&pattern);
                 let in_range = leaf >= lo && leaf < hi;
                 assert_eq!(is_prefix, in_range, "leaf {leaf} pattern {pattern:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_finish_is_byte_identical_to_serial() {
-        let mut rng = StdRng::seed_from_u64(0xCAFE);
-        for direction in [Direction::Forward, Direction::Backward] {
-            let n = 70usize;
-            let sigma = 3u8;
-            let heavy: Arc<Vec<u8>> = Arc::new((0..n).map(|_| rng.gen_range(0..sigma)).collect());
-            let factors: Vec<PendingFactor> = (0..150)
-                .map(|_| random_factor(&mut rng, n, direction, sigma, &heavy))
-                .collect();
-            let mut serial_builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
-            for f in &factors {
-                serial_builder.push(f.clone());
-            }
-            let (serial, serial_lcps) = serial_builder.finish();
-            for threads in [2usize, 3, 8] {
-                let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
-                for f in &factors {
-                    builder.push(f.clone());
-                }
-                let (parallel, lcps) = builder.finish_with_threads(threads);
-                assert_eq!(lcps, serial_lcps, "{direction:?} threads={threads}");
-                assert_eq!(parallel.anchor_x_raw(), serial.anchor_x_raw());
-                assert_eq!(parallel.lens_raw(), serial.lens_raw());
-                assert_eq!(parallel.strands_raw(), serial.strands_raw());
-                assert_eq!(parallel.mism_start_raw(), serial.mism_start_raw());
-                assert_eq!(parallel.mism_depths_raw(), serial.mism_depths_raw());
-                assert_eq!(parallel.mism_letters_raw(), serial.mism_letters_raw());
-                assert_eq!(parallel.mism_ratios_raw(), serial.mism_ratios_raw());
-                assert_eq!(parallel.prefix_keys_raw(), serial.prefix_keys_raw());
             }
         }
     }

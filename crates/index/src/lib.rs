@@ -17,16 +17,14 @@
 //! string `X` where `P` occurs with probability at least `1/z`. The serving
 //! entry point is the sink-based [`UncertainIndex::query_into`] (reusable
 //! [`QueryScratch`], pluggable [`MatchSink`], per-query [`QueryStats`]);
-//! [`UncertainIndex::query`] is a thin allocating wrapper over it, and
-//! [`query_batch`] answers many patterns over one index with per-worker
-//! scratch and deterministic output order. Every index is differentially
-//! tested against [`NaiveIndex`] in this crate's test-suite (see
-//! `tests/differential.rs`) and in `tests/` at the workspace root.
+//! [`UncertainIndex::query`] is a thin allocating wrapper over it. Every
+//! index is differentially tested against [`NaiveIndex`] in this crate's
+//! test-suite (see `tests/differential.rs`) and in `tests/` at the workspace
+//! root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod builder;
 pub mod encode;
 pub mod minimizer_index;
@@ -40,11 +38,8 @@ pub mod traits;
 pub mod wsa;
 pub mod wst;
 
-pub use batch::{query_batch, query_batch_positions};
 pub use builder::{AnyIndex, IndexFamily, IndexSpec};
-pub use ius_query::{
-    finalize_into, CountSink, FirstKSink, MatchSink, QueryBatch, QueryScratch, QueryStats,
-};
+pub use ius_query::{finalize_into, CountSink, FirstKSink, MatchSink, QueryScratch, QueryStats};
 pub use minimizer_index::{IndexVariant, MinimizerIndex};
 pub use naive::NaiveIndex;
 pub use params::IndexParams;

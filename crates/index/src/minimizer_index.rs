@@ -18,7 +18,7 @@ use crate::encode::{
     Direction, EncodedFactorSet, EncodedFactorSetBuilder, Mismatch, PendingFactor,
 };
 use crate::params::IndexParams;
-use crate::traits::{finalize_positions, validate_pattern, IndexStats, UncertainIndex};
+use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::{Arena, ArenaVec};
 use ius_grid::{GridPoint, RangeReporter, Rect};
 use ius_obs::clock;
@@ -118,25 +118,6 @@ impl MinimizerIndex {
         params: IndexParams,
         variant: IndexVariant,
     ) -> Result<Self> {
-        Self::build_from_estimation_with_threads(x, estimation, params, variant, 1)
-    }
-
-    /// [`MinimizerIndex::build_from_estimation`] with the factor sorts fanned
-    /// out over `threads` workers (0 = all CPUs) on the shared
-    /// [`ius_exec::Executor`]. The built index is byte-identical at every
-    /// thread count; the factor *collection* stays serial (it walks the
-    /// strands in order).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MinimizerIndex::build_from_estimation`].
-    pub fn build_from_estimation_with_threads(
-        x: &WeightedString,
-        estimation: &ZEstimation,
-        params: IndexParams,
-        variant: IndexVariant,
-        threads: usize,
-    ) -> Result<Self> {
         if (estimation.z() - params.z).abs() > 1e-9 {
             return Err(Error::InvalidParameters(format!(
                 "estimation built for z = {} but parameters say z = {}",
@@ -215,96 +196,8 @@ impl MinimizerIndex {
             }
         }
 
-        let (fwd, fwd_lcps) = fwd_builder.finish_with_threads(threads);
-        let (bwd, bwd_lcps) = bwd_builder.finish_with_threads(threads);
-        Self::assemble(
-            x, params, variant, heavy, fwd, fwd_lcps, bwd, bwd_lcps, "explicit",
-        )
-    }
-
-    /// The pre-overhaul explicit construction, retained for differential
-    /// testing and as the "before" measurement of the construction
-    /// benchmark: copies the heavy letters into each builder, collects the
-    /// per-strand deviations into fresh vectors, sorts backward mismatches
-    /// post hoc and finishes through [`EncodedFactorSetBuilder::finish_reference`]
-    /// (prefix-doubling suffix array, key-less comparator sort). Produces an
-    /// index identical to [`MinimizerIndex::build_from_estimation`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MinimizerIndex::build_from_estimation`].
-    pub fn build_from_estimation_reference(
-        x: &WeightedString,
-        estimation: &ZEstimation,
-        params: IndexParams,
-        variant: IndexVariant,
-    ) -> Result<Self> {
-        if (estimation.z() - params.z).abs() > 1e-9 {
-            return Err(Error::InvalidParameters(format!(
-                "estimation built for z = {} but parameters say z = {}",
-                estimation.z(),
-                params.z
-            )));
-        }
-        if estimation.len() != x.len() {
-            return Err(Error::InvalidParameters(format!(
-                "estimation length {} does not match |X| = {}",
-                estimation.len(),
-                x.len()
-            )));
-        }
-        let heavy = HeavyString::new(x);
-        let scheme = MinimizerScheme::new(params.ell, params.k, x.sigma(), params.order);
-
-        let mut fwd_builder = EncodedFactorSetBuilder::new(
-            Direction::Forward,
-            std::sync::Arc::new(heavy.as_ranks().to_vec()),
-        );
-        let mut bwd_builder = EncodedFactorSetBuilder::new(
-            Direction::Backward,
-            std::sync::Arc::new(heavy.as_ranks().to_vec()),
-        );
-
-        for (strand_id, strand) in estimation.strands().iter().enumerate() {
-            let seq = strand.seq();
-            let extents = strand.extents();
-            let deviations: Vec<(u32, u8, f64)> = (0..seq.len())
-                .filter(|&p| seq[p] != heavy.letter(p))
-                .map(|p| {
-                    let ratio = x.prob(p, seq[p]) / x.prob(p, heavy.letter(p));
-                    (p as u32, seq[p], ratio)
-                })
-                .collect();
-            let minimizers = scheme.minimizers_respecting(seq, extents);
-            for &anchor in &minimizers {
-                let end = strand.extent(anchor);
-                let fwd_mismatches =
-                    collect_mismatches(&deviations, anchor as u32, end as u32, false, |pos| {
-                        pos - anchor as u32
-                    });
-                fwd_builder.push(PendingFactor {
-                    anchor_x: anchor as u32,
-                    len: (end - anchor) as u32,
-                    strand: strand_id as u32,
-                    mismatches: fwd_mismatches,
-                });
-                let b = extents.partition_point(|&e| (e as usize) < anchor + 1);
-                let mut bwd_mismatches =
-                    collect_mismatches(&deviations, b as u32, anchor as u32 + 1, false, |pos| {
-                        anchor as u32 - pos
-                    });
-                bwd_mismatches.sort_by_key(|m| m.depth);
-                bwd_builder.push(PendingFactor {
-                    anchor_x: anchor as u32,
-                    len: (anchor - b + 1) as u32,
-                    strand: strand_id as u32,
-                    mismatches: bwd_mismatches,
-                });
-            }
-        }
-
-        let (fwd, fwd_lcps) = fwd_builder.finish_reference();
-        let (bwd, bwd_lcps) = bwd_builder.finish_reference();
+        let (fwd, fwd_lcps) = fwd_builder.finish();
+        let (bwd, bwd_lcps) = bwd_builder.finish();
         Self::assemble(
             x, params, variant, heavy, fwd, fwd_lcps, bwd, bwd_lcps, "explicit",
         )
@@ -613,28 +506,10 @@ impl MinimizerIndex {
         }
     }
 
-    /// Like [`MinimizerIndex::locate`] but through the retained pre-overhaul
-    /// binary search ([`EncodedFactorSet::equal_range_reference`]).
-    fn locate_reference(
-        &self,
-        set: &EncodedFactorSet,
-        trie: Option<&CompactedTrie>,
-        part: &[u8],
-    ) -> (usize, usize) {
-        match trie {
-            Some(trie) => match trie.descend(part, set) {
-                Some(descent) => (descent.leaves.0 as usize, descent.leaves.1 as usize),
-                None => (0, 0),
-            },
-            None => set.equal_range_reference(part),
-        }
-    }
-
     /// Verifies a grid candidate in `O(log z)` time from the heavy prefix
     /// products and the stored mismatch ratios — no access to `X`. Uses the
     /// log-ratios precomputed at build time, so no `ln` is evaluated per
-    /// candidate (the sums are bit-identical to the reference path, which
-    /// takes the same `ln` of the same ratios at query time).
+    /// candidate.
     fn verify_encoded(
         &self,
         m: usize,
@@ -672,45 +547,6 @@ impl MinimizerIndex {
             let d = depth as usize;
             if d < m - mu {
                 log_prob += log_ratio;
-            }
-        }
-        is_solid(log_prob.exp(), self.params.z)
-    }
-
-    /// The pre-overhaul candidate verification, retained for
-    /// [`UncertainIndex::query_reference`]: takes `ln` of every in-window
-    /// mismatch ratio at query time. Identical outcome to
-    /// [`MinimizerIndex::verify_encoded`].
-    fn verify_encoded_reference(
-        &self,
-        m: usize,
-        mu: usize,
-        start: usize,
-        fwd_leaf: usize,
-        bwd_leaf: usize,
-    ) -> bool {
-        let end = start + m;
-        let mut log_prob = self.heavy.range_log_probability(start, end);
-        for (&depth, &ratio) in self
-            .bwd
-            .mismatch_depths(bwd_leaf)
-            .iter()
-            .zip(self.bwd.mismatch_ratios(bwd_leaf))
-        {
-            let d = depth as usize;
-            if d >= 1 && d <= mu {
-                log_prob += ratio.ln();
-            }
-        }
-        for (&depth, &ratio) in self
-            .fwd
-            .mismatch_depths(fwd_leaf)
-            .iter()
-            .zip(self.fwd.mismatch_ratios(fwd_leaf))
-        {
-            let d = depth as usize;
-            if d < m - mu {
-                log_prob += ratio.ln();
             }
         }
         is_solid(log_prob.exp(), self.params.z)
@@ -772,93 +608,13 @@ impl UncertainIndex for MinimizerIndex {
         self.run_query(pattern, x, scratch, sink)
     }
 
-    fn query_reference(&self, pattern: &[u8], x: &WeightedString) -> Result<Vec<usize>> {
-        // The pre-overhaul single-shot query, retained verbatim for
-        // differential testing and as the "before" side of the query
-        // benchmark: per-query scheme construction, fresh reversed-prefix /
-        // candidate / grid-report vectors, letter-at-a-time binary search.
-        if pattern.is_empty() {
-            return Err(Error::EmptyInput("pattern"));
-        }
-        if pattern.len() < self.params.ell {
-            return Err(Error::PatternTooShort {
-                pattern: pattern.len(),
-                lower_bound: self.params.ell,
-            });
-        }
-        let scheme = MinimizerScheme::new(
-            self.params.ell,
-            self.params.k,
-            self.sigma,
-            self.params.order,
-        );
-        let mu = scheme.window_minimizer(&pattern[..self.params.ell]);
-        let suffix_part = &pattern[mu..];
-        let prefix_part_rev: Vec<u8> = pattern[..=mu].iter().rev().copied().collect();
-
-        let mut positions = Vec::new();
-        if self.variant.has_grid() {
-            let fwd_range = self.locate_reference(&self.fwd, self.fwd_trie.as_ref(), suffix_part);
-            let bwd_range =
-                self.locate_reference(&self.bwd, self.bwd_trie.as_ref(), &prefix_part_rev);
-            let rect = Rect::new(
-                (fwd_range.0 as u32, fwd_range.1 as u32),
-                (bwd_range.0 as u32, bwd_range.1 as u32),
-            );
-            let grid = self.grid.as_ref().expect("grid variant holds a grid");
-            for payload in grid.report(&rect) {
-                let (fwd_leaf, bwd_leaf) = self.pair(payload as usize);
-                let anchor = self.fwd.anchor_x(fwd_leaf as usize);
-                let Some(start) = anchor.checked_sub(mu) else {
-                    continue;
-                };
-                if start + pattern.len() > self.n {
-                    continue;
-                }
-                if self.verify_encoded_reference(
-                    pattern.len(),
-                    mu,
-                    start,
-                    fwd_leaf as usize,
-                    bwd_leaf as usize,
-                ) {
-                    positions.push(start);
-                }
-            }
-        } else {
-            let use_forward = suffix_part.len() >= prefix_part_rev.len();
-            let (set, trie, part): (&EncodedFactorSet, Option<&CompactedTrie>, &[u8]) =
-                if use_forward {
-                    (&self.fwd, self.fwd_trie.as_ref(), suffix_part)
-                } else {
-                    (&self.bwd, self.bwd_trie.as_ref(), &prefix_part_rev)
-                };
-            let (lo, hi) = self.locate_reference(set, trie, part);
-            for leaf in lo..hi {
-                let anchor = set.anchor_x(leaf);
-                let Some(start) = anchor.checked_sub(mu) else {
-                    continue;
-                };
-                if start + pattern.len() > self.n {
-                    continue;
-                }
-                let p = x.occurrence_probability(start, pattern);
-                if is_solid(p, self.params.z) {
-                    positions.push(start);
-                }
-            }
-        }
-        Ok(finalize_positions(positions))
-    }
-
     fn size_bytes(&self) -> usize {
         let tries = self.fwd_trie.as_ref().map_or(0, |t| t.memory_bytes())
             + self.bwd_trie.as_ref().map_or(0, |t| t.memory_bytes());
         let grid = self.grid.as_ref().map_or(0, |g| g.memory_bytes()) + self.pairs.heap_bytes();
         // The forward set normally shares its heavy view with `self.heavy`
-        // (count the allocation once), but the reference construction path
-        // gives it an owned copy. The backward set always owns its reversed
-        // copy.
+        // (count the allocation once), but a loaded file can give it an owned
+        // copy. The backward set always owns its reversed copy.
         let fwd_bytes = if self.fwd.owns_heavy_view() {
             self.fwd.memory_bytes()
         } else {
@@ -889,6 +645,7 @@ mod tests {
     use ius_datasets::pangenome::PangenomeConfig;
     use ius_datasets::patterns::PatternSampler;
     use ius_datasets::uniform::UniformConfig;
+    use ius_weighted::solid;
 
     fn all_variants() -> [IndexVariant; 4] {
         [
@@ -899,13 +656,11 @@ mod tests {
         ]
     }
 
-    // The cross-family differential coverage that used to live here (the
-    // copy-pasted `check_against_naive` helpers) moved into the shared
-    // harness `tests/differential.rs`, which also exercises the sink-based
-    // and batched entry points.
+    // The cross-family differential coverage lives in the shared harness
+    // `tests/differential.rs`, which also exercises every sink form.
 
     #[test]
-    fn new_engine_matches_the_retained_reference_query() {
+    fn engine_matches_naive_on_sampled_patterns() {
         let x = PangenomeConfig {
             n: 1_200,
             delta: 0.08,
@@ -925,76 +680,21 @@ mod tests {
             let index = MinimizerIndex::build_from_estimation(&x, &est, params, variant).unwrap();
             let mut scratch = QueryScratch::new();
             for pattern in &patterns {
-                let old = index.query_reference(pattern, &x).unwrap();
-                let mut new = Vec::new();
+                let expected = solid::occurrences(&x, pattern, z);
+                let mut got = Vec::new();
                 let stats = index
-                    .query_into(pattern, &x, &mut scratch, &mut new)
+                    .query_into(pattern, &x, &mut scratch, &mut got)
                     .unwrap();
-                assert_eq!(new, old, "{} pattern {:?}", index.name(), &pattern[..4]);
-                assert_eq!(stats.reported, new.len());
-                if variant.has_grid() && !new.is_empty() {
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} pattern {:?}",
+                    index.name(),
+                    &pattern[..4]
+                );
+                assert_eq!(stats.reported, got.len());
+                if variant.has_grid() && !got.is_empty() {
                     assert!(stats.grid_nodes > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overhauled_construction_matches_reference_construction() {
-        // The clone-free/pre-sized pipeline must produce exactly the factor
-        // sets of the retained pre-overhaul path.
-        for (x, z, ell) in [
-            (
-                UniformConfig {
-                    n: 400,
-                    sigma: 2,
-                    spread: 0.5,
-                    seed: 2,
-                }
-                .generate(),
-                8.0,
-                8usize,
-            ),
-            (
-                PangenomeConfig {
-                    n: 2_000,
-                    delta: 0.08,
-                    seed: 7,
-                    ..Default::default()
-                }
-                .generate(),
-                16.0,
-                32usize,
-            ),
-        ] {
-            let est = ZEstimation::build(&x, z).unwrap();
-            let params = IndexParams::new(z, ell, x.sigma()).unwrap();
-            for variant in [IndexVariant::Array, IndexVariant::TreeGrid] {
-                let new = MinimizerIndex::build_from_estimation(&x, &est, params, variant).unwrap();
-                let reference =
-                    MinimizerIndex::build_from_estimation_reference(&x, &est, params, variant)
-                        .unwrap();
-                assert_eq!(new.num_sampled_factors(), reference.num_sampled_factors());
-                for set in [(&new.fwd, &reference.fwd), (&new.bwd, &reference.bwd)] {
-                    let (a, b) = set;
-                    assert_eq!(a.len(), b.len());
-                    for leaf in 0..a.len() {
-                        assert_eq!(a.anchor_x(leaf), b.anchor_x(leaf), "leaf {leaf}");
-                        assert_eq!(a.factor_len(leaf), b.factor_len(leaf), "leaf {leaf}");
-                        assert_eq!(a.strand(leaf), b.strand(leaf), "leaf {leaf}");
-                        assert_eq!(
-                            a.mismatches(leaf).collect::<Vec<_>>(),
-                            b.mismatches(leaf).collect::<Vec<_>>(),
-                            "leaf {leaf}"
-                        );
-                    }
-                }
-                let mut sampler = PatternSampler::new(&est, 5);
-                for pattern in sampler.sample_many(ell, 10) {
-                    assert_eq!(
-                        new.query(&pattern, &x).unwrap(),
-                        reference.query(&pattern, &x).unwrap()
-                    );
                 }
             }
         }

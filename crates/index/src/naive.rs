@@ -3,7 +3,7 @@
 
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
-use ius_weighted::{is_solid, solid, Error, Result, WeightedString};
+use ius_weighted::{is_solid, Error, Result, WeightedString};
 
 /// A trivial index that stores only `z` and scans `X` at query time.
 ///
@@ -62,14 +62,6 @@ impl UncertainIndex for NaiveIndex {
         Ok(stats)
     }
 
-    fn query_reference(&self, pattern: &[u8], x: &WeightedString) -> Result<Vec<usize>> {
-        // The pre-overhaul implementation: one fresh output vector per call.
-        if pattern.is_empty() {
-            return Err(Error::EmptyInput("pattern"));
-        }
-        Ok(solid::occurrences(x, pattern, self.z))
-    }
-
     fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
@@ -86,6 +78,7 @@ impl UncertainIndex for NaiveIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ius_weighted::solid;
     use ius_weighted::string::paper_example;
 
     #[test]
@@ -95,8 +88,10 @@ mod tests {
         assert_eq!(idx.query(&[0, 0, 0, 0], &x).unwrap(), vec![0]);
         assert_eq!(idx.query(&[0, 1], &x).unwrap(), vec![0, 3, 4]);
         assert!(idx.query(&[], &x).is_err());
-        assert!(idx.query_reference(&[], &x).is_err());
-        assert_eq!(idx.query_reference(&[0, 1], &x).unwrap(), vec![0, 3, 4]);
+        assert_eq!(
+            idx.query(&[0, 1], &x).unwrap(),
+            solid::occurrences(&x, &[0, 1], 4.0)
+        );
         assert_eq!(idx.name(), "NAIVE");
         assert!(idx.size_bytes() < 64);
     }

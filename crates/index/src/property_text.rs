@@ -216,19 +216,6 @@ impl PropertyText {
         (lo, hi)
     }
 
-    /// All positions of `X` at which `pattern` occurs respecting the
-    /// property (sorted, deduplicated across strands).
-    pub fn positions_of(&self, pattern: &[u8]) -> Vec<usize> {
-        let (lo, hi) = self.equal_range(pattern);
-        let mut positions: Vec<usize> = self.psa[lo..hi]
-            .iter()
-            .map(|&s| self.position_in_x(s as usize))
-            .collect();
-        positions.sort_unstable();
-        positions.dedup();
-        positions
-    }
-
     /// Appends the (unsorted, possibly duplicated across strands) `X`
     /// positions of the PSA interval matching `pattern` into `out` and
     /// returns the interval width — the allocation-free locate step of the
@@ -414,19 +401,28 @@ mod tests {
         }
     }
 
+    /// The sorted, deduplicated `X` positions of `pattern`.
+    fn positions_of(pt: &PropertyText, pattern: &[u8]) -> Vec<usize> {
+        let mut positions = Vec::new();
+        pt.positions_into(pattern, &mut positions);
+        positions.sort_unstable();
+        positions.dedup();
+        positions
+    }
+
     #[test]
     fn equal_range_finds_solid_occurrences() {
         let (x, pt) = build_example(4.0);
         // AB is solid at positions 0, 3, 4 of the paper's example (0-based).
-        let positions = pt.positions_of(&[0, 1]);
+        let positions = positions_of(&pt, &[0, 1]);
         assert_eq!(
             positions,
             ius_weighted::solid::occurrences(&x, &[0, 1], 4.0)
         );
         // AAAA is solid only at 0.
-        assert_eq!(pt.positions_of(&[0, 0, 0, 0]), vec![0]);
+        assert_eq!(positions_of(&pt, &[0, 0, 0, 0]), vec![0]);
         // ABAB occurs nowhere with probability ≥ 1/4.
-        assert!(pt.positions_of(&[0, 1, 0, 1]).is_empty());
+        assert!(positions_of(&pt, &[0, 1, 0, 1]).is_empty());
     }
 
     #[test]
@@ -447,7 +443,7 @@ mod tests {
             for _ in 0..40 {
                 let pattern: Vec<u8> = (0..len).map(|_| rng.gen_range(0..3u8)).collect();
                 assert_eq!(
-                    pt.positions_of(&pattern),
+                    positions_of(&pt, &pattern),
                     ius_weighted::solid::occurrences(&x, &pattern, z),
                     "pattern {pattern:?}"
                 );

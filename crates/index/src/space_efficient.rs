@@ -45,9 +45,6 @@ pub struct SpaceEfficientBuilder {
     /// multiple of `n·z` (the paper aborts at `nz` and falls back to the
     /// classic construction; we default to a small constant multiple).
     node_cap_factor: f64,
-    /// Worker count for the factor sort (1 = serial, 0 = all CPUs). The DFS
-    /// itself is inherently sequential; only the final sort fans out.
-    threads: usize,
 }
 
 /// Statistics reported by the space-efficient construction.
@@ -69,7 +66,6 @@ impl SpaceEfficientBuilder {
         Self {
             params,
             node_cap_factor: 64.0,
-            threads: 1,
         }
     }
 
@@ -77,13 +73,6 @@ impl SpaceEfficientBuilder {
     /// construction aborts with an error, mirroring the paper's fallback).
     pub fn with_node_cap_factor(mut self, factor: f64) -> Self {
         self.node_cap_factor = factor.max(1.0);
-        self
-    }
-
-    /// Fans the final factor sort out over `threads` workers (0 = all CPUs).
-    /// The built index is byte-identical at every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -171,8 +160,8 @@ impl SpaceEfficientBuilder {
         )?;
         stats.backward_factors = bwd_builder.len();
 
-        let (fwd, fwd_lcps) = fwd_builder.finish_with_threads(self.threads);
-        let (bwd, bwd_lcps) = bwd_builder.finish_with_threads(self.threads);
+        let (fwd, fwd_lcps) = fwd_builder.finish();
+        let (bwd, bwd_lcps) = bwd_builder.finish();
         let index = MinimizerIndex::assemble(
             x,
             self.params,

@@ -67,19 +67,6 @@ pub trait UncertainIndex {
         Ok(positions)
     }
 
-    /// The retained pre-overhaul single-shot query implementation, kept
-    /// compiled so the query benchmark measures real old code (fresh buffers
-    /// at every layer, byte-at-a-time factor comparisons, per-query scheme
-    /// setup). Families without a distinct legacy path fall back to
-    /// [`UncertainIndex::query`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`UncertainIndex::query`].
-    fn query_reference(&self, pattern: &[u8], x: &WeightedString) -> Result<Vec<usize>> {
-        self.query(pattern, x)
-    }
-
     /// Heap bytes owned by the index (excluding `X` itself).
     fn size_bytes(&self) -> usize;
 
@@ -108,26 +95,9 @@ pub fn validate_pattern(pattern: &[u8], lower_bound: usize) -> Result<()> {
     Ok(())
 }
 
-/// Deduplicates and sorts a list of candidate positions in place and returns
-/// it — the Vec-based post-processing step of the retained legacy query
-/// paths. The sink-based engine uses [`ius_query::finalize_into`] instead,
-/// whose `sorted` fast path lets already-sorted sources (e.g. the naive
-/// scan) skip the redundant sort under a debug assertion.
-pub fn finalize_positions(mut positions: Vec<usize>) -> Vec<usize> {
-    positions.sort_unstable();
-    positions.dedup();
-    positions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn finalize_sorts_and_dedups() {
-        assert_eq!(finalize_positions(vec![5, 1, 5, 3, 1]), vec![1, 3, 5]);
-        assert_eq!(finalize_positions(vec![]), Vec::<usize>::new());
-    }
 
     #[test]
     fn pattern_validation_covers_both_error_paths() {

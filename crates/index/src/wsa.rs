@@ -9,10 +9,10 @@
 //! against.
 
 use crate::property_text::PropertyText;
-use crate::traits::{finalize_positions, validate_pattern, IndexStats, UncertainIndex};
+use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::Arena;
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
-use ius_weighted::{Error, Result, WeightedString, ZEstimation};
+use ius_weighted::{Result, WeightedString, ZEstimation};
 
 /// The weighted (property) suffix array.
 #[derive(Debug, Clone)]
@@ -41,7 +41,7 @@ impl Wsa {
     ///
     /// # Errors
     ///
-    /// [`Error::EmptyInput`] if the estimation has no strands.
+    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands.
     pub fn build_from_estimation(estimation: &ZEstimation) -> Result<Self> {
         Ok(Self {
             z: estimation.z(),
@@ -100,15 +100,6 @@ impl UncertainIndex for Wsa {
         Ok(stats)
     }
 
-    fn query_reference(&self, pattern: &[u8], _x: &WeightedString) -> Result<Vec<usize>> {
-        // The pre-overhaul implementation: `positions_of` sorts and dedups a
-        // fresh vector, then `finalize_positions` redundantly sorts it again.
-        if pattern.is_empty() {
-            return Err(Error::EmptyInput("pattern"));
-        }
-        Ok(finalize_positions(self.property_text.positions_of(pattern)))
-    }
-
     fn size_bytes(&self) -> usize {
         self.property_text.memory_bytes() + self.arena.as_ref().map_or(0, Arena::alloc_bytes)
     }
@@ -164,7 +155,6 @@ mod tests {
         for pattern in [&[0u8][..], &[0, 1], &[1, 1, 0], &[0, 0, 0, 1]] {
             let expected = solid::occurrences(&x, pattern, z);
             assert_eq!(wsa.query(pattern, &x).unwrap(), expected);
-            assert_eq!(wsa.query_reference(pattern, &x).unwrap(), expected);
             let mut count = CountSink::new();
             let stats = wsa
                 .query_into(pattern, &x, &mut scratch, &mut count)

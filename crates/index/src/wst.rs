@@ -10,11 +10,11 @@
 //! construction referenced in the paper).
 
 use crate::property_text::PropertyText;
-use crate::traits::{finalize_positions, validate_pattern, IndexStats, UncertainIndex};
+use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::Arena;
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_text::trie::{CompactedTrie, LabelProvider};
-use ius_weighted::{Error, Result, WeightedString, ZEstimation};
+use ius_weighted::{Result, WeightedString, ZEstimation};
 
 /// The weighted (property) suffix tree.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl Wst {
     ///
     /// # Errors
     ///
-    /// [`Error::EmptyInput`] if the estimation has no strands.
+    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands.
     pub fn build_from_estimation(estimation: &ZEstimation) -> Result<Self> {
         let property_text = PropertyText::build_with_lcp(estimation)?;
         let lengths = property_text.psa_lengths();
@@ -165,26 +165,6 @@ impl UncertainIndex for Wst {
         Ok(stats)
     }
 
-    fn query_reference(&self, pattern: &[u8], _x: &WeightedString) -> Result<Vec<usize>> {
-        // The pre-overhaul implementation: a fresh per-node result vector,
-        // sorted and deduplicated by `finalize_positions`.
-        if pattern.is_empty() {
-            return Err(Error::EmptyInput("pattern"));
-        }
-        let labels = WstLabels::new(&self.property_text);
-        let Some(descent) = self.trie.descend(pattern, &labels) else {
-            return Ok(Vec::new());
-        };
-        let (lo, hi) = descent.leaves;
-        let positions: Vec<usize> = (lo..hi)
-            .map(|leaf| {
-                let text_pos = self.property_text.psa()[leaf as usize] as usize;
-                self.property_text.position_in_x(text_pos)
-            })
-            .collect();
-        Ok(finalize_positions(positions))
-    }
-
     fn size_bytes(&self) -> usize {
         self.property_text.memory_bytes()
             + self.trie.memory_bytes()
@@ -240,7 +220,6 @@ mod tests {
         for pattern in [&[0u8][..], &[1, 0], &[0, 0, 1], &[1, 1, 1, 0]] {
             let expected = solid::occurrences(&x, pattern, z);
             assert_eq!(wst.query(pattern, &x).unwrap(), expected);
-            assert_eq!(wst.query_reference(pattern, &x).unwrap(), expected);
             let mut positions = Vec::new();
             let stats = wst
                 .query_into(pattern, &x, &mut scratch, &mut positions)

@@ -17,10 +17,7 @@
 //!   delivered, grid nodes touched);
 //! * [`finalize_into`] — the shared sort/dedup/stream step between a raw
 //!   candidate buffer and a sink, with a `sorted` fast path for sources that
-//!   already emit increasing positions;
-//! * [`QueryBatch`] — a batched runner on the shared [`ius_exec::Executor`],
-//!   answering many queries over one shared index with one scratch per worker
-//!   and deterministic output order.
+//!   already emit increasing positions.
 //!
 //! The indexes themselves live in `ius-index`; they implement
 //! `UncertainIndex::query_into(pattern, x, &mut QueryScratch, &mut dyn
@@ -29,8 +26,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use ius_exec::Executor;
 
 /// A consumer of verified occurrence positions.
 ///
@@ -112,8 +107,7 @@ impl MatchSink for FirstKSink {
 /// A scratch is cheap to create but each buffer grows to the high-water mark
 /// of the queries run through it, after which `query_into` is allocation-free
 /// on the hot paths (asserted by `tests/query_alloc.rs` at the workspace
-/// root). One scratch serves one thread; [`QueryBatch`] creates one per
-/// worker.
+/// root). One scratch serves one thread.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// Raw candidate/verified positions before [`finalize_into`].
@@ -186,9 +180,8 @@ pub struct QueryStats {
 impl QueryStats {
     /// Accumulates another query's counters into this one, field by field.
     ///
-    /// This is the aggregation step of every composite/batched execution:
-    /// the live-index segment fan-out and the batch executors sum per-part
-    /// stats into one total with it.
+    /// This is the aggregation step of every composite execution: the
+    /// live-index segment fan-out sums per-part stats into one total with it.
     /// It is associative and commutative, and `QueryStats::default()` (all
     /// counters zero) is its identity — accumulating the empty stats
     /// changes nothing, and accumulating *into* the empty stats copies the
@@ -247,69 +240,6 @@ pub fn finalize_into(positions: &mut [usize], sorted: bool, sink: &mut dyn Match
         }
     }
     delivered
-}
-
-/// A batched query executor: runs `count` independent jobs on the shared
-/// [`ius_exec::Executor`], one [`QueryScratch`] per worker, writing each
-/// job's result into its own slot so the output order is deterministic
-/// regardless of thread scheduling.
-///
-/// Jobs are partitioned into contiguous chunks (one per worker); with one
-/// thread (or one job) everything runs inline on the calling thread with a
-/// single scratch and no thread is spawned. A panicking job is re-raised on
-/// the calling thread (queries are pure; a panic is a bug, not a result).
-#[derive(Debug, Clone)]
-pub struct QueryBatch {
-    executor: Executor,
-}
-
-impl Default for QueryBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QueryBatch {
-    /// Creates an executor with one worker per available CPU.
-    pub fn new() -> Self {
-        Self {
-            executor: Executor::new(),
-        }
-    }
-
-    /// Creates an executor with an explicit worker count (at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            executor: Executor::with_threads(threads.max(1)),
-        }
-    }
-
-    /// Number of workers this executor uses.
-    pub fn threads(&self) -> usize {
-        self.executor.threads()
-    }
-
-    /// Runs `count` jobs; `run_one(i, scratch)` answers job `i`. The returned
-    /// vector has exactly `count` entries, entry `i` holding job `i`'s result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first (by job index) panic of a job.
-    pub fn run<T, E, F>(&self, count: usize, run_one: F) -> Vec<Result<T, E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &mut QueryScratch) -> Result<T, E> + Sync,
-    {
-        self.executor
-            .run_with(count, QueryScratch::new, |i, scratch| run_one(i, scratch))
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(result) => result,
-                Err(task_panic) => panic!("{task_panic}"),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -424,48 +354,6 @@ mod tests {
         let mut twice = QueryStats::default();
         twice.accumulate(&QueryStats::default());
         assert_eq!(twice, QueryStats::default(), "empty + empty = empty");
-    }
-
-    #[test]
-    fn batch_preserves_job_order_for_any_worker_count() {
-        for threads in [1usize, 2, 3, 8] {
-            let batch = QueryBatch::with_threads(threads);
-            assert_eq!(batch.threads(), threads);
-            let results: Vec<Result<usize, ()>> = batch.run(17, |i, scratch| {
-                scratch.positions.push(i);
-                Ok(i * i)
-            });
-            let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(values, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn batch_reports_per_job_errors_in_place() {
-        let batch = QueryBatch::with_threads(4);
-        let results: Vec<Result<usize, String>> = batch.run(6, |i, _scratch| {
-            if i % 2 == 0 {
-                Ok(i)
-            } else {
-                Err(format!("job {i}"))
-            }
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i % 2 == 0 {
-                assert_eq!(*r.as_ref().unwrap(), i);
-            } else {
-                assert_eq!(r.as_ref().unwrap_err(), &format!("job {i}"));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_handles_empty_and_single_job_sets() {
-        let batch = QueryBatch::new();
-        let empty: Vec<Result<usize, ()>> = batch.run(0, |_, _| Ok(0));
-        assert!(empty.is_empty());
-        let one: Vec<Result<usize, ()>> = batch.run(1, |i, _| Ok(i + 41));
-        assert_eq!(one[0], Ok(41));
     }
 
     #[test]

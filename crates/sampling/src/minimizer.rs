@@ -229,16 +229,9 @@ impl MinimizerScheme {
         out
     }
 
-    /// Per-window rescan minimizers: every window is scanned independently
-    /// with [`MinimizerScheme::window_minimizer`], costing `O(n·(ℓ−k))`
-    /// letter work instead of the deque scan's amortised `O(1)` per
-    /// position. Retained as the differential-testing ground truth and as
-    /// the "before" measurement of the construction benchmark.
-    pub fn minimizers_rescan(&self, text: &[u8]) -> Vec<usize> {
-        self.minimizers_bruteforce(text)
-    }
-
-    /// Brute-force minimizers (quadratic), used as ground truth in tests.
+    /// Brute-force minimizers: every window is rescanned independently with
+    /// [`MinimizerScheme::window_minimizer`], costing `O(n·(ℓ−k))` letter
+    /// work. The test oracle of the deque scan.
     pub fn minimizers_bruteforce(&self, text: &[u8]) -> Vec<usize> {
         let mut out = Vec::new();
         if text.len() < self.ell {

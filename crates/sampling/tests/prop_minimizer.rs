@@ -1,6 +1,6 @@
 //! Differential property tests of the minimizer scanners: the amortised-O(1)
 //! monotone-deque scan must select exactly the positions of the per-window
-//! rescan (`window_minimizer` applied to every window) on random and
+//! rescan (`minimizers_bruteforce`: `window_minimizer` on every window) on random and
 //! degenerate inputs, for both k-mer orders, including the leftmost-smallest
 //! tie-breaking that repetitive inputs exercise heavily.
 
@@ -16,7 +16,7 @@ fn assert_scan_matches_rescan(text: &[u8], sigma: usize, label: &str) {
             let scheme = MinimizerScheme::new(ell, k, sigma, order);
             assert_eq!(
                 scheme.minimizers(text),
-                scheme.minimizers_rescan(text),
+                scheme.minimizers_bruteforce(text),
                 "{label}: order {order:?}, ell {ell}, k {k}"
             );
         }
@@ -90,7 +90,10 @@ fn lex_fallback_without_total_keys_matches_rescan() {
     let text: Vec<u8> = (0..400).map(|_| rng.gen_range(0..91u8)).collect();
     let scheme = MinimizerScheme::new(16, 12, 91, KmerOrder::Lexicographic);
     assert!(!scheme.keyer().has_total_keys());
-    assert_eq!(scheme.minimizers(&text), scheme.minimizers_rescan(&text));
+    assert_eq!(
+        scheme.minimizers(&text),
+        scheme.minimizers_bruteforce(&text)
+    );
 }
 
 #[test]

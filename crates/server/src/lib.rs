@@ -16,8 +16,8 @@
 //!   bounded admission queue with `OVERLOADED` backpressure, atomic
 //!   `Arc`-swap hot reload that never drops in-flight requests, graceful
 //!   shutdown;
-//! * [`Client`] — a small blocking client used by the tests, the examples
-//!   and `reproduce --bench-serve`;
+//! * [`Client`] — a small blocking client used by the tests, the examples,
+//!   `reproduce --bench-slo` and `servebench`;
 //! * the `serve` binary — loads (or builds) an index and serves it.
 //!
 //! ```no_run

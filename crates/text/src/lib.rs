@@ -3,9 +3,8 @@
 //! Standard-string indexing machinery built from scratch for the uncertain
 //! string indexes:
 //!
-//! * [`sa`] — linear-time suffix array construction (SA-IS), plus the
-//!   retained prefix-doubling builder and a naive reference implementation
-//!   for differential testing;
+//! * [`sa`] — linear-time suffix array construction (SA-IS), plus a naive
+//!   test oracle;
 //! * [`lcp`] — longest-common-prefix arrays (Kasai's algorithm);
 //! * [`rmq`] — range-minimum queries (block-decomposed sparse table);
 //! * [`lce`] — longest-common-extension index combining the three above;
@@ -36,7 +35,7 @@ pub mod trie;
 pub use lce::LceIndex;
 pub use lcp::lcp_array;
 pub use rmq::Rmq;
-pub use sa::{inverse_suffix_array, suffix_array, suffix_array_prefix_doubling};
+pub use sa::{inverse_suffix_array, suffix_array};
 pub use search::SuffixArraySearcher;
 pub use suffix_tree::SuffixTree;
 pub use trie::{CompactedTrie, LabelProvider, SliceLabels, TrieParts};

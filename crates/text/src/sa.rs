@@ -3,12 +3,8 @@
 //! The default construction is **SA-IS** (Nong, Zhang & Chan: *Two Efficient
 //! Algorithms for Linear Time Suffix Array Construction*): induced sorting of
 //! LMS substrings with recursion on the reduced string — `O(n)` time and
-//! `O(n)` space. Two slower builders are retained exclusively for
-//! differential testing:
-//!
-//! * [`suffix_array_prefix_doubling`] — the previous default, prefix doubling
-//!   with radix sort in `O(n log n)`;
-//! * [`suffix_array_naive`] — direct suffix sorting in `O(n² log n)`.
+//! `O(n)` space. [`suffix_array_naive`] — direct suffix sorting in
+//! `O(n² log n)` — is its test oracle.
 //!
 //! Suffixes are compared as if the text were followed by a unique sentinel
 //! smaller than every letter (the usual `$` convention), i.e. a proper prefix
@@ -246,105 +242,6 @@ pub fn inverse_suffix_array(sa: &[u32]) -> Vec<u32> {
     rank
 }
 
-/// The previous default construction, kept for differential testing: prefix
-/// doubling with radix sort, `O(n log n)` time, `O(n)` additional space.
-pub fn suffix_array_prefix_doubling(text: &[u8]) -> Vec<u32> {
-    let n = text.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![0];
-    }
-
-    // Initial ranks: the letters themselves (+1 so that 0 is free for "past
-    // the end", which must sort first).
-    let mut rank: Vec<u32> = text.iter().map(|&c| c as u32 + 1).collect();
-    let mut sa: Vec<u32> = (0..n as u32).collect();
-    let mut tmp_rank: Vec<u32> = vec![0; n];
-    let mut buckets: Vec<u32> = Vec::new();
-    let mut sorted_by_second: Vec<u32> = vec![0; n];
-
-    let mut h = 1usize;
-    loop {
-        // Radix sort by (rank[i], rank[i + h]) — least significant digit
-        // (the second component) first, then the first component, both with
-        // counting sort for stability.
-        let key2 = |i: u32| -> u32 {
-            let j = i as usize + h;
-            if j < n {
-                rank[j]
-            } else {
-                0
-            }
-        };
-
-        // Counting sort by second component. Keys are ranks, which start as
-        // letter values (+1) and later become at most n; size the buckets for
-        // both regimes.
-        let max_key = (n as u32 + 1).max(257);
-        buckets.clear();
-        buckets.resize(max_key as usize + 1, 0);
-        for i in 0..n as u32 {
-            buckets[key2(i) as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for b in buckets.iter_mut() {
-            let c = *b;
-            *b = sum;
-            sum += c;
-        }
-        for i in 0..n as u32 {
-            let k = key2(i) as usize;
-            sorted_by_second[buckets[k] as usize] = i;
-            buckets[k] += 1;
-        }
-
-        // Counting sort by first component (stable).
-        buckets.clear();
-        buckets.resize(max_key as usize + 1, 0);
-        for &i in sorted_by_second.iter() {
-            buckets[rank[i as usize] as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for b in buckets.iter_mut() {
-            let c = *b;
-            *b = sum;
-            sum += c;
-        }
-        for &i in sorted_by_second.iter() {
-            let k = rank[i as usize] as usize;
-            sa[buckets[k] as usize] = i;
-            buckets[k] += 1;
-        }
-
-        // Re-rank.
-        let mut r = 1u32;
-        tmp_rank[sa[0] as usize] = 1;
-        for w in 1..n {
-            let a = sa[w - 1] as usize;
-            let b = sa[w] as usize;
-            let ka = (rank[a], if a + h < n { rank[a + h] } else { 0 });
-            let kb = (rank[b], if b + h < n { rank[b + h] } else { 0 });
-            if ka != kb {
-                r += 1;
-            }
-            tmp_rank[b] = r;
-        }
-        std::mem::swap(&mut rank, &mut tmp_rank);
-        if r as usize == n {
-            break;
-        }
-        h *= 2;
-        if h >= n {
-            // All ranks must already be distinct once h ≥ n; one more pass
-            // would be a no-op, but guard against pathological inputs.
-            break;
-        }
-    }
-    sa
-}
-
 /// Naive `O(n² log n)` suffix array, for differential testing only.
 pub fn suffix_array_naive(text: &[u8]) -> Vec<u32> {
     let mut sa: Vec<u32> = (0..text.len() as u32).collect();
@@ -358,7 +255,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny() {
-        for build in [suffix_array, suffix_array_prefix_doubling] {
+        for build in [suffix_array, suffix_array_naive] {
             assert!(build(b"").is_empty());
             assert_eq!(build(b"a"), vec![0]);
             assert_eq!(build(b"ba"), vec![1, 0]);
@@ -371,10 +268,7 @@ mod tests {
     fn banana() {
         // Classic example: suffixes of "banana" sorted: a, ana, anana, banana, na, nana.
         assert_eq!(suffix_array(b"banana"), vec![5, 3, 1, 0, 4, 2]);
-        assert_eq!(
-            suffix_array_prefix_doubling(b"banana"),
-            vec![5, 3, 1, 0, 4, 2]
-        );
+        assert_eq!(suffix_array_naive(b"banana"), vec![5, 3, 1, 0, 4, 2]);
     }
 
     #[test]
@@ -392,16 +286,10 @@ mod tests {
         for sigma in [1u8, 2, 4, 8, 91] {
             for len in [2usize, 3, 7, 50, 257, 1000] {
                 let text: Vec<u8> = (0..len).map(|_| rng.gen_range(0..sigma)).collect();
-                let expected = suffix_array_naive(&text);
                 assert_eq!(
                     suffix_array(&text),
-                    expected,
+                    suffix_array_naive(&text),
                     "sais sigma={sigma} len={len}"
-                );
-                assert_eq!(
-                    suffix_array_prefix_doubling(&text),
-                    expected,
-                    "doubling sigma={sigma} len={len}"
                 );
             }
         }
@@ -413,7 +301,7 @@ mod tests {
         // All-equal letters: suffixes sort by decreasing length ⇒ sa = n-1, n-2, …, 0.
         let expected: Vec<u32> = (0..500u32).rev().collect();
         assert_eq!(suffix_array(&text), expected);
-        assert_eq!(suffix_array_prefix_doubling(&text), expected);
+        assert_eq!(suffix_array_naive(&text), expected);
     }
 
     #[test]
@@ -448,9 +336,9 @@ mod tests {
             fib = std::mem::replace(&mut prev, next);
         }
         assert!(prev.len() > 300);
-        assert_eq!(suffix_array(&prev), suffix_array_prefix_doubling(&prev));
+        assert_eq!(suffix_array(&prev), suffix_array_naive(&prev));
 
         let tm: Vec<u8> = (0..1024u32).map(|i| (i.count_ones() & 1) as u8).collect();
-        assert_eq!(suffix_array(&tm), suffix_array_prefix_doubling(&tm));
+        assert_eq!(suffix_array(&tm), suffix_array_naive(&tm));
     }
 }

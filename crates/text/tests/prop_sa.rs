@@ -1,34 +1,29 @@
-//! Differential property tests of the three suffix-array builders: the
-//! linear-time SA-IS default must agree with both the naive `O(n² log n)`
-//! reference and the retained prefix-doubling builder on random and
-//! degenerate inputs, and downstream consumers (LCP, LCE) must be oblivious
-//! to the construction switch.
+//! Differential property tests of the suffix-array builder: the linear-time
+//! SA-IS construction must agree with the naive `O(n² log n)` oracle on
+//! random and degenerate inputs, and downstream consumers (LCP, LCE) must see
+//! the plain suffix-array contract.
 
 use ius_text::lcp::{lcp_array, lcp_of};
-use ius_text::sa::{
-    inverse_suffix_array, suffix_array, suffix_array_naive, suffix_array_prefix_doubling,
-};
+use ius_text::sa::{inverse_suffix_array, suffix_array, suffix_array_naive};
 use proptest::prelude::*;
 
-fn assert_all_builders_agree(text: &[u8], label: &str) {
-    let expected = suffix_array_naive(text);
-    assert_eq!(suffix_array(text), expected, "SA-IS vs naive on {label}");
+fn assert_matches_naive(text: &[u8], label: &str) {
     assert_eq!(
-        suffix_array_prefix_doubling(text),
-        expected,
-        "prefix doubling vs naive on {label}"
+        suffix_array(text),
+        suffix_array_naive(text),
+        "SA-IS vs naive on {label}"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SA-IS ≡ naive ≡ prefix doubling on arbitrary texts over alphabets of
+    /// SA-IS ≡ naive on arbitrary texts over alphabets of
     /// 1 to 8 letters.
     #[test]
     fn random_texts(sigma in 1u8..=8, text in prop::collection::vec(0u8..=254, 0..300)) {
         let text: Vec<u8> = text.into_iter().map(|c| c % sigma).collect();
-        assert_all_builders_agree(&text, "random text");
+        assert_matches_naive(&text, "random text");
     }
 
     /// Periodic texts (short repeated motifs) exercise the LMS recursion.
@@ -43,7 +38,7 @@ proptest! {
             text.extend_from_slice(&motif);
         }
         text.extend_from_slice(&tail);
-        assert_all_builders_agree(&text, "periodic text");
+        assert_matches_naive(&text, "periodic text");
     }
 
     /// The inverse permutation property holds for SA-IS output.
@@ -57,7 +52,7 @@ proptest! {
     }
 
     /// Kasai's LCP over the SA-IS array matches direct prefix comparison —
-    /// the downstream consumers see the same contract as before the switch.
+    /// the downstream consumers see the plain suffix-array contract.
     #[test]
     fn lcp_consumes_sais_unchanged(text in prop::collection::vec(0u8..3, 2..200)) {
         let sa = suffix_array(&text);
@@ -73,21 +68,21 @@ proptest! {
 #[test]
 fn degenerate_inputs() {
     // Empty, single letters, all-equal runs of several lengths.
-    assert_all_builders_agree(b"", "empty");
+    assert_matches_naive(b"", "empty");
     for sigma in 1u8..4 {
         for len in [1usize, 2, 3, 5, 64, 255, 256, 257] {
             let text = vec![sigma - 1; len];
-            assert_all_builders_agree(&text, "all-equal");
+            assert_matches_naive(&text, "all-equal");
         }
     }
     // Strictly increasing and strictly decreasing ramps (all-S / all-L).
     let up: Vec<u8> = (0..=255u8).collect();
     let down: Vec<u8> = (0..=255u8).rev().collect();
-    assert_all_builders_agree(&up, "increasing ramp");
-    assert_all_builders_agree(&down, "decreasing ramp");
+    assert_matches_naive(&up, "increasing ramp");
+    assert_matches_naive(&down, "decreasing ramp");
     // Alternating two-letter text (every odd position is LMS).
     let alt: Vec<u8> = (0..501).map(|i| (i % 2) as u8).collect();
-    assert_all_builders_agree(&alt, "alternating");
+    assert_matches_naive(&alt, "alternating");
 }
 
 #[test]
@@ -98,7 +93,7 @@ fn large_random_text_cross_check() {
         let text: Vec<u8> = (0..20_000).map(|_| rng.gen_range(0..sigma as u8)).collect();
         assert_eq!(
             suffix_array(&text),
-            suffix_array_prefix_doubling(&text),
+            suffix_array_naive(&text),
             "sigma = {sigma}"
         );
     }

@@ -1,29 +1,28 @@
-//! Differential tests of the candidate-letter z-estimation kernel.
+//! Contract tests of the candidate-letter z-estimation kernel.
 //!
 //! `ZEstimation::build` runs every group over the `k` candidate letters of a
 //! position (those with a positive top-level multiplicity), addressed by
 //! slot, and maps slots back to letters only when it writes a row. These
-//! tests compare it strand for strand (letters and extents) against
-//! `ZEstimation::build_reference`, which walks all `σ` letters, on inputs
-//! built to expose a slot/letter mix-up: large alphabets, sparse supports
-//! scattered over the alphabet with zero entries between them, deterministic
-//! runs, and entries placed exactly on the `1/z` boundary, alone or as a
-//! product with an earlier position's entry.
+//! tests check every build against its reference contract,
+//! `ZEstimation::verify_contract`, which walks all `σ` letters to
+//! brute-force the strand count of every solid factor up to a length and
+//! checks every strand's soundness. The inputs are built to expose a
+//! slot/letter mix-up: large alphabets, sparse supports scattered over the
+//! alphabet with zero entries between them, deterministic runs, and entries
+//! placed exactly on the `1/z` boundary, alone or as a product with an
+//! earlier position's entry.
 
 use ius_datasets::rssi::rssi_like;
 use ius_weighted::{Alphabet, WeightedString, ZEstimation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Asserts `build` and `build_reference` produce the same strands.
-fn assert_matches_reference(x: &WeightedString, z: f64, context: &str) -> ZEstimation {
-    let fast = ZEstimation::build(x, z).unwrap();
-    let reference = ZEstimation::build_reference(x, z).unwrap();
-    assert_eq!(fast.num_strands(), reference.num_strands(), "{context}");
-    for (j, (a, b)) in fast.strands().iter().zip(reference.strands()).enumerate() {
-        assert_eq!(a.seq(), b.seq(), "{context}: strand {j} letters");
-        assert_eq!(a.extents(), b.extents(), "{context}: strand {j} extents");
-    }
-    fast
+/// Asserts `build` meets the z-estimation contract for factors up to
+/// length 4.
+fn assert_matches_reference(x: &WeightedString, z: f64, context: &str) {
+    ZEstimation::build(x, z)
+        .unwrap()
+        .verify_contract(x, 4)
+        .unwrap_or_else(|e| panic!("{context}: {e}"));
 }
 
 /// A row with a support of `letters.len()` letters; the first takes `first`
@@ -92,11 +91,7 @@ fn sparse_supports_over_large_alphabets_match_reference() {
             for trial in 0..4 {
                 let x = sparse_string(&mut rng, sigma, 240, z);
                 let context = format!("sigma={sigma} z={z} trial={trial}");
-                let est = assert_matches_reference(&x, z, &context);
-                if trial == 0 {
-                    est.verify_contract(&x, 4)
-                        .unwrap_or_else(|e| panic!("{context}: {e}"));
-                }
+                assert_matches_reference(&x, z, &context);
             }
         }
     }
@@ -121,9 +116,7 @@ fn exact_threshold_products_match_reference() {
                 .collect();
             let x = WeightedString::from_rows(Alphabet::integer(sigma).unwrap(), &rows).unwrap();
             let context = format!("alternating sigma={sigma} z={z}");
-            let est = assert_matches_reference(&x, z, &context);
-            est.verify_contract(&x, 4)
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_matches_reference(&x, z, &context);
         }
     }
 }
@@ -131,6 +124,5 @@ fn exact_threshold_products_match_reference() {
 #[test]
 fn rssi_corpus_matches_reference_and_contract() {
     let x = rssi_like(2000, 0x0551);
-    let est = assert_matches_reference(&x, 64.0, "rssi n=2000 z=64");
-    est.verify_contract(&x, 3).unwrap();
+    assert_matches_reference(&x, 64.0, "rssi n=2000 z=64");
 }

@@ -130,24 +130,10 @@ fn main() {
     println!("  all indexes agree with the naive matcher ({total_naive} occurrences in total)");
 
     // ---------------------------------------------------------------
-    // 3. The batched engine and the non-collecting sinks.
+    // 3. The non-collecting sinks.
     // ---------------------------------------------------------------
     println!();
-    println!("== Batched queries and match sinks ==");
-    // Answer the whole pattern set over MWSA-G with per-worker scratch;
-    // results come back in pattern order no matter how work is scheduled.
-    let executor = QueryBatch::new();
-    let batched = query_batch(&mwsa_g, &patterns, &x, &executor);
-    let batched_total: usize = batched
-        .iter()
-        .map(|entry| entry.as_ref().expect("valid pattern").0.len())
-        .sum();
-    assert_eq!(batched_total, total_naive);
-    println!(
-        "  QueryBatch over {} workers: {} occurrences (identical to single-shot)",
-        executor.threads(),
-        batched_total
-    );
+    println!("== Match sinks ==");
     // Count-only and first-k sinks skip materialising positions.
     let mut scratch = QueryScratch::new();
     let mut count = CountSink::new();

@@ -82,10 +82,9 @@ pub mod prelude {
     pub use ius_datasets::registry::{standard_datasets, Dataset, Scale};
     pub use ius_datasets::rssi::RssiConfig;
     pub use ius_index::{
-        load_index, query_batch, query_batch_positions, save_index, AnyIndex, CountSink,
-        FirstKSink, IndexFamily, IndexParams, IndexSpec, IndexVariant, MatchSink, MinimizerIndex,
-        NaiveIndex, QueryBatch, QueryScratch, QueryStats, SpaceEfficientBuilder, UncertainIndex,
-        Wsa, Wst,
+        load_index, save_index, AnyIndex, CountSink, FirstKSink, IndexFamily, IndexParams,
+        IndexSpec, IndexVariant, MatchSink, MinimizerIndex, NaiveIndex, QueryScratch, QueryStats,
+        SpaceEfficientBuilder, UncertainIndex, Wsa, Wst,
     };
     pub use ius_live::{LiveConfig, LiveIndex, LiveStats};
     pub use ius_sampling::{KmerOrder, MinimizerScheme};
