@@ -1,6 +1,6 @@
 //! Aligned immutable byte arenas with typed zero-copy views.
 //!
-//! The IUSX v3 persistence format stores its large flat arrays in their
+//! The IUSX persistence format stores its large flat arrays in their
 //! in-memory little-endian layout at 8-byte-aligned file offsets, so an
 //! index can be *opened* — one slurp of the file into an [`Arena`], a CRC
 //! pass, O(sections) of validation — instead of *decoded* element by
@@ -52,7 +52,7 @@ mod sealed {
 ///
 /// Sealed: exactly `u8`, `u16`, `u32`, `u64` and `f64` — fixed-size types
 /// with no padding and no invalid bit patterns, whose little-endian byte
-/// layout is what the IUSX v3 format stores. All have alignment ≤ 8, the
+/// layout is what the IUSX format stores. All have alignment ≤ 8, the
 /// arena's base alignment.
 pub trait Pod: Copy + PartialEq + fmt::Debug + Send + Sync + 'static + sealed::Sealed {
     /// `size_of::<Self>()`, as a trait constant for array math.
@@ -384,7 +384,7 @@ impl<'a, T: Pod> IntoIterator for &'a ArenaVec<T> {
 }
 
 /// The little-endian byte image of a typed slice: borrowed on
-/// little-endian targets (zero copy — this is what the v3 writer streams
+/// little-endian targets (zero copy — this is what the IUSX writer streams
 /// out in one `write_all`), encoded element-wise on big-endian ones.
 pub fn as_le_bytes<T: Pod>(slice: &[T]) -> std::borrow::Cow<'_, [u8]> {
     if cfg!(target_endian = "little") {

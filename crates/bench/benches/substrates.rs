@@ -56,7 +56,7 @@ fn substrate_benches(c: &mut Criterion) {
         ys.swap(i, j);
     }
     let points: Vec<GridPoint> = (0..100_000u32)
-        .map(|x| GridPoint::new(x, ys[x as usize], x))
+        .map(|x| GridPoint::new(x, ys[x as usize]))
         .collect();
     group.bench_function("grid_build/100k-points", |b| {
         b.iter(|| RangeReporter::new(points.clone()))
@@ -67,6 +67,18 @@ fn substrate_benches(c: &mut Criterion) {
         b.iter(|| {
             q = (q + 9973) % 90_000;
             grid.report(&Rect::new((q, q + 500), (q, q + 500)))
+        })
+    });
+    // A wide rectangle: ~12.5k of the 100k points inside, so the cost is
+    // dominated by the reported points rather than the range location.
+    group.bench_function("grid_query_wide/100k-points", |b| {
+        let mut q = 0u32;
+        let mut out = Vec::new();
+        b.iter(|| {
+            q = (q + 9973) % 50_000;
+            out.clear();
+            grid.report_into(&Rect::new((q, q + 50_000), (0, 25_000)), &mut out);
+            out.len()
         })
     });
 

@@ -59,9 +59,9 @@ pub struct FamilySpaceBench {
     pub family: String,
     /// In-memory footprint reported by `size_bytes()`.
     pub size_bytes: usize,
-    /// Length of the serialized v3 representation (raw sections).
+    /// Length of the serialized IUSX representation (raw sections).
     pub file_bytes: usize,
-    /// Length of the v3 representation with bit-packed `u32` sections
+    /// Length of the IUSX representation with bit-packed `u32` sections
     /// (`SaveOptions { pack_u32: true }`; ≤ `file_bytes` — the writer keeps
     /// a section raw when packing would not shrink it).
     pub file_bytes_packed: usize,
@@ -290,7 +290,7 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the v3 format (raw sections) and file_bytes_packed with bit-packed u32 \
+         size of the IUSX v4 format (raw sections) and file_bytes_packed with bit-packed u32 \
          sections; save_ms and open_ms are timed over in-memory buffers and rebuild runs the \
          full from-scratch construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \

@@ -9,12 +9,14 @@
 //!
 //! This crate provides:
 //!
-//! * [`RangeReporter`] — a merge-sort tree (static segment tree over the
-//!   x-order whose nodes store y-sorted point lists). Queries run in
-//!   `O(log² N + k)` time and the structure occupies `O(N log N)` words;
-//!   construction is `O(N log N)`. (The paper cites a slightly stronger
-//!   `O((1+k) log N)` bound via Mäkinen–Navarro; the practical behaviour is
-//!   indistinguishable at the scales involved and the interface is the same.)
+//! * [`RangeReporter`] — a wavelet matrix (Claude, Navarro and Ordóñez,
+//!   Inf. Syst. 2015) over the point ids in x order, beside the x keys, the
+//!   id at each x rank and the per-id `(x, y)` table. It occupies `O(N)`
+//!   words plus `N·⌈log₂ N⌉` bits (16 bytes plus `1.5·⌈log₂ N⌉` bits per
+//!   point) and answers a rectangle with `k` points in `O((1 + k) log N)`
+//!   time — the Mäkinen–Navarro bound the paper cites — scanning the
+//!   narrower side of the rectangle directly when that is cheaper than
+//!   walking the matrix. Construction is `O(N log N)` time in `O(N)` words.
 //! * [`NaiveGrid`] — a linear-scan baseline used for differential testing and
 //!   as the honest choice for very small point sets.
 
@@ -27,22 +29,21 @@ pub mod reporter;
 pub use naive::NaiveGrid;
 pub use reporter::{RangeReporter, ReporterParts};
 
-/// A point of the grid: a pair of leaf ranks plus an opaque payload
-/// (the index stores the minimizer label it needs to verify a candidate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A point of the grid: a pair of leaf ranks. Queries report the points
+/// themselves, so the index reads both leaves of a candidate straight from
+/// the report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GridPoint {
     /// Rank in the forward tree's leaf order.
     pub x: u32,
     /// Rank in the backward tree's leaf order.
     pub y: u32,
-    /// Caller-defined payload carried back by queries.
-    pub payload: u32,
 }
 
 impl GridPoint {
     /// Convenience constructor.
-    pub fn new(x: u32, y: u32, payload: u32) -> Self {
-        Self { x, y, payload }
+    pub fn new(x: u32, y: u32) -> Self {
+        Self { x, y }
     }
 }
 
@@ -90,11 +91,11 @@ mod tests {
     #[test]
     fn rect_contains() {
         let r = Rect::new((2, 5), (10, 20));
-        assert!(r.contains(&GridPoint::new(2, 10, 0)));
-        assert!(r.contains(&GridPoint::new(4, 19, 0)));
-        assert!(!r.contains(&GridPoint::new(5, 10, 0)));
-        assert!(!r.contains(&GridPoint::new(4, 20, 0)));
-        assert!(!r.contains(&GridPoint::new(1, 15, 0)));
+        assert!(r.contains(&GridPoint::new(2, 10)));
+        assert!(r.contains(&GridPoint::new(4, 19)));
+        assert!(!r.contains(&GridPoint::new(5, 10)));
+        assert!(!r.contains(&GridPoint::new(4, 20)));
+        assert!(!r.contains(&GridPoint::new(1, 15)));
         assert!(!r.is_empty());
         assert!(Rect::new((3, 3), (0, 10)).is_empty());
         assert!(Rect::new((0, 1), (10, 10)).is_empty());

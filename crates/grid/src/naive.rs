@@ -28,15 +28,15 @@ impl NaiveGrid {
         self.points.is_empty()
     }
 
-    /// Payloads of all points inside `rect`.
-    pub fn report(&self, rect: &Rect) -> Vec<u32> {
+    /// All points inside `rect`, in insertion order.
+    pub fn report(&self, rect: &Rect) -> Vec<GridPoint> {
         if rect.is_empty() {
             return Vec::new();
         }
         self.points
             .iter()
             .filter(|p| rect.contains(p))
-            .map(|p| p.payload)
+            .copied()
             .collect()
     }
 
@@ -61,10 +61,10 @@ mod tests {
     #[test]
     fn report_and_count() {
         let grid = NaiveGrid::new(vec![
-            GridPoint::new(0, 0, 100),
-            GridPoint::new(1, 2, 101),
-            GridPoint::new(2, 1, 102),
-            GridPoint::new(3, 3, 103),
+            GridPoint::new(0, 0),
+            GridPoint::new(1, 2),
+            GridPoint::new(2, 1),
+            GridPoint::new(3, 3),
         ]);
         assert_eq!(grid.len(), 4);
         let all = Rect::new((0, 4), (0, 4));
@@ -72,7 +72,7 @@ mod tests {
         let r = Rect::new((1, 3), (1, 3));
         let mut hits = grid.report(&r);
         hits.sort_unstable();
-        assert_eq!(hits, vec![101, 102]);
+        assert_eq!(hits, vec![GridPoint::new(1, 2), GridPoint::new(2, 1)]);
         assert_eq!(grid.count(&Rect::new((0, 0), (0, 4))), 0);
     }
 

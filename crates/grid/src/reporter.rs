@@ -1,110 +1,168 @@
-//! Merge-sort-tree 2D range reporting.
+//! Wavelet-matrix 2D range reporting with narrow-side scans.
 
 use crate::{GridPoint, Rect};
 use ius_arena::ArenaVec;
 
+/// Scan without counting first when the narrower side of the rectangle
+/// holds at most `BLIND_SCAN_PER_LEVEL · L` entries. A count costs two
+/// root-to-leaf paths of rank pairs (two random reads each per level), while
+/// a scan step is one sequential `u32` read and a compare; sixteen scan
+/// steps per level is about what counting alone would cost, so a rectangle
+/// this narrow is cheapest to scan outright.
+const BLIND_SCAN_PER_LEVEL: usize = 16;
+
+/// After counting `k` points, scan the narrower side when it holds at most
+/// `SCAN_PER_WALK_LEVEL · (k + 1) · L` entries. The walk pays one rank pair
+/// per visited node and visits `O((1 + k) · L)` nodes; a scan step is no
+/// dearer than one of those rank pairs, so the scan wins up to that width.
+/// Either branch stays within the `O((1 + k) log N)` query bound.
+const SCAN_PER_WALK_LEVEL: usize = 1;
+
 /// The flat representation of a [`RangeReporter`], used by the persistence
-/// layer to save the structure without re-running the `O(N log N)` merge on
-/// load. `node_lens[i]` is the number of `(y, payload)` entries of segment
-/// tree node `i`; the entries themselves are concatenated in node order in
-/// `ys`/`payloads`. Each array is an [`ArenaVec`], so the parts can either
-/// own their storage (a fresh build, a bit-packed section) or borrow it
-/// zero-copy from a persisted arena.
+/// layer to save the structure without re-running the construction on load.
+/// Each array is an [`ArenaVec`], so the parts can either own their storage
+/// (a fresh build, a bit-packed section) or borrow it zero-copy from a
+/// persisted arena.
+///
+/// Every point has an *id*, its rank in `(y, x)` order. With `N` points,
+/// `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words per level:
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReporterParts {
-    /// Number of stored points.
+    /// Number of stored points `N`.
     pub len: u64,
-    /// x-coordinate of each point in x-sorted order.
+    /// The wavelet matrix over the ids in x order: `L` levels of `W` words,
+    /// level-major, bit `i` of a level at bit `i % 64` of word `i / 64`.
+    pub bits: ArenaVec<u64>,
+    /// Per word of `bits`: the one-bits of its level before that word.
+    pub ranks: ArenaVec<u32>,
+    /// The x keys in sorted order (`N` entries).
     pub xs: ArenaVec<u32>,
-    /// Entry count per segment-tree node (always `2 · size` nodes).
-    pub node_lens: ArenaVec<u32>,
-    /// Concatenated y-values of all nodes' entries.
-    pub ys: ArenaVec<u32>,
-    /// Concatenated payloads of all nodes' entries.
-    pub payloads: ArenaVec<u32>,
+    /// The id of the point at each x rank (`N` entries).
+    pub ids_by_x: ArenaVec<u32>,
+    /// Per id, interleaved: `[x₀, y₀, x₁, y₁, …]` (`2N` entries).
+    pub points: ArenaVec<u32>,
 }
 
-/// A static merge-sort tree over a point set.
+/// A static 2D range reporter: a wavelet matrix (Claude, Navarro and
+/// Ordóñez) over the point ids in x order, plus the x keys, the id at each x
+/// rank and the per-id `(x, y)` table.
 ///
-/// Points are sorted by `x`; a perfect binary segment tree is laid over that
-/// order, and every tree node stores the y-values (with payloads) of its
-/// segment, sorted by `y`. A rectangle query decomposes the x-range into
-/// `O(log N)` canonical nodes and binary-searches the y-range in each:
-/// `O(log² N + k)` time, `O(N log N)` space.
+/// A query turns its rectangle into an x-rank range of width `w_x` and an
+/// id range of width `w_y` (ids are numbered in `(y, x)` order, so the
+/// points with `y` inside the rectangle are one id range) and reports the
+/// points whose x rank and id both fall inside. With `w = min(w_x, w_y)` it
+/// scans the narrower side when `w` is small, otherwise counts the `k`
+/// points in `O(log N)` and either scans (when `w` is within a constant of
+/// `(k + 1) log N`) or walks the wavelet matrix down to the ids inside,
+/// `O((1 + k) log N)` in all cases.
 ///
-/// The per-node entry lists are stored concatenated in two flat pools
-/// (`ys`/`payloads`) with a derived offset table, so a persisted reporter can
-/// be reopened as zero-copy views into an [`ius_arena::Arena`].
+/// Space: `16 N` bytes for the three `u32` arrays and the `(x, y)` table,
+/// plus `1.5 · L` bits per point for the matrix levels and their rank
+/// counts. Every part is a flat array, so a persisted reporter reopens as
+/// zero-copy views into an [`ius_arena::Arena`].
 #[derive(Debug, Clone)]
 pub struct RangeReporter {
-    /// Number of leaves (points), rounded up to a power of two for the tree.
-    size: usize,
-    /// Number of actual points.
+    /// Number of points `N`.
     len: usize,
-    /// x-coordinate of each point in x-sorted order (for locating ranges).
+    /// Number of wavelet-matrix levels `L`.
+    levels: usize,
+    /// Words per level, `⌊N / 64⌋ + 1`.
+    words: usize,
+    /// Zero bits per level (derived: a permutation of `0..N` fixes them).
+    zeros: [u32; 32],
+    bits: ArenaVec<u64>,
+    ranks: ArenaVec<u32>,
     xs: ArenaVec<u32>,
-    /// Start of node `i`'s entries in `ys`/`payloads`; `2 · size + 1`
-    /// entries (prefix sums of the node lengths, `u32` like the pool
-    /// indices they point into — half the memory and half the open-time
-    /// traffic of machine words). Derived at build/load.
-    node_starts: Vec<u32>,
-    /// Concatenated y-values of all nodes' entries, each node y-sorted.
-    ys: ArenaVec<u32>,
-    /// Payloads parallel to `ys`.
-    payloads: ArenaVec<u32>,
+    ids_by_x: ArenaVec<u32>,
+    points: ArenaVec<u32>,
+}
+
+/// `⌈log₂ n⌉`, the number of bits a value in `0..n` needs (0 for `n ≤ 1`).
+fn levels_for(n: usize) -> usize {
+    if n <= 1 {
+        0
+    } else {
+        (usize::BITS - (n - 1).leading_zeros()) as usize
+    }
+}
+
+/// How many values in `0..n` have bit `bit` set.
+fn ones_below(n: usize, bit: usize) -> usize {
+    let period = 1usize << (bit + 1);
+    let half = 1usize << bit;
+    (n / period) * half + (n % period).saturating_sub(half)
+}
+
+/// Zero bits per level of a wavelet matrix over a permutation of `0..n`.
+fn level_zeros(n: usize, levels: usize) -> [u32; 32] {
+    let mut zeros = [0u32; 32];
+    for (level, z) in zeros.iter_mut().enumerate().take(levels) {
+        *z = (n - ones_below(n, levels - 1 - level)) as u32;
+    }
+    zeros
 }
 
 impl RangeReporter {
-    /// Builds the structure. `O(N log N)` time and space.
+    /// Builds the structure in `O(N log N)` time and `O(N)` words of
+    /// transient memory.
+    ///
+    /// # Panics
+    ///
+    /// If there are more than `u32::MAX` points.
     pub fn new(mut points: Vec<GridPoint>) -> Self {
-        points.sort_unstable_by_key(|p| (p.x, p.y));
         let len = points.len();
-        let size = len.next_power_of_two().max(1);
-        let mut node_points: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 2 * size];
-        let xs: Vec<u32> = points.iter().map(|p| p.x).collect();
-        // Fill leaves.
-        for (i, p) in points.iter().enumerate() {
-            node_points[size + i].push((p.y, p.payload));
-        }
-        // Merge upwards.
-        for node in (1..size).rev() {
-            let (left, right) = (2 * node, 2 * node + 1);
-            let mut merged = Vec::with_capacity(node_points[left].len() + node_points[right].len());
-            let (a, b) = (&node_points[left], &node_points[right]);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < a.len() && j < b.len() {
-                if a[i] <= b[j] {
-                    merged.push(a[i]);
-                    i += 1;
+        assert!(u32::try_from(len).is_ok(), "grid exceeds u32 point ids");
+        points.sort_unstable_by_key(|p| (p.y, p.x));
+        let table: Vec<u32> = points.iter().flat_map(|p| [p.x, p.y]).collect();
+        drop(points);
+        let mut ids_by_x: Vec<u32> = (0..len as u32).collect();
+        ids_by_x.sort_unstable_by_key(|&id| (table[2 * id as usize], id));
+        let xs: Vec<u32> = ids_by_x.iter().map(|&id| table[2 * id as usize]).collect();
+
+        let levels = levels_for(len);
+        let words = len / 64 + 1;
+        let zeros = level_zeros(len, levels);
+        let mut bits = vec![0u64; levels * words];
+        let mut ranks = vec![0u32; levels * words];
+        // Level `l` holds bit `L − 1 − l` of the sequence `cur`; the next
+        // level's sequence is `cur` stably partitioned, zeros first.
+        let mut cur = ids_by_x.clone();
+        let mut next = vec![0u32; len];
+        for level in 0..levels {
+            let shift = levels - 1 - level;
+            let level_bits = &mut bits[level * words..(level + 1) * words];
+            let (mut z, mut o) = (0usize, zeros[level] as usize);
+            for (i, &id) in cur.iter().enumerate() {
+                let bit = (id >> shift) & 1;
+                level_bits[i / 64] |= u64::from(bit) << (i % 64);
+                if bit == 0 {
+                    next[z] = id;
+                    z += 1;
                 } else {
-                    merged.push(b[j]);
-                    j += 1;
+                    next[o] = id;
+                    o += 1;
                 }
             }
-            merged.extend_from_slice(&a[i..]);
-            merged.extend_from_slice(&b[j..]);
-            node_points[node] = merged;
-        }
-        // Flatten the per-node lists into the two entry pools.
-        let total: usize = node_points.iter().map(Vec::len).sum();
-        let mut node_starts = Vec::with_capacity(2 * size + 1);
-        let mut ys = Vec::with_capacity(total);
-        let mut payloads = Vec::with_capacity(total);
-        node_starts.push(0u32);
-        for node in &node_points {
-            for &(y, payload) in node {
-                ys.push(y);
-                payloads.push(payload);
+            let mut ones = 0u32;
+            for (rank, &word) in ranks[level * words..(level + 1) * words]
+                .iter_mut()
+                .zip(level_bits.iter())
+            {
+                *rank = ones;
+                ones += word.count_ones();
             }
-            node_starts.push(u32::try_from(ys.len()).expect("entry pools exceed u32 range"));
+            std::mem::swap(&mut cur, &mut next);
         }
         Self {
-            size,
             len,
+            levels,
+            words,
+            zeros,
+            bits: ArenaVec::from(bits),
+            ranks: ArenaVec::from(ranks),
             xs: ArenaVec::from(xs),
-            node_starts,
-            ys: ArenaVec::from(ys),
-            payloads: ArenaVec::from(payloads),
+            ids_by_x: ArenaVec::from(ids_by_x),
+            points: ArenaVec::from(table),
         }
     }
 
@@ -120,51 +178,89 @@ impl RangeReporter {
         self.len == 0
     }
 
-    /// Payloads of all points inside `rect`.
-    pub fn report(&self, rect: &Rect) -> Vec<u32> {
+    /// The largest x and the largest y of any point (`None` when empty):
+    /// the last x key and the last id's y, both columns being sorted.
+    pub fn max_coordinates(&self) -> Option<(u32, u32)> {
+        Some((*self.xs.last()?, *self.points.last()?))
+    }
+
+    /// The point with id `id`.
+    #[inline]
+    fn point(&self, id: usize) -> GridPoint {
+        GridPoint::new(self.points[2 * id], self.points[2 * id + 1])
+    }
+
+    /// One-bits of level `level` before position `i` (`i ≤ N`).
+    #[inline]
+    fn rank1(&self, level: usize, i: usize) -> usize {
+        let w = level * self.words + i / 64;
+        let below = self.bits[w] & ((1u64 << (i % 64)) - 1);
+        self.ranks[w] as usize + below.count_ones() as usize
+    }
+
+    /// The x-rank range and the id range of `rect` (each half-open).
+    fn ranges(&self, rect: &Rect) -> ((usize, usize), (usize, usize)) {
+        let lo = self.xs.partition_point(|&x| x < rect.x_lo);
+        let hi = self.xs.partition_point(|&x| x < rect.x_hi);
+        let a = self.ids_below(rect.y_lo);
+        let b = self.ids_below(rect.y_hi);
+        ((lo, hi), (a, b))
+    }
+
+    /// Number of ids whose point has `y < bound` (the y column is sorted).
+    fn ids_below(&self, bound: u32) -> usize {
+        let (mut lo, mut hi) = (0usize, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.points[2 * mid + 1] < bound {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Points inside `rect`.
+    pub fn report(&self, rect: &Rect) -> Vec<GridPoint> {
         let mut out = Vec::new();
         self.report_into(rect, &mut out);
         out
     }
 
     /// Like [`RangeReporter::report`] but appending into a reused output
-    /// buffer. Returns the number of canonical segment-tree nodes touched
-    /// (the `O(log N)` term of the query cost), for query instrumentation.
-    pub fn report_into(&self, rect: &Rect, out: &mut Vec<u32>) -> usize {
-        self.report_with(rect, |payload| out.push(payload))
+    /// buffer. Returns the grid work done: wavelet-matrix nodes visited plus
+    /// entries scanned, for query instrumentation.
+    pub fn report_into(&self, rect: &Rect, out: &mut Vec<GridPoint>) -> usize {
+        self.report_with(rect, |p| out.push(p))
     }
 
     /// Callback form of [`RangeReporter::report`]: invokes `emit` once per
-    /// point payload inside `rect`, allocating nothing. Returns the number of
-    /// canonical segment-tree nodes touched.
-    pub fn report_with(&self, rect: &Rect, mut emit: impl FnMut(u32)) -> usize {
+    /// point inside `rect`, allocating nothing. Returns the grid work done
+    /// (see [`RangeReporter::report_into`]).
+    pub fn report_with(&self, rect: &Rect, mut emit: impl FnMut(GridPoint)) -> usize {
         if rect.is_empty() || self.len == 0 {
             return 0;
         }
-        // Translate the x-range into a rank range over the x-sorted points.
-        let lo = self.xs.partition_point(|&x| x < rect.x_lo);
-        let hi = self.xs.partition_point(|&x| x < rect.x_hi);
-        if lo >= hi {
+        let ((lo, hi), (a, b)) = self.ranges(rect);
+        if lo >= hi || a >= b {
             return 0;
         }
-        // Canonical decomposition of [lo, hi) over the segment tree.
-        let mut nodes = 0usize;
-        let (mut l, mut r) = (lo + self.size, hi + self.size);
-        while l < r {
-            if l & 1 == 1 {
-                self.emit(l, rect, &mut emit);
-                nodes += 1;
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                self.emit(r, rect, &mut emit);
-                nodes += 1;
-            }
-            l >>= 1;
-            r >>= 1;
+        let w = (hi - lo).min(b - a);
+        let levels = self.levels.max(1);
+        if w <= BLIND_SCAN_PER_LEVEL * levels {
+            return self.scan(rect, (lo, hi), (a, b), &mut emit);
         }
-        nodes
+        let mut work = 0usize;
+        let k = self.count_ranges((lo, hi), (a, b), &mut work);
+        if k == 0 {
+            return work;
+        }
+        if w <= SCAN_PER_WALK_LEVEL * (k + 1) * levels {
+            return work + self.scan(rect, (lo, hi), (a, b), &mut emit);
+        }
+        self.walk(0, lo, hi, 0, (a, b), &mut emit, &mut work);
+        work
     }
 
     /// Number of points inside `rect`.
@@ -172,144 +268,270 @@ impl RangeReporter {
         if rect.is_empty() || self.len == 0 {
             return 0;
         }
-        let lo = self.xs.partition_point(|&x| x < rect.x_lo);
-        let hi = self.xs.partition_point(|&x| x < rect.x_hi);
-        if lo >= hi {
+        let ((lo, hi), (a, b)) = self.ranges(rect);
+        if lo >= hi || a >= b {
             return 0;
         }
-        let (mut l, mut r) = (lo + self.size, hi + self.size);
-        let mut total = 0usize;
-        while l < r {
-            if l & 1 == 1 {
-                total += self.count_node(l, rect);
-                l += 1;
+        self.count_ranges((lo, hi), (a, b), &mut 0)
+    }
+
+    /// Scans the narrower side of the rectangle: the ids at x ranks
+    /// `lo..hi` filtered by id, or the ids `a..b` filtered by x. Returns the
+    /// entries scanned.
+    fn scan(
+        &self,
+        rect: &Rect,
+        (lo, hi): (usize, usize),
+        (a, b): (usize, usize),
+        emit: &mut impl FnMut(GridPoint),
+    ) -> usize {
+        if hi - lo <= b - a {
+            for &id in &self.ids_by_x[lo..hi] {
+                let id = id as usize;
+                if id.wrapping_sub(a) < b - a {
+                    emit(self.point(id));
+                }
             }
-            if r & 1 == 1 {
-                r -= 1;
-                total += self.count_node(r, rect);
+            hi - lo
+        } else {
+            for (x, y) in self.points[2 * a..2 * b]
+                .chunks_exact(2)
+                .map(|p| (p[0], p[1]))
+            {
+                if x >= rect.x_lo && x < rect.x_hi {
+                    emit(GridPoint::new(x, y));
+                }
             }
-            l >>= 1;
-            r >>= 1;
+            b - a
         }
-        total
     }
 
-    /// Segment-tree node `node`'s entries: y-values and parallel payloads.
-    #[inline]
-    fn node(&self, node: usize) -> (&[u32], &[u32]) {
-        let (start, end) = (
-            self.node_starts[node] as usize,
-            self.node_starts[node + 1] as usize,
-        );
-        (&self.ys[start..end], &self.payloads[start..end])
+    /// Number of ids in `a..b` at x ranks `lo..hi`, in `O(L)`; adds the
+    /// nodes visited to `work`.
+    fn count_ranges(
+        &self,
+        (lo, hi): (usize, usize),
+        (a, b): (usize, usize),
+        work: &mut usize,
+    ) -> usize {
+        self.count_below(lo, hi, b, work) - self.count_below(lo, hi, a, work)
     }
 
-    fn emit(&self, node: usize, rect: &Rect, emit: &mut impl FnMut(u32)) {
-        let (ys, payloads) = self.node(node);
-        let start = ys.partition_point(|&y| y < rect.y_lo);
-        for (&y, &payload) in ys[start..].iter().zip(&payloads[start..]) {
-            if y >= rect.y_hi {
+    /// Number of ids `< bound` at x ranks `lo..hi`: one root-to-leaf path.
+    fn count_below(&self, mut lo: usize, mut hi: usize, bound: usize, work: &mut usize) -> usize {
+        if bound >= 1usize << self.levels {
+            return hi - lo;
+        }
+        let mut below = 0usize;
+        for level in 0..self.levels {
+            *work += 1;
+            let (ones_lo, ones_hi) = (self.rank1(level, lo), self.rank1(level, hi));
+            if (bound >> (self.levels - 1 - level)) & 1 == 1 {
+                below += (hi - lo) - (ones_hi - ones_lo);
+                let z = self.zeros[level] as usize;
+                (lo, hi) = (z + ones_lo, z + ones_hi);
+            } else {
+                (lo, hi) = (lo - ones_lo, hi - ones_hi);
+            }
+            if lo == hi {
                 break;
             }
-            emit(payload);
+        }
+        below
+    }
+
+    /// Reports the ids in `a..b` below the node at `level` whose values
+    /// start at `base` and whose positions are `lo..hi` (non-empty); adds
+    /// the nodes visited to `work`.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        level: usize,
+        lo: usize,
+        hi: usize,
+        base: usize,
+        (a, b): (usize, usize),
+        emit: &mut impl FnMut(GridPoint),
+        work: &mut usize,
+    ) {
+        *work += 1;
+        if level == self.levels {
+            // A leaf is one id: ids are distinct.
+            emit(self.point(base));
+            return;
+        }
+        let mid = base + (1usize << (self.levels - 1 - level));
+        let (ones_lo, ones_hi) = (self.rank1(level, lo), self.rank1(level, hi));
+        if a < mid && lo - ones_lo < hi - ones_hi {
+            self.walk(
+                level + 1,
+                lo - ones_lo,
+                hi - ones_hi,
+                base,
+                (a, b),
+                emit,
+                work,
+            );
+        }
+        if mid < b && ones_lo < ones_hi {
+            let z = self.zeros[level] as usize;
+            self.walk(level + 1, z + ones_lo, z + ones_hi, mid, (a, b), emit, work);
         }
     }
 
-    fn count_node(&self, node: usize, rect: &Rect) -> usize {
-        let (ys, _) = self.node(node);
-        ys.partition_point(|&y| y < rect.y_hi) - ys.partition_point(|&y| y < rect.y_lo)
-    }
-
-    /// Approximate heap usage in bytes. Arena-backed entry pools count as
-    /// zero owned bytes here; the arena itself is counted once by whoever
-    /// retains its handle.
+    /// Approximate heap usage in bytes. Arena-backed arrays count as zero
+    /// owned bytes here; the arena itself is counted once by whoever retains
+    /// its handle.
     pub fn memory_bytes(&self) -> usize {
-        self.xs.heap_bytes()
-            + self.ys.heap_bytes()
-            + self.payloads.heap_bytes()
-            + self.node_starts.capacity() * std::mem::size_of::<u32>()
+        self.bits.heap_bytes()
+            + self.ranks.heap_bytes()
+            + self.xs.heap_bytes()
+            + self.ids_by_x.heap_bytes()
+            + self.points.heap_bytes()
     }
 
     /// Exports the structure as its flat representation (see
     /// [`ReporterParts`]).
     pub fn to_parts(&self) -> ReporterParts {
-        let node_lens: Vec<u32> = self.node_starts.windows(2).map(|w| w[1] - w[0]).collect();
         ReporterParts {
             len: self.len as u64,
+            bits: self.bits.clone(),
+            ranks: self.ranks.clone(),
             xs: self.xs.clone(),
-            node_lens: ArenaVec::from(node_lens),
-            ys: self.ys.clone(),
-            payloads: self.payloads.clone(),
+            ids_by_x: self.ids_by_x.clone(),
+            points: self.points.clone(),
         }
     }
 
     /// Reassembles the structure from its flat representation — the inverse
-    /// of [`RangeReporter::to_parts`], in linear time (the merge-sort tree is
-    /// *not* rebuilt). The entry pools are moved in as-is, so views stay
-    /// views.
+    /// of [`RangeReporter::to_parts`], in linear time (the wavelet matrix is
+    /// *not* rebuilt). The arrays are moved in as-is, so views stay views.
     ///
     /// # Errors
     ///
     /// Returns a description of the first structural inconsistency.
     pub fn from_parts(parts: ReporterParts) -> Result<Self, String> {
-        let len = parts.len as usize;
-        if parts.xs.len() != len {
-            return Err(format!(
-                "xs has {} entries for {len} points",
-                parts.xs.len()
-            ));
-        }
-        let size = len.next_power_of_two().max(1);
-        if parts.node_lens.len() != 2 * size {
-            return Err(format!(
-                "expected {} segment-tree nodes, found {}",
-                2 * size,
-                parts.node_lens.len()
-            ));
-        }
-        let mut node_starts = Vec::with_capacity(2 * size + 1);
-        let mut offset = 0u64;
-        node_starts.push(0u32);
-        for &node_len in parts.node_lens.iter() {
-            offset += u64::from(node_len);
-            let Ok(start) = u32::try_from(offset) else {
-                return Err("entry pools exceed the u32 address range".into());
-            };
-            node_starts.push(start);
-        }
-        if parts.ys.len() as u64 != offset || parts.payloads.len() as u64 != offset {
-            return Err("entry arrays do not match the per-node lengths".into());
-        }
-        // Sortedness checks, phrased as whole-pool reduction scans so they
-        // vectorize (these run over the O(n log n) entry pools on every
-        // arena open). A node's entries are y-sorted iff every adjacent
-        // descent in the concatenated pool falls on a node boundary: count
-        // descents globally, then subtract the ones boundaries explain.
-        let descents = count_adjacent_descents(&parts.ys);
-        let mut boundary_descents = 0usize;
-        let mut prev_boundary = 0usize; // offset 0 is never an interior descent
-        for &b in &node_starts[1..node_starts.len() - 1] {
-            // Empty nodes repeat an offset; each distinct boundary can
-            // explain at most one descent.
-            let b = b as usize;
-            if b != prev_boundary && b < parts.ys.len() && parts.ys[b - 1] > parts.ys[b] {
-                boundary_descents += 1;
+        let Ok(len) = u32::try_from(parts.len) else {
+            return Err(format!("{} points exceed u32 point ids", parts.len));
+        };
+        let len = len as usize;
+        let levels = levels_for(len);
+        let words = len / 64 + 1;
+        for (name, found, expected) in [
+            ("bits", parts.bits.len(), levels * words),
+            ("ranks", parts.ranks.len(), levels * words),
+            ("xs", parts.xs.len(), len),
+            ("ids_by_x", parts.ids_by_x.len(), len),
+            ("points", parts.points.len(), 2 * len),
+        ] {
+            if found != expected {
+                return Err(format!(
+                    "{name} has {found} entries, expected {expected} for {len} points"
+                ));
             }
-            prev_boundary = b;
         }
-        if descents != boundary_descents {
-            return Err("a segment-tree node's entries are not y-sorted".into());
-        }
+        // Every check below is a whole-array fold (these run over the
+        // arrays on every arena open, so they must vectorize rather than
+        // exit early).
         if count_adjacent_descents(&parts.xs) != 0 {
             return Err("point x-coordinates are not sorted".into());
         }
+        let ys_descents = if len < 2 {
+            0
+        } else {
+            parts.points[1..2 * len - 2]
+                .iter()
+                .step_by(2)
+                .zip(parts.points[3..].iter().step_by(2))
+                .fold(0usize, |acc, (&a, &b)| acc + usize::from(a > b))
+        };
+        if ys_descents != 0 {
+            return Err("point y-coordinates are not sorted by id".into());
+        }
+        // `ids_by_x` is a permutation of 0..N: every id in range, each seen
+        // once (the seen bitmap has N bits).
+        let worst = parts.ids_by_x.iter().fold(0u32, |m, &id| m.max(id));
+        if len > 0 && worst as usize >= len {
+            return Err(format!("id {worst} out of range for {len} points"));
+        }
+        let mut seen = vec![0u64; len.div_ceil(64)];
+        let repeats = parts.ids_by_x.iter().fold(0usize, |acc, &id| {
+            let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+            let repeat = seen[w] & bit != 0;
+            seen[w] |= bit;
+            acc + usize::from(repeat)
+        });
+        if repeats != 0 {
+            return Err("ids_by_x is not a permutation of the point ids".into());
+        }
+        let disagreements = parts
+            .ids_by_x
+            .iter()
+            .zip(parts.xs.iter())
+            .fold(0usize, |acc, (&id, &x)| {
+                acc + usize::from(parts.points[2 * id as usize] != x)
+            });
+        if disagreements != 0 {
+            return Err("ids_by_x disagrees with the x keys".into());
+        }
+        // The wavelet matrix: prefix popcounts, nothing past N, the level
+        // one-counts of a permutation, and level 0 = top bit of ids_by_x.
+        let zeros = level_zeros(len, levels);
+        let per_level = parts
+            .bits
+            .chunks_exact(words)
+            .zip(parts.ranks.chunks_exact(words))
+            .zip(zeros);
+        for (level, ((level_bits, level_ranks), zero_count)) in per_level.enumerate() {
+            let (mismatched, ones) = level_ranks.iter().zip(level_bits).fold(
+                (0usize, 0u64),
+                |(bad, ones), (&rank, &word)| {
+                    (
+                        bad + usize::from(u64::from(rank) != ones),
+                        ones + u64::from(word.count_ones()),
+                    )
+                },
+            );
+            if mismatched != 0 {
+                return Err(format!(
+                    "wavelet level {level} rank counts are not its prefix popcounts"
+                ));
+            }
+            if level_bits[words - 1] >> (len % 64) != 0 {
+                return Err(format!("wavelet level {level} has bits set past N"));
+            }
+            let expected = len - zero_count as usize;
+            if ones != expected as u64 {
+                return Err(format!(
+                    "wavelet level {level} has {ones} one-bits, expected {expected}"
+                ));
+            }
+        }
+        if levels > 0 {
+            let shift = levels - 1;
+            let level0 = &parts.bits[..words];
+            let differing = parts
+                .ids_by_x
+                .iter()
+                .enumerate()
+                .fold(0usize, |acc, (i, &id)| {
+                    let bit = (level0[i / 64] >> (i % 64)) & 1;
+                    acc + usize::from(bit != u64::from(id >> shift))
+                });
+            if differing != 0 {
+                return Err("wavelet level 0 is not the top bit of ids_by_x".into());
+            }
+        }
         Ok(Self {
-            size,
             len,
+            levels,
+            words,
+            zeros,
+            bits: parts.bits,
+            ranks: parts.ranks,
             xs: parts.xs,
-            node_starts,
-            ys: parts.ys,
-            payloads: parts.payloads,
+            ids_by_x: parts.ids_by_x,
+            points: parts.points,
         })
     }
 }
@@ -341,13 +563,18 @@ mod tests {
             ys.swap(i, j);
         }
         (0..n as u32)
-            .map(|x| GridPoint::new(x, ys[x as usize], 1000 + x))
+            .map(|x| GridPoint::new(x, ys[x as usize]))
             .collect()
+    }
+
+    fn sorted(mut points: Vec<GridPoint>) -> Vec<GridPoint> {
+        points.sort_unstable();
+        points
     }
 
     /// Copies an arena vector out, applies `f`, and wraps it back up — the
     /// corruption tests' stand-in for direct mutation.
-    fn tweak(v: &ArenaVec<u32>, f: impl FnOnce(&mut Vec<u32>)) -> ArenaVec<u32> {
+    fn tweak<T: ius_arena::Pod>(v: &ArenaVec<T>, f: impl FnOnce(&mut Vec<T>)) -> ArenaVec<T> {
         let mut owned = v.to_vec();
         f(&mut owned);
         ArenaVec::from(owned)
@@ -367,11 +594,11 @@ mod tests {
                 let y1 = rng.gen_range(0..=(n as u32 + 2));
                 let y2 = rng.gen_range(0..=(n as u32 + 2));
                 let rect = Rect::new((x1.min(x2), x1.max(x2)), (y1.min(y2), y1.max(y2)));
-                let mut a = naive.report(&rect);
-                let mut b = fast.report(&rect);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "n={n} rect={rect:?}");
+                assert_eq!(
+                    sorted(naive.report(&rect)),
+                    sorted(fast.report(&rect)),
+                    "n={n} rect={rect:?}"
+                );
                 assert_eq!(naive.count(&rect), fast.count(&rect));
             }
         }
@@ -382,47 +609,49 @@ mod tests {
         // Even though the index produces permutations, the structure should
         // not silently break on duplicates.
         let points = vec![
-            GridPoint::new(3, 3, 1),
-            GridPoint::new(3, 3, 2),
-            GridPoint::new(3, 4, 3),
-            GridPoint::new(4, 3, 4),
+            GridPoint::new(3, 3),
+            GridPoint::new(3, 3),
+            GridPoint::new(3, 4),
+            GridPoint::new(4, 3),
         ];
         let naive = NaiveGrid::new(points.clone());
         let fast = RangeReporter::new(points);
         let rect = Rect::new((3, 4), (3, 4));
-        let mut a = naive.report(&rect);
-        let mut b = fast.report(&rect);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![1, 2]);
+        let a = sorted(naive.report(&rect));
+        assert_eq!(a, sorted(fast.report(&rect)));
+        assert_eq!(a, vec![GridPoint::new(3, 3); 2]);
     }
 
     #[test]
-    fn report_forms_agree_and_count_canonical_nodes() {
-        let points = random_points(200, 3);
+    fn report_forms_agree_and_count_grid_work() {
+        let points = random_points(2000, 3);
         let fast = RangeReporter::new(points);
         let mut rng = StdRng::seed_from_u64(11);
         let mut reused = Vec::new();
-        for _ in 0..100 {
-            let x1 = rng.gen_range(0..=202u32);
-            let x2 = rng.gen_range(0..=202u32);
-            let y1 = rng.gen_range(0..=202u32);
-            let y2 = rng.gen_range(0..=202u32);
+        for _ in 0..300 {
+            let x1 = rng.gen_range(0..=2002u32);
+            let x2 = rng.gen_range(0..=2002u32);
+            let y1 = rng.gen_range(0..=2002u32);
+            let y2 = rng.gen_range(0..=2002u32);
             let rect = Rect::new((x1.min(x2), x1.max(x2)), (y1.min(y2), y1.max(y2)));
             let direct = fast.report(&rect);
             reused.clear();
-            let nodes_into = fast.report_into(&rect, &mut reused);
+            let work_into = fast.report_into(&rect, &mut reused);
             let mut via_callback = Vec::new();
-            let nodes_with = fast.report_with(&rect, |p| via_callback.push(p));
+            let work_with = fast.report_with(&rect, |p| via_callback.push(p));
             assert_eq!(direct, reused);
             assert_eq!(direct, via_callback);
-            assert_eq!(nodes_into, nodes_with);
-            // The canonical decomposition of any rank range over a segment
-            // tree with 256 leaves touches at most 2·log2(256) nodes.
-            assert!(nodes_into <= 16, "nodes {nodes_into}");
+            assert_eq!(work_into, work_with);
+            // Work is bounded by O((1 + k) log N): a scan stays within
+            // 16·L·(k + 1) entries, a count and a walk within (2 + 2k)·L
+            // nodes plus the count's two paths.
+            let levels = 11;
+            assert!(
+                work_into <= (direct.len() + 1) * levels * 20,
+                "work {work_into}"
+            );
             if !direct.is_empty() {
-                assert!(nodes_into > 0);
+                assert!(work_into > 0);
             }
         }
     }
@@ -449,24 +678,98 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_corrupted_input() {
-        let original = RangeReporter::new(random_points(9, 1));
+        let original = RangeReporter::new(random_points(100, 1));
         let good = original.to_parts();
-        let mut bad = good.clone();
-        bad.xs = tweak(&bad.xs, |v| {
-            v.pop();
-        });
-        assert!(RangeReporter::from_parts(bad).is_err());
-        let mut bad = good.clone();
-        bad.node_lens = tweak(&bad.node_lens, |v| {
-            v.pop();
-        });
-        assert!(RangeReporter::from_parts(bad).is_err());
-        let mut bad = good.clone();
-        bad.ys = tweak(&bad.ys, |v| v.push(0));
-        assert!(RangeReporter::from_parts(bad).is_err());
-        let mut bad = good;
-        bad.xs = tweak(&bad.xs, |v| v.reverse());
-        assert!(RangeReporter::from_parts(bad).is_err());
+        assert!(RangeReporter::from_parts(good.clone()).is_ok());
+        let corruptions: Vec<(&str, &str, ReporterParts)> = vec![
+            ("short xs", "xs has", {
+                let mut bad = good.clone();
+                bad.xs = tweak(&bad.xs, |v| {
+                    v.pop();
+                });
+                bad
+            }),
+            ("short bits", "bits has", {
+                let mut bad = good.clone();
+                bad.bits = tweak(&bad.bits, |v| {
+                    v.pop();
+                });
+                bad
+            }),
+            ("long points", "points has", {
+                let mut bad = good.clone();
+                bad.points = tweak(&bad.points, |v| v.extend([0, 0]));
+                bad
+            }),
+            ("unsorted xs", "x-coordinates are not sorted", {
+                let mut bad = good.clone();
+                bad.xs = tweak(&bad.xs, |v| v.reverse());
+                bad
+            }),
+            ("unsorted ys", "y-coordinates are not sorted", {
+                let mut bad = good.clone();
+                bad.points = tweak(&bad.points, |v| v.swap(1, 3));
+                bad
+            }),
+            ("repeated id", "not a permutation", {
+                let mut bad = good.clone();
+                bad.ids_by_x = tweak(&bad.ids_by_x, |v| v[1] = v[0]);
+                bad
+            }),
+            ("id out of range", "out of range", {
+                let mut bad = good.clone();
+                bad.ids_by_x = tweak(&bad.ids_by_x, |v| v[0] = 100);
+                bad
+            }),
+            ("ids disagree with xs", "disagrees with the x keys", {
+                let mut bad = good.clone();
+                bad.ids_by_x = tweak(&bad.ids_by_x, |v| v.swap(0, 1));
+                bad
+            }),
+            ("rank count", "prefix popcounts", {
+                let mut bad = good.clone();
+                bad.ranks = tweak(&bad.ranks, |v| v[1] += 1);
+                bad
+            }),
+            ("bit past N", "past N", {
+                let mut bad = good.clone();
+                bad.bits = tweak(&bad.bits, |v| v[1] |= 1 << 63);
+                bad
+            }),
+            ("level one-count", "one-bits, expected", {
+                // Clear a one-bit of the last level and recompute that
+                // level's rank counts, so only the one-count is wrong.
+                let mut bad = good.clone();
+                let words = 100 / 64 + 1;
+                let last = bad.bits.len() - words;
+                let mut bits = bad.bits.to_vec();
+                let word = (last..bits.len()).find(|&w| bits[w] != 0).unwrap();
+                bits[word] &= bits[word] - 1;
+                let mut ranks = bad.ranks.to_vec();
+                let mut ones = 0;
+                for w in last..bits.len() {
+                    ranks[w] = ones;
+                    ones += bits[w].count_ones();
+                }
+                bad.bits = ArenaVec::from(bits);
+                bad.ranks = ArenaVec::from(ranks);
+                bad
+            }),
+            ("level 0", "level 0 is not the top bit", {
+                let mut bad = good.clone();
+                // Flip bit 0 and the lowest bit unlike it: the level keeps
+                // its popcounts but no longer matches ids_by_x.
+                bad.bits = tweak(&bad.bits, |v| {
+                    let unlike = if v[0] & 1 == 1 { !v[0] } else { v[0] };
+                    v[0] ^= 1 | (1 << unlike.trailing_zeros());
+                });
+                bad
+            }),
+        ];
+        for (what, expected, bad) in corruptions {
+            let err = RangeReporter::from_parts(bad).expect_err(what);
+            assert!(err.contains(expected), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -479,11 +782,12 @@ mod tests {
     }
 
     #[test]
-    fn memory_grows_superlinearly_but_modestly() {
-        let small = RangeReporter::new(random_points(128, 1)).memory_bytes();
-        let large = RangeReporter::new(random_points(1024, 1)).memory_bytes();
-        assert!(large > small);
-        // N log N scaling: 1024·11 vs 128·8 ⇒ factor ≈ 11; allow a wide band.
-        assert!(large < small * 32);
+    fn memory_is_sixteen_bytes_plus_one_and_a_half_level_bits_per_point() {
+        for n in [0usize, 1, 64, 1000, 1 << 12, 50_000] {
+            let bytes = RangeReporter::new(random_points(n, 1)).memory_bytes();
+            let levels = levels_for(n);
+            let bound = 16 * n + (3 * levels * n) / 16 + 64 * levels + 64;
+            assert!(bytes <= bound, "n={n}: {bytes} B > {bound} B");
+        }
     }
 }

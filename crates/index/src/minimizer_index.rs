@@ -19,7 +19,7 @@ use crate::encode::{
 };
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
-use ius_arena::{Arena, ArenaVec};
+use ius_arena::Arena;
 use ius_grid::{GridPoint, RangeReporter, Rect};
 use ius_obs::clock;
 use ius_query::{finalize_into, MatchSink, QueryScratch};
@@ -81,11 +81,8 @@ pub struct MinimizerIndex {
     bwd: EncodedFactorSet,
     fwd_trie: Option<CompactedTrie>,
     bwd_trie: Option<CompactedTrie>,
+    /// The 2D grid over `(forward leaf, backward leaf)` pairs.
     grid: Option<RangeReporter>,
-    /// Per grid point: the (forward leaf, backward leaf) it pairs,
-    /// interleaved `[fwd₀, bwd₀, fwd₁, bwd₁, …]` so the pool is one flat
-    /// array an arena open can view zero-copy.
-    pairs: ArenaVec<u32>,
     /// The persisted arena the index's views borrow from, when it was
     /// loaded from a file (`None` for built indexes).
     /// Held so size accounting can count the single backing allocation once.
@@ -228,29 +225,23 @@ impl MinimizerIndex {
             (None, None)
         };
 
-        let (grid, pairs) = if variant.has_grid() {
+        let grid = variant.has_grid().then(|| {
             let mut by_label: HashMap<(u32, u32), u32> = HashMap::with_capacity(fwd.len());
             for leaf in 0..fwd.len() {
                 by_label.insert((fwd.anchor_x(leaf) as u32, fwd.strand(leaf)), leaf as u32);
             }
-            let mut points = Vec::with_capacity(bwd.len());
-            let mut pairs = Vec::with_capacity(2 * bwd.len());
-            for bwd_leaf in 0..bwd.len() {
-                let label = (bwd.anchor_x(bwd_leaf) as u32, bwd.strand(bwd_leaf));
-                if let Some(&fwd_leaf) = by_label.get(&label) {
-                    let payload = (pairs.len() / 2) as u32;
-                    pairs.push(fwd_leaf);
-                    pairs.push(bwd_leaf as u32);
-                    points.push(GridPoint::new(fwd_leaf, bwd_leaf as u32, payload));
-                }
-            }
-            // Unpaired backward leaves leave slack behind the capacity guess;
-            // the pair table is retained for the index's lifetime.
-            pairs.shrink_to_fit();
-            (Some(RangeReporter::new(points)), ArenaVec::from(pairs))
-        } else {
-            (None, ArenaVec::new())
-        };
+            let points: Vec<GridPoint> = (0..bwd.len())
+                .filter_map(|bwd_leaf| {
+                    let label = (bwd.anchor_x(bwd_leaf) as u32, bwd.strand(bwd_leaf));
+                    by_label
+                        .get(&label)
+                        .map(|&fwd_leaf| GridPoint::new(fwd_leaf, bwd_leaf as u32))
+                })
+                .collect();
+            // Freed before the grid build, which sets the peak.
+            drop(by_label);
+            RangeReporter::new(points)
+        });
 
         Ok(Self {
             params,
@@ -264,16 +255,9 @@ impl MinimizerIndex {
             fwd_trie,
             bwd_trie,
             grid,
-            pairs,
             arena: None,
             construction,
         })
-    }
-
-    /// The `(forward leaf, backward leaf)` pair a grid payload refers to.
-    #[inline]
-    fn pair(&self, payload: usize) -> (u32, u32) {
-        (self.pairs[2 * payload], self.pairs[2 * payload + 1])
     }
 
     /// The index parameters (`z`, `ℓ`, `k`, order).
@@ -310,7 +294,6 @@ impl MinimizerIndex {
             fwd_trie: self.fwd_trie.as_ref(),
             bwd_trie: self.bwd_trie.as_ref(),
             grid: self.grid.as_ref(),
-            pairs: &self.pairs,
         }
     }
 
@@ -329,7 +312,6 @@ impl MinimizerIndex {
         fwd_trie: Option<CompactedTrie>,
         bwd_trie: Option<CompactedTrie>,
         grid: Option<RangeReporter>,
-        pairs: ArenaVec<u32>,
         arena: Option<Arena>,
         construction: &'static str,
     ) -> Self {
@@ -345,7 +327,6 @@ impl MinimizerIndex {
             fwd_trie,
             bwd_trie,
             grid,
-            pairs,
             arena,
             construction,
         }
@@ -421,29 +402,25 @@ impl MinimizerIndex {
                 (bwd_range.0 as u32, bwd_range.1 as u32),
             );
             let grid = self.grid.as_ref().expect("grid variant holds a grid");
-            scratch.grid.clear();
-            stats.grid_nodes = grid.report_into(&rect, &mut scratch.grid);
-            for &payload in &scratch.grid {
-                let (fwd_leaf, bwd_leaf) = self.pair(payload as usize);
-                stats.candidates += 1;
-                let anchor = self.fwd.anchor_x(fwd_leaf as usize);
-                let Some(start) = anchor.checked_sub(mu) else {
-                    continue;
+            let (mut candidates, mut verified) = (0usize, 0usize);
+            let positions = &mut scratch.positions;
+            // A grid point is a (forward leaf, backward leaf) pair; each is
+            // verified as it is reported.
+            stats.grid_nodes = grid.report_with(&rect, |point| {
+                candidates += 1;
+                let (fwd_leaf, bwd_leaf) = (point.x as usize, point.y as usize);
+                let Some(start) = self.fwd.anchor_x(fwd_leaf).checked_sub(mu) else {
+                    return;
                 };
-                if start + pattern.len() > self.n {
-                    continue;
+                if start + pattern.len() <= self.n
+                    && self.verify_encoded(pattern.len(), mu, start, fwd_leaf, bwd_leaf)
+                {
+                    verified += 1;
+                    positions.push(start);
                 }
-                if self.verify_encoded(
-                    pattern.len(),
-                    mu,
-                    start,
-                    fwd_leaf as usize,
-                    bwd_leaf as usize,
-                ) {
-                    stats.verified += 1;
-                    scratch.positions.push(start);
-                }
-            }
+            });
+            stats.candidates = candidates;
+            stats.verified = verified;
             let t = stamp();
             stats.verify_ns = t.saturating_sub(t_verify);
             t
@@ -564,8 +541,6 @@ pub(crate) struct MinimizerParts<'a> {
     pub(crate) fwd_trie: Option<&'a CompactedTrie>,
     pub(crate) bwd_trie: Option<&'a CompactedTrie>,
     pub(crate) grid: Option<&'a RangeReporter>,
-    /// Interleaved `[fwd₀, bwd₀, fwd₁, bwd₁, …]` grid pairs.
-    pub(crate) pairs: &'a [u32],
 }
 
 /// Extracts the deviations of a strand from the heavy string that fall into
@@ -611,7 +586,7 @@ impl UncertainIndex for MinimizerIndex {
     fn size_bytes(&self) -> usize {
         let tries = self.fwd_trie.as_ref().map_or(0, |t| t.memory_bytes())
             + self.bwd_trie.as_ref().map_or(0, |t| t.memory_bytes());
-        let grid = self.grid.as_ref().map_or(0, |g| g.memory_bytes()) + self.pairs.heap_bytes();
+        let grid = self.grid.as_ref().map_or(0, |g| g.memory_bytes());
         // The forward set normally shares its heavy view with `self.heavy`
         // (count the allocation once), but a loaded file can give it an owned
         // copy. The backward set always owns its reversed copy.

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 3**, the only version:
+//! behind a fixed envelope. Format **version 4**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -39,21 +39,24 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 3 only. Any
-//! layout change bumps [`FORMAT_VERSION`]; every other version — including
-//! the earlier streamed version 2 — is refused with a typed `InvalidData`
-//! error naming the version, and there is no silent migration (load and
-//! re-save a version-2 file with an older build to convert it). Every
-//! envelope carries its own CRC32 (IEEE, from [`ius_faultio`]) trailer;
-//! silent bit-rot is detected at open, not served, and a mismatch is a
-//! typed `InvalidData` error, never a panic.
+//! **Version policy:** this build reads and writes version 4 only. Any
+//! layout change bumps [`FORMAT_VERSION`]; every other version — the
+//! earlier versions 2 and 3 included — is refused with a typed
+//! `InvalidData` error naming the version, and there is no migration:
+//! rebuild the index from its corpus. Version 4 stores the grid as a
+//! wavelet matrix (level bits plus per-word rank counts, `u64` and `u32`
+//! sections), the sorted x keys, the id at each x rank and the per-id
+//! `(x, y)` leaf table. Every envelope carries its own CRC32 (IEEE, from
+//! [`ius_faultio`]) trailer; silent bit-rot is detected at open, not
+//! served, and a mismatch is a typed `InvalidData` error, never a panic.
 //!
 //! Derived data is not stored when reloading it is linear-time and
 //! allocation-only — leaf fragments of the WST, anchor view coordinates
 //! and mismatch log-ratios of the factor sets (ratios are stored raw so a
 //! re-save is byte-identical), and the minimizer scheme are all recomputed
 //! on load; the expensive construction steps (z-estimation, suffix
-//! sorting, trie and merge-sort-tree assembly) are **never** re-run.
+//! sorting, trie assembly and wavelet-matrix construction) are **never**
+//! re-run.
 //!
 //! Family tags: `0` NAIVE, `1` WST, `2` WSA, `3` minimizer (any of
 //! MWST/MWSA/MWST-G/MWSA-G, explicit or space-efficient construction).
@@ -91,7 +94,7 @@ pub const MAGIC: [u8; 4] = *b"IUSX";
 /// The on-disk format version, the only one this build reads or writes:
 /// arena-openable 8-byte-aligned sections with an envelope length field.
 /// Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
@@ -104,8 +107,8 @@ const TAG_REMOVED_SHARDED: u8 = 4;
 const ENC_RAW: u8 = 0;
 const ENC_PACKED: u8 = 1;
 
-/// Bytes of the v3 envelope header: magic, version, tag, envelope length.
-const V3_HEADER: usize = 15;
+/// Bytes of the envelope header: magic, version, tag, envelope length.
+const HEADER_LEN: usize = 15;
 
 /// Options controlling how [`save_index_with`] encodes sections.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -191,20 +194,20 @@ fn unpack_u32(words: &[u64], len: usize, width: usize) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------------
-// v3 writer: one in-memory buffer per envelope
+// Writer: one in-memory buffer per envelope
 // ---------------------------------------------------------------------------
 
-/// Accumulates one complete v3 envelope in memory. Offsets relative to the
+/// Accumulates one complete envelope in memory. Offsets relative to the
 /// envelope start are simply `buf.len()`, which makes the 8-byte section
 /// alignment trivial; the finished envelope (header patched with the total
 /// length, CRC32 trailer appended) reaches the output writer as a single
 /// `write_all` — the buffered save path.
-struct V3Writer {
+struct SectionWriter {
     buf: Vec<u8>,
     opts: SaveOptions,
 }
 
-impl Write for V3Writer {
+impl Write for SectionWriter {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(data);
         Ok(data.len())
@@ -215,7 +218,7 @@ impl Write for V3Writer {
     }
 }
 
-impl V3Writer {
+impl SectionWriter {
     fn pad8(&mut self) {
         while !self.buf.len().is_multiple_of(8) {
             self.buf.push(0);
@@ -255,15 +258,15 @@ impl V3Writer {
     }
 }
 
-/// Writes one complete checksummed v3 envelope into `w` as a single
+/// Writes one complete checksummed envelope into `w` as a single
 /// buffered write.
-fn write_checksummed_v3(
+fn write_checksummed(
     w: &mut dyn Write,
     tag: u8,
     opts: SaveOptions,
-    payload: impl FnOnce(&mut V3Writer) -> io::Result<()>,
+    payload: impl FnOnce(&mut SectionWriter) -> io::Result<()>,
 ) -> io::Result<()> {
-    let mut vw = V3Writer {
+    let mut vw = SectionWriter {
         buf: Vec::with_capacity(256),
         opts,
     };
@@ -273,7 +276,7 @@ fn write_checksummed_v3(
     vw.buf.extend_from_slice(&0u64.to_le_bytes()); // length, patched below
     payload(&mut vw)?;
     let total = (vw.buf.len() + 4) as u64;
-    vw.buf[7..V3_HEADER].copy_from_slice(&total.to_le_bytes());
+    vw.buf[7..HEADER_LEN].copy_from_slice(&total.to_le_bytes());
     let crc = crc32(&vw.buf);
     vw.buf.extend_from_slice(&crc.to_le_bytes());
     w.write_all(&vw.buf)
@@ -283,7 +286,7 @@ fn write_checksummed_v3(
 // Reader: one validated cursor over an arena
 // ---------------------------------------------------------------------------
 
-/// The one v3 decoder: a bounds-checked cursor over an [`Arena`] whose
+/// The one decoder: a bounds-checked cursor over an [`Arena`] whose
 /// envelope CRC was verified once, up front. Raw sections come back as
 /// zero-copy views; bit-packed sections decode to owned vectors.
 struct ArenaSource {
@@ -306,8 +309,8 @@ impl ArenaSource {
         }
         let bytes = arena.as_bytes();
         let head = bytes
-            .get(base..base + V3_HEADER)
-            .ok_or_else(|| bad("file too short for an IUSX v3 envelope"))?;
+            .get(base..base + HEADER_LEN)
+            .ok_or_else(|| bad("file too short for an IUSX envelope"))?;
         if head[..4] != MAGIC {
             return Err(bad("not an IUSX index file (bad magic)"));
         }
@@ -315,7 +318,7 @@ impl ArenaSource {
         if version != FORMAT_VERSION {
             return Err(bad(format!(
                 "unsupported IUSX format version {version} (this build reads only version \
-                 {FORMAT_VERSION}; load and re-save the file with an older build to convert it)"
+                 {FORMAT_VERSION}; rebuild the index from its corpus and save it again)"
             )));
         }
         // The header fields are checked before the checksum: they give the
@@ -332,12 +335,12 @@ impl ArenaSource {
             return Err(bad(format!("unknown family tag {tag}")));
         }
         let envelope_len = usize::try_from(u64::from_le_bytes(
-            head[7..V3_HEADER].try_into().expect("8-byte slice"),
+            head[7..HEADER_LEN].try_into().expect("8-byte slice"),
         ))
         .map_err(|_| bad("envelope length exceeds the address space"))?;
         let end_total = base
             .checked_add(envelope_len)
-            .filter(|&e| e <= bytes.len() && envelope_len >= V3_HEADER + 4)
+            .filter(|&e| e <= bytes.len() && envelope_len >= HEADER_LEN + 4)
             .ok_or_else(|| bad("envelope length field escapes the file"))?;
         let end = end_total - 4;
         let stored = u32::from_le_bytes(bytes[end..end_total].try_into().expect("4-byte slice"));
@@ -353,7 +356,7 @@ impl ArenaSource {
             Self {
                 arena: arena.clone(),
                 base,
-                cursor: base + V3_HEADER,
+                cursor: base + HEADER_LEN,
                 end,
                 envelope_len,
             },
@@ -564,10 +567,10 @@ fn factor_heavy_view(direction: Direction, owns_view: bool, heavy: &HeavyString)
 }
 
 // ---------------------------------------------------------------------------
-// v3 component writers/readers (aligned sections)
+// Component writers/readers (aligned sections)
 // ---------------------------------------------------------------------------
 
-fn write_property_text_v3(vw: &mut V3Writer, pt: &PropertyText) -> io::Result<()> {
+fn write_property_text(vw: &mut SectionWriter, pt: &PropertyText) -> io::Result<()> {
     write_u64(vw, pt.n() as u64)?;
     write_u64(vw, pt.num_strands() as u64)?;
     vw.section::<u8>(pt.text());
@@ -583,7 +586,7 @@ fn write_property_text_v3(vw: &mut V3Writer, pt: &PropertyText) -> io::Result<()
     Ok(())
 }
 
-fn read_property_text_v3(s: &mut ArenaSource) -> io::Result<PropertyText> {
+fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
     let n = src_len(s)?;
     let num_strands = src_len(s)?;
     let text = read_section::<u8>(s)?;
@@ -597,7 +600,7 @@ fn read_property_text_v3(s: &mut ArenaSource) -> io::Result<PropertyText> {
     PropertyText::from_parts(n, num_strands, text, trunc, psa, trunc_lcp).map_err(bad)
 }
 
-fn write_trie_v3(vw: &mut V3Writer, trie: &CompactedTrie) -> io::Result<()> {
+fn write_trie(vw: &mut SectionWriter, trie: &CompactedTrie) -> io::Result<()> {
     let parts = trie.to_parts();
     vw.section_u32(&parts.depth);
     vw.section_u32(&parts.leaf_lo);
@@ -611,7 +614,7 @@ fn write_trie_v3(vw: &mut V3Writer, trie: &CompactedTrie) -> io::Result<()> {
     write_u64(vw, parts.num_leaves)
 }
 
-fn read_trie_v3(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
+fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
     let parts = TrieParts {
         depth: read_section_u32(s)?,
         leaf_lo: read_section_u32(s)?,
@@ -627,33 +630,36 @@ fn read_trie_v3(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
     CompactedTrie::from_parts(parts).map_err(bad)
 }
 
-fn write_reporter_v3(vw: &mut V3Writer, reporter: &RangeReporter) -> io::Result<()> {
+fn write_reporter(vw: &mut SectionWriter, reporter: &RangeReporter) -> io::Result<()> {
     let parts = reporter.to_parts();
     write_u64(vw, parts.len)?;
+    vw.section::<u64>(&parts.bits);
+    vw.section_u32(&parts.ranks);
     vw.section_u32(&parts.xs);
-    vw.section_u32(&parts.node_lens);
-    vw.section_u32(&parts.ys);
-    vw.section_u32(&parts.payloads);
+    vw.section_u32(&parts.ids_by_x);
+    vw.section_u32(&parts.points);
     Ok(())
 }
 
-fn read_reporter_parts_v3(s: &mut ArenaSource) -> io::Result<ReporterParts> {
-    Ok(ReporterParts {
+fn read_reporter(s: &mut ArenaSource) -> io::Result<RangeReporter> {
+    let parts = ReporterParts {
         len: src_u64(s)?,
+        bits: read_section::<u64>(s)?,
+        ranks: read_section_u32(s)?,
         xs: read_section_u32(s)?,
-        node_lens: read_section_u32(s)?,
-        ys: read_section_u32(s)?,
-        payloads: read_section_u32(s)?,
-    })
+        ids_by_x: read_section_u32(s)?,
+        points: read_section_u32(s)?,
+    };
+    RangeReporter::from_parts(parts).map_err(bad)
 }
 
-fn write_heavy_v3(vw: &mut V3Writer, heavy: &HeavyString) -> io::Result<()> {
+fn write_heavy(vw: &mut SectionWriter, heavy: &HeavyString) -> io::Result<()> {
     vw.section::<u8>(heavy.as_ranks());
     vw.section::<f64>(heavy.log_prefix());
     Ok(())
 }
 
-fn read_heavy_v3(s: &mut ArenaSource) -> io::Result<HeavyString> {
+fn read_heavy(s: &mut ArenaSource) -> io::Result<HeavyString> {
     // The heavy letters live behind an `Arc<Vec<u8>>` shared with the
     // factor sets, so they are copied out of the arena (n bytes — tiny
     // next to the O(n·z) tables that stay zero-copy).
@@ -662,7 +668,7 @@ fn read_heavy_v3(s: &mut ArenaSource) -> io::Result<HeavyString> {
     HeavyString::from_parts(letters, log_prefix).map_err(|e| bad(e.to_string()))
 }
 
-fn write_factor_set_v3(vw: &mut V3Writer, set: &EncodedFactorSet) -> io::Result<()> {
+fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet) -> io::Result<()> {
     write_u8(
         vw,
         match set.direction() {
@@ -682,7 +688,7 @@ fn write_factor_set_v3(vw: &mut V3Writer, set: &EncodedFactorSet) -> io::Result<
     Ok(())
 }
 
-fn read_factor_set_v3(s: &mut ArenaSource, heavy: &HeavyString) -> io::Result<EncodedFactorSet> {
+fn read_factor_set(s: &mut ArenaSource, heavy: &HeavyString) -> io::Result<EncodedFactorSet> {
     let direction = match src_u8(s)? {
         0 => Direction::Forward,
         1 => Direction::Backward,
@@ -755,21 +761,21 @@ fn construction_from_tag(tag: u8) -> io::Result<&'static str> {
     })
 }
 
-fn write_minimizer_payload_v3(vw: &mut V3Writer, index: &MinimizerIndex) -> io::Result<()> {
+fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io::Result<()> {
     write_params(vw, index.params())?;
     write_u8(vw, variant_tag(index.variant()))?;
     write_u8(vw, construction_tag(index.construction()))?;
     let parts = index.persist_parts();
     write_u64(vw, parts.n as u64)?;
     write_u64(vw, parts.sigma as u64)?;
-    write_heavy_v3(vw, parts.heavy)?;
-    write_factor_set_v3(vw, parts.fwd)?;
-    write_factor_set_v3(vw, parts.bwd)?;
+    write_heavy(vw, parts.heavy)?;
+    write_factor_set(vw, parts.fwd)?;
+    write_factor_set(vw, parts.bwd)?;
     for trie in [parts.fwd_trie, parts.bwd_trie] {
         match trie {
             Some(trie) => {
                 write_u8(vw, 1)?;
-                write_trie_v3(vw, trie)?;
+                write_trie(vw, trie)?;
             }
             None => write_u8(vw, 0)?,
         }
@@ -777,46 +783,34 @@ fn write_minimizer_payload_v3(vw: &mut V3Writer, index: &MinimizerIndex) -> io::
     match parts.grid {
         Some(grid) => {
             write_u8(vw, 1)?;
-            write_reporter_v3(vw, grid)?;
-            vw.section_u32(parts.pairs);
+            write_reporter(vw, grid)?;
         }
         None => write_u8(vw, 0)?,
     }
     Ok(())
 }
 
-fn read_minimizer_payload_v3(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
+fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     let params = src_params(src)?;
     let variant = variant_from_tag(src_u8(src)?)?;
     let construction = construction_from_tag(src_u8(src)?)?;
     let n = src_len(src)?;
     let sigma = src_len(src)?;
-    let heavy = read_heavy_v3(src)?;
-    let fwd = read_factor_set_v3(src, &heavy)?;
-    let bwd = read_factor_set_v3(src, &heavy)?;
+    let heavy = read_heavy(src)?;
+    let fwd = read_factor_set(src, &heavy)?;
+    let bwd = read_factor_set(src, &heavy)?;
     let mut tries = [None, None];
     for slot in &mut tries {
         *slot = match src_u8(src)? {
             0 => None,
-            1 => Some(read_trie_v3(src)?),
+            1 => Some(read_trie(src)?),
             other => return Err(bad(format!("bad trie presence flag {other}"))),
         };
     }
     let [fwd_trie, bwd_trie] = tries;
-    let (grid, pairs) = match src_u8(src)? {
-        0 => (None, ArenaVec::new()),
-        1 => {
-            let grid_parts = read_reporter_parts_v3(src)?;
-            let pairs = read_section_u32(src)?;
-            let worst = grid_parts.payloads.iter().fold(0u32, |m, &p| m.max(p));
-            if !grid_parts.payloads.is_empty() && worst as usize >= pairs.len() / 2 {
-                return Err(bad("grid payload references a pair out of range"));
-            }
-            (
-                Some(RangeReporter::from_parts(grid_parts).map_err(bad)?),
-                pairs,
-            )
-        }
+    let grid = match src_u8(src)? {
+        0 => None,
+        1 => Some(read_reporter(src)?),
         other => return Err(bad(format!("bad grid presence flag {other}"))),
     };
     // Cross-component invariants.
@@ -845,23 +839,10 @@ fn read_minimizer_payload_v3(src: &mut ArenaSource) -> io::Result<MinimizerIndex
     if variant.has_grid() != grid.is_some() {
         return Err(bad("stored grid does not match the index variant"));
     }
-    if !pairs.len().is_multiple_of(2) {
-        return Err(bad("grid pair pool has an odd element count"));
-    }
-    // Max-scan instead of an early-exit loop: this covers the whole pair
-    // pool on every open, so it must vectorize.
-    let (worst_fwd, worst_bwd) = pairs
-        .chunks_exact(2)
-        .fold((0u32, 0u32), |(f, b), p| (f.max(p[0]), b.max(p[1])));
-    if !pairs.is_empty() && (worst_fwd as usize >= fwd.len() || worst_bwd as usize >= bwd.len()) {
-        return Err(bad("grid pair references a leaf out of range"));
-    }
-    if let Some(grid) = &grid {
-        if grid.len() != pairs.len() / 2 {
-            return Err(bad("grid point count does not match the pair table"));
+    if let Some((max_fwd, max_bwd)) = grid.as_ref().and_then(RangeReporter::max_coordinates) {
+        if max_fwd as usize >= fwd.len() || max_bwd as usize >= bwd.len() {
+            return Err(bad("grid point references a leaf out of range"));
         }
-    } else if !pairs.is_empty() {
-        return Err(bad("grid pair pool stored without a grid"));
     }
     Ok(MinimizerIndex::from_loaded_parts(
         params,
@@ -874,7 +855,6 @@ fn read_minimizer_payload_v3(src: &mut ArenaSource) -> io::Result<MinimizerIndex
         fwd_trie,
         bwd_trie,
         grid,
-        pairs,
         src.retained_arena(),
         construction,
     ))
@@ -891,7 +871,7 @@ impl NaiveIndex {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_checksummed_v3(w, TAG_NAIVE, SaveOptions::default(), |vw| {
+        write_checksummed(w, TAG_NAIVE, SaveOptions::default(), |vw| {
             write_f64(vw, self.z())
         })
     }
@@ -928,10 +908,10 @@ impl Wst {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed_v3(w, TAG_WST, opts, |vw| {
+        write_checksummed(w, TAG_WST, opts, |vw| {
             write_f64(vw, self.z())?;
-            write_property_text_v3(vw, self.property_text_ref())?;
-            write_trie_v3(vw, self.trie_ref())
+            write_property_text(vw, self.property_text_ref())?;
+            write_trie(vw, self.trie_ref())
         })
     }
 
@@ -964,9 +944,9 @@ impl Wsa {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed_v3(w, TAG_WSA, opts, |vw| {
+        write_checksummed(w, TAG_WSA, opts, |vw| {
             write_f64(vw, self.z())?;
-            write_property_text_v3(vw, self.property_text())
+            write_property_text(vw, self.property_text())
         })
     }
 
@@ -999,8 +979,8 @@ impl MinimizerIndex {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed_v3(w, TAG_MINIMIZER, opts, |vw| {
-            write_minimizer_payload_v3(vw, self)
+        write_checksummed(w, TAG_MINIMIZER, opts, |vw| {
+            write_minimizer_payload(vw, self)
         })
     }
 
@@ -1079,8 +1059,8 @@ pub fn save_index_with(index: &AnyIndex, w: &mut dyn Write, opts: SaveOptions) -
 /// Deserializes an index saved by [`save_index`] (or any family's
 /// `save_to`): reads the stream to its end into an [`Arena`], then opens
 /// it with [`open_index`] — the one validated decoder. Loading performs
-/// only linear-time reassembly — the z-estimation, suffix sorts and tree
-/// merges of construction are never re-run.
+/// only linear-time reassembly — the z-estimation, suffix sorts and grid
+/// construction are never re-run.
 ///
 /// # Errors
 ///
@@ -1103,28 +1083,28 @@ pub fn load_index(r: &mut dyn Read) -> io::Result<AnyIndex> {
 /// payload.
 pub fn open_index(arena: &Arena) -> io::Result<AnyIndex> {
     let (tag, mut src) = ArenaSource::open_file(arena)?;
-    let index = load_index_payload_v3(tag, &mut src)?;
+    let index = load_index_payload(tag, &mut src)?;
     src.expect_consumed()?;
     Ok(index)
 }
 
-/// Opens a v3 envelope embedded at `offset` inside an arena (the live
+/// Opens an envelope embedded at `offset` inside an arena (the live
 /// index stores its segment payloads behind a segment prefix). The offset
 /// must be 8-byte aligned — writers pad the prefix so it is. Returns the
 /// opened index and the envelope's total byte length.
 ///
 /// # Errors
 ///
-/// `InvalidData` on bad magic, a non-v3 version, a checksum mismatch, or
+/// `InvalidData` on bad magic, an unsupported version, a checksum mismatch, or
 /// a structurally inconsistent payload.
 pub fn open_index_at(arena: &Arena, offset: usize) -> io::Result<(AnyIndex, usize)> {
     let (tag, mut src) = ArenaSource::open(arena, offset)?;
-    let index = load_index_payload_v3(tag, &mut src)?;
+    let index = load_index_payload(tag, &mut src)?;
     src.expect_consumed()?;
     Ok((index, src.envelope_len))
 }
 
-fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
+fn load_index_payload(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
     match tag {
         TAG_NAIVE => {
             let z = src_f64(src)?;
@@ -1137,8 +1117,8 @@ fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex>
             if !(z.is_finite() && z >= 1.0) {
                 return Err(bad(format!("invalid stored threshold z = {z}")));
             }
-            let property_text = read_property_text_v3(src)?;
-            let trie = read_trie_v3(src)?;
+            let property_text = read_property_text(src)?;
+            let trie = read_trie(src)?;
             if trie.num_leaves() != property_text.psa().len() {
                 return Err(bad("trie does not match the property suffix array"));
             }
@@ -1154,16 +1134,14 @@ fn load_index_payload_v3(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex>
             if !(z.is_finite() && z >= 1.0) {
                 return Err(bad(format!("invalid stored threshold z = {z}")));
             }
-            let property_text = read_property_text_v3(src)?;
+            let property_text = read_property_text(src)?;
             Ok(AnyIndex::Wsa(Wsa::from_loaded_parts(
                 z,
                 property_text,
                 src.retained_arena(),
             )))
         }
-        TAG_MINIMIZER => Ok(AnyIndex::Minimizer(Box::new(read_minimizer_payload_v3(
-            src,
-        )?))),
+        TAG_MINIMIZER => Ok(AnyIndex::Minimizer(Box::new(read_minimizer_payload(src)?))),
         other => Err(bad(format!("unknown family tag {other}"))),
     }
 }

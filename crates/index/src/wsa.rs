@@ -19,7 +19,7 @@ use ius_weighted::{Result, WeightedString, ZEstimation};
 pub struct Wsa {
     z: f64,
     property_text: PropertyText,
-    /// The backing arena when opened zero-copy from a v3 file; counted once
+    /// The backing arena when opened zero-copy from an IUSX file; counted once
     /// here since borrowing components report zero owned bytes.
     arena: Option<Arena>,
 }

@@ -22,7 +22,7 @@ pub struct Wst {
     z: f64,
     property_text: PropertyText,
     trie: CompactedTrie,
-    /// The backing arena when the index was opened zero-copy from a v3 file;
+    /// The backing arena when the index was opened zero-copy from an IUSX file;
     /// components borrowing from it report zero owned bytes, so the single
     /// allocation is counted here, once.
     arena: Option<Arena>,

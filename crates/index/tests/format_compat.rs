@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 3, the
+//! Format differential suite for the IUSX on-disk format (version 4, the
 //! only version this build reads or writes): the same index saved with raw
 //! sections and with bit-packed `u32` sections must answer exactly like the
 //! in-memory build it was saved from —
@@ -12,8 +12,8 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v3 file, and any file whose header names another
-//! version (the earlier version 2 included) or the removed sharded-index
+//! appended byte of a v4 file, and any file whose header names another
+//! version (the earlier versions 2 and 3 included) or the removed sharded-index
 //! format (family tag 4), must be rejected with a typed error before a
 //! single view is handed out — never a panic, never a lazily-corrupt index.
 
@@ -21,7 +21,7 @@ use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
 use ius_faultio::crc32;
-use ius_index::persist::open_index_at;
+use ius_index::persist::{open_index_at, FORMAT_VERSION};
 use ius_index::{
     load_index, open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec,
     MinimizerIndex, SaveOptions, UncertainIndex,
@@ -147,13 +147,13 @@ fn resave_after_open_is_byte_identical() {
     }
 }
 
-/// A header naming any version but 3 — the earlier streamed version 2
-/// included — is refused with a typed `InvalidData` error that names the
+/// A header naming any version but 4 — the earlier streamed version 2 and
+/// version 3 with its merge-tree grid included — is refused with a typed `InvalidData` error that names the
 /// version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes, _) in &cases()[0].families {
-        for version in [2u16, 4] {
+        for version in [2u16, 3, 5] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -168,6 +168,48 @@ fn other_versions_are_refused_naming_the_version() {
             }
         }
     }
+}
+
+/// The raw bytes every family writes for the first corpus (their CRC32,
+/// trailer excluded), pinned beside
+/// the format version they were written under. A layout change that keeps
+/// `FORMAT_VERSION` fails here: bump the version (and refuse the old one in
+/// `other_versions_are_refused_naming_the_version`) when the layout moved,
+/// and re-pin alone when only the index contents did.
+#[test]
+fn layout_changes_bump_the_format_version() {
+    const PINNED_VERSION: u16 = 4;
+    const PINNED: [(&str, u32); 9] = [
+        ("NAIVE", 0xfea2774c),
+        ("WST", 0x69f969eb),
+        ("WSA", 0x37a53322),
+        ("MWST", 0xa77b121b),
+        ("MWSA", 0x997c2966),
+        ("MWST-G", 0x10c40611),
+        ("MWSA-G", 0x638ba39c),
+        ("SE-MWST", 0xe762f45f),
+        ("SE-MWSA", 0x77c41117),
+    ];
+    let families = &cases()[0].families;
+    // The pin covers the grid sections only if the grid holds points.
+    for (label, built, _, _) in families {
+        if label.ends_with("-G") {
+            assert!(built.stats().num_grid_points > 0, "{label}: empty grid");
+        }
+    }
+    let got: Vec<(&str, u32)> = families
+        .iter()
+        .map(|(label, _, raw, _)| (label.as_str(), crc32(&raw[..raw.len() - 4])))
+        .collect();
+    assert_eq!(
+        FORMAT_VERSION, PINNED_VERSION,
+        "FORMAT_VERSION moved: re-pin the checksums below it"
+    );
+    assert_eq!(
+        got, PINNED,
+        "the bytes written under format version {FORMAT_VERSION} changed: bump FORMAT_VERSION \
+         if the layout changed, then re-pin (got {got:#010x?})"
+    );
 }
 
 /// A file whose envelope names family tag 4 — the removed sharded-index
@@ -204,7 +246,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arena path validates the envelope CRC at open, so **any** bit
-    /// flip in a v3 file is rejected typed before a view is handed out.
+    /// flip in a v4 file is rejected typed before a view is handed out.
     #[test]
     fn arena_open_rejects_any_bit_flip(
         pick in 0usize..16,
@@ -229,7 +271,7 @@ proptest! {
         }
     }
 
-    /// Truncating a v3 file anywhere must fail typed at open.
+    /// Truncating a v4 file anywhere must fail typed at open.
     #[test]
     fn arena_open_rejects_any_truncation(
         pick in 0usize..16,

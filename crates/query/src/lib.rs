@@ -9,12 +9,12 @@
 //!   (`Vec<usize>` implements the trait), count them ([`CountSink`]), or stop
 //!   after the first `k` ([`FirstKSink`]);
 //! * [`QueryScratch`] — the reusable buffers of one query "lane" (candidate
-//!   positions, reversed-prefix staging, grid-report output, k-mer key
-//!   decode), so steady-state queries perform **no heap allocation** once the
-//!   buffers have warmed up;
+//!   positions, reversed-prefix staging, k-mer key decode), so
+//!   steady-state queries perform **no heap allocation** once the buffers
+//!   have warmed up;
 //! * [`QueryStats`] — the per-query instrumentation every index family
 //!   reports (candidates enumerated, candidates verified, survivors
-//!   delivered, grid nodes touched);
+//!   delivered, grid work done);
 //! * [`finalize_into`] — the shared sort/dedup/stream step between a raw
 //!   candidate buffer and a sink, with a `sorted` fast path for sources that
 //!   already emit increasing positions.
@@ -115,8 +115,6 @@ pub struct QueryScratch {
     /// Reversed-prefix staging (the backward pattern part of the minimizer
     /// indexes).
     pub pattern_rev: Vec<u8>,
-    /// 2D-grid report output (point payloads).
-    pub grid: Vec<u32>,
     /// k-mer keys of the pattern's first window (minimizer selection).
     pub kmer_keys: Vec<u64>,
     /// Merged global positions of a partitioned (segment fan-out)
@@ -135,7 +133,6 @@ impl QueryScratch {
     pub fn capacity_bytes(&self) -> usize {
         self.positions.capacity() * std::mem::size_of::<usize>()
             + self.pattern_rev.capacity()
-            + self.grid.capacity() * 4
             + self.kmer_keys.capacity() * 8
             + self.merged.capacity() * std::mem::size_of::<usize>()
     }
@@ -151,7 +148,10 @@ pub struct QueryStats {
     /// Distinct positions delivered to the sink (fewer than the distinct
     /// survivors when the sink stopped the query early).
     pub reported: usize,
-    /// Canonical 2D-grid nodes touched (0 for non-grid indexes).
+    /// Grid work done by the 2D range report (0 for non-grid indexes):
+    /// wavelet-matrix nodes visited by the count or the walk, plus entries
+    /// read by a narrow-side scan. The field keeps its historical name,
+    /// which the wire protocol carries.
     pub grid_nodes: usize,
     /// Nanoseconds spent selecting the pattern's minimizer and staging the
     /// split pattern (0 for engines without that stage, or when the

@@ -21,9 +21,9 @@
 //!   `MWST-SE` construction — plus the lifecycle layers around them: the
 //!   unified builder (`IndexSpec` → `AnyIndex`), versioned binary
 //!   persistence (`save_index`/`load_index`/`open_index`: one format, IUSX
-//!   v3, and one read path, a validated zero-copy open of an in-memory
-//!   arena — version 2 is refused, re-save it with an older build; loading
-//!   never re-runs construction);
+//!   v4, and one read path, a validated zero-copy open of an in-memory
+//!   arena — older versions are refused typed, rebuild from the corpus;
+//!   loading never re-runs construction);
 //! * [`live`] — the one partitioned index: an LSM-style segmented
 //!   `LiveIndex` whose corpus grows by appends and shrinks by range
 //!   tombstones while being served — immutable segments + memtable tail +

@@ -361,3 +361,32 @@ fn collecting_into_a_warm_reused_vector_is_also_allocation_free() {
     assert_eq!(mem.peak_bytes, 0, "reused collect sink allocated");
     assert!(high_water > 0);
 }
+
+/// The grid's strategies past the narrow-side scan — the count and the
+/// wavelet-matrix walk — allocate nothing: the count follows two
+/// root-to-leaf paths and the walk recurses on the stack. Near-diagonal
+/// points make the shapes below reach each strategy.
+#[test]
+fn grid_count_and_walk_are_allocation_free() {
+    use ius::grid::{GridPoint, RangeReporter, Rect};
+    let _serial = serialize();
+    let n = 4096u32;
+    let grid = RangeReporter::new((0..n).map(|x| GridPoint::new(x, x ^ 1)).collect());
+    let rects = [
+        // A narrow x side: scanned without counting.
+        Rect::new((100, 104), (0, n)),
+        // 2048 points inside: counted, then scanned.
+        Rect::new((0, n / 2), (0, n / 2)),
+        // Three points in the corner of two wide sides: counted, then walked.
+        Rect::new((0, n / 2), (n / 2 - 3, n)),
+    ];
+    let (counts, mem) = ius_memtrack::measure(|| {
+        rects.map(|rect| {
+            let mut reported = 0usize;
+            grid.report_with(&rect, |_| reported += 1);
+            (reported, grid.count(&rect))
+        })
+    });
+    assert_eq!(mem.peak_bytes, 0, "grid report or count allocated");
+    assert_eq!(counts, [(4, 4), (2048, 2048), (3, 3)]);
+}

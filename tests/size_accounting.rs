@@ -2,7 +2,7 @@
 //! index family, the self-reported footprint must match the heap actually
 //! retained by construction. This is the audit net for the space figures —
 //! a forgotten allocation (packed prefix keys, precomputed log-ratios,
-//! grid pair tables, …) shows up here as under-reporting, a double count as
+//! grid tables, …) shows up here as under-reporting, a double count as
 //! over-reporting.
 //!
 //! This integration test is its own binary, so installing the counting
@@ -115,7 +115,7 @@ fn size_bytes_matches_retained_heap_for_every_family() {
     drop(live);
 
     // ---- arena-open accounting ------------------------------------------
-    // A v3 file opened through the arena path retains ONE buffer (the
+    // An IUSX file opened through the arena path retains ONE buffer (the
     // arena) plus the few small owned structures the loader derives.
     // `size_bytes()` must count the arena exactly once — via the retained
     // `Arena` handle, since every borrowed view reports zero owned bytes —
