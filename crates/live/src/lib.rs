@@ -97,7 +97,7 @@ use ius_exec::{Executor, WorkerPool};
 use ius_faultio::DurableSink;
 use ius_index::overlap::{overlap_len, query_parts, trace_part, Part};
 use ius_index::{validate_pattern, AnyIndex, IndexSpec, IndexStats, UncertainIndex};
-use ius_obs::{clock, trace, Counter, Histogram, HistogramSnapshot};
+use ius_obs::{clock, trace, Counter, Histogram, Scrape, Value};
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_weighted::string::DISTRIBUTION_SUM_TOLERANCE;
 use ius_weighted::{is_solid, Alphabet, Error, Result, WeightedString, PROB_EPSILON};
@@ -343,7 +343,7 @@ pub struct LiveStats {
 /// Allocation-free timing registry of the background machinery: flush and
 /// compaction durations, WAL `fsync` latency, replay throughput and
 /// compaction swap races. Recording is a few relaxed atomic adds, gated on
-/// [`ius_obs::clock::enabled`]; [`LiveIndex::obs_snapshot`] reads it.
+/// [`ius_obs::clock::enabled`]; [`LiveIndex::scrape_into`] reads it.
 pub(crate) struct LiveObs {
     /// Duration of each memtable flush (plan + build + swap), ns.
     pub(crate) flush: Histogram,
@@ -375,28 +375,6 @@ impl LiveObs {
             replay_ns: Counter::new(),
         }
     }
-}
-
-/// Point-in-time view of a [`LiveIndex`]'s timing metrics — what the
-/// serving layer folds into its `METRICS` snapshot. All durations are
-/// nanoseconds; histogram quantiles carry the `ius_obs` relative-error
-/// bound.
-#[derive(Debug, Clone)]
-pub struct LiveObsSnapshot {
-    /// Memtable flush durations (plan + segment builds + swap).
-    pub flush: HistogramSnapshot,
-    /// Compaction round durations (rounds that built at least one merge).
-    pub compaction: HistogramSnapshot,
-    /// WAL `fsync` latencies (empty until durability is armed).
-    pub wal_fsync: HistogramSnapshot,
-    /// Compaction swaps lost to a concurrent flush or competing merge.
-    pub swap_in_races: u64,
-    /// WAL records scanned when this instance was opened.
-    pub replay_records: u64,
-    /// WAL bytes scanned when this instance was opened.
-    pub replay_bytes: u64,
-    /// Wall time of the open-time WAL replay, ns.
-    pub replay_ns: u64,
 }
 
 /// The armed write-ahead log plus the directory it (and the checkpoint
@@ -436,7 +414,7 @@ struct Inner {
     recovered_records: AtomicU64,
     compaction_errors: AtomicU64,
     /// Timing registry of the background machinery (flush/compaction/WAL
-    /// fsync/replay); see [`LiveIndex::obs_snapshot`].
+    /// fsync/replay); see [`LiveIndex::scrape_into`].
     obs: LiveObs,
     /// Most recent background/durability error, surfaced through STATS.
     last_error: Mutex<Option<String>>,
@@ -656,22 +634,48 @@ impl LiveIndex {
         }
     }
 
-    /// Point-in-time timing metrics of the background machinery: flush
-    /// and compaction duration histograms, WAL `fsync` latency, replay
-    /// throughput and compaction swap races. Durations are only recorded
-    /// while the shared [`ius_obs::clock`] is enabled; reading is
-    /// lock-free and never blocks a mutator.
-    pub fn obs_snapshot(&self) -> LiveObsSnapshot {
+    /// Writes this index's samples into a metrics scrape: the structure
+    /// gauges, the [`LiveStats`] counters, the flush / compaction / WAL
+    /// `fsync` duration histograms, replay throughput, compaction swap
+    /// races and `last_error` (empty when none). Durations are only
+    /// recorded while the shared [`ius_obs::clock`] is enabled; reading
+    /// never blocks a mutator for longer than [`LiveIndex::live_stats`].
+    pub fn scrape_into(&self, scrape: &mut Scrape) {
+        let stats = self.live_stats();
         let obs = &self.inner.obs;
-        LiveObsSnapshot {
-            flush: obs.flush.snapshot(),
-            compaction: obs.compaction.snapshot(),
-            wal_fsync: obs.wal_fsync.snapshot(),
-            swap_in_races: obs.swap_in_races.get(),
-            replay_records: obs.replay_records.get(),
-            replay_bytes: obs.replay_bytes.get(),
-            replay_ns: obs.replay_ns.get(),
+        for (name, v) in [
+            ("live_segments", stats.segments as u64),
+            ("live_memtable_rows", stats.memtable_rows as u64),
+            ("live_tombstones", stats.tombstones as u64),
+            ("fsync_policy", stats.fsync_policy),
+        ] {
+            scrape.push(name, Value::Gauge(v));
         }
+        for (name, v) in [
+            ("live_appended", stats.appended),
+            ("live_flushes", stats.flushes),
+            ("live_compactions", stats.compactions),
+            ("live_swap_in_races", obs.swap_in_races.get()),
+            ("compaction_errors", stats.compaction_errors),
+            ("wal_records", stats.wal_records),
+            ("wal_bytes", stats.wal_bytes),
+            ("recoveries", stats.recoveries),
+            ("recovered_records", stats.recovered_records),
+            ("wal_replay_records", obs.replay_records.get()),
+            ("wal_replay_bytes", obs.replay_bytes.get()),
+            ("wal_replay_ns", obs.replay_ns.get()),
+        ] {
+            scrape.push(name, Value::Counter(v));
+        }
+        for (name, h) in [
+            ("live_flush_ns", &obs.flush),
+            ("live_compaction_ns", &obs.compaction),
+            ("wal_fsync_ns", &*obs.wal_fsync),
+        ] {
+            scrape.push(name, Value::Histogram(h.snapshot()));
+        }
+        let last_error = stats.last_error.unwrap_or_default();
+        scrape.push("last_error", Value::Info(last_error));
     }
 
     /// The current tombstone set (sorted, disjoint, coalesced half-open

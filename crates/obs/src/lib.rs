@@ -4,12 +4,11 @@
 //! live (LSM) index and the write-ahead log:
 //!
 //! * [`Counter`] — a monotone event counter (one relaxed atomic add).
-//! * [`Gauge`] — a last-value instrument for levels (segment count,
-//!   memtable rows).
 //! * [`Histogram`] — a mergeable log-linear (HDR-style) latency histogram
 //!   with an exact total count and bounded-relative-error quantiles.
-//! * [`EventLog`] — a fixed-capacity seqlock ring buffer of small binary
-//!   events (used for the slow-query log and span-style tracing).
+//! * [`Scrape`] — the one snapshot form every source is read out as: an
+//!   ordered list of uniquely named counter, gauge, histogram and info
+//!   samples, with one text exposition ([`Scrape::to_text`]).
 //! * [`trace`] — request-scoped span tracing: a fixed-depth,
 //!   allocation-free per-thread span buffer recording one request's stage
 //!   tree (sampled with the same ticket discipline as the stage
@@ -20,9 +19,7 @@
 //! Everything is designed around one rule: **recording must never lock,
 //! allocate, or enter the kernel**. A histogram record is two relaxed
 //! atomic read-modify-writes plus two load-guarded extreme updates that
-//! almost never fire after warmup; a counter add is one; an event-log
-//! append is
-//! a handful of relaxed stores plus one release store. Aggregation
+//! almost never fire after warmup; a counter add is one. Aggregation
 //! (snapshotting, merging per-worker registries, quantile estimation,
 //! text formatting) happens on the scrape path, where allocation is fine.
 //!
@@ -43,7 +40,8 @@
 
 pub mod trace;
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -142,29 +140,6 @@ impl Counter {
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value instrument for levels that go up and down (queue depths,
-/// segment counts, memtable sizes). Recording is one relaxed store.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Sets the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -358,11 +333,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Exact arithmetic mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Folds `other` into `self`, equivalent to snapshotting a histogram
     /// that recorded both streams.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -403,18 +373,6 @@ impl HistogramSnapshot {
         merged.extend(b.copied());
         self.buckets = merged;
     }
-
-    /// One-line human summary: `count=…  mean=…  p50=…  p99=…  max=…`.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "count={}  mean={}  p50={}  p99={}  max={}",
-            self.count,
-            fmt_ns(self.mean()),
-            fmt_ns(self.p50()),
-            fmt_ns(self.p99()),
-            fmt_ns(self.max)
-        )
-    }
 }
 
 /// Formats a nanosecond duration with a human-scale unit (`ns`, `µs`,
@@ -431,144 +389,129 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// One entry of an [`EventLog`]: a timestamp plus three opaque words whose
-/// meaning is fixed by the recording site's `code`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Monotone sequence number (global order of appends).
-    pub seq: u64,
-    /// [`clock::now_ns`] at record time.
-    pub ts_ns: u64,
-    /// Site-defined event kind.
-    pub code: u64,
-    /// First site-defined payload word.
-    pub a: u64,
-    /// Second site-defined payload word.
-    pub b: u64,
+/// The value of one [`Scrape`] sample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Value {
+    /// A monotone event count.
+    Counter(u64),
+    /// A level or a setting: may go up and down.
+    Gauge(u64),
+    /// A latency distribution (nanoseconds).
+    Histogram(HistogramSnapshot),
+    /// A string: the served index's name, the last background error.
+    Info(String),
 }
 
-struct EventSlot {
-    seq: AtomicU64,
-    ts_ns: AtomicU64,
-    code: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
+/// Whether `name` is a valid sample name: flat `[a-z0-9_]+`, no labels.
+pub fn valid_name(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
 }
 
-/// Stamp of a slot no event was ever written to.
-const SLOT_EMPTY: u64 = u64::MAX;
-/// Stamp of a slot a writer currently owns.
-const SLOT_BUSY: u64 = u64::MAX - 1;
-
-/// A fixed-capacity ring buffer of [`Event`]s: the newest `capacity`
-/// events survive, older ones are overwritten. Appending claims its slot
-/// with one compare-exchange on the slot's sequence stamp, then a few
-/// relaxed stores and one release store; no allocation. A writer only
-/// waits when a writer a full lap ahead holds the same slot.
-///
-/// Each slot is a seqlock: a reader that races a writer on the same slot
-/// sees the stamp change and drops the torn entry from the snapshot — the
-/// log is a diagnostic aid, not a durable record.
-pub struct EventLog {
-    head: AtomicU64,
-    slots: Box<[EventSlot]>,
+/// A self-describing point-in-time metrics snapshot: an ordered list of
+/// uniquely named samples. Every source (server counters, worker
+/// registries, the live index, the diagnostic rings) writes its own
+/// samples; readers look them up by name, and [`Scrape::to_text`] renders
+/// the whole list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Scrape {
+    samples: Vec<(String, Value)>,
+    /// Position of each name in `samples`: constant-time lookups and
+    /// duplicate checks, however many samples an untrusted peer sends.
+    index: HashMap<String, usize>,
 }
 
-impl std::fmt::Debug for EventLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventLog")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
-            .finish()
+impl Scrape {
+    /// Creates an empty scrape.
+    pub fn new() -> Self {
+        Self::default()
     }
-}
 
-impl EventLog {
-    /// Creates a log keeping the newest `capacity` events (rounded up to a
-    /// power of two, at least 2).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<EventSlot> = (0..cap)
-            .map(|_| EventSlot {
-                seq: AtomicU64::new(SLOT_EMPTY),
-                ts_ns: AtomicU64::new(0),
-                code: AtomicU64::new(0),
-                a: AtomicU64::new(0),
-                b: AtomicU64::new(0),
-            })
-            .collect();
-        Self {
-            head: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
+    /// Appends one sample.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not [`valid_name`] or is already present — both are
+    /// bugs of the writing source, never of untrusted input (the wire
+    /// decoder checks before it pushes).
+    pub fn push(&mut self, name: impl Into<String>, value: Value) {
+        let name = name.into();
+        assert!(valid_name(&name), "invalid sample name {name:?}");
+        let slot = self.samples.len();
+        assert!(
+            self.index.insert(name.clone(), slot).is_none(),
+            "duplicate sample name {name:?}"
+        );
+        self.samples.push((name, value));
+    }
+
+    /// Every sample, in push order.
+    pub fn samples(&self) -> &[(String, Value)] {
+        &self.samples
+    }
+
+    /// The sample named `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.index.get(name).map(|&slot| &self.samples[slot].1)
+    }
+
+    /// The value of the counter or gauge named `name`.
+    pub fn value(&self, name: &str) -> Option<u64> {
+        match self.get(name)? {
+            Value::Counter(v) | Value::Gauge(v) => Some(*v),
+            _ => None,
         }
     }
 
-    /// Appends an event, overwriting the oldest once full.
-    #[inline]
-    pub fn record(&self, code: u64, a: u64, b: u64) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-        // Two writers a lap apart can race for one slot: own it first, so
-        // their field stores never interleave.
-        let prev = loop {
-            let cur = slot.seq.load(Ordering::Relaxed);
-            if cur != SLOT_BUSY
-                && slot
-                    .seq
-                    .compare_exchange_weak(cur, SLOT_BUSY, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                break cur;
-            }
-            std::hint::spin_loop();
-        };
-        if prev != SLOT_EMPTY && prev > seq {
-            // The writer a lap ahead got here first: keep its newer event.
-            slot.seq.store(prev, Ordering::Release);
-            return;
+    /// The histogram named `name`.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        match self.get(name)? {
+            Value::Histogram(h) => Some(h),
+            _ => None,
         }
-        // Order the busy stamp before the field stores for readers.
-        fence(Ordering::Release);
-        slot.ts_ns.store(clock::now_ns(), Ordering::Relaxed);
-        slot.code.store(code, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
     }
 
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+    /// The info string named `name`.
+    pub fn info(&self, name: &str) -> Option<&str> {
+        match self.get(name)? {
+            Value::Info(s) => Some(s),
+            _ => None,
+        }
     }
 
-    /// The surviving events, oldest first. Entries being overwritten
-    /// concurrently are dropped.
-    pub fn snapshot(&self) -> Vec<Event> {
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let mut events = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq >= SLOT_BUSY || seq >= head {
-                continue;
-            }
-            let event = Event {
-                seq,
-                ts_ns: slot.ts_ns.load(Ordering::Relaxed),
-                code: slot.code.load(Ordering::Relaxed),
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
+    /// Renders the scrape in the Prometheus text exposition format: a
+    /// `# TYPE` line per name; a histogram as a summary (`{quantile="0.5"}`
+    /// and `{quantile="0.99"}` lines, then `_sum` and `_count`); an info
+    /// string as a gauge of 1 carrying the string in a `value` label.
+    pub fn to_text(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (name, value) in &self.samples {
+            // Writing into a String cannot fail.
+            let _ = match value {
+                Value::Counter(v) => writeln!(out, "# TYPE {name} counter\n{name} {v}"),
+                Value::Gauge(v) => writeln!(out, "# TYPE {name} gauge\n{name} {v}"),
+                Value::Histogram(h) => writeln!(
+                    out,
+                    "# TYPE {name} summary\n{name}{{quantile=\"0.5\"}} {}\n\
+                     {name}{{quantile=\"0.99\"}} {}\n{name}_sum {}\n{name}_count {}",
+                    h.p50(),
+                    h.p99(),
+                    h.sum,
+                    h.count
+                ),
+                Value::Info(s) => {
+                    let escaped = s
+                        .replace('\\', "\\\\")
+                        .replace('"', "\\\"")
+                        .replace('\n', "\\n");
+                    writeln!(out, "# TYPE {name} gauge\n{name}{{value=\"{escaped}\"}} 1")
+                }
             };
-            // Re-check the stamp: if a writer claimed this slot while the
-            // fields were being read, the entry may be torn — drop it. The
-            // fence keeps the field loads before the re-check.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == seq && head.saturating_sub(seq) <= cap {
-                events.push(event);
-            }
         }
-        events.sort_unstable_by_key(|e| e.seq);
-        events
+        out
     }
 }
 
@@ -582,11 +525,34 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(42);
-        assert_eq!(g.get(), 42);
-        g.set(7);
-        assert_eq!(g.get(), 7);
+        let mut scrape = Scrape::new();
+        scrape.push("events", Value::Counter(c.get()));
+        scrape.push("level", Value::Gauge(42));
+        scrape.push("name", Value::Info("MWSA".into()));
+        assert_eq!(scrape.value("events"), Some(5));
+        assert_eq!(scrape.value("level"), Some(42));
+        assert_eq!(scrape.info("name"), Some("MWSA"));
+        assert_eq!(scrape.value("name"), None, "an info sample has no number");
+        assert_eq!(scrape.histogram("events"), None);
+        assert_eq!(scrape.get("missing"), None);
+    }
+
+    #[test]
+    fn sample_names_are_flat_lowercase() {
+        for ok in ["a", "query_scan_ns", "op_service_ns_trace_dump", "p99"] {
+            assert!(valid_name(ok), "{ok}");
+        }
+        for bad in ["", "Query", "a-b", "a.b", "a{b}", "a b", "é"] {
+            assert!(!valid_name(bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate sample name")]
+    fn duplicate_names_are_a_writer_bug() {
+        let mut scrape = Scrape::new();
+        scrape.push("requests", Value::Counter(1));
+        scrape.push("requests", Value::Counter(2));
     }
 
     #[test]
@@ -653,7 +619,6 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.max, 0);
         assert_eq!(snap.p50(), 0);
-        assert_eq!(snap.mean(), 0);
         assert!(snap.buckets.is_empty());
     }
 
@@ -672,44 +637,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(merged_snap, a.snapshot());
         assert_eq!(merged_snap.count, 7);
-    }
-
-    #[test]
-    fn event_log_keeps_the_newest_entries() {
-        let log = EventLog::new(4);
-        for i in 0..10u64 {
-            log.record(1, i, 100 + i);
-        }
-        let events = log.snapshot();
-        assert_eq!(events.len(), 4);
-        assert_eq!(
-            events.iter().map(|e| e.a).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9],
-            "oldest entries were overwritten"
-        );
-        assert_eq!(log.recorded(), 10);
-    }
-
-    #[test]
-    fn event_log_is_thread_safe() {
-        let log = std::sync::Arc::new(EventLog::new(64));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let log = log.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1_000u64 {
-                        log.record(t, i, 0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(log.recorded(), 4_000);
-        let events = log.snapshot();
-        assert!(events.len() <= 64);
-        assert!(!events.is_empty());
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn stage_name(code: u16) -> &'static str {
 ///
 /// `start_ns` is relative to the trace's begin time for wall-clocked spans
 /// and 0 for duration-only spans (see the module docs). `a` and `b` are
-/// site-defined payload words, like [`Event`](super::Event)'s.
+/// site-defined payload words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Stage code (one of the `STAGE_*` constants).

@@ -1,10 +1,9 @@
 //! Property tests pinning the [`Histogram`] accuracy contract against an
 //! exact sorted-vec oracle: every quantile is within the documented
 //! relative-error bound, counts and sums are exact, and merging two
-//! histograms is equivalent to recording the concatenated stream. Also
-//! pins the [`EventLog`] wraparound contract under concurrent writers.
+//! histograms is equivalent to recording the concatenated stream.
 
-use ius_obs::{EventLog, Histogram, HistogramSnapshot};
+use ius_obs::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 /// The exact order statistic the histogram quantile approximates:
@@ -132,54 +131,4 @@ fn histogram_merge_with_an_empty_operand_keeps_min_max_exact() {
     let snap = still_empty.snapshot();
     assert_eq!((snap.count, snap.sum, snap.min, snap.max), (0, 0, 0, 0));
     assert!(snap.buckets.is_empty());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Concurrent writers wrap the ring several times over while a reader
-    /// keeps snapshotting: no snapshot may ever contain a torn entry (the
-    /// payload identity `b = code·10⁶ + a` would break), and once the
-    /// writers quiesce exactly the newest `capacity` events survive with
-    /// unique, contiguous sequence numbers, oldest first.
-    #[test]
-    fn event_log_wraparound_is_consistent_under_concurrent_writers(
-        writers in 1usize..4,
-        per_writer in 16usize..80,
-        capacity in 2usize..17,
-    ) {
-        let log = EventLog::new(capacity);
-        let cap = capacity.max(2).next_power_of_two() as u64;
-        std::thread::scope(|scope| {
-            for w in 0..writers {
-                let log = &log;
-                scope.spawn(move || {
-                    for i in 0..per_writer as u64 {
-                        log.record(w as u64, i, w as u64 * 1_000_000 + i);
-                    }
-                });
-            }
-            let log = &log;
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    for e in log.snapshot() {
-                        assert_eq!(
-                            e.b,
-                            e.code * 1_000_000 + e.a,
-                            "snapshot surfaced a torn entry mid-wraparound"
-                        );
-                    }
-                }
-            });
-        });
-        let total = (writers * per_writer) as u64;
-        prop_assert_eq!(log.recorded(), total);
-        let events = log.snapshot();
-        let survivors = total.min(cap);
-        prop_assert_eq!(events.len() as u64, survivors);
-        for (k, e) in events.iter().enumerate() {
-            prop_assert_eq!(e.seq, total - survivors + k as u64);
-            prop_assert_eq!(e.b, e.code * 1_000_000 + e.a);
-        }
-    }
 }

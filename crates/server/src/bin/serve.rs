@@ -92,9 +92,10 @@ fn print_help() {
          \x20 --workers <w>         worker threads (default: all CPUs)\n\
          \x20 --queue-depth <d>     admission-queue capacity (default 64)\n\n\
          observability:\n\
-         \x20 --metrics-interval <s> dump the merged metrics snapshot (per-stage query\n\
+         \x20 --metrics-interval <s> print the metrics scrape (counters, per-stage query\n\
          \x20                       histograms, queue-wait/service split, live/WAL\n\
-         \x20                       timings, slow-query log) to stderr every <s> seconds\n\
+         \x20                       timings) in Prometheus text format to stderr every\n\
+         \x20                       <s> seconds\n\
          \x20 --slow-query-ms <ms>  slow-query log threshold (default 50; 0 logs every\n\
          \x20                       query)\n"
     );
@@ -471,9 +472,9 @@ fn main() {
         config.workers,
         config.queue_depth
     );
-    // Periodic metrics dump: a detached reporter thread scrapes the merged
-    // snapshot (never touching the hot path) and prints the text rendering
-    // to stderr. It exits promptly once the server shuts down.
+    // Periodic metrics dump: a detached reporter thread scrapes the server
+    // (never touching the hot path) and prints the text exposition to
+    // stderr. It exits promptly once the server shuts down.
     let reporter = args.metrics_interval.map(|seconds| {
         let handle = server.metrics_handle();
         std::thread::spawn(move || {
@@ -484,7 +485,7 @@ fn main() {
                 elapsed += tick;
                 if elapsed >= Duration::from_secs(seconds) {
                     elapsed = Duration::ZERO;
-                    eprintln!("{}", handle.snapshot().dump());
+                    eprint!("{}", handle.scrape().to_text());
                 }
             }
         })

@@ -4,17 +4,17 @@
 //! The client is resilient by configuration: [`ClientConfig`] carries
 //! connect/read/write deadlines and a bounded exponential-backoff retry
 //! budget. Retries apply only to *idempotent* requests (`PING`, `QUERY`,
-//! `STATS`, `METRICS`) — a mutation is never resent automatically, because a lost
+//! `STATS`, `TRACE_DUMP`) — a mutation is never resent automatically, because a lost
 //! response leaves the client unable to tell whether the server applied
 //! it. `OVERLOADED` refusals and transport failures are the retryable
 //! conditions; on a transport failure the client reconnects before the
 //! next attempt.
 
-use crate::metrics::MetricsSnapshot;
 use crate::protocol::{
     decode_response, encode_request, read_frame, ErrorCode, LiveSnapshot, ProtocolError, Request,
-    Response, ResultMode, StatsSnapshot, MAX_RESPONSE_FRAME,
+    Response, ResultMode, TraceDump, MAX_RESPONSE_FRAME,
 };
+use ius_obs::{Scrape, Value};
 use ius_query::QueryStats;
 use ius_weighted::WeightedString;
 use std::fmt;
@@ -83,6 +83,9 @@ pub enum ClientError {
         /// What the call expected.
         expected: &'static str,
     },
+    /// A scrape lacks a counter the caller reads (or carries it with
+    /// another kind).
+    MissingSample(&'static str),
     /// An idempotent request kept failing retryably until the configured
     /// retry budget ran out.
     RetriesExhausted {
@@ -109,6 +112,9 @@ impl fmt::Display for ClientError {
                     f,
                     "response shape does not match the request (expected {expected})"
                 )
+            }
+            ClientError::MissingSample(name) => {
+                write!(f, "the server's scrape has no counter named {name:?}")
             }
             ClientError::RetriesExhausted { attempts, last } => {
                 write!(f, "request failed after {attempts} attempt(s): {last}")
@@ -137,6 +143,46 @@ impl From<io::Error> for ClientError {
 impl From<ProtocolError> for ClientError {
     fn from(e: ProtocolError) -> Self {
         ClientError::Protocol(e)
+    }
+}
+
+/// The server's error counters, read by name from its scrape — what
+/// [`Client::stats`] returns. Their sum is the server-side failure count,
+/// so a counter missing from the scrape is an error, never a silent 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
+    /// Malformed or incompatible frames answered with a typed error.
+    pub protocol_errors: u64,
+    /// Well-formed queries that failed engine-side validation.
+    pub query_errors: u64,
+    /// Connections refused with `OVERLOADED` because the queue was full.
+    pub overloaded: u64,
+    /// Live mutations refused or failed (`LIVE_ERROR` frames).
+    pub live_errors: u64,
+    /// Background live-compaction rounds that failed (0 for a static
+    /// index).
+    pub compaction_errors: u64,
+}
+
+impl StatsSnapshot {
+    /// Reads the five error counters out of `scrape`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::MissingSample`] naming the first counter the scrape
+    /// lacks.
+    pub fn from_scrape(scrape: &Scrape) -> Result<Self, ClientError> {
+        let read = |name: &'static str| match scrape.get(name) {
+            Some(Value::Counter(v)) => Ok(*v),
+            _ => Err(ClientError::MissingSample(name)),
+        };
+        Ok(Self {
+            protocol_errors: read("protocol_errors")?,
+            query_errors: read("query_errors")?,
+            overloaded: read("overloaded")?,
+            live_errors: read("live_errors")?,
+            compaction_errors: read("compaction_errors")?,
+        })
     }
 }
 
@@ -370,52 +416,43 @@ impl Client {
         }
     }
 
-    /// Fetches the server's metrics snapshot. Idempotent: retried under
-    /// the configured budget.
+    /// Scrapes the server's metrics: every counter, gauge, histogram and
+    /// info sample, by name. Idempotent: retried under the configured
+    /// budget.
     ///
     /// # Errors
     ///
     /// Transport, protocol and server-refusal errors;
     /// [`ClientError::RetriesExhausted`] when a retry budget ran dry.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+    pub fn scrape(&mut self) -> Result<Scrape, ClientError> {
         match self.call_idempotent(&Request::Stats)? {
-            Response::Stats(snapshot) => Ok(snapshot),
+            Response::Stats(scrape) => Ok(scrape),
             _ => Err(ClientError::UnexpectedResponse { expected: "STATS" }),
         }
     }
 
-    /// Scrapes the server's observability snapshot (per-stage query
-    /// histograms, queue-wait/service split, live and WAL timings, slow
-    /// queries). Idempotent: retried under the configured budget. An old
-    /// server that predates the op refuses it typed
-    /// ([`ErrorCode::UnknownOp`]) and keeps the connection usable.
+    /// The server's error counters: a view of [`Client::scrape`].
     ///
     /// # Errors
     ///
-    /// Transport, protocol and server-refusal errors;
-    /// [`ClientError::RetriesExhausted`] when a retry budget ran dry.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        match self.call_idempotent(&Request::Metrics)? {
-            Response::Metrics(snapshot) => Ok(snapshot),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "METRICS",
-            }),
-        }
+    /// Those of [`Client::scrape`], and [`ClientError::MissingSample`]
+    /// when the scrape lacks one of the counters.
+    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+        StatsSnapshot::from_scrape(&self.scrape()?)
     }
 
-    /// Drains a snapshot of the server's flight recorder: the most recent
-    /// sampled request traces plus the pinned error traces, as span trees.
-    /// Non-destructive on the server side. Idempotent: retried under the
-    /// configured budget. An old server that predates the op refuses it
-    /// typed ([`ErrorCode::UnknownOp`]) and keeps the connection usable.
+    /// Snapshots the server's events: the flight recorder's most recent
+    /// sampled request traces plus the pinned error traces, as span
+    /// trees, and the slow-query ring. Non-destructive on the server side.
+    /// Idempotent: retried under the configured budget.
     ///
     /// # Errors
     ///
     /// Transport, protocol and server-refusal errors;
     /// [`ClientError::RetriesExhausted`] when a retry budget ran dry.
-    pub fn trace_dump(&mut self) -> Result<Vec<crate::flight::TraceRecordSnapshot>, ClientError> {
+    pub fn trace_dump(&mut self) -> Result<TraceDump, ClientError> {
         match self.call_idempotent(&Request::TraceDump)? {
-            Response::TraceDump { records, .. } => Ok(records),
+            Response::TraceDump(dump) => Ok(dump),
             _ => Err(ClientError::UnexpectedResponse {
                 expected: "TRACE_DUMP",
             }),
@@ -521,5 +558,58 @@ impl Client {
     /// Same contract as [`Client::append`].
     pub fn compact(&mut self, full: bool) -> Result<LiveSnapshot, ClientError> {
         self.live_call(&Request::Compact { full })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ERROR_COUNTERS: [&str; 5] = [
+        "protocol_errors",
+        "query_errors",
+        "overloaded",
+        "live_errors",
+        "compaction_errors",
+    ];
+
+    #[test]
+    fn stats_reads_the_error_counters_by_name() {
+        let mut scrape = Scrape::new();
+        scrape.push("index_name", Value::Info("MWSA".into()));
+        for (i, name) in ERROR_COUNTERS.into_iter().enumerate() {
+            scrape.push(name, Value::Counter(i as u64 + 1));
+        }
+        assert_eq!(
+            StatsSnapshot::from_scrape(&scrape).unwrap(),
+            StatsSnapshot {
+                protocol_errors: 1,
+                query_errors: 2,
+                overloaded: 3,
+                live_errors: 4,
+                compaction_errors: 5,
+            }
+        );
+    }
+
+    #[test]
+    fn a_missing_error_counter_is_a_typed_error() {
+        for missing in ERROR_COUNTERS {
+            // Absent, and present with the wrong kind: both refused.
+            for wrong_kind in [None, Some(Value::Gauge(0))] {
+                let mut scrape = Scrape::new();
+                for name in ERROR_COUNTERS {
+                    if name != missing {
+                        scrape.push(name, Value::Counter(0));
+                    } else if let Some(value) = wrong_kind.clone() {
+                        scrape.push(name, value);
+                    }
+                }
+                match StatsSnapshot::from_scrape(&scrape) {
+                    Err(ClientError::MissingSample(name)) => assert_eq!(name, missing),
+                    other => panic!("{missing}: expected MissingSample, got {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -22,8 +22,8 @@
 //! under the same lock. The recording path never allocates — the rings are
 //! preallocated at construction and a push is a slot overwrite.
 
-use ius_obs::fmt_ns;
 use ius_obs::trace::{stage_name, Span, SpanBuffer, MAX_SPANS};
+use ius_obs::{fmt_ns, Scrape, Value};
 use std::sync::Mutex;
 
 /// Slots in the recent-trace ring.
@@ -64,7 +64,7 @@ impl TraceRecordSnapshot {
         let mut out = format!(
             "trace {} op={} total={}{}{}\n",
             self.trace_id,
-            crate::metrics::op_name(self.op),
+            crate::protocol::op_name(self.op),
             fmt_ns(self.total_ns),
             if self.error != TRACE_NO_ERROR {
                 format!(" error={}", self.error)
@@ -86,20 +86,6 @@ impl TraceRecordSnapshot {
         }
         out
     }
-}
-
-/// Point-in-time ring occupancy, surfaced as gauges by the metrics dump so
-/// ring sizing is visible without a `TRACE_DUMP` scrape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlightOccupancy {
-    /// Occupied recent-ring slots.
-    pub recent: u64,
-    /// Recent-ring capacity.
-    pub recent_capacity: u64,
-    /// Occupied pinned-ring slots.
-    pub pinned: u64,
-    /// Pinned-ring capacity.
-    pub pinned_capacity: u64,
 }
 
 /// One ring slot: everything inline so a push is a plain `Copy`.
@@ -187,10 +173,10 @@ pub struct FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let occ = self.occupancy();
+        let inner = self.lock();
         f.debug_struct("FlightRecorder")
-            .field("recent", &occ.recent)
-            .field("pinned", &occ.pinned)
+            .field("recent", &inner.recent.len)
+            .field("pinned", &inner.pinned.len)
             .finish()
     }
 }
@@ -228,10 +214,7 @@ impl FlightRecorder {
         };
         let spans = buf.spans();
         record.spans[..spans.len()].copy_from_slice(spans);
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         if error != TRACE_NO_ERROR {
             inner.pinned.push(&record);
         } else {
@@ -244,28 +227,31 @@ impl FlightRecorder {
     /// dump is a snapshot, not a drain, so two monitors never race each
     /// other for the data.
     pub fn snapshot(&self) -> Vec<TraceRecordSnapshot> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let mut out = Vec::with_capacity(inner.pinned.len + inner.recent.len);
         out.extend(inner.pinned.iter_oldest_first().map(|r| r.snapshot(true)));
         out.extend(inner.recent.iter_oldest_first().map(|r| r.snapshot(false)));
         out
     }
 
-    /// Current ring occupancy.
-    pub fn occupancy(&self) -> FlightOccupancy {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        FlightOccupancy {
-            recent: inner.recent.len as u64,
-            recent_capacity: inner.recent.slots.len() as u64,
-            pinned: inner.pinned.len as u64,
-            pinned_capacity: inner.pinned.slots.len() as u64,
+    /// Writes the rings' occupancy gauges into `scrape`, so ring sizing
+    /// is visible without a `TRACE_DUMP`.
+    pub fn scrape_into(&self, scrape: &mut Scrape) {
+        let inner = self.lock();
+        for (name, v) in [
+            ("flight_recent_len", inner.recent.len),
+            ("flight_recent_capacity", inner.recent.slots.len()),
+            ("flight_pinned_len", inner.pinned.len),
+            ("flight_pinned_capacity", inner.pinned.slots.len()),
+        ] {
+            scrape.push(name, Value::Gauge(v as u64));
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Renders every surviving trace (the panic-hook stderr dump).
@@ -315,9 +301,12 @@ mod tests {
         assert!(records.iter().all(|r| !r.pinned));
         assert_eq!(records[0].spans.len(), 2);
         assert_eq!(records[0].spans[1].a, 3);
-        let occ = recorder.occupancy();
-        assert_eq!((occ.recent, occ.recent_capacity), (3, 3));
-        assert_eq!((occ.pinned, occ.pinned_capacity), (0, 2));
+        let mut scrape = Scrape::new();
+        recorder.scrape_into(&mut scrape);
+        assert_eq!(scrape.value("flight_recent_len"), Some(3));
+        assert_eq!(scrape.value("flight_recent_capacity"), Some(3));
+        assert_eq!(scrape.value("flight_pinned_len"), Some(0));
+        assert_eq!(scrape.value("flight_pinned_capacity"), Some(2));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * [`protocol`] — the wire format: magic + version + request id + op,
 //!   with `QUERY` (collect / count / first-`k` result modes mapping onto
-//!   the `ius_query` sinks), `STATS`, `PING`, `RELOAD` and `SHUTDOWN`,
+//!   the `ius_query` sinks), `STATS` (the one metrics scrape), `PING`,
+//!   `RELOAD`, `SHUTDOWN`, `TRACE_DUMP` and the live-corpus mutations,
 //!   and typed error frames for every malformed or refused input;
 //! * [`Server`] — acceptor + fixed worker pool (one [`QueryScratch`] per
 //!   worker, so steady-state serving is allocation-free on the hot path),
@@ -51,18 +52,15 @@ mod pool;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, ClientConfig, ClientError, QueryOutcome};
+pub use client::{Client, ClientConfig, ClientError, QueryOutcome, StatsSnapshot};
 pub use flight::{
-    FlightOccupancy, FlightRecorder, TraceRecordSnapshot, FLIGHT_PINNED_CAPACITY,
-    FLIGHT_RECENT_CAPACITY, TRACE_NO_ERROR,
+    FlightRecorder, TraceRecordSnapshot, FLIGHT_PINNED_CAPACITY, FLIGHT_RECENT_CAPACITY,
+    TRACE_NO_ERROR,
 };
-pub use metrics::{
-    DurabilityView, LiveObsView, MetricsSnapshot, RingOccupancy, ServerMetrics, SlowQueryEntry,
-    SlowRing, WorkerObs, SLOW_QUERY_PREFIX_LEN,
-};
+pub use ius_obs::{Scrape, Value};
+pub use metrics::{ServerMetrics, SlowQueryEntry, SlowRing, WorkerObs, SLOW_QUERY_PREFIX_LEN};
 pub use protocol::{
-    ErrorCode, LiveSnapshot, ProtocolError, Request, Response, ResultMode, StatsSnapshot,
-    WireStats, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, METRICS_FORMAT_VERSION, TRACE_FORMAT_VERSION,
-    WIRE_MAGIC, WIRE_VERSION,
+    ErrorCode, LiveSnapshot, ProtocolError, Request, Response, ResultMode, TraceDump, WireStats,
+    MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{MetricsHandle, ServedIndex, Server, ServerConfig};

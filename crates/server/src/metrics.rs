@@ -1,19 +1,17 @@
-//! Lock-free server observability: the flat counters answered to `STATS`,
-//! plus the per-worker histogram registries ([`WorkerObs`]) and the typed
-//! [`MetricsSnapshot`] answered to `METRICS`.
+//! Lock-free server observability: the shared counters ([`ServerMetrics`]),
+//! the per-worker registries ([`WorkerObs`]) and the slow-query ring
+//! ([`SlowRing`]), each read out into the one `ius_obs::Scrape` that `STATS`
+//! answers.
 //!
 //! Recording follows the `ius_obs` rule — a few relaxed atomic adds, no
 //! locks, no allocation, no syscalls on the hot path. Aggregation happens
-//! on the scrape path only: a `METRICS` request merges every worker's
-//! registry into one snapshot, so workers never contend with each other
-//! or with scrapers.
+//! on the scrape path only: a scrape merges every worker's registry, so
+//! workers never contend with each other or with scrapers.
 
-use crate::flight::FlightOccupancy;
-use crate::protocol::StatsSnapshot;
-use ius_obs::{clock, Histogram, HistogramSnapshot};
+use crate::protocol::{op_name, OP_SERVICE_SLOTS};
+use ius_obs::{clock, Counter, Histogram, HistogramSnapshot, Scrape, Value};
 use ius_query::QueryStats;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Monotonic counters shared by the acceptor and every worker. All updates
 /// are relaxed atomics — the counters are operational telemetry, not
@@ -21,53 +19,32 @@ use std::sync::Mutex;
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Connections accepted (admitted or refused).
-    pub connections: AtomicU64,
-    /// Frames read off admitted connections.
-    pub requests: AtomicU64,
+    pub connections: Counter,
+    /// Frames read off admitted connections (well-formed or not).
+    pub requests: Counter,
     /// Queries answered successfully.
-    pub queries: AtomicU64,
+    pub queries: Counter,
     /// Occurrence positions delivered over all queries.
-    pub occurrences: AtomicU64,
+    pub occurrences: Counter,
     /// Frames answered with a protocol-level error.
-    pub protocol_errors: AtomicU64,
+    pub protocol_errors: Counter,
     /// Well-formed queries rejected by the engine (pattern contract).
-    pub query_errors: AtomicU64,
+    pub query_errors: Counter,
     /// Connections refused with `OVERLOADED`.
-    pub overloaded: AtomicU64,
+    pub overloaded: Counter,
     /// Successful hot reloads.
-    pub reloads: AtomicU64,
+    pub reloads: Counter,
     /// Positions appended to a live corpus via `APPEND`.
-    pub appended_positions: AtomicU64,
+    pub appended_positions: Counter,
     /// Successful `DELETE_RANGE` requests.
-    pub delete_ranges: AtomicU64,
+    pub delete_ranges: Counter,
     /// `FLUSH` requests that froze at least one segment (append-triggered
     /// auto-flushes are internal to the live index and not counted here).
-    pub flushes: AtomicU64,
+    pub flushes: Counter,
     /// `COMPACT` requests that merged at least one run.
-    pub compactions: AtomicU64,
+    pub compactions: Counter,
     /// Live mutations refused or failed with a typed `LIVE_ERROR` frame.
-    pub live_errors: AtomicU64,
-}
-
-/// Durability counters sampled from the served live index at `STATS` time.
-/// Static servers (and live servers with durability off) use the zeroed
-/// [`Default`] view.
-#[derive(Debug, Clone, Default)]
-pub struct DurabilityView {
-    /// Mutations logged to the write-ahead log.
-    pub wal_records: u64,
-    /// Bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Crash recoveries performed when the live directory was opened.
-    pub recoveries: u64,
-    /// Mutation records replayed from the log during recovery.
-    pub recovered_records: u64,
-    /// Active fsync policy code (0 off, 1 record, 2 interval, 3 never).
-    pub fsync_policy: u64,
-    /// Background compaction passes that failed.
-    pub compaction_errors: u64,
-    /// Most recent background/durability failure, if any.
-    pub last_error: Option<String>,
+    pub live_errors: Counter,
 }
 
 impl ServerMetrics {
@@ -76,90 +53,42 @@ impl ServerMetrics {
         Self::default()
     }
 
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Projects the counters plus the given serving context into the wire
-    /// snapshot.
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &self,
-        index_name: String,
-        generation: u64,
-        corpus_len: u64,
-        index_size_bytes: u64,
-        workers: u64,
-        queue_depth: u64,
-        durability: DurabilityView,
-    ) -> StatsSnapshot {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            index_name,
-            generation,
-            corpus_len,
-            index_size_bytes,
-            workers,
-            queue_depth,
-            connections: read(&self.connections),
-            requests: read(&self.requests),
-            queries: read(&self.queries),
-            occurrences: read(&self.occurrences),
-            protocol_errors: read(&self.protocol_errors),
-            query_errors: read(&self.query_errors),
-            overloaded: read(&self.overloaded),
-            reloads: read(&self.reloads),
-            appended_positions: read(&self.appended_positions),
-            delete_ranges: read(&self.delete_ranges),
-            flushes: read(&self.flushes),
-            compactions: read(&self.compactions),
-            live_errors: read(&self.live_errors),
-            wal_records: durability.wal_records,
-            wal_bytes: durability.wal_bytes,
-            recoveries: durability.recoveries,
-            recovered_records: durability.recovered_records,
-            fsync_policy: durability.fsync_policy,
-            compaction_errors: durability.compaction_errors,
-            last_error: durability.last_error.unwrap_or_default(),
+    /// Writes every counter into `scrape`, named after its field.
+    pub fn scrape_into(&self, scrape: &mut Scrape) {
+        for (name, counter) in [
+            ("connections", &self.connections),
+            ("requests", &self.requests),
+            ("queries", &self.queries),
+            ("occurrences", &self.occurrences),
+            ("protocol_errors", &self.protocol_errors),
+            ("query_errors", &self.query_errors),
+            ("overloaded", &self.overloaded),
+            ("reloads", &self.reloads),
+            ("appended_positions", &self.appended_positions),
+            ("delete_ranges", &self.delete_ranges),
+            ("flushes", &self.flushes),
+            ("compactions", &self.compactions),
+            ("live_errors", &self.live_errors),
+        ] {
+            scrape.push(name, Value::Counter(counter.get()));
         }
     }
 }
 
-/// Number of request ops the per-op service histograms cover (op bytes
-/// `0..OP_SERVICE_SLOTS`).
-pub const OP_SERVICE_SLOTS: usize = 11;
-
-/// Display name of a request op byte (for the text dump).
-pub fn op_name(op: u8) -> &'static str {
-    match op {
-        0 => "PING",
-        1 => "QUERY",
-        2 => "STATS",
-        3 => "RELOAD",
-        4 => "SHUTDOWN",
-        5 => "APPEND",
-        6 => "DELETE_RANGE",
-        7 => "FLUSH",
-        8 => "COMPACT",
-        9 => "METRICS",
-        10 => "TRACE_DUMP",
-        _ => "UNKNOWN",
-    }
-}
-
-/// One worker's private histogram registry. Each worker records into its
-/// own instance (no sharing, no contention); a `METRICS` scrape merges all
-/// of them.
+/// One worker's private registry. Each worker records into its own
+/// instance (no sharing, no contention); a scrape merges all of them.
 #[derive(Debug)]
 pub struct WorkerObs {
+    /// Candidate occurrences enumerated over all answered queries (exact).
+    pub candidates: Counter,
+    /// Candidates that passed verification (exact).
+    pub verified: Counter,
+    /// Distinct positions reported (exact).
+    pub reported: Counter,
+    /// Grid work — wavelet-matrix nodes plus entries scanned (exact).
+    pub grid_nodes: Counter,
+    /// Queries refused because the pattern is shorter than ℓ (exact).
+    pub pattern_too_short: Counter,
     /// Minimizer-scan stage nanoseconds per query.
     pub query_scan: Histogram,
     /// Locate (`equal_range` / trie descent) stage nanoseconds per query.
@@ -179,6 +108,11 @@ impl WorkerObs {
     /// histogram; nothing allocates after this).
     pub fn new() -> Self {
         Self {
+            candidates: Counter::new(),
+            verified: Counter::new(),
+            reported: Counter::new(),
+            grid_nodes: Counter::new(),
+            pattern_too_short: Counter::new(),
             query_scan: Histogram::new(),
             query_locate: Histogram::new(),
             query_verify: Histogram::new(),
@@ -188,16 +122,22 @@ impl WorkerObs {
         }
     }
 
-    /// Records the per-stage timings of one answered query. Callers gate
-    /// this on `stats.timed` — stage tracing is sampled, and the untimed
-    /// majority carry zeroed stage fields that must not reach the
-    /// histograms.
+    /// Records one answered query: the filter counters on every query,
+    /// the per-stage timings only when the query drew a stage-tracing
+    /// ticket (`stats.timed`) — the untimed majority carry zeroed stage
+    /// fields that must not reach the histograms.
     #[inline]
-    pub fn record_query_stages(&self, stats: &QueryStats) {
-        self.query_scan.record(stats.scan_ns);
-        self.query_locate.record(stats.locate_ns);
-        self.query_verify.record(stats.verify_ns);
-        self.query_report.record(stats.report_ns);
+    pub fn record_query(&self, stats: &QueryStats) {
+        self.candidates.add(stats.candidates as u64);
+        self.verified.add(stats.verified as u64);
+        self.reported.add(stats.reported as u64);
+        self.grid_nodes.add(stats.grid_nodes as u64);
+        if stats.timed {
+            self.query_scan.record(stats.scan_ns);
+            self.query_locate.record(stats.locate_ns);
+            self.query_verify.record(stats.verify_ns);
+            self.query_report.record(stats.report_ns);
+        }
     }
 
     /// Records the service time of one answered frame. The worker loop
@@ -210,6 +150,77 @@ impl WorkerObs {
             self.op_service[op as usize].record(ns);
         }
     }
+
+    fn counters(&self) -> [&Counter; 5] {
+        [
+            &self.candidates,
+            &self.verified,
+            &self.reported,
+            &self.grid_nodes,
+            &self.pattern_too_short,
+        ]
+    }
+
+    fn histograms(&self) -> [&Histogram; 5] {
+        [
+            &self.query_scan,
+            &self.query_locate,
+            &self.query_verify,
+            &self.query_report,
+            &self.queue_wait,
+        ]
+    }
+
+    /// Merges every worker's registry into `scrape`: counters summed,
+    /// histograms merged, and one `op_service_ns_<op>` histogram per op
+    /// that served at least one sampled frame.
+    pub fn scrape_into(workers: &[Arc<WorkerObs>], scrape: &mut Scrape) {
+        for (i, name) in WORKER_COUNTERS.into_iter().enumerate() {
+            let total = workers.iter().map(|w| w.counters()[i].get()).sum();
+            scrape.push(name, Value::Counter(total));
+        }
+        for (i, name) in WORKER_HISTOGRAMS.into_iter().enumerate() {
+            let h = merged(workers, |w| w.histograms()[i]);
+            scrape.push(name, Value::Histogram(h));
+        }
+        for op in 0..OP_SERVICE_SLOTS {
+            let h = merged(workers, |w| &w.op_service[op]);
+            if h.count > 0 {
+                let name = format!("op_service_ns_{}", op_name(op as u8).to_ascii_lowercase());
+                scrape.push(name, Value::Histogram(h));
+            }
+        }
+    }
+}
+
+/// Scrape names of [`WorkerObs::counters`], in order.
+const WORKER_COUNTERS: [&str; 5] = [
+    "query_candidates",
+    "query_verified",
+    "query_reported",
+    "query_grid_nodes",
+    "pattern_too_short",
+];
+
+/// Scrape names of [`WorkerObs::histograms`], in order.
+const WORKER_HISTOGRAMS: [&str; 5] = [
+    "query_scan_ns",
+    "query_locate_ns",
+    "query_verify_ns",
+    "query_report_ns",
+    "queue_wait_ns",
+];
+
+/// One histogram of every worker, merged.
+fn merged(
+    workers: &[Arc<WorkerObs>],
+    pick: impl Fn(&WorkerObs) -> &Histogram,
+) -> HistogramSnapshot {
+    let mut out = HistogramSnapshot::default();
+    for worker in workers {
+        out.merge(&pick(worker).snapshot());
+    }
+    out
 }
 
 impl Default for WorkerObs {
@@ -252,12 +263,12 @@ impl SlowQueryEntry {
 /// A fixed-capacity ring of [`SlowQueryEntry`]s: the newest `capacity`
 /// slow queries survive, older ones are overwritten.
 ///
-/// Unlike the atomics-only `ius_obs::EventLog` this ring sits behind a mutex:
-/// an entry (with its pattern prefix) no longer fits the event log's three
-/// payload words, and queries that cross the slow threshold are — by
-/// construction — rare and already tens of milliseconds deep, so a
+/// The ring sits behind a mutex: queries that cross the slow threshold are
+/// — by construction — rare and already tens of milliseconds deep, so a
 /// microsecond of lock hold is invisible. Recording stays allocation-free:
-/// the slots are preallocated and a push is a slot overwrite.
+/// the slots are preallocated and a push is a slot overwrite. The entries
+/// are events, answered by `TRACE_DUMP`; the scrape carries only the
+/// counts.
 #[derive(Debug)]
 pub struct SlowRing {
     inner: Mutex<SlowRingInner>,
@@ -312,10 +323,13 @@ impl SlowRing {
         self.inner.lock().expect("slow ring lock").recorded
     }
 
-    /// `(occupied slots, capacity)`.
-    pub fn occupancy(&self) -> (u64, u64) {
+    /// Writes the ring's counts into `scrape`: entries ever recorded,
+    /// occupied slots and capacity.
+    pub fn scrape_into(&self, scrape: &mut Scrape) {
         let inner = self.inner.lock().expect("slow ring lock");
-        (inner.len as u64, inner.slots.len() as u64)
+        scrape.push("slow_queries", Value::Counter(inner.recorded));
+        scrape.push("slow_ring_len", Value::Gauge(inner.len as u64));
+        scrape.push("slow_ring_capacity", Value::Gauge(inner.slots.len() as u64));
     }
 
     /// The surviving entries, oldest first.
@@ -329,209 +343,6 @@ impl SlowRing {
     }
 }
 
-/// Occupancy gauges of the server's diagnostic rings, carried in the
-/// metrics snapshot so ring sizing is visible from a plain stderr dump
-/// without a `TRACE_DUMP` scrape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingOccupancy {
-    /// Occupied flight-recorder recent-ring slots.
-    pub flight_recent: u64,
-    /// Flight-recorder recent-ring capacity.
-    pub flight_recent_capacity: u64,
-    /// Occupied flight-recorder pinned (error) slots.
-    pub flight_pinned: u64,
-    /// Flight-recorder pinned-ring capacity.
-    pub flight_pinned_capacity: u64,
-    /// Occupied slow-query ring slots.
-    pub slow: u64,
-    /// Slow-query ring capacity.
-    pub slow_capacity: u64,
-}
-
-/// The live-index observability view a `METRICS` scrape samples (zeroed
-/// for static servers).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LiveObsView {
-    /// Flush (memtable freeze + segment build + swap) durations.
-    pub flush: HistogramSnapshot,
-    /// Compaction (merge build + swap) durations.
-    pub compaction: HistogramSnapshot,
-    /// WAL fsync durations.
-    pub wal_fsync: HistogramSnapshot,
-    /// Immutable segments currently serving.
-    pub segments: u64,
-    /// Memtable rows currently buffered.
-    pub memtable_rows: u64,
-    /// Compactions whose swap-in lost the id race and was discarded.
-    pub swap_in_races: u64,
-    /// Background compaction passes that failed (they retry).
-    pub compaction_errors: u64,
-    /// Mutation records replayed from the WAL at open.
-    pub wal_replay_records: u64,
-    /// WAL bytes scanned during replay.
-    pub wal_replay_bytes: u64,
-    /// Nanoseconds spent replaying the WAL.
-    pub wal_replay_ns: u64,
-    /// Most recent background/durability failure (empty when none).
-    pub last_error: String,
-}
-
-/// The typed snapshot answered to a `METRICS` request: per-stage query
-/// histograms merged across workers, the server's queue-wait/service
-/// split, the live/WAL timings, and the slow-query log. The body carries
-/// its own format version (`protocol::METRICS_FORMAT_VERSION`) so the
-/// snapshot layout can evolve without a wire-version bump.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Snapshot layout version (see `protocol::METRICS_FORMAT_VERSION`).
-    pub format_version: u16,
-    /// Nanoseconds since the server's observability clock started.
-    pub uptime_ns: u64,
-    /// Minimizer-scan stage, merged across workers.
-    pub query_scan: HistogramSnapshot,
-    /// Locate stage (`equal_range` / trie descent), merged across workers.
-    pub query_locate: HistogramSnapshot,
-    /// Verification stage, merged across workers.
-    pub query_verify: HistogramSnapshot,
-    /// Reporting stage, merged across workers.
-    pub query_report: HistogramSnapshot,
-    /// Accept-to-worker-pop wait per connection.
-    pub queue_wait: HistogramSnapshot,
-    /// Per-op service time: `(op byte, histogram)` for every op that
-    /// served at least one frame.
-    pub op_service: Vec<(u8, HistogramSnapshot)>,
-    /// Live-index and WAL timings (zeroed for static servers).
-    pub live: LiveObsView,
-    /// Queries slower than the threshold, oldest first (bounded ring).
-    pub slow_queries: Vec<SlowQueryEntry>,
-    /// The slow-query threshold in force.
-    pub slow_query_threshold_ns: u64,
-    /// Occupancy of the flight-recorder and slow-query rings.
-    pub rings: RingOccupancy,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot as the human-readable text dump printed by
-    /// `serve --metrics-interval`.
-    pub fn dump(&self) -> String {
-        use ius_obs::fmt_ns;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "== ius metrics (format v{}, uptime {}) ==\n",
-            self.format_version,
-            fmt_ns(self.uptime_ns)
-        ));
-        out.push_str("query stages (ns per query, merged across workers):\n");
-        for (name, h) in [
-            ("scan  ", &self.query_scan),
-            ("locate", &self.query_locate),
-            ("verify", &self.query_verify),
-            ("report", &self.query_report),
-        ] {
-            out.push_str(&format!("  {name}  {}\n", h.summary_line()));
-        }
-        out.push_str(&format!("queue_wait  {}\n", self.queue_wait.summary_line()));
-        out.push_str("per-op service time:\n");
-        for (op, h) in &self.op_service {
-            out.push_str(&format!("  {:<12}  {}\n", op_name(*op), h.summary_line()));
-        }
-        let live = &self.live;
-        out.push_str(&format!(
-            "live: segments={} memtable_rows={} swap_in_races={} compaction_errors={}\n",
-            live.segments, live.memtable_rows, live.swap_in_races, live.compaction_errors
-        ));
-        out.push_str(&format!("  flush       {}\n", live.flush.summary_line()));
-        out.push_str(&format!(
-            "  compaction  {}\n",
-            live.compaction.summary_line()
-        ));
-        out.push_str(&format!(
-            "wal: fsync  {}\n  replay: {} record(s), {} byte(s), {}\n",
-            live.wal_fsync.summary_line(),
-            live.wal_replay_records,
-            live.wal_replay_bytes,
-            fmt_ns(live.wal_replay_ns)
-        ));
-        if !live.last_error.is_empty() {
-            out.push_str(&format!("last_error: {}\n", live.last_error));
-        }
-        let rings = &self.rings;
-        out.push_str(&format!(
-            "rings: flight_recent={}/{} flight_pinned={}/{} slow={}/{}\n",
-            rings.flight_recent,
-            rings.flight_recent_capacity,
-            rings.flight_pinned,
-            rings.flight_pinned_capacity,
-            rings.slow,
-            rings.slow_capacity
-        ));
-        out.push_str(&format!(
-            "slow queries (over {}): {}\n",
-            fmt_ns(self.slow_query_threshold_ns),
-            self.slow_queries.len()
-        ));
-        for entry in &self.slow_queries {
-            out.push_str(&format!(
-                "  +{:<10}  {:<10}  pattern_len={}  reported={}  prefix={:?}\n",
-                fmt_ns(entry.ts_ns),
-                fmt_ns(entry.duration_ns),
-                entry.pattern_len,
-                entry.reported,
-                entry.prefix()
-            ));
-        }
-        out
-    }
-}
-
-/// Merges the per-worker registries plus the shared slow-query log into
-/// one [`MetricsSnapshot`] (the `METRICS` scrape path; allocation is fine
-/// here).
-pub(crate) fn merge_worker_obs(
-    workers: &[std::sync::Arc<WorkerObs>],
-    slow_log: &SlowRing,
-    slow_query_threshold_ns: u64,
-    live: LiveObsView,
-    flight: FlightOccupancy,
-) -> MetricsSnapshot {
-    let (slow, slow_capacity) = slow_log.occupancy();
-    let mut snapshot = MetricsSnapshot {
-        format_version: crate::protocol::METRICS_FORMAT_VERSION,
-        uptime_ns: ius_obs::clock::now_ns(),
-        slow_query_threshold_ns,
-        live,
-        rings: RingOccupancy {
-            flight_recent: flight.recent,
-            flight_recent_capacity: flight.recent_capacity,
-            flight_pinned: flight.pinned,
-            flight_pinned_capacity: flight.pinned_capacity,
-            slow,
-            slow_capacity,
-        },
-        ..MetricsSnapshot::default()
-    };
-    let mut op_service: Vec<HistogramSnapshot> =
-        vec![HistogramSnapshot::default(); OP_SERVICE_SLOTS];
-    for worker in workers {
-        snapshot.query_scan.merge(&worker.query_scan.snapshot());
-        snapshot.query_locate.merge(&worker.query_locate.snapshot());
-        snapshot.query_verify.merge(&worker.query_verify.snapshot());
-        snapshot.query_report.merge(&worker.query_report.snapshot());
-        snapshot.queue_wait.merge(&worker.queue_wait.snapshot());
-        for (slot, hist) in op_service.iter_mut().zip(worker.op_service.iter()) {
-            slot.merge(&hist.snapshot());
-        }
-    }
-    snapshot.op_service = op_service
-        .into_iter()
-        .enumerate()
-        .filter(|(_, h)| h.count > 0)
-        .map(|(op, h)| (op as u8, h))
-        .collect();
-    snapshot.slow_queries = slow_log.snapshot();
-    snapshot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,80 +350,67 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters_and_context() {
         let metrics = ServerMetrics::new();
-        ServerMetrics::inc(&metrics.connections);
-        ServerMetrics::add(&metrics.occurrences, 41);
-        ServerMetrics::inc(&metrics.occurrences);
-        let snap = metrics.snapshot(
-            "MWSA".into(),
-            2,
-            1000,
-            4096,
-            3,
-            16,
-            DurabilityView::default(),
-        );
-        assert_eq!(snap.index_name, "MWSA");
-        assert_eq!(snap.generation, 2);
-        assert_eq!(snap.corpus_len, 1000);
-        assert_eq!(snap.index_size_bytes, 4096);
-        assert_eq!(snap.workers, 3);
-        assert_eq!(snap.queue_depth, 16);
-        assert_eq!(snap.connections, 1);
-        assert_eq!(snap.occurrences, 42);
-        assert_eq!(snap.requests, 0);
+        metrics.connections.inc();
+        metrics.occurrences.add(41);
+        metrics.occurrences.inc();
+        let mut scrape = Scrape::new();
+        metrics.scrape_into(&mut scrape);
+        assert_eq!(scrape.value("connections"), Some(1));
+        assert_eq!(scrape.value("occurrences"), Some(42));
+        assert_eq!(scrape.value("requests"), Some(0));
+        assert_eq!(scrape.samples().len(), 13, "one sample per counter");
+        assert!(scrape
+            .samples()
+            .iter()
+            .all(|(_, v)| matches!(v, Value::Counter(_))));
     }
 
     #[test]
     fn worker_registries_merge_on_scrape() {
-        let workers: Vec<std::sync::Arc<WorkerObs>> = (0..3)
-            .map(|_| std::sync::Arc::new(WorkerObs::new()))
-            .collect();
+        let workers: Vec<Arc<WorkerObs>> = (0..3).map(|_| Arc::new(WorkerObs::new())).collect();
         for (i, w) in workers.iter().enumerate() {
-            w.record_query_stages(&QueryStats {
+            w.record_query(&QueryStats {
+                candidates: 10,
+                verified: 4,
+                reported: 2 + i,
+                grid_nodes: 5,
                 scan_ns: 100 * (i as u64 + 1),
                 locate_ns: 10,
                 verify_ns: 20,
                 report_ns: 30,
+                timed: true,
+            });
+            // An untimed query feeds the filter counters, not the stages.
+            w.record_query(&QueryStats {
+                candidates: 1,
+                reported: 1,
                 ..QueryStats::default()
             });
             w.record_service(1, 5_000);
             w.record_service(0, 200);
             w.queue_wait.record(1_000);
         }
+        workers[1].pattern_too_short.inc();
         // An out-of-range op byte is ignored, not a panic.
         workers[0].record_service(200, 1);
-        let slow_log = SlowRing::new(8);
-        slow_log.record(2_000_000, 64, &[5, 4, 3], 3);
-        let flight = FlightOccupancy {
-            recent: 2,
-            recent_capacity: 64,
-            pinned: 1,
-            pinned_capacity: 16,
-        };
-        let snap = merge_worker_obs(
-            &workers,
-            &slow_log,
-            1_000_000,
-            LiveObsView::default(),
-            flight,
-        );
-        assert_eq!(snap.query_scan.count, 3);
-        assert_eq!(snap.query_scan.sum, 100 + 200 + 300);
-        assert_eq!(snap.queue_wait.count, 3);
-        let ops: Vec<u8> = snap.op_service.iter().map(|(op, _)| *op).collect();
-        assert_eq!(ops, vec![0, 1], "only ops that served frames appear");
-        assert_eq!(snap.op_service[1].1.count, 3);
-        assert_eq!(snap.slow_queries.len(), 1);
-        let entry = snap.slow_queries[0];
-        assert_eq!(entry.duration_ns, 2_000_000);
-        assert_eq!(entry.pattern_len, 64);
-        assert_eq!(entry.reported, 3);
-        assert_eq!(entry.prefix(), &[5, 4, 3]);
-        assert_eq!(snap.slow_query_threshold_ns, 1_000_000);
-        assert_eq!(snap.rings.flight_recent, 2);
-        assert_eq!(snap.rings.flight_pinned, 1);
-        assert_eq!(snap.rings.slow, 1);
-        assert_eq!(snap.rings.slow_capacity, 8);
+        let mut scrape = Scrape::new();
+        WorkerObs::scrape_into(&workers, &mut scrape);
+        assert_eq!(scrape.value("query_candidates"), Some(33));
+        assert_eq!(scrape.value("query_verified"), Some(12));
+        assert_eq!(scrape.value("query_reported"), Some(2 + 3 + 4 + 3));
+        assert_eq!(scrape.value("query_grid_nodes"), Some(15));
+        assert_eq!(scrape.value("pattern_too_short"), Some(1));
+        let scan = scrape.histogram("query_scan_ns").expect("scan");
+        assert_eq!(scan.count, 3);
+        assert_eq!(scan.sum, 100 + 200 + 300);
+        assert_eq!(scrape.histogram("queue_wait_ns").expect("wait").count, 3);
+        let ops: Vec<&str> = scrape
+            .samples()
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("op_service_ns_"))
+            .collect();
+        assert_eq!(ops, vec!["ping", "query"], "only ops that served frames");
+        assert_eq!(scrape.histogram("op_service_ns_query").unwrap().count, 3);
     }
 
     #[test]
@@ -623,7 +421,11 @@ mod tests {
         ring.record(2_000, 4, &[9, 8, 7, 6], 2);
         ring.record(3_000, 2, &[1, 2], 0);
         assert_eq!(ring.recorded(), 3);
-        assert_eq!(ring.occupancy(), (2, 2));
+        let mut scrape = Scrape::new();
+        ring.scrape_into(&mut scrape);
+        assert_eq!(scrape.value("slow_queries"), Some(3));
+        assert_eq!(scrape.value("slow_ring_len"), Some(2));
+        assert_eq!(scrape.value("slow_ring_capacity"), Some(2));
         let entries = ring.snapshot();
         assert_eq!(entries.len(), 2, "capacity 2 keeps the newest two");
         assert_eq!(entries[0].prefix(), &[9, 8, 7, 6]);
@@ -639,37 +441,35 @@ mod tests {
 
     #[test]
     fn dump_renders_every_section() {
-        let workers = vec![std::sync::Arc::new(WorkerObs::new())];
+        // The text exposition of every server-side source: counters,
+        // merged worker histograms and the ring counts.
+        let workers = vec![Arc::new(WorkerObs::new())];
         workers[0].record_service(1, 42_000);
         let slow_log = SlowRing::new(4);
         slow_log.record(77_000_000, 8, b"ACGTACGT", 2);
-        let live = LiveObsView {
-            segments: 4,
-            memtable_rows: 123,
-            last_error: "disk full".into(),
-            ..LiveObsView::default()
-        };
-        let flight = FlightOccupancy {
-            recent: 5,
-            recent_capacity: 64,
-            pinned: 1,
-            pinned_capacity: 16,
-        };
-        let text = merge_worker_obs(&workers, &slow_log, 50_000_000, live, flight).dump();
+        let mut scrape = Scrape::new();
+        ServerMetrics::new().scrape_into(&mut scrape);
+        WorkerObs::scrape_into(&workers, &mut scrape);
+        slow_log.scrape_into(&mut scrape);
+        let text = scrape.to_text();
         for needle in [
-            "query stages",
-            "queue_wait",
-            "QUERY",
-            "segments=4",
-            "memtable_rows=123",
-            "wal:",
-            "slow queries",
-            "pattern_len=8",
-            "rings: flight_recent=5/64 flight_pinned=1/16 slow=1/4",
-            "prefix=",
-            "last_error: disk full",
+            "# TYPE requests counter\nrequests 0\n",
+            "# TYPE query_scan_ns summary\n",
+            "queue_wait_ns_count 0\n",
+            "op_service_ns_query_count 1\n",
+            "op_service_ns_query_sum 42000\n",
+            "query_candidates 0\n",
+            "slow_queries 1\n",
+            "# TYPE slow_ring_len gauge\nslow_ring_len 1\n",
         ] {
-            assert!(text.contains(needle), "dump missing {needle:?}:\n{text}");
+            assert!(text.contains(needle), "text missing {needle:?}:\n{text}");
+        }
+        // Every line is a TYPE comment or `name[{labels}] value`.
+        for line in text.lines() {
+            assert!(
+                line.starts_with("# TYPE ") || line.rsplit_once(' ').is_some(),
+                "{line:?}"
+            );
         }
     }
 }

@@ -15,38 +15,34 @@
 //! questions. All multi-byte integers are little-endian, matching the
 //! `ius_index::persist` on-disk format.
 //!
-//! **Version policy:** [`WIRE_VERSION`] is bumped on any layout change and
-//! peers reject versions they do not know (no silent negotiation) — the same
-//! policy as the index file format. A server answering an unknown version
-//! replies with a typed [`ErrorCode::UnsupportedVersion`] frame carrying the
-//! *current* magic and version, so even a stale client can decode the
-//! refusal. Version 2 added the live-corpus ops ([`Request::Append`],
-//! [`Request::DeleteRange`], [`Request::Flush`], [`Request::Compact`], the
-//! [`Response::Live`] frame and the live counters of [`StatsSnapshot`]) and
-//! raised [`MAX_REQUEST_FRAME`] so an `APPEND` can carry a real batch of
-//! probability rows. Version 3 added the durability counters and the
-//! `last_error` string to [`StatsSnapshot`] (WAL records/bytes, recovery
-//! counts, the active fsync policy, background-compaction failures).
+//! **Version policy:** [`WIRE_VERSION`] is the one version of every frame
+//! and every body layout: it is bumped on any layout change, and peers
+//! reject versions they do not know (no silent negotiation, no per-body
+//! versions) — the same policy as the index file format. A server
+//! answering an unknown version replies with a typed
+//! [`ErrorCode::UnsupportedVersion`] frame carrying the *current* magic and
+//! version, so even a stale client can decode the refusal.
 //!
-//! The `METRICS` op ([`Request::Metrics`] / [`Response::Metrics`]) was
-//! deliberately added **without** a version bump: a new op is a body-level
-//! extension, so an old server answers it with a typed
-//! [`ErrorCode::UnknownOp`] frame and keeps the connection — exactly the
-//! degradation a monitoring client wants — whereas a version bump would
-//! make every old↔new pairing a header-level rejection that closes the
-//! connection. The snapshot body instead opens with its own
-//! [`METRICS_FORMAT_VERSION`], so the metrics layout can evolve
-//! independently and a client refuses an unknown layout typed
-//! ([`ProtocolError::UnsupportedMetricsFormat`]). Metrics format 2 added
-//! the per-entry slow-query pattern prefix and the ring-occupancy gauges.
+//! * Version 2 added the live-corpus ops ([`Request::Append`],
+//!   [`Request::DeleteRange`], [`Request::Flush`], [`Request::Compact`] and
+//!   the [`Response::Live`] frame) and raised [`MAX_REQUEST_FRAME`] so an
+//!   `APPEND` can carry a real batch of probability rows.
+//! * Version 3 added the durability counters and `last_error` to `STATS`.
+//! * Version 4 made metrics one surface. `STATS` answers a self-describing
+//!   [`Scrape`]: `u32 count`, then per sample `str name · u8 kind ·
+//!   payload`, where kind 0 is a counter and 1 a gauge (`u64`), 2 a
+//!   histogram (the sparse [`HistogramSnapshot`] encoding) and 3 an info
+//!   string. Names are flat `[a-z0-9_]+` and unique; the decoder refuses
+//!   anything else typed. The `METRICS` op (9) and its status (7) are
+//!   retired — op 9 is answered `UNKNOWN_OP` — and the `TRACE_DUMP` body
+//!   lost its own format version and gained the slow-query log (events,
+//!   not metrics). New samples need no version bump: a reader looks
+//!   samples up by name.
 //!
 //! The `TRACE_DUMP` op ([`Request::TraceDump`] / [`Response::TraceDump`])
-//! follows the same discipline: no wire-version bump (an old server
-//! answers `UNKNOWN_OP` and keeps the connection), and the dump body opens
-//! with its own [`TRACE_FORMAT_VERSION`] so the span layout can evolve
-//! independently ([`ProtocolError::UnsupportedTraceFormat`]). The dump is
-//! a non-destructive snapshot of the server's flight recorder — pinned
-//! error traces first, then the recent ring, both oldest first.
+//! answers a non-destructive snapshot of the server's flight recorder —
+//! pinned error traces first, then the recent ring, both oldest first —
+//! followed by the slow-query ring, oldest first.
 //!
 //! Requests: [`Request::Ping`], [`Request::Query`] (with a [`ResultMode`]
 //! mapping onto the `ius_query` sinks: collect-all, count-only, first-`k`),
@@ -58,9 +54,9 @@
 //! untrusted bytes.
 
 use crate::flight::TraceRecordSnapshot;
-use crate::metrics::{LiveObsView, MetricsSnapshot, RingOccupancy, SlowQueryEntry};
+use crate::metrics::{SlowQueryEntry, SLOW_QUERY_PREFIX_LEN};
 use ius_obs::trace::Span;
-use ius_obs::HistogramSnapshot;
+use ius_obs::{HistogramSnapshot, Scrape, Value};
 use ius_query::QueryStats;
 use std::fmt;
 use std::io::{self, Read};
@@ -69,18 +65,7 @@ use std::io::{self, Read};
 pub const WIRE_MAGIC: [u8; 4] = *b"IUSW";
 
 /// The current wire-protocol version.
-pub const WIRE_VERSION: u16 = 3;
-
-/// Layout version of the [`Response::Metrics`] body. Bumped when the
-/// snapshot layout changes; independent of [`WIRE_VERSION`] (see the
-/// module docs for why the `METRICS` op did not bump the wire version).
-/// Version 2 added the slow-query pattern prefix and the ring-occupancy
-/// gauges.
-pub const METRICS_FORMAT_VERSION: u16 = 2;
-
-/// Layout version of the [`Response::TraceDump`] body. Independent of
-/// [`WIRE_VERSION`] for the same reason as the metrics format.
-pub const TRACE_FORMAT_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Fixed header size inside the payload: magic + version + request id + op.
 pub const HEADER_LEN: usize = 4 + 2 + 8 + 1;
@@ -105,8 +90,34 @@ const OP_APPEND: u8 = 5;
 const OP_DELETE_RANGE: u8 = 6;
 const OP_FLUSH: u8 = 7;
 const OP_COMPACT: u8 = 8;
-const OP_METRICS: u8 = 9;
+// Op 9 was METRICS until wire version 4; it is unassigned now.
 const OP_TRACE_DUMP: u8 = 10;
+
+/// Every request op byte with its display name, sorted by op byte: the
+/// one op table.
+const OPS: [(u8, &str); 10] = [
+    (OP_PING, "PING"),
+    (OP_QUERY, "QUERY"),
+    (OP_STATS, "STATS"),
+    (OP_RELOAD, "RELOAD"),
+    (OP_SHUTDOWN, "SHUTDOWN"),
+    (OP_APPEND, "APPEND"),
+    (OP_DELETE_RANGE, "DELETE_RANGE"),
+    (OP_FLUSH, "FLUSH"),
+    (OP_COMPACT, "COMPACT"),
+    (OP_TRACE_DUMP, "TRACE_DUMP"),
+];
+
+/// Number of per-op service histograms: one slot per op byte up to the
+/// largest assigned op (`OPS` is sorted by op byte).
+pub const OP_SERVICE_SLOTS: usize = OPS[OPS.len() - 1].0 as usize + 1;
+
+/// Display name of a request op byte (`UNKNOWN` for unassigned bytes).
+pub fn op_name(op: u8) -> &'static str {
+    OPS.iter()
+        .find(|&&(byte, _)| byte == op)
+        .map_or("UNKNOWN", |&(_, name)| name)
+}
 
 // Response statuses.
 const ST_PONG: u8 = 0;
@@ -116,8 +127,14 @@ const ST_STATS: u8 = 3;
 const ST_RELOADED: u8 = 4;
 const ST_SHUTTING_DOWN: u8 = 5;
 const ST_LIVE: u8 = 6;
-const ST_METRICS: u8 = 7;
+// Status 7 answered METRICS until wire version 4.
 const ST_TRACE_DUMP: u8 = 8;
+
+// Scrape sample kinds.
+const KIND_COUNTER: u8 = 0;
+const KIND_GAUGE: u8 = 1;
+const KIND_HISTOGRAM: u8 = 2;
+const KIND_INFO: u8 = 3;
 const ST_ERROR: u8 = 255;
 
 // Result modes.
@@ -152,7 +169,8 @@ pub enum Request {
         /// The rank-encoded pattern.
         pattern: Vec<u8>,
     },
-    /// Report the server's metrics snapshot.
+    /// Scrape the server's metrics: every counter, gauge, histogram and
+    /// info sample, by name.
     Stats,
     /// Atomically swap in a new index. `None` reloads the path the server
     /// was started from.
@@ -188,13 +206,9 @@ pub enum Request {
         /// tiered policy round.
         full: bool,
     },
-    /// Scrape the server's observability snapshot (per-stage query
-    /// histograms, queue-wait/service split, live and WAL timings, slow
-    /// queries). Old servers answer `UNKNOWN_OP` and keep the connection.
-    Metrics,
-    /// Drain a snapshot of the server's flight recorder: the most recent
-    /// complete request traces plus the pinned error traces. Old servers
-    /// answer `UNKNOWN_OP` and keep the connection.
+    /// Snapshot the server's events: the flight recorder's most recent
+    /// complete request traces plus the pinned error traces, and the
+    /// slow-query ring.
     TraceDump,
 }
 
@@ -226,7 +240,7 @@ impl From<QueryStats> for WireStats {
 impl From<WireStats> for QueryStats {
     fn from(s: WireStats) -> Self {
         // Stage timings do not travel on QUERY responses (they are served
-        // aggregated by the METRICS op), so the projection zeroes them.
+        // aggregated by the STATS scrape), so the projection zeroes them.
         Self {
             candidates: s.candidates as usize,
             verified: s.verified as usize,
@@ -235,71 +249,6 @@ impl From<WireStats> for QueryStats {
             ..Self::default()
         }
     }
-}
-
-/// The server-side metrics snapshot answered to [`Request::Stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Display name of the served index family.
-    pub index_name: String,
-    /// Index generation: starts at 0, +1 per successful reload.
-    pub generation: u64,
-    /// Length of the served corpus.
-    pub corpus_len: u64,
-    /// Heap bytes of the served index.
-    pub index_size_bytes: u64,
-    /// Worker threads in the pool.
-    pub workers: u64,
-    /// Admission-queue capacity.
-    pub queue_depth: u64,
-    /// Connections accepted since startup.
-    pub connections: u64,
-    /// Frames read since startup (well-formed or not).
-    pub requests: u64,
-    /// Queries answered successfully.
-    pub queries: u64,
-    /// Occurrence positions delivered over all queries.
-    pub occurrences: u64,
-    /// Malformed or incompatible frames answered with a typed error.
-    pub protocol_errors: u64,
-    /// Well-formed queries that failed engine-side validation.
-    pub query_errors: u64,
-    /// Connections refused with `OVERLOADED` because the queue was full.
-    pub overloaded: u64,
-    /// Successful hot reloads.
-    pub reloads: u64,
-    /// Positions appended to a live corpus (0 for static serving).
-    pub appended_positions: u64,
-    /// Successful `DELETE_RANGE` requests.
-    pub delete_ranges: u64,
-    /// Explicit `FLUSH` requests that froze at least one segment
-    /// (append-triggered auto-flushes are internal to the live index and
-    /// not counted here).
-    pub flushes: u64,
-    /// Successful live compaction requests that merged at least one run.
-    pub compactions: u64,
-    /// Live mutations refused or failed (`LIVE_ERROR` frames: op on a
-    /// static server, alphabet mismatch, malformed rows, bad ranges,
-    /// segment build failures).
-    pub live_errors: u64,
-    /// Mutations logged to the live write-ahead log (0 when durability is
-    /// off or the server is static).
-    pub wal_records: u64,
-    /// Bytes appended to the live write-ahead log.
-    pub wal_bytes: u64,
-    /// Crash recoveries the served live index performed at open.
-    pub recoveries: u64,
-    /// Mutations replayed from the write-ahead log at open.
-    pub recovered_records: u64,
-    /// The active fsync policy: 0 durability off, 1 per-record,
-    /// 2 interval, 3 never.
-    pub fsync_policy: u64,
-    /// Background live-compaction rounds that failed (retried
-    /// automatically; see `last_error`).
-    pub compaction_errors: u64,
-    /// The most recent background/durability error of the served live
-    /// index (empty when none).
-    pub last_error: String,
 }
 
 /// The answer to every live-corpus mutation (`APPEND` / `DELETE_RANGE` /
@@ -391,12 +340,17 @@ impl fmt::Display for ErrorCode {
     }
 }
 
+/// The answer to [`Request::TraceDump`]: the server's recent events.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceDump {
+    /// The surviving flight-recorder traces, pinned errors first, then
+    /// recent, both oldest first.
+    pub traces: Vec<TraceRecordSnapshot>,
+    /// The surviving slow-query entries, oldest first.
+    pub slow_queries: Vec<SlowQueryEntry>,
+}
+
 /// A response frame, minus the echoed id (carried alongside).
-///
-/// Deliberately unboxed despite the variant size skew (a `METRICS` body
-/// dwarfs a `PONG`): a `Response` is a transient value built, encoded and
-/// dropped within one frame round trip — never stored in bulk.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -415,8 +369,8 @@ pub enum Response {
         /// Number of distinct occurrences.
         count: u64,
     },
-    /// Answer to [`Request::Stats`].
-    Stats(StatsSnapshot),
+    /// Answer to [`Request::Stats`]: the server's metrics scrape.
+    Stats(Scrape),
     /// Answer to a successful [`Request::Reload`].
     Reloaded {
         /// The new index generation.
@@ -427,16 +381,8 @@ pub enum Response {
     ShuttingDown,
     /// Answer to every successful live-corpus mutation.
     Live(LiveSnapshot),
-    /// Answer to [`Request::Metrics`].
-    Metrics(MetricsSnapshot),
-    /// Answer to [`Request::TraceDump`]: the surviving flight-recorder
-    /// traces, pinned errors first, then recent, both oldest first.
-    TraceDump {
-        /// Layout version of this body (see [`TRACE_FORMAT_VERSION`]).
-        format_version: u16,
-        /// The recorded traces.
-        records: Vec<TraceRecordSnapshot>,
-    },
+    /// Answer to [`Request::TraceDump`].
+    TraceDump(TraceDump),
     /// Typed refusal: the server never hangs up silently and never panics on
     /// untrusted bytes.
     Error {
@@ -479,12 +425,12 @@ pub enum ProtocolError {
     },
     /// A string field is not valid UTF-8.
     InvalidUtf8,
-    /// A `METRICS` body announces a snapshot layout this build does not
-    /// speak (the op itself decoded fine; only the snapshot is opaque).
-    UnsupportedMetricsFormat(u16),
-    /// A `TRACE_DUMP` body announces a span layout this build does not
-    /// speak (the op itself decoded fine; only the dump is opaque).
-    UnsupportedTraceFormat(u16),
+    /// A scrape sample carries a kind byte this build does not know.
+    UnknownSampleKind(u8),
+    /// A scrape sample name is not flat `[a-z0-9_]+`.
+    InvalidSampleName(String),
+    /// A scrape names the same sample twice.
+    DuplicateSample(String),
 }
 
 impl fmt::Display for ProtocolError {
@@ -511,16 +457,13 @@ impl fmt::Display for ProtocolError {
                 write!(f, "length prefix {len} exceeds the frame bound {max}")
             }
             ProtocolError::InvalidUtf8 => f.write_str("string field is not valid UTF-8"),
-            ProtocolError::UnsupportedMetricsFormat(v) => write!(
-                f,
-                "unsupported metrics snapshot format {v} (this build speaks \
-                 format {METRICS_FORMAT_VERSION})"
-            ),
-            ProtocolError::UnsupportedTraceFormat(v) => write!(
-                f,
-                "unsupported trace dump format {v} (this build speaks \
-                 format {TRACE_FORMAT_VERSION})"
-            ),
+            ProtocolError::UnknownSampleKind(k) => write!(f, "unknown scrape sample kind {k}"),
+            ProtocolError::InvalidSampleName(name) => {
+                write!(f, "scrape sample name {name:?} is not [a-z0-9_]+")
+            }
+            ProtocolError::DuplicateSample(name) => {
+                write!(f, "scrape names sample {name:?} twice")
+            }
         }
     }
 }
@@ -627,7 +570,6 @@ pub fn encode_request(id: u64, request: &Request, out: &mut Vec<u8>) {
             begin_frame(out, id, OP_COMPACT);
             out.push(u8::from(*full));
         }
-        Request::Metrics => begin_frame(out, id, OP_METRICS),
         Request::TraceDump => begin_frame(out, id, OP_TRACE_DUMP),
     }
     end_frame(out);
@@ -650,38 +592,30 @@ pub fn encode_response(id: u64, response: &Response, out: &mut Vec<u8>) {
             push_stats(out, stats);
             push_u64(out, *count);
         }
-        Response::Stats(snapshot) => {
+        Response::Stats(scrape) => {
             begin_frame(out, id, ST_STATS);
-            push_str(out, &snapshot.index_name);
-            for v in [
-                snapshot.generation,
-                snapshot.corpus_len,
-                snapshot.index_size_bytes,
-                snapshot.workers,
-                snapshot.queue_depth,
-                snapshot.connections,
-                snapshot.requests,
-                snapshot.queries,
-                snapshot.occurrences,
-                snapshot.protocol_errors,
-                snapshot.query_errors,
-                snapshot.overloaded,
-                snapshot.reloads,
-                snapshot.appended_positions,
-                snapshot.delete_ranges,
-                snapshot.flushes,
-                snapshot.compactions,
-                snapshot.live_errors,
-                snapshot.wal_records,
-                snapshot.wal_bytes,
-                snapshot.recoveries,
-                snapshot.recovered_records,
-                snapshot.fsync_policy,
-                snapshot.compaction_errors,
-            ] {
-                push_u64(out, v);
+            push_u32(out, scrape.samples().len() as u32);
+            for (name, value) in scrape.samples() {
+                push_str(out, name);
+                match value {
+                    Value::Counter(v) => {
+                        out.push(KIND_COUNTER);
+                        push_u64(out, *v);
+                    }
+                    Value::Gauge(v) => {
+                        out.push(KIND_GAUGE);
+                        push_u64(out, *v);
+                    }
+                    Value::Histogram(h) => {
+                        out.push(KIND_HISTOGRAM);
+                        push_histogram(out, h);
+                    }
+                    Value::Info(text) => {
+                        out.push(KIND_INFO);
+                        push_str(out, text);
+                    }
+                }
             }
-            push_str(out, &snapshot.last_error);
         }
         Response::Reloaded { generation } => {
             begin_frame(out, id, ST_RELOADED);
@@ -700,74 +634,10 @@ pub fn encode_response(id: u64, response: &Response, out: &mut Vec<u8>) {
                 push_u64(out, v);
             }
         }
-        Response::Metrics(snapshot) => {
-            begin_frame(out, id, ST_METRICS);
-            push_u16(out, snapshot.format_version);
-            push_u64(out, snapshot.uptime_ns);
-            for h in [
-                &snapshot.query_scan,
-                &snapshot.query_locate,
-                &snapshot.query_verify,
-                &snapshot.query_report,
-                &snapshot.queue_wait,
-            ] {
-                push_histogram(out, h);
-            }
-            out.push(snapshot.op_service.len() as u8);
-            for (op, h) in &snapshot.op_service {
-                out.push(*op);
-                push_histogram(out, h);
-            }
-            let live = &snapshot.live;
-            for h in [&live.flush, &live.compaction, &live.wal_fsync] {
-                push_histogram(out, h);
-            }
-            for v in [
-                live.segments,
-                live.memtable_rows,
-                live.swap_in_races,
-                live.compaction_errors,
-                live.wal_replay_records,
-                live.wal_replay_bytes,
-                live.wal_replay_ns,
-            ] {
-                push_u64(out, v);
-            }
-            push_str(out, &live.last_error);
-            push_u64(out, snapshot.slow_query_threshold_ns);
-            push_u32(out, snapshot.slow_queries.len() as u32);
-            for entry in &snapshot.slow_queries {
-                for v in [
-                    entry.ts_ns,
-                    entry.duration_ns,
-                    entry.pattern_len,
-                    entry.reported,
-                ] {
-                    push_u64(out, v);
-                }
-                out.push(entry.prefix_len);
-                out.extend_from_slice(entry.prefix());
-            }
-            let rings = &snapshot.rings;
-            for v in [
-                rings.flight_recent,
-                rings.flight_recent_capacity,
-                rings.flight_pinned,
-                rings.flight_pinned_capacity,
-                rings.slow,
-                rings.slow_capacity,
-            ] {
-                push_u64(out, v);
-            }
-        }
-        Response::TraceDump {
-            format_version,
-            records,
-        } => {
+        Response::TraceDump(dump) => {
             begin_frame(out, id, ST_TRACE_DUMP);
-            push_u16(out, *format_version);
-            push_u32(out, records.len() as u32);
-            for record in records {
+            push_u32(out, dump.traces.len() as u32);
+            for record in &dump.traces {
                 push_u64(out, record.trace_id);
                 out.push(record.op);
                 out.push(record.error);
@@ -783,6 +653,19 @@ pub fn encode_response(id: u64, response: &Response, out: &mut Vec<u8>) {
                     push_u64(out, span.a);
                     push_u64(out, span.b);
                 }
+            }
+            push_u32(out, dump.slow_queries.len() as u32);
+            for entry in &dump.slow_queries {
+                for v in [
+                    entry.ts_ns,
+                    entry.duration_ns,
+                    entry.pattern_len,
+                    entry.reported,
+                ] {
+                    push_u64(out, v);
+                }
+                out.push(entry.prefix_len);
+                out.extend_from_slice(entry.prefix());
             }
         }
         Response::Error { code, message } => {
@@ -982,7 +865,6 @@ pub fn decode_request_body(op: u8, body: &[u8]) -> Result<Request, ProtocolError
         OP_COMPACT => Request::Compact {
             full: cur.u8("compact mode")? != 0,
         },
-        OP_METRICS => Request::Metrics,
         OP_TRACE_DUMP => Request::TraceDump,
         other => return Err(ProtocolError::UnknownOp(other)),
     };
@@ -994,6 +876,31 @@ pub fn decode_request_body(op: u8, body: &[u8]) -> Result<Request, ProtocolError
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
     let (id, op, body) = decode_header(payload)?;
     Ok((id, decode_request_body(op, body)?))
+}
+
+/// Decodes a `STATS` body. Every sample name must be valid and unique
+/// and every kind known; anything else is refused typed.
+fn decode_scrape(cur: &mut Cursor) -> Result<Scrape, ProtocolError> {
+    let count = cur.u32("sample count")? as usize;
+    let mut scrape = Scrape::new();
+    for _ in 0..count {
+        let name = cur.string("sample name")?;
+        let value = match cur.u8("sample kind")? {
+            KIND_COUNTER => Value::Counter(cur.u64("counter value")?),
+            KIND_GAUGE => Value::Gauge(cur.u64("gauge value")?),
+            KIND_HISTOGRAM => Value::Histogram(cur.histogram("histogram value")?),
+            KIND_INFO => Value::Info(cur.string("info value")?),
+            other => return Err(ProtocolError::UnknownSampleKind(other)),
+        };
+        if !ius_obs::valid_name(&name) {
+            return Err(ProtocolError::InvalidSampleName(name));
+        }
+        if scrape.get(&name).is_some() {
+            return Err(ProtocolError::DuplicateSample(name));
+        }
+        scrape.push(name, value);
+    }
+    Ok(scrape)
 }
 
 /// Decodes a full response payload (header + body).
@@ -1024,45 +931,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
             let count = cur.u64("occurrence count")?;
             Response::Count { stats, count }
         }
-        ST_STATS => {
-            let index_name = cur.string("index name")?;
-            let mut vals = [0u64; 24];
-            for (i, v) in vals.iter_mut().enumerate() {
-                *v = cur.u64(match i {
-                    0 => "generation",
-                    _ => "stats counter",
-                })?;
-            }
-            let last_error = cur.string("last error")?;
-            Response::Stats(StatsSnapshot {
-                index_name,
-                generation: vals[0],
-                corpus_len: vals[1],
-                index_size_bytes: vals[2],
-                workers: vals[3],
-                queue_depth: vals[4],
-                connections: vals[5],
-                requests: vals[6],
-                queries: vals[7],
-                occurrences: vals[8],
-                protocol_errors: vals[9],
-                query_errors: vals[10],
-                overloaded: vals[11],
-                reloads: vals[12],
-                appended_positions: vals[13],
-                delete_ranges: vals[14],
-                flushes: vals[15],
-                compactions: vals[16],
-                live_errors: vals[17],
-                wal_records: vals[18],
-                wal_bytes: vals[19],
-                recoveries: vals[20],
-                recovered_records: vals[21],
-                fsync_policy: vals[22],
-                compaction_errors: vals[23],
-                last_error,
-            })
-        }
+        ST_STATS => Response::Stats(decode_scrape(&mut cur)?),
         ST_RELOADED => Response::Reloaded {
             generation: cur.u64("generation")?,
         },
@@ -1074,98 +943,9 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
             tombstones: cur.u64("live tombstone count")?,
             changed: cur.u64("live change count")?,
         }),
-        ST_METRICS => {
-            let format_version = cur.u16("metrics format version")?;
-            if format_version != METRICS_FORMAT_VERSION {
-                return Err(ProtocolError::UnsupportedMetricsFormat(format_version));
-            }
-            let uptime_ns = cur.u64("metrics uptime")?;
-            let query_scan = cur.histogram("scan histogram")?;
-            let query_locate = cur.histogram("locate histogram")?;
-            let query_verify = cur.histogram("verify histogram")?;
-            let query_report = cur.histogram("report histogram")?;
-            let queue_wait = cur.histogram("queue-wait histogram")?;
-            let op_count = cur.u8("op-service count")? as usize;
-            let mut op_service = Vec::with_capacity(op_count.min(256));
-            for _ in 0..op_count {
-                let op = cur.u8("op-service op byte")?;
-                op_service.push((op, cur.histogram("op-service histogram")?));
-            }
-            let flush = cur.histogram("flush histogram")?;
-            let compaction = cur.histogram("compaction histogram")?;
-            let wal_fsync = cur.histogram("wal-fsync histogram")?;
-            let mut live_vals = [0u64; 7];
-            for v in live_vals.iter_mut() {
-                *v = cur.u64("live counter")?;
-            }
-            let last_error = cur.string("live last error")?;
-            let slow_query_threshold_ns = cur.u64("slow-query threshold")?;
-            let slow_count = cur.u32("slow-query count")? as usize;
-            let mut slow_queries = Vec::with_capacity(slow_count.min(4096));
-            for _ in 0..slow_count {
-                let mut entry = SlowQueryEntry {
-                    ts_ns: cur.u64("slow-query ts")?,
-                    duration_ns: cur.u64("slow-query duration")?,
-                    pattern_len: cur.u64("slow-query pattern length")?,
-                    reported: cur.u64("slow-query reported")?,
-                    ..SlowQueryEntry::default()
-                };
-                let prefix_len = cur.u8("slow-query prefix length")? as usize;
-                if prefix_len > crate::metrics::SLOW_QUERY_PREFIX_LEN {
-                    return Err(ProtocolError::Truncated {
-                        what: "slow-query prefix",
-                    });
-                }
-                let bytes = cur.take(prefix_len, "slow-query prefix")?;
-                entry.prefix_len = prefix_len as u8;
-                entry.prefix[..prefix_len].copy_from_slice(bytes);
-                slow_queries.push(entry);
-            }
-            let mut ring_vals = [0u64; 6];
-            for v in ring_vals.iter_mut() {
-                *v = cur.u64("ring occupancy")?;
-            }
-            Response::Metrics(MetricsSnapshot {
-                format_version,
-                uptime_ns,
-                query_scan,
-                query_locate,
-                query_verify,
-                query_report,
-                queue_wait,
-                op_service,
-                live: LiveObsView {
-                    flush,
-                    compaction,
-                    wal_fsync,
-                    segments: live_vals[0],
-                    memtable_rows: live_vals[1],
-                    swap_in_races: live_vals[2],
-                    compaction_errors: live_vals[3],
-                    wal_replay_records: live_vals[4],
-                    wal_replay_bytes: live_vals[5],
-                    wal_replay_ns: live_vals[6],
-                    last_error,
-                },
-                slow_queries,
-                slow_query_threshold_ns,
-                rings: RingOccupancy {
-                    flight_recent: ring_vals[0],
-                    flight_recent_capacity: ring_vals[1],
-                    flight_pinned: ring_vals[2],
-                    flight_pinned_capacity: ring_vals[3],
-                    slow: ring_vals[4],
-                    slow_capacity: ring_vals[5],
-                },
-            })
-        }
         ST_TRACE_DUMP => {
-            let format_version = cur.u16("trace format version")?;
-            if format_version != TRACE_FORMAT_VERSION {
-                return Err(ProtocolError::UnsupportedTraceFormat(format_version));
-            }
             let count = cur.u32("trace count")? as usize;
-            let mut records = Vec::with_capacity(count.min(4096));
+            let mut traces = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
                 let trace_id = cur.u64("trace id")?;
                 let op = cur.u8("trace op")?;
@@ -1185,7 +965,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
                         b: cur.u64("span detail b")?,
                     });
                 }
-                records.push(TraceRecordSnapshot {
+                traces.push(TraceRecordSnapshot {
                     trace_id,
                     op,
                     error,
@@ -1196,10 +976,31 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
                     spans,
                 });
             }
-            Response::TraceDump {
-                format_version,
-                records,
+            let slow_count = cur.u32("slow-query count")? as usize;
+            let mut slow_queries = Vec::with_capacity(slow_count.min(4096));
+            for _ in 0..slow_count {
+                let mut entry = SlowQueryEntry {
+                    ts_ns: cur.u64("slow-query ts")?,
+                    duration_ns: cur.u64("slow-query duration")?,
+                    pattern_len: cur.u64("slow-query pattern length")?,
+                    reported: cur.u64("slow-query reported")?,
+                    ..SlowQueryEntry::default()
+                };
+                let prefix_len = cur.u8("slow-query prefix length")? as usize;
+                if prefix_len > SLOW_QUERY_PREFIX_LEN {
+                    return Err(ProtocolError::Truncated {
+                        what: "slow-query prefix",
+                    });
+                }
+                let bytes = cur.take(prefix_len, "slow-query prefix")?;
+                entry.prefix_len = prefix_len as u8;
+                entry.prefix[..prefix_len].copy_from_slice(bytes);
+                slow_queries.push(entry);
             }
+            Response::TraceDump(TraceDump {
+                traces,
+                slow_queries,
+            })
         }
         ST_ERROR => {
             let code = ErrorCode::from_byte(cur.u8("error code")?)?;
@@ -1263,6 +1064,8 @@ pub fn read_frame(r: &mut dyn Read, max_len: usize, buf: &mut Vec<u8>) -> io::Re
 mod tests {
     use super::*;
     use crate::flight::TRACE_NO_ERROR;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn round_trip_request(request: Request) {
         let mut frame = Vec::new();
@@ -1304,7 +1107,6 @@ mod tests {
         round_trip_request(Request::Flush);
         round_trip_request(Request::Compact { full: false });
         round_trip_request(Request::Compact { full: true });
-        round_trip_request(Request::Metrics);
         round_trip_request(Request::TraceDump);
         for mode in [
             ResultMode::Collect,
@@ -1342,34 +1144,7 @@ mod tests {
         });
         round_trip_response(Response::Count { stats, count: 42 });
         round_trip_response(Response::Reloaded { generation: 3 });
-        round_trip_response(Response::Stats(StatsSnapshot {
-            index_name: "MWSA-G".into(),
-            generation: 2,
-            corpus_len: 100_000,
-            index_size_bytes: 1 << 20,
-            workers: 4,
-            queue_depth: 64,
-            connections: 17,
-            requests: 1000,
-            queries: 990,
-            occurrences: 12345,
-            protocol_errors: 3,
-            query_errors: 7,
-            overloaded: 1,
-            reloads: 2,
-            appended_positions: 4096,
-            delete_ranges: 3,
-            flushes: 9,
-            compactions: 4,
-            live_errors: 2,
-            wal_records: 4099,
-            wal_bytes: 1 << 20,
-            recoveries: 1,
-            recovered_records: 17,
-            fsync_policy: 2,
-            compaction_errors: 1,
-            last_error: "background compaction failed (will retry): disk full".to_string(),
-        }));
+        round_trip_response(Response::Stats(sample_scrape()));
         round_trip_response(Response::Live(LiveSnapshot {
             corpus_len: 123_456,
             segments: 7,
@@ -1432,11 +1207,14 @@ mod tests {
     fn unknown_version_is_rejected() {
         let mut frame = Vec::new();
         encode_request(1, &Request::Ping, &mut frame);
-        frame[8] = 0xFF; // low byte of the version field
-        assert!(matches!(
-            decode_request(&frame[4..]),
-            Err(ProtocolError::UnsupportedVersion(_))
-        ));
+        // Version 3 is the previous layout; 0xFF a future one.
+        for version in [3u16, 0xFF, WIRE_VERSION + 1] {
+            frame[8..10].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_request(&frame[4..]),
+                Err(ProtocolError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -1580,10 +1358,9 @@ mod tests {
         assert_eq!(back, stats);
     }
 
-    /// A fully-populated metrics snapshot for the wire tests: every
-    /// histogram occupied, per-op list non-trivial, live view and slow-log
-    /// non-empty.
-    fn sample_metrics_snapshot() -> MetricsSnapshot {
+    /// A scrape with every sample kind: counters, gauges, occupied and
+    /// empty histograms, an empty and a non-trivial info string.
+    fn sample_scrape() -> Scrape {
         let hist = |values: &[u64]| {
             let h = ius_obs::Histogram::new();
             for &v in values {
@@ -1591,118 +1368,217 @@ mod tests {
             }
             h.snapshot()
         };
-        MetricsSnapshot {
-            format_version: METRICS_FORMAT_VERSION,
-            uptime_ns: 123_456_789,
-            query_scan: hist(&[100, 200, 30_000]),
-            query_locate: hist(&[50, 60]),
-            query_verify: hist(&[1 << 20]),
-            query_report: hist(&[7]),
-            queue_wait: hist(&[900, 1_000_000]),
-            op_service: vec![(0, hist(&[150])), (1, hist(&[10_000, 20_000]))],
-            live: crate::metrics::LiveObsView {
-                flush: hist(&[2_000_000]),
-                compaction: hist(&[9_000_000, 11_000_000]),
-                wal_fsync: hist(&[400_000]),
-                segments: 5,
-                memtable_rows: 321,
-                swap_in_races: 1,
-                compaction_errors: 2,
-                wal_replay_records: 77,
-                wal_replay_bytes: 8_192,
-                wal_replay_ns: 3_000_000,
-                last_error: "background compaction failed (will retry): disk full".into(),
-            },
-            slow_queries: vec![
-                SlowQueryEntry {
-                    ts_ns: 1_000,
-                    duration_ns: 60_000_000,
-                    pattern_len: 32,
-                    reported: 4,
-                    prefix_len: crate::metrics::SLOW_QUERY_PREFIX_LEN as u8,
-                    prefix: [7; crate::metrics::SLOW_QUERY_PREFIX_LEN],
-                },
-                SlowQueryEntry {
-                    ts_ns: 2_000,
-                    duration_ns: 51_000_000,
-                    pattern_len: 8,
-                    reported: 0,
-                    prefix_len: 8,
-                    prefix: {
-                        let mut p = [0u8; crate::metrics::SLOW_QUERY_PREFIX_LEN];
-                        p[..8].copy_from_slice(&[0, 1, 2, 3, 3, 2, 1, 0]);
-                        p
-                    },
-                },
-            ],
-            slow_query_threshold_ns: 50_000_000,
-            rings: RingOccupancy {
-                flight_recent: 12,
-                flight_recent_capacity: 64,
-                flight_pinned: 2,
-                flight_pinned_capacity: 16,
-                slow: 2,
-                slow_capacity: 128,
-            },
+        let mut scrape = Scrape::new();
+        for (name, value) in [
+            ("index_name", Value::Info("MWSA-G".into())),
+            ("generation", Value::Gauge(2)),
+            ("requests", Value::Counter(1_000)),
+            ("protocol_errors", Value::Counter(3)),
+            ("query_scan_ns", Value::Histogram(hist(&[100, 200, 30_000]))),
+            ("queue_wait_ns", Value::Histogram(hist(&[900, 1_000_000]))),
+            ("live_flush_ns", Value::Histogram(hist(&[]))),
+            ("op_service_ns_query", Value::Histogram(hist(&[10_000]))),
+            ("live_segments", Value::Gauge(5)),
+            ("compaction_errors", Value::Counter(u64::MAX)),
+            (
+                "last_error",
+                Value::Info("background compaction failed (will retry): disk full".into()),
+            ),
+            ("slow_query_threshold_ns", Value::Gauge(50_000_000)),
+        ] {
+            scrape.push(name, value);
         }
+        scrape
+    }
+
+    /// Encodes a `STATS` answer and returns its payload (length prefix
+    /// stripped).
+    fn scrape_payload(scrape: &Scrape) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_response(9, &Response::Stats(scrape.clone()), &mut frame);
+        frame.split_off(4)
     }
 
     #[test]
     fn metrics_response_round_trips() {
-        round_trip_response(Response::Metrics(sample_metrics_snapshot()));
-        // The all-zero snapshot (static server, nothing recorded yet) must
-        // round-trip too — as long as it announces the spoken format.
-        round_trip_response(Response::Metrics(MetricsSnapshot {
-            format_version: METRICS_FORMAT_VERSION,
-            ..MetricsSnapshot::default()
-        }));
+        round_trip_response(Response::Stats(sample_scrape()));
+        // The empty scrape round-trips too.
+        round_trip_response(Response::Stats(Scrape::new()));
     }
 
     #[test]
     fn metrics_truncations_are_refused_typed() {
-        let mut frame = Vec::new();
-        encode_response(9, &Response::Metrics(sample_metrics_snapshot()), &mut frame);
+        let payload = scrape_payload(&sample_scrape());
         // Every strict prefix of the payload fails Truncated, never panics
         // and never misdecodes.
-        for cut in HEADER_LEN..frame.len() - 4 {
-            let result = decode_response(&frame[4..4 + cut]);
+        for cut in HEADER_LEN..payload.len() {
+            let result = decode_response(&payload[..cut]);
             assert!(
                 matches!(result, Err(ProtocolError::Truncated { .. })),
                 "cut at {cut}: {result:?}"
             );
         }
-        // Trailing garbage after a well-formed snapshot.
-        let mut long = frame[4..].to_vec();
-        long.push(0x00);
-        assert!(matches!(
-            decode_response(&long),
-            Err(ProtocolError::TrailingBytes(1))
-        ));
+        // Trailing garbage after a well-formed scrape, of any length.
+        for extra in 1..=9 {
+            let mut long = payload.clone();
+            long.extend(std::iter::repeat_n(0u8, extra));
+            assert_eq!(
+                decode_response(&long),
+                Err(ProtocolError::TrailingBytes(extra))
+            );
+        }
+    }
+
+    /// Offset of the kind byte of the single sample named `name` in a
+    /// one-sample scrape payload: header, status, `u32 count`, `u32`
+    /// name length, name.
+    fn kind_offset(name: &str) -> usize {
+        HEADER_LEN + 4 + 4 + name.len()
     }
 
     #[test]
     fn future_metrics_format_is_refused_typed() {
-        let mut frame = Vec::new();
-        encode_response(
-            11,
-            &Response::Metrics(MetricsSnapshot {
-                format_version: METRICS_FORMAT_VERSION + 1,
-                ..MetricsSnapshot::default()
-            }),
-            &mut frame,
+        // A sample kind this build does not know (a future layout) is
+        // refused typed, never skipped or misread.
+        let mut scrape = Scrape::new();
+        scrape.push("requests", Value::Counter(7));
+        let mut payload = scrape_payload(&scrape);
+        for kind in [4u8, 7, 255] {
+            payload[kind_offset("requests")] = kind;
+            assert_eq!(
+                decode_response(&payload),
+                Err(ProtocolError::UnknownSampleKind(kind))
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_and_invalid_sample_names_are_refused_typed() {
+        // Two samples whose names differ in one byte: patch the second
+        // onto the first.
+        let mut scrape = Scrape::new();
+        scrape.push("aa", Value::Counter(1));
+        scrape.push("ab", Value::Gauge(2));
+        let mut payload = scrape_payload(&scrape);
+        let second = kind_offset("aa") + 1 + 8 + 4 + 1;
+        assert_eq!(payload[second], b'b');
+        payload[second] = b'a';
+        assert_eq!(
+            decode_response(&payload),
+            Err(ProtocolError::DuplicateSample("aa".into()))
         );
-        assert!(matches!(
-            decode_response(&frame[4..]),
-            Err(ProtocolError::UnsupportedMetricsFormat(v)) if v == METRICS_FORMAT_VERSION + 1
-        ));
+        // Names outside [a-z0-9_]: upper case, punctuation, a label, and
+        // the empty name.
+        for bad in ["Ab", "a-", "a{", "a.", " a"] {
+            let mut payload = scrape_payload(&scrape);
+            let first = kind_offset("aa") - 2;
+            payload[first..first + 2].copy_from_slice(bad.as_bytes());
+            assert_eq!(
+                decode_response(&payload),
+                Err(ProtocolError::InvalidSampleName(bad.into()))
+            );
+        }
+        let mut empty_name = Vec::new();
+        begin_frame(&mut empty_name, 1, ST_STATS);
+        push_u32(&mut empty_name, 1);
+        push_str(&mut empty_name, "");
+        empty_name.push(KIND_COUNTER);
+        push_u64(&mut empty_name, 0);
+        end_frame(&mut empty_name);
+        assert_eq!(
+            decode_response(&empty_name[4..]),
+            Err(ProtocolError::InvalidSampleName(String::new()))
+        );
+    }
+
+    #[test]
+    fn scrape_text_exposition_is_pinned() {
+        let mut scrape = Scrape::new();
+        let h = ius_obs::Histogram::new();
+        for v in [10u64, 20, 30] {
+            h.record(v);
+        }
+        for (name, value) in [
+            ("index_name", Value::Info("MWSA \"G\"\\x\ny".into())),
+            ("requests", Value::Counter(12)),
+            ("live_segments", Value::Gauge(3)),
+            ("query_scan_ns", Value::Histogram(h.snapshot())),
+            ("empty_ns", Value::Histogram(HistogramSnapshot::default())),
+        ] {
+            scrape.push(name, value);
+        }
+        assert_eq!(
+            scrape.to_text(),
+            "# TYPE index_name gauge\n\
+             index_name{value=\"MWSA \\\"G\\\"\\\\x\\ny\"} 1\n\
+             # TYPE requests counter\n\
+             requests 12\n\
+             # TYPE live_segments gauge\n\
+             live_segments 3\n\
+             # TYPE query_scan_ns summary\n\
+             query_scan_ns{quantile=\"0.5\"} 20\n\
+             query_scan_ns{quantile=\"0.99\"} 30\n\
+             query_scan_ns_sum 60\n\
+             query_scan_ns_count 3\n\
+             # TYPE empty_ns summary\n\
+             empty_ns{quantile=\"0.5\"} 0\n\
+             empty_ns{quantile=\"0.99\"} 0\n\
+             empty_ns_sum 0\n\
+             empty_ns_count 0\n"
+        );
+    }
+
+    /// A random valid scrape: up to 11 samples with random kinds and
+    /// payloads, names drawn from the whole `[a-z0-9_]` alphabet (a name
+    /// drawn twice keeps its first sample).
+    fn arb_scrape() -> impl Strategy<Value = Scrape> {
+        const NAME_BYTES: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+        let sample = (
+            (0u8..4, vec(0..NAME_BYTES.len(), 1..6)),
+            (0..=u64::MAX, 0..=u64::MAX, 0..=u64::MAX),
+            vec((0..=u32::MAX, 0..=u64::MAX), 0..6),
+            vec(0x20u8..0x7F, 0..12),
+        );
+        vec(sample, 0..12).prop_map(|samples| {
+            let mut scrape = Scrape::new();
+            for ((kind, name), (a, b, c), buckets, info) in samples {
+                let name: String = name.iter().map(|&i| NAME_BYTES[i] as char).collect();
+                let value = match kind {
+                    0 => Value::Counter(a),
+                    1 => Value::Gauge(a),
+                    2 => Value::Histogram(HistogramSnapshot {
+                        count: a,
+                        sum: b,
+                        min: c,
+                        max: a ^ c,
+                        buckets,
+                    }),
+                    _ => Value::Info(String::from_utf8(info).expect("printable ASCII")),
+                };
+                if scrape.get(&name).is_none() {
+                    scrape.push(name, value);
+                }
+            }
+            scrape
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_scrapes_round_trip(scrape in arb_scrape()) {
+            let payload = scrape_payload(&scrape);
+            let (_, decoded) = decode_response(&payload).expect("decode");
+            prop_assert_eq!(decoded, Response::Stats(scrape));
+        }
     }
 
     /// A populated trace dump: one pinned error trace, one recent trace
     /// with a nested span tree and non-trivial detail words.
     fn sample_trace_dump() -> Response {
-        Response::TraceDump {
-            format_version: TRACE_FORMAT_VERSION,
-            records: vec![
+        Response::TraceDump(TraceDump {
+            traces: vec![
                 TraceRecordSnapshot {
                     trace_id: 42,
                     op: 1,
@@ -1756,7 +1632,29 @@ mod tests {
                     ],
                 },
             ],
-        }
+            slow_queries: vec![
+                SlowQueryEntry {
+                    ts_ns: 1_000,
+                    duration_ns: 60_000_000,
+                    pattern_len: 32,
+                    reported: 4,
+                    prefix_len: SLOW_QUERY_PREFIX_LEN as u8,
+                    prefix: [7; SLOW_QUERY_PREFIX_LEN],
+                },
+                SlowQueryEntry {
+                    ts_ns: 2_000,
+                    duration_ns: 51_000_000,
+                    pattern_len: 8,
+                    reported: 0,
+                    prefix_len: 8,
+                    prefix: {
+                        let mut p = [0u8; SLOW_QUERY_PREFIX_LEN];
+                        p[..8].copy_from_slice(&[0, 1, 2, 3, 3, 2, 1, 0]);
+                        p
+                    },
+                },
+            ],
+        })
     }
 
     #[test]
@@ -1764,10 +1662,7 @@ mod tests {
         round_trip_request(Request::TraceDump);
         round_trip_response(sample_trace_dump());
         // The empty dump (fresh server, nothing sampled yet) round-trips.
-        round_trip_response(Response::TraceDump {
-            format_version: TRACE_FORMAT_VERSION,
-            records: Vec::new(),
-        });
+        round_trip_response(Response::TraceDump(TraceDump::default()));
     }
 
     #[test]
@@ -1791,18 +1686,37 @@ mod tests {
 
     #[test]
     fn future_trace_format_is_refused_typed() {
+        // The dump body has no version of its own: a future layout comes
+        // with a future wire version, refused typed naming it.
         let mut frame = Vec::new();
-        encode_response(
-            17,
-            &Response::TraceDump {
-                format_version: TRACE_FORMAT_VERSION + 1,
-                records: Vec::new(),
-            },
-            &mut frame,
-        );
-        assert!(matches!(
+        encode_response(17, &sample_trace_dump(), &mut frame);
+        frame[8..10].copy_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
+        assert_eq!(
             decode_response(&frame[4..]),
-            Err(ProtocolError::UnsupportedTraceFormat(v)) if v == TRACE_FORMAT_VERSION + 1
-        ));
+            Err(ProtocolError::UnsupportedVersion(WIRE_VERSION + 1))
+        );
+    }
+
+    #[test]
+    fn op_table_names_every_op_once() {
+        assert_eq!(OP_SERVICE_SLOTS, OP_TRACE_DUMP as usize + 1);
+        assert_eq!(op_name(OP_QUERY), "QUERY");
+        assert_eq!(op_name(OP_TRACE_DUMP), "TRACE_DUMP");
+        assert_eq!(op_name(9), "UNKNOWN", "op 9 (METRICS) is retired");
+        assert_eq!(op_name(200), "UNKNOWN");
+        // Sorted and unique, as OP_SERVICE_SLOTS relies on.
+        assert!(OPS.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        // Every op in the table decodes (possibly needing a body), and the
+        // retired op 9 does not.
+        for &(op, _) in &OPS {
+            assert!(!matches!(
+                decode_request_body(op, &[]),
+                Err(ProtocolError::UnknownOp(_))
+            ));
+        }
+        assert_eq!(
+            decode_request_body(9, &[]),
+            Err(ProtocolError::UnknownOp(9))
+        );
     }
 }

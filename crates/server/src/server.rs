@@ -38,28 +38,27 @@
 //! every request (the slow-query log is exact), but histogram feeds —
 //! service time and the per-stage breakdown — are sampled at
 //! 1-in-`clock::STAGE_SAMPLE_EVERY` to keep their cold cache lines off
-//! the per-request path. A `METRICS` request — or a local
-//! [`MetricsHandle`] — merges every registry plus the shared slow-query
-//! ring into one [`MetricsSnapshot`] on the scrape path. All recording
+//! the per-request path. The filter counters (candidates, verified,
+//! reported, grid work) and `PatternTooShort` refusals are exact. A
+//! `STATS` request — or a local [`MetricsHandle`] — reads the shared
+//! counters, merges every registry and samples the live index and the
+//! diagnostic rings into one [`Scrape`] on the scrape path. All timing
 //! sites are gated on `ius_obs::clock::enabled()`, which is how the
 //! overhead benchmark measures instrumented vs. stubbed serving.
 
 use crate::flight::{FlightRecorder, TRACE_NO_ERROR};
-use crate::metrics::{
-    merge_worker_obs, DurabilityView, LiveObsView, MetricsSnapshot, ServerMetrics, SlowRing,
-    WorkerObs, SLOW_QUERY_PREFIX_LEN,
-};
+use crate::metrics::{ServerMetrics, SlowRing, WorkerObs, SLOW_QUERY_PREFIX_LEN};
 use crate::pool::AdmissionQueue;
 use crate::protocol::{
     decode_header, decode_query_body, decode_request_body, encode_matches_from_slice,
     encode_response, read_frame, ErrorCode, LiveSnapshot, ProtocolError, Request, Response,
-    ResultMode, StatsSnapshot, MAX_REQUEST_FRAME, TRACE_FORMAT_VERSION,
+    ResultMode, TraceDump, MAX_REQUEST_FRAME,
 };
 use ius_arena::Arena;
 use ius_exec::WorkerPool;
 use ius_index::{open_index, AnyIndex, UncertainIndex};
 use ius_live::LiveIndex;
-use ius_obs::{clock, trace};
+use ius_obs::{clock, trace, Scrape, Value};
 use ius_query::{CountSink, FirstKSink, QueryScratch};
 use ius_weighted::WeightedString;
 use std::io::{self, Write};
@@ -269,7 +268,7 @@ pub struct ServerConfig {
     /// pin the whole pool while admitted connections starve in the queue.
     pub idle_timeout: Duration,
     /// Queries at least this slow land in the slow-query ring surfaced by
-    /// `METRICS` (`Duration::ZERO` logs every query; handy in tests).
+    /// `TRACE_DUMP` (`Duration::ZERO` logs every query; handy in tests).
     pub slow_query_threshold: Duration,
 }
 
@@ -289,8 +288,8 @@ struct Shared {
     state: Mutex<Arc<ServedState>>,
     reload_path: Option<PathBuf>,
     metrics: ServerMetrics,
-    /// One private histogram registry per worker (indexed like the worker
-    /// threads); merged only on a `METRICS` scrape.
+    /// One private registry per worker (indexed like the worker threads);
+    /// merged only on a scrape.
     worker_obs: Vec<Arc<WorkerObs>>,
     /// Shared ring of threshold-crossing queries (with pattern prefixes).
     slow_log: SlowRing,
@@ -422,17 +421,16 @@ impl Server {
 }
 
 /// A cloneable local scrape handle onto a running server — the same
-/// snapshot a wire `METRICS` request answers, without a connection.
+/// scrape a wire `STATS` request answers, without a connection.
 #[derive(Clone)]
 pub struct MetricsHandle {
     shared: Arc<Shared>,
 }
 
 impl MetricsHandle {
-    /// Merges the per-worker registries (and the live/WAL view, when a
-    /// live index is served) into one snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        metrics_snapshot(&self.shared)
+    /// Scrapes the running server (see [`Server::metrics_handle`]).
+    pub fn scrape(&self) -> Scrape {
+        scrape(&self.shared)
     }
 
     /// Whether the server has begun shutting down (lets a dump thread
@@ -442,38 +440,41 @@ impl MetricsHandle {
     }
 }
 
-/// Builds the `METRICS` answer: merge every worker registry plus the
-/// slow-query ring, and sample the live index's observability if one is
-/// served. Runs on the scrape path — allocation is fine here.
-fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
+/// Builds the `STATS` answer: the serving context, the shared counters,
+/// every worker registry merged, the served live index's samples and the
+/// rings' counts. Runs on the scrape path — allocation is fine here.
+fn scrape(shared: &Shared) -> Scrape {
     let state = shared.state.lock().expect("state lock").clone();
-    let live_view = match state.index.live_index() {
-        Some(live) => {
-            let obs = live.obs_snapshot();
-            let stats = live.live_stats();
-            LiveObsView {
-                flush: obs.flush,
-                compaction: obs.compaction,
-                wal_fsync: obs.wal_fsync,
-                segments: stats.segments as u64,
-                memtable_rows: stats.memtable_rows as u64,
-                swap_in_races: obs.swap_in_races,
-                compaction_errors: stats.compaction_errors,
-                wal_replay_records: obs.replay_records,
-                wal_replay_bytes: obs.replay_bytes,
-                wal_replay_ns: obs.replay_ns,
-                last_error: stats.last_error.unwrap_or_default(),
-            }
-        }
-        None => LiveObsView::default(),
-    };
-    merge_worker_obs(
-        &shared.worker_obs,
-        &shared.slow_log,
-        shared.slow_query_threshold_ns,
-        live_view,
-        shared.flight.occupancy(),
-    )
+    let mut scrape = Scrape::new();
+    for (name, value) in [
+        ("index_name", Value::Info(state.index.name())),
+        ("generation", Value::Gauge(state.generation)),
+        ("corpus_len", Value::Gauge(state.index.corpus_len() as u64)),
+        (
+            "index_size_bytes",
+            Value::Gauge(state.index.size_bytes() as u64),
+        ),
+        ("workers", Value::Gauge(shared.workers as u64)),
+        ("queue_depth", Value::Gauge(shared.queue_depth as u64)),
+        ("uptime_ns", Value::Gauge(clock::now_ns())),
+    ] {
+        scrape.push(name, value);
+    }
+    shared.metrics.scrape_into(&mut scrape);
+    WorkerObs::scrape_into(&shared.worker_obs, &mut scrape);
+    match state.index.live_index() {
+        Some(live) => live.scrape_into(&mut scrape),
+        // A static index runs no background work that could fail; the
+        // counter is present so every server reports all error counters.
+        None => scrape.push("compaction_errors", Value::Counter(0)),
+    }
+    shared.flight.scrape_into(&mut scrape);
+    shared.slow_log.scrape_into(&mut scrape);
+    scrape.push(
+        "slow_query_threshold_ns",
+        Value::Gauge(shared.slow_query_threshold_ns),
+    );
+    scrape
 }
 
 /// Flight recorders of every server bound in this process, reachable by
@@ -556,11 +557,11 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
             let _ = stream.write_all(&out);
             return;
         }
-        ServerMetrics::inc(&shared.metrics.connections);
+        shared.metrics.connections.inc();
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(shared.poll_interval));
         if let Err(mut refused) = shared.queue.try_push(stream, clock::now_ns()) {
-            ServerMetrics::inc(&shared.metrics.overloaded);
+            shared.metrics.overloaded.inc();
             encode_response(
                 0,
                 &Response::Error {
@@ -742,7 +743,7 @@ fn handle_connection(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized length prefix: refuse with a typed frame, then
                 // close (the stream offset can no longer be trusted).
-                ServerMetrics::inc(&shared.metrics.protocol_errors);
+                shared.metrics.protocol_errors.inc();
                 encode_response(
                     0,
                     &Response::Error {
@@ -756,7 +757,7 @@ fn handle_connection(
             }
             Err(_) => return, // transport error: drop the connection
         }
-        ServerMetrics::inc(&shared.metrics.requests);
+        shared.metrics.requests.inc();
         // Service time covers body decode + answer + send — everything the
         // worker does for this frame after it has arrived.
         let service_start = clock::now_ns();
@@ -777,7 +778,7 @@ fn handle_connection(
                 // The stream cannot be trusted to be frame-aligned after a
                 // header-level violation: answer once, then close.
                 trace::abandon();
-                ServerMetrics::inc(&shared.metrics.protocol_errors);
+                shared.metrics.protocol_errors.inc();
                 let code = match err {
                     ProtocolError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
                     _ => ErrorCode::Malformed,
@@ -914,7 +915,7 @@ impl SlowProbe {
 
 /// Encodes the typed error frame for a body-level protocol violation.
 fn body_error(shared: &Shared, id: u64, err: &ProtocolError, out: &mut Vec<u8>) {
-    ServerMetrics::inc(&shared.metrics.protocol_errors);
+    shared.metrics.protocol_errors.inc();
     let code = match err {
         ProtocolError::UnknownOp(_) => ErrorCode::UnknownOp,
         _ => ErrorCode::Malformed,
@@ -949,14 +950,6 @@ fn answer_query(
     // query runs does not affect it, and the old index stays alive until
     // the last in-flight query drops its clone.
     let state = shared.state.lock().expect("state lock").clone();
-    // Per-stage recording, allocation-free. Only queries that drew a
-    // stage-tracing ticket carry stamped stage fields; recording the
-    // zeros of an untimed query would drown the histograms.
-    let record = |stats: &ius_query::QueryStats| {
-        if stats.timed {
-            obs.record_query_stages(stats);
-        }
-    };
     match mode {
         ResultMode::Collect => {
             buffers.positions.clear();
@@ -965,9 +958,12 @@ fn answer_query(
                 .query_into(pattern, &mut buffers.scratch, &mut buffers.positions)
             {
                 Ok(stats) => {
-                    record(&stats);
-                    ServerMetrics::inc(&shared.metrics.queries);
-                    ServerMetrics::add(&shared.metrics.occurrences, buffers.positions.len() as u64);
+                    obs.record_query(&stats);
+                    shared.metrics.queries.inc();
+                    shared
+                        .metrics
+                        .occurrences
+                        .add(buffers.positions.len() as u64);
                     let traced = trace::active();
                     if traced {
                         trace::enter(trace::STAGE_RESPONSE_ENCODE);
@@ -984,7 +980,7 @@ fn answer_query(
                     Some(SlowProbe::new(pattern, buffers.positions.len() as u64))
                 }
                 Err(err) => {
-                    query_error(shared, id, &err, &mut buffers.out);
+                    query_error(shared, obs, id, &err, &mut buffers.out);
                     None
                 }
             }
@@ -996,9 +992,9 @@ fn answer_query(
                 .query_into(pattern, &mut buffers.scratch, &mut sink)
             {
                 Ok(stats) => {
-                    record(&stats);
-                    ServerMetrics::inc(&shared.metrics.queries);
-                    ServerMetrics::add(&shared.metrics.occurrences, sink.count as u64);
+                    obs.record_query(&stats);
+                    shared.metrics.queries.inc();
+                    shared.metrics.occurrences.add(sink.count as u64);
                     let traced = trace::active();
                     if traced {
                         trace::enter(trace::STAGE_RESPONSE_ENCODE);
@@ -1017,7 +1013,7 @@ fn answer_query(
                     Some(SlowProbe::new(pattern, sink.count as u64))
                 }
                 Err(err) => {
-                    query_error(shared, id, &err, &mut buffers.out);
+                    query_error(shared, obs, id, &err, &mut buffers.out);
                     None
                 }
             }
@@ -1029,9 +1025,9 @@ fn answer_query(
                 .query_into(pattern, &mut buffers.scratch, &mut sink)
             {
                 Ok(stats) => {
-                    record(&stats);
-                    ServerMetrics::inc(&shared.metrics.queries);
-                    ServerMetrics::add(&shared.metrics.occurrences, sink.positions.len() as u64);
+                    obs.record_query(&stats);
+                    shared.metrics.queries.inc();
+                    shared.metrics.occurrences.add(sink.positions.len() as u64);
                     let traced = trace::active();
                     if traced {
                         trace::enter(trace::STAGE_RESPONSE_ENCODE);
@@ -1043,7 +1039,7 @@ fn answer_query(
                     Some(SlowProbe::new(pattern, sink.positions.len() as u64))
                 }
                 Err(err) => {
-                    query_error(shared, id, &err, &mut buffers.out);
+                    query_error(shared, obs, id, &err, &mut buffers.out);
                     None
                 }
             }
@@ -1066,37 +1062,10 @@ fn answer(
         Request::Query { mode, pattern } => {
             return answer_query(shared, obs, id, mode, &pattern, buffers)
         }
-        Request::Stats => {
-            let state = shared.state.lock().expect("state lock").clone();
-            let durability = match state.index.live_index() {
-                Some(live) => {
-                    let stats = live.live_stats();
-                    DurabilityView {
-                        wal_records: stats.wal_records,
-                        wal_bytes: stats.wal_bytes,
-                        recoveries: stats.recoveries,
-                        recovered_records: stats.recovered_records,
-                        fsync_policy: stats.fsync_policy,
-                        compaction_errors: stats.compaction_errors,
-                        last_error: stats.last_error,
-                    }
-                }
-                None => DurabilityView::default(),
-            };
-            let snapshot: StatsSnapshot = shared.metrics.snapshot(
-                state.index.name(),
-                state.generation,
-                state.index.corpus_len() as u64,
-                state.index.size_bytes() as u64,
-                shared.workers as u64,
-                shared.queue_depth as u64,
-                durability,
-            );
-            encode_response(id, &Response::Stats(snapshot), &mut buffers.out);
-        }
+        Request::Stats => encode_response(id, &Response::Stats(scrape(shared)), &mut buffers.out),
         Request::Reload { path } => match reload(shared, path.as_deref()) {
             Ok(generation) => {
-                ServerMetrics::inc(&shared.metrics.reloads);
+                shared.metrics.reloads.inc();
                 encode_response(id, &Response::Reloaded { generation }, &mut buffers.out);
             }
             Err(message) => {
@@ -1110,22 +1079,12 @@ fn answer(
                 );
             }
         },
-        Request::Metrics => {
-            encode_response(
-                id,
-                &Response::Metrics(metrics_snapshot(shared)),
-                &mut buffers.out,
-            );
-        }
         Request::TraceDump => {
-            encode_response(
-                id,
-                &Response::TraceDump {
-                    format_version: TRACE_FORMAT_VERSION,
-                    records: shared.flight.snapshot(),
-                },
-                &mut buffers.out,
-            );
+            let dump = TraceDump {
+                traces: shared.flight.snapshot(),
+                slow_queries: shared.slow_log.snapshot(),
+            };
+            encode_response(id, &Response::TraceDump(dump), &mut buffers.out);
         }
         Request::Shutdown => {
             trigger_shutdown(shared);
@@ -1146,7 +1105,7 @@ fn answer(
 fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
     let state = shared.state.lock().expect("state lock").clone();
     let Some(live) = state.index.live_index() else {
-        ServerMetrics::inc(&shared.metrics.live_errors);
+        shared.metrics.live_errors.inc();
         encode_response(
             id,
             &Response::Error {
@@ -1181,7 +1140,7 @@ fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
                         live.append(&batch).map_err(|e| e.to_string()).map(|_| rows)
                     })
                     .inspect(|rows| {
-                        ServerMetrics::add(&shared.metrics.appended_positions, *rows);
+                        shared.metrics.appended_positions.add(*rows);
                     })
             }
         }
@@ -1190,13 +1149,13 @@ fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
             live.delete_range(start, end)
                 .map_err(|e| e.to_string())
                 .map(|()| (end - start) as u64)
-                .inspect(|_| ServerMetrics::inc(&shared.metrics.delete_ranges))
+                .inspect(|_| shared.metrics.delete_ranges.inc())
         }
         Request::Flush => {
             let before = live.live_stats().segments as u64;
             live.flush().map_err(|e| e.to_string()).map(|frozen| {
                 if frozen {
-                    ServerMetrics::inc(&shared.metrics.flushes);
+                    shared.metrics.flushes.inc();
                     // A concurrent compaction may already have merged the
                     // frozen segments; never underflow.
                     (live.live_stats().segments as u64)
@@ -1215,7 +1174,7 @@ fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
             };
             merges.map_err(|e| e.to_string()).map(|merges| {
                 if merges > 0 {
-                    ServerMetrics::inc(&shared.metrics.compactions);
+                    shared.metrics.compactions.inc();
                 }
                 merges as u64
             })
@@ -1238,7 +1197,7 @@ fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
             );
         }
         Err(message) => {
-            ServerMetrics::inc(&shared.metrics.live_errors);
+            shared.metrics.live_errors.inc();
             encode_response(
                 id,
                 &Response::Error {
@@ -1251,8 +1210,17 @@ fn answer_live(shared: &Shared, id: u64, request: Request, out: &mut Vec<u8>) {
     }
 }
 
-fn query_error(shared: &Shared, id: u64, err: &ius_weighted::Error, out: &mut Vec<u8>) {
-    ServerMetrics::inc(&shared.metrics.query_errors);
+fn query_error(
+    shared: &Shared,
+    obs: &WorkerObs,
+    id: u64,
+    err: &ius_weighted::Error,
+    out: &mut Vec<u8>,
+) {
+    shared.metrics.query_errors.inc();
+    if matches!(err, ius_weighted::Error::PatternTooShort { .. }) {
+        obs.pattern_too_short.inc();
+    }
     encode_response(
         id,
         &Response::Error {

@@ -94,9 +94,10 @@ fn live_serve_append_query_shutdown_roundtrip() {
     ]);
     let mut client = Client::connect(addr).expect("connect");
     client.ping().expect("ping");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.corpus_len, n as u64);
-    assert!(stats.index_name.contains("LIVE"), "{}", stats.index_name);
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.value("corpus_len"), Some(n as u64));
+    let name = scrape.info("index_name").expect("index name");
+    assert!(name.contains("LIVE"), "{name}");
 
     // Append 100 fresh rows (same uniform preset alphabet); they must be
     // visible to the very next query and counted in STATS.
@@ -131,15 +132,17 @@ fn live_serve_append_query_shutdown_roundtrip() {
     }
     client.ping().expect("still serving after refusals");
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.appended_positions, 100);
-    assert_eq!(stats.delete_ranges, 1);
-    assert_eq!(stats.flushes, 1);
-    assert_eq!(stats.compactions, 1);
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.value("appended_positions"), Some(100));
+    assert_eq!(scrape.value("delete_ranges"), Some(1));
+    assert_eq!(scrape.value("flushes"), Some(1));
+    assert_eq!(scrape.value("compactions"), Some(1));
     // The wrong-sigma refusal above landed in the dedicated live counter,
     // not in query_errors.
-    assert_eq!(stats.live_errors, 1);
-    assert_eq!(stats.query_errors, 0);
+    assert_eq!(scrape.value("live_errors"), Some(1));
+    assert_eq!(scrape.value("query_errors"), Some(0));
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.live_errors, stats.query_errors), (1, 0));
 
     client.shutdown().expect("shutdown");
     server.wait_success();
@@ -148,8 +151,8 @@ fn live_serve_append_query_shutdown_roundtrip() {
     assert!(dir.join("live.iusl").exists(), "manifest saved on shutdown");
     let (server, addr) = spawn_serve(&["--live", "--live-dir", dir_arg, "--port", "0"]);
     let mut client = Client::connect(addr).expect("reconnect");
-    let stats = client.stats().expect("stats after reopen");
-    assert_eq!(stats.corpus_len, (n + 100) as u64);
+    let scrape = client.scrape().expect("scrape after reopen");
+    assert_eq!(scrape.value("corpus_len"), Some((n + 100) as u64));
     let reopened = client.query(&[0u8; 64]).expect("query after reopen");
     assert_eq!(reopened.positions, after.positions);
     client.shutdown().expect("shutdown reopened server");
@@ -203,12 +206,16 @@ fn sigkill_crash_preserves_acked_mutations() {
     }
     client.delete_range(10, 30).expect("acked delete");
     let before = client.query(&[0u8; 64]).expect("query before crash");
-    let stats = client.stats().expect("stats before crash");
-    assert_eq!(stats.fsync_policy, 1, "record policy on the wire");
-    assert_eq!(stats.wal_records, 4);
-    assert!(stats.wal_bytes > 0);
-    assert_eq!(stats.recoveries, 0);
-    assert_eq!(stats.last_error, "");
+    let scrape = client.scrape().expect("scrape before crash");
+    assert_eq!(
+        scrape.value("fsync_policy"),
+        Some(1),
+        "record policy on the wire"
+    );
+    assert_eq!(scrape.value("wal_records"), Some(4));
+    assert!(scrape.value("wal_bytes").expect("wal bytes") > 0);
+    assert_eq!(scrape.value("recoveries"), Some(0));
+    assert_eq!(scrape.info("last_error"), Some(""));
 
     // SIGKILL — no graceful save, no WAL rotation, no flush.
     drop(client);
@@ -234,10 +241,10 @@ fn sigkill_crash_preserves_acked_mutations() {
         "0",
     ]);
     let mut client = Client::connect(addr).expect("reconnect");
-    let stats = client.stats().expect("stats after crash");
-    assert_eq!(stats.corpus_len, acked);
-    assert_eq!(stats.recoveries, 1);
-    assert_eq!(stats.recovered_records, 4);
+    let scrape = client.scrape().expect("scrape after crash");
+    assert_eq!(scrape.value("corpus_len"), Some(acked));
+    assert_eq!(scrape.value("recoveries"), Some(1));
+    assert_eq!(scrape.value("recovered_records"), Some(4));
     let after = client.query(&[0u8; 64]).expect("query after crash");
     assert_eq!(after.positions, before.positions);
     client.shutdown().expect("shutdown recovered server");

@@ -1,15 +1,17 @@
 //! End-to-end observability smoke: serve a live preset corpus, drive
-//! queries and mutations over the wire, scrape `METRICS`, and assert every
+//! queries and mutations over the wire, scrape `STATS`, and assert every
 //! layer's instrumentation actually recorded — per-stage query histograms,
 //! the queue-wait/service split, live flush/compaction durations and WAL
 //! fsync latency — plus the histogram invariants (stage counts bounded by
-//! the ops driven with at least one traced sample, quantiles monotone).
-//! This is the CI smoke step of the metrics subsystem.
+//! the ops driven with at least one traced sample, quantiles monotone),
+//! and that the paper's filter counters add up exactly to what the
+//! per-query responses carried. This is the CI smoke step of the metrics
+//! subsystem.
 
 use ius_datasets::corpora::bench_corpus;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::{FsyncPolicy, LiveConfig, LiveIndex};
-use ius_server::{Client, MetricsSnapshot, ServedIndex, Server, ServerConfig};
+use ius_server::{Client, ClientError, ErrorCode, Scrape, ServedIndex, Server, ServerConfig};
 use std::sync::Arc;
 
 /// A live MWSA server seeded from the uniform preset; `flush_threshold`
@@ -33,6 +35,20 @@ fn live_server(dir: Option<&std::path::Path>, config: &ServerConfig) -> (Server,
     let server =
         Server::bind("127.0.0.1:0", ServedIndex::live(live.clone()), None, config).expect("bind");
     (server, live)
+}
+
+/// The histogram `name` of a scrape, which must be present.
+fn hist<'a>(scrape: &'a Scrape, name: &str) -> &'a ius_obs::HistogramSnapshot {
+    scrape
+        .histogram(name)
+        .unwrap_or_else(|| panic!("scrape has no histogram {name}"))
+}
+
+/// The counter or gauge `name` of a scrape, which must be present.
+fn value(scrape: &Scrape, name: &str) -> u64 {
+    scrape
+        .value(name)
+        .unwrap_or_else(|| panic!("scrape has no counter or gauge {name}"))
 }
 
 fn assert_monotone_quantiles(name: &str, h: &ius_obs::HistogramSnapshot) {
@@ -69,18 +85,19 @@ fn metrics_scrape_covers_every_layer_under_load() {
     client.flush().expect("flush");
     client.compact(false).expect("tiered compaction round");
 
-    let snapshot: MetricsSnapshot = client.metrics().expect("metrics scrape");
+    let scrape = client.scrape().expect("metrics scrape");
 
     // Query stages: tracing is sampled 1-in-STAGE_SAMPLE_EVERY per
     // thread with the first query on every thread always traced, so each
     // stage histogram carries at least one and at most 16 samples;
     // quantiles must be monotone.
-    for (name, stage) in [
-        ("query_scan", &snapshot.query_scan),
-        ("query_locate", &snapshot.query_locate),
-        ("query_verify", &snapshot.query_verify),
-        ("query_report", &snapshot.query_report),
+    for name in [
+        "query_scan_ns",
+        "query_locate_ns",
+        "query_verify_ns",
+        "query_report_ns",
     ] {
+        let stage = hist(&scrape, name);
         assert!(
             (1..=16).contains(&stage.count),
             "{name} must see sampled query ops, got {}",
@@ -91,7 +108,7 @@ fn metrics_scrape_covers_every_layer_under_load() {
     // The scan stage does real work on every traced query; its total time
     // must be nonzero under load.
     assert!(
-        snapshot.query_scan.sum > 0,
+        hist(&scrape, "query_scan_ns").sum > 0,
         "scan stage time must be nonzero"
     );
 
@@ -99,53 +116,127 @@ fn metrics_scrape_covers_every_layer_under_load() {
     // time per op byte. Service records are sampled per connection at the
     // stage-tracing rate with the first request always recorded, and the
     // first request here is a QUERY (op 1).
-    assert!(snapshot.queue_wait.count >= 1);
-    assert_monotone_quantiles("queue_wait", &snapshot.queue_wait);
-    let query_service = snapshot
-        .op_service
-        .iter()
-        .find(|(op, _)| *op == 1)
-        .expect("QUERY service histogram present");
+    let queue_wait = hist(&scrape, "queue_wait_ns");
+    assert!(queue_wait.count >= 1);
+    assert_monotone_quantiles("queue_wait_ns", queue_wait);
+    let query_service = hist(&scrape, "op_service_ns_query");
     assert!(
-        (1..=16).contains(&query_service.1.count),
+        (1..=16).contains(&query_service.count),
         "sampled QUERY service count, got {}",
-        query_service.1.count
+        query_service.count
     );
-    assert!(query_service.1.sum > 0, "service time must be nonzero");
+    assert!(query_service.sum > 0, "service time must be nonzero");
 
     // Live layer: the seeding auto-flushes plus the explicit flush all
     // recorded durations; the driven compaction round recorded one sample.
-    assert!(snapshot.live.flush.count >= 2, "flush durations recorded");
-    assert!(snapshot.live.flush.sum > 0);
-    assert_eq!(snapshot.live.compaction.count, 1, "one driven round");
-    assert!(snapshot.live.compaction.sum > 0);
-    assert_eq!(snapshot.live.segments, 2, "6 seeds - merged run + flushed");
-    assert_eq!(snapshot.live.compaction_errors, 0);
-    assert_eq!(snapshot.live.last_error, "");
+    let flush = hist(&scrape, "live_flush_ns");
+    assert!(flush.count >= 2, "flush durations recorded");
+    assert!(flush.sum > 0);
+    let compaction = hist(&scrape, "live_compaction_ns");
+    assert_eq!(compaction.count, 1, "one driven round");
+    assert!(compaction.sum > 0);
+    assert_eq!(
+        value(&scrape, "live_segments"),
+        2,
+        "6 seeds - merged run + flushed"
+    );
+    assert_eq!(value(&scrape, "compaction_errors"), 0);
+    assert_eq!(scrape.info("last_error"), Some(""));
 
     // WAL: per-record fsync latencies under the append/delete load.
+    let fsync = hist(&scrape, "wal_fsync_ns");
     assert!(
-        snapshot.live.wal_fsync.count >= 1,
+        fsync.count >= 1,
         "fsync latency must be recorded with --fsync record"
     );
-    assert!(snapshot.live.wal_fsync.sum > 0);
-    assert_monotone_quantiles("wal_fsync", &snapshot.live.wal_fsync);
+    assert!(fsync.sum > 0);
+    assert_monotone_quantiles("wal_fsync_ns", fsync);
 
-    assert!(snapshot.uptime_ns > 0);
+    assert!(value(&scrape, "uptime_ns") > 0);
     // Under the default 50 ms threshold this tiny corpus logs no slow
     // queries — the log must stay empty rather than capture everything.
-    assert_eq!(snapshot.slow_query_threshold_ns, 50_000_000);
+    assert_eq!(value(&scrape, "slow_query_threshold_ns"), 50_000_000);
 
-    // The text rendering covers every section without panicking.
-    let dump = snapshot.dump();
-    for needle in ["query stages", "scan", "queue", "flush", "fsync"] {
+    // The text exposition covers every section without panicking.
+    let text = scrape.to_text();
+    for needle in [
+        "# TYPE query_scan_ns summary",
+        "queue_wait_ns_count",
+        "live_flush_ns{quantile=\"0.99\"}",
+        "wal_fsync_ns_sum",
+        "# TYPE requests counter",
+    ] {
         assert!(
-            dump.contains(needle),
-            "dump must mention {needle:?}:\n{dump}"
+            text.contains(needle),
+            "text must mention {needle:?}:\n{text}"
         );
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The paper's filter signal over the wire: an MWSA-G server's scrape
+/// counts exactly the candidates and reported occurrences the query
+/// responses carried, and exactly the patterns refused for being shorter
+/// than ℓ — no sampling.
+#[test]
+fn filter_counters_match_the_per_response_stats() {
+    let corpus = bench_corpus("uniform", 3_000, None).expect("preset");
+    let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).expect("params");
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let index = spec.build(&corpus.x).expect("build");
+    let served = ServedIndex::single(index, Arc::new(corpus.x.clone()));
+    let server = Server::bind("127.0.0.1:0", served, None, &ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // Corpus windows spelled with each position's most likely letter, in
+    // every result mode, summing what each response carried.
+    let (mut candidates, mut verified, mut reported, mut grid) = (0u64, 0u64, 0u64, 0u64);
+    let mut add = |stats: ius_query::QueryStats| {
+        candidates += stats.candidates as u64;
+        verified += stats.verified as u64;
+        reported += stats.reported as u64;
+        grid += stats.grid_nodes as u64;
+    };
+    let ell = corpus.ell;
+    for i in 0..24 {
+        let start = (i * 97) % (corpus.x.len() - ell);
+        let pattern: Vec<u8> = (start..start + ell)
+            .map(|p| {
+                let (letter, _) = corpus
+                    .x
+                    .letters_at(p)
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("a row has a letter");
+                letter
+            })
+            .collect();
+        match i % 3 {
+            0 => add(client.query(&pattern).expect("collect").stats),
+            1 => add(client.query_count(&pattern).expect("count").1),
+            _ => add(client.query_first_k(&pattern, 2).expect("first-k").stats),
+        }
+    }
+    assert!(reported > 0, "corpus windows must match somewhere");
+    // Patterns shorter than ℓ are refused typed and counted.
+    let too_short = 5u64;
+    for len in 1..=too_short as usize {
+        match client.query(&vec![0u8; len]) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Query),
+            other => panic!("a {len}-long pattern must be refused, got {other:?}"),
+        }
+    }
+
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.info("index_name"), Some("MWSA-G"));
+    assert_eq!(value(&scrape, "query_candidates"), candidates);
+    assert_eq!(value(&scrape, "query_verified"), verified);
+    assert_eq!(value(&scrape, "query_reported"), reported);
+    assert_eq!(value(&scrape, "query_grid_nodes"), grid);
+    assert_eq!(value(&scrape, "pattern_too_short"), too_short);
+    assert_eq!(value(&scrape, "query_errors"), too_short);
+    assert_eq!(value(&scrape, "queries"), 24);
+    server.shutdown();
 }
 
 #[test]
@@ -176,13 +267,14 @@ fn wal_replay_throughput_shows_in_metrics_after_reopen() {
     )
     .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("reconnect");
-    let snapshot = client.metrics().expect("metrics");
+    let scrape = client.scrape().expect("scrape");
     assert_eq!(
-        snapshot.live.wal_replay_records, 3,
+        value(&scrape, "wal_replay_records"),
+        3,
         "three WAL records scanned"
     );
-    assert!(snapshot.live.wal_replay_bytes > 0);
-    assert!(snapshot.live.wal_replay_ns > 0);
+    assert!(value(&scrape, "wal_replay_bytes") > 0);
+    assert!(value(&scrape, "wal_replay_ns") > 0);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -196,8 +288,12 @@ fn background_failure_shows_on_next_scrape() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let pattern = vec![0u8; 64];
     client.query(&pattern).expect("query");
-    let clean = client.metrics().expect("first scrape");
-    assert_eq!(clean.live.last_error, "", "no background error yet");
+    let clean = client.scrape().expect("first scrape");
+    assert_eq!(
+        clean.info("last_error"),
+        Some(""),
+        "no background error yet"
+    );
 
     // Sabotage the checkpoint target: replace the live directory with a
     // plain file, so the next flush's checkpoint fails in the background.
@@ -212,11 +308,11 @@ fn background_failure_shows_on_next_scrape() {
         .expect("flush succeeds; only its checkpoint fails");
 
     // The failure surfaces on the very next scrape — no query ever failed.
-    let snapshot = client.metrics().expect("second scrape");
+    let scrape = client.scrape().expect("second scrape");
+    let last_error = scrape.info("last_error").expect("last_error");
     assert!(
-        snapshot.live.last_error.contains("checkpoint failed"),
-        "background failure must surface through METRICS, got {:?}",
-        snapshot.live.last_error
+        last_error.contains("checkpoint failed"),
+        "background failure must surface through the scrape, got {last_error:?}"
     );
     client
         .query(&pattern)

@@ -85,12 +85,22 @@ fn well_formed_traffic_round_trips_and_matches_the_engine() {
 
     // The connection is still usable after a query error.
     client.ping().expect("ping after error");
-    let snapshot = client.stats().expect("stats");
-    assert_eq!(snapshot.index_name, "MWSA");
-    assert_eq!(snapshot.corpus_len, 400);
-    assert_eq!(snapshot.generation, 0);
-    assert!(snapshot.queries >= 3);
-    assert_eq!(snapshot.query_errors, 1);
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.info("index_name"), Some("MWSA"));
+    assert_eq!(scrape.value("corpus_len"), Some(400));
+    assert_eq!(
+        scrape.value("index_size_bytes"),
+        Some(index.size_bytes() as u64)
+    );
+    assert_eq!(
+        scrape.value("workers"),
+        Some(ServerConfig::default().workers as u64)
+    );
+    assert_eq!(scrape.value("generation"), Some(0));
+    assert!(scrape.value("queries").expect("queries") >= 3);
+    assert_eq!(scrape.value("query_errors"), Some(1));
+    assert_eq!(scrape.value("pattern_too_short"), Some(1));
+    assert_eq!(client.stats().expect("stats").query_errors, 1);
     server.shutdown();
 }
 
@@ -115,16 +125,23 @@ fn bad_magic_gets_a_typed_error_and_a_close() {
 #[test]
 fn unknown_version_gets_a_typed_error() {
     let (server, _, _) = start_server(&ServerConfig::default());
-    let mut frame = Vec::new();
-    protocol::encode_request(5, &Request::Ping, &mut frame);
-    frame[8] = WIRE_VERSION as u8 + 1; // bump the version low byte
-    let (_, response) = raw_round_trip(server.local_addr(), &frame).expect("typed answer");
-    match response {
-        Response::Error { code, message } => {
-            assert_eq!(code, ErrorCode::UnsupportedVersion);
-            assert!(message.contains("version"));
+    // A future version, and version 3 — the layout before the one metrics
+    // surface — are both refused typed, naming the version.
+    for version in [WIRE_VERSION + 1, 3] {
+        let mut frame = Vec::new();
+        protocol::encode_request(5, &Request::Ping, &mut frame);
+        frame[8..10].copy_from_slice(&version.to_le_bytes());
+        let (_, response) = raw_round_trip(server.local_addr(), &frame).expect("typed answer");
+        match response {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::UnsupportedVersion);
+                assert!(
+                    message.contains(&format!("version {version}")),
+                    "{message:?}"
+                );
+            }
+            other => panic!("expected an error frame, got {other:?}"),
         }
-        other => panic!("expected an error frame, got {other:?}"),
     }
     server.shutdown();
 }
@@ -271,9 +288,9 @@ fn full_admission_queue_refuses_with_overloaded() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
         other => panic!("expected an OVERLOADED refusal, got {other:?}"),
     }
-    let snapshot = busy.stats().expect("stats");
-    assert_eq!(snapshot.overloaded, 1);
-    assert_eq!(snapshot.queue_depth, 1);
+    let scrape = busy.scrape().expect("scrape");
+    assert_eq!(scrape.value("overloaded"), Some(1));
+    assert_eq!(scrape.value("queue_depth"), Some(1));
     server.shutdown();
 }
 
@@ -315,16 +332,17 @@ fn metrics_scrape_reflects_served_queries() {
     }
     client.query_count(&pattern).expect("count");
 
-    let snapshot = client.metrics().expect("metrics");
+    let scrape = client.scrape().expect("scrape");
     // Stage tracing is sampled (1 in STAGE_SAMPLE_EVERY per thread), but
     // the first query a worker serves always draws a ticket, so every
     // stage histogram has between 1 and 6 samples here.
-    for (name, stage) in [
-        ("scan", &snapshot.query_scan),
-        ("locate", &snapshot.query_locate),
-        ("verify", &snapshot.query_verify),
-        ("report", &snapshot.query_report),
+    for name in [
+        "query_scan_ns",
+        "query_locate_ns",
+        "query_verify_ns",
+        "query_report_ns",
     ] {
+        let stage = scrape.histogram(name).expect(name);
         assert!(
             (1..=6).contains(&stage.count),
             "stage {name} must see sampled queries, got {}",
@@ -333,48 +351,49 @@ fn metrics_scrape_reflects_served_queries() {
     }
     // One admitted connection recorded one queue-wait sample.
     assert!(
-        snapshot.queue_wait.count >= 1,
+        scrape.histogram("queue_wait_ns").expect("queue wait").count >= 1,
         "queue-wait must be recorded"
     );
     // Service time is recorded per op byte, sampled per connection at the
     // stage-tracing rate with the first request always recorded: QUERY (1)
-    // must be present with 1..=6 samples, METRICS (9) not yet (the
+    // must be present with 1..=6 samples, STATS (2) not yet (the
     // in-flight scrape is recorded only after its response is sent).
-    let query_service = snapshot
-        .op_service
-        .iter()
-        .find(|(op, _)| *op == 1)
+    let query_service = scrape
+        .histogram("op_service_ns_query")
         .expect("QUERY service histogram");
     assert!(
-        (1..=6).contains(&query_service.1.count),
+        (1..=6).contains(&query_service.count),
         "sampled QUERY service count, got {}",
-        query_service.1.count
+        query_service.count
     );
+    assert_eq!(scrape.histogram("op_service_ns_stats"), None);
     // Histogram invariant on a real scrape: quantiles are monotone.
-    assert!(snapshot.query_scan.p50() <= snapshot.query_scan.p99());
+    let scan = scrape.histogram("query_scan_ns").expect("scan");
+    assert!(scan.p50() <= scan.p99());
     // The zero threshold put every query into the slow-query log.
-    assert_eq!(snapshot.slow_query_threshold_ns, 0);
+    assert_eq!(scrape.value("slow_query_threshold_ns"), Some(0));
+    assert_eq!(scrape.value("slow_queries"), Some(6));
+    // The entries themselves are events, answered by TRACE_DUMP.
+    let dump = client.trace_dump().expect("trace dump");
     assert!(
-        snapshot.slow_queries.len() >= 6,
+        dump.slow_queries.len() >= 6,
         "all queries must be logged as slow at threshold 0, got {}",
-        snapshot.slow_queries.len()
+        dump.slow_queries.len()
     );
-    assert!(snapshot
-        .slow_queries
-        .iter()
-        .all(|entry| entry.pattern_len == 8));
+    assert!(dump.slow_queries.iter().all(|entry| entry.pattern_len == 8));
     // Every slow entry retains the pattern prefix (the full 8-rank pattern
     // here, since it is shorter than the 16-byte cap).
-    assert!(snapshot
+    assert!(dump
         .slow_queries
         .iter()
         .all(|entry| entry.prefix() == &pattern[..]));
     // The ring-occupancy gauges reflect the same entries, and advertise
     // non-trivial capacities.
-    assert_eq!(snapshot.rings.slow, snapshot.slow_queries.len() as u64);
-    assert!(snapshot.rings.slow_capacity >= snapshot.rings.slow);
-    assert!(snapshot.rings.flight_recent_capacity > 0);
-    assert!(snapshot.rings.flight_pinned_capacity > 0);
+    let gauge = |name: &str| scrape.value(name).expect(name);
+    assert_eq!(gauge("slow_ring_len"), dump.slow_queries.len() as u64);
+    assert!(gauge("slow_ring_capacity") >= gauge("slow_ring_len"));
+    assert!(gauge("flight_recent_capacity") > 0);
+    assert!(gauge("flight_pinned_capacity") > 0);
     server.shutdown();
 }
 
@@ -382,8 +401,8 @@ fn metrics_scrape_reflects_served_queries() {
 fn metrics_request_with_trailing_bytes_is_refused_typed() {
     let (server, _, _) = start_server(&ServerConfig::default());
     let mut frame = Vec::new();
-    protocol::encode_request(21, &Request::Metrics, &mut frame);
-    // A METRICS request has an empty body: a trailing byte must be refused
+    protocol::encode_request(21, &Request::Stats, &mut frame);
+    // A STATS request has an empty body: a trailing byte must be refused
     // typed, echoing the request id, not by hanging up.
     frame.push(0xAB);
     let new_len = (frame.len() - 4) as u32;
@@ -402,38 +421,40 @@ fn metrics_request_with_trailing_bytes_is_refused_typed() {
 
 #[test]
 fn unassigned_op_after_metrics_keeps_the_connection_alive() {
-    // METRICS was added without a wire-version bump: a server that does not
-    // know an op must answer UNKNOWN_OP and keep serving — this is the
-    // contract that lets old servers tolerate new clients. Verify the
-    // server upholds it for the next unassigned op and still answers a
-    // METRICS scrape on the very same connection.
+    // Op 9 was METRICS until wire version 4 made STATS the one scrape. A
+    // retired op is unassigned: the server answers UNKNOWN_OP, echoing the
+    // id, and keeps serving the same connection.
     let (server, _, _) = start_server(&ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut frame = Vec::new();
-    protocol::encode_request(30, &Request::Metrics, &mut frame);
-    frame[18] = 11; // the first op byte this build does not assign
+    protocol::encode_request(30, &Request::Ping, &mut frame);
+    frame[18] = 9;
     stream.write_all(&frame).expect("send");
     let mut buf = Vec::new();
     assert!(read_frame(&mut stream, MAX_RESPONSE_FRAME, &mut buf).expect("read"));
     let (id, response) = protocol::decode_response(&buf).expect("decode");
     assert_eq!(id, 30);
-    assert!(matches!(
-        response,
-        Response::Error {
-            code: ErrorCode::UnknownOp,
-            ..
+    match response {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::UnknownOp);
+            assert!(message.contains("op 9"), "{message:?}");
         }
-    ));
+        other => panic!("expected UNKNOWN_OP, got {other:?}"),
+    }
     let mut frame = Vec::new();
-    protocol::encode_request(31, &Request::Metrics, &mut frame);
+    protocol::encode_request(31, &Request::Stats, &mut frame);
     stream.write_all(&frame).expect("send");
     assert!(read_frame(&mut stream, MAX_RESPONSE_FRAME, &mut buf).expect("read"));
     let (id, response) = protocol::decode_response(&buf).expect("decode");
     assert_eq!(id, 31);
-    assert!(
-        matches!(response, Response::Metrics(_)),
-        "a real METRICS scrape must still answer on the same connection"
-    );
+    match response {
+        Response::Stats(scrape) => assert_eq!(
+            scrape.value("protocol_errors"),
+            Some(1),
+            "the refused op counts as one protocol error"
+        ),
+        other => panic!("a STATS scrape must still answer on the same connection, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -470,7 +491,7 @@ fn trace_dump_round_trips_over_the_wire() {
     // next frame — so a same-connection TRACE_DUMP must see the query.
     let pattern = vec![0u8; 8];
     client.query(&pattern).expect("query");
-    let records = client.trace_dump().expect("trace dump");
+    let records = client.trace_dump().expect("trace dump").traces;
     let query_trace = records
         .iter()
         .find(|r| r.op == 1 && !r.pinned)
@@ -545,7 +566,7 @@ fn live_trace_dump_records_every_segment_then_the_memtable() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     // The first request on a connection always draws a trace ticket.
     client.query(&[0u8; 8]).expect("query");
-    let records = client.trace_dump().expect("trace dump");
+    let records = client.trace_dump().expect("trace dump").traces;
     let query_trace = records
         .iter()
         .find(|r| r.op == 1 && !r.pinned)
@@ -586,7 +607,7 @@ fn error_traces_are_pinned_and_drained_over_the_wire() {
             ..
         }
     ));
-    let records = client.trace_dump().expect("trace dump");
+    let records = client.trace_dump().expect("trace dump").traces;
     let pinned = records
         .iter()
         .find(|r| r.pinned)

@@ -73,12 +73,15 @@ fn main() {
     // Hot reload from the same file: the generation advances and queries
     // keep working without restarting the server.
     let generation = client.reload(None).expect("hot reload");
-    let snapshot = client.stats().expect("stats");
+    let scrape = client.scrape().expect("scrape");
+    let read = |name: &str| scrape.value(name).expect(name);
     println!(
         "hot reload done: generation {generation}, {} queries served, {} occurrences delivered",
-        snapshot.queries, snapshot.occurrences
+        read("queries"),
+        read("occurrences")
     );
     assert_eq!(generation, 1);
+    assert_eq!(read("generation"), 1);
     assert_eq!(
         client
             .query(&patterns[0])

@@ -85,6 +85,9 @@ fn protocol_error_messages_are_informative() {
             max: 1 << 20,
         },
         ProtocolError::InvalidUtf8,
+        ProtocolError::UnknownSampleKind(4),
+        ProtocolError::InvalidSampleName("Bad-Name".into()),
+        ProtocolError::DuplicateSample("requests".into()),
     ];
     for err in &samples {
         assert_real_message(err);
@@ -116,6 +119,9 @@ fn client_error_messages_are_informative_and_chain_sources() {
     assert!(server.to_string().contains("OVERLOADED"));
     assert_real_message(&ClientError::IdMismatch { sent: 4, got: 7 });
     assert_real_message(&ClientError::UnexpectedResponse { expected: "PONG" });
+    let missing = ClientError::MissingSample("query_errors");
+    assert_real_message(&missing);
+    assert!(missing.to_string().contains("query_errors"));
 }
 
 #[test]

@@ -161,26 +161,25 @@ fn live_query_is_allocation_free_after_warmup() {
     assert_warm_queries_allocate_nothing(&live, &x, &patterns, "LIVE");
 }
 
-/// The serving hot path is `query_into` **plus** metrics recording: stage
-/// timings into log-linear histograms, op counters, and a ring-buffer
-/// slow-query log. All of it must stay allocation-free in steady state —
+/// The serving hot path is `query_into` **plus** metrics recording: the
+/// server's per-worker registry (exact filter counters, sampled stage
+/// timings into log-linear histograms), its shared op counters, and the
+/// slow-query ring. All of it must stay allocation-free in steady state —
 /// the observability layer's core promise.
 #[test]
 fn instrumented_query_recording_is_allocation_free_after_warmup() {
-    use ius_obs::{clock, Counter, EventLog, Histogram};
+    use ius_obs::clock;
+    use ius_server::{ServerMetrics, SlowRing, WorkerObs};
     let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
     let mut scratch = QueryScratch::new();
-    // The registry mirrors the server's per-worker one: histograms and the
-    // event log allocate once here, never on the recording path.
-    let scan = Histogram::new();
-    let locate = Histogram::new();
-    let verify = Histogram::new();
-    let report = Histogram::new();
-    let queries = Counter::new();
-    let slow_log = EventLog::new(128);
+    // The server's own registries: histograms and the slow ring allocate
+    // once here, never on the recording path.
+    let obs = WorkerObs::new();
+    let metrics = ServerMetrics::new();
+    let slow_log = SlowRing::new(128);
     clock::warm_up();
     assert!(clock::enabled(), "timing must be on for this test");
 
@@ -196,26 +195,27 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
     // Stage recording mirrors the server: only queries that drew a
     // stage-tracing ticket (1 in `clock::STAGE_SAMPLE_EVERY`) carry
     // stamped stage fields and reach the stage histograms.
-    let ((recorded, timed), mem) = ius_memtrack::measure(|| {
+    let ((recorded, timed, candidates), mem) = ius_memtrack::measure(|| {
         let mut sink = CountSink::new();
-        let mut timed = 0u64;
+        let (mut timed, mut candidates) = (0u64, 0u64);
         for pattern in &patterns {
             let start = clock::now_ns();
             let stats = index
                 .query_into(pattern, &x, &mut scratch, &mut sink)
                 .unwrap();
-            if stats.timed {
-                timed += 1;
-                scan.record(stats.scan_ns);
-                locate.record(stats.locate_ns);
-                verify.record(stats.verify_ns);
-                report.record(stats.report_ns);
-            }
-            queries.inc();
+            timed += u64::from(stats.timed);
+            candidates += stats.candidates as u64;
+            obs.record_query(&stats);
+            metrics.queries.inc();
             let elapsed = clock::now_ns().saturating_sub(start);
-            slow_log.record(pattern.len() as u64, elapsed, stats.reported as u64);
+            slow_log.record(
+                elapsed,
+                pattern.len() as u64,
+                pattern,
+                stats.reported as u64,
+            );
         }
-        (queries.get(), timed)
+        (metrics.queries.get(), timed, candidates)
     });
     assert!(ius_memtrack::is_installed());
     assert_eq!(
@@ -232,10 +232,14 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
         "sampling must trace some of {} queries",
         recorded
     );
-    assert_eq!(scan.count(), timed);
+    assert_eq!(obs.query_scan.count(), timed);
+    assert_eq!(obs.candidates.get(), candidates, "exact, unsampled");
     assert_eq!(slow_log.recorded(), patterns.len() as u64);
     // The stage stamps really measured something on this build.
-    assert!(scan.snapshot().sum > 0, "scan stage timings recorded");
+    assert!(
+        obs.query_scan.snapshot().sum > 0,
+        "scan stage timings recorded"
+    );
 }
 
 /// The fully traced serving path — span tree into the thread-local trace
@@ -322,11 +326,10 @@ fn traced_query_path_is_allocation_free_after_warmup() {
     assert_eq!(mem.retained_bytes, 0, "traced path retained heap");
     assert!(reported > 0, "workload found occurrences");
     // Both rings really absorbed the pushes.
-    let occupancy = flight.occupancy();
-    assert!(occupancy.recent > 0, "flight recorder captured traces");
+    let snapshot = flight.snapshot();
+    assert!(!snapshot.is_empty(), "flight recorder captured traces");
     assert_eq!(slow.recorded(), 2 * patterns.len() as u64);
     // Sampled traces carry the span tree.
-    let snapshot = flight.snapshot();
     assert!(snapshot
         .iter()
         .any(|t| t.spans.iter().any(|s| s.code == trace::STAGE_QUERY)));

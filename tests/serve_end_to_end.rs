@@ -103,12 +103,12 @@ fn concurrent_clients_see_exactly_the_in_process_answers() {
     });
 
     let mut client = Client::connect(addr).expect("connect");
-    let snapshot = client.stats().expect("stats");
-    assert_eq!(snapshot.index_name, "MWSA-G");
-    assert_eq!(snapshot.corpus_len as usize, x.len());
-    assert_eq!(snapshot.queries as usize, patterns.len() * 3);
-    assert_eq!(snapshot.query_errors, 0);
-    assert_eq!(snapshot.generation, 0);
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.info("index_name"), Some("MWSA-G"));
+    assert_eq!(scrape.value("corpus_len"), Some(x.len() as u64));
+    assert_eq!(scrape.value("queries"), Some(patterns.len() as u64 * 3));
+    assert_eq!(scrape.value("query_errors"), Some(0));
+    assert_eq!(scrape.value("generation"), Some(0));
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -214,9 +214,9 @@ fn hot_reload_swaps_generations_while_queries_are_in_flight() {
     // The swap really happened: generation advanced, and a fresh query
     // still answers correctly on whatever index is current.
     let mut client = Client::connect(addr).expect("connect");
-    let snapshot = client.stats().expect("stats");
-    assert!(snapshot.generation >= 1);
-    assert_eq!(snapshot.query_errors, 0);
+    let scrape = client.scrape().expect("scrape");
+    assert!(scrape.value("generation").expect("generation") >= 1);
+    assert_eq!(scrape.value("query_errors"), Some(0));
     assert_eq!(
         client
             .query(&patterns[0])
