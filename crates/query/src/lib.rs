@@ -78,11 +78,13 @@ pub struct FirstKSink {
 }
 
 impl FirstKSink {
-    /// Creates a sink that accepts at most `k` positions.
+    /// Creates a sink that accepts at most `k` positions. Nothing is
+    /// reserved up front: `k` may come from an untrusted client and be
+    /// far larger than the number of occurrences.
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            positions: Vec::with_capacity(k),
+            positions: Vec::new(),
         }
     }
 

@@ -24,10 +24,12 @@
 //!
 //! [`Server::shutdown`] (or a client `SHUTDOWN` frame) closes the queue,
 //! wakes the acceptor, answers queued-but-unserved connections with
-//! `SHUTTING_DOWN`, and joins every thread. Workers poll the shutdown flag
-//! between requests (connection reads run under a short timeout), so the
-//! current request always completes but idle connections are released
-//! promptly.
+//! `SHUTTING_DOWN`, and joins every thread. A worker waits for each frame
+//! in one blocking read (under the connection's `idle_timeout`); it
+//! publishes a clone of the connection it serves, and shutdown closes the
+//! read half of every published connection. That wakes an idle read at
+//! once with EOF, which the worker answers with `SHUTTING_DOWN`, while a
+//! frame already received is still read and answered first.
 //!
 //! ## Observability
 //!
@@ -59,10 +61,10 @@ use ius_exec::WorkerPool;
 use ius_index::{open_index, AnyIndex, UncertainIndex};
 use ius_live::LiveIndex;
 use ius_obs::{clock, trace, Scrape, Value};
-use ius_query::{CountSink, FirstKSink, QueryScratch};
+use ius_query::{CountSink, FirstKSink, MatchSink, QueryScratch};
 use ius_weighted::WeightedString;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once, Weak};
@@ -167,7 +169,7 @@ impl ServedIndex {
         &self,
         pattern: &[u8],
         scratch: &mut QueryScratch,
-        sink: &mut dyn ius_query::MatchSink,
+        sink: &mut dyn MatchSink,
     ) -> ius_weighted::Result<ius_query::QueryStats> {
         let traced = trace::active();
         if traced {
@@ -260,12 +262,11 @@ pub struct ServerConfig {
     /// Admission-queue capacity: connections waiting beyond the ones being
     /// served. Full queue ⇒ typed `OVERLOADED` refusal. At least 1.
     pub queue_depth: usize,
-    /// Poll interval of connection reads: the upper bound on how long an
-    /// idle connection can delay a worker noticing shutdown.
-    pub poll_interval: Duration,
-    /// Connections idle (no frame) longer than this are closed, releasing
-    /// the worker — without it, `workers` silent keep-alive clients would
-    /// pin the whole pool while admitted connections starve in the queue.
+    /// The read timeout of every connection: a peer that sends nothing for
+    /// this long — between frames or inside one — is closed, releasing the
+    /// worker. Without it, `workers` silent keep-alive clients would pin
+    /// the whole pool while admitted connections starve in the queue. Must
+    /// be non-zero (`Server::bind` refuses zero).
     pub idle_timeout: Duration,
     /// Queries at least this slow land in the slow-query ring surfaced by
     /// `TRACE_DUMP` (`Duration::ZERO` logs every query; handy in tests).
@@ -277,7 +278,6 @@ impl Default for ServerConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_depth: 64,
-            poll_interval: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(60),
             slow_query_threshold: Duration::from_millis(50),
         }
@@ -299,10 +299,12 @@ struct Shared {
     flight: Arc<FlightRecorder>,
     queue: AdmissionQueue,
     shutdown: AtomicBool,
+    /// One slot per worker: a clone of the connection it is serving, so
+    /// shutdown can close its read half and wake the worker's read.
+    serving: Vec<Mutex<Option<TcpStream>>>,
     addr: SocketAddr,
     workers: usize,
     queue_depth: usize,
-    poll_interval: Duration,
     idle_timeout: Duration,
 }
 
@@ -323,13 +325,21 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket errors of the bind.
+    /// Socket errors of the bind; `InvalidInput` for a zero
+    /// `idle_timeout` (a zero read timeout is not representable — std
+    /// refuses it).
     pub fn bind(
         addr: impl ToSocketAddrs,
         index: ServedIndex,
         reload_path: Option<PathBuf>,
         config: &ServerConfig,
     ) -> io::Result<Server> {
+        if config.idle_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "idle_timeout must be non-zero",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // The first timed operation must not pay the clock's one-time
@@ -351,10 +361,10 @@ impl Server {
             slow_query_threshold_ns: config.slow_query_threshold.as_nanos() as u64,
             queue: AdmissionQueue::new(config.queue_depth),
             shutdown: AtomicBool::new(false),
+            serving: (0..workers).map(|_| Mutex::new(None)).collect(),
             addr,
             workers,
             queue_depth: config.queue_depth.max(1),
-            poll_interval: config.poll_interval,
             idle_timeout: config.idle_timeout,
         });
         let mut pool = WorkerPool::new();
@@ -407,15 +417,12 @@ impl Server {
         // Everything still queued was never served: tell the clients.
         let mut out = Vec::new();
         for mut stream in self.shared.queue.drain() {
-            encode_response(
-                0,
-                &Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server shut down before this connection was served".into(),
-                },
+            refuse(
+                &mut stream,
+                ErrorCode::ShuttingDown,
+                "server shut down before this connection was served",
                 &mut out,
             );
-            let _ = stream.write_all(&out);
         }
     }
 }
@@ -514,6 +521,13 @@ fn trigger_shutdown(shared: &Shared) {
         return; // already shutting down
     }
     shared.queue.close();
+    // Wake every worker blocked reading a connection: its read returns
+    // EOF once the bytes already received are consumed.
+    for slot in &shared.serving {
+        if let Some(stream) = &*slot.lock().expect("serving slot") {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
     // Wake the acceptor out of its blocking accept. A wildcard bind
     // (0.0.0.0 / ::) is not connectable on every platform, so aim the
     // wake-up at loopback on the same port.
@@ -546,34 +560,29 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
             // The wake-up connection from trigger_shutdown lands here; any
             // real late connection gets the same typed answer.
             let mut stream = stream;
-            encode_response(
-                0,
-                &Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is shutting down".into(),
-                },
+            refuse(
+                &mut stream,
+                ErrorCode::ShuttingDown,
+                "server is shutting down",
                 &mut out,
             );
-            let _ = stream.write_all(&out);
             return;
         }
         shared.metrics.connections.inc();
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(shared.poll_interval));
+        // The one read timeout of this connection: bind refused zero.
+        let _ = stream.set_read_timeout(Some(shared.idle_timeout));
         if let Err(mut refused) = shared.queue.try_push(stream, clock::now_ns()) {
             shared.metrics.overloaded.inc();
-            encode_response(
-                0,
-                &Response::Error {
-                    code: ErrorCode::Overloaded,
-                    message: format!(
-                        "admission queue full ({} waiting); retry later",
-                        shared.queue_depth
-                    ),
-                },
+            refuse(
+                &mut refused,
+                ErrorCode::Overloaded,
+                &format!(
+                    "admission queue full ({} waiting); retry later",
+                    shared.queue_depth
+                ),
                 &mut out,
             );
-            let _ = refused.write_all(&out);
             // Dropping the stream closes the refused connection.
         }
     }
@@ -606,11 +615,19 @@ fn worker_loop(shared: &Shared, worker: usize) {
     // The registry outlives any panic recovery below: recorded history is
     // never lost with the buffers.
     let obs = shared.worker_obs[worker].clone();
+    let slot = &shared.serving[worker];
     while let Some((stream, accepted_ns)) = shared.queue.pop() {
         let mut queue_wait_ns = 0;
         if clock::enabled() {
             queue_wait_ns = clock::now_ns().saturating_sub(accepted_ns);
             obs.queue_wait.record(queue_wait_ns);
+        }
+        // Publish the connection for shutdown to wake, then re-check the
+        // flag: a shutdown that swept the slots before this publish is
+        // not missed. (A failed clone leaves only the idle timeout.)
+        *slot.lock().expect("serving slot") = stream.try_clone().ok();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Read);
         }
         // A panic while serving (an engine bug, an incompatible reloaded
         // index) must cost one connection, not a pool slot: catch it, drop
@@ -625,6 +642,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 queue_wait_ns,
             );
         }));
+        *slot.lock().expect("serving slot") = None;
         if outcome.is_err() {
             eprintln!("ius-server worker recovered from a panic; connection dropped");
             // A trace armed by the aborted request must not leak spans
@@ -636,66 +654,18 @@ fn worker_loop(shared: &Shared, worker: usize) {
     }
 }
 
-enum FrameOutcome {
-    Frame,
-    Eof,
-    Shutdown,
-}
-
-/// How long a frame may take to arrive once its first byte is on the
-/// socket. A peer that stalls longer mid-frame is dropped.
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Waits for the next frame, polling the shutdown flag while the
-/// connection is idle so it cannot pin a worker across shutdown, and
-/// closing connections idle beyond the configured `idle_timeout` so a
-/// handful of silent keep-alive clients cannot pin the whole pool while
-/// admitted connections starve in the queue.
-///
-/// The idle wait uses `peek` (non-consuming), so timing out never desyncs
-/// the stream; once the first byte is visible the whole frame is read
-/// under the longer [`FRAME_READ_TIMEOUT`]. A fully received frame is
-/// always answered — only waits *between* frames are interruptible.
-fn read_frame_or_shutdown(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    frame: &mut Vec<u8>,
-) -> io::Result<FrameOutcome> {
-    let mut probe = [0u8; 1];
-    let idle_since = std::time::Instant::now();
-    loop {
-        match stream.peek(&mut probe) {
-            Ok(0) => return Ok(FrameOutcome::Eof),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(FrameOutcome::Shutdown);
-                }
-                if idle_since.elapsed() >= shared.idle_timeout {
-                    return Ok(FrameOutcome::Eof);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.set_read_timeout(Some(FRAME_READ_TIMEOUT))?;
-    let result = read_frame(stream, MAX_REQUEST_FRAME, frame);
-    stream.set_read_timeout(Some(shared.poll_interval))?;
-    match result {
-        Ok(true) => Ok(FrameOutcome::Frame),
-        Ok(false) => Ok(FrameOutcome::Eof),
-        Err(e) => Err(e),
-    }
-}
-
-fn send(stream: &mut TcpStream, out: &[u8]) -> io::Result<()> {
-    stream.write_all(out)
+/// Answers `stream` with one typed error frame carrying id 0 (no request
+/// id could be read); the caller then closes the connection.
+fn refuse(stream: &mut TcpStream, code: ErrorCode, message: &str, out: &mut Vec<u8>) {
+    encode_response(
+        0,
+        &Response::Error {
+            code,
+            message: message.into(),
+        },
+        out,
+    );
+    let _ = stream.write_all(out);
 }
 
 /// What request traces carry of the wire frame: the `ErrorCode` byte of a
@@ -725,37 +695,33 @@ fn handle_connection(
     // the flight recorder, so the two views describe the same sample.
     let mut service_tick: u32 = 0;
     loop {
-        match read_frame_or_shutdown(&mut stream, shared, frame) {
-            Ok(FrameOutcome::Frame) => {}
-            Ok(FrameOutcome::Eof) => return,
-            Ok(FrameOutcome::Shutdown) => {
-                encode_response(
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is shutting down".into(),
-                    },
-                    &mut buffers.out,
-                );
-                let _ = send(&mut stream, &buffers.out);
-                return;
-            }
+        match read_frame(&mut stream, MAX_REQUEST_FRAME, frame) {
+            Ok(true) => {}
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized length prefix: refuse with a typed frame, then
                 // close (the stream offset can no longer be trusted).
                 shared.metrics.protocol_errors.inc();
-                encode_response(
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    },
+                refuse(
+                    &mut stream,
+                    ErrorCode::Malformed,
+                    &e.to_string(),
                     &mut buffers.out,
                 );
-                let _ = send(&mut stream, &buffers.out);
                 return;
             }
-            Err(_) => return, // transport error: drop the connection
+            // EOF, the idle timeout or a transport error: close. Shutdown
+            // wakes an idle read with EOF; tell the client why.
+            _ => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    refuse(
+                        &mut stream,
+                        ErrorCode::ShuttingDown,
+                        "server is shutting down",
+                        &mut buffers.out,
+                    );
+                }
+                return;
+            }
         }
         shared.metrics.requests.inc();
         // Service time covers body decode + answer + send — everything the
@@ -783,15 +749,7 @@ fn handle_connection(
                     ProtocolError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
                     _ => ErrorCode::Malformed,
                 };
-                encode_response(
-                    0,
-                    &Response::Error {
-                        code,
-                        message: err.to_string(),
-                    },
-                    &mut buffers.out,
-                );
-                let _ = send(&mut stream, &buffers.out);
+                refuse(&mut stream, code, &err.to_string(), &mut buffers.out);
                 return;
             }
         };
@@ -840,7 +798,7 @@ fn handle_connection(
         if armed {
             trace::enter(trace::STAGE_RESPONSE_WRITE);
         }
-        let sent = send(&mut stream, &buffers.out);
+        let sent = stream.write_all(&buffers.out);
         if armed {
             trace::exit_with(buffers.out.len() as u64, 0);
             // The trace is complete (write span included): copy it into
@@ -950,101 +908,57 @@ fn answer_query(
     // query runs does not affect it, and the old index stays alive until
     // the last in-flight query drops its clone.
     let state = shared.state.lock().expect("state lock").clone();
-    match mode {
-        ResultMode::Collect => {
-            buffers.positions.clear();
-            match state
-                .index
-                .query_into(pattern, &mut buffers.scratch, &mut buffers.positions)
-            {
-                Ok(stats) => {
-                    obs.record_query(&stats);
-                    shared.metrics.queries.inc();
-                    shared
-                        .metrics
-                        .occurrences
-                        .add(buffers.positions.len() as u64);
-                    let traced = trace::active();
-                    if traced {
-                        trace::enter(trace::STAGE_RESPONSE_ENCODE);
-                    }
-                    encode_matches_from_slice(
-                        id,
-                        &stats.into(),
-                        &buffers.positions,
-                        &mut buffers.out,
-                    );
-                    if traced {
-                        trace::exit_with(buffers.out.len() as u64, 0);
-                    }
-                    Some(SlowProbe::new(pattern, buffers.positions.len() as u64))
-                }
-                Err(err) => {
-                    query_error(shared, obs, id, &err, &mut buffers.out);
-                    None
-                }
-            }
+    // The modes differ only in the sink and the response they encode;
+    // collect reuses the worker's position buffer.
+    buffers.positions.clear();
+    let mut count = CountSink::new();
+    let mut first_k = FirstKSink::new(match mode {
+        ResultMode::FirstK(k) => usize::try_from(k).unwrap_or(usize::MAX),
+        _ => 0,
+    });
+    let sink: &mut dyn MatchSink = match mode {
+        ResultMode::Collect => &mut buffers.positions,
+        ResultMode::Count => &mut count,
+        ResultMode::FirstK(_) => &mut first_k,
+    };
+    let stats = match state.index.query_into(pattern, &mut buffers.scratch, sink) {
+        Ok(stats) => stats,
+        Err(err) => {
+            query_error(shared, obs, id, &err, &mut buffers.out);
+            return None;
         }
-        ResultMode::Count => {
-            let mut sink = CountSink::new();
-            match state
-                .index
-                .query_into(pattern, &mut buffers.scratch, &mut sink)
-            {
-                Ok(stats) => {
-                    obs.record_query(&stats);
-                    shared.metrics.queries.inc();
-                    shared.metrics.occurrences.add(sink.count as u64);
-                    let traced = trace::active();
-                    if traced {
-                        trace::enter(trace::STAGE_RESPONSE_ENCODE);
-                    }
-                    encode_response(
-                        id,
-                        &Response::Count {
-                            stats: stats.into(),
-                            count: sink.count as u64,
-                        },
-                        &mut buffers.out,
-                    );
-                    if traced {
-                        trace::exit_with(buffers.out.len() as u64, 0);
-                    }
-                    Some(SlowProbe::new(pattern, sink.count as u64))
-                }
-                Err(err) => {
-                    query_error(shared, obs, id, &err, &mut buffers.out);
-                    None
-                }
-            }
-        }
-        ResultMode::FirstK(k) => {
-            let mut sink = FirstKSink::new(usize::try_from(k).unwrap_or(usize::MAX));
-            match state
-                .index
-                .query_into(pattern, &mut buffers.scratch, &mut sink)
-            {
-                Ok(stats) => {
-                    obs.record_query(&stats);
-                    shared.metrics.queries.inc();
-                    shared.metrics.occurrences.add(sink.positions.len() as u64);
-                    let traced = trace::active();
-                    if traced {
-                        trace::enter(trace::STAGE_RESPONSE_ENCODE);
-                    }
-                    encode_matches_from_slice(id, &stats.into(), &sink.positions, &mut buffers.out);
-                    if traced {
-                        trace::exit_with(buffers.out.len() as u64, 0);
-                    }
-                    Some(SlowProbe::new(pattern, sink.positions.len() as u64))
-                }
-                Err(err) => {
-                    query_error(shared, obs, id, &err, &mut buffers.out);
-                    None
-                }
-            }
-        }
+    };
+    let positions: &[usize] = match mode {
+        ResultMode::Collect => &buffers.positions,
+        ResultMode::Count => &[],
+        ResultMode::FirstK(_) => &first_k.positions,
+    };
+    let reported = match mode {
+        ResultMode::Count => count.count,
+        _ => positions.len(),
+    } as u64;
+    obs.record_query(&stats);
+    shared.metrics.queries.inc();
+    shared.metrics.occurrences.add(reported);
+    let traced = trace::active();
+    if traced {
+        trace::enter(trace::STAGE_RESPONSE_ENCODE);
     }
+    match mode {
+        ResultMode::Count => encode_response(
+            id,
+            &Response::Count {
+                stats: stats.into(),
+                count: reported,
+            },
+            &mut buffers.out,
+        ),
+        _ => encode_matches_from_slice(id, &stats.into(), positions, &mut buffers.out),
+    }
+    if traced {
+        trace::exit_with(buffers.out.len() as u64, 0);
+    }
+    Some(SlowProbe::new(pattern, reported))
 }
 
 /// Builds the response frame for one well-formed request into
@@ -1288,7 +1202,32 @@ mod tests {
         let config = ServerConfig::default();
         assert!(config.workers >= 1);
         assert!(config.queue_depth >= 1);
-        assert!(config.poll_interval > Duration::ZERO);
+        assert!(config.idle_timeout > Duration::ZERO);
+    }
+
+    #[test]
+    fn bind_refuses_a_zero_idle_timeout() {
+        use ius_datasets::uniform::UniformConfig;
+        use ius_index::{IndexFamily, IndexParams, IndexSpec};
+        let x = UniformConfig {
+            n: 120,
+            sigma: 2,
+            spread: 0.4,
+            seed: 9,
+        }
+        .generate();
+        let params = IndexParams::new(4.0, 8, x.sigma()).unwrap();
+        let index = IndexSpec::new(IndexFamily::Wsa, params).build(&x).unwrap();
+        let config = ServerConfig {
+            idle_timeout: Duration::ZERO,
+            ..Default::default()
+        };
+        let served = ServedIndex::single(index, Arc::new(x));
+        let err = Server::bind("127.0.0.1:0", served, None, &config)
+            .err()
+            .expect("a zero idle timeout must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("idle_timeout"), "{err}");
     }
 
     #[test]

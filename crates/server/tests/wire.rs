@@ -11,7 +11,7 @@ use ius_server::{
     ServerConfig, MAX_RESPONSE_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
 use ius_weighted::WeightedString;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -458,12 +458,142 @@ fn unassigned_op_after_metrics_keeps_the_connection_alive() {
     server.shutdown();
 }
 
+/// The binary pattern of length 8 with the most occurrences, and them.
+fn frequent_pattern(index: &ius_index::AnyIndex, x: &WeightedString) -> (Vec<u8>, Vec<usize>) {
+    let (pattern, expected) = (0..=255u8)
+        .map(|bits| {
+            let pattern: Vec<u8> = (0..8).map(|i| (bits >> i) & 1).collect();
+            let expected = index.query(&pattern, x).expect("in-process query");
+            (pattern, expected)
+        })
+        .max_by_key(|(_, expected)| expected.len())
+        .expect("patterns");
+    assert!(expected.len() > 1, "the pattern must occur");
+    (pattern, expected)
+}
+
+#[test]
+fn first_k_with_a_huge_bound_answers_every_occurrence() {
+    let (server, x, index) = start_server(&ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (pattern, expected) = frequent_pattern(&index, &x);
+    // The bound comes from the client: it must not size any allocation.
+    let all = client
+        .query_first_k(&pattern, u64::MAX)
+        .expect("first-k with k = u64::MAX");
+    assert_eq!(
+        all.positions,
+        client.query(&pattern).expect("collect").positions
+    );
+    assert_eq!(all.positions, expected);
+    client.ping().expect("the connection stays usable");
+    server.shutdown();
+}
+
+/// Sends one request frame on a raw connection.
+fn send_request(stream: &mut TcpStream, id: u64, request: &Request) {
+    let mut frame = Vec::new();
+    protocol::encode_request(id, request, &mut frame);
+    stream.write_all(&frame).expect("send");
+}
+
+/// Reads and decodes one response frame from a raw connection.
+fn read_response(stream: &mut TcpStream) -> (u64, Response) {
+    let mut buf = Vec::new();
+    assert!(
+        read_frame(stream, MAX_RESPONSE_FRAME, &mut buf).expect("read"),
+        "the server closed without answering"
+    );
+    protocol::decode_response(&buf).expect("decode response")
+}
+
+fn assert_shutting_down(stream: &mut TcpStream) {
+    match read_response(stream) {
+        (
+            0,
+            Response::Error {
+                code: ErrorCode::ShuttingDown,
+                ..
+            },
+        ) => {}
+        other => panic!("expected a SHUTTING_DOWN frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn shutdown_wakes_idle_connections_at_once() {
+    let (server, _, _) = start_server(&ServerConfig {
+        workers: 2,
+        idle_timeout: std::time::Duration::from_secs(60),
+        ..Default::default()
+    });
+    // Two idle connections, each owned by a worker (its PING answered).
+    let mut idle: Vec<TcpStream> = (0..2)
+        .map(|i| {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .expect("timeout");
+            send_request(&mut stream, i, &Request::Ping);
+            assert_eq!(read_response(&mut stream), (i, Response::Pong));
+            stream
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "shutdown waited {took:?} on idle connections"
+    );
+    for stream in &mut idle {
+        assert_shutting_down(stream);
+    }
+}
+
+#[test]
+fn frames_received_before_shutdown_are_answered() {
+    let (server, x, index) = start_server(&ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("timeout");
+    send_request(&mut stream, 1, &Request::Ping);
+    assert_eq!(read_response(&mut stream), (1, Response::Pong));
+    // Two frames fully written, then shutdown: both are answered with
+    // their own ids before the SHUTTING_DOWN frame.
+    let (pattern, expected) = frequent_pattern(&index, &x);
+    send_request(&mut stream, 41, &Request::Ping);
+    send_request(
+        &mut stream,
+        42,
+        &Request::Query {
+            mode: ResultMode::Collect,
+            pattern,
+        },
+    );
+    server.shutdown();
+    assert_eq!(read_response(&mut stream), (41, Response::Pong));
+    match read_response(&mut stream) {
+        (42, Response::Matches { positions, .. }) => {
+            assert_eq!(
+                positions,
+                expected.iter().map(|&p| p as u64).collect::<Vec<_>>()
+            )
+        }
+        other => panic!("expected the query's answer, got {other:?}"),
+    }
+    assert_shutting_down(&mut stream);
+}
+
 #[test]
 fn idle_connections_are_closed_after_the_idle_timeout() {
     let config = ServerConfig {
         workers: 1,
         idle_timeout: std::time::Duration::from_millis(150),
-        poll_interval: std::time::Duration::from_millis(10),
         ..Default::default()
     };
     let (server, _, _) = start_server(&config);
@@ -476,6 +606,21 @@ fn idle_connections_are_closed_after_the_idle_timeout() {
         idle.ping().is_err(),
         "the idle connection must have been closed"
     );
+    // A client that sends half a frame and stalls is closed the same way.
+    let mut half = TcpStream::connect(server.local_addr()).expect("connect");
+    half.set_read_timeout(Some(std::time::Duration::from_secs(1)))
+        .expect("timeout");
+    let mut frame = Vec::new();
+    protocol::encode_request(5, &Request::Ping, &mut frame);
+    half.write_all(&frame[..frame.len() / 2])
+        .expect("send half");
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    let mut byte = [0u8; 1];
+    match half.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the stalled connection must have been closed, got {other:?}"),
+    }
     // The freed worker serves a new connection normally.
     let mut fresh = Client::connect(server.local_addr()).expect("connect");
     fresh.ping().expect("ping on a fresh connection");
