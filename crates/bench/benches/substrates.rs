@@ -2,7 +2,7 @@
 //! suffix arrays, LCP/LCE, minimizer scans, the 2D grid and the heavy string.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ius_grid::{GridPoint, RangeReporter, Rect};
+use ius_grid::{RangeReporter, Rect};
 use ius_sampling::{KmerOrder, MinimizerScheme};
 use ius_text::lce::LceIndex;
 use ius_text::sa::suffix_array;
@@ -55,13 +55,10 @@ fn substrate_benches(c: &mut Criterion) {
         let j = rng.gen_range(0..=i);
         ys.swap(i, j);
     }
-    let points: Vec<GridPoint> = (0..100_000u32)
-        .map(|x| GridPoint::new(x, ys[x as usize]))
-        .collect();
     group.bench_function("grid_build/100k-points", |b| {
-        b.iter(|| RangeReporter::new(points.clone()))
+        b.iter(|| RangeReporter::new(ys.clone()))
     });
-    let grid = RangeReporter::new(points);
+    let grid = RangeReporter::new(ys);
     group.bench_function("grid_query/100k-points", |b| {
         let mut q = 0u32;
         b.iter(|| {

@@ -290,8 +290,10 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the IUSX v4 format (raw sections) and file_bytes_packed with bit-packed u32 \
-         sections; save_ms and open_ms are timed over in-memory buffers and rebuild runs the \
+         size of the IUSX v5 format (raw sections; each minimizer variant stores only what its \
+         query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios and \
+         the grid is a permutation: pi, its inverse and the wavelet matrix) and \
+         file_bytes_packed with bit-packed u32 sections; save_ms and open_ms are timed over in-memory buffers and rebuild runs the \
          full from-scratch construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \
          construction. open_ms times the one read path, the zero-copy arena open: CRC pass + \

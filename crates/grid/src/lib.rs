@@ -4,19 +4,20 @@
 //! pair up the leaves of the forward and backward minimizer solid factor
 //! trees: each minimizer occurrence becomes a point `(x, y)` where `x` is the
 //! leaf rank in the forward tree and `y` the leaf rank in the backward tree
-//! (Section 3 of the paper, Lemma 7). A pattern query then asks for all
-//! points inside an axis-aligned rectangle `I_suff(P) × I_pref(P)`.
+//! (Section 3 of the paper, Lemma 7). Every occurrence has exactly one leaf
+//! on each side, so the points form a *permutation grid*: `y = π(x)` for a
+//! permutation `π` of `0..N`. A pattern query then asks for all points
+//! inside an axis-aligned rectangle `I_suff(P) × I_pref(P)`.
 //!
 //! This crate provides:
 //!
 //! * [`RangeReporter`] — a wavelet matrix (Claude, Navarro and Ordóñez,
-//!   Inf. Syst. 2015) over the point ids in x order, beside the x keys, the
-//!   id at each x rank and the per-id `(x, y)` table. It occupies `O(N)`
-//!   words plus `N·⌈log₂ N⌉` bits (16 bytes plus `1.5·⌈log₂ N⌉` bits per
-//!   point) and answers a rectangle with `k` points in `O((1 + k) log N)`
-//!   time — the Mäkinen–Navarro bound the paper cites — scanning the
-//!   narrower side of the rectangle directly when that is cheaper than
-//!   walking the matrix. Construction is `O(N log N)` time in `O(N)` words.
+//!   Inf. Syst. 2015) over `π`, beside `π` and `π⁻¹`. It occupies 8 bytes
+//!   plus `1.5·⌈log₂ N⌉` bits per point and answers a rectangle with `k`
+//!   points in `O((1 + k) log N)` time — the Mäkinen–Navarro bound the
+//!   paper cites — scanning the narrower side of the rectangle directly
+//!   when that is cheaper than walking the matrix. Construction is
+//!   `O(N log N)` time in `O(N)` words.
 //! * [`NaiveGrid`] — a linear-scan baseline used for differential testing and
 //!   as the honest choice for very small point sets.
 

@@ -24,42 +24,39 @@ const SCAN_PER_WALK_LEVEL: usize = 1;
 /// (a fresh build, a bit-packed section) or borrow it zero-copy from a
 /// persisted arena.
 ///
-/// Every point has an *id*, its rank in `(y, x)` order. With `N` points,
-/// `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words per level:
+/// The points are the pairs `(x, π(x))` of a permutation `π` of `0..N`; a
+/// point's *id* is its y. With `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words
+/// per level:
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReporterParts {
     /// Number of stored points `N`.
     pub len: u64,
-    /// The wavelet matrix over the ids in x order: `L` levels of `W` words,
-    /// level-major, bit `i` of a level at bit `i % 64` of word `i / 64`.
+    /// The wavelet matrix over `π`: `L` levels of `W` words, level-major,
+    /// bit `i` of a level at bit `i % 64` of word `i / 64`.
     pub bits: ArenaVec<u64>,
     /// Per word of `bits`: the one-bits of its level before that word.
     pub ranks: ArenaVec<u32>,
-    /// The x keys in sorted order (`N` entries).
-    pub xs: ArenaVec<u32>,
-    /// The id of the point at each x rank (`N` entries).
+    /// `π`: the id (y) paired with each x (`N` entries).
     pub ids_by_x: ArenaVec<u32>,
-    /// Per id, interleaved: `[x₀, y₀, x₁, y₁, …]` (`2N` entries).
-    pub points: ArenaVec<u32>,
+    /// `π⁻¹`: the x paired with each id (`N` entries).
+    pub xs_by_id: ArenaVec<u32>,
 }
 
 /// A static 2D range reporter: a wavelet matrix (Claude, Navarro and
-/// Ordóñez) over the point ids in x order, plus the x keys, the id at each x
-/// rank and the per-id `(x, y)` table.
+/// Ordóñez) over `π`, beside `π` itself and `π⁻¹`, for the permutation
+/// grid of the points `(x, π(x))`, `π` a permutation of `0..N`.
 ///
-/// A query turns its rectangle into an x-rank range of width `w_x` and an
-/// id range of width `w_y` (ids are numbered in `(y, x)` order, so the
-/// points with `y` inside the rectangle are one id range) and reports the
-/// points whose x rank and id both fall inside. With `w = min(w_x, w_y)` it
-/// scans the narrower side when `w` is small, otherwise counts the `k`
-/// points in `O(log N)` and either scans (when `w` is within a constant of
-/// `(k + 1) log N`) or walks the wavelet matrix down to the ids inside,
-/// `O((1 + k) log N)` in all cases.
+/// A rectangle's x range is an x-rank range of width `w_x` and its y range
+/// an id range of width `w_y`, with no search: coordinates are ranks. With
+/// `w = min(w_x, w_y)` a query scans the narrower side when `w` is small,
+/// otherwise counts the `k` points in `O(log N)` and either scans (when `w`
+/// is within a constant of `(k + 1) log N`) or walks the wavelet matrix
+/// down to the ids inside, `O((1 + k) log N)` in all cases.
 ///
-/// Space: `16 N` bytes for the three `u32` arrays and the `(x, y)` table,
-/// plus `1.5 · L` bits per point for the matrix levels and their rank
-/// counts. Every part is a flat array, so a persisted reporter reopens as
-/// zero-copy views into an [`ius_arena::Arena`].
+/// Space: `8 N` bytes for `π` and `π⁻¹`, plus `1.5 · L` bits per point for
+/// the matrix levels and their rank counts. Every part is a flat array, so
+/// a persisted reporter reopens as zero-copy views into an
+/// [`ius_arena::Arena`].
 #[derive(Debug, Clone)]
 pub struct RangeReporter {
     /// Number of points `N`.
@@ -72,9 +69,8 @@ pub struct RangeReporter {
     zeros: [u32; 32],
     bits: ArenaVec<u64>,
     ranks: ArenaVec<u32>,
-    xs: ArenaVec<u32>,
     ids_by_x: ArenaVec<u32>,
-    points: ArenaVec<u32>,
+    xs_by_id: ArenaVec<u32>,
 }
 
 /// `⌈log₂ n⌉`, the number of bits a value in `0..n` needs (0 for `n ≤ 1`).
@@ -103,21 +99,24 @@ fn level_zeros(n: usize, levels: usize) -> [u32; 32] {
 }
 
 impl RangeReporter {
-    /// Builds the structure in `O(N log N)` time and `O(N)` words of
-    /// transient memory.
+    /// Builds the grid of the points `(x, pairing[x])` in `O(N log N)` time
+    /// and `O(N)` words of transient memory.
     ///
     /// # Panics
     ///
-    /// If there are more than `u32::MAX` points.
-    pub fn new(mut points: Vec<GridPoint>) -> Self {
-        let len = points.len();
+    /// If `pairing` is not a permutation of `0..N`, or `N` exceeds
+    /// `u32::MAX`.
+    pub fn new(pairing: Vec<u32>) -> Self {
+        let len = pairing.len();
         assert!(u32::try_from(len).is_ok(), "grid exceeds u32 point ids");
-        points.sort_unstable_by_key(|p| (p.y, p.x));
-        let table: Vec<u32> = points.iter().flat_map(|p| [p.x, p.y]).collect();
-        drop(points);
-        let mut ids_by_x: Vec<u32> = (0..len as u32).collect();
-        ids_by_x.sort_unstable_by_key(|&id| (table[2 * id as usize], id));
-        let xs: Vec<u32> = ids_by_x.iter().map(|&id| table[2 * id as usize]).collect();
+        let mut xs_by_id = vec![u32::MAX; len];
+        for (x, &id) in pairing.iter().enumerate() {
+            assert!(
+                xs_by_id.get(id as usize) == Some(&u32::MAX),
+                "grid pairing is not a permutation of 0..{len}"
+            );
+            xs_by_id[id as usize] = x as u32;
+        }
 
         let levels = levels_for(len);
         let words = len / 64 + 1;
@@ -126,7 +125,7 @@ impl RangeReporter {
         let mut ranks = vec![0u32; levels * words];
         // Level `l` holds bit `L − 1 − l` of the sequence `cur`; the next
         // level's sequence is `cur` stably partitioned, zeros first.
-        let mut cur = ids_by_x.clone();
+        let mut cur = pairing.clone();
         let mut next = vec![0u32; len];
         for level in 0..levels {
             let shift = levels - 1 - level;
@@ -160,9 +159,8 @@ impl RangeReporter {
             zeros,
             bits: ArenaVec::from(bits),
             ranks: ArenaVec::from(ranks),
-            xs: ArenaVec::from(xs),
-            ids_by_x: ArenaVec::from(ids_by_x),
-            points: ArenaVec::from(table),
+            ids_by_x: ArenaVec::from(pairing),
+            xs_by_id: ArenaVec::from(xs_by_id),
         }
     }
 
@@ -178,18 +176,6 @@ impl RangeReporter {
         self.len == 0
     }
 
-    /// The largest x and the largest y of any point (`None` when empty):
-    /// the last x key and the last id's y, both columns being sorted.
-    pub fn max_coordinates(&self) -> Option<(u32, u32)> {
-        Some((*self.xs.last()?, *self.points.last()?))
-    }
-
-    /// The point with id `id`.
-    #[inline]
-    fn point(&self, id: usize) -> GridPoint {
-        GridPoint::new(self.points[2 * id], self.points[2 * id + 1])
-    }
-
     /// One-bits of level `level` before position `i` (`i ≤ N`).
     #[inline]
     fn rank1(&self, level: usize, i: usize) -> usize {
@@ -198,27 +184,15 @@ impl RangeReporter {
         self.ranks[w] as usize + below.count_ones() as usize
     }
 
-    /// The x-rank range and the id range of `rect` (each half-open).
+    /// The x range and the id range of `rect` (each half-open), clamped to
+    /// `0..N`: both coordinates are ranks, so no search is needed.
+    #[inline]
     fn ranges(&self, rect: &Rect) -> ((usize, usize), (usize, usize)) {
-        let lo = self.xs.partition_point(|&x| x < rect.x_lo);
-        let hi = self.xs.partition_point(|&x| x < rect.x_hi);
-        let a = self.ids_below(rect.y_lo);
-        let b = self.ids_below(rect.y_hi);
-        ((lo, hi), (a, b))
-    }
-
-    /// Number of ids whose point has `y < bound` (the y column is sorted).
-    fn ids_below(&self, bound: u32) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.points[2 * mid + 1] < bound {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let clamp = |v: u32| (v as usize).min(self.len);
+        (
+            (clamp(rect.x_lo), clamp(rect.x_hi)),
+            (clamp(rect.y_lo), clamp(rect.y_hi)),
+        )
     }
 
     /// Points inside `rect`.
@@ -239,9 +213,6 @@ impl RangeReporter {
     /// point inside `rect`, allocating nothing. Returns the grid work done
     /// (see [`RangeReporter::report_into`]).
     pub fn report_with(&self, rect: &Rect, mut emit: impl FnMut(GridPoint)) -> usize {
-        if rect.is_empty() || self.len == 0 {
-            return 0;
-        }
         let ((lo, hi), (a, b)) = self.ranges(rect);
         if lo >= hi || a >= b {
             return 0;
@@ -249,7 +220,7 @@ impl RangeReporter {
         let w = (hi - lo).min(b - a);
         let levels = self.levels.max(1);
         if w <= BLIND_SCAN_PER_LEVEL * levels {
-            return self.scan(rect, (lo, hi), (a, b), &mut emit);
+            return self.scan((lo, hi), (a, b), &mut emit);
         }
         let mut work = 0usize;
         let k = self.count_ranges((lo, hi), (a, b), &mut work);
@@ -257,7 +228,7 @@ impl RangeReporter {
             return work;
         }
         if w <= SCAN_PER_WALK_LEVEL * (k + 1) * levels {
-            return work + self.scan(rect, (lo, hi), (a, b), &mut emit);
+            return work + self.scan((lo, hi), (a, b), &mut emit);
         }
         self.walk(0, lo, hi, 0, (a, b), &mut emit, &mut work);
         work
@@ -265,9 +236,6 @@ impl RangeReporter {
 
     /// Number of points inside `rect`.
     pub fn count(&self, rect: &Rect) -> usize {
-        if rect.is_empty() || self.len == 0 {
-            return 0;
-        }
         let ((lo, hi), (a, b)) = self.ranges(rect);
         if lo >= hi || a >= b {
             return 0;
@@ -276,30 +244,25 @@ impl RangeReporter {
     }
 
     /// Scans the narrower side of the rectangle: the ids at x ranks
-    /// `lo..hi` filtered by id, or the ids `a..b` filtered by x. Returns the
-    /// entries scanned.
+    /// `lo..hi` filtered by id, or the xs of ids `a..b` filtered by x.
+    /// Returns the entries scanned.
     fn scan(
         &self,
-        rect: &Rect,
         (lo, hi): (usize, usize),
         (a, b): (usize, usize),
         emit: &mut impl FnMut(GridPoint),
     ) -> usize {
         if hi - lo <= b - a {
-            for &id in &self.ids_by_x[lo..hi] {
-                let id = id as usize;
-                if id.wrapping_sub(a) < b - a {
-                    emit(self.point(id));
+            for (x, &id) in (lo..hi).zip(&self.ids_by_x[lo..hi]) {
+                if (id as usize).wrapping_sub(a) < b - a {
+                    emit(GridPoint::new(x as u32, id));
                 }
             }
             hi - lo
         } else {
-            for (x, y) in self.points[2 * a..2 * b]
-                .chunks_exact(2)
-                .map(|p| (p[0], p[1]))
-            {
-                if x >= rect.x_lo && x < rect.x_hi {
-                    emit(GridPoint::new(x, y));
+            for (id, &x) in (a..b).zip(&self.xs_by_id[a..b]) {
+                if (x as usize).wrapping_sub(lo) < hi - lo {
+                    emit(GridPoint::new(x, id as u32));
                 }
             }
             b - a
@@ -357,7 +320,7 @@ impl RangeReporter {
         *work += 1;
         if level == self.levels {
             // A leaf is one id: ids are distinct.
-            emit(self.point(base));
+            emit(GridPoint::new(self.xs_by_id[base], base as u32));
             return;
         }
         let mid = base + (1usize << (self.levels - 1 - level));
@@ -385,9 +348,8 @@ impl RangeReporter {
     pub fn memory_bytes(&self) -> usize {
         self.bits.heap_bytes()
             + self.ranks.heap_bytes()
-            + self.xs.heap_bytes()
             + self.ids_by_x.heap_bytes()
-            + self.points.heap_bytes()
+            + self.xs_by_id.heap_bytes()
     }
 
     /// Exports the structure as its flat representation (see
@@ -397,9 +359,8 @@ impl RangeReporter {
             len: self.len as u64,
             bits: self.bits.clone(),
             ranks: self.ranks.clone(),
-            xs: self.xs.clone(),
             ids_by_x: self.ids_by_x.clone(),
-            points: self.points.clone(),
+            xs_by_id: self.xs_by_id.clone(),
         }
     }
 
@@ -420,9 +381,8 @@ impl RangeReporter {
         for (name, found, expected) in [
             ("bits", parts.bits.len(), levels * words),
             ("ranks", parts.ranks.len(), levels * words),
-            ("xs", parts.xs.len(), len),
             ("ids_by_x", parts.ids_by_x.len(), len),
-            ("points", parts.points.len(), 2 * len),
+            ("xs_by_id", parts.xs_by_id.len(), len),
         ] {
             if found != expected {
                 return Err(format!(
@@ -433,46 +393,23 @@ impl RangeReporter {
         // Every check below is a whole-array fold (these run over the
         // arrays on every arena open, so they must vectorize rather than
         // exit early).
-        if count_adjacent_descents(&parts.xs) != 0 {
-            return Err("point x-coordinates are not sorted".into());
-        }
-        let ys_descents = if len < 2 {
-            0
-        } else {
-            parts.points[1..2 * len - 2]
-                .iter()
-                .step_by(2)
-                .zip(parts.points[3..].iter().step_by(2))
-                .fold(0usize, |acc, (&a, &b)| acc + usize::from(a > b))
-        };
-        if ys_descents != 0 {
-            return Err("point y-coordinates are not sorted by id".into());
-        }
-        // `ids_by_x` is a permutation of 0..N: every id in range, each seen
-        // once (the seen bitmap has N bits).
+        //
+        // `ids_by_x` and `xs_by_id` are inverse permutations of 0..N: every
+        // id is in range and maps back to its x. That makes `ids_by_x`
+        // injective, hence a permutation, and `xs_by_id` its inverse.
         let worst = parts.ids_by_x.iter().fold(0u32, |m, &id| m.max(id));
         if len > 0 && worst as usize >= len {
             return Err(format!("id {worst} out of range for {len} points"));
         }
-        let mut seen = vec![0u64; len.div_ceil(64)];
-        let repeats = parts.ids_by_x.iter().fold(0usize, |acc, &id| {
-            let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
-            let repeat = seen[w] & bit != 0;
-            seen[w] |= bit;
-            acc + usize::from(repeat)
-        });
-        if repeats != 0 {
-            return Err("ids_by_x is not a permutation of the point ids".into());
-        }
-        let disagreements = parts
+        let strays = parts
             .ids_by_x
             .iter()
-            .zip(parts.xs.iter())
-            .fold(0usize, |acc, (&id, &x)| {
-                acc + usize::from(parts.points[2 * id as usize] != x)
+            .enumerate()
+            .fold(0usize, |acc, (x, &id)| {
+                acc + usize::from(parts.xs_by_id[id as usize] as usize != x)
             });
-        if disagreements != 0 {
-            return Err("ids_by_x disagrees with the x keys".into());
+        if strays != 0 {
+            return Err("ids_by_x and xs_by_id are not inverse permutations".into());
         }
         // The wavelet matrix: prefix popcounts, nothing past N, the level
         // one-counts of a permutation, and level 0 = top bit of ids_by_x.
@@ -529,22 +466,9 @@ impl RangeReporter {
             zeros,
             bits: parts.bits,
             ranks: parts.ranks,
-            xs: parts.xs,
             ids_by_x: parts.ids_by_x,
-            points: parts.points,
+            xs_by_id: parts.xs_by_id,
         })
-    }
-}
-
-/// Number of positions `i` with `values[i] > values[i + 1]` — a branch-free
-/// reduction over adjacent pairs that the compiler turns into SIMD compares.
-fn count_adjacent_descents(values: &[u32]) -> usize {
-    match values.len() {
-        0 | 1 => 0,
-        len => values[..len - 1]
-            .iter()
-            .zip(&values[1..])
-            .fold(0usize, |acc, (&a, &b)| acc + usize::from(a > b)),
     }
 }
 
@@ -554,17 +478,24 @@ mod tests {
     use crate::NaiveGrid;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn random_points(n: usize, seed: u64) -> Vec<GridPoint> {
+    /// A random permutation pairing, as produced by the index.
+    fn random_pairing(n: usize, seed: u64) -> Vec<u32> {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Permutation pairing, as produced by the index (distinct x, distinct y).
         let mut ys: Vec<u32> = (0..n as u32).collect();
         for i in (1..n).rev() {
             let j = rng.gen_range(0..=i);
             ys.swap(i, j);
         }
-        (0..n as u32)
-            .map(|x| GridPoint::new(x, ys[x as usize]))
-            .collect()
+        ys
+    }
+
+    fn naive_of(pairing: &[u32]) -> NaiveGrid {
+        NaiveGrid::new(
+            (0..pairing.len() as u32)
+                .zip(pairing)
+                .map(|(x, &y)| GridPoint::new(x, y))
+                .collect(),
+        )
     }
 
     fn sorted(mut points: Vec<GridPoint>) -> Vec<GridPoint> {
@@ -584,9 +515,9 @@ mod tests {
     fn matches_naive_on_permutation_points() {
         let mut rng = StdRng::seed_from_u64(5);
         for n in [0usize, 1, 2, 7, 64, 200] {
-            let points = random_points(n, n as u64);
-            let naive = NaiveGrid::new(points.clone());
-            let fast = RangeReporter::new(points);
+            let pairing = random_pairing(n, n as u64);
+            let naive = naive_of(&pairing);
+            let fast = RangeReporter::new(pairing);
             assert_eq!(fast.len(), n);
             for _ in 0..200 {
                 let x1 = rng.gen_range(0..=(n as u32 + 2));
@@ -605,27 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_coordinates_are_supported() {
-        // Even though the index produces permutations, the structure should
-        // not silently break on duplicates.
-        let points = vec![
-            GridPoint::new(3, 3),
-            GridPoint::new(3, 3),
-            GridPoint::new(3, 4),
-            GridPoint::new(4, 3),
-        ];
-        let naive = NaiveGrid::new(points.clone());
-        let fast = RangeReporter::new(points);
-        let rect = Rect::new((3, 4), (3, 4));
-        let a = sorted(naive.report(&rect));
-        assert_eq!(a, sorted(fast.report(&rect)));
-        assert_eq!(a, vec![GridPoint::new(3, 3); 2]);
+    #[should_panic(expected = "not a permutation")]
+    fn new_refuses_a_pairing_that_is_not_a_permutation() {
+        RangeReporter::new(vec![0, 2, 2]);
     }
 
     #[test]
     fn report_forms_agree_and_count_grid_work() {
-        let points = random_points(2000, 3);
-        let fast = RangeReporter::new(points);
+        let fast = RangeReporter::new(random_pairing(2000, 3));
         let mut rng = StdRng::seed_from_u64(11);
         let mut reused = Vec::new();
         for _ in 0..300 {
@@ -660,8 +578,7 @@ mod tests {
     fn parts_round_trip_preserves_reports() {
         let mut rng = StdRng::seed_from_u64(21);
         for n in [0usize, 1, 5, 100] {
-            let points = random_points(n, n as u64 + 7);
-            let original = RangeReporter::new(points);
+            let original = RangeReporter::new(random_pairing(n, n as u64 + 7));
             let rebuilt = RangeReporter::from_parts(original.to_parts()).unwrap();
             assert_eq!(rebuilt.len(), original.len());
             for _ in 0..50 {
@@ -678,15 +595,25 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_corrupted_input() {
-        let original = RangeReporter::new(random_points(100, 1));
+        let original = RangeReporter::new(random_pairing(100, 1));
         let good = original.to_parts();
         assert!(RangeReporter::from_parts(good.clone()).is_ok());
         let corruptions: Vec<(&str, &str, ReporterParts)> = vec![
-            ("short xs", "xs has", {
+            ("short xs_by_id", "xs_by_id has", {
                 let mut bad = good.clone();
-                bad.xs = tweak(&bad.xs, |v| {
+                bad.xs_by_id = tweak(&bad.xs_by_id, |v| {
                     v.pop();
                 });
+                bad
+            }),
+            ("long ids_by_x", "ids_by_x has", {
+                let mut bad = good.clone();
+                bad.ids_by_x = tweak(&bad.ids_by_x, |v| v.push(0));
+                bad
+            }),
+            ("wrong length", "expected", {
+                let mut bad = good.clone();
+                bad.len = 99;
                 bad
             }),
             ("short bits", "bits has", {
@@ -696,22 +623,12 @@ mod tests {
                 });
                 bad
             }),
-            ("long points", "points has", {
+            ("not the inverse", "not inverse permutations", {
                 let mut bad = good.clone();
-                bad.points = tweak(&bad.points, |v| v.extend([0, 0]));
+                bad.xs_by_id = tweak(&bad.xs_by_id, |v| v.swap(0, 1));
                 bad
             }),
-            ("unsorted xs", "x-coordinates are not sorted", {
-                let mut bad = good.clone();
-                bad.xs = tweak(&bad.xs, |v| v.reverse());
-                bad
-            }),
-            ("unsorted ys", "y-coordinates are not sorted", {
-                let mut bad = good.clone();
-                bad.points = tweak(&bad.points, |v| v.swap(1, 3));
-                bad
-            }),
-            ("repeated id", "not a permutation", {
+            ("repeated id", "not inverse permutations", {
                 let mut bad = good.clone();
                 bad.ids_by_x = tweak(&bad.ids_by_x, |v| v[1] = v[0]);
                 bad
@@ -719,11 +636,6 @@ mod tests {
             ("id out of range", "out of range", {
                 let mut bad = good.clone();
                 bad.ids_by_x = tweak(&bad.ids_by_x, |v| v[0] = 100);
-                bad
-            }),
-            ("ids disagree with xs", "disagrees with the x keys", {
-                let mut bad = good.clone();
-                bad.ids_by_x = tweak(&bad.ids_by_x, |v| v.swap(0, 1));
                 bad
             }),
             ("rank count", "prefix popcounts", {
@@ -774,19 +686,18 @@ mod tests {
 
     #[test]
     fn full_rectangle_reports_everything() {
-        let points = random_points(100, 9);
-        let fast = RangeReporter::new(points);
+        let fast = RangeReporter::new(random_pairing(100, 9));
         let rect = Rect::new((0, 100), (0, 100));
         assert_eq!(fast.report(&rect).len(), 100);
         assert_eq!(fast.count(&rect), 100);
     }
 
     #[test]
-    fn memory_is_sixteen_bytes_plus_one_and_a_half_level_bits_per_point() {
+    fn memory_is_eight_bytes_plus_one_and_a_half_level_bits_per_point() {
         for n in [0usize, 1, 64, 1000, 1 << 12, 50_000] {
-            let bytes = RangeReporter::new(random_points(n, 1)).memory_bytes();
+            let bytes = RangeReporter::new(random_pairing(n, 1)).memory_bytes();
             let levels = levels_for(n);
-            let bound = 16 * n + (3 * levels * n) / 16 + 64 * levels + 64;
+            let bound = 8 * n + (3 * levels * n) / 16 + 64 * levels + 64;
             assert!(bytes <= bound, "n={n}: {bytes} B > {bound} B");
         }
     }

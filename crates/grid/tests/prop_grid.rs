@@ -1,9 +1,8 @@
 //! Property tests of the wavelet-matrix [`RangeReporter`] against the
 //! linear-scan [`NaiveGrid`] oracle.
 //!
-//! Point sets are random permutations, sets with duplicate coordinates and
-//! near-diagonal permutations, at sizes around word and power-of-two
-//! boundaries (`N ∈ {0, 1, 63, 64, 65, 2^k ± 1, …}`). Rectangles are random,
+//! Point sets are permutation grids — random, near-diagonal, the identity
+//! and the reversal — at sizes around word and power-of-two boundaries (`N ∈ {0, 1, 63, 64, 65, 2^k ± 1, …}`). Rectangles are random,
 //! plus shapes that force each of the three query strategies: a narrow x
 //! side, a narrow y side (both scanned without counting), and two wide
 //! sides with a tiny intersection (counted, then walked). Every rectangle
@@ -52,38 +51,35 @@ fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
     values
 }
 
-/// One of three point-set shapes, chosen by `kind`.
-fn point_set(n: usize, kind: u8, rng: &mut StdRng) -> Vec<GridPoint> {
-    match kind % 3 {
-        // A permutation pairing, as the index produces (distinct x, y).
-        0 => {
-            let ys = random_permutation(n, rng);
-            (0..n as u32)
-                .map(|x| GridPoint::new(x, ys[x as usize]))
-                .collect()
-        }
-        // Duplicate coordinates, including repeated points.
+/// One of four permutation shapes, chosen by `kind`: the y paired with
+/// each x.
+fn pairing(n: usize, kind: u8, rng: &mut StdRng) -> Vec<u32> {
+    match kind % 4 {
+        // A random permutation.
+        0 => random_permutation(n, rng),
+        // Near-diagonal: the identity with a few local swaps. Wide
+        // rectangles off the diagonal hold few points.
         1 => {
-            let span = (n as u32 / 4).max(1);
-            (0..n)
-                .map(|_| GridPoint::new(rng.gen_range(0..span), rng.gen_range(0..span)))
-                .collect()
-        }
-        // Near-diagonal: the identity with a few local swaps, in shuffled
-        // insertion order. Wide rectangles off the diagonal hold few points.
-        _ => {
             let mut ys: Vec<u32> = (0..n as u32).collect();
             for _ in 0..n / 8 {
                 let i = rng.gen_range(0..n - 1);
                 ys.swap(i, i + 1);
             }
-            let order = random_permutation(n, rng);
-            order
-                .iter()
-                .map(|&x| GridPoint::new(x, ys[x as usize]))
-                .collect()
+            ys
         }
+        // The identity.
+        2 => (0..n as u32).collect(),
+        // The reversal.
+        _ => (0..n as u32).rev().collect(),
     }
+}
+
+/// The points `(x, pairing[x])`.
+fn points_of(pairing: &[u32]) -> Vec<GridPoint> {
+    (0..pairing.len() as u32)
+        .zip(pairing)
+        .map(|(x, &y)| GridPoint::new(x, y))
+        .collect()
 }
 
 /// Random rectangles plus the strategy-forcing shapes, over coordinates up
@@ -218,16 +214,17 @@ proptest! {
     #[test]
     fn reports_match_the_naive_grid(
         size in 0usize..SIZES.len() + 4,
-        kind in 0u8..3,
+        kind in 0u8..4,
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = SIZES.get(size).copied().unwrap_or_else(|| rng.gen_range(0..3000));
-        let points = point_set(n, kind, &mut rng);
+        let pairing = pairing(n, kind, &mut rng);
+        let points = points_of(&pairing);
         let naive = NaiveGrid::new(points.clone());
-        let grid = RangeReporter::new(points.clone());
+        let grid = RangeReporter::new(pairing);
         prop_assert_eq!(grid.len(), n);
-        let bound = points.iter().map(|p| p.x.max(p.y) + 1).max().unwrap_or(1);
+        let bound = (n as u32).max(1);
         for rect in rectangles(bound, &mut rng) {
             check_rect(&grid, &naive, &points, &rect)?;
         }
@@ -238,16 +235,16 @@ proptest! {
     #[test]
     fn parts_round_trip(
         size in 0usize..SIZES.len(),
-        kind in 0u8..3,
+        kind in 0u8..4,
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let points = point_set(SIZES[size], kind, &mut rng);
-        let grid = RangeReporter::new(points.clone());
+        let n = SIZES[size];
+        let grid = RangeReporter::new(pairing(n, kind, &mut rng));
         let rebuilt = RangeReporter::from_parts(grid.to_parts())
             .map_err(|e| TestCaseError(format!("from_parts refused a build: {e}")))?;
         prop_assert_eq!(rebuilt.to_parts(), grid.to_parts());
-        let bound = points.iter().map(|p| p.x.max(p.y) + 1).max().unwrap_or(1);
+        let bound = (n as u32).max(1);
         for rect in rectangles(bound, &mut rng) {
             prop_assert_eq!(rebuilt.report(&rect), grid.report(&rect));
         }
@@ -259,9 +256,10 @@ proptest! {
 #[test]
 fn forcing_shapes_reach_every_strategy() {
     let mut rng = StdRng::seed_from_u64(3);
-    let points = point_set(4096, 2, &mut rng);
+    let pairing = pairing(4096, 1, &mut rng);
+    let points = points_of(&pairing);
     let naive = NaiveGrid::new(points.clone());
-    let grid = RangeReporter::new(points.clone());
+    let grid = RangeReporter::new(pairing);
     let shapes = [
         (Rect::new((100, 104), (0, 4096)), Plan::BlindScan),
         (Rect::new((0, 4096), (100, 104)), Plan::BlindScan),

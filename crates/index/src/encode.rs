@@ -13,9 +13,11 @@
 //!   `O(log z)` time using an LCE index over the heavy view (the operation
 //!   the paper uses to sort the sampled factors, Theorem 12), and
 //! * the probability machinery needed to *verify* a candidate occurrence in
-//!   `O(log z)` time without access to `X`: each mismatch stores the ratio
-//!   `p(letter)/p(heavy letter)` so a window's occurrence probability is the
-//!   heavy prefix-product times the ratios of the mismatches inside it.
+//!   `O(log z)` time without access to `X`: each mismatch carries
+//!   `ln(p(letter)/p(heavy letter))`, so a window's log-probability is the
+//!   heavy log-prefix difference plus the log-ratios of the mismatches
+//!   inside it. Only the grid variants keep that pool; the others verify
+//!   against `X`.
 
 use ius_arena::ArenaVec;
 use ius_text::lce::LceIndex;
@@ -31,8 +33,9 @@ pub struct Mismatch {
     pub depth: u32,
     /// The factor's letter at that depth (≠ the heavy letter there).
     pub letter: u8,
-    /// `p(letter) / p(heavy letter)` at the corresponding position of `X`.
-    pub ratio: f64,
+    /// `ln(p(letter) / p(heavy letter))` at the corresponding position of
+    /// `X` — at most 0, the heavy letter being the most probable.
+    pub log_ratio: f64,
 }
 
 /// Reading direction of a factor set.
@@ -51,9 +54,6 @@ pub struct PendingFactor {
     pub anchor_x: u32,
     /// Factor length (letters read from the anchor in the set's direction).
     pub len: u32,
-    /// Strand the factor was sampled from (`u32::MAX` for the strand-free
-    /// space-efficient construction).
-    pub strand: u32,
     /// Deviations from the heavy string, sorted by increasing depth.
     pub mismatches: Vec<Mismatch>,
 }
@@ -63,7 +63,9 @@ pub struct PendingFactor {
 /// The set owns its *heavy view*: the heavy string read in the set's
 /// direction (`H_X` itself for forward sets, its reverse for backward sets),
 /// so that the letter at depth `d` of a factor anchored at view position `a`
-/// is `heavy_view[a + d]` unless overridden by a stored mismatch.
+/// is `heavy_view[a + d]` unless overridden by a stored mismatch. The view
+/// anchor is `anchor_x` in forward sets and `n − 1 − anchor_x` in backward
+/// sets, computed on use.
 #[derive(Debug, Clone)]
 pub struct EncodedFactorSet {
     direction: Direction,
@@ -71,27 +73,21 @@ pub struct EncodedFactorSet {
     /// index-wide heavy allocation (no copy); backward sets own the reversed
     /// copy.
     heavy_view: Arc<Vec<u8>>,
-    /// Anchor in view coordinates, per sorted leaf (derived from `anchor_x`
-    /// at build/load time, never persisted).
-    anchor_view: Vec<u32>,
     /// Anchor in `X` coordinates (the minimizer position), per sorted leaf.
     anchor_x: ArenaVec<u32>,
     /// Factor length per sorted leaf.
     lens: ArenaVec<u32>,
-    /// Strand per sorted leaf (`u32::MAX` when strand-free).
-    strands: ArenaVec<u32>,
     /// Offsets into the mismatch pools, one per leaf plus a trailing total.
     mism_start: ArenaVec<u32>,
     /// The concatenated mismatch storage, struct-of-arrays: depth, letter
-    /// and probability ratio per stored mismatch. Flat [`ArenaVec`] pools,
-    /// so a persisted set can borrow them zero-copy from the index arena.
+    /// and log-ratio per stored mismatch. Flat [`ArenaVec`] pools, so a
+    /// persisted set can borrow them zero-copy from the index arena.
     mism_depths: ArenaVec<u32>,
     mism_letters: ArenaVec<u8>,
-    mism_ratios: ArenaVec<f64>,
-    /// `ln(ratio)` per stored mismatch, precomputed at build time so grid
-    /// verification sums log-probabilities without per-query `ln` calls.
-    /// Derived from `mism_ratios`, never persisted.
-    mism_log_ratios: Vec<f64>,
+    /// [`Mismatch::log_ratio`] per stored mismatch — the terms grid
+    /// verification sums. Empty in the sets of the variants without a grid,
+    /// which verify against `X` instead.
+    mism_log_ratios: ArenaVec<f64>,
     /// Packed 8-letter prefix key per sorted leaf (see [`prefix_key`]),
     /// carried over from the construction sort. Non-decreasing in leaf
     /// order; used to narrow `equal_range` with integer comparisons before
@@ -113,22 +109,21 @@ impl EncodedFactorSet {
         self.lens.is_empty()
     }
 
-    /// Reading direction of the set.
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
     /// The anchor (minimizer position in `X`) of the `leaf`-th sorted factor.
     #[inline]
     pub fn anchor_x(&self, leaf: usize) -> usize {
         self.anchor_x[leaf] as usize
     }
 
-    /// The strand of the `leaf`-th factor (`u32::MAX` when strand-free).
+    /// The anchor of the `leaf`-th factor in view coordinates: the heavy
+    /// view position its depth 0 reads.
     #[inline]
-    pub fn strand(&self, leaf: usize) -> u32 {
-        self.strands[leaf]
+    fn view_anchor(&self, leaf: usize) -> usize {
+        let a = self.anchor_x[leaf] as usize;
+        match self.direction {
+            Direction::Forward => a,
+            Direction::Backward => self.heavy_view.len() - 1 - a,
+        }
     }
 
     /// The length of the `leaf`-th factor.
@@ -143,44 +138,19 @@ impl EncodedFactorSet {
         self.mism_start[leaf] as usize..self.mism_start[leaf + 1] as usize
     }
 
-    /// Number of stored mismatches of the `leaf`-th factor.
-    #[inline]
-    pub fn num_mismatches(&self, leaf: usize) -> usize {
-        let r = self.mism_range(leaf);
-        r.end - r.start
-    }
-
-    /// The stored mismatches of the `leaf`-th factor, materialised from the
-    /// struct-of-arrays pools (convenience iterator; the hot paths read the
-    /// per-component slices directly).
-    pub fn mismatches(&self, leaf: usize) -> impl Iterator<Item = Mismatch> + '_ {
-        let r = self.mism_range(leaf);
-        self.mism_depths[r.clone()]
-            .iter()
-            .zip(&self.mism_letters[r.clone()])
-            .zip(&self.mism_ratios[r])
-            .map(|((&depth, &letter), &ratio)| Mismatch {
-                depth,
-                letter,
-                ratio,
-            })
-    }
-
     /// The depths of the `leaf`-th factor's stored mismatches.
     #[inline]
     pub fn mismatch_depths(&self, leaf: usize) -> &[u32] {
         &self.mism_depths[self.mism_range(leaf)]
     }
 
-    /// The letters of the `leaf`-th factor's stored mismatches, aligned with
-    /// [`EncodedFactorSet::mismatch_depths`].
-    #[inline]
-    pub fn mismatch_letters(&self, leaf: usize) -> &[u8] {
-        &self.mism_letters[self.mism_range(leaf)]
-    }
-
-    /// The precomputed `ln(ratio)` of each stored mismatch of the `leaf`-th
-    /// factor, aligned with [`EncodedFactorSet::mismatch_depths`].
+    /// The log-ratio of each stored mismatch of the `leaf`-th factor,
+    /// aligned with [`EncodedFactorSet::mismatch_depths`].
+    ///
+    /// # Panics
+    ///
+    /// In a set without the log-ratio pool (see
+    /// [`EncodedFactorSet::drop_log_ratios`]) that stores mismatches.
     #[inline]
     pub fn mismatch_log_ratios(&self, leaf: usize) -> &[f64] {
         &self.mism_log_ratios[self.mism_range(leaf)]
@@ -205,7 +175,7 @@ impl EncodedFactorSet {
         {
             return Some(self.mism_letters[r.start + slot]);
         }
-        Some(self.heavy_view[self.anchor_view[leaf] as usize + depth])
+        Some(self.heavy_view[self.view_anchor(leaf) + depth])
     }
 
     /// Materialises the `leaf`-th factor (used by tests and debugging).
@@ -259,7 +229,7 @@ impl EncodedFactorSet {
     fn cmp_leaf(&self, leaf: usize, pattern: &[u8], prefix_only: bool) -> Ordering {
         let len = self.factor_len(leaf);
         let limit = len.min(pattern.len());
-        let base = self.anchor_view[leaf] as usize;
+        let base = self.view_anchor(leaf);
         let heavy = &self.heavy_view[base..base + limit];
         let mut d = 0usize;
         let r = self.mism_range(leaf);
@@ -296,34 +266,26 @@ impl EncodedFactorSet {
         }
     }
 
-    /// Heap bytes retained by the set, counting the heavy view even when it
-    /// is shared (see [`EncodedFactorSet::memory_bytes_without_heavy`] for
-    /// the variant that avoids double counting a shared view).
+    /// Heap bytes retained by the set. A forward set's heavy view is the
+    /// index-wide heavy string, counted by its owner; a backward set owns
+    /// its reversed copy.
     pub fn memory_bytes(&self) -> usize {
-        self.heavy_view.capacity()
-            + self.anchor_view.capacity() * 4
-            + self.anchor_x.heap_bytes()
+        let view = match self.direction {
+            Direction::Forward => 0,
+            Direction::Backward => self.heavy_view.capacity(),
+        };
+        view + self.anchor_x.heap_bytes()
             + self.lens.heap_bytes()
-            + self.strands.heap_bytes()
             + self.mism_start.heap_bytes()
             + self.mism_depths.heap_bytes()
             + self.mism_letters.heap_bytes()
-            + self.mism_ratios.heap_bytes()
-            + self.mism_log_ratios.capacity() * 8
+            + self.mism_log_ratios.heap_bytes()
             + self.prefix_keys.heap_bytes()
     }
 
-    /// Heap bytes excluding the heavy view. Forward sets share the view's
-    /// allocation with the index-wide heavy string, so counting it again
-    /// would double count.
-    pub fn memory_bytes_without_heavy(&self) -> usize {
-        self.memory_bytes() - self.heavy_view.capacity()
-    }
-
-    /// `true` iff this set is the sole owner of its heavy view (backward
-    /// sets own their reversed copy; forward sets usually share).
-    pub fn owns_heavy_view(&self) -> bool {
-        Arc::strong_count(&self.heavy_view) == 1
+    /// Frees the log-ratio pool: only grid verification reads it.
+    pub(crate) fn drop_log_ratios(&mut self) {
+        self.mism_log_ratios = ArenaVec::new();
     }
 
     // ---- persistence support (see `crate::persist`) --------------------
@@ -336,11 +298,6 @@ impl EncodedFactorSet {
     /// Factor lengths, per sorted leaf.
     pub(crate) fn lens_raw(&self) -> &[u32] {
         &self.lens
-    }
-
-    /// Strand ids, per sorted leaf.
-    pub(crate) fn strands_raw(&self) -> &[u32] {
-        &self.strands
     }
 
     /// Mismatch offsets (one per leaf plus the trailing total).
@@ -358,9 +315,9 @@ impl EncodedFactorSet {
         &self.mism_letters
     }
 
-    /// The concatenated mismatch probability ratios.
-    pub(crate) fn mism_ratios_raw(&self) -> &[f64] {
-        &self.mism_ratios
+    /// The concatenated mismatch log-ratios (empty once dropped).
+    pub(crate) fn mism_log_ratios_raw(&self) -> &[f64] {
+        &self.mism_log_ratios
     }
 
     /// The packed prefix keys (may be empty; `equal_range` then skips the
@@ -370,10 +327,10 @@ impl EncodedFactorSet {
     }
 
     /// Reassembles a set from its persisted parts. `heavy_view` must be the
-    /// heavy string read in the set's direction (shared for forward sets,
-    /// an owned reversed copy for backward sets); anchor view coordinates
-    /// and the mismatch log-ratios are recomputed (both are derived data —
-    /// no construction, i.e. no sorting, is re-run).
+    /// heavy string read in the set's direction (the index-wide one for
+    /// forward sets, a reversed copy for backward sets); `mism_log_ratios` is
+    /// `None` for the variants without a grid, which store no such pool.
+    /// Nothing is recomputed or copied: every array is taken as loaded.
     ///
     /// # Errors
     ///
@@ -384,73 +341,91 @@ impl EncodedFactorSet {
         heavy_view: Arc<Vec<u8>>,
         anchor_x: ArenaVec<u32>,
         lens: ArenaVec<u32>,
-        strands: ArenaVec<u32>,
         mism_start: ArenaVec<u32>,
         mism_depths: ArenaVec<u32>,
         mism_letters: ArenaVec<u8>,
-        mism_ratios: ArenaVec<f64>,
+        mism_log_ratios: Option<ArenaVec<f64>>,
         prefix_keys: ArenaVec<u64>,
     ) -> Result<EncodedFactorSet, String> {
-        let n = heavy_view.len();
+        let n = heavy_view.len() as u64;
         let leaves = anchor_x.len();
-        if lens.len() != leaves || strands.len() != leaves {
+        if lens.len() != leaves {
             return Err("factor-set leaf arrays have inconsistent lengths".into());
         }
         if mism_start.len() != leaves + 1 || mism_start.first().copied().unwrap_or(1) != 0 {
             return Err("mismatch offset table is malformed".into());
         }
-        if mism_depths.len() != mism_letters.len() || mism_depths.len() != mism_ratios.len() {
+        if mism_depths.len() != mism_letters.len()
+            || mism_log_ratios
+                .as_ref()
+                .is_some_and(|r| r.len() != mism_depths.len())
+        {
             return Err("mismatch component pools have inconsistent lengths".into());
         }
-        if mism_start.windows(2).any(|w| w[0] > w[1])
-            || mism_start.last().map(|&v| v as usize) != Some(mism_depths.len())
-        {
+        // Every check below is a whole-array fold (these run over the
+        // arrays on every arena open, so they must vectorize rather than
+        // exit early).
+        let descents = mism_start
+            .windows(2)
+            .fold(0usize, |acc, w| acc + usize::from(w[0] > w[1]));
+        if descents != 0 || mism_start.last().map(|&v| v as usize) != Some(mism_depths.len()) {
             return Err("mismatch offsets do not cover the mismatch storage".into());
         }
         if !prefix_keys.is_empty() && prefix_keys.len() != leaves {
             return Err("prefix-key table length does not match the leaf count".into());
         }
-        let mut anchor_view = Vec::with_capacity(leaves);
-        for (leaf, &a) in anchor_x.iter().enumerate() {
-            let view = match direction {
-                Direction::Forward => a as usize,
-                Direction::Backward => {
-                    if a as usize >= n {
-                        return Err(format!("anchor {a} of leaf {leaf} out of range"));
-                    }
-                    n - 1 - a as usize
-                }
-            };
-            if view + lens[leaf] as usize > n {
-                return Err(format!("factor of leaf {leaf} runs past the heavy view"));
-            }
-            anchor_view.push(view as u32);
+        // Every factor reads the heavy view from its view anchor on: a
+        // forward one up to `anchor + len`, a backward one down to
+        // `anchor + 1 − len`.
+        let overruns = anchor_x
+            .iter()
+            .zip(lens.iter())
+            .fold(0usize, |acc, (&a, &len)| {
+                let (a, len) = (u64::from(a), u64::from(len));
+                let fits = match direction {
+                    Direction::Forward => a + len <= n,
+                    Direction::Backward => a < n && len <= a + 1,
+                };
+                acc + usize::from(!fits)
+            });
+        if overruns != 0 {
+            return Err(format!("{overruns} factor(s) run past the heavy view"));
         }
-        for (leaf, window) in mism_start.windows(2).enumerate() {
-            let (lo, hi) = (window[0] as usize, window[1] as usize);
-            // Ratios are probability quotients: strictly positive and finite,
-            // or the recomputed log-ratios would be NaN/-inf and silently
-            // corrupt grid verification.
-            if mism_depths[lo..hi].iter().any(|&d| d >= lens[leaf])
-                || mism_ratios[lo..hi]
-                    .iter()
-                    .any(|&r| !r.is_finite() || r <= 0.0)
-            {
-                return Err(format!("mismatch of leaf {leaf} is out of range"));
-            }
+        // Each leaf's depths strictly increase and stay inside the factor:
+        // the slice comparisons of `equal_range` walk them in order.
+        let bad_depths = mism_start
+            .windows(2)
+            .zip(lens.iter())
+            .fold(0usize, |acc, (w, &len)| {
+                let depths = &mism_depths[w[0] as usize..w[1] as usize];
+                let repeats = depths
+                    .windows(2)
+                    .fold(0usize, |a, d| a + usize::from(d[0] >= d[1]));
+                acc + repeats + usize::from(depths.last().is_some_and(|&d| d >= len))
+            });
+        if bad_depths != 0 {
+            return Err("mismatch depths do not strictly increase within their factors".into());
         }
-        let mism_log_ratios: Vec<f64> = mism_ratios.iter().map(|&r| r.ln()).collect();
+        // The heavy letter is the most probable, so every ratio is ≤ 1 and
+        // its logarithm finite and ≤ 0 (a NaN or ±inf would silently
+        // corrupt grid verification).
+        let mism_log_ratios = mism_log_ratios.unwrap_or_default();
+        let bad_ratios = mism_log_ratios.iter().fold(0usize, |acc, &r| {
+            acc + usize::from(!(r.is_finite() && r <= 0.0))
+        });
+        if bad_ratios != 0 {
+            return Err(format!(
+                "{bad_ratios} mismatch log-ratio(s) are not finite and ≤ 0"
+            ));
+        }
         Ok(EncodedFactorSet {
             direction,
             heavy_view,
-            anchor_view,
             anchor_x,
             lens,
-            strands,
             mism_start,
             mism_depths,
             mism_letters,
-            mism_ratios,
             mism_log_ratios,
             prefix_keys,
         })
@@ -525,10 +500,16 @@ impl EncodedFactorSetBuilder {
         self.factors.is_empty()
     }
 
-    /// Sorts the factors lexicographically and returns the finished set
-    /// together with the LCP values of neighbouring factors (entry 0 is 0) —
-    /// exactly what [`ius_text::trie::CompactedTrie::build`] needs.
-    pub fn finish(self) -> (EncodedFactorSet, Vec<usize>) {
+    /// Sorts the factors lexicographically and returns the finished set,
+    /// the LCP values of neighbouring factors (entry 0 is 0) — exactly what
+    /// [`ius_text::trie::CompactedTrie::build`] needs — and the sort order:
+    /// the push index of the factor at each leaf rank. Equal factors are
+    /// ordered by anchor, then by push index.
+    ///
+    /// # Panics
+    ///
+    /// If more than `u32::MAX` factors were pushed.
+    pub fn finish(self) -> (EncodedFactorSet, Vec<usize>, Vec<u32>) {
         let n = self.heavy_forward.len();
         let heavy_view: Arc<Vec<u8>> = match self.direction {
             // Forward sets read the heavy string as-is: share the allocation.
@@ -541,62 +522,64 @@ impl EncodedFactorSetBuilder {
                 Arc::new(v)
             }
         };
-        let anchor_to_view = |anchor_x: u32| -> u32 {
+        let anchor_to_view = |anchor_x: u32| -> usize {
             match self.direction {
-                Direction::Forward => anchor_x,
-                Direction::Backward => (n as u32) - 1 - anchor_x,
+                Direction::Forward => anchor_x as usize,
+                Direction::Backward => n - 1 - anchor_x as usize,
             }
         };
         let lce = LceIndex::new(&heavy_view);
         let factors = self.factors;
+        assert!(
+            u32::try_from(factors.len()).is_ok(),
+            "factor set exceeds u32 leaf ids"
+        );
         // Packed prefix keys decide almost every comparison with one integer
         // compare; the O(log z) LCE comparator only breaks the ties of
         // factors sharing their first eight letters.
         let prefix_keys: Vec<u64> = factors
             .iter()
-            .map(|f| prefix_key(f, &heavy_view, anchor_to_view(f.anchor_x) as usize))
+            .map(|f| prefix_key(f, &heavy_view, anchor_to_view(f.anchor_x)))
             .collect();
-        let mut order: Vec<usize> = (0..factors.len()).collect();
+        let mut order: Vec<u32> = (0..factors.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
-            prefix_keys[a]
-                .cmp(&prefix_keys[b])
+            let (fa, fb) = (&factors[a as usize], &factors[b as usize]);
+            prefix_keys[a as usize]
+                .cmp(&prefix_keys[b as usize])
                 .then_with(|| {
                     compare_pending(
-                        &factors[a],
-                        anchor_to_view(factors[a].anchor_x) as usize,
-                        &factors[b],
-                        anchor_to_view(factors[b].anchor_x) as usize,
+                        fa,
+                        anchor_to_view(fa.anchor_x),
+                        fb,
+                        anchor_to_view(fb.anchor_x),
                         &heavy_view,
                         &lce,
                     )
                 })
-                .then(factors[a].anchor_x.cmp(&factors[b].anchor_x))
-                .then(factors[a].strand.cmp(&factors[b].strand))
+                .then(fa.anchor_x.cmp(&fb.anchor_x))
+                .then(a.cmp(&b))
         });
 
         let total_mismatches: usize = factors.iter().map(|f| f.mismatches.len()).sum();
         let mut raw = RawFactorData::with_capacity(order.len(), total_mismatches);
         let mut lcps = vec![0usize; order.len()];
         for (rank, &idx) in order.iter().enumerate() {
-            let f = &factors[idx];
-            raw.anchor_view.push(anchor_to_view(f.anchor_x));
+            let f = &factors[idx as usize];
             raw.anchor_x.push(f.anchor_x);
             raw.lens.push(f.len);
-            raw.strands.push(f.strand);
             for m in &f.mismatches {
                 raw.mism_depths.push(m.depth);
                 raw.mism_letters.push(m.letter);
-                raw.mism_ratios.push(m.ratio);
-                raw.mism_log_ratios.push(m.ratio.ln());
+                raw.mism_log_ratios.push(m.log_ratio);
             }
             raw.mism_start.push(raw.mism_depths.len() as u32);
             if rank > 0 {
-                let prev = &factors[order[rank - 1]];
+                let prev = &factors[order[rank - 1] as usize];
                 lcps[rank] = lcp_pending(
                     prev,
-                    anchor_to_view(prev.anchor_x) as usize,
+                    anchor_to_view(prev.anchor_x),
                     f,
-                    anchor_to_view(f.anchor_x) as usize,
+                    anchor_to_view(f.anchor_x),
                     &heavy_view,
                     &lce,
                 );
@@ -604,22 +587,23 @@ impl EncodedFactorSetBuilder {
         }
         // Keep the construction sort's packed keys, reordered to leaf order,
         // as the integer narrowing index of `equal_range`.
-        let leaf_keys: Vec<u64> = order.iter().map(|&idx| prefix_keys[idx]).collect();
-        (raw.into_set(self.direction, heavy_view, leaf_keys), lcps)
+        let leaf_keys: Vec<u64> = order.iter().map(|&idx| prefix_keys[idx as usize]).collect();
+        (
+            raw.into_set(self.direction, heavy_view, leaf_keys),
+            lcps,
+            order,
+        )
     }
 }
 
 /// Construction-time emission buffers of [`EncodedFactorSetBuilder`] — plain
 /// vectors grown by `push`, converted into the set's flat pools at the end.
 struct RawFactorData {
-    anchor_view: Vec<u32>,
     anchor_x: Vec<u32>,
     lens: Vec<u32>,
-    strands: Vec<u32>,
     mism_start: Vec<u32>,
     mism_depths: Vec<u32>,
     mism_letters: Vec<u8>,
-    mism_ratios: Vec<f64>,
     mism_log_ratios: Vec<f64>,
 }
 
@@ -628,14 +612,11 @@ impl RawFactorData {
         let mut mism_start = Vec::with_capacity(leaves + 1);
         mism_start.push(0);
         Self {
-            anchor_view: Vec::with_capacity(leaves),
             anchor_x: Vec::with_capacity(leaves),
             lens: Vec::with_capacity(leaves),
-            strands: Vec::with_capacity(leaves),
             mism_start,
             mism_depths: Vec::with_capacity(mismatches),
             mism_letters: Vec::with_capacity(mismatches),
-            mism_ratios: Vec::with_capacity(mismatches),
             mism_log_ratios: Vec::with_capacity(mismatches),
         }
     }
@@ -649,15 +630,12 @@ impl RawFactorData {
         EncodedFactorSet {
             direction,
             heavy_view,
-            anchor_view: self.anchor_view,
             anchor_x: ArenaVec::from(self.anchor_x),
             lens: ArenaVec::from(self.lens),
-            strands: ArenaVec::from(self.strands),
             mism_start: ArenaVec::from(self.mism_start),
             mism_depths: ArenaVec::from(self.mism_depths),
             mism_letters: ArenaVec::from(self.mism_letters),
-            mism_ratios: ArenaVec::from(self.mism_ratios),
-            mism_log_ratios: self.mism_log_ratios,
+            mism_log_ratios: ArenaVec::from(self.mism_log_ratios),
             prefix_keys: ArenaVec::from(prefix_keys),
         }
     }
@@ -824,14 +802,13 @@ mod tests {
             mismatches.push(Mismatch {
                 depth,
                 letter,
-                ratio: 0.5,
+                log_ratio: 0.5f64.ln(),
             });
         }
         mismatches.sort_by_key(|m| m.depth);
         PendingFactor {
             anchor_x,
             len,
-            strand: 0,
             mismatches,
         }
     }
@@ -859,13 +836,28 @@ mod tests {
             // the factor into the builder — no per-factor clone needed.
             let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
             let mut expected: Vec<Vec<u8>> = Vec::new();
+            let mut anchors = Vec::new();
             for _ in 0..80 {
                 let f = random_factor(&mut rng, n, direction, sigma, &heavy);
                 expected.push(materialize_pending(&f, &view, anchor_to_view(f.anchor_x)));
+                anchors.push(f.anchor_x);
                 builder.push(f);
             }
-            let (set, lcps) = builder.finish();
+            let pushed = expected.clone();
+            let (set, lcps, order) = builder.finish();
             assert_eq!(set.len(), expected.len());
+            // The order names the pushed factor at each leaf; equal factors
+            // keep (anchor, push index) order.
+            for (leaf, &idx) in order.iter().enumerate() {
+                assert_eq!(set.materialize(leaf), pushed[idx as usize]);
+                assert_eq!(set.anchor_x(leaf), anchors[idx as usize] as usize);
+            }
+            for w in order.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                if pushed[a] == pushed[b] && anchors[a] == anchors[b] {
+                    assert!(a < b, "ties must keep push order");
+                }
+            }
             // The sorted set must materialise exactly the pushed multiset of
             // strings, in sorted order, with matching neighbour LCPs.
             expected.sort();
@@ -909,7 +901,7 @@ mod tests {
                 &heavy,
             ));
         }
-        let (set, _) = builder.finish();
+        let (set, _, _) = builder.finish();
         for _ in 0..300 {
             // Lengths up to 15 cover both search branches: plain binary
             // search (m < 8) and the packed-prefix-key narrowing (m ≥ 8).
@@ -943,87 +935,100 @@ mod tests {
         builder.push(PendingFactor {
             anchor_x: 2,
             len: 5,
-            strand: 7,
             mismatches: vec![Mismatch {
                 depth: 1,
                 letter: 0,
-                ratio: 0.25,
+                log_ratio: 0.25f64.ln(),
             }],
         });
-        let (set, _) = builder.finish();
+        let (set, _, order) = builder.finish();
+        assert_eq!(order, vec![0]);
         assert_eq!(set.len(), 1);
         assert_eq!(set.materialize(0), vec![2, 0, 0, 1, 2]);
         assert_eq!(set.letter_at(0, 1), Some(0));
         assert_eq!(set.letter_at(0, 5), None);
         assert_eq!(LabelProvider::letter(&set, 0, 4), Some(2));
         assert_eq!(LabelProvider::len(&set, 0), 5);
-        assert_eq!(set.strand(0), 7);
+        assert_eq!(set.mismatch_log_ratios(0), &[0.25f64.ln()]);
         assert_eq!(set.anchor_x(0), 2);
-        assert_eq!(set.num_mismatches(0), 1);
+        assert_eq!(set.mismatch_depths(0), &[1]);
         assert_eq!(set.total_mismatches(), 1);
-        assert!(set.memory_bytes() > set.memory_bytes_without_heavy());
+    }
+
+    /// One forward leaf of length `len` anchored at 0 of a 5-letter heavy
+    /// view, with the given mismatch depths and log-ratios.
+    fn one_leaf(len: u32, depths: &[u32], log_ratios: &[f64]) -> Result<EncodedFactorSet, String> {
+        EncodedFactorSet::from_loaded_parts(
+            Direction::Forward,
+            Arc::new(vec![0, 1, 0, 1, 0]),
+            vec![0].into(),
+            vec![len].into(),
+            vec![0, depths.len() as u32].into(),
+            depths.to_vec().into(),
+            vec![1u8; depths.len()].into(),
+            Some(log_ratios.to_vec().into()),
+            ArenaVec::new(),
+        )
     }
 
     #[test]
     fn loaded_parts_validation_rejects_corruption() {
         let heavy: Arc<Vec<u8>> = Arc::new(vec![0, 1, 0, 1, 0]);
-        let good = |ratio: f64| {
-            EncodedFactorSet::from_loaded_parts(
-                Direction::Forward,
+        let good = |log_ratio: f64| one_leaf(3, &[2], &[log_ratio]);
+        assert!(good(0.5f64.ln()).is_ok());
+        assert!(good(0.0).is_ok());
+        // Every ratio is ≤ 1 (the heavy letter is the most probable), so a
+        // positive or non-finite log-ratio is corrupt and would silently
+        // skew grid verification.
+        for bad in [0.5, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let err = good(bad).expect_err("bad log-ratio opened");
+            assert!(err.contains("log-ratio"), "{err}");
+        }
+        // Depth beyond the factor length.
+        assert!(one_leaf(3, &[3], &[-1.0]).is_err());
+        // A log-ratio pool of the wrong length.
+        assert!(one_leaf(3, &[2], &[-1.0, -1.0]).is_err());
+        // Factor running past the heavy view, either way.
+        for (direction, anchor, len) in [
+            (Direction::Forward, 4, 2),
+            (Direction::Backward, 1, 3),
+            (Direction::Backward, 5, 1),
+        ] {
+            assert!(EncodedFactorSet::from_loaded_parts(
+                direction,
                 Arc::clone(&heavy),
-                vec![1].into(),
-                vec![3].into(),
-                vec![0].into(),
-                vec![0, 1].into(),
-                vec![2u32].into(),
-                vec![0u8].into(),
-                vec![ratio].into(),
+                vec![anchor].into(),
+                vec![len].into(),
+                vec![0, 0].into(),
+                ArenaVec::new(),
+                ArenaVec::new(),
+                None,
                 ArenaVec::new(),
             )
-        };
-        assert!(good(0.5).is_ok());
-        // Non-positive or non-finite ratios would make the recomputed
-        // log-ratios NaN/-inf and silently corrupt verification.
-        assert!(good(0.0).is_err());
-        assert!(good(-1.0).is_err());
-        assert!(good(f64::NAN).is_err());
-        // Depth beyond the factor length.
-        assert!(EncodedFactorSet::from_loaded_parts(
-            Direction::Forward,
-            Arc::clone(&heavy),
-            vec![1].into(),
-            vec![3].into(),
-            vec![0].into(),
-            vec![0, 1].into(),
-            vec![3u32].into(),
-            vec![0u8].into(),
-            vec![0.5].into(),
-            ArenaVec::new(),
-        )
-        .is_err());
-        // Factor running past the heavy view.
-        assert!(EncodedFactorSet::from_loaded_parts(
-            Direction::Forward,
-            Arc::clone(&heavy),
-            vec![4].into(),
-            vec![2].into(),
-            vec![0].into(),
-            vec![0, 0].into(),
-            ArenaVec::new(),
-            ArenaVec::new(),
-            ArenaVec::new(),
-            ArenaVec::new(),
-        )
-        .is_err());
+            .is_err());
+        }
+    }
+
+    #[test]
+    fn unordered_mismatch_depths_are_refused_at_open() {
+        // Depths out of order or repeated would make `equal_range` slice
+        // `heavy[d..md]` with `d > md` and panic the query; the open refuses
+        // them instead.
+        assert!(one_leaf(5, &[1, 3], &[-1.0, -1.0]).is_ok());
+        for depths in [[3, 1], [2, 2]] {
+            let err = one_leaf(5, &depths, &[-1.0, -1.0]).expect_err("opened");
+            assert!(err.contains("strictly increase"), "{depths:?}: {err}");
+        }
     }
 
     #[test]
     fn empty_builder_finishes_cleanly() {
         let builder = EncodedFactorSetBuilder::new(Direction::Backward, Arc::new(vec![0, 1, 0]));
         assert!(builder.is_empty());
-        let (set, lcps) = builder.finish();
+        let (set, lcps, order) = builder.finish();
         assert!(set.is_empty());
         assert!(lcps.is_empty());
+        assert!(order.is_empty());
         assert_eq!(set.equal_range(&[0]), (0, 0));
     }
 }

@@ -19,14 +19,14 @@ use crate::encode::{
 };
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
-use ius_arena::Arena;
-use ius_grid::{GridPoint, RangeReporter, Rect};
+use ius_arena::{Arena, ArenaVec};
+use ius_grid::{RangeReporter, Rect};
 use ius_obs::clock;
 use ius_query::{finalize_into, MatchSink, QueryScratch};
 use ius_sampling::MinimizerScheme;
 use ius_text::trie::CompactedTrie;
 use ius_weighted::{is_solid, Error, HeavyString, Result, WeightedString, ZEstimation};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use ius_query::QueryStats;
 
@@ -76,7 +76,12 @@ pub struct MinimizerIndex {
     /// The minimizer scheme, constructed once at build time so queries do
     /// not re-derive the keyer for every pattern.
     scheme: MinimizerScheme,
-    heavy: HeavyString,
+    /// The heavy string's letters, shared with the forward factor set.
+    heavy: Arc<Vec<u8>>,
+    /// `log_prefix[i]` = Σ_{j < i} ln p_j(H_X[j]) (`n + 1` entries), read
+    /// by grid verification only: empty in MWST and MWSA, which verify
+    /// against `X`.
+    log_prefix: ArenaVec<f64>,
     fwd: EncodedFactorSet,
     bwd: EncodedFactorSet,
     fwd_trie: Option<CompactedTrie>,
@@ -141,17 +146,20 @@ impl MinimizerIndex {
 
         // Per-strand deviation buffer, reused across strands.
         let mut deviations: Vec<(u32, u8, f64)> = Vec::new();
-        for (strand_id, strand) in estimation.strands().iter().enumerate() {
+        // Every (minimizer, strand) pushes one forward and one backward
+        // factor, in step: pushed factor `i` of either builder is the same
+        // occurrence, which is how the grid pairs the leaves.
+        for strand in estimation.strands() {
             let seq = strand.seq();
             let extents = strand.extents();
             // Positions where this strand deviates from the heavy string,
-            // with the probability ratios needed for O(log z) verification.
+            // with the log-ratios needed for O(log z) verification.
             deviations.clear();
             let heavy_ranks = heavy.as_ranks();
             for (p, (&s, &h)) in seq.iter().zip(heavy_ranks).enumerate() {
                 if s != h {
                     let ratio = x.prob(p, s) / x.prob(p, h);
-                    deviations.push((p as u32, s, ratio));
+                    deviations.push((p as u32, s, ratio.ln()));
                 }
             }
             let minimizers = scheme.minimizers_respecting(seq, extents);
@@ -169,7 +177,6 @@ impl MinimizerIndex {
                 fwd_builder.push(PendingFactor {
                     anchor_x: anchor as u32,
                     len: fwd_len,
-                    strand: strand_id as u32,
                     mismatches: fwd_mismatches,
                 });
                 // Backward factor: the longest property-respecting factor
@@ -187,33 +194,52 @@ impl MinimizerIndex {
                 bwd_builder.push(PendingFactor {
                     anchor_x: anchor as u32,
                     len: bwd_len,
-                    strand: strand_id as u32,
                     mismatches: bwd_mismatches,
                 });
             }
         }
 
-        let (fwd, fwd_lcps) = fwd_builder.finish();
-        let (bwd, bwd_lcps) = bwd_builder.finish();
+        let (fwd, fwd_lcps, fwd_order) = fwd_builder.finish();
+        let (bwd, bwd_lcps, bwd_order) = bwd_builder.finish();
+        let grid = variant
+            .has_grid()
+            .then(|| RangeReporter::new(leaf_pairing(fwd_order, &bwd_order)));
         Self::assemble(
-            x, params, variant, heavy, fwd, fwd_lcps, bwd, bwd_lcps, "explicit",
+            x,
+            params,
+            variant,
+            heavy,
+            (fwd, fwd_lcps),
+            (bwd, bwd_lcps),
+            grid,
+            "explicit",
         )
     }
 
-    /// Assembles the final index from the sorted factor sets (shared by the
-    /// explicit and the space-efficient construction paths).
+    /// Assembles the final index from the sorted factor sets and their
+    /// neighbour LCPs, plus the grid for the grid variants (shared by the
+    /// explicit and the space-efficient construction paths). Drops what the
+    /// variant's query does not read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
         variant: IndexVariant,
         heavy: HeavyString,
-        fwd: EncodedFactorSet,
-        fwd_lcps: Vec<usize>,
-        bwd: EncodedFactorSet,
-        bwd_lcps: Vec<usize>,
+        (mut fwd, fwd_lcps): (EncodedFactorSet, Vec<usize>),
+        (mut bwd, bwd_lcps): (EncodedFactorSet, Vec<usize>),
+        grid: Option<RangeReporter>,
         construction: &'static str,
     ) -> Result<Self> {
+        assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
+        let (heavy, mut log_prefix) = heavy.into_parts();
+        if !variant.has_grid() {
+            // Only grid verification reads these; MWST and MWSA verify
+            // against X.
+            log_prefix = ArenaVec::new();
+            fwd.drop_log_ratios();
+            bwd.drop_log_ratios();
+        }
         let (fwd_trie, bwd_trie) = if variant.has_tree() {
             let fwd_lengths: Vec<usize> = (0..fwd.len()).map(|i| fwd.factor_len(i)).collect();
             let bwd_lengths: Vec<usize> = (0..bwd.len()).map(|i| bwd.factor_len(i)).collect();
@@ -225,24 +251,6 @@ impl MinimizerIndex {
             (None, None)
         };
 
-        let grid = variant.has_grid().then(|| {
-            let mut by_label: HashMap<(u32, u32), u32> = HashMap::with_capacity(fwd.len());
-            for leaf in 0..fwd.len() {
-                by_label.insert((fwd.anchor_x(leaf) as u32, fwd.strand(leaf)), leaf as u32);
-            }
-            let points: Vec<GridPoint> = (0..bwd.len())
-                .filter_map(|bwd_leaf| {
-                    let label = (bwd.anchor_x(bwd_leaf) as u32, bwd.strand(bwd_leaf));
-                    by_label
-                        .get(&label)
-                        .map(|&fwd_leaf| GridPoint::new(fwd_leaf, bwd_leaf as u32))
-                })
-                .collect();
-            // Freed before the grid build, which sets the peak.
-            drop(by_label);
-            RangeReporter::new(points)
-        });
-
         Ok(Self {
             params,
             variant,
@@ -250,6 +258,7 @@ impl MinimizerIndex {
             sigma: x.sigma(),
             scheme: MinimizerScheme::new(params.ell, params.k, x.sigma(), params.order),
             heavy,
+            log_prefix,
             fwd,
             bwd,
             fwd_trie,
@@ -289,6 +298,7 @@ impl MinimizerIndex {
             n: self.n,
             sigma: self.sigma,
             heavy: &self.heavy,
+            log_prefix: &self.log_prefix,
             fwd: &self.fwd,
             bwd: &self.bwd,
             fwd_trie: self.fwd_trie.as_ref(),
@@ -306,7 +316,8 @@ impl MinimizerIndex {
         variant: IndexVariant,
         n: usize,
         sigma: usize,
-        heavy: HeavyString,
+        heavy: Arc<Vec<u8>>,
+        log_prefix: ArenaVec<f64>,
         fwd: EncodedFactorSet,
         bwd: EncodedFactorSet,
         fwd_trie: Option<CompactedTrie>,
@@ -322,6 +333,7 @@ impl MinimizerIndex {
             sigma,
             scheme: MinimizerScheme::new(params.ell, params.k, sigma, params.order),
             heavy,
+            log_prefix,
             fwd,
             bwd,
             fwd_trie,
@@ -483,10 +495,9 @@ impl MinimizerIndex {
         }
     }
 
-    /// Verifies a grid candidate in `O(log z)` time from the heavy prefix
-    /// products and the stored mismatch ratios — no access to `X`. Uses the
-    /// log-ratios precomputed at build time, so no `ln` is evaluated per
-    /// candidate.
+    /// Verifies a grid candidate in `O(log z)` time from the heavy
+    /// log-prefix table and the stored mismatch log-ratios — no access to
+    /// `X`, and no `ln` evaluated per candidate.
     fn verify_encoded(
         &self,
         m: usize,
@@ -496,7 +507,7 @@ impl MinimizerIndex {
         bwd_leaf: usize,
     ) -> bool {
         let end = start + m;
-        let mut log_prob = self.heavy.range_log_probability(start, end);
+        let mut log_prob = self.log_prefix[end] - self.log_prefix[start];
         // Mismatches of the backward factor cover positions [start, anchor);
         // depth d corresponds to position anchor - d, so depths 1..=mu fall
         // inside the pattern window (depth 0 is the anchor itself, accounted
@@ -535,12 +546,28 @@ impl MinimizerIndex {
 pub(crate) struct MinimizerParts<'a> {
     pub(crate) n: usize,
     pub(crate) sigma: usize,
-    pub(crate) heavy: &'a HeavyString,
+    pub(crate) heavy: &'a [u8],
+    pub(crate) log_prefix: &'a [f64],
     pub(crate) fwd: &'a EncodedFactorSet,
     pub(crate) bwd: &'a EncodedFactorSet,
     pub(crate) fwd_trie: Option<&'a CompactedTrie>,
     pub(crate) bwd_trie: Option<&'a CompactedTrie>,
     pub(crate) grid: Option<&'a RangeReporter>,
+}
+
+/// The grid's permutation: the backward leaf paired with each forward leaf.
+/// Both builders pushed one factor per occurrence, in step, and each
+/// `*_order` names the pushed factor at every leaf rank, so forward leaf
+/// `x` pairs with the backward leaf holding pushed factor `fwd_order[x]`.
+fn leaf_pairing(mut fwd_order: Vec<u32>, bwd_order: &[u32]) -> Vec<u32> {
+    let mut bwd_rank = vec![0u32; bwd_order.len()];
+    for (rank, &pushed) in bwd_order.iter().enumerate() {
+        bwd_rank[pushed as usize] = rank as u32;
+    }
+    for pushed in &mut fwd_order {
+        *pushed = bwd_rank[*pushed as usize];
+    }
+    fwd_order
 }
 
 /// Extracts the deviations of a strand from the heavy string that fall into
@@ -556,10 +583,10 @@ fn collect_mismatches(
 ) -> Vec<Mismatch> {
     let lo = deviations.partition_point(|&(p, _, _)| p < from);
     let hi = deviations.partition_point(|&(p, _, _)| p < to);
-    let map = |&(p, letter, ratio): &(u32, u8, f64)| Mismatch {
+    let map = |&(p, letter, log_ratio): &(u32, u8, f64)| Mismatch {
         depth: depth_of(p),
         letter,
-        ratio,
+        log_ratio,
     };
     if reverse {
         deviations[lo..hi].iter().rev().map(map).collect()
@@ -587,18 +614,11 @@ impl UncertainIndex for MinimizerIndex {
         let tries = self.fwd_trie.as_ref().map_or(0, |t| t.memory_bytes())
             + self.bwd_trie.as_ref().map_or(0, |t| t.memory_bytes());
         let grid = self.grid.as_ref().map_or(0, |g| g.memory_bytes());
-        // The forward set normally shares its heavy view with `self.heavy`
-        // (count the allocation once), but a loaded file can give it an owned
-        // copy. The backward set always owns its reversed copy.
-        let fwd_bytes = if self.fwd.owns_heavy_view() {
-            self.fwd.memory_bytes()
-        } else {
-            self.fwd.memory_bytes_without_heavy()
-        };
         // Arena-backed components report zero owned bytes for their views;
         // the single backing allocation is counted here, once.
         let arena = self.arena.as_ref().map_or(0, Arena::alloc_bytes);
-        self.heavy.memory_bytes() + fwd_bytes + self.bwd.memory_bytes() + tries + grid + arena
+        let heavy = self.heavy.capacity() + self.log_prefix.heap_bytes();
+        heavy + self.fwd.memory_bytes() + self.bwd.memory_bytes() + tries + grid + arena
     }
 
     fn stats(&self) -> IndexStats {
@@ -810,6 +830,86 @@ mod tests {
             assert_eq!(index.num_sampled_factors(), 0);
             let pattern = vec![0u8; 16];
             assert_eq!(index.query(&pattern, &x).unwrap(), Vec::<usize>::new());
+        }
+    }
+
+    /// Every index of every variant over the four benchmark presets at
+    /// n = 400, built from one estimation per preset.
+    fn preset_indexes() -> Vec<(String, MinimizerIndex)> {
+        use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
+        let mut out = Vec::new();
+        for name in BENCH_CORPUS_NAMES {
+            let corpus = bench_corpus(name, 400, None).unwrap();
+            let est = ZEstimation::build(&corpus.x, corpus.z).unwrap();
+            let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).unwrap();
+            for variant in all_variants() {
+                let index = MinimizerIndex::build_from_estimation(&corpus.x, &est, params, variant)
+                    .unwrap();
+                out.push((format!("{name}/{}", variant.name()), index));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn grid_pairs_each_leaf_with_the_other_side_of_its_occurrence() {
+        let mut points = 0usize;
+        for (label, index) in preset_indexes() {
+            let Some(grid) = &index.grid else { continue };
+            // One forward and one backward leaf per occurrence: the grid is
+            // a permutation of the leaves of either side.
+            assert_eq!(grid.len(), index.fwd.len(), "{label}");
+            assert_eq!(grid.len(), index.bwd.len(), "{label}");
+            let n = grid.len() as u32;
+            let reported = grid.report(&Rect::new((0, n), (0, n)));
+            assert_eq!(reported.len(), grid.len(), "{label}");
+            for p in reported {
+                assert_eq!(
+                    index.fwd.anchor_x(p.x as usize),
+                    index.bwd.anchor_x(p.y as usize),
+                    "{label}: point {p:?} pairs leaves of different anchors"
+                );
+            }
+            points += grid.len();
+        }
+        assert!(points > 0, "no preset sampled a grid point");
+    }
+
+    /// `size_bytes()` of a built index stays within the documented costs,
+    /// so an array no query reads cannot come back unnoticed:
+    ///
+    /// * per position: the heavy letter and its copy in the backward set's
+    ///   reversed view (2 B), plus the log-prefix entry (8 B) with a grid;
+    /// * per leaf of either set: `anchor_x`, `lens` and `mism_start` (4 B
+    ///   each) and the prefix key (8 B);
+    /// * per trie node, with a tree: 19 B, plus 5 B for the edge from its
+    ///   parent;
+    /// * per mismatch: its depth (4 B) and letter (1 B), plus its log-ratio
+    ///   (8 B) with a grid;
+    /// * per grid point: `π` and `π⁻¹` (8 B), plus 12 B per 64 points per
+    ///   wavelet level (a 64-bit word and its 32-bit rank count).
+    #[test]
+    fn size_bytes_stays_within_the_documented_costs() {
+        for (label, index) in preset_indexes() {
+            let variant = index.variant();
+            let grid = usize::from(variant.has_grid());
+            let n = index.corpus_len();
+            let leaves = index.fwd.len() + index.bwd.len();
+            let mismatches = index.fwd.total_mismatches() + index.bwd.total_mismatches();
+            let mut budget = (2 + 8 * grid) * n + 8 * grid; // positions (+ log-prefix's n + 1)
+            budget += 20 * leaves + 2 * 4; // + the trailing offsets
+            budget += 24 * index.stats().num_nodes;
+            budget += (5 + 8 * grid) * mismatches;
+            if let Some(g) = &index.grid {
+                let levels = (usize::BITS - g.len().saturating_sub(1).leading_zeros()) as usize;
+                budget += 8 * g.len() + 12 * levels * (g.len() / 64 + 1);
+            }
+            assert!(
+                index.size_bytes() <= budget,
+                "{label}: size_bytes() {} exceeds the documented {budget} B \
+                 (n = {n}, {leaves} leaves, {mismatches} mismatches)",
+                index.size_bytes()
+            );
         }
     }
 

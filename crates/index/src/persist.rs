@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 4**, the only version:
+//! behind a fixed envelope. Format **version 5**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -39,24 +39,35 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 4 only. Any
+//! **Version policy:** this build reads and writes version 5 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — the
-//! earlier versions 2 and 3 included — is refused with a typed
+//! earlier versions 2, 3 and 4 included — is refused with a typed
 //! `InvalidData` error naming the version, and there is no migration:
-//! rebuild the index from its corpus. Version 4 stores the grid as a
-//! wavelet matrix (level bits plus per-word rank counts, `u64` and `u32`
-//! sections), the sorted x keys, the id at each x rank and the per-id
-//! `(x, y)` leaf table. Every envelope carries its own CRC32 (IEEE, from
-//! [`ius_faultio`]) trailer; silent bit-rot is detected at open, not
-//! served, and a mismatch is a typed `InvalidData` error, never a panic.
+//! rebuild the index from its corpus. Every envelope carries its own CRC32
+//! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
+//! open, not served, and a mismatch is a typed `InvalidData` error, never a
+//! panic.
 //!
-//! Derived data is not stored when reloading it is linear-time and
-//! allocation-only — leaf fragments of the WST, anchor view coordinates
-//! and mismatch log-ratios of the factor sets (ratios are stored raw so a
-//! re-save is byte-identical), and the minimizer scheme are all recomputed
-//! on load; the expensive construction steps (z-estimation, suffix
-//! sorting, trie assembly and wavelet-matrix construction) are **never**
-//! re-run.
+//! A minimizer payload stores only what its variant's query reads; the
+//! variant tag alone decides which sections follow (untyped ones are `u32`):
+//!
+//! ```text
+//! params · variant (u8) · construction (u8) · n (u64) · σ (u64)
+//! · heavy letters (u8) · [log-prefix (f64)]                        grid only
+//! · forward set, then backward set: anchor_x · lens · mism_start
+//!     · mism_depths · mism_letters (u8) · [mism_log_ratios (f64)]  grid only
+//!     · prefix_keys (u64)
+//! · trie flag (u8) [· forward trie] · trie flag (u8) [· backward trie]
+//! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id]
+//! ```
+//!
+//! MWST and MWSA verify against `X`; MWST-G and MWSA-G verify from the
+//! log-prefix and the log-ratios alone, and their grid is a permutation of
+//! the `N` leaves per side (`ids_by_x`, its inverse `xs_by_id`, and a
+//! wavelet matrix over `ids_by_x`). Nothing is derived per element at open:
+//! view anchors cost `O(1)` on use, log-ratios are stored as the `ln` that
+//! verification sums, and construction (z-estimation, suffix sorting, trie
+//! assembly, wavelet matrix) is **never** re-run.
 //!
 //! Family tags: `0` NAIVE, `1` WST, `2` WSA, `3` minimizer (any of
 //! MWST/MWSA/MWST-G/MWSA-G, explicit or space-efficient construction).
@@ -94,7 +105,7 @@ pub const MAGIC: [u8; 4] = *b"IUSX";
 /// The on-disk format version, the only one this build reads or writes:
 /// arena-openable 8-byte-aligned sections with an envelope length field.
 /// Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
@@ -551,21 +562,6 @@ fn src_params(s: &mut ArenaSource) -> io::Result<IndexParams> {
     Ok(IndexParams { z, ell, k, order })
 }
 
-/// Reconstructs the heavy view a factor set reads through: forward sets
-/// see the index-wide heavy string (shared, or their own copy when the
-/// ownership flag says so), backward sets see its reversal.
-fn factor_heavy_view(direction: Direction, owns_view: bool, heavy: &HeavyString) -> Arc<Vec<u8>> {
-    match (direction, owns_view) {
-        (Direction::Forward, false) => heavy.shared_ranks(),
-        (Direction::Forward, true) => Arc::new(heavy.as_ranks().to_vec()),
-        (Direction::Backward, _) => {
-            let mut reversed = heavy.as_ranks().to_vec();
-            reversed.reverse();
-            Arc::new(reversed)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Component writers/readers (aligned sections)
 // ---------------------------------------------------------------------------
@@ -635,9 +631,8 @@ fn write_reporter(vw: &mut SectionWriter, reporter: &RangeReporter) -> io::Resul
     write_u64(vw, parts.len)?;
     vw.section::<u64>(&parts.bits);
     vw.section_u32(&parts.ranks);
-    vw.section_u32(&parts.xs);
     vw.section_u32(&parts.ids_by_x);
-    vw.section_u32(&parts.points);
+    vw.section_u32(&parts.xs_by_id);
     Ok(())
 }
 
@@ -646,78 +641,72 @@ fn read_reporter(s: &mut ArenaSource) -> io::Result<RangeReporter> {
         len: src_u64(s)?,
         bits: read_section::<u64>(s)?,
         ranks: read_section_u32(s)?,
-        xs: read_section_u32(s)?,
         ids_by_x: read_section_u32(s)?,
-        points: read_section_u32(s)?,
+        xs_by_id: read_section_u32(s)?,
     };
     RangeReporter::from_parts(parts).map_err(bad)
 }
 
-fn write_heavy(vw: &mut SectionWriter, heavy: &HeavyString) -> io::Result<()> {
-    vw.section::<u8>(heavy.as_ranks());
-    vw.section::<f64>(heavy.log_prefix());
-    Ok(())
+/// Writes the heavy letters, plus the log-prefix table for grid variants
+/// (`log_prefix` is empty for the others).
+fn write_heavy(vw: &mut SectionWriter, letters: &[u8], log_prefix: &[f64], grid: bool) {
+    vw.section::<u8>(letters);
+    if grid {
+        vw.section::<f64>(log_prefix);
+    }
 }
 
-fn read_heavy(s: &mut ArenaSource) -> io::Result<HeavyString> {
+/// Reads the heavy letters, plus the log-prefix table for grid variants
+/// (empty for the others).
+fn read_heavy(s: &mut ArenaSource, grid: bool) -> io::Result<(Arc<Vec<u8>>, ArenaVec<f64>)> {
     // The heavy letters live behind an `Arc<Vec<u8>>` shared with the
     // factor sets, so they are copied out of the arena (n bytes — tiny
     // next to the O(n·z) tables that stay zero-copy).
     let letters = read_section::<u8>(s)?.to_vec();
+    if !grid {
+        return Ok((Arc::new(letters), ArenaVec::new()));
+    }
     let log_prefix = read_section::<f64>(s)?;
-    HeavyString::from_parts(letters, log_prefix).map_err(|e| bad(e.to_string()))
+    let heavy = HeavyString::from_parts(letters, log_prefix).map_err(|e| bad(e.to_string()))?;
+    Ok(heavy.into_parts())
 }
 
-fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet) -> io::Result<()> {
-    write_u8(
-        vw,
-        match set.direction() {
-            Direction::Forward => 0,
-            Direction::Backward => 1,
-        },
-    )?;
-    write_u8(vw, u8::from(set.owns_heavy_view()))?;
+/// Writes a factor set; grid variants also write its log-ratio pool.
+fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet, grid: bool) {
     vw.section_u32(set.anchor_x_raw());
     vw.section_u32(set.lens_raw());
-    vw.section_u32(set.strands_raw());
     vw.section_u32(set.mism_start_raw());
     vw.section_u32(set.mism_depths_raw());
     vw.section::<u8>(set.mism_letters_raw());
-    vw.section::<f64>(set.mism_ratios_raw());
+    if grid {
+        vw.section::<f64>(set.mism_log_ratios_raw());
+    }
     vw.section::<u64>(set.prefix_keys_raw());
-    Ok(())
 }
 
-fn read_factor_set(s: &mut ArenaSource, heavy: &HeavyString) -> io::Result<EncodedFactorSet> {
-    let direction = match src_u8(s)? {
-        0 => Direction::Forward,
-        1 => Direction::Backward,
-        other => return Err(bad(format!("unknown factor-set direction {other}"))),
-    };
-    let owns_view = match src_u8(s)? {
-        0 => false,
-        1 => true,
-        other => return Err(bad(format!("bad heavy-view ownership flag {other}"))),
-    };
-    let heavy_view = factor_heavy_view(direction, owns_view, heavy);
+/// Reads the factor set that reads `heavy_view` in `direction`.
+fn read_factor_set(
+    s: &mut ArenaSource,
+    direction: Direction,
+    heavy_view: Arc<Vec<u8>>,
+    grid: bool,
+) -> io::Result<EncodedFactorSet> {
     let anchor_x = read_section_u32(s)?;
     let lens = read_section_u32(s)?;
-    let strands = read_section_u32(s)?;
     let mism_start = read_section_u32(s)?;
     let mism_depths = read_section_u32(s)?;
     let mism_letters = read_section::<u8>(s)?;
-    let mism_ratios = read_section::<f64>(s)?;
+    let mism_log_ratios = grid.then(|| read_section::<f64>(s)).transpose()?;
     let prefix_keys = read_section::<u64>(s)?;
     EncodedFactorSet::from_loaded_parts(
         direction,
         heavy_view,
         anchor_x,
         lens,
-        strands,
         mism_start,
         mism_depths,
         mism_letters,
-        mism_ratios,
+        mism_log_ratios,
         prefix_keys,
     )
     .map_err(bad)
@@ -766,11 +755,12 @@ fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io
     write_u8(vw, variant_tag(index.variant()))?;
     write_u8(vw, construction_tag(index.construction()))?;
     let parts = index.persist_parts();
+    let grid = index.variant().has_grid();
     write_u64(vw, parts.n as u64)?;
     write_u64(vw, parts.sigma as u64)?;
-    write_heavy(vw, parts.heavy)?;
-    write_factor_set(vw, parts.fwd)?;
-    write_factor_set(vw, parts.bwd)?;
+    write_heavy(vw, parts.heavy, parts.log_prefix, grid);
+    write_factor_set(vw, parts.fwd, grid);
+    write_factor_set(vw, parts.bwd, grid);
     for trie in [parts.fwd_trie, parts.bwd_trie] {
         match trie {
             Some(trie) => {
@@ -796,9 +786,13 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     let construction = construction_from_tag(src_u8(src)?)?;
     let n = src_len(src)?;
     let sigma = src_len(src)?;
-    let heavy = read_heavy(src)?;
-    let fwd = read_factor_set(src, &heavy)?;
-    let bwd = read_factor_set(src, &heavy)?;
+    let has_grid = variant.has_grid();
+    let (heavy, log_prefix) = read_heavy(src, has_grid)?;
+    // The forward set reads the index-wide heavy string, the backward set
+    // its reversal.
+    let fwd = read_factor_set(src, Direction::Forward, Arc::clone(&heavy), has_grid)?;
+    let reversed: Vec<u8> = heavy.iter().rev().copied().collect();
+    let bwd = read_factor_set(src, Direction::Backward, Arc::new(reversed), has_grid)?;
     let mut tries = [None, None];
     for slot in &mut tries {
         *slot = match src_u8(src)? {
@@ -820,9 +814,6 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     if heavy.len() != n {
         return Err(bad("heavy string length does not match the stored n"));
     }
-    if fwd.direction() != Direction::Forward || bwd.direction() != Direction::Backward {
-        return Err(bad("factor sets stored in the wrong order"));
-    }
     if variant.has_tree() != fwd_trie.is_some() || variant.has_tree() != bwd_trie.is_some() {
         return Err(bad("stored tries do not match the index variant"));
     }
@@ -839,10 +830,12 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     if variant.has_grid() != grid.is_some() {
         return Err(bad("stored grid does not match the index variant"));
     }
-    if let Some((max_fwd, max_bwd)) = grid.as_ref().and_then(RangeReporter::max_coordinates) {
-        if max_fwd as usize >= fwd.len() || max_bwd as usize >= bwd.len() {
-            return Err(bad("grid point references a leaf out of range"));
-        }
+    // The grid pairs every forward leaf with one backward leaf.
+    if grid
+        .as_ref()
+        .is_some_and(|g| g.len() != fwd.len() || g.len() != bwd.len())
+    {
+        return Err(bad("grid size does not match the leaf count of both sets"));
     }
     Ok(MinimizerIndex::from_loaded_parts(
         params,
@@ -850,6 +843,7 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
         n,
         sigma,
         heavy,
+        log_prefix,
         fwd,
         bwd,
         fwd_trie,
@@ -1153,18 +1147,25 @@ mod tests {
     use crate::traits::UncertainIndex;
     use ius_datasets::uniform::UniformConfig;
 
-    fn sample_index() -> AnyIndex {
-        let x = UniformConfig {
-            n: 160,
+    fn sample_corpus(n: usize) -> ius_weighted::WeightedString {
+        UniformConfig {
+            n,
             sigma: 2,
             spread: 0.5,
             seed: 8,
         }
-        .generate();
+        .generate()
+    }
+
+    fn sample_index_over(x: &ius_weighted::WeightedString) -> AnyIndex {
         let params = IndexParams::new(4.0, 8, x.sigma()).unwrap();
         IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params)
-            .build(&x)
+            .build(x)
             .unwrap()
+    }
+
+    fn sample_index() -> AnyIndex {
+        sample_index_over(&sample_corpus(160))
     }
 
     fn sample_bytes() -> Vec<u8> {
@@ -1189,8 +1190,8 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version, and version 2: refused naming the version.
-        for version in [0x03FF, 2u16] {
+        // Unknown version, and versions 2 and 4: refused naming the version.
+        for version in [0x03FF, 2u16, 4] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&version.to_le_bytes());
             let err = load_index(&mut corrupt.as_slice()).unwrap_err();
@@ -1240,6 +1241,41 @@ mod tests {
     }
 
     #[test]
+    fn grid_of_the_wrong_size_is_refused_at_open() {
+        let AnyIndex::Minimizer(built) = sample_index() else {
+            panic!("sample is a minimizer index");
+        };
+        let parts = built.persist_parts();
+        let leaves = parts.fwd.len() as u32;
+        assert!(leaves > 1);
+        // A valid permutation grid, one point short of the leaf count.
+        let short = MinimizerIndex::from_loaded_parts(
+            *built.params(),
+            built.variant(),
+            parts.n,
+            parts.sigma,
+            Arc::new(parts.heavy.to_vec()),
+            parts.log_prefix.to_vec().into(),
+            parts.fwd.clone(),
+            parts.bwd.clone(),
+            None,
+            None,
+            Some(RangeReporter::new((0..leaves - 1).collect())),
+            None,
+            built.construction(),
+        );
+        let mut bytes = Vec::new();
+        short.save_to(&mut bytes).unwrap();
+        for err in [
+            load_index(&mut bytes.as_slice()).unwrap_err(),
+            open_index(&Arena::from_bytes(&bytes)).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("grid size"), "{err}");
+        }
+    }
+
+    #[test]
     fn typed_loaders_reject_other_families() {
         let bytes = sample_bytes();
         assert!(Wsa::load_from(&mut bytes.as_slice()).is_err());
@@ -1265,13 +1301,7 @@ mod tests {
         index.save_to(&mut bytes).unwrap();
         let loaded = load_index(&mut bytes.as_slice()).unwrap();
         let opened = open_index(&Arena::from_bytes(&bytes)).unwrap();
-        let x = UniformConfig {
-            n: 160,
-            sigma: 2,
-            spread: 0.5,
-            seed: 8,
-        }
-        .generate();
+        let x = sample_corpus(160);
         for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB", b"ABBABBABB"] {
             let built = index.query(pattern, &x).unwrap();
             assert_eq!(loaded.query(pattern, &x).unwrap(), built);
@@ -1297,7 +1327,10 @@ mod tests {
 
     #[test]
     fn packed_sections_shrink_and_round_trip() {
-        let index = sample_index();
+        // Large enough that the u32 sections hold more than a word's worth
+        // of entries: packing a 3-entry section costs more than it saves.
+        let x = sample_corpus(2000);
+        let index = sample_index_over(&x);
         let mut raw = Vec::new();
         index.save_to(&mut raw).unwrap();
         let mut packed = Vec::new();
@@ -1308,13 +1341,6 @@ mod tests {
             packed.len(),
             raw.len()
         );
-        let x = UniformConfig {
-            n: 160,
-            sigma: 2,
-            spread: 0.5,
-            seed: 8,
-        }
-        .generate();
         let loaded = load_index(&mut packed.as_slice()).unwrap();
         let opened = open_index(&Arena::from_bytes(&packed)).unwrap();
         for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB"] {

@@ -27,8 +27,10 @@
 //! The emitted factors are finally sorted with `O(log z)`-time comparisons
 //! against an LCE index over the heavy string and assembled into the same
 //! [`crate::MinimizerIndex`] produced by the explicit construction (grid
-//! variants excepted: pairing forward and backward leaves requires strand
-//! identities, which only the explicit construction has).
+//! variants excepted: the grid pairs forward and backward leaves by the
+//! explicit build's paired emission order — one forward and one backward
+//! factor pushed in step per (minimizer, strand) — while the two DFS passes
+//! here emit their factors independently, in different orders).
 
 use crate::encode::{Direction, EncodedFactorSetBuilder, Mismatch, PendingFactor};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
@@ -81,7 +83,7 @@ impl SpaceEfficientBuilder {
     /// # Errors
     ///
     /// * [`Error::InvalidParameters`] for grid variants (they require the
-    ///   strand identities of the explicit construction) or when the
+    ///   paired emission order of the explicit construction) or when the
     ///   extended solid factor tree exceeds the node cap;
     /// * parameter validation errors.
     pub fn build(&self, x: &WeightedString, variant: IndexVariant) -> Result<MinimizerIndex> {
@@ -160,17 +162,16 @@ impl SpaceEfficientBuilder {
         )?;
         stats.backward_factors = bwd_builder.len();
 
-        let (fwd, fwd_lcps) = fwd_builder.finish();
-        let (bwd, bwd_lcps) = bwd_builder.finish();
+        let (fwd, fwd_lcps, _) = fwd_builder.finish();
+        let (bwd, bwd_lcps, _) = bwd_builder.finish();
         let index = MinimizerIndex::assemble(
             x,
             self.params,
             variant,
             heavy,
-            fwd,
-            fwd_lcps,
-            bwd,
-            bwd_lcps,
+            (fwd, fwd_lcps),
+            (bwd, bwd_lcps),
+            None,
             "space-efficient",
         )?;
         Ok((index, stats))
@@ -286,7 +287,7 @@ fn dfs_collect(
                     diff.push(Mismatch0 {
                         pos: i as u32,
                         letter: c,
-                        ratio,
+                        log_ratio: ratio.ln(),
                     });
                 }
                 cur[i] = c;
@@ -328,7 +329,7 @@ fn dfs_collect(
                     let mut log_p = dfs_heavy.range_log_probability(i, i + ell);
                     for m in diff.iter().rev() {
                         if (m.pos as usize) < i + ell {
-                            log_p += m.ratio.ln();
+                            log_p += m.log_ratio;
                         } else {
                             break;
                         }
@@ -377,15 +378,15 @@ fn dfs_collect(
             let len = (n - q) as u32;
             // `diff` is a stack of strictly decreasing DFS positions, so
             // reverse iteration yields strictly increasing depths — already
-            // sorted, no post-hoc sort needed. Ratios are position-wise and
-            // orientation-free.
+            // sorted, no post-hoc sort needed. Log-ratios are position-wise
+            // and orientation-free.
             let mismatches: Vec<Mismatch> = diff
                 .iter()
                 .rev()
                 .map(|m| Mismatch {
                     depth: m.pos - q as u32,
                     letter: m.letter,
-                    ratio: m.ratio,
+                    log_ratio: m.log_ratio,
                 })
                 .collect();
             let anchor_x = match orientation {
@@ -395,7 +396,6 @@ fn dfs_collect(
             builder.push(PendingFactor {
                 anchor_x,
                 len,
-                strand: u32::MAX,
                 mismatches,
             });
         }
@@ -425,7 +425,7 @@ fn dfs_collect(
 struct Mismatch0 {
     pos: u32,
     letter: u8,
-    ratio: f64,
+    log_ratio: f64,
 }
 
 #[cfg(test)]

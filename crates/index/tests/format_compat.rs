@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 4, the
+//! Format differential suite for the IUSX on-disk format (version 5, the
 //! only version this build reads or writes): the same index saved with raw
 //! sections and with bit-packed `u32` sections must answer exactly like the
 //! in-memory build it was saved from —
@@ -12,10 +12,13 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v4 file, and any file whose header names another
-//! version (the earlier versions 2 and 3 included) or the removed sharded-index
-//! format (family tag 4), must be rejected with a typed error before a
-//! single view is handed out — never a panic, never a lazily-corrupt index.
+//! appended byte of a v5 file, and any file whose header names another
+//! version (the earlier versions 2, 3 and 4 included) or the removed
+//! sharded-index format (family tag 4), must be rejected with a typed error
+//! before a single view is handed out — never a panic, never a
+//! lazily-corrupt index. So must a file whose checksum is intact but whose
+//! contents break an invariant the query relies on (mismatch depths that do
+//! not increase within a factor).
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
@@ -147,13 +150,14 @@ fn resave_after_open_is_byte_identical() {
     }
 }
 
-/// A header naming any version but 4 — the earlier streamed version 2 and
-/// version 3 with its merge-tree grid included — is refused with a typed `InvalidData` error that names the
-/// version, through both entry points.
+/// A header naming any version but 5 — the earlier streamed version 2,
+/// version 3 with its merge-tree grid and version 4 with its strands,
+/// ratios and general point-set grid included — is refused with a typed
+/// `InvalidData` error that names the version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes, _) in &cases()[0].families {
-        for version in [2u16, 3, 5] {
+        for version in [2u16, 3, 4, 6] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -178,17 +182,17 @@ fn other_versions_are_refused_naming_the_version() {
 /// and re-pin alone when only the index contents did.
 #[test]
 fn layout_changes_bump_the_format_version() {
-    const PINNED_VERSION: u16 = 4;
+    const PINNED_VERSION: u16 = 5;
     const PINNED: [(&str, u32); 9] = [
-        ("NAIVE", 0xfea2774c),
-        ("WST", 0x69f969eb),
-        ("WSA", 0x37a53322),
-        ("MWST", 0xa77b121b),
-        ("MWSA", 0x997c2966),
-        ("MWST-G", 0x10c40611),
-        ("MWSA-G", 0x638ba39c),
-        ("SE-MWST", 0xe762f45f),
-        ("SE-MWSA", 0x77c41117),
+        ("NAIVE", 0x2940f714),
+        ("WST", 0x918967ff),
+        ("WSA", 0x65a2a912),
+        ("MWST", 0xc0e537ea),
+        ("MWSA", 0xc8e517c3),
+        ("MWST-G", 0x0cd3efe3),
+        ("MWSA-G", 0x560412ff),
+        ("SE-MWST", 0x901a443a),
+        ("SE-MWSA", 0x99c390ca),
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
@@ -238,6 +242,79 @@ fn removed_sharded_format_is_refused_typed() {
     }
 }
 
+/// Walks a raw v5 file's sections: `(element count, data offset)` of the
+/// section at `*pos`, advancing `*pos` past it.
+fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize) {
+    let count = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap()) as usize;
+    assert_eq!(bytes[*pos + 8], 0, "raw section expected");
+    let data = (*pos + 9).next_multiple_of(8);
+    *pos = data + count * elem_size;
+    (count, data)
+}
+
+fn u32_at(bytes: &[u8], offset: usize) -> u32 {
+    u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
+}
+
+/// A saved MWSA-G file whose CRC is intact but whose factor has two
+/// mismatch depths swapped — out of order, so the query's slice
+/// comparisons would panic on it — is refused `InvalidData` at open,
+/// through every entry point.
+#[test]
+fn swapped_mismatch_depths_are_refused_at_open() {
+    let mut corrupted = None;
+    'search: for case in cases() {
+        let (_, _, raw, _) = case
+            .families
+            .iter()
+            .find(|(label, ..)| label == "MWSA-G")
+            .expect("MWSA-G is built");
+        // Header (15) · params (33) · variant, construction (2) · n, σ (16).
+        let mut pos = 66;
+        raw_section(raw, &mut pos, 1); // heavy letters
+        raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
+        for _ in 0..2 {
+            raw_section(raw, &mut pos, 4); // anchor_x
+            raw_section(raw, &mut pos, 4); // lens
+            let (starts, start_at) = raw_section(raw, &mut pos, 4);
+            let (_, depths_at) = raw_section(raw, &mut pos, 4);
+            let leaf = (0..starts - 1).find(|&leaf| {
+                u32_at(raw, start_at + 4 * (leaf + 1)) - u32_at(raw, start_at + 4 * leaf) >= 2
+            });
+            if let Some(leaf) = leaf {
+                let first = depths_at + 4 * u32_at(raw, start_at + 4 * leaf) as usize;
+                let mut bytes = raw.clone();
+                let (a, b) = (first, first + 4);
+                let depth_a: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
+                bytes.copy_within(b..b + 4, a);
+                bytes[b..b + 4].copy_from_slice(&depth_a);
+                let end = bytes.len() - 4;
+                let crc = crc32(&bytes[..end]);
+                bytes[end..].copy_from_slice(&crc.to_le_bytes());
+                corrupted = Some((case.label.clone(), bytes));
+                break 'search;
+            }
+            raw_section(raw, &mut pos, 1); // mism_letters
+            raw_section(raw, &mut pos, 8); // mism_log_ratios (grid variants)
+            raw_section(raw, &mut pos, 8); // prefix_keys
+        }
+    }
+    let (label, bytes) = corrupted.expect("some MWSA-G factor has two mismatches");
+    let arena = Arena::from_bytes(&bytes);
+    for err in [
+        open_index(&arena).expect_err("open must fail"),
+        open_index_at(&arena, 0).expect_err("embedded open must fail"),
+        load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+        MinimizerIndex::load_from(&mut bytes.as_slice()).expect_err("typed load must fail"),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
+        assert!(
+            err.to_string().contains("strictly increase"),
+            "{label}: {err}"
+        );
+    }
+}
+
 fn is_typed(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::InvalidData | ErrorKind::UnexpectedEof)
 }
@@ -246,7 +323,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arena path validates the envelope CRC at open, so **any** bit
-    /// flip in a v4 file is rejected typed before a view is handed out.
+    /// flip in a v5 file is rejected typed before a view is handed out.
     #[test]
     fn arena_open_rejects_any_bit_flip(
         pick in 0usize..16,
@@ -271,7 +348,7 @@ proptest! {
         }
     }
 
-    /// Truncating a v4 file anywhere must fail typed at open.
+    /// Truncating a v5 file anywhere must fail typed at open.
     #[test]
     fn arena_open_rejects_any_truncation(
         pick in 0usize..16,

@@ -158,13 +158,6 @@ impl HeavyString {
             .collect()
     }
 
-    /// The stored log-prefix products (`n + 1` entries; entry `i` is
-    /// `Σ_{j < i} ln p_j(H_X[j])`), exposed for the persistence layer.
-    #[inline]
-    pub fn log_prefix(&self) -> &[f64] {
-        &self.log_prefix
-    }
-
     /// Reassembles a heavy string from its stored parts (letters and
     /// log-prefix products) without recomputing either — the persistence
     /// layer's constructor.
@@ -190,6 +183,13 @@ impl HeavyString {
             letters: Arc::new(letters),
             log_prefix,
         })
+    }
+
+    /// Splits the heavy string into its shared letters and its log-prefix
+    /// table (`n + 1` entries; entry `i` is `Σ_{j < i} ln p_j(H_X[j])`) —
+    /// for owners that keep the table only when they read it.
+    pub fn into_parts(self) -> (Arc<Vec<u8>>, ArenaVec<f64>) {
+        (self.letters, self.log_prefix)
     }
 
     /// Approximate heap usage in bytes. An arena-backed log-prefix table
@@ -303,10 +303,11 @@ mod tests {
     fn parts_round_trip_is_exact() {
         let x = paper_example();
         let h = HeavyString::new(&x);
-        let rebuilt =
-            HeavyString::from_parts(h.as_ranks().to_vec(), h.log_prefix().to_vec().into()).unwrap();
-        assert_eq!(rebuilt.as_ranks(), h.as_ranks());
-        assert_eq!(rebuilt.log_prefix(), h.log_prefix());
+        let (letters, log_prefix) = h.clone().into_parts();
+        assert_eq!(letters.as_slice(), h.as_ranks());
+        assert_eq!(log_prefix.len(), h.len() + 1);
+        let rebuilt = HeavyString::from_parts(letters.to_vec(), log_prefix).unwrap();
+        assert_eq!(rebuilt, h);
         assert_eq!(
             rebuilt.range_log_probability(1, 5).to_bits(),
             h.range_log_probability(1, 5).to_bits()

@@ -371,10 +371,10 @@ fn collecting_into_a_warm_reused_vector_is_also_allocation_free() {
 /// points make the shapes below reach each strategy.
 #[test]
 fn grid_count_and_walk_are_allocation_free() {
-    use ius::grid::{GridPoint, RangeReporter, Rect};
+    use ius::grid::{RangeReporter, Rect};
     let _serial = serialize();
     let n = 4096u32;
-    let grid = RangeReporter::new((0..n).map(|x| GridPoint::new(x, x ^ 1)).collect());
+    let grid = RangeReporter::new((0..n).map(|x| x ^ 1).collect());
     let rects = [
         // A narrow x side: scanned without counting.
         Rect::new((100, 104), (0, n)),

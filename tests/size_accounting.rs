@@ -152,6 +152,21 @@ fn size_bytes_matches_retained_heap_for_every_family() {
             family.name(),
             mem.alloc_calls
         );
+        if family == IndexFamily::Minimizer(IndexVariant::ArrayGrid) {
+            // What an MWSA-G open owns beyond the arena: the heavy letters
+            // (shared by the forward set), the backward set's reversed view
+            // and a few small structures. Everything else — the log-prefix
+            // table, the mismatch log-ratios, the grid — is a view, and
+            // nothing is derived per leaf or per mismatch.
+            let (n, constant) = (x.len(), 4096);
+            assert!(
+                mem.retained_bytes <= 2 * n + constant,
+                "MWSA-G arena open retained {} bytes, more than the heavy letters and the \
+                 reversed view ({} bytes) plus {constant}",
+                mem.retained_bytes,
+                2 * n
+            );
+        }
         let attributed = arena.attributed_bytes();
         assert!(
             attributed > 0 && attributed <= arena.len(),
