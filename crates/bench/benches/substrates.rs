@@ -6,7 +6,6 @@ use ius_grid::{RangeReporter, Rect};
 use ius_sampling::{KmerOrder, MinimizerScheme};
 use ius_text::lce::LceIndex;
 use ius_text::sa::suffix_array;
-use ius_text::suffix_tree::SuffixTree;
 use ius_weighted::HeavyString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,10 +32,6 @@ fn substrate_benches(c: &mut Criterion) {
             let j = (i * 16_807) % text.len();
             lce.lce(i, j)
         })
-    });
-
-    group.bench_function("suffix_tree/50k-dna", |b| {
-        b.iter(|| SuffixTree::new(text[..50_000].to_vec()))
     });
 
     for (label, order) in [

@@ -22,8 +22,8 @@ use ius_arena::Arena;
 use ius_datasets::corpora::bench_corpus;
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{
-    open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
-    QueryScratch, SaveOptions, UncertainIndex,
+    open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant, QueryScratch,
+    UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 
@@ -59,12 +59,8 @@ pub struct FamilySpaceBench {
     pub family: String,
     /// In-memory footprint reported by `size_bytes()`.
     pub size_bytes: usize,
-    /// Length of the serialized IUSX representation (raw sections).
+    /// Length of the serialized IUSX representation.
     pub file_bytes: usize,
-    /// Length of the IUSX representation with bit-packed `u32` sections
-    /// (`SaveOptions { pack_u32: true }`; ≤ `file_bytes` — the writer keeps
-    /// a section raw when packing would not shrink it).
-    pub file_bytes_packed: usize,
     /// Milliseconds to serialize (one buffered `write_all`).
     pub save_ms: f64,
     /// Milliseconds to **open** the bytes through the zero-copy arena path
@@ -116,8 +112,7 @@ fn bench_family(
     let index = spec.build_with_estimation(x, estimation).expect("build");
 
     // Serialize once for the correctness checks: the opened index re-saves
-    // byte-identically, accounts its arena, and answers like the build —
-    // and so does the bit-packed encoding.
+    // byte-identically, accounts its arena, and answers like the build.
     let mut bytes = Vec::new();
     index.save_to(&mut bytes).expect("save");
     let arena = Arena::from_bytes(&bytes);
@@ -129,27 +124,22 @@ fn bench_family(
         opened.size_bytes() >= bytes.len(),
         "{label}: opened index does not account its arena"
     );
-    let mut packed = Vec::new();
-    save_index_with(&index, &mut packed, SaveOptions { pack_u32: true }).expect("save packed");
-    let packed_opened = open_index(&Arena::from_bytes(&packed)).expect("open packed");
     let mut scratch = QueryScratch::new();
     for pattern in patterns {
         let mut expect = Vec::new();
         index
             .query_into(pattern, x, &mut scratch, &mut expect)
             .expect("query");
-        for (path, other) in [("open", &opened), ("packed open", &packed_opened)] {
-            let mut got = Vec::new();
-            other
-                .query_into(pattern, x, &mut scratch, &mut got)
-                .expect("query");
-            assert_eq!(expect, got, "{label}: {path} answers differently");
-        }
+        let mut got = Vec::new();
+        opened
+            .query_into(pattern, x, &mut scratch, &mut got)
+            .expect("query");
+        assert_eq!(expect, got, "{label}: open answers differently");
     }
     // Views attribute at creation, so after the open + first query the
     // attribution is exactly the data a query can dereference.
     let bytes_touched_at_first_query = arena.attributed_bytes();
-    drop((opened, packed_opened, arena));
+    drop((opened, arena));
 
     let mut buf = Vec::with_capacity(bytes.len());
     let (_, save_ms) = time_reps(config.reps, || {
@@ -175,18 +165,16 @@ fn bench_family(
         family: label.to_string(),
         size_bytes: index.size_bytes(),
         file_bytes: bytes.len(),
-        file_bytes_packed: packed.len(),
         save_ms: Summary::of(&save_ms).min,
         open_ms: Summary::of(&open_ms).min,
         bytes_touched_at_first_query,
         rebuild_ms: Summary::of(&rebuild_ms).min,
     };
     eprintln!(
-        "  {label:<8} size {:>8.2} MB  file {:>8.2} MB (packed {:>6.2} MB)  save {:>6.1} ms  \
-         open {:>6.2} ms  rebuild {:>8.1} ms  ({:.1}x)",
+        "  {label:<8} size {:>8.2} MB  file {:>8.2} MB  save {:>6.1} ms  open {:>6.2} ms  \
+         rebuild {:>8.1} ms  ({:.1}x)",
         result.size_bytes as f64 / 1e6,
         result.file_bytes as f64 / 1e6,
-        result.file_bytes_packed as f64 / 1e6,
         result.save_ms,
         result.open_ms,
         result.rebuild_ms,
@@ -290,19 +278,19 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the IUSX v5 format (raw sections; each minimizer variant stores only what its \
-         query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios and \
-         the grid is a permutation: pi, its inverse and the wavelet matrix) and \
-         file_bytes_packed with bit-packed u32 sections; save_ms and open_ms are timed over in-memory buffers and rebuild runs the \
-         full from-scratch construction including the z-estimation where the family needs it \
+         size of the IUSX v5 format (raw sections only; each minimizer variant stores only what \
+         its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios and \
+         the grid is a permutation: pi, its inverse and the wavelet matrix); save_ms and \
+         open_ms are timed over in-memory buffers and rebuild runs the full from-scratch \
+         construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \
          construction. open_ms times the one read path, the zero-copy arena open: CRC pass + \
          section validation + view carving out of a resident arena, no element decode, the one \
          file read excluded; load_speedup = rebuild_ms / open_ms. \
          bytes_touched_at_first_query = arena bytes covered by the opened index's typed views. \
          Before timing, every opened index is asserted byte-identical on re-save and \
-         answer-identical on the pattern set (raw and packed alike). Segmented indexes are \
-         live indexes, measured in BENCH_update.json.\",\n",
+         answer-identical on the pattern set. Segmented indexes are live indexes, measured in \
+         BENCH_update.json.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -314,13 +302,12 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         for (j, f) in d.families.iter().enumerate() {
             out.push_str(&format!(
                 "        {{ \"family\": \"{}\", \"size_bytes\": {}, \"file_bytes\": {}, \
-                 \"file_bytes_packed\": {}, \"save_ms\": {:.2}, \"open_ms\": {:.3}, \
+                 \"save_ms\": {:.2}, \"open_ms\": {:.3}, \
                  \"bytes_touched_at_first_query\": {}, \"rebuild_ms\": {:.2}, \
                  \"load_speedup\": {:.2}, \"loaded_outputs_identical\": true }}{}\n",
                 f.family,
                 f.size_bytes,
                 f.file_bytes,
-                f.file_bytes_packed,
                 f.save_ms,
                 f.open_ms,
                 f.bytes_touched_at_first_query,
@@ -364,11 +351,6 @@ mod tests {
                 assert!(json.contains(&format!("\"family\": \"{}\"", f.family)));
                 assert!(f.size_bytes > 0 && f.file_bytes > 0);
                 assert!(f.save_ms >= 0.0 && f.open_ms > 0.0 && f.rebuild_ms > 0.0);
-                assert!(
-                    f.file_bytes_packed <= f.file_bytes,
-                    "{}: packing must never grow the file",
-                    f.family
-                );
                 assert!(
                     f.bytes_touched_at_first_query > 0
                         && f.bytes_touched_at_first_query <= f.file_bytes,

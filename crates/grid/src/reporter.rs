@@ -21,8 +21,7 @@ const SCAN_PER_WALK_LEVEL: usize = 1;
 /// The flat representation of a [`RangeReporter`], used by the persistence
 /// layer to save the structure without re-running the construction on load.
 /// Each array is an [`ArenaVec`], so the parts can either own their storage
-/// (a fresh build, a bit-packed section) or borrow it zero-copy from a
-/// persisted arena.
+/// (a fresh build) or borrow it zero-copy from a persisted arena.
 ///
 /// The points are the pairs `(x, π(x))` of a permutation `π` of `0..N`; a
 /// point's *id* is its y. With `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words

@@ -43,9 +43,7 @@ pub use ius_query::{finalize_into, CountSink, FirstKSink, MatchSink, QueryScratc
 pub use minimizer_index::{IndexVariant, MinimizerIndex};
 pub use naive::NaiveIndex;
 pub use params::IndexParams;
-pub use persist::{
-    load_index, open_index, save_index, save_index_with, SaveOptions, FORMAT_VERSION,
-};
+pub use persist::{load_index, open_index, FORMAT_VERSION};
 pub use space_efficient::SpaceEfficientBuilder;
 pub use traits::{validate_pattern, IndexStats, UncertainIndex};
 pub use wsa::Wsa;

@@ -18,24 +18,22 @@
 //! offset relative to the envelope start · data
 //! ```
 //!
-//! Encoding `0` stores the elements as raw little-endian values — because
-//! the offset is 8-byte aligned, an in-memory copy of the file can hand out
-//! **zero-copy borrowed views** of the data (see [`ius_arena`]). Encoding
-//! `1` (opt-in via [`SaveOptions::pack_u32`], `u32` sections only)
-//! bit-packs the values at the minimum fixed width
-//! `⌈log₂(max+1)⌉`: `width (u8) · packed word count (u64) · pad ·
-//! little-endian u64 words`, LSB-first; packed sections decode to owned
-//! vectors at open.
+//! The encoding byte is always `0`, raw little-endian values: because the
+//! offset is 8-byte aligned, an in-memory copy of the file hands out
+//! **zero-copy borrowed views** of the data (see [`ius_arena`]). Any other
+//! encoding byte is refused typed, naming the value. That includes `1`,
+//! the bit-packed `u32` sections an earlier build of version 5 could write
+//! on request: such a file no longer opens — rebuild the index from its
+//! corpus and save it again.
 //!
 //! There is **one read path**: the whole file sits in one 8-byte-aligned
 //! [`Arena`] allocation, the CRC32 trailer is verified over the raw bytes
-//! (PCLMUL-folded, so this is bandwidth-bound), and every raw section
-//! becomes a borrowed view. Open cost is O(header + validation), not
-//! O(elements) — no per-element decode, no per-table allocation.
-//! [`open_index`] takes an arena the caller filled (e.g.
-//! [`Arena::from_file`]); the `Read` entry points ([`load_index`] and every
-//! family's `load_from`) read the stream to its end into an arena and open
-//! that. A file must end at its trailer: trailing bytes are refused.
+//! (PCLMUL-folded, so this is bandwidth-bound), and every section becomes
+//! a borrowed view. Open cost is O(header + validation), not O(elements) —
+//! no per-element decode, no per-table allocation. [`open_index`] takes an
+//! arena the caller filled (e.g. [`Arena::from_file`]); the `Read` entry
+//! point [`load_index`] reads the stream to its end into an arena and
+//! opens that. A file must end at its trailer: trailing bytes are refused.
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
@@ -77,9 +75,9 @@
 //! (`f64` as the LE bytes of its IEEE-754 bits, so round trips are
 //! bit-exact).
 //!
-//! Entry points: [`save_index`]/[`load_index`]/[`open_index`] over
-//! [`AnyIndex`], [`open_index_at`] for embedded envelopes, and inherent
-//! `save_to`/`load_from` on every concrete family.
+//! Entry points, all over [`AnyIndex`]: [`AnyIndex::save_to`] writes,
+//! [`load_index`] reads a stream, [`open_index`] opens an arena and
+//! [`open_index_at`] an envelope embedded in one.
 
 use crate::builder::AnyIndex;
 use crate::encode::{Direction, EncodedFactorSet};
@@ -87,7 +85,6 @@ use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::naive::NaiveIndex;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
-use crate::traits::UncertainIndex;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
@@ -114,23 +111,11 @@ const TAG_MINIMIZER: u8 = 3;
 /// The tag of the removed sharded-index format, refused at open.
 const TAG_REMOVED_SHARDED: u8 = 4;
 
-/// Section encodings (the `u8` after the element count).
+/// The one section encoding (the `u8` after the element count).
 const ENC_RAW: u8 = 0;
-const ENC_PACKED: u8 = 1;
 
 /// Bytes of the envelope header: magic, version, tag, envelope length.
 const HEADER_LEN: usize = 15;
-
-/// Options controlling how [`save_index_with`] encodes sections.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SaveOptions {
-    /// Bit-pack `u32` sections (position lists, mismatch depth tables,
-    /// grid pools …) at the minimum fixed width when that is smaller than
-    /// the raw encoding. Shrinks files; packed sections decode to owned
-    /// vectors at open instead of borrowing from the arena, so the
-    /// zero-copy open path only stays allocation-free for raw sections.
-    pub pack_u32: bool,
-}
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -157,54 +142,6 @@ fn write_f64(w: &mut dyn Write, v: f64) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Bit packing (section encoding 1)
-// ---------------------------------------------------------------------------
-
-/// Bits needed to represent every value of `data` (≥ 1 so empty/zero data
-/// still has a valid width).
-fn packed_width(data: &[u32]) -> usize {
-    let max = data.iter().copied().max().unwrap_or(0);
-    (32 - max.leading_zeros()).max(1) as usize
-}
-
-/// Packs `data` LSB-first at a fixed `width` bits per value.
-fn pack_u32(data: &[u32], width: usize) -> Vec<u64> {
-    let mut words = vec![0u64; (data.len() * width).div_ceil(64)];
-    let mut bit = 0usize;
-    for &v in data {
-        let (word, off) = (bit / 64, bit % 64);
-        words[word] |= (v as u64) << off;
-        if off + width > 64 {
-            words[word + 1] |= (v as u64) >> (64 - off);
-        }
-        bit += width;
-    }
-    words
-}
-
-/// Inverse of [`pack_u32`]; `words` must hold `⌈len·width/64⌉` words
-/// (validated by the caller).
-fn unpack_u32(words: &[u64], len: usize, width: usize) -> Vec<u32> {
-    let mask = if width == 32 {
-        u64::from(u32::MAX)
-    } else {
-        (1u64 << width) - 1
-    };
-    let mut out = Vec::with_capacity(len);
-    let mut bit = 0usize;
-    for _ in 0..len {
-        let (word, off) = (bit / 64, bit % 64);
-        let mut v = words[word] >> off;
-        if off + width > 64 {
-            v |= words[word + 1] << (64 - off);
-        }
-        out.push((v & mask) as u32);
-        bit += width;
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Writer: one in-memory buffer per envelope
 // ---------------------------------------------------------------------------
 
@@ -215,7 +152,6 @@ fn unpack_u32(words: &[u64], len: usize, width: usize) -> Vec<u32> {
 /// `write_all` — the buffered save path.
 struct SectionWriter {
     buf: Vec<u8>,
-    opts: SaveOptions,
 }
 
 impl Write for SectionWriter {
@@ -244,29 +180,6 @@ impl SectionWriter {
         self.pad8();
         self.buf.extend_from_slice(&as_le_bytes(data));
     }
-
-    /// Writes a `u32` section, bit-packed when [`SaveOptions::pack_u32`] is
-    /// on and packing actually shrinks it.
-    fn section_u32(&mut self, data: &[u32]) {
-        if self.opts.pack_u32 && !data.is_empty() {
-            let width = packed_width(data);
-            let words = (data.len() * width).div_ceil(64);
-            // 9 header bytes (width + word count) buy `4 − width/8` bytes
-            // per element; only pack when that is a net win.
-            if words * 8 + 9 < data.len() * 4 {
-                self.buf
-                    .extend_from_slice(&(data.len() as u64).to_le_bytes());
-                self.buf.push(ENC_PACKED);
-                self.buf.push(width as u8);
-                self.buf.extend_from_slice(&(words as u64).to_le_bytes());
-                self.pad8();
-                self.buf
-                    .extend_from_slice(&as_le_bytes(&pack_u32(data, width)));
-                return;
-            }
-        }
-        self.section(data);
-    }
 }
 
 /// Writes one complete checksummed envelope into `w` as a single
@@ -274,12 +187,10 @@ impl SectionWriter {
 fn write_checksummed(
     w: &mut dyn Write,
     tag: u8,
-    opts: SaveOptions,
     payload: impl FnOnce(&mut SectionWriter) -> io::Result<()>,
 ) -> io::Result<()> {
     let mut vw = SectionWriter {
         buf: Vec::with_capacity(256),
-        opts,
     };
     vw.buf.extend_from_slice(&MAGIC);
     vw.buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -298,8 +209,8 @@ fn write_checksummed(
 // ---------------------------------------------------------------------------
 
 /// The one decoder: a bounds-checked cursor over an [`Arena`] whose
-/// envelope CRC was verified once, up front. Raw sections come back as
-/// zero-copy views; bit-packed sections decode to owned vectors.
+/// envelope CRC was verified once, up front. Sections come back as
+/// zero-copy views.
 struct ArenaSource {
     arena: Arena,
     base: usize,
@@ -473,7 +384,8 @@ fn src_len(s: &mut ArenaSource) -> io::Result<usize> {
     usize::try_from(src_u64(s)?).map_err(|_| bad("length prefix exceeds the address space"))
 }
 
-/// Reads one section of any [`Pod`] type (raw encoding only).
+/// Reads one section of any [`Pod`] type; an encoding other than raw is
+/// refused.
 fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
     let elems = src_len(s)?;
     match src_u8(s)? {
@@ -481,36 +393,10 @@ fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
             s.align8()?;
             s.take::<T>(elems)
         }
-        other => Err(bad(format!("unsupported section encoding {other}"))),
-    }
-}
-
-/// Reads one `u32` section (raw or bit-packed).
-fn read_section_u32(s: &mut ArenaSource) -> io::Result<ArenaVec<u32>> {
-    let elems = src_len(s)?;
-    match src_u8(s)? {
-        ENC_RAW => {
-            s.align8()?;
-            s.take::<u32>(elems)
-        }
-        ENC_PACKED => {
-            let width = src_u8(s)? as usize;
-            if !(1..=32).contains(&width) {
-                return Err(bad(format!("invalid packed-section width {width}")));
-            }
-            let words = src_len(s)?;
-            let expected = elems
-                .checked_mul(width)
-                .ok_or_else(|| bad("packed section overflows"))?
-                .div_ceil(64);
-            if words != expected {
-                return Err(bad("packed section word count does not match"));
-            }
-            s.align8()?;
-            let packed = s.take::<u64>(words)?;
-            Ok(ArenaVec::from(unpack_u32(&packed, elems, width)))
-        }
-        other => Err(bad(format!("unsupported section encoding {other}"))),
+        other => Err(bad(format!(
+            "unsupported section encoding {other} (this build reads only raw sections; \
+             rebuild the index from its corpus and save it again)"
+        ))),
     }
 }
 
@@ -531,7 +417,7 @@ fn write_order(w: &mut dyn Write, order: KmerOrder) -> io::Result<()> {
     }
 }
 
-pub(crate) fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Result<()> {
+fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Result<()> {
     write_f64(w, params.z)?;
     write_u64(w, params.ell as u64)?;
     write_u64(w, params.k as u64)?;
@@ -570,12 +456,12 @@ fn write_property_text(vw: &mut SectionWriter, pt: &PropertyText) -> io::Result<
     write_u64(vw, pt.n() as u64)?;
     write_u64(vw, pt.num_strands() as u64)?;
     vw.section::<u8>(pt.text());
-    vw.section_u32(pt.trunc_raw());
-    vw.section_u32(pt.psa());
+    vw.section::<u32>(pt.trunc_raw());
+    vw.section::<u32>(pt.psa());
     match pt.trunc_lcp_raw() {
         Some(lcps) => {
             write_u8(vw, 1)?;
-            vw.section_u32(lcps);
+            vw.section::<u32>(lcps);
         }
         None => write_u8(vw, 0)?,
     }
@@ -586,11 +472,11 @@ fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
     let n = src_len(s)?;
     let num_strands = src_len(s)?;
     let text = read_section::<u8>(s)?;
-    let trunc = read_section_u32(s)?;
-    let psa = read_section_u32(s)?;
+    let trunc = read_section::<u32>(s)?;
+    let psa = read_section::<u32>(s)?;
     let trunc_lcp = match src_u8(s)? {
         0 => None,
-        1 => Some(read_section_u32(s)?),
+        1 => Some(read_section::<u32>(s)?),
         other => return Err(bad(format!("bad truncated-LCP flag {other}"))),
     };
     PropertyText::from_parts(n, num_strands, text, trunc, psa, trunc_lcp).map_err(bad)
@@ -598,28 +484,28 @@ fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
 
 fn write_trie(vw: &mut SectionWriter, trie: &CompactedTrie) -> io::Result<()> {
     let parts = trie.to_parts();
-    vw.section_u32(&parts.depth);
-    vw.section_u32(&parts.leaf_lo);
-    vw.section_u32(&parts.leaf_hi);
-    vw.section_u32(&parts.children_start);
+    vw.section::<u32>(&parts.depth);
+    vw.section::<u32>(&parts.leaf_lo);
+    vw.section::<u32>(&parts.leaf_hi);
+    vw.section::<u32>(&parts.children_start);
     vw.section::<u16>(&parts.children_len);
     vw.section::<u8>(&parts.is_leaf);
     vw.section::<u8>(&parts.child_letters);
-    vw.section_u32(&parts.child_nodes);
+    vw.section::<u32>(&parts.child_nodes);
     write_u32(vw, parts.root)?;
     write_u64(vw, parts.num_leaves)
 }
 
 fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
     let parts = TrieParts {
-        depth: read_section_u32(s)?,
-        leaf_lo: read_section_u32(s)?,
-        leaf_hi: read_section_u32(s)?,
-        children_start: read_section_u32(s)?,
+        depth: read_section::<u32>(s)?,
+        leaf_lo: read_section::<u32>(s)?,
+        leaf_hi: read_section::<u32>(s)?,
+        children_start: read_section::<u32>(s)?,
         children_len: read_section::<u16>(s)?,
         is_leaf: read_section::<u8>(s)?,
         child_letters: read_section::<u8>(s)?,
-        child_nodes: read_section_u32(s)?,
+        child_nodes: read_section::<u32>(s)?,
         root: src_u32(s)?,
         num_leaves: src_u64(s)?,
     };
@@ -630,9 +516,9 @@ fn write_reporter(vw: &mut SectionWriter, reporter: &RangeReporter) -> io::Resul
     let parts = reporter.to_parts();
     write_u64(vw, parts.len)?;
     vw.section::<u64>(&parts.bits);
-    vw.section_u32(&parts.ranks);
-    vw.section_u32(&parts.ids_by_x);
-    vw.section_u32(&parts.xs_by_id);
+    vw.section::<u32>(&parts.ranks);
+    vw.section::<u32>(&parts.ids_by_x);
+    vw.section::<u32>(&parts.xs_by_id);
     Ok(())
 }
 
@@ -640,9 +526,9 @@ fn read_reporter(s: &mut ArenaSource) -> io::Result<RangeReporter> {
     let parts = ReporterParts {
         len: src_u64(s)?,
         bits: read_section::<u64>(s)?,
-        ranks: read_section_u32(s)?,
-        ids_by_x: read_section_u32(s)?,
-        xs_by_id: read_section_u32(s)?,
+        ranks: read_section::<u32>(s)?,
+        ids_by_x: read_section::<u32>(s)?,
+        xs_by_id: read_section::<u32>(s)?,
     };
     RangeReporter::from_parts(parts).map_err(bad)
 }
@@ -673,10 +559,10 @@ fn read_heavy(s: &mut ArenaSource, grid: bool) -> io::Result<(Arc<Vec<u8>>, Aren
 
 /// Writes a factor set; grid variants also write its log-ratio pool.
 fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet, grid: bool) {
-    vw.section_u32(set.anchor_x_raw());
-    vw.section_u32(set.lens_raw());
-    vw.section_u32(set.mism_start_raw());
-    vw.section_u32(set.mism_depths_raw());
+    vw.section::<u32>(set.anchor_x_raw());
+    vw.section::<u32>(set.lens_raw());
+    vw.section::<u32>(set.mism_start_raw());
+    vw.section::<u32>(set.mism_depths_raw());
     vw.section::<u8>(set.mism_letters_raw());
     if grid {
         vw.section::<f64>(set.mism_log_ratios_raw());
@@ -691,10 +577,10 @@ fn read_factor_set(
     heavy_view: Arc<Vec<u8>>,
     grid: bool,
 ) -> io::Result<EncodedFactorSet> {
-    let anchor_x = read_section_u32(s)?;
-    let lens = read_section_u32(s)?;
-    let mism_start = read_section_u32(s)?;
-    let mism_depths = read_section_u32(s)?;
+    let anchor_x = read_section::<u32>(s)?;
+    let lens = read_section::<u32>(s)?;
+    let mism_start = read_section::<u32>(s)?;
+    let mism_depths = read_section::<u32>(s)?;
     let mism_letters = read_section::<u8>(s)?;
     let mism_log_ratios = grid.then(|| read_section::<f64>(s)).transpose()?;
     let prefix_keys = read_section::<u64>(s)?;
@@ -855,206 +741,42 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
 }
 
 // ---------------------------------------------------------------------------
-// Public per-family API
+// Public API
 // ---------------------------------------------------------------------------
 
-impl NaiveIndex {
-    /// Serializes the index into `w` (envelope + payload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_checksummed(w, TAG_NAIVE, SaveOptions::default(), |vw| {
-            write_f64(vw, self.z())
-        })
-    }
-
-    /// Deserializes an index previously written by [`NaiveIndex::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed or mismatched file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        match load_index(r)? {
-            AnyIndex::Naive(index) => Ok(index),
-            other => Err(bad(format!(
-                "expected a NAIVE file, found {}",
-                other.name()
-            ))),
-        }
-    }
-}
-
-impl Wst {
-    /// Serializes the index into `w` (envelope + payload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        self.save_to_with(w, SaveOptions::default())
-    }
-
-    /// [`Wst::save_to`] with explicit encoding options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed(w, TAG_WST, opts, |vw| {
-            write_f64(vw, self.z())?;
-            write_property_text(vw, self.property_text_ref())?;
-            write_trie(vw, self.trie_ref())
-        })
-    }
-
-    /// Deserializes an index previously written by [`Wst::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed or mismatched file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        match load_index(r)? {
-            AnyIndex::Wst(index) => Ok(index),
-            other => Err(bad(format!("expected a WST file, found {}", other.name()))),
-        }
-    }
-}
-
-impl Wsa {
-    /// Serializes the index into `w` (envelope + payload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        self.save_to_with(w, SaveOptions::default())
-    }
-
-    /// [`Wsa::save_to`] with explicit encoding options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed(w, TAG_WSA, opts, |vw| {
-            write_f64(vw, self.z())?;
-            write_property_text(vw, self.property_text())
-        })
-    }
-
-    /// Deserializes an index previously written by [`Wsa::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed or mismatched file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        match load_index(r)? {
-            AnyIndex::Wsa(index) => Ok(index),
-            other => Err(bad(format!("expected a WSA file, found {}", other.name()))),
-        }
-    }
-}
-
-impl MinimizerIndex {
-    /// Serializes the index into `w` (envelope + payload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        self.save_to_with(w, SaveOptions::default())
-    }
-
-    /// [`MinimizerIndex::save_to`] with explicit encoding options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the writer.
-    pub fn save_to_with(&self, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-        write_checksummed(w, TAG_MINIMIZER, opts, |vw| {
-            write_minimizer_payload(vw, self)
-        })
-    }
-
-    /// Deserializes an index previously written by
-    /// [`MinimizerIndex::save_to`]. No construction is re-run: the factor
-    /// sets, tries and grid come back exactly as stored.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed or mismatched file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        match load_index(r)? {
-            AnyIndex::Minimizer(index) => Ok(*index),
-            other => Err(bad(format!(
-                "expected a minimizer-index file, found {}",
-                other.name()
-            ))),
-        }
-    }
-}
-
 impl AnyIndex {
-    /// Serializes the contained index — an alias of [`save_index`].
+    /// Serializes the index into `w`: one checksummed envelope, handed to
+    /// the writer as a single `write_all`. Re-saving an opened index
+    /// reproduces its file byte for byte.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        save_index(self, w)
-    }
-
-    /// Deserializes any single-machine family — an alias of [`load_index`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed file.
-    pub fn load_from(r: &mut dyn Read) -> io::Result<Self> {
-        load_index(r)
-    }
-
-    /// Opens any single-machine family zero-copy from an arena — an alias
-    /// of [`open_index`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` on a malformed file.
-    pub fn open_from(arena: &Arena) -> io::Result<Self> {
-        open_index(arena)
+        match self {
+            AnyIndex::Naive(index) => {
+                write_checksummed(w, TAG_NAIVE, |vw| write_f64(vw, index.z()))
+            }
+            AnyIndex::Wst(index) => write_checksummed(w, TAG_WST, |vw| {
+                write_f64(vw, index.z())?;
+                write_property_text(vw, index.property_text_ref())?;
+                write_trie(vw, index.trie_ref())
+            }),
+            AnyIndex::Wsa(index) => write_checksummed(w, TAG_WSA, |vw| {
+                write_f64(vw, index.z())?;
+                write_property_text(vw, index.property_text())
+            }),
+            AnyIndex::Minimizer(index) => {
+                write_checksummed(w, TAG_MINIMIZER, |vw| write_minimizer_payload(vw, index))
+            }
+        }
     }
 }
 
-/// Serializes any index family into `w` with the default (raw, zero-copy
-/// openable) section encoding.
-///
-/// # Errors
-///
-/// Propagates I/O errors of the writer.
-pub fn save_index(index: &AnyIndex, w: &mut dyn Write) -> io::Result<()> {
-    save_index_with(index, w, SaveOptions::default())
-}
-
-/// Serializes any index family into `w` with explicit encoding options.
-///
-/// # Errors
-///
-/// Propagates I/O errors of the writer.
-pub fn save_index_with(index: &AnyIndex, w: &mut dyn Write, opts: SaveOptions) -> io::Result<()> {
-    match index {
-        AnyIndex::Naive(index) => index.save_to(w),
-        AnyIndex::Wst(index) => index.save_to_with(w, opts),
-        AnyIndex::Wsa(index) => index.save_to_with(w, opts),
-        AnyIndex::Minimizer(index) => index.save_to_with(w, opts),
-    }
-}
-
-/// Deserializes an index saved by [`save_index`] (or any family's
-/// `save_to`): reads the stream to its end into an [`Arena`], then opens
-/// it with [`open_index`] — the one validated decoder. Loading performs
-/// only linear-time reassembly — the z-estimation, suffix sorts and grid
-/// construction are never re-run.
+/// Deserializes an index saved by [`AnyIndex::save_to`]: reads the stream
+/// to its end into an [`Arena`], then opens it with [`open_index`] — the
+/// one validated decoder. Loading performs only linear-time reassembly —
+/// the z-estimation, suffix sorts and grid construction are never re-run.
 ///
 /// # Errors
 ///
@@ -1066,8 +788,8 @@ pub fn load_index(r: &mut dyn Read) -> io::Result<AnyIndex> {
 }
 
 /// Opens any single-machine family from an in-memory [`Arena`]: the CRC32
-/// trailer is verified over the raw bytes, then every raw section becomes
-/// a zero-copy borrowed view — open cost is O(header + validation), not
+/// trailer is verified over the raw bytes, then every section becomes a
+/// zero-copy borrowed view — open cost is O(header + validation), not
 /// O(elements).
 ///
 /// # Errors
@@ -1147,9 +869,9 @@ mod tests {
     use crate::traits::UncertainIndex;
     use ius_datasets::uniform::UniformConfig;
 
-    fn sample_corpus(n: usize) -> ius_weighted::WeightedString {
+    fn sample_corpus() -> ius_weighted::WeightedString {
         UniformConfig {
-            n,
+            n: 160,
             sigma: 2,
             spread: 0.5,
             seed: 8,
@@ -1157,15 +879,12 @@ mod tests {
         .generate()
     }
 
-    fn sample_index_over(x: &ius_weighted::WeightedString) -> AnyIndex {
+    fn sample_index() -> AnyIndex {
+        let x = sample_corpus();
         let params = IndexParams::new(4.0, 8, x.sigma()).unwrap();
         IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params)
-            .build(x)
+            .build(&x)
             .unwrap()
-    }
-
-    fn sample_index() -> AnyIndex {
-        sample_index_over(&sample_corpus(160))
     }
 
     fn sample_bytes() -> Vec<u8> {
@@ -1265,7 +984,9 @@ mod tests {
             built.construction(),
         );
         let mut bytes = Vec::new();
-        short.save_to(&mut bytes).unwrap();
+        AnyIndex::Minimizer(Box::new(short))
+            .save_to(&mut bytes)
+            .unwrap();
         for err in [
             load_index(&mut bytes.as_slice()).unwrap_err(),
             open_index(&Arena::from_bytes(&bytes)).unwrap_err(),
@@ -1276,20 +997,13 @@ mod tests {
     }
 
     #[test]
-    fn typed_loaders_reject_other_families() {
-        let bytes = sample_bytes();
-        assert!(Wsa::load_from(&mut bytes.as_slice()).is_err());
-        assert!(Wst::load_from(&mut bytes.as_slice()).is_err());
-        assert!(NaiveIndex::load_from(&mut bytes.as_slice()).is_err());
-        assert!(MinimizerIndex::load_from(&mut bytes.as_slice()).is_ok());
-    }
-
-    #[test]
     fn naive_round_trip() {
-        let naive = NaiveIndex::new(7.5).unwrap();
+        let naive = AnyIndex::Naive(NaiveIndex::new(7.5).unwrap());
         let mut bytes = Vec::new();
         naive.save_to(&mut bytes).unwrap();
-        let loaded = NaiveIndex::load_from(&mut bytes.as_slice()).unwrap();
+        let AnyIndex::Naive(loaded) = load_index(&mut bytes.as_slice()).unwrap() else {
+            panic!("a NAIVE file loads as NAIVE");
+        };
         assert_eq!(loaded.z(), 7.5);
         assert_eq!(loaded.name(), "NAIVE");
     }
@@ -1301,7 +1015,7 @@ mod tests {
         index.save_to(&mut bytes).unwrap();
         let loaded = load_index(&mut bytes.as_slice()).unwrap();
         let opened = open_index(&Arena::from_bytes(&bytes)).unwrap();
-        let x = sample_corpus(160);
+        let x = sample_corpus();
         for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB", b"ABBABBABB"] {
             let built = index.query(pattern, &x).unwrap();
             assert_eq!(loaded.query(pattern, &x).unwrap(), built);
@@ -1323,30 +1037,5 @@ mod tests {
         let mut resaved = Vec::new();
         opened.save_to(&mut resaved).unwrap();
         assert_eq!(bytes, resaved, "arena open → save must be byte identical");
-    }
-
-    #[test]
-    fn packed_sections_shrink_and_round_trip() {
-        // Large enough that the u32 sections hold more than a word's worth
-        // of entries: packing a 3-entry section costs more than it saves.
-        let x = sample_corpus(2000);
-        let index = sample_index_over(&x);
-        let mut raw = Vec::new();
-        index.save_to(&mut raw).unwrap();
-        let mut packed = Vec::new();
-        save_index_with(&index, &mut packed, SaveOptions { pack_u32: true }).unwrap();
-        assert!(
-            packed.len() < raw.len(),
-            "packing must shrink the file ({} vs {} bytes)",
-            packed.len(),
-            raw.len()
-        );
-        let loaded = load_index(&mut packed.as_slice()).unwrap();
-        let opened = open_index(&Arena::from_bytes(&packed)).unwrap();
-        for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB"] {
-            let built = index.query(pattern, &x).unwrap();
-            assert_eq!(loaded.query(pattern, &x).unwrap(), built);
-            assert_eq!(opened.query(pattern, &x).unwrap(), built);
-        }
     }
 }

@@ -17,7 +17,7 @@ use ius_datasets::pangenome::PangenomeConfig;
 use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
 use ius_index::{
-    AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, NaiveIndex, QueryScratch,
+    load_index, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, NaiveIndex, QueryScratch,
     UncertainIndex,
 };
 use ius_weighted::{Error, WeightedString, ZEstimation};
@@ -189,7 +189,7 @@ fn every_family_loaded_from_disk_agrees_with_naive() {
         for (label, index) in build_families(&corpus) {
             let mut bytes = Vec::new();
             index.save_to(&mut bytes).unwrap();
-            let loaded = AnyIndex::load_from(&mut bytes.as_slice()).unwrap();
+            let loaded = load_index(&mut bytes.as_slice()).unwrap();
             let mut scratch = QueryScratch::new();
             let mut checked = 0usize;
             for pattern in &corpus.patterns {

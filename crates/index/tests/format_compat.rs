@@ -1,14 +1,10 @@
 //! Format differential suite for the IUSX on-disk format (version 5, the
-//! only version this build reads or writes): the same index saved with raw
-//! sections and with bit-packed `u32` sections must answer exactly like the
-//! in-memory build it was saved from —
-//!
-//! * raw bytes → zero-copy arena open, and through the `Read` entry point,
-//! * packed bytes → arena open,
-//!
-//! across every buildable family and all four benchmark preset corpora
-//! (`uniform`, `uniform_high_entropy`, `pangenome`, `rssi`). Re-saving an
-//! opened index reproduces its file byte for byte.
+//! only version this build reads or writes): a saved index must answer
+//! exactly like the in-memory build it was saved from, opened zero-copy
+//! from an arena and through the `Read` entry point, across every buildable
+//! family and all four benchmark preset corpora (`uniform`,
+//! `uniform_high_entropy`, `pangenome`, `rssi`). Re-saving an opened index
+//! reproduces its file byte for byte.
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
@@ -18,7 +14,9 @@
 //! before a single view is handed out — never a panic, never a
 //! lazily-corrupt index. So must a file whose checksum is intact but whose
 //! contents break an invariant the query relies on (mismatch depths that do
-//! not increase within a factor).
+//! not increase within a factor), and one with a section in an encoding
+//! other than raw (the bit-packed `u32` sections of earlier version-5
+//! builds).
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
@@ -26,8 +24,7 @@ use ius_datasets::patterns::PatternSampler;
 use ius_faultio::crc32;
 use ius_index::persist::{open_index_at, FORMAT_VERSION};
 use ius_index::{
-    load_index, open_index, save_index_with, AnyIndex, IndexFamily, IndexParams, IndexSpec,
-    MinimizerIndex, SaveOptions, UncertainIndex,
+    load_index, open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use proptest::prelude::*;
@@ -39,10 +36,8 @@ use std::sync::OnceLock;
 /// all families four times in a debug test run.
 const N: usize = 400;
 
-const PACKED: SaveOptions = SaveOptions { pack_u32: true };
-
-/// `(family label, built index, raw bytes, packed bytes)`.
-type FamilyCase = (String, AnyIndex, Vec<u8>, Vec<u8>);
+/// `(family label, built index, saved bytes)`.
+type FamilyCase = (String, AnyIndex, Vec<u8>);
 
 struct Case {
     label: String,
@@ -70,11 +65,9 @@ fn cases() -> &'static Vec<Case> {
                     .map(|family| {
                         let spec = IndexSpec::new(family, params);
                         let index = spec.build_with_estimation(&corpus.x, &est).expect("build");
-                        let mut raw = Vec::new();
-                        index.save_to(&mut raw).expect("save raw");
-                        let mut packed = Vec::new();
-                        save_index_with(&index, &mut packed, PACKED).expect("save packed");
-                        (family.name().to_string(), index, raw, packed)
+                        let mut bytes = Vec::new();
+                        index.save_to(&mut bytes).expect("save");
+                        (family.name().to_string(), index, bytes)
                     })
                     .collect();
                 Case {
@@ -92,22 +85,17 @@ fn open_single(bytes: &[u8]) -> AnyIndex {
     open_index(&Arena::from_bytes(bytes)).expect("arena open")
 }
 
-/// Every family, raw and packed, answers exactly like the in-memory build
-/// it was saved from, on all four preset corpora.
+/// Every family answers exactly like the in-memory build it was saved
+/// from, on all four preset corpora.
 #[test]
-fn raw_and_packed_files_answer_like_the_build() {
+fn saved_files_answer_like_the_build() {
     for case in cases() {
-        for (label, built, raw, packed) in &case.families {
-            let opened = open_single(raw);
-            let loaded = load_index(&mut raw.as_slice()).expect("load raw");
-            let opened_packed = open_single(packed);
+        for (label, built, bytes) in &case.families {
+            let opened = open_single(bytes);
+            let loaded = load_index(&mut bytes.as_slice()).expect("load");
             for pattern in &case.patterns {
                 let expected = built.query(pattern, &case.x);
-                for (path, other) in [
-                    ("raw open", &opened),
-                    ("raw load", &loaded),
-                    ("packed open", &opened_packed),
-                ] {
+                for (path, other) in [("open", &opened), ("load", &loaded)] {
                     let got = other.query(pattern, &case.x);
                     match (&expected, &got) {
                         (Ok(a), Ok(b)) => assert_eq!(
@@ -128,24 +116,19 @@ fn raw_and_packed_files_answer_like_the_build() {
 }
 
 /// Re-saving an opened index is byte-identical to the file it was opened
-/// from, for every family (raw and packed) and corpus — the zero-copy views
-/// carry the full structure, not a lossy projection of it.
+/// from, for every family and corpus — the zero-copy views carry the full
+/// structure, not a lossy projection of it.
 #[test]
 fn resave_after_open_is_byte_identical() {
     for case in cases() {
-        for (label, _, raw, packed) in &case.families {
-            for (encoding, bytes, opts) in [
-                ("raw", raw, SaveOptions::default()),
-                ("packed", packed, PACKED),
-            ] {
-                let mut resaved = Vec::new();
-                save_index_with(&open_single(bytes), &mut resaved, opts).expect("resave");
-                assert_eq!(
-                    bytes, &resaved,
-                    "{}/{label}/{encoding}: open round trip changed bytes",
-                    case.label
-                );
-            }
+        for (label, _, bytes) in &case.families {
+            let mut resaved = Vec::new();
+            open_single(bytes).save_to(&mut resaved).expect("resave");
+            assert_eq!(
+                bytes, &resaved,
+                "{}/{label}: open round trip changed bytes",
+                case.label
+            );
         }
     }
 }
@@ -156,7 +139,7 @@ fn resave_after_open_is_byte_identical() {
 /// `InvalidData` error that names the version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
-    for (label, _, bytes, _) in &cases()[0].families {
+    for (label, _, bytes) in &cases()[0].families {
         for version in [2u16, 3, 4, 6] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
@@ -196,14 +179,14 @@ fn layout_changes_bump_the_format_version() {
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
-    for (label, built, _, _) in families {
+    for (label, built, _) in families {
         if label.ends_with("-G") {
             assert!(built.stats().num_grid_points > 0, "{label}: empty grid");
         }
     }
     let got: Vec<(&str, u32)> = families
         .iter()
-        .map(|(label, _, raw, _)| (label.as_str(), crc32(&raw[..raw.len() - 4])))
+        .map(|(label, _, raw)| (label.as_str(), crc32(&raw[..raw.len() - 4])))
         .collect();
     assert_eq!(
         FORMAT_VERSION, PINNED_VERSION,
@@ -222,24 +205,29 @@ fn layout_changes_bump_the_format_version() {
 /// when its checksum is intact.
 #[test]
 fn removed_sharded_format_is_refused_typed() {
-    let (_, _, raw, _) = &cases()[0].families[0];
+    let (_, _, raw) = &cases()[0].families[0];
     let mut sharded = raw.clone();
     sharded[6] = 4;
-    let end = sharded.len() - 4;
-    let crc = crc32(&sharded[..end]);
-    sharded[end..].copy_from_slice(&crc.to_le_bytes());
+    reseal(&mut sharded);
     let arena = Arena::from_bytes(&sharded);
     for err in [
         open_index(&arena).expect_err("open must fail"),
         open_index_at(&arena, 0).expect_err("embedded open must fail"),
         load_index(&mut sharded.as_slice()).expect_err("load must fail"),
-        MinimizerIndex::load_from(&mut sharded.as_slice()).expect_err("typed load must fail"),
     ] {
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         let message = err.to_string();
         assert!(message.contains("sharded-index format"), "{message}");
         assert!(message.contains("LiveIndex::save_to_dir"), "{message}");
     }
+}
+
+/// Recomputes the CRC32 trailer of an edited file, so only the edit can
+/// make the open fail.
+fn reseal(bytes: &mut [u8]) {
+    let end = bytes.len() - 4;
+    let crc = crc32(&bytes[..end]);
+    bytes[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Walks a raw v5 file's sections: `(element count, data offset)` of the
@@ -264,7 +252,7 @@ fn u32_at(bytes: &[u8], offset: usize) -> u32 {
 fn swapped_mismatch_depths_are_refused_at_open() {
     let mut corrupted = None;
     'search: for case in cases() {
-        let (_, _, raw, _) = case
+        let (_, _, raw) = case
             .families
             .iter()
             .find(|(label, ..)| label == "MWSA-G")
@@ -288,9 +276,7 @@ fn swapped_mismatch_depths_are_refused_at_open() {
                 let depth_a: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
                 bytes.copy_within(b..b + 4, a);
                 bytes[b..b + 4].copy_from_slice(&depth_a);
-                let end = bytes.len() - 4;
-                let crc = crc32(&bytes[..end]);
-                bytes[end..].copy_from_slice(&crc.to_le_bytes());
+                reseal(&mut bytes);
                 corrupted = Some((case.label.clone(), bytes));
                 break 'search;
             }
@@ -305,13 +291,45 @@ fn swapped_mismatch_depths_are_refused_at_open() {
         open_index(&arena).expect_err("open must fail"),
         open_index_at(&arena, 0).expect_err("embedded open must fail"),
         load_index(&mut bytes.as_slice()).expect_err("load must fail"),
-        MinimizerIndex::load_from(&mut bytes.as_slice()).expect_err("typed load must fail"),
     ] {
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
         assert!(
             err.to_string().contains("strictly increase"),
             "{label}: {err}"
         );
+    }
+}
+
+/// A section whose encoding byte is not raw — among them `1`, the
+/// bit-packed `u32` encoding earlier version-5 builds could write on
+/// request — is refused `InvalidData` naming the encoding, through every
+/// entry point, even with the checksum recomputed.
+#[test]
+fn non_raw_section_encodings_are_refused_at_open() {
+    let (_, _, raw) = cases()[0]
+        .families
+        .iter()
+        .find(|(label, ..)| label == "MWSA-G")
+        .expect("MWSA-G is built");
+    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
+    let mut pos = 66;
+    raw_section(raw, &mut pos, 1); // heavy letters
+    raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
+                                   // `pos` now opens the forward set's anchor_x, a u32 section; its
+                                   // encoding byte follows the element count.
+    let mut bytes = raw.clone();
+    bytes[pos + 8] = 1;
+    reseal(&mut bytes);
+    let arena = Arena::from_bytes(&bytes);
+    for err in [
+        open_index(&arena).expect_err("open must fail"),
+        open_index_at(&arena, 0).expect_err("embedded open must fail"),
+        load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        let message = err.to_string();
+        assert!(message.contains("section encoding 1"), "{message}");
+        assert!(message.contains("rebuild the index"), "{message}");
     }
 }
 
@@ -331,7 +349,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let case = &cases()[pick % cases().len()];
-        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let (label, _, raw) = &case.families[pick % case.families.len()];
         let mut corrupted = raw.clone();
         let offset = ((corrupted.len() as f64 - 1.0) * offset_frac) as usize;
         corrupted[offset] ^= 1 << bit;
@@ -355,7 +373,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let case = &cases()[pick % cases().len()];
-        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let (label, _, raw) = &case.families[pick % case.families.len()];
         let cut = ((raw.len() as f64 - 1.0) * cut_frac) as usize;
         match open_index(&Arena::from_bytes(&raw[..cut])) {
             Err(err) => prop_assert!(
@@ -375,7 +393,7 @@ proptest! {
         extra in prop::collection::vec(0u8..=255, 1..64),
     ) {
         let case = &cases()[pick % cases().len()];
-        let (label, _, raw, _) = &case.families[pick % case.families.len()];
+        let (label, _, raw) = &case.families[pick % case.families.len()];
         let mut longer = raw.clone();
         longer.extend_from_slice(&extra);
         for result in [

@@ -9,7 +9,9 @@
 use ius_datasets::pangenome::PangenomeConfig;
 use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
-use ius_index::{AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexStats, UncertainIndex};
+use ius_index::{
+    load_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexStats, UncertainIndex,
+};
 use ius_weighted::{Alphabet, WeightedString, ZEstimation};
 use proptest::prelude::*;
 
@@ -26,7 +28,7 @@ fn assert_round_trip(spec: IndexSpec, x: &WeightedString, patterns: &[Vec<u8>]) 
     let original = spec.build(x).expect("build");
     let mut bytes = Vec::new();
     original.save_to(&mut bytes).expect("save");
-    let loaded = AnyIndex::load_from(&mut bytes.as_slice()).expect("load");
+    let loaded = load_index(&mut bytes.as_slice()).expect("load");
     // Re-saving the loaded index reproduces the file byte for byte.
     let mut resaved = Vec::new();
     loaded.save_to(&mut resaved).expect("re-save");
@@ -159,7 +161,7 @@ proptest! {
         };
         let mut bytes = Vec::new();
         original.save_to(&mut bytes).expect("save");
-        let loaded = AnyIndex::load_from(&mut bytes.as_slice()).expect("load");
+        let loaded = load_index(&mut bytes.as_slice()).expect("load");
         let mut resaved = Vec::new();
         loaded.save_to(&mut resaved).expect("re-save");
         prop_assert_eq!(&bytes, &resaved);

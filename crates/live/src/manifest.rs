@@ -512,7 +512,9 @@ impl LiveIndex {
                     "segment {i} id {id} is not below the stored next id {next_segment_id}"
                 )));
             }
-            expected_offset += home_len;
+            expected_offset = expected_offset
+                .checked_add(home_len)
+                .ok_or_else(|| bad(format!("segment {i} home range overflows the corpus")))?;
         }
         if expected_offset != mem_start {
             return Err(bad(format!(
@@ -718,7 +720,7 @@ fn read_segment_file(
         )));
     }
     let chunk_rows = read_len(&mut r)?;
-    if chunk_rows != home_len + overlap {
+    if home_len.checked_add(overlap) != Some(chunk_rows) {
         return Err(bad(format!(
             "segment chunk has {chunk_rows} rows, expected home {home_len} + overlap {overlap}"
         )));

@@ -6,8 +6,10 @@
 //! data that stays structurally valid) open an index that still answers
 //! queries without panicking. A segment file the manifest references but
 //! that is missing on disk must fail **typed at open**, naming the file —
-//! never lazily at first query.
+//! never lazily at first query. So must a manifest whose checksum is
+//! intact but whose segment table sums past the address space.
 
+use ius_faultio::crc32;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::{LiveConfig, LiveIndex};
 use proptest::prelude::*;
@@ -274,5 +276,39 @@ fn header_corruptions_fail_with_informative_messages() {
     let err = LiveIndex::open(&dir, config()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::NotFound);
     assert!(err.to_string().contains("live.iusl"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn u64_at(bytes: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
+}
+
+/// A manifest whose CRC is intact but whose segment table holds the
+/// entries `(0, 0, u64::MAX)` and `(1, u64::MAX, 1)` — each tiles onto the
+/// previous one, their sum overflows — is refused typed at open, in debug
+/// and release builds alike (never an arithmetic panic, never a wrapped
+/// sum).
+#[test]
+fn overflowing_segment_table_fails_typed() {
+    let saved = saved();
+    let bytes = &saved.manifest;
+    // The manifest ends: segment count · (id, offset, home_len) per
+    // segment · next segment id · CRC32 trailer.
+    let segments = saved.segment_files.len();
+    let count_at = bytes.len() - 4 - 8 - 24 * segments - 8;
+    assert_eq!(u64_at(bytes, count_at), segments as u64, "segment count");
+    let next_id = u64_at(bytes, bytes.len() - 12);
+    assert!(next_id >= 2, "both forged ids must lie below the next id");
+    let mut forged = bytes[..count_at].to_vec();
+    for field in [2, 0, 0, u64::MAX, 1, u64::MAX, 1, next_id] {
+        forged.extend_from_slice(&field.to_le_bytes());
+    }
+    let crc = crc32(&forged);
+    forged.extend_from_slice(&crc.to_le_bytes());
+    let dir = scratch_copy("table-overflow");
+    std::fs::write(dir.join("live.iusl"), &forged).unwrap();
+    let err = LiveIndex::open(&dir, config()).expect_err("open must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("overflows"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

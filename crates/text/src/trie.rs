@@ -87,8 +87,8 @@ struct Node {
 /// construction on load. All vectors describing nodes have one entry per
 /// node; `child_letters`/`child_nodes` hold the flattened child table in the
 /// same grouping [`CompactedTrie::children`] exposes. Each array is an
-/// [`ArenaVec`], so the parts can either own their storage (a fresh build,
-/// a bit-packed section) or borrow it zero-copy from a persisted arena.
+/// [`ArenaVec`], so the parts can either own their storage (a fresh build)
+/// or borrow it zero-copy from a persisted arena.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrieParts {
     /// String depth per node.

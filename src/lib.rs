@@ -14,16 +14,17 @@
 //! * [`weighted`] — the uncertain-string model (distributions, heavy strings,
 //!   solid factors, z-estimations);
 //! * [`sampling`] — (ℓ, k)-minimizer schemes;
-//! * [`text`] — suffix arrays / trees / compacted tries / LCE structures;
+//! * [`text`] — suffix arrays / compacted tries / LCE structures;
 //! * [`grid`] — 2D range reporting;
 //! * [`index`] — the indexes themselves: the `WST`/`WSA` baselines and the
 //!   paper's `MWST`, `MWSA`, `MWST-G`, `MWSA-G` and the space-efficient
 //!   `MWST-SE` construction — plus the lifecycle layers around them: the
 //!   unified builder (`IndexSpec` → `AnyIndex`), versioned binary
-//!   persistence (`save_index`/`load_index`/`open_index`: one format, IUSX
-//!   v4, and one read path, a validated zero-copy open of an in-memory
-//!   arena — older versions are refused typed, rebuild from the corpus;
-//!   loading never re-runs construction);
+//!   persistence (`AnyIndex::save_to`/`load_index`/`open_index`: one
+//!   format, IUSX v5 with one section encoding, and one read path, a
+//!   validated zero-copy open of an in-memory arena — other versions are
+//!   refused typed, rebuild from the corpus; loading never re-runs
+//!   construction);
 //! * [`live`] — the one partitioned index: an LSM-style segmented
 //!   `LiveIndex` whose corpus grows by appends and shrinks by range
 //!   tombstones while being served — immutable segments + memtable tail +
@@ -82,8 +83,8 @@ pub mod prelude {
     pub use ius_datasets::registry::{standard_datasets, Dataset, Scale};
     pub use ius_datasets::rssi::RssiConfig;
     pub use ius_index::{
-        load_index, save_index, AnyIndex, CountSink, FirstKSink, IndexFamily, IndexParams,
-        IndexSpec, IndexVariant, MatchSink, MinimizerIndex, NaiveIndex, QueryScratch, QueryStats,
+        load_index, AnyIndex, CountSink, FirstKSink, IndexFamily, IndexParams, IndexSpec,
+        IndexVariant, MatchSink, MinimizerIndex, NaiveIndex, QueryScratch, QueryStats,
         SpaceEfficientBuilder, UncertainIndex, Wsa, Wst,
     };
     pub use ius_live::{LiveConfig, LiveIndex, LiveStats};

@@ -129,7 +129,7 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         let spec = IndexSpec::new(family, params);
         let built = spec.build(&x).unwrap();
         let mut bytes = Vec::new();
-        ius_index::save_index(&built, &mut bytes).unwrap();
+        built.save_to(&mut bytes).unwrap();
         drop(built);
 
         // The arena itself is a single buffer allocation (plus the Arc
