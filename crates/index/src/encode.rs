@@ -18,25 +18,28 @@
 //!   heavy log-prefix difference plus the log-ratios of the mismatches
 //!   inside it. Only the grid variants keep that pool; the others verify
 //!   against `X`.
+//!
+//! The build holds little more than the set it produces. The builder keeps
+//! pending factors in struct-of-arrays pools (12 B per factor, 13 B per
+//! mismatch) and sorts them on packed keys of their first 16 letters, with
+//! each factor's anchor and push index beside the keys. The LCE comparator
+//! runs only inside runs of equal keys, between factors longer than 16
+//! letters. Each pool is permuted into the set and freed. Neighbour LCPs
+//! are not part of the build: the tree variants compute them from the
+//! finished set (`EncodedFactorSet::neighbour_lcps`), from the XOR of the
+//! packed 8-letter prefix keys where those differ and with the LCE walk
+//! from depth 8 where they are equal. Both walks answer equal and short
+//! heavy-view extensions directly and build the LCE index over the view
+//! only on the first extension longer than 32 letters.
 
 use ius_arena::ArenaVec;
 use ius_text::lce::LceIndex;
 use ius_text::trie::LabelProvider;
+use ius_weighted::Error;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// One stored deviation of a factor from the heavy string.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mismatch {
-    /// Depth of the mismatch within the factor (0 = at the anchor).
-    pub depth: u32,
-    /// The factor's letter at that depth (≠ the heavy letter there).
-    pub letter: u8,
-    /// `ln(p(letter) / p(heavy letter))` at the corresponding position of
-    /// `X` — at most 0, the heavy letter being the most probable.
-    pub log_ratio: f64,
-}
 
 /// Reading direction of a factor set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,17 +48,6 @@ pub enum Direction {
     Forward,
     /// Factors read right-to-left starting at the anchor (the `T_pref` tree).
     Backward,
-}
-
-/// A factor to be inserted into an [`EncodedFactorSet`].
-#[derive(Debug, Clone)]
-pub struct PendingFactor {
-    /// Anchor position in `X` (the minimizer position).
-    pub anchor_x: u32,
-    /// Factor length (letters read from the anchor in the set's direction).
-    pub len: u32,
-    /// Deviations from the heavy string, sorted by increasing depth.
-    pub mismatches: Vec<Mismatch>,
 }
 
 /// A sorted set of heavy-encoded factors anchored at minimizer positions.
@@ -84,11 +76,12 @@ pub struct EncodedFactorSet {
     /// persisted set can borrow them zero-copy from the index arena.
     mism_depths: ArenaVec<u32>,
     mism_letters: ArenaVec<u8>,
-    /// [`Mismatch::log_ratio`] per stored mismatch — the terms grid
+    /// `ln(p(letter) / p(heavy letter))` per stored mismatch — at most 0,
+    /// the heavy letter being the most probable; the terms grid
     /// verification sums. Empty in the sets of the variants without a grid,
     /// which verify against `X` instead.
     mism_log_ratios: ArenaVec<f64>,
-    /// Packed 8-letter prefix key per sorted leaf (see [`prefix_key`]),
+    /// Packed 8-letter prefix key per sorted leaf (see [`packed_keys`]),
     /// carried over from the construction sort. Non-decreasing in leaf
     /// order; used to narrow `equal_range` with integer comparisons before
     /// any letter is compared. An empty table (accepted on load) makes the
@@ -178,6 +171,39 @@ impl EncodedFactorSet {
         Some(self.heavy_view[self.view_anchor(leaf) + depth])
     }
 
+    /// The `leaf`-th factor as the comparators read it.
+    fn factor(&self, leaf: usize) -> FactorRef<'_> {
+        let r = self.mism_range(leaf);
+        FactorRef {
+            view: self.view_anchor(leaf),
+            len: self.factor_len(leaf),
+            depths: &self.mism_depths[r.clone()],
+            letters: &self.mism_letters[r],
+        }
+    }
+
+    /// The LCP of each leaf's factor with the previous leaf's (entry 0 is
+    /// 0) — what [`ius_text::trie::CompactedTrie::build`] needs, so only
+    /// the tree variants compute it. Neighbours whose packed prefix keys
+    /// differ take it from the keys' XOR; the others walk on from depth 8
+    /// with `O(log z)` extensions over the heavy view.
+    pub(crate) fn neighbour_lcps(&self) -> Vec<usize> {
+        let heavy = HeavyLce::new(&self.heavy_view);
+        let lcp = |leaf: usize| {
+            let from = match self.prefix_keys.get(leaf - 1..=leaf) {
+                // Letters pack as rank + 1 and the end as 0, so the first
+                // differing byte is where the factors part.
+                Some(&[a, b]) if a != b => return ((a ^ b).leading_zeros() / 8) as usize,
+                Some(_) => 8,
+                None => 0,
+            };
+            lcp_from(self.factor(leaf - 1), self.factor(leaf), from, &heavy)
+        };
+        (0..self.len())
+            .map(|leaf| if leaf == 0 { 0 } else { lcp(leaf) })
+            .collect()
+    }
+
     /// Materialises the `leaf`-th factor (used by tests and debugging).
     pub fn materialize(&self, leaf: usize) -> Vec<u8> {
         (0..self.factor_len(leaf))
@@ -189,7 +215,7 @@ impl EncodedFactorSet {
     /// prefix, by binary search — the array-based (MWSA) lookup.
     ///
     /// Patterns of length ≥ 8 are first narrowed to the run of leaves whose
-    /// packed 8-letter [`prefix_key`] equals the pattern's (pure integer
+    /// packed 8-letter prefix key equals the pattern's (pure integer
     /// comparisons), and every remaining comparison walks the factor's
     /// heavy-view stretches *between* mismatches with slice (memcmp-style)
     /// comparisons instead of decoding one letter at a time — `O(m/word +
@@ -444,15 +470,45 @@ impl LabelProvider for EncodedFactorSet {
     }
 }
 
+/// Refuses a corpus with more positions than `u32` can address. The factor
+/// sets store anchors, lengths and depths as `u32`, and both minimizer
+/// builds narrow positions to `u32` only once this check has passed.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameters`] if `n > u32::MAX`.
+pub(crate) fn check_u32_positions(n: usize) -> Result<(), Error> {
+    if u32::try_from(n).is_err() {
+        return Err(Error::InvalidParameters(format!(
+            "|X| = {n} exceeds the {} positions a minimizer index addresses (u32 anchors)",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// Builder collecting factors before sorting them into an
 /// [`EncodedFactorSet`].
+///
+/// Pending factors live in struct-of-arrays pools, with no allocation per
+/// factor: per factor its anchor, length and the end of its entries in the
+/// mismatch pools (12 B), per mismatch its depth, letter and log-ratio
+/// (13 B). [`EncodedFactorSetBuilder::finish`] permutes each pool into the
+/// set and frees it before the next.
 #[derive(Debug)]
 pub struct EncodedFactorSetBuilder {
     direction: Direction,
     /// Heavy string of `X` (always in forward orientation), borrowed from
     /// the index-wide heavy string — the builder never copies it.
     heavy_forward: Arc<Vec<u8>>,
-    factors: Vec<PendingFactor>,
+    anchor_x: Vec<u32>,
+    lens: Vec<u32>,
+    /// End of each factor's entries in the mismatch pools; they start at
+    /// the previous factor's end.
+    mism_end: Vec<u32>,
+    mism_depths: Vec<u32>,
+    mism_letters: Vec<u8>,
+    mism_log_ratios: Vec<f64>,
 }
 
 impl EncodedFactorSetBuilder {
@@ -465,180 +521,240 @@ impl EncodedFactorSetBuilder {
         Self {
             direction,
             heavy_forward,
-            factors: Vec::new(),
+            anchor_x: Vec::new(),
+            lens: Vec::new(),
+            mism_end: Vec::new(),
+            mism_depths: Vec::new(),
+            mism_letters: Vec::new(),
+            mism_log_ratios: Vec::new(),
         }
     }
 
-    /// Adds a factor.
+    /// Adds a factor: its anchor in `X` (the minimizer position), its length
+    /// (letters read from the anchor in the builder's direction) and its
+    /// deviations from the heavy string as `(depth, letter, log_ratio)` in
+    /// strictly increasing depth order, where `log_ratio` is
+    /// `ln(p(letter) / p(heavy letter))` at that position of `X` — at most
+    /// 0, the heavy letter being the most probable.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameters`] if the set would hold more than
+    /// `u32::MAX` factors or mismatches (its leaf ids and mismatch offsets
+    /// are `u32`). The builder is then left as it was.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if a mismatch depth exceeds the factor length or
-    /// mismatches are not sorted by depth.
-    pub fn push(&mut self, factor: PendingFactor) {
-        debug_assert!(
-            factor
-                .mismatches
-                .windows(2)
-                .all(|w| w[0].depth < w[1].depth),
-            "mismatches must be sorted by depth"
-        );
-        debug_assert!(
-            factor.mismatches.iter().all(|m| m.depth < factor.len),
-            "mismatch depth beyond factor length"
-        );
-        self.factors.push(factor);
+    /// Panics (debug builds) if a mismatch depth is not below the factor
+    /// length or the depths do not strictly increase.
+    pub fn push(
+        &mut self,
+        anchor_x: u32,
+        len: u32,
+        mismatches: impl IntoIterator<Item = (u32, u8, f64)>,
+    ) -> Result<(), Error> {
+        if u32::try_from(self.lens.len() + 1).is_err() {
+            return Err(Error::InvalidParameters(
+                "a factor set holds at most u32::MAX factors".into(),
+            ));
+        }
+        let start = self.mism_depths.len();
+        for (depth, letter, log_ratio) in mismatches {
+            debug_assert!(depth < len, "mismatch depth beyond factor length");
+            debug_assert!(
+                self.mism_depths[start..].last().is_none_or(|&d| d < depth),
+                "mismatches must be sorted by depth"
+            );
+            self.mism_depths.push(depth);
+            self.mism_letters.push(letter);
+            self.mism_log_ratios.push(log_ratio);
+        }
+        let Ok(end) = u32::try_from(self.mism_depths.len()) else {
+            self.mism_depths.truncate(start);
+            self.mism_letters.truncate(start);
+            self.mism_log_ratios.truncate(start);
+            return Err(Error::InvalidParameters(
+                "a factor set holds at most u32::MAX mismatches".into(),
+            ));
+        };
+        self.anchor_x.push(anchor_x);
+        self.lens.push(len);
+        self.mism_end.push(end);
+        Ok(())
     }
 
     /// Number of factors pushed so far.
     pub fn len(&self) -> usize {
-        self.factors.len()
+        self.lens.len()
     }
 
     /// `true` iff nothing was pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
+        self.lens.is_empty()
     }
 
-    /// Sorts the factors lexicographically and returns the finished set,
-    /// the LCP values of neighbouring factors (entry 0 is 0) — exactly what
-    /// [`ius_text::trie::CompactedTrie::build`] needs — and the sort order:
-    /// the push index of the factor at each leaf rank. Equal factors are
-    /// ordered by anchor, then by push index.
+    /// Sorts the factors lexicographically and returns the finished set and
+    /// the sort order: the push index of the factor at each leaf rank. Equal
+    /// factors are ordered by anchor, then by push index.
     ///
-    /// # Panics
-    ///
-    /// If more than `u32::MAX` factors were pushed.
-    pub fn finish(self) -> (EncodedFactorSet, Vec<usize>, Vec<u32>) {
-        let n = self.heavy_forward.len();
-        let heavy_view: Arc<Vec<u8>> = match self.direction {
+    /// The sort compares packed keys of the factors' first 16 letters, with
+    /// each factor's anchor and push index held beside them (see
+    /// `packed_keys`). The `O(log z)` LCE comparator runs only between
+    /// factors longer than 16 letters that agree on all 16; the LCE index
+    /// over the heavy view is built only if one of its extensions runs past
+    /// 32 letters. Each pending pool is then permuted into leaf order and
+    /// freed. No LCPs are computed: only the tree variants need them, from
+    /// `EncodedFactorSet::neighbour_lcps`.
+    pub fn finish(self) -> (EncodedFactorSet, Vec<u32>) {
+        let Self {
+            direction,
+            heavy_forward,
+            mut anchor_x,
+            mut lens,
+            mut mism_end,
+            mut mism_depths,
+            mut mism_letters,
+            mut mism_log_ratios,
+        } = self;
+        // The pools grew by doubling; the sort and the permutation below
+        // run beside them, so hand the slack back first.
+        anchor_x.shrink_to_fit();
+        lens.shrink_to_fit();
+        mism_end.shrink_to_fit();
+        mism_depths.shrink_to_fit();
+        mism_letters.shrink_to_fit();
+        mism_log_ratios.shrink_to_fit();
+        let n = heavy_forward.len();
+        let heavy_view: Arc<Vec<u8>> = match direction {
             // Forward sets read the heavy string as-is: share the allocation.
-            Direction::Forward => self.heavy_forward,
+            Direction::Forward => heavy_forward,
             // Backward sets read it reversed: one owned copy, unavoidable
             // because the LCE index is built over the view's orientation.
             Direction::Backward => {
-                let mut v = (*self.heavy_forward).clone();
+                let mut v = (*heavy_forward).clone();
                 v.reverse();
                 Arc::new(v)
             }
         };
-        let anchor_to_view = |anchor_x: u32| -> usize {
-            match self.direction {
-                Direction::Forward => anchor_x as usize,
-                Direction::Backward => n - 1 - anchor_x as usize,
+        let pending = |i: usize| {
+            let r = pool_range(&mism_end, i);
+            FactorRef {
+                view: match direction {
+                    Direction::Forward => anchor_x[i] as usize,
+                    Direction::Backward => n - 1 - anchor_x[i] as usize,
+                },
+                len: lens[i] as usize,
+                depths: &mism_depths[r.clone()],
+                letters: &mism_letters[r],
             }
         };
-        let lce = LceIndex::new(&heavy_view);
-        let factors = self.factors;
-        assert!(
-            u32::try_from(factors.len()).is_ok(),
-            "factor set exceeds u32 leaf ids"
-        );
-        // Packed prefix keys decide almost every comparison with one integer
-        // compare; the O(log z) LCE comparator only breaks the ties of
-        // factors sharing their first eight letters.
-        let prefix_keys: Vec<u64> = factors
-            .iter()
-            .map(|f| prefix_key(f, &heavy_view, anchor_to_view(f.anchor_x)))
+        let mut entries: Vec<SortEntry> = (0..lens.len())
+            .map(|i| {
+                let (key_hi, key_lo) = packed_keys(pending(i), &heavy_view);
+                SortEntry {
+                    key_hi,
+                    key_lo,
+                    tie: u64::from(anchor_x[i]) << 32 | i as u64,
+                }
+            })
             .collect();
-        let mut order: Vec<u32> = (0..factors.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (fa, fb) = (&factors[a as usize], &factors[b as usize]);
-            prefix_keys[a as usize]
-                .cmp(&prefix_keys[b as usize])
+        let heavy = HeavyLce::new(&heavy_view);
+        entries.sort_unstable_by(|a, b| {
+            (a.key_hi, a.key_lo)
+                .cmp(&(b.key_hi, b.key_lo))
                 .then_with(|| {
-                    compare_pending(
-                        fa,
-                        anchor_to_view(fa.anchor_x),
-                        fb,
-                        anchor_to_view(fb.anchor_x),
-                        &heavy_view,
-                        &lce,
+                    // Equal keys ending in a letter: both factors have at
+                    // least 16 letters and agree on them; what follows
+                    // decides. Equal keys ending in padding are equal
+                    // strings.
+                    if a.key_lo & 0xFF == 0 {
+                        return Ordering::Equal;
+                    }
+                    compare_from(
+                        pending(a.push_index()),
+                        pending(b.push_index()),
+                        KEY_LETTERS,
+                        &heavy,
                     )
                 })
-                .then(fa.anchor_x.cmp(&fb.anchor_x))
-                .then(a.cmp(&b))
+                .then(a.tie.cmp(&b.tie))
         });
+        drop(heavy);
+        let order: Vec<u32> = entries.iter().map(|e| e.push_index() as u32).collect();
+        drop(entries);
+        // The first eight letters' key, in leaf order, is the integer
+        // narrowing index of `equal_range`. Packing it again costs less
+        // than holding it beside the sort entries.
+        let prefix_keys: Vec<u64> = order
+            .iter()
+            .map(|&i| packed_keys(pending(i as usize), &heavy_view).0)
+            .collect();
 
-        let total_mismatches: usize = factors.iter().map(|f| f.mismatches.len()).sum();
-        let mut raw = RawFactorData::with_capacity(order.len(), total_mismatches);
-        let mut lcps = vec![0usize; order.len()];
-        for (rank, &idx) in order.iter().enumerate() {
-            let f = &factors[idx as usize];
-            raw.anchor_x.push(f.anchor_x);
-            raw.lens.push(f.len);
-            for m in &f.mismatches {
-                raw.mism_depths.push(m.depth);
-                raw.mism_letters.push(m.letter);
-                raw.mism_log_ratios.push(m.log_ratio);
-            }
-            raw.mism_start.push(raw.mism_depths.len() as u32);
-            if rank > 0 {
-                let prev = &factors[order[rank - 1] as usize];
-                lcps[rank] = lcp_pending(
-                    prev,
-                    anchor_to_view(prev.anchor_x),
-                    f,
-                    anchor_to_view(f.anchor_x),
-                    &heavy_view,
-                    &lce,
-                );
-            }
+        let mut mism_start = Vec::with_capacity(order.len() + 1);
+        mism_start.push(0u32);
+        let mut total = 0u32;
+        for &i in &order {
+            // At most the pools' length, which `push` kept within u32.
+            total += pool_range(&mism_end, i as usize).len() as u32;
+            mism_start.push(total);
         }
-        // Keep the construction sort's packed keys, reordered to leaf order,
-        // as the integer narrowing index of `equal_range`.
-        let leaf_keys: Vec<u64> = order.iter().map(|&idx| prefix_keys[idx as usize]).collect();
-        (
-            raw.into_set(self.direction, heavy_view, leaf_keys),
-            lcps,
-            order,
-        )
-    }
-}
-
-/// Construction-time emission buffers of [`EncodedFactorSetBuilder`] — plain
-/// vectors grown by `push`, converted into the set's flat pools at the end.
-struct RawFactorData {
-    anchor_x: Vec<u32>,
-    lens: Vec<u32>,
-    mism_start: Vec<u32>,
-    mism_depths: Vec<u32>,
-    mism_letters: Vec<u8>,
-    mism_log_ratios: Vec<f64>,
-}
-
-impl RawFactorData {
-    fn with_capacity(leaves: usize, mismatches: usize) -> Self {
-        let mut mism_start = Vec::with_capacity(leaves + 1);
-        mism_start.push(0);
-        Self {
-            anchor_x: Vec::with_capacity(leaves),
-            lens: Vec::with_capacity(leaves),
-            mism_start,
-            mism_depths: Vec::with_capacity(mismatches),
-            mism_letters: Vec::with_capacity(mismatches),
-            mism_log_ratios: Vec::with_capacity(mismatches),
-        }
-    }
-
-    fn into_set(
-        self,
-        direction: Direction,
-        heavy_view: Arc<Vec<u8>>,
-        prefix_keys: Vec<u64>,
-    ) -> EncodedFactorSet {
-        EncodedFactorSet {
+        let set = EncodedFactorSet {
             direction,
             heavy_view,
-            anchor_x: ArenaVec::from(self.anchor_x),
-            lens: ArenaVec::from(self.lens),
-            mism_start: ArenaVec::from(self.mism_start),
-            mism_depths: ArenaVec::from(self.mism_depths),
-            mism_letters: ArenaVec::from(self.mism_letters),
-            mism_log_ratios: ArenaVec::from(self.mism_log_ratios),
-            prefix_keys: ArenaVec::from(prefix_keys),
-        }
+            mism_depths: permute_pool(mism_depths, &mism_end, &order).into(),
+            mism_letters: permute_pool(mism_letters, &mism_end, &order).into(),
+            mism_log_ratios: permute_pool(mism_log_ratios, &mism_end, &order).into(),
+            mism_start: mism_start.into(),
+            anchor_x: permute(anchor_x, &order).into(),
+            lens: permute(lens, &order).into(),
+            prefix_keys: prefix_keys.into(),
+        };
+        (set, order)
     }
+}
+
+/// Letters packed into the construction sort's keys.
+const KEY_LETTERS: usize = 16;
+
+/// One factor in the construction sort: its first 16 letters packed as by
+/// [`packed_keys`], then its anchor and push index packed as
+/// `anchor << 32 | push`, whose integer order is the tie-break order.
+#[derive(Debug, Clone, Copy)]
+struct SortEntry {
+    key_hi: u64,
+    key_lo: u64,
+    tie: u64,
+}
+
+impl SortEntry {
+    /// The factor's push index.
+    #[inline]
+    fn push_index(&self) -> usize {
+        (self.tie & u64::from(u32::MAX)) as usize
+    }
+}
+
+/// The range of pending factor `i`'s entries in the mismatch pools.
+#[inline]
+fn pool_range(mism_end: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { mism_end[i - 1] };
+    start as usize..mism_end[i] as usize
+}
+
+/// A pending per-factor column in leaf order (`order[rank]` is the pushed
+/// factor at each rank). Consumes the column, so it is freed on return.
+fn permute<T: Copy>(column: Vec<T>, order: &[u32]) -> Vec<T> {
+    order.iter().map(|&i| column[i as usize]).collect()
+}
+
+/// A pending mismatch pool with its factors' entries in leaf order.
+/// Consumes the pool, so it is freed on return.
+fn permute_pool<T: Copy>(pool: Vec<T>, mism_end: &[u32], order: &[u32]) -> Vec<T> {
+    let mut out = Vec::with_capacity(pool.len());
+    for &i in order {
+        out.extend_from_slice(&pool[pool_range(mism_end, i as usize)]);
+    }
+    out
 }
 
 /// First index in `0..len` for which `pred` is false (`pred` must be
@@ -658,7 +774,7 @@ fn partition_point_in<F: Fn(usize) -> bool>(len: usize, pred: F) -> usize {
 }
 
 /// Packs the first eight letters of a (length ≥ 8) pattern exactly like
-/// [`prefix_key`] packs a factor's, for the integer narrowing of
+/// [`packed_keys`] packs a factor's, for the integer narrowing of
 /// [`EncodedFactorSet::equal_range`].
 fn pattern_prefix_key(pattern: &[u8]) -> u64 {
     let mut key = 0u64;
@@ -668,94 +784,147 @@ fn pattern_prefix_key(pattern: &[u8]) -> u64 {
     key
 }
 
-/// Packs the first eight letters of a factor into a big-endian `u64` whose
-/// integer order equals the lexicographic order of those prefixes (letters
-/// are stored as `rank + 1`, so "past the factor's end" packs as 0 and a
-/// proper prefix sorts first).
-fn prefix_key(f: &PendingFactor, view: &[u8], anchor_view: usize) -> u64 {
-    let mut key = 0u64;
-    let take = (f.len as usize).min(8);
-    for d in 0..take {
-        key = (key << 8) | (letter_of(f, view, anchor_view, d) as u64 + 1);
+/// Packs the first 16 letters of a factor big-endian into two `u64`s,
+/// letters `0..8` and `8..16`, whose integer order is the lexicographic
+/// order of those prefixes: letters are stored as `rank + 1`, so "past the
+/// factor's end" packs as 0 and a proper prefix sorts first. The first is
+/// the factor's stored prefix key.
+fn packed_keys(f: FactorRef<'_>, view: &[u8]) -> (u64, u64) {
+    let mut letters = [0u8; KEY_LETTERS];
+    let take = f.len.min(KEY_LETTERS);
+    for (slot, &c) in letters[..take].iter_mut().zip(&view[f.view..f.view + take]) {
+        *slot = c + 1;
     }
-    key << (8 * (8 - take))
+    for (&depth, &c) in f.depths.iter().zip(f.letters) {
+        // Depths increase and stay below the length.
+        let Some(slot) = letters.get_mut(depth as usize) else {
+            break;
+        };
+        *slot = c + 1;
+    }
+    let key = u128::from_be_bytes(letters);
+    ((key >> 64) as u64, key as u64)
 }
 
-fn mismatch_letter(f: &PendingFactor, depth: usize) -> Option<u8> {
-    f.mismatches
-        .iter()
-        .find(|m| m.depth as usize == depth)
-        .map(|m| m.letter)
+/// One encoded factor as the comparators read it: its anchor in view
+/// coordinates, its length and its stored mismatches (depths strictly
+/// increasing, each below the length).
+#[derive(Debug, Clone, Copy)]
+struct FactorRef<'a> {
+    view: usize,
+    len: usize,
+    depths: &'a [u32],
+    letters: &'a [u8],
 }
 
-fn letter_of(f: &PendingFactor, view: &[u8], anchor_view: usize, depth: usize) -> u8 {
-    mismatch_letter(f, depth).unwrap_or(view[anchor_view + depth])
+impl FactorRef<'_> {
+    /// The letter at `depth` (below the length).
+    fn letter(&self, view: &[u8], depth: usize) -> u8 {
+        match self.depths.iter().position(|&d| d as usize == depth) {
+            Some(slot) => self.letters[slot],
+            None => view[self.view + depth],
+        }
+    }
 }
 
-/// Walks two encoded factors and returns the first depth at which they
-/// differ, capped at the shorter length. `O(#mismatches)` LCE queries.
-fn lcp_pending(
-    a: &PendingFactor,
-    a_view: usize,
-    b: &PendingFactor,
-    b_view: usize,
-    view: &[u8],
-    lce: &LceIndex,
-) -> usize {
-    let limit = (a.len.min(b.len)) as usize;
-    let mut d = 0usize;
+/// Letters compared directly before a heavy-view extension falls back to
+/// the LCE index: on text that does not repeat itself, two distinct
+/// positions part within a few letters and the index is never built.
+const DIRECT_LCE_LETTERS: usize = 32;
+
+/// Longest common extensions over a heavy view. Equal positions and short
+/// extensions are answered directly; the LCE index (suffix array, LCP and
+/// RMQ over the view) is built on the first extension longer than
+/// [`DIRECT_LCE_LETTERS`], so every answer stays `O(1)` after at most
+/// that many letter comparisons.
+struct HeavyLce<'a> {
+    view: &'a [u8],
+    index: OnceCell<LceIndex>,
+}
+
+impl<'a> HeavyLce<'a> {
+    fn new(view: &'a [u8]) -> Self {
+        Self {
+            view,
+            index: OnceCell::new(),
+        }
+    }
+
+    /// The common extension of the view's suffixes at `i` and `j`, capped
+    /// at `max` (both suffixes have at least `max` letters).
+    fn common(&self, i: usize, j: usize, max: usize) -> usize {
+        if i == j {
+            return max;
+        }
+        let direct = max.min(DIRECT_LCE_LETTERS);
+        let same = self.view[i..i + direct]
+            .iter()
+            .zip(&self.view[j..j + direct])
+            .take_while(|(a, b)| a == b)
+            .count();
+        if same < direct || direct == max {
+            return same;
+        }
+        let index = self.index.get_or_init(|| LceIndex::new(self.view));
+        index.lce(i, j).min(max)
+    }
+}
+
+/// The first depth at or after `from` where two factors differ, capped at
+/// the shorter length; the caller vouches that they agree before `from`.
+/// `O(#mismatches)` heavy-view extensions.
+fn lcp_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_>) -> usize {
+    let view = heavy.view;
+    let limit = a.len.min(b.len);
+    let mut d = from;
     let mut ai = 0usize;
     let mut bi = 0usize;
     while d < limit {
         // Skip mismatches whose depth is behind `d`.
-        while ai < a.mismatches.len() && (a.mismatches[ai].depth as usize) < d {
+        while ai < a.depths.len() && (a.depths[ai] as usize) < d {
             ai += 1;
         }
-        while bi < b.mismatches.len() && (b.mismatches[bi].depth as usize) < d {
+        while bi < b.depths.len() && (b.depths[bi] as usize) < d {
             bi += 1;
         }
-        let next_a = a
-            .mismatches
-            .get(ai)
-            .map_or(usize::MAX, |m| m.depth as usize);
-        let next_b = b
-            .mismatches
-            .get(bi)
-            .map_or(usize::MAX, |m| m.depth as usize);
+        let next_a = a.depths.get(ai).map_or(usize::MAX, |&m| m as usize);
+        let next_b = b.depths.get(bi).map_or(usize::MAX, |&m| m as usize);
         if next_a == d || next_b == d {
-            if letter_of(a, view, a_view, d) != letter_of(b, view, b_view, d) {
+            let la = if next_a == d {
+                a.letters[ai]
+            } else {
+                view[a.view + d]
+            };
+            let lb = if next_b == d {
+                b.letters[bi]
+            } else {
+                view[b.view + d]
+            };
+            if la != lb {
                 return d;
             }
             d += 1;
             continue;
         }
         // Both factors follow the heavy view until the next mismatch.
-        let stretch_end = limit.min(next_a).min(next_b);
-        let heavy_lce = lce.lce(a_view + d, b_view + d);
-        let step = heavy_lce.min(stretch_end - d);
-        if step < stretch_end - d {
+        let stretch = limit.min(next_a).min(next_b) - d;
+        let step = heavy.common(a.view + d, b.view + d, stretch);
+        if step < stretch {
             return d + step;
         }
-        d = stretch_end;
+        d += stretch;
     }
     limit
 }
 
-/// Lexicographic comparison of two encoded factors (`O(log z)` LCE queries).
-fn compare_pending(
-    a: &PendingFactor,
-    a_view: usize,
-    b: &PendingFactor,
-    b_view: usize,
-    view: &[u8],
-    lce: &LceIndex,
-) -> Ordering {
-    let l = lcp_pending(a, a_view, b, b_view, view, lce);
-    let limit = (a.len.min(b.len)) as usize;
-    if l >= limit {
+/// Lexicographic comparison of two encoded factors that agree before
+/// `from` (`O(log z)` heavy-view extensions).
+fn compare_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_>) -> Ordering {
+    let l = lcp_from(a, b, from, heavy);
+    if l >= a.len.min(b.len) {
         return a.len.cmp(&b.len);
     }
-    letter_of(a, view, a_view, l).cmp(&letter_of(b, view, b_view, l))
+    a.letter(heavy.view, l).cmp(&b.letter(heavy.view, l))
 }
 
 #[cfg(test)]
@@ -763,53 +932,126 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// Reference materialisation of a pending factor over a heavy view.
-    fn materialize_pending(f: &PendingFactor, view: &[u8], anchor_view: usize) -> Vec<u8> {
-        (0..f.len as usize)
-            .map(|d| letter_of(f, view, anchor_view, d))
-            .collect()
+    /// A factor as a test pushes it: its anchor in `X`, its length and its
+    /// `(depth, letter, log_ratio)` mismatches in depth order.
+    #[derive(Debug, Clone)]
+    struct TestFactor {
+        anchor_x: u32,
+        len: u32,
+        mismatches: Vec<(u32, u8, f64)>,
     }
 
-    fn random_factor(
-        rng: &mut StdRng,
-        n: usize,
-        direction: Direction,
-        sigma: u8,
-        heavy: &[u8],
-    ) -> PendingFactor {
-        let anchor_x = rng.gen_range(0..n as u32);
-        let max_len = match direction {
-            Direction::Forward => n as u32 - anchor_x,
-            Direction::Backward => anchor_x + 1,
-        };
-        let len = rng.gen_range(1..=max_len.min(30));
-        let mut depths: Vec<u32> = (0..len).collect();
-        // Choose up to 4 mismatch depths.
-        let count = rng.gen_range(0..=3.min(len as usize));
-        let mut mismatches = Vec::new();
-        for _ in 0..count {
-            let idx = rng.gen_range(0..depths.len());
-            let depth = depths.swap_remove(idx);
-            let abs = match direction {
-                Direction::Forward => anchor_x + depth,
-                Direction::Backward => anchor_x - depth,
-            } as usize;
-            let heavy_letter = heavy[abs];
-            let mut letter = rng.gen_range(0..sigma);
-            if letter == heavy_letter {
-                letter = (letter + 1) % sigma;
-            }
-            mismatches.push(Mismatch {
-                depth,
-                letter,
-                log_ratio: 0.5f64.ln(),
-            });
+    /// `letters` read in `direction`: the heavy view of a heavy string, and
+    /// the heavy string of a view (reversal is its own inverse).
+    fn oriented(letters: &[u8], direction: Direction) -> Vec<u8> {
+        let mut v = letters.to_vec();
+        if direction == Direction::Backward {
+            v.reverse();
         }
-        mismatches.sort_by_key(|m| m.depth);
-        PendingFactor {
-            anchor_x,
-            len,
-            mismatches,
+        v
+    }
+
+    /// The factor spelling `letters` from view position `view_anchor`: a
+    /// mismatch wherever they leave the heavy view. Log-ratios differ by
+    /// anchor and depth, so a test sees whether the pools were permuted
+    /// together.
+    fn spelling(
+        view: &[u8],
+        direction: Direction,
+        view_anchor: usize,
+        letters: &[u8],
+    ) -> TestFactor {
+        let anchor_x = match direction {
+            Direction::Forward => view_anchor,
+            Direction::Backward => view.len() - 1 - view_anchor,
+        };
+        TestFactor {
+            anchor_x: anchor_x as u32,
+            len: letters.len() as u32,
+            mismatches: letters
+                .iter()
+                .zip(&view[view_anchor..])
+                .enumerate()
+                .filter(|(_, (c, h))| c != h)
+                .map(|(d, (&c, _))| (d as u32, c, -((anchor_x * 64 + d) as f64)))
+                .collect(),
+        }
+    }
+
+    /// A random factor of up to 30 letters with up to three mismatches.
+    fn random_factor(rng: &mut StdRng, view: &[u8], direction: Direction, sigma: u8) -> TestFactor {
+        let view_anchor = rng.gen_range(0..view.len());
+        let len = rng.gen_range(1..=(view.len() - view_anchor).min(30));
+        let mut letters = view[view_anchor..view_anchor + len].to_vec();
+        for _ in 0..rng.gen_range(0..=3usize) {
+            let d = rng.gen_range(0..len);
+            let shift = u16::from(rng.gen_range(1..sigma));
+            letters[d] = ((u16::from(view[view_anchor + d]) + shift) % u16::from(sigma)) as u8;
+        }
+        spelling(view, direction, view_anchor, &letters)
+    }
+
+    /// Pushes `factors` in order and finishes the set.
+    fn build(
+        heavy: &Arc<Vec<u8>>,
+        direction: Direction,
+        factors: &[TestFactor],
+    ) -> (EncodedFactorSet, Vec<u32>) {
+        let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(heavy));
+        for f in factors {
+            builder
+                .push(f.anchor_x, f.len, f.mismatches.iter().copied())
+                .unwrap();
+        }
+        builder.finish()
+    }
+
+    /// Builds `factors` and checks the set against a plain sort of their
+    /// materialised strings by (string, anchor, push index): the order,
+    /// each leaf's letters, anchor and mismatches, and the neighbour LCPs.
+    fn assert_sorted_like_materialised(
+        heavy: &Arc<Vec<u8>>,
+        direction: Direction,
+        factors: &[TestFactor],
+    ) {
+        let view = oriented(heavy, direction);
+        let strings: Vec<Vec<u8>> = factors
+            .iter()
+            .map(|f| {
+                let view_anchor = match direction {
+                    Direction::Forward => f.anchor_x as usize,
+                    Direction::Backward => view.len() - 1 - f.anchor_x as usize,
+                };
+                let mut s = view[view_anchor..view_anchor + f.len as usize].to_vec();
+                for &(depth, letter, _) in &f.mismatches {
+                    s[depth as usize] = letter;
+                }
+                s
+            })
+            .collect();
+        let mut expected: Vec<u32> = (0..factors.len() as u32).collect();
+        expected.sort_by_key(|&i| (&strings[i as usize], factors[i as usize].anchor_x, i));
+        let (set, order) = build(heavy, direction, factors);
+        assert_eq!(order, expected, "sort order ({direction:?})");
+        let lcps = set.neighbour_lcps();
+        assert_eq!(lcps.len(), factors.len());
+        for (leaf, &i) in order.iter().enumerate() {
+            let f = &factors[i as usize];
+            assert_eq!(set.materialize(leaf), strings[i as usize], "leaf {leaf}");
+            assert_eq!(set.anchor_x(leaf), f.anchor_x as usize);
+            let depths: Vec<u32> = f.mismatches.iter().map(|m| m.0).collect();
+            let ratios: Vec<f64> = f.mismatches.iter().map(|m| m.2).collect();
+            assert_eq!(set.mismatch_depths(leaf), &depths[..], "leaf {leaf}");
+            assert_eq!(set.mismatch_log_ratios(leaf), &ratios[..], "leaf {leaf}");
+            let direct = match leaf {
+                0 => 0,
+                _ => strings[order[leaf - 1] as usize]
+                    .iter()
+                    .zip(&strings[i as usize])
+                    .take_while(|(a, b)| a == b)
+                    .count(),
+            };
+            assert_eq!(lcps[leaf], direct, "LCP at leaf {leaf} ({direction:?})");
         }
     }
 
@@ -817,72 +1059,86 @@ mod tests {
     fn sorted_set_orders_and_lcps_match_materialised_strings() {
         let mut rng = StdRng::seed_from_u64(12);
         for direction in [Direction::Forward, Direction::Backward] {
-            let n = 60usize;
-            let sigma = 3u8;
+            let (n, sigma) = (60usize, 3u8);
             let heavy: Arc<Vec<u8>> = Arc::new((0..n).map(|_| rng.gen_range(0..sigma)).collect());
-            let view: Vec<u8> = match direction {
-                Direction::Forward => (*heavy).clone(),
-                Direction::Backward => {
-                    let mut v = (*heavy).clone();
-                    v.reverse();
-                    v
-                }
-            };
-            let anchor_to_view = |anchor_x: u32| match direction {
-                Direction::Forward => anchor_x as usize,
-                Direction::Backward => n - 1 - anchor_x as usize,
-            };
-            // Materialise each factor's expected string up front, then move
-            // the factor into the builder — no per-factor clone needed.
-            let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
-            let mut expected: Vec<Vec<u8>> = Vec::new();
-            let mut anchors = Vec::new();
-            for _ in 0..80 {
-                let f = random_factor(&mut rng, n, direction, sigma, &heavy);
-                expected.push(materialize_pending(&f, &view, anchor_to_view(f.anchor_x)));
-                anchors.push(f.anchor_x);
-                builder.push(f);
-            }
-            let pushed = expected.clone();
-            let (set, lcps, order) = builder.finish();
-            assert_eq!(set.len(), expected.len());
-            // The order names the pushed factor at each leaf; equal factors
-            // keep (anchor, push index) order.
-            for (leaf, &idx) in order.iter().enumerate() {
-                assert_eq!(set.materialize(leaf), pushed[idx as usize]);
-                assert_eq!(set.anchor_x(leaf), anchors[idx as usize] as usize);
-            }
-            for w in order.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                if pushed[a] == pushed[b] && anchors[a] == anchors[b] {
-                    assert!(a < b, "ties must keep push order");
-                }
-            }
-            // The sorted set must materialise exactly the pushed multiset of
-            // strings, in sorted order, with matching neighbour LCPs.
-            expected.sort();
-            let strings: Vec<Vec<u8>> = (0..set.len()).map(|i| set.materialize(i)).collect();
-            assert_eq!(strings, expected, "sorted factors differ ({direction:?})");
-            for i in 1..strings.len() {
-                let direct = strings[i - 1]
-                    .iter()
-                    .zip(strings[i].iter())
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                assert_eq!(lcps[i], direct, "LCP mismatch at {i} ({direction:?})");
-            }
-            // The stored view letters must agree with the anchors.
-            for (leaf, s) in strings.iter().enumerate() {
-                let anchor_view = anchor_to_view(set.anchor_x(leaf) as u32);
-                for (d, &letter) in s.iter().enumerate() {
-                    let stored = set.letter_at(leaf, d).unwrap();
-                    assert_eq!(stored, letter, "leaf {leaf} depth {d}");
-                    if set.mismatch_depths(leaf).iter().all(|&md| md as usize != d) {
-                        assert_eq!(view[anchor_view + d], letter);
-                    }
-                }
-            }
+            let view = oriented(&heavy, direction);
+            let factors: Vec<TestFactor> = (0..80)
+                .map(|_| random_factor(&mut rng, &view, direction, sigma))
+                .collect();
+            assert_sorted_like_materialised(&heavy, direction, &factors);
+            let (heavy, factors) = fast_path_factors(&mut rng, direction);
+            assert_sorted_like_materialised(&heavy, direction, &factors);
         }
+    }
+
+    /// A heavy string and factors over it that drive the sort's fast paths:
+    /// the packed 16-letter keys, the LCE fallback inside runs of equal
+    /// keys, and the tie-breaks.
+    fn fast_path_factors(
+        rng: &mut StdRng,
+        direction: Direction,
+    ) -> (Arc<Vec<u8>>, Vec<TestFactor>) {
+        // A 255-letter alphabet, so letter ranks reach 254 (packed as
+        // 255). The view repeats its stretch 20..100 at 120 and 210, so
+        // factors there agree on heavy letters alone far past 16 letters
+        // (and past the 32 compared directly, so the LCE index is built)
+        // and part where the copies were changed (depths 70, 60).
+        let mut view: Vec<u8> = (0..300).map(|_| rng.gen_range(0..255u8)).collect();
+        view[20] = 254;
+        view[21] = 0;
+        view[22] = 254;
+        let stretch = view[20..100].to_vec();
+        view[120..200].copy_from_slice(&stretch);
+        view[210..290].copy_from_slice(&stretch);
+        view[190] = ((u16::from(view[190]) + 1) % 255) as u8;
+        view[270] = ((u16::from(view[270]) + 7) % 255) as u8;
+        let heavy = Arc::new(oriented(&view, direction));
+        let stem = |len: usize| stretch[..len].to_vec();
+        let own = |view_anchor: usize, len: usize| view[view_anchor..view_anchor + len].to_vec();
+        let with = |len: usize, depth: usize, letter: u8| {
+            let mut s = stem(len);
+            s[depth] = letter;
+            s
+        };
+        let spell =
+            |view_anchor: usize, letters: &[u8]| spelling(&view, direction, view_anchor, letters);
+        let factors = vec![
+            // (a) longer than 16 letters and equal on all 16: heavy
+            // copies parting at depths 70 and 60, one parting by a
+            // mismatch at depth 30, one spelled through mismatches
+            // elsewhere, two parting at depth 16 itself.
+            spell(20, &own(20, 80)),
+            spell(120, &own(120, 80)),
+            spell(210, &own(210, 80)),
+            spell(120, &with(80, 30, 254)),
+            spell(5, &stem(33)),
+            spell(60, &with(17, 16, 254)),
+            spell(210, &with(24, 16, 0)),
+            // (b) exactly 8 and 16 letters, next to longer extensions
+            // of themselves (9, 17 and the ones above).
+            spell(20, &stem(8)),
+            spell(120, &stem(16)),
+            spell(20, &stem(9)),
+            spell(210, &stem(17)),
+            spell(120, &stem(8)),
+            // (c) one string at several anchors (heavy, or spelled
+            // through mismatches, like the 80 letters at 120), and at one
+            // anchor across push indices.
+            spell(20, &stem(16)),
+            spell(210, &stem(16)),
+            spell(70, &stem(16)),
+            spell(20, &stem(16)),
+            spell(120, &stem(80)),
+            spell(20, &stem(8)),
+            // (d) ranks 254 and 0 (the stem starts 254, 0, 254), also by
+            // mismatch, at the front and inside the first key.
+            spell(3, &with(12, 0, 254)),
+            spell(3, &with(12, 0, 0)),
+            spell(40, &with(20, 7, 254)),
+        ];
+        let mut factors = factors;
+        factors.extend((0..40).map(|_| random_factor(rng, &view, direction, 255)));
+        (heavy, factors)
     }
 
     #[test]
@@ -891,17 +1147,10 @@ mod tests {
         let n = 50usize;
         let sigma = 2u8;
         let heavy: Arc<Vec<u8>> = Arc::new((0..n).map(|_| rng.gen_range(0..sigma)).collect());
-        let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, Arc::clone(&heavy));
-        for _ in 0..60 {
-            builder.push(random_factor(
-                &mut rng,
-                n,
-                Direction::Forward,
-                sigma,
-                &heavy,
-            ));
-        }
-        let (set, _, _) = builder.finish();
+        let factors: Vec<TestFactor> = (0..60)
+            .map(|_| random_factor(&mut rng, &heavy, Direction::Forward, sigma))
+            .collect();
+        let (set, _) = build(&heavy, Direction::Forward, &factors);
         for _ in 0..300 {
             // Lengths up to 15 cover both search branches: plain binary
             // search (m < 8) and the packed-prefix-key narrowing (m ≥ 8).
@@ -932,16 +1181,8 @@ mod tests {
     fn letter_at_and_label_provider_agree() {
         let heavy = Arc::new(vec![0u8, 1, 2, 3, 0, 1, 2, 3]);
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
-        builder.push(PendingFactor {
-            anchor_x: 2,
-            len: 5,
-            mismatches: vec![Mismatch {
-                depth: 1,
-                letter: 0,
-                log_ratio: 0.25f64.ln(),
-            }],
-        });
-        let (set, _, order) = builder.finish();
+        builder.push(2, 5, [(1, 0, 0.25f64.ln())]).unwrap();
+        let (set, order) = builder.finish();
         assert_eq!(order, vec![0]);
         assert_eq!(set.len(), 1);
         assert_eq!(set.materialize(0), vec![2, 0, 0, 1, 2]);
@@ -1022,12 +1263,22 @@ mod tests {
     }
 
     #[test]
+    fn positions_past_u32_are_refused() {
+        assert!(check_u32_positions(u32::MAX as usize).is_ok());
+        let err = check_u32_positions(u32::MAX as usize + 1).unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidParameters(m) if m.contains("4294967296")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn empty_builder_finishes_cleanly() {
         let builder = EncodedFactorSetBuilder::new(Direction::Backward, Arc::new(vec![0, 1, 0]));
         assert!(builder.is_empty());
-        let (set, lcps, order) = builder.finish();
+        let (set, order) = builder.finish();
         assert!(set.is_empty());
-        assert!(lcps.is_empty());
+        assert!(set.neighbour_lcps().is_empty());
         assert!(order.is_empty());
         assert_eq!(set.equal_range(&[0]), (0, 0));
     }

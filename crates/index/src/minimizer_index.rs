@@ -14,9 +14,7 @@
 //!   that pairs the two parts and verifies candidates in `O(log z)` time from
 //!   the stored mismatches alone (the **grid** variants of Theorem 9).
 
-use crate::encode::{
-    Direction, EncodedFactorSet, EncodedFactorSetBuilder, Mismatch, PendingFactor,
-};
+use crate::encode::{check_u32_positions, Direction, EncodedFactorSet, EncodedFactorSetBuilder};
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::{Arena, ArenaVec};
@@ -113,7 +111,9 @@ impl MinimizerIndex {
     /// # Errors
     ///
     /// [`Error::InvalidParameters`] if the estimation's `z` differs from the
-    /// parameters' `z` or the lengths are inconsistent.
+    /// parameters' `z`, the lengths are inconsistent, `|X|` exceeds
+    /// `u32::MAX` positions or a factor set exceeds `u32::MAX` factors or
+    /// mismatches.
     pub fn build_from_estimation(
         x: &WeightedString,
         estimation: &ZEstimation,
@@ -134,6 +134,8 @@ impl MinimizerIndex {
                 x.len()
             )));
         }
+        // Positions, anchors, lengths and depths narrow to u32 below.
+        check_u32_positions(x.len())?;
         let heavy = HeavyString::new(x);
         let scheme = MinimizerScheme::new(params.ell, params.k, x.sigma(), params.order);
 
@@ -166,68 +168,58 @@ impl MinimizerIndex {
             // For backward factors we need, per minimizer position i, the
             // earliest start b whose property interval still covers i.
             for &anchor in &minimizers {
+                let a = anchor as u32;
                 // Forward factor: the longest property-respecting factor
                 // starting at the minimizer.
-                let end = strand.extent(anchor);
-                let fwd_len = (end - anchor) as u32;
-                let fwd_mismatches =
-                    collect_mismatches(&deviations, anchor as u32, end as u32, false, |pos| {
-                        pos - anchor as u32
-                    });
-                fwd_builder.push(PendingFactor {
-                    anchor_x: anchor as u32,
-                    len: fwd_len,
-                    mismatches: fwd_mismatches,
-                });
+                let end = strand.extent(anchor) as u32;
+                fwd_builder.push(
+                    a,
+                    end - a,
+                    deviations_in(&deviations, a, end)
+                        .iter()
+                        .map(|&(p, letter, log_ratio)| (p - a, letter, log_ratio)),
+                )?;
                 // Backward factor: the longest property-respecting factor
                 // ending at the minimizer, reversed. Its start is the first
                 // position whose extent reaches past the anchor (extents are
                 // non-decreasing, so binary search applies). Depths decrease
-                // with position, so the collector emits in reverse to keep
-                // them sorted without a post-hoc sort.
-                let b = extents.partition_point(|&e| (e as usize) < anchor + 1);
-                let bwd_len = (anchor - b + 1) as u32;
-                let bwd_mismatches =
-                    collect_mismatches(&deviations, b as u32, anchor as u32 + 1, true, |pos| {
-                        anchor as u32 - pos
-                    });
-                bwd_builder.push(PendingFactor {
-                    anchor_x: anchor as u32,
-                    len: bwd_len,
-                    mismatches: bwd_mismatches,
-                });
+                // with position, so walking the deviations back to front
+                // keeps them sorted without a post-hoc sort.
+                let b = extents.partition_point(|&e| (e as usize) < anchor + 1) as u32;
+                bwd_builder.push(
+                    a,
+                    a - b + 1,
+                    deviations_in(&deviations, b, a + 1)
+                        .iter()
+                        .rev()
+                        .map(|&(p, letter, log_ratio)| (a - p, letter, log_ratio)),
+                )?;
             }
         }
 
-        let (fwd, fwd_lcps, fwd_order) = fwd_builder.finish();
-        let (bwd, bwd_lcps, bwd_order) = bwd_builder.finish();
+        // Free the strand buffer (up to 16 B per position) before the sorts.
+        drop(deviations);
+        let (fwd, fwd_order) = fwd_builder.finish();
+        let (bwd, bwd_order) = bwd_builder.finish();
         let grid = variant
             .has_grid()
-            .then(|| RangeReporter::new(leaf_pairing(fwd_order, &bwd_order)));
-        Self::assemble(
-            x,
-            params,
-            variant,
-            heavy,
-            (fwd, fwd_lcps),
-            (bwd, bwd_lcps),
-            grid,
-            "explicit",
-        )
+            .then(|| RangeReporter::new(leaf_pairing(fwd_order, bwd_order)));
+        Self::assemble(x, params, variant, heavy, fwd, bwd, grid, "explicit")
     }
 
-    /// Assembles the final index from the sorted factor sets and their
-    /// neighbour LCPs, plus the grid for the grid variants (shared by the
-    /// explicit and the space-efficient construction paths). Drops what the
-    /// variant's query does not read.
+    /// Assembles the final index from the sorted factor sets, plus the grid
+    /// for the grid variants (shared by the explicit and the
+    /// space-efficient construction paths): builds the tries of the tree
+    /// variants from the sets' neighbour LCPs and drops what the variant's
+    /// query does not read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
         variant: IndexVariant,
         heavy: HeavyString,
-        (mut fwd, fwd_lcps): (EncodedFactorSet, Vec<usize>),
-        (mut bwd, bwd_lcps): (EncodedFactorSet, Vec<usize>),
+        mut fwd: EncodedFactorSet,
+        mut bwd: EncodedFactorSet,
         grid: Option<RangeReporter>,
         construction: &'static str,
     ) -> Result<Self> {
@@ -240,13 +232,12 @@ impl MinimizerIndex {
             fwd.drop_log_ratios();
             bwd.drop_log_ratios();
         }
+        let trie = |set: &EncodedFactorSet| {
+            let lengths: Vec<usize> = (0..set.len()).map(|i| set.factor_len(i)).collect();
+            CompactedTrie::build(&lengths, &set.neighbour_lcps(), set)
+        };
         let (fwd_trie, bwd_trie) = if variant.has_tree() {
-            let fwd_lengths: Vec<usize> = (0..fwd.len()).map(|i| fwd.factor_len(i)).collect();
-            let bwd_lengths: Vec<usize> = (0..bwd.len()).map(|i| bwd.factor_len(i)).collect();
-            (
-                Some(CompactedTrie::build(&fwd_lengths, &fwd_lcps, &fwd)),
-                Some(CompactedTrie::build(&bwd_lengths, &bwd_lcps, &bwd)),
-            )
+            (Some(trie(&fwd)), Some(trie(&bwd)))
         } else {
             (None, None)
         };
@@ -559,40 +550,26 @@ pub(crate) struct MinimizerParts<'a> {
 /// Both builders pushed one factor per occurrence, in step, and each
 /// `*_order` names the pushed factor at every leaf rank, so forward leaf
 /// `x` pairs with the backward leaf holding pushed factor `fwd_order[x]`.
-fn leaf_pairing(mut fwd_order: Vec<u32>, bwd_order: &[u32]) -> Vec<u32> {
+/// Both orders are consumed: neither outlives the pairing into the grid
+/// build.
+fn leaf_pairing(mut fwd_order: Vec<u32>, bwd_order: Vec<u32>) -> Vec<u32> {
     let mut bwd_rank = vec![0u32; bwd_order.len()];
     for (rank, &pushed) in bwd_order.iter().enumerate() {
         bwd_rank[pushed as usize] = rank as u32;
     }
+    drop(bwd_order);
     for pushed in &mut fwd_order {
         *pushed = bwd_rank[*pushed as usize];
     }
     fwd_order
 }
 
-/// Extracts the deviations of a strand from the heavy string that fall into
-/// `[from, to)` (absolute positions), mapping them to factor-relative depths.
-/// With `reverse` the slice is walked back to front, which keeps the output
-/// sorted by depth when `depth_of` is position-decreasing (backward factors).
-fn collect_mismatches(
-    deviations: &[(u32, u8, f64)],
-    from: u32,
-    to: u32,
-    reverse: bool,
-    depth_of: impl Fn(u32) -> u32,
-) -> Vec<Mismatch> {
+/// The deviations of a strand from the heavy string that fall into
+/// `[from, to)` (absolute positions; `deviations` is sorted by position).
+fn deviations_in(deviations: &[(u32, u8, f64)], from: u32, to: u32) -> &[(u32, u8, f64)] {
     let lo = deviations.partition_point(|&(p, _, _)| p < from);
     let hi = deviations.partition_point(|&(p, _, _)| p < to);
-    let map = |&(p, letter, log_ratio): &(u32, u8, f64)| Mismatch {
-        depth: depth_of(p),
-        letter,
-        log_ratio,
-    };
-    if reverse {
-        deviations[lo..hi].iter().rev().map(map).collect()
-    } else {
-        deviations[lo..hi].iter().map(map).collect()
-    }
+    &deviations[lo..hi]
 }
 
 impl UncertainIndex for MinimizerIndex {

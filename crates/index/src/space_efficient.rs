@@ -24,15 +24,17 @@
 //! the minimizers still computed on the *forward* orientation of each window
 //! so that both trees anchor the same positions.
 //!
-//! The emitted factors are finally sorted with `O(log z)`-time comparisons
-//! against an LCE index over the heavy string and assembled into the same
+//! The emitted factors are finally sorted by [`EncodedFactorSetBuilder`]
+//! (packed keys of their first 16 letters, with `O(log z)`-time comparisons
+//! against an LCE index over the heavy string only between longer factors
+//! that agree on all 16) and assembled into the same
 //! [`crate::MinimizerIndex`] produced by the explicit construction (grid
 //! variants excepted: the grid pairs forward and backward leaves by the
 //! explicit build's paired emission order — one forward and one backward
 //! factor pushed in step per (minimizer, strand) — while the two DFS passes
 //! here emit their factors independently, in different orders).
 
-use crate::encode::{Direction, EncodedFactorSetBuilder, Mismatch, PendingFactor};
+use crate::encode::{check_u32_positions, Direction, EncodedFactorSetBuilder};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::params::IndexParams;
 use ius_sampling::order::KmerKeyer;
@@ -83,8 +85,10 @@ impl SpaceEfficientBuilder {
     /// # Errors
     ///
     /// * [`Error::InvalidParameters`] for grid variants (they require the
-    ///   paired emission order of the explicit construction) or when the
-    ///   extended solid factor tree exceeds the node cap;
+    ///   paired emission order of the explicit construction), when `|X|`
+    ///   exceeds `u32::MAX` positions, when a factor set exceeds `u32::MAX`
+    ///   factors or mismatches, or when the extended solid factor tree
+    ///   exceeds the node cap;
     /// * parameter validation errors.
     pub fn build(&self, x: &WeightedString, variant: IndexVariant) -> Result<MinimizerIndex> {
         self.build_with_stats(x, variant).map(|(index, _)| index)
@@ -108,6 +112,8 @@ impl SpaceEfficientBuilder {
                     .into(),
             ));
         }
+        // Positions, anchors, lengths and depths narrow to u32 below.
+        check_u32_positions(x.len())?;
         if self.params.ell > x.len() {
             return Err(Error::InvalidParameters(format!(
                 "ℓ = {} exceeds the string length {}",
@@ -161,16 +167,19 @@ impl SpaceEfficientBuilder {
             node_cap,
         )?;
         stats.backward_factors = bwd_builder.len();
+        // The reversed string holds σ probabilities per position: free it
+        // before the sorts.
+        drop((x_rev, heavy_rev));
 
-        let (fwd, fwd_lcps, _) = fwd_builder.finish();
-        let (bwd, bwd_lcps, _) = bwd_builder.finish();
+        let (fwd, _) = fwd_builder.finish();
+        let (bwd, _) = bwd_builder.finish();
         let index = MinimizerIndex::assemble(
             x,
             self.params,
             variant,
             heavy,
-            (fwd, fwd_lcps),
-            (bwd, bwd_lcps),
+            fwd,
+            bwd,
             None,
             "space-efficient",
         )?;
@@ -375,29 +384,21 @@ fn dfs_collect(
             // Emit the factor hanging from position q: it spans the rest of
             // the DFS string and deviates from the heavy string exactly at
             // the current Diff entries (all of which lie at positions ≥ q).
-            let len = (n - q) as u32;
-            // `diff` is a stack of strictly decreasing DFS positions, so
-            // reverse iteration yields strictly increasing depths — already
-            // sorted, no post-hoc sort needed. Log-ratios are position-wise
-            // and orientation-free.
-            let mismatches: Vec<Mismatch> = diff
-                .iter()
-                .rev()
-                .map(|m| Mismatch {
-                    depth: m.pos - q as u32,
-                    letter: m.letter,
-                    log_ratio: m.log_ratio,
-                })
-                .collect();
             let anchor_x = match orientation {
                 Direction::Forward => q as u32,
                 Direction::Backward => (n - 1 - q) as u32,
             };
-            builder.push(PendingFactor {
+            // `diff` is a stack of strictly decreasing DFS positions, so
+            // reverse iteration yields strictly increasing depths — already
+            // sorted, no post-hoc sort needed. Log-ratios are position-wise
+            // and orientation-free.
+            builder.push(
                 anchor_x,
-                len,
-                mismatches,
-            });
+                (n - q) as u32,
+                diff.iter()
+                    .rev()
+                    .map(|m| (m.pos - q as u32, m.letter, m.log_ratio)),
+            )?;
         }
         // Undo the prepend that created this node.
         if frame.pushed_diff {
@@ -420,7 +421,7 @@ fn dfs_collect(
 }
 
 /// A deviation entry on the DFS stack (absolute position within the DFS
-/// string, unlike [`Mismatch`] whose depth is factor-relative).
+/// string, unlike a pushed mismatch, whose depth is factor-relative).
 #[derive(Debug, Clone, Copy)]
 struct Mismatch0 {
     pos: u32,

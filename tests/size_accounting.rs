@@ -5,17 +5,29 @@
 //! grid tables, …) shows up here as under-reporting, a double count as
 //! over-reporting.
 //!
+//! It also bounds what a minimizer build holds on the way: its peak heap
+//! growth against the index it produces.
+//!
 //! This integration test is its own binary, so installing the counting
-//! allocator here affects nothing else in the workspace. All checks run
-//! inside a single `#[test]` so no parallel test perturbs the live-byte
-//! counters during a measurement.
+//! allocator here affects nothing else in the workspace. The counters are
+//! process-wide, so every test holds [`serialize`] from its workload build
+//! to its last assertion: no parallel test perturbs them mid-measurement.
 
+use ius::datasets::corpora::bench_corpus;
 use ius::prelude::*;
 use ius_index::{AnyIndex, IndexFamily, IndexSpec};
 use ius_memtrack::CountingAllocator;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator::new();
+
+/// Runs this file's tests one at a time. A failed test poisons the lock;
+/// the others still run (the guarded state is `()`).
+fn serialize() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Asserts `reported` is within `tolerance` (fractional) plus `slack_bytes`
 /// of `retained`, in both directions.
@@ -31,6 +43,7 @@ fn assert_close(label: &str, reported: usize, retained: usize, tolerance: f64, s
 
 #[test]
 fn size_bytes_matches_retained_heap_for_every_family() {
+    let _serial = serialize();
     let x = PangenomeConfig {
         n: 3_000,
         delta: 0.06,
@@ -186,4 +199,33 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         drop(opened);
         drop(arena);
     }
+}
+
+/// The minimizer build holds little more than the index it produces. On
+/// the rssi preset (σ = 91, ℓ = 8: about three factors per position, most
+/// of them sharing their first eight letters with another) the MWSA-G
+/// build's peak heap growth — pending factors, sort keys, the grid's build
+/// buffers, everything but the z-estimation it reads — stays within 1.5 ×
+/// the index's `size_bytes()`.
+#[test]
+fn minimizer_build_peak_stays_near_the_index() {
+    let _serial = serialize();
+    let corpus = bench_corpus("rssi", 20_000, None).expect("rssi is a bench preset");
+    let x = &corpus.x;
+    let est = ZEstimation::build(x, corpus.z).unwrap();
+    let params = IndexParams::new(corpus.z, corpus.ell, x.sigma()).unwrap();
+    let (index, mem) = ius_memtrack::measure(|| {
+        MinimizerIndex::build_from_estimation(x, &est, params, IndexVariant::ArrayGrid).unwrap()
+    });
+    let size = index.size_bytes();
+    assert!(
+        index.num_sampled_factors() > 2 * x.len(),
+        "the workload must sample several factors per position"
+    );
+    assert!(
+        mem.peak_bytes as f64 <= 1.5 * size as f64,
+        "MWSA-G build peaked at {} bytes of heap growth for a {size}-byte index ({:.2}×)",
+        mem.peak_bytes,
+        mem.peak_bytes as f64 / size as f64
+    );
 }
