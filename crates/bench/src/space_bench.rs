@@ -278,9 +278,11 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the IUSX v5 format (raw sections only; each minimizer variant stores only what \
-         its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios and \
-         the grid is a permutation: pi, its inverse and the wavelet matrix); save_ms and \
+         size of the IUSX v6 format (raw sections only; each minimizer variant stores only what \
+         its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios, \
+         no set keeps a leaf that is a prefix of another leaf of its anchor, and the grid holds \
+         the distinct leaf pairs in rank space: pi, its inverse, the wavelet matrix and one \
+         leaf bitvector per axis); save_ms and \
          open_ms are timed over in-memory buffers and rebuild runs the full from-scratch \
          construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \

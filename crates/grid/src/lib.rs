@@ -4,10 +4,12 @@
 //! pair up the leaves of the forward and backward minimizer solid factor
 //! trees: each minimizer occurrence becomes a point `(x, y)` where `x` is the
 //! leaf rank in the forward tree and `y` the leaf rank in the backward tree
-//! (Section 3 of the paper, Lemma 7). Every occurrence has exactly one leaf
-//! on each side, so the points form a *permutation grid*: `y = π(x)` for a
-//! permutation `π` of `0..N`. A pattern query then asks for all points
-//! inside an axis-aligned rectangle `I_suff(P) × I_pref(P)`.
+//! (Section 3 of the paper, Lemma 7). A leaf may carry the points of several
+//! occurrences and every leaf carries at least one, so the distinct points
+//! are ranked on both axes: the ranks pair by a permutation `π` of `0..N`,
+//! and one bitvector per axis maps leaves to ranks and back. A pattern query
+//! then asks for all points inside an axis-aligned rectangle
+//! `I_suff(P) × I_pref(P)`.
 //!
 //! This crate provides:
 //!
@@ -18,6 +20,11 @@
 //!   paper cites — scanning the narrower side of the rectangle directly
 //!   when that is cheaper than walking the matrix. Construction is
 //!   `O(N log N)` time in `O(N)` words.
+//! * [`RankSpaceGrid`] — the rank-space reduction (Mäkinen and Navarro,
+//!   "Rank and select revisited and extended", TCS 2007) of distinct points
+//!   whose keys cover `0..X` × `0..Y`: a [`RangeReporter`] over the points'
+//!   ranks plus, per axis, a [`RankSelect`] bitvector marking each key's
+//!   first point (1.5 bits per point per axis).
 //! * [`NaiveGrid`] — a linear-scan baseline used for differential testing and
 //!   as the honest choice for very small point sets.
 
@@ -25,9 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod naive;
+pub mod rank_select;
+pub mod rank_space;
 pub mod reporter;
 
 pub use naive::NaiveGrid;
+pub use rank_select::{BitParts, RankSelect};
+pub use rank_space::{RankSpaceGrid, RankSpaceParts};
 pub use reporter::{RangeReporter, ReporterParts};
 
 /// A point of the grid: a pair of leaf ranks. Queries report the points

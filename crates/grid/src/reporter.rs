@@ -23,8 +23,9 @@ const SCAN_PER_WALK_LEVEL: usize = 1;
 /// Each array is an [`ArenaVec`], so the parts can either own their storage
 /// (a fresh build) or borrow it zero-copy from a persisted arena.
 ///
-/// The points are the pairs `(x, π(x))` of a permutation `π` of `0..N`; a
-/// point's *id* is its y. With `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words
+/// The points are the pairs `(x, π(x))` of a permutation `π` of `0..N` —
+/// in the index, the x and y ranks of a [`crate::RankSpaceGrid`]'s points,
+/// not leaves; a point's *id* is its y. With `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words
 /// per level:
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReporterParts {

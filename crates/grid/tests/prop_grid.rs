@@ -1,5 +1,6 @@
-//! Property tests of the wavelet-matrix [`RangeReporter`] against the
-//! linear-scan [`NaiveGrid`] oracle.
+//! Property tests of the wavelet-matrix [`RangeReporter`] and the
+//! [`RankSpaceGrid`] over it against the linear-scan [`NaiveGrid`] oracle,
+//! and of the [`RankSelect`] bitvector against a linear scan of its bits.
 //!
 //! Point sets are permutation grids — random, near-diagonal, the identity
 //! and the reversal — at sizes around word and power-of-two boundaries (`N ∈ {0, 1, 63, 64, 65, 2^k ± 1, …}`). Rectangles are random,
@@ -10,7 +11,7 @@
 //! checks the returned grid work against the strategy the rectangle's
 //! widths select.
 
-use ius_grid::{GridPoint, NaiveGrid, RangeReporter, Rect};
+use ius_grid::{GridPoint, NaiveGrid, RangeReporter, RankSelect, RankSpaceGrid, Rect};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -270,4 +271,97 @@ fn forcing_shapes_reach_every_strategy() {
         let got = check_rect(&grid, &naive, &points, &rect).unwrap();
         assert_eq!(got, expected, "{rect:?}");
     }
+}
+
+/// Bitvector lengths at and around the word boundary.
+const BIT_LENGTHS: [usize; 5] = [0, 1, 63, 64, 65];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `rank` and `select` agree with a linear scan of the bits at every
+    /// position and rank, at sparse, half and dense fillings, and survive
+    /// the parts round trip.
+    #[test]
+    fn rank_select_matches_a_linear_scan(
+        size in 0usize..BIT_LENGTHS.len() + 3,
+        density in 0u8..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = BIT_LENGTHS.get(size).copied().unwrap_or_else(|| rng.gen_range(0..3000));
+        let p = [0.05, 0.5, 0.95, 1.0][density as usize];
+        let bits: Vec<bool> = (0..len).map(|_| rng.gen_bool(p)).collect();
+        let ones: Vec<usize> = (0..len).filter(|&i| bits[i]).collect();
+        let built = RankSelect::from_ones(len, ones.iter().copied());
+        let rebuilt = RankSelect::from_parts(len, built.to_parts())
+            .map_err(|e| TestCaseError(format!("from_parts refused a build: {e}")))?;
+        for bv in [&built, &rebuilt] {
+            prop_assert_eq!(bv.len(), len);
+            prop_assert_eq!(bv.ones(), ones.len());
+            let mut before = 0usize;
+            for (i, &bit) in bits.iter().enumerate() {
+                prop_assert_eq!(bv.rank(i), before, "rank({})", i);
+                before += usize::from(bit);
+            }
+            prop_assert_eq!(bv.rank(len), before);
+            for (j, &position) in ones.iter().enumerate() {
+                prop_assert_eq!(bv.select(j), position, "select({})", j);
+            }
+            prop_assert_eq!(bv.select(ones.len()), len);
+            prop_assert_eq!(bv.select(ones.len() + 5), len);
+        }
+    }
+
+    /// A rank-space grid over points whose keys cover `0..X` × `0..Y`, some
+    /// keys carrying many points and some points repeated, reports exactly
+    /// the oracle's distinct points in key coordinates, also after the
+    /// parts round trip.
+    #[test]
+    fn rank_space_grid_matches_the_naive_grid(
+        x_keys in 0u32..300,
+        y_keys in 0u32..300,
+        extra in 0usize..600,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (x_keys, y_keys) = if x_keys == 0 || y_keys == 0 { (0, 0) } else { (x_keys, y_keys) };
+        let mut points = Vec::new();
+        if x_keys > 0 {
+            points.extend((0..x_keys).map(|x| GridPoint::new(x, rng.gen_range(0..y_keys))));
+            points.extend((0..y_keys).map(|y| GridPoint::new(rng.gen_range(0..x_keys), y)));
+            // A few crowded keys, and repeats of points already present.
+            let crowded = rng.gen_range(0..x_keys);
+            for i in 0..extra {
+                let p = match i % 3 {
+                    0 => GridPoint::new(crowded, rng.gen_range(0..y_keys)),
+                    1 => GridPoint::new(rng.gen_range(0..x_keys), rng.gen_range(0..y_keys)),
+                    _ => points[rng.gen_range(0..points.len())],
+                };
+                points.push(p);
+            }
+        }
+        let mut distinct = points.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let naive = NaiveGrid::new(distinct.clone());
+        let grid = RankSpaceGrid::new(points);
+        prop_assert_eq!(grid.len(), distinct.len());
+        prop_assert_eq!((grid.x_keys(), grid.y_keys()), (x_keys as usize, y_keys as usize));
+        let rebuilt = RankSpaceGrid::from_parts(grid.to_parts())
+            .map_err(|e| TestCaseError(format!("from_parts refused a build: {e}")))?;
+        prop_assert_eq!(rebuilt.to_parts(), grid.to_parts());
+        for rect in rectangles(x_keys.max(y_keys).max(1), &mut rng) {
+            let expected = sorted(naive.report(&rect));
+            prop_assert_eq!(sorted(grid.report(&rect)), expected.clone(), "{:?}", rect);
+            prop_assert_eq!(sorted(rebuilt.report(&rect)), expected, "{:?}", rect);
+        }
+    }
+}
+
+/// A rank-space grid refuses a key range with a key that carries no point.
+#[test]
+#[should_panic(expected = "every y key below the largest must carry a point")]
+fn rank_space_grid_refuses_a_key_without_a_point() {
+    RankSpaceGrid::new(vec![GridPoint::new(0, 0), GridPoint::new(1, 2)]);
 }

@@ -142,8 +142,8 @@ impl EncodedFactorSet {
     ///
     /// # Panics
     ///
-    /// In a set without the log-ratio pool (see
-    /// [`EncodedFactorSet::drop_log_ratios`]) that stores mismatches.
+    /// In a set without the log-ratio pool (the sets of MWST and MWSA,
+    /// which verify against `X`) that stores mismatches.
     #[inline]
     pub fn mismatch_log_ratios(&self, leaf: usize) -> &[f64] {
         &self.mism_log_ratios[self.mism_range(leaf)]
@@ -593,18 +593,27 @@ impl EncodedFactorSetBuilder {
         self.lens.is_empty()
     }
 
-    /// Sorts the factors lexicographically and returns the finished set and
-    /// the sort order: the push index of the factor at each leaf rank. Equal
-    /// factors are ordered by anchor, then by push index.
+    /// Sorts the factors by (string, anchor, push index), drops every
+    /// *prefix-dominated* factor and returns the finished set of the others
+    /// together with, for each pushed factor, the leaf rank of the factor
+    /// that survives it: its own, or that of the factor dominating it.
+    ///
+    /// A factor is dominated when the next factor of the same anchor in
+    /// sorted order has it as a prefix (an equal string included, so one
+    /// copy of a string survives per anchor). Every pattern that is a
+    /// prefix of a dominated factor is a prefix of its survivor, at the
+    /// same anchor and with the same letters, so no query needs it.
     ///
     /// The sort compares packed keys of the factors' first 16 letters, with
     /// each factor's anchor and push index held beside them (see
     /// `packed_keys`). The `O(log z)` LCE comparator runs only between
     /// factors longer than 16 letters that agree on all 16; the LCE index
     /// over the heavy view is built only if one of its extensions runs past
-    /// 32 letters. Each pending pool is then permuted into leaf order and
-    /// freed. No LCPs are computed: only the tree variants need them, from
-    /// `EncodedFactorSet::neighbour_lcps`.
+    /// 32 letters. The prefix test between two factors of one anchor reads
+    /// their mismatches alone (their heavy letters coincide). Each pending
+    /// pool is then permuted into leaf order, without the dominated
+    /// factors, and freed. No LCPs are computed: only the tree variants
+    /// need them, from `EncodedFactorSet::neighbour_lcps`.
     pub fn finish(self) -> (EncodedFactorSet, Vec<u32>) {
         let Self {
             direction,
@@ -679,9 +688,10 @@ impl EncodedFactorSetBuilder {
                 })
                 .then(a.tie.cmp(&b.tie))
         });
-        drop(heavy);
-        let order: Vec<u32> = entries.iter().map(|e| e.push_index() as u32).collect();
+        let mut order: Vec<u32> = entries.iter().map(|e| e.push_index() as u32).collect();
         drop(entries);
+        let survivors = drop_dominated(&mut order, n, &anchor_x, &pending, &heavy);
+        drop(heavy);
         // The first eight letters' key, in leaf order, is the integer
         // narrowing index of `equal_range`. Packing it again costs less
         // than holding it beside the sort entries.
@@ -701,16 +711,58 @@ impl EncodedFactorSetBuilder {
         let set = EncodedFactorSet {
             direction,
             heavy_view,
-            mism_depths: permute_pool(mism_depths, &mism_end, &order).into(),
-            mism_letters: permute_pool(mism_letters, &mism_end, &order).into(),
-            mism_log_ratios: permute_pool(mism_log_ratios, &mism_end, &order).into(),
+            mism_depths: permute_pool(mism_depths, &mism_end, &order, total).into(),
+            mism_letters: permute_pool(mism_letters, &mism_end, &order, total).into(),
+            mism_log_ratios: permute_pool(mism_log_ratios, &mism_end, &order, total).into(),
             mism_start: mism_start.into(),
             anchor_x: permute(anchor_x, &order).into(),
             lens: permute(lens, &order).into(),
             prefix_keys: prefix_keys.into(),
         };
-        (set, order)
+        (set, survivors)
     }
+}
+
+/// Removes the prefix-dominated factors from `order` (the push index at
+/// each sorted rank, kept in rank order) and returns, per push index, the
+/// leaf rank of its survivor among the factors kept. One pass from the
+/// last rank down, with the push index of the next-ranked factor of each
+/// anchor in an `n`-entry table. The survivors are compacted to the top of
+/// `order` as they are found, never below the rank being read.
+fn drop_dominated<'a>(
+    order: &mut Vec<u32>,
+    n: usize,
+    anchor_x: &[u32],
+    pending: &impl Fn(usize) -> FactorRef<'a>,
+    heavy: &HeavyLce<'_>,
+) -> Vec<u32> {
+    const NONE: u32 = u32::MAX;
+    // Push indices stay below u32::MAX (`push` caps the count there).
+    let mut next_of_anchor = vec![NONE; n];
+    // Per push index: the survivor's rank counted from the top, for now.
+    let mut survivor = vec![0u32; order.len()];
+    let (mut kept, mut top) = (0u32, order.len());
+    for rank in (0..order.len()).rev() {
+        let i = order[rank] as usize;
+        let next = std::mem::replace(&mut next_of_anchor[anchor_x[i] as usize], i as u32);
+        let dominated = next != NONE && {
+            let (f, g) = (pending(i), pending(next as usize));
+            f.len <= g.len && lcp_from(f, g, 0, heavy) == f.len
+        };
+        if dominated {
+            survivor[i] = survivor[next as usize];
+        } else {
+            survivor[i] = kept;
+            kept += 1;
+            top -= 1;
+            order[top] = i as u32;
+        }
+    }
+    order.drain(..top);
+    for s in &mut survivor {
+        *s = kept - 1 - *s;
+    }
+    survivor
 }
 
 /// Letters packed into the construction sort's keys.
@@ -747,10 +799,11 @@ fn permute<T: Copy>(column: Vec<T>, order: &[u32]) -> Vec<T> {
     order.iter().map(|&i| column[i as usize]).collect()
 }
 
-/// A pending mismatch pool with its factors' entries in leaf order.
-/// Consumes the pool, so it is freed on return.
-fn permute_pool<T: Copy>(pool: Vec<T>, mism_end: &[u32], order: &[u32]) -> Vec<T> {
-    let mut out = Vec::with_capacity(pool.len());
+/// A pending mismatch pool with the entries of the factors in `order`, in
+/// leaf order (`total` of them). Consumes the pool, so it is freed on
+/// return.
+fn permute_pool<T: Copy>(pool: Vec<T>, mism_end: &[u32], order: &[u32], total: u32) -> Vec<T> {
+    let mut out = Vec::with_capacity(total as usize);
     for &i in order {
         out.extend_from_slice(&pool[pool_range(mism_end, i as usize)]);
     }
@@ -1007,8 +1060,10 @@ mod tests {
     }
 
     /// Builds `factors` and checks the set against a plain sort of their
-    /// materialised strings by (string, anchor, push index): the order,
-    /// each leaf's letters, anchor and mismatches, and the neighbour LCPs.
+    /// materialised strings by (string, anchor, push index) with every
+    /// factor dropped whose next factor of the same anchor in that order
+    /// has it as a prefix: the kept order, each leaf's letters, anchor and
+    /// mismatches, the neighbour LCPs and each pushed factor's survivor.
     fn assert_sorted_like_materialised(
         heavy: &Arc<Vec<u8>>,
         direction: Direction,
@@ -1029,15 +1084,36 @@ mod tests {
                 s
             })
             .collect();
-        let mut expected: Vec<u32> = (0..factors.len() as u32).collect();
-        expected.sort_by_key(|&i| (&strings[i as usize], factors[i as usize].anchor_x, i));
-        let (set, order) = build(heavy, direction, factors);
-        assert_eq!(order, expected, "sort order ({direction:?})");
+        let mut sorted: Vec<usize> = (0..factors.len()).collect();
+        sorted.sort_by_key(|&i| (&strings[i], factors[i].anchor_x, i));
+        // The next factor of the same anchor, per sorted rank.
+        let next: Vec<Option<usize>> = (0..sorted.len())
+            .map(|rank| {
+                let anchor = factors[sorted[rank]].anchor_x;
+                (rank + 1..sorted.len()).find(|&r| factors[sorted[r]].anchor_x == anchor)
+            })
+            .collect();
+        let dominated = |rank: usize| {
+            next[rank].is_some_and(|r| strings[sorted[r]].starts_with(&strings[sorted[rank]]))
+        };
+        let kept: Vec<usize> = (0..sorted.len()).filter(|&r| !dominated(r)).collect();
+        let (set, survivors) = build(heavy, direction, factors);
+        assert_eq!(set.len(), kept.len(), "kept leaves ({direction:?})");
+        for (rank, &i) in sorted.iter().enumerate() {
+            let mut survivor = rank;
+            while dominated(survivor) {
+                survivor = next[survivor].unwrap();
+            }
+            let leaf = kept.binary_search(&survivor).unwrap();
+            assert_eq!(survivors[i] as usize, leaf, "survivor of factor {i}");
+            assert!(strings[sorted[survivor]].starts_with(&strings[i]));
+        }
         let lcps = set.neighbour_lcps();
-        assert_eq!(lcps.len(), factors.len());
-        for (leaf, &i) in order.iter().enumerate() {
-            let f = &factors[i as usize];
-            assert_eq!(set.materialize(leaf), strings[i as usize], "leaf {leaf}");
+        assert_eq!(lcps.len(), kept.len());
+        for (leaf, &rank) in kept.iter().enumerate() {
+            let i = sorted[rank];
+            let f = &factors[i];
+            assert_eq!(set.materialize(leaf), strings[i], "leaf {leaf}");
             assert_eq!(set.anchor_x(leaf), f.anchor_x as usize);
             let depths: Vec<u32> = f.mismatches.iter().map(|m| m.0).collect();
             let ratios: Vec<f64> = f.mismatches.iter().map(|m| m.2).collect();
@@ -1045,14 +1121,60 @@ mod tests {
             assert_eq!(set.mismatch_log_ratios(leaf), &ratios[..], "leaf {leaf}");
             let direct = match leaf {
                 0 => 0,
-                _ => strings[order[leaf - 1] as usize]
+                _ => strings[sorted[kept[leaf - 1]]]
                     .iter()
-                    .zip(&strings[i as usize])
+                    .zip(&strings[i])
                     .take_while(|(a, b)| a == b)
                     .count(),
             };
             assert_eq!(lcps[leaf], direct, "LCP at leaf {leaf} ({direction:?})");
         }
+    }
+
+    /// Exactly the prefix-dominated factors go: a prefix chain at one
+    /// anchor keeps its longest string, equal strings at one anchor keep
+    /// one copy, and a string survives beside its copy or its extension at
+    /// another anchor, or beside a factor its mismatch letter parts from.
+    #[test]
+    fn finish_drops_exactly_the_prefix_dominated_factors() {
+        let heavy = Arc::new(vec![0u8, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
+        let factors = [
+            // A prefix chain at 0: "01" ⊂ "0123" ⊂ "012301".
+            (0, 2, vec![]),
+            (0, 4, vec![]),
+            (0, 6, vec![]),
+            // "012" twice at 4, once at 8: a prefix of "012301", which is
+            // anchored elsewhere.
+            (4, 3, vec![]),
+            (4, 3, vec![]),
+            (8, 3, vec![]),
+            // "13" (a mismatch at depth 1) and "1230" at 1.
+            (1, 2, vec![(1, 3, -0.5)]),
+            (1, 4, vec![]),
+        ];
+        let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
+        for (anchor, len, mismatches) in factors {
+            builder.push(anchor, len, mismatches).unwrap();
+        }
+        let (set, survivors) = builder.finish();
+        // Kept, in (string, anchor) order: "012" at 4 (the later push) and
+        // at 8, "012301", "1230", "13".
+        let leaves: Vec<(usize, Vec<u8>)> = (0..set.len())
+            .map(|leaf| (set.anchor_x(leaf), set.materialize(leaf)))
+            .collect();
+        assert_eq!(
+            leaves,
+            vec![
+                (4, vec![0, 1, 2]),
+                (8, vec![0, 1, 2]),
+                (0, vec![0, 1, 2, 3, 0, 1]),
+                (1, vec![1, 2, 3, 0]),
+                (1, vec![1, 3]),
+            ]
+        );
+        assert_eq!(survivors, vec![2, 2, 2, 0, 0, 1, 4, 3]);
+        assert_eq!(set.mismatch_log_ratios(4), &[-0.5]);
+        assert_eq!(set.total_mismatches(), 1);
     }
 
     #[test]
@@ -1151,6 +1273,7 @@ mod tests {
             .map(|_| random_factor(&mut rng, &heavy, Direction::Forward, sigma))
             .collect();
         let (set, _) = build(&heavy, Direction::Forward, &factors);
+        assert!(set.len() > 30, "pruning left too few leaves to search");
         for _ in 0..300 {
             // Lengths up to 15 cover both search branches: plain binary
             // search (m < 8) and the packed-prefix-key narrowing (m ≥ 8).
@@ -1182,8 +1305,8 @@ mod tests {
         let heavy = Arc::new(vec![0u8, 1, 2, 3, 0, 1, 2, 3]);
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
         builder.push(2, 5, [(1, 0, 0.25f64.ln())]).unwrap();
-        let (set, order) = builder.finish();
-        assert_eq!(order, vec![0]);
+        let (set, survivors) = builder.finish();
+        assert_eq!(survivors, vec![0]);
         assert_eq!(set.len(), 1);
         assert_eq!(set.materialize(0), vec![2, 0, 0, 1, 2]);
         assert_eq!(set.letter_at(0, 1), Some(0));
@@ -1276,10 +1399,10 @@ mod tests {
     fn empty_builder_finishes_cleanly() {
         let builder = EncodedFactorSetBuilder::new(Direction::Backward, Arc::new(vec![0, 1, 0]));
         assert!(builder.is_empty());
-        let (set, order) = builder.finish();
+        let (set, survivors) = builder.finish();
         assert!(set.is_empty());
         assert!(set.neighbour_lcps().is_empty());
-        assert!(order.is_empty());
+        assert!(survivors.is_empty());
         assert_eq!(set.equal_range(&[0]), (0, 0));
     }
 }

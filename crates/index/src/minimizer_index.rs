@@ -13,12 +13,21 @@
 //!   (the **simple** query of Section 5), or by a 2D range-reporting query
 //!   that pairs the two parts and verifies candidates in `O(log z)` time from
 //!   the stored mismatches alone (the **grid** variants of Theorem 9).
+//!
+//! Only the leaves a query can land on are stored. A factor that is a
+//! prefix of another factor of the same anchor (an equal one included) is
+//! dropped by [`EncodedFactorSetBuilder::finish`]: every pattern part it
+//! spells, the longer factor spells too, at the same anchor and with the
+//! same letters and mismatch log-ratios. The grid stores each occurrence
+//! as the pair of leaves that survive its two factors, every distinct pair
+//! once, so a leaf carries one point or several; [`RankSpaceGrid`] ranks
+//! the points on both axes and maps leaf ranges to point ranges.
 
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSet, EncodedFactorSetBuilder};
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::{Arena, ArenaVec};
-use ius_grid::{RangeReporter, Rect};
+use ius_grid::{GridPoint, RankSpaceGrid, Rect};
 use ius_obs::clock;
 use ius_query::{finalize_into, MatchSink, QueryScratch};
 use ius_sampling::MinimizerScheme;
@@ -85,7 +94,7 @@ pub struct MinimizerIndex {
     fwd_trie: Option<CompactedTrie>,
     bwd_trie: Option<CompactedTrie>,
     /// The 2D grid over `(forward leaf, backward leaf)` pairs.
-    grid: Option<RangeReporter>,
+    grid: Option<RankSpaceGrid>,
     /// The persisted arena the index's views borrow from, when it was
     /// loaded from a file (`None` for built indexes).
     /// Held so size accounting can count the single backing allocation once.
@@ -150,7 +159,8 @@ impl MinimizerIndex {
         let mut deviations: Vec<(u32, u8, f64)> = Vec::new();
         // Every (minimizer, strand) pushes one forward and one backward
         // factor, in step: pushed factor `i` of either builder is the same
-        // occurrence, which is how the grid pairs the leaves.
+        // occurrence, which is how the grid pairs the leaves that survive
+        // them.
         for strand in estimation.strands() {
             let seq = strand.seq();
             let extents = strand.extents();
@@ -199,11 +209,20 @@ impl MinimizerIndex {
 
         // Free the strand buffer (up to 16 B per position) before the sorts.
         drop(deviations);
-        let (fwd, fwd_order) = fwd_builder.finish();
-        let (bwd, bwd_order) = bwd_builder.finish();
-        let grid = variant
-            .has_grid()
-            .then(|| RangeReporter::new(leaf_pairing(fwd_order, bwd_order)));
+        let (fwd, fwd_leaf) = fwd_builder.finish();
+        let (bwd, bwd_leaf) = bwd_builder.finish();
+        // Occurrence `i` is the point (forward leaf, backward leaf) of the
+        // leaves that survive its two factors; occurrences whose factors
+        // survive onto the same pair share one point.
+        let grid = variant.has_grid().then(|| {
+            let points = fwd_leaf
+                .iter()
+                .zip(&bwd_leaf)
+                .map(|(&x, &y)| GridPoint::new(x, y))
+                .collect();
+            drop((fwd_leaf, bwd_leaf));
+            RankSpaceGrid::new(points)
+        });
         Self::assemble(x, params, variant, heavy, fwd, bwd, grid, "explicit")
     }
 
@@ -220,7 +239,7 @@ impl MinimizerIndex {
         heavy: HeavyString,
         mut fwd: EncodedFactorSet,
         mut bwd: EncodedFactorSet,
-        grid: Option<RangeReporter>,
+        grid: Option<RankSpaceGrid>,
         construction: &'static str,
     ) -> Result<Self> {
         assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
@@ -313,7 +332,7 @@ impl MinimizerIndex {
         bwd: EncodedFactorSet,
         fwd_trie: Option<CompactedTrie>,
         bwd_trie: Option<CompactedTrie>,
-        grid: Option<RangeReporter>,
+        grid: Option<RankSpaceGrid>,
         arena: Option<Arena>,
         construction: &'static str,
     ) -> Self {
@@ -543,25 +562,7 @@ pub(crate) struct MinimizerParts<'a> {
     pub(crate) bwd: &'a EncodedFactorSet,
     pub(crate) fwd_trie: Option<&'a CompactedTrie>,
     pub(crate) bwd_trie: Option<&'a CompactedTrie>,
-    pub(crate) grid: Option<&'a RangeReporter>,
-}
-
-/// The grid's permutation: the backward leaf paired with each forward leaf.
-/// Both builders pushed one factor per occurrence, in step, and each
-/// `*_order` names the pushed factor at every leaf rank, so forward leaf
-/// `x` pairs with the backward leaf holding pushed factor `fwd_order[x]`.
-/// Both orders are consumed: neither outlives the pairing into the grid
-/// build.
-fn leaf_pairing(mut fwd_order: Vec<u32>, bwd_order: Vec<u32>) -> Vec<u32> {
-    let mut bwd_rank = vec![0u32; bwd_order.len()];
-    for (rank, &pushed) in bwd_order.iter().enumerate() {
-        bwd_rank[pushed as usize] = rank as u32;
-    }
-    drop(bwd_order);
-    for pushed in &mut fwd_order {
-        *pushed = bwd_rank[*pushed as usize];
-    }
-    fwd_order
+    pub(crate) grid: Option<&'a RankSpaceGrid>,
 }
 
 /// The deviations of a strand from the heavy string that fall into
@@ -833,23 +834,63 @@ mod tests {
         let mut points = 0usize;
         for (label, index) in preset_indexes() {
             let Some(grid) = &index.grid else { continue };
-            // One forward and one backward leaf per occurrence: the grid is
-            // a permutation of the leaves of either side.
-            assert_eq!(grid.len(), index.fwd.len(), "{label}");
-            assert_eq!(grid.len(), index.bwd.len(), "{label}");
-            let n = grid.len() as u32;
-            let reported = grid.report(&Rect::new((0, n), (0, n)));
+            let (fwd_leaves, bwd_leaves) = (index.fwd.len(), index.bwd.len());
+            let reported = grid.report(&Rect::new((0, fwd_leaves as u32), (0, bwd_leaves as u32)));
             assert_eq!(reported.len(), grid.len(), "{label}");
-            for p in reported {
+            let (mut fwd_seen, mut bwd_seen) = (vec![false; fwd_leaves], vec![false; bwd_leaves]);
+            for p in &reported {
+                // Each point pairs the two leaves of one occurrence.
                 assert_eq!(
                     index.fwd.anchor_x(p.x as usize),
                     index.bwd.anchor_x(p.y as usize),
                     "{label}: point {p:?} pairs leaves of different anchors"
                 );
+                fwd_seen[p.x as usize] = true;
+                bwd_seen[p.y as usize] = true;
             }
+            // Each stored leaf carries a point.
+            assert!(
+                fwd_seen.iter().all(|&s| s),
+                "{label}: a forward leaf has no point"
+            );
+            assert!(
+                bwd_seen.iter().all(|&s| s),
+                "{label}: a backward leaf has no point"
+            );
+            // No point repeats.
+            let mut distinct = reported.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), reported.len(), "{label}: a point repeats");
             points += grid.len();
         }
         assert!(points > 0, "no preset sampled a grid point");
+    }
+
+    /// No stored leaf is a prefix of another leaf of its anchor (an equal
+    /// string included): the build kept only leaves a query can land on.
+    #[test]
+    fn no_stored_leaf_is_prefix_dominated() {
+        let mut leaves = 0usize;
+        for (label, index) in preset_indexes() {
+            for (side, set) in [("forward", &index.fwd), ("backward", &index.bwd)] {
+                let mut by_anchor: Vec<(usize, Vec<u8>)> = (0..set.len())
+                    .map(|leaf| (set.anchor_x(leaf), set.materialize(leaf)))
+                    .collect();
+                // Within one anchor, a prefix sorts right before the
+                // strings it prefixes.
+                by_anchor.sort_unstable();
+                for pair in by_anchor.windows(2) {
+                    let ((a, s), (b, t)) = (&pair[0], &pair[1]);
+                    assert!(
+                        a != b || !t.starts_with(s),
+                        "{label}: a {side} leaf at {a} is a prefix of another there"
+                    );
+                }
+                leaves += set.len();
+            }
+        }
+        assert!(leaves > 0, "no preset sampled a leaf");
     }
 
     /// `size_bytes()` of a built index stays within the documented costs,
@@ -864,7 +905,8 @@ mod tests {
     /// * per mismatch: its depth (4 B) and letter (1 B), plus its log-ratio
     ///   (8 B) with a grid;
     /// * per grid point: `π` and `π⁻¹` (8 B), plus 12 B per 64 points per
-    ///   wavelet level (a 64-bit word and its 32-bit rank count).
+    ///   wavelet level and per leaf bitvector (a 64-bit word and its 32-bit
+    ///   rank count), the two bitvectors costing two levels more.
     #[test]
     fn size_bytes_stays_within_the_documented_costs() {
         for (label, index) in preset_indexes() {
@@ -879,7 +921,7 @@ mod tests {
             budget += (5 + 8 * grid) * mismatches;
             if let Some(g) = &index.grid {
                 let levels = (usize::BITS - g.len().saturating_sub(1).leading_zeros()) as usize;
-                budget += 8 * g.len() + 12 * levels * (g.len() / 64 + 1);
+                budget += 8 * g.len() + 12 * (levels + 2) * (g.len() / 64 + 1);
             }
             assert!(
                 index.size_bytes() <= budget,

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 5**, the only version:
+//! behind a fixed envelope. Format **version 6**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -37,9 +37,9 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 5 only. Any
+//! **Version policy:** this build reads and writes version 6 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — the
-//! earlier versions 2, 3 and 4 included — is refused with a typed
+//! earlier versions 2, 3, 4 and 5 included — is refused with a typed
 //! `InvalidData` error naming the version, and there is no migration:
 //! rebuild the index from its corpus. Every envelope carries its own CRC32
 //! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
@@ -56,13 +56,21 @@
 //!     · mism_depths · mism_letters (u8) · [mism_log_ratios (f64)]  grid only
 //!     · prefix_keys (u64)
 //! · trie flag (u8) [· forward trie] · trie flag (u8) [· backward trie]
-//! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id]
+//! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
+//!     · x starts (u64) · x ranks · y starts (u64) · y ranks]
 //! ```
 //!
-//! MWST and MWSA verify against `X`; MWST-G and MWSA-G verify from the
-//! log-prefix and the log-ratios alone, and their grid is a permutation of
-//! the `N` leaves per side (`ids_by_x`, its inverse `xs_by_id`, and a
-//! wavelet matrix over `ids_by_x`). Nothing is derived per element at open:
+//! Both sets hold no prefix-dominated leaf (one that is a prefix of
+//! another leaf of its anchor). MWST and MWSA verify against `X`; MWST-G
+//! and MWSA-G verify from the log-prefix and the log-ratios alone, and
+//! their grid holds the `N` distinct (forward leaf, backward leaf) pairs of
+//! the occurrences in rank space: `ids_by_x` pairs each point's x rank with
+//! its y rank (a permutation; `xs_by_id` is its inverse, the wavelet matrix
+//! is over `ids_by_x`), and per axis a bitvector over the `N` ranks marks
+//! each leaf's first point, with its per-word rank counts. At open each
+//! bitvector's rank counts must be its prefix popcounts, no bit may be set
+//! past `N`, rank 0 must be marked when `N > 0` and the marks must number
+//! that side's leaves. Nothing is derived per element at open:
 //! view anchors cost `O(1)` on use, log-ratios are stored as the `ln` that
 //! verification sums, and construction (z-estimation, suffix sorting, trie
 //! assembly, wavelet matrix) is **never** re-run.
@@ -89,7 +97,7 @@ use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
 use ius_faultio::crc32;
-use ius_grid::{RangeReporter, ReporterParts};
+use ius_grid::{BitParts, RankSpaceGrid, RankSpaceParts, ReporterParts};
 use ius_sampling::KmerOrder;
 use ius_text::trie::{CompactedTrie, TrieParts};
 use ius_weighted::HeavyString;
@@ -102,7 +110,7 @@ pub const MAGIC: [u8; 4] = *b"IUSX";
 /// The on-disk format version, the only one this build reads or writes:
 /// arena-openable 8-byte-aligned sections with an envelope length field.
 /// Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 5;
+pub const FORMAT_VERSION: u16 = 6;
 
 const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
@@ -512,25 +520,44 @@ fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
     CompactedTrie::from_parts(parts).map_err(bad)
 }
 
-fn write_reporter(vw: &mut SectionWriter, reporter: &RangeReporter) -> io::Result<()> {
-    let parts = reporter.to_parts();
-    write_u64(vw, parts.len)?;
-    vw.section::<u64>(&parts.bits);
-    vw.section::<u32>(&parts.ranks);
-    vw.section::<u32>(&parts.ids_by_x);
-    vw.section::<u32>(&parts.xs_by_id);
+fn write_grid(vw: &mut SectionWriter, grid: &RankSpaceGrid) -> io::Result<()> {
+    let RankSpaceParts {
+        points,
+        x_starts,
+        y_starts,
+    } = grid.to_parts();
+    write_u64(vw, points.len)?;
+    vw.section::<u64>(&points.bits);
+    vw.section::<u32>(&points.ranks);
+    vw.section::<u32>(&points.ids_by_x);
+    vw.section::<u32>(&points.xs_by_id);
+    for starts in [x_starts, y_starts] {
+        vw.section::<u64>(&starts.bits);
+        vw.section::<u32>(&starts.ranks);
+    }
     Ok(())
 }
 
-fn read_reporter(s: &mut ArenaSource) -> io::Result<RangeReporter> {
-    let parts = ReporterParts {
+fn read_grid(s: &mut ArenaSource) -> io::Result<RankSpaceGrid> {
+    let points = ReporterParts {
         len: src_u64(s)?,
         bits: read_section::<u64>(s)?,
         ranks: read_section::<u32>(s)?,
         ids_by_x: read_section::<u32>(s)?,
         xs_by_id: read_section::<u32>(s)?,
     };
-    RangeReporter::from_parts(parts).map_err(bad)
+    let mut starts = || -> io::Result<BitParts> {
+        Ok(BitParts {
+            bits: read_section::<u64>(s)?,
+            ranks: read_section::<u32>(s)?,
+        })
+    };
+    let parts = RankSpaceParts {
+        points,
+        x_starts: starts()?,
+        y_starts: starts()?,
+    };
+    RankSpaceGrid::from_parts(parts).map_err(bad)
 }
 
 /// Writes the heavy letters, plus the log-prefix table for grid variants
@@ -659,7 +686,7 @@ fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io
     match parts.grid {
         Some(grid) => {
             write_u8(vw, 1)?;
-            write_reporter(vw, grid)?;
+            write_grid(vw, grid)?;
         }
         None => write_u8(vw, 0)?,
     }
@@ -690,7 +717,7 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     let [fwd_trie, bwd_trie] = tries;
     let grid = match src_u8(src)? {
         0 => None,
-        1 => Some(read_reporter(src)?),
+        1 => Some(read_grid(src)?),
         other => return Err(bad(format!("bad grid presence flag {other}"))),
     };
     // Cross-component invariants.
@@ -716,12 +743,18 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     if variant.has_grid() != grid.is_some() {
         return Err(bad("stored grid does not match the index variant"));
     }
-    // The grid pairs every forward leaf with one backward leaf.
-    if grid
-        .as_ref()
-        .is_some_and(|g| g.len() != fwd.len() || g.len() != bwd.len())
-    {
-        return Err(bad("grid size does not match the leaf count of both sets"));
+    // Each grid axis marks the first point of every leaf of its set.
+    if let Some(g) = &grid {
+        for (side, keys, leaves) in [
+            ("forward", g.x_keys(), fwd.len()),
+            ("backward", g.y_keys(), bwd.len()),
+        ] {
+            if keys != leaves {
+                return Err(bad(format!(
+                    "grid marks {keys} {side} leaves, but the {side} set has {leaves}"
+                )));
+            }
+        }
     }
     Ok(MinimizerIndex::from_loaded_parts(
         params,
@@ -868,6 +901,7 @@ mod tests {
     use crate::builder::{IndexFamily, IndexSpec};
     use crate::traits::UncertainIndex;
     use ius_datasets::uniform::UniformConfig;
+    use ius_grid::GridPoint;
 
     fn sample_corpus() -> ius_weighted::WeightedString {
         UniformConfig {
@@ -909,8 +943,9 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version, and versions 2 and 4: refused naming the version.
-        for version in [0x03FF, 2u16, 4] {
+        // Unknown version, and versions 2, 4 and 5: refused naming the
+        // version.
+        for version in [0x03FF, 2u16, 4, 5] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&version.to_le_bytes());
             let err = load_index(&mut corrupt.as_slice()).unwrap_err();
@@ -965,9 +1000,14 @@ mod tests {
             panic!("sample is a minimizer index");
         };
         let parts = built.persist_parts();
-        let leaves = parts.fwd.len() as u32;
-        assert!(leaves > 1);
-        // A valid permutation grid, one point short of the leaf count.
+        let (fwd_leaves, bwd_leaves) = (parts.fwd.len() as u32, parts.bwd.len() as u32);
+        assert!(fwd_leaves > 1);
+        // A valid grid that marks every backward leaf but one forward leaf
+        // too few.
+        let points = (0..fwd_leaves - 1)
+            .map(|x| GridPoint::new(x, 0))
+            .chain((0..bwd_leaves).map(|y| GridPoint::new(0, y)))
+            .collect();
         let short = MinimizerIndex::from_loaded_parts(
             *built.params(),
             built.variant(),
@@ -979,7 +1019,7 @@ mod tests {
             parts.bwd.clone(),
             None,
             None,
-            Some(RangeReporter::new((0..leaves - 1).collect())),
+            Some(RankSpaceGrid::new(points)),
             None,
             built.construction(),
         );
@@ -992,7 +1032,13 @@ mod tests {
             open_index(&Arena::from_bytes(&bytes)).unwrap_err(),
         ] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("grid size"), "{err}");
+            assert!(
+                err.to_string().contains(&format!(
+                    "grid marks {} forward leaves, but the forward set has {fwd_leaves}",
+                    fwd_leaves - 1
+                )),
+                "{err}"
+            );
         }
     }
 

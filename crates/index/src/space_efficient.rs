@@ -28,11 +28,12 @@
 //! (packed keys of their first 16 letters, with `O(log z)`-time comparisons
 //! against an LCE index over the heavy string only between longer factors
 //! that agree on all 16) and assembled into the same
-//! [`crate::MinimizerIndex`] produced by the explicit construction (grid
-//! variants excepted: the grid pairs forward and backward leaves by the
-//! explicit build's paired emission order — one forward and one backward
-//! factor pushed in step per (minimizer, strand) — while the two DFS passes
-//! here emit their factors independently, in different orders).
+//! [`crate::MinimizerIndex`] produced by the explicit construction, the
+//! prefix-dominated factors dropped the same way (grid variants excepted:
+//! the grid pairs the leaves that survive the forward and the backward
+//! factor of one occurrence, which the explicit build pushes in step per
+//! (minimizer, strand), while the two DFS passes here emit their factors
+//! independently, in different orders).
 
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSetBuilder};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
@@ -84,8 +85,8 @@ impl SpaceEfficientBuilder {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidParameters`] for grid variants (they require the
-    ///   paired emission order of the explicit construction), when `|X|`
+    /// * [`Error::InvalidParameters`] for grid variants (they pair the
+    ///   factors the explicit construction pushes in step), when `|X|`
     ///   exceeds `u32::MAX` positions, when a factor set exceeds `u32::MAX`
     ///   factors or mismatches, or when the extended solid factor tree
     ///   exceeds the node cap;

@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 5, the
+//! Format differential suite for the IUSX on-disk format (version 6, the
 //! only version this build reads or writes): a saved index must answer
 //! exactly like the in-memory build it was saved from, opened zero-copy
 //! from an arena and through the `Read` entry point, across every buildable
@@ -8,15 +8,15 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v5 file, and any file whose header names another
-//! version (the earlier versions 2, 3 and 4 included) or the removed
+//! appended byte of a v6 file, and any file whose header names another
+//! version (the earlier versions 2, 3, 4 and 5 included) or the removed
 //! sharded-index format (family tag 4), must be rejected with a typed error
 //! before a single view is handed out — never a panic, never a
 //! lazily-corrupt index. So must a file whose checksum is intact but whose
 //! contents break an invariant the query relies on (mismatch depths that do
-//! not increase within a factor), and one with a section in an encoding
-//! other than raw (the bit-packed `u32` sections of earlier version-5
-//! builds).
+//! not increase within a factor, or a malformed leaf bitvector of the
+//! grid), and one with a section in an encoding other than raw (the
+//! bit-packed `u32` sections of earlier version-5 builds).
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
@@ -133,14 +133,15 @@ fn resave_after_open_is_byte_identical() {
     }
 }
 
-/// A header naming any version but 5 — the earlier streamed version 2,
-/// version 3 with its merge-tree grid and version 4 with its strands,
-/// ratios and general point-set grid included — is refused with a typed
+/// A header naming any version but 6 — the earlier streamed version 2,
+/// version 3 with its merge-tree grid, version 4 with its strands, ratios
+/// and general point-set grid, and version 5 with its prefix-dominated
+/// leaves and permutation grid included — is refused with a typed
 /// `InvalidData` error that names the version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes) in &cases()[0].families {
-        for version in [2u16, 3, 4, 6] {
+        for version in [2u16, 3, 4, 5, 7] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -165,17 +166,17 @@ fn other_versions_are_refused_naming_the_version() {
 /// and re-pin alone when only the index contents did.
 #[test]
 fn layout_changes_bump_the_format_version() {
-    const PINNED_VERSION: u16 = 5;
+    const PINNED_VERSION: u16 = 6;
     const PINNED: [(&str, u32); 9] = [
-        ("NAIVE", 0x2940f714),
-        ("WST", 0x918967ff),
-        ("WSA", 0x65a2a912),
-        ("MWST", 0xc0e537ea),
-        ("MWSA", 0xc8e517c3),
-        ("MWST-G", 0x0cd3efe3),
-        ("MWSA-G", 0x560412ff),
-        ("SE-MWST", 0x901a443a),
-        ("SE-MWSA", 0x99c390ca),
+        ("NAIVE", 0x8a1671bd),
+        ("WST", 0x42687382),
+        ("WSA", 0x93aa0742),
+        ("MWST", 0xecc8caa2),
+        ("MWSA", 0x1cd4d64c),
+        ("MWST-G", 0x673bdcca),
+        ("MWSA-G", 0xeac8c187),
+        ("SE-MWST", 0x076d687c),
+        ("SE-MWSA", 0x0d3f73e7),
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
@@ -230,7 +231,7 @@ fn reseal(bytes: &mut [u8]) {
     bytes[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Walks a raw v5 file's sections: `(element count, data offset)` of the
+/// Walks a raw v6 file's sections: `(element count, data offset)` of the
 /// section at `*pos`, advancing `*pos` past it.
 fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize) {
     let count = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap()) as usize;
@@ -333,6 +334,113 @@ fn non_raw_section_encodings_are_refused_at_open() {
     }
 }
 
+/// The data offsets of the forward (x) leaf bitvector of a saved MWSA-G
+/// file: `(N, words offset, rank counts offset)`, each of `⌊N/64⌋ + 1`
+/// entries.
+fn x_starts_sections(raw: &[u8]) -> (usize, usize, usize) {
+    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
+    let mut pos = 66;
+    raw_section(raw, &mut pos, 1); // heavy letters
+    raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
+    for _ in 0..2 {
+        for elem_size in [4, 4, 4, 4, 1, 8, 8] {
+            // anchor_x · lens · mism_start · mism_depths · mism_letters
+            // · mism_log_ratios · prefix_keys
+            raw_section(raw, &mut pos, elem_size);
+        }
+    }
+    // Two trie flags (no tries in MWSA-G) and the grid flag, then N.
+    assert_eq!(raw[pos..pos + 3], [0, 0, 1]);
+    let n = u64::from_le_bytes(raw[pos + 3..pos + 11].try_into().unwrap()) as usize;
+    pos += 11;
+    for elem_size in [8, 4, 4, 4] {
+        // Wavelet words · rank counts · ids_by_x · xs_by_id
+        raw_section(raw, &mut pos, elem_size);
+    }
+    let (words, bits_at) = raw_section(raw, &mut pos, 8);
+    let (ranks, ranks_at) = raw_section(raw, &mut pos, 4);
+    assert_eq!((words, ranks), (n / 64 + 1, n / 64 + 1));
+    (n, bits_at, ranks_at)
+}
+
+/// A saved MWSA-G file whose CRC is intact but whose forward leaf
+/// bitvector is malformed — rank counts that are not its prefix popcounts,
+/// a popcount other than the forward leaf count, rank 0 unmarked, a bit
+/// set past N — is refused `InvalidData` naming the fault, through every
+/// entry point.
+#[test]
+fn malformed_leaf_bitvectors_are_refused_at_open() {
+    let (label, raw, n, bits_at, ranks_at) = cases()
+        .iter()
+        .find_map(|case| {
+            let (_, _, raw) = case.families.iter().find(|(l, ..)| l == "MWSA-G")?;
+            let (n, bits_at, ranks_at) = x_starts_sections(raw);
+            (n > 64).then(|| (case.label.clone(), raw.clone(), n, bits_at, ranks_at))
+        })
+        .expect("some MWSA-G grid spans two words");
+    let words = n / 64 + 1;
+    let word = |bytes: &[u8], w: usize| {
+        u64::from_le_bytes(
+            bytes[bits_at + 8 * w..bits_at + 8 * w + 8]
+                .try_into()
+                .unwrap(),
+        )
+    };
+    // Rewrites the words, then the rank counts as their prefix popcounts.
+    let with_words = |edit: &dyn Fn(&mut [u64])| {
+        let mut bytes = raw.clone();
+        let mut bits: Vec<u64> = (0..words).map(|w| word(&bytes, w)).collect();
+        edit(&mut bits);
+        let mut ones = 0u32;
+        for (w, bits) in bits.iter().enumerate() {
+            bytes[bits_at + 8 * w..bits_at + 8 * w + 8].copy_from_slice(&bits.to_le_bytes());
+            bytes[ranks_at + 4 * w..ranks_at + 4 * w + 4].copy_from_slice(&ones.to_le_bytes());
+            ones += bits.count_ones();
+        }
+        bytes
+    };
+    let mut rank_count = raw.clone();
+    let bumped = u32_at(&rank_count, ranks_at + 4) + 1;
+    rank_count[ranks_at + 4..ranks_at + 8].copy_from_slice(&bumped.to_le_bytes());
+    let corruptions = [
+        (
+            "rank count",
+            rank_count,
+            "x bitvector rank counts are not its prefix popcounts",
+        ),
+        (
+            "one leaf unmarked",
+            with_words(&|bits| {
+                let w = (0..words).rev().find(|&w| bits[w] != 0).unwrap();
+                bits[w] &= !(1 << (63 - bits[w].leading_zeros()));
+            }),
+            "grid marks",
+        ),
+        (
+            "rank 0 unmarked",
+            with_words(&|bits| bits[0] &= !1),
+            "x bitvector does not mark the first point",
+        ),
+        (
+            "bit past N",
+            with_words(&|bits| bits[words - 1] |= 1 << 63),
+            "x bitvector has bits set past its length",
+        ),
+    ];
+    for (what, mut bytes, expected) in corruptions {
+        reseal(&mut bytes);
+        let arena = Arena::from_bytes(&bytes);
+        for err in [
+            open_index(&arena).expect_err("open must fail"),
+            open_index_at(&arena, 0).expect_err("embedded open must fail"),
+            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+        ] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{label} {what}: {err}");
+            assert!(err.to_string().contains(expected), "{label} {what}: {err}");
+        }
+    }
+}
+
 fn is_typed(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::InvalidData | ErrorKind::UnexpectedEof)
 }
@@ -341,7 +449,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arena path validates the envelope CRC at open, so **any** bit
-    /// flip in a v5 file is rejected typed before a view is handed out.
+    /// flip in a v6 file is rejected typed before a view is handed out.
     #[test]
     fn arena_open_rejects_any_bit_flip(
         pick in 0usize..16,
@@ -366,7 +474,7 @@ proptest! {
         }
     }
 
-    /// Truncating a v5 file anywhere must fail typed at open.
+    /// Truncating a v6 file anywhere must fail typed at open.
     #[test]
     fn arena_open_rejects_any_truncation(
         pick in 0usize..16,

@@ -31,7 +31,7 @@
 //!
 //! ## Durability contract
 //!
-//! [`Wal::append`] writes the record and applies the configured
+//! `Wal::append` writes the record and applies the configured
 //! [`FsyncPolicy`] *before* returning; the caller acks the mutation only
 //! after. A failed write (torn record, full disk) **poisons** the log:
 //! the failed mutation was never applied or acked, but the file now ends

@@ -15,7 +15,7 @@
 //!
 //! Tracing follows the same sampling rules as the stage histograms:
 //!
-//! * A trace only arms ([`begin`]) while the [`clock`](super::clock) is
+//! * A trace only arms ([`begin`]) while the [`clock`] is
 //!   enabled, and callers are expected to arm with the same 1-in-N ticket
 //!   discipline they use for [`clock::stage_ticket`](super::clock); the
 //!   un-sampled fast path pays one thread-local flag read per

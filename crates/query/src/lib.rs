@@ -168,9 +168,9 @@ pub struct QueryStats {
     /// Nanoseconds spent finalizing (sort/dedup/stream into the sink).
     pub report_ns: u64,
     /// Whether this query drew a stage-tracing ticket
-    /// ([`ius_obs::clock::stage_ticket`]) and the `*_ns` stage fields were
+    /// (`ius_obs::clock::stage_ticket`) and the `*_ns` stage fields were
     /// actually stamped. Stage tracing is sampled (1 in
-    /// [`ius_obs::clock::STAGE_SAMPLE_EVERY`] per thread) because five
+    /// `ius_obs::clock::STAGE_SAMPLE_EVERY` per thread) because five
     /// clock reads per query are too expensive for the serve hot path;
     /// consumers must skip the stage fields of untimed queries instead of
     /// recording zeros. For a partitioned (segment fan-out) query the flag

@@ -3,8 +3,8 @@
 //!
 //! ## Concurrency model
 //!
-//! One acceptor thread admits connections into the bounded
-//! [`crate::pool::AdmissionQueue`] (refusing with a typed `OVERLOADED`
+//! One acceptor thread admits connections into the bounded admission
+//! queue (`pool::AdmissionQueue`, refusing with a typed `OVERLOADED`
 //! frame when it is full); `workers` threads each own one
 //! [`QueryScratch`] plus reusable frame/position buffers and serve one
 //! connection at a time, request after request — so steady-state query

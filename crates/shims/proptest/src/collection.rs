@@ -46,7 +46,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -66,8 +66,8 @@ proptest! {
         }
     }
 
-    /// Structural invariants: mismatch counts respect Lemma 3, grid points
-    /// pair the two factor sets, and reported stats are internally coherent.
+    /// Structural invariants: mismatch counts respect Lemma 3, every leaf
+    /// carries a grid point, and reported stats are internally coherent.
     #[test]
     fn structural_invariants(
         x in weighted_string_strategy(),
@@ -78,8 +78,8 @@ proptest! {
         let index = MinimizerIndex::build(&x, params, IndexVariant::ArrayGrid).unwrap();
         let stats = index.stats();
         prop_assert_eq!(stats.size_bytes, index.size_bytes());
-        // Each grid point pairs one forward and one backward leaf.
-        prop_assert!(stats.num_grid_points * 2 <= stats.num_leaves || stats.num_leaves == 0);
+        // Every stored leaf of either set carries at least one grid point.
+        prop_assert!(stats.num_grid_points * 2 >= stats.num_leaves);
         // Lemma 3: the average number of mismatches per factor is at most log2 z.
         if stats.num_leaves > 0 {
             let avg = stats.num_mismatches as f64 / stats.num_leaves as f64;
