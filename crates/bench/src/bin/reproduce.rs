@@ -16,9 +16,7 @@
 
 use ius_bench::construction::{render_json, run_construction_bench, ConstructionBenchConfig};
 use ius_bench::experiments::ExperimentId;
-use ius_bench::measure::{
-    measure_build, measure_estimation, measure_queries, sample_patterns, IndexKind,
-};
+use ius_bench::measure::{measure_build, measure_estimation, measure_queries, sample_patterns};
 use ius_bench::query_bench::{render_query_json, run_query_bench, QueryBenchConfig};
 use ius_bench::recovery_bench::{render_recovery_json, run_recovery_bench, RecoveryBenchConfig};
 use ius_bench::report::{default_thread_sweep, render_csv, render_table, Row};
@@ -27,7 +25,7 @@ use ius_bench::space_bench::{render_space_json, run_space_bench, SpaceBenchConfi
 use ius_bench::update_bench::{render_update_json, run_update_bench, UpdateBenchConfig};
 use ius_datasets::registry::{efm_star, human_star, rssi_star, sars_star, Dataset, Scale};
 use ius_datasets::rssi::rssi_scaled;
-use ius_index::IndexParams;
+use ius_index::{IndexFamily, IndexParams, IndexVariant, SeVariant};
 use ius_memtrack::CountingAllocator;
 use ius_weighted::{WeightedString, ZEstimation};
 use std::collections::HashSet;
@@ -41,6 +39,23 @@ static ALLOCATOR: CountingAllocator = CountingAllocator::new();
 /// the paper's note that the WST could not be constructed for its largest
 /// configurations.
 const TREE_NZ_LIMIT: usize = 48_000_000;
+
+/// The families of the tree-based panels of Figures 6–12.
+const TREE_PANEL: [IndexFamily; 3] = [
+    IndexFamily::Wst,
+    IndexFamily::Minimizer(IndexVariant::Tree),
+    IndexFamily::Minimizer(IndexVariant::TreeGrid),
+];
+
+/// The families of the array-based panels of Figures 6–12.
+const ARRAY_PANEL: [IndexFamily; 3] = [
+    IndexFamily::Wsa,
+    IndexFamily::Minimizer(IndexVariant::Array),
+    IndexFamily::Minimizer(IndexVariant::ArrayGrid),
+];
+
+/// The paper's space-efficient construction (Figures 13–16).
+const SE_MWST: IndexFamily = IndexFamily::SpaceEfficient(SeVariant::Tree);
 
 struct Config {
     experiments: HashSet<ExperimentId>,
@@ -674,34 +689,28 @@ fn measure_configuration(
         Vec::new()
     };
     let nz = x.len() * z.floor() as usize;
-    let mut kinds: Vec<IndexKind> = Vec::new();
-    kinds.extend(IndexKind::array_family());
+    let mut families: Vec<IndexFamily> = ARRAY_PANEL.to_vec();
     if nz <= TREE_NZ_LIMIT {
-        kinds.extend(IndexKind::tree_family());
+        families.extend(TREE_PANEL);
     } else {
         eprintln!(
             "  [skip] tree-family baselines for {dataset_name} (n·z = {nz} exceeds the memory budget)"
         );
     }
     if include_se {
-        kinds.push(IndexKind::MwstSe);
+        families.push(SE_MWST);
     }
-    for kind in kinds {
-        let estimation = if kind.needs_estimation() {
-            Some(&est)
-        } else {
-            None
-        };
-        let built = match measure_build(kind, x, estimation, est_cost, params) {
+    for family in families {
+        let built = match measure_build(family, x, &est, est_cost, params) {
             Ok(b) => b,
             Err(err) => {
-                eprintln!("  [skip] {}: {err}", kind.name());
+                eprintln!("  [skip] {}: {err}", family.name());
                 continue;
             }
         };
         eprintln!(
             "  {dataset_name} {param}={param_value} {:<8} size {:>10.2} MB  space {:>10.2} MB  time {:>8.2} s",
-            kind.name(),
+            family.name(),
             built.size_bytes as f64 / 1e6,
             built.peak_bytes as f64 / 1e6,
             built.wall.as_secs_f64()
@@ -709,7 +718,7 @@ fn measure_configuration(
         rows.push(row(
             exps_size,
             dataset_name,
-            kind.name(),
+            family.name(),
             param,
             param_value,
             "index_size_mb",
@@ -718,7 +727,7 @@ fn measure_configuration(
         rows.push(row(
             exps_space,
             dataset_name,
-            kind.name(),
+            family.name(),
             param,
             param_value,
             "construction_space_mb",
@@ -727,24 +736,26 @@ fn measure_configuration(
         rows.push(row(
             exps_time,
             dataset_name,
-            kind.name(),
+            family.name(),
             param,
             param_value,
             "construction_time_s",
             built.wall.as_secs_f64(),
         ));
         if let Some(qexp) = exps_query {
-            if !patterns.is_empty() && !matches!(kind, IndexKind::MwstSe) {
-                let q = measure_queries(built.index.as_ref(), &patterns, x);
-                rows.push(row(
-                    qexp,
-                    dataset_name,
-                    kind.name(),
-                    param,
-                    param_value,
-                    "avg_query_us",
-                    q.avg_micros,
-                ));
+            if !patterns.is_empty() && family != SE_MWST {
+                match measure_queries(&built.index, &patterns, x) {
+                    Ok(q) => rows.push(row(
+                        qexp,
+                        dataset_name,
+                        family.name(),
+                        param,
+                        param_value,
+                        "avg_query_us",
+                        q.avg_micros,
+                    )),
+                    Err(err) => eprintln!("  [skip] {} queries: {err}", family.name()),
+                }
             }
         }
     }
@@ -844,40 +855,35 @@ fn sweep_vs_z(config: &Config) -> Vec<Row> {
     rows
 }
 
-/// Figures 14 and 16: construction space / time of WSA vs MWST-SE on the RSSI
+/// Figures 14 and 16: construction space / time of WSA vs SE-MWST on the RSSI
 /// family, varying ℓ, z, σ and n.
 fn sweep_rssi(config: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     let base = rssi_star(config.scale);
     let base_n = base.n();
-    let kinds = [IndexKind::Wsa, IndexKind::MwstSe];
+    let families = [IndexFamily::Wsa, SE_MWST];
     let measure_one =
         |x: &WeightedString, z: f64, ell: usize, param: &str, value: f64, rows: &mut Vec<Row>| {
             let params = IndexParams::new(z, ell, x.sigma()).expect("valid parameters");
             let (est, est_cost) = measure_estimation(x, z).expect("z-estimation");
-            for kind in kinds {
-                let estimation = if kind.needs_estimation() {
-                    Some(&est)
-                } else {
-                    None
-                };
-                let built = match measure_build(kind, x, estimation, est_cost, params) {
+            for family in families {
+                let built = match measure_build(family, x, &est, est_cost, params) {
                     Ok(b) => b,
                     Err(err) => {
-                        eprintln!("  [skip] {}: {err}", kind.name());
+                        eprintln!("  [skip] {}: {err}", family.name());
                         continue;
                     }
                 };
                 eprintln!(
                     "  RSSI* {param}={value} {:<8} space {:>9.2} MB  time {:>7.2} s",
-                    kind.name(),
+                    family.name(),
                     built.peak_bytes as f64 / 1e6,
                     built.wall.as_secs_f64()
                 );
                 rows.push(row(
                     ExperimentId::Fig14,
                     "RSSI*",
-                    kind.name(),
+                    family.name(),
                     param,
                     value,
                     "construction_space_mb",
@@ -886,7 +892,7 @@ fn sweep_rssi(config: &Config) -> Vec<Row> {
                 rows.push(row(
                     ExperimentId::Fig16,
                     "RSSI*",
-                    kind.name(),
+                    family.name(),
                     param,
                     value,
                     "construction_time_s",
@@ -944,7 +950,7 @@ fn sweep_rssi(config: &Config) -> Vec<Row> {
 
 /// Design-choice ablations: grid vs simple query, k-mer order, k sweep.
 fn ablation(config: &Config) -> Vec<Row> {
-    use ius_index::{IndexVariant, MinimizerIndex, UncertainIndex};
+    use ius_index::{MinimizerIndex, UncertainIndex};
     use ius_sampling::KmerOrder;
     let mut rows = Vec::new();
     let dataset = efm_star(config.scale);
@@ -957,15 +963,16 @@ fn ablation(config: &Config) -> Vec<Row> {
     let patterns = sample_patterns(&est, ell, config.max_patterns, 0xAB1A);
 
     // (1) Simple verification query vs grid query, on tree and array forms.
-    for (label, variant) in [
-        ("MWST", IndexVariant::Tree),
-        ("MWST-G", IndexVariant::TreeGrid),
-        ("MWSA", IndexVariant::Array),
-        ("MWSA-G", IndexVariant::ArrayGrid),
+    for variant in [
+        IndexVariant::Tree,
+        IndexVariant::TreeGrid,
+        IndexVariant::Array,
+        IndexVariant::ArrayGrid,
     ] {
+        let label = variant.name();
         let params = IndexParams::new(z, ell, x.sigma()).expect("params");
         let index = MinimizerIndex::build_from_estimation(x, &est, params, variant).expect("index");
-        let q = measure_queries(&index, &patterns, x);
+        let q = measure_queries(&index, &patterns, x).expect("queries");
         rows.push(row(
             e,
             dataset.name,

@@ -23,11 +23,11 @@ pub enum ExperimentId {
     Fig11,
     /// Fig. 12 — construction time vs ℓ and vs z.
     Fig12,
-    /// Fig. 13 — construction space of MWST-SE vs ℓ and z.
+    /// Fig. 13 — construction space of SE-MWST vs ℓ and z.
     Fig13,
     /// Fig. 14 — construction space on the RSSI family (vs ℓ, z, σ, n).
     Fig14,
-    /// Fig. 15 — construction time of MWST-SE vs ℓ and z.
+    /// Fig. 15 — construction time of SE-MWST vs ℓ and z.
     Fig15,
     /// Fig. 16 — construction time on the RSSI family (vs ℓ, z, σ, n).
     Fig16,
@@ -75,11 +75,11 @@ impl ExperimentId {
             ExperimentId::Fig10 => "average query time (µs) vs ℓ",
             ExperimentId::Fig11 => "average query time (µs) vs z",
             ExperimentId::Fig12 => "construction time (s) vs ℓ and vs z",
-            ExperimentId::Fig13 => "construction space (MB) incl. MWST-SE vs ℓ and z",
+            ExperimentId::Fig13 => "construction space (MB) incl. SE-MWST vs ℓ and z",
             ExperimentId::Fig14 => "construction space (MB) on RSSI* vs ℓ, z, σ and n",
-            ExperimentId::Fig15 => "construction time (s) incl. MWST-SE vs ℓ and z",
+            ExperimentId::Fig15 => "construction time (s) incl. SE-MWST vs ℓ and z",
             ExperimentId::Fig16 => "construction time (s) on RSSI* vs ℓ, z, σ and n",
-            ExperimentId::Ablation => "grid vs simple query, k-mer order, k sweep, edge encoding",
+            ExperimentId::Ablation => "grid vs simple query, k-mer order, k sweep",
         }
     }
 }

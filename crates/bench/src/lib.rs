@@ -3,9 +3,7 @@
 //! Everything needed to regenerate the paper's evaluation (Table 2 and
 //! Figures 6–16) on the synthetic stand-in datasets: experiment descriptors,
 //! measurement helpers (wall-clock, peak heap, index size, average query
-//! time) and row formatting. The `reproduce` binary drives it; the Criterion
-//! benches in `benches/` reuse the same building blocks for per-operation
-//! timings.
+//! time) and row formatting. The `reproduce` binary drives it.
 
 #![warn(missing_docs)]
 
@@ -21,7 +19,7 @@ pub mod update_bench;
 
 pub use construction::{ConstructionBenchConfig, DatasetBench};
 pub use experiments::{Experiment, ExperimentId};
-pub use measure::{BuildMeasurement, IndexKind, QueryMeasurement};
+pub use measure::{BuildMeasurement, QueryMeasurement};
 pub use query_bench::{FamilyQueryBench, QueryBenchConfig, QueryDatasetBench};
 pub use recovery_bench::{PolicyBench, RecoveryBenchConfig, RecoveryBenchResult, ReplayBench};
 pub use report::{Row, Summary};

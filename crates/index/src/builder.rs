@@ -22,7 +22,7 @@
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::naive::NaiveIndex;
 use crate::params::IndexParams;
-use crate::space_efficient::SpaceEfficientBuilder;
+use crate::space_efficient::{SeVariant, SpaceEfficientBuilder};
 use crate::traits::{IndexStats, UncertainIndex};
 use crate::wsa::Wsa;
 use crate::wst::Wst;
@@ -42,25 +42,23 @@ pub enum IndexFamily {
     /// construction.
     Minimizer(IndexVariant),
     /// A minimizer-based index built through the space-efficient (Section 4)
-    /// construction. Grid variants are rejected at build time, exactly like
-    /// [`SpaceEfficientBuilder`].
-    SpaceEfficient(IndexVariant),
+    /// construction, which has no grid variants.
+    SpaceEfficient(SeVariant),
 }
 
 impl IndexFamily {
-    /// Display name matching the paper's figures (`"SE-MWSA"` for the
-    /// space-efficient constructions, which produce the same structure as the
-    /// explicit ones).
+    /// The family's one name: the paper's for the explicit families,
+    /// `"SE-MWST"` / `"SE-MWSA"` for the space-efficient constructions (which
+    /// produce the same structure as the explicit ones). Reports label rows
+    /// with it and `serve --build` parses it, ignoring case.
     pub fn name(&self) -> &'static str {
         match self {
             IndexFamily::Naive => "NAIVE",
             IndexFamily::Wst => "WST",
             IndexFamily::Wsa => "WSA",
             IndexFamily::Minimizer(variant) => variant.name(),
-            IndexFamily::SpaceEfficient(IndexVariant::Tree) => "SE-MWST",
-            IndexFamily::SpaceEfficient(IndexVariant::Array) => "SE-MWSA",
-            IndexFamily::SpaceEfficient(IndexVariant::TreeGrid) => "SE-MWST-G",
-            IndexFamily::SpaceEfficient(IndexVariant::ArrayGrid) => "SE-MWSA-G",
+            IndexFamily::SpaceEfficient(SeVariant::Tree) => "SE-MWST",
+            IndexFamily::SpaceEfficient(SeVariant::Array) => "SE-MWSA",
         }
     }
 
@@ -77,9 +75,8 @@ impl IndexFamily {
         )
     }
 
-    /// Every family the differential harness and the persistence round-trip
-    /// tests iterate over (grid variants of the space-efficient construction
-    /// excluded — they are rejected by construction).
+    /// Every family, in a fixed order: the one list the differential
+    /// harness, the persistence round-trip tests and `serve --build` use.
     pub fn all() -> [IndexFamily; 9] {
         [
             IndexFamily::Naive,
@@ -89,8 +86,8 @@ impl IndexFamily {
             IndexFamily::Minimizer(IndexVariant::Array),
             IndexFamily::Minimizer(IndexVariant::TreeGrid),
             IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-            IndexFamily::SpaceEfficient(IndexVariant::Tree),
-            IndexFamily::SpaceEfficient(IndexVariant::Array),
+            IndexFamily::SpaceEfficient(SeVariant::Tree),
+            IndexFamily::SpaceEfficient(SeVariant::Array),
         ]
     }
 }
@@ -296,7 +293,7 @@ mod tests {
         assert_eq!(spec.lower_bound(), 1);
         assert!(!spec.family.has_length_bound());
         assert!(spec.family.needs_estimation());
-        assert!(!IndexFamily::SpaceEfficient(IndexVariant::Tree).needs_estimation());
+        assert!(!IndexFamily::SpaceEfficient(SeVariant::Tree).needs_estimation());
         assert!(!IndexFamily::Naive.needs_estimation());
     }
 

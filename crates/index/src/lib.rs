@@ -10,7 +10,7 @@
 //! | [`Wsa`] | state-of-the-art baseline | weighted (property) suffix **array**, `O(nz)` size |
 //! | [`MinimizerIndex`] (MWST / MWSA) | **Contribution 1** | minimizer-sampled solid factor trees/arrays, `O(n + (nz/ℓ)·log z)` expected size, simple query of Section 5 |
 //! | [`MinimizerIndex`] (MWST-G / MWSA-G) | **Contribution 1** | same + 2D-grid query of Theorem 9 |
-//! | [`space_efficient::SpaceEfficientBuilder`] (MWST-SE) | **Contribution 2** | constructs the minimizer index in `O(n + (nz/ℓ)·log z)` expected space without materialising the z-estimation |
+//! | [`SpaceEfficientBuilder`] (SE-MWST / SE-MWSA) | **Contribution 2** | constructs the minimizer index in `O(n + (nz/ℓ)·log z)` expected space without materialising the z-estimation |
 //!
 //! All indexes answer the same query: given a pattern `P` (of length `m ≥ ℓ`
 //! for the minimizer-based ones), report every position of the uncertain
@@ -44,7 +44,7 @@ pub use minimizer_index::{IndexVariant, MinimizerIndex};
 pub use naive::NaiveIndex;
 pub use params::IndexParams;
 pub use persist::{load_index, open_index, FORMAT_VERSION};
-pub use space_efficient::SpaceEfficientBuilder;
+pub use space_efficient::{SeVariant, SpaceEfficientBuilder};
 pub use traits::{validate_pattern, IndexStats, UncertainIndex};
 pub use wsa::Wsa;
 pub use wst::Wst;

@@ -1,5 +1,5 @@
-//! Space-efficient construction of the minimizer index (MWST-SE,
-//! Contribution 2 / Section 4 / Theorem 12 of the paper).
+//! Space-efficient construction of the minimizer index (SE-MWST and
+//! SE-MWSA, Contribution 2 / Section 4 / Theorem 12 of the paper).
 //!
 //! The explicit construction of [`crate::MinimizerIndex`] first materialises
 //! the z-estimation, which costs `Θ(nz)` working space even though the final
@@ -29,11 +29,15 @@
 //! against an LCE index over the heavy string only between longer factors
 //! that agree on all 16) and assembled into the same
 //! [`crate::MinimizerIndex`] produced by the explicit construction, the
-//! prefix-dominated factors dropped the same way (grid variants excepted:
-//! the grid pairs the leaves that survive the forward and the backward
-//! factor of one occurrence, which the explicit build pushes in step per
-//! (minimizer, strand), while the two DFS passes here emit their factors
-//! independently, in different orders).
+//! prefix-dominated factors dropped the same way.
+//!
+//! There are no grid variants ([`SeVariant`] cannot name one): the grid
+//! pairs the leaves that survive the forward and the backward factor of one
+//! occurrence, which the explicit build pushes in step per (minimizer,
+//! strand), while the two DFS passes here emit their factors independently.
+//! Pairing them per anchor instead would take Σₐ fₐ·bₐ points (fₐ and bₐ
+//! the forward and backward leaves of anchor a), 1.7× to 3.6× the explicit
+//! grid's points on the rssi and pangenome presets at n = 100k.
 
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSetBuilder};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
@@ -41,6 +45,25 @@ use crate::params::IndexParams;
 use ius_sampling::order::KmerKeyer;
 use ius_sampling::{BackWindowMinimizer, FrontWindowMinimizer};
 use ius_weighted::{is_solid, Error, HeavyString, Result, WeightedString};
+
+/// The minimizer variants the space-efficient construction builds: the two
+/// without a grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeVariant {
+    /// MWST — minimizer solid factor trees.
+    Tree,
+    /// MWSA — sorted factor arrays.
+    Array,
+}
+
+impl From<SeVariant> for IndexVariant {
+    fn from(variant: SeVariant) -> Self {
+        match variant {
+            SeVariant::Tree => IndexVariant::Tree,
+            SeVariant::Array => IndexVariant::Array,
+        }
+    }
+}
 
 /// Builder running the space-efficient (Section 4) construction.
 #[derive(Debug, Clone)]
@@ -50,19 +73,6 @@ pub struct SpaceEfficientBuilder {
     /// multiple of `n·z` (the paper aborts at `nz` and falls back to the
     /// classic construction; we default to a small constant multiple).
     node_cap_factor: f64,
-}
-
-/// Statistics reported by the space-efficient construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeBuildStats {
-    /// Nodes of the extended solid factor tree visited by the forward pass.
-    pub forward_nodes: usize,
-    /// Nodes visited by the backward pass.
-    pub backward_nodes: usize,
-    /// Factors emitted into the forward tree.
-    pub forward_factors: usize,
-    /// Factors emitted into the backward tree.
-    pub backward_factors: usize,
 }
 
 impl SpaceEfficientBuilder {
@@ -76,7 +86,8 @@ impl SpaceEfficientBuilder {
 
     /// Overrides the node-cap factor (multiples of `n·z` after which the
     /// construction aborts with an error, mirroring the paper's fallback).
-    pub fn with_node_cap_factor(mut self, factor: f64) -> Self {
+    #[cfg(test)]
+    fn with_node_cap_factor(mut self, factor: f64) -> Self {
         self.node_cap_factor = factor.max(1.0);
         self
     }
@@ -85,34 +96,12 @@ impl SpaceEfficientBuilder {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidParameters`] for grid variants (they pair the
-    ///   factors the explicit construction pushes in step), when `|X|`
-    ///   exceeds `u32::MAX` positions, when a factor set exceeds `u32::MAX`
-    ///   factors or mismatches, or when the extended solid factor tree
-    ///   exceeds the node cap;
+    /// * [`Error::InvalidParameters`] when `|X|` exceeds `u32::MAX`
+    ///   positions, when a factor set exceeds `u32::MAX` factors or
+    ///   mismatches, or when the extended solid factor tree exceeds the node
+    ///   cap;
     /// * parameter validation errors.
-    pub fn build(&self, x: &WeightedString, variant: IndexVariant) -> Result<MinimizerIndex> {
-        self.build_with_stats(x, variant).map(|(index, _)| index)
-    }
-
-    /// Like [`SpaceEfficientBuilder::build`] but also returns construction
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpaceEfficientBuilder::build`].
-    pub fn build_with_stats(
-        &self,
-        x: &WeightedString,
-        variant: IndexVariant,
-    ) -> Result<(MinimizerIndex, SeBuildStats)> {
-        if variant.has_grid() {
-            return Err(Error::InvalidParameters(
-                "the space-efficient construction does not support the grid variants \
-                 (MWST-G / MWSA-G); build them from an explicit z-estimation instead"
-                    .into(),
-            ));
-        }
+    pub fn build(&self, x: &WeightedString, variant: SeVariant) -> Result<MinimizerIndex> {
         // Positions, anchors, lengths and depths narrow to u32 below.
         check_u32_positions(x.len())?;
         if self.params.ell > x.len() {
@@ -139,12 +128,11 @@ impl SpaceEfficientBuilder {
         let node_cap = ((x.len() as f64) * self.params.z * self.node_cap_factor)
             .min(usize::MAX as f64) as usize;
         let heavy = HeavyString::new(x);
-        let mut stats = SeBuildStats::default();
 
         // Forward pass on X. The builder borrows the heavy ranks (no copy).
         let mut fwd_builder =
             EncodedFactorSetBuilder::new(Direction::Forward, heavy.shared_ranks());
-        stats.forward_nodes = dfs_collect(
+        dfs_collect(
             x,
             &heavy,
             &self.params,
@@ -152,14 +140,13 @@ impl SpaceEfficientBuilder {
             &mut fwd_builder,
             node_cap,
         )?;
-        stats.forward_factors = fwd_builder.len();
 
         // Backward pass on the reversed string.
         let x_rev = x.reversed();
         let heavy_rev = HeavyString::new(&x_rev);
         let mut bwd_builder =
             EncodedFactorSetBuilder::new(Direction::Backward, heavy.shared_ranks());
-        stats.backward_nodes = dfs_collect(
+        dfs_collect(
             &x_rev,
             &heavy_rev,
             &self.params,
@@ -167,24 +154,22 @@ impl SpaceEfficientBuilder {
             &mut bwd_builder,
             node_cap,
         )?;
-        stats.backward_factors = bwd_builder.len();
         // The reversed string holds σ probabilities per position: free it
         // before the sorts.
         drop((x_rev, heavy_rev));
 
         let (fwd, _) = fwd_builder.finish();
         let (bwd, _) = bwd_builder.finish();
-        let index = MinimizerIndex::assemble(
+        MinimizerIndex::assemble(
             x,
             self.params,
-            variant,
+            variant.into(),
             heavy,
             fwd,
             bwd,
             None,
             "space-efficient",
-        )?;
-        Ok((index, stats))
+        )
     }
 }
 
@@ -232,7 +217,7 @@ fn dfs_collect(
     orientation: Direction,
     builder: &mut EncodedFactorSetBuilder,
     node_cap: usize,
-) -> Result<usize> {
+) -> Result<()> {
     let n = dfs_x.len();
     let sigma = dfs_x.sigma() as u8;
     let ell = params.ell;
@@ -418,7 +403,7 @@ fn dfs_collect(
         }
         cur_p = frame.prev_p;
     }
-    Ok(nodes)
+    Ok(())
 }
 
 /// A deviation entry on the DFS stack (absolute position within the DFS
@@ -440,7 +425,7 @@ mod tests {
     use ius_weighted::ZEstimation;
 
     #[test]
-    fn rejects_grid_variants_and_oversized_ell() {
+    fn rejects_oversized_ell() {
         let x = UniformConfig {
             n: 100,
             sigma: 2,
@@ -448,13 +433,9 @@ mod tests {
             seed: 1,
         }
         .generate();
-        let params = IndexParams::new(4.0, 16, 2).unwrap();
-        let builder = SpaceEfficientBuilder::new(params);
-        assert!(builder.build(&x, IndexVariant::TreeGrid).is_err());
-        assert!(builder.build(&x, IndexVariant::ArrayGrid).is_err());
         let params = IndexParams::new(4.0, 1000, 2).unwrap();
         assert!(SpaceEfficientBuilder::new(params)
-            .build(&x, IndexVariant::Tree)
+            .build(&x, SeVariant::Tree)
             .is_err());
     }
 
@@ -463,7 +444,7 @@ mod tests {
     // points) lives in the shared harness `tests/differential.rs`.
 
     #[test]
-    fn se_build_stats_and_query_agree_with_the_explicit_construction() {
+    fn se_query_agrees_with_the_explicit_construction() {
         let x = UniformConfig {
             n: 260,
             sigma: 2,
@@ -477,12 +458,10 @@ mod tests {
         let est = ZEstimation::build(&x, z).unwrap();
         let explicit =
             MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array).unwrap();
-        let (se, stats) = SpaceEfficientBuilder::new(params)
-            .build_with_stats(&x, IndexVariant::Array)
+        let se = SpaceEfficientBuilder::new(params)
+            .build(&x, SeVariant::Array)
             .unwrap();
         assert_eq!(se.construction(), "space-efficient");
-        assert!(stats.forward_nodes > 0 && stats.backward_nodes > 0);
-        assert!(stats.forward_factors > 0 && stats.backward_factors > 0);
         let mut sampler = PatternSampler::new(&est, 5);
         let mut patterns = sampler.sample_many(ell, 20);
         patterns.extend(sampler.sample_many(14, 10));
@@ -515,7 +494,7 @@ mod tests {
             .unwrap()
             .with_order(KmerOrder::Lexicographic);
         let err = SpaceEfficientBuilder::new(params)
-            .build(&x, IndexVariant::Array)
+            .build(&x, SeVariant::Array)
             .unwrap_err();
         assert!(matches!(err, Error::InvalidParameters(msg) if msg.contains("total")));
         let est = ZEstimation::build(&x, 4.0).unwrap();
@@ -545,7 +524,7 @@ mod tests {
         // With a cap of n·z nodes the uniform high-entropy string may or may
         // not abort; either outcome must be clean (no panic), and an abort
         // must produce the documented error.
-        match builder.build(&x, IndexVariant::Array) {
+        match builder.build(&x, SeVariant::Array) {
             Ok(index) => assert!(index.size_bytes() > 0),
             Err(Error::InvalidParameters(msg)) => assert!(msg.contains("exceeded")),
             Err(other) => panic!("unexpected error {other:?}"),

@@ -410,7 +410,7 @@ fn live_indexes_agree_with_naive_after_scripted_mutations() {
         for family in [
             IndexFamily::Minimizer(ius_index::IndexVariant::Array),
             IndexFamily::Minimizer(ius_index::IndexVariant::ArrayGrid),
-            IndexFamily::SpaceEfficient(ius_index::IndexVariant::Array),
+            IndexFamily::SpaceEfficient(ius_index::SeVariant::Array),
         ] {
             let label = format!("{} on {}", family.name(), corpus.label);
             let spec = IndexSpec::new(family, params);

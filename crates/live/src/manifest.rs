@@ -50,7 +50,7 @@ use crate::{insert_tombstone, LiveConfig, LiveIndex, LiveState, Memtable, Segmen
 use ius_arena::Arena;
 use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
 use ius_index::overlap::overlap_len;
-use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
+use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, SeVariant, UncertainIndex};
 use ius_sampling::KmerOrder;
 use ius_weighted::{Alphabet, WeightedString};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -199,10 +199,8 @@ fn family_tag(family: IndexFamily) -> u8 {
         IndexFamily::Minimizer(IndexVariant::Array) => 4,
         IndexFamily::Minimizer(IndexVariant::TreeGrid) => 5,
         IndexFamily::Minimizer(IndexVariant::ArrayGrid) => 6,
-        IndexFamily::SpaceEfficient(IndexVariant::Tree) => 7,
-        IndexFamily::SpaceEfficient(IndexVariant::Array) => 8,
-        IndexFamily::SpaceEfficient(IndexVariant::TreeGrid) => 9,
-        IndexFamily::SpaceEfficient(IndexVariant::ArrayGrid) => 10,
+        IndexFamily::SpaceEfficient(SeVariant::Tree) => 7,
+        IndexFamily::SpaceEfficient(SeVariant::Array) => 8,
     }
 }
 
@@ -215,10 +213,8 @@ fn family_from_tag(tag: u8) -> io::Result<IndexFamily> {
         4 => IndexFamily::Minimizer(IndexVariant::Array),
         5 => IndexFamily::Minimizer(IndexVariant::TreeGrid),
         6 => IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        7 => IndexFamily::SpaceEfficient(IndexVariant::Tree),
-        8 => IndexFamily::SpaceEfficient(IndexVariant::Array),
-        9 => IndexFamily::SpaceEfficient(IndexVariant::TreeGrid),
-        10 => IndexFamily::SpaceEfficient(IndexVariant::ArrayGrid),
+        7 => IndexFamily::SpaceEfficient(SeVariant::Tree),
+        8 => IndexFamily::SpaceEfficient(SeVariant::Array),
         other => return Err(bad(format!("unknown index-family tag {other}"))),
     })
 }
@@ -767,4 +763,33 @@ fn read_segment_file(
         x,
         index,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_family_round_trips_through_the_spec_encoding() {
+        let params = IndexParams::new(8.0, 16, 4).unwrap();
+        // The tags follow the order of `IndexFamily::all()`.
+        for (tag, family) in IndexFamily::all().into_iter().enumerate() {
+            assert_eq!(usize::from(family_tag(family)), tag, "{}", family.name());
+            let spec = IndexSpec::new(family, params);
+            let mut bytes = Vec::new();
+            write_spec(&mut bytes, &spec).unwrap();
+            assert_eq!(usize::from(bytes[0]), tag);
+            assert_eq!(read_spec(&mut bytes.as_slice()).unwrap(), spec);
+        }
+        // 9 and 10 once named space-efficient grid variants, which never
+        // built; they are unknown like any other tag.
+        for tag in [9u8, 10, 11] {
+            let err = family_from_tag(tag).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("unknown index-family tag"),
+                "{err}"
+            );
+        }
+    }
 }

@@ -312,3 +312,29 @@ fn overflowing_segment_table_fails_typed() {
     assert!(err.to_string().contains("overflows"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A manifest whose CRC is intact but whose family tag is 9 — a tag that
+/// once named a space-efficient grid variant, which never built — is
+/// refused typed at open.
+#[test]
+fn retired_family_tag_fails_typed() {
+    let saved = saved();
+    let bytes = &saved.manifest;
+    // The manifest starts: magic · version u16 · symbol count u64 ·
+    // symbols · family tag.
+    let tag_at = 4 + 2 + 8 + u64_at(bytes, 6) as usize;
+    assert_eq!(bytes[tag_at], 4, "the saved index is an explicit MWSA");
+    let mut forged = bytes[..bytes.len() - 4].to_vec();
+    forged[tag_at] = 9;
+    let crc = crc32(&forged);
+    forged.extend_from_slice(&crc.to_le_bytes());
+    let dir = scratch_copy("retired-tag");
+    std::fs::write(dir.join("live.iusl"), &forged).unwrap();
+    let err = LiveIndex::open(&dir, config()).expect_err("open must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string().contains("unknown index-family tag 9"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -25,7 +25,7 @@
 //! until a client sends `SHUTDOWN` (or the process is killed).
 
 use ius_datasets::corpora::bench_corpus;
-use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
+use ius_index::{IndexFamily, IndexParams, IndexSpec};
 use ius_live::{FsyncPolicy, LiveConfig, LiveIndex};
 use ius_server::{ServedIndex, Server, ServerConfig};
 use ius_weighted::WeightedString;
@@ -101,19 +101,12 @@ fn print_help() {
     );
 }
 
+/// The family whose [`IndexFamily::name`] is `name`, ignoring case.
 fn parse_family(name: &str) -> Result<IndexFamily, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "naive" => IndexFamily::Naive,
-        "wst" => IndexFamily::Wst,
-        "wsa" => IndexFamily::Wsa,
-        "mwst" => IndexFamily::Minimizer(IndexVariant::Tree),
-        "mwsa" => IndexFamily::Minimizer(IndexVariant::Array),
-        "mwst-g" => IndexFamily::Minimizer(IndexVariant::TreeGrid),
-        "mwsa-g" => IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        "se-mwst" => IndexFamily::SpaceEfficient(IndexVariant::Tree),
-        "se-mwsa" => IndexFamily::SpaceEfficient(IndexVariant::Array),
-        other => return Err(format!("unknown index family {other:?}")),
-    })
+    IndexFamily::all()
+        .into_iter()
+        .find(|family| family.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown index family {name:?}"))
 }
 
 /// `(corpus, default z, default ell)` of one named preset — the canonical
@@ -501,4 +494,20 @@ fn main() {
         }
     }
     eprintln!("server shut down");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_family_name_parses_back_in_either_case() {
+        for family in IndexFamily::all() {
+            let name = family.name();
+            assert_eq!(parse_family(&name.to_ascii_lowercase()), Ok(family));
+            assert_eq!(parse_family(&name.to_ascii_uppercase()), Ok(family));
+        }
+        assert!(parse_family("se-mwsa-g").is_err());
+        assert!(parse_family("mwst-se").is_err());
+    }
 }

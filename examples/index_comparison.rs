@@ -9,9 +9,6 @@ use ius::prelude::*;
 use ius_memtrack::measure;
 use std::time::Instant;
 
-/// A boxed build recipe so all indexes can be driven uniformly.
-type Builder<'a> = Box<dyn Fn() -> Box<dyn UncertainIndex> + 'a>;
-
 fn main() {
     let ell: usize = std::env::args()
         .nth(1)
@@ -34,68 +31,6 @@ fn main() {
     let patterns = sampler.sample_many(ell, 200);
     println!("{} query patterns of length {ell}\n", patterns.len());
 
-    let builders: Vec<(&str, Builder)> = vec![
-        (
-            "WST",
-            Box::new(|| Box::new(Wst::build_from_estimation(&est).unwrap())),
-        ),
-        (
-            "WSA",
-            Box::new(|| Box::new(Wsa::build_from_estimation(&est).unwrap())),
-        ),
-        (
-            "MWST",
-            Box::new(|| {
-                Box::new(
-                    MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Tree)
-                        .unwrap(),
-                )
-            }),
-        ),
-        (
-            "MWSA",
-            Box::new(|| {
-                Box::new(
-                    MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array)
-                        .unwrap(),
-                )
-            }),
-        ),
-        (
-            "MWST-G",
-            Box::new(|| {
-                Box::new(
-                    MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::TreeGrid)
-                        .unwrap(),
-                )
-            }),
-        ),
-        (
-            "MWSA-G",
-            Box::new(|| {
-                Box::new(
-                    MinimizerIndex::build_from_estimation(
-                        &x,
-                        &est,
-                        params,
-                        IndexVariant::ArrayGrid,
-                    )
-                    .unwrap(),
-                )
-            }),
-        ),
-        (
-            "MWST-SE",
-            Box::new(|| {
-                Box::new(
-                    SpaceEfficientBuilder::new(params)
-                        .build(&x, IndexVariant::Tree)
-                        .unwrap(),
-                )
-            }),
-        ),
-    ];
-
     println!(
         "{:<8} {:>12} {:>14} {:>16} {:>14} {:>12}",
         "index", "size (KB)", "build (ms)", "peak heap (KB)", "query (µs)", "occ total"
@@ -105,9 +40,11 @@ fn main() {
     for p in &patterns {
         expected_total += naive.query(p, &x).unwrap().len();
     }
-    for (name, build) in &builders {
+    for family in IndexFamily::all() {
+        let name = family.name();
+        let spec = IndexSpec::new(family, params);
         let start = Instant::now();
-        let (index, mem) = measure(build);
+        let (index, mem) = measure(|| spec.build_with_estimation(&x, &est).expect(name));
         let build_time = start.elapsed();
         let t = Instant::now();
         let mut total = 0usize;

@@ -60,14 +60,15 @@ fn main() {
     );
 
     // The practical pipeline recommended by the paper (Section 7.4):
-    // construct with MWST-SE, query the array variant.
+    // construct space-efficiently, query the array variant.
     let params = IndexParams::new(z, read_len, x.sigma()).expect("params");
     let t1 = Instant::now();
     let index = SpaceEfficientBuilder::new(params)
-        .build(x, IndexVariant::Array)
+        .build(x, SeVariant::Array)
         .expect("space-efficient construction");
     println!(
-        "MWSA via MWST-SE: {:.1} MB, {} sampled factors, built in {:.2?}",
+        "{}: {:.1} MB, {} sampled factors, built in {:.2?}",
+        IndexFamily::SpaceEfficient(SeVariant::Array).name(),
         index.size_bytes() as f64 / 1e6,
         index.num_sampled_factors(),
         t1.elapsed()

@@ -75,9 +75,10 @@ fn main() {
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array).expect("MWSA");
     let mwsa_g = MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid)
         .expect("MWSA-G");
-    let mwst_se = SpaceEfficientBuilder::new(params)
-        .build(&x, IndexVariant::Array)
-        .expect("MWST-SE");
+    let se_family = IndexFamily::SpaceEfficient(SeVariant::Array);
+    let se_mwsa = IndexSpec::new(se_family, params)
+        .build(&x)
+        .expect("space-efficient construction");
 
     let naive = NaiveIndex::new(z).expect("naive");
     let mut sampler = PatternSampler::new(&est, 7);
@@ -93,7 +94,7 @@ fn main() {
         ("MWST", &mwst),
         ("MWSA", &mwsa),
         ("MWSA-G", &mwsa_g),
-        ("MWSA (space-efficient construction)", &mwst_se),
+        (se_family.name(), &se_mwsa),
     ];
     println!(
         "  {:<40} {:>12} {:>12}",

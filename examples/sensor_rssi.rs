@@ -15,10 +15,16 @@ use std::time::Instant;
 fn main() {
     let z = 16.0;
     let ell = 32usize;
+    let family = IndexFamily::SpaceEfficient(SeVariant::Array);
 
     println!(
         "{:<12} {:>8} {:>6} {:>14} {:>14} {:>12}",
-        "dataset", "n", "σ", "MWSA-SE (KB)", "WSA (KB)", "ratio"
+        "dataset",
+        "n",
+        "σ",
+        format!("{} (KB)", family.name()),
+        "WSA (KB)",
+        "ratio"
     );
     for sigma in [16usize, 32, 64, 91] {
         let x = RssiConfig {
@@ -31,8 +37,8 @@ fn main() {
         let params = IndexParams::new(z, ell, x.sigma()).expect("params");
 
         let t = Instant::now();
-        let index = SpaceEfficientBuilder::new(params)
-            .build(&x, IndexVariant::Array)
+        let index = IndexSpec::new(family, params)
+            .build(&x)
             .expect("space-efficient construction");
         let se_time = t.elapsed();
 

@@ -18,7 +18,7 @@
 //! * [`grid`] — 2D range reporting;
 //! * [`index`] — the indexes themselves: the `WST`/`WSA` baselines and the
 //!   paper's `MWST`, `MWSA`, `MWST-G`, `MWSA-G` and the space-efficient
-//!   `MWST-SE` construction — plus the lifecycle layers around them: the
+//!   `SE-MWST` and `SE-MWSA` constructions — plus the lifecycle layers around them: the
 //!   unified builder (`IndexSpec` → `AnyIndex`), versioned binary
 //!   persistence (`AnyIndex::save_to`/`load_index`/`open_index`: one
 //!   format, IUSX v6 with one section encoding, and one read path, a
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use ius_datasets::rssi::RssiConfig;
     pub use ius_index::{
         load_index, AnyIndex, CountSink, FirstKSink, IndexFamily, IndexParams, IndexSpec,
-        IndexVariant, MatchSink, MinimizerIndex, NaiveIndex, QueryScratch, QueryStats,
+        IndexVariant, MatchSink, MinimizerIndex, NaiveIndex, QueryScratch, QueryStats, SeVariant,
         SpaceEfficientBuilder, UncertainIndex, Wsa, Wst,
     };
     pub use ius_live::{LiveConfig, LiveIndex, LiveStats};

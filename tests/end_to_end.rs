@@ -34,7 +34,7 @@ fn all_indexes_agree_with_naive_on_sampled_and_random_patterns() {
     let mwsa_g =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
     let mwst_se = SpaceEfficientBuilder::new(params)
-        .build(&x, IndexVariant::Tree)
+        .build(&x, SeVariant::Tree)
         .unwrap();
     let indexes: Vec<&dyn UncertainIndex> =
         vec![&wst, &wsa, &mwst, &mwsa, &mwst_g, &mwsa_g, &mwst_se];
@@ -144,10 +144,6 @@ fn error_paths_are_reported() {
     // Invalid parameters.
     assert!(IndexParams::new(0.2, 64, 4).is_err());
     assert!(IndexParams::new(16.0, 0, 4).is_err());
-    // Grid variants cannot be built space-efficiently.
-    assert!(SpaceEfficientBuilder::new(params)
-        .build(&x, IndexVariant::ArrayGrid)
-        .is_err());
 }
 
 #[test]

@@ -42,7 +42,7 @@ proptest! {
             MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array).unwrap();
         let mwst_g =
             MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::TreeGrid).unwrap();
-        let se = SpaceEfficientBuilder::new(params).build(&x, IndexVariant::Array).unwrap();
+        let se = SpaceEfficientBuilder::new(params).build(&x, SeVariant::Array).unwrap();
         let indexes: Vec<&dyn UncertainIndex> = vec![&wst, &wsa, &mwsa, &mwst_g, &se];
 
         let mut sampler = PatternSampler::new(&est, seed);

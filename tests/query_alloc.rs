@@ -1,4 +1,4 @@
-//! Asserts the acceptance criterion of the query-engine overhaul: once a
+//! Asserts the promise of the query-engine overhaul: once a
 //! [`QueryScratch`]'s buffers have warmed up, `query_into` performs **no
 //! heap allocation** on the minimizer-index hot paths (simple and grid
 //! queries, count-only sink).

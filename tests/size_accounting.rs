@@ -137,7 +137,7 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         IndexFamily::Wst,
         IndexFamily::Wsa,
         IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        IndexFamily::SpaceEfficient(IndexVariant::Tree),
+        IndexFamily::SpaceEfficient(SeVariant::Tree),
     ] {
         let spec = IndexSpec::new(family, params);
         let built = spec.build(&x).unwrap();
