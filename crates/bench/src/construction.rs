@@ -5,15 +5,22 @@
 //! min/median/max over the repetitions, in milliseconds) of one layer of the
 //! serial build: the z-estimation, the suffix array and the minimizer scan
 //! over the heavy string, the explicit MWSA build from the shared
-//! estimation, and the end-to-end pipeline (z-estimation + index build,
-//! summed per repetition). Before any timing is trusted, each layer's output
-//! is checked against its oracle: the z-estimation contract for short
-//! factors, and the naive suffix array and the brute-force minimizers on a
-//! prefix of the heavy string.
+//! estimation, the end-to-end pipeline (z-estimation + index build, summed
+//! per repetition) and the space-efficient SE-MWSA build, which replaces
+//! that pipeline. Beside the times it records the peak heap growth of one
+//! SE build and of one explicit pipeline run (zero unless the binary
+//! installs `ius_memtrack::CountingAllocator`, as `reproduce` does). Before
+//! any timing is trusted, each layer's output is checked against its
+//! oracle: the z-estimation contract for short factors, the naive suffix
+//! array and the brute-force minimizers on a prefix of the heavy string,
+//! and the explicit MWSA's answers for the SE build.
 
 use crate::report::{time_reps, Summary};
 use ius_datasets::corpora::bench_corpus;
-use ius_index::{IndexParams, IndexVariant, MinimizerIndex};
+use ius_datasets::patterns::PatternSampler;
+use ius_index::{
+    IndexParams, IndexVariant, MinimizerIndex, SeVariant, SpaceEfficientBuilder, UncertainIndex,
+};
 use ius_sampling::{KmerOrder, MinimizerScheme};
 use ius_text::sa::{suffix_array, suffix_array_naive};
 use ius_weighted::{HeavyString, WeightedString, ZEstimation};
@@ -21,6 +28,9 @@ use ius_weighted::{HeavyString, WeightedString, ZEstimation};
 /// Letters of the heavy string the quadratic oracles (naive suffix array,
 /// brute-force minimizers) are checked on.
 const ORACLE_PREFIX: usize = 4_000;
+
+/// Sampled patterns on which the SE build must answer like the explicit one.
+const ORACLE_PATTERNS: usize = 20;
 
 /// Parameters of one benchmarked configuration.
 #[derive(Debug, Clone)]
@@ -65,6 +75,12 @@ pub struct DatasetBench {
     pub index_build: Summary,
     /// End-to-end construction: z-estimation + index build.
     pub pipeline: Summary,
+    /// Space-efficient SE-MWSA build (no z-estimation).
+    pub se_build: Summary,
+    /// Peak heap growth of one explicit pipeline run, in MB.
+    pub pipeline_peak_mb: f64,
+    /// Peak heap growth of one SE-MWSA build, in MB.
+    pub se_build_peak_mb: f64,
 }
 
 /// Benchmarks one `(x, z, ℓ)` configuration.
@@ -119,6 +135,32 @@ fn bench_dataset(
     let factors = index.num_sampled_factors();
     let pipeline_ms: Vec<f64> = z_ms.iter().zip(&build_ms).map(|(a, b)| a + b).collect();
 
+    let se_builder = SpaceEfficientBuilder::new(params_idx);
+    let (se, se_ms) = time_reps(reps, || {
+        se_builder
+            .build(x, SeVariant::Array)
+            .expect("space-efficient build")
+    });
+    let mut sampler = PatternSampler::new(&est, 1);
+    for pattern in sampler.sample_many(ell, ORACLE_PATTERNS) {
+        assert_eq!(
+            se.query(&pattern, x).expect("SE query"),
+            index.query(&pattern, x).expect("explicit query"),
+            "SE-MWSA vs explicit MWSA on {name}"
+        );
+    }
+    drop((se, index, est));
+    let (_, pipeline_mem) = ius_memtrack::measure(|| {
+        let est = ZEstimation::build(x, z).expect("estimation");
+        MinimizerIndex::build_from_estimation(x, &est, params_idx, IndexVariant::Array)
+            .expect("build")
+    });
+    let (_, se_mem) = ius_memtrack::measure(|| {
+        se_builder
+            .build(x, SeVariant::Array)
+            .expect("space-efficient build")
+    });
+
     let result = DatasetBench {
         name: name.to_string(),
         params,
@@ -130,6 +172,9 @@ fn bench_dataset(
         minimizer_scan: Summary::of(&scan_ms),
         index_build: Summary::of(&build_ms),
         pipeline: Summary::of(&pipeline_ms),
+        se_build: Summary::of(&se_ms),
+        pipeline_peak_mb: pipeline_mem.peak_bytes as f64 / 1e6,
+        se_build_peak_mb: se_mem.peak_bytes as f64 / 1e6,
     };
     for (label, s) in [
         ("z-estimation", result.z_estimation),
@@ -137,12 +182,17 @@ fn bench_dataset(
         ("minimizer-scan", result.minimizer_scan),
         ("index-build", result.index_build),
         ("pipeline", result.pipeline),
+        ("se-build", result.se_build),
     ] {
         eprintln!(
             "  {label:<16} median {:9.1} ms  [{:.1}, {:.1}]",
             s.median, s.min, s.max
         );
     }
+    eprintln!(
+        "  peak heap growth: pipeline {:.2} MB, se-build {:.2} MB",
+        result.pipeline_peak_mb, result.se_build_peak_mb
+    );
     result
 }
 
@@ -188,10 +238,13 @@ pub fn render_json(config: &ConstructionBenchConfig, results: &[DatasetBench]) -
         "  \"note\": \"Absolute wall-clock milliseconds of the serial construction, one \
          summary per layer (samples, min, median, max over the repetitions). \
          construction_pipeline_ms sums z_estimation_ms and index_build_ms per repetition; \
+         se_build_ms is the space-efficient SE-MWSA build, which replaces that pipeline. \
          suffix_array_ms and minimizer_scan_ms time one pass over the heavy string and are \
-         informational. Outputs are checked against their oracles before timing: the \
-         z-estimation contract, the naive suffix array and the brute-force minimizers on a \
-         prefix.\",\n",
+         informational. pipeline_peak_mb and se_build_peak_mb are the peak heap growth of \
+         one explicit pipeline run and of one SE build (neither counts the weighted string \
+         itself). Outputs are checked against their oracles before timing: the z-estimation \
+         contract, the naive suffix array and the brute-force minimizers on a prefix, and \
+         the explicit MWSA's answers on sampled patterns for the SE build.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
@@ -208,14 +261,15 @@ pub fn render_json(config: &ConstructionBenchConfig, results: &[DatasetBench]) -
             ("minimizer_scan_ms", &d.minimizer_scan),
             ("index_build_ms", &d.index_build),
             ("construction_pipeline_ms", &d.pipeline),
+            ("se_build_ms", &d.se_build),
         ];
-        for (j, (name, s)) in stages.iter().enumerate() {
-            out.push_str(&format!(
-                "      \"{name}\": {}{}\n",
-                s.json(2),
-                if j + 1 == stages.len() { "" } else { "," }
-            ));
+        for (name, s) in stages {
+            out.push_str(&format!("      \"{name}\": {},\n", s.json(2)));
         }
+        out.push_str(&format!(
+            "      \"pipeline_peak_mb\": {:.2}, \"se_build_peak_mb\": {:.2}\n",
+            d.pipeline_peak_mb, d.se_build_peak_mb
+        ));
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {

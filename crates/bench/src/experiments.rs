@@ -31,7 +31,8 @@ pub enum ExperimentId {
     Fig15,
     /// Fig. 16 — construction time on the RSSI family (vs ℓ, z, σ, n).
     Fig16,
-    /// Additional ablations called out in DESIGN.md (not a paper figure).
+    /// Ablations of this implementation, not a paper figure: the grid
+    /// against the simple query, the k-mer order, and a sweep of k.
     Ablation,
 }
 

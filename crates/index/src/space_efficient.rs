@@ -20,9 +20,13 @@
 //! minimizer is marked; when the DFS retreats past a marked position, the
 //! string hanging from it becomes one leaf of the minimizer solid factor
 //! tree, encoded as `(anchor, Diff)` — `O(log z)` words. The backward tree is
-//! produced by running the very same procedure on the reversed string, with
-//! the minimizers still computed on the *forward* orientation of each window
-//! so that both trees anchor the same positions.
+//! produced by the same DFS over the reverse of `X`, read in place: DFS
+//! position `i` is position `at(i)` of `X` (`i` forward, `n − 1 − i`
+//! backward), the one place the orientation appears. The minimizers are
+//! still computed on the *forward* orientation of each window, so that both
+//! trees anchor the same positions. Besides `X`, the heavy string and the
+//! emitted factors, a pass holds `O(n)` words: the current letters, the
+//! marks, the DFS stack (16 B per frame) and the window's stack of k-mers.
 //!
 //! The emitted factors are finally sorted by [`EncodedFactorSetBuilder`]
 //! (packed keys of their first 16 letters, with `O(log z)`-time comparisons
@@ -43,7 +47,7 @@ use crate::encode::{check_u32_positions, Direction, EncodedFactorSetBuilder};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::params::IndexParams;
 use ius_sampling::order::KmerKeyer;
-use ius_sampling::{BackWindowMinimizer, FrontWindowMinimizer};
+use ius_sampling::StackWindowMinimizer;
 use ius_weighted::{is_solid, Error, HeavyString, Result, WeightedString};
 
 /// The minimizer variants the space-efficient construction builds: the two
@@ -128,38 +132,11 @@ impl SpaceEfficientBuilder {
         let node_cap = ((x.len() as f64) * self.params.z * self.node_cap_factor)
             .min(usize::MAX as f64) as usize;
         let heavy = HeavyString::new(x);
-
-        // Forward pass on X. The builder borrows the heavy ranks (no copy).
-        let mut fwd_builder =
-            EncodedFactorSetBuilder::new(Direction::Forward, heavy.shared_ranks());
-        dfs_collect(
-            x,
-            &heavy,
-            &self.params,
-            Direction::Forward,
-            &mut fwd_builder,
-            node_cap,
-        )?;
-
-        // Backward pass on the reversed string.
-        let x_rev = x.reversed();
-        let heavy_rev = HeavyString::new(&x_rev);
-        let mut bwd_builder =
-            EncodedFactorSetBuilder::new(Direction::Backward, heavy.shared_ranks());
-        dfs_collect(
-            &x_rev,
-            &heavy_rev,
-            &self.params,
-            Direction::Backward,
-            &mut bwd_builder,
-            node_cap,
-        )?;
-        // The reversed string holds σ probabilities per position: free it
-        // before the sorts.
-        drop((x_rev, heavy_rev));
-
-        let (fwd, _) = fwd_builder.finish();
-        let (bwd, _) = bwd_builder.finish();
+        // Each pass sorts its factors before the next one starts, so only one
+        // pass's pending factors are ever held.
+        let (fwd, _) = dfs_collect(x, &heavy, &self.params, Direction::Forward, node_cap)?.finish();
+        let (bwd, _) =
+            dfs_collect(x, &heavy, &self.params, Direction::Backward, node_cap)?.finish();
         MinimizerIndex::assemble(
             x,
             self.params,
@@ -173,102 +150,89 @@ impl SpaceEfficientBuilder {
     }
 }
 
-/// One frame of the iterative DFS over the extended solid factor tree.
+/// One frame of the iterative DFS over the extended solid factor tree. The
+/// frame at stack depth `d` is the node whose string starts at DFS position
+/// `n − d`; whether creating it pushed a `Diff` entry or a k-mer follows from
+/// its letter and its position, and it lies on the pure-heavy spine (empty
+/// solid factor, probability exactly 1) iff `Diff` is empty.
 struct Frame {
-    /// Position (in DFS-string coordinates) at which this node's string starts.
-    pos: usize,
-    /// Next letter rank to try for the child at `pos - 1`.
+    /// Next letter rank to try for the child one position to the left.
     next_letter: u8,
     /// Probability of the parent's solid factor, to restore on pop.
     prev_p: f64,
-    /// Whether creating this node pushed an entry onto `Diff`.
-    pushed_diff: bool,
-    /// Whether a k-mer was pushed into the window structure for this node.
-    pushed_kmer: bool,
-    /// Whether this node lies on the pure-heavy spine (its solid factor is
-    /// empty and its probability is exactly 1).
-    spine: bool,
 }
 
-/// Either of the two window-minimum structures, depending on the pass.
-enum WindowMin {
-    Forward(FrontWindowMinimizer),
-    Backward(BackWindowMinimizer),
-}
-
-impl WindowMin {
-    fn argmin(&self) -> Option<usize> {
-        match self {
-            WindowMin::Forward(w) => w.argmin(),
-            WindowMin::Backward(w) => w.argmin(),
-        }
-    }
-}
-
-/// Runs one DFS pass and pushes the emitted factors into `builder`.
+/// Runs one DFS pass over `x` and returns the builder holding the emitted
+/// factors of `direction`.
 ///
-/// `dfs_x` is the string being walked (X itself for the forward pass, its
-/// reverse for the backward pass); `dfs_heavy` is its heavy string. Emitted
-/// anchors are always expressed in the coordinates of the *original* string.
+/// The forward pass walks `X` itself from its end; the backward pass walks
+/// the reverse of `X` without materialising it: DFS position `i` is position
+/// `at(i)` of `X` — `i` forward, `n − 1 − i` backward — and that map is the
+/// only place the orientation appears. The window holds `X` positions, so
+/// the minimizers of both passes are computed on the forward orientation of
+/// each window and both trees anchor the same positions.
 fn dfs_collect(
-    dfs_x: &WeightedString,
-    dfs_heavy: &HeavyString,
+    x: &WeightedString,
+    heavy: &HeavyString,
     params: &IndexParams,
-    orientation: Direction,
-    builder: &mut EncodedFactorSetBuilder,
+    direction: Direction,
     node_cap: usize,
-) -> Result<()> {
-    let n = dfs_x.len();
-    let sigma = dfs_x.sigma() as u8;
-    let ell = params.ell;
-    let k = params.k;
-    let z = params.z;
-    let keyer = KmerKeyer::new(params.order, k, sigma as usize);
-    let width = ell - k + 1;
+) -> Result<EncodedFactorSetBuilder> {
+    let n = x.len();
+    let sigma = x.sigma() as u8;
+    let IndexParams { z, ell, k, order } = *params;
+    let keyer = KmerKeyer::new(order, k, sigma as usize);
+    let at = |i: usize| match direction {
+        Direction::Forward => i,
+        Direction::Backward => n - 1 - i,
+    };
 
+    let mut builder = EncodedFactorSetBuilder::new(direction, heavy.shared_ranks());
     // Current letters of the DFS string (heavy by default, overridden along
     // the current path), the deviation stack and the running probability.
-    let mut cur: Vec<u8> = dfs_heavy.as_ranks().to_vec();
+    let mut cur: Vec<u8> = (0..n).map(|i| heavy.letter(at(i))).collect();
     let mut diff: Vec<Mismatch0> = Vec::new();
     let mut cur_p = 1.0f64;
     let mut marked = vec![false; n];
-    let mut window = match orientation {
-        Direction::Forward => WindowMin::Forward(FrontWindowMinimizer::new(width)),
-        Direction::Backward => WindowMin::Backward(BackWindowMinimizer::new(width)),
-    };
+    let mut window = StackWindowMinimizer::new(ell - k + 1);
     let mut kmer_buf = vec![0u8; k];
     let mut nodes = 0usize;
 
     let mut stack: Vec<Frame> = Vec::with_capacity(n + 1);
     stack.push(Frame {
-        pos: n,
         next_letter: 0,
         prev_p: 1.0,
-        pushed_diff: false,
-        pushed_kmer: false,
-        spine: true,
     });
 
-    while let Some(frame_pos) = stack.last().map(|f| f.pos) {
-        // Try to descend to the next viable child of the top frame.
-        let mut descended = false;
-        if frame_pos > 0 {
-            let i = frame_pos - 1;
-            let top_spine = stack.last().expect("non-empty").spine;
-            let heavy_letter = dfs_heavy.letter(i);
-            let start_letter = stack.last().expect("non-empty").next_letter;
-            for c in start_letter..sigma {
-                let p_letter = dfs_x.prob(i, c);
-                let (child_p, child_spine) = if top_spine && c == heavy_letter {
-                    (1.0, true)
-                } else {
-                    (cur_p * p_letter, false)
-                };
-                if !child_spine && !is_solid(child_p, z) {
+    loop {
+        // Try to descend to the next viable child of the top frame, which
+        // starts at DFS position n − depth.
+        let depth = stack.len() - 1;
+        if depth < n {
+            let i = n - depth - 1;
+            let spine = diff.is_empty();
+            let heavy_letter = heavy.letter(at(i));
+            let dist = x.distribution(at(i));
+            let top = stack.last_mut().expect("non-empty");
+            let mut child = None;
+            for c in top.next_letter..sigma {
+                let p_letter = dist[usize::from(c)];
+                if p_letter <= 0.0 {
                     continue;
                 }
+                let child_p = if spine && c == heavy_letter {
+                    1.0
+                } else {
+                    cur_p * p_letter
+                };
+                if is_solid(child_p, z) {
+                    child = Some((c, p_letter, child_p));
+                    break;
+                }
+            }
+            if let Some((c, p_letter, child_p)) = child {
                 // Viable child: record where to resume, apply the prepend.
-                stack.last_mut().expect("non-empty").next_letter = c + 1;
+                top.next_letter = c + 1;
                 nodes += 1;
                 if nodes > node_cap {
                     return Err(Error::InvalidParameters(format!(
@@ -276,9 +240,8 @@ fn dfs_collect(
                          use the explicit construction for these parameters"
                     )));
                 }
-                let pushed_diff = c != heavy_letter;
-                if pushed_diff {
-                    let ratio = p_letter / dfs_x.prob(i, heavy_letter);
+                if c != heavy_letter {
+                    let ratio = p_letter / dist[usize::from(heavy_letter)];
                     diff.push(Mismatch0 {
                         pos: i as u32,
                         letter: c,
@@ -286,42 +249,25 @@ fn dfs_collect(
                     });
                 }
                 cur[i] = c;
-                // Push the newly completed k-mer into the window structure.
-                let pushed_kmer = match (&mut window, orientation) {
-                    (WindowMin::Forward(w), Direction::Forward) => {
-                        if i + k <= n {
-                            // The forward k-mer is contiguous in `cur`; key it
-                            // in place (no buffer copy).
-                            w.push_front(i, keyer.key(&cur[i..i + k]));
-                            true
-                        } else {
-                            false
+                // Push the newly completed k-mer, read in the forward
+                // orientation of X, at its starting position in X.
+                if i + k <= n {
+                    let kmer = &cur[i..i + k];
+                    let key = match direction {
+                        Direction::Forward => keyer.key(kmer),
+                        Direction::Backward => {
+                            kmer_buf.copy_from_slice(kmer);
+                            kmer_buf.reverse();
+                            keyer.key(&kmer_buf)
                         }
-                    }
-                    (WindowMin::Backward(w), Direction::Backward) => {
-                        // `i` is a position of the reversed string; the newly
-                        // completed k-mer of the *original* string ends at
-                        // original position n-1-i and starts at n-1-i-k+1.
-                        let f_end = n - 1 - i;
-                        if f_end + 1 >= k {
-                            let f_start = f_end + 1 - k;
-                            for (d, slot) in kmer_buf.iter_mut().enumerate() {
-                                // Original position f_start + d ↔ reversed
-                                // position n-1-(f_start+d).
-                                *slot = cur[n - 1 - (f_start + d)];
-                            }
-                            w.push_back(f_start, keyer.key(&kmer_buf));
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => unreachable!("window structure matches orientation"),
-                };
+                    };
+                    window.push(at(i).min(at(i + k - 1)), key);
+                }
                 // If the length-ℓ prefix of the current string is solid, mark
                 // its minimizer.
                 if i + ell <= n {
-                    let mut log_p = dfs_heavy.range_log_probability(i, i + ell);
+                    let (a, b) = (at(i), at(i + ell - 1));
+                    let mut log_p = heavy.range_log_probability(a.min(b), a.max(b) + 1);
                     for m in diff.iter().rev() {
                         if (m.pos as usize) < i + ell {
                             log_p += m.log_ratio;
@@ -331,55 +277,37 @@ fn dfs_collect(
                     }
                     if is_solid(log_p.exp(), z) {
                         if let Some(sel) = window.argmin() {
-                            // `sel` is in original coordinates for the
-                            // backward pass and DFS coordinates for the
-                            // forward pass; convert to DFS coordinates for
-                            // marking.
-                            let mark_at = match orientation {
-                                Direction::Forward => sel,
-                                Direction::Backward => n - 1 - sel,
-                            };
-                            marked[mark_at] = true;
+                            // `sel` is a position of X; `at` is its own
+                            // inverse, so this is its DFS position.
+                            marked[at(sel)] = true;
                         }
                     }
                 }
                 stack.push(Frame {
-                    pos: i,
                     next_letter: 0,
                     prev_p: cur_p,
-                    pushed_diff,
-                    pushed_kmer,
-                    spine: child_spine,
                 });
                 cur_p = child_p;
-                descended = true;
-                break;
+                continue;
             }
-        }
-        if descended {
-            continue;
         }
         // No more children: retreat from the top frame.
         let frame = stack.pop().expect("non-empty");
-        if frame.pos == n {
+        if stack.is_empty() {
             break;
         }
-        let q = frame.pos;
+        let q = n - stack.len();
         if marked[q] {
             marked[q] = false;
             // Emit the factor hanging from position q: it spans the rest of
             // the DFS string and deviates from the heavy string exactly at
             // the current Diff entries (all of which lie at positions ≥ q).
-            let anchor_x = match orientation {
-                Direction::Forward => q as u32,
-                Direction::Backward => (n - 1 - q) as u32,
-            };
             // `diff` is a stack of strictly decreasing DFS positions, so
             // reverse iteration yields strictly increasing depths — already
             // sorted, no post-hoc sort needed. Log-ratios are position-wise
             // and orientation-free.
             builder.push(
-                anchor_x,
+                at(q) as u32,
                 (n - q) as u32,
                 diff.iter()
                     .rev()
@@ -387,23 +315,17 @@ fn dfs_collect(
             )?;
         }
         // Undo the prepend that created this node.
-        if frame.pushed_diff {
+        let heavy_letter = heavy.letter(at(q));
+        if cur[q] != heavy_letter {
             diff.pop();
+            cur[q] = heavy_letter;
         }
-        cur[q] = dfs_heavy.letter(q);
-        if frame.pushed_kmer {
-            match &mut window {
-                WindowMin::Forward(w) => {
-                    w.pop_front();
-                }
-                WindowMin::Backward(w) => {
-                    w.pop_back();
-                }
-            }
+        if q + k <= n {
+            window.pop();
         }
         cur_p = frame.prev_p;
     }
-    Ok(())
+    Ok(builder)
 }
 
 /// A deviation entry on the DFS stack (absolute position within the DFS

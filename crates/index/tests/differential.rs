@@ -1,7 +1,7 @@
 //! The shared differential harness: every index family must return exactly
 //! the naive oracle's answers through **every** query entry point — the
 //! classic `query()` and the sink-based `query_into` (collect and count
-//! sinks) — on shared uniform and pangenome corpora. This replaces the per-file
+//! sinks) — on shared uniform, pangenome and rssi-like corpora. This replaces the per-file
 //! `check_against_naive` helpers that used to be copy-pasted across
 //! `minimizer_index.rs`, `wsa.rs`, `wst.rs` and `space_efficient.rs`.
 //!
@@ -15,6 +15,7 @@
 
 use ius_datasets::pangenome::PangenomeConfig;
 use ius_datasets::patterns::PatternSampler;
+use ius_datasets::rssi::rssi_like;
 use ius_datasets::uniform::UniformConfig;
 use ius_index::{
     load_index, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, NaiveIndex, QueryScratch,
@@ -75,6 +76,27 @@ fn corpora() -> Vec<Corpus> {
         patterns.extend(sampler.sample_many(5, 8)); // baselines only
         out.push(Corpus {
             label: "pangenome",
+            x,
+            z,
+            ell,
+            patterns,
+        });
+    }
+    {
+        // The rssi preset's regime: σ = 91, every position uncertain, many
+        // short solid factors — the only corpus here whose backward SE pass
+        // keys k-mers over a large alphabet. n stays small: every family
+        // is built several times per test, unoptimised in a debug run.
+        let x = rssi_like(1_000, 0x0551);
+        let (z, ell) = (64.0, 8usize);
+        let est = ZEstimation::build(&x, z).unwrap();
+        let mut sampler = PatternSampler::new(&est, 7);
+        let mut patterns = sampler.sample_many(ell, 25);
+        patterns.extend(sampler.sample_many(2 * ell, 10));
+        patterns.extend(sampler.sample_random(ell, 10, x.sigma()));
+        patterns.extend(sampler.sample_many(4, 8)); // baselines only
+        out.push(Corpus {
+            label: "rssi_like",
             x,
             z,
             ell,
@@ -183,7 +205,7 @@ fn every_family_agrees_with_naive_through_every_entry_point() {
 #[test]
 fn every_family_loaded_from_disk_agrees_with_naive() {
     // The persistence half of the harness: every family is saved, reloaded
-    // and the *loaded* index is run against the oracle on both corpora.
+    // and the *loaded* index is run against the oracle on every corpus.
     for corpus in corpora() {
         let naive = NaiveIndex::new(corpus.z).unwrap();
         for (label, index) in build_families(&corpus) {
@@ -224,7 +246,7 @@ use proptest::prelude::*;
 fn sharded_indexes_agree_with_their_unsharded_family_and_naive() {
     // A sharded index is a `LiveIndex` seeded by `from_corpus` in
     // ⌈n/4⌉-row segments and never mutated: 4 segments plus the
-    // `overlap`-row memtable tail, for every family on both corpora,
+    // `overlap`-row memtable tail, for every family on every corpus,
     // answering exactly like the unsharded index of its family and like
     // NAIVE over the whole corpus. Patterns below the family's ℓ or above
     // the configured maximum are refused by the length contract.
@@ -404,7 +426,7 @@ fn check_live(live: &LiveIndex, patterns: &[Vec<u8>], label: &str) {
 #[test]
 fn live_indexes_agree_with_naive_after_scripted_mutations() {
     // A fixed interleaving of every mutation kind, across three families,
-    // on both harness corpora; answers checked after every step.
+    // on every harness corpus; answers checked after every step.
     for corpus in corpora() {
         let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).unwrap();
         for family in [

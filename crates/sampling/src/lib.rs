@@ -19,9 +19,10 @@
 //!
 //! * [`window::SlidingWindowMinimizer`] — the linear-time monotone-deque
 //!   scanner used when the text is available left to right;
-//! * [`window::FrontWindowMinimizer`] — an ordered-multiset variant that
-//!   supports *prepending* letters (the access pattern of the space-efficient
-//!   DFS construction of Section 4 of the paper) in `O(log ℓ)` per update;
+//! * [`window::StackWindowMinimizer`] — an ordered-set window over the last
+//!   `ℓ − k + 1` k-mers of a stack, pushed and popped in `O(log ℓ)` (the
+//!   access pattern of the space-efficient DFS construction of Section 4 of
+//!   the paper, in both of its passes);
 //! * density measurement helpers used by the ablation benchmarks.
 //!
 //! Positions are 0-based.
@@ -39,4 +40,4 @@ pub use density::{measure_density, recommended_k};
 pub use fingerprint::KarpRabin;
 pub use minimizer::MinimizerScheme;
 pub use order::KmerOrder;
-pub use window::{BackWindowMinimizer, FrontWindowMinimizer, SlidingWindowMinimizer};
+pub use window::{SlidingWindowMinimizer, StackWindowMinimizer};

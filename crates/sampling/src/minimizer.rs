@@ -67,7 +67,7 @@ impl MinimizerScheme {
 
     /// The underlying keyer, for callers that need raw k-mer keys (the
     /// space-efficient construction drives a
-    /// [`crate::window::FrontWindowMinimizer`] with it).
+    /// [`crate::window::StackWindowMinimizer`] with it).
     #[inline]
     pub fn keyer(&self) -> &KmerKeyer {
         &self.keyer

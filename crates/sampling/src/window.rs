@@ -6,16 +6,13 @@
 //!   z-estimation, query-time minimizer of a pattern) — served by the
 //!   monotone-deque [`SlidingWindowMinimizer`] in `O(1)` amortised per
 //!   position;
-//! * growing a string by *prepending* letters during the DFS of the
+//! * growing and shrinking a string at one end during the DFS of the
 //!   space-efficient construction (Section 4), where the window is always the
-//!   first `ℓ` letters of the current string — served by
-//!   [`FrontWindowMinimizer`] in `O(log ℓ)` per update (the paper uses a heap;
-//!   we use an ordered set, which gives the same bound);
-//! * the mirrored pattern — growing by *appending* letters, used by the
-//!   backward pass of the space-efficient construction — served by
-//!   [`BackWindowMinimizer`].
+//!   last `ℓ − k + 1` k-mers pushed and not yet popped — served by
+//!   [`StackWindowMinimizer`] in `O(log ℓ)` per update (the paper uses a heap;
+//!   we use an ordered set, which gives the same bound).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Monotone deque for leftmost-minimum queries over a sliding window of
 /// keys. Keys are pushed left to right; the window is `[i - w + 1, i]` for a
@@ -72,26 +69,26 @@ impl SlidingWindowMinimizer {
     }
 }
 
-/// Ordered-set window minimizer for strings grown by prepending letters.
+/// Window minimizer over a stack of k-mers: the window is always the last
+/// `width` k-mers pushed and not yet popped (`width = ℓ - k + 1` for an
+/// `(ℓ, k)`-minimizer scheme).
 ///
-/// The window always consists of the k-mers starting at the `w` smallest
-/// *positions* currently present (`w = ℓ - k + 1` when used for an
-/// `(ℓ, k)`-minimizer scheme). Positions here are the caller's absolute
-/// positions, which *decrease* as letters are prepended.
+/// This is the access pattern of the DFS of the space-efficient construction
+/// (Section 4), where the current string grows and shrinks at one end: the
+/// forward pass pushes decreasing positions, the backward pass increasing
+/// ones, and every pop undoes the matching push. Each update costs
+/// `O(log ℓ)` (the paper uses a heap; an ordered set gives the same bound).
 #[derive(Debug, Clone)]
-pub struct FrontWindowMinimizer {
+pub struct StackWindowMinimizer {
     /// Number of k-mer slots in the window.
     width: usize,
-    /// All currently live (key, position) pairs, ordered, for argmin queries.
-    set: BTreeSet<(u64, usize)>,
-    /// Positions currently inside the window with their keys.
-    positions: BTreeMap<usize, u64>,
-    /// Positions evicted from the window (too far right) with their keys,
-    /// kept so they can re-enter when the front shrinks.
-    parked: BTreeMap<usize, u64>,
+    /// Every pushed and not yet popped `(key, position)`, in push order.
+    stack: Vec<(u64, usize)>,
+    /// The last `width` entries of `stack`, ordered for argmin queries.
+    window: BTreeSet<(u64, usize)>,
 }
 
-impl FrontWindowMinimizer {
+impl StackWindowMinimizer {
     /// Creates a window over `width` k-mer positions.
     ///
     /// # Panics
@@ -101,173 +98,39 @@ impl FrontWindowMinimizer {
         assert!(width > 0, "window width must be positive");
         Self {
             width,
-            set: BTreeSet::new(),
-            positions: BTreeMap::new(),
-            parked: BTreeMap::new(),
+            stack: Vec::new(),
+            window: BTreeSet::new(),
         }
     }
 
-    /// Number of k-mer positions the window can hold.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of k-mer positions currently inside the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// `true` iff the window holds no k-mer.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// `true` iff the window is at capacity.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.set.len() == self.width
-    }
-
-    /// Inserts the k-mer starting at `position` with order key `key`.
-    /// `position` must be smaller than every position previously inserted and
-    /// not yet removed (the prepend access pattern).
-    pub fn push_front(&mut self, position: usize, key: u64) {
-        debug_assert!(
-            self.positions
-                .keys()
-                .next()
-                .map(|&p| position < p)
-                .unwrap_or(true),
-            "push_front must use strictly decreasing positions"
-        );
-        self.positions.insert(position, key);
-        self.set.insert((key, position));
-        if self.positions.len() > self.width {
-            // Evict the largest position (the back of the window).
-            let (&back, &back_key) = self.positions.iter().next_back().expect("non-empty");
-            self.positions.remove(&back);
-            self.set.remove(&(back_key, back));
-            self.parked.insert(back, back_key);
+    /// Pushes the k-mer starting at `position` with order key `key`; the
+    /// k-mer pushed `width` pushes ago leaves the window. Positions inside
+    /// one window must be distinct.
+    pub fn push(&mut self, position: usize, key: u64) {
+        self.stack.push((key, position));
+        self.window.insert((key, position));
+        if let Some(evicted) = self.stack.len().checked_sub(self.width + 1) {
+            self.window.remove(&self.stack[evicted]);
         }
     }
 
-    /// Removes the front-most k-mer (the one with the smallest position);
-    /// the k-mer that was evicted earliest re-enters the window, restoring
-    /// the state before the matching [`FrontWindowMinimizer::push_front`].
-    ///
-    /// Returns the removed position, if any.
-    pub fn pop_front(&mut self) -> Option<usize> {
-        let (&front, &front_key) = self.positions.iter().next()?;
-        self.positions.remove(&front);
-        self.set.remove(&(front_key, front));
-        // Re-admit the parked k-mer with the smallest position, if any.
-        if self.positions.len() < self.width {
-            if let Some((&pos, &key)) = self.parked.iter().next() {
-                self.parked.remove(&pos);
-                self.positions.insert(pos, key);
-                self.set.insert((key, pos));
-            }
+    /// Pops the most recently pushed k-mer, restoring the window to its
+    /// state before the matching [`StackWindowMinimizer::push`]. Returns
+    /// the popped position, if any.
+    pub fn pop(&mut self) -> Option<usize> {
+        let top = self.stack.pop()?;
+        self.window.remove(&top);
+        if let Some(readmitted) = self.stack.len().checked_sub(self.width) {
+            self.window.insert(self.stack[readmitted]);
         }
-        Some(front)
+        Some(top.1)
     }
 
-    /// The position of the leftmost occurrence of the smallest key currently
-    /// in the window.
+    /// The position of the smallest key in the window, ties going to the
+    /// smallest position.
     #[inline]
     pub fn argmin(&self) -> Option<usize> {
-        self.set.iter().next().map(|&(_, p)| p)
-    }
-}
-
-/// Ordered-set window minimizer for strings grown by *appending* letters
-/// (the access pattern of the space-efficient construction's backward pass).
-///
-/// The window always consists of the k-mers starting at the `width` *largest*
-/// positions currently present; ties between equal keys are still broken
-/// towards the smallest (leftmost) position, as the minimizer definition
-/// requires.
-#[derive(Debug, Clone)]
-pub struct BackWindowMinimizer {
-    width: usize,
-    set: BTreeSet<(u64, usize)>,
-    positions: BTreeMap<usize, u64>,
-    /// Positions evicted on the left, ready to re-enter when the back shrinks.
-    parked: BTreeMap<usize, u64>,
-}
-
-impl BackWindowMinimizer {
-    /// Creates a window over `width` k-mer positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "window width must be positive");
-        Self {
-            width,
-            set: BTreeSet::new(),
-            positions: BTreeMap::new(),
-            parked: BTreeMap::new(),
-        }
-    }
-
-    /// Number of k-mer positions currently inside the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// `true` iff the window holds no k-mer.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Inserts the k-mer starting at `position` (must exceed every position
-    /// previously inserted and not yet removed).
-    pub fn push_back(&mut self, position: usize, key: u64) {
-        debug_assert!(
-            self.positions
-                .keys()
-                .next_back()
-                .map(|&p| position > p)
-                .unwrap_or(true),
-            "push_back must use strictly increasing positions"
-        );
-        self.positions.insert(position, key);
-        self.set.insert((key, position));
-        if self.positions.len() > self.width {
-            let (&front, &front_key) = self.positions.iter().next().expect("non-empty");
-            self.positions.remove(&front);
-            self.set.remove(&(front_key, front));
-            self.parked.insert(front, front_key);
-        }
-    }
-
-    /// Removes the most recently pushed k-mer, restoring the state before the
-    /// matching [`BackWindowMinimizer::push_back`]. Returns its position.
-    pub fn pop_back(&mut self) -> Option<usize> {
-        let (&back, &back_key) = self.positions.iter().next_back()?;
-        self.positions.remove(&back);
-        self.set.remove(&(back_key, back));
-        if self.positions.len() < self.width {
-            if let Some((&pos, &key)) = self.parked.iter().next_back() {
-                self.parked.remove(&pos);
-                self.positions.insert(pos, key);
-                self.set.insert((key, pos));
-            }
-        }
-        Some(back)
-    }
-
-    /// The position of the leftmost occurrence of the smallest key currently
-    /// in the window.
-    #[inline]
-    pub fn argmin(&self) -> Option<usize> {
-        self.set.iter().next().map(|&(_, p)| p)
+        self.window.first().map(|&(_, position)| position)
     }
 }
 
@@ -311,110 +174,73 @@ mod tests {
         assert_eq!(sw.argmin(), Some(1));
     }
 
-    #[test]
-    fn front_window_basic() {
-        // Positions pushed in decreasing order: 9, 8, 7, ... with keys.
-        let mut fw = FrontWindowMinimizer::new(3);
-        fw.push_front(9, 50);
-        fw.push_front(8, 20);
-        fw.push_front(7, 70);
-        assert!(fw.is_full());
-        assert_eq!(fw.argmin(), Some(8));
-        // Adding position 6 evicts position 9.
-        fw.push_front(6, 60);
-        assert_eq!(fw.len(), 3);
-        assert_eq!(fw.argmin(), Some(8));
-        // Adding position 5 evicts position 8 → min becomes 5 vs 6 vs 7.
-        fw.push_front(5, 65);
-        assert_eq!(fw.argmin(), Some(6));
-        // Undo: removing 5 restores 8 into the window.
-        assert_eq!(fw.pop_front(), Some(5));
-        assert_eq!(fw.argmin(), Some(8));
-        assert_eq!(fw.pop_front(), Some(6));
-        assert_eq!(fw.argmin(), Some(8));
-    }
-
-    #[test]
-    fn front_window_mirrors_stack_of_windows() {
-        // Randomised push/pop sequence checked against brute force.
+    /// Drives a random push/pop sequence, with positions moving away from
+    /// `origin` in the direction `step` on every push, and checks the
+    /// argmin against the last `width` live entries after every update.
+    fn check_stack_window_against_bruteforce(origin: usize, step: isize, seed: u64) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
-        let width = 4;
-        let mut fw = FrontWindowMinimizer::new(width);
-        // Stack of (position, key) with positions decreasing as we push.
-        let mut stack: Vec<(usize, u64)> = Vec::new();
-        let mut next_pos = 1000usize;
-        for _ in 0..400 {
-            let push = stack.is_empty() || rng.gen_bool(0.6);
-            if push {
-                next_pos -= 1;
-                let key = rng.gen_range(0..30) as u64;
-                stack.push((next_pos, key));
-                fw.push_front(next_pos, key);
-            } else {
-                let (pos, _) = stack.pop().unwrap();
-                next_pos = pos + 1;
-                assert_eq!(fw.pop_front(), Some(pos));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for width in 1..=6 {
+            let mut window = StackWindowMinimizer::new(width);
+            let mut stack: Vec<(usize, u64)> = Vec::new();
+            for _ in 0..400 {
+                if stack.is_empty() || rng.gen_bool(0.6) {
+                    let position = origin.checked_add_signed(step * stack.len() as isize);
+                    let position = position.expect("positions stay in range");
+                    let key = rng.gen_range(0..8) as u64;
+                    stack.push((position, key));
+                    window.push(position, key);
+                } else {
+                    let (position, _) = stack.pop().unwrap();
+                    assert_eq!(window.pop(), Some(position));
+                }
+                let last: Vec<(usize, u64)> = stack.iter().rev().take(width).copied().collect();
+                assert_eq!(window.argmin(), brute_leftmost_min(&last), "width {width}");
             }
-            // Brute force: the window is the first `width` entries from the top
-            // of the stack (smallest positions).
-            let window: Vec<(usize, u64)> = stack.iter().rev().take(width).copied().collect();
-            assert_eq!(fw.argmin(), brute_leftmost_min(&window));
         }
     }
 
     #[test]
-    fn front_window_ties_pick_smallest_position() {
-        let mut fw = FrontWindowMinimizer::new(4);
-        fw.push_front(30, 5);
-        fw.push_front(29, 5);
-        fw.push_front(28, 5);
-        assert_eq!(fw.argmin(), Some(28));
+    fn stack_window_matches_bruteforce_with_decreasing_positions() {
+        // The forward pass: letters are prepended, positions decrease.
+        check_stack_window_against_bruteforce(1_000, -1, 3);
+    }
+
+    #[test]
+    fn stack_window_matches_bruteforce_with_increasing_positions() {
+        // The backward pass: k-mers of the reversed walk, positions increase.
+        check_stack_window_against_bruteforce(0, 1, 17);
+    }
+
+    #[test]
+    fn stack_window_ties_pick_smallest_position() {
+        let mut decreasing = StackWindowMinimizer::new(4);
+        for position in [30, 29, 28] {
+            decreasing.push(position, 5);
+        }
+        assert_eq!(decreasing.argmin(), Some(28));
+        let mut increasing = StackWindowMinimizer::new(4);
+        for position in [10, 11, 12] {
+            increasing.push(position, 5);
+        }
+        assert_eq!(increasing.argmin(), Some(10));
+        // Evicting the tied minimum hands the window to the next smallest.
+        for position in [13, 14] {
+            increasing.push(position, 5);
+        }
+        assert_eq!(increasing.argmin(), Some(11));
+        assert_eq!(increasing.pop(), Some(14));
+        assert_eq!(increasing.argmin(), Some(10));
     }
 
     #[test]
     fn pop_from_empty_returns_none() {
-        let mut fw = FrontWindowMinimizer::new(2);
-        assert_eq!(fw.pop_front(), None);
-        assert!(fw.is_empty());
-        let mut bw = BackWindowMinimizer::new(2);
-        assert_eq!(bw.pop_back(), None);
-        assert!(bw.is_empty());
-    }
-
-    #[test]
-    fn back_window_mirrors_stack_of_windows() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        let width = 5;
-        let mut bw = BackWindowMinimizer::new(width);
-        let mut stack: Vec<(usize, u64)> = Vec::new();
-        let mut next_pos = 0usize;
-        for _ in 0..500 {
-            let push = stack.is_empty() || rng.gen_bool(0.6);
-            if push {
-                let key = rng.gen_range(0..20) as u64;
-                stack.push((next_pos, key));
-                bw.push_back(next_pos, key);
-                next_pos += 1;
-            } else {
-                let (pos, _) = stack.pop().unwrap();
-                next_pos = pos;
-                assert_eq!(bw.pop_back(), Some(pos));
-            }
-            // The window is the last `width` pushed entries (largest positions).
-            let window: Vec<(usize, u64)> = stack.iter().rev().take(width).copied().collect();
-            assert_eq!(bw.argmin(), brute_leftmost_min(&window));
-        }
-    }
-
-    #[test]
-    fn back_window_ties_pick_smallest_position() {
-        let mut bw = BackWindowMinimizer::new(4);
-        bw.push_back(10, 5);
-        bw.push_back(11, 5);
-        bw.push_back(12, 5);
-        assert_eq!(bw.argmin(), Some(10));
-        assert_eq!(bw.len(), 3);
+        let mut window = StackWindowMinimizer::new(2);
+        assert_eq!(window.pop(), None);
+        assert_eq!(window.argmin(), None);
+        window.push(7, 1);
+        assert_eq!(window.pop(), Some(7));
+        assert_eq!(window.pop(), None);
+        assert_eq!(window.argmin(), None);
     }
 }

@@ -256,24 +256,6 @@ impl WeightedString {
         ambiguous as f64 / self.n as f64
     }
 
-    /// The reverse weighted string: position `i` of the result carries the
-    /// distribution of position `n-1-i` of `self`.
-    ///
-    /// Used by the space-efficient index construction, whose backward pass
-    /// runs the forward algorithm on the reversed string.
-    pub fn reversed(&self) -> Self {
-        let sigma = self.alphabet.size();
-        let mut probs = Vec::with_capacity(self.probs.len());
-        for i in (0..self.n).rev() {
-            probs.extend_from_slice(&self.probs[i * sigma..(i + 1) * sigma]);
-        }
-        Self {
-            alphabet: self.alphabet.clone(),
-            n: self.n,
-            probs,
-        }
-    }
-
     /// The weighted substring `X[start..end)` (half-open range): position `i`
     /// of the result carries the distribution of position `start + i`.
     ///

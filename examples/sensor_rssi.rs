@@ -9,12 +9,16 @@
 //!
 //! Run with `cargo run --release --example sensor_rssi`.
 
+use ius::datasets::corpora::bench_corpus;
 use ius::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let z = 16.0;
-    let ell = 32usize;
+    // The rssi bench preset's parameters. Readings this uncertain keep few
+    // long solid factors: at ℓ = 8 a window is still solid at z = 64, where
+    // a longer ℓ would leave nothing to index.
+    let preset = bench_corpus("rssi", 1_000, None).expect("rssi is a bench preset");
+    let (z, ell) = (preset.z, preset.ell);
     let family = IndexFamily::SpaceEfficient(SeVariant::Array);
 
     println!(
@@ -70,6 +74,10 @@ fn main() {
         for v in shifted.iter_mut() {
             *v = (*v + 7) % sigma as u8;
         }
+        assert!(
+            !occ.is_empty(),
+            "σ = {sigma}: the heavy motif must occur, or the index above is empty"
+        );
         let absent = index.query(&shifted, &x).expect("query");
         println!(
             "             heavy motif of length {ell} occurs at {} positions; a shifted motif at {}",

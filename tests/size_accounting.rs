@@ -6,7 +6,8 @@
 //! over-reporting.
 //!
 //! It also bounds what a minimizer build holds on the way: its peak heap
-//! growth against the index it produces.
+//! growth against the index it produces, and the space-efficient build's
+//! peak against the explicit build's.
 //!
 //! This integration test is its own binary, so installing the counting
 //! allocator here affects nothing else in the workspace. The counters are
@@ -227,5 +228,38 @@ fn minimizer_build_peak_stays_near_the_index() {
         "MWSA-G build peaked at {} bytes of heap growth for a {size}-byte index ({:.2}×)",
         mem.peak_bytes,
         mem.peak_bytes as f64 / size as f64
+    );
+}
+
+/// The space-efficient construction earns its name: on the rssi preset
+/// (σ = 91, every position uncertain) the SE-MWSA build's peak heap growth
+/// stays below that of the explicit pipeline it replaces — the
+/// z-estimation plus the MWSA build from it. Neither side counts `X`
+/// itself, which both read in place.
+#[test]
+fn space_efficient_build_peaks_below_the_explicit_build() {
+    let _serial = serialize();
+    let corpus = bench_corpus("rssi", 20_000, None).expect("rssi is a bench preset");
+    let x = &corpus.x;
+    let params = IndexParams::new(corpus.z, corpus.ell, x.sigma()).unwrap();
+    let (explicit, explicit_mem) = ius_memtrack::measure(|| {
+        let est = ZEstimation::build(x, corpus.z).unwrap();
+        MinimizerIndex::build_from_estimation(x, &est, params, IndexVariant::Array).unwrap()
+    });
+    let (se, se_mem) = ius_memtrack::measure(|| {
+        SpaceEfficientBuilder::new(params)
+            .build(x, SeVariant::Array)
+            .unwrap()
+    });
+    assert!(
+        se.num_sampled_factors() > 0 && explicit.num_sampled_factors() > 0,
+        "the workload must sample factors"
+    );
+    assert!(
+        se_mem.peak_bytes < explicit_mem.peak_bytes,
+        "SE-MWSA build peaked at {} bytes of heap growth, the explicit z-estimation + MWSA \
+         build at {}",
+        se_mem.peak_bytes,
+        explicit_mem.peak_bytes
     );
 }
