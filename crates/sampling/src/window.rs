@@ -200,37 +200,64 @@ mod tests {
         }
     }
 
+    // "Front" windows are the forward pass's pattern (positions decrease as
+    // letters are prepended), "back" windows the backward pass's (positions
+    // increase); both are one `StackWindowMinimizer`.
+
     #[test]
-    fn stack_window_matches_bruteforce_with_decreasing_positions() {
-        // The forward pass: letters are prepended, positions decrease.
+    fn front_window_basic() {
+        // Positions pushed in decreasing order: 9, 8, 7, ... with keys.
+        let mut window = StackWindowMinimizer::new(3);
+        window.push(9, 50);
+        window.push(8, 20);
+        window.push(7, 70);
+        assert_eq!(window.argmin(), Some(8));
+        // Adding position 6 evicts position 9.
+        window.push(6, 60);
+        assert_eq!(window.argmin(), Some(8));
+        // Adding position 5 evicts position 8 → min over 7, 6 and 5.
+        window.push(5, 65);
+        assert_eq!(window.argmin(), Some(6));
+        // Undo: removing 5 restores 8 into the window.
+        assert_eq!(window.pop(), Some(5));
+        assert_eq!(window.argmin(), Some(8));
+        assert_eq!(window.pop(), Some(6));
+        assert_eq!(window.argmin(), Some(8));
+    }
+
+    #[test]
+    fn front_window_mirrors_stack_of_windows() {
         check_stack_window_against_bruteforce(1_000, -1, 3);
     }
 
     #[test]
-    fn stack_window_matches_bruteforce_with_increasing_positions() {
-        // The backward pass: k-mers of the reversed walk, positions increase.
+    fn front_window_ties_pick_smallest_position() {
+        let mut window = StackWindowMinimizer::new(4);
+        for position in [30, 29, 28] {
+            window.push(position, 5);
+        }
+        assert_eq!(window.argmin(), Some(28));
+    }
+
+    #[test]
+    fn back_window_mirrors_stack_of_windows() {
         check_stack_window_against_bruteforce(0, 1, 17);
     }
 
     #[test]
-    fn stack_window_ties_pick_smallest_position() {
-        let mut decreasing = StackWindowMinimizer::new(4);
-        for position in [30, 29, 28] {
-            decreasing.push(position, 5);
-        }
-        assert_eq!(decreasing.argmin(), Some(28));
-        let mut increasing = StackWindowMinimizer::new(4);
+    fn back_window_ties_pick_smallest_position() {
+        let mut window = StackWindowMinimizer::new(4);
         for position in [10, 11, 12] {
-            increasing.push(position, 5);
+            window.push(position, 5);
         }
-        assert_eq!(increasing.argmin(), Some(10));
+        assert_eq!(window.argmin(), Some(10));
         // Evicting the tied minimum hands the window to the next smallest.
         for position in [13, 14] {
-            increasing.push(position, 5);
+            window.push(position, 5);
         }
-        assert_eq!(increasing.argmin(), Some(11));
-        assert_eq!(increasing.pop(), Some(14));
-        assert_eq!(increasing.argmin(), Some(10));
+        assert_eq!(window.argmin(), Some(11));
+        assert_eq!(window.pop(), Some(14));
+        assert_eq!(window.argmin(), Some(10));
     }
 
     #[test]
