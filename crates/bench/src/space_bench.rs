@@ -52,6 +52,29 @@ impl Default for SpaceBenchConfig {
     }
 }
 
+/// The shape of one factor set of a minimizer index: its leaf and
+/// mismatch counts and the widths its narrow tables are stored at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FactorSetShape {
+    /// Stored leaves (factors).
+    pub leaves: usize,
+    /// Stored mismatches.
+    pub mismatches: usize,
+    /// Bytes per factor length and per mismatch depth (1, 2 or 4).
+    pub length_width: usize,
+    /// Bytes per mismatch offset (1, 2 or 4).
+    pub offset_width: usize,
+}
+
+impl FactorSetShape {
+    fn json(&self) -> String {
+        format!(
+            "{{ \"leaves\": {}, \"mismatches\": {}, \"length_width\": {}, \"offset_width\": {} }}",
+            self.leaves, self.mismatches, self.length_width, self.offset_width
+        )
+    }
+}
+
 /// Footprint and save/open timings of one family on one dataset.
 #[derive(Debug, Clone)]
 pub struct FamilySpaceBench {
@@ -75,6 +98,9 @@ pub struct FamilySpaceBench {
     /// Milliseconds of a from-scratch rebuild (including the z-estimation
     /// where the family needs one).
     pub rebuild_ms: f64,
+    /// The forward and the backward factor set of a minimizer family
+    /// (`None` for the baselines).
+    pub factor_sets: Option<[FactorSetShape; 2]>,
 }
 
 impl FamilySpaceBench {
@@ -161,6 +187,15 @@ fn bench_family(
     let (rebuilt, rebuild_ms) = time_reps(config.reps, || spec.build(x).expect("rebuild"));
     assert_eq!(rebuilt.size_bytes(), index.size_bytes());
 
+    let factor_sets = match &index {
+        AnyIndex::Minimizer(index) => Some(index.factor_sets().map(|set| FactorSetShape {
+            leaves: set.len(),
+            mismatches: set.total_mismatches(),
+            length_width: set.length_width(),
+            offset_width: set.offset_width(),
+        })),
+        _ => None,
+    };
     let result = FamilySpaceBench {
         family: label.to_string(),
         size_bytes: index.size_bytes(),
@@ -169,6 +204,7 @@ fn bench_family(
         open_ms: Summary::of(&open_ms).min,
         bytes_touched_at_first_query,
         rebuild_ms: Summary::of(&rebuild_ms).min,
+        factor_sets,
     };
     eprintln!(
         "  {label:<8} size {:>8.2} MB  file {:>8.2} MB  save {:>6.1} ms  open {:>6.2} ms  \
@@ -180,6 +216,14 @@ fn bench_family(
         result.rebuild_ms,
         result.load_speedup(),
     );
+    if let Some(sets) = &result.factor_sets {
+        for (side, set) in ["fwd", "bwd"].iter().zip(sets) {
+            eprintln!(
+                "           {side} {:>8} leaves {:>8} mismatches  lengths {} B  offsets {} B",
+                set.leaves, set.mismatches, set.length_width, set.offset_width
+            );
+        }
+    }
     result
 }
 
@@ -278,11 +322,14 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the IUSX v6 format (raw sections only; each minimizer variant stores only what \
+         size of the IUSX v7 format (raw sections only; each minimizer variant stores only what \
          its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios, \
-         no set keeps a leaf that is a prefix of another leaf of its anchor, and the grid holds \
-         the distinct leaf pairs in rank space: pi, its inverse, the wavelet matrix and one \
-         leaf bitvector per axis); save_ms and \
+         no set keeps a leaf that is a prefix of another leaf of its anchor, each set stores its \
+         lengths and mismatch depths at the narrowest of 1, 2 or 4 bytes that holds its longest \
+         factor and its mismatch offsets at the narrowest that holds its mismatch total, and the \
+         grid holds the distinct leaf pairs in rank space: pi, its inverse, the wavelet matrix \
+         and one leaf bitvector per axis); fwd and bwd give each minimizer family's forward and \
+         backward set: leaves, mismatches, length_width and offset_width in bytes; save_ms and \
          open_ms are timed over in-memory buffers and rebuild runs the full from-scratch \
          construction including the z-estimation where the family needs it \
          (minimum over the same repetition count on every side). Loading never re-runs \
@@ -302,11 +349,15 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         out.push_str(&format!("      \"z\": {}, \"ell\": {},\n", d.z, d.ell));
         out.push_str("      \"families\": [\n");
         for (j, f) in d.families.iter().enumerate() {
+            let sets = match &f.factor_sets {
+                Some([fwd, bwd]) => format!(", \"fwd\": {}, \"bwd\": {}", fwd.json(), bwd.json()),
+                None => String::new(),
+            };
             out.push_str(&format!(
                 "        {{ \"family\": \"{}\", \"size_bytes\": {}, \"file_bytes\": {}, \
                  \"save_ms\": {:.2}, \"open_ms\": {:.3}, \
                  \"bytes_touched_at_first_query\": {}, \"rebuild_ms\": {:.2}, \
-                 \"load_speedup\": {:.2}, \"loaded_outputs_identical\": true }}{}\n",
+                 \"load_speedup\": {:.2}, \"loaded_outputs_identical\": true{sets} }}{}\n",
                 f.family,
                 f.size_bytes,
                 f.file_bytes,
@@ -351,6 +402,13 @@ mod tests {
             assert!(!d.families.is_empty());
             for f in &d.families {
                 assert!(json.contains(&format!("\"family\": \"{}\"", f.family)));
+                // Exactly the minimizer rows carry their factor sets.
+                assert_eq!(f.factor_sets.is_some(), f.family.starts_with('M'));
+                for set in f.factor_sets.iter().flatten() {
+                    assert!(json.contains(&set.json()), "{}", f.family);
+                    assert!([1, 2, 4].contains(&set.length_width));
+                    assert!([1, 2, 4].contains(&set.offset_width));
+                }
                 assert!(f.size_bytes > 0 && f.file_bytes > 0);
                 assert!(f.save_ms >= 0.0 && f.open_ms > 0.0 && f.rebuild_ms > 0.0);
                 assert!(

@@ -19,22 +19,31 @@
 //!   inside it. Only the grid variants keep that pool; the others verify
 //!   against `X`.
 //!
+//! A set stores its factors' lengths and mismatch depths at the narrowest
+//! of `u8`, `u16` and `u32` that holds its longest factor, and its mismatch
+//! offsets at the narrowest that holds its mismatch total (see
+//! [`EncodedFactorSet::length_width`] and
+//! [`EncodedFactorSet::offset_width`]).
+//!
 //! The build holds little more than the set it produces. The builder keeps
 //! pending factors in struct-of-arrays pools (12 B per factor, 13 B per
 //! mismatch) and sorts them on packed keys of their first 16 letters, with
 //! each factor's anchor and push index beside the keys. The LCE comparator
 //! runs only inside runs of equal keys, between factors longer than 16
-//! letters. Each pool is permuted into the set and freed. Neighbour LCPs
-//! are not part of the build: the tree variants compute them from the
-//! finished set (`EncodedFactorSet::neighbour_lcps`), from the XOR of the
-//! packed 8-letter prefix keys where those differ and with the LCE walk
-//! from depth 8 where they are equal. Both walks answer equal and short
+//! letters. The sort entries are released as the rank order is read off
+//! them. Each pool is permuted into the set (the lengths, depths and
+//! offsets straight into their narrow tables) and freed. Neighbour LCPs are
+//! not part of the build: the tree variants compute them from the finished
+//! set (`EncodedFactorSet::neighbour_lcps`), from the XOR of the packed
+//! 8-letter prefix keys where those differ and with the LCE walk from
+//! depth 8 where they are equal. Both walks answer equal and short
 //! heavy-view extensions directly and build the LCE index over the view
 //! only on the first extension longer than 32 letters.
 
+use crate::narrow::{width_for, with_entries, Entry, NarrowTable};
 use ius_arena::ArenaVec;
 use ius_text::lce::LceIndex;
-use ius_text::trie::LabelProvider;
+use ius_text::trie::{CompactedTrie, Descent, LabelProvider};
 use ius_weighted::Error;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -68,13 +77,14 @@ pub struct EncodedFactorSet {
     /// Anchor in `X` coordinates (the minimizer position), per sorted leaf.
     anchor_x: ArenaVec<u32>,
     /// Factor length per sorted leaf.
-    lens: ArenaVec<u32>,
+    lens: NarrowTable,
     /// Offsets into the mismatch pools, one per leaf plus a trailing total.
-    mism_start: ArenaVec<u32>,
+    mism_start: NarrowTable,
     /// The concatenated mismatch storage, struct-of-arrays: depth, letter
-    /// and log-ratio per stored mismatch. Flat [`ArenaVec`] pools, so a
-    /// persisted set can borrow them zero-copy from the index arena.
-    mism_depths: ArenaVec<u32>,
+    /// and log-ratio per stored mismatch. Flat pools (the depths as wide as
+    /// `lens`), so a persisted set can borrow them zero-copy from the index
+    /// arena.
+    mism_depths: NarrowTable,
     mism_letters: ArenaVec<u8>,
     /// `ln(p(letter) / p(heavy letter))` per stored mismatch — at most 0,
     /// the heavy letter being the most probable; the terms grid
@@ -89,17 +99,52 @@ pub struct EncodedFactorSet {
     prefix_keys: ArenaVec<u64>,
 }
 
+/// Evaluates `$body` with `$leaves` bound to the [`Leaves`] of a set: its
+/// tables at their stored widths, matched once for the whole body.
+macro_rules! with_leaves {
+    ($set:expr, $leaves:ident => $body:expr) => {{
+        let set: &EncodedFactorSet = $set;
+        with_entries!(&set.mism_start, starts => match (&set.lens, &set.mism_depths) {
+            (NarrowTable::U8(lens), NarrowTable::U8(depths)) => {
+                let $leaves = Leaves { set, lens, starts, depths };
+                $body
+            }
+            (NarrowTable::U16(lens), NarrowTable::U16(depths)) => {
+                let $leaves = Leaves { set, lens, starts, depths };
+                $body
+            }
+            (NarrowTable::U32(lens), NarrowTable::U32(depths)) => {
+                let $leaves = Leaves { set, lens, starts, depths };
+                $body
+            }
+            _ => unreachable!("a set's lengths and mismatch depths share one width"),
+        })
+    }};
+}
+
 impl EncodedFactorSet {
     /// Number of stored factors (leaves).
     #[inline]
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.anchor_x.len()
     }
 
     /// `true` iff the set stores no factor.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.anchor_x.is_empty()
+    }
+
+    /// Bytes per stored factor length and per mismatch depth: 1, 2 or 4,
+    /// the narrowest width holding the set's longest factor.
+    pub fn length_width(&self) -> usize {
+        self.lens.width()
+    }
+
+    /// Bytes per mismatch offset: 1, 2 or 4, the narrowest width holding
+    /// the set's mismatch total.
+    pub fn offset_width(&self) -> usize {
+        self.mism_start.width()
     }
 
     /// The anchor (minimizer position in `X`) of the `leaf`-th sorted factor.
@@ -122,19 +167,19 @@ impl EncodedFactorSet {
     /// The length of the `leaf`-th factor.
     #[inline]
     pub fn factor_len(&self, leaf: usize) -> usize {
-        self.lens[leaf] as usize
+        self.lens.get(leaf) as usize
     }
 
     /// The range of the `leaf`-th factor's entries in the mismatch pools.
     #[inline]
     fn mism_range(&self, leaf: usize) -> Range<usize> {
-        self.mism_start[leaf] as usize..self.mism_start[leaf + 1] as usize
+        self.mism_start.get(leaf) as usize..self.mism_start.get(leaf + 1) as usize
     }
 
-    /// The depths of the `leaf`-th factor's stored mismatches.
-    #[inline]
-    pub fn mismatch_depths(&self, leaf: usize) -> &[u32] {
-        &self.mism_depths[self.mism_range(leaf)]
+    /// The depths of the `leaf`-th factor's stored mismatches, in
+    /// increasing order.
+    pub fn mismatch_depths(&self, leaf: usize) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.mism_depths.iter(self.mism_range(leaf))
     }
 
     /// The log-ratio of each stored mismatch of the `leaf`-th factor,
@@ -152,34 +197,22 @@ impl EncodedFactorSet {
     /// Total number of stored mismatches.
     #[inline]
     pub fn total_mismatches(&self) -> usize {
-        self.mism_depths.len()
+        self.mism_letters.len()
     }
 
     /// The letter at `depth` of the `leaf`-th factor, or `None` past its end.
     #[inline]
     pub fn letter_at(&self, leaf: usize, depth: usize) -> Option<u8> {
-        if depth >= self.lens[leaf] as usize {
-            return None;
-        }
-        let r = self.mism_range(leaf);
-        if let Some(slot) = self.mism_depths[r.clone()]
-            .iter()
-            .position(|&d| d as usize == depth)
-        {
-            return Some(self.mism_letters[r.start + slot]);
-        }
-        Some(self.heavy_view[self.view_anchor(leaf) + depth])
+        with_leaves!(self, leaves => leaves.letter(leaf, depth))
     }
 
-    /// The `leaf`-th factor as the comparators read it.
-    fn factor(&self, leaf: usize) -> FactorRef<'_> {
-        let r = self.mism_range(leaf);
-        FactorRef {
-            view: self.view_anchor(leaf),
-            len: self.factor_len(leaf),
-            depths: &self.mism_depths[r.clone()],
-            letters: &self.mism_letters[r],
-        }
+    /// `acc` plus the log-ratio of each stored mismatch of the `leaf`-th
+    /// factor whose depth lies in `depths`, added in depth order — the
+    /// terms grid verification sums (see
+    /// [`EncodedFactorSet::mismatch_log_ratios`] for the panic).
+    #[inline]
+    pub(crate) fn add_log_ratios(&self, leaf: usize, depths: Range<usize>, acc: f64) -> f64 {
+        with_leaves!(self, leaves => leaves.add_log_ratios(leaf, depths, acc))
     }
 
     /// The LCP of each leaf's factor with the previous leaf's (entry 0 is
@@ -189,19 +222,21 @@ impl EncodedFactorSet {
     /// with `O(log z)` extensions over the heavy view.
     pub(crate) fn neighbour_lcps(&self) -> Vec<usize> {
         let heavy = HeavyLce::new(&self.heavy_view);
-        let lcp = |leaf: usize| {
-            let from = match self.prefix_keys.get(leaf - 1..=leaf) {
-                // Letters pack as rank + 1 and the end as 0, so the first
-                // differing byte is where the factors part.
-                Some(&[a, b]) if a != b => return ((a ^ b).leading_zeros() / 8) as usize,
-                Some(_) => 8,
-                None => 0,
+        with_leaves!(self, leaves => {
+            let lcp = |leaf: usize| {
+                let from = match self.prefix_keys.get(leaf - 1..=leaf) {
+                    // Letters pack as rank + 1 and the end as 0, so the first
+                    // differing byte is where the factors part.
+                    Some(&[a, b]) if a != b => return ((a ^ b).leading_zeros() / 8) as usize,
+                    Some(_) => 8,
+                    None => 0,
+                };
+                lcp_from(leaves.factor(leaf - 1), leaves.factor(leaf), from, &heavy)
             };
-            lcp_from(self.factor(leaf - 1), self.factor(leaf), from, &heavy)
-        };
-        (0..self.len())
-            .map(|leaf| if leaf == 0 { 0 } else { lcp(leaf) })
-            .collect()
+            (0..self.len())
+                .map(|leaf| if leaf == 0 { 0 } else { lcp(leaf) })
+                .collect()
+        })
     }
 
     /// Materialises the `leaf`-th factor (used by tests and debugging).
@@ -221,75 +256,14 @@ impl EncodedFactorSet {
     /// comparisons instead of decoding one letter at a time — `O(m/word +
     /// log z)` per comparison rather than `O(m · log z)`.
     pub fn equal_range(&self, pattern: &[u8]) -> (usize, usize) {
-        let (search_lo, search_hi) = if pattern.len() >= 8 && !self.prefix_keys.is_empty() {
-            // Any factor having the (≥ 8 letter) pattern as a prefix packs
-            // exactly the pattern's first eight letters, so its key equals
-            // `pat_key`; keys are non-decreasing in leaf order, truncated
-            // factors pad with 0 and letters pack as rank+1, so no shorter
-            // factor collides with the full key.
-            let pat_key = pattern_prefix_key(pattern);
-            let lo = self.prefix_keys.partition_point(|&k| k < pat_key);
-            let hi = self.prefix_keys.partition_point(|&k| k <= pat_key);
-            (lo, hi)
-        } else {
-            (0, self.len())
-        };
-        let lo = search_lo
-            + partition_point_in(search_hi - search_lo, |i| {
-                self.cmp_leaf(search_lo + i, pattern, false).is_lt()
-            });
-        let hi = search_lo
-            + partition_point_in(search_hi - search_lo, |i| {
-                // Leaf's prefix (of pattern length) ≤ pattern?
-                self.cmp_leaf(search_lo + i, pattern, true) != Ordering::Greater
-            });
-        (lo, hi)
+        with_leaves!(self, leaves => leaves.equal_range(pattern))
     }
 
-    /// Compares the `leaf`-th factor with `pattern` by comparing the pure
-    /// heavy-view stretches between stored mismatches as slices.
-    ///
-    /// With `prefix_only` the factor is compared only up to `|pattern|`
-    /// letters (a shorter factor counts as smaller, an equal-or-longer one as
-    /// equal); otherwise the full factor is compared as a plain string.
-    fn cmp_leaf(&self, leaf: usize, pattern: &[u8], prefix_only: bool) -> Ordering {
-        let len = self.factor_len(leaf);
-        let limit = len.min(pattern.len());
-        let base = self.view_anchor(leaf);
-        let heavy = &self.heavy_view[base..base + limit];
-        let mut d = 0usize;
-        let r = self.mism_range(leaf);
-        for (&depth, &letter) in self.mism_depths[r.clone()]
-            .iter()
-            .zip(&self.mism_letters[r])
-        {
-            let md = depth as usize;
-            if md >= limit {
-                break;
-            }
-            match heavy[d..md].cmp(&pattern[d..md]) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-            match letter.cmp(&pattern[md]) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-            d = md + 1;
-        }
-        match heavy[d..limit].cmp(&pattern[d..limit]) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-        if prefix_only {
-            if len >= pattern.len() {
-                Ordering::Equal
-            } else {
-                Ordering::Less
-            }
-        } else {
-            len.cmp(&pattern.len())
-        }
+    /// The range of leaves below the node of `trie` (built over this set)
+    /// that `pattern` leads to, or `None` if it leaves the trie — the
+    /// tree-based (MWST) lookup.
+    pub(crate) fn descend(&self, trie: &CompactedTrie, pattern: &[u8]) -> Option<Descent> {
+        with_leaves!(self, leaves => trie.descend(pattern, &leaves))
     }
 
     /// Heap bytes retained by the set. A forward set's heavy view is the
@@ -322,17 +296,17 @@ impl EncodedFactorSet {
     }
 
     /// Factor lengths, per sorted leaf.
-    pub(crate) fn lens_raw(&self) -> &[u32] {
+    pub(crate) fn lens_raw(&self) -> &NarrowTable {
         &self.lens
     }
 
     /// Mismatch offsets (one per leaf plus the trailing total).
-    pub(crate) fn mism_start_raw(&self) -> &[u32] {
+    pub(crate) fn mism_start_raw(&self) -> &NarrowTable {
         &self.mism_start
     }
 
     /// The concatenated mismatch depths.
-    pub(crate) fn mism_depths_raw(&self) -> &[u32] {
+    pub(crate) fn mism_depths_raw(&self) -> &NarrowTable {
         &self.mism_depths
     }
 
@@ -356,7 +330,8 @@ impl EncodedFactorSet {
     /// heavy string read in the set's direction (the index-wide one for
     /// forward sets, a reversed copy for backward sets); `mism_log_ratios` is
     /// `None` for the variants without a grid, which store no such pool.
-    /// Nothing is recomputed or copied: every array is taken as loaded.
+    /// Nothing is recomputed or copied: every array is taken as loaded, at
+    /// the width it was stored at.
     ///
     /// # Errors
     ///
@@ -366,19 +341,26 @@ impl EncodedFactorSet {
         direction: Direction,
         heavy_view: Arc<Vec<u8>>,
         anchor_x: ArenaVec<u32>,
-        lens: ArenaVec<u32>,
-        mism_start: ArenaVec<u32>,
-        mism_depths: ArenaVec<u32>,
+        lens: NarrowTable,
+        mism_start: NarrowTable,
+        mism_depths: NarrowTable,
         mism_letters: ArenaVec<u8>,
         mism_log_ratios: Option<ArenaVec<f64>>,
         prefix_keys: ArenaVec<u64>,
     ) -> Result<EncodedFactorSet, String> {
-        let n = heavy_view.len() as u64;
+        let n = heavy_view.len();
         let leaves = anchor_x.len();
         if lens.len() != leaves {
             return Err("factor-set leaf arrays have inconsistent lengths".into());
         }
-        if mism_start.len() != leaves + 1 || mism_start.first().copied().unwrap_or(1) != 0 {
+        if lens.width() != mism_depths.width() {
+            return Err(format!(
+                "factor lengths are stored {} B wide but mismatch depths {} B wide",
+                lens.width(),
+                mism_depths.width()
+            ));
+        }
+        if mism_start.len() != leaves + 1 || mism_start.get(0) != 0 {
             return Err("mismatch offset table is malformed".into());
         }
         if mism_depths.len() != mism_letters.len()
@@ -388,47 +370,25 @@ impl EncodedFactorSet {
         {
             return Err("mismatch component pools have inconsistent lengths".into());
         }
-        // Every check below is a whole-array fold (these run over the
-        // arrays on every arena open, so they must vectorize rather than
-        // exit early).
-        let descents = mism_start
-            .windows(2)
-            .fold(0usize, |acc, w| acc + usize::from(w[0] > w[1]));
-        if descents != 0 || mism_start.last().map(|&v| v as usize) != Some(mism_depths.len()) {
+        // Every check below is a whole-array fold over each table at its
+        // own width (these run over the arrays on every arena open, so they
+        // must vectorize rather than exit early).
+        let descents = with_entries!(&mism_start, starts => offset_descents(starts));
+        if descents != 0 || mism_start.get(leaves) as usize != mism_depths.len() {
             return Err("mismatch offsets do not cover the mismatch storage".into());
         }
         if !prefix_keys.is_empty() && prefix_keys.len() != leaves {
             return Err("prefix-key table length does not match the leaf count".into());
         }
-        // Every factor reads the heavy view from its view anchor on: a
-        // forward one up to `anchor + len`, a backward one down to
-        // `anchor + 1 − len`.
-        let overruns = anchor_x
-            .iter()
-            .zip(lens.iter())
-            .fold(0usize, |acc, (&a, &len)| {
-                let (a, len) = (u64::from(a), u64::from(len));
-                let fits = match direction {
-                    Direction::Forward => a + len <= n,
-                    Direction::Backward => a < n && len <= a + 1,
-                };
-                acc + usize::from(!fits)
-            });
+        let overruns = with_entries!(&lens, lens => view_overruns(direction, n, &anchor_x, lens));
         if overruns != 0 {
             return Err(format!("{overruns} factor(s) run past the heavy view"));
         }
-        // Each leaf's depths strictly increase and stay inside the factor:
-        // the slice comparisons of `equal_range` walk them in order.
-        let bad_depths = mism_start
-            .windows(2)
-            .zip(lens.iter())
-            .fold(0usize, |acc, (w, &len)| {
-                let depths = &mism_depths[w[0] as usize..w[1] as usize];
-                let repeats = depths
-                    .windows(2)
-                    .fold(0usize, |a, d| a + usize::from(d[0] >= d[1]));
-                acc + repeats + usize::from(depths.last().is_some_and(|&d| d >= len))
-            });
+        let bad_depths = with_entries!(&mism_start, starts => {
+            with_entries!(&lens, lens => {
+                with_entries!(&mism_depths, depths => depth_faults(starts, lens, depths))
+            })
+        });
         if bad_depths != 0 {
             return Err("mismatch depths do not strictly increase within their factors".into());
         }
@@ -458,6 +418,172 @@ impl EncodedFactorSet {
     }
 }
 
+/// A set's tables at their stored widths — lengths and depths as `L`,
+/// offsets as `S` — which is what the query paths read: [`with_leaves`]
+/// matches the widths once per call, not once per entry.
+struct Leaves<'a, L, S> {
+    set: &'a EncodedFactorSet,
+    lens: &'a [L],
+    starts: &'a [S],
+    depths: &'a [L],
+}
+
+impl<'a, L: Entry, S: Entry> Leaves<'a, L, S> {
+    /// The range of the `leaf`-th factor's entries in the mismatch pools.
+    #[inline]
+    fn mism_range(&self, leaf: usize) -> Range<usize> {
+        self.starts[leaf].index()..self.starts[leaf + 1].index()
+    }
+
+    /// The `leaf`-th factor as the comparators read it.
+    #[inline]
+    fn factor(&self, leaf: usize) -> FactorRef<'a, L> {
+        let r = self.mism_range(leaf);
+        FactorRef {
+            view: self.set.view_anchor(leaf),
+            len: self.lens[leaf].index(),
+            depths: &self.depths[r.clone()],
+            letters: &self.set.mism_letters[r],
+        }
+    }
+
+    /// See [`EncodedFactorSet::add_log_ratios`].
+    #[inline]
+    fn add_log_ratios(&self, leaf: usize, depths: Range<usize>, mut acc: f64) -> f64 {
+        let r = self.mism_range(leaf);
+        for (&depth, &log_ratio) in self.depths[r.clone()]
+            .iter()
+            .zip(&self.set.mism_log_ratios[r])
+        {
+            if depths.contains(&depth.index()) {
+                acc += log_ratio;
+            }
+        }
+        acc
+    }
+
+    /// See [`EncodedFactorSet::equal_range`].
+    fn equal_range(&self, pattern: &[u8]) -> (usize, usize) {
+        let prefix_keys = &self.set.prefix_keys;
+        let (search_lo, search_hi) = if pattern.len() >= 8 && !prefix_keys.is_empty() {
+            // Any factor having the (≥ 8 letter) pattern as a prefix packs
+            // exactly the pattern's first eight letters, so its key equals
+            // `pat_key`; keys are non-decreasing in leaf order, truncated
+            // factors pad with 0 and letters pack as rank+1, so no shorter
+            // factor collides with the full key.
+            let pat_key = pattern_prefix_key(pattern);
+            let lo = prefix_keys.partition_point(|&k| k < pat_key);
+            let hi = prefix_keys.partition_point(|&k| k <= pat_key);
+            (lo, hi)
+        } else {
+            (0, self.lens.len())
+        };
+        let lo = search_lo
+            + partition_point_in(search_hi - search_lo, |i| {
+                self.cmp_leaf(search_lo + i, pattern, false).is_lt()
+            });
+        let hi = search_lo
+            + partition_point_in(search_hi - search_lo, |i| {
+                // Leaf's prefix (of pattern length) ≤ pattern?
+                self.cmp_leaf(search_lo + i, pattern, true) != Ordering::Greater
+            });
+        (lo, hi)
+    }
+
+    /// Compares the `leaf`-th factor with `pattern` by comparing the pure
+    /// heavy-view stretches between stored mismatches as slices.
+    ///
+    /// With `prefix_only` the factor is compared only up to `|pattern|`
+    /// letters (a shorter factor counts as smaller, an equal-or-longer one as
+    /// equal); otherwise the full factor is compared as a plain string.
+    fn cmp_leaf(&self, leaf: usize, pattern: &[u8], prefix_only: bool) -> Ordering {
+        let f = self.factor(leaf);
+        let len = f.len;
+        let limit = len.min(pattern.len());
+        let heavy = &self.set.heavy_view[f.view..f.view + limit];
+        let mut d = 0usize;
+        for (&depth, &letter) in f.depths.iter().zip(f.letters) {
+            let md = depth.index();
+            if md >= limit {
+                break;
+            }
+            match heavy[d..md].cmp(&pattern[d..md]) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+            match letter.cmp(&pattern[md]) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+            d = md + 1;
+        }
+        match heavy[d..limit].cmp(&pattern[d..limit]) {
+            Ordering::Equal => {}
+            other => return other,
+        }
+        if prefix_only {
+            if len >= pattern.len() {
+                Ordering::Equal
+            } else {
+                Ordering::Less
+            }
+        } else {
+            len.cmp(&pattern.len())
+        }
+    }
+}
+
+impl<L: Entry, S: Entry> LabelProvider for Leaves<'_, L, S> {
+    #[inline]
+    fn letter(&self, leaf: usize, depth: usize) -> Option<u8> {
+        let f = self.factor(leaf);
+        (depth < f.len).then(|| f.letter(&self.set.heavy_view, depth))
+    }
+
+    #[inline]
+    fn len(&self, leaf: usize) -> usize {
+        self.lens[leaf].index()
+    }
+}
+
+/// The number of mismatch offsets below their predecessor (0 in a valid
+/// table).
+fn offset_descents<S: Entry>(starts: &[S]) -> usize {
+    starts
+        .windows(2)
+        .fold(0, |acc, w| acc + usize::from(w[0].index() > w[1].index()))
+}
+
+/// The number of factors that read past the heavy view of `n` letters from
+/// their anchor: a forward one up to `anchor + len`, a backward one down to
+/// `anchor + 1 − len`.
+fn view_overruns<L: Entry>(direction: Direction, n: usize, anchor_x: &[u32], lens: &[L]) -> usize {
+    let n = n as u64;
+    anchor_x.iter().zip(lens).fold(0, |acc, (&a, &len)| {
+        let (a, len) = (u64::from(a), len.index() as u64);
+        let fits = match direction {
+            Direction::Forward => a + len <= n,
+            Direction::Backward => a < n && len <= a + 1,
+        };
+        acc + usize::from(!fits)
+    })
+}
+
+/// The number of mismatch depths that do not strictly increase within
+/// their factor, plus the factors whose last depth is not below their
+/// length: the slice comparisons of `equal_range` walk the depths in
+/// order. `starts` must cover `depths` without descents.
+fn depth_faults<S: Entry, L: Entry, D: Entry>(starts: &[S], lens: &[L], depths: &[D]) -> usize {
+    starts.windows(2).zip(lens).fold(0, |acc, (w, &len)| {
+        let depths = &depths[w[0].index()..w[1].index()];
+        let repeats = depths
+            .windows(2)
+            .fold(0, |a, d| a + usize::from(d[0].index() >= d[1].index()));
+        let past_end = depths.last().is_some_and(|&d| d.index() >= len.index());
+        acc + repeats + usize::from(past_end)
+    })
+}
+
 impl LabelProvider for EncodedFactorSet {
     #[inline]
     fn letter(&self, leaf: usize, depth: usize) -> Option<u8> {
@@ -471,8 +597,9 @@ impl LabelProvider for EncodedFactorSet {
 }
 
 /// Refuses a corpus with more positions than `u32` can address. The factor
-/// sets store anchors, lengths and depths as `u32`, and both minimizer
-/// builds narrow positions to `u32` only once this check has passed.
+/// sets store anchors as `u32` and lengths and depths at most as wide, and
+/// both minimizer builds narrow positions to `u32` only once this check
+/// has passed.
 ///
 /// # Errors
 ///
@@ -593,6 +720,19 @@ impl EncodedFactorSetBuilder {
         self.lens.is_empty()
     }
 
+    /// Hands back the pools' growth slack. [`EncodedFactorSetBuilder::finish`]
+    /// does so first; a build that finishes one builder while another is
+    /// still full calls this on the other beforehand, so the slack does not
+    /// sit beside the first builder's sort.
+    pub fn shrink_to_fit(&mut self) {
+        self.anchor_x.shrink_to_fit();
+        self.lens.shrink_to_fit();
+        self.mism_end.shrink_to_fit();
+        self.mism_depths.shrink_to_fit();
+        self.mism_letters.shrink_to_fit();
+        self.mism_log_ratios.shrink_to_fit();
+    }
+
     /// Sorts the factors by (string, anchor, push index), drops every
     /// *prefix-dominated* factor and returns the finished set of the others
     /// together with, for each pushed factor, the leaf rank of the factor
@@ -612,27 +752,28 @@ impl EncodedFactorSetBuilder {
     /// 32 letters. The prefix test between two factors of one anchor reads
     /// their mismatches alone (their heavy letters coincide). Each pending
     /// pool is then permuted into leaf order, without the dominated
-    /// factors, and freed. No LCPs are computed: only the tree variants
-    /// need them, from `EncodedFactorSet::neighbour_lcps`.
-    pub fn finish(self) -> (EncodedFactorSet, Vec<u32>) {
+    /// factors, and freed: the lengths and mismatch depths straight into
+    /// tables as wide as the longest factor needs, the mismatch offsets into
+    /// one as wide as the mismatch total needs. No LCPs are computed: only
+    /// the tree variants need them, from `EncodedFactorSet::neighbour_lcps`.
+    pub fn finish(mut self) -> (EncodedFactorSet, Vec<u32>) {
+        // The pools grew by doubling; the sort and the permutation below
+        // run beside them, so hand the slack back first.
+        self.shrink_to_fit();
         let Self {
             direction,
             heavy_forward,
-            mut anchor_x,
-            mut lens,
-            mut mism_end,
-            mut mism_depths,
-            mut mism_letters,
-            mut mism_log_ratios,
+            anchor_x,
+            lens,
+            mism_end,
+            mism_depths,
+            mism_letters,
+            mism_log_ratios,
         } = self;
-        // The pools grew by doubling; the sort and the permutation below
-        // run beside them, so hand the slack back first.
-        anchor_x.shrink_to_fit();
-        lens.shrink_to_fit();
-        mism_end.shrink_to_fit();
-        mism_depths.shrink_to_fit();
-        mism_letters.shrink_to_fit();
-        mism_log_ratios.shrink_to_fit();
+        // A dominated factor is no longer than its survivor, so the
+        // longest pushed factor survives and sets the width of the lengths
+        // and of the depths below them.
+        let length_width = width_for(lens.iter().copied().max().unwrap_or(0));
         let n = heavy_forward.len();
         let heavy_view: Arc<Vec<u8>> = match direction {
             // Forward sets read the heavy string as-is: share the allocation.
@@ -688,8 +829,7 @@ impl EncodedFactorSetBuilder {
                 })
                 .then(a.tie.cmp(&b.tie))
         });
-        let mut order: Vec<u32> = entries.iter().map(|e| e.push_index() as u32).collect();
-        drop(entries);
+        let mut order = push_indices_from_the_top(entries);
         let survivors = drop_dominated(&mut order, n, &anchor_x, &pending, &heavy);
         drop(heavy);
         // The first eight letters' key, in leaf order, is the integer
@@ -700,40 +840,81 @@ impl EncodedFactorSetBuilder {
             .map(|&i| packed_keys(pending(i as usize), &heavy_view).0)
             .collect();
 
-        let mut mism_start = Vec::with_capacity(order.len() + 1);
-        mism_start.push(0u32);
-        let mut total = 0u32;
-        for &i in &order {
-            // At most the pools' length, which `push` kept within u32.
-            total += pool_range(&mism_end, i as usize).len() as u32;
-            mism_start.push(total);
-        }
+        // Each kept factor's mismatch count, in leaf order; the total is at
+        // most the pools' length, which `push` kept within u32.
+        let counts = || {
+            order
+                .iter()
+                .map(|&i| pool_range(&mism_end, i as usize).len() as u32)
+        };
+        let total: u32 = counts().sum();
+        let mism_start = NarrowTable::collect(
+            width_for(total),
+            order.len() + 1,
+            std::iter::once(0).chain(counts().scan(0u32, |end, count| {
+                *end += count;
+                Some(*end)
+            })),
+        );
+        let depths = NarrowTable::collect(
+            length_width,
+            total as usize,
+            order.iter().flat_map(|&i| {
+                mism_depths[pool_range(&mism_end, i as usize)]
+                    .iter()
+                    .copied()
+            }),
+        );
+        drop(mism_depths);
         let set = EncodedFactorSet {
             direction,
             heavy_view,
-            mism_depths: permute_pool(mism_depths, &mism_end, &order, total).into(),
+            mism_depths: depths,
             mism_letters: permute_pool(mism_letters, &mism_end, &order, total).into(),
             mism_log_ratios: permute_pool(mism_log_ratios, &mism_end, &order, total).into(),
-            mism_start: mism_start.into(),
+            mism_start,
             anchor_x: permute(anchor_x, &order).into(),
-            lens: permute(lens, &order).into(),
+            lens: NarrowTable::collect(
+                length_width,
+                order.len(),
+                order.iter().map(|&i| lens[i as usize]),
+            ),
             prefix_keys: prefix_keys.into(),
         };
         (set, survivors)
     }
 }
 
+/// The push index at each rank of the sorted `entries`, from the last rank
+/// down — the order [`drop_dominated`] walks. The entries are the largest
+/// buffer of the build, so they are released from the top in chunks as
+/// their push indices are read: the two lists never coexist in full.
+fn push_indices_from_the_top(mut entries: Vec<SortEntry>) -> Vec<u32> {
+    const CHUNK: usize = 1 << 12;
+    let mut order = Vec::new();
+    while !entries.is_empty() {
+        let rest = entries.len().saturating_sub(CHUNK);
+        order.reserve_exact(entries.len() - rest);
+        // Push indices stay below u32::MAX (`push` caps the count there).
+        order.extend(entries[rest..].iter().rev().map(|e| e.push_index() as u32));
+        entries.truncate(rest);
+        entries.shrink_to_fit();
+    }
+    order
+}
+
 /// Removes the prefix-dominated factors from `order` (the push index at
-/// each sorted rank, kept in rank order) and returns, per push index, the
-/// leaf rank of its survivor among the factors kept. One pass from the
-/// last rank down, with the push index of the next-ranked factor of each
-/// anchor in an `n`-entry table. The survivors are compacted to the top of
-/// `order` as they are found, never below the rank being read.
+/// each sorted rank, from the last rank down) and returns, per push index,
+/// the leaf rank of its survivor among the factors kept; `order` is left
+/// holding the survivors in rank order. One pass from the last rank down,
+/// with the push index of the next-ranked factor of each anchor in an
+/// `n`-entry table. The survivors are compacted to the front of `order` as
+/// they are found, never past the entry being read.
 fn drop_dominated<'a>(
     order: &mut Vec<u32>,
     n: usize,
     anchor_x: &[u32],
-    pending: &impl Fn(usize) -> FactorRef<'a>,
+    pending: &impl Fn(usize) -> FactorRef<'a, u32>,
     heavy: &HeavyLce<'_>,
 ) -> Vec<u32> {
     const NONE: u32 = u32::MAX;
@@ -741,9 +922,9 @@ fn drop_dominated<'a>(
     let mut next_of_anchor = vec![NONE; n];
     // Per push index: the survivor's rank counted from the top, for now.
     let mut survivor = vec![0u32; order.len()];
-    let (mut kept, mut top) = (0u32, order.len());
-    for rank in (0..order.len()).rev() {
-        let i = order[rank] as usize;
+    let mut kept = 0u32;
+    for from_top in 0..order.len() {
+        let i = order[from_top] as usize;
         let next = std::mem::replace(&mut next_of_anchor[anchor_x[i] as usize], i as u32);
         let dominated = next != NONE && {
             let (f, g) = (pending(i), pending(next as usize));
@@ -753,12 +934,12 @@ fn drop_dominated<'a>(
             survivor[i] = survivor[next as usize];
         } else {
             survivor[i] = kept;
+            order[kept as usize] = i as u32;
             kept += 1;
-            top -= 1;
-            order[top] = i as u32;
         }
     }
-    order.drain(..top);
+    order.truncate(kept as usize);
+    order.reverse();
     for s in &mut survivor {
         *s = kept - 1 - *s;
     }
@@ -842,7 +1023,7 @@ fn pattern_prefix_key(pattern: &[u8]) -> u64 {
 /// order of those prefixes: letters are stored as `rank + 1`, so "past the
 /// factor's end" packs as 0 and a proper prefix sorts first. The first is
 /// the factor's stored prefix key.
-fn packed_keys(f: FactorRef<'_>, view: &[u8]) -> (u64, u64) {
+fn packed_keys(f: FactorRef<'_, u32>, view: &[u8]) -> (u64, u64) {
     let mut letters = [0u8; KEY_LETTERS];
     let take = f.len.min(KEY_LETTERS);
     for (slot, &c) in letters[..take].iter_mut().zip(&view[f.view..f.view + take]) {
@@ -861,19 +1042,20 @@ fn packed_keys(f: FactorRef<'_>, view: &[u8]) -> (u64, u64) {
 
 /// One encoded factor as the comparators read it: its anchor in view
 /// coordinates, its length and its stored mismatches (depths strictly
-/// increasing, each below the length).
+/// increasing, each below the length, stored as `D`).
 #[derive(Debug, Clone, Copy)]
-struct FactorRef<'a> {
+struct FactorRef<'a, D> {
     view: usize,
     len: usize,
-    depths: &'a [u32],
+    depths: &'a [D],
     letters: &'a [u8],
 }
 
-impl FactorRef<'_> {
+impl<D: Entry> FactorRef<'_, D> {
     /// The letter at `depth` (below the length).
+    #[inline]
     fn letter(&self, view: &[u8], depth: usize) -> u8 {
-        match self.depths.iter().position(|&d| d as usize == depth) {
+        match self.depths.iter().position(|&d| d.index() == depth) {
             Some(slot) => self.letters[slot],
             None => view[self.view + depth],
         }
@@ -926,7 +1108,12 @@ impl<'a> HeavyLce<'a> {
 /// The first depth at or after `from` where two factors differ, capped at
 /// the shorter length; the caller vouches that they agree before `from`.
 /// `O(#mismatches)` heavy-view extensions.
-fn lcp_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_>) -> usize {
+fn lcp_from<D: Entry>(
+    a: FactorRef<'_, D>,
+    b: FactorRef<'_, D>,
+    from: usize,
+    heavy: &HeavyLce<'_>,
+) -> usize {
     let view = heavy.view;
     let limit = a.len.min(b.len);
     let mut d = from;
@@ -934,14 +1121,14 @@ fn lcp_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_
     let mut bi = 0usize;
     while d < limit {
         // Skip mismatches whose depth is behind `d`.
-        while ai < a.depths.len() && (a.depths[ai] as usize) < d {
+        while ai < a.depths.len() && a.depths[ai].index() < d {
             ai += 1;
         }
-        while bi < b.depths.len() && (b.depths[bi] as usize) < d {
+        while bi < b.depths.len() && b.depths[bi].index() < d {
             bi += 1;
         }
-        let next_a = a.depths.get(ai).map_or(usize::MAX, |&m| m as usize);
-        let next_b = b.depths.get(bi).map_or(usize::MAX, |&m| m as usize);
+        let next_a = a.depths.get(ai).map_or(usize::MAX, |&m| m.index());
+        let next_b = b.depths.get(bi).map_or(usize::MAX, |&m| m.index());
         if next_a == d || next_b == d {
             let la = if next_a == d {
                 a.letters[ai]
@@ -972,7 +1159,12 @@ fn lcp_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_
 
 /// Lexicographic comparison of two encoded factors that agree before
 /// `from` (`O(log z)` heavy-view extensions).
-fn compare_from(a: FactorRef<'_>, b: FactorRef<'_>, from: usize, heavy: &HeavyLce<'_>) -> Ordering {
+fn compare_from<D: Entry>(
+    a: FactorRef<'_, D>,
+    b: FactorRef<'_, D>,
+    from: usize,
+    heavy: &HeavyLce<'_>,
+) -> Ordering {
     let l = lcp_from(a, b, from, heavy);
     if l >= a.len.min(b.len) {
         return a.len.cmp(&b.len);
@@ -1117,7 +1309,11 @@ mod tests {
             assert_eq!(set.anchor_x(leaf), f.anchor_x as usize);
             let depths: Vec<u32> = f.mismatches.iter().map(|m| m.0).collect();
             let ratios: Vec<f64> = f.mismatches.iter().map(|m| m.2).collect();
-            assert_eq!(set.mismatch_depths(leaf), &depths[..], "leaf {leaf}");
+            assert_eq!(
+                set.mismatch_depths(leaf).collect::<Vec<_>>(),
+                depths,
+                "leaf {leaf}"
+            );
             assert_eq!(set.mismatch_log_ratios(leaf), &ratios[..], "leaf {leaf}");
             let direct = match leaf {
                 0 => 0,
@@ -1315,7 +1511,7 @@ mod tests {
         assert_eq!(LabelProvider::len(&set, 0), 5);
         assert_eq!(set.mismatch_log_ratios(0), &[0.25f64.ln()]);
         assert_eq!(set.anchor_x(0), 2);
-        assert_eq!(set.mismatch_depths(0), &[1]);
+        assert_eq!(set.mismatch_depths(0).collect::<Vec<_>>(), [1]);
         assert_eq!(set.total_mismatches(), 1);
     }
 
@@ -1358,18 +1554,19 @@ mod tests {
             (Direction::Backward, 1, 3),
             (Direction::Backward, 5, 1),
         ] {
-            assert!(EncodedFactorSet::from_loaded_parts(
+            let err = EncodedFactorSet::from_loaded_parts(
                 direction,
                 Arc::clone(&heavy),
                 vec![anchor].into(),
                 vec![len].into(),
                 vec![0, 0].into(),
-                ArenaVec::new(),
+                Vec::new().into(),
                 ArenaVec::new(),
                 None,
                 ArenaVec::new(),
             )
-            .is_err());
+            .expect_err("a factor past the heavy view opened");
+            assert!(err.contains("run past the heavy view"), "{err}");
         }
     }
 

@@ -207,8 +207,10 @@ impl MinimizerIndex {
             }
         }
 
-        // Free the strand buffer (up to 16 B per position) before the sorts.
+        // Free the strand buffer (up to 16 B per position) before the sorts,
+        // and the backward pools' growth slack before the forward sort.
         drop(deviations);
+        bwd_builder.shrink_to_fit();
         let (fwd, fwd_leaf) = fwd_builder.finish();
         let (bwd, bwd_leaf) = bwd_builder.finish();
         // Occurrence `i` is the point (forward leaf, backward leaf) of the
@@ -359,6 +361,12 @@ impl MinimizerIndex {
         self.fwd.len()
     }
 
+    /// The forward and the backward factor set, in that order: their leaf
+    /// and mismatch counts and the widths their tables are stored at.
+    pub fn factor_sets(&self) -> [&EncodedFactorSet; 2] {
+        [&self.fwd, &self.bwd]
+    }
+
     /// Runs a query and additionally reports candidate/verification counts —
     /// a convenience wrapper over the sink-based engine with a one-shot
     /// scratch.
@@ -497,7 +505,7 @@ impl MinimizerIndex {
         part: &[u8],
     ) -> (usize, usize) {
         match trie {
-            Some(trie) => match trie.descend(part, set) {
+            Some(trie) => match set.descend(trie, part) {
                 Some(descent) => (descent.leaves.0 as usize, descent.leaves.1 as usize),
                 None => (0, 0),
             },
@@ -517,36 +525,16 @@ impl MinimizerIndex {
         bwd_leaf: usize,
     ) -> bool {
         let end = start + m;
-        let mut log_prob = self.log_prefix[end] - self.log_prefix[start];
+        let log_prob = self.log_prefix[end] - self.log_prefix[start];
         // Mismatches of the backward factor cover positions [start, anchor);
         // depth d corresponds to position anchor - d, so depths 1..=mu fall
         // inside the pattern window (depth 0 is the anchor itself, accounted
         // for by the forward factor).
-        for (&depth, log_ratio) in self
-            .bwd
-            .mismatch_depths(bwd_leaf)
-            .iter()
-            .zip(self.bwd.mismatch_log_ratios(bwd_leaf))
-        {
-            let d = depth as usize;
-            if d >= 1 && d <= mu {
-                log_prob += log_ratio;
-            }
-        }
+        let log_prob = self.bwd.add_log_ratios(bwd_leaf, 1..mu + 1, log_prob);
         // Mismatches of the forward factor cover positions [anchor, end);
         // depth d corresponds to position anchor + d, inside the window for
         // d < m - mu.
-        for (&depth, log_ratio) in self
-            .fwd
-            .mismatch_depths(fwd_leaf)
-            .iter()
-            .zip(self.fwd.mismatch_log_ratios(fwd_leaf))
-        {
-            let d = depth as usize;
-            if d < m - mu {
-                log_prob += log_ratio;
-            }
-        }
+        let log_prob = self.fwd.add_log_ratios(fwd_leaf, 0..m - mu, log_prob);
         is_solid(log_prob.exp(), self.params.z)
     }
 }
@@ -898,12 +886,14 @@ mod tests {
     ///
     /// * per position: the heavy letter and its copy in the backward set's
     ///   reversed view (2 B), plus the log-prefix entry (8 B) with a grid;
-    /// * per leaf of either set: `anchor_x`, `lens` and `mism_start` (4 B
-    ///   each) and the prefix key (8 B);
+    /// * per leaf of either set: `anchor_x` (4 B), the prefix key (8 B), its
+    ///   length at the set's length width and its `mism_start` entry at the
+    ///   set's offset width (1, 2 or 4 B each), plus one trailing offset
+    ///   per set;
     /// * per trie node, with a tree: 19 B, plus 5 B for the edge from its
     ///   parent;
-    /// * per mismatch: its depth (4 B) and letter (1 B), plus its log-ratio
-    ///   (8 B) with a grid;
+    /// * per mismatch: its depth at the set's length width and its letter
+    ///   (1 B), plus its log-ratio (8 B) with a grid;
     /// * per grid point: `π` and `π⁻¹` (8 B), plus 12 B per 64 points per
     ///   wavelet level and per leaf bitvector (a 64-bit word and its 32-bit
     ///   rank count), the two bitvectors costing two levels more.
@@ -916,9 +906,12 @@ mod tests {
             let leaves = index.fwd.len() + index.bwd.len();
             let mismatches = index.fwd.total_mismatches() + index.bwd.total_mismatches();
             let mut budget = (2 + 8 * grid) * n + 8 * grid; // positions (+ log-prefix's n + 1)
-            budget += 20 * leaves + 2 * 4; // + the trailing offsets
+            for set in index.factor_sets() {
+                let (length, offset) = (set.length_width(), set.offset_width());
+                budget += (12 + length + offset) * set.len() + offset; // + the trailing offset
+                budget += (length + 1 + 8 * grid) * set.total_mismatches();
+            }
             budget += 24 * index.stats().num_nodes;
-            budget += (5 + 8 * grid) * mismatches;
             if let Some(g) = &index.grid {
                 let levels = (usize::BITS - g.len().saturating_sub(1).leading_zeros()) as usize;
                 budget += 8 * g.len() + 12 * (levels + 2) * (g.len() / 64 + 1);

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 6**, the only version:
+//! behind a fixed envelope. Format **version 7**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -26,6 +26,12 @@
 //! on request: such a file no longer opens — rebuild the index from its
 //! corpus and save it again.
 //!
+//! A **narrow table** is a width byte — `1`, `2` or `4` — followed by one
+//! section of that many bytes per element (`u8`, `u16` or `u32`). It is
+//! still raw and 8-byte aligned, so it opens as a zero-copy view at the
+//! width it was written at; any other width byte is refused typed, naming
+//! the table and the width.
+//!
 //! There is **one read path**: the whole file sits in one 8-byte-aligned
 //! [`Arena`] allocation, the CRC32 trailer is verified over the raw bytes
 //! (PCLMUL-folded, so this is bandwidth-bound), and every section becomes
@@ -37,9 +43,9 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 6 only. Any
+//! **Version policy:** this build reads and writes version 7 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — the
-//! earlier versions 2, 3, 4 and 5 included — is refused with a typed
+//! earlier versions 2 to 6 included — is refused with a typed
 //! `InvalidData` error naming the version, and there is no migration:
 //! rebuild the index from its corpus. Every envelope carries its own CRC32
 //! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
@@ -47,13 +53,15 @@
 //! panic.
 //!
 //! A minimizer payload stores only what its variant's query reads; the
-//! variant tag alone decides which sections follow (untyped ones are `u32`):
+//! variant tag alone decides which sections follow (untyped ones are `u32`,
+//! `narrow` ones narrow tables):
 //!
 //! ```text
 //! params · variant (u8) · construction (u8) · n (u64) · σ (u64)
 //! · heavy letters (u8) · [log-prefix (f64)]                        grid only
-//! · forward set, then backward set: anchor_x · lens · mism_start
-//!     · mism_depths · mism_letters (u8) · [mism_log_ratios (f64)]  grid only
+//! · forward set, then backward set: anchor_x · lens (narrow)
+//!     · mism_start (narrow) · mism_depths (narrow) · mism_letters (u8)
+//!     · [mism_log_ratios (f64)]                                    grid only
 //!     · prefix_keys (u64)
 //! · trie flag (u8) [· forward trie] · trie flag (u8) [· backward trie]
 //! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
@@ -61,7 +69,10 @@
 //! ```
 //!
 //! Both sets hold no prefix-dominated leaf (one that is a prefix of
-//! another leaf of its anchor). MWST and MWSA verify against `X`; MWST-G
+//! another leaf of its anchor). Each set writes `lens` and `mism_depths` at
+//! the narrowest width holding its longest factor, and `mism_start` at the
+//! narrowest holding its mismatch total; at open the lengths and the depths
+//! must share a width. MWST and MWSA verify against `X`; MWST-G
 //! and MWSA-G verify from the log-prefix and the log-ratios alone, and
 //! their grid holds the `N` distinct (forward leaf, backward leaf) pairs of
 //! the occurrences in rank space: `ids_by_x` pairs each point's x rank with
@@ -91,6 +102,7 @@ use crate::builder::AnyIndex;
 use crate::encode::{Direction, EncodedFactorSet};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::naive::NaiveIndex;
+use crate::narrow::NarrowTable;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
 use crate::wsa::Wsa;
@@ -108,9 +120,9 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"IUSX";
 
 /// The on-disk format version, the only one this build reads or writes:
-/// arena-openable 8-byte-aligned sections with an envelope length field.
-/// Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 6;
+/// arena-openable 8-byte-aligned sections with an envelope length field,
+/// and narrow leaf tables. Files of any other version are refused typed.
+pub const FORMAT_VERSION: u16 = 7;
 
 const TAG_NAIVE: u8 = 0;
 const TAG_WST: u8 = 1;
@@ -584,12 +596,37 @@ fn read_heavy(s: &mut ArenaSource, grid: bool) -> io::Result<(Arc<Vec<u8>>, Aren
     Ok(heavy.into_parts())
 }
 
+/// Writes a narrow table: its width byte (1, 2 or 4), then a section of
+/// that width.
+fn write_narrow(vw: &mut SectionWriter, table: &NarrowTable) {
+    vw.buf.push(table.width() as u8);
+    match table {
+        NarrowTable::U8(v) => vw.section::<u8>(v),
+        NarrowTable::U16(v) => vw.section::<u16>(v),
+        NarrowTable::U32(v) => vw.section::<u32>(v),
+    }
+}
+
+/// Reads a narrow table; a width byte other than 1, 2 or 4 is refused.
+fn read_narrow(s: &mut ArenaSource, table: &str) -> io::Result<NarrowTable> {
+    Ok(match src_u8(s)? {
+        1 => NarrowTable::U8(read_section::<u8>(s)?),
+        2 => NarrowTable::U16(read_section::<u16>(s)?),
+        4 => NarrowTable::U32(read_section::<u32>(s)?),
+        other => {
+            return Err(bad(format!(
+                "unsupported {table} table width {other} (a table is 1, 2 or 4 bytes wide)"
+            )))
+        }
+    })
+}
+
 /// Writes a factor set; grid variants also write its log-ratio pool.
 fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet, grid: bool) {
     vw.section::<u32>(set.anchor_x_raw());
-    vw.section::<u32>(set.lens_raw());
-    vw.section::<u32>(set.mism_start_raw());
-    vw.section::<u32>(set.mism_depths_raw());
+    write_narrow(vw, set.lens_raw());
+    write_narrow(vw, set.mism_start_raw());
+    write_narrow(vw, set.mism_depths_raw());
     vw.section::<u8>(set.mism_letters_raw());
     if grid {
         vw.section::<f64>(set.mism_log_ratios_raw());
@@ -605,9 +642,9 @@ fn read_factor_set(
     grid: bool,
 ) -> io::Result<EncodedFactorSet> {
     let anchor_x = read_section::<u32>(s)?;
-    let lens = read_section::<u32>(s)?;
-    let mism_start = read_section::<u32>(s)?;
-    let mism_depths = read_section::<u32>(s)?;
+    let lens = read_narrow(s, "factor-length")?;
+    let mism_start = read_narrow(s, "mismatch-offset")?;
+    let mism_depths = read_narrow(s, "mismatch-depth")?;
     let mism_letters = read_section::<u8>(s)?;
     let mism_log_ratios = grid.then(|| read_section::<f64>(s)).transpose()?;
     let prefix_keys = read_section::<u64>(s)?;
@@ -943,9 +980,9 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version, and versions 2, 4 and 5: refused naming the
+        // Unknown version, and versions 2, 4, 5 and 6: refused naming the
         // version.
-        for version in [0x03FF, 2u16, 4, 5] {
+        for version in [0x03FF, 2u16, 4, 5, 6] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&version.to_le_bytes());
             let err = load_index(&mut corrupt.as_slice()).unwrap_err();
@@ -1070,6 +1107,144 @@ mod tests {
         // Both retain the one backing arena and account it once.
         assert!(loaded.size_bytes() >= bytes.len());
         assert!(opened.size_bytes() >= bytes.len());
+    }
+
+    /// Letters of the heavy string the width cases are built over: long
+    /// enough for a factor of 65,536 letters, a mismatch total of 65,536
+    /// at 255 mismatches per factor, and either read backwards.
+    const WIDTH_CASE_N: usize = 65_536 + 300;
+
+    /// One factor as a width case pushes it into both sets: its view
+    /// anchor, its length and its mismatch depths (each spelling the
+    /// letter after the heavy one).
+    type WidthFactor = (usize, u32, Vec<u32>);
+
+    /// An MWSA index whose forward and backward sets both hold `factors`
+    /// (at the same view anchors), over a deterministic corpus with a
+    /// repeating heavy string, and that corpus.
+    fn width_case(factors: &[WidthFactor]) -> (MinimizerIndex, ius_weighted::WeightedString) {
+        use crate::encode::EncodedFactorSetBuilder;
+        let heavy: Arc<Vec<u8>> = Arc::new((0..WIDTH_CASE_N).map(|i| (i % 7 % 4) as u8).collect());
+        let n = heavy.len();
+        let set = |direction: Direction| {
+            let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
+            for (view_anchor, len, depths) in factors {
+                // The position of `X` at depth `d` of the factor.
+                let at = |d: usize| match direction {
+                    Direction::Forward => view_anchor + d,
+                    Direction::Backward => n - 1 - view_anchor - d,
+                };
+                let mismatches = depths
+                    .iter()
+                    .map(|&d| (d, (heavy[at(d as usize)] + 1) % 4, -1.0));
+                builder.push(at(0) as u32, *len, mismatches).unwrap();
+            }
+            builder.finish().0
+        };
+        let params = IndexParams::new(4.0, 8, 4).unwrap();
+        let index = MinimizerIndex::from_loaded_parts(
+            params,
+            IndexVariant::Array,
+            n,
+            4,
+            Arc::clone(&heavy),
+            ArenaVec::new(),
+            set(Direction::Forward),
+            set(Direction::Backward),
+            None,
+            None,
+            None,
+            None,
+            "explicit",
+        );
+        let alphabet = ius_weighted::Alphabet::integer(4).unwrap();
+        let x = ius_weighted::WeightedString::deterministic(alphabet, &heavy).unwrap();
+        (index, x)
+    }
+
+    /// Saves the width case, opens it, and checks that every set keeps its
+    /// widths, leaves and answers and re-saves byte for byte; returns the
+    /// widths `(length, offset)` of the forward and the backward set.
+    fn width_round_trip(factors: &[WidthFactor]) -> [(usize, usize); 2] {
+        let (built, x) = width_case(factors);
+        let built = AnyIndex::Minimizer(Box::new(built));
+        let mut bytes = Vec::new();
+        built.save_to(&mut bytes).unwrap();
+        let opened = open_index(&Arena::from_bytes(&bytes)).unwrap();
+        let mut resaved = Vec::new();
+        opened.save_to(&mut resaved).unwrap();
+        assert!(bytes == resaved, "open → save must be byte identical");
+        let (AnyIndex::Minimizer(a), AnyIndex::Minimizer(b)) = (&built, &opened) else {
+            panic!("a minimizer file opens as a minimizer index");
+        };
+        let mut patterns = Vec::new();
+        for (set, other) in a.factor_sets().into_iter().zip(b.factor_sets()) {
+            assert_eq!(set.len(), other.len());
+            assert_eq!(set.total_mismatches(), other.total_mismatches());
+            assert_eq!(set.length_width(), other.length_width());
+            assert_eq!(set.offset_width(), other.offset_width());
+            for leaf in 0..set.len() {
+                let letters = set.materialize(leaf);
+                assert_eq!(letters, other.materialize(leaf), "leaf {leaf}");
+                assert!(set.mismatch_depths(leaf).eq(other.mismatch_depths(leaf)));
+                let prefix = &letters[..letters.len().min(16)];
+                let (lo, hi) = set.equal_range(prefix);
+                assert!(lo <= leaf && leaf < hi, "leaf {leaf} outside its own range");
+                assert_eq!(other.equal_range(prefix), (lo, hi), "leaf {leaf}");
+                patterns.push(prefix.to_vec());
+            }
+        }
+        patterns.extend((0..50).map(|i| x_window(&x, 97 * i, 12)));
+        for pattern in &patterns {
+            assert_eq!(
+                built.query(pattern, &x).unwrap(),
+                opened.query(pattern, &x).unwrap()
+            );
+        }
+        a.factor_sets()
+            .map(|set| (set.length_width(), set.offset_width()))
+    }
+
+    /// The heavy letters of `x` at `[from, from + len)`.
+    fn x_window(x: &ius_weighted::WeightedString, from: usize, len: usize) -> Vec<u8> {
+        (from..from + len)
+            .map(|p| (0..x.sigma() as u8).find(|&c| x.prob(p, c) == 1.0).unwrap())
+            .collect()
+    }
+
+    /// Each set stores its lengths and depths at the narrowest width that
+    /// holds its longest factor, across the 255/256 and 65,535/65,536
+    /// boundaries, and keeps its leaves and answers through save and open.
+    #[test]
+    fn length_width_follows_the_longest_factor() {
+        for (longest, width) in [(255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            let factors: Vec<WidthFactor> = vec![
+                (0, longest, vec![0, longest - 1]),
+                (40, 20, vec![3, 9]),
+                (90, 17, vec![]),
+            ];
+            let widths = width_round_trip(&factors);
+            assert_eq!(widths, [(width, 1); 2], "longest factor {longest}");
+        }
+    }
+
+    /// Each set stores its mismatch offsets at the narrowest width that
+    /// holds its mismatch total, across the 255/256 and 65,535/65,536
+    /// boundaries, and keeps its leaves and answers through save and open.
+    #[test]
+    fn offset_width_follows_the_mismatch_total() {
+        for (total, width) in [(255u32, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            // Factors of 255 letters at distinct anchors, none dominating
+            // another, with up to 255 mismatches each.
+            let factors: Vec<WidthFactor> = (0..total.div_ceil(255))
+                .map(|f| {
+                    let count = (total - 255 * f).min(255);
+                    (f as usize, 255, (0..count).collect())
+                })
+                .collect();
+            let widths = width_round_trip(&factors);
+            assert_eq!(widths, [(1, width); 2], "mismatch total {total}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 6, the
+//! Format differential suite for the IUSX on-disk format (version 7, the
 //! only version this build reads or writes): a saved index must answer
 //! exactly like the in-memory build it was saved from, opened zero-copy
 //! from an arena and through the `Read` entry point, across every buildable
@@ -8,23 +8,27 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v6 file, and any file whose header names another
-//! version (the earlier versions 2, 3, 4 and 5 included) or the removed
+//! appended byte of a v7 file, and any file whose header names another
+//! version (the earlier versions 2 to 6 included) or the removed
 //! sharded-index format (family tag 4), must be rejected with a typed error
 //! before a single view is handed out — never a panic, never a
 //! lazily-corrupt index. So must a file whose checksum is intact but whose
 //! contents break an invariant the query relies on (mismatch depths that do
 //! not increase within a factor, or a malformed leaf bitvector of the
-//! grid), and one with a section in an encoding other than raw (the
-//! bit-packed `u32` sections of earlier version-5 builds).
+//! grid), one with a section in an encoding other than raw (the bit-packed
+//! `u32` sections of earlier version-5 builds), and one whose narrow leaf
+//! table has a width byte other than 1, 2 or 4 or a section too short for
+//! its count.
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
+use ius_datasets::uniform::UniformConfig;
 use ius_faultio::crc32;
 use ius_index::persist::{open_index_at, FORMAT_VERSION};
 use ius_index::{
-    load_index, open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, UncertainIndex,
+    load_index, open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
+    NaiveIndex, UncertainIndex,
 };
 use ius_weighted::{WeightedString, ZEstimation};
 use proptest::prelude::*;
@@ -133,15 +137,65 @@ fn resave_after_open_is_byte_identical() {
     }
 }
 
-/// A header naming any version but 6 — the earlier streamed version 2,
+/// A corpus without uncertainty, 70,000 letters long: every forward factor
+/// runs from its minimizer to the end of `X` and every backward one back
+/// to its start, so the longest needs more than 16 bits and both sets store
+/// their lengths and depths 4 bytes wide. Its MWSA-G file re-saves byte for
+/// byte and answers like the build and like NAIVE.
+#[test]
+fn factors_past_65535_letters_are_stored_u32_wide() {
+    let x = UniformConfig {
+        n: 70_000,
+        sigma: 4,
+        spread: 0.0,
+        seed: 3,
+    }
+    .generate();
+    let (z, ell) = (4.0, 32);
+    let est = ZEstimation::build(&x, z).expect("estimation");
+    let params = IndexParams::new(z, ell, x.sigma()).expect("params");
+    let built = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params)
+        .build_with_estimation(&x, &est)
+        .expect("build");
+    let AnyIndex::Minimizer(index) = &built else {
+        panic!("MWSA-G is a minimizer index");
+    };
+    let widths = index.factor_sets().map(|set| set.length_width());
+    assert_eq!(
+        widths,
+        [4, 4],
+        "length widths of the forward and backward set"
+    );
+    let mut bytes = Vec::new();
+    built.save_to(&mut bytes).expect("save");
+    let opened = open_single(&bytes);
+    let mut resaved = Vec::new();
+    opened.save_to(&mut resaved).expect("resave");
+    assert!(bytes == resaved, "open round trip changed bytes");
+    let naive = NaiveIndex::new(z).expect("naive");
+    let mut sampler = PatternSampler::new(&est, 0x0_5EED);
+    let mut patterns = sampler.sample_many(ell, 8);
+    patterns.extend(sampler.sample_many(2 * ell, 4));
+    let mut reported = 0;
+    for pattern in &patterns {
+        let expected = naive.query(pattern, &x).expect("naive query");
+        assert_eq!(built.query(pattern, &x).expect("query"), expected);
+        assert_eq!(opened.query(pattern, &x).expect("query"), expected);
+        reported += expected.len();
+    }
+    assert!(reported > 0, "no sampled pattern occurs");
+}
+
+/// A header naming any version but 7 — the earlier streamed version 2,
 /// version 3 with its merge-tree grid, version 4 with its strands, ratios
-/// and general point-set grid, and version 5 with its prefix-dominated
-/// leaves and permutation grid included — is refused with a typed
-/// `InvalidData` error that names the version, through both entry points.
+/// and general point-set grid, version 5 with its prefix-dominated leaves
+/// and permutation grid, and version 6 with its `u32` leaf tables included
+/// — is refused with a typed `InvalidData` error that names the version,
+/// through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes) in &cases()[0].families {
-        for version in [2u16, 3, 4, 5, 7] {
+        for version in [2u16, 3, 4, 5, 6, 8] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -166,17 +220,17 @@ fn other_versions_are_refused_naming_the_version() {
 /// and re-pin alone when only the index contents did.
 #[test]
 fn layout_changes_bump_the_format_version() {
-    const PINNED_VERSION: u16 = 6;
+    const PINNED_VERSION: u16 = 7;
     const PINNED: [(&str, u32); 9] = [
-        ("NAIVE", 0x8a1671bd),
-        ("WST", 0x42687382),
-        ("WSA", 0x93aa0742),
-        ("MWST", 0xecc8caa2),
-        ("MWSA", 0x1cd4d64c),
-        ("MWST-G", 0x673bdcca),
-        ("MWSA-G", 0xeac8c187),
-        ("SE-MWST", 0x076d687c),
-        ("SE-MWSA", 0x0d3f73e7),
+        ("NAIVE", 0x5df4f1e5),
+        ("WST", 0xba187d96),
+        ("WSA", 0xc1ad9d72),
+        ("MWST", 0x9916b190),
+        ("MWSA", 0x87d9a972),
+        ("MWST-G", 0x4362cf4d),
+        ("MWSA-G", 0x492a1918),
+        ("SE-MWST", 0x4b1b7121),
+        ("SE-MWSA", 0x1821121a),
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
@@ -231,7 +285,7 @@ fn reseal(bytes: &mut [u8]) {
     bytes[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Walks a raw v6 file's sections: `(element count, data offset)` of the
+/// Walks a raw v7 file's sections: `(element count, data offset)` of the
 /// section at `*pos`, advancing `*pos` past it.
 fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize) {
     let count = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap()) as usize;
@@ -241,8 +295,38 @@ fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize
     (count, data)
 }
 
+/// A narrow table at `*pos` — its width byte, then a section of that width:
+/// `(width, element count, data offset)`, advancing `*pos` past it.
+fn narrow_section(bytes: &[u8], pos: &mut usize) -> (usize, usize, usize) {
+    let width = usize::from(bytes[*pos]);
+    assert!([1, 2, 4].contains(&width), "width byte {width}");
+    *pos += 1;
+    let (count, data) = raw_section(bytes, pos, width);
+    (width, count, data)
+}
+
+/// The `index`-th entry of a table `width` bytes wide whose data starts at
+/// `data`.
+fn entry_at(bytes: &[u8], data: usize, width: usize, index: usize) -> u32 {
+    let at = data + width * index;
+    let mut le = [0u8; 4];
+    le[..width].copy_from_slice(&bytes[at..at + width]);
+    u32::from_le_bytes(le)
+}
+
 fn u32_at(bytes: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap())
+    entry_at(bytes, offset, 4, 0)
+}
+
+/// Skips a factor set of a grid variant's file at `*pos`.
+fn skip_grid_factor_set(raw: &[u8], pos: &mut usize) {
+    raw_section(raw, pos, 4); // anchor_x
+    for _ in 0..3 {
+        narrow_section(raw, pos); // lens · mism_start · mism_depths
+    }
+    raw_section(raw, pos, 1); // mism_letters
+    raw_section(raw, pos, 8); // mism_log_ratios
+    raw_section(raw, pos, 8); // prefix_keys
 }
 
 /// A saved MWSA-G file whose CRC is intact but whose factor has two
@@ -264,19 +348,17 @@ fn swapped_mismatch_depths_are_refused_at_open() {
         raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
         for _ in 0..2 {
             raw_section(raw, &mut pos, 4); // anchor_x
-            raw_section(raw, &mut pos, 4); // lens
-            let (starts, start_at) = raw_section(raw, &mut pos, 4);
-            let (_, depths_at) = raw_section(raw, &mut pos, 4);
-            let leaf = (0..starts - 1).find(|&leaf| {
-                u32_at(raw, start_at + 4 * (leaf + 1)) - u32_at(raw, start_at + 4 * leaf) >= 2
-            });
-            if let Some(leaf) = leaf {
-                let first = depths_at + 4 * u32_at(raw, start_at + 4 * leaf) as usize;
+            narrow_section(raw, &mut pos); // lens
+            let (start_width, starts, start_at) = narrow_section(raw, &mut pos);
+            let (width, _, depths_at) = narrow_section(raw, &mut pos);
+            let start = |leaf| entry_at(raw, start_at, start_width, leaf) as usize;
+            if let Some(leaf) = (0..starts - 1).find(|&leaf| start(leaf + 1) - start(leaf) >= 2) {
+                let a = depths_at + width * start(leaf);
+                let b = a + width;
                 let mut bytes = raw.clone();
-                let (a, b) = (first, first + 4);
-                let depth_a: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
-                bytes.copy_within(b..b + 4, a);
-                bytes[b..b + 4].copy_from_slice(&depth_a);
+                let depth_a = bytes[a..b].to_vec();
+                bytes.copy_within(b..b + width, a);
+                bytes[b..b + width].copy_from_slice(&depth_a);
                 reseal(&mut bytes);
                 corrupted = Some((case.label.clone(), bytes));
                 break 'search;
@@ -343,11 +425,7 @@ fn x_starts_sections(raw: &[u8]) -> (usize, usize, usize) {
     raw_section(raw, &mut pos, 1); // heavy letters
     raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
     for _ in 0..2 {
-        for elem_size in [4, 4, 4, 4, 1, 8, 8] {
-            // anchor_x · lens · mism_start · mism_depths · mism_letters
-            // · mism_log_ratios · prefix_keys
-            raw_section(raw, &mut pos, elem_size);
-        }
+        skip_grid_factor_set(raw, &mut pos);
     }
     // Two trie flags (no tries in MWSA-G) and the grid flag, then N.
     assert_eq!(raw[pos..pos + 3], [0, 0, 1]);
@@ -441,6 +519,56 @@ fn malformed_leaf_bitvectors_are_refused_at_open() {
     }
 }
 
+/// A saved MWSA-G file whose CRC is intact but whose forward `lens` table
+/// has a width byte other than 1, 2 or 4 (0, 3 or 8), or a section too
+/// short for its element count, is refused `InvalidData` naming the fault,
+/// through every entry point.
+#[test]
+fn malformed_width_bytes_are_refused_at_open() {
+    let (_, _, raw) = cases()[0]
+        .families
+        .iter()
+        .find(|(label, ..)| label == "MWSA-G")
+        .expect("MWSA-G is built");
+    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
+    let mut pos = 66;
+    raw_section(raw, &mut pos, 1); // heavy letters
+    raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
+    raw_section(raw, &mut pos, 4); // forward anchor_x
+    let lens_at = pos;
+    let (width, _, _) = narrow_section(raw, &mut pos);
+    let mut corruptions: Vec<(String, Vec<u8>, String)> = [0u8, 3, 8]
+        .into_iter()
+        .map(|bad| {
+            let mut bytes = raw.clone();
+            bytes[lens_at] = bad;
+            let expected = format!("factor-length table width {bad}");
+            (format!("width {bad}"), bytes, expected)
+        })
+        .collect();
+    // One element more than the rest of the payload holds.
+    let count = (raw.len() - lens_at) / width + 1;
+    let mut short = raw.clone();
+    short[lens_at + 1..lens_at + 9].copy_from_slice(&(count as u64).to_le_bytes());
+    corruptions.push((
+        "short section".into(),
+        short,
+        "section escapes the envelope".into(),
+    ));
+    for (what, mut bytes, expected) in corruptions {
+        reseal(&mut bytes);
+        let arena = Arena::from_bytes(&bytes);
+        for err in [
+            open_index(&arena).expect_err("open must fail"),
+            open_index_at(&arena, 0).expect_err("embedded open must fail"),
+            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+        ] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains(&expected), "{what}: {err}");
+        }
+    }
+}
+
 fn is_typed(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::InvalidData | ErrorKind::UnexpectedEof)
 }
@@ -449,7 +577,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arena path validates the envelope CRC at open, so **any** bit
-    /// flip in a v6 file is rejected typed before a view is handed out.
+    /// flip in a v7 file is rejected typed before a view is handed out.
     #[test]
     fn arena_open_rejects_any_bit_flip(
         pick in 0usize..16,
@@ -474,7 +602,7 @@ proptest! {
         }
     }
 
-    /// Truncating a v6 file anywhere must fail typed at open.
+    /// Truncating a v7 file anywhere must fail typed at open.
     #[test]
     fn arena_open_rejects_any_truncation(
         pick in 0usize..16,
