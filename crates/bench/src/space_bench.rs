@@ -323,8 +323,9 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
          size of the IUSX v7 format (raw sections only; each minimizer variant stores only what \
-         its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios, \
-         no set keeps a leaf that is a prefix of another leaf of its anchor, each set stores its \
+         its query reads, so MWST and MWSA carry no log-prefix table or mismatch log-ratios \
+         and the tree variants no prefix keys, no set keeps a leaf that is a prefix of another \
+         leaf of its anchor, each set stores its \
          lengths and mismatch depths at the narrowest of 1, 2 or 4 bytes that holds its longest \
          factor and its mismatch offsets at the narrowest that holds its mismatch total, and the \
          grid holds the distinct leaf pairs in rank space: pi, its inverse, the wavelet matrix \

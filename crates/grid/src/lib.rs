@@ -25,8 +25,9 @@
 //!   whose keys cover `0..X` × `0..Y`: a [`RangeReporter`] over the points'
 //!   ranks plus, per axis, a [`RankSelect`] bitvector marking each key's
 //!   first point (1.5 bits per point per axis).
-//! * [`NaiveGrid`] — a linear-scan baseline used for differential testing and
-//!   as the honest choice for very small point sets.
+//! * [`NaiveGrid`] — a linear scan, the test oracle of the other two: the
+//!   differential tests check every answer against it, and no index uses
+//!   it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

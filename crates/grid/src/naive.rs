@@ -1,10 +1,11 @@
-//! Linear-scan 2D range reporting, used as ground truth and for tiny inputs.
+//! Linear-scan 2D range reporting, the test oracle of the grid structures.
 
 use crate::{GridPoint, Rect};
 
 /// A naive grid: stores the points in a vector and answers queries by a full
-/// scan. `O(N)` per query, `O(N)` space — the honest structure of choice for
-/// very small `N` and the reference implementation for tests.
+/// scan. `O(N)` per query, `O(N)` space — the reference implementation the
+/// tests check [`crate::RangeReporter`] and [`crate::RankSpaceGrid`]
+/// against; no index uses it.
 #[derive(Debug, Clone, Default)]
 pub struct NaiveGrid {
     points: Vec<GridPoint>,

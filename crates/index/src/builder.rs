@@ -67,12 +67,15 @@ impl IndexFamily {
         !matches!(self, IndexFamily::Naive | IndexFamily::SpaceEfficient(_))
     }
 
-    /// Does this family enforce the minimum pattern length ℓ?
-    pub fn has_length_bound(&self) -> bool {
-        matches!(
-            self,
-            IndexFamily::Minimizer(_) | IndexFamily::SpaceEfficient(_)
-        )
+    /// The minimizer variant this family builds, or `None` for the oracle
+    /// and the baselines (which accept patterns shorter than ℓ).
+    pub fn minimizer_variant(&self) -> Option<IndexVariant> {
+        match *self {
+            IndexFamily::Minimizer(variant) => Some(variant),
+            IndexFamily::SpaceEfficient(SeVariant::Tree) => Some(IndexVariant::Tree),
+            IndexFamily::SpaceEfficient(SeVariant::Array) => Some(IndexVariant::Array),
+            IndexFamily::Naive | IndexFamily::Wst | IndexFamily::Wsa => None,
+        }
     }
 
     /// Every family, in a fixed order: the one list the differential
@@ -113,7 +116,7 @@ impl IndexSpec {
     /// The minimum pattern length this family will accept (`ℓ` for the
     /// minimizer families, 1 for the baselines and the oracle).
     pub fn lower_bound(&self) -> usize {
-        if self.family.has_length_bound() {
+        if self.family.minimizer_variant().is_some() {
             self.params.ell
         } else {
             1
@@ -291,7 +294,7 @@ mod tests {
         assert!(spec.family.needs_estimation());
         let spec = IndexSpec::new(IndexFamily::Wsa, params);
         assert_eq!(spec.lower_bound(), 1);
-        assert!(!spec.family.has_length_bound());
+        assert_eq!(spec.family.minimizer_variant(), None);
         assert!(spec.family.needs_estimation());
         assert!(!IndexFamily::SpaceEfficient(SeVariant::Tree).needs_estimation());
         assert!(!IndexFamily::Naive.needs_estimation());

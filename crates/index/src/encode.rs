@@ -16,8 +16,8 @@
 //!   `O(log z)` time without access to `X`: each mismatch carries
 //!   `ln(p(letter)/p(heavy letter))`, so a window's log-probability is the
 //!   heavy log-prefix difference plus the log-ratios of the mismatches
-//!   inside it. Only the grid variants keep that pool; the others verify
-//!   against `X`.
+//!   inside it. Only the grid variants' sets hold that pool, derived from
+//!   `X` after the build; the others verify against `X`.
 //!
 //! A set stores its factors' lengths and mismatch depths at the narrowest
 //! of `u8`, `u16` and `u32` that holds its longest factor, and its mismatch
@@ -26,7 +26,7 @@
 //! [`EncodedFactorSet::offset_width`]).
 //!
 //! The build holds little more than the set it produces. The builder keeps
-//! pending factors in struct-of-arrays pools (12 B per factor, 13 B per
+//! pending factors in struct-of-arrays pools (12 B per factor, 5 B per
 //! mismatch) and sorts them on packed keys of their first 16 letters, with
 //! each factor's anchor and push index beside the keys. The LCE comparator
 //! runs only inside runs of equal keys, between factors longer than 16
@@ -92,10 +92,10 @@ pub struct EncodedFactorSet {
     /// which verify against `X` instead.
     mism_log_ratios: ArenaVec<f64>,
     /// Packed 8-letter prefix key per sorted leaf (see [`packed_keys`]),
-    /// carried over from the construction sort. Non-decreasing in leaf
-    /// order; used to narrow `equal_range` with integer comparisons before
-    /// any letter is compared. An empty table (accepted on load) makes the
-    /// binary search skip the narrowing.
+    /// computed by `finish`. Non-decreasing in leaf order; used to narrow
+    /// `equal_range` with integer comparisons before any letter is
+    /// compared. Empty in the tree variants' sets, which drop it once
+    /// `neighbour_lcps` has built their tries.
     prefix_keys: ArenaVec<u64>,
 }
 
@@ -283,9 +283,26 @@ impl EncodedFactorSet {
             + self.prefix_keys.heap_bytes()
     }
 
-    /// Frees the log-ratio pool: only grid verification reads it.
-    pub(crate) fn drop_log_ratios(&mut self) {
-        self.mism_log_ratios = ArenaVec::new();
+    /// Fills the log-ratio pool, which only grid verification reads, with
+    /// `log_ratio(p, letter)` per stored mismatch, `p` its position in `X`
+    /// (anchor + depth forward, anchor − depth backward).
+    pub(crate) fn derive_log_ratios(&mut self, log_ratio: impl Fn(usize, u8) -> f64) {
+        let forward = self.direction == Direction::Forward;
+        let mut ratios = Vec::with_capacity(self.total_mismatches());
+        for leaf in 0..self.len() {
+            let (a, r) = (self.anchor_x(leaf), self.mism_range(leaf));
+            for (d, &letter) in self.mism_depths.iter(r.clone()).zip(&self.mism_letters[r]) {
+                let d = d as usize;
+                let p = if forward { a + d } else { a - d };
+                ratios.push(log_ratio(p, letter));
+            }
+        }
+        self.mism_log_ratios = ratios.into();
+    }
+
+    /// Frees the prefix keys, which a tree variant no longer reads.
+    pub(crate) fn drop_prefix_keys(&mut self) {
+        self.prefix_keys = ArenaVec::new();
     }
 
     // ---- persistence support (see `crate::persist`) --------------------
@@ -315,13 +332,13 @@ impl EncodedFactorSet {
         &self.mism_letters
     }
 
-    /// The concatenated mismatch log-ratios (empty once dropped).
+    /// The concatenated mismatch log-ratios (empty unless derived).
     pub(crate) fn mism_log_ratios_raw(&self) -> &[f64] {
         &self.mism_log_ratios
     }
 
-    /// The packed prefix keys (may be empty; `equal_range` then skips the
-    /// integer narrowing).
+    /// The packed prefix keys (empty once dropped; `equal_range` then skips
+    /// the integer narrowing).
     pub(crate) fn prefix_keys_raw(&self) -> &[u64] {
         &self.prefix_keys
     }
@@ -619,9 +636,9 @@ pub(crate) fn check_u32_positions(n: usize) -> Result<(), Error> {
 ///
 /// Pending factors live in struct-of-arrays pools, with no allocation per
 /// factor: per factor its anchor, length and the end of its entries in the
-/// mismatch pools (12 B), per mismatch its depth, letter and log-ratio
-/// (13 B). [`EncodedFactorSetBuilder::finish`] permutes each pool into the
-/// set and frees it before the next.
+/// mismatch pools (12 B), per mismatch its depth and letter (5 B).
+/// [`EncodedFactorSetBuilder::finish`] permutes each pool into the set and
+/// frees it before the next.
 #[derive(Debug)]
 pub struct EncodedFactorSetBuilder {
     direction: Direction,
@@ -635,7 +652,6 @@ pub struct EncodedFactorSetBuilder {
     mism_end: Vec<u32>,
     mism_depths: Vec<u32>,
     mism_letters: Vec<u8>,
-    mism_log_ratios: Vec<f64>,
 }
 
 impl EncodedFactorSetBuilder {
@@ -653,16 +669,13 @@ impl EncodedFactorSetBuilder {
             mism_end: Vec::new(),
             mism_depths: Vec::new(),
             mism_letters: Vec::new(),
-            mism_log_ratios: Vec::new(),
         }
     }
 
     /// Adds a factor: its anchor in `X` (the minimizer position), its length
     /// (letters read from the anchor in the builder's direction) and its
-    /// deviations from the heavy string as `(depth, letter, log_ratio)` in
-    /// strictly increasing depth order, where `log_ratio` is
-    /// `ln(p(letter) / p(heavy letter))` at that position of `X` — at most
-    /// 0, the heavy letter being the most probable.
+    /// deviations from the heavy string as `(depth, letter)` in strictly
+    /// increasing depth order.
     ///
     /// # Errors
     ///
@@ -678,7 +691,7 @@ impl EncodedFactorSetBuilder {
         &mut self,
         anchor_x: u32,
         len: u32,
-        mismatches: impl IntoIterator<Item = (u32, u8, f64)>,
+        mismatches: impl IntoIterator<Item = (u32, u8)>,
     ) -> Result<(), Error> {
         if u32::try_from(self.lens.len() + 1).is_err() {
             return Err(Error::InvalidParameters(
@@ -686,7 +699,7 @@ impl EncodedFactorSetBuilder {
             ));
         }
         let start = self.mism_depths.len();
-        for (depth, letter, log_ratio) in mismatches {
+        for (depth, letter) in mismatches {
             debug_assert!(depth < len, "mismatch depth beyond factor length");
             debug_assert!(
                 self.mism_depths[start..].last().is_none_or(|&d| d < depth),
@@ -694,12 +707,10 @@ impl EncodedFactorSetBuilder {
             );
             self.mism_depths.push(depth);
             self.mism_letters.push(letter);
-            self.mism_log_ratios.push(log_ratio);
         }
         let Ok(end) = u32::try_from(self.mism_depths.len()) else {
             self.mism_depths.truncate(start);
             self.mism_letters.truncate(start);
-            self.mism_log_ratios.truncate(start);
             return Err(Error::InvalidParameters(
                 "a factor set holds at most u32::MAX mismatches".into(),
             ));
@@ -730,7 +741,6 @@ impl EncodedFactorSetBuilder {
         self.mism_end.shrink_to_fit();
         self.mism_depths.shrink_to_fit();
         self.mism_letters.shrink_to_fit();
-        self.mism_log_ratios.shrink_to_fit();
     }
 
     /// Sorts the factors by (string, anchor, push index), drops every
@@ -768,7 +778,6 @@ impl EncodedFactorSetBuilder {
             mism_end,
             mism_depths,
             mism_letters,
-            mism_log_ratios,
         } = self;
         // A dominated factor is no longer than its survivor, so the
         // longest pushed factor survives and sets the width of the lengths
@@ -871,7 +880,7 @@ impl EncodedFactorSetBuilder {
             heavy_view,
             mism_depths: depths,
             mism_letters: permute_pool(mism_letters, &mism_end, &order, total).into(),
-            mism_log_ratios: permute_pool(mism_log_ratios, &mism_end, &order, total).into(),
+            mism_log_ratios: ArenaVec::new(),
             mism_start,
             anchor_x: permute(anchor_x, &order).into(),
             lens: NarrowTable::collect(
@@ -1178,12 +1187,12 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// A factor as a test pushes it: its anchor in `X`, its length and its
-    /// `(depth, letter, log_ratio)` mismatches in depth order.
+    /// `(depth, letter)` mismatches in depth order.
     #[derive(Debug, Clone)]
     struct TestFactor {
         anchor_x: u32,
         len: u32,
-        mismatches: Vec<(u32, u8, f64)>,
+        mismatches: Vec<(u32, u8)>,
     }
 
     /// `letters` read in `direction`: the heavy view of a heavy string, and
@@ -1197,9 +1206,7 @@ mod tests {
     }
 
     /// The factor spelling `letters` from view position `view_anchor`: a
-    /// mismatch wherever they leave the heavy view. Log-ratios differ by
-    /// anchor and depth, so a test sees whether the pools were permuted
-    /// together.
+    /// mismatch wherever they leave the heavy view.
     fn spelling(
         view: &[u8],
         direction: Direction,
@@ -1218,7 +1225,7 @@ mod tests {
                 .zip(&view[view_anchor..])
                 .enumerate()
                 .filter(|(_, (c, h))| c != h)
-                .map(|(d, (&c, _))| (d as u32, c, -((anchor_x * 64 + d) as f64)))
+                .map(|(d, (&c, _))| (d as u32, c))
                 .collect(),
         }
     }
@@ -1255,7 +1262,9 @@ mod tests {
     /// materialised strings by (string, anchor, push index) with every
     /// factor dropped whose next factor of the same anchor in that order
     /// has it as a prefix: the kept order, each leaf's letters, anchor and
-    /// mismatches, the neighbour LCPs and each pushed factor's survivor.
+    /// mismatches, the neighbour LCPs and each pushed factor's survivor. A
+    /// leaf's `(depth, letter)` mismatches must be its own factor's, so the
+    /// depth and letter pools were permuted together.
     fn assert_sorted_like_materialised(
         heavy: &Arc<Vec<u8>>,
         direction: Direction,
@@ -1270,7 +1279,7 @@ mod tests {
                     Direction::Backward => view.len() - 1 - f.anchor_x as usize,
                 };
                 let mut s = view[view_anchor..view_anchor + f.len as usize].to_vec();
-                for &(depth, letter, _) in &f.mismatches {
+                for &(depth, letter) in &f.mismatches {
                     s[depth as usize] = letter;
                 }
                 s
@@ -1307,14 +1316,11 @@ mod tests {
             let f = &factors[i];
             assert_eq!(set.materialize(leaf), strings[i], "leaf {leaf}");
             assert_eq!(set.anchor_x(leaf), f.anchor_x as usize);
-            let depths: Vec<u32> = f.mismatches.iter().map(|m| m.0).collect();
-            let ratios: Vec<f64> = f.mismatches.iter().map(|m| m.2).collect();
-            assert_eq!(
-                set.mismatch_depths(leaf).collect::<Vec<_>>(),
-                depths,
-                "leaf {leaf}"
-            );
-            assert_eq!(set.mismatch_log_ratios(leaf), &ratios[..], "leaf {leaf}");
+            let mismatches: Vec<(u32, u8)> = set
+                .mismatch_depths(leaf)
+                .map(|d| (d, set.letter_at(leaf, d as usize).unwrap()))
+                .collect();
+            assert_eq!(mismatches, f.mismatches, "leaf {leaf}");
             let direct = match leaf {
                 0 => 0,
                 _ => strings[sorted[kept[leaf - 1]]]
@@ -1345,7 +1351,7 @@ mod tests {
             (4, 3, vec![]),
             (8, 3, vec![]),
             // "13" (a mismatch at depth 1) and "1230" at 1.
-            (1, 2, vec![(1, 3, -0.5)]),
+            (1, 2, vec![(1, 3)]),
             (1, 4, vec![]),
         ];
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
@@ -1369,8 +1375,10 @@ mod tests {
             ]
         );
         assert_eq!(survivors, vec![2, 2, 2, 0, 0, 1, 4, 3]);
-        assert_eq!(set.mismatch_log_ratios(4), &[-0.5]);
+        assert_eq!(set.mismatch_depths(4).collect::<Vec<_>>(), [1]);
         assert_eq!(set.total_mismatches(), 1);
+        // A finished set carries letters only.
+        assert!(set.mism_log_ratios_raw().is_empty());
     }
 
     #[test]
@@ -1500,7 +1508,7 @@ mod tests {
     fn letter_at_and_label_provider_agree() {
         let heavy = Arc::new(vec![0u8, 1, 2, 3, 0, 1, 2, 3]);
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
-        builder.push(2, 5, [(1, 0, 0.25f64.ln())]).unwrap();
+        builder.push(2, 5, [(1, 0)]).unwrap();
         let (set, survivors) = builder.finish();
         assert_eq!(survivors, vec![0]);
         assert_eq!(set.len(), 1);
@@ -1509,7 +1517,6 @@ mod tests {
         assert_eq!(set.letter_at(0, 5), None);
         assert_eq!(LabelProvider::letter(&set, 0, 4), Some(2));
         assert_eq!(LabelProvider::len(&set, 0), 5);
-        assert_eq!(set.mismatch_log_ratios(0), &[0.25f64.ln()]);
         assert_eq!(set.anchor_x(0), 2);
         assert_eq!(set.mismatch_depths(0).collect::<Vec<_>>(), [1]);
         assert_eq!(set.total_mismatches(), 1);

@@ -18,11 +18,12 @@
 //! prefix of another factor of the same anchor (an equal one included) is
 //! dropped by [`EncodedFactorSetBuilder::finish`]: every pattern part it
 //! spells, the longer factor spells too, at the same anchor and with the
-//! same letters and mismatch log-ratios. The grid stores each occurrence
-//! as the pair of leaves that survive its two factors, every distinct pair
-//! once, so a leaf carries one point or several; [`RankSpaceGrid`] ranks
-//! the points on both axes and maps leaf ranges to point ranges.
+//! same letters. The grid stores each occurrence as the pair of leaves
+//! that survive its two factors, every distinct pair once, so a leaf
+//! carries one point or several; [`RankSpaceGrid`] ranks the points on
+//! both axes and maps leaf ranges to point ranges.
 
+use crate::builder::IndexFamily;
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSet, EncodedFactorSetBuilder};
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
@@ -77,7 +78,9 @@ impl IndexVariant {
 #[derive(Debug, Clone)]
 pub struct MinimizerIndex {
     params: IndexParams,
-    variant: IndexVariant,
+    /// The minimizer family that built the index: its variant, and the
+    /// explicit or the space-efficient construction.
+    family: IndexFamily,
     n: usize,
     sigma: usize,
     /// The minimizer scheme, constructed once at build time so queries do
@@ -99,8 +102,6 @@ pub struct MinimizerIndex {
     /// loaded from a file (`None` for built indexes).
     /// Held so size accounting can count the single backing allocation once.
     arena: Option<Arena>,
-    /// `"explicit"` (from a z-estimation) or `"space-efficient"` (Section 4).
-    construction: &'static str,
 }
 
 impl MinimizerIndex {
@@ -156,7 +157,7 @@ impl MinimizerIndex {
             EncodedFactorSetBuilder::new(Direction::Backward, heavy.shared_ranks());
 
         // Per-strand deviation buffer, reused across strands.
-        let mut deviations: Vec<(u32, u8, f64)> = Vec::new();
+        let mut deviations: Vec<(u32, u8)> = Vec::new();
         // Every (minimizer, strand) pushes one forward and one backward
         // factor, in step: pushed factor `i` of either builder is the same
         // occurrence, which is how the grid pairs the leaves that survive
@@ -165,13 +166,12 @@ impl MinimizerIndex {
             let seq = strand.seq();
             let extents = strand.extents();
             // Positions where this strand deviates from the heavy string,
-            // with the log-ratios needed for O(log z) verification.
+            // with the strand's letter there.
             deviations.clear();
             let heavy_ranks = heavy.as_ranks();
             for (p, (&s, &h)) in seq.iter().zip(heavy_ranks).enumerate() {
                 if s != h {
-                    let ratio = x.prob(p, s) / x.prob(p, h);
-                    deviations.push((p as u32, s, ratio.ln()));
+                    deviations.push((p as u32, s));
                 }
             }
             let minimizers = scheme.minimizers_respecting(seq, extents);
@@ -187,7 +187,7 @@ impl MinimizerIndex {
                     end - a,
                     deviations_in(&deviations, a, end)
                         .iter()
-                        .map(|&(p, letter, log_ratio)| (p - a, letter, log_ratio)),
+                        .map(|&(p, letter)| (p - a, letter)),
                 )?;
                 // Backward factor: the longest property-respecting factor
                 // ending at the minimizer, reversed. Its start is the first
@@ -202,12 +202,12 @@ impl MinimizerIndex {
                     deviations_in(&deviations, b, a + 1)
                         .iter()
                         .rev()
-                        .map(|&(p, letter, log_ratio)| (a - p, letter, log_ratio)),
+                        .map(|&(p, letter)| (a - p, letter)),
                 )?;
             }
         }
 
-        // Free the strand buffer (up to 16 B per position) before the sorts,
+        // Free the strand buffer (up to 8 B per position) before the sorts,
         // and the backward pools' growth slack before the forward sort.
         drop(deviations);
         bwd_builder.shrink_to_fit();
@@ -225,47 +225,48 @@ impl MinimizerIndex {
             drop((fwd_leaf, bwd_leaf));
             RankSpaceGrid::new(points)
         });
-        Self::assemble(x, params, variant, heavy, fwd, bwd, grid, "explicit")
+        let family = IndexFamily::Minimizer(variant);
+        Ok(Self::assemble(x, params, family, heavy, fwd, bwd, grid))
     }
 
-    /// Assembles the final index from the sorted factor sets, plus the grid
-    /// for the grid variants (shared by the explicit and the
-    /// space-efficient construction paths): builds the tries of the tree
-    /// variants from the sets' neighbour LCPs and drops what the variant's
-    /// query does not read.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles the index from the letter-only factor sets of either
+    /// construction (plus the grid of a grid variant): the one place that
+    /// decides which tables each variant keeps. Grid variants get each kept
+    /// mismatch's log-ratio, read from `X`; the others drop the log-prefix
+    /// and verify against `X`. Tree variants get their tries and drop the
+    /// prefix keys, which only the array lookup reads.
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
-        variant: IndexVariant,
+        family: IndexFamily,
         heavy: HeavyString,
         mut fwd: EncodedFactorSet,
         mut bwd: EncodedFactorSet,
         grid: Option<RankSpaceGrid>,
-        construction: &'static str,
-    ) -> Result<Self> {
+    ) -> Self {
+        let variant = family.minimizer_variant().expect("a minimizer family");
         assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
         let (heavy, mut log_prefix) = heavy.into_parts();
-        if !variant.has_grid() {
-            // Only grid verification reads these; MWST and MWSA verify
-            // against X.
-            log_prefix = ArenaVec::new();
-            fwd.drop_log_ratios();
-            bwd.drop_log_ratios();
-        }
-        let trie = |set: &EncodedFactorSet| {
-            let lengths: Vec<usize> = (0..set.len()).map(|i| set.factor_len(i)).collect();
-            CompactedTrie::build(&lengths, &set.neighbour_lcps(), set)
-        };
-        let (fwd_trie, bwd_trie) = if variant.has_tree() {
-            (Some(trie(&fwd)), Some(trie(&bwd)))
+        if variant.has_grid() {
+            let log_ratio = |p: usize, c: u8| (x.prob(p, c) / x.prob(p, heavy[p])).ln();
+            fwd.derive_log_ratios(log_ratio);
+            bwd.derive_log_ratios(log_ratio);
         } else {
-            (None, None)
+            log_prefix = ArenaVec::new();
+        }
+        let trie = |set: &mut EncodedFactorSet| {
+            variant.has_tree().then(|| {
+                let lengths: Vec<usize> = (0..set.len()).map(|i| set.factor_len(i)).collect();
+                let trie = CompactedTrie::build(&lengths, &set.neighbour_lcps(), &*set);
+                set.drop_prefix_keys();
+                trie
+            })
         };
+        let (fwd_trie, bwd_trie) = (trie(&mut fwd), trie(&mut bwd));
 
-        Ok(Self {
+        Self {
             params,
-            variant,
+            family,
             n: x.len(),
             sigma: x.sigma(),
             scheme: MinimizerScheme::new(params.ell, params.k, x.sigma(), params.order),
@@ -277,8 +278,7 @@ impl MinimizerIndex {
             bwd_trie,
             grid,
             arena: None,
-            construction,
-        })
+        }
     }
 
     /// The index parameters (`z`, `ℓ`, `k`, order).
@@ -286,14 +286,15 @@ impl MinimizerIndex {
         &self.params
     }
 
-    /// The variant this index was built as.
-    pub fn variant(&self) -> IndexVariant {
-        self.variant
+    /// The family that built this index: its variant, and the explicit or
+    /// the space-efficient construction.
+    pub fn family(&self) -> IndexFamily {
+        self.family
     }
 
-    /// `"explicit"` or `"space-efficient"` — which construction produced it.
-    pub fn construction(&self) -> &'static str {
-        self.construction
+    /// The variant this index was built as.
+    pub fn variant(&self) -> IndexVariant {
+        self.family.minimizer_variant().expect("a minimizer family")
     }
 
     /// Length of the corpus `X` the index was built over (candidate starts
@@ -325,7 +326,7 @@ impl MinimizerIndex {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_loaded_parts(
         params: IndexParams,
-        variant: IndexVariant,
+        family: IndexFamily,
         n: usize,
         sigma: usize,
         heavy: Arc<Vec<u8>>,
@@ -336,11 +337,10 @@ impl MinimizerIndex {
         bwd_trie: Option<CompactedTrie>,
         grid: Option<RankSpaceGrid>,
         arena: Option<Arena>,
-        construction: &'static str,
     ) -> Self {
         Self {
             params,
-            variant,
+            family,
             n,
             sigma,
             scheme: MinimizerScheme::new(params.ell, params.k, sigma, params.order),
@@ -352,7 +352,6 @@ impl MinimizerIndex {
             bwd_trie,
             grid,
             arena,
-            construction,
         }
     }
 
@@ -422,7 +421,7 @@ impl MinimizerIndex {
             ..QueryStats::default()
         };
         scratch.positions.clear();
-        let t_report = if self.variant.has_grid() {
+        let t_report = if self.variant().has_grid() {
             let fwd_range = self.locate(&self.fwd, self.fwd_trie.as_ref(), suffix_part);
             let bwd_range = self.locate(&self.bwd, self.bwd_trie.as_ref(), &scratch.pattern_rev);
             let t_verify = stamp();
@@ -555,15 +554,15 @@ pub(crate) struct MinimizerParts<'a> {
 
 /// The deviations of a strand from the heavy string that fall into
 /// `[from, to)` (absolute positions; `deviations` is sorted by position).
-fn deviations_in(deviations: &[(u32, u8, f64)], from: u32, to: u32) -> &[(u32, u8, f64)] {
-    let lo = deviations.partition_point(|&(p, _, _)| p < from);
-    let hi = deviations.partition_point(|&(p, _, _)| p < to);
+fn deviations_in(deviations: &[(u32, u8)], from: u32, to: u32) -> &[(u32, u8)] {
+    let lo = deviations.partition_point(|&(p, _)| p < from);
+    let hi = deviations.partition_point(|&(p, _)| p < to);
     &deviations[lo..hi]
 }
 
 impl UncertainIndex for MinimizerIndex {
     fn name(&self) -> &'static str {
-        self.variant.name()
+        self.variant().name()
     }
 
     fn query_into(
@@ -769,7 +768,7 @@ mod tests {
             let index = MinimizerIndex::build(&x, params, variant).unwrap();
             let stats = index.stats();
             assert_eq!(stats.name, variant.name());
-            assert_eq!(index.construction(), "explicit");
+            assert_eq!(index.family(), IndexFamily::Minimizer(variant));
             assert_eq!(stats.size_bytes, index.size_bytes());
             assert_eq!(variant.has_tree(), stats.num_nodes > 0);
             assert_eq!(variant.has_grid(), stats.num_grid_points > 0);
@@ -886,10 +885,10 @@ mod tests {
     ///
     /// * per position: the heavy letter and its copy in the backward set's
     ///   reversed view (2 B), plus the log-prefix entry (8 B) with a grid;
-    /// * per leaf of either set: `anchor_x` (4 B), the prefix key (8 B), its
-    ///   length at the set's length width and its `mism_start` entry at the
-    ///   set's offset width (1, 2 or 4 B each), plus one trailing offset
-    ///   per set;
+    /// * per leaf of either set: `anchor_x` (4 B), its length at the set's
+    ///   length width and its `mism_start` entry at the set's offset width
+    ///   (1, 2 or 4 B each), plus one trailing offset per set, plus the
+    ///   prefix key (8 B) without a tree;
     /// * per trie node, with a tree: 19 B, plus 5 B for the edge from its
     ///   parent;
     /// * per mismatch: its depth at the set's length width and its letter
@@ -902,13 +901,14 @@ mod tests {
         for (label, index) in preset_indexes() {
             let variant = index.variant();
             let grid = usize::from(variant.has_grid());
+            let array = usize::from(!variant.has_tree());
             let n = index.corpus_len();
             let leaves = index.fwd.len() + index.bwd.len();
             let mismatches = index.fwd.total_mismatches() + index.bwd.total_mismatches();
             let mut budget = (2 + 8 * grid) * n + 8 * grid; // positions (+ log-prefix's n + 1)
             for set in index.factor_sets() {
                 let (length, offset) = (set.length_width(), set.offset_width());
-                budget += (12 + length + offset) * set.len() + offset; // + the trailing offset
+                budget += (4 + 8 * array + length + offset) * set.len() + offset; // + the trailing offset
                 budget += (length + 1 + 8 * grid) * set.total_mismatches();
             }
             budget += 24 * index.stats().num_nodes;

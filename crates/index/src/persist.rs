@@ -62,11 +62,15 @@
 //! · forward set, then backward set: anchor_x · lens (narrow)
 //!     · mism_start (narrow) · mism_depths (narrow) · mism_letters (u8)
 //!     · [mism_log_ratios (f64)]                                    grid only
-//!     · prefix_keys (u64)
+//!     · prefix_keys (u64)                            empty for the trees
 //! · trie flag (u8) [· forward trie] · trie flag (u8) [· backward trie]
 //! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
 //!     · x starts (u64) · x ranks · y starts (u64) · y ranks]
 //! ```
+//!
+//! The variant and construction bytes name the [`IndexFamily`]; a
+//! space-efficient grid variant, which no construction builds, is refused
+//! typed. Only the array variants' prefix-key sections hold keys.
 //!
 //! Both sets hold no prefix-dominated leaf (one that is a prefix of
 //! another leaf of its anchor). Each set writes `lens` and `mism_depths` at
@@ -98,13 +102,14 @@
 //! [`load_index`] reads a stream, [`open_index`] opens an arena and
 //! [`open_index_at`] an envelope embedded in one.
 
-use crate::builder::AnyIndex;
+use crate::builder::{AnyIndex, IndexFamily};
 use crate::encode::{Direction, EncodedFactorSet};
 use crate::minimizer_index::{IndexVariant, MinimizerIndex};
 use crate::naive::NaiveIndex;
 use crate::narrow::NarrowTable;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
+use crate::space_efficient::SeVariant;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
@@ -666,44 +671,25 @@ fn read_factor_set(
 // Family payloads
 // ---------------------------------------------------------------------------
 
-fn variant_tag(variant: IndexVariant) -> u8 {
-    match variant {
-        IndexVariant::Tree => 0,
-        IndexVariant::Array => 1,
-        IndexVariant::TreeGrid => 2,
-        IndexVariant::ArrayGrid => 3,
-    }
-}
-
-fn variant_from_tag(tag: u8) -> io::Result<IndexVariant> {
-    Ok(match tag {
-        0 => IndexVariant::Tree,
-        1 => IndexVariant::Array,
-        2 => IndexVariant::TreeGrid,
-        3 => IndexVariant::ArrayGrid,
-        other => return Err(bad(format!("unknown index variant tag {other}"))),
-    })
-}
-
-fn construction_tag(construction: &str) -> u8 {
-    match construction {
-        "space-efficient" => 1,
-        _ => 0,
-    }
-}
-
-fn construction_from_tag(tag: u8) -> io::Result<&'static str> {
-    Ok(match tag {
-        0 => "explicit",
-        1 => "space-efficient",
-        other => return Err(bad(format!("unknown construction tag {other}"))),
-    })
-}
+/// Each minimizer family's variant byte and construction byte (`0`
+/// explicit, `1` space-efficient). The space-efficient construction builds
+/// no grid variant, so no family has the bytes `[2, 1]` or `[3, 1]`.
+const MINIMIZER_TAGS: [(IndexFamily, [u8; 2]); 6] = [
+    (IndexFamily::Minimizer(IndexVariant::Tree), [0, 0]),
+    (IndexFamily::Minimizer(IndexVariant::Array), [1, 0]),
+    (IndexFamily::Minimizer(IndexVariant::TreeGrid), [2, 0]),
+    (IndexFamily::Minimizer(IndexVariant::ArrayGrid), [3, 0]),
+    (IndexFamily::SpaceEfficient(SeVariant::Tree), [0, 1]),
+    (IndexFamily::SpaceEfficient(SeVariant::Array), [1, 1]),
+];
 
 fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io::Result<()> {
     write_params(vw, index.params())?;
-    write_u8(vw, variant_tag(index.variant()))?;
-    write_u8(vw, construction_tag(index.construction()))?;
+    let (_, tags) = MINIMIZER_TAGS
+        .into_iter()
+        .find(|&(family, _)| family == index.family())
+        .expect("a minimizer index has a minimizer family");
+    vw.write_all(&tags)?;
     let parts = index.persist_parts();
     let grid = index.variant().has_grid();
     write_u64(vw, parts.n as u64)?;
@@ -732,8 +718,20 @@ fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io
 
 fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     let params = src_params(src)?;
-    let variant = variant_from_tag(src_u8(src)?)?;
-    let construction = construction_from_tag(src_u8(src)?)?;
+    let mut tags = [0u8; 2];
+    src.read_buf(&mut tags)?;
+    let named = |tags: [u8; 2]| MINIMIZER_TAGS.into_iter().find(|&(_, t)| t == tags);
+    let family = match (named(tags), named([tags[0], 0])) {
+        (Some((family, _)), _) => family,
+        (None, Some((grid, _))) if tags[1] == 1 => {
+            return Err(bad(format!(
+                "a space-efficient {} index: the space-efficient construction has no grid",
+                grid.name()
+            )))
+        }
+        (None, _) => return Err(bad(format!("unknown minimizer tags {tags:?}"))),
+    };
+    let variant = family.minimizer_variant().expect("a minimizer family");
     let n = src_len(src)?;
     let sigma = src_len(src)?;
     let has_grid = variant.has_grid();
@@ -795,7 +793,7 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     }
     Ok(MinimizerIndex::from_loaded_parts(
         params,
-        variant,
+        family,
         n,
         sigma,
         heavy,
@@ -806,7 +804,6 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
         bwd_trie,
         grid,
         src.retained_arena(),
-        construction,
     ))
 }
 
@@ -935,7 +932,7 @@ fn load_index_payload(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{IndexFamily, IndexSpec};
+    use crate::builder::IndexSpec;
     use crate::traits::UncertainIndex;
     use ius_datasets::uniform::UniformConfig;
     use ius_grid::GridPoint;
@@ -1047,7 +1044,7 @@ mod tests {
             .collect();
         let short = MinimizerIndex::from_loaded_parts(
             *built.params(),
-            built.variant(),
+            built.family(),
             parts.n,
             parts.sigma,
             Arc::new(parts.heavy.to_vec()),
@@ -1058,7 +1055,6 @@ mod tests {
             None,
             Some(RankSpaceGrid::new(points)),
             None,
-            built.construction(),
         );
         let mut bytes = Vec::new();
         AnyIndex::Minimizer(Box::new(short))
@@ -1134,9 +1130,7 @@ mod tests {
                     Direction::Forward => view_anchor + d,
                     Direction::Backward => n - 1 - view_anchor - d,
                 };
-                let mismatches = depths
-                    .iter()
-                    .map(|&d| (d, (heavy[at(d as usize)] + 1) % 4, -1.0));
+                let mismatches = depths.iter().map(|&d| (d, (heavy[at(d as usize)] + 1) % 4));
                 builder.push(at(0) as u32, *len, mismatches).unwrap();
             }
             builder.finish().0
@@ -1144,7 +1138,7 @@ mod tests {
         let params = IndexParams::new(4.0, 8, 4).unwrap();
         let index = MinimizerIndex::from_loaded_parts(
             params,
-            IndexVariant::Array,
+            IndexFamily::Minimizer(IndexVariant::Array),
             n,
             4,
             Arc::clone(&heavy),
@@ -1155,7 +1149,6 @@ mod tests {
             None,
             None,
             None,
-            "explicit",
         );
         let alphabet = ius_weighted::Alphabet::integer(4).unwrap();
         let x = ius_weighted::WeightedString::deterministic(alphabet, &heavy).unwrap();

@@ -43,8 +43,9 @@
 //! the forward and backward leaves of anchor a), 1.7× to 3.6× the explicit
 //! grid's points on the rssi and pangenome presets at n = 100k.
 
+use crate::builder::IndexFamily;
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSetBuilder};
-use crate::minimizer_index::{IndexVariant, MinimizerIndex};
+use crate::minimizer_index::MinimizerIndex;
 use crate::params::IndexParams;
 use ius_sampling::order::KmerKeyer;
 use ius_sampling::StackWindowMinimizer;
@@ -58,15 +59,6 @@ pub enum SeVariant {
     Tree,
     /// MWSA — sorted factor arrays.
     Array,
-}
-
-impl From<SeVariant> for IndexVariant {
-    fn from(variant: SeVariant) -> Self {
-        match variant {
-            SeVariant::Tree => IndexVariant::Tree,
-            SeVariant::Array => IndexVariant::Array,
-        }
-    }
 }
 
 /// Builder running the space-efficient (Section 4) construction.
@@ -137,16 +129,9 @@ impl SpaceEfficientBuilder {
         let (fwd, _) = dfs_collect(x, &heavy, &self.params, Direction::Forward, node_cap)?.finish();
         let (bwd, _) =
             dfs_collect(x, &heavy, &self.params, Direction::Backward, node_cap)?.finish();
-        MinimizerIndex::assemble(
-            x,
-            self.params,
-            variant.into(),
-            heavy,
-            fwd,
-            bwd,
-            None,
-            "space-efficient",
-        )
+        let family = IndexFamily::SpaceEfficient(variant);
+        let index = MinimizerIndex::assemble(x, self.params, family, heavy, fwd, bwd, None);
+        Ok(index)
     }
 }
 
@@ -304,14 +289,12 @@ fn dfs_collect(
             // the current Diff entries (all of which lie at positions ≥ q).
             // `diff` is a stack of strictly decreasing DFS positions, so
             // reverse iteration yields strictly increasing depths — already
-            // sorted, no post-hoc sort needed. Log-ratios are position-wise
-            // and orientation-free.
+            // sorted, no post-hoc sort needed. The log-ratios stay here:
+            // only the solidity test above reads them.
             builder.push(
                 at(q) as u32,
                 (n - q) as u32,
-                diff.iter()
-                    .rev()
-                    .map(|m| (m.pos - q as u32, m.letter, m.log_ratio)),
+                diff.iter().rev().map(|m| (m.pos - q as u32, m.letter)),
             )?;
         }
         // Undo the prepend that created this node.
@@ -329,7 +312,8 @@ fn dfs_collect(
 }
 
 /// A deviation entry on the DFS stack (absolute position within the DFS
-/// string, unlike a pushed mismatch, whose depth is factor-relative).
+/// string, unlike a pushed mismatch, whose depth is factor-relative), with
+/// the log-ratio the ℓ-prefix solidity test sums.
 #[derive(Debug, Clone, Copy)]
 struct Mismatch0 {
     pos: u32,
@@ -340,6 +324,7 @@ struct Mismatch0 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minimizer_index::IndexVariant;
     use crate::naive::NaiveIndex;
     use crate::traits::UncertainIndex;
     use ius_datasets::patterns::PatternSampler;
@@ -383,7 +368,7 @@ mod tests {
         let se = SpaceEfficientBuilder::new(params)
             .build(&x, SeVariant::Array)
             .unwrap();
-        assert_eq!(se.construction(), "space-efficient");
+        assert_eq!(se.family(), IndexFamily::SpaceEfficient(SeVariant::Array));
         let mut sampler = PatternSampler::new(&est, 5);
         let mut patterns = sampler.sample_many(ell, 20);
         patterns.extend(sampler.sample_many(14, 10));

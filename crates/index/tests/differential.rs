@@ -18,10 +18,10 @@ use ius_datasets::patterns::PatternSampler;
 use ius_datasets::rssi::rssi_like;
 use ius_datasets::uniform::UniformConfig;
 use ius_index::{
-    load_index, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, NaiveIndex, QueryScratch,
-    UncertainIndex,
+    load_index, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, IndexVariant, NaiveIndex,
+    QueryScratch, UncertainIndex,
 };
-use ius_weighted::{Error, WeightedString, ZEstimation};
+use ius_weighted::{Error, HeavyString, WeightedString, ZEstimation};
 
 /// One corpus of the harness: a weighted string with its parameters and a
 /// mixed pattern workload (sampled at ℓ and 2ℓ, plus random negatives and
@@ -575,4 +575,54 @@ fn every_family_rejects_the_empty_pattern() {
             "{label}: empty pattern must be rejected by query_into"
         );
     }
+}
+
+/// Every log-ratio an MWST-G or MWSA-G set stores is
+/// `ln(p(letter) / p(heavy letter))` read from `X` at its mismatch's
+/// position (anchor + depth forward, anchor − depth backward), bit for
+/// bit: the index derives the pool for the kept mismatches alone, after
+/// both constructions carried letters only.
+#[test]
+fn grid_log_ratios_are_read_from_x_bit_for_bit() {
+    let mut checked = 0;
+    for corpus in corpora()
+        .iter()
+        .filter(|c| matches!(c.label, "pangenome" | "rssi_like"))
+    {
+        let x = &corpus.x;
+        let heavy = HeavyString::new(x);
+        let params = IndexParams::new(corpus.z, corpus.ell, x.sigma()).unwrap();
+        for variant in [IndexVariant::TreeGrid, IndexVariant::ArrayGrid] {
+            let spec = IndexSpec::new(IndexFamily::Minimizer(variant), params);
+            let AnyIndex::Minimizer(index) = spec.build(x).unwrap() else {
+                panic!("a minimizer family builds a minimizer index");
+            };
+            let [fwd, bwd] = index.factor_sets();
+            for (side, set) in [("forward", fwd), ("backward", bwd)] {
+                for leaf in 0..set.len() {
+                    let anchor = set.anchor_x(leaf);
+                    let ratios = set.mismatch_log_ratios(leaf);
+                    for (depth, &stored) in set.mismatch_depths(leaf).zip(ratios) {
+                        let depth = depth as usize;
+                        let p = if side == "forward" {
+                            anchor + depth
+                        } else {
+                            anchor - depth
+                        };
+                        let c = set.letter_at(leaf, depth).unwrap();
+                        let expected = (x.prob(p, c) / x.prob(p, heavy.letter(p))).ln();
+                        assert_eq!(
+                            stored.to_bits(),
+                            expected.to_bits(),
+                            "{}/{}: {side} leaf {leaf} depth {depth}",
+                            corpus.label,
+                            variant.name()
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no grid set stored a mismatch");
 }

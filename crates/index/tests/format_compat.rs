@@ -16,9 +16,10 @@
 //! contents break an invariant the query relies on (mismatch depths that do
 //! not increase within a factor, or a malformed leaf bitvector of the
 //! grid), one with a section in an encoding other than raw (the bit-packed
-//! `u32` sections of earlier version-5 builds), and one whose narrow leaf
+//! `u32` sections of earlier version-5 builds), one whose narrow leaf
 //! table has a width byte other than 1, 2 or 4 or a section too short for
-//! its count.
+//! its count, and one whose construction byte names a space-efficient grid
+//! variant, which no construction builds.
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
@@ -225,11 +226,11 @@ fn layout_changes_bump_the_format_version() {
         ("NAIVE", 0x5df4f1e5),
         ("WST", 0xba187d96),
         ("WSA", 0xc1ad9d72),
-        ("MWST", 0x9916b190),
+        ("MWST", 0xf64ffb15),
         ("MWSA", 0x87d9a972),
-        ("MWST-G", 0x4362cf4d),
+        ("MWST-G", 0xadea61fa),
         ("MWSA-G", 0x492a1918),
-        ("SE-MWST", 0x4b1b7121),
+        ("SE-MWST", 0x83e4fa0b),
         ("SE-MWSA", 0x1821121a),
     ];
     let families = &cases()[0].families;
@@ -318,15 +319,90 @@ fn u32_at(bytes: &[u8], offset: usize) -> u32 {
     entry_at(bytes, offset, 4, 0)
 }
 
-/// Skips a factor set of a grid variant's file at `*pos`.
-fn skip_grid_factor_set(raw: &[u8], pos: &mut usize) {
-    raw_section(raw, pos, 4); // anchor_x
+/// Skips a factor set of a minimizer file at `*pos`, with its log-ratio
+/// section when the variant has a `grid`: returns its leaf count and its
+/// prefix-key count.
+fn skip_factor_set(raw: &[u8], pos: &mut usize, grid: bool) -> (usize, usize) {
+    let (leaves, _) = raw_section(raw, pos, 4); // anchor_x
     for _ in 0..3 {
         narrow_section(raw, pos); // lens · mism_start · mism_depths
     }
     raw_section(raw, pos, 1); // mism_letters
-    raw_section(raw, pos, 8); // mism_log_ratios
-    raw_section(raw, pos, 8); // prefix_keys
+    if grid {
+        raw_section(raw, pos, 8); // mism_log_ratios
+    }
+    let (keys, _) = raw_section(raw, pos, 8); // prefix_keys
+    (leaves, keys)
+}
+
+/// The tree variants (MWST, MWST-G, SE-MWST) save an empty prefix-key
+/// section per set — only the array lookup reads the keys — and the array
+/// variants (MWSA, MWSA-G, SE-MWSA) one key per leaf, on every preset.
+#[test]
+fn only_the_array_variants_save_prefix_keys() {
+    let mut keys = 0;
+    for case in cases() {
+        for (label, built, raw) in &case.families {
+            let AnyIndex::Minimizer(index) = built else {
+                continue;
+            };
+            let variant = index.variant();
+            // Header (15) · params (33) · variant, construction (2) · n, σ (16).
+            let mut pos = 66;
+            raw_section(raw, &mut pos, 1); // heavy letters
+            if variant.has_grid() {
+                raw_section(raw, &mut pos, 8); // log-prefix
+            }
+            for set in index.factor_sets() {
+                let (leaves, stored) = skip_factor_set(raw, &mut pos, variant.has_grid());
+                assert_eq!(leaves, set.len(), "{}/{label}", case.label);
+                let expected = if variant.has_tree() { 0 } else { leaves };
+                assert_eq!(stored, expected, "{}/{label}: prefix keys", case.label);
+                keys += stored;
+            }
+        }
+    }
+    assert!(keys > 0, "no array variant stored a prefix key");
+}
+
+/// The variant byte (offset 48) and the construction byte (49) name the
+/// minimizer family. The space-efficient construction builds no grid
+/// variant, so a CRC-valid MWST-G or MWSA-G file whose construction byte
+/// says space-efficient is refused `InvalidData` naming that pair, through
+/// every entry point; the SE-MWST and SE-MWSA files open as their family.
+#[test]
+fn space_efficient_grid_files_are_refused_typed() {
+    let families = &cases()[0].families;
+    for (label, built, raw) in families {
+        let AnyIndex::Minimizer(index) = built else {
+            continue;
+        };
+        let space_efficient = label.starts_with("SE-");
+        assert_eq!(raw[49], u8::from(space_efficient), "{label}");
+        let AnyIndex::Minimizer(opened) = open_single(raw) else {
+            panic!("{label}: a minimizer file opens as a minimizer index");
+        };
+        assert_eq!(opened.family(), index.family(), "{label}");
+        if !label.ends_with("-G") {
+            continue;
+        }
+        let mut bytes = raw.clone();
+        bytes[49] = 1;
+        reseal(&mut bytes);
+        let arena = Arena::from_bytes(&bytes);
+        for err in [
+            open_index(&arena).expect_err("open must fail"),
+            open_index_at(&arena, 0).expect_err("embedded open must fail"),
+            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+        ] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("space-efficient {label} index")),
+                "{label}: {err}"
+            );
+        }
+    }
 }
 
 /// A saved MWSA-G file whose CRC is intact but whose factor has two
@@ -425,7 +501,7 @@ fn x_starts_sections(raw: &[u8]) -> (usize, usize, usize) {
     raw_section(raw, &mut pos, 1); // heavy letters
     raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
     for _ in 0..2 {
-        skip_grid_factor_set(raw, &mut pos);
+        skip_factor_set(raw, &mut pos, true);
     }
     // Two trie flags (no tries in MWSA-G) and the grid flag, then N.
     assert_eq!(raw[pos..pos + 3], [0, 0, 1]);

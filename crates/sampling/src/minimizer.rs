@@ -125,26 +125,47 @@ impl MinimizerScheme {
     ///
     /// Returns an empty vector when `|text| < ℓ`.
     pub fn minimizers(&self, text: &[u8]) -> Vec<usize> {
-        self.minimizers_in_ranges(text, std::iter::once((0usize, text.len())))
+        self.scan_ranges(text, std::iter::once((0, text.len())))
     }
 
-    /// Minimizer positions restricted to windows that fit inside the given
-    /// half-open ranges `[start, end)` of `text`.
-    ///
-    /// This is the *property-respecting* variant used on the strands of a
-    /// z-estimation: for a strand `(S_j, π_j)` the caller passes, for each
-    /// starting position `i`, only windows with `i + ℓ ≤ extent_j(i)`; see
-    /// [`MinimizerScheme::minimizers_respecting`] for that wrapper.
-    pub fn minimizers_in_ranges<I>(&self, text: &[u8], ranges: I) -> Vec<usize>
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-    {
+    /// Property-respecting minimizers of a strand: windows `[i, i+ℓ)` are
+    /// considered only when `i + ℓ ≤ extent[i]` (i.e. `i + ℓ - 1 ≤ π[i]`, the
+    /// condition of the paper), and the minimizer of each admissible window
+    /// is selected.
+    pub fn minimizers_respecting(&self, seq: &[u8], extent: &[u32]) -> Vec<usize> {
+        assert_eq!(seq.len(), extent.len(), "sequence/extent length mismatch");
+        let n = seq.len();
+        let admissible = |i: usize| extent[i] as usize >= i + self.ell;
+        // Each maximal run `i..=last` of admissible window starts becomes
+        // the range `[i, last + ℓ)`: every window inside it starts in the
+        // run, and every window of the run fits inside it.
+        let mut i = 0;
+        let runs = std::iter::from_fn(|| {
+            while i < n && !admissible(i) {
+                i += 1;
+            }
+            if i == n {
+                return None;
+            }
+            let start = i;
+            while i + 1 < n && admissible(i + 1) {
+                i += 1;
+            }
+            let end = (i + self.ell).min(n);
+            i += 1;
+            Some((start, end))
+        });
+        self.scan_ranges(seq, runs)
+    }
+
+    /// The one deque scan: the minimizers of every window that fits inside
+    /// one of the half-open `ranges` of `text`, sorted and deduplicated.
+    fn scan_ranges(&self, text: &[u8], ranges: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
         let mut out = Vec::new();
         let width = self.window_width();
         let mut sw = SlidingWindowMinimizer::with_capacity(width);
         for (start, end) in ranges {
-            let end = end.min(text.len());
-            if end < start || end - start < self.ell {
+            if end - start < self.ell {
                 continue;
             }
             // Rolling keys for exactly this range. For orders without total
@@ -158,8 +179,7 @@ impl MinimizerScheme {
                 sw.push(pos, keys[pos - start]);
                 // Window of k-mers [w, w + width) where w = pos + 1 - width.
                 if pos + 1 >= start + width {
-                    let window_start = pos + 1 - width;
-                    sw.retire(window_start);
+                    sw.retire(pos + 1 - width);
                     if let Some(m) = sw.argmin() {
                         if out.last() != Some(&m) {
                             out.push(m);
@@ -167,62 +187,6 @@ impl MinimizerScheme {
                     }
                 }
             }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Property-respecting minimizers of a strand: windows `[i, i+ℓ)` are
-    /// considered only when `i + ℓ ≤ extent[i]` (i.e. `i + ℓ - 1 ≤ π[i]`, the
-    /// condition of the paper), and the minimizer of each admissible window
-    /// is selected.
-    pub fn minimizers_respecting(&self, seq: &[u8], extent: &[u32]) -> Vec<usize> {
-        assert_eq!(seq.len(), extent.len(), "sequence/extent length mismatch");
-        // Admissible window starts form runs; convert them to maximal ranges
-        // [i, extent[i]) and feed them to the range scanner. Because extents
-        // are non-decreasing, consecutive admissible starts can share a
-        // range: the windows of starts i..j all fit inside [i, extent at the
-        // respective starts); we conservatively emit one range per maximal
-        // run of admissible starts, ending at the extent of the last start
-        // in the run (which is the largest by monotonicity). Inside such a
-        // range every window [i, i+ℓ) with i in the run is admissible, and
-        // windows starting after the run's last admissible start are excluded
-        // by construction of the runs.
-        let mut out = Vec::new();
-        let n = seq.len();
-        let mut i = 0usize;
-        while i < n {
-            if (extent[i] as usize) < i + self.ell {
-                i += 1;
-                continue;
-            }
-            // Maximal run of admissible starts beginning at i.
-            let mut last = i;
-            while last + 1 < n && (extent[last + 1] as usize) >= last + 1 + self.ell {
-                last += 1;
-            }
-            // Windows for starts i..=last; k-mers live in [i, last + ℓ).
-            let range_end = (last + self.ell).min(n);
-            let width = self.window_width();
-            let mut sw = SlidingWindowMinimizer::with_capacity(width);
-            let keys = self.keyer.keys(&seq[i..range_end]);
-            for pos in i..=range_end - self.k {
-                let key = keys[pos - i];
-                sw.push(pos, key);
-                if pos + 1 >= i + width {
-                    let window_start = pos + 1 - width;
-                    if window_start <= last {
-                        sw.retire(window_start);
-                        if let Some(m) = sw.argmin() {
-                            if out.last() != Some(&m) {
-                                out.push(m);
-                            }
-                        }
-                    }
-                }
-            }
-            i = last + 1;
         }
         out.sort_unstable();
         out.dedup();

@@ -47,20 +47,22 @@ proptest! {
         assert_scan_matches_rescan(&text, 3, "periodic");
     }
 
-    /// Restricting to the full range must equal the plain scan, and windows
-    /// in clipped sub-ranges must be a subset computed consistently.
+    /// The scan of any prefix equals the per-window rescan of that prefix,
+    /// and a property covering exactly that prefix selects the same
+    /// positions from the whole text.
     #[test]
     fn range_restriction_consistency(
         raw in prop::collection::vec(0u8..4, 24..120),
         cut in 0usize..24,
     ) {
         let scheme = MinimizerScheme::new(8, 3, 4, KmerOrder::default());
-        let full = scheme.minimizers_in_ranges(&raw, std::iter::once((0usize, raw.len())));
-        prop_assert_eq!(&full, &scheme.minimizers(&raw));
-        // A prefix range behaves like the scan of the prefix slice.
         let end = raw.len() - cut;
-        let prefix = scheme.minimizers_in_ranges(&raw, std::iter::once((0usize, end)));
-        prop_assert_eq!(&prefix, &scheme.minimizers(&raw[..end]));
+        let prefix = scheme.minimizers(&raw[..end]);
+        prop_assert_eq!(&prefix, &scheme.minimizers_bruteforce(&raw[..end]));
+        let extent: Vec<u32> = (0..raw.len())
+            .map(|i| if i < end { end as u32 } else { i as u32 })
+            .collect();
+        prop_assert_eq!(&scheme.minimizers_respecting(&raw, &extent), &prefix);
     }
 }
 
