@@ -131,13 +131,11 @@ impl IndexSpec {
     /// Propagates parameter-validation and construction errors of the
     /// respective family.
     pub fn build(&self, x: &WeightedString) -> Result<AnyIndex> {
-        match self.family {
-            IndexFamily::Naive | IndexFamily::SpaceEfficient(_) => self.dispatch(x, None),
-            _ => {
-                let estimation = ZEstimation::build(x, self.params.z)?;
-                self.dispatch(x, Some(&estimation))
-            }
+        if !self.family.needs_estimation() {
+            return self.dispatch(x, None);
         }
+        let estimation = ZEstimation::build(x, self.params.z)?;
+        self.dispatch(x, Some(&estimation))
     }
 
     /// Builds the index from a shared, already materialised z-estimation

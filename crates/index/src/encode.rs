@@ -220,18 +220,19 @@ impl EncodedFactorSet {
     /// the tree variants compute it. Neighbours whose packed prefix keys
     /// differ take it from the keys' XOR; the others walk on from depth 8
     /// with `O(log z)` extensions over the heavy view.
-    pub(crate) fn neighbour_lcps(&self) -> Vec<usize> {
+    pub(crate) fn neighbour_lcps(&self) -> Vec<u32> {
         let heavy = HeavyLce::new(&self.heavy_view);
         with_leaves!(self, leaves => {
             let lcp = |leaf: usize| {
                 let from = match self.prefix_keys.get(leaf - 1..=leaf) {
                     // Letters pack as rank + 1 and the end as 0, so the first
                     // differing byte is where the factors part.
-                    Some(&[a, b]) if a != b => return ((a ^ b).leading_zeros() / 8) as usize,
+                    Some(&[a, b]) if a != b => return (a ^ b).leading_zeros() / 8,
                     Some(_) => 8,
                     None => 0,
                 };
-                lcp_from(leaves.factor(leaf - 1), leaves.factor(leaf), from, &heavy)
+                // At most the factor length, which fits the u32 anchors.
+                lcp_from(leaves.factor(leaf - 1), leaves.factor(leaf), from, &heavy) as u32
             };
             (0..self.len())
                 .map(|leaf| if leaf == 0 { 0 } else { lcp(leaf) })
@@ -1329,7 +1330,10 @@ mod tests {
                     .take_while(|(a, b)| a == b)
                     .count(),
             };
-            assert_eq!(lcps[leaf], direct, "LCP at leaf {leaf} ({direction:?})");
+            assert_eq!(
+                lcps[leaf] as usize, direct,
+                "LCP at leaf {leaf} ({direction:?})"
+            );
         }
     }
 

@@ -122,8 +122,9 @@ impl MinimizerIndex {
     ///
     /// [`Error::InvalidParameters`] if the estimation's `z` differs from the
     /// parameters' `z`, the lengths are inconsistent, `|X|` exceeds
-    /// `u32::MAX` positions or a factor set exceeds `u32::MAX` factors or
-    /// mismatches.
+    /// `u32::MAX` positions, a factor set exceeds `u32::MAX` factors or
+    /// mismatches, or a tree variant's trie node would get more than
+    /// `u16::MAX` children (only a run of equal factors gets there).
     pub fn build_from_estimation(
         x: &WeightedString,
         estimation: &ZEstimation,
@@ -226,7 +227,7 @@ impl MinimizerIndex {
             RankSpaceGrid::new(points)
         });
         let family = IndexFamily::Minimizer(variant);
-        Ok(Self::assemble(x, params, family, heavy, fwd, bwd, grid))
+        Self::assemble(x, params, family, heavy, fwd, bwd, grid)
     }
 
     /// Assembles the index from the letter-only factor sets of either
@@ -235,6 +236,11 @@ impl MinimizerIndex {
     /// mismatch's log-ratio, read from `X`; the others drop the log-prefix
     /// and verify against `X`. Tree variants get their tries and drop the
     /// prefix keys, which only the array lookup reads.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameters`] if a trie node would get more than
+    /// `u16::MAX` children (only a run of equal factors gets there).
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
@@ -243,7 +249,7 @@ impl MinimizerIndex {
         mut fwd: EncodedFactorSet,
         mut bwd: EncodedFactorSet,
         grid: Option<RankSpaceGrid>,
-    ) -> Self {
+    ) -> Result<Self> {
         let variant = family.minimizer_variant().expect("a minimizer family");
         assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
         let (heavy, mut log_prefix) = heavy.into_parts();
@@ -254,17 +260,19 @@ impl MinimizerIndex {
         } else {
             log_prefix = ArenaVec::new();
         }
-        let trie = |set: &mut EncodedFactorSet| {
-            variant.has_tree().then(|| {
-                let lengths: Vec<usize> = (0..set.len()).map(|i| set.factor_len(i)).collect();
-                let trie = CompactedTrie::build(&lengths, &set.neighbour_lcps(), &*set);
-                set.drop_prefix_keys();
-                trie
-            })
+        let trie = |set: &mut EncodedFactorSet| -> Result<Option<CompactedTrie>> {
+            if !variant.has_tree() {
+                return Ok(None);
+            }
+            let lcps = set.neighbour_lcps();
+            set.drop_prefix_keys();
+            CompactedTrie::build(&lcps, &*set)
+                .map(Some)
+                .map_err(|e| Error::InvalidParameters(e.to_string()))
         };
-        let (fwd_trie, bwd_trie) = (trie(&mut fwd), trie(&mut bwd));
+        let (fwd_trie, bwd_trie) = (trie(&mut fwd)?, trie(&mut bwd)?);
 
-        Self {
+        Ok(Self {
             params,
             family,
             n: x.len(),
@@ -278,7 +286,7 @@ impl MinimizerIndex {
             bwd_trie,
             grid,
             arena: None,
-        }
+        })
     }
 
     /// The index parameters (`z`, `ℓ`, `k`, order).

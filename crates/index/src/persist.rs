@@ -483,7 +483,7 @@ fn write_property_text(vw: &mut SectionWriter, pt: &PropertyText) -> io::Result<
     vw.section::<u8>(pt.text());
     vw.section::<u32>(pt.trunc_raw());
     vw.section::<u32>(pt.psa());
-    match pt.trunc_lcp_raw() {
+    match pt.psa_truncated_lcp() {
         Some(lcps) => {
             write_u8(vw, 1)?;
             vw.section::<u32>(lcps);

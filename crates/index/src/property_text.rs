@@ -16,7 +16,6 @@
 
 use ius_arena::ArenaVec;
 use ius_text::lce::LceIndex;
-use ius_text::trie::SliceLabels;
 use ius_weighted::{Error, Result, ZEstimation};
 use std::cmp::Ordering;
 
@@ -162,47 +161,11 @@ impl PropertyText {
         &self.text[s..s + self.trunc[s] as usize]
     }
 
-    /// A [`SliceLabels`] provider exposing the truncated suffixes in PSA
-    /// order (used to build and to traverse the WST).
-    pub fn labels(&self) -> SliceLabels<'_> {
-        let fragments: Vec<(u32, u32)> = self
-            .psa
-            .iter()
-            .map(|&s| (s, self.trunc[s as usize]))
-            .collect();
-        SliceLabels::new(&self.text, fragments)
-    }
-
-    /// Lengths of the truncated suffixes in PSA order.
-    pub fn psa_lengths(&self) -> Vec<usize> {
-        self.psa
-            .iter()
-            .map(|&s| self.trunc[s as usize] as usize)
-            .collect()
-    }
-
-    /// LCP values of adjacent truncated suffixes in PSA order (entry 0 is 0).
-    ///
-    /// Returns the values computed during [`PropertyText::build_with_lcp`]
-    /// when available; otherwise falls back to direct character comparison
-    /// (only appropriate for small inputs, e.g. in tests).
-    pub fn psa_truncated_lcp(&self) -> Vec<usize> {
-        if let Some(stored) = &self.trunc_lcp {
-            return stored.iter().map(|&v| v as usize).collect();
-        }
-        let mut lcps = vec![0usize; self.psa.len()];
-        #[allow(clippy::needless_range_loop)]
-        for r in 1..self.psa.len() {
-            let a = self.psa[r - 1] as usize;
-            let b = self.psa[r] as usize;
-            let max = (self.trunc[a] as usize).min(self.trunc[b] as usize);
-            let mut l = 0usize;
-            while l < max && self.text[a + l] == self.text[b + l] {
-                l += 1;
-            }
-            lcps[r] = l;
-        }
-        lcps
+    /// LCP values of adjacent truncated suffixes in PSA order (entry 0 is
+    /// 0), computed by [`PropertyText::build_with_lcp`]; `None` for a
+    /// structure built without them.
+    pub fn psa_truncated_lcp(&self) -> Option<&[u32]> {
+        self.trunc_lcp.as_deref()
     }
 
     /// The half-open PSA interval of truncated suffixes having `pattern` as a
@@ -235,12 +198,6 @@ impl PropertyText {
     /// The full truncation table (one entry per text position).
     pub(crate) fn trunc_raw(&self) -> &[u32] {
         &self.trunc
-    }
-
-    /// The stored truncated-LCP table, when the structure was built for the
-    /// tree baseline.
-    pub(crate) fn trunc_lcp_raw(&self) -> Option<&[u32]> {
-        self.trunc_lcp.as_deref()
     }
 
     /// Reassembles a property text from its persisted parts without re-running
@@ -455,19 +412,19 @@ mod tests {
     fn truncated_lcp_matches_direct_comparison() {
         let x = paper_example();
         let est = ZEstimation::build(&x, 4.0).unwrap();
-        for pt in [
-            PropertyText::build(&est).unwrap(),
-            PropertyText::build_with_lcp(&est).unwrap(),
-        ] {
-            let lcps = pt.psa_truncated_lcp();
-            assert_eq!(lcps.len(), pt.psa().len());
-            #[allow(clippy::needless_range_loop)]
-            for r in 1..pt.psa().len() {
-                let a = pt.truncated_suffix(pt.psa()[r - 1] as usize);
-                let b = pt.truncated_suffix(pt.psa()[r] as usize);
-                let expected = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
-                assert_eq!(lcps[r], expected);
-            }
+        assert!(PropertyText::build(&est)
+            .unwrap()
+            .psa_truncated_lcp()
+            .is_none());
+        let pt = PropertyText::build_with_lcp(&est).unwrap();
+        let lcps = pt.psa_truncated_lcp().unwrap();
+        assert_eq!(lcps.len(), pt.psa().len());
+        assert_eq!(lcps[0], 0);
+        for (pair, &lcp) in pt.psa().windows(2).zip(&lcps[1..]) {
+            let a = pt.truncated_suffix(pair[0] as usize);
+            let b = pt.truncated_suffix(pair[1] as usize);
+            let expected = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
+            assert_eq!(lcp as usize, expected);
         }
     }
 

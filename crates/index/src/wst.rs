@@ -14,7 +14,7 @@ use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::Arena;
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_text::trie::{CompactedTrie, LabelProvider};
-use ius_weighted::{Result, WeightedString, ZEstimation};
+use ius_weighted::{Error, Result, WeightedString, ZEstimation};
 
 /// The weighted (property) suffix tree.
 #[derive(Debug, Clone)]
@@ -83,12 +83,17 @@ impl Wst {
     ///
     /// # Errors
     ///
-    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands.
+    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands;
+    /// [`ius_weighted::Error::InvalidParameters`] if a node of the tree would
+    /// get more than `u16::MAX` children (only a run of equal truncated
+    /// suffixes gets there).
     pub fn build_from_estimation(estimation: &ZEstimation) -> Result<Self> {
         let property_text = PropertyText::build_with_lcp(estimation)?;
-        let lengths = property_text.psa_lengths();
-        let lcps = property_text.psa_truncated_lcp();
-        let trie = CompactedTrie::build(&lengths, &lcps, &WstLabels::new(&property_text));
+        let lcps = property_text
+            .psa_truncated_lcp()
+            .expect("built with the truncated LCPs");
+        let trie = CompactedTrie::build(lcps, &WstLabels::new(&property_text))
+            .map_err(|e| Error::InvalidParameters(e.to_string()))?;
         Ok(Self {
             z: estimation.z(),
             property_text,

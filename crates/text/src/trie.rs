@@ -5,16 +5,25 @@
 //! **not** store its edge labels: all label accesses go through a
 //! [`LabelProvider`], so the very same structure serves
 //!
-//! * the classic weighted suffix tree, whose labels are fragments of the
-//!   concatenated z-estimation (provided by [`SliceLabels`]), and
+//! * the classic weighted suffix tree, whose labels are the truncated
+//!   suffixes of the concatenated z-estimation, and
 //! * the minimizer solid factor trees of the paper, whose labels are
 //!   reconstructed from the heavy string plus at most `log₂ z` stored
 //!   mismatches per factor (Corollary 4) — the `O(log z)`-bits-per-edge
 //!   encoding that makes the index small.
 //!
-//! Construction takes the sorted strings' lengths and the LCP values of
-//! neighbouring strings; it is the standard stack-based suffix-array-to-tree
-//! algorithm and runs in linear time in the number of strings.
+//! Construction is the stack-based array-to-tree algorithm (Kasai et al.,
+//! CPM 2001; Abouelhoda, Kurtz & Ohlebusch, JDA 2004): one pass over the
+//! sorted strings and the LCPs of neighbours, keeping the rightmost
+//! root-to-leaf path on a stack. A node's depth, parent and first leaf are
+//! known when it is created and its last leaf when it leaves the stack, so
+//! each goes straight into the flat per-node arrays the trie keeps; a
+//! counting sort of the parents then lays out the child table. The build
+//! holds the kept arrays plus 4 B of parent per node, and runs in time
+//! linear in the number of strings.
+
+use ius_arena::ArenaVec;
+use std::fmt;
 
 /// Access to the letters of the sorted strings underlying a trie.
 pub trait LabelProvider {
@@ -26,61 +35,35 @@ pub trait LabelProvider {
     fn len(&self, leaf: usize) -> usize;
 }
 
-/// A [`LabelProvider`] for strings that are fragments of one backing text.
-#[derive(Debug, Clone)]
-pub struct SliceLabels<'a> {
-    text: &'a [u8],
-    /// `(start, length)` of each sorted string within `text`.
-    fragments: Vec<(u32, u32)>,
-}
-
-impl<'a> SliceLabels<'a> {
-    /// Creates a provider for the given fragments (already in sorted string
-    /// order).
-    pub fn new(text: &'a [u8], fragments: Vec<(u32, u32)>) -> Self {
-        Self { text, fragments }
-    }
-
-    /// The fragments backing each sorted string.
-    pub fn fragments(&self) -> &[(u32, u32)] {
-        &self.fragments
-    }
-}
-
-impl LabelProvider for SliceLabels<'_> {
-    #[inline]
-    fn letter(&self, leaf: usize, depth: usize) -> Option<u8> {
-        let (start, len) = self.fragments[leaf];
-        if depth < len as usize {
-            Some(self.text[start as usize + depth])
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn len(&self, leaf: usize) -> usize {
-        self.fragments[leaf].1 as usize
-    }
-}
-
-use ius_arena::ArenaVec;
-
 /// Sentinel "first letter" for zero-length edges (duplicate strings).
 const NO_LETTER: u8 = u8::MAX;
 
-/// One node of a compacted trie — a construction-time temporary; the built
-/// trie stores nodes as a struct of flat arrays (see [`CompactedTrie`]).
-#[derive(Debug, Clone)]
-struct Node {
-    /// String depth: number of letters on the root-to-node path.
-    depth: u32,
-    /// Half-open range of sorted leaf indices below this node.
-    leaf_lo: u32,
-    leaf_hi: u32,
-    /// `true` if the node is a leaf (corresponds to exactly one sorted string).
-    is_leaf: bool,
+/// A build refused because a node would have more children than the `u16`
+/// child count of [`TrieParts`] holds. Only a run of equal strings gets
+/// there: every copy after the first hangs off the node of the first by a
+/// zero-length edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyChildren {
+    /// String depth of the node.
+    pub depth: usize,
+    /// Number of children the node would have.
+    pub children: usize,
 }
+
+impl fmt::Display for TooManyChildren {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a compacted-trie node at depth {} would have {} children, more than the {} a \
+             node stores (a run of equal strings hangs off one node)",
+            self.depth,
+            self.children,
+            u16::MAX
+        )
+    }
+}
+
+impl std::error::Error for TooManyChildren {}
 
 /// The flat (struct-of-arrays) representation of a [`CompactedTrie`], used by
 /// the persistence layer to save a trie without re-running the stack-based
@@ -145,173 +128,149 @@ pub struct CompactedTrie {
 }
 
 impl CompactedTrie {
-    /// Builds the compacted trie of `num_leaves` sorted strings.
+    /// Builds the compacted trie of the sorted strings `labels` provides,
+    /// one per entry of `lcps`.
     ///
-    /// * `lengths[i]` — length of the `i`-th string;
     /// * `lcps[i]` — LCP of strings `i-1` and `i` (`lcps[0]` is ignored);
-    /// * `labels` — label access used to record the first letter of each edge.
+    /// * `labels` — each string's length, and the first letter of each edge.
+    ///
+    /// Nodes are numbered in creation order: the root, then per string its
+    /// leaf, preceded by a split node when the string branches off inside
+    /// an edge. A split node only ever replaces its parent's last child, so
+    /// every node's children in id order are in lexicographic order.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyChildren`] if a node would have more than `u16::MAX`
+    /// children.
     ///
     /// # Panics
     ///
-    /// Panics if the inputs have inconsistent lengths or LCP values exceed
-    /// the string lengths.
-    pub fn build<L: LabelProvider>(lengths: &[usize], lcps: &[usize], labels: &L) -> Self {
-        let num_leaves = lengths.len();
-        assert_eq!(
-            lcps.len(),
-            num_leaves,
-            "lcps must have one entry per string"
+    /// Panics if an LCP value exceeds a neighbouring string's length, or if
+    /// the node ids, leaf indices or string lengths overflow their `u32`
+    /// tables.
+    pub fn build<L: LabelProvider>(lcps: &[u32], labels: &L) -> Result<Self, TooManyChildren> {
+        let num_leaves = lcps.len();
+        // The root, a leaf per string and at most one split per string after
+        // the first; shrunk to the exact count once the pass is done.
+        let capacity = 2 * num_leaves.max(1);
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "{num_leaves} strings overflow the u32 node ids"
         );
-        let mut nodes: Vec<Node> = Vec::with_capacity(2 * num_leaves.max(1));
-        // Temporary children lists; flattened at the end.
-        let mut temp_children: Vec<Vec<u32>> = Vec::with_capacity(2 * num_leaves.max(1));
-        let new_node = |nodes: &mut Vec<Node>,
-                        temp_children: &mut Vec<Vec<u32>>,
-                        depth: u32,
-                        leaf_lo: u32,
-                        is_leaf: bool|
-         -> u32 {
-            let id = nodes.len() as u32;
-            nodes.push(Node {
-                depth,
-                leaf_lo,
-                leaf_hi: leaf_lo,
-                is_leaf,
-            });
-            temp_children.push(Vec::new());
-            id
-        };
-
-        let root = new_node(&mut nodes, &mut temp_children, 0, 0, false);
-        // Stack of the rightmost path: node ids with strictly increasing depth.
-        let mut stack: Vec<u32> = vec![root];
-
-        for i in 0..num_leaves {
-            let len = lengths[i];
-            let lcp = if i == 0 { 0 } else { lcps[i] };
-            if i > 0 {
-                assert!(
-                    lcp <= len && lcp <= lengths[i - 1],
-                    "lcp[{i}] = {lcp} exceeds a neighbouring string length"
-                );
+        let mut depth: Vec<u32> = Vec::with_capacity(capacity);
+        let mut leaf_lo: Vec<u32> = Vec::with_capacity(capacity);
+        let mut leaf_hi: Vec<u32> = Vec::with_capacity(capacity);
+        let mut is_leaf: Vec<u8> = Vec::with_capacity(capacity);
+        let mut parent: Vec<u32> = Vec::with_capacity(capacity);
+        // The root is node 0; its parent entry is never read.
+        depth.push(0);
+        leaf_lo.push(0);
+        leaf_hi.push(0);
+        is_leaf.push(0);
+        parent.push(0);
+        // The rightmost path: node ids with strictly increasing depth.
+        let mut stack: Vec<u32> = vec![0];
+        let mut prev_len = 0;
+        for (i, &lcp) in lcps.iter().enumerate() {
+            let len = u32::try_from(labels.len(i)).expect("string lengths fit the u32 depths");
+            let lcp = if i == 0 { 0 } else { lcp };
+            assert!(
+                lcp <= len.min(prev_len),
+                "lcp[{i}] = {lcp} exceeds a neighbouring string length"
+            );
+            prev_len = len;
+            let leaf = i as u32;
+            // The nodes deeper than the LCP end at the previous leaf.
+            let mut popped = None;
+            while let Some(&node) = stack.last().filter(|&&node| depth[node as usize] > lcp) {
+                stack.pop();
+                leaf_hi[node as usize] = leaf;
+                popped = Some(node);
             }
-            // Pop nodes deeper than the LCP.
-            let mut last_popped: Option<u32> = None;
-            while nodes[*stack.last().expect("stack never empty") as usize].depth > lcp as u32 {
-                last_popped = stack.pop();
-            }
-            let top = *stack.last().expect("stack never empty");
-            let branch = if nodes[top as usize].depth == lcp as u32 {
-                top
-            } else {
-                // Split: create an internal node at depth `lcp` between `top`
-                // and `last_popped`.
-                let popped = last_popped.expect("a node deeper than lcp was popped");
-                let popped_leaf_lo = nodes[popped as usize].leaf_lo;
-                let split = new_node(
-                    &mut nodes,
-                    &mut temp_children,
-                    lcp as u32,
-                    popped_leaf_lo,
-                    false,
-                );
-                // Replace `popped` with `split` among `top`'s children.
-                let top_children = &mut temp_children[top as usize];
-                let slot = top_children
-                    .iter()
-                    .position(|&c| c == popped)
-                    .expect("popped node must be a child of the stack top");
-                top_children[slot] = split;
-                temp_children[split as usize].push(popped);
+            let top = *stack.last().expect("the root is never popped");
+            if depth[top as usize] < lcp {
+                // The string branches off inside the edge to the last popped
+                // node, `top`'s last child: a split node takes its place.
+                let child = popped.expect("a node deeper than the LCP was popped") as usize;
+                let split = depth.len() as u32;
+                depth.push(lcp);
+                leaf_lo.push(leaf_lo[child]);
+                leaf_hi.push(leaf); // set again when the split leaves the stack
+                is_leaf.push(0);
+                parent.push(top);
+                parent[child] = split;
                 stack.push(split);
-                split
-            };
-            // Attach the new leaf.
-            let leaf = new_node(&mut nodes, &mut temp_children, len as u32, i as u32, true);
-            nodes[leaf as usize].leaf_hi = i as u32 + 1;
-            temp_children[branch as usize].push(leaf);
-            if len as u32 > nodes[branch as usize].depth {
-                stack.push(leaf);
+            }
+            let branch = *stack.last().expect("the root is never popped");
+            let node = depth.len() as u32;
+            depth.push(len);
+            leaf_lo.push(leaf);
+            leaf_hi.push(leaf + 1);
+            is_leaf.push(1);
+            parent.push(branch);
+            // A string equal to the branch's path hangs off it by a
+            // zero-length edge and never gets children of its own.
+            if len > depth[branch as usize] {
+                stack.push(node);
             }
         }
+        // The nodes left on the stack end at the last leaf.
+        for node in stack {
+            leaf_hi[node as usize] = num_leaves as u32;
+        }
+        depth.shrink_to_fit();
+        leaf_lo.shrink_to_fit();
+        leaf_hi.shrink_to_fit();
+        is_leaf.shrink_to_fit();
+        parent.shrink_to_fit();
 
-        // Propagate leaf ranges bottom-up (nodes are created before their
-        // descendants except for split nodes, so do an explicit traversal).
-        Self::finish(nodes, temp_children, root, num_leaves, labels)
-    }
-
-    /// Flattens children, fills leaf ranges, records edge first letters and
-    /// packs the temporary node structs into the flat-array layout.
-    fn finish<L: LabelProvider>(
-        mut nodes: Vec<Node>,
-        temp_children: Vec<Vec<u32>>,
-        root: u32,
-        num_leaves: usize,
-        labels: &L,
-    ) -> Self {
-        // Iterative post-order to compute leaf ranges.
-        let mut order: Vec<u32> = Vec::with_capacity(nodes.len());
-        let mut stack: Vec<u32> = vec![root];
-        while let Some(node) = stack.pop() {
-            order.push(node);
-            for &c in &temp_children[node as usize] {
-                stack.push(c);
-            }
+        // Count each node's children, turn the counts into the ends of the
+        // nodes' spans and fill the spans back to front: siblings land in id
+        // order, and each end is moved back to its node's start.
+        let num_nodes = depth.len();
+        let mut children_start = vec![0u32; num_nodes];
+        for &up in &parent[1..] {
+            children_start[up as usize] += 1;
         }
-        for &node in order.iter().rev() {
-            if !temp_children[node as usize].is_empty() {
-                let lo = temp_children[node as usize]
-                    .iter()
-                    .map(|&c| nodes[c as usize].leaf_lo)
-                    .min()
-                    .expect("non-empty");
-                let hi = temp_children[node as usize]
-                    .iter()
-                    .map(|&c| nodes[c as usize].leaf_hi)
-                    .max()
-                    .expect("non-empty");
-                let n = &mut nodes[node as usize];
-                n.leaf_lo = n.leaf_lo.min(lo);
-                n.leaf_hi = n.leaf_hi.max(hi);
-            }
+        if let Some(node) = children_start
+            .iter()
+            .position(|&count| count > u32::from(u16::MAX))
+        {
+            return Err(TooManyChildren {
+                depth: depth[node] as usize,
+                children: children_start[node] as usize,
+            });
         }
-        // Pack into the flat arrays, flattening each node's children in
-        // order (they are produced in lexicographic order already; the
-        // explicit first letters keep zero-length duplicate edges robust).
-        let children_total: usize = temp_children.iter().map(Vec::len).sum();
-        let mut child_letters: Vec<u8> = Vec::with_capacity(children_total);
-        let mut child_nodes: Vec<u32> = Vec::with_capacity(children_total);
-        let mut children_start: Vec<u32> = Vec::with_capacity(nodes.len());
-        let mut children_len: Vec<u16> = Vec::with_capacity(nodes.len());
-        for (node, kids) in temp_children.iter().enumerate() {
-            let depth = nodes[node].depth as usize;
-            children_start.push(child_letters.len() as u32);
-            children_len.push(kids.len() as u16);
-            for &c in kids {
-                let child = &nodes[c as usize];
-                let first = labels
-                    .letter(child.leaf_lo as usize, depth)
-                    .unwrap_or(NO_LETTER);
-                child_letters.push(first);
-                child_nodes.push(c);
-            }
+        let children_len: Vec<u16> = children_start.iter().map(|&count| count as u16).collect();
+        let mut end = 0;
+        for slot in &mut children_start {
+            end += *slot;
+            *slot = end;
         }
-        CompactedTrie {
-            depth: nodes.iter().map(|n| n.depth).collect::<Vec<_>>().into(),
-            leaf_lo: nodes.iter().map(|n| n.leaf_lo).collect::<Vec<_>>().into(),
-            leaf_hi: nodes.iter().map(|n| n.leaf_hi).collect::<Vec<_>>().into(),
+        let mut child_letters = vec![0u8; num_nodes - 1];
+        let mut child_nodes = vec![0u32; num_nodes - 1];
+        for child in (1..num_nodes).rev() {
+            let up = parent[child] as usize;
+            children_start[up] -= 1;
+            let slot = children_start[up] as usize;
+            child_nodes[slot] = child as u32;
+            child_letters[slot] = labels
+                .letter(leaf_lo[child] as usize, depth[up] as usize)
+                .unwrap_or(NO_LETTER);
+        }
+        Ok(CompactedTrie {
+            depth: depth.into(),
+            leaf_lo: leaf_lo.into(),
+            leaf_hi: leaf_hi.into(),
             children_start: children_start.into(),
             children_len: children_len.into(),
-            is_leaf: nodes
-                .iter()
-                .map(|n| u8::from(n.is_leaf))
-                .collect::<Vec<_>>()
-                .into(),
+            is_leaf: is_leaf.into(),
             child_letters: child_letters.into(),
             child_nodes: child_nodes.into(),
-            root,
+            root: 0,
             num_leaves,
-        }
+        })
     }
 
     /// The root node id.
@@ -536,6 +495,32 @@ mod tests {
     use super::*;
     use crate::lcp::lcp_of;
 
+    /// A [`LabelProvider`] for strings that are fragments of one backing text.
+    struct SliceLabels<'a> {
+        text: &'a [u8],
+        /// `(start, length)` of each sorted string within `text`.
+        fragments: Vec<(u32, u32)>,
+    }
+
+    impl<'a> SliceLabels<'a> {
+        /// Creates a provider for the given fragments (already in sorted
+        /// string order).
+        fn new(text: &'a [u8], fragments: Vec<(u32, u32)>) -> Self {
+            Self { text, fragments }
+        }
+    }
+
+    impl LabelProvider for SliceLabels<'_> {
+        fn letter(&self, leaf: usize, depth: usize) -> Option<u8> {
+            let (start, len) = self.fragments[leaf];
+            (depth < len as usize).then(|| self.text[start as usize + depth])
+        }
+
+        fn len(&self, leaf: usize) -> usize {
+            self.fragments[leaf].1 as usize
+        }
+    }
+
     /// Builds a trie from explicit strings (sorting them first); returns the
     /// trie, the provider text and sorted strings for reference.
     fn build_from_strings(strings: &[&[u8]]) -> (CompactedTrie, Vec<u8>, Vec<Vec<u8>>) {
@@ -547,14 +532,11 @@ mod tests {
             fragments.push((text.len() as u32, s.len() as u32));
             text.extend_from_slice(s);
         }
-        let lengths: Vec<usize> = sorted.iter().map(|s| s.len()).collect();
-        let mut lcps = vec![0usize; sorted.len()];
+        let mut lcps = vec![0u32; sorted.len()];
         for i in 1..sorted.len() {
-            lcps[i] = lcp_of(&sorted[i - 1], &sorted[i]);
+            lcps[i] = lcp_of(&sorted[i - 1], &sorted[i]) as u32;
         }
-        // SliceLabels borrows text, so rebuild it inside the closure scope.
-        let labels = SliceLabels::new(&text, fragments.clone());
-        let trie = CompactedTrie::build(&lengths, &lcps, &labels);
+        let trie = CompactedTrie::build(&lcps, &SliceLabels::new(&text, fragments)).unwrap();
         (trie, text, sorted)
     }
 
@@ -626,16 +608,48 @@ mod tests {
     fn randomised_against_bruteforce() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..30 {
+        for _ in 0..60 {
             let count = rng.gen_range(1..40usize);
-            let strings: Vec<Vec<u8>> = (0..count)
+            let mut strings: Vec<Vec<u8>> = (0..count)
                 .map(|_| {
                     let len = rng.gen_range(1..12usize);
                     (0..len).map(|_| rng.gen_range(0..3u8)).collect()
                 })
                 .collect();
+            // Runs of equal strings (zero-length edges) and chains of
+            // prefixes (leaves with children).
+            for _ in 0..rng.gen_range(0..4usize) {
+                let s = strings[rng.gen_range(0..count)].clone();
+                for _ in 0..rng.gen_range(1..5usize) {
+                    strings.push(s.clone());
+                }
+                for cut in 0..s.len() {
+                    if rng.gen_bool(0.5) {
+                        strings.push(s[..cut].to_vec());
+                    }
+                }
+            }
             let refs: Vec<&[u8]> = strings.iter().map(|s| s.as_slice()).collect();
             let (trie, text, sorted) = build_from_strings(&refs);
+            assert_eq!(trie.leaf_range(trie.root()), (0, sorted.len() as u32));
+            for node in 0..trie.num_nodes() as u32 {
+                // The children tile the node's leaves after its own string.
+                let (lo, hi) = trie.leaf_range(node);
+                let mut next = lo + u32::from(trie.is_leaf(node));
+                let mut last_letter = None;
+                for (letter, child) in trie.children(node) {
+                    let (clo, chi) = trie.leaf_range(child);
+                    assert_eq!(clo, next, "children of node {node} over {sorted:?}");
+                    next = chi;
+                    let edge = &sorted[clo as usize][trie.depth(node)..trie.depth(child)];
+                    assert_eq!(edge.first().copied().unwrap_or(NO_LETTER), letter);
+                    if !edge.is_empty() {
+                        assert!(last_letter < Some(letter), "sibling letters of node {node}");
+                        last_letter = Some(letter);
+                    }
+                }
+                assert_eq!(next, hi, "children of node {node} over {sorted:?}");
+            }
             for _ in 0..30 {
                 let len = rng.gen_range(0..6usize);
                 let pattern: Vec<u8> = (0..len).map(|_| rng.gen_range(0..3u8)).collect();
@@ -649,6 +663,31 @@ mod tests {
                 assert_eq!(got, expected, "pattern {pattern:?} over {sorted:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_node_with_too_many_children_is_refused() {
+        // Each copy of `ab` after the first hangs off the first by a
+        // zero-length edge; `abc` would be the 70,000th child.
+        let mut strings: Vec<&[u8]> = vec![b"ab"; 70_000];
+        strings.push(b"abc");
+        let mut text = Vec::new();
+        let mut fragments = Vec::new();
+        let mut lcps = Vec::new();
+        for (i, s) in strings.iter().enumerate() {
+            fragments.push((text.len() as u32, s.len() as u32));
+            text.extend_from_slice(s);
+            lcps.push(if i == 0 { 0 } else { 2 });
+        }
+        let err = CompactedTrie::build(&lcps, &SliceLabels::new(&text, fragments)).unwrap_err();
+        assert_eq!(
+            err,
+            TooManyChildren {
+                depth: 2,
+                children: 70_000
+            }
+        );
+        assert!(err.to_string().contains("70000 children"), "{err}");
     }
 
     #[test]
@@ -711,7 +750,7 @@ mod tests {
     #[test]
     fn empty_collection() {
         let labels = SliceLabels::new(b"", Vec::new());
-        let trie = CompactedTrie::build(&[], &[], &labels);
+        let trie = CompactedTrie::build(&[], &labels).unwrap();
         assert_eq!(trie.num_leaves(), 0);
         assert_eq!(trie.descend(b"a", &labels), None);
         assert!(trie.descend(b"", &labels).is_some());

@@ -204,10 +204,11 @@ fn size_bytes_matches_retained_heap_for_every_family() {
 
 /// The minimizer build holds little more than the index it produces. On
 /// the rssi preset (σ = 91, ℓ = 8: about three factors per position, most
-/// of them sharing their first eight letters with another) the MWSA-G
-/// build's peak heap growth — pending factors, sort keys, the grid's build
-/// buffers, everything but the z-estimation it reads — stays within 1.5 ×
-/// the index's `size_bytes()`.
+/// of them sharing their first eight letters with another) the build's
+/// peak heap growth — pending factors, sort keys, the grid's build buffers,
+/// the tries' construction, everything but the z-estimation it reads —
+/// stays within 1.5 × the index's `size_bytes()` for MWSA-G, MWST and
+/// MWST-G.
 #[test]
 fn minimizer_build_peak_stays_near_the_index() {
     let _serial = serialize();
@@ -215,20 +216,27 @@ fn minimizer_build_peak_stays_near_the_index() {
     let x = &corpus.x;
     let est = ZEstimation::build(x, corpus.z).unwrap();
     let params = IndexParams::new(corpus.z, corpus.ell, x.sigma()).unwrap();
-    let (index, mem) = ius_memtrack::measure(|| {
-        MinimizerIndex::build_from_estimation(x, &est, params, IndexVariant::ArrayGrid).unwrap()
-    });
-    let size = index.size_bytes();
-    assert!(
-        index.num_sampled_factors() > 2 * x.len(),
-        "the workload must sample several factors per position"
-    );
-    assert!(
-        mem.peak_bytes as f64 <= 1.5 * size as f64,
-        "MWSA-G build peaked at {} bytes of heap growth for a {size}-byte index ({:.2}×)",
-        mem.peak_bytes,
-        mem.peak_bytes as f64 / size as f64
-    );
+    for variant in [
+        IndexVariant::ArrayGrid,
+        IndexVariant::Tree,
+        IndexVariant::TreeGrid,
+    ] {
+        let (index, mem) = ius_memtrack::measure(|| {
+            MinimizerIndex::build_from_estimation(x, &est, params, variant).unwrap()
+        });
+        let size = index.size_bytes();
+        assert!(
+            index.num_sampled_factors() > 2 * x.len(),
+            "the workload must sample several factors per position"
+        );
+        assert!(
+            mem.peak_bytes as f64 <= 1.5 * size as f64,
+            "{} build peaked at {} bytes of heap growth for a {size}-byte index ({:.2}×)",
+            variant.name(),
+            mem.peak_bytes,
+            mem.peak_bytes as f64 / size as f64
+        );
+    }
 }
 
 /// The space-efficient construction earns its name: on the rssi preset
