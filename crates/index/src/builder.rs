@@ -93,6 +93,21 @@ impl IndexFamily {
             IndexFamily::SpaceEfficient(SeVariant::Array),
         ]
     }
+
+    /// The family's one on-disk tag, its place in [`IndexFamily::all`]:
+    /// the family byte of an IUSX envelope and of an IUSL manifest's spec.
+    pub(crate) fn tag(self) -> u8 {
+        Self::all()
+            .iter()
+            .position(|&family| family == self)
+            .expect("every family is listed") as u8
+    }
+
+    /// The family whose [`IndexFamily::tag`] is `tag`, or `None` if no
+    /// family has it.
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+        Self::all().get(usize::from(tag)).copied()
+    }
 }
 
 /// A buildable index descriptor: which family, with which parameters.
@@ -195,6 +210,29 @@ pub enum AnyIndex {
 }
 
 impl AnyIndex {
+    /// The family of the contained index.
+    pub fn family(&self) -> IndexFamily {
+        match self {
+            AnyIndex::Naive(_) => IndexFamily::Naive,
+            AnyIndex::Wst(_) => IndexFamily::Wst,
+            AnyIndex::Wsa(_) => IndexFamily::Wsa,
+            AnyIndex::Minimizer(index) => index.family(),
+        }
+    }
+
+    /// Would `spec` build an index answering like this one? The family
+    /// must match, and so must the parameters the index keeps: all of
+    /// them for the minimizer families, `z` alone for the others.
+    pub fn matches_spec(&self, spec: &IndexSpec) -> bool {
+        self.family() == spec.family
+            && match self {
+                AnyIndex::Naive(index) => index.z() == spec.params.z,
+                AnyIndex::Wst(index) => index.z() == spec.params.z,
+                AnyIndex::Wsa(index) => index.z() == spec.params.z,
+                AnyIndex::Minimizer(index) => *index.params() == spec.params,
+            }
+    }
+
     /// The length of the corpus the index was built over, when the family
     /// records it (the minimizer variants do; the oracle and the
     /// property-text baselines do not). Serving layers use this to reject

@@ -123,8 +123,7 @@ impl MinimizerIndex {
     /// [`Error::InvalidParameters`] if the estimation's `z` differs from the
     /// parameters' `z`, the lengths are inconsistent, `|X|` exceeds
     /// `u32::MAX` positions, a factor set exceeds `u32::MAX` factors or
-    /// mismatches, or a tree variant's trie node would get more than
-    /// `u16::MAX` children (only a run of equal factors gets there).
+    /// mismatches.
     pub fn build_from_estimation(
         x: &WeightedString,
         estimation: &ZEstimation,
@@ -227,7 +226,7 @@ impl MinimizerIndex {
             RankSpaceGrid::new(points)
         });
         let family = IndexFamily::Minimizer(variant);
-        Self::assemble(x, params, family, heavy, fwd, bwd, grid)
+        Ok(Self::assemble(x, params, family, heavy, fwd, bwd, grid))
     }
 
     /// Assembles the index from the letter-only factor sets of either
@@ -236,11 +235,6 @@ impl MinimizerIndex {
     /// mismatch's log-ratio, read from `X`; the others drop the log-prefix
     /// and verify against `X`. Tree variants get their tries and drop the
     /// prefix keys, which only the array lookup reads.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameters`] if a trie node would get more than
-    /// `u16::MAX` children (only a run of equal factors gets there).
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
@@ -249,7 +243,7 @@ impl MinimizerIndex {
         mut fwd: EncodedFactorSet,
         mut bwd: EncodedFactorSet,
         grid: Option<RankSpaceGrid>,
-    ) -> Result<Self> {
+    ) -> Self {
         let variant = family.minimizer_variant().expect("a minimizer family");
         assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
         let (heavy, mut log_prefix) = heavy.into_parts();
@@ -260,19 +254,16 @@ impl MinimizerIndex {
         } else {
             log_prefix = ArenaVec::new();
         }
-        let trie = |set: &mut EncodedFactorSet| -> Result<Option<CompactedTrie>> {
-            if !variant.has_tree() {
-                return Ok(None);
-            }
-            let lcps = set.neighbour_lcps();
-            set.drop_prefix_keys();
-            CompactedTrie::build(&lcps, &*set)
-                .map(Some)
-                .map_err(|e| Error::InvalidParameters(e.to_string()))
+        let trie = |set: &mut EncodedFactorSet| {
+            variant.has_tree().then(|| {
+                let lcps = set.neighbour_lcps();
+                set.drop_prefix_keys();
+                CompactedTrie::build(&lcps, &*set)
+            })
         };
-        let (fwd_trie, bwd_trie) = (trie(&mut fwd)?, trie(&mut bwd)?);
+        let (fwd_trie, bwd_trie) = (trie(&mut fwd), trie(&mut bwd));
 
-        Ok(Self {
+        Self {
             params,
             family,
             n: x.len(),
@@ -286,7 +277,7 @@ impl MinimizerIndex {
             bwd_trie,
             grid,
             arena: None,
-        })
+        }
     }
 
     /// The index parameters (`z`, `ℓ`, `k`, order).
@@ -897,8 +888,8 @@ mod tests {
     ///   length width and its `mism_start` entry at the set's offset width
     ///   (1, 2 or 4 B each), plus one trailing offset per set, plus the
     ///   prefix key (8 B) without a tree;
-    /// * per trie node, with a tree: 19 B, plus 5 B for the edge from its
-    ///   parent;
+    /// * per trie node, with a tree: 16 B, plus 5 B for the edge from its
+    ///   parent, plus one trailing child offset (4 B) per trie;
     /// * per mismatch: its depth at the set's length width and its letter
     ///   (1 B), plus its log-ratio (8 B) with a grid;
     /// * per grid point: `π` and `π⁻¹` (8 B), plus 12 B per 64 points per
@@ -919,7 +910,9 @@ mod tests {
                 budget += (4 + 8 * array + length + offset) * set.len() + offset; // + the trailing offset
                 budget += (length + 1 + 8 * grid) * set.total_mismatches();
             }
-            budget += 24 * index.stats().num_nodes;
+            if variant.has_tree() {
+                budget += 21 * index.stats().num_nodes + 2 * 4;
+            }
             if let Some(g) = &index.grid {
                 let levels = (usize::BITS - g.len().saturating_sub(1).leading_zeros()) as usize;
                 budget += 8 * g.len() + 12 * (levels + 2) * (g.len() / 64 + 1);

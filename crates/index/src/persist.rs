@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 7**, the only version:
+//! behind a fixed envelope. Format **version 8**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -43,36 +43,52 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 7 only. Any
+//! **Version policy:** this build reads and writes version 8 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — the
-//! earlier versions 2 to 6 included — is refused with a typed
+//! earlier versions 2 to 7 included — is refused with a typed
 //! `InvalidData` error naming the version, and there is no migration:
 //! rebuild the index from its corpus. Every envelope carries its own CRC32
 //! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
 //! open, not served, and a mismatch is a typed `InvalidData` error, never a
 //! panic.
 //!
-//! A minimizer payload stores only what its variant's query reads; the
-//! variant tag alone decides which sections follow (untyped ones are `u32`,
+//! The **family tag** is the family's place in [`IndexFamily::all`]: `0` NAIVE, `1` WST, `2` WSA, `3` MWST, `4`
+//! MWSA, `5` MWST-G, `6` MWSA-G, `7` SE-MWST, `8` SE-MWSA — the numbering
+//! a live index's `IUSL` manifest uses too, through the same spec codec
+//! ([`write_spec`], [`read_spec`]). Any other tag is refused typed. The tag
+//! alone decides the payload, which holds only what the family's query
+//! reads — no presence flag, no variant byte (untyped sections are `u32`,
 //! `narrow` ones narrow tables):
 //!
 //! ```text
-//! params · variant (u8) · construction (u8) · n (u64) · σ (u64)
-//! · heavy letters (u8) · [log-prefix (f64)]                        grid only
-//! · forward set, then backward set: anchor_x · lens (narrow)
-//!     · mism_start (narrow) · mism_depths (narrow) · mism_letters (u8)
-//!     · [mism_log_ratios (f64)]                                    grid only
-//!     · prefix_keys (u64)                            empty for the trees
-//! · trie flag (u8) [· forward trie] · trie flag (u8) [· backward trie]
-//! · grid flag (u8) [· N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
-//!     · x starts (u64) · x ranks · y starts (u64) · y ranks]
+//! NAIVE      z (f64)
+//! WST        z (f64) · property text · trie
+//! WSA        z (f64) · property text
+//! minimizer  params · n (u64) · σ (u64)
+//!            · heavy letters (u8) · [log-prefix (f64)]                  grid only
+//!            · forward set, then backward set: anchor_x · lens (narrow)
+//!                · mism_start (narrow) · mism_depths (narrow)
+//!                · mism_letters (u8) · [mism_log_ratios (f64)]         grid only
+//!                · prefix_keys (u64)                      empty for the trees
+//!            · [forward trie · backward trie]                           tree only
+//!            · [N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
+//!                · x starts (u64) · x ranks · y starts (u64) · y ranks] grid only
+//!
+//! params         z (f64) · ℓ (u64) · k (u64) · k-mer order (u8: 0
+//!                lexicographic, 1 Karp–Rabin) · seed (u64)
+//! property text  n (u64) · strands (u64) · text (u8) · trunc · PSA
+//! trie           depth · leaf_lo · leaf_hi · children_start (nodes + 1)
+//!                · child_letters (u8) · child_nodes · leaves (u64)
 //! ```
 //!
-//! The variant and construction bytes name the [`IndexFamily`]; a
-//! space-efficient grid variant, which no construction builds, is refused
-//! typed. Only the array variants' prefix-key sections hold keys.
+//! The WST stores no LCPs: its trie build reads them and drops them. A
+//! trie's child table is compressed-sparse-row, node `v`'s children being
+//! entries `children_start[v]..children_start[v + 1]`; at open the offsets
+//! must rise from 0 to the child count, every edge must lead deeper (or to
+//! a childless duplicate) and to a non-empty leaf range inside its
+//! parent's, so a forged trie can neither hang nor crash a descent.
 //!
-//! Both sets hold no prefix-dominated leaf (one that is a prefix of
+//! Both factor sets hold no prefix-dominated leaf (one that is a prefix of
 //! another leaf of its anchor). Each set writes `lens` and `mism_depths` at
 //! the narrowest width holding its longest factor, and `mism_start` at the
 //! narrowest holding its mismatch total; at open the lengths and the depths
@@ -90,26 +106,20 @@
 //! verification sums, and construction (z-estimation, suffix sorting, trie
 //! assembly, wavelet matrix) is **never** re-run.
 //!
-//! Family tags: `0` NAIVE, `1` WST, `2` WSA, `3` minimizer (any of
-//! MWST/MWSA/MWST-G/MWSA-G, explicit or space-efficient construction).
-//! Tag `4` belonged to the removed sharded-index format and is refused
-//! typed: a partitioned index persists as a `ius_live::LiveIndex` manifest
-//! directory instead. Every multi-byte integer and float is little-endian
-//! (`f64` as the LE bytes of its IEEE-754 bits, so round trips are
-//! bit-exact).
+//! Every multi-byte integer and float is little-endian (`f64` as the LE
+//! bytes of its IEEE-754 bits, so round trips are bit-exact).
 //!
 //! Entry points, all over [`AnyIndex`]: [`AnyIndex::save_to`] writes,
 //! [`load_index`] reads a stream, [`open_index`] opens an arena and
 //! [`open_index_at`] an envelope embedded in one.
 
-use crate::builder::{AnyIndex, IndexFamily};
+use crate::builder::{AnyIndex, IndexFamily, IndexSpec};
 use crate::encode::{Direction, EncodedFactorSet};
-use crate::minimizer_index::{IndexVariant, MinimizerIndex};
+use crate::minimizer_index::MinimizerIndex;
 use crate::naive::NaiveIndex;
 use crate::narrow::NarrowTable;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
-use crate::space_efficient::SeVariant;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
@@ -126,15 +136,9 @@ pub const MAGIC: [u8; 4] = *b"IUSX";
 
 /// The on-disk format version, the only one this build reads or writes:
 /// arena-openable 8-byte-aligned sections with an envelope length field,
-/// and narrow leaf tables. Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 7;
-
-const TAG_NAIVE: u8 = 0;
-const TAG_WST: u8 = 1;
-const TAG_WSA: u8 = 2;
-const TAG_MINIMIZER: u8 = 3;
-/// The tag of the removed sharded-index format, refused at open.
-const TAG_REMOVED_SHARDED: u8 = 4;
+/// narrow leaf tables, one family tag per family and compressed-sparse-row
+/// trie child tables. Files of any other version are refused typed.
+pub const FORMAT_VERSION: u16 = 8;
 
 /// The one section encoding (the `u8` after the element count).
 const ENC_RAW: u8 = 0;
@@ -152,10 +156,6 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 fn write_u8(w: &mut dyn Write, v: u8) -> io::Result<()> {
     w.write_all(&[v])
-}
-
-fn write_u32(w: &mut dyn Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
 }
 
 fn write_u64(w: &mut dyn Write, v: u64) -> io::Result<()> {
@@ -248,9 +248,9 @@ struct ArenaSource {
 
 impl ArenaSource {
     /// Validates the envelope at `base` (magic, version, family tag, length
-    /// bounds, CRC32 over the raw bytes) and returns its family tag plus a
+    /// bounds, CRC32 over the raw bytes) and returns its family plus a
     /// cursor positioned at the first payload byte.
-    fn open(arena: &Arena, base: usize) -> io::Result<(u8, Self)> {
+    fn open(arena: &Arena, base: usize) -> io::Result<(IndexFamily, Self)> {
         if !base.is_multiple_of(8) {
             return Err(bad("envelope does not start 8-byte aligned"));
         }
@@ -270,17 +270,7 @@ impl ArenaSource {
         }
         // The header fields are checked before the checksum: they give the
         // most informative failures.
-        let tag = head[6];
-        if tag == TAG_REMOVED_SHARDED {
-            return Err(bad(
-                "family tag 4 is the removed sharded-index format, which this build no longer \
-                 reads; rebuild the index and persist a partitioned index with \
-                 LiveIndex::save_to_dir",
-            ));
-        }
-        if tag > TAG_MINIMIZER {
-            return Err(bad(format!("unknown family tag {tag}")));
-        }
+        let family = family_from_tag(head[6])?;
         let envelope_len = usize::try_from(u64::from_le_bytes(
             head[7..HEADER_LEN].try_into().expect("8-byte slice"),
         ))
@@ -299,7 +289,7 @@ impl ArenaSource {
             )));
         }
         Ok((
-            tag,
+            family,
             Self {
                 arena: arena.clone(),
                 base,
@@ -312,15 +302,15 @@ impl ArenaSource {
 
     /// [`ArenaSource::open`] for a whole-file envelope: nothing may follow
     /// the trailer.
-    fn open_file(arena: &Arena) -> io::Result<(u8, Self)> {
-        let (tag, src) = Self::open(arena, 0)?;
+    fn open_file(arena: &Arena) -> io::Result<(IndexFamily, Self)> {
+        let (family, src) = Self::open(arena, 0)?;
         if src.envelope_len != arena.len() {
             return Err(bad(format!(
                 "{} trailing bytes after the index checksum trailer",
                 arena.len() - src.envelope_len
             )));
         }
-        Ok((tag, src))
+        Ok((family, src))
     }
 
     /// Rejects trailing payload bytes the decoder did not consume.
@@ -383,37 +373,42 @@ impl ArenaSource {
     }
 }
 
-fn src_u8(s: &mut ArenaSource) -> io::Result<u8> {
+/// Scalar fields read through [`Read`], so the spec codec serves an
+/// envelope and an `IUSL` manifest alike; a field past the payload's end
+/// is `UnexpectedEof`.
+impl Read for ArenaSource {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let len = buf.len().min(self.end - self.cursor);
+        self.read_buf(&mut buf[..len])?;
+        Ok(len)
+    }
+}
+
+fn read_u8(r: &mut dyn Read) -> io::Result<u8> {
     let mut buf = [0u8; 1];
-    s.read_buf(&mut buf)?;
+    r.read_exact(&mut buf)?;
     Ok(buf[0])
 }
 
-fn src_u32(s: &mut ArenaSource) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    s.read_buf(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn src_u64(s: &mut ArenaSource) -> io::Result<u64> {
+fn read_u64(r: &mut dyn Read) -> io::Result<u64> {
     let mut buf = [0u8; 8];
-    s.read_buf(&mut buf)?;
+    r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
 }
 
-fn src_f64(s: &mut ArenaSource) -> io::Result<f64> {
-    Ok(f64::from_bits(src_u64(s)?))
+fn read_f64(r: &mut dyn Read) -> io::Result<f64> {
+    Ok(f64::from_bits(read_u64(r)?))
 }
 
-fn src_len(s: &mut ArenaSource) -> io::Result<usize> {
-    usize::try_from(src_u64(s)?).map_err(|_| bad("length prefix exceeds the address space"))
+fn read_len(r: &mut dyn Read) -> io::Result<usize> {
+    usize::try_from(read_u64(r)?).map_err(|_| bad("length prefix exceeds the address space"))
 }
 
 /// Reads one section of any [`Pod`] type; an encoding other than raw is
 /// refused.
 fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
-    let elems = src_len(s)?;
-    match src_u8(s)? {
+    let elems = read_len(s)?;
+    match read_u8(s)? {
         ENC_RAW => {
             s.align8()?;
             s.take::<T>(elems)
@@ -426,51 +421,80 @@ fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared scalar components
+// The spec codec, shared with the IUSL manifest
 // ---------------------------------------------------------------------------
 
-fn write_order(w: &mut dyn Write, order: KmerOrder) -> io::Result<()> {
-    match order {
-        KmerOrder::Lexicographic => {
-            write_u8(w, 0)?;
-            write_u64(w, 0)
-        }
-        KmerOrder::KarpRabin { seed } => {
-            write_u8(w, 1)?;
-            write_u64(w, seed)
-        }
-    }
+/// The family a stored tag names: the one at its place in
+/// [`IndexFamily::all`].
+fn family_from_tag(tag: u8) -> io::Result<IndexFamily> {
+    IndexFamily::from_tag(tag).ok_or_else(|| bad(format!("unknown index-family tag {tag}")))
 }
 
+/// Writes index parameters as IUSX and IUSL store them: `z` (f64) · ℓ
+/// (u64) · k (u64) · k-mer order (u8: `0` lexicographic, `1` Karp–Rabin)
+/// · seed (u64, `0` for the lexicographic order).
 fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Result<()> {
+    let (order, seed) = match params.order {
+        KmerOrder::Lexicographic => (0, 0),
+        KmerOrder::KarpRabin { seed } => (1, seed),
+    };
     write_f64(w, params.z)?;
     write_u64(w, params.ell as u64)?;
     write_u64(w, params.k as u64)?;
-    write_order(w, params.order)
+    write_u8(w, order)?;
+    write_u64(w, seed)
 }
 
-fn src_order(s: &mut ArenaSource) -> io::Result<KmerOrder> {
-    let tag = src_u8(s)?;
-    let seed = src_u64(s)?;
-    match tag {
-        0 => Ok(KmerOrder::Lexicographic),
-        1 => Ok(KmerOrder::KarpRabin { seed }),
-        other => Err(bad(format!("unknown k-mer order tag {other}"))),
-    }
-}
-
-fn src_params(s: &mut ArenaSource) -> io::Result<IndexParams> {
-    let z = src_f64(s)?;
-    let ell = src_len(s)?;
-    let k = src_len(s)?;
-    let order = src_order(s)?;
-    if !(z.is_finite() && z >= 1.0) {
-        return Err(bad(format!("invalid stored threshold z = {z}")));
-    }
+/// Reads parameters written by [`write_params`]: `InvalidData` on an
+/// unknown order tag, a `z` that is not finite and at least 1, or ℓ and k
+/// outside `1 ≤ k ≤ ℓ`.
+fn read_params(r: &mut dyn Read) -> io::Result<IndexParams> {
+    let z = read_z(r)?;
+    let ell = read_len(r)?;
+    let k = read_len(r)?;
+    let order = match (read_u8(r)?, read_u64(r)?) {
+        (0, _) => KmerOrder::Lexicographic,
+        (1, seed) => KmerOrder::KarpRabin { seed },
+        (other, _) => return Err(bad(format!("unknown k-mer order tag {other}"))),
+    };
     if ell == 0 || k == 0 || k > ell {
         return Err(bad(format!("invalid stored parameters ℓ = {ell}, k = {k}")));
     }
     Ok(IndexParams { z, ell, k, order })
+}
+
+/// Writes a spec as an `IUSL` manifest stores it: the family's tag (its
+/// place in [`IndexFamily::all`], the IUSX envelope's family byte), then
+/// the parameters as a minimizer payload opens with them (see the module
+/// doc).
+///
+/// # Errors
+///
+/// Propagates I/O errors of the writer.
+pub fn write_spec(w: &mut dyn Write, spec: &IndexSpec) -> io::Result<()> {
+    write_u8(w, spec.family.tag())?;
+    write_params(w, &spec.params)
+}
+
+/// Reads a spec written by [`write_spec`].
+///
+/// # Errors
+///
+/// I/O errors of the reader; `InvalidData` on an unknown family tag, an
+/// unknown order tag, a `z` that is not finite and at least 1, or ℓ and k
+/// outside `1 ≤ k ≤ ℓ`.
+pub fn read_spec(r: &mut dyn Read) -> io::Result<IndexSpec> {
+    let family = family_from_tag(read_u8(r)?)?;
+    Ok(IndexSpec::new(family, read_params(r)?))
+}
+
+/// Reads a stored threshold, refused unless finite and at least 1.
+fn read_z(r: &mut dyn Read) -> io::Result<f64> {
+    let z = read_f64(r)?;
+    if !(z.is_finite() && z >= 1.0) {
+        return Err(bad(format!("invalid stored threshold z = {z}")));
+    }
+    Ok(z)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,28 +507,16 @@ fn write_property_text(vw: &mut SectionWriter, pt: &PropertyText) -> io::Result<
     vw.section::<u8>(pt.text());
     vw.section::<u32>(pt.trunc_raw());
     vw.section::<u32>(pt.psa());
-    match pt.psa_truncated_lcp() {
-        Some(lcps) => {
-            write_u8(vw, 1)?;
-            vw.section::<u32>(lcps);
-        }
-        None => write_u8(vw, 0)?,
-    }
     Ok(())
 }
 
 fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
-    let n = src_len(s)?;
-    let num_strands = src_len(s)?;
+    let n = read_len(s)?;
+    let num_strands = read_len(s)?;
     let text = read_section::<u8>(s)?;
     let trunc = read_section::<u32>(s)?;
     let psa = read_section::<u32>(s)?;
-    let trunc_lcp = match src_u8(s)? {
-        0 => None,
-        1 => Some(read_section::<u32>(s)?),
-        other => return Err(bad(format!("bad truncated-LCP flag {other}"))),
-    };
-    PropertyText::from_parts(n, num_strands, text, trunc, psa, trunc_lcp).map_err(bad)
+    PropertyText::from_parts(n, num_strands, text, trunc, psa).map_err(bad)
 }
 
 fn write_trie(vw: &mut SectionWriter, trie: &CompactedTrie) -> io::Result<()> {
@@ -513,11 +525,8 @@ fn write_trie(vw: &mut SectionWriter, trie: &CompactedTrie) -> io::Result<()> {
     vw.section::<u32>(&parts.leaf_lo);
     vw.section::<u32>(&parts.leaf_hi);
     vw.section::<u32>(&parts.children_start);
-    vw.section::<u16>(&parts.children_len);
-    vw.section::<u8>(&parts.is_leaf);
     vw.section::<u8>(&parts.child_letters);
     vw.section::<u32>(&parts.child_nodes);
-    write_u32(vw, parts.root)?;
     write_u64(vw, parts.num_leaves)
 }
 
@@ -527,12 +536,9 @@ fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
         leaf_lo: read_section::<u32>(s)?,
         leaf_hi: read_section::<u32>(s)?,
         children_start: read_section::<u32>(s)?,
-        children_len: read_section::<u16>(s)?,
-        is_leaf: read_section::<u8>(s)?,
         child_letters: read_section::<u8>(s)?,
         child_nodes: read_section::<u32>(s)?,
-        root: src_u32(s)?,
-        num_leaves: src_u64(s)?,
+        num_leaves: read_u64(s)?,
     };
     CompactedTrie::from_parts(parts).map_err(bad)
 }
@@ -557,7 +563,7 @@ fn write_grid(vw: &mut SectionWriter, grid: &RankSpaceGrid) -> io::Result<()> {
 
 fn read_grid(s: &mut ArenaSource) -> io::Result<RankSpaceGrid> {
     let points = ReporterParts {
-        len: src_u64(s)?,
+        len: read_u64(s)?,
         bits: read_section::<u64>(s)?,
         ranks: read_section::<u32>(s)?,
         ids_by_x: read_section::<u32>(s)?,
@@ -614,7 +620,7 @@ fn write_narrow(vw: &mut SectionWriter, table: &NarrowTable) {
 
 /// Reads a narrow table; a width byte other than 1, 2 or 4 is refused.
 fn read_narrow(s: &mut ArenaSource, table: &str) -> io::Result<NarrowTable> {
-    Ok(match src_u8(s)? {
+    Ok(match read_u8(s)? {
         1 => NarrowTable::U8(read_section::<u8>(s)?),
         2 => NarrowTable::U16(read_section::<u16>(s)?),
         4 => NarrowTable::U32(read_section::<u32>(s)?),
@@ -671,25 +677,8 @@ fn read_factor_set(
 // Family payloads
 // ---------------------------------------------------------------------------
 
-/// Each minimizer family's variant byte and construction byte (`0`
-/// explicit, `1` space-efficient). The space-efficient construction builds
-/// no grid variant, so no family has the bytes `[2, 1]` or `[3, 1]`.
-const MINIMIZER_TAGS: [(IndexFamily, [u8; 2]); 6] = [
-    (IndexFamily::Minimizer(IndexVariant::Tree), [0, 0]),
-    (IndexFamily::Minimizer(IndexVariant::Array), [1, 0]),
-    (IndexFamily::Minimizer(IndexVariant::TreeGrid), [2, 0]),
-    (IndexFamily::Minimizer(IndexVariant::ArrayGrid), [3, 0]),
-    (IndexFamily::SpaceEfficient(SeVariant::Tree), [0, 1]),
-    (IndexFamily::SpaceEfficient(SeVariant::Array), [1, 1]),
-];
-
 fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io::Result<()> {
     write_params(vw, index.params())?;
-    let (_, tags) = MINIMIZER_TAGS
-        .into_iter()
-        .find(|&(family, _)| family == index.family())
-        .expect("a minimizer index has a minimizer family");
-    vw.write_all(&tags)?;
     let parts = index.persist_parts();
     let grid = index.variant().has_grid();
     write_u64(vw, parts.n as u64)?;
@@ -697,43 +686,25 @@ fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io
     write_heavy(vw, parts.heavy, parts.log_prefix, grid);
     write_factor_set(vw, parts.fwd, grid);
     write_factor_set(vw, parts.bwd, grid);
-    for trie in [parts.fwd_trie, parts.bwd_trie] {
-        match trie {
-            Some(trie) => {
-                write_u8(vw, 1)?;
-                write_trie(vw, trie)?;
-            }
-            None => write_u8(vw, 0)?,
-        }
+    for trie in [parts.fwd_trie, parts.bwd_trie].into_iter().flatten() {
+        write_trie(vw, trie)?;
     }
-    match parts.grid {
-        Some(grid) => {
-            write_u8(vw, 1)?;
-            write_grid(vw, grid)?;
-        }
-        None => write_u8(vw, 0)?,
+    if let Some(grid) = parts.grid {
+        write_grid(vw, grid)?;
     }
     Ok(())
 }
 
-fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
-    let params = src_params(src)?;
-    let mut tags = [0u8; 2];
-    src.read_buf(&mut tags)?;
-    let named = |tags: [u8; 2]| MINIMIZER_TAGS.into_iter().find(|&(_, t)| t == tags);
-    let family = match (named(tags), named([tags[0], 0])) {
-        (Some((family, _)), _) => family,
-        (None, Some((grid, _))) if tags[1] == 1 => {
-            return Err(bad(format!(
-                "a space-efficient {} index: the space-efficient construction has no grid",
-                grid.name()
-            )))
-        }
-        (None, _) => return Err(bad(format!("unknown minimizer tags {tags:?}"))),
-    };
+/// Reads the payload of a minimizer `family`: its variant alone decides
+/// which sections follow.
+fn read_minimizer_payload(
+    family: IndexFamily,
+    src: &mut ArenaSource,
+) -> io::Result<MinimizerIndex> {
     let variant = family.minimizer_variant().expect("a minimizer family");
-    let n = src_len(src)?;
-    let sigma = src_len(src)?;
+    let params = read_params(src)?;
+    let n = read_len(src)?;
+    let sigma = read_len(src)?;
     let has_grid = variant.has_grid();
     let (heavy, log_prefix) = read_heavy(src, has_grid)?;
     // The forward set reads the index-wide heavy string, the backward set
@@ -741,20 +712,12 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     let fwd = read_factor_set(src, Direction::Forward, Arc::clone(&heavy), has_grid)?;
     let reversed: Vec<u8> = heavy.iter().rev().copied().collect();
     let bwd = read_factor_set(src, Direction::Backward, Arc::new(reversed), has_grid)?;
-    let mut tries = [None, None];
-    for slot in &mut tries {
-        *slot = match src_u8(src)? {
-            0 => None,
-            1 => Some(read_trie(src)?),
-            other => return Err(bad(format!("bad trie presence flag {other}"))),
-        };
-    }
-    let [fwd_trie, bwd_trie] = tries;
-    let grid = match src_u8(src)? {
-        0 => None,
-        1 => Some(read_grid(src)?),
-        other => return Err(bad(format!("bad grid presence flag {other}"))),
+    let (fwd_trie, bwd_trie) = if variant.has_tree() {
+        (Some(read_trie(src)?), Some(read_trie(src)?))
+    } else {
+        (None, None)
     };
+    let grid = has_grid.then(|| read_grid(src)).transpose()?;
     // Cross-component invariants.
     if sigma == 0 || sigma > 256 {
         return Err(bad(format!("invalid stored alphabet size {sigma}")));
@@ -762,21 +725,15 @@ fn read_minimizer_payload(src: &mut ArenaSource) -> io::Result<MinimizerIndex> {
     if heavy.len() != n {
         return Err(bad("heavy string length does not match the stored n"));
     }
-    if variant.has_tree() != fwd_trie.is_some() || variant.has_tree() != bwd_trie.is_some() {
-        return Err(bad("stored tries do not match the index variant"));
-    }
-    if let (Some(trie), set_len) = (&fwd_trie, fwd.len()) {
-        if trie.num_leaves() != set_len {
-            return Err(bad("forward trie does not match the forward factor set"));
+    for (side, trie, set) in [("forward", &fwd_trie, &fwd), ("backward", &bwd_trie, &bwd)] {
+        if trie
+            .as_ref()
+            .is_some_and(|trie| trie.num_leaves() != set.len())
+        {
+            return Err(bad(format!(
+                "{side} trie does not match the {side} factor set"
+            )));
         }
-    }
-    if let (Some(trie), set_len) = (&bwd_trie, bwd.len()) {
-        if trie.num_leaves() != set_len {
-            return Err(bad("backward trie does not match the backward factor set"));
-        }
-    }
-    if variant.has_grid() != grid.is_some() {
-        return Err(bad("stored grid does not match the index variant"));
     }
     // Each grid axis marks the first point of every leaf of its set.
     if let Some(g) = &grid {
@@ -820,23 +777,19 @@ impl AnyIndex {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        match self {
-            AnyIndex::Naive(index) => {
-                write_checksummed(w, TAG_NAIVE, |vw| write_f64(vw, index.z()))
-            }
-            AnyIndex::Wst(index) => write_checksummed(w, TAG_WST, |vw| {
+        write_checksummed(w, self.family().tag(), |vw| match self {
+            AnyIndex::Naive(index) => write_f64(vw, index.z()),
+            AnyIndex::Wst(index) => {
                 write_f64(vw, index.z())?;
                 write_property_text(vw, index.property_text_ref())?;
                 write_trie(vw, index.trie_ref())
-            }),
-            AnyIndex::Wsa(index) => write_checksummed(w, TAG_WSA, |vw| {
+            }
+            AnyIndex::Wsa(index) => {
                 write_f64(vw, index.z())?;
                 write_property_text(vw, index.property_text())
-            }),
-            AnyIndex::Minimizer(index) => {
-                write_checksummed(w, TAG_MINIMIZER, |vw| write_minimizer_payload(vw, index))
             }
-        }
+            AnyIndex::Minimizer(index) => write_minimizer_payload(vw, index),
+        })
     }
 }
 
@@ -865,8 +818,8 @@ pub fn load_index(r: &mut dyn Read) -> io::Result<AnyIndex> {
 /// mismatch, bytes after the trailer, or a structurally inconsistent
 /// payload.
 pub fn open_index(arena: &Arena) -> io::Result<AnyIndex> {
-    let (tag, mut src) = ArenaSource::open_file(arena)?;
-    let index = load_index_payload(tag, &mut src)?;
+    let (family, mut src) = ArenaSource::open_file(arena)?;
+    let index = load_index_payload(family, &mut src)?;
     src.expect_consumed()?;
     Ok(index)
 }
@@ -881,58 +834,50 @@ pub fn open_index(arena: &Arena) -> io::Result<AnyIndex> {
 /// `InvalidData` on bad magic, an unsupported version, a checksum mismatch, or
 /// a structurally inconsistent payload.
 pub fn open_index_at(arena: &Arena, offset: usize) -> io::Result<(AnyIndex, usize)> {
-    let (tag, mut src) = ArenaSource::open(arena, offset)?;
-    let index = load_index_payload(tag, &mut src)?;
+    let (family, mut src) = ArenaSource::open(arena, offset)?;
+    let index = load_index_payload(family, &mut src)?;
     src.expect_consumed()?;
     Ok((index, src.envelope_len))
 }
 
-fn load_index_payload(tag: u8, src: &mut ArenaSource) -> io::Result<AnyIndex> {
-    match tag {
-        TAG_NAIVE => {
-            let z = src_f64(src)?;
-            NaiveIndex::new(z)
-                .map(AnyIndex::Naive)
-                .map_err(|e| bad(e.to_string()))
+fn load_index_payload(family: IndexFamily, src: &mut ArenaSource) -> io::Result<AnyIndex> {
+    Ok(match family {
+        IndexFamily::Naive => {
+            AnyIndex::Naive(NaiveIndex::new(read_z(src)?).map_err(|e| bad(e.to_string()))?)
         }
-        TAG_WST => {
-            let z = src_f64(src)?;
-            if !(z.is_finite() && z >= 1.0) {
-                return Err(bad(format!("invalid stored threshold z = {z}")));
-            }
+        IndexFamily::Wst => {
+            let z = read_z(src)?;
             let property_text = read_property_text(src)?;
             let trie = read_trie(src)?;
             if trie.num_leaves() != property_text.psa().len() {
                 return Err(bad("trie does not match the property suffix array"));
             }
-            Ok(AnyIndex::Wst(Wst::from_loaded_parts(
+            AnyIndex::Wst(Wst::from_loaded_parts(
                 z,
                 property_text,
                 trie,
                 src.retained_arena(),
-            )))
+            ))
         }
-        TAG_WSA => {
-            let z = src_f64(src)?;
-            if !(z.is_finite() && z >= 1.0) {
-                return Err(bad(format!("invalid stored threshold z = {z}")));
-            }
+        IndexFamily::Wsa => {
+            let z = read_z(src)?;
             let property_text = read_property_text(src)?;
-            Ok(AnyIndex::Wsa(Wsa::from_loaded_parts(
+            AnyIndex::Wsa(Wsa::from_loaded_parts(
                 z,
                 property_text,
                 src.retained_arena(),
-            )))
+            ))
         }
-        TAG_MINIMIZER => Ok(AnyIndex::Minimizer(Box::new(read_minimizer_payload(src)?))),
-        other => Err(bad(format!("unknown family tag {other}"))),
-    }
+        IndexFamily::Minimizer(_) | IndexFamily::SpaceEfficient(_) => {
+            AnyIndex::Minimizer(Box::new(read_minimizer_payload(family, src)?))
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::IndexSpec;
+    use crate::minimizer_index::IndexVariant;
     use crate::traits::UncertainIndex;
     use ius_datasets::uniform::UniformConfig;
     use ius_grid::GridPoint;
@@ -977,9 +922,9 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version, and versions 2, 4, 5 and 6: refused naming the
-        // version.
-        for version in [0x03FF, 2u16, 4, 5, 6] {
+        // Unknown version, and versions 2, 4, 5, 6 and 7: refused naming
+        // the version.
+        for version in [0x03FF, 2u16, 4, 5, 6, 7] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&version.to_le_bytes());
             let err = load_index(&mut corrupt.as_slice()).unwrap_err();

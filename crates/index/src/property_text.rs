@@ -32,9 +32,6 @@ pub struct PropertyText {
     trunc: ArenaVec<u32>,
     /// Text positions with positive truncation, sorted by truncated suffix.
     psa: ArenaVec<u32>,
-    /// LCPs of adjacent truncated suffixes in PSA order; only kept when the
-    /// structure is built for the tree-based baseline.
-    trunc_lcp: Option<ArenaVec<u32>>,
 }
 
 impl PropertyText {
@@ -49,20 +46,21 @@ impl PropertyText {
     ///
     /// [`Error::EmptyInput`] if the estimation has no strands.
     pub fn build(estimation: &ZEstimation) -> Result<Self> {
-        Self::build_internal(estimation, false)
+        Self::build_internal(estimation, false).map(|(pt, _)| pt)
     }
 
-    /// Like [`PropertyText::build`], additionally retaining the truncated
-    /// LCP values of adjacent PSA entries (needed to assemble the WST).
+    /// Like [`PropertyText::build`], and also returns the LCPs of adjacent
+    /// truncated suffixes in PSA order (entry 0 is 0): the input of the
+    /// WST's trie build, which the structure itself does not keep.
     ///
     /// # Errors
     ///
     /// [`Error::EmptyInput`] if the estimation has no strands.
-    pub fn build_with_lcp(estimation: &ZEstimation) -> Result<Self> {
+    pub fn build_with_lcp(estimation: &ZEstimation) -> Result<(Self, Vec<u32>)> {
         Self::build_internal(estimation, true)
     }
 
-    fn build_internal(estimation: &ZEstimation, want_lcp: bool) -> Result<Self> {
+    fn build_internal(estimation: &ZEstimation, want_lcp: bool) -> Result<(Self, Vec<u32>)> {
         let strands = estimation.strands();
         if strands.is_empty() {
             return Err(Error::EmptyInput("z-estimation"));
@@ -90,26 +88,24 @@ impl PropertyText {
         psa.sort_unstable_by(|&a, &b| {
             compare_truncated(&text, &trunc, &lce, a as usize, b as usize)
         });
-        let trunc_lcp = if want_lcp {
-            let mut lcps = vec![0u32; psa.len()];
+        let mut lcps = Vec::new();
+        if want_lcp {
+            lcps = vec![0u32; psa.len()];
             for r in 1..psa.len() {
                 let a = psa[r - 1] as usize;
                 let b = psa[r] as usize;
                 let cap = trunc[a].min(trunc[b]) as usize;
                 lcps[r] = lce.lce(a, b).min(cap) as u32;
             }
-            Some(lcps)
-        } else {
-            None
-        };
-        Ok(Self {
+        }
+        let pt = Self {
             n,
             num_strands,
             text: ArenaVec::from(text),
             trunc: ArenaVec::from(trunc),
             psa: ArenaVec::from(psa),
-            trunc_lcp: trunc_lcp.map(ArenaVec::from),
-        })
+        };
+        Ok((pt, lcps))
     }
 
     /// Length of the original weighted string.
@@ -161,13 +157,6 @@ impl PropertyText {
         &self.text[s..s + self.trunc[s] as usize]
     }
 
-    /// LCP values of adjacent truncated suffixes in PSA order (entry 0 is
-    /// 0), computed by [`PropertyText::build_with_lcp`]; `None` for a
-    /// structure built without them.
-    pub fn psa_truncated_lcp(&self) -> Option<&[u32]> {
-        self.trunc_lcp.as_deref()
-    }
-
     /// The half-open PSA interval of truncated suffixes having `pattern` as a
     /// prefix (binary search, `O(m log(nz))`).
     pub fn equal_range(&self, pattern: &[u8]) -> (usize, usize) {
@@ -213,7 +202,6 @@ impl PropertyText {
         text: ArenaVec<u8>,
         trunc: ArenaVec<u32>,
         psa: ArenaVec<u32>,
-        trunc_lcp: Option<ArenaVec<u32>>,
     ) -> std::result::Result<Self, String> {
         let total = n
             .checked_mul(num_strands)
@@ -264,28 +252,19 @@ impl PropertyText {
                 psa.len()
             ));
         }
-        if let Some(lcps) = &trunc_lcp {
-            if lcps.len() != psa.len() {
-                return Err("truncated-LCP table length does not match the PSA".into());
-            }
-        }
         Ok(Self {
             n,
             num_strands,
             text,
             trunc,
             psa,
-            trunc_lcp,
         })
     }
 
     /// Heap bytes retained by the structure. Arena-backed tables count as
     /// zero here; the arena is counted once by whoever retains its handle.
     pub fn memory_bytes(&self) -> usize {
-        self.text.heap_bytes()
-            + self.trunc.heap_bytes()
-            + self.psa.heap_bytes()
-            + self.trunc_lcp.as_ref().map_or(0, ArenaVec::heap_bytes)
+        self.text.heap_bytes() + self.trunc.heap_bytes() + self.psa.heap_bytes()
     }
 
     fn partition_point<F: Fn(&[u8]) -> bool>(&self, pred: F) -> usize {
@@ -412,12 +391,7 @@ mod tests {
     fn truncated_lcp_matches_direct_comparison() {
         let x = paper_example();
         let est = ZEstimation::build(&x, 4.0).unwrap();
-        assert!(PropertyText::build(&est)
-            .unwrap()
-            .psa_truncated_lcp()
-            .is_none());
-        let pt = PropertyText::build_with_lcp(&est).unwrap();
-        let lcps = pt.psa_truncated_lcp().unwrap();
+        let (pt, lcps) = PropertyText::build_with_lcp(&est).unwrap();
         assert_eq!(lcps.len(), pt.psa().len());
         assert_eq!(lcps[0], 0);
         for (pair, &lcp) in pt.psa().windows(2).zip(&lcps[1..]) {

@@ -94,9 +94,8 @@ impl SpaceEfficientBuilder {
     ///
     /// * [`Error::InvalidParameters`] when `|X|` exceeds `u32::MAX`
     ///   positions, when a factor set exceeds `u32::MAX` factors or
-    ///   mismatches, when the extended solid factor tree exceeds the node
-    ///   cap, or when a trie node would get more than `u16::MAX` children
-    ///   (only a run of equal factors gets there);
+    ///   mismatches, or when the extended solid factor tree exceeds the
+    ///   node cap;
     /// * parameter validation errors.
     pub fn build(&self, x: &WeightedString, variant: SeVariant) -> Result<MinimizerIndex> {
         // Positions, anchors, lengths and depths narrow to u32 below.
@@ -131,7 +130,15 @@ impl SpaceEfficientBuilder {
         let (bwd, _) =
             dfs_collect(x, &heavy, &self.params, Direction::Backward, node_cap)?.finish();
         let family = IndexFamily::SpaceEfficient(variant);
-        MinimizerIndex::assemble(x, self.params, family, heavy, fwd, bwd, None)
+        Ok(MinimizerIndex::assemble(
+            x,
+            self.params,
+            family,
+            heavy,
+            fwd,
+            bwd,
+            None,
+        ))
     }
 }
 

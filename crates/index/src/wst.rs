@@ -14,7 +14,7 @@ use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::Arena;
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_text::trie::{CompactedTrie, LabelProvider};
-use ius_weighted::{Error, Result, WeightedString, ZEstimation};
+use ius_weighted::{Result, WeightedString, ZEstimation};
 
 /// The weighted (property) suffix tree.
 #[derive(Debug, Clone)]
@@ -83,17 +83,12 @@ impl Wst {
     ///
     /// # Errors
     ///
-    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands;
-    /// [`ius_weighted::Error::InvalidParameters`] if a node of the tree would
-    /// get more than `u16::MAX` children (only a run of equal truncated
-    /// suffixes gets there).
+    /// [`ius_weighted::Error::EmptyInput`] if the estimation has no strands.
     pub fn build_from_estimation(estimation: &ZEstimation) -> Result<Self> {
-        let property_text = PropertyText::build_with_lcp(estimation)?;
-        let lcps = property_text
-            .psa_truncated_lcp()
-            .expect("built with the truncated LCPs");
-        let trie = CompactedTrie::build(lcps, &WstLabels::new(&property_text))
-            .map_err(|e| Error::InvalidParameters(e.to_string()))?;
+        // The truncated LCPs feed the trie build and are dropped: no query
+        // reads them.
+        let (property_text, lcps) = PropertyText::build_with_lcp(estimation)?;
+        let trie = CompactedTrie::build(&lcps, &WstLabels::new(&property_text));
         Ok(Self {
             z: estimation.z(),
             property_text,
@@ -250,6 +245,30 @@ mod tests {
         let wst = Wst::build_from_estimation(&est).unwrap();
         let wsa = Wsa::build_from_estimation(&est).unwrap();
         assert!(wst.size_bytes() > wsa.size_bytes());
+    }
+
+    /// A built WST holds the text, the truncation table, the PSA and the
+    /// trie — 16 B per node, the trailing child offset and 5 B per edge —
+    /// and nothing else: no truncated LCPs, which only the build reads.
+    #[test]
+    fn size_bytes_is_text_truncation_psa_and_trie() {
+        let x = UniformConfig {
+            n: 300,
+            sigma: 3,
+            spread: 0.5,
+            seed: 12,
+        }
+        .generate();
+        let wst = Wst::build(&x, 8.0).unwrap();
+        let pt = &wst.property_text;
+        let nodes = wst.num_nodes();
+        let text = pt.text().len();
+        let trie = 16 * nodes + 4 + 5 * (nodes - 1);
+        assert_eq!(wst.trie.memory_bytes(), trie);
+        assert_eq!(
+            wst.size_bytes(),
+            text + 4 * text + 4 * pt.psa().len() + trie
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 7, the
+//! Format differential suite for the IUSX on-disk format (version 8, the
 //! only version this build reads or writes): a saved index must answer
 //! exactly like the in-memory build it was saved from, opened zero-copy
 //! from an arena and through the `Read` entry point, across every buildable
@@ -8,25 +8,24 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v7 file, and any file whose header names another
-//! version (the earlier versions 2 to 6 included) or the removed
-//! sharded-index format (family tag 4), must be rejected with a typed error
-//! before a single view is handed out — never a panic, never a
-//! lazily-corrupt index. So must a file whose checksum is intact but whose
-//! contents break an invariant the query relies on (mismatch depths that do
-//! not increase within a factor, or a malformed leaf bitvector of the
-//! grid), one with a section in an encoding other than raw (the bit-packed
-//! `u32` sections of earlier version-5 builds), one whose narrow leaf
+//! appended byte of a v8 file, and any file whose header names another
+//! version (the earlier versions 2 to 7 included) or a family tag no
+//! family has, must be rejected with a typed error before a single view is
+//! handed out — never a panic, never a lazily-corrupt index. So must a
+//! file whose checksum is intact but whose contents break an invariant the
+//! query relies on (mismatch depths that do not increase within a factor,
+//! a malformed leaf bitvector of the grid, or a trie edge that leads back
+//! up), one with a section in an encoding other than raw (the bit-packed
+//! `u32` sections of earlier version-5 builds), and one whose narrow leaf
 //! table has a width byte other than 1, 2 or 4 or a section too short for
-//! its count, and one whose construction byte names a space-efficient grid
-//! variant, which no construction builds.
+//! its count.
 
 use ius_arena::Arena;
 use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
 use ius_faultio::crc32;
-use ius_index::persist::{open_index_at, FORMAT_VERSION};
+use ius_index::persist::{open_index_at, write_spec, FORMAT_VERSION};
 use ius_index::{
     load_index, open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
     NaiveIndex, UncertainIndex,
@@ -187,16 +186,17 @@ fn factors_past_65535_letters_are_stored_u32_wide() {
     assert!(reported > 0, "no sampled pattern occurs");
 }
 
-/// A header naming any version but 7 — the earlier streamed version 2,
+/// A header naming any version but 8 — the earlier streamed version 2,
 /// version 3 with its merge-tree grid, version 4 with its strands, ratios
 /// and general point-set grid, version 5 with its prefix-dominated leaves
-/// and permutation grid, and version 6 with its `u32` leaf tables included
-/// — is refused with a typed `InvalidData` error that names the version,
-/// through both entry points.
+/// and permutation grid, version 6 with its `u32` leaf tables, and
+/// version 7 with its variant bytes, presence flags and child counts
+/// included — is refused with a typed `InvalidData` error that names the
+/// version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes) in &cases()[0].families {
-        for version in [2u16, 3, 4, 5, 6, 8] {
+        for version in [2u16, 3, 4, 5, 6, 7, 9] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -221,17 +221,17 @@ fn other_versions_are_refused_naming_the_version() {
 /// and re-pin alone when only the index contents did.
 #[test]
 fn layout_changes_bump_the_format_version() {
-    const PINNED_VERSION: u16 = 7;
+    const PINNED_VERSION: u16 = 8;
     const PINNED: [(&str, u32); 9] = [
-        ("NAIVE", 0x5df4f1e5),
-        ("WST", 0xba187d96),
-        ("WSA", 0xc1ad9d72),
-        ("MWST", 0xf64ffb15),
-        ("MWSA", 0x87d9a972),
-        ("MWST-G", 0xadea61fa),
-        ("MWSA-G", 0x492a1918),
-        ("SE-MWST", 0x83e4fa0b),
-        ("SE-MWSA", 0x1821121a),
+        ("NAIVE", 0x1e6b672b),
+        ("WST", 0xf1362eb6),
+        ("WSA", 0x66d0d2ff),
+        ("MWST", 0x3eb69e7c),
+        ("MWSA", 0x1501b783),
+        ("MWST-G", 0xe5477633),
+        ("MWSA-G", 0xc3cb82f4),
+        ("SE-MWST", 0xdfb832b1),
+        ("SE-MWSA", 0x61b80437),
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
@@ -255,26 +255,49 @@ fn layout_changes_bump_the_format_version() {
     );
 }
 
-/// A file whose envelope names family tag 4 — the removed sharded-index
-/// format — is refused with a typed `InvalidData` error that names the
-/// format and points to its replacement, through every entry point, even
+/// Each family's envelope tag (offset 6) is its `IUSL` manifest tag and
+/// its place in `IndexFamily::all()`: one numbering for both formats.
+#[test]
+fn every_family_tag_is_its_manifest_tag_and_its_place_in_the_family_list() {
+    let families = &cases()[0].families;
+    assert_eq!(families.len(), IndexFamily::all().len());
+    for (place, (family, (label, built, raw))) in
+        IndexFamily::all().into_iter().zip(families).enumerate()
+    {
+        assert_eq!(built.family(), family, "{label}");
+        let params = IndexParams::new(4.0, 8, 4).expect("params");
+        let mut spec = Vec::new();
+        write_spec(&mut spec, &IndexSpec::new(family, params)).expect("spec");
+        assert_eq!(usize::from(raw[6]), place, "{label}: envelope tag");
+        assert_eq!(raw[6], spec[0], "{label}: manifest tag");
+        assert_eq!(open_single(raw).family(), family, "{label}");
+    }
+}
+
+/// A v8 envelope whose family tag no family has — 9 and 10, which once
+/// named space-efficient grid variants, and 255 — is refused with a typed
+/// `InvalidData` error naming the tag, through every entry point, even
 /// when its checksum is intact.
 #[test]
-fn removed_sharded_format_is_refused_typed() {
+fn unknown_family_tags_are_refused_typed() {
     let (_, _, raw) = &cases()[0].families[0];
-    let mut sharded = raw.clone();
-    sharded[6] = 4;
-    reseal(&mut sharded);
-    let arena = Arena::from_bytes(&sharded);
-    for err in [
-        open_index(&arena).expect_err("open must fail"),
-        open_index_at(&arena, 0).expect_err("embedded open must fail"),
-        load_index(&mut sharded.as_slice()).expect_err("load must fail"),
-    ] {
-        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-        let message = err.to_string();
-        assert!(message.contains("sharded-index format"), "{message}");
-        assert!(message.contains("LiveIndex::save_to_dir"), "{message}");
+    for tag in [9u8, 10, 255] {
+        let mut bytes = raw.clone();
+        bytes[6] = tag;
+        reseal(&mut bytes);
+        let arena = Arena::from_bytes(&bytes);
+        for err in [
+            open_index(&arena).expect_err("open must fail"),
+            open_index_at(&arena, 0).expect_err("embedded open must fail"),
+            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+        ] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "tag {tag}: {err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown index-family tag {tag}")),
+                "{err}"
+            );
+        }
     }
 }
 
@@ -286,7 +309,7 @@ fn reseal(bytes: &mut [u8]) {
     bytes[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Walks a raw v7 file's sections: `(element count, data offset)` of the
+/// Walks a raw v8 file's sections: `(element count, data offset)` of the
 /// section at `*pos`, advancing `*pos` past it.
 fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize) {
     let count = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap()) as usize;
@@ -347,8 +370,8 @@ fn only_the_array_variants_save_prefix_keys() {
                 continue;
             };
             let variant = index.variant();
-            // Header (15) · params (33) · variant, construction (2) · n, σ (16).
-            let mut pos = 66;
+            // Header (15) · params (33) · n, σ (16).
+            let mut pos = 64;
             raw_section(raw, &mut pos, 1); // heavy letters
             if variant.has_grid() {
                 raw_section(raw, &mut pos, 8); // log-prefix
@@ -365,43 +388,44 @@ fn only_the_array_variants_save_prefix_keys() {
     assert!(keys > 0, "no array variant stored a prefix key");
 }
 
-/// The variant byte (offset 48) and the construction byte (49) name the
-/// minimizer family. The space-efficient construction builds no grid
-/// variant, so a CRC-valid MWST-G or MWSA-G file whose construction byte
-/// says space-efficient is refused `InvalidData` naming that pair, through
-/// every entry point; the SE-MWST and SE-MWSA files open as their family.
+/// A saved MWST file whose CRC is intact but whose forward trie's first
+/// child entry points the root back at itself — a descent through it
+/// would never return — is refused `InvalidData` at open, through every
+/// entry point.
 #[test]
-fn space_efficient_grid_files_are_refused_typed() {
-    let families = &cases()[0].families;
-    for (label, built, raw) in families {
-        let AnyIndex::Minimizer(index) = built else {
-            continue;
-        };
-        let space_efficient = label.starts_with("SE-");
-        assert_eq!(raw[49], u8::from(space_efficient), "{label}");
-        let AnyIndex::Minimizer(opened) = open_single(raw) else {
-            panic!("{label}: a minimizer file opens as a minimizer index");
-        };
-        assert_eq!(opened.family(), index.family(), "{label}");
-        if !label.ends_with("-G") {
-            continue;
-        }
-        let mut bytes = raw.clone();
-        bytes[49] = 1;
-        reseal(&mut bytes);
-        let arena = Arena::from_bytes(&bytes);
-        for err in [
-            open_index(&arena).expect_err("open must fail"),
-            open_index_at(&arena, 0).expect_err("embedded open must fail"),
-            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
-        ] {
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "{label}: {err}");
-            assert!(
-                err.to_string()
-                    .contains(&format!("space-efficient {label} index")),
-                "{label}: {err}"
-            );
-        }
+fn a_trie_edge_back_to_the_root_is_refused_at_open() {
+    let (_, _, raw) = cases()[0]
+        .families
+        .iter()
+        .find(|(label, ..)| label == "MWST")
+        .expect("MWST is built");
+    // Header (15) · params (33) · n, σ (16).
+    let mut pos = 64;
+    raw_section(raw, &mut pos, 1); // heavy letters
+    for _ in 0..2 {
+        skip_factor_set(raw, &mut pos, false);
+    }
+    for elem_size in [4, 4, 4, 4, 1] {
+        // depth · leaf_lo · leaf_hi · children_start · child_letters
+        raw_section(raw, &mut pos, elem_size);
+    }
+    let (children, child_nodes_at) = raw_section(raw, &mut pos, 4);
+    assert!(children > 0);
+    assert_ne!(u32_at(raw, child_nodes_at), 0, "the root is nobody's child");
+    let mut bytes = raw.clone();
+    bytes[child_nodes_at..child_nodes_at + 4].copy_from_slice(&0u32.to_le_bytes());
+    reseal(&mut bytes);
+    let arena = Arena::from_bytes(&bytes);
+    for err in [
+        open_index(&arena).expect_err("open must fail"),
+        open_index_at(&arena, 0).expect_err("embedded open must fail"),
+        load_index(&mut bytes.as_slice()).expect_err("load must fail"),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains("is not deeper than its parent"),
+            "{err}"
+        );
     }
 }
 
@@ -418,8 +442,8 @@ fn swapped_mismatch_depths_are_refused_at_open() {
             .iter()
             .find(|(label, ..)| label == "MWSA-G")
             .expect("MWSA-G is built");
-        // Header (15) · params (33) · variant, construction (2) · n, σ (16).
-        let mut pos = 66;
+        // Header (15) · params (33) · n, σ (16).
+        let mut pos = 64;
         raw_section(raw, &mut pos, 1); // heavy letters
         raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
         for _ in 0..2 {
@@ -470,8 +494,8 @@ fn non_raw_section_encodings_are_refused_at_open() {
         .iter()
         .find(|(label, ..)| label == "MWSA-G")
         .expect("MWSA-G is built");
-    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
-    let mut pos = 66;
+    // Header (15) · params (33) · n, σ (16).
+    let mut pos = 64;
     raw_section(raw, &mut pos, 1); // heavy letters
     raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
                                    // `pos` now opens the forward set's anchor_x, a u32 section; its
@@ -496,17 +520,16 @@ fn non_raw_section_encodings_are_refused_at_open() {
 /// file: `(N, words offset, rank counts offset)`, each of `⌊N/64⌋ + 1`
 /// entries.
 fn x_starts_sections(raw: &[u8]) -> (usize, usize, usize) {
-    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
-    let mut pos = 66;
+    // Header (15) · params (33) · n, σ (16).
+    let mut pos = 64;
     raw_section(raw, &mut pos, 1); // heavy letters
     raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
     for _ in 0..2 {
         skip_factor_set(raw, &mut pos, true);
     }
-    // Two trie flags (no tries in MWSA-G) and the grid flag, then N.
-    assert_eq!(raw[pos..pos + 3], [0, 0, 1]);
-    let n = u64::from_le_bytes(raw[pos + 3..pos + 11].try_into().unwrap()) as usize;
-    pos += 11;
+    // No tries in MWSA-G: the grid follows, opening with N.
+    let n = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap()) as usize;
+    pos += 8;
     for elem_size in [8, 4, 4, 4] {
         // Wavelet words · rank counts · ids_by_x · xs_by_id
         raw_section(raw, &mut pos, elem_size);
@@ -606,8 +629,8 @@ fn malformed_width_bytes_are_refused_at_open() {
         .iter()
         .find(|(label, ..)| label == "MWSA-G")
         .expect("MWSA-G is built");
-    // Header (15) · params (33) · variant, construction (2) · n, σ (16).
-    let mut pos = 66;
+    // Header (15) · params (33) · n, σ (16).
+    let mut pos = 64;
     raw_section(raw, &mut pos, 1); // heavy letters
     raw_section(raw, &mut pos, 8); // log-prefix (grid variants)
     raw_section(raw, &mut pos, 4); // forward anchor_x
@@ -653,7 +676,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The arena path validates the envelope CRC at open, so **any** bit
-    /// flip in a v7 file is rejected typed before a view is handed out.
+    /// flip in a v8 file is rejected typed before a view is handed out.
     #[test]
     fn arena_open_rejects_any_bit_flip(
         pick in 0usize..16,
@@ -678,7 +701,7 @@ proptest! {
         }
     }
 
-    /// Truncating a v7 file anywhere must fail typed at open.
+    /// Truncating a v8 file anywhere must fail typed at open.
     #[test]
     fn arena_open_rejects_any_truncation(
         pick in 0usize..16,

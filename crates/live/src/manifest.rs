@@ -50,8 +50,8 @@ use crate::{insert_tombstone, LiveConfig, LiveIndex, LiveState, Memtable, Segmen
 use ius_arena::Arena;
 use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
 use ius_index::overlap::overlap_len;
-use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, SeVariant, UncertainIndex};
-use ius_sampling::KmerOrder;
+use ius_index::persist::{read_spec, write_spec};
+use ius_index::{IndexSpec, UncertainIndex};
 use ius_weighted::{Alphabet, WeightedString};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -78,13 +78,9 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 // ---------------------------------------------------------------------
-// Wire primitives (the IUSX helpers are private to ius_index::persist;
-// the handful needed here are small enough to keep local).
+// Wire primitives (the spec codec is ius_index::persist's; the rest are
+// small enough to keep local).
 // ---------------------------------------------------------------------
-
-fn write_u8(w: &mut dyn Write, v: u8) -> io::Result<()> {
-    w.write_all(&[v])
-}
 
 fn write_u16(w: &mut dyn Write, v: u16) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -96,16 +92,6 @@ fn write_u32(w: &mut dyn Write, v: u32) -> io::Result<()> {
 
 fn write_u64(w: &mut dyn Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
-}
-
-fn write_f64(w: &mut dyn Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn read_u8(r: &mut dyn Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
 }
 
 fn read_u16(r: &mut dyn Read) -> io::Result<u16> {
@@ -138,10 +124,6 @@ fn read_u64(r: &mut dyn Read) -> io::Result<u64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
-}
-
-fn read_f64(r: &mut dyn Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
 }
 
 fn read_len(r: &mut dyn Read) -> io::Result<usize> {
@@ -183,79 +165,6 @@ fn read_f64_vec(r: &mut dyn Read, count: usize) -> io::Result<Vec<f64>> {
     }
     out.shrink_to_fit();
     Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Spec encoding (the manifest's own family numbering: one tag per
-// family/variant pair, distinct from the IUSX envelope's payload tags)
-// ---------------------------------------------------------------------
-
-fn family_tag(family: IndexFamily) -> u8 {
-    match family {
-        IndexFamily::Naive => 0,
-        IndexFamily::Wst => 1,
-        IndexFamily::Wsa => 2,
-        IndexFamily::Minimizer(IndexVariant::Tree) => 3,
-        IndexFamily::Minimizer(IndexVariant::Array) => 4,
-        IndexFamily::Minimizer(IndexVariant::TreeGrid) => 5,
-        IndexFamily::Minimizer(IndexVariant::ArrayGrid) => 6,
-        IndexFamily::SpaceEfficient(SeVariant::Tree) => 7,
-        IndexFamily::SpaceEfficient(SeVariant::Array) => 8,
-    }
-}
-
-fn family_from_tag(tag: u8) -> io::Result<IndexFamily> {
-    Ok(match tag {
-        0 => IndexFamily::Naive,
-        1 => IndexFamily::Wst,
-        2 => IndexFamily::Wsa,
-        3 => IndexFamily::Minimizer(IndexVariant::Tree),
-        4 => IndexFamily::Minimizer(IndexVariant::Array),
-        5 => IndexFamily::Minimizer(IndexVariant::TreeGrid),
-        6 => IndexFamily::Minimizer(IndexVariant::ArrayGrid),
-        7 => IndexFamily::SpaceEfficient(SeVariant::Tree),
-        8 => IndexFamily::SpaceEfficient(SeVariant::Array),
-        other => return Err(bad(format!("unknown index-family tag {other}"))),
-    })
-}
-
-fn write_spec(w: &mut dyn Write, spec: &IndexSpec) -> io::Result<()> {
-    write_u8(w, family_tag(spec.family))?;
-    write_f64(w, spec.params.z)?;
-    write_u64(w, spec.params.ell as u64)?;
-    write_u64(w, spec.params.k as u64)?;
-    match spec.params.order {
-        KmerOrder::Lexicographic => {
-            write_u8(w, 0)?;
-            write_u64(w, 0)
-        }
-        KmerOrder::KarpRabin { seed } => {
-            write_u8(w, 1)?;
-            write_u64(w, seed)
-        }
-    }
-}
-
-fn read_spec(r: &mut dyn Read) -> io::Result<IndexSpec> {
-    let family = family_from_tag(read_u8(r)?)?;
-    let z = read_f64(r)?;
-    let ell = read_len(r)?;
-    let k = read_len(r)?;
-    let order = match read_u8(r)? {
-        0 => {
-            read_u64(r)?;
-            KmerOrder::Lexicographic
-        }
-        1 => KmerOrder::KarpRabin { seed: read_u64(r)? },
-        other => return Err(bad(format!("unknown k-mer order tag {other}"))),
-    };
-    if !(z.is_finite() && z >= 1.0) {
-        return Err(bad(format!("invalid stored threshold z = {z}")));
-    }
-    if ell == 0 || k == 0 || k > ell {
-        return Err(bad(format!("invalid stored parameters ℓ = {ell}, k = {k}")));
-    }
-    Ok(IndexSpec::new(family, IndexParams { z, ell, k, order }))
 }
 
 fn read_magic_version(r: &mut dyn Read, magic: [u8; 4], what: &str) -> io::Result<()> {
@@ -531,7 +440,7 @@ impl LiveIndex {
                     ),
                 )
             })?;
-            let segment = read_segment_file(arena, &alphabet, id, offset, home_len, overlap)
+            let segment = read_segment_file(arena, &alphabet, &spec, id, offset, home_len, overlap)
                 .map_err(|e| {
                     io::Error::new(e.kind(), format!("segment file {}: {e}", path.display()))
                 })?;
@@ -675,7 +584,8 @@ fn apply_wal_record(
     }
 }
 
-/// Reads and fully validates one segment file against its manifest entry.
+/// Reads and fully validates one segment file against its manifest entry
+/// and the manifest's spec.
 ///
 /// The nested `IUSX` envelope sits at an 8-aligned offset, so the index
 /// reopens through the zero-copy arena path
@@ -684,6 +594,7 @@ fn apply_wal_record(
 fn read_segment_file(
     arena: Arena,
     alphabet: &Alphabet,
+    spec: &IndexSpec,
     id: u64,
     offset: usize,
     home_len: usize,
@@ -746,6 +657,16 @@ fn read_segment_file(
     if aligned + consumed != body.len() {
         return Err(bad("trailing bytes after the segment's index envelope"));
     }
+    if !index.matches_spec(spec) {
+        return Err(bad(format!(
+            "segment holds a {} index that the manifest's spec ({}, z = {}, ℓ = {}) did not \
+             build",
+            index.family().name(),
+            spec.family.name(),
+            spec.params.z,
+            spec.params.ell
+        )));
+    }
     if let Some(expected) = index.corpus_len_hint() {
         if expected != chunk_rows {
             return Err(bad(format!(
@@ -768,28 +689,74 @@ fn read_segment_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ius_index::{IndexFamily, IndexParams, IndexVariant};
 
     #[test]
     fn every_family_round_trips_through_the_spec_encoding() {
         let params = IndexParams::new(8.0, 16, 4).unwrap();
         // The tags follow the order of `IndexFamily::all()`.
         for (tag, family) in IndexFamily::all().into_iter().enumerate() {
-            assert_eq!(usize::from(family_tag(family)), tag, "{}", family.name());
             let spec = IndexSpec::new(family, params);
             let mut bytes = Vec::new();
             write_spec(&mut bytes, &spec).unwrap();
-            assert_eq!(usize::from(bytes[0]), tag);
+            assert_eq!(usize::from(bytes[0]), tag, "{}", family.name());
             assert_eq!(read_spec(&mut bytes.as_slice()).unwrap(), spec);
         }
         // 9 and 10 once named space-efficient grid variants, which never
         // built; they are unknown like any other tag.
         for tag in [9u8, 10, 11] {
-            let err = family_from_tag(tag).unwrap_err();
+            let mut bytes = Vec::new();
+            write_spec(&mut bytes, &IndexSpec::new(IndexFamily::Naive, params)).unwrap();
+            bytes[0] = tag;
+            let err = read_spec(&mut bytes.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
                 err.to_string().contains("unknown index-family tag"),
                 "{err}"
             );
         }
+    }
+
+    /// A segment file whose checksum is intact but whose index was built
+    /// under another spec — here a directory saved at another `z` — is
+    /// refused `InvalidData` at open instead of serving that `z`'s answers.
+    #[test]
+    fn a_segment_built_under_another_spec_is_refused_typed() {
+        let x = ius_datasets::uniform::UniformConfig {
+            n: 300,
+            sigma: 3,
+            spread: 0.35,
+            seed: 0x5EC,
+        }
+        .generate();
+        let config = LiveConfig {
+            flush_threshold: 100,
+            auto_compact: false,
+            threads: 1,
+            ..LiveConfig::default()
+        };
+        let root = std::env::temp_dir().join(format!("ius-segment-spec-{}", std::process::id()));
+        let save = |z: f64| {
+            let params = IndexParams::new(z, 8, x.sigma()).unwrap();
+            let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::Array), params);
+            let dir = root.join(format!("z{z}"));
+            LiveIndex::from_corpus(&x, spec, 16, config.clone())
+                .unwrap()
+                .save_to_dir(&dir)
+                .unwrap();
+            dir
+        };
+        let (ours, theirs) = (save(6.0), save(12.0));
+        assert!(LiveIndex::open(&ours, config.clone()).is_ok());
+        let segment = segment_file_name(0);
+        std::fs::copy(theirs.join(&segment), ours.join(&segment)).unwrap();
+        let err = LiveIndex::open(&ours, config).unwrap_err();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string()
+                .contains("a MWSA index that the manifest's spec (MWSA, z = 6, ℓ = 8) did not"),
+            "{err}"
+        );
     }
 }

@@ -29,4 +29,4 @@ pub use lce::LceIndex;
 pub use lcp::lcp_array;
 pub use rmq::Rmq;
 pub use sa::{inverse_suffix_array, suffix_array};
-pub use trie::{CompactedTrie, LabelProvider, TooManyChildren, TrieParts};
+pub use trie::{CompactedTrie, LabelProvider, TrieParts};

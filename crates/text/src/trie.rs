@@ -21,9 +21,16 @@
 //! counting sort of the parents then lays out the child table. The build
 //! holds the kept arrays plus 4 B of parent per node, and runs in time
 //! linear in the number of strings.
+//!
+//! The child table is in compressed-sparse-row form, the plain offset
+//! arrays of Abouelhoda et al.: `children_start` holds one `u32` offset per
+//! node plus the child total, and node `v`'s children are the entries
+//! `children_start[v]..children_start[v + 1]` of `child_letters` and
+//! `child_nodes`. A node may have any number of children, and the root is
+//! node 0. Per node the trie keeps 16 B (depth, leaf range, offset), and
+//! per edge 5 B (first letter, child id).
 
 use ius_arena::ArenaVec;
-use std::fmt;
 
 /// Access to the letters of the sorted strings underlying a trie.
 pub trait LabelProvider {
@@ -38,40 +45,14 @@ pub trait LabelProvider {
 /// Sentinel "first letter" for zero-length edges (duplicate strings).
 const NO_LETTER: u8 = u8::MAX;
 
-/// A build refused because a node would have more children than the `u16`
-/// child count of [`TrieParts`] holds. Only a run of equal strings gets
-/// there: every copy after the first hangs off the node of the first by a
-/// zero-length edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TooManyChildren {
-    /// String depth of the node.
-    pub depth: usize,
-    /// Number of children the node would have.
-    pub children: usize,
-}
-
-impl fmt::Display for TooManyChildren {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "a compacted-trie node at depth {} would have {} children, more than the {} a \
-             node stores (a run of equal strings hangs off one node)",
-            self.depth,
-            self.children,
-            u16::MAX
-        )
-    }
-}
-
-impl std::error::Error for TooManyChildren {}
-
 /// The flat (struct-of-arrays) representation of a [`CompactedTrie`], used by
 /// the persistence layer to save a trie without re-running the stack-based
-/// construction on load. All vectors describing nodes have one entry per
-/// node; `child_letters`/`child_nodes` hold the flattened child table in the
-/// same grouping [`CompactedTrie::children`] exposes. Each array is an
-/// [`ArenaVec`], so the parts can either own their storage (a fresh build)
-/// or borrow it zero-copy from a persisted arena.
+/// construction on load. The per-node vectors have one entry per node,
+/// `children_start` one more; `child_letters`/`child_nodes` hold the
+/// flattened child table in the same grouping [`CompactedTrie::children`]
+/// exposes. Each array is an [`ArenaVec`], so the parts can either own
+/// their storage (a fresh build) or borrow it zero-copy from a persisted
+/// arena.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrieParts {
     /// String depth per node.
@@ -80,18 +61,13 @@ pub struct TrieParts {
     pub leaf_lo: ArenaVec<u32>,
     /// Upper end (exclusive) of each node's sorted-leaf range.
     pub leaf_hi: ArenaVec<u32>,
-    /// Start of each node's children in the flattened child table.
+    /// Start of each node's children in the flattened child table, then
+    /// the child total: node `v`'s children end where node `v + 1`'s start.
     pub children_start: ArenaVec<u32>,
-    /// Number of children per node.
-    pub children_len: ArenaVec<u16>,
-    /// Leaf flag per node (`1` for leaves, `0` otherwise).
-    pub is_leaf: ArenaVec<u8>,
     /// First edge letter per flattened child entry.
     pub child_letters: ArenaVec<u8>,
     /// Child node id per flattened child entry.
     pub child_nodes: ArenaVec<u32>,
-    /// The root node id.
-    pub root: u32,
     /// Number of strings the trie was built over.
     pub num_leaves: u64,
 }
@@ -116,14 +92,12 @@ pub struct CompactedTrie {
     depth: ArenaVec<u32>,
     leaf_lo: ArenaVec<u32>,
     leaf_hi: ArenaVec<u32>,
+    /// Child-table offsets: one per node, then the child total.
     children_start: ArenaVec<u32>,
-    children_len: ArenaVec<u16>,
-    is_leaf: ArenaVec<u8>,
     /// First edge letter per flattened child entry, grouped per node.
     child_letters: ArenaVec<u8>,
     /// Child node id per flattened child entry, grouped per node.
     child_nodes: ArenaVec<u32>,
-    root: u32,
     num_leaves: usize,
 }
 
@@ -139,17 +113,12 @@ impl CompactedTrie {
     /// an edge. A split node only ever replaces its parent's last child, so
     /// every node's children in id order are in lexicographic order.
     ///
-    /// # Errors
-    ///
-    /// [`TooManyChildren`] if a node would have more than `u16::MAX`
-    /// children.
-    ///
     /// # Panics
     ///
     /// Panics if an LCP value exceeds a neighbouring string's length, or if
     /// the node ids, leaf indices or string lengths overflow their `u32`
     /// tables.
-    pub fn build<L: LabelProvider>(lcps: &[u32], labels: &L) -> Result<Self, TooManyChildren> {
+    pub fn build<L: LabelProvider>(lcps: &[u32], labels: &L) -> Self {
         let num_leaves = lcps.len();
         // The root, a leaf per string and at most one split per string after
         // the first; shrunk to the exact count once the pass is done.
@@ -161,13 +130,11 @@ impl CompactedTrie {
         let mut depth: Vec<u32> = Vec::with_capacity(capacity);
         let mut leaf_lo: Vec<u32> = Vec::with_capacity(capacity);
         let mut leaf_hi: Vec<u32> = Vec::with_capacity(capacity);
-        let mut is_leaf: Vec<u8> = Vec::with_capacity(capacity);
         let mut parent: Vec<u32> = Vec::with_capacity(capacity);
         // The root is node 0; its parent entry is never read.
         depth.push(0);
         leaf_lo.push(0);
         leaf_hi.push(0);
-        is_leaf.push(0);
         parent.push(0);
         // The rightmost path: node ids with strictly increasing depth.
         let mut stack: Vec<u32> = vec![0];
@@ -197,7 +164,6 @@ impl CompactedTrie {
                 depth.push(lcp);
                 leaf_lo.push(leaf_lo[child]);
                 leaf_hi.push(leaf); // set again when the split leaves the stack
-                is_leaf.push(0);
                 parent.push(top);
                 parent[child] = split;
                 stack.push(split);
@@ -207,7 +173,6 @@ impl CompactedTrie {
             depth.push(len);
             leaf_lo.push(leaf);
             leaf_hi.push(leaf + 1);
-            is_leaf.push(1);
             parent.push(branch);
             // A string equal to the branch's path hangs off it by a
             // zero-length edge and never gets children of its own.
@@ -222,27 +187,17 @@ impl CompactedTrie {
         depth.shrink_to_fit();
         leaf_lo.shrink_to_fit();
         leaf_hi.shrink_to_fit();
-        is_leaf.shrink_to_fit();
         parent.shrink_to_fit();
 
         // Count each node's children, turn the counts into the ends of the
         // nodes' spans and fill the spans back to front: siblings land in id
-        // order, and each end is moved back to its node's start.
+        // order, and each end is moved back to its node's start. The extra
+        // last entry counts nothing, so it ends as the child total.
         let num_nodes = depth.len();
-        let mut children_start = vec![0u32; num_nodes];
+        let mut children_start = vec![0u32; num_nodes + 1];
         for &up in &parent[1..] {
             children_start[up as usize] += 1;
         }
-        if let Some(node) = children_start
-            .iter()
-            .position(|&count| count > u32::from(u16::MAX))
-        {
-            return Err(TooManyChildren {
-                depth: depth[node] as usize,
-                children: children_start[node] as usize,
-            });
-        }
-        let children_len: Vec<u16> = children_start.iter().map(|&count| count as u16).collect();
         let mut end = 0;
         for slot in &mut children_start {
             end += *slot;
@@ -259,24 +214,15 @@ impl CompactedTrie {
                 .letter(leaf_lo[child] as usize, depth[up] as usize)
                 .unwrap_or(NO_LETTER);
         }
-        Ok(CompactedTrie {
+        CompactedTrie {
             depth: depth.into(),
             leaf_lo: leaf_lo.into(),
             leaf_hi: leaf_hi.into(),
             children_start: children_start.into(),
-            children_len: children_len.into(),
-            is_leaf: is_leaf.into(),
             child_letters: child_letters.into(),
             child_nodes: child_nodes.into(),
-            root: 0,
             num_leaves,
-        })
-    }
-
-    /// The root node id.
-    #[inline]
-    pub fn root(&self) -> u32 {
-        self.root
+        }
     }
 
     /// Number of strings (leaves may be fewer nodes than strings only if the
@@ -307,14 +253,11 @@ impl CompactedTrie {
     /// The half-open child-table range of `node`.
     #[inline]
     fn child_span(&self, node: u32) -> (usize, usize) {
-        let start = self.children_start[node as usize] as usize;
-        (start, start + self.children_len[node as usize] as usize)
-    }
-
-    /// Number of children of `node`.
-    #[inline]
-    pub fn num_children(&self, node: u32) -> usize {
-        self.children_len[node as usize] as usize
+        let node = node as usize;
+        (
+            self.children_start[node] as usize,
+            self.children_start[node + 1] as usize,
+        )
     }
 
     /// Children of `node` as `(first edge letter, child id)` pairs.
@@ -327,18 +270,12 @@ impl CompactedTrie {
             .map(|(&letter, &child)| (letter, child))
     }
 
-    /// `true` iff `node` is a leaf.
-    #[inline]
-    pub fn is_leaf(&self, node: u32) -> bool {
-        self.is_leaf[node as usize] == 1
-    }
-
     /// Descends `pattern` from the root, returning the range of leaves whose
     /// strings have `pattern` as a prefix (or `None` if no string does).
     ///
     /// Runs in `O(|pattern| + σ·(tree depth))` label accesses.
     pub fn descend<L: LabelProvider>(&self, pattern: &[u8], labels: &L) -> Option<Descent> {
-        let mut node = self.root;
+        let mut node = 0;
         let mut matched = 0usize;
         loop {
             if matched == pattern.len() {
@@ -376,8 +313,6 @@ impl CompactedTrie {
             + self.leaf_lo.heap_bytes()
             + self.leaf_hi.heap_bytes()
             + self.children_start.heap_bytes()
-            + self.children_len.heap_bytes()
-            + self.is_leaf.heap_bytes()
             + self.child_letters.heap_bytes()
             + self.child_nodes.heap_bytes()
     }
@@ -391,11 +326,8 @@ impl CompactedTrie {
             leaf_lo: self.leaf_lo.clone(),
             leaf_hi: self.leaf_hi.clone(),
             children_start: self.children_start.clone(),
-            children_len: self.children_len.clone(),
-            is_leaf: self.is_leaf.clone(),
             child_letters: self.child_letters.clone(),
             child_nodes: self.child_nodes.clone(),
-            root: self.root,
             num_leaves: self.num_leaves as u64,
         }
     }
@@ -404,23 +336,28 @@ impl CompactedTrie {
     /// [`CompactedTrie::to_parts`], in `O(nodes + children)` time (no
     /// construction is re-run).
     ///
+    /// Whatever passes makes [`CompactedTrie::descend`] terminate without
+    /// a panic: every edge leads deeper, or to a childless node at its
+    /// parent's depth (a duplicate string), and every child's leaf range
+    /// is non-empty and inside its parent's.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first structural inconsistency (length
-    /// mismatches, out-of-range node ids, child tables out of bounds).
+    /// mismatches, child offsets that do not run from 0 up to the child
+    /// count, out-of-range node ids or leaf ranges, an edge that does not
+    /// lead deeper, or a child's leaf range that is empty or outside its
+    /// parent's).
     pub fn from_parts(parts: TrieParts) -> Result<Self, String> {
         let n = parts.depth.len();
-        if [
-            parts.leaf_lo.len(),
-            parts.leaf_hi.len(),
-            parts.children_start.len(),
-            parts.children_len.len(),
-            parts.is_leaf.len(),
-        ]
-        .iter()
-        .any(|&len| len != n)
-        {
+        if parts.leaf_lo.len() != n || parts.leaf_hi.len() != n {
             return Err("trie node arrays have inconsistent lengths".into());
+        }
+        if parts.children_start.len() != n + 1 {
+            return Err(format!(
+                "trie has {} child offsets for {n} nodes (one per node, then the total)",
+                parts.children_start.len()
+            ));
         }
         if parts.child_letters.len() != parts.child_nodes.len() {
             return Err("trie child arrays have inconsistent lengths".into());
@@ -428,32 +365,17 @@ impl CompactedTrie {
         if n == 0 {
             return Err("a trie always has at least a root node".into());
         }
-        if parts.root as usize >= n {
-            return Err(format!("root {} out of range ({n} nodes)", parts.root));
-        }
         // Structural validation over millions of nodes: phrased as whole-
-        // array reduction scans (no early exit, no per-node branching) so
-        // they compile to SIMD and an arena open stays cheap; the failing
-        // node is located by a second pass only on the error path.
-        let children_total = parts.child_nodes.len() as u64;
-        let worst_child_end = parts
-            .children_start
-            .iter()
-            .zip(&*parts.children_len)
-            .map(|(&start, &len)| u64::from(start) + u64::from(len))
-            .fold(0, u64::max);
-        if worst_child_end > children_total {
-            let i = (0..n)
-                .find(|&i| {
-                    u64::from(parts.children_start[i]) + u64::from(parts.children_len[i])
-                        > children_total
-                })
-                .unwrap_or(0);
-            return Err(format!("child table of node {i} out of bounds"));
-        }
-        if parts.is_leaf.iter().fold(0, |acc, &f| acc | f) > 1 {
-            let i = parts.is_leaf.iter().position(|&f| f > 1).unwrap_or(0);
-            return Err(format!("node {i} has a non-boolean leaf flag"));
+        // array reduction scans (no early exit, little per-node branching)
+        // so an arena open stays cheap; the failing node is located by a
+        // second pass only on the error path.
+        let starts = &*parts.children_start;
+        let offsets_rise = starts.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+        if starts[0] != 0 || !offsets_rise || starts[n] as usize != parts.child_nodes.len() {
+            return Err(format!(
+                "trie child offsets must rise from 0 to the child count {}",
+                parts.child_nodes.len()
+            ));
         }
         let ranges_ok = parts
             .leaf_lo
@@ -475,16 +397,47 @@ impl CompactedTrie {
         if !parts.child_nodes.is_empty() && max_child as usize >= n {
             return Err("child table references a node out of range".into());
         }
+        // Each edge leads deeper (or to a childless duplicate at the same
+        // depth) and to a non-empty leaf range inside its parent's. The
+        // edges come as (parent, child) pairs in child-table order.
+        let (depth, lo, hi) = (&*parts.depth, &*parts.leaf_lo, &*parts.leaf_hi);
+        let edges = || {
+            let mut up = 0;
+            parts
+                .child_nodes
+                .iter()
+                .enumerate()
+                .map(move |(slot, &child)| {
+                    while starts[up + 1] as usize <= slot {
+                        up += 1;
+                    }
+                    (up, child as usize)
+                })
+        };
+        let deeper = |up: usize, child: usize| {
+            let childless = starts[child] == starts[child + 1];
+            (depth[child] > depth[up]) | ((depth[child] == depth[up]) & childless)
+        };
+        let inside = |up: usize, child: usize| {
+            (lo[up] <= lo[child]) & (lo[child] < hi[child]) & (hi[child] <= hi[up])
+        };
+        let edge_ok = |(up, child): (usize, usize)| deeper(up, child) & inside(up, child);
+        if !edges().fold(true, |ok, edge| ok & edge_ok(edge)) {
+            let (up, child) = edges().find(|&edge| !edge_ok(edge)).unwrap_or((0, 0));
+            let fault = if deeper(up, child) {
+                "has a leaf range empty or outside its parent's"
+            } else {
+                "is not deeper than its parent"
+            };
+            return Err(format!("trie node {child}, a child of node {up}, {fault}"));
+        }
         Ok(Self {
             depth: parts.depth,
             leaf_lo: parts.leaf_lo,
             leaf_hi: parts.leaf_hi,
             children_start: parts.children_start,
-            children_len: parts.children_len,
-            is_leaf: parts.is_leaf,
             child_letters: parts.child_letters,
             child_nodes: parts.child_nodes,
-            root: parts.root,
             num_leaves: parts.num_leaves as usize,
         })
     }
@@ -536,7 +489,7 @@ mod tests {
         for i in 1..sorted.len() {
             lcps[i] = lcp_of(&sorted[i - 1], &sorted[i]) as u32;
         }
-        let trie = CompactedTrie::build(&lcps, &SliceLabels::new(&text, fragments)).unwrap();
+        let trie = CompactedTrie::build(&lcps, &SliceLabels::new(&text, fragments));
         (trie, text, sorted)
     }
 
@@ -631,11 +584,11 @@ mod tests {
             }
             let refs: Vec<&[u8]> = strings.iter().map(|s| s.as_slice()).collect();
             let (trie, text, sorted) = build_from_strings(&refs);
-            assert_eq!(trie.leaf_range(trie.root()), (0, sorted.len() as u32));
+            assert_eq!(trie.leaf_range(0), (0, sorted.len() as u32));
             for node in 0..trie.num_nodes() as u32 {
                 // The children tile the node's leaves after its own string.
                 let (lo, hi) = trie.leaf_range(node);
-                let mut next = lo + u32::from(trie.is_leaf(node));
+                let mut next = lo + u32::from(is_leaf(&trie, &sorted, node));
                 let mut last_letter = None;
                 for (letter, child) in trie.children(node) {
                     let (clo, chi) = trie.leaf_range(child);
@@ -665,29 +618,38 @@ mod tests {
         }
     }
 
+    /// Is `node` the leaf of its first string? The root never is; any
+    /// other node is exactly when its depth is that string's length.
+    fn is_leaf(trie: &CompactedTrie, sorted: &[Vec<u8>], node: u32) -> bool {
+        let (lo, _) = trie.leaf_range(node);
+        node != 0 && trie.depth(node) == sorted[lo as usize].len()
+    }
+
     #[test]
-    fn a_node_with_too_many_children_is_refused() {
+    fn a_node_may_have_any_number_of_children() {
         // Each copy of `ab` after the first hangs off the first by a
-        // zero-length edge; `abc` would be the 70,000th child.
+        // zero-length edge, and so does `abc`'s leaf: 70,000 children,
+        // more than a `u16` count holds.
         let mut strings: Vec<&[u8]> = vec![b"ab"; 70_000];
         strings.push(b"abc");
-        let mut text = Vec::new();
-        let mut fragments = Vec::new();
-        let mut lcps = Vec::new();
-        for (i, s) in strings.iter().enumerate() {
-            fragments.push((text.len() as u32, s.len() as u32));
-            text.extend_from_slice(s);
-            lcps.push(if i == 0 { 0 } else { 2 });
+        let (trie, text, sorted) = build_from_strings(&strings);
+        let first_ab = trie.children(0).next().unwrap().1;
+        assert_eq!(trie.children(first_ab).count(), 70_000);
+        for pattern in [&b""[..], b"a", b"ab", b"abc", b"abcd", b"abd", b"b"] {
+            let expected: Vec<usize> = sorted
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.starts_with(pattern))
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(
+                descend_leaves(&trie, &text, &sorted, pattern),
+                expected,
+                "pattern {pattern:?}"
+            );
         }
-        let err = CompactedTrie::build(&lcps, &SliceLabels::new(&text, fragments)).unwrap_err();
-        assert_eq!(
-            err,
-            TooManyChildren {
-                depth: 2,
-                children: 70_000
-            }
-        );
-        assert!(err.to_string().contains("70000 children"), "{err}");
+        let rebuilt = CompactedTrie::from_parts(trie.to_parts()).unwrap();
+        assert_eq!(rebuilt.to_parts(), trie.to_parts());
     }
 
     #[test]
@@ -723,9 +685,6 @@ mod tests {
         let (trie, _, _) = build_from_strings(&[b"ab", b"ba"]);
         let good = trie.to_parts();
         let mut bad = good.clone();
-        bad.root = 10_000;
-        assert!(CompactedTrie::from_parts(bad).is_err());
-        let mut bad = good.clone();
         bad.leaf_lo = tweak(&bad.leaf_lo, |v| {
             v.pop();
         });
@@ -747,10 +706,129 @@ mod tests {
         assert!(CompactedTrie::from_parts(bad).is_err());
     }
 
+    /// `from_parts` on `good` with one array edited must fail naming
+    /// `expected`.
+    fn refused(good: &TrieParts, edit: impl FnOnce(&mut TrieParts), expected: &str) {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        let err = CompactedTrie::from_parts(bad).expect_err(expected);
+        assert!(err.contains(expected), "{err}");
+    }
+
+    /// Child offsets must start at 0, never decrease and end at the child
+    /// count; one offset too few or too many is refused too.
+    #[test]
+    fn from_parts_refuses_malformed_child_offsets() {
+        let (trie, _, _) = build_from_strings(&[b"ab", b"abc", b"b"]);
+        let good = trie.to_parts();
+        assert!(good.children_start.len() > 3);
+        let rise = "child offsets must rise from 0 to the child count";
+        refused(
+            &good,
+            |p| p.children_start = tweak(&p.children_start, |v| v[0] = 1),
+            rise,
+        );
+        refused(
+            &good,
+            |p| p.children_start = tweak(&p.children_start, |v| v.swap(1, 2)),
+            rise,
+        );
+        refused(
+            &good,
+            |p| p.children_start = tweak(&p.children_start, |v| *v.last_mut().unwrap() -= 1),
+            rise,
+        );
+        refused(
+            &good,
+            |p| {
+                p.children_start = tweak(&p.children_start, |v| {
+                    v.pop();
+                })
+            },
+            "child offsets for",
+        );
+        refused(
+            &good,
+            |p| p.children_start = tweak(&p.children_start, |v| v.push(v[v.len() - 1])),
+            "child offsets for",
+        );
+    }
+
+    /// A child entry that points a node back at itself would make
+    /// `descend` loop forever; one that points at a shallower node, or at
+    /// a node with children at its parent's depth, could close a cycle.
+    /// All are refused; a childless duplicate at its parent's depth is not.
+    #[test]
+    fn from_parts_refuses_an_edge_that_does_not_lead_deeper() {
+        let (trie, _, sorted) = build_from_strings(&[b"ab", b"ab", b"abc", b"b"]);
+        let good = trie.to_parts();
+        let not_deeper = "is not deeper than its parent";
+        // The root's first child points back at the root.
+        refused(
+            &good,
+            |p| p.child_nodes = tweak(&p.child_nodes, |v| v[0] = 0),
+            not_deeper,
+        );
+        // A deeper node's child points at the root.
+        let (up, slot) = (0..trie.num_nodes() as u32)
+            .filter(|&node| node != 0)
+            .find_map(|node| {
+                (trie.children(node).count() > 0)
+                    .then(|| (node, good.children_start[node as usize]))
+            })
+            .unwrap();
+        assert!(trie.depth(up) > 0);
+        refused(
+            &good,
+            |p| p.child_nodes = tweak(&p.child_nodes, |v| v[slot as usize] = 0),
+            not_deeper,
+        );
+        // The duplicate `ab` hangs off the first at the same depth, and
+        // passes: it has no children.
+        let duplicate = trie
+            .children(up)
+            .map(|(_, child)| child)
+            .find(|&child| trie.depth(child) == trie.depth(up))
+            .expect("the second `ab` is a zero-length child");
+        assert_eq!(sorted[trie.leaf_range(duplicate).0 as usize], b"ab");
+        assert!(CompactedTrie::from_parts(good).is_ok());
+    }
+
+    /// A child whose leaf range is empty — `(num_leaves, num_leaves)`
+    /// would make `descend` read a label past the end — or reaches outside
+    /// its parent's range is refused.
+    #[test]
+    fn from_parts_refuses_a_child_leaf_range_outside_its_parent() {
+        let (trie, _, _) = build_from_strings(&[b"ab", b"abc", b"b", b"ba"]);
+        let good = trie.to_parts();
+        let leaves = good.num_leaves as u32;
+        let child = good.child_nodes[0] as usize;
+        let outside = "has a leaf range empty or outside its parent's";
+        let set_range = |p: &mut TrieParts, lo: u32, hi: u32| {
+            p.leaf_lo = tweak(&p.leaf_lo, |v| v[child] = lo);
+            p.leaf_hi = tweak(&p.leaf_hi, |v| v[child] = hi);
+        };
+        refused(&good, |p| set_range(p, leaves, leaves), outside);
+        refused(&good, |p| set_range(p, 1, 1), outside);
+        // A grandchild reaching past its parent's range.
+        let (up, _) = (0..trie.num_nodes() as u32)
+            .filter(|&node| node != 0)
+            .find_map(|node| trie.children(node).next().map(|c| (node, c)))
+            .unwrap();
+        let (_, up_hi) = trie.leaf_range(up);
+        assert!(up_hi < leaves);
+        let grandchild = trie.children(up).last().unwrap().1 as usize;
+        refused(
+            &good,
+            |p| p.leaf_hi = tweak(&p.leaf_hi, |v| v[grandchild] = up_hi + 1),
+            outside,
+        );
+    }
+
     #[test]
     fn empty_collection() {
         let labels = SliceLabels::new(b"", Vec::new());
-        let trie = CompactedTrie::build(&[], &labels).unwrap();
+        let trie = CompactedTrie::build(&[], &labels);
         assert_eq!(trie.num_leaves(), 0);
         assert_eq!(trie.descend(b"a", &labels), None);
         assert!(trie.descend(b"", &labels).is_some());
@@ -759,9 +837,9 @@ mod tests {
     #[test]
     fn leaf_ranges_are_consistent() {
         let strings: Vec<&[u8]> = vec![b"aa", b"ab", b"abb", b"ba", b"bb", b"bba"];
-        let (trie, _text, _sorted) = build_from_strings(&strings);
+        let (trie, _text, sorted) = build_from_strings(&strings);
         // Root covers everything.
-        assert_eq!(trie.leaf_range(trie.root()), (0, 6));
+        assert_eq!(trie.leaf_range(0), (0, 6));
         // Every node's range is contained in its parent's and children
         // partition (or at least tile) the parent range.
         for node in 0..trie.num_nodes() as u32 {
@@ -773,7 +851,7 @@ mod tests {
                 assert!(clo >= lo && chi <= hi);
                 covered += chi - clo;
             }
-            if trie.num_children(node) > 0 && !trie.is_leaf(node) {
+            if trie.children(node).count() > 0 && !is_leaf(&trie, &sorted, node) {
                 assert_eq!(covered, hi - lo, "children must tile node {node}");
             }
         }
