@@ -274,30 +274,68 @@ fn every_family_tag_is_its_manifest_tag_and_its_place_in_the_family_list() {
     }
 }
 
-/// A v8 envelope whose family tag no family has — 9 and 10, which once
-/// named space-efficient grid variants, and 255 — is refused with a typed
+/// Asserts that `bytes` is refused with a typed `InvalidData` error whose
+/// message contains `needle`, through every entry point.
+fn assert_refused_typed(bytes: &[u8], needle: &str) {
+    let arena = Arena::from_bytes(bytes);
+    for err in [
+        open_index(&arena).expect_err("open must fail"),
+        open_index_at(&arena, 0).expect_err("embedded open must fail"),
+        load_index(&mut &bytes[..]).expect_err("load must fail"),
+    ] {
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{needle}: {err}");
+        assert!(err.to_string().contains(needle), "{needle}: {err}");
+    }
+}
+
+/// A v8 envelope whose family tag no family has is refused with a typed
 /// `InvalidData` error naming the tag, through every entry point, even
 /// when its checksum is intact.
 #[test]
 fn unknown_family_tags_are_refused_typed() {
     let (_, _, raw) = &cases()[0].families[0];
-    for tag in [9u8, 10, 255] {
+    assert_eq!(IndexFamily::all().len(), 9, "tags 0 to 8 name a family");
+    for tag in [11u8, 128, 255] {
         let mut bytes = raw.clone();
         bytes[6] = tag;
         reseal(&mut bytes);
-        let arena = Arena::from_bytes(&bytes);
-        for err in [
-            open_index(&arena).expect_err("open must fail"),
-            open_index_at(&arena, 0).expect_err("embedded open must fail"),
-            load_index(&mut bytes.as_slice()).expect_err("load must fail"),
-        ] {
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "tag {tag}: {err}");
-            assert!(
-                err.to_string()
-                    .contains(&format!("unknown index-family tag {tag}")),
-                "{err}"
-            );
+        assert_refused_typed(&bytes, &format!("unknown index-family tag {tag}"));
+    }
+}
+
+/// A file of the removed sharded-index format — a version-7 envelope with
+/// family tag 4 — is refused with a typed `InvalidData` error naming its
+/// version, through every entry point, even when its checksum is intact.
+/// (In version 8, tag 4 is MWSA's.)
+#[test]
+fn removed_sharded_format_is_refused_typed() {
+    let (_, _, raw) = &cases()[0].families[0];
+    let mut sharded = raw.clone();
+    sharded[4..6].copy_from_slice(&7u16.to_le_bytes());
+    sharded[6] = 4;
+    reseal(&mut sharded);
+    assert_refused_typed(&sharded, "version 7");
+}
+
+/// Version 8 has no construction byte: the space-efficient grid variants,
+/// which no construction builds, have no family tag. A v8 envelope with
+/// tag 9 or 10 — the `IUSL` tags that once named them — is refused with a
+/// typed `InvalidData` error naming the tag, through every entry point,
+/// even when its checksum is intact; the SE-MWST and SE-MWSA files open as
+/// their family.
+#[test]
+fn space_efficient_grid_files_are_refused_typed() {
+    for (label, built, raw) in &cases()[0].families {
+        if label.starts_with("SE-") {
+            assert_eq!(open_single(raw).family(), built.family(), "{label}");
         }
+    }
+    let (_, _, raw) = &cases()[0].families[0];
+    for tag in [9u8, 10] {
+        let mut bytes = raw.clone();
+        bytes[6] = tag;
+        reseal(&mut bytes);
+        assert_refused_typed(&bytes, &format!("unknown index-family tag {tag}"));
     }
 }
 
