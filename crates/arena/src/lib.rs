@@ -29,6 +29,9 @@
 //! in-memory layout; [`Arena::view`] transparently falls back to an
 //! element-wise decode into an owned vector, so callers stay portable
 //! without a single `cfg` of their own.
+//!
+//! The [`le`] module is the workspace's one little-endian codec: every
+//! file and wire frame writes and reads its scalar fields through it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -38,6 +41,8 @@ use std::io::{self, Read};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+pub mod le;
 
 mod sealed {
     pub trait Sealed {}
@@ -58,10 +63,11 @@ pub trait Pod: Copy + PartialEq + fmt::Debug + Send + Sync + 'static + sealed::S
     /// `size_of::<Self>()`, as a trait constant for array math.
     const SIZE: usize;
     /// Decodes one element from exactly [`Pod::SIZE`] little-endian bytes
-    /// (the big-endian fallback path of [`Arena::view`]).
+    /// (the [`le::Reader`], and the big-endian fallback path of
+    /// [`Arena::view`]).
     fn read_le(bytes: &[u8]) -> Self;
-    /// Appends the little-endian encoding of `self` to `out` (the
-    /// big-endian fallback path of [`as_le_bytes`]).
+    /// Appends the little-endian encoding of `self` to `out` ([`le::put`],
+    /// and the big-endian fallback path of [`as_le_bytes`]).
     fn write_le(self, out: &mut Vec<u8>);
 }
 

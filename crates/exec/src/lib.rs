@@ -7,10 +7,9 @@
 //!
 //! * [`Executor`] — a fixed-width **scoped fan-out** for finite task
 //!   lists. `N` tasks are split into at most `threads` contiguous chunks,
-//!   one scoped thread per chunk; results come back **in input order**,
-//!   and a panicking task poisons **only its own slot** with a typed
-//!   [`TaskPanic`] (the same isolation contract the PR-4 server worker
-//!   loop established for connections). With one worker (or one task) the
+//!   one scoped thread per chunk; results come back **in input order**.
+//!   A panicking task is not caught: its panic reaches the caller once
+//!   the other chunks have joined. With one worker (or one task) the
 //!   tasks run inline on the caller's thread — no spawn, no overhead —
 //!   which is what makes `threads = 1` behave identically to a serial
 //!   loop.
@@ -29,39 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
-
-/// A task panicked. Only that task's slot is poisoned; every other task
-/// of the same [`Executor::run`] call completes and reports normally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Index of the panicking task (its position in the input order).
-    pub task: usize,
-    /// The panic payload, stringified (`&str` and `String` payloads are
-    /// carried verbatim; anything else is summarised).
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.task, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-/// Stringifies a caught panic payload (the two payload types `panic!`
-/// actually produces, with a fallback for exotic ones).
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A fixed-width scoped-thread executor for finite task lists.
 ///
@@ -112,43 +79,36 @@ impl Executor {
     /// on for byte-identical output. With one worker (or fewer than two
     /// tasks) everything runs inline on the caller's thread.
     ///
-    /// A panicking task poisons only its own slot (a typed
-    /// [`TaskPanic`]); its worker keeps running the remaining tasks of its
-    /// chunk.
-    pub fn run<T, F>(&self, count: usize, task: F) -> Vec<Result<T, TaskPanic>>
+    /// A panicking task panics the caller, inline or when its chunk's
+    /// thread is joined, with the task's own payload.
+    pub fn run<T, F>(&self, count: usize, task: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut slots: Vec<Option<Result<T, TaskPanic>>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
         let workers = self.threads().min(count.max(1));
-        let fill = |base: usize, chunk_slots: &mut [Option<Result<T, TaskPanic>>]| {
-            for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                let index = base + j;
-                *slot = Some(
-                    catch_unwind(AssertUnwindSafe(|| task(index))).map_err(|payload| TaskPanic {
-                        task: index,
-                        message: payload_message(payload.as_ref()),
-                    }),
-                );
-            }
-        };
         if workers <= 1 {
-            fill(0, &mut slots);
-        } else {
-            let chunk = count.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (w, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                    let fill = &fill;
-                    scope.spawn(move || fill(w * chunk, chunk_slots));
-                }
-            });
+            return (0..count).map(task).collect();
         }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task slot is filled"))
-            .collect()
+        let chunk = count.div_ceil(workers);
+        let task = &task;
+        std::thread::scope(|scope| {
+            let chunks: Vec<_> = (0..count)
+                .step_by(chunk)
+                .map(|start| {
+                    let end = (start + chunk).min(count);
+                    scope.spawn(move || (start..end).map(task).collect::<Vec<T>>())
+                })
+                .collect();
+            chunks
+                .into_iter()
+                .flat_map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
     }
 }
 
@@ -220,66 +180,46 @@ mod tests {
         for threads in [1usize, 2, 3, 8, 64] {
             let executor = Executor::with_threads(threads);
             assert_eq!(executor.threads(), threads);
-            let results = executor.run(37, |i| i * i);
-            let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
+            let values = executor.run(37, |i| i * i);
             let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
             assert_eq!(values, expected, "threads = {threads}");
         }
     }
 
     #[test]
-    fn a_panicking_task_poisons_only_its_own_slot_and_surfaces_typed() {
+    fn a_panicking_task_panics_the_caller_with_its_payload() {
         for threads in [1usize, 2, 8] {
-            let executor = Executor::with_threads(threads);
-            let results = executor.run(10, |i| {
-                if i == 4 {
-                    panic!("task four exploded");
-                }
-                i + 100
-            });
-            for (i, result) in results.iter().enumerate() {
-                if i == 4 {
-                    let err = result.as_ref().unwrap_err();
-                    assert_eq!(err.task, 4);
-                    assert!(err.message.contains("task four exploded"));
-                    assert!(err.to_string().contains("task 4 panicked"));
-                } else {
-                    assert_eq!(*result.as_ref().unwrap(), i + 100, "threads = {threads}");
-                }
-            }
+            let caught = std::panic::catch_unwind(|| {
+                Executor::with_threads(threads).run(10, |i| {
+                    if i == 4 {
+                        panic!("task four exploded");
+                    }
+                    i + 100
+                })
+            })
+            .expect_err("the panic reaches the caller");
+            assert_eq!(
+                caught.downcast_ref::<&str>(),
+                Some(&"task four exploded"),
+                "threads = {threads}"
+            );
         }
-    }
-
-    #[test]
-    fn non_string_panic_payloads_are_summarised() {
-        let results = Executor::with_threads(1).run(1, |_| {
-            std::panic::panic_any(42usize);
-        });
-        assert_eq!(
-            results[0].as_ref().unwrap_err().message,
-            "non-string panic payload"
-        );
     }
 
     #[test]
     fn zero_tasks_and_single_worker_edge_cases() {
         let executor = Executor::with_threads(8);
-        let results: Vec<Result<usize, TaskPanic>> = executor.run(0, |i| i);
+        let results: Vec<usize> = executor.run(0, |i| i);
         assert!(results.is_empty());
         // 0 threads means "all CPUs", never 0 workers.
         let all = Executor::with_threads(0);
         assert!(all.threads() >= 1);
         assert_eq!(Executor::default().threads(), all.threads());
         let one = Executor::with_threads(1);
-        let results = one.run(5, |i| i * 2);
-        assert_eq!(
-            results.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8]
-        );
+        assert_eq!(one.run(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
         // A single task never spawns: it runs inline even on a wide
         // executor (count caps the worker count).
-        let results = executor.run(1, |i| i + 9);
-        assert_eq!(results[0], Ok(9));
+        assert_eq!(executor.run(1, |i| i + 9), vec![9]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Three pieces, all std-only:
 //!
 //! * a hand-rolled **CRC32** (IEEE 802.3, the polynomial used by zip/png)
-//!   with incremental hashing and [`Crc32Writer`] / [`Crc32Reader`] stream
-//!   adapters, so every on-disk format can carry a checksum trailer;
+//!   with incremental hashing, so every on-disk format can carry a
+//!   checksum trailer. There are no stream adapters: every format encodes
+//!   into one buffer, or reads a whole file, and checksums that slice once;
 //! * the [`DurableSink`] abstraction — `Write` plus an explicit
 //!   [`sync`](DurableSink::sync) barrier — that all durability I/O is
 //!   routed through, so tests can substitute a scripted fault device for
@@ -18,7 +19,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 /// The reflected IEEE CRC32 polynomial.
@@ -244,86 +245,6 @@ mod pclmul {
         let t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32s), poly_mu, 0x10);
         let t = _mm_clmulepi64_si128(_mm_and_si128(t, low32s), poly_mu, 0x00);
         _mm_extract_epi32(_mm_xor_si128(x1, t), 1) as u32
-    }
-}
-
-/// A writer adapter that checksums every byte passed through it.
-#[derive(Debug)]
-pub struct Crc32Writer<W> {
-    inner: W,
-    hasher: Crc32,
-}
-
-impl<W: Write> Crc32Writer<W> {
-    /// Wraps `inner`.
-    pub fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hasher: Crc32::new(),
-        }
-    }
-
-    /// The checksum of everything written so far.
-    pub fn crc(&self) -> u32 {
-        self.hasher.finish()
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for Crc32Writer<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hasher.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// A reader adapter that checksums every byte passed through it.
-#[derive(Debug)]
-pub struct Crc32Reader<R> {
-    inner: R,
-    hasher: Crc32,
-}
-
-impl<R: Read> Crc32Reader<R> {
-    /// Wraps `inner`.
-    pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hasher: Crc32::new(),
-        }
-    }
-
-    /// The checksum of everything read so far.
-    pub fn crc(&self) -> u32 {
-        self.hasher.finish()
-    }
-
-    /// Unwraps the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// The inner reader (for reading trailer bytes *outside* the
-    /// checksummed region).
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-}
-
-impl<R: Read> Read for Crc32Reader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hasher.update(&buf[..n]);
-        Ok(n)
     }
 }
 
@@ -562,21 +483,6 @@ mod tests {
             hasher.update(chunk);
         }
         assert_eq!(hasher.finish(), crc32(data));
-    }
-
-    #[test]
-    fn writer_and_reader_agree() {
-        let payload = b"checksummed payload bytes".to_vec();
-        let mut sink = Vec::new();
-        let mut writer = Crc32Writer::new(&mut sink);
-        writer.write_all(&payload).unwrap();
-        let written_crc = writer.crc();
-        let mut reader = Crc32Reader::new(&sink[..]);
-        let mut back = Vec::new();
-        reader.read_to_end(&mut back).unwrap();
-        assert_eq!(back, payload);
-        assert_eq!(reader.crc(), written_crc);
-        assert_eq!(written_crc, crc32(&payload));
     }
 
     #[test]

@@ -137,6 +137,14 @@ pub fn query_parts<'a>(
 /// with the sampled stage breakdown nested inside when the part was timed.
 pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
     trace::group(code, stats.staged_ns(), index as u64, stats.reported as u64);
+    trace_stages(stats);
+    trace::end_group();
+}
+
+/// Records a timed query's scan/locate/verify/report breakdown as four
+/// duration-only leaves under the open span (nothing when the query was
+/// not timed).
+pub fn trace_stages(stats: &QueryStats) {
     if stats.timed {
         trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
         trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
@@ -148,7 +156,6 @@ pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
         );
         trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
     }
-    trace::end_group();
 }
 
 #[cfg(test)]

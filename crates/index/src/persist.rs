@@ -107,11 +107,17 @@
 //! assembly, wavelet matrix) is **never** re-run.
 //!
 //! Every multi-byte integer and float is little-endian (`f64` as the LE
-//! bytes of its IEEE-754 bits, so round trips are bit-exact).
+//! bytes of its IEEE-754 bits, so round trips are bit-exact), written and
+//! read through the workspace's one codec, [`ius_arena::le`]: the writer
+//! appends to one `Vec<u8>` per envelope and the reader is an
+//! [`le::Reader`] over the checked envelope. The spec codec takes the same
+//! writer and reader, so an `IUSL` manifest parses its spec from its own
+//! checked slice.
 //!
-//! Entry points, all over [`AnyIndex`]: [`AnyIndex::save_to`] writes,
-//! [`load_index`] reads a stream, [`open_index`] opens an arena and
-//! [`open_index_at`] an envelope embedded in one.
+//! Entry points, all over [`AnyIndex`]: [`AnyIndex::save_to`] writes (and
+//! [`AnyIndex::save_into`] appends to a buffer), [`load_index`] reads a
+//! stream, [`open_index`] opens an arena and [`open_index_at`] an envelope
+//! embedded in one.
 
 use crate::builder::{AnyIndex, IndexFamily, IndexSpec};
 use crate::encode::{Direction, EncodedFactorSet};
@@ -122,7 +128,8 @@ use crate::params::IndexParams;
 use crate::property_text::PropertyText;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
-use ius_arena::{as_le_bytes, Arena, ArenaVec, Pod};
+use ius_arena::le::{self, Reader};
+use ius_arena::{Arena, ArenaVec, Pod};
 use ius_faultio::crc32;
 use ius_grid::{BitParts, RankSpaceGrid, RankSpaceParts, ReporterParts};
 use ius_sampling::KmerOrder;
@@ -151,117 +158,75 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 // ---------------------------------------------------------------------------
-// Wire primitives (scalar fields of the writer)
-// ---------------------------------------------------------------------------
-
-fn write_u8(w: &mut dyn Write, v: u8) -> io::Result<()> {
-    w.write_all(&[v])
-}
-
-fn write_u64(w: &mut dyn Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f64(w: &mut dyn Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-// ---------------------------------------------------------------------------
 // Writer: one in-memory buffer per envelope
 // ---------------------------------------------------------------------------
 
-/// Accumulates one complete envelope in memory. Offsets relative to the
-/// envelope start are simply `buf.len()`, which makes the 8-byte section
-/// alignment trivial; the finished envelope (header patched with the total
-/// length, CRC32 trailer appended) reaches the output writer as a single
-/// `write_all` — the buffered save path.
-struct SectionWriter {
-    buf: Vec<u8>,
+/// Appends one complete checksummed envelope to `out`: the header, the
+/// payload `payload` writes, the length patched into the header and the
+/// CRC32 trailer. The envelope starts at `out.len()`, which must be a
+/// multiple of 8 so that 8-byte alignment relative to the envelope start
+/// is alignment in `out`.
+fn write_envelope(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let base = out.len();
+    assert!(
+        base.is_multiple_of(8),
+        "an envelope starts at an 8-aligned offset"
+    );
+    out.extend_from_slice(&MAGIC);
+    le::put(out, FORMAT_VERSION);
+    le::put(out, tag);
+    le::put(out, 0u64); // length, patched below
+    payload(out);
+    let total = (out.len() - base + 4) as u64;
+    out[base + 7..base + HEADER_LEN].copy_from_slice(&total.to_le_bytes());
+    let crc = crc32(&out[base..]);
+    le::put(out, crc);
 }
 
-impl Write for SectionWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SectionWriter {
-    fn pad8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
-    }
-
-    /// Writes one raw-encoded section of any [`Pod`] type.
-    fn section<T: Pod>(&mut self, data: &[T]) {
-        self.buf
-            .extend_from_slice(&(data.len() as u64).to_le_bytes());
-        self.buf.push(ENC_RAW);
-        self.pad8();
-        self.buf.extend_from_slice(&as_le_bytes(data));
-    }
-}
-
-/// Writes one complete checksummed envelope into `w` as a single
-/// buffered write.
-fn write_checksummed(
-    w: &mut dyn Write,
-    tag: u8,
-    payload: impl FnOnce(&mut SectionWriter) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut vw = SectionWriter {
-        buf: Vec::with_capacity(256),
-    };
-    vw.buf.extend_from_slice(&MAGIC);
-    vw.buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    vw.buf.push(tag);
-    vw.buf.extend_from_slice(&0u64.to_le_bytes()); // length, patched below
-    payload(&mut vw)?;
-    let total = (vw.buf.len() + 4) as u64;
-    vw.buf[7..HEADER_LEN].copy_from_slice(&total.to_le_bytes());
-    let crc = crc32(&vw.buf);
-    vw.buf.extend_from_slice(&crc.to_le_bytes());
-    w.write_all(&vw.buf)
+/// Appends one raw-encoded section of any [`Pod`] type: element count,
+/// encoding byte, zero pad to an 8-aligned offset, data.
+fn write_section<T: Pod>(out: &mut Vec<u8>, data: &[T]) {
+    le::put(out, data.len() as u64);
+    le::put(out, ENC_RAW);
+    out.resize(out.len().next_multiple_of(8), 0);
+    le::put_slice(out, data);
 }
 
 // ---------------------------------------------------------------------------
 // Reader: one validated cursor over an arena
 // ---------------------------------------------------------------------------
 
-/// The one decoder: a bounds-checked cursor over an [`Arena`] whose
-/// envelope CRC was verified once, up front. Sections come back as
-/// zero-copy views.
-struct ArenaSource {
-    arena: Arena,
+/// The one decoder: a bounds-checked [`Reader`] over one envelope of an
+/// [`Arena`] whose CRC was verified once, up front. Its positions count
+/// from the envelope start; sections come back as zero-copy views.
+struct ArenaSource<'a> {
+    arena: &'a Arena,
+    /// The envelope's offset in the arena (8-aligned).
     base: usize,
-    cursor: usize,
-    /// First byte past the payload (the trailer's offset).
-    end: usize,
+    /// The envelope up to its trailer, positioned past the header.
+    r: Reader<'a>,
     /// Total envelope length including the trailer.
     envelope_len: usize,
 }
 
-impl ArenaSource {
+impl<'a> ArenaSource<'a> {
     /// Validates the envelope at `base` (magic, version, family tag, length
     /// bounds, CRC32 over the raw bytes) and returns its family plus a
     /// cursor positioned at the first payload byte.
-    fn open(arena: &Arena, base: usize) -> io::Result<(IndexFamily, Self)> {
+    fn open(arena: &'a Arena, base: usize) -> io::Result<(IndexFamily, Self)> {
         if !base.is_multiple_of(8) {
             return Err(bad("envelope does not start 8-byte aligned"));
         }
         let bytes = arena.as_bytes();
-        let head = bytes
-            .get(base..base + HEADER_LEN)
-            .ok_or_else(|| bad("file too short for an IUSX envelope"))?;
-        if head[..4] != MAGIC {
+        let mut head = Reader::new(
+            bytes
+                .get(base..base + HEADER_LEN)
+                .ok_or_else(|| bad("file too short for an IUSX envelope"))?,
+        );
+        if head.bytes(4, "magic")? != MAGIC {
             return Err(bad("not an IUSX index file (bad magic)"));
         }
-        let version = u16::from_le_bytes([head[4], head[5]]);
+        let version: u16 = head.get("format version")?;
         if version != FORMAT_VERSION {
             return Err(bad(format!(
                 "unsupported IUSX format version {version} (this build reads only version \
@@ -270,17 +235,16 @@ impl ArenaSource {
         }
         // The header fields are checked before the checksum: they give the
         // most informative failures.
-        let family = family_from_tag(head[6])?;
-        let envelope_len = usize::try_from(u64::from_le_bytes(
-            head[7..HEADER_LEN].try_into().expect("8-byte slice"),
-        ))
-        .map_err(|_| bad("envelope length exceeds the address space"))?;
+        let family = family_from_tag(head.get("family tag")?)?;
+        let envelope_len = head
+            .usize("envelope length")
+            .map_err(|_| bad("envelope length exceeds the address space"))?;
         let end_total = base
             .checked_add(envelope_len)
             .filter(|&e| e <= bytes.len() && envelope_len >= HEADER_LEN + 4)
             .ok_or_else(|| bad("envelope length field escapes the file"))?;
         let end = end_total - 4;
-        let stored = u32::from_le_bytes(bytes[end..end_total].try_into().expect("4-byte slice"));
+        let stored: u32 = Reader::new(&bytes[end..end_total]).get("checksum trailer")?;
         let computed = crc32(&bytes[base..end]);
         if stored != computed {
             return Err(bad(format!(
@@ -288,13 +252,14 @@ impl ArenaSource {
                  the file is corrupt"
             )));
         }
+        let mut r = Reader::new(&bytes[base..end]);
+        r.bytes(HEADER_LEN, "envelope header")?;
         Ok((
             family,
             Self {
-                arena: arena.clone(),
+                arena,
                 base,
-                cursor: base + HEADER_LEN,
-                end,
+                r,
                 envelope_len,
             },
         ))
@@ -302,7 +267,7 @@ impl ArenaSource {
 
     /// [`ArenaSource::open`] for a whole-file envelope: nothing may follow
     /// the trailer.
-    fn open_file(arena: &Arena) -> io::Result<(IndexFamily, Self)> {
+    fn open_file(arena: &'a Arena) -> io::Result<(IndexFamily, Self)> {
         let (family, src) = Self::open(arena, 0)?;
         if src.envelope_len != arena.len() {
             return Err(bad(format!(
@@ -315,34 +280,24 @@ impl ArenaSource {
 
     /// Rejects trailing payload bytes the decoder did not consume.
     fn expect_consumed(&self) -> io::Result<()> {
-        if self.cursor != self.end {
+        if self.r.remaining() != 0 {
             return Err(bad(format!(
                 "envelope payload has {} undecoded trailing bytes",
-                self.end - self.cursor
+                self.r.remaining()
             )));
         }
-        Ok(())
-    }
-
-    /// Reads exactly `buf.len()` bytes (scalar header fields).
-    fn read_buf(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let next = self
-            .cursor
-            .checked_add(buf.len())
-            .filter(|&n| n <= self.end)
-            .ok_or_else(|| bad("payload field escapes the envelope"))?;
-        buf.copy_from_slice(&self.arena.as_bytes()[self.cursor..next]);
-        self.cursor = next;
         Ok(())
     }
 
     /// Skips to the next 8-byte-aligned offset relative to the envelope
     /// start, rejecting nonzero padding.
     fn align8(&mut self) -> io::Result<()> {
-        let pad = (8 - (self.cursor - self.base) % 8) % 8;
-        let mut buf = [0u8; 8];
-        self.read_buf(&mut buf[..pad])?;
-        if buf[..pad].iter().any(|&b| b != 0) {
+        let pad = self.r.pos().next_multiple_of(8) - self.r.pos();
+        let pad = self
+            .r
+            .bytes(pad, "section padding")
+            .map_err(|_| bad("payload field escapes the envelope"))?;
+        if pad.iter().any(|&b| b != 0) {
             return Err(bad("nonzero section padding"));
         }
         Ok(())
@@ -354,17 +309,13 @@ impl ArenaSource {
         let bytes = elems
             .checked_mul(T::SIZE)
             .ok_or_else(|| bad("section length overflows"))?;
-        let next = self
-            .cursor
-            .checked_add(bytes)
-            .filter(|&n| n <= self.end)
-            .ok_or_else(|| bad("section escapes the envelope"))?;
-        let view = self
-            .arena
-            .view::<T>(self.cursor, elems)
-            .ok_or_else(|| bad("section is not aligned for its element type"))?;
-        self.cursor = next;
-        Ok(view)
+        let offset = self.base + self.r.pos();
+        self.r
+            .bytes(bytes, "section")
+            .map_err(|_| bad("section escapes the envelope"))?;
+        self.arena
+            .view::<T>(offset, elems)
+            .ok_or_else(|| bad("section is not aligned for its element type"))
     }
 
     /// The arena handle the loaded index retains for size accounting.
@@ -373,42 +324,11 @@ impl ArenaSource {
     }
 }
 
-/// Scalar fields read through [`Read`], so the spec codec serves an
-/// envelope and an `IUSL` manifest alike; a field past the payload's end
-/// is `UnexpectedEof`.
-impl Read for ArenaSource {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let len = buf.len().min(self.end - self.cursor);
-        self.read_buf(&mut buf[..len])?;
-        Ok(len)
-    }
-}
-
-fn read_u8(r: &mut dyn Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn read_u64(r: &mut dyn Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_f64(r: &mut dyn Read) -> io::Result<f64> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
-fn read_len(r: &mut dyn Read) -> io::Result<usize> {
-    usize::try_from(read_u64(r)?).map_err(|_| bad("length prefix exceeds the address space"))
-}
-
 /// Reads one section of any [`Pod`] type; an encoding other than raw is
 /// refused.
 fn read_section<T: Pod>(s: &mut ArenaSource) -> io::Result<ArenaVec<T>> {
-    let elems = read_len(s)?;
-    match read_u8(s)? {
+    let elems = s.r.usize("section length")?;
+    match s.r.get::<u8>("section encoding")? {
         ENC_RAW => {
             s.align8()?;
             s.take::<T>(elems)
@@ -433,26 +353,26 @@ fn family_from_tag(tag: u8) -> io::Result<IndexFamily> {
 /// Writes index parameters as IUSX and IUSL store them: `z` (f64) · ℓ
 /// (u64) · k (u64) · k-mer order (u8: `0` lexicographic, `1` Karp–Rabin)
 /// · seed (u64, `0` for the lexicographic order).
-fn write_params(w: &mut dyn Write, params: &IndexParams) -> io::Result<()> {
+fn write_params(out: &mut Vec<u8>, params: &IndexParams) {
     let (order, seed) = match params.order {
-        KmerOrder::Lexicographic => (0, 0),
+        KmerOrder::Lexicographic => (0u8, 0),
         KmerOrder::KarpRabin { seed } => (1, seed),
     };
-    write_f64(w, params.z)?;
-    write_u64(w, params.ell as u64)?;
-    write_u64(w, params.k as u64)?;
-    write_u8(w, order)?;
-    write_u64(w, seed)
+    le::put(out, params.z);
+    le::put(out, params.ell as u64);
+    le::put(out, params.k as u64);
+    le::put(out, order);
+    le::put(out, seed);
 }
 
 /// Reads parameters written by [`write_params`]: `InvalidData` on an
 /// unknown order tag, a `z` that is not finite and at least 1, or ℓ and k
 /// outside `1 ≤ k ≤ ℓ`.
-fn read_params(r: &mut dyn Read) -> io::Result<IndexParams> {
+fn read_params(r: &mut Reader) -> io::Result<IndexParams> {
     let z = read_z(r)?;
-    let ell = read_len(r)?;
-    let k = read_len(r)?;
-    let order = match (read_u8(r)?, read_u64(r)?) {
+    let ell = r.usize("ℓ")?;
+    let k = r.usize("k")?;
+    let order = match (r.get::<u8>("k-mer order")?, r.get::<u64>("k-mer seed")?) {
         (0, _) => KmerOrder::Lexicographic,
         (1, seed) => KmerOrder::KarpRabin { seed },
         (other, _) => return Err(bad(format!("unknown k-mer order tag {other}"))),
@@ -463,34 +383,30 @@ fn read_params(r: &mut dyn Read) -> io::Result<IndexParams> {
     Ok(IndexParams { z, ell, k, order })
 }
 
-/// Writes a spec as an `IUSL` manifest stores it: the family's tag (its
+/// Appends a spec as an `IUSL` manifest stores it: the family's tag (its
 /// place in [`IndexFamily::all`], the IUSX envelope's family byte), then
 /// the parameters as a minimizer payload opens with them (see the module
 /// doc).
-///
-/// # Errors
-///
-/// Propagates I/O errors of the writer.
-pub fn write_spec(w: &mut dyn Write, spec: &IndexSpec) -> io::Result<()> {
-    write_u8(w, spec.family.tag())?;
-    write_params(w, &spec.params)
+pub fn write_spec(out: &mut Vec<u8>, spec: &IndexSpec) {
+    le::put(out, spec.family.tag());
+    write_params(out, &spec.params);
 }
 
 /// Reads a spec written by [`write_spec`].
 ///
 /// # Errors
 ///
-/// I/O errors of the reader; `InvalidData` on an unknown family tag, an
-/// unknown order tag, a `z` that is not finite and at least 1, or ℓ and k
-/// outside `1 ≤ k ≤ ℓ`.
-pub fn read_spec(r: &mut dyn Read) -> io::Result<IndexSpec> {
-    let family = family_from_tag(read_u8(r)?)?;
+/// `UnexpectedEof` when the input ends first; `InvalidData` on an unknown
+/// family tag, an unknown order tag, a `z` that is not finite and at least
+/// 1, or ℓ and k outside `1 ≤ k ≤ ℓ`.
+pub fn read_spec(r: &mut Reader) -> io::Result<IndexSpec> {
+    let family = family_from_tag(r.get("family tag")?)?;
     Ok(IndexSpec::new(family, read_params(r)?))
 }
 
 /// Reads a stored threshold, refused unless finite and at least 1.
-fn read_z(r: &mut dyn Read) -> io::Result<f64> {
-    let z = read_f64(r)?;
+fn read_z(r: &mut Reader) -> io::Result<f64> {
+    let z: f64 = r.get("threshold z")?;
     if !(z.is_finite() && z >= 1.0) {
         return Err(bad(format!("invalid stored threshold z = {z}")));
     }
@@ -501,33 +417,32 @@ fn read_z(r: &mut dyn Read) -> io::Result<f64> {
 // Component writers/readers (aligned sections)
 // ---------------------------------------------------------------------------
 
-fn write_property_text(vw: &mut SectionWriter, pt: &PropertyText) -> io::Result<()> {
-    write_u64(vw, pt.n() as u64)?;
-    write_u64(vw, pt.num_strands() as u64)?;
-    vw.section::<u8>(pt.text());
-    vw.section::<u32>(pt.trunc_raw());
-    vw.section::<u32>(pt.psa());
-    Ok(())
+fn write_property_text(out: &mut Vec<u8>, pt: &PropertyText) {
+    le::put(out, pt.n() as u64);
+    le::put(out, pt.num_strands() as u64);
+    write_section::<u8>(out, pt.text());
+    write_section::<u32>(out, pt.trunc_raw());
+    write_section::<u32>(out, pt.psa());
 }
 
 fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
-    let n = read_len(s)?;
-    let num_strands = read_len(s)?;
+    let n = s.r.usize("n")?;
+    let num_strands = s.r.usize("strand count")?;
     let text = read_section::<u8>(s)?;
     let trunc = read_section::<u32>(s)?;
     let psa = read_section::<u32>(s)?;
     PropertyText::from_parts(n, num_strands, text, trunc, psa).map_err(bad)
 }
 
-fn write_trie(vw: &mut SectionWriter, trie: &CompactedTrie) -> io::Result<()> {
+fn write_trie(out: &mut Vec<u8>, trie: &CompactedTrie) {
     let parts = trie.to_parts();
-    vw.section::<u32>(&parts.depth);
-    vw.section::<u32>(&parts.leaf_lo);
-    vw.section::<u32>(&parts.leaf_hi);
-    vw.section::<u32>(&parts.children_start);
-    vw.section::<u8>(&parts.child_letters);
-    vw.section::<u32>(&parts.child_nodes);
-    write_u64(vw, parts.num_leaves)
+    write_section::<u32>(out, &parts.depth);
+    write_section::<u32>(out, &parts.leaf_lo);
+    write_section::<u32>(out, &parts.leaf_hi);
+    write_section::<u32>(out, &parts.children_start);
+    write_section::<u8>(out, &parts.child_letters);
+    write_section::<u32>(out, &parts.child_nodes);
+    le::put(out, parts.num_leaves);
 }
 
 fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
@@ -538,32 +453,31 @@ fn read_trie(s: &mut ArenaSource) -> io::Result<CompactedTrie> {
         children_start: read_section::<u32>(s)?,
         child_letters: read_section::<u8>(s)?,
         child_nodes: read_section::<u32>(s)?,
-        num_leaves: read_u64(s)?,
+        num_leaves: s.r.get("trie leaf count")?,
     };
     CompactedTrie::from_parts(parts).map_err(bad)
 }
 
-fn write_grid(vw: &mut SectionWriter, grid: &RankSpaceGrid) -> io::Result<()> {
+fn write_grid(out: &mut Vec<u8>, grid: &RankSpaceGrid) {
     let RankSpaceParts {
         points,
         x_starts,
         y_starts,
     } = grid.to_parts();
-    write_u64(vw, points.len)?;
-    vw.section::<u64>(&points.bits);
-    vw.section::<u32>(&points.ranks);
-    vw.section::<u32>(&points.ids_by_x);
-    vw.section::<u32>(&points.xs_by_id);
+    le::put(out, points.len);
+    write_section::<u64>(out, &points.bits);
+    write_section::<u32>(out, &points.ranks);
+    write_section::<u32>(out, &points.ids_by_x);
+    write_section::<u32>(out, &points.xs_by_id);
     for starts in [x_starts, y_starts] {
-        vw.section::<u64>(&starts.bits);
-        vw.section::<u32>(&starts.ranks);
+        write_section::<u64>(out, &starts.bits);
+        write_section::<u32>(out, &starts.ranks);
     }
-    Ok(())
 }
 
 fn read_grid(s: &mut ArenaSource) -> io::Result<RankSpaceGrid> {
     let points = ReporterParts {
-        len: read_u64(s)?,
+        len: s.r.get("grid point count")?,
         bits: read_section::<u64>(s)?,
         ranks: read_section::<u32>(s)?,
         ids_by_x: read_section::<u32>(s)?,
@@ -585,10 +499,10 @@ fn read_grid(s: &mut ArenaSource) -> io::Result<RankSpaceGrid> {
 
 /// Writes the heavy letters, plus the log-prefix table for grid variants
 /// (`log_prefix` is empty for the others).
-fn write_heavy(vw: &mut SectionWriter, letters: &[u8], log_prefix: &[f64], grid: bool) {
-    vw.section::<u8>(letters);
+fn write_heavy(out: &mut Vec<u8>, letters: &[u8], log_prefix: &[f64], grid: bool) {
+    write_section::<u8>(out, letters);
     if grid {
-        vw.section::<f64>(log_prefix);
+        write_section::<f64>(out, log_prefix);
     }
 }
 
@@ -609,18 +523,18 @@ fn read_heavy(s: &mut ArenaSource, grid: bool) -> io::Result<(Arc<Vec<u8>>, Aren
 
 /// Writes a narrow table: its width byte (1, 2 or 4), then a section of
 /// that width.
-fn write_narrow(vw: &mut SectionWriter, table: &NarrowTable) {
-    vw.buf.push(table.width() as u8);
+fn write_narrow(out: &mut Vec<u8>, table: &NarrowTable) {
+    le::put(out, table.width() as u8);
     match table {
-        NarrowTable::U8(v) => vw.section::<u8>(v),
-        NarrowTable::U16(v) => vw.section::<u16>(v),
-        NarrowTable::U32(v) => vw.section::<u32>(v),
+        NarrowTable::U8(v) => write_section::<u8>(out, v),
+        NarrowTable::U16(v) => write_section::<u16>(out, v),
+        NarrowTable::U32(v) => write_section::<u32>(out, v),
     }
 }
 
 /// Reads a narrow table; a width byte other than 1, 2 or 4 is refused.
 fn read_narrow(s: &mut ArenaSource, table: &str) -> io::Result<NarrowTable> {
-    Ok(match read_u8(s)? {
+    Ok(match s.r.get::<u8>("table width")? {
         1 => NarrowTable::U8(read_section::<u8>(s)?),
         2 => NarrowTable::U16(read_section::<u16>(s)?),
         4 => NarrowTable::U32(read_section::<u32>(s)?),
@@ -633,16 +547,16 @@ fn read_narrow(s: &mut ArenaSource, table: &str) -> io::Result<NarrowTable> {
 }
 
 /// Writes a factor set; grid variants also write its log-ratio pool.
-fn write_factor_set(vw: &mut SectionWriter, set: &EncodedFactorSet, grid: bool) {
-    vw.section::<u32>(set.anchor_x_raw());
-    write_narrow(vw, set.lens_raw());
-    write_narrow(vw, set.mism_start_raw());
-    write_narrow(vw, set.mism_depths_raw());
-    vw.section::<u8>(set.mism_letters_raw());
+fn write_factor_set(out: &mut Vec<u8>, set: &EncodedFactorSet, grid: bool) {
+    write_section::<u32>(out, set.anchor_x_raw());
+    write_narrow(out, set.lens_raw());
+    write_narrow(out, set.mism_start_raw());
+    write_narrow(out, set.mism_depths_raw());
+    write_section::<u8>(out, set.mism_letters_raw());
     if grid {
-        vw.section::<f64>(set.mism_log_ratios_raw());
+        write_section::<f64>(out, set.mism_log_ratios_raw());
     }
-    vw.section::<u64>(set.prefix_keys_raw());
+    write_section::<u64>(out, set.prefix_keys_raw());
 }
 
 /// Reads the factor set that reads `heavy_view` in `direction`.
@@ -677,22 +591,21 @@ fn read_factor_set(
 // Family payloads
 // ---------------------------------------------------------------------------
 
-fn write_minimizer_payload(vw: &mut SectionWriter, index: &MinimizerIndex) -> io::Result<()> {
-    write_params(vw, index.params())?;
+fn write_minimizer_payload(out: &mut Vec<u8>, index: &MinimizerIndex) {
+    write_params(out, index.params());
     let parts = index.persist_parts();
     let grid = index.variant().has_grid();
-    write_u64(vw, parts.n as u64)?;
-    write_u64(vw, parts.sigma as u64)?;
-    write_heavy(vw, parts.heavy, parts.log_prefix, grid);
-    write_factor_set(vw, parts.fwd, grid);
-    write_factor_set(vw, parts.bwd, grid);
+    le::put(out, parts.n as u64);
+    le::put(out, parts.sigma as u64);
+    write_heavy(out, parts.heavy, parts.log_prefix, grid);
+    write_factor_set(out, parts.fwd, grid);
+    write_factor_set(out, parts.bwd, grid);
     for trie in [parts.fwd_trie, parts.bwd_trie].into_iter().flatten() {
-        write_trie(vw, trie)?;
+        write_trie(out, trie);
     }
     if let Some(grid) = parts.grid {
-        write_grid(vw, grid)?;
+        write_grid(out, grid);
     }
-    Ok(())
 }
 
 /// Reads the payload of a minimizer `family`: its variant alone decides
@@ -702,9 +615,9 @@ fn read_minimizer_payload(
     src: &mut ArenaSource,
 ) -> io::Result<MinimizerIndex> {
     let variant = family.minimizer_variant().expect("a minimizer family");
-    let params = read_params(src)?;
-    let n = read_len(src)?;
-    let sigma = read_len(src)?;
+    let params = read_params(&mut src.r)?;
+    let n = src.r.usize("n")?;
+    let sigma = src.r.usize("σ")?;
     let has_grid = variant.has_grid();
     let (heavy, log_prefix) = read_heavy(src, has_grid)?;
     // The forward set reads the index-wide heavy string, the backward set
@@ -777,19 +690,31 @@ impl AnyIndex {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_checksummed(w, self.family().tag(), |vw| match self {
-            AnyIndex::Naive(index) => write_f64(vw, index.z()),
+        let mut out = Vec::with_capacity(256);
+        self.save_into(&mut out);
+        w.write_all(&out)
+    }
+
+    /// Appends the envelope [`AnyIndex::save_to`] writes to `out` (a live
+    /// index's segment file holds one behind its prefix).
+    ///
+    /// # Panics
+    ///
+    /// If `out.len()` is not a multiple of 8: an envelope starts 8-aligned.
+    pub fn save_into(&self, out: &mut Vec<u8>) {
+        write_envelope(out, self.family().tag(), |out| match self {
+            AnyIndex::Naive(index) => le::put(out, index.z()),
             AnyIndex::Wst(index) => {
-                write_f64(vw, index.z())?;
-                write_property_text(vw, index.property_text_ref())?;
-                write_trie(vw, index.trie_ref())
+                le::put(out, index.z());
+                write_property_text(out, index.property_text_ref());
+                write_trie(out, index.trie_ref());
             }
             AnyIndex::Wsa(index) => {
-                write_f64(vw, index.z())?;
-                write_property_text(vw, index.property_text())
+                le::put(out, index.z());
+                write_property_text(out, index.property_text());
             }
-            AnyIndex::Minimizer(index) => write_minimizer_payload(vw, index),
-        })
+            AnyIndex::Minimizer(index) => write_minimizer_payload(out, index),
+        });
     }
 }
 
@@ -843,10 +768,10 @@ pub fn open_index_at(arena: &Arena, offset: usize) -> io::Result<(AnyIndex, usiz
 fn load_index_payload(family: IndexFamily, src: &mut ArenaSource) -> io::Result<AnyIndex> {
     Ok(match family {
         IndexFamily::Naive => {
-            AnyIndex::Naive(NaiveIndex::new(read_z(src)?).map_err(|e| bad(e.to_string()))?)
+            AnyIndex::Naive(NaiveIndex::new(read_z(&mut src.r)?).map_err(|e| bad(e.to_string()))?)
         }
         IndexFamily::Wst => {
-            let z = read_z(src)?;
+            let z = read_z(&mut src.r)?;
             let property_text = read_property_text(src)?;
             let trie = read_trie(src)?;
             if trie.num_leaves() != property_text.psa().len() {
@@ -860,7 +785,7 @@ fn load_index_payload(family: IndexFamily, src: &mut ArenaSource) -> io::Result<
             ))
         }
         IndexFamily::Wsa => {
-            let z = read_z(src)?;
+            let z = read_z(&mut src.r)?;
             let property_text = read_property_text(src)?;
             AnyIndex::Wsa(Wsa::from_loaded_parts(
                 z,

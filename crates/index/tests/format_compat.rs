@@ -267,7 +267,7 @@ fn every_family_tag_is_its_manifest_tag_and_its_place_in_the_family_list() {
         assert_eq!(built.family(), family, "{label}");
         let params = IndexParams::new(4.0, 8, 4).expect("params");
         let mut spec = Vec::new();
-        write_spec(&mut spec, &IndexSpec::new(family, params)).expect("spec");
+        write_spec(&mut spec, &IndexSpec::new(family, params));
         assert_eq!(usize::from(raw[6]), place, "{label}: envelope tag");
         assert_eq!(raw[6], spec[0], "{label}: manifest tag");
         assert_eq!(open_single(raw).family(), family, "{label}");

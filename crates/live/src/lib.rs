@@ -899,13 +899,7 @@ impl LiveIndex {
                     index,
                 }))
             });
-        let mut frozen: Vec<Arc<Segment>> = Vec::with_capacity(built.len());
-        for outcome in built {
-            match outcome {
-                Ok(segment) => frozen.push(segment?),
-                Err(task_panic) => panic!("{task_panic}"),
-            }
-        }
+        let frozen = built.into_iter().collect::<Result<Vec<_>>>()?;
         {
             let mut holder = self.inner.state.lock().expect("state lock");
             let mut state = LiveState::clone(&holder);
@@ -957,7 +951,7 @@ impl LiveIndex {
         let _write = self.inner.write_lock.lock().expect("write lock");
         self.save_to_dir_locked(dir)
             .map_err(|e| Error::Io(format!("initial checkpoint into {}: {e}", dir.display())))?;
-        let file = wal::create_wal_file(dir).map_err(|e| {
+        let wal = wal::create_wal_file(dir, policy).map_err(|e| {
             Error::Io(format!(
                 "creating {} in {}: {e}",
                 wal::WAL_FILE,
@@ -966,8 +960,7 @@ impl LiveIndex {
         })?;
         *self.inner.durability.lock().expect("durability lock") = Some(Durability {
             dir: Some(dir.to_path_buf()),
-            wal: Wal::resume(Box::new(file), policy)
-                .with_fsync_histogram(self.inner.obs.wal_fsync.clone()),
+            wal: wal.with_fsync_histogram(self.inner.obs.wal_fsync.clone()),
         });
         Ok(())
     }
@@ -1052,11 +1045,8 @@ impl LiveIndex {
         if dir != saved_dir {
             return;
         }
-        match wal::create_wal_file(dir) {
-            Ok(file) => {
-                d.wal = Wal::resume(Box::new(file), d.wal.policy())
-                    .with_fsync_histogram(self.inner.obs.wal_fsync.clone());
-            }
+        match wal::create_wal_file(dir, d.wal.policy()) {
+            Ok(wal) => d.wal = wal.with_fsync_histogram(self.inner.obs.wal_fsync.clone()),
             Err(e) => self.inner.record_error(format!("wal rotation failed: {e}")),
         }
     }
@@ -1418,12 +1408,8 @@ fn compact_round(inner: &Arc<Inner>) -> Result<usize> {
         build_merged_segment(inner, &snapshot.segments[start..end], ids[i])
     });
     let mut merges = 0usize;
-    for (outcome, &(start, end)) in built.into_iter().zip(&runs) {
-        let merged = match outcome {
-            Ok(segment) => segment?,
-            Err(task_panic) => panic!("{task_panic}"),
-        };
-        merges += swap_in_merged(inner, merged, &snapshot.segments[start..end]);
+    for (merged, &(start, end)) in built.into_iter().zip(&runs) {
+        merges += swap_in_merged(inner, merged?, &snapshot.segments[start..end]);
     }
     if clock::enabled() {
         inner

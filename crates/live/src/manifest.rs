@@ -17,18 +17,23 @@
 //! ```
 //!
 //! Everything is little-endian (`f64` as the LE bytes of its IEEE-754
-//! bits), matching the `IUSX` on-disk format. **Version policy** is the
-//! same too: this build reads and writes version 3 only, any layout
-//! change bumps the version, and every other version is refused with a
-//! typed `InvalidData` error naming it (load and re-save a version-2
-//! directory with an older build to convert it). Version 2 added the
-//! CRC32 trailer (over everything from the magic to the last payload
-//! byte); version 3 zero-pads the segment prefix so the nested index
-//! envelope starts on an 8-aligned offset. Reopening never re-runs
-//! construction, and there is one read path: each segment file is read
-//! into one [`ius_arena::Arena`] and its index opened zero-copy by
-//! `ius_index::persist::open_index_at` (O(header + validation), not
-//! O(elements)).
+//! bits), written and read through [`ius_arena::le`] like the `IUSX`
+//! on-disk format. **Version policy** is the same too: this build reads
+//! and writes version 3 only, any layout change bumps the version, and
+//! every other version is refused with a typed `InvalidData` error naming
+//! it (load and re-save a version-2 directory with an older build to
+//! convert it). Version 2 added the CRC32 trailer (over everything from
+//! the magic to the last payload byte); version 3 zero-pads the segment
+//! prefix so the nested index envelope starts on an 8-aligned offset.
+//!
+//! Reopening never re-runs construction, and there is **one read path**
+//! for both file kinds: read the whole file, check its magic and version,
+//! check the CRC32 once over the body, then parse fields from the checked
+//! slice. A segment file is read into one [`ius_arena::Arena`] so its
+//! index opens zero-copy through `ius_index::persist::open_index_at`
+//! (O(header + validation), not O(elements)); the manifest is read into a
+//! plain byte vector. Each file is saved from one buffer: the fields, the
+//! CRC32 appended, one `write_all`.
 //!
 //! [`LiveIndex::save_to_dir`] writes the segment files first and the
 //! manifest last, **every file through a temporary name + atomic rename**;
@@ -47,13 +52,14 @@
 
 use crate::wal::{self, WalRecord};
 use crate::{insert_tombstone, LiveConfig, LiveIndex, LiveState, Memtable, Segment};
+use ius_arena::le::{self, Reader};
 use ius_arena::Arena;
-use ius_faultio::{crc32, Crc32Reader, Crc32Writer};
+use ius_faultio::crc32;
 use ius_index::overlap::overlap_len;
 use ius_index::persist::{read_spec, write_spec};
 use ius_index::{IndexSpec, UncertainIndex};
 use ius_weighted::{Alphabet, WeightedString};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -77,111 +83,56 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-// ---------------------------------------------------------------------
-// Wire primitives (the spec codec is ius_index::persist's; the rest are
-// small enough to keep local).
-// ---------------------------------------------------------------------
-
-fn write_u16(w: &mut dyn Write, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Starts a file of either kind: its magic and version.
+fn begin_file(magic: [u8; 4]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    le::put(&mut out, LIVE_FORMAT_VERSION);
+    out
 }
 
-fn write_u32(w: &mut dyn Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Appends the CRC32 trailer to `out` and writes it to `dir/name` in one
+/// `write_all`, through a temporary name and an atomic rename.
+fn write_file(dir: &Path, name: &str, mut out: Vec<u8>) -> io::Result<()> {
+    let crc = crc32(&out);
+    le::put(&mut out, crc);
+    let tmp = dir.join(format!("{name}.tmp"));
+    std::fs::write(&tmp, &out)?;
+    std::fs::rename(&tmp, dir.join(name))
 }
 
-fn write_u64(w: &mut dyn Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u16(r: &mut dyn Read) -> io::Result<u16> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
-}
-
-fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Reads the CRC32 trailer from the checksummed reader's *underlying*
-/// stream and compares it against the digest of everything read so far.
-fn check_trailer<R: Read>(cr: &mut Crc32Reader<R>, what: &str) -> io::Result<()> {
-    let computed = cr.crc();
-    let stored = read_u32(cr.inner_mut())?;
+/// Opens the bytes of a whole file of either kind: checks its magic and
+/// version first (the most informative failures), then its CRC32 trailer
+/// over everything before it, and returns a reader over the checked body,
+/// positioned past the version.
+fn open_file<'a>(bytes: &'a [u8], magic: [u8; 4], what: &str) -> io::Result<Reader<'a>> {
+    if bytes.len() < magic.len() + 2 + 4 {
+        return Err(bad(format!("{what} file is too short")));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let mut r = Reader::new(body);
+    let got = r.bytes(magic.len(), "magic")?;
+    if got != magic {
+        return Err(bad(format!(
+            "not a live-index {what} file (bad magic {got:02x?})"
+        )));
+    }
+    let version: u16 = r.get("version")?;
+    if version != LIVE_FORMAT_VERSION {
+        return Err(bad(format!(
+            "unsupported live-index {what} version {version} (this build reads only version \
+             {LIVE_FORMAT_VERSION}; load and re-save the directory with an older build to \
+             convert it)"
+        )));
+    }
+    let stored: u32 = Reader::new(trailer).get("checksum trailer")?;
+    let computed = crc32(body);
     if stored != computed {
         return Err(bad(format!(
             "{what} checksum mismatch (stored {stored:#010x}, computed {computed:#010x}): the \
              file is corrupt"
         )));
     }
-    Ok(())
-}
-
-fn read_u64(r: &mut dyn Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_len(r: &mut dyn Read) -> io::Result<usize> {
-    usize::try_from(read_u64(r)?).map_err(|_| bad("length prefix exceeds the address space"))
-}
-
-/// Writes a float slice in bounded chunks (large `write_all`s, no
-/// syscall-per-element on unbuffered writers).
-fn write_f64_slice(w: &mut dyn Write, values: &[f64]) -> io::Result<()> {
-    const CHUNK: usize = 8192;
-    let mut buf = Vec::with_capacity(CHUNK.min(values.len()) * 8);
-    for chunk in values.chunks(CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-/// Reads `count` floats in bounded chunks, so a corrupted count fails with
-/// EOF instead of one absurd up-front allocation.
-fn read_f64_vec(r: &mut dyn Read, count: usize) -> io::Result<Vec<f64>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; 8192];
-    let mut remaining = count
-        .checked_mul(8)
-        .ok_or_else(|| bad("f64 vector overflow"))?;
-    while remaining > 0 {
-        let take = remaining.min(buf.len());
-        r.read_exact(&mut buf[..take])?;
-        out.extend(
-            buf[..take]
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")))),
-        );
-        remaining -= take;
-    }
-    out.shrink_to_fit();
-    Ok(out)
-}
-
-fn read_magic_version(r: &mut dyn Read, magic: [u8; 4], what: &str) -> io::Result<()> {
-    let mut got = [0u8; 4];
-    r.read_exact(&mut got)?;
-    if got != magic {
-        return Err(bad(format!("not a {what} file (bad magic {got:02x?})")));
-    }
-    let version = read_u16(r)?;
-    if version != LIVE_FORMAT_VERSION {
-        return Err(bad(format!(
-            "unsupported {what} version {version} (this build reads only version \
-             {LIVE_FORMAT_VERSION}; load and re-save the directory with an older build to \
-             convert it)"
-        )));
-    }
-    Ok(())
+    Ok(r)
 }
 
 fn segment_file_name(id: u64) -> String {
@@ -221,7 +172,7 @@ impl LiveIndex {
         let state = self.inner.state.lock().expect("state lock").clone();
         let sigma = self.inner.alphabet.size();
         for segment in &state.segments {
-            let path = dir.join(segment_file_name(segment.id));
+            let name = segment_file_name(segment.id);
             // Segments are immutable and ids are never reused (the next
             // id persists in the manifest), so a segment file that exists
             // under its final name was completed by an earlier save's
@@ -231,72 +182,63 @@ impl LiveIndex {
             // `.tmp` debris, never a truncated file the *previous*
             // manifest references: a torn save always leaves the prior
             // state loadable.
-            if path.exists() {
+            if dir.join(&name).exists() {
                 continue;
             }
-            let tmp = dir.join(format!("{}.tmp", segment_file_name(segment.id)));
-            {
-                let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-                let mut cw = Crc32Writer::new(&mut w);
-                cw.write_all(&SEGMENT_MAGIC)?;
-                write_u16(&mut cw, LIVE_FORMAT_VERSION)?;
-                write_u64(&mut cw, segment.id)?;
-                write_u64(&mut cw, segment.offset as u64)?;
-                write_u64(&mut cw, segment.home_len as u64)?;
-                write_u64(&mut cw, segment.x.len() as u64)?;
-                write_u64(&mut cw, sigma as u64)?;
-                write_f64_slice(&mut cw, segment.x.flat_probs())?;
-                // Zero-pad so the nested envelope starts 8-aligned: reopen
-                // then maps the file once and borrows the arrays in place.
-                let prefix = SEGMENT_MAGIC.len() + 2 + 5 * 8 + segment.x.len() * sigma * 8;
-                cw.write_all(&[0u8; 8][..prefix.next_multiple_of(8) - prefix])?;
-                segment.index.save_to(&mut cw)?;
-                let crc = cw.crc();
-                write_u32(cw.into_inner(), crc)?;
-                w.flush()?;
-            }
-            std::fs::rename(&tmp, &path)?;
+            let mut out = begin_file(SEGMENT_MAGIC);
+            le::put_slice(
+                &mut out,
+                &[
+                    segment.id,
+                    segment.offset as u64,
+                    segment.home_len as u64,
+                    segment.x.len() as u64,
+                    sigma as u64,
+                ],
+            );
+            le::put_slice(&mut out, segment.x.flat_probs());
+            // Zero-pad so the nested envelope starts 8-aligned: reopen
+            // then maps the file once and borrows the arrays in place.
+            out.resize(out.len().next_multiple_of(8), 0);
+            segment.index.save_into(&mut out);
+            write_file(dir, &name, out)?;
         }
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        {
-            let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-            let mut cw = Crc32Writer::new(&mut w);
-            cw.write_all(&MANIFEST_MAGIC)?;
-            write_u16(&mut cw, LIVE_FORMAT_VERSION)?;
-            let symbols = self.inner.alphabet.symbols();
-            write_u64(&mut cw, symbols.len() as u64)?;
-            cw.write_all(symbols)?;
-            write_spec(&mut cw, &self.inner.spec)?;
-            write_u64(&mut cw, self.inner.max_pattern_len as u64)?;
-            write_u64(&mut cw, state.n as u64)?;
-            write_u64(&mut cw, state.memtable.start as u64)?;
-            write_u64(&mut cw, state.memtable.rows as u64)?;
-            write_f64_slice(
-                &mut cw,
-                &state.memtable.flat_rows(0, state.memtable.rows, sigma),
-            )?;
-            write_u64(&mut cw, state.tombstones.len() as u64)?;
-            for &(start, end) in &state.tombstones {
-                write_u64(&mut cw, start as u64)?;
-                write_u64(&mut cw, end as u64)?;
-            }
-            write_u64(&mut cw, state.segments.len() as u64)?;
-            for segment in &state.segments {
-                write_u64(&mut cw, segment.id)?;
-                write_u64(&mut cw, segment.offset as u64)?;
-                write_u64(&mut cw, segment.home_len as u64)?;
-            }
-            write_u64(
-                &mut cw,
-                self.inner
-                    .next_segment_id
-                    .load(std::sync::atomic::Ordering::SeqCst),
-            )?;
-            let crc = cw.crc();
-            write_u32(cw.into_inner(), crc)?;
-            w.flush()?;
+        let mut out = begin_file(MANIFEST_MAGIC);
+        let symbols = self.inner.alphabet.symbols();
+        le::put(&mut out, symbols.len() as u64);
+        out.extend_from_slice(symbols);
+        write_spec(&mut out, &self.inner.spec);
+        le::put_slice(
+            &mut out,
+            &[
+                self.inner.max_pattern_len as u64,
+                state.n as u64,
+                state.memtable.start as u64,
+                state.memtable.rows as u64,
+            ],
+        );
+        le::put_slice(
+            &mut out,
+            &state.memtable.flat_rows(0, state.memtable.rows, sigma),
+        );
+        le::put(&mut out, state.tombstones.len() as u64);
+        for &(start, end) in &state.tombstones {
+            le::put_slice(&mut out, &[start as u64, end as u64]);
         }
-        std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
+        le::put(&mut out, state.segments.len() as u64);
+        for segment in &state.segments {
+            le::put_slice(
+                &mut out,
+                &[segment.id, segment.offset as u64, segment.home_len as u64],
+            );
+        }
+        le::put(
+            &mut out,
+            self.inner
+                .next_segment_id
+                .load(std::sync::atomic::Ordering::SeqCst),
+        );
+        write_file(dir, MANIFEST_FILE, out)?;
         // Garbage-collect segment files a compaction has retired, plus any
         // `.tmp` debris a crashed earlier save left behind.
         let referenced: Vec<String> = state
@@ -331,43 +273,41 @@ impl LiveIndex {
     /// I/O errors, `InvalidData` on malformed content.
     pub fn open(dir: &Path, config: LiveConfig) -> io::Result<Self> {
         let manifest_path = dir.join(MANIFEST_FILE);
-        let file = std::fs::File::open(&manifest_path).map_err(|e| {
+        let bytes = std::fs::read(&manifest_path).map_err(|e| {
             io::Error::new(
                 e.kind(),
                 format!("cannot open manifest {}: {e}", manifest_path.display()),
             )
         })?;
-        let mut r = Crc32Reader::new(BufReader::new(file));
-        read_magic_version(&mut r, MANIFEST_MAGIC, "live-index manifest")?;
-        let symbols_len = read_len(&mut r)?;
+        let mut r = open_file(&bytes, MANIFEST_MAGIC, "manifest")?;
+        let symbols_len = r.usize("alphabet size")?;
         if symbols_len == 0 || symbols_len > 256 {
             return Err(bad(format!("invalid stored alphabet size {symbols_len}")));
         }
-        let mut symbols = vec![0u8; symbols_len];
-        r.read_exact(&mut symbols)?;
-        let alphabet = Alphabet::new(&symbols).map_err(|e| bad(e.to_string()))?;
+        let alphabet = Alphabet::new(r.bytes(symbols_len, "alphabet symbols")?)
+            .map_err(|e| bad(e.to_string()))?;
         let sigma = alphabet.size();
         let spec = read_spec(&mut r)?;
-        let max_pattern_len = read_len(&mut r)?;
+        let max_pattern_len = r.usize("max_pattern_len")?;
         if max_pattern_len == 0 || max_pattern_len < spec.lower_bound() {
             return Err(bad(format!(
                 "stored max_pattern_len {max_pattern_len} is below the family's lower bound"
             )));
         }
         let overlap = overlap_len(max_pattern_len);
-        let n = read_len(&mut r)?;
-        let mem_start = read_len(&mut r)?;
-        let mem_rows = read_len(&mut r)?;
+        let n = r.usize("n")?;
+        let mem_start = r.usize("memtable start")?;
+        let mem_rows = r.usize("memtable rows")?;
         if mem_start.checked_add(mem_rows) != Some(n) {
             return Err(bad(format!(
                 "memtable [{mem_start}, {mem_start}+{mem_rows}) does not end at n = {n}"
             )));
         }
-        let mem_probs = read_f64_vec(
-            &mut r,
+        let mem_probs = r.vec::<f64>(
             mem_rows
                 .checked_mul(sigma)
                 .ok_or_else(|| bad("memtable size overflow"))?,
+            "memtable probabilities",
         )?;
         if mem_rows > 0 {
             // Row validation (sums to 1, entries in [0, 1]) via the
@@ -375,12 +315,12 @@ impl LiveIndex {
             WeightedString::from_flat(alphabet.clone(), mem_probs.clone())
                 .map_err(|e| bad(format!("memtable rows: {e}")))?;
         }
-        let tombstone_count = read_len(&mut r)?;
-        let mut tombstones = Vec::with_capacity(tombstone_count.min(1 << 20));
+        let tombstone_count = r.usize("tombstone count")?;
+        let mut tombstones = Vec::with_capacity(tombstone_count.min(r.remaining() / 16));
         let mut prev_end = 0usize;
         for i in 0..tombstone_count {
-            let start = read_len(&mut r)?;
-            let end = read_len(&mut r)?;
+            let start = r.usize("tombstone start")?;
+            let end = r.usize("tombstone end")?;
             if start >= end || end > n || (i > 0 && start <= prev_end) {
                 return Err(bad(format!(
                     "tombstone {i} [{start}, {end}) is not sorted/disjoint within [0, {n})"
@@ -389,22 +329,20 @@ impl LiveIndex {
             prev_end = end;
             tombstones.push((start, end));
         }
-        let segment_count = read_len(&mut r)?;
-        let mut table = Vec::with_capacity(segment_count.min(1 << 20));
+        let segment_count = r.usize("segment count")?;
+        let mut table = Vec::with_capacity(segment_count.min(r.remaining() / 24));
         for _ in 0..segment_count {
-            let id = read_u64(&mut r)?;
-            let offset = read_len(&mut r)?;
-            let home_len = read_len(&mut r)?;
+            let id: u64 = r.get("segment id")?;
+            let offset = r.usize("segment offset")?;
+            let home_len = r.usize("segment home length")?;
             table.push((id, offset, home_len));
         }
-        let next_segment_id = read_u64(&mut r)?;
-        check_trailer(&mut r, "manifest")?;
-        {
-            // Nothing may trail the manifest trailer.
-            let mut probe = [0u8; 1];
-            if r.inner_mut().read(&mut probe)? != 0 {
-                return Err(bad("trailing bytes after the manifest checksum"));
-            }
+        let next_segment_id: u64 = r.get("next segment id")?;
+        if r.remaining() != 0 {
+            return Err(bad(format!(
+                "{} undecoded bytes before the manifest checksum",
+                r.remaining()
+            )));
         }
         // Tiling: home ranges cover [0, mem_start) consecutively.
         let mut expected_offset = 0usize;
@@ -534,7 +472,10 @@ fn apply_wal_record(
             let n_before = as_len(*n_before, "append position")?;
             let rows = as_len(*rows, "append rows")?;
             let sigma = alphabet.size();
-            if rows == 0 || flat.len() != rows * sigma {
+            let values = rows
+                .checked_mul(sigma)
+                .ok_or_else(|| bad(format!("append of {rows} rows over σ = {sigma} overflows")))?;
+            if rows == 0 || flat.len() != values {
                 return Err(bad(format!(
                     "append carries {} values for {rows} rows over σ = {sigma}",
                     flat.len()
@@ -601,60 +542,44 @@ fn read_segment_file(
     overlap: usize,
 ) -> io::Result<Segment> {
     let bytes = arena.as_bytes();
-    if bytes.len() < SEGMENT_MAGIC.len() + 2 + 4 {
-        return Err(bad("segment file is too short"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let mut r: &[u8] = body;
-    // Magic and version first (the most informative failures), then the
-    // file-wide checksum, then the payload fields.
-    read_magic_version(&mut r, SEGMENT_MAGIC, "live-index segment")?;
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(bad(format!(
-            "segment checksum mismatch (stored {stored:#010x}, computed {computed:#010x}): the \
-             file is corrupt"
-        )));
-    }
-    let stored_id = read_u64(&mut r)?;
-    let stored_offset = read_len(&mut r)?;
-    let stored_home = read_len(&mut r)?;
+    let mut r = open_file(bytes, SEGMENT_MAGIC, "segment")?;
+    let stored_id: u64 = r.get("segment id")?;
+    let stored_offset = r.usize("segment offset")?;
+    let stored_home = r.usize("segment home length")?;
     if stored_id != id || stored_offset != offset || stored_home != home_len {
         return Err(bad(format!(
             "segment header (id {stored_id}, offset {stored_offset}, home {stored_home}) does \
              not match the manifest entry (id {id}, offset {offset}, home {home_len})"
         )));
     }
-    let chunk_rows = read_len(&mut r)?;
+    let chunk_rows = r.usize("segment chunk rows")?;
     if home_len.checked_add(overlap) != Some(chunk_rows) {
         return Err(bad(format!(
             "segment chunk has {chunk_rows} rows, expected home {home_len} + overlap {overlap}"
         )));
     }
-    let stored_sigma = read_len(&mut r)?;
+    let stored_sigma = r.usize("segment σ")?;
     if stored_sigma != alphabet.size() {
         return Err(bad(format!(
             "segment σ = {stored_sigma} does not match the manifest alphabet (σ = {})",
             alphabet.size()
         )));
     }
-    let probs = read_f64_vec(
-        &mut r,
+    let probs = r.vec::<f64>(
         chunk_rows
             .checked_mul(stored_sigma)
             .ok_or_else(|| bad("segment size overflow"))?,
+        "segment probabilities",
     )?;
     let x = WeightedString::from_flat(alphabet.clone(), probs)
         .map_err(|e| bad(format!("segment rows: {e}")))?;
-    let pos = body.len() - r.len();
-    let aligned = pos.next_multiple_of(8);
-    match body.get(pos..aligned) {
-        Some(pad) if pad.iter().all(|&b| b == 0) => {}
+    let aligned = r.pos().next_multiple_of(8);
+    match r.bytes(aligned - r.pos(), "segment padding") {
+        Ok(pad) if pad.iter().all(|&b| b == 0) => {}
         _ => return Err(bad("segment alignment padding is missing or not zeroed")),
     }
     let (index, consumed) = ius_index::persist::open_index_at(&arena, aligned)?;
-    if aligned + consumed != body.len() {
+    if aligned + consumed != bytes.len() - 4 {
         return Err(bad("trailing bytes after the segment's index envelope"));
     }
     if !index.matches_spec(spec) {
@@ -698,17 +623,17 @@ mod tests {
         for (tag, family) in IndexFamily::all().into_iter().enumerate() {
             let spec = IndexSpec::new(family, params);
             let mut bytes = Vec::new();
-            write_spec(&mut bytes, &spec).unwrap();
+            write_spec(&mut bytes, &spec);
             assert_eq!(usize::from(bytes[0]), tag, "{}", family.name());
-            assert_eq!(read_spec(&mut bytes.as_slice()).unwrap(), spec);
+            assert_eq!(read_spec(&mut Reader::new(&bytes)).unwrap(), spec);
         }
         // 9 and 10 once named space-efficient grid variants, which never
         // built; they are unknown like any other tag.
         for tag in [9u8, 10, 11] {
             let mut bytes = Vec::new();
-            write_spec(&mut bytes, &IndexSpec::new(IndexFamily::Naive, params)).unwrap();
+            write_spec(&mut bytes, &IndexSpec::new(IndexFamily::Naive, params));
             bytes[0] = tag;
-            let err = read_spec(&mut bytes.as_slice()).unwrap_err();
+            let err = read_spec(&mut Reader::new(&bytes)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
                 err.to_string().contains("unknown index-family tag"),

@@ -10,8 +10,9 @@
 //!   kind 2 DELETE  start u64 · end u64
 //! ```
 //!
-//! Everything is little-endian; the CRC32 is the IEEE one from
-//! [`ius_faultio`]. `n_before` is the logical corpus length at the moment
+//! Everything is little-endian, written and read through
+//! [`ius_arena::le`]; the CRC32 is the IEEE one from [`ius_faultio`].
+//! `n_before` is the logical corpus length at the moment
 //! the mutation was logged — that stamp is what makes replay idempotent
 //! across the checkpoint window: an `APPEND` whose `n_before` is below the
 //! reopened manifest's `n` is already reflected in the manifest and is
@@ -40,6 +41,7 @@
 //! The log is rotated (checkpoint + fresh file) on every flush/manifest
 //! save, which keeps it bounded.
 
+use ius_arena::le::{self, Reader};
 use ius_faultio::{crc32, DurableSink};
 use ius_obs::{clock, Histogram};
 use std::io::{self, Write};
@@ -163,29 +165,24 @@ pub enum WalRecord {
 /// enumerating crash offsets.
 pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     let payload_at = out.len() + WAL_RECORD_HEADER_LEN;
-    out.extend_from_slice(&[0u8; WAL_RECORD_HEADER_LEN]);
+    out.resize(payload_at, 0);
     match record {
         WalRecord::Append {
             n_before,
             rows,
             flat,
         } => {
-            out.push(KIND_APPEND);
-            out.extend_from_slice(&n_before.to_le_bytes());
-            out.extend_from_slice(&rows.to_le_bytes());
-            for &p in flat {
-                out.extend_from_slice(&p.to_bits().to_le_bytes());
-            }
+            le::put(out, KIND_APPEND);
+            le::put_slice(out, &[*n_before, *rows]);
+            le::put_slice(out, flat);
         }
         WalRecord::Delete {
             n_before,
             start,
             end,
         } => {
-            out.push(KIND_DELETE);
-            out.extend_from_slice(&n_before.to_le_bytes());
-            out.extend_from_slice(&start.to_le_bytes());
-            out.extend_from_slice(&end.to_le_bytes());
+            le::put(out, KIND_DELETE);
+            le::put_slice(out, &[*n_before, *start, *end]);
         }
     }
     let payload_len = (out.len() - payload_at) as u32;
@@ -197,25 +194,17 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
 fn decode_payload(payload: &[u8]) -> io::Result<WalRecord> {
     // The payload passed its checksum, so a malformed one is written-side
     // corruption (or an unknown future kind), not a torn tail: typed error.
-    let take_u64 = |bytes: &[u8], at: usize| -> io::Result<u64> {
-        bytes
-            .get(at..at + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            .ok_or_else(|| bad("wal payload too short for its kind"))
-    };
-    let kind = *payload.first().ok_or_else(|| bad("empty wal payload"))?;
-    let n_before = take_u64(payload, 1)?;
+    let short = |_| bad("wal payload too short for its kind");
+    let mut r = Reader::new(payload);
+    let kind: u8 = r.get("kind").map_err(|_| bad("empty wal payload"))?;
+    let n_before: u64 = r.get("n_before").map_err(short)?;
     match kind {
         KIND_APPEND => {
-            let rows = take_u64(payload, 9)?;
-            let body = &payload[17..];
-            if rows == 0 || !body.len().is_multiple_of(8) {
+            let rows: u64 = r.get("rows").map_err(short)?;
+            if rows == 0 || !r.remaining().is_multiple_of(8) {
                 return Err(bad("malformed wal APPEND payload"));
             }
-            let flat: Vec<f64> = body
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                .collect();
+            let flat: Vec<f64> = r.vec(r.remaining() / 8, "append probabilities")?;
             if !(flat.len() as u64).is_multiple_of(rows) {
                 return Err(bad(format!(
                     "wal APPEND carries {} values, not a multiple of its {rows} rows",
@@ -234,8 +223,8 @@ fn decode_payload(payload: &[u8]) -> io::Result<WalRecord> {
             }
             Ok(WalRecord::Delete {
                 n_before,
-                start: take_u64(payload, 9)?,
-                end: take_u64(payload, 17)?,
+                start: r.get("delete start")?,
+                end: r.get("delete end")?,
             })
         }
         other => Err(bad(format!("unknown wal record kind {other}"))),
@@ -256,38 +245,32 @@ pub fn scan(bytes: &[u8]) -> io::Result<Vec<WalRecord>> {
     if bytes.len() < WAL_HEADER_LEN {
         return Err(bad("wal shorter than its fixed header"));
     }
-    if bytes[..4] != WAL_MAGIC {
-        return Err(bad(format!(
-            "not a wal file (bad magic {:02x?})",
-            &bytes[..4]
-        )));
+    let mut r = Reader::new(bytes);
+    let magic = r.bytes(4, "magic")?;
+    if magic != WAL_MAGIC {
+        return Err(bad(format!("not a wal file (bad magic {magic:02x?})")));
     }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let version: u16 = r.get("version")?;
     if version != WAL_VERSION {
         return Err(bad(format!(
             "unsupported wal version {version} (this build reads version {WAL_VERSION})"
         )));
     }
     let mut records = Vec::new();
-    let mut at = WAL_HEADER_LEN;
-    while at < bytes.len() {
-        let Some(header) = bytes.get(at..at + WAL_RECORD_HEADER_LEN) else {
-            break; // torn record header
-        };
-        let payload_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let stored_crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        let payload_at = at + WAL_RECORD_HEADER_LEN;
-        let Some(payload) = payload_at
-            .checked_add(payload_len)
-            .and_then(|end| bytes.get(payload_at..end))
+    while r.remaining() > 0 {
+        // A short record header, a short payload or a checksum mismatch is
+        // the torn (or bit-flipped) tail record: stop there.
+        let (Ok(payload_len), Ok(stored_crc)) = (r.get::<u32>("length"), r.get::<u32>("crc"))
         else {
-            break; // torn payload
+            break;
+        };
+        let Ok(payload) = r.bytes(payload_len as usize, "payload") else {
+            break;
         };
         if crc32(payload) != stored_crc {
-            break; // torn or bit-flipped tail record
+            break;
         }
         records.push(decode_payload(payload)?);
-        at = payload_at + payload_len;
     }
     Ok(records)
 }
@@ -317,31 +300,27 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Wraps a sink whose media already carries the file header (a real
-    /// file created by [`create_wal_file`]).
-    pub(crate) fn resume(sink: Box<dyn DurableSink>, policy: FsyncPolicy) -> Self {
-        Self {
+    /// Writes the file header (magic + version) through `sink`, then wraps
+    /// it: the one place a log file is started, whether the "file" is a
+    /// real one ([`create_wal_file`]) or a scripted fault sink.
+    pub(crate) fn create(mut sink: Box<dyn DurableSink>, policy: FsyncPolicy) -> io::Result<Self> {
+        let mut header = WAL_MAGIC.to_vec();
+        le::put(&mut header, WAL_VERSION);
+        sink.write_all(&header)?;
+        Ok(Self {
             sink,
             policy,
             last_sync: Instant::now(),
             poisoned: false,
             buf: Vec::new(),
             fsync_hist: None,
-        }
+        })
     }
 
     /// Attaches the histogram `fsync` latencies are recorded into.
     pub(crate) fn with_fsync_histogram(mut self, hist: Arc<Histogram>) -> Self {
         self.fsync_hist = Some(hist);
         self
-    }
-
-    /// Writes the file header through `sink`, then wraps it — the
-    /// fault-injection entry point, where the "file" is a scripted sink.
-    pub(crate) fn create(mut sink: Box<dyn DurableSink>, policy: FsyncPolicy) -> io::Result<Self> {
-        sink.write_all(&WAL_MAGIC)?;
-        sink.write_all(&WAL_VERSION.to_le_bytes())?;
-        Ok(Self::resume(sink, policy))
     }
 
     pub(crate) fn policy(&self) -> FsyncPolicy {
@@ -407,20 +386,15 @@ impl Wal {
 }
 
 /// Creates a fresh, empty WAL at `dir/live.wal` — header written to a
-/// temp name, synced, then atomically renamed — and reopens it for
+/// temp name, synced, then atomically renamed — and returns it open for
 /// appending. The rename is what makes a crash window leave either the
 /// old complete log or the new empty one, never a header-less file.
-pub(crate) fn create_wal_file(dir: &Path) -> io::Result<std::fs::File> {
+pub(crate) fn create_wal_file(dir: &Path, policy: FsyncPolicy) -> io::Result<Wal> {
     let tmp = dir.join(format!("{WAL_FILE}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&WAL_MAGIC)?;
-        f.write_all(&WAL_VERSION.to_le_bytes())?;
-        f.sync_data()?;
-    }
-    let path = dir.join(WAL_FILE);
-    std::fs::rename(&tmp, &path)?;
-    std::fs::OpenOptions::new().append(true).open(&path)
+    let mut wal = Wal::create(Box::new(std::fs::File::create(&tmp)?), policy)?;
+    wal.sync()?;
+    std::fs::rename(&tmp, dir.join(WAL_FILE))?;
+    Ok(wal)
 }
 
 #[cfg(test)]
@@ -449,9 +423,8 @@ mod tests {
     }
 
     fn image(records: &[WalRecord]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        let mut bytes = WAL_MAGIC.to_vec();
+        le::put(&mut bytes, WAL_VERSION);
         for record in records {
             encode_record(&mut bytes, record);
         }

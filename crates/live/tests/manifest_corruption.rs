@@ -7,10 +7,13 @@
 //! queries without panicking. A segment file the manifest references but
 //! that is missing on disk must fail **typed at open**, naming the file —
 //! never lazily at first query. So must a manifest whose checksum is
-//! intact but whose segment table sums past the address space.
+//! intact but whose segment table sums past the address space, and a
+//! write-ahead log whose CRC-valid APPEND claims more rows than σ times
+//! the address space can hold.
 
 use ius_faultio::crc32;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
+use ius_live::wal::{encode_record, WalRecord, WAL_FILE, WAL_MAGIC, WAL_VERSION};
 use ius_live::{LiveConfig, LiveIndex};
 use proptest::prelude::*;
 use std::io::ErrorKind;
@@ -337,4 +340,29 @@ fn retired_family_tag_fails_typed() {
         "{err}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A write-ahead log whose one record is a CRC-valid APPEND of 2^63 rows
+/// with an empty body: the record decodes (0 values is a multiple of any
+/// row count), but rows × σ overflows, so replay refuses it typed at
+/// open, in debug and release builds alike (never an arithmetic panic,
+/// never a wrapped product).
+#[test]
+fn forged_wal_append_with_overflowing_rows_fails_typed() {
+    let mut wal = WAL_MAGIC.to_vec();
+    wal.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    encode_record(
+        &mut wal,
+        &WalRecord::Append {
+            n_before: 0,
+            rows: 1 << 63,
+            flat: Vec::new(),
+        },
+    );
+    let dir = scratch_copy("wal-rows-overflow");
+    std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
+    let err = LiveIndex::open(&dir, config()).expect_err("open must fail");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("overflows"), "{err}");
 }

@@ -28,14 +28,15 @@
 //!   relative to the trace's begin time plus a duration. Duration-only
 //!   spans ([`leaf`], [`group`]) carry timings measured elsewhere (queue
 //!   wait measured before the trace armed, per-part stage nanoseconds
-//!   summed on executor threads); their `start_ns` is 0 because the
-//!   recording thread never observed when they ran.
+//!   summed inside the query engine); their `start_ns` is 0 because the
+//!   span was recorded after the work it times.
 //!
 //! A request is served entirely on one worker thread, so the thread-local
 //! buffer needs no synchronization and no signature changes in the layers
-//! it threads through. Fan-out parts run on executor threads, but their
-//! `QueryStats` return to the request thread, which records them as
-//! duration-only children ([`group`] + [`leaf`]) after the join.
+//! it threads through. That includes a partitioned query's fan-out: its
+//! parts run one after another on the request thread, and each part's
+//! `QueryStats` is recorded as a duration-only child ([`group`] + [`leaf`])
+//! as soon as the part returns.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,7 +280,7 @@ impl SpanBuffer {
 
     /// Records a completed duration-only span and nests subsequent spans
     /// under it until the matching [`SpanBuffer::end_group`]. Used for
-    /// fan-out parts whose timings were measured on executor threads.
+    /// fan-out parts whose stage timings the query engine measured.
     #[inline]
     pub fn group(&mut self, code: u16, dur_ns: u64, a: u64, b: u64) {
         if !self.active {

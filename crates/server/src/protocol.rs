@@ -12,8 +12,8 @@
 //! frame so each side can reject foreign or incompatible traffic without
 //! trusting stream state; the request id is chosen by the client and echoed
 //! verbatim in the response, which is what lets a client match answers to
-//! questions. All multi-byte integers are little-endian, matching the
-//! `ius_index::persist` on-disk format.
+//! questions. All multi-byte integers are little-endian, written and read
+//! through [`ius_arena::le`] like every on-disk format.
 //!
 //! **Version policy:** [`WIRE_VERSION`] is the one version of every frame
 //! and every body layout: it is bumped on any layout change, and peers
@@ -55,6 +55,7 @@
 
 use crate::flight::TraceRecordSnapshot;
 use crate::metrics::{SlowQueryEntry, SLOW_QUERY_PREFIX_LEN};
+use ius_arena::le::{self, Reader, Truncated};
 use ius_obs::trace::Span;
 use ius_obs::{HistogramSnapshot, Scrape, Value};
 use ius_query::QueryStats;
@@ -470,45 +471,57 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+impl From<Truncated> for ProtocolError {
+    #[inline]
+    fn from(e: Truncated) -> Self {
+        ProtocolError::Truncated { what: e.what }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(out, s.len() as u32);
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    le::put(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn push_stats(out: &mut Vec<u8>, stats: &WireStats) {
-    push_u64(out, stats.candidates);
-    push_u64(out, stats.verified);
-    push_u64(out, stats.reported);
-    push_u64(out, stats.grid_nodes);
+fn put_stats(out: &mut Vec<u8>, stats: &WireStats) {
+    le::put_slice(
+        out,
+        &[
+            stats.candidates,
+            stats.verified,
+            stats.reported,
+            stats.grid_nodes,
+        ],
+    );
 }
 
 /// Sparse histogram encoding: the four summary integers, then the
 /// occupied `(bucket index, count)` pairs.
-fn push_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    push_u64(out, h.count);
-    push_u64(out, h.sum);
-    push_u64(out, h.min);
-    push_u64(out, h.max);
-    push_u32(out, h.buckets.len() as u32);
+fn put_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
+    le::put_slice(out, &[h.count, h.sum, h.min, h.max]);
+    le::put(out, h.buckets.len() as u32);
     for &(idx, n) in &h.buckets {
-        push_u32(out, idx);
-        push_u64(out, n);
+        le::put(out, idx);
+        le::put(out, n);
+    }
+}
+
+/// The body of a MATCHES frame: the stats, then the counted positions.
+#[inline]
+fn put_matches(
+    out: &mut Vec<u8>,
+    stats: &WireStats,
+    positions: impl ExactSizeIterator<Item = u64>,
+) {
+    put_stats(out, stats);
+    le::put(out, positions.len() as u64);
+    out.reserve(positions.len() * 8);
+    for pos in positions {
+        le::put(out, pos);
     }
 }
 
@@ -517,9 +530,9 @@ fn begin_frame(out: &mut Vec<u8>, id: u64, op: u8) {
     out.clear();
     out.extend_from_slice(&[0u8; 4]); // length prefix, patched by end_frame
     out.extend_from_slice(&WIRE_MAGIC);
-    push_u16(out, WIRE_VERSION);
-    push_u64(out, id);
-    out.push(op);
+    le::put(out, WIRE_VERSION);
+    le::put(out, id);
+    le::put(out, op);
 }
 
 /// Patches the length prefix once the body is written.
@@ -536,39 +549,36 @@ pub fn encode_request(id: u64, request: &Request, out: &mut Vec<u8>) {
         Request::Query { mode, pattern } => {
             begin_frame(out, id, OP_QUERY);
             match mode {
-                ResultMode::Collect => out.push(MODE_COLLECT),
-                ResultMode::Count => out.push(MODE_COUNT),
+                ResultMode::Collect => le::put(out, MODE_COLLECT),
+                ResultMode::Count => le::put(out, MODE_COUNT),
                 ResultMode::FirstK(k) => {
-                    out.push(MODE_FIRST_K);
-                    push_u64(out, *k);
+                    le::put(out, MODE_FIRST_K);
+                    le::put(out, *k);
                 }
             }
-            push_u32(out, pattern.len() as u32);
+            le::put(out, pattern.len() as u32);
             out.extend_from_slice(pattern);
         }
         Request::Stats => begin_frame(out, id, OP_STATS),
         Request::Reload { path } => {
             begin_frame(out, id, OP_RELOAD);
-            push_str(out, path.as_deref().unwrap_or(""));
+            put_str(out, path.as_deref().unwrap_or(""));
         }
         Request::Shutdown => begin_frame(out, id, OP_SHUTDOWN),
         Request::Append { sigma, probs } => {
             begin_frame(out, id, OP_APPEND);
-            push_u64(out, *sigma);
-            push_u64(out, probs.len() as u64);
-            for &p in probs {
-                push_u64(out, p.to_bits());
-            }
+            le::put_slice(out, &[*sigma, probs.len() as u64]);
+            le::put_slice(out, probs);
         }
         Request::DeleteRange { start, end } => {
             begin_frame(out, id, OP_DELETE_RANGE);
-            push_u64(out, *start);
-            push_u64(out, *end);
+            le::put(out, *start);
+            le::put(out, *end);
         }
         Request::Flush => begin_frame(out, id, OP_FLUSH),
         Request::Compact { full } => {
             begin_frame(out, id, OP_COMPACT);
-            out.push(u8::from(*full));
+            le::put(out, u8::from(*full));
         }
         Request::TraceDump => begin_frame(out, id, OP_TRACE_DUMP),
     }
@@ -581,97 +591,98 @@ pub fn encode_response(id: u64, response: &Response, out: &mut Vec<u8>) {
         Response::Pong => begin_frame(out, id, ST_PONG),
         Response::Matches { stats, positions } => {
             begin_frame(out, id, ST_MATCHES);
-            push_stats(out, stats);
-            push_u64(out, positions.len() as u64);
-            for &pos in positions {
-                push_u64(out, pos);
-            }
+            put_matches(out, stats, positions.iter().copied());
         }
         Response::Count { stats, count } => {
             begin_frame(out, id, ST_COUNT);
-            push_stats(out, stats);
-            push_u64(out, *count);
+            put_stats(out, stats);
+            le::put(out, *count);
         }
         Response::Stats(scrape) => {
             begin_frame(out, id, ST_STATS);
-            push_u32(out, scrape.samples().len() as u32);
+            le::put(out, scrape.samples().len() as u32);
             for (name, value) in scrape.samples() {
-                push_str(out, name);
+                put_str(out, name);
                 match value {
                     Value::Counter(v) => {
-                        out.push(KIND_COUNTER);
-                        push_u64(out, *v);
+                        le::put(out, KIND_COUNTER);
+                        le::put(out, *v);
                     }
                     Value::Gauge(v) => {
-                        out.push(KIND_GAUGE);
-                        push_u64(out, *v);
+                        le::put(out, KIND_GAUGE);
+                        le::put(out, *v);
                     }
                     Value::Histogram(h) => {
-                        out.push(KIND_HISTOGRAM);
-                        push_histogram(out, h);
+                        le::put(out, KIND_HISTOGRAM);
+                        put_histogram(out, h);
                     }
                     Value::Info(text) => {
-                        out.push(KIND_INFO);
-                        push_str(out, text);
+                        le::put(out, KIND_INFO);
+                        put_str(out, text);
                     }
                 }
             }
         }
         Response::Reloaded { generation } => {
             begin_frame(out, id, ST_RELOADED);
-            push_u64(out, *generation);
+            le::put(out, *generation);
         }
         Response::ShuttingDown => begin_frame(out, id, ST_SHUTTING_DOWN),
         Response::Live(snapshot) => {
             begin_frame(out, id, ST_LIVE);
-            for v in [
-                snapshot.corpus_len,
-                snapshot.segments,
-                snapshot.memtable_rows,
-                snapshot.tombstones,
-                snapshot.changed,
-            ] {
-                push_u64(out, v);
-            }
+            le::put_slice(
+                out,
+                &[
+                    snapshot.corpus_len,
+                    snapshot.segments,
+                    snapshot.memtable_rows,
+                    snapshot.tombstones,
+                    snapshot.changed,
+                ],
+            );
         }
         Response::TraceDump(dump) => {
             begin_frame(out, id, ST_TRACE_DUMP);
-            push_u32(out, dump.traces.len() as u32);
+            le::put(out, dump.traces.len() as u32);
             for record in &dump.traces {
-                push_u64(out, record.trace_id);
-                out.push(record.op);
-                out.push(record.error);
-                push_u64(out, record.started_ns);
-                push_u64(out, record.total_ns);
-                out.push(u8::from(record.truncated) | (u8::from(record.pinned) << 1));
-                push_u16(out, record.spans.len() as u16);
+                le::put(out, record.trace_id);
+                le::put(out, record.op);
+                le::put(out, record.error);
+                le::put(out, record.started_ns);
+                le::put(out, record.total_ns);
+                le::put(
+                    out,
+                    u8::from(record.truncated) | (u8::from(record.pinned) << 1),
+                );
+                le::put(out, record.spans.len() as u16);
                 for span in &record.spans {
-                    push_u16(out, span.code);
-                    out.push(span.depth);
-                    push_u64(out, span.start_ns);
-                    push_u64(out, span.dur_ns);
-                    push_u64(out, span.a);
-                    push_u64(out, span.b);
+                    le::put(out, span.code);
+                    le::put(out, span.depth);
+                    le::put(out, span.start_ns);
+                    le::put(out, span.dur_ns);
+                    le::put(out, span.a);
+                    le::put(out, span.b);
                 }
             }
-            push_u32(out, dump.slow_queries.len() as u32);
+            le::put(out, dump.slow_queries.len() as u32);
             for entry in &dump.slow_queries {
-                for v in [
-                    entry.ts_ns,
-                    entry.duration_ns,
-                    entry.pattern_len,
-                    entry.reported,
-                ] {
-                    push_u64(out, v);
-                }
-                out.push(entry.prefix_len);
+                le::put_slice(
+                    out,
+                    &[
+                        entry.ts_ns,
+                        entry.duration_ns,
+                        entry.pattern_len,
+                        entry.reported,
+                    ],
+                );
+                le::put(out, entry.prefix_len);
                 out.extend_from_slice(entry.prefix());
             }
         }
         Response::Error { code, message } => {
             begin_frame(out, id, ST_ERROR);
-            out.push(code.to_byte());
-            push_str(out, message);
+            le::put(out, code.to_byte());
+            put_str(out, message);
         }
     }
     end_frame(out);
@@ -688,11 +699,7 @@ pub fn encode_matches_from_slice(
     out: &mut Vec<u8>,
 ) {
     begin_frame(out, id, ST_MATCHES);
-    push_stats(out, stats);
-    push_u64(out, positions.len() as u64);
-    for &pos in positions {
-        push_u64(out, pos as u64);
-    }
+    put_matches(out, stats, positions.iter().map(|&pos| pos as u64));
     end_frame(out);
 }
 
@@ -700,77 +707,40 @@ pub fn encode_matches_from_slice(
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over one frame payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A `u32`-length-prefixed UTF-8 string.
+fn get_string(r: &mut Reader, what: &'static str) -> Result<String, ProtocolError> {
+    let len = r.get::<u32>(what)? as usize;
+    let bytes = r.bytes(len, what)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::InvalidUtf8)
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+/// A histogram in the sparse encoding of [`put_histogram`].
+fn get_histogram(r: &mut Reader, what: &'static str) -> Result<HistogramSnapshot, ProtocolError> {
+    let count = r.get(what)?;
+    let sum = r.get(what)?;
+    let min = r.get(what)?;
+    let max = r.get(what)?;
+    let n = r.get::<u32>(what)? as usize;
+    // A lying pair count is bounds-checked per read, so cap the reserve.
+    let mut buckets = Vec::with_capacity(n.min(r.remaining() / 12));
+    for _ in 0..n {
+        buckets.push((r.get(what)?, r.get(what)?));
     }
+    Ok(HistogramSnapshot {
+        count,
+        sum,
+        min,
+        max,
+        buckets,
+    })
+}
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtocolError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(ProtocolError::Truncated { what });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, ProtocolError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, ProtocolError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, ProtocolError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ProtocolError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn string(&mut self, what: &'static str) -> Result<String, ProtocolError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::InvalidUtf8)
-    }
-
-    fn histogram(&mut self, what: &'static str) -> Result<HistogramSnapshot, ProtocolError> {
-        let count = self.u64(what)?;
-        let sum = self.u64(what)?;
-        let min = self.u64(what)?;
-        let max = self.u64(what)?;
-        let n = self.u32(what)? as usize;
-        // A lying pair count is bounds-checked per take, so cap the reserve.
-        let mut buckets = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            buckets.push((self.u32(what)?, self.u64(what)?));
-        }
-        Ok(HistogramSnapshot {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        })
-    }
-
-    fn finish(&self) -> Result<(), ProtocolError> {
-        let rest = self.bytes.len() - self.pos;
-        if rest > 0 {
-            return Err(ProtocolError::TrailingBytes(rest));
-        }
-        Ok(())
+/// Refuses bytes after the announced content.
+#[inline]
+fn finish(r: &Reader) -> Result<(), ProtocolError> {
+    match r.remaining() {
+        0 => Ok(()),
+        rest => Err(ProtocolError::TrailingBytes(rest)),
     }
 }
 
@@ -778,20 +748,20 @@ impl<'a> Cursor<'a> {
 /// body)`. Shared by request and response decoding; the server uses it
 /// directly so it can echo the request id even when the *body* is garbage.
 pub fn decode_header(payload: &[u8]) -> Result<(u64, u8, &[u8]), ProtocolError> {
-    let mut cur = Cursor::new(payload);
-    let magic = cur.take(4, "magic")?;
+    let mut r = Reader::new(payload);
+    let magic = r.bytes(4, "magic")?;
     if magic != WIRE_MAGIC {
         return Err(ProtocolError::BadMagic(
             magic.try_into().expect("4-byte slice"),
         ));
     }
-    let version = cur.u16("version")?;
+    let version: u16 = r.get("version")?;
     if version != WIRE_VERSION {
         return Err(ProtocolError::UnsupportedVersion(version));
     }
-    let id = cur.u64("request id")?;
-    let op = cur.u8("op")?;
-    Ok((id, op, &payload[cur.pos..]))
+    let id = r.get("request id")?;
+    let op = r.get("op")?;
+    Ok((id, op, &payload[r.pos()..]))
 }
 
 /// Decodes a QUERY body, **borrowing** the pattern from the frame buffer —
@@ -806,23 +776,20 @@ pub fn decode_query_body(
     if op != OP_QUERY {
         return None;
     }
-    let mut cur = Cursor::new(body);
-    let decode = |cur: &mut Cursor| -> Result<(ResultMode, usize), ProtocolError> {
-        let mode = match cur.u8("result mode")? {
+    let decode = || -> Result<(ResultMode, &[u8]), ProtocolError> {
+        let mut r = Reader::new(body);
+        let mode = match r.get("result mode")? {
             MODE_COLLECT => ResultMode::Collect,
             MODE_COUNT => ResultMode::Count,
-            MODE_FIRST_K => ResultMode::FirstK(cur.u64("first-k bound")?),
+            MODE_FIRST_K => ResultMode::FirstK(r.get("first-k bound")?),
             other => return Err(ProtocolError::UnknownMode(other)),
         };
-        let len = cur.u32("pattern length")? as usize;
-        Ok((mode, len))
+        let len = r.get::<u32>("pattern length")? as usize;
+        let pattern = r.bytes(len, "pattern bytes")?;
+        finish(&r)?;
+        Ok((mode, pattern))
     };
-    Some(match decode(&mut cur) {
-        Ok((mode, len)) => cur
-            .take(len, "pattern bytes")
-            .and_then(|pattern| cur.finish().map(|()| (mode, pattern))),
-        Err(err) => Err(err),
-    })
+    Some(decode())
 }
 
 /// Decodes a request body given its op byte (from [`decode_header`]).
@@ -834,41 +801,38 @@ pub fn decode_request_body(op: u8, body: &[u8]) -> Result<Request, ProtocolError
             pattern: pattern.to_vec(),
         });
     }
-    let mut cur = Cursor::new(body);
+    let mut r = Reader::new(body);
     let request = match op {
         OP_PING => Request::Ping,
         OP_STATS => Request::Stats,
         OP_RELOAD => {
-            let path = cur.string("reload path")?;
+            let path = get_string(&mut r, "reload path")?;
             Request::Reload {
                 path: (!path.is_empty()).then_some(path),
             }
         }
         OP_SHUTDOWN => Request::Shutdown,
         OP_APPEND => {
-            let sigma = cur.u64("append sigma")?;
-            let count = cur.u64("append value count")? as usize;
-            // The remaining payload must hold exactly `count` floats; the
-            // cursor bounds-checks every take, so a lying count fails with
-            // Truncated (or TrailingBytes) instead of over-reading.
-            let mut probs = Vec::with_capacity(count.min(MAX_REQUEST_FRAME / 8));
-            for _ in 0..count {
-                probs.push(f64::from_bits(cur.u64("append probability")?));
-            }
+            let sigma = r.get("append sigma")?;
+            let count = r.usize("append value count")?;
+            // The remaining payload must hold exactly `count` floats: a
+            // lying count fails with Truncated (checked before anything is
+            // allocated) or TrailingBytes instead of over-reading.
+            let probs = r.vec(count, "append probability")?;
             Request::Append { sigma, probs }
         }
         OP_DELETE_RANGE => Request::DeleteRange {
-            start: cur.u64("delete start")?,
-            end: cur.u64("delete end")?,
+            start: r.get("delete start")?,
+            end: r.get("delete end")?,
         },
         OP_FLUSH => Request::Flush,
         OP_COMPACT => Request::Compact {
-            full: cur.u8("compact mode")? != 0,
+            full: r.get::<u8>("compact mode")? != 0,
         },
         OP_TRACE_DUMP => Request::TraceDump,
         other => return Err(ProtocolError::UnknownOp(other)),
     };
-    cur.finish()?;
+    finish(&r)?;
     Ok(request)
 }
 
@@ -880,16 +844,16 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
 
 /// Decodes a `STATS` body. Every sample name must be valid and unique
 /// and every kind known; anything else is refused typed.
-fn decode_scrape(cur: &mut Cursor) -> Result<Scrape, ProtocolError> {
-    let count = cur.u32("sample count")? as usize;
+fn decode_scrape(r: &mut Reader) -> Result<Scrape, ProtocolError> {
+    let count = r.get::<u32>("sample count")? as usize;
     let mut scrape = Scrape::new();
     for _ in 0..count {
-        let name = cur.string("sample name")?;
-        let value = match cur.u8("sample kind")? {
-            KIND_COUNTER => Value::Counter(cur.u64("counter value")?),
-            KIND_GAUGE => Value::Gauge(cur.u64("gauge value")?),
-            KIND_HISTOGRAM => Value::Histogram(cur.histogram("histogram value")?),
-            KIND_INFO => Value::Info(cur.string("info value")?),
+        let name = get_string(r, "sample name")?;
+        let value = match r.get::<u8>("sample kind")? {
+            KIND_COUNTER => Value::Counter(r.get("counter value")?),
+            KIND_GAUGE => Value::Gauge(r.get("gauge value")?),
+            KIND_HISTOGRAM => Value::Histogram(get_histogram(r, "histogram value")?),
+            KIND_INFO => Value::Info(get_string(r, "info value")?),
             other => return Err(ProtocolError::UnknownSampleKind(other)),
         };
         if !ius_obs::valid_name(&name) {
@@ -906,63 +870,60 @@ fn decode_scrape(cur: &mut Cursor) -> Result<Scrape, ProtocolError> {
 /// Decodes a full response payload (header + body).
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError> {
     let (id, status, body) = decode_header(payload)?;
-    let mut cur = Cursor::new(body);
-    let take_stats = |cur: &mut Cursor| -> Result<WireStats, ProtocolError> {
+    let mut r = Reader::new(body);
+    let take_stats = |r: &mut Reader| -> Result<WireStats, ProtocolError> {
         Ok(WireStats {
-            candidates: cur.u64("stats.candidates")?,
-            verified: cur.u64("stats.verified")?,
-            reported: cur.u64("stats.reported")?,
-            grid_nodes: cur.u64("stats.grid_nodes")?,
+            candidates: r.get("stats.candidates")?,
+            verified: r.get("stats.verified")?,
+            reported: r.get("stats.reported")?,
+            grid_nodes: r.get("stats.grid_nodes")?,
         })
     };
     let response = match status {
         ST_PONG => Response::Pong,
         ST_MATCHES => {
-            let stats = take_stats(&mut cur)?;
-            let count = cur.u64("position count")? as usize;
-            let mut positions = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                positions.push(cur.u64("position")?);
-            }
+            let stats = take_stats(&mut r)?;
+            let count = r.usize("position count")?;
+            let positions = r.vec(count, "position")?;
             Response::Matches { stats, positions }
         }
         ST_COUNT => {
-            let stats = take_stats(&mut cur)?;
-            let count = cur.u64("occurrence count")?;
+            let stats = take_stats(&mut r)?;
+            let count = r.get::<u64>("occurrence count")?;
             Response::Count { stats, count }
         }
-        ST_STATS => Response::Stats(decode_scrape(&mut cur)?),
+        ST_STATS => Response::Stats(decode_scrape(&mut r)?),
         ST_RELOADED => Response::Reloaded {
-            generation: cur.u64("generation")?,
+            generation: r.get("generation")?,
         },
         ST_SHUTTING_DOWN => Response::ShuttingDown,
         ST_LIVE => Response::Live(LiveSnapshot {
-            corpus_len: cur.u64("live corpus length")?,
-            segments: cur.u64("live segment count")?,
-            memtable_rows: cur.u64("live memtable rows")?,
-            tombstones: cur.u64("live tombstone count")?,
-            changed: cur.u64("live change count")?,
+            corpus_len: r.get("live corpus length")?,
+            segments: r.get("live segment count")?,
+            memtable_rows: r.get("live memtable rows")?,
+            tombstones: r.get("live tombstone count")?,
+            changed: r.get("live change count")?,
         }),
         ST_TRACE_DUMP => {
-            let count = cur.u32("trace count")? as usize;
+            let count = r.get::<u32>("trace count")? as usize;
             let mut traces = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
-                let trace_id = cur.u64("trace id")?;
-                let op = cur.u8("trace op")?;
-                let error = cur.u8("trace error")?;
-                let started_ns = cur.u64("trace start")?;
-                let total_ns = cur.u64("trace total")?;
-                let flags = cur.u8("trace flags")?;
-                let span_count = cur.u16("trace span count")? as usize;
+                let trace_id = r.get::<u64>("trace id")?;
+                let op = r.get::<u8>("trace op")?;
+                let error = r.get::<u8>("trace error")?;
+                let started_ns = r.get::<u64>("trace start")?;
+                let total_ns = r.get::<u64>("trace total")?;
+                let flags = r.get::<u8>("trace flags")?;
+                let span_count = r.get::<u16>("trace span count")? as usize;
                 let mut spans = Vec::with_capacity(span_count.min(4096));
                 for _ in 0..span_count {
                     spans.push(Span {
-                        code: cur.u16("span code")?,
-                        depth: cur.u8("span depth")?,
-                        start_ns: cur.u64("span start")?,
-                        dur_ns: cur.u64("span duration")?,
-                        a: cur.u64("span detail a")?,
-                        b: cur.u64("span detail b")?,
+                        code: r.get("span code")?,
+                        depth: r.get("span depth")?,
+                        start_ns: r.get("span start")?,
+                        dur_ns: r.get("span duration")?,
+                        a: r.get("span detail a")?,
+                        b: r.get("span detail b")?,
                     });
                 }
                 traces.push(TraceRecordSnapshot {
@@ -976,23 +937,23 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
                     spans,
                 });
             }
-            let slow_count = cur.u32("slow-query count")? as usize;
+            let slow_count = r.get::<u32>("slow-query count")? as usize;
             let mut slow_queries = Vec::with_capacity(slow_count.min(4096));
             for _ in 0..slow_count {
                 let mut entry = SlowQueryEntry {
-                    ts_ns: cur.u64("slow-query ts")?,
-                    duration_ns: cur.u64("slow-query duration")?,
-                    pattern_len: cur.u64("slow-query pattern length")?,
-                    reported: cur.u64("slow-query reported")?,
+                    ts_ns: r.get("slow-query ts")?,
+                    duration_ns: r.get("slow-query duration")?,
+                    pattern_len: r.get("slow-query pattern length")?,
+                    reported: r.get("slow-query reported")?,
                     ..SlowQueryEntry::default()
                 };
-                let prefix_len = cur.u8("slow-query prefix length")? as usize;
+                let prefix_len = r.get::<u8>("slow-query prefix length")? as usize;
                 if prefix_len > SLOW_QUERY_PREFIX_LEN {
                     return Err(ProtocolError::Truncated {
                         what: "slow-query prefix",
                     });
                 }
-                let bytes = cur.take(prefix_len, "slow-query prefix")?;
+                let bytes = r.bytes(prefix_len, "slow-query prefix")?;
                 entry.prefix_len = prefix_len as u8;
                 entry.prefix[..prefix_len].copy_from_slice(bytes);
                 slow_queries.push(entry);
@@ -1003,13 +964,13 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
             })
         }
         ST_ERROR => {
-            let code = ErrorCode::from_byte(cur.u8("error code")?)?;
-            let message = cur.string("error message")?;
+            let code = ErrorCode::from_byte(r.get::<u8>("error code")?)?;
+            let message = get_string(&mut r, "error message")?;
             Response::Error { code, message }
         }
         other => return Err(ProtocolError::UnknownStatus(other)),
     };
-    cur.finish()?;
+    finish(&r)?;
     Ok((id, response))
 }
 
@@ -1043,7 +1004,7 @@ pub fn read_frame(r: &mut dyn Read, max_len: usize, buf: &mut Vec<u8>) -> io::Re
         }
         filled += n;
     }
-    let len = u32::from_le_bytes(prefix) as usize;
+    let len = Reader::new(&prefix).get::<u32>("length prefix")? as usize;
     if len > max_len {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -1480,10 +1441,10 @@ mod tests {
         }
         let mut empty_name = Vec::new();
         begin_frame(&mut empty_name, 1, ST_STATS);
-        push_u32(&mut empty_name, 1);
-        push_str(&mut empty_name, "");
-        empty_name.push(KIND_COUNTER);
-        push_u64(&mut empty_name, 0);
+        le::put(&mut empty_name, 1u32);
+        put_str(&mut empty_name, "");
+        le::put(&mut empty_name, KIND_COUNTER);
+        le::put(&mut empty_name, 0u64);
         end_frame(&mut empty_name);
         assert_eq!(
             decode_response(&empty_name[4..]),

@@ -58,6 +58,7 @@ use crate::protocol::{
 };
 use ius_arena::Arena;
 use ius_exec::WorkerPool;
+use ius_index::overlap::trace_stages;
 use ius_index::{open_index, AnyIndex, UncertainIndex};
 use ius_live::LiveIndex;
 use ius_obs::{clock, trace, Scrape, Value};
@@ -184,16 +185,8 @@ impl ServedIndex {
         if traced {
             match &result {
                 Ok(stats) => {
-                    if matches!(self, ServedIndex::Single { .. }) && stats.timed {
-                        trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                        trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-                        trace::leaf(
-                            trace::STAGE_VERIFY,
-                            stats.verify_ns,
-                            stats.candidates as u64,
-                            0,
-                        );
-                        trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
+                    if matches!(self, ServedIndex::Single { .. }) {
+                        trace_stages(stats);
                     }
                     trace::exit_with(stats.candidates as u64, stats.reported as u64);
                 }
