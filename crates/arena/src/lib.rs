@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub mod le;
+pub mod narrow;
 
 mod sealed {
     pub trait Sealed {}
@@ -320,6 +321,19 @@ impl<T: Pod> ArenaVec<T> {
     pub fn is_view(&self) -> bool {
         matches!(self.repr, Repr::View { .. })
     }
+
+    /// The elements as a mutable slice. A view is first copied into an
+    /// owned vector, since the arena is immutable.
+    #[inline]
+    pub fn to_mut(&mut self) -> &mut [T] {
+        if let Repr::View { .. } = self.repr {
+            self.repr = Repr::Owned(self.as_slice().to_vec());
+        }
+        match &mut self.repr {
+            Repr::Owned(v) => v,
+            Repr::View { .. } => unreachable!("a view was just copied"),
+        }
+    }
 }
 
 impl<T: Pod> Default for ArenaVec<T> {
@@ -374,6 +388,8 @@ impl<T: Pod> PartialEq for ArenaVec<T> {
         self.as_slice() == other.as_slice()
     }
 }
+
+impl<T: Pod + Eq> Eq for ArenaVec<T> {}
 
 impl<T: Pod> PartialEq<Vec<T>> for ArenaVec<T> {
     fn eq(&self, other: &Vec<T>) -> bool {

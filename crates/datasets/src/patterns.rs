@@ -63,10 +63,11 @@ impl<'a> PatternSampler<'a> {
                 continue;
             }
             let start_pos = self.rng.gen_range(0..=strand.len() - m);
-            for i in (start_pos..=strand.len() - m).chain(0..start_pos) {
-                if strand.extent(i) >= i + m {
-                    return Some(strand.seq()[i..i + m].to_vec());
-                }
+            if let Some(i) = strand
+                .first_admissible(m, start_pos)
+                .or_else(|| strand.first_admissible(m, 0))
+            {
+                return Some(strand.seq()[i..i + m].to_vec());
             }
         }
         None

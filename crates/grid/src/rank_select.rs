@@ -4,13 +4,14 @@
 use ius_arena::ArenaVec;
 
 /// The flat representation of a [`RankSelect`] (its length is stored by
-/// its owner). With `W = ⌊len / 64⌋ + 1` words:
+/// its owner), owned or, from [`RankSelect::parts`], borrowed
+/// (`U64 = &[u64]`, `U32 = &[u32]`). With `W = ⌊len / 64⌋ + 1` words:
 #[derive(Debug, Clone, PartialEq)]
-pub struct BitParts {
+pub struct BitParts<U64 = ArenaVec<u64>, U32 = ArenaVec<u32>> {
     /// The bits, bit `i` at bit `i % 64` of word `i / 64` (`W` words).
-    pub bits: ArenaVec<u64>,
+    pub bits: U64,
     /// Per word: the one-bits before it (`W` entries).
-    pub ranks: ArenaVec<u32>,
+    pub ranks: U32,
 }
 
 /// A static bitvector of `len` bits answering `rank` in `O(1)` and
@@ -145,6 +146,14 @@ impl RankSelect {
         BitParts {
             bits: self.bits.clone(),
             ranks: self.ranks.clone(),
+        }
+    }
+
+    /// The flat representation, borrowed: what a writer reads, no copy.
+    pub fn parts(&self) -> BitParts<&[u64], &[u32]> {
+        BitParts {
+            bits: &self.bits,
+            ranks: &self.ranks,
         }
     }
 

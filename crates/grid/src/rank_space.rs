@@ -3,18 +3,20 @@
 use crate::rank_select::{BitParts, RankSelect};
 use crate::reporter::{RangeReporter, ReporterParts};
 use crate::{GridPoint, Rect};
+use ius_arena::ArenaVec;
 
 /// The flat representation of a [`RankSpaceGrid`], used by the persistence
 /// layer: the points' [`RangeReporter`] and one bitvector per axis over
-/// its `N` ranks (both of `N` bits).
+/// its `N` ranks (both of `N` bits). Owned, or borrowed from
+/// [`RankSpaceGrid::parts`] (`U64 = &[u64]`, `U32 = &[u32]`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RankSpaceParts {
+pub struct RankSpaceParts<U64 = ArenaVec<u64>, U32 = ArenaVec<u32>> {
     /// The points in rank space.
-    pub points: ReporterParts,
+    pub points: ReporterParts<U64, U32>,
     /// One-bits at the x rank of each x key's first point.
-    pub x_starts: BitParts,
+    pub x_starts: BitParts<U64, U32>,
     /// One-bits at the y rank of each y key's first point.
-    pub y_starts: BitParts,
+    pub y_starts: BitParts<U64, U32>,
 }
 
 /// A static 2D range reporter over distinct points `(x, y)` whose x keys
@@ -154,6 +156,15 @@ impl RankSpaceGrid {
             points: self.points.to_parts(),
             x_starts: self.x_starts.to_parts(),
             y_starts: self.y_starts.to_parts(),
+        }
+    }
+
+    /// The flat representation, borrowed: what a writer reads, no copy.
+    pub fn parts(&self) -> RankSpaceParts<&[u64], &[u32]> {
+        RankSpaceParts {
+            points: self.points.parts(),
+            x_starts: self.x_starts.parts(),
+            y_starts: self.y_starts.parts(),
         }
     }
 

@@ -21,25 +21,27 @@ const SCAN_PER_WALK_LEVEL: usize = 1;
 /// The flat representation of a [`RangeReporter`], used by the persistence
 /// layer to save the structure without re-running the construction on load.
 /// Each array is an [`ArenaVec`], so the parts can either own their storage
-/// (a fresh build) or borrow it zero-copy from a persisted arena.
+/// (a fresh build) or borrow it zero-copy from a persisted arena;
+/// [`RangeReporter::parts`] lends them as slices (`U64 = &[u64]`,
+/// `U32 = &[u32]`), for writing the structure out without a copy.
 ///
 /// The points are the pairs `(x, π(x))` of a permutation `π` of `0..N` —
 /// in the index, the x and y ranks of a [`crate::RankSpaceGrid`]'s points,
 /// not leaves; a point's *id* is its y. With `L = ⌈log₂ N⌉` and `W = ⌊N / 64⌋ + 1` words
 /// per level:
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReporterParts {
+pub struct ReporterParts<U64 = ArenaVec<u64>, U32 = ArenaVec<u32>> {
     /// Number of stored points `N`.
     pub len: u64,
     /// The wavelet matrix over `π`: `L` levels of `W` words, level-major,
     /// bit `i` of a level at bit `i % 64` of word `i / 64`.
-    pub bits: ArenaVec<u64>,
+    pub bits: U64,
     /// Per word of `bits`: the one-bits of its level before that word.
-    pub ranks: ArenaVec<u32>,
+    pub ranks: U32,
     /// `π`: the id (y) paired with each x (`N` entries).
-    pub ids_by_x: ArenaVec<u32>,
+    pub ids_by_x: U32,
     /// `π⁻¹`: the x paired with each id (`N` entries).
-    pub xs_by_id: ArenaVec<u32>,
+    pub xs_by_id: U32,
 }
 
 /// A static 2D range reporter: a wavelet matrix (Claude, Navarro and
@@ -361,6 +363,17 @@ impl RangeReporter {
             ranks: self.ranks.clone(),
             ids_by_x: self.ids_by_x.clone(),
             xs_by_id: self.xs_by_id.clone(),
+        }
+    }
+
+    /// The flat representation, borrowed: what a writer reads, no copy.
+    pub fn parts(&self) -> ReporterParts<&[u64], &[u32]> {
+        ReporterParts {
+            len: self.len as u64,
+            bits: &self.bits,
+            ranks: &self.ranks,
+            ids_by_x: &self.ids_by_x,
+            xs_by_id: &self.xs_by_id,
         }
     }
 

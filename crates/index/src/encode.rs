@@ -40,7 +40,8 @@
 //! heavy-view extensions directly and build the LCE index over the view
 //! only on the first extension longer than 32 letters.
 
-use crate::narrow::{width_for, with_entries, Entry, NarrowTable};
+use ius_arena::narrow::{width_for, Entry, NarrowTable};
+use ius_arena::with_entries;
 use ius_arena::ArenaVec;
 use ius_text::lce::LceIndex;
 use ius_text::trie::{CompactedTrie, Descent, LabelProvider};
@@ -1533,9 +1534,9 @@ mod tests {
             Direction::Forward,
             Arc::new(vec![0, 1, 0, 1, 0]),
             vec![0].into(),
-            vec![len].into(),
-            vec![0, depths.len() as u32].into(),
-            depths.to_vec().into(),
+            NarrowTable::U32(vec![len].into()),
+            NarrowTable::U32(vec![0, depths.len() as u32].into()),
+            NarrowTable::U32(depths.to_vec().into()),
             vec![1u8; depths.len()].into(),
             Some(log_ratios.to_vec().into()),
             ArenaVec::new(),
@@ -1569,9 +1570,9 @@ mod tests {
                 direction,
                 Arc::clone(&heavy),
                 vec![anchor].into(),
-                vec![len].into(),
-                vec![0, 0].into(),
-                Vec::new().into(),
+                NarrowTable::U32(vec![len].into()),
+                NarrowTable::U32(vec![0, 0].into()),
+                NarrowTable::U32(ArenaVec::new()),
                 ArenaVec::new(),
                 None,
                 ArenaVec::new(),

@@ -29,7 +29,6 @@ pub mod builder;
 pub mod encode;
 pub mod minimizer_index;
 pub mod naive;
-mod narrow;
 pub mod overlap;
 pub mod params;
 pub mod persist;

@@ -27,12 +27,14 @@ use crate::builder::IndexFamily;
 use crate::encode::{check_u32_positions, Direction, EncodedFactorSet, EncodedFactorSetBuilder};
 use crate::params::IndexParams;
 use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
-use ius_arena::{Arena, ArenaVec};
+use ius_arena::narrow::Entry;
+use ius_arena::{with_entries, Arena, ArenaVec};
 use ius_grid::{GridPoint, RankSpaceGrid, Rect};
 use ius_obs::clock;
 use ius_query::{finalize_into, MatchSink, QueryScratch};
 use ius_sampling::MinimizerScheme;
 use ius_text::trie::CompactedTrie;
+use ius_weighted::property::first_covering;
 use ius_weighted::{is_solid, Error, HeavyString, Result, WeightedString, ZEstimation};
 use std::sync::Arc;
 
@@ -164,7 +166,6 @@ impl MinimizerIndex {
         // them.
         for strand in estimation.strands() {
             let seq = strand.seq();
-            let extents = strand.extents();
             // Positions where this strand deviates from the heavy string,
             // with the strand's letter there.
             deviations.clear();
@@ -174,37 +175,40 @@ impl MinimizerIndex {
                     deviations.push((p as u32, s));
                 }
             }
-            let minimizers = scheme.minimizers_respecting(seq, extents);
-            // For backward factors we need, per minimizer position i, the
-            // earliest start b whose property interval still covers i.
-            for &anchor in &minimizers {
-                let a = anchor as u32;
-                // Forward factor: the longest property-respecting factor
-                // starting at the minimizer.
-                let end = strand.extent(anchor) as u32;
-                fwd_builder.push(
-                    a,
-                    end - a,
-                    deviations_in(&deviations, a, end)
-                        .iter()
-                        .map(|&(p, letter)| (p - a, letter)),
-                )?;
-                // Backward factor: the longest property-respecting factor
-                // ending at the minimizer, reversed. Its start is the first
-                // position whose extent reaches past the anchor (extents are
-                // non-decreasing, so binary search applies). Depths decrease
-                // with position, so walking the deviations back to front
-                // keeps them sorted without a post-hoc sort.
-                let b = extents.partition_point(|&e| (e as usize) < anchor + 1) as u32;
-                bwd_builder.push(
-                    a,
-                    a - b + 1,
-                    deviations_in(&deviations, b, a + 1)
-                        .iter()
-                        .rev()
-                        .map(|&(p, letter)| (a - p, letter)),
-                )?;
-            }
+            // The strand's property lengths are matched to their width once:
+            // the scan and the anchor loop below run on `&[u8]`, `&[u16]` or
+            // `&[u32]`.
+            with_entries!(strand.lengths(), lens => {
+                let minimizers = scheme.minimizers_respecting(seq, lens);
+                for &anchor in &minimizers {
+                    let a = anchor as u32;
+                    // Forward factor: the longest property-respecting factor
+                    // starting at the minimizer.
+                    let end = a + lens[anchor].index() as u32;
+                    fwd_builder.push(
+                        a,
+                        end - a,
+                        deviations_in(&deviations, a, end)
+                            .iter()
+                            .map(|&(p, letter)| (p - a, letter)),
+                    )?;
+                    // Backward factor: the longest property-respecting factor
+                    // ending at the minimizer, reversed. Its start is the
+                    // earliest whose property interval still covers the
+                    // anchor. Depths decrease with position, so walking the
+                    // deviations back to front keeps them sorted without a
+                    // post-hoc sort.
+                    let b = first_covering(lens, anchor) as u32;
+                    bwd_builder.push(
+                        a,
+                        a - b + 1,
+                        deviations_in(&deviations, b, a + 1)
+                            .iter()
+                            .rev()
+                            .map(|&(p, letter)| (a - p, letter)),
+                    )?;
+                }
+            });
         }
 
         // Free the strand buffer (up to 8 B per position) before the sorts,

@@ -123,12 +123,13 @@ use crate::builder::{AnyIndex, IndexFamily, IndexSpec};
 use crate::encode::{Direction, EncodedFactorSet};
 use crate::minimizer_index::MinimizerIndex;
 use crate::naive::NaiveIndex;
-use crate::narrow::NarrowTable;
 use crate::params::IndexParams;
 use crate::property_text::PropertyText;
+use crate::traits::UncertainIndex;
 use crate::wsa::Wsa;
 use crate::wst::Wst;
 use ius_arena::le::{self, Reader};
+use ius_arena::narrow::NarrowTable;
 use ius_arena::{Arena, ArenaVec, Pod};
 use ius_faultio::crc32;
 use ius_grid::{BitParts, RankSpaceGrid, RankSpaceParts, ReporterParts};
@@ -149,6 +150,11 @@ pub const FORMAT_VERSION: u16 = 8;
 
 /// The one section encoding (the `u8` after the element count).
 const ENC_RAW: u8 = 0;
+
+/// Bytes a save buffer holds beyond the index's `size_bytes()`: the
+/// envelope header and trailer, the scalars and each section's count,
+/// encoding byte and pad.
+const SAVE_SLACK: usize = 4096;
 
 /// Bytes of the envelope header: magic, version, tag, envelope length.
 const HEADER_LEN: usize = 15;
@@ -435,13 +441,13 @@ fn read_property_text(s: &mut ArenaSource) -> io::Result<PropertyText> {
 }
 
 fn write_trie(out: &mut Vec<u8>, trie: &CompactedTrie) {
-    let parts = trie.to_parts();
-    write_section::<u32>(out, &parts.depth);
-    write_section::<u32>(out, &parts.leaf_lo);
-    write_section::<u32>(out, &parts.leaf_hi);
-    write_section::<u32>(out, &parts.children_start);
-    write_section::<u8>(out, &parts.child_letters);
-    write_section::<u32>(out, &parts.child_nodes);
+    let parts = trie.parts();
+    write_section::<u32>(out, parts.depth);
+    write_section::<u32>(out, parts.leaf_lo);
+    write_section::<u32>(out, parts.leaf_hi);
+    write_section::<u32>(out, parts.children_start);
+    write_section::<u8>(out, parts.child_letters);
+    write_section::<u32>(out, parts.child_nodes);
     le::put(out, parts.num_leaves);
 }
 
@@ -463,15 +469,15 @@ fn write_grid(out: &mut Vec<u8>, grid: &RankSpaceGrid) {
         points,
         x_starts,
         y_starts,
-    } = grid.to_parts();
+    } = grid.parts();
     le::put(out, points.len);
-    write_section::<u64>(out, &points.bits);
-    write_section::<u32>(out, &points.ranks);
-    write_section::<u32>(out, &points.ids_by_x);
-    write_section::<u32>(out, &points.xs_by_id);
+    write_section::<u64>(out, points.bits);
+    write_section::<u32>(out, points.ranks);
+    write_section::<u32>(out, points.ids_by_x);
+    write_section::<u32>(out, points.xs_by_id);
     for starts in [x_starts, y_starts] {
-        write_section::<u64>(out, &starts.bits);
-        write_section::<u32>(out, &starts.ranks);
+        write_section::<u64>(out, starts.bits);
+        write_section::<u32>(out, starts.ranks);
     }
 }
 
@@ -686,11 +692,16 @@ impl AnyIndex {
     /// the writer as a single `write_all`. Re-saving an opened index
     /// reproduces its file byte for byte.
     ///
+    /// The envelope is built in one buffer allocated up front at the
+    /// index's `size_bytes()` plus 4 KiB: a file holds the tables
+    /// the index holds, plus a header and at most 16 bytes per section. A
+    /// buffer grown by doubling instead ends up to twice the file.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        let mut out = Vec::with_capacity(256);
+        let mut out = Vec::with_capacity(self.size_bytes() + SAVE_SLACK);
         self.save_into(&mut out);
         w.write_all(&out)
     }

@@ -14,7 +14,8 @@
 //! occurrence of a pattern `P` as a *prefix of a truncated suffix* is exactly
 //! a property-respecting (hence z-solid) occurrence of `P`.
 
-use ius_arena::ArenaVec;
+use ius_arena::narrow::Entry;
+use ius_arena::{with_entries, ArenaVec};
 use ius_text::lce::LceIndex;
 use ius_weighted::{Error, Result, ZEstimation};
 use std::cmp::Ordering;
@@ -72,9 +73,9 @@ impl PropertyText {
         let mut trunc = Vec::with_capacity(total);
         for strand in strands {
             text.extend_from_slice(strand.seq());
-            for i in 0..n {
-                trunc.push((strand.extent(i) - i) as u32);
-            }
+            with_entries!(strand.lengths(), lens => {
+                trunc.extend(lens.iter().map(|len| len.index() as u32));
+            });
         }
 
         // Sort the covered positions by truncated suffix.

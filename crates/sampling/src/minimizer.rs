@@ -125,22 +125,32 @@ impl MinimizerScheme {
     ///
     /// Returns an empty vector when `|text| < ℓ`.
     pub fn minimizers(&self, text: &[u8]) -> Vec<usize> {
-        self.scan_ranges(text, std::iter::once((0, text.len())))
+        self.scan_ranges(text, &[(0, text.len())])
     }
 
     /// Property-respecting minimizers of a strand: windows `[i, i+ℓ)` are
-    /// considered only when `i + ℓ ≤ extent[i]` (i.e. `i + ℓ - 1 ≤ π[i]`, the
+    /// considered only when `ℓ ≤ lengths[i]`, the length of the longest
+    /// property interval starting at `i` (i.e. `i + ℓ - 1 ≤ π[i]`, the
     /// condition of the paper), and the minimizer of each admissible window
-    /// is selected.
-    pub fn minimizers_respecting(&self, seq: &[u8], extent: &[u32]) -> Vec<usize> {
-        assert_eq!(seq.len(), extent.len(), "sequence/extent length mismatch");
+    /// is selected. Generic over the lengths' integer width, so a strand
+    /// stored at one byte per length is read as it is; only the run
+    /// collection is generic, and the scan is compiled once, in this crate.
+    pub fn minimizers_respecting<L: Copy + Into<u32>>(
+        &self,
+        seq: &[u8],
+        lengths: &[L],
+    ) -> Vec<usize> {
+        assert_eq!(seq.len(), lengths.len(), "sequence/length table mismatch");
         let n = seq.len();
-        let admissible = |i: usize| extent[i] as usize >= i + self.ell;
+        let admissible = |i: usize| {
+            let len: u32 = lengths[i].into();
+            len as usize >= self.ell
+        };
         // Each maximal run `i..=last` of admissible window starts becomes
         // the range `[i, last + ℓ)`: every window inside it starts in the
         // run, and every window of the run fits inside it.
         let mut i = 0;
-        let runs = std::iter::from_fn(|| {
+        let runs: Vec<(usize, usize)> = std::iter::from_fn(|| {
             while i < n && !admissible(i) {
                 i += 1;
             }
@@ -154,17 +164,18 @@ impl MinimizerScheme {
             let end = (i + self.ell).min(n);
             i += 1;
             Some((start, end))
-        });
-        self.scan_ranges(seq, runs)
+        })
+        .collect();
+        self.scan_ranges(seq, &runs)
     }
 
     /// The one deque scan: the minimizers of every window that fits inside
     /// one of the half-open `ranges` of `text`, sorted and deduplicated.
-    fn scan_ranges(&self, text: &[u8], ranges: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
+    fn scan_ranges(&self, text: &[u8], ranges: &[(usize, usize)]) -> Vec<usize> {
         let mut out = Vec::new();
         let width = self.window_width();
         let mut sw = SlidingWindowMinimizer::with_capacity(width);
-        for (start, end) in ranges {
+        for &(start, end) in ranges {
             if end - start < self.ell {
                 continue;
             }
@@ -258,10 +269,10 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(4);
         let text: Vec<u8> = (0..120).map(|_| rng.gen_range(0..4u8)).collect();
-        let extent: Vec<u32> = vec![text.len() as u32; text.len()];
+        let lengths: Vec<u32> = (1..=text.len() as u32).rev().collect();
         let scheme = MinimizerScheme::new(12, 3, 4, KmerOrder::default());
         assert_eq!(
-            scheme.minimizers_respecting(&text, &extent),
+            scheme.minimizers_respecting(&text, &lengths),
             scheme.minimizers(&text)
         );
     }
@@ -273,9 +284,11 @@ mod tests {
         let n = 100usize;
         let text: Vec<u8> = (0..n).map(|_| rng.gen_range(0..4u8)).collect();
         // Property: only the prefix [0, 50) is covered.
-        let extent: Vec<u32> = (0..n).map(|i| if i < 50 { 50 } else { i as u32 }).collect();
+        let lengths: Vec<u8> = (0..n)
+            .map(|i| if i < 50 { 50 - i as u8 } else { 0 })
+            .collect();
         let scheme = MinimizerScheme::new(10, 3, 4, KmerOrder::Lexicographic);
-        let restricted = scheme.minimizers_respecting(&text, &extent);
+        let restricted = scheme.minimizers_respecting(&text, &lengths);
         let expected = scheme.minimizers(&text[..50]);
         assert_eq!(restricted, expected);
         // And everything selected lies inside the covered prefix.
@@ -296,8 +309,13 @@ mod tests {
             e = e.max(i as u32).max(rng.gen_range(i as u32..=(n as u32)));
             extent.push(e.min(n as u32));
         }
+        let lengths: Vec<u16> = extent
+            .iter()
+            .zip(0..)
+            .map(|(&e, i)| (e - i) as u16)
+            .collect();
         let scheme = MinimizerScheme::new(7, 2, 3, KmerOrder::KarpRabin { seed: 1 });
-        let got = scheme.minimizers_respecting(&text, &extent);
+        let got = scheme.minimizers_respecting(&text, &lengths);
         let mut expected = Vec::new();
         for i in 0..n {
             if (extent[i] as usize) >= i + scheme.ell() {

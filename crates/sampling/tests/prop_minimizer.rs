@@ -59,10 +59,10 @@ proptest! {
         let end = raw.len() - cut;
         let prefix = scheme.minimizers(&raw[..end]);
         prop_assert_eq!(&prefix, &scheme.minimizers_bruteforce(&raw[..end]));
-        let extent: Vec<u32> = (0..raw.len())
-            .map(|i| if i < end { end as u32 } else { i as u32 })
+        let lengths: Vec<u32> = (0..raw.len())
+            .map(|i| end.saturating_sub(i) as u32)
             .collect();
-        prop_assert_eq!(&scheme.minimizers_respecting(&raw, &extent), &prefix);
+        prop_assert_eq!(&scheme.minimizers_respecting(&raw, &lengths), &prefix);
     }
 }
 

@@ -52,22 +52,23 @@ const NO_LETTER: u8 = u8::MAX;
 /// flattened child table in the same grouping [`CompactedTrie::children`]
 /// exposes. Each array is an [`ArenaVec`], so the parts can either own
 /// their storage (a fresh build) or borrow it zero-copy from a persisted
-/// arena.
+/// arena; [`CompactedTrie::parts`] lends them as slices (`U32 = &[u32]`,
+/// `U8 = &[u8]`), for writing a trie out without a copy.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrieParts {
+pub struct TrieParts<U32 = ArenaVec<u32>, U8 = ArenaVec<u8>> {
     /// String depth per node.
-    pub depth: ArenaVec<u32>,
+    pub depth: U32,
     /// Lower end (inclusive) of each node's sorted-leaf range.
-    pub leaf_lo: ArenaVec<u32>,
+    pub leaf_lo: U32,
     /// Upper end (exclusive) of each node's sorted-leaf range.
-    pub leaf_hi: ArenaVec<u32>,
+    pub leaf_hi: U32,
     /// Start of each node's children in the flattened child table, then
     /// the child total: node `v`'s children end where node `v + 1`'s start.
-    pub children_start: ArenaVec<u32>,
+    pub children_start: U32,
     /// First edge letter per flattened child entry.
-    pub child_letters: ArenaVec<u8>,
+    pub child_letters: U8,
     /// Child node id per flattened child entry.
-    pub child_nodes: ArenaVec<u32>,
+    pub child_nodes: U32,
     /// Number of strings the trie was built over.
     pub num_leaves: u64,
 }
@@ -332,6 +333,19 @@ impl CompactedTrie {
         }
     }
 
+    /// The flat representation, borrowed: what a writer reads, no copy.
+    pub fn parts(&self) -> TrieParts<&[u32], &[u8]> {
+        TrieParts {
+            depth: &self.depth,
+            leaf_lo: &self.leaf_lo,
+            leaf_hi: &self.leaf_hi,
+            children_start: &self.children_start,
+            child_letters: &self.child_letters,
+            child_nodes: &self.child_nodes,
+            num_leaves: self.num_leaves as u64,
+        }
+    }
+
     /// Reassembles a trie from its flat representation — the inverse of
     /// [`CompactedTrie::to_parts`], in `O(nodes + children)` time (no
     /// construction is re-run).
@@ -399,20 +413,12 @@ impl CompactedTrie {
         }
         // Each edge leads deeper (or to a childless duplicate at the same
         // depth) and to a non-empty leaf range inside its parent's. The
-        // edges come as (parent, child) pairs in child-table order.
+        // edges are walked parent by parent, each parent's children being
+        // its slice of the child table (the offsets rise, checked above).
         let (depth, lo, hi) = (&*parts.depth, &*parts.leaf_lo, &*parts.leaf_hi);
-        let edges = || {
-            let mut up = 0;
-            parts
-                .child_nodes
-                .iter()
-                .enumerate()
-                .map(move |(slot, &child)| {
-                    while starts[up + 1] as usize <= slot {
-                        up += 1;
-                    }
-                    (up, child as usize)
-                })
+        let children = |up: usize| {
+            let slots = starts[up] as usize..starts[up + 1] as usize;
+            parts.child_nodes[slots].iter().map(|&child| child as usize)
         };
         let deeper = |up: usize, child: usize| {
             let childless = starts[child] == starts[child + 1];
@@ -421,9 +427,18 @@ impl CompactedTrie {
         let inside = |up: usize, child: usize| {
             (lo[up] <= lo[child]) & (lo[child] < hi[child]) & (hi[child] <= hi[up])
         };
-        let edge_ok = |(up, child): (usize, usize)| deeper(up, child) & inside(up, child);
-        if !edges().fold(true, |ok, edge| ok & edge_ok(edge)) {
-            let (up, child) = edges().find(|&edge| !edge_ok(edge)).unwrap_or((0, 0));
+        let edge_ok = |up: usize, child: usize| deeper(up, child) & inside(up, child);
+        let mut edges_ok = true;
+        for up in 0..n {
+            for child in children(up) {
+                edges_ok &= edge_ok(up, child);
+            }
+        }
+        if !edges_ok {
+            let (up, child) = (0..n)
+                .flat_map(|up| children(up).map(move |child| (up, child)))
+                .find(|&(up, child)| !edge_ok(up, child))
+                .unwrap_or((0, 0));
             let fault = if deeper(up, child) {
                 "has a leaf range empty or outside its parent's"
             } else {

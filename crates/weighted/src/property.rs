@@ -3,8 +3,13 @@
 //! A *property* Π of a string `S` is a hereditary collection of integer
 //! intervals of `[0, n)`. Following the paper we represent Π with an array
 //! `π` such that the longest interval starting at position `i` is
-//! `[i, π[i]]`. Internally we store the *exclusive* end `extent[i] = π[i]+1`,
-//! so `extent[i] == i` means that position `i` is not covered by any interval.
+//! `[i, π[i]]`. We store the *length* of that interval, `π[i] + 1 − i`
+//! (0 when position `i` is not covered by any interval), and read back the
+//! exclusive end `extent(i) = i + length`. Lengths are bounded by the
+//! strand's longest solid factor, so they are kept in a
+//! [`NarrowTable`] at the narrowest of `u8`, `u16` and `u32` that holds the
+//! longest: a z-estimation of `n` letters and `⌊z⌋` strands holds
+//! `⌊z⌋·n·(1 + width)` bytes.
 //!
 //! Property strings are the building blocks of z-estimations: each strand of
 //! a z-estimation is a [`PropertyString`] whose property intervals are exactly
@@ -13,15 +18,18 @@
 use crate::error::{Error, Result};
 use crate::string::WeightedString;
 use crate::{is_solid, PROB_EPSILON};
+use ius_arena::narrow::{width_for, Entry, NarrowTable};
+use ius_arena::with_entries;
+use std::ops::Range;
 
 /// A standard string (of letter ranks) together with a property array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PropertyString {
     seq: Vec<u8>,
-    /// Exclusive end of the longest property interval starting at each
-    /// position; `extent[i] ∈ [i, n]`.
-    extent: Vec<u32>,
+    /// Length of the longest property interval starting at each position,
+    /// `extent(i) − i`, at the narrowest width holding the longest.
+    lengths: NarrowTable,
 }
 
 impl PropertyString {
@@ -39,26 +47,42 @@ impl PropertyString {
                 extent.len()
             )));
         }
-        let n = seq.len() as u32;
-        let mut prev = 0u32;
-        for (i, &e) in extent.iter().enumerate() {
-            let i = i as u32;
-            if e < i || e > n {
+        let mut longest = 0u32;
+        for (i, &e) in (0u32..).zip(&extent) {
+            if e < i {
                 return Err(Error::InvalidProperty(format!(
-                    "extent[{i}] = {e} outside [{i}, {n}]"
+                    "extent[{i}] = {e} outside [{i}, {}]",
+                    seq.len()
                 )));
             }
-            // A hereditary property is closed under subintervals, hence the
-            // inclusive π array is non-decreasing (π[i-1] ≤ π[i]), which in
-            // terms of exclusive extents is plain monotonicity.
-            if e < prev {
-                return Err(Error::InvalidProperty(format!(
-                    "property array not hereditary/monotone at position {i}: extent {e} < previous {prev}"
-                )));
-            }
-            prev = e;
+            longest = longest.max(e - i);
         }
-        Ok(Self { seq, extent })
+        let lengths = NarrowTable::collect(
+            width_for(longest),
+            extent.len(),
+            (0u32..).zip(&extent).map(|(i, &e)| e - i),
+        );
+        Self::from_lengths(seq, lengths)
+    }
+
+    /// Creates a property string from a rank sequence and the length of the
+    /// longest property interval starting at each position.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidProperty`] if the table and the sequence differ in
+    /// length, an interval runs past the end, or the exclusive ends
+    /// `i + length` are not non-decreasing.
+    pub(crate) fn from_lengths(seq: Vec<u8>, lengths: NarrowTable) -> Result<Self> {
+        if seq.len() != lengths.len() {
+            return Err(Error::InvalidProperty(format!(
+                "sequence has length {} but extent array has length {}",
+                seq.len(),
+                lengths.len()
+            )));
+        }
+        with_entries!(&lengths, lens => check_lengths(lens))?;
+        Ok(Self { seq, lengths })
     }
 
     /// Creates a property string whose property covers the whole string
@@ -66,8 +90,8 @@ impl PropertyString {
     /// like an ordinary string.
     pub fn unrestricted(seq: Vec<u8>) -> Self {
         let n = seq.len() as u32;
-        let extent = vec![n; seq.len()];
-        Self { seq, extent }
+        let lengths = NarrowTable::collect(width_for(n), seq.len(), (1..=n).rev());
+        Self { seq, lengths }
     }
 
     /// Length of the underlying string.
@@ -97,37 +121,45 @@ impl PropertyString {
     /// Exclusive end of the longest property interval starting at `pos`.
     #[inline]
     pub fn extent(&self, pos: usize) -> usize {
-        self.extent[pos] as usize
+        pos + self.lengths.get(pos) as usize
     }
 
-    /// Exclusive extents for all positions.
+    /// Length of the longest property interval starting at each position,
+    /// `extent(i) − i`. A loop over a whole strand matches the table's width
+    /// once, with [`ius_arena::with_entries!`].
     #[inline]
-    pub fn extents(&self) -> &[u32] {
-        &self.extent
+    pub fn lengths(&self) -> &NarrowTable {
+        &self.lengths
+    }
+
+    /// The first position at or after `from` where a property-respecting
+    /// factor of length `m` starts, if any.
+    pub fn first_admissible(&self, m: usize, from: usize) -> Option<usize> {
+        with_entries!(&self.lengths, lens => {
+            lens.get(from..)?
+                .iter()
+                .position(|len| len.index() >= m)
+                .map(|offset| from + offset)
+        })
     }
 
     /// Inclusive `π[pos]` as in the paper, or `None` when position `pos` is
     /// not covered by any property interval (`π[pos] = pos - 1`).
     #[inline]
     pub fn pi(&self, pos: usize) -> Option<usize> {
-        let e = self.extent[pos] as usize;
-        if e == pos {
-            None
-        } else {
-            Some(e - 1)
-        }
+        self.covered(pos).then(|| self.extent(pos) - 1)
     }
 
     /// Returns `true` iff position `pos` is covered by some property interval.
     #[inline]
     pub fn covered(&self, pos: usize) -> bool {
-        (self.extent[pos] as usize) > pos
+        self.lengths.get(pos) > 0
     }
 
     /// The longest property-respecting factor starting at `pos`.
     #[inline]
     pub fn factor_at(&self, pos: usize) -> &[u8] {
-        &self.seq[pos..self.extent[pos] as usize]
+        &self.seq[pos..self.extent(pos)]
     }
 
     /// Does `pattern` occur at `pos` respecting the property?
@@ -136,7 +168,7 @@ impl PropertyString {
             return true;
         }
         let end = pos + pattern.len();
-        end <= self.extent[pos] as usize && &self.seq[pos..end] == pattern
+        end <= self.extent(pos) && &self.seq[pos..end] == pattern
     }
 
     /// All positions where `pattern` occurs respecting the property
@@ -154,7 +186,7 @@ impl PropertyString {
     /// the maximal intervals starting at each position is *not* what the
     /// paper reports; this is the count of positions `i` with `π[i] ≥ i`).
     pub fn covered_positions(&self) -> usize {
-        (0..self.len()).filter(|&i| self.covered(i)).count()
+        with_entries!(&self.lengths, lens => lens.iter().filter(|len| len.index() > 0).count())
     }
 
     /// Verifies the *soundness* of this property string against a weighted
@@ -168,6 +200,17 @@ impl PropertyString {
     ///
     /// [`Error::InvalidProperty`] naming the first offending position.
     pub fn verify_sound(&self, x: &WeightedString, z: f64) -> Result<()> {
+        self.verify_sound_in(x, z, 0..self.len())
+    }
+
+    /// [`PropertyString::verify_sound`] for the factors starting in
+    /// `starts` only.
+    pub(crate) fn verify_sound_in(
+        &self,
+        x: &WeightedString,
+        z: f64,
+        starts: Range<usize>,
+    ) -> Result<()> {
         if self.len() != x.len() {
             return Err(Error::InvalidProperty(format!(
                 "property string has length {} but X has length {}",
@@ -175,26 +218,78 @@ impl PropertyString {
                 x.len()
             )));
         }
-        for i in 0..self.len() {
-            if !self.covered(i) {
-                continue;
+        with_entries!(&self.lengths, lens => {
+            for i in starts {
+                let len = lens[i].index();
+                if len == 0 {
+                    continue;
+                }
+                let factor = &self.seq[i..i + len];
+                let p = x.occurrence_probability(i, factor);
+                if !is_solid(p, z) {
+                    return Err(Error::InvalidProperty(format!(
+                        "factor of length {len} at position {i} has probability {p:.6e} < 1/z (z = {z})"
+                    )));
+                }
             }
-            let factor = self.factor_at(i);
-            let p = x.occurrence_probability(i, factor);
-            if !is_solid(p, z) {
-                return Err(Error::InvalidProperty(format!(
-                    "factor of length {} at position {i} has probability {p:.6e} < 1/z (z = {z})",
-                    factor.len()
-                )));
-            }
-        }
+        });
         Ok(())
     }
 
-    /// Approximate heap usage in bytes (sequence + extent array).
+    /// Heap bytes: one per letter, plus the length table's.
     pub fn memory_bytes(&self) -> usize {
-        self.seq.capacity() + self.extent.capacity() * std::mem::size_of::<u32>()
+        self.seq.capacity() + self.lengths.heap_bytes()
     }
+}
+
+/// The earliest start whose property interval covers `pos` in a strand
+/// whose property lengths are `lengths`: the smallest `i` with
+/// `i + lengths[i] > pos`, or `lengths.len()` if there is none. These ends
+/// never decrease, so this is a binary search, over the starts no further
+/// before `pos` than the width allows (256 of them for `u8` lengths) and
+/// written like the standard library's `partition_point`: the halving step
+/// is a conditional move, not a branch.
+pub fn first_covering<L: Entry>(lengths: &[L], pos: usize) -> usize {
+    let widest = L::truncate(u32::MAX).index();
+    let lo = pos.saturating_sub(widest).min(lengths.len());
+    let window = &lengths[lo..(pos + 1).min(lengths.len())];
+    let ends_by = |i: usize| lo + i + window[i].index() <= pos;
+    let (mut base, mut size) = (0, window.len());
+    if size == 0 {
+        return lo;
+    }
+    while size > 1 {
+        let half = size / 2;
+        let mid = base + half;
+        base = if ends_by(mid) { mid } else { base };
+        size -= half;
+    }
+    lo + base + usize::from(ends_by(base))
+}
+
+/// Checks a strand's property lengths: every interval ends inside the
+/// strand, and the exclusive ends `i + length` never decrease.
+fn check_lengths<L: Entry>(lengths: &[L]) -> Result<()> {
+    let n = lengths.len();
+    let mut prev = 0usize;
+    for (i, len) in lengths.iter().enumerate() {
+        let e = i + len.index();
+        if e > n {
+            return Err(Error::InvalidProperty(format!(
+                "extent[{i}] = {e} outside [{i}, {n}]"
+            )));
+        }
+        // A hereditary property is closed under subintervals, hence the
+        // inclusive π array is non-decreasing (π[i-1] ≤ π[i]), which in
+        // terms of exclusive extents is plain monotonicity.
+        if e < prev {
+            return Err(Error::InvalidProperty(format!(
+                "property array not hereditary/monotone at position {i}: extent {e} < previous {prev}"
+            )));
+        }
+        prev = e;
+    }
+    Ok(())
 }
 
 /// Builds the property string of *maximal solid factors* of `x`, i.e. the
@@ -347,6 +442,31 @@ mod tests {
                 assert_eq!(ps.extent(i), best, "position {i} of strand {seq:?}");
             }
             ps.verify_sound(&x, z).unwrap();
+        }
+    }
+
+    /// The windowed search agrees with a linear scan at every position of
+    /// staircases whose steps cross the one- and two-byte widths.
+    #[test]
+    fn first_covering_matches_a_linear_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF1C);
+        for longest in [3u32, 255, 256, 700, 65_535, 65_536] {
+            let n = 1_500usize;
+            let mut extent = Vec::with_capacity(n);
+            let mut e = 0u32;
+            for i in 0..n as u32 {
+                let reach = (i + rng.gen_range(0..=longest)).min(n as u32);
+                e = e.max(i).max(reach.min(i + longest));
+                extent.push(e);
+            }
+            let strand = PropertyString::new(vec![0; n], extent.clone()).unwrap();
+            with_entries!(strand.lengths(), lens => {
+                for pos in 0..n + 2 {
+                    let scan = (0..n).find(|&i| extent[i] as usize > pos).unwrap_or(n);
+                    assert_eq!(first_covering(lens, pos), scan, "longest {longest}, pos {pos}");
+                }
+            });
         }
     }
 

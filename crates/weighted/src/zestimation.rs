@@ -31,7 +31,12 @@
 //!
 //! The construction runs in `O(nz)` space (the size of the output, as in
 //! Theorem 2) and time `O(nσ + nz + W)` where `W` is the total number of
-//! designation updates at uncertain positions.
+//! designation updates at uncertain positions. The output is `⌊z⌋·n` letter
+//! bytes plus, per strand, `n` property lengths at the narrowest of 1, 2 or
+//! 4 bytes that holds that strand's longest solid factor — `⌊z⌋·n·(1 + w)`
+//! bytes, not the `5·⌊z⌋·n` of `u32` extents. No row is ever held wider
+//! than it ends up: each starts at one byte of zeros, and a cut checks the
+//! longest length it writes, widening the row once when it does not fit.
 //!
 //! Four structural optimisations keep the constants small without changing
 //! the letter assignment (the output is bit-identical to the direct
@@ -64,6 +69,8 @@ use crate::heavy::HeavyString;
 use crate::property::PropertyString;
 use crate::solid_multiplicity;
 use crate::string::WeightedString;
+use ius_arena::narrow::{Entry, NarrowTable};
+use std::ops::{Range, RangeInclusive};
 
 /// The family of `⌊z⌋` property strings estimating a weighted string.
 #[derive(Debug, Clone)]
@@ -137,13 +144,29 @@ struct Level {
 }
 
 impl Level {
-    /// Marks every represented start of `strand` as cut at `pos`.
+    /// Marks every represented start of `strand` as cut at `pos`: start `s`
+    /// gets the length `pos − s`. The longest of them, at `first_start`, is
+    /// checked against the row's width once, and the row widens first if it
+    /// does not fit; the fill writes without a check per entry.
     #[inline]
-    fn cut(&self, extents: &mut [Vec<u32>], strand: u32, pos: u32) {
-        let row = &mut extents[strand as usize];
-        for s in self.first_start..=self.last_start {
-            row[s as usize] = pos;
+    fn cut(&self, lengths: &mut [NarrowTable], strand: u32, pos: u32) {
+        let row = &mut lengths[strand as usize];
+        row.widen_to_hold(pos - self.first_start);
+        let starts = self.first_start..=self.last_start;
+        match row {
+            NarrowTable::U8(v) => fill_lengths(v.to_mut(), starts, pos),
+            NarrowTable::U16(v) => fill_lengths(v.to_mut(), starts, pos),
+            NarrowTable::U32(v) => fill_lengths(v.to_mut(), starts, pos),
         }
+    }
+}
+
+/// Writes `pos − s` at every start `s` of `starts` into a row wide enough
+/// for the longest, `pos − starts.start()`.
+#[inline]
+fn fill_lengths<L: Entry>(row: &mut [L], starts: RangeInclusive<u32>, pos: u32) {
+    for s in starts {
+        row[s as usize] = L::truncate(pos - s);
     }
 }
 
@@ -170,14 +193,14 @@ impl ZEstimation {
         // contiguous row of `⌊z⌋` bytes per position) in a bounded staging
         // buffer and transposed block by block into the letter matrix, so
         // the peak heap stays at one letter matrix plus
-        // `TRANSPOSE_BLOCK·⌊z⌋` staging bytes. extents[j][s] starts as the
-        // empty interval `s` and is overwritten when strand j is cut from
-        // level `s` (or at the final flush).
+        // `TRANSPOSE_BLOCK·⌊z⌋` staging bytes. lengths[j][s] starts as the
+        // empty interval, 0, in a one-byte row, and is overwritten when
+        // strand j is cut from level `s` (or at the final flush); the row
+        // widens once, on the first length past its width.
         let mut letters: Vec<Vec<u8>> = vec![vec![0u8; n]; num_strands];
         let mut staging: Vec<u8> = vec![0u8; TRANSPOSE_BLOCK.min(n.max(1)) * num_strands];
-        let mut extents: Vec<Vec<u32>> = (0..num_strands)
-            .map(|_| (0..n as u32).collect::<Vec<u32>>())
-            .collect();
+        let mut lengths: Vec<NarrowTable> =
+            (0..num_strands).map(|_| NarrowTable::zeroed(n)).collect();
 
         // Active designation levels, ordered by increasing start position.
         let mut levels: Vec<Level> = Vec::new();
@@ -293,7 +316,7 @@ impl ZEstimation {
                                     end: scratch_members.len() as u32,
                                 });
                             }
-                            None => level.cut(&mut extents, m, pos as u32),
+                            None => level.cut(&mut lengths, m, pos as u32),
                         }
                         continue;
                     }
@@ -358,7 +381,7 @@ impl ZEstimation {
                         // The whole group dies: every member is cut at every
                         // start this level represents.
                         for &m in members {
-                            level.cut(&mut extents, m, pos as u32);
+                            level.cut(&mut lengths, m, pos as u32);
                         }
                         continue;
                     }
@@ -397,7 +420,7 @@ impl ZEstimation {
                     }
                     // Remaining members are cut from this level.
                     for &m in &leftovers[next_leftover..] {
-                        level.cut(&mut extents, m, pos as u32);
+                        level.cut(&mut lengths, m, pos as u32);
                     }
                 }
                 std::mem::swap(&mut level.members, &mut scratch_members);
@@ -481,14 +504,14 @@ impl ZEstimation {
         // to position n-1.
         for level in &levels {
             for &m in &level.members {
-                level.cut(&mut extents, m, n as u32);
+                level.cut(&mut lengths, m, n as u32);
             }
         }
 
         let strands = letters
             .into_iter()
-            .zip(extents)
-            .map(|(seq, extent)| PropertyString::new(seq, extent))
+            .zip(lengths)
+            .map(|(seq, lengths)| PropertyString::from_lengths(seq, lengths))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self { z, n, strands })
     }
@@ -572,11 +595,28 @@ impl ZEstimation {
     ///
     /// [`Error::InvalidProperty`] describing the first violated constraint.
     pub fn verify_contract(&self, x: &WeightedString, max_len: usize) -> Result<()> {
+        self.verify_contract_in(x, 0..x.len(), max_len)
+    }
+
+    /// [`ZEstimation::verify_contract`] for the factors starting in `starts`
+    /// only: the counts of every factor up to length `max_len` and the
+    /// soundness of every strand's maximal factor there. A short stretch of
+    /// a long string is checked without paying for the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidProperty`] describing the first violated constraint.
+    pub fn verify_contract_in(
+        &self,
+        x: &WeightedString,
+        starts: Range<usize>,
+        max_len: usize,
+    ) -> Result<()> {
         for strand in &self.strands {
-            strand.verify_sound(x, self.z)?;
+            strand.verify_sound_in(x, self.z, starts.clone())?;
         }
         let sigma = x.sigma() as u8;
-        for start in 0..x.len() {
+        for start in starts {
             // Enumerate all strings over the alphabet of length ≤ max_len
             // whose occurrence probability is positive, via DFS.
             let mut stack: Vec<(Vec<u8>, f64)> = vec![(Vec::new(), 1.0)];
@@ -607,7 +647,9 @@ impl ZEstimation {
         Ok(())
     }
 
-    /// Total heap size of the family in bytes (letters + property arrays).
+    /// Total heap size of the family in bytes: one byte per letter plus
+    /// each strand's property lengths at their width, ⌊z⌋·n·(1 + width)
+    /// when every strand has the same width.
     ///
     /// This is the "size of z-estimation" statistic of Table 2.
     pub fn memory_bytes(&self) -> usize {
@@ -618,6 +660,7 @@ impl ZEstimation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::property::first_covering;
     use crate::string::paper_example;
     use crate::{is_solid, Alphabet};
 
@@ -817,6 +860,51 @@ mod tests {
         let x = WeightedString::from_rows(alphabet, &rows).unwrap();
         let est = ZEstimation::build(&x, 4.0).unwrap();
         est.verify_contract(&x, 4).unwrap();
+    }
+
+    /// A deterministic run of `run` letters, a dead position (every letter
+    /// below 1/z) and two fair coin flips, then a second dead position, at
+    /// z = 4. Every strand carries the run, so the cut at the first dead
+    /// position writes lengths `run − s` — the longest, `run`, mid-build —
+    /// and the coin flips are carried by all four strands to the second
+    /// dead position.
+    fn run_then_stretch(run: usize) -> WeightedString {
+        let alphabet = Alphabet::integer(5).unwrap();
+        let certain = vec![1.0, 0.0, 0.0, 0.0, 0.0];
+        let dead = vec![0.2; 5];
+        let coin = vec![0.5, 0.5, 0.0, 0.0, 0.0];
+        let mut rows = vec![certain; run];
+        rows.extend([dead.clone(), coin.clone(), coin, dead]);
+        WeightedString::from_rows(alphabet, &rows).unwrap()
+    }
+
+    #[test]
+    fn property_rows_widen_once_at_the_width_boundaries() {
+        for (run, width) in [(255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            let x = run_then_stretch(run);
+            let n = x.len();
+            let est = ZEstimation::build(&x, 4.0).unwrap();
+            for (j, strand) in est.strands().iter().enumerate() {
+                assert_eq!(strand.lengths().width(), width, "run {run}, strand {j}");
+                for i in 0..n {
+                    // The run ends at the first dead position; the coin
+                    // flips end at the second; dead positions carry nothing.
+                    let closed_form = if i <= run { run } else { n - 1 };
+                    assert_eq!(
+                        strand.extent(i),
+                        closed_form,
+                        "run {run}, strand {j}, i {i}"
+                    );
+                }
+                ius_arena::with_entries!(strand.lengths(), lens => {
+                    assert_eq!(first_covering(lens, run - 1), 0);
+                    assert_eq!(first_covering(lens, run + 1), run + 1);
+                });
+            }
+            est.verify_contract_in(&x, run - 2..n, 3)
+                .unwrap_or_else(|e| panic!("run {run}: {e}"));
+            assert_eq!(est.memory_bytes(), 4 * n * (1 + width), "run {run}");
+        }
     }
 
     #[test]

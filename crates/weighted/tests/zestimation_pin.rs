@@ -64,7 +64,10 @@ fn estimation_output_is_pinned_on_the_bench_presets() {
             mismatches.push(format!("{name}: {got:#018x} (pinned {pinned:#018x})"));
         }
     }
-    assert!(mismatches.is_empty(), "estimation output moved: {mismatches:?}");
+    assert!(
+        mismatches.is_empty(),
+        "estimation output moved: {mismatches:?}"
+    );
 }
 
 #[test]

@@ -5,9 +5,14 @@
 //! grid tables, …) shows up here as under-reporting, a double count as
 //! over-reporting.
 //!
+//! Saving is checked the same way: one buffer of the index's size, no
+//! copy of a table.
+//!
 //! It also bounds what a minimizer build holds on the way: its peak heap
 //! growth against the index it produces, and the space-efficient build's
-//! peak against the explicit build's.
+//! peak against the explicit build's. The z-estimation's own
+//! `memory_bytes()` is checked the same way at each width of its property
+//! lengths.
 //!
 //! This integration test is its own binary, so installing the counting
 //! allocator here affects nothing else in the workspace. The counters are
@@ -78,6 +83,21 @@ fn size_bytes_matches_retained_heap_for_every_family() {
             mem.retained_bytes,
             0.02,
             4096,
+        );
+        // Saving builds the file in one buffer, allocated up front at
+        // `size_bytes()` plus 4 KiB, and copies no table on the way: the
+        // file fits that buffer, and the buffer is the save's whole peak.
+        let mut file = Vec::new();
+        index.save_to(&mut file).unwrap();
+        let (saved, save) = ius_memtrack::measure(|| index.save_to(&mut std::io::sink()));
+        saved.unwrap();
+        assert!(
+            file.len() <= index.size_bytes() + 4096 && save.peak_bytes <= index.size_bytes() + 4096,
+            "{}: a {}-byte file of a {}-byte index peaked at {} bytes of heap growth to save",
+            family.name(),
+            file.len(),
+            index.size_bytes(),
+            save.peak_bytes
         );
         drop::<AnyIndex>(index);
     }
@@ -199,6 +219,45 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         );
         drop(opened);
         drop(arena);
+    }
+}
+
+/// `ZEstimation::memory_bytes` matches the heap a build retains at each
+/// width of the strands' property lengths: one byte on rssi (no solid
+/// factor longer than 255 letters), two on pangenome (longest past 255,
+/// below 65,536) and four on a deterministic run of 65,536 letters ended by
+/// a position where no letter is solid. The tolerance is the families'.
+#[test]
+fn z_estimation_memory_bytes_matches_retained_heap_at_each_width() {
+    let _serial = serialize();
+    let run = 65_536;
+    let synthetic = {
+        let alphabet = Alphabet::integer(5).unwrap();
+        let mut rows = vec![vec![1.0, 0.0, 0.0, 0.0, 0.0]; run];
+        rows.push(vec![0.2; 5]);
+        WeightedString::from_rows(alphabet, &rows).unwrap()
+    };
+    let rssi = bench_corpus("rssi", 20_000, None).expect("rssi is a bench preset");
+    let pangenome = bench_corpus("pangenome", 20_000, None).expect("pangenome is a bench preset");
+    for (label, x, z, width) in [
+        ("rssi", &rssi.x, rssi.z, 1),
+        ("pangenome", &pangenome.x, pangenome.z, 2),
+        ("deterministic run", &synthetic, 4.0, 4),
+    ] {
+        let (est, mem) = ius_memtrack::measure(|| ZEstimation::build(x, z).unwrap());
+        let widest = est
+            .strands()
+            .iter()
+            .map(|strand| strand.lengths().width())
+            .max();
+        assert_eq!(widest, Some(width), "{label}: widest property-length table");
+        assert_close(
+            &format!("z-estimation ({label})"),
+            est.memory_bytes(),
+            mem.retained_bytes,
+            0.02,
+            4096,
+        );
     }
 }
 
