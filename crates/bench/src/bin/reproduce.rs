@@ -126,7 +126,7 @@ fn main() {
     if config.bench_query {
         let bench_config = QueryBenchConfig {
             n: config.bench_n,
-            reps: config.bench_reps,
+            rounds: config.bench_reps,
             patterns: config.bench_patterns,
         };
         let results = run_query_bench(&bench_config);
@@ -338,7 +338,8 @@ fn print_help() {
          \x20                      write-ahead log off/armed per fsync policy, WAL replay\n\
          \x20                      throughput vs log size) and write BENCH_recovery.json\n\
          \x20 --bench-n <n>        string length for --bench-* (default 100000)\n\
-         \x20 --bench-reps <r>     repetitions per timed stage for --bench-* (default 3)\n\
+         \x20 --bench-reps <r>     repetitions per timed stage for --bench-* (default 3; the\n\
+         \x20                      query bench's timing rounds, at least 9)\n\
          \x20 --bench-patterns <p> query patterns per dataset for --bench-query/--bench-space/\n\
          \x20                      --bench-slo/--bench-update (default 400; space caps at 200,\n\
          \x20                      slo/update at 400)\n\

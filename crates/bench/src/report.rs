@@ -37,16 +37,6 @@ impl Summary {
         }
     }
 
-    /// Every statistic multiplied by `factor` (a unit conversion).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            samples: self.samples,
-            min: self.min * factor,
-            median: self.median * factor,
-            max: self.max * factor,
-        }
-    }
-
     /// Renders the summary as a JSON object with `decimals` fraction digits.
     pub fn json(&self, decimals: usize) -> String {
         format!(
@@ -250,7 +240,6 @@ mod tests {
         let s = Summary::of(&[3.0, 1.0, 2.0]);
         assert_eq!((s.samples, s.min, s.median, s.max), (3, 1.0, 2.0, 3.0));
         assert_eq!(Summary::of(&[5.0]).median, 5.0);
-        assert_eq!(s.scaled(2.0).max, 6.0);
         assert_eq!(
             s.json(1),
             "{ \"samples\": 3, \"min\": 1.0, \"median\": 2.0, \"max\": 3.0 }"

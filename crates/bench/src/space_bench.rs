@@ -322,11 +322,12 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
     out.push_str(
         "  \"note\": \"size_bytes = in-memory footprint reported by the index (cross-checked \
          against the counting allocator in tests/size_accounting.rs); file_bytes = serialized \
-         size of the IUSX v8 format (raw sections only; the family tag alone decides the \
+         size of the IUSX v9 format (raw sections only; the family tag alone decides the \
          payload, and each family stores only what its query reads, so the WST keeps no LCPs, \
          a trie keeps depth, leaf range and one child offset per node plus the child total, \
          MWST and MWSA carry no log-prefix table or mismatch log-ratios \
-         and the tree variants no prefix keys, no set keeps a leaf that is a prefix of another \
+         the array variants a key directory of one packed 8-letter key per 16 leaves and the \
+         tree variants none, no set keeps a leaf that is a prefix of another \
          leaf of its anchor, each set stores its \
          lengths and mismatch depths at the narrowest of 1, 2 or 4 bytes that holds its longest \
          factor and its mismatch offsets at the narrowest that holds its mismatch total, and the \

@@ -34,11 +34,19 @@
 //! them. Each pool is permuted into the set (the lengths, depths and
 //! offsets straight into their narrow tables) and freed. Neighbour LCPs are
 //! not part of the build: the tree variants compute them from the finished
-//! set (`EncodedFactorSet::neighbour_lcps`), from the XOR of the packed
-//! 8-letter prefix keys where those differ and with the LCE walk from
-//! depth 8 where they are equal. Both walks answer equal and short
+//! set (`EncodedFactorSet::neighbour_lcps`), from the XOR of the two
+//! leaves' packed 8-letter keys where those differ and with the LCE walk
+//! from depth 8 where they are equal. Both walks answer equal and short
 //! heavy-view extensions directly and build the LCE index over the view
 //! only on the first extension longer than 32 letters.
+//!
+//! A leaf's **key** packs its first 8 letters big-endian into a `u64`,
+//! each as `rank + 1` and the end of a shorter factor as 0, so keys are
+//! non-decreasing in leaf order. No per-leaf key is stored: a key costs
+//! one read of the leaf's anchor, its heavy-view letters and its
+//! mismatches below depth 8. The array variants keep a **key directory**,
+//! the key of every [`KEY_STRIDE`]-th leaf (8 B per 16 leaves), which
+//! [`EncodedFactorSet::equal_range`] searches before it reads any leaf.
 
 use ius_arena::narrow::{width_for, Entry, NarrowTable};
 use ius_arena::with_entries;
@@ -92,13 +100,20 @@ pub struct EncodedFactorSet {
     /// verification sums. Empty in the sets of the variants without a grid,
     /// which verify against `X` instead.
     mism_log_ratios: ArenaVec<f64>,
-    /// Packed 8-letter prefix key per sorted leaf (see [`packed_keys`]),
-    /// computed by `finish`. Non-decreasing in leaf order; used to narrow
-    /// `equal_range` with integer comparisons before any letter is
-    /// compared. Empty in the tree variants' sets, which drop it once
-    /// `neighbour_lcps` has built their tries.
-    prefix_keys: ArenaVec<u64>,
+    /// The key directory: the packed 8-letter key of leaves 0,
+    /// [`KEY_STRIDE`], 2·[`KEY_STRIDE`], …, so `⌈len / KEY_STRIDE⌉`
+    /// entries, non-decreasing. `equal_range` finds its boundary buckets
+    /// here with integer comparisons. Derived for the array variants only
+    /// (`derive_key_directory`); empty in the tree variants' sets.
+    key_dir: ArenaVec<u64>,
 }
+
+/// Leaves per key-directory entry: an array variant's set stores the key
+/// of every 16th leaf.
+pub const KEY_STRIDE: usize = 16;
+
+/// Letters packed into a leaf's key.
+const LEAF_KEY_LETTERS: usize = 8;
 
 /// Evaluates `$body` with `$leaves` bound to the [`Leaves`] of a set: its
 /// tables at their stored widths, matched once for the whole body.
@@ -218,25 +233,30 @@ impl EncodedFactorSet {
 
     /// The LCP of each leaf's factor with the previous leaf's (entry 0 is
     /// 0) — what [`ius_text::trie::CompactedTrie::build`] needs, so only
-    /// the tree variants compute it. Neighbours whose packed prefix keys
-    /// differ take it from the keys' XOR; the others walk on from depth 8
-    /// with `O(log z)` extensions over the heavy view.
+    /// the tree variants compute it. Neighbours whose packed keys differ
+    /// take it from the keys' XOR; the others walk on from depth 8 with
+    /// `O(log z)` extensions over the heavy view.
     pub(crate) fn neighbour_lcps(&self) -> Vec<u32> {
         let heavy = HeavyLce::new(&self.heavy_view);
         with_leaves!(self, leaves => {
-            let lcp = |leaf: usize| {
-                let from = match self.prefix_keys.get(leaf - 1..=leaf) {
-                    // Letters pack as rank + 1 and the end as 0, so the first
-                    // differing byte is where the factors part.
-                    Some(&[a, b]) if a != b => return (a ^ b).leading_zeros() / 8,
-                    Some(_) => 8,
-                    None => 0,
-                };
-                // At most the factor length, which fits the u32 anchors.
-                lcp_from(leaves.factor(leaf - 1), leaves.factor(leaf), from, &heavy) as u32
-            };
+            let mut prev = 0u64;
             (0..self.len())
-                .map(|leaf| if leaf == 0 { 0 } else { lcp(leaf) })
+                .map(|leaf| {
+                    let key = leaves.key(leaf);
+                    let prev_key = std::mem::replace(&mut prev, key);
+                    if leaf == 0 {
+                        0
+                    } else if key != prev_key {
+                        // Letters pack as rank + 1 and the end as 0, so the
+                        // first differing byte is where the factors part.
+                        (key ^ prev_key).leading_zeros() / 8
+                    } else {
+                        // At most the factor length, which fits the u32
+                        // anchors.
+                        let (a, b) = (leaves.factor(leaf - 1), leaves.factor(leaf));
+                        lcp_from(a, b, LEAF_KEY_LETTERS, &heavy) as u32
+                    }
+                })
                 .collect()
         })
     }
@@ -251,12 +271,19 @@ impl EncodedFactorSet {
     /// The half-open range of sorted leaves whose factors have `pattern` as a
     /// prefix, by binary search — the array-based (MWSA) lookup.
     ///
-    /// Patterns of length ≥ 8 are first narrowed to the run of leaves whose
-    /// packed 8-letter prefix key equals the pattern's (pure integer
-    /// comparisons), and every remaining comparison walks the factor's
-    /// heavy-view stretches *between* mismatches with slice (memcmp-style)
-    /// comparisons instead of decoding one letter at a time — `O(m/word +
-    /// log z)` per comparison rather than `O(m · log z)`.
+    /// The pattern's first (up to) 8 letters give a key range: the
+    /// pattern's own key for `m ≥ 8`, and `[P·00…, P·FF…]` for a shorter
+    /// pattern `P`, which holds exactly the leaves having `P` as a prefix
+    /// (letters pack as `rank + 1 ≤ 255`, the end as 0). A `partition_point`
+    /// over the key directory finds the bucket of [`KEY_STRIDE`] leaves
+    /// holding each end of that range. A pattern of at most 8 letters is
+    /// answered by keys alone: a binary search by keys computed from the
+    /// leaves of each bucket finds the ends of the run. A longer pattern's
+    /// letter comparisons run over the leaves from the first bucket to the
+    /// last, each walking the factor's heavy-view stretches *between*
+    /// mismatches with slice (memcmp-style) comparisons instead of decoding
+    /// one letter at a time — `O(m/word + log z)` per comparison rather
+    /// than `O(m · log z)`. Nothing is allocated.
     pub fn equal_range(&self, pattern: &[u8]) -> (usize, usize) {
         with_leaves!(self, leaves => leaves.equal_range(pattern))
     }
@@ -282,7 +309,7 @@ impl EncodedFactorSet {
             + self.mism_depths.heap_bytes()
             + self.mism_letters.heap_bytes()
             + self.mism_log_ratios.heap_bytes()
-            + self.prefix_keys.heap_bytes()
+            + self.key_dir.heap_bytes()
     }
 
     /// Fills the log-ratio pool, which only grid verification reads, with
@@ -302,9 +329,16 @@ impl EncodedFactorSet {
         self.mism_log_ratios = ratios.into();
     }
 
-    /// Frees the prefix keys, which a tree variant no longer reads.
-    pub(crate) fn drop_prefix_keys(&mut self) {
-        self.prefix_keys = ArenaVec::new();
+    /// Fills the key directory, which only the array lookup reads, with the
+    /// key of every [`KEY_STRIDE`]-th leaf.
+    pub(crate) fn derive_key_directory(&mut self) {
+        let keys: Vec<u64> = with_leaves!(self, leaves => {
+            (0..self.len())
+                .step_by(KEY_STRIDE)
+                .map(|leaf| leaves.key(leaf))
+                .collect()
+        });
+        self.key_dir = keys.into();
     }
 
     // ---- persistence support (see `crate::persist`) --------------------
@@ -339,18 +373,19 @@ impl EncodedFactorSet {
         &self.mism_log_ratios
     }
 
-    /// The packed prefix keys (empty once dropped; `equal_range` then skips
-    /// the integer narrowing).
-    pub(crate) fn prefix_keys_raw(&self) -> &[u64] {
-        &self.prefix_keys
+    /// The key directory (empty in the tree variants' sets).
+    pub(crate) fn key_dir_raw(&self) -> &[u64] {
+        &self.key_dir
     }
 
     /// Reassembles a set from its persisted parts. `heavy_view` must be the
     /// heavy string read in the set's direction (the index-wide one for
     /// forward sets, a reversed copy for backward sets); `mism_log_ratios` is
     /// `None` for the variants without a grid, which store no such pool.
-    /// Nothing is recomputed or copied: every array is taken as loaded, at
-    /// the width it was stored at.
+    /// `keyed` says whether the set serves the array lookup: its key
+    /// directory must then hold `⌈len / KEY_STRIDE⌉` keys, and otherwise
+    /// none. Nothing is recomputed or copied: every array is taken as
+    /// loaded, at the width it was stored at.
     ///
     /// # Errors
     ///
@@ -365,7 +400,8 @@ impl EncodedFactorSet {
         mism_depths: NarrowTable,
         mism_letters: ArenaVec<u8>,
         mism_log_ratios: Option<ArenaVec<f64>>,
-        prefix_keys: ArenaVec<u64>,
+        key_dir: ArenaVec<u64>,
+        keyed: bool,
     ) -> Result<EncodedFactorSet, String> {
         let n = heavy_view.len();
         let leaves = anchor_x.len();
@@ -396,8 +432,24 @@ impl EncodedFactorSet {
         if descents != 0 || mism_start.get(leaves) as usize != mism_depths.len() {
             return Err("mismatch offsets do not cover the mismatch storage".into());
         }
-        if !prefix_keys.is_empty() && prefix_keys.len() != leaves {
-            return Err("prefix-key table length does not match the leaf count".into());
+        // A forged directory could narrow a lookup to the wrong leaves, so
+        // it must hold one key per stride and never decrease.
+        let want = if keyed {
+            leaves.div_ceil(KEY_STRIDE)
+        } else {
+            0
+        };
+        if key_dir.len() != want {
+            return Err(format!(
+                "key directory holds {} key(s), but {leaves} leaves need {want}",
+                key_dir.len()
+            ));
+        }
+        let dir_descents = key_dir
+            .windows(2)
+            .fold(0usize, |acc, w| acc + usize::from(w[0] > w[1]));
+        if dir_descents != 0 {
+            return Err(format!("key directory decreases {dir_descents} time(s)"));
         }
         let overruns = with_entries!(&lens, lens => view_overruns(direction, n, &anchor_x, lens));
         if overruns != 0 {
@@ -432,7 +484,7 @@ impl EncodedFactorSet {
             mism_depths,
             mism_letters,
             mism_log_ratios,
-            prefix_keys,
+            key_dir,
         })
     }
 }
@@ -481,30 +533,79 @@ impl<'a, L: Entry, S: Entry> Leaves<'a, L, S> {
         acc
     }
 
+    /// The packed key of the `leaf`-th factor's first 8 letters.
+    #[inline]
+    fn key(&self, leaf: usize) -> u64 {
+        let f = self.factor(leaf);
+        let view = &self.set.heavy_view;
+        let Some(word) = view.get(f.view..f.view + LEAF_KEY_LETTERS) else {
+            return u64::from_be_bytes(packed_letters(f, view));
+        };
+        // Eight heavy letters at once: ranks stay below 255, so adding 1 to
+        // every byte carries into none. Then the bytes past a shorter
+        // factor's end are cleared and the mismatches below depth 8 set.
+        let word = u64::from_be_bytes(word.try_into().expect("eight letters"));
+        let mut key = word.wrapping_add(0x0101_0101_0101_0101);
+        if f.len < LEAF_KEY_LETTERS {
+            key &= !(u64::MAX >> (8 * f.len));
+        }
+        for (&depth, &c) in f.depths.iter().zip(f.letters) {
+            let Some(shift) = 56usize.checked_sub(8 * depth.index()) else {
+                break;
+            };
+            key = key & !(0xFF << shift) | u64::from(c.wrapping_add(1)) << shift;
+        }
+        key
+    }
+
+    /// The range of leaves that can hold the first leaf whose key fails
+    /// `below` (monotone: true on a prefix of the key order): the bucket of
+    /// [`KEY_STRIDE`] leaves past the last sampled leaf whose key passes, up
+    /// to the first whose key fails, found by the directory's
+    /// `partition_point`. A set without a directory has one bucket, all its
+    /// leaves.
+    fn bucket(&self, below: impl Fn(u64) -> bool) -> Range<usize> {
+        let dir = &self.set.key_dir;
+        if dir.is_empty() {
+            return 0..self.lens.len();
+        }
+        let j = dir.partition_point(|&k| below(k));
+        let from = if j == 0 { 0 } else { (j - 1) * KEY_STRIDE + 1 };
+        from..(j * KEY_STRIDE).min(self.lens.len())
+    }
+
+    /// The first leaf at or after `floor` whose key fails `below`: its
+    /// bucket, then a binary search by keys computed from the leaves.
+    fn first_key_not(&self, floor: usize, below: impl Fn(u64) -> bool) -> usize {
+        let bucket = self.bucket(&below);
+        let from = bucket.start.max(floor);
+        let to = bucket.end.max(from);
+        from + partition_point_in(to - from, |i| below(self.key(from + i)))
+    }
+
     /// See [`EncodedFactorSet::equal_range`].
     fn equal_range(&self, pattern: &[u8]) -> (usize, usize) {
-        let prefix_keys = &self.set.prefix_keys;
-        let (search_lo, search_hi) = if pattern.len() >= 8 && !prefix_keys.is_empty() {
-            // Any factor having the (≥ 8 letter) pattern as a prefix packs
-            // exactly the pattern's first eight letters, so its key equals
-            // `pat_key`; keys are non-decreasing in leaf order, truncated
-            // factors pad with 0 and letters pack as rank+1, so no shorter
-            // factor collides with the full key.
-            let pat_key = pattern_prefix_key(pattern);
-            let lo = prefix_keys.partition_point(|&k| k < pat_key);
-            let hi = prefix_keys.partition_point(|&k| k <= pat_key);
-            (lo, hi)
-        } else {
-            (0, self.lens.len())
+        let Some((lo_key, hi_key)) = pattern_key_range(pattern) else {
+            return (0, 0);
         };
-        let lo = search_lo
-            + partition_point_in(search_hi - search_lo, |i| {
-                self.cmp_leaf(search_lo + i, pattern, false).is_lt()
+        if pattern.len() <= LEAF_KEY_LETTERS {
+            let lo = self.first_key_not(0, |k| k < lo_key);
+            return (lo, self.first_key_not(lo, |k| k <= hi_key));
+        }
+        // A longer pattern's key run lies between the buckets holding its
+        // ends; the letter comparisons search those leaves directly (on
+        // the presets this measured no slower than finding the run by
+        // computed keys first).
+        let from = self.bucket(|k| k < lo_key).start;
+        let to = self.bucket(|k| k <= hi_key).end.max(from);
+        let lo = from
+            + partition_point_in(to - from, |i| {
+                self.cmp_leaf(from + i, pattern, false).is_lt()
             });
-        let hi = search_lo
-            + partition_point_in(search_hi - search_lo, |i| {
+        let hi = lo
+            + partition_point_in(to - lo, |i| {
                 // Leaf's prefix (of pattern length) ≤ pattern?
-                self.cmp_leaf(search_lo + i, pattern, true) != Ordering::Greater
+                self.cmp_leaf(lo + i, pattern, true) != Ordering::Greater
             });
         (lo, hi)
     }
@@ -640,13 +741,17 @@ pub(crate) fn check_u32_positions(n: usize) -> Result<(), Error> {
 /// factor: per factor its anchor, length and the end of its entries in the
 /// mismatch pools (12 B), per mismatch its depth and letter (5 B).
 /// [`EncodedFactorSetBuilder::finish`] permutes each pool into the set and
-/// frees it before the next.
+/// frees it before the next. Two builders whose `i`-th factors share one
+/// anchor (a forward and a backward factor of one occurrence) can leave
+/// the anchors to their caller, who keeps one copy for both: see
+/// [`EncodedFactorSetBuilder::push_paired`].
 #[derive(Debug)]
 pub struct EncodedFactorSetBuilder {
     direction: Direction,
     /// Heavy string of `X` (always in forward orientation), borrowed from
     /// the index-wide heavy string — the builder never copies it.
     heavy_forward: Arc<Vec<u8>>,
+    /// Empty when the caller holds the anchors.
     anchor_x: Vec<u32>,
     lens: Vec<u32>,
     /// End of each factor's entries in the mismatch pools; they start at
@@ -695,6 +800,24 @@ impl EncodedFactorSetBuilder {
         len: u32,
         mismatches: impl IntoIterator<Item = (u32, u8)>,
     ) -> Result<(), Error> {
+        self.push_paired(len, mismatches)?;
+        self.anchor_x.push(anchor_x);
+        Ok(())
+    }
+
+    /// [`EncodedFactorSetBuilder::push`] without the anchor, which the
+    /// caller records for the factor instead and hands to
+    /// [`EncodedFactorSetBuilder::finish_paired`]. A builder takes all its
+    /// factors one way or the other.
+    ///
+    /// # Errors
+    ///
+    /// As [`EncodedFactorSetBuilder::push`].
+    pub fn push_paired(
+        &mut self,
+        len: u32,
+        mismatches: impl IntoIterator<Item = (u32, u8)>,
+    ) -> Result<(), Error> {
         if u32::try_from(self.lens.len() + 1).is_err() {
             return Err(Error::InvalidParameters(
                 "a factor set holds at most u32::MAX factors".into(),
@@ -717,7 +840,6 @@ impl EncodedFactorSetBuilder {
                 "a factor set holds at most u32::MAX mismatches".into(),
             ));
         };
-        self.anchor_x.push(anchor_x);
         self.lens.push(len);
         self.mism_end.push(end);
         Ok(())
@@ -768,14 +890,32 @@ impl EncodedFactorSetBuilder {
     /// tables as wide as the longest factor needs, the mismatch offsets into
     /// one as wide as the mismatch total needs. No LCPs are computed: only
     /// the tree variants need them, from `EncodedFactorSet::neighbour_lcps`.
+    ///
+    /// # Panics
+    ///
+    /// If some factors came through [`EncodedFactorSetBuilder::push_paired`].
     pub fn finish(mut self) -> (EncodedFactorSet, Vec<u32>) {
+        let anchor_x = std::mem::take(&mut self.anchor_x);
+        self.finish_paired(&anchor_x)
+    }
+
+    /// [`EncodedFactorSetBuilder::finish`] for factors pushed through
+    /// [`EncodedFactorSetBuilder::push_paired`]: `anchor_x[i]` is the
+    /// anchor of the `i`-th.
+    ///
+    /// # Panics
+    ///
+    /// If `anchor_x` holds another number of anchors than the builder
+    /// factors.
+    pub fn finish_paired(mut self, anchor_x: &[u32]) -> (EncodedFactorSet, Vec<u32>) {
+        assert_eq!(anchor_x.len(), self.len(), "one anchor per pushed factor");
         // The pools grew by doubling; the sort and the permutation below
         // run beside them, so hand the slack back first.
         self.shrink_to_fit();
         let Self {
             direction,
             heavy_forward,
-            anchor_x,
+            anchor_x: _,
             lens,
             mism_end,
             mism_depths,
@@ -841,16 +981,8 @@ impl EncodedFactorSetBuilder {
                 .then(a.tie.cmp(&b.tie))
         });
         let mut order = push_indices_from_the_top(entries);
-        let survivors = drop_dominated(&mut order, n, &anchor_x, &pending, &heavy);
+        let survivors = drop_dominated(&mut order, n, anchor_x, &pending, &heavy);
         drop(heavy);
-        // The first eight letters' key, in leaf order, is the integer
-        // narrowing index of `equal_range`. Packing it again costs less
-        // than holding it beside the sort entries.
-        let prefix_keys: Vec<u64> = order
-            .iter()
-            .map(|&i| packed_keys(pending(i as usize), &heavy_view).0)
-            .collect();
-
         // Each kept factor's mismatch count, in leaf order; the total is at
         // most the pools' length, which `push` kept within u32.
         let counts = || {
@@ -890,7 +1022,7 @@ impl EncodedFactorSetBuilder {
                 order.len(),
                 order.iter().map(|&i| lens[i as usize]),
             ),
-            prefix_keys: prefix_keys.into(),
+            key_dir: ArenaVec::new(),
         };
         (set, survivors)
     }
@@ -986,8 +1118,8 @@ fn pool_range(mism_end: &[u32], i: usize) -> Range<usize> {
 }
 
 /// A pending per-factor column in leaf order (`order[rank]` is the pushed
-/// factor at each rank). Consumes the column, so it is freed on return.
-fn permute<T: Copy>(column: Vec<T>, order: &[u32]) -> Vec<T> {
+/// factor at each rank).
+fn permute<T: Copy>(column: &[T], order: &[u32]) -> Vec<T> {
     order.iter().map(|&i| column[i as usize]).collect()
 }
 
@@ -1018,36 +1150,48 @@ fn partition_point_in<F: Fn(usize) -> bool>(len: usize, pred: F) -> usize {
     lo
 }
 
-/// Packs the first eight letters of a (length ≥ 8) pattern exactly like
-/// [`packed_keys`] packs a factor's, for the integer narrowing of
-/// [`EncodedFactorSet::equal_range`].
-fn pattern_prefix_key(pattern: &[u8]) -> u64 {
-    let mut key = 0u64;
-    for &c in &pattern[..8] {
-        key = (key << 8) | (c as u64 + 1);
+/// The range of leaf keys whose factors can have `pattern` as a prefix:
+/// its first eight letters packed as [`packed_letters`] packs a factor's,
+/// with every byte past a shorter pattern's end free (`0x00` to `0xFF`).
+/// For a pattern of at most eight letters the range holds exactly the
+/// factors it prefixes. `None` if one of those letters is 255, which no
+/// factor holds (an alphabet has at most 255 letters).
+fn pattern_key_range(pattern: &[u8]) -> Option<(u64, u64)> {
+    let mut letters = [0u8; LEAF_KEY_LETTERS];
+    for (slot, &c) in letters.iter_mut().zip(pattern) {
+        *slot = c.checked_add(1)?;
     }
-    key
+    let key = u64::from_be_bytes(letters);
+    let fixed = 8 * pattern.len().min(LEAF_KEY_LETTERS) as u32;
+    Some((key, key | u64::MAX.checked_shr(fixed).unwrap_or(0)))
 }
 
-/// Packs the first 16 letters of a factor big-endian into two `u64`s,
-/// letters `0..8` and `8..16`, whose integer order is the lexicographic
-/// order of those prefixes: letters are stored as `rank + 1`, so "past the
-/// factor's end" packs as 0 and a proper prefix sorts first. The first is
-/// the factor's stored prefix key.
-fn packed_keys(f: FactorRef<'_, u32>, view: &[u8]) -> (u64, u64) {
-    let mut letters = [0u8; KEY_LETTERS];
-    let take = f.len.min(KEY_LETTERS);
+/// Packs the first `N` letters of a factor big-endian, each as `rank + 1`
+/// and "past the factor's end" as 0, so the byte order is the
+/// lexicographic order of those prefixes and a proper prefix sorts first.
+/// Eight letters make a leaf's key (as a `u64`), sixteen the construction
+/// sort's (as two).
+#[inline]
+fn packed_letters<const N: usize, D: Entry>(f: FactorRef<'_, D>, view: &[u8]) -> [u8; N] {
+    let mut letters = [0u8; N];
+    let take = f.len.min(N);
     for (slot, &c) in letters[..take].iter_mut().zip(&view[f.view..f.view + take]) {
-        *slot = c + 1;
+        *slot = c.wrapping_add(1);
     }
     for (&depth, &c) in f.depths.iter().zip(f.letters) {
         // Depths increase and stay below the length.
-        let Some(slot) = letters.get_mut(depth as usize) else {
+        let Some(slot) = letters.get_mut(depth.index()) else {
             break;
         };
-        *slot = c + 1;
+        *slot = c.wrapping_add(1);
     }
-    let key = u128::from_be_bytes(letters);
+    letters
+}
+
+/// The first 16 letters of a factor packed by [`packed_letters`] into two
+/// `u64`s, letters `0..8` and `8..16`.
+fn packed_keys(f: FactorRef<'_, u32>, view: &[u8]) -> (u64, u64) {
+    let key = u128::from_be_bytes(packed_letters(f, view));
     ((key >> 64) as u64, key as u64)
 }
 
@@ -1472,41 +1616,124 @@ mod tests {
         (heavy, factors)
     }
 
+    /// `letters`' first eight packed as a leaf key, straight from the
+    /// letters.
+    fn key_of(letters: &[u8]) -> u64 {
+        let mut key = [0u8; 8];
+        for (slot, &c) in key.iter_mut().zip(letters) {
+            *slot = c + 1;
+        }
+        u64::from_be_bytes(key)
+    }
+
+    /// Exactly `leaves` factors over a binary heavy string, each at its own
+    /// anchor (so none is dominated), and the string. The view opens with
+    /// `zeros` zero letters, and a factor anchored there is longer than 8
+    /// letters with no mismatch below depth 8: those all share one key.
+    fn keyed_case(
+        rng: &mut StdRng,
+        direction: Direction,
+        leaves: usize,
+        zeros: usize,
+    ) -> (Arc<Vec<u8>>, Vec<TestFactor>) {
+        let n = leaves + 40;
+        let view: Vec<u8> = (0..n)
+            .map(|i| if i < zeros { 0 } else { rng.gen_range(0..2) })
+            .collect();
+        let factors = (0..leaves)
+            .map(|a| {
+                let max = (n - a).min(30);
+                let shared = a + 9 <= zeros;
+                let len = rng.gen_range(if shared { 9 } else { 1 }..=max);
+                let mut letters = view[a..a + len].to_vec();
+                for _ in 0..rng.gen_range(0..=3usize) {
+                    let d = rng.gen_range(if shared { 8 } else { 0 }..len);
+                    letters[d] ^= 1;
+                }
+                spelling(&view, direction, a, &letters)
+            })
+            .collect();
+        (Arc::new(oriented(&view, direction)), factors)
+    }
+
+    /// `equal_range` against a linear scan, with and without the key
+    /// directory, for every pattern length from 1 to 20 (below, at and
+    /// above the 8 letters of a key), on sets of 16k − 1, 16k and 16k + 1
+    /// leaves, on one where more than 4 strides of leaves share one key,
+    /// and on a random set with dominated factors dropped. Patterns are
+    /// real leaves' prefixes (extended at random past them), random
+    /// strings and strings holding letter 255, which no factor holds.
     #[test]
     fn equal_range_matches_linear_scan() {
         let mut rng = StdRng::seed_from_u64(77);
-        let n = 50usize;
-        let sigma = 2u8;
-        let heavy: Arc<Vec<u8>> = Arc::new((0..n).map(|_| rng.gen_range(0..sigma)).collect());
-        let factors: Vec<TestFactor> = (0..60)
-            .map(|_| random_factor(&mut rng, &heavy, Direction::Forward, sigma))
-            .collect();
-        let (set, _) = build(&heavy, Direction::Forward, &factors);
-        assert!(set.len() > 30, "pruning left too few leaves to search");
-        for _ in 0..300 {
-            // Lengths up to 15 cover both search branches: plain binary
-            // search (m < 8) and the packed-prefix-key narrowing (m ≥ 8).
-            let m = rng.gen_range(1..16usize);
-            let pattern: Vec<u8> = if rng.gen_bool(0.5) {
-                // Borrow a real factor's prefix so long patterns also hit
-                // non-empty ranges, not just misses.
-                let leaf = rng.gen_range(0..set.len());
-                let mut p = set.materialize(leaf);
-                p.truncate(m);
-                while p.len() < m {
-                    p.push(rng.gen_range(0..sigma));
+        let mut cases = Vec::new();
+        for direction in [Direction::Forward, Direction::Backward] {
+            for k in [1usize, 20] {
+                for leaves in [KEY_STRIDE * k - 1, KEY_STRIDE * k, KEY_STRIDE * k + 1] {
+                    cases.push((direction, keyed_case(&mut rng, direction, leaves, 250)));
                 }
-                p
-            } else {
-                (0..m).map(|_| rng.gen_range(0..sigma)).collect()
-            };
-            let (lo, hi) = set.equal_range(&pattern);
-            for leaf in 0..set.len() {
-                let is_prefix = set.materialize(leaf).starts_with(&pattern);
-                let in_range = leaf >= lo && leaf < hi;
-                assert_eq!(is_prefix, in_range, "leaf {leaf} pattern {pattern:?}");
+            }
+            let heavy: Arc<Vec<u8>> = Arc::new((0..50).map(|_| rng.gen_range(0..2)).collect());
+            let view = oriented(&heavy, direction);
+            let factors = (0..60)
+                .map(|_| random_factor(&mut rng, &view, direction, 2))
+                .collect();
+            cases.push((direction, (heavy, factors)));
+        }
+        let mut longest_run = 0;
+        for (direction, (heavy, factors)) in cases {
+            let (bare, _) = build(&heavy, direction, &factors);
+            let mut keyed = bare.clone();
+            keyed.derive_key_directory();
+            let strings: Vec<Vec<u8>> =
+                (0..bare.len()).map(|leaf| bare.materialize(leaf)).collect();
+            let label = format!("{direction:?}, {} leaves", strings.len());
+            let dir: Vec<u64> = strings
+                .iter()
+                .step_by(KEY_STRIDE)
+                .map(|s| key_of(s))
+                .collect();
+            assert_eq!(keyed.key_dir_raw(), dir, "{label}: directory");
+            assert!(bare.key_dir_raw().is_empty());
+            let run = strings
+                .chunk_by(|a, b| key_of(a) == key_of(b))
+                .map(<[_]>::len)
+                .max()
+                .unwrap_or(0);
+            longest_run = longest_run.max(run);
+            for m in 1..=20usize {
+                for trial in 0..40 {
+                    let pattern: Vec<u8> = match trial % 4 {
+                        0 | 1 => {
+                            let mut p = strings[rng.gen_range(0..strings.len())].clone();
+                            p.truncate(m);
+                            while p.len() < m {
+                                p.push(rng.gen_range(0..2));
+                            }
+                            p
+                        }
+                        2 => (0..m).map(|_| rng.gen_range(0..2)).collect(),
+                        _ => {
+                            let mut p: Vec<u8> = (0..m).map(|_| rng.gen_range(0..2)).collect();
+                            p[rng.gen_range(0..m)] = u8::MAX;
+                            p
+                        }
+                    };
+                    let expected = strings.iter().filter(|s| s.starts_with(&pattern)).count();
+                    for (with, set) in [("directory", &keyed), ("no directory", &bare)] {
+                        let (lo, hi) = set.equal_range(&pattern);
+                        assert_eq!(hi - lo, expected, "{label}, {with}: {pattern:?}");
+                        for s in &strings[lo..hi] {
+                            assert!(s.starts_with(&pattern), "{label}, {with}: {pattern:?}");
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            longest_run > 4 * KEY_STRIDE,
+            "no set has more than 4 strides of leaves sharing one key ({longest_run})"
+        );
     }
 
     #[test]
@@ -1540,6 +1767,7 @@ mod tests {
             vec![1u8; depths.len()].into(),
             Some(log_ratios.to_vec().into()),
             ArenaVec::new(),
+            false,
         )
     }
 
@@ -1576,6 +1804,7 @@ mod tests {
                 ArenaVec::new(),
                 None,
                 ArenaVec::new(),
+                false,
             )
             .expect_err("a factor past the heavy view opened");
             assert!(err.contains("run past the heavy view"), "{err}");

@@ -148,29 +148,29 @@ impl MinimizerIndex {
         }
         // Positions, anchors, lengths and depths narrow to u32 below.
         check_u32_positions(x.len())?;
-        let heavy = HeavyString::new(x);
+        // The letters alone: only a grid variant reads the log-prefix
+        // table, and `assemble` computes it once the sorts are done.
+        let heavy = Arc::new(HeavyString::letters_of(x));
         let scheme = MinimizerScheme::new(params.ell, params.k, x.sigma(), params.order);
 
         // Both builders borrow the heavy ranks — nothing is copied here, and
         // the forward factor set keeps sharing the allocation after `finish`.
-        let mut fwd_builder =
-            EncodedFactorSetBuilder::new(Direction::Forward, heavy.shared_ranks());
-        let mut bwd_builder =
-            EncodedFactorSetBuilder::new(Direction::Backward, heavy.shared_ranks());
+        let mut fwd_builder = EncodedFactorSetBuilder::new(Direction::Forward, Arc::clone(&heavy));
+        let mut bwd_builder = EncodedFactorSetBuilder::new(Direction::Backward, Arc::clone(&heavy));
 
         // Per-strand deviation buffer, reused across strands.
         let mut deviations: Vec<(u32, u8)> = Vec::new();
         // Every (minimizer, strand) pushes one forward and one backward
         // factor, in step: pushed factor `i` of either builder is the same
         // occurrence, which is how the grid pairs the leaves that survive
-        // them.
+        // them. Both share its anchor, so one copy is kept for both.
+        let mut anchors: Vec<u32> = Vec::new();
         for strand in estimation.strands() {
             let seq = strand.seq();
             // Positions where this strand deviates from the heavy string,
             // with the strand's letter there.
             deviations.clear();
-            let heavy_ranks = heavy.as_ranks();
-            for (p, (&s, &h)) in seq.iter().zip(heavy_ranks).enumerate() {
+            for (p, (&s, &h)) in seq.iter().zip(heavy.iter()).enumerate() {
                 if s != h {
                     deviations.push((p as u32, s));
                 }
@@ -185,8 +185,8 @@ impl MinimizerIndex {
                     // Forward factor: the longest property-respecting factor
                     // starting at the minimizer.
                     let end = a + lens[anchor].index() as u32;
-                    fwd_builder.push(
-                        a,
+                    anchors.push(a);
+                    fwd_builder.push_paired(
                         end - a,
                         deviations_in(&deviations, a, end)
                             .iter()
@@ -199,8 +199,7 @@ impl MinimizerIndex {
                     // deviations back to front keeps them sorted without a
                     // post-hoc sort.
                     let b = first_covering(lens, anchor) as u32;
-                    bwd_builder.push(
-                        a,
+                    bwd_builder.push_paired(
                         a - b + 1,
                         deviations_in(&deviations, b, a + 1)
                             .iter()
@@ -214,9 +213,11 @@ impl MinimizerIndex {
         // Free the strand buffer (up to 8 B per position) before the sorts,
         // and the backward pools' growth slack before the forward sort.
         drop(deviations);
+        anchors.shrink_to_fit();
         bwd_builder.shrink_to_fit();
-        let (fwd, fwd_leaf) = fwd_builder.finish();
-        let (bwd, bwd_leaf) = bwd_builder.finish();
+        let (fwd, fwd_leaf) = fwd_builder.finish_paired(&anchors);
+        let (bwd, bwd_leaf) = bwd_builder.finish_paired(&anchors);
+        drop(anchors);
         // Occurrence `i` is the point (forward leaf, backward leaf) of the
         // leaves that survive its two factors; occurrences whose factors
         // survive onto the same pair share one point.
@@ -234,38 +235,40 @@ impl MinimizerIndex {
     }
 
     /// Assembles the index from the letter-only factor sets of either
-    /// construction (plus the grid of a grid variant): the one place that
-    /// decides which tables each variant keeps. Grid variants get each kept
-    /// mismatch's log-ratio, read from `X`; the others drop the log-prefix
-    /// and verify against `X`. Tree variants get their tries and drop the
-    /// prefix keys, which only the array lookup reads.
+    /// construction over the heavy letters `heavy` (plus the grid of a grid
+    /// variant): the one place that decides which tables each variant
+    /// keeps. Grid variants get the heavy log-prefix table and each kept
+    /// mismatch's log-ratio, read from `X`; the others verify against `X`.
+    /// Tree variants get their tries; the array variants get the key
+    /// directories that only the array lookup reads.
     pub(crate) fn assemble(
         x: &WeightedString,
         params: IndexParams,
         family: IndexFamily,
-        heavy: HeavyString,
+        heavy: Arc<Vec<u8>>,
         mut fwd: EncodedFactorSet,
         mut bwd: EncodedFactorSet,
         grid: Option<RankSpaceGrid>,
     ) -> Self {
         let variant = family.minimizer_variant().expect("a minimizer family");
         assert_eq!(variant.has_grid(), grid.is_some(), "grid iff grid variant");
-        let (heavy, mut log_prefix) = heavy.into_parts();
+        let mut log_prefix = ArenaVec::new();
         if variant.has_grid() {
+            log_prefix = HeavyString::log_prefix_of(x, &heavy);
             let log_ratio = |p: usize, c: u8| (x.prob(p, c) / x.prob(p, heavy[p])).ln();
             fwd.derive_log_ratios(log_ratio);
             bwd.derive_log_ratios(log_ratio);
-        } else {
-            log_prefix = ArenaVec::new();
         }
-        let trie = |set: &mut EncodedFactorSet| {
-            variant.has_tree().then(|| {
-                let lcps = set.neighbour_lcps();
-                set.drop_prefix_keys();
-                CompactedTrie::build(&lcps, &*set)
-            })
+        if !variant.has_tree() {
+            fwd.derive_key_directory();
+            bwd.derive_key_directory();
+        }
+        let trie = |set: &EncodedFactorSet| {
+            variant
+                .has_tree()
+                .then(|| CompactedTrie::build(&set.neighbour_lcps(), set))
         };
-        let (fwd_trie, bwd_trie) = (trie(&mut fwd), trie(&mut bwd));
+        let (fwd_trie, bwd_trie) = (trie(&fwd), trie(&bwd));
 
         Self {
             params,
@@ -605,6 +608,7 @@ impl UncertainIndex for MinimizerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::KEY_STRIDE;
     use ius_datasets::pangenome::PangenomeConfig;
     use ius_datasets::patterns::PatternSampler;
     use ius_datasets::uniform::UniformConfig;
@@ -890,8 +894,8 @@ mod tests {
     ///   reversed view (2 B), plus the log-prefix entry (8 B) with a grid;
     /// * per leaf of either set: `anchor_x` (4 B), its length at the set's
     ///   length width and its `mism_start` entry at the set's offset width
-    ///   (1, 2 or 4 B each), plus one trailing offset per set, plus the
-    ///   prefix key (8 B) without a tree;
+    ///   (1, 2 or 4 B each), plus one trailing offset per set, plus one
+    ///   key-directory entry (8 B) per 16 leaves without a tree;
     /// * per trie node, with a tree: 16 B, plus 5 B for the edge from its
     ///   parent, plus one trailing child offset (4 B) per trie;
     /// * per mismatch: its depth at the set's length width and its letter
@@ -911,7 +915,8 @@ mod tests {
             let mut budget = (2 + 8 * grid) * n + 8 * grid; // positions (+ log-prefix's n + 1)
             for set in index.factor_sets() {
                 let (length, offset) = (set.length_width(), set.offset_width());
-                budget += (4 + 8 * array + length + offset) * set.len() + offset; // + the trailing offset
+                budget += (4 + length + offset) * set.len() + offset; // + the trailing offset
+                budget += 8 * array * set.len().div_ceil(KEY_STRIDE);
                 budget += (length + 1 + 8 * grid) * set.total_mismatches();
             }
             if variant.has_tree() {

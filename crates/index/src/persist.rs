@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the format is
 //! hand-rolled rather than serde-derived: a little-endian binary layout
-//! behind a fixed envelope. Format **version 8**, the only version:
+//! behind a fixed envelope. Format **version 9**, the only version:
 //!
 //! ```text
 //! magic "IUSX" (4) · version (u16) · family tag (u8) · envelope length (u64)
@@ -43,9 +43,9 @@
 //! [`open_index_at`] opens an envelope embedded inside a larger arena (the
 //! live index's segment files).
 //!
-//! **Version policy:** this build reads and writes version 8 only. Any
+//! **Version policy:** this build reads and writes version 9 only. Any
 //! layout change bumps [`FORMAT_VERSION`]; every other version — the
-//! earlier versions 2 to 7 included — is refused with a typed
+//! earlier versions 2 to 8 included — is refused with a typed
 //! `InvalidData` error naming the version, and there is no migration:
 //! rebuild the index from its corpus. Every envelope carries its own CRC32
 //! (IEEE, from [`ius_faultio`]) trailer; silent bit-rot is detected at
@@ -69,7 +69,7 @@
 //!            · forward set, then backward set: anchor_x · lens (narrow)
 //!                · mism_start (narrow) · mism_depths (narrow)
 //!                · mism_letters (u8) · [mism_log_ratios (f64)]         grid only
-//!                · prefix_keys (u64)                      empty for the trees
+//!                · key directory (u64)                    empty for the trees
 //!            · [forward trie · backward trie]                           tree only
 //!            · [N (u64) · bits (u64) · ranks · ids_by_x · xs_by_id
 //!                · x starts (u64) · x ranks · y starts (u64) · y ranks] grid only
@@ -92,19 +92,28 @@
 //! another leaf of its anchor). Each set writes `lens` and `mism_depths` at
 //! the narrowest width holding its longest factor, and `mism_start` at the
 //! narrowest holding its mismatch total; at open the lengths and the depths
-//! must share a width. MWST and MWSA verify against `X`; MWST-G
-//! and MWSA-G verify from the log-prefix and the log-ratios alone, and
-//! their grid holds the `N` distinct (forward leaf, backward leaf) pairs of
-//! the occurrences in rank space: `ids_by_x` pairs each point's x rank with
-//! its y rank (a permutation; `xs_by_id` is its inverse, the wavelet matrix
-//! is over `ids_by_x`), and per axis a bitvector over the `N` ranks marks
-//! each leaf's first point, with its per-word rank counts. At open each
+//! must share a width.
+//!
+//! The **key directory** of an array variant's set holds the packed
+//! 8-letter key of every 16th leaf (leaves 0, 16, 32, …, so
+//! `⌈leaves / 16⌉` keys; the stride is
+//! [`KEY_STRIDE`](crate::encode::KEY_STRIDE)). At open it must hold exactly
+//! that many keys and never decrease, and a tree variant's must be empty.
+//! Version 8 stored one key per leaf instead.
+//!
+//! MWST and MWSA verify against `X`; MWST-G and MWSA-G verify from the
+//! log-prefix and the log-ratios alone, and their grid holds the `N`
+//! distinct (forward leaf, backward leaf) pairs of the occurrences in rank
+//! space: `ids_by_x` pairs each point's x rank with its y rank (a
+//! permutation; `xs_by_id` is its inverse, the wavelet matrix is over
+//! `ids_by_x`), and per axis a bitvector over the `N` ranks marks each
+//! leaf's first point, with its per-word rank counts. At open each
 //! bitvector's rank counts must be its prefix popcounts, no bit may be set
 //! past `N`, rank 0 must be marked when `N > 0` and the marks must number
-//! that side's leaves. Nothing is derived per element at open:
-//! view anchors cost `O(1)` on use, log-ratios are stored as the `ln` that
-//! verification sums, and construction (z-estimation, suffix sorting, trie
-//! assembly, wavelet matrix) is **never** re-run.
+//! that side's leaves. Nothing is derived per element at open: view anchors
+//! cost `O(1)` on use, log-ratios are stored as the `ln` that verification
+//! sums, and construction (z-estimation, suffix sorting, trie assembly,
+//! wavelet matrix) is **never** re-run.
 //!
 //! Every multi-byte integer and float is little-endian (`f64` as the LE
 //! bytes of its IEEE-754 bits, so round trips are bit-exact), written and
@@ -144,9 +153,10 @@ pub const MAGIC: [u8; 4] = *b"IUSX";
 
 /// The on-disk format version, the only one this build reads or writes:
 /// arena-openable 8-byte-aligned sections with an envelope length field,
-/// narrow leaf tables, one family tag per family and compressed-sparse-row
-/// trie child tables. Files of any other version are refused typed.
-pub const FORMAT_VERSION: u16 = 8;
+/// narrow leaf tables, one family tag per family, compressed-sparse-row
+/// trie child tables and a key directory of one key per 16 leaves. Files
+/// of any other version are refused typed.
+pub const FORMAT_VERSION: u16 = 9;
 
 /// The one section encoding (the `u8` after the element count).
 const ENC_RAW: u8 = 0;
@@ -562,15 +572,17 @@ fn write_factor_set(out: &mut Vec<u8>, set: &EncodedFactorSet, grid: bool) {
     if grid {
         write_section::<f64>(out, set.mism_log_ratios_raw());
     }
-    write_section::<u64>(out, set.prefix_keys_raw());
+    write_section::<u64>(out, set.key_dir_raw());
 }
 
-/// Reads the factor set that reads `heavy_view` in `direction`.
+/// Reads the factor set that reads `heavy_view` in `direction`; `keyed`
+/// sets (the array variants') hold a key directory.
 fn read_factor_set(
     s: &mut ArenaSource,
     direction: Direction,
     heavy_view: Arc<Vec<u8>>,
     grid: bool,
+    keyed: bool,
 ) -> io::Result<EncodedFactorSet> {
     let anchor_x = read_section::<u32>(s)?;
     let lens = read_narrow(s, "factor-length")?;
@@ -578,7 +590,7 @@ fn read_factor_set(
     let mism_depths = read_narrow(s, "mismatch-depth")?;
     let mism_letters = read_section::<u8>(s)?;
     let mism_log_ratios = grid.then(|| read_section::<f64>(s)).transpose()?;
-    let prefix_keys = read_section::<u64>(s)?;
+    let key_dir = read_section::<u64>(s)?;
     EncodedFactorSet::from_loaded_parts(
         direction,
         heavy_view,
@@ -588,7 +600,8 @@ fn read_factor_set(
         mism_depths,
         mism_letters,
         mism_log_ratios,
-        prefix_keys,
+        key_dir,
+        keyed,
     )
     .map_err(bad)
 }
@@ -628,9 +641,16 @@ fn read_minimizer_payload(
     let (heavy, log_prefix) = read_heavy(src, has_grid)?;
     // The forward set reads the index-wide heavy string, the backward set
     // its reversal.
-    let fwd = read_factor_set(src, Direction::Forward, Arc::clone(&heavy), has_grid)?;
+    let keyed = !variant.has_tree();
+    let fwd = read_factor_set(src, Direction::Forward, Arc::clone(&heavy), has_grid, keyed)?;
     let reversed: Vec<u8> = heavy.iter().rev().copied().collect();
-    let bwd = read_factor_set(src, Direction::Backward, Arc::new(reversed), has_grid)?;
+    let bwd = read_factor_set(
+        src,
+        Direction::Backward,
+        Arc::new(reversed),
+        has_grid,
+        keyed,
+    )?;
     let (fwd_trie, bwd_trie) = if variant.has_tree() {
         (Some(read_trie(src)?), Some(read_trie(src)?))
     } else {
@@ -701,9 +721,17 @@ impl AnyIndex {
     ///
     /// Propagates I/O errors of the writer.
     pub fn save_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        let mut out = Vec::with_capacity(self.size_bytes() + SAVE_SLACK);
+        let mut out = Vec::with_capacity(self.save_bound());
         self.save_into(&mut out);
         w.write_all(&out)
+    }
+
+    /// An upper bound on the bytes [`AnyIndex::save_into`] appends: the
+    /// index's `size_bytes()` plus 4 KiB for the header, the trailer and
+    /// each section's count, encoding byte and pad. A save buffer reserved
+    /// at this size never grows.
+    pub fn save_bound(&self) -> usize {
+        self.size_bytes() + SAVE_SLACK
     }
 
     /// Appends the envelope [`AnyIndex::save_to`] writes to `out` (a live
@@ -858,9 +886,9 @@ mod tests {
         corrupt[0] = b'X';
         assert!(load_index(&mut corrupt.as_slice()).is_err());
         assert!(open_index(&Arena::from_bytes(&corrupt)).is_err());
-        // Unknown version, and versions 2, 4, 5, 6 and 7: refused naming
-        // the version.
-        for version in [0x03FF, 2u16, 4, 5, 6, 7] {
+        // Unknown version, and versions 2, 4, 5, 6, 7 and 8: refused
+        // naming the version.
+        for version in [0x03FF, 2u16, 4, 5, 6, 7, 8] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&version.to_le_bytes());
             let err = load_index(&mut corrupt.as_slice()).unwrap_err();
@@ -1014,7 +1042,9 @@ mod tests {
                 let mismatches = depths.iter().map(|&d| (d, (heavy[at(d as usize)] + 1) % 4));
                 builder.push(at(0) as u32, *len, mismatches).unwrap();
             }
-            builder.finish().0
+            let mut set = builder.finish().0;
+            set.derive_key_directory();
+            set
         };
         let params = IndexParams::new(4.0, 8, 4).unwrap();
         let index = MinimizerIndex::from_loaded_parts(

@@ -134,7 +134,7 @@ impl SpaceEfficientBuilder {
             x,
             self.params,
             family,
-            heavy,
+            heavy.into_parts().0,
             fwd,
             bwd,
             None,

@@ -1,4 +1,4 @@
-//! Format differential suite for the IUSX on-disk format (version 8, the
+//! Format differential suite for the IUSX on-disk format (version 9, the
 //! only version this build reads or writes): a saved index must answer
 //! exactly like the in-memory build it was saved from, opened zero-copy
 //! from an arena and through the `Read` entry point, across every buildable
@@ -8,14 +8,15 @@
 //!
 //! The second half is the corruption side of the one read path: the
 //! envelope is validated **at open**, so any bit flip, truncation or
-//! appended byte of a v8 file, and any file whose header names another
-//! version (the earlier versions 2 to 7 included) or a family tag no
+//! appended byte of a v9 file, and any file whose header names another
+//! version (the earlier versions 2 to 8 included) or a family tag no
 //! family has, must be rejected with a typed error before a single view is
 //! handed out — never a panic, never a lazily-corrupt index. So must a
 //! file whose checksum is intact but whose contents break an invariant the
 //! query relies on (mismatch depths that do not increase within a factor,
-//! a malformed leaf bitvector of the grid, or a trie edge that leads back
-//! up), one with a section in an encoding other than raw (the bit-packed
+//! a malformed leaf bitvector of the grid, a trie edge that leads back
+//! up, or a key directory out of order or of the wrong length), one with
+//! a section in an encoding other than raw (the bit-packed
 //! `u32` sections of earlier version-5 builds), and one whose narrow leaf
 //! table has a width byte other than 1, 2 or 4 or a section too short for
 //! its count.
@@ -25,6 +26,7 @@ use ius_datasets::corpora::{bench_corpus, BENCH_CORPUS_NAMES};
 use ius_datasets::patterns::PatternSampler;
 use ius_datasets::uniform::UniformConfig;
 use ius_faultio::crc32;
+use ius_index::encode::KEY_STRIDE;
 use ius_index::persist::{open_index_at, write_spec, FORMAT_VERSION};
 use ius_index::{
     load_index, open_index, AnyIndex, IndexFamily, IndexParams, IndexSpec, IndexVariant,
@@ -186,17 +188,17 @@ fn factors_past_65535_letters_are_stored_u32_wide() {
     assert!(reported > 0, "no sampled pattern occurs");
 }
 
-/// A header naming any version but 8 — the earlier streamed version 2,
+/// A header naming any version but 9 — the earlier streamed version 2,
 /// version 3 with its merge-tree grid, version 4 with its strands, ratios
 /// and general point-set grid, version 5 with its prefix-dominated leaves
-/// and permutation grid, version 6 with its `u32` leaf tables, and
-/// version 7 with its variant bytes, presence flags and child counts
-/// included — is refused with a typed `InvalidData` error that names the
-/// version, through both entry points.
+/// and permutation grid, version 6 with its `u32` leaf tables, version 7
+/// with its variant bytes, presence flags and child counts, and version 8
+/// with a prefix key per leaf included — is refused with a typed
+/// `InvalidData` error that names the version, through both entry points.
 #[test]
 fn other_versions_are_refused_naming_the_version() {
     for (label, _, bytes) in &cases()[0].families {
-        for version in [2u16, 3, 4, 5, 6, 7, 9] {
+        for version in [2u16, 3, 4, 5, 6, 7, 8, 10] {
             let mut other = bytes.clone();
             other[4..6].copy_from_slice(&version.to_le_bytes());
             for err in [
@@ -221,17 +223,17 @@ fn other_versions_are_refused_naming_the_version() {
 /// and re-pin alone when only the index contents did.
 #[test]
 fn layout_changes_bump_the_format_version() {
-    const PINNED_VERSION: u16 = 8;
+    const PINNED_VERSION: u16 = 9;
     const PINNED: [(&str, u32); 9] = [
-        ("NAIVE", 0x1e6b672b),
-        ("WST", 0xf1362eb6),
-        ("WSA", 0x66d0d2ff),
-        ("MWST", 0x3eb69e7c),
-        ("MWSA", 0x1501b783),
-        ("MWST-G", 0xe5477633),
-        ("MWSA-G", 0xc3cb82f4),
-        ("SE-MWST", 0xdfb832b1),
-        ("SE-MWSA", 0x61b80437),
+        ("NAIVE", 0xc989e773),
+        ("WST", 0xd3201e48),
+        ("WSA", 0x09a8d44c),
+        ("MWST", 0xbbcdd3c9),
+        ("MWSA", 0x54a49448),
+        ("MWST-G", 0x82238672),
+        ("MWSA-G", 0x14aa3f41),
+        ("SE-MWST", 0x26e3506d),
+        ("SE-MWSA", 0x03dbd717),
     ];
     let families = &cases()[0].families;
     // The pin covers the grid sections only if the grid holds points.
@@ -288,7 +290,7 @@ fn assert_refused_typed(bytes: &[u8], needle: &str) {
     }
 }
 
-/// A v8 envelope whose family tag no family has is refused with a typed
+/// A v9 envelope whose family tag no family has is refused with a typed
 /// `InvalidData` error naming the tag, through every entry point, even
 /// when its checksum is intact.
 #[test]
@@ -306,7 +308,7 @@ fn unknown_family_tags_are_refused_typed() {
 /// A file of the removed sharded-index format — a version-7 envelope with
 /// family tag 4 — is refused with a typed `InvalidData` error naming its
 /// version, through every entry point, even when its checksum is intact.
-/// (In version 8, tag 4 is MWSA's.)
+/// (Since version 8, tag 4 is MWSA's.)
 #[test]
 fn removed_sharded_format_is_refused_typed() {
     let (_, _, raw) = &cases()[0].families[0];
@@ -317,8 +319,8 @@ fn removed_sharded_format_is_refused_typed() {
     assert_refused_typed(&sharded, "version 7");
 }
 
-/// Version 8 has no construction byte: the space-efficient grid variants,
-/// which no construction builds, have no family tag. A v8 envelope with
+/// Since version 8 there is no construction byte: the space-efficient grid
+/// variants, which no construction builds, have no family tag. A v9 envelope with
 /// tag 9 or 10 — the `IUSL` tags that once named them — is refused with a
 /// typed `InvalidData` error naming the tag, through every entry point,
 /// even when its checksum is intact; the SE-MWST and SE-MWSA files open as
@@ -347,7 +349,7 @@ fn reseal(bytes: &mut [u8]) {
     bytes[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Walks a raw v8 file's sections: `(element count, data offset)` of the
+/// Walks a raw v9 file's sections: `(element count, data offset)` of the
 /// section at `*pos`, advancing `*pos` past it.
 fn raw_section(bytes: &[u8], pos: &mut usize, elem_size: usize) -> (usize, usize) {
     let count = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap()) as usize;
@@ -381,8 +383,8 @@ fn u32_at(bytes: &[u8], offset: usize) -> u32 {
 }
 
 /// Skips a factor set of a minimizer file at `*pos`, with its log-ratio
-/// section when the variant has a `grid`: returns its leaf count and its
-/// prefix-key count.
+/// section when the variant has a `grid`: returns its leaf count and the
+/// offset of its key-directory section.
 fn skip_factor_set(raw: &[u8], pos: &mut usize, grid: bool) -> (usize, usize) {
     let (leaves, _) = raw_section(raw, pos, 4); // anchor_x
     for _ in 0..3 {
@@ -392,15 +394,40 @@ fn skip_factor_set(raw: &[u8], pos: &mut usize, grid: bool) -> (usize, usize) {
     if grid {
         raw_section(raw, pos, 8); // mism_log_ratios
     }
-    let (keys, _) = raw_section(raw, pos, 8); // prefix_keys
-    (leaves, keys)
+    let key_dir_at = *pos;
+    raw_section(raw, pos, 8); // key directory
+    (leaves, key_dir_at)
 }
 
-/// The tree variants (MWST, MWST-G, SE-MWST) save an empty prefix-key
-/// section per set — only the array lookup reads the keys — and the array
-/// variants (MWSA, MWSA-G, SE-MWSA) one key per leaf, on every preset.
+/// The offsets of both factor sets' key-directory sections in a saved
+/// minimizer file of `variant`.
+fn key_dir_sections(raw: &[u8], variant: IndexVariant) -> [usize; 2] {
+    // Header (15) · params (33) · n, σ (16).
+    let mut pos = 64;
+    raw_section(raw, &mut pos, 1); // heavy letters
+    if variant.has_grid() {
+        raw_section(raw, &mut pos, 8); // log-prefix
+    }
+    [(); 2].map(|()| skip_factor_set(raw, &mut pos, variant.has_grid()).1)
+}
+
+/// `letters`' first eight packed as a leaf key: big-endian, each letter as
+/// its rank + 1, the end of a shorter factor as 0.
+fn leaf_key(letters: &[u8]) -> u64 {
+    let mut key = [0u8; 8];
+    for (slot, &c) in key.iter_mut().zip(letters) {
+        *slot = c + 1;
+    }
+    u64::from_be_bytes(key)
+}
+
+/// The tree variants (MWST, MWST-G, SE-MWST) save an empty key directory
+/// per set — only the array lookup reads it — and the array variants
+/// (MWSA, MWSA-G, SE-MWSA) `⌈leaves / 16⌉` keys, the `j`-th equal to the
+/// key of leaf `16j` recomputed from its letters, on every preset.
 #[test]
 fn only_the_array_variants_save_prefix_keys() {
+    assert_eq!(KEY_STRIDE, 16);
     let mut keys = 0;
     for case in cases() {
         for (label, built, raw) in &case.families {
@@ -408,22 +435,81 @@ fn only_the_array_variants_save_prefix_keys() {
                 continue;
             };
             let variant = index.variant();
-            // Header (15) · params (33) · n, σ (16).
-            let mut pos = 64;
-            raw_section(raw, &mut pos, 1); // heavy letters
-            if variant.has_grid() {
-                raw_section(raw, &mut pos, 8); // log-prefix
-            }
-            for set in index.factor_sets() {
-                let (leaves, stored) = skip_factor_set(raw, &mut pos, variant.has_grid());
-                assert_eq!(leaves, set.len(), "{}/{label}", case.label);
-                let expected = if variant.has_tree() { 0 } else { leaves };
-                assert_eq!(stored, expected, "{}/{label}: prefix keys", case.label);
+            let at = key_dir_sections(raw, variant);
+            for (set, mut pos) in index.factor_sets().into_iter().zip(at) {
+                let (stored, data) = raw_section(raw, &mut pos, 8);
+                let expected: Vec<u64> = if variant.has_tree() {
+                    Vec::new()
+                } else {
+                    (0..set.len())
+                        .step_by(16)
+                        .map(|leaf| leaf_key(&set.materialize(leaf)))
+                        .collect()
+                };
+                let got: Vec<u64> = (0..stored)
+                    .map(|j| {
+                        u64::from_le_bytes(raw[data + 8 * j..data + 8 * j + 8].try_into().unwrap())
+                    })
+                    .collect();
+                assert_eq!(got, expected, "{}/{label}: key directory", case.label);
                 keys += stored;
             }
         }
     }
-    assert!(keys > 0, "no array variant stored a prefix key");
+    assert!(keys > 0, "no array variant stored a key directory");
+}
+
+/// A saved file whose CRC is intact but whose forward key directory is
+/// forged — MWSA keys out of order, one MWSA key too many, or one key
+/// in an MWST set, which stores none — is refused `InvalidData` naming the
+/// fault, through every entry point.
+#[test]
+fn forged_key_directories_are_refused_at_open() {
+    let file = |family: &str| {
+        cases()
+            .iter()
+            .find_map(|case| {
+                let (_, built, raw) = case.families.iter().find(|(l, ..)| l == family)?;
+                let AnyIndex::Minimizer(index) = built else {
+                    return None;
+                };
+                let mut pos = key_dir_sections(raw, index.variant())[0];
+                let count_at = pos;
+                let (keys, data) = raw_section(raw, &mut pos, 8);
+                (keys >= 2 || index.variant().has_tree())
+                    .then(|| (raw.clone(), count_at, keys, data))
+            })
+            .expect("a preset has a forward directory of two keys")
+    };
+    let key = |raw: &[u8], j: usize, data: usize| -> [u8; 8] {
+        raw[data + 8 * j..data + 8 * j + 8].try_into().unwrap()
+    };
+    // Inserts one key (a copy of the last, or 0) at the directory's end:
+    // the count, the envelope length (offset 7) and the trailer follow.
+    let one_more = |(mut raw, count_at, keys, data): (Vec<u8>, usize, usize, usize)| {
+        let extra = if keys == 0 {
+            [0; 8]
+        } else {
+            key(&raw, keys - 1, data)
+        };
+        raw.splice(data + 8 * keys..data + 8 * keys, extra);
+        raw[count_at..count_at + 8].copy_from_slice(&(keys as u64 + 1).to_le_bytes());
+        let envelope = u64::from_le_bytes(raw[7..15].try_into().unwrap()) + 8;
+        raw[7..15].copy_from_slice(&envelope.to_le_bytes());
+        raw
+    };
+    // No real key is all ones, so a first key of all ones is out of order.
+    let (mut swapped, _, _, data) = file("MWSA");
+    swapped[data..data + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let corruptions = [
+        (swapped, "key directory decreases"),
+        (one_more(file("MWSA")), "key directory holds"),
+        (one_more(file("MWST")), "key directory holds 1 key(s), but"),
+    ];
+    for (mut bytes, expected) in corruptions {
+        reseal(&mut bytes);
+        assert_refused_typed(&bytes, expected);
+    }
 }
 
 /// A saved MWST file whose CRC is intact but whose forward trie's first
@@ -503,7 +589,7 @@ fn swapped_mismatch_depths_are_refused_at_open() {
             }
             raw_section(raw, &mut pos, 1); // mism_letters
             raw_section(raw, &mut pos, 8); // mism_log_ratios (grid variants)
-            raw_section(raw, &mut pos, 8); // prefix_keys
+            raw_section(raw, &mut pos, 8); // key directory
         }
     }
     let (label, bytes) = corrupted.expect("some MWSA-G factor has two mismatches");

@@ -83,9 +83,23 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Starts a file of either kind: its magic and version.
-fn begin_file(magic: [u8; 4]) -> Vec<u8> {
-    let mut out = magic.to_vec();
+/// Bytes of a file's magic and version.
+const FILE_HEAD: usize = 6;
+
+/// Bytes of a file's CRC32 trailer.
+const FILE_TRAILER: usize = 4;
+
+/// Bytes a manifest buffer holds beyond its rows, tombstones, segment
+/// entries and alphabet symbols: the head, the spec, the counts and the
+/// trailer.
+const MANIFEST_SLACK: usize = 256;
+
+/// Starts a file of either kind, `capacity` bytes long in all: its magic
+/// and version, in a buffer reserved at that size so that the writes to
+/// come (the trailer included) do not grow it by doubling.
+fn begin_file(magic: [u8; 4], capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(&magic);
     le::put(&mut out, LIVE_FORMAT_VERSION);
     out
 }
@@ -185,7 +199,11 @@ impl LiveIndex {
             if dir.join(&name).exists() {
                 continue;
             }
-            let mut out = begin_file(SEGMENT_MAGIC);
+            // Head, five counts and X's rows, padded to 8; then the
+            // envelope and the trailer.
+            let prefix = FILE_HEAD + 5 * 8 + 8 * segment.x.flat_probs().len();
+            let capacity = prefix.next_multiple_of(8) + segment.index.save_bound() + FILE_TRAILER;
+            let mut out = begin_file(SEGMENT_MAGIC, capacity);
             le::put_slice(
                 &mut out,
                 &[
@@ -203,8 +221,16 @@ impl LiveIndex {
             segment.index.save_into(&mut out);
             write_file(dir, &name, out)?;
         }
-        let mut out = begin_file(MANIFEST_MAGIC);
         let symbols = self.inner.alphabet.symbols();
+        let rows = state.memtable.flat_rows(0, state.memtable.rows, sigma);
+        // The spec and the scalars fit the slack; the rows, tombstones and
+        // segment entries are counted.
+        let capacity = MANIFEST_SLACK
+            + symbols.len()
+            + 8 * rows.len()
+            + 16 * state.tombstones.len()
+            + 24 * state.segments.len();
+        let mut out = begin_file(MANIFEST_MAGIC, capacity);
         le::put(&mut out, symbols.len() as u64);
         out.extend_from_slice(symbols);
         write_spec(&mut out, &self.inner.spec);
@@ -217,10 +243,8 @@ impl LiveIndex {
                 state.memtable.rows as u64,
             ],
         );
-        le::put_slice(
-            &mut out,
-            &state.memtable.flat_rows(0, state.memtable.rows, sigma),
-        );
+        le::put_slice(&mut out, &rows);
+        drop(rows);
         le::put(&mut out, state.tombstones.len() as u64);
         for &(start, end) in &state.tombstones {
             le::put_slice(&mut out, &[start as u64, end as u64]);

@@ -105,9 +105,9 @@ fn saved_directory_layout_is_pinned() {
     const PINNED_VERSION: u16 = 3;
     const PINNED: [(&str, u32); 4] = [
         ("live.iusl", 0x9ebb32ec),
-        ("seg-0000000000000000.iusg", 0x1603ffb0),
-        ("seg-0000000000000001.iusg", 0xe8c30620),
-        ("seg-0000000000000002.iusg", 0x7995a62e),
+        ("seg-0000000000000000.iusg", 0x169000d9),
+        ("seg-0000000000000001.iusg", 0x08c7d30f),
+        ("seg-0000000000000002.iusg", 0xe0fff593),
     ];
     let x = ius_datasets::uniform::UniformConfig {
         n: 300,

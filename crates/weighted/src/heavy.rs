@@ -45,22 +45,34 @@ impl HeavyString {
         let mut log_prefix = Vec::with_capacity(n + 1);
         log_prefix.push(0.0);
         for i in 0..n {
-            let dist = x.distribution(i);
-            let mut best = 0usize;
-            let mut best_p = dist[0];
-            for (c, &p) in dist.iter().enumerate().skip(1) {
-                if p > best_p {
-                    best_p = p;
-                    best = c;
-                }
-            }
-            letters.push(best as u8);
+            let (best, best_p) = most_probable(x.distribution(i));
+            letters.push(best);
             log_prefix.push(log_prefix[i] + best_p.ln());
         }
         Self {
             letters: Arc::new(letters),
             log_prefix: ArenaVec::from(log_prefix),
         }
+    }
+
+    /// The letters of [`HeavyString::new`] without its log-prefix table,
+    /// for a build that reads no fragment probability before it is done.
+    pub fn letters_of(x: &WeightedString) -> Vec<u8> {
+        (0..x.len())
+            .map(|i| most_probable(x.distribution(i)).0)
+            .collect()
+    }
+
+    /// The log-prefix table of [`HeavyString::new`] for the heavy
+    /// `letters` of `x` (from [`HeavyString::letters_of`]), bit for bit:
+    /// `n + 1` entries, entry `i` being `Σ_{j < i} ln p_j(H_X[j])`.
+    pub fn log_prefix_of(x: &WeightedString, letters: &[u8]) -> ArenaVec<f64> {
+        let mut log_prefix = Vec::with_capacity(letters.len() + 1);
+        log_prefix.push(0.0);
+        for (i, &c) in letters.iter().enumerate() {
+            log_prefix.push(log_prefix[i] + x.prob(i, c).ln());
+        }
+        ArenaVec::from(log_prefix)
     }
 
     /// Length of the heavy string (equals the length of `X`).
@@ -198,6 +210,20 @@ impl HeavyString {
     pub fn memory_bytes(&self) -> usize {
         self.letters.capacity() + self.log_prefix.heap_bytes()
     }
+}
+
+/// The most probable letter of a distribution and its probability, ties
+/// broken towards the smallest rank.
+fn most_probable(dist: &[f64]) -> (u8, f64) {
+    let mut best = 0usize;
+    let mut best_p = dist[0];
+    for (c, &p) in dist.iter().enumerate().skip(1) {
+        if p > best_p {
+            best_p = p;
+            best = c;
+        }
+    }
+    (best as u8, best_p)
 }
 
 /// The maximum number of mismatches a z-solid factor can have with the heavy

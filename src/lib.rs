@@ -21,7 +21,7 @@
 //!   `SE-MWST` and `SE-MWSA` constructions — plus the lifecycle layers around them: the
 //!   unified builder (`IndexSpec` → `AnyIndex`), versioned binary
 //!   persistence (`AnyIndex::save_to`/`load_index`/`open_index`: one
-//!   format, IUSX v8 with one section encoding, and one read path, a
+//!   format, IUSX v9 with one section encoding, and one read path, a
 //!   validated zero-copy open of an in-memory arena — other versions are
 //!   refused typed, rebuild from the corpus; loading never re-runs
 //!   construction);

@@ -1,7 +1,7 @@
 //! Cross-checks `size_bytes()` against the counting allocator: for every
 //! index family, the self-reported footprint must match the heap actually
 //! retained by construction. This is the audit net for the space figures —
-//! a forgotten allocation (packed prefix keys, precomputed log-ratios,
+//! a forgotten allocation (a key directory, precomputed log-ratios,
 //! grid tables, …) shows up here as under-reporting, a double count as
 //! over-reporting.
 //!
@@ -220,6 +220,43 @@ fn size_bytes_matches_retained_heap_for_every_family() {
         drop(opened);
         drop(arena);
     }
+}
+
+/// Saving a live directory builds each segment file in one buffer
+/// reserved up front (its head, `X`'s rows, the index's `save_bound()`
+/// and the trailer), as `AnyIndex::save_to` does: the save's peak heap
+/// growth fits the largest file plus the 4 KiB of envelope slack, and
+/// 4 KiB for the paths and the snapshot. On rssi (σ = 91) `X`'s rows are
+/// most of a segment file, so a buffer grown by doubling from its head
+/// instead peaks near twice the file.
+#[test]
+fn live_save_reserves_each_segment_file_up_front() {
+    let _serial = serialize();
+    let corpus = bench_corpus("rssi", 3_000, None).expect("rssi is a bench preset");
+    let params = IndexParams::new(corpus.z, corpus.ell, corpus.x.sigma()).unwrap();
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let config = LiveConfig {
+        flush_threshold: 750,
+        auto_compact: false,
+        threads: 1,
+        ..LiveConfig::default()
+    };
+    let live = LiveIndex::from_corpus(&corpus.x, spec, 2 * corpus.ell, config).unwrap();
+    assert!(live.num_segments() >= 4);
+    let dir = std::env::temp_dir().join(format!("ius-size-accounting-{}", std::process::id()));
+    let (saved, save) = ius_memtrack::measure(|| live.save_to_dir(&dir));
+    let largest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().metadata().unwrap().len() as usize)
+        .max();
+    std::fs::remove_dir_all(&dir).ok();
+    saved.unwrap();
+    let largest = largest.unwrap();
+    assert!(
+        save.peak_bytes <= largest + 2 * 4096,
+        "a live save whose largest file is {largest} bytes peaked at {} bytes of heap growth",
+        save.peak_bytes
+    );
 }
 
 /// `ZEstimation::memory_bytes` matches the heap a build retains at each
