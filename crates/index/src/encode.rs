@@ -26,9 +26,10 @@
 //! [`EncodedFactorSet::offset_width`]).
 //!
 //! The build holds little more than the set it produces. The builder keeps
-//! pending factors in struct-of-arrays pools (12 B per factor, 5 B per
-//! mismatch) and sorts them on packed keys of their first 16 letters, with
-//! each factor's anchor and push index beside the keys. The LCE comparator
+//! pending factors in struct-of-arrays pools (8 B per factor, its caller
+//! 4 B for its anchor, 5 B per mismatch) and sorts them on packed keys of
+//! their first 16 letters, with each factor's anchor and push index beside
+//! the keys. The LCE comparator
 //! runs only inside runs of equal keys, between factors longer than 16
 //! letters. The sort entries are released as the rank order is read off
 //! them. Each pool is permuted into the set (the lengths, depths and
@@ -738,21 +739,19 @@ pub(crate) fn check_u32_positions(n: usize) -> Result<(), Error> {
 /// [`EncodedFactorSet`].
 ///
 /// Pending factors live in struct-of-arrays pools, with no allocation per
-/// factor: per factor its anchor, length and the end of its entries in the
-/// mismatch pools (12 B), per mismatch its depth and letter (5 B).
+/// factor: per factor its length and the end of its entries in the
+/// mismatch pools (8 B), per mismatch its depth and letter (5 B).
 /// [`EncodedFactorSetBuilder::finish`] permutes each pool into the set and
-/// frees it before the next. Two builders whose `i`-th factors share one
-/// anchor (a forward and a backward factor of one occurrence) can leave
-/// the anchors to their caller, who keeps one copy for both: see
-/// [`EncodedFactorSetBuilder::push_paired`].
+/// frees it before the next. The caller holds the anchors, in push order,
+/// and hands them to `finish`: builders whose `i`-th factors share one
+/// anchor (the explicit build's two factors of one occurrence) share one
+/// copy.
 #[derive(Debug)]
 pub struct EncodedFactorSetBuilder {
     direction: Direction,
     /// Heavy string of `X` (always in forward orientation), borrowed from
     /// the index-wide heavy string — the builder never copies it.
     heavy_forward: Arc<Vec<u8>>,
-    /// Empty when the caller holds the anchors.
-    anchor_x: Vec<u32>,
     lens: Vec<u32>,
     /// End of each factor's entries in the mismatch pools; they start at
     /// the previous factor's end.
@@ -771,7 +770,6 @@ impl EncodedFactorSetBuilder {
         Self {
             direction,
             heavy_forward,
-            anchor_x: Vec::new(),
             lens: Vec::new(),
             mism_end: Vec::new(),
             mism_depths: Vec::new(),
@@ -779,10 +777,10 @@ impl EncodedFactorSetBuilder {
         }
     }
 
-    /// Adds a factor: its anchor in `X` (the minimizer position), its length
-    /// (letters read from the anchor in the builder's direction) and its
-    /// deviations from the heavy string as `(depth, letter)` in strictly
-    /// increasing depth order.
+    /// Adds a factor: its length (letters read from its anchor, which the
+    /// caller keeps, in the builder's direction) and its deviations from
+    /// the heavy string as `(depth, letter)` in strictly increasing depth
+    /// order.
     ///
     /// # Errors
     ///
@@ -795,25 +793,6 @@ impl EncodedFactorSetBuilder {
     /// Panics (debug builds) if a mismatch depth is not below the factor
     /// length or the depths do not strictly increase.
     pub fn push(
-        &mut self,
-        anchor_x: u32,
-        len: u32,
-        mismatches: impl IntoIterator<Item = (u32, u8)>,
-    ) -> Result<(), Error> {
-        self.push_paired(len, mismatches)?;
-        self.anchor_x.push(anchor_x);
-        Ok(())
-    }
-
-    /// [`EncodedFactorSetBuilder::push`] without the anchor, which the
-    /// caller records for the factor instead and hands to
-    /// [`EncodedFactorSetBuilder::finish_paired`]. A builder takes all its
-    /// factors one way or the other.
-    ///
-    /// # Errors
-    ///
-    /// As [`EncodedFactorSetBuilder::push`].
-    pub fn push_paired(
         &mut self,
         len: u32,
         mismatches: impl IntoIterator<Item = (u32, u8)>,
@@ -860,7 +839,6 @@ impl EncodedFactorSetBuilder {
     /// still full calls this on the other beforehand, so the slack does not
     /// sit beside the first builder's sort.
     pub fn shrink_to_fit(&mut self) {
-        self.anchor_x.shrink_to_fit();
         self.lens.shrink_to_fit();
         self.mism_end.shrink_to_fit();
         self.mism_depths.shrink_to_fit();
@@ -891,23 +869,13 @@ impl EncodedFactorSetBuilder {
     /// one as wide as the mismatch total needs. No LCPs are computed: only
     /// the tree variants need them, from `EncodedFactorSet::neighbour_lcps`.
     ///
-    /// # Panics
-    ///
-    /// If some factors came through [`EncodedFactorSetBuilder::push_paired`].
-    pub fn finish(mut self) -> (EncodedFactorSet, Vec<u32>) {
-        let anchor_x = std::mem::take(&mut self.anchor_x);
-        self.finish_paired(&anchor_x)
-    }
-
-    /// [`EncodedFactorSetBuilder::finish`] for factors pushed through
-    /// [`EncodedFactorSetBuilder::push_paired`]: `anchor_x[i]` is the
-    /// anchor of the `i`-th.
+    /// `anchor_x[i]` is the anchor in `X` of the `i`-th pushed factor.
     ///
     /// # Panics
     ///
     /// If `anchor_x` holds another number of anchors than the builder
     /// factors.
-    pub fn finish_paired(mut self, anchor_x: &[u32]) -> (EncodedFactorSet, Vec<u32>) {
+    pub fn finish(mut self, anchor_x: &[u32]) -> (EncodedFactorSet, Vec<u32>) {
         assert_eq!(anchor_x.len(), self.len(), "one anchor per pushed factor");
         // The pools grew by doubling; the sort and the permutation below
         // run beside them, so hand the slack back first.
@@ -915,7 +883,6 @@ impl EncodedFactorSetBuilder {
         let Self {
             direction,
             heavy_forward,
-            anchor_x: _,
             lens,
             mism_end,
             mism_depths,
@@ -1397,11 +1364,10 @@ mod tests {
     ) -> (EncodedFactorSet, Vec<u32>) {
         let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(heavy));
         for f in factors {
-            builder
-                .push(f.anchor_x, f.len, f.mismatches.iter().copied())
-                .unwrap();
+            builder.push(f.len, f.mismatches.iter().copied()).unwrap();
         }
-        builder.finish()
+        let anchors: Vec<u32> = factors.iter().map(|f| f.anchor_x).collect();
+        builder.finish(&anchors)
     }
 
     /// Builds `factors` and checks the set against a plain sort of their
@@ -1504,10 +1470,12 @@ mod tests {
             (1, 4, vec![]),
         ];
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
+        let mut anchors = Vec::new();
         for (anchor, len, mismatches) in factors {
-            builder.push(anchor, len, mismatches).unwrap();
+            builder.push(len, mismatches).unwrap();
+            anchors.push(anchor);
         }
-        let (set, survivors) = builder.finish();
+        let (set, survivors) = builder.finish(&anchors);
         // Kept, in (string, anchor) order: "012" at 4 (the later push) and
         // at 8, "012301", "1230", "13".
         let leaves: Vec<(usize, Vec<u8>)> = (0..set.len())
@@ -1740,8 +1708,8 @@ mod tests {
     fn letter_at_and_label_provider_agree() {
         let heavy = Arc::new(vec![0u8, 1, 2, 3, 0, 1, 2, 3]);
         let mut builder = EncodedFactorSetBuilder::new(Direction::Forward, heavy);
-        builder.push(2, 5, [(1, 0)]).unwrap();
-        let (set, survivors) = builder.finish();
+        builder.push(5, [(1, 0)]).unwrap();
+        let (set, survivors) = builder.finish(&[2]);
         assert_eq!(survivors, vec![0]);
         assert_eq!(set.len(), 1);
         assert_eq!(set.materialize(0), vec![2, 0, 0, 1, 2]);
@@ -1837,7 +1805,7 @@ mod tests {
     fn empty_builder_finishes_cleanly() {
         let builder = EncodedFactorSetBuilder::new(Direction::Backward, Arc::new(vec![0, 1, 0]));
         assert!(builder.is_empty());
-        let (set, survivors) = builder.finish();
+        let (set, survivors) = builder.finish(&[]);
         assert!(set.is_empty());
         assert!(set.neighbour_lcps().is_empty());
         assert!(survivors.is_empty());

@@ -186,7 +186,7 @@ impl MinimizerIndex {
                     // starting at the minimizer.
                     let end = a + lens[anchor].index() as u32;
                     anchors.push(a);
-                    fwd_builder.push_paired(
+                    fwd_builder.push(
                         end - a,
                         deviations_in(&deviations, a, end)
                             .iter()
@@ -199,7 +199,7 @@ impl MinimizerIndex {
                     // deviations back to front keeps them sorted without a
                     // post-hoc sort.
                     let b = first_covering(lens, anchor) as u32;
-                    bwd_builder.push_paired(
+                    bwd_builder.push(
                         a - b + 1,
                         deviations_in(&deviations, b, a + 1)
                             .iter()
@@ -215,8 +215,8 @@ impl MinimizerIndex {
         drop(deviations);
         anchors.shrink_to_fit();
         bwd_builder.shrink_to_fit();
-        let (fwd, fwd_leaf) = fwd_builder.finish_paired(&anchors);
-        let (bwd, bwd_leaf) = bwd_builder.finish_paired(&anchors);
+        let (fwd, fwd_leaf) = fwd_builder.finish(&anchors);
+        let (bwd, bwd_leaf) = bwd_builder.finish(&anchors);
         drop(anchors);
         // Occurrence `i` is the point (forward leaf, backward leaf) of the
         // leaves that survive its two factors; occurrences whose factors
@@ -401,7 +401,7 @@ impl MinimizerIndex {
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
-        validate_pattern(pattern, self.params.ell)?;
+        validate_pattern(pattern, self.params.ell, x.sigma())?;
         // Stage tracing is sampled: only queries that draw a ticket (1 in
         // `clock::STAGE_SAMPLE_EVERY` per thread, never while the clock is
         // stubbed) pay for clock stamps. A timed query's stamps are chained

@@ -45,7 +45,7 @@ impl UncertainIndex for NaiveIndex {
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
-        validate_pattern(pattern, 1)?;
+        validate_pattern(pattern, 1, x.sigma())?;
         let mut stats = QueryStats::default();
         scratch.positions.clear();
         if pattern.len() <= x.len() {

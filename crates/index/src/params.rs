@@ -13,7 +13,7 @@ pub struct IndexParams {
     pub ell: usize,
     /// k-mer length of the `(ℓ, k)`-minimizer scheme.
     pub k: usize,
-    /// Total order on k-mers used by the scheme.
+    /// Order on k-mers used by the scheme (equal keys go to the leftmost).
     pub order: KmerOrder,
 }
 

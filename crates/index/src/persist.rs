@@ -1004,11 +1004,16 @@ mod tests {
         let loaded = load_index(&mut bytes.as_slice()).unwrap();
         let opened = open_index(&Arena::from_bytes(&bytes)).unwrap();
         let x = sample_corpus();
-        for pattern in [&b"ABABABAB"[..], b"AAAAAAAA", b"BBABBABB", b"ABBABBABB"] {
+        let est = ius_weighted::ZEstimation::build(&x, 4.0).unwrap();
+        let patterns = ius_datasets::patterns::PatternSampler::new(&est, 1).sample_many(8, 8);
+        let mut reported = 0;
+        for pattern in &patterns {
             let built = index.query(pattern, &x).unwrap();
+            reported += built.len();
             assert_eq!(loaded.query(pattern, &x).unwrap(), built);
             assert_eq!(opened.query(pattern, &x).unwrap(), built);
         }
+        assert!(reported > 0, "some pattern occurs");
         // Both retain the one backing arena and account it once.
         assert!(loaded.size_bytes() >= bytes.len());
         assert!(opened.size_bytes() >= bytes.len());
@@ -1033,6 +1038,7 @@ mod tests {
         let n = heavy.len();
         let set = |direction: Direction| {
             let mut builder = EncodedFactorSetBuilder::new(direction, Arc::clone(&heavy));
+            let mut anchors = Vec::new();
             for (view_anchor, len, depths) in factors {
                 // The position of `X` at depth `d` of the factor.
                 let at = |d: usize| match direction {
@@ -1040,9 +1046,10 @@ mod tests {
                     Direction::Backward => n - 1 - view_anchor - d,
                 };
                 let mismatches = depths.iter().map(|&d| (d, (heavy[at(d as usize)] + 1) % 4));
-                builder.push(at(0) as u32, *len, mismatches).unwrap();
+                builder.push(*len, mismatches).unwrap();
+                anchors.push(at(0) as u32);
             }
-            let mut set = builder.finish().0;
+            let mut set = builder.finish(&anchors).0;
             set.derive_key_directory();
             set
         };

@@ -24,9 +24,11 @@
 //! position `i` is position `at(i)` of `X` (`i` forward, `n − 1 − i`
 //! backward), the one place the orientation appears. The minimizers are
 //! still computed on the *forward* orientation of each window, so that both
-//! trees anchor the same positions. Besides `X`, the heavy string and the
-//! emitted factors, a pass holds `O(n)` words: the current letters, the
-//! marks, the DFS stack (16 B per frame) and the window's stack of k-mers.
+//! trees anchor the same positions. Every order keys a k-mer on its own
+//! ([`ius_sampling::order::KmerKeyer::key`]), so no order is refused.
+//! Besides `X`, the heavy string and the emitted factors, a pass holds
+//! `O(n)` words: the current letters, the marks, the DFS stack (16 B per
+//! frame) and the window's stack of k-mers.
 //!
 //! The emitted factors are finally sorted by [`EncodedFactorSetBuilder`]
 //! (packed keys of their first 16 letters, with `O(log z)`-time comparisons
@@ -88,7 +90,8 @@ impl SpaceEfficientBuilder {
         self
     }
 
-    /// Runs the construction and returns the index.
+    /// Runs the construction and returns the index; no k-mer order is
+    /// refused.
     ///
     /// # Errors
     ///
@@ -107,28 +110,17 @@ impl SpaceEfficientBuilder {
                 x.len()
             )));
         }
-        // The DFS keys each k-mer in isolation, so it needs an order whose
-        // raw keys are totally ordered. The lexicographic fallback for
-        // σ^k beyond u64 produces range-local *ranks*, which cannot be
-        // computed incrementally here — the explicit construction handles
-        // those parameters correctly.
-        if !KmerKeyer::new(self.params.order, self.params.k, x.sigma()).has_total_keys() {
-            return Err(Error::InvalidParameters(format!(
-                "the space-efficient construction requires a k-mer order with total \
-                 keys, but σ = {} and k = {} overflow the packed lexicographic keys; \
-                 use the explicit construction (or the Karp–Rabin order) instead",
-                x.sigma(),
-                self.params.k
-            )));
-        }
         let node_cap = ((x.len() as f64) * self.params.z * self.node_cap_factor)
             .min(usize::MAX as f64) as usize;
         let heavy = HeavyString::new(x);
         // Each pass sorts its factors before the next one starts, so only one
         // pass's pending factors are ever held.
-        let (fwd, _) = dfs_collect(x, &heavy, &self.params, Direction::Forward, node_cap)?.finish();
-        let (bwd, _) =
-            dfs_collect(x, &heavy, &self.params, Direction::Backward, node_cap)?.finish();
+        let pass = |direction| {
+            let (builder, anchors) = dfs_collect(x, &heavy, &self.params, direction, node_cap)?;
+            Ok::<_, Error>(builder.finish(&anchors).0)
+        };
+        let fwd = pass(Direction::Forward)?;
+        let bwd = pass(Direction::Backward)?;
         let family = IndexFamily::SpaceEfficient(variant);
         Ok(MinimizerIndex::assemble(
             x,
@@ -155,7 +147,7 @@ struct Frame {
 }
 
 /// Runs one DFS pass over `x` and returns the builder holding the emitted
-/// factors of `direction`.
+/// factors of `direction`, with the anchor of each in push order.
 ///
 /// The forward pass walks `X` itself from its end; the backward pass walks
 /// the reverse of `X` without materialising it: DFS position `i` is position
@@ -169,7 +161,7 @@ fn dfs_collect(
     params: &IndexParams,
     direction: Direction,
     node_cap: usize,
-) -> Result<EncodedFactorSetBuilder> {
+) -> Result<(EncodedFactorSetBuilder, Vec<u32>)> {
     let n = x.len();
     let sigma = x.sigma() as u8;
     let IndexParams { z, ell, k, order } = *params;
@@ -180,6 +172,7 @@ fn dfs_collect(
     };
 
     let mut builder = EncodedFactorSetBuilder::new(direction, heavy.shared_ranks());
+    let mut anchors: Vec<u32> = Vec::new();
     // Current letters of the DFS string (heavy by default, overridden along
     // the current path), the deviation stack and the running probability.
     let mut cur: Vec<u8> = (0..n).map(|i| heavy.letter(at(i))).collect();
@@ -299,10 +292,10 @@ fn dfs_collect(
             // sorted, no post-hoc sort needed. The log-ratios stay here:
             // only the solidity test above reads them.
             builder.push(
-                at(q) as u32,
                 (n - q) as u32,
                 diff.iter().rev().map(|m| (m.pos - q as u32, m.letter)),
             )?;
+            anchors.push(at(q) as u32);
         }
         // Undo the prepend that created this node.
         let heavy_letter = heavy.letter(at(q));
@@ -315,7 +308,8 @@ fn dfs_collect(
         }
         cur_p = frame.prev_p;
     }
-    Ok(builder)
+    anchors.shrink_to_fit(); // as `finish` shrinks the builder's pools
+    Ok((builder, anchors))
 }
 
 /// A deviation entry on the DFS stack (absolute position within the DFS
@@ -389,39 +383,45 @@ mod tests {
     }
 
     #[test]
-    fn rejects_orders_without_total_keys() {
-        // σ = 4, k = 40 overflows the packed lexicographic keys (4^40 > 2^63);
-        // keying such k-mers in isolation yields the constant 0, which would
-        // silently mis-sample anchors — the builder must refuse instead. The
-        // explicit construction handles the same parameters correctly.
+    fn builds_lexicographic_keys_past_the_fit_limit() {
+        // σ = 4, k = 40: 4^40 > 2^63, so a key packs each k-mer's first 31
+        // letters. SE-MWSA builds and answers like the explicit MWSA and
+        // NAIVE. At spread 0.4 no length-ℓ factor is solid; at 0.05 many.
         use ius_sampling::KmerOrder;
-        let x = UniformConfig {
-            n: 400,
-            sigma: 4,
-            spread: 0.4,
-            seed: 9,
-        }
-        .generate();
         let params = IndexParams::new(4.0, 48, 4)
             .unwrap()
             .with_k(40)
             .unwrap()
             .with_order(KmerOrder::Lexicographic);
-        let err = SpaceEfficientBuilder::new(params)
-            .build(&x, SeVariant::Array)
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidParameters(msg) if msg.contains("total")));
-        let est = ZEstimation::build(&x, 4.0).unwrap();
-        let explicit =
-            MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array).unwrap();
         let naive = NaiveIndex::new(4.0).unwrap();
-        let mut sampler = PatternSampler::new(&est, 2);
-        for pattern in sampler.sample_many(48, 10) {
-            assert_eq!(
-                explicit.query(&pattern, &x).unwrap(),
-                naive.query(&pattern, &x).unwrap()
-            );
+        let mut reported = 0;
+        for spread in [0.4, 0.05] {
+            let x = UniformConfig {
+                n: 400,
+                sigma: 4,
+                spread,
+                seed: 9,
+            }
+            .generate();
+            let se = SpaceEfficientBuilder::new(params)
+                .build(&x, SeVariant::Array)
+                .unwrap();
+            let est = ZEstimation::build(&x, 4.0).unwrap();
+            let explicit =
+                MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::Array)
+                    .unwrap();
+            let mut sampler = PatternSampler::new(&est, 2);
+            let mut patterns = sampler.sample_many(48, 10);
+            patterns.extend(sampler.sample_many(60, 10));
+            patterns.extend(sampler.sample_random(48, 5, 4));
+            for pattern in &patterns {
+                let expected = naive.query(pattern, &x).unwrap();
+                assert_eq!(explicit.query(pattern, &x).unwrap(), expected);
+                assert_eq!(se.query(pattern, &x).unwrap(), expected);
+                reported += expected.len();
+            }
         }
+        assert!(reported > 0, "the sampled patterns occur");
     }
 
     #[test]

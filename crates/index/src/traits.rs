@@ -44,7 +44,8 @@ pub trait UncertainIndex {
     ///
     /// * [`ius_weighted::Error::PatternTooShort`] if the index was built with
     ///   a lower bound `ℓ` and `|pattern| < ℓ`;
-    /// * [`ius_weighted::Error::EmptyInput`] for an empty pattern.
+    /// * [`ius_weighted::Error::EmptyInput`] for an empty pattern;
+    /// * [`ius_weighted::Error::UnknownSymbol`] for a rank `≥ σ` of `X`.
     fn query_into(
         &self,
         pattern: &[u8],
@@ -74,15 +75,18 @@ pub trait UncertainIndex {
     fn stats(&self) -> IndexStats;
 }
 
-/// Validates the pattern-length contract shared by every index family:
-/// a pattern must be non-empty and at least `lower_bound` letters long
-/// (families without a length bound pass `lower_bound = 1`).
+/// Validates the pattern contract shared by every index family: a pattern
+/// must be non-empty, at least `lower_bound` letters long (families without
+/// a length bound pass `lower_bound = 1`) and hold only ranks below the
+/// alphabet size `sigma`. The engines index probability rows by rank, so a
+/// foreign rank is refused here rather than read past a row.
 ///
 /// # Errors
 ///
 /// [`Error::EmptyInput`] for an empty pattern,
-/// [`Error::PatternTooShort`] when `|pattern| < lower_bound`.
-pub fn validate_pattern(pattern: &[u8], lower_bound: usize) -> Result<()> {
+/// [`Error::PatternTooShort`] when `|pattern| < lower_bound`,
+/// [`Error::UnknownSymbol`] for the first rank `≥ sigma`.
+pub fn validate_pattern(pattern: &[u8], lower_bound: usize, sigma: usize) -> Result<()> {
     if pattern.is_empty() {
         return Err(Error::EmptyInput("pattern"));
     }
@@ -91,6 +95,9 @@ pub fn validate_pattern(pattern: &[u8], lower_bound: usize) -> Result<()> {
             pattern: pattern.len(),
             lower_bound,
         });
+    }
+    if let Some(&rank) = pattern.iter().find(|&&rank| usize::from(rank) >= sigma) {
+        return Err(Error::UnknownSymbol(rank));
     }
     Ok(())
 }
@@ -102,18 +109,23 @@ mod tests {
     #[test]
     fn pattern_validation_covers_both_error_paths() {
         assert!(matches!(
-            validate_pattern(&[], 1),
+            validate_pattern(&[], 1, 2),
             Err(Error::EmptyInput("pattern"))
         ));
         assert!(matches!(
-            validate_pattern(&[0, 1], 4),
+            validate_pattern(&[0, 1], 4, 2),
             Err(Error::PatternTooShort {
                 pattern: 2,
                 lower_bound: 4
             })
         ));
-        assert!(validate_pattern(&[0, 1], 1).is_ok());
-        assert!(validate_pattern(&[0, 1], 2).is_ok());
+        assert!(matches!(
+            validate_pattern(&[0, 2, 1], 1, 2),
+            Err(Error::UnknownSymbol(2))
+        ));
+        assert!(validate_pattern(&[0, 1], 1, 2).is_ok());
+        assert!(validate_pattern(&[0, 1], 2, 2).is_ok());
+        assert!(validate_pattern(&[255], 1, 256).is_ok());
     }
 
     #[test]

@@ -83,11 +83,11 @@ impl UncertainIndex for Wsa {
     fn query_into(
         &self,
         pattern: &[u8],
-        _x: &WeightedString,
+        x: &WeightedString,
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
-        validate_pattern(pattern, 1)?;
+        validate_pattern(pattern, 1, x.sigma())?;
         let mut stats = QueryStats::default();
         scratch.positions.clear();
         let width = self

@@ -143,11 +143,11 @@ impl UncertainIndex for Wst {
     fn query_into(
         &self,
         pattern: &[u8],
-        _x: &WeightedString,
+        x: &WeightedString,
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
-        validate_pattern(pattern, 1)?;
+        validate_pattern(pattern, 1, x.sigma())?;
         let labels = WstLabels::new(&self.property_text);
         let mut stats = QueryStats::default();
         scratch.positions.clear();

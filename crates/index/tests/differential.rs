@@ -21,6 +21,7 @@ use ius_index::{
     load_index, AnyIndex, CountSink, IndexFamily, IndexParams, IndexSpec, IndexVariant, NaiveIndex,
     QueryScratch, UncertainIndex,
 };
+use ius_sampling::KmerOrder;
 use ius_weighted::{Error, HeavyString, WeightedString, ZEstimation};
 
 /// One corpus of the harness: a weighted string with its parameters and a
@@ -551,6 +552,81 @@ proptest! {
 }
 
 #[test]
+fn lexicographic_key_ties_past_the_fit_limit_agree_with_naive() {
+    // σ = 4, k = 40: a lexicographic key packs each k-mer's first 31
+    // letters. Over the period-4 string below, with a variant every 37
+    // positions, k-mers 4 apart inside one window agree on those 31 letters
+    // but not on all 40, so their keys tie. Every family, both SE ones
+    // included, must still answer like NAIVE.
+    let letter = |i: usize| (i % 4) as u8;
+    let rows: Vec<Vec<f64>> = (0..400)
+        .map(|i| {
+            let mut row = vec![0.0; 4];
+            if i % 37 == 36 {
+                row[(i + 1) % 4] = 0.75;
+                row[(i + 2) % 4] = 0.25;
+            } else {
+                row[usize::from(letter(i))] = 1.0;
+            }
+            row
+        })
+        .collect();
+    let x = WeightedString::from_rows(ius_weighted::Alphabet::dna(), &rows).unwrap();
+    let heavy = HeavyString::letters_of(&x);
+    let (z, ell, k) = (4.0, 48, 40);
+    let keys = ius_sampling::order::KmerKeyer::new(KmerOrder::Lexicographic, k, 4).keys(&heavy);
+    let tie = |i: usize| keys[i] == keys[i + 4] && heavy[i..i + k] != heavy[i + 4..i + 4 + k];
+    assert!((0..keys.len() - 4).any(tie), "the fixture has key ties");
+    let params = IndexParams::new(z, ell, 4)
+        .unwrap()
+        .with_k(k)
+        .unwrap()
+        .with_order(KmerOrder::Lexicographic);
+    let est = ZEstimation::build(&x, z).unwrap();
+    let mut sampler = PatternSampler::new(&est, 13);
+    let mut patterns = sampler.sample_many(ell, 20);
+    patterns.extend(sampler.sample_many(ell + 20, 10));
+    let naive = NaiveIndex::new(z).unwrap();
+    let expected: Vec<Vec<usize>> = patterns
+        .iter()
+        .map(|p| naive.query(p, &x).unwrap())
+        .collect();
+    assert!(expected.iter().any(|e| !e.is_empty()), "patterns occur");
+    for family in harness_families() {
+        let index = IndexSpec::new(family, params)
+            .build_with_estimation(&x, &est)
+            .unwrap();
+        for (pattern, expect) in patterns.iter().zip(&expected) {
+            let got = index.query(pattern, &x).unwrap();
+            assert_eq!(&got, expect, "{}: {pattern:?}", family.name());
+        }
+    }
+}
+
+/// Asserts that `index` refuses `pattern` with `UnknownSymbol(rank)`
+/// through `query` and `query_into`.
+fn assert_refuses_rank(index: &dyn UncertainIndex, pattern: &[u8], x: &WeightedString, rank: u8) {
+    let label = index.name();
+    assert!(
+        matches!(index.query(pattern, x), Err(Error::UnknownSymbol(r)) if r == rank),
+        "{label}: rank {rank} in {pattern:?} must be refused"
+    );
+    let mut scratch = QueryScratch::new();
+    let mut sink = Vec::new();
+    assert!(
+        matches!(
+            index.query_into(pattern, x, &mut scratch, &mut sink),
+            Err(Error::UnknownSymbol(r)) if r == rank
+        ),
+        "{label}: rank {rank} in {pattern:?} must be refused by query_into"
+    );
+    assert!(
+        sink.is_empty(),
+        "{label}: nothing reported before the refusal"
+    );
+}
+
+#[test]
 fn every_family_rejects_the_empty_pattern() {
     let corpus = &corpora()[0];
     let naive = NaiveIndex::new(corpus.z).unwrap();
@@ -558,7 +634,8 @@ fn every_family_rejects_the_empty_pattern() {
         naive.query(&[], &corpus.x),
         Err(Error::EmptyInput("pattern"))
     ));
-    for (label, index) in build_families(corpus) {
+    let families = build_families(corpus);
+    for (label, index) in &families {
         assert!(
             matches!(
                 index.query(&[], &corpus.x),
@@ -574,6 +651,36 @@ fn every_family_rejects_the_empty_pattern() {
                 .is_err(),
             "{label}: empty pattern must be rejected by query_into"
         );
+    }
+    // A rank outside the alphabet (σ or σ + 1) as the first, middle or
+    // last letter of a pattern whose other letters occur is refused typed
+    // by every family, NAIVE and a segmented live index included — no
+    // panic and no answer.
+    let sigma = corpus.x.sigma();
+    let params = IndexParams::new(corpus.z, corpus.ell, sigma).unwrap();
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::Array), params);
+    let config = LiveConfig {
+        flush_threshold: corpus.x.len().div_ceil(4),
+        auto_compact: false,
+        ..LiveConfig::default()
+    };
+    let live = LiveIndex::from_corpus(&corpus.x, spec, 2 * corpus.ell, config).unwrap();
+    let mut indexes: Vec<&dyn UncertainIndex> = vec![&naive, &live];
+    indexes.extend(
+        families
+            .iter()
+            .map(|(_, index)| index as &dyn UncertainIndex),
+    );
+    let sampled = corpus.patterns.iter().filter(|p| p.len() == corpus.ell);
+    for pattern in sampled.take(10) {
+        let m = pattern.len();
+        for (at, rank) in [(0, sigma), (m / 2, sigma + 1), (m - 1, sigma + 1)] {
+            let mut bad = pattern.clone();
+            bad[at] = rank as u8;
+            for &index in &indexes {
+                assert_refuses_rank(index, &bad, &corpus.x, rank as u8);
+            }
+        }
     }
 }
 

@@ -57,11 +57,11 @@ proptest! {
     /// queries without panicking.
     #[test]
     fn one_flipped_byte_never_panics(
-        pick in 0usize..10,
+        pick in 0..IndexFamily::all().len(),
         offset_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let (label, bytes) = &family_files()[pick % family_files().len()];
+        let (label, bytes) = &family_files()[pick];
         let mut corrupted = bytes.clone();
         let offset = ((corrupted.len() as f64 - 1.0) * offset_frac) as usize;
         corrupted[offset] ^= flip; // flip != 0 guarantees a real change
@@ -88,10 +88,10 @@ proptest! {
     /// shortened file is always missing required bytes.
     #[test]
     fn truncation_always_fails_with_a_typed_error(
-        pick in 0usize..10,
+        pick in 0..IndexFamily::all().len(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let (label, bytes) = &family_files()[pick % family_files().len()];
+        let (label, bytes) = &family_files()[pick];
         let cut = ((bytes.len() as f64 - 1.0) * cut_frac) as usize;
         let truncated = &bytes[..cut];
         match load_index(&mut &truncated[..]) {

@@ -1120,19 +1120,13 @@ impl LiveIndex {
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
-        validate_pattern(pattern, self.inner.spec.lower_bound())?;
+        let sigma = self.inner.alphabet.size();
+        validate_pattern(pattern, self.inner.spec.lower_bound(), sigma)?;
         if pattern.len() > self.inner.max_pattern_len {
             return Err(Error::PatternTooLong {
                 pattern: pattern.len(),
                 upper_bound: self.inner.max_pattern_len,
             });
-        }
-        let sigma = self.inner.alphabet.size();
-        if let Some(&rank) = pattern.iter().find(|&&rank| rank as usize >= sigma) {
-            // The engines index probability rows by rank; reject foreign
-            // ranks here with a typed error instead of risking a panic
-            // deep inside a segment engine.
-            return Err(Error::UnknownSymbol(rank));
         }
         let state = self.snapshot();
         let parts = state.segments.iter().map(|segment| Part {

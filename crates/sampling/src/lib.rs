@@ -4,13 +4,19 @@
 //! Schleimer et al.) used by the space-efficient uncertain-string indexes:
 //! given a window length `ℓ` and a k-mer length `k ≤ ℓ`, the scheme selects in
 //! every length-`ℓ` window the starting position of the leftmost occurrence of
-//! the smallest length-`k` substring, under a configurable total order on
-//! k-mers. The set of selected positions over all windows has expected density
+//! the smallest length-`k` substring, under a configurable order on k-mers.
+//! The set of selected positions over all windows has expected density
 //! `O(1/ℓ)` when `k ≳ log_σ ℓ` (Lemma 1 of the paper).
 //!
-//! Two k-mer orders are provided, mirroring the paper's implementation:
+//! Every order maps each k-mer to a `u64` key computed from the k-mer alone;
+//! k-mers with equal keys tie and the leftmost wins. Any fixed order with
+//! that tie-breaking gives a correct scheme, so both index constructions
+//! (the explicit scan and the space-efficient DFS) share one key path. Two
+//! k-mer orders are provided, mirroring the paper's implementation:
 //!
-//! * [`KmerOrder::Lexicographic`] — plain lexicographic order on the letters;
+//! * [`KmerOrder::Lexicographic`] — lexicographic order on the first `p`
+//!   letters of each k-mer, the most (up to `k`) whose ranks pack into a
+//!   `u64` key;
 //! * [`KmerOrder::KarpRabin`] — the order of Karp–Rabin style fingerprints,
 //!   which behaves like a random order and achieves the expected density in
 //!   practice even on repetitive inputs.

@@ -98,26 +98,15 @@ impl MinimizerScheme {
             "window must have length ℓ = {}",
             self.ell
         );
-        if self.keyer.has_total_keys() {
-            self.keyer.keys_into(window, key_buf);
-            let keys = key_buf.as_slice();
-            let mut best = 0usize;
-            for (i, &key) in keys.iter().enumerate().skip(1) {
-                if key < keys[best] {
-                    best = i;
-                }
+        self.keyer.keys_into(window, key_buf);
+        let keys = key_buf.as_slice();
+        let mut best = 0usize;
+        for (i, &key) in keys.iter().enumerate().skip(1) {
+            if key < keys[best] {
+                best = i;
             }
-            best
-        } else {
-            // Fallback: direct slice comparison.
-            let mut best = 0usize;
-            for i in 1..=window.len() - self.k {
-                if window[i..i + self.k] < window[best..best + self.k] {
-                    best = i;
-                }
-            }
-            best
         }
+        best
     }
 
     /// The minimizer positions `M_f(text)` of a whole string: the union over
@@ -179,10 +168,7 @@ impl MinimizerScheme {
             if end - start < self.ell {
                 continue;
             }
-            // Rolling keys for exactly this range. For orders without total
-            // keys (very long lexicographic k-mers) `keys` returns ranks,
-            // which order correctly within one range — unlike raw `key()`
-            // values, which would collapse the fallback to "always leftmost".
+            // Rolling keys for exactly this range.
             let keys = self.keyer.keys(&text[start..end]);
             sw.clear();
             // k-mer starting positions to consider: start ..= end - k.

@@ -1,16 +1,20 @@
-//! Total orders on k-mers.
+//! Orders on k-mers.
 //!
-//! A minimizer scheme needs a total order on length-`k` substrings. The order
-//! is realised by mapping every k-mer to a `u64` *key*; k-mers are compared by
+//! A minimizer scheme needs an order on length-`k` substrings. The order is
+//! realised by mapping every k-mer to a `u64` *key*; k-mers are compared by
 //! key, and ties between equal keys are broken towards the leftmost occurrence
-//! (as the paper's definition requires).
+//! (as the paper's definition requires). Any fixed order with that
+//! tie-breaking gives a correct scheme; the order only moves its density.
 
 use crate::fingerprint::KarpRabin;
 
 /// The supported k-mer orders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KmerOrder {
-    /// Plain lexicographic order on the letter ranks.
+    /// Lexicographic order on the letter ranks of each k-mer's first `p`
+    /// letters, `p` the largest value `≤ k` with `p·log₂σ ≤ 63` (all `k`
+    /// letters whenever they fit in a `u64` key). K-mers that agree on those
+    /// letters tie, and the leftmost wins.
     Lexicographic,
     /// Order induced by Karp–Rabin style fingerprints with the given seed —
     /// a pseudo-random order, as used in the paper's implementation.
@@ -27,6 +31,11 @@ impl Default for KmerOrder {
 }
 
 /// A keyer turning k-mers (and rolling windows of a text) into order keys.
+///
+/// Every key is total: k-mers compare by key alone, equal keys tie and the
+/// leftmost occurrence wins. A lexicographic key packs the k-mer's first
+/// `p` letters in base `σ` (see [`KmerOrder::Lexicographic`]), so it is
+/// computed from the k-mer in isolation, as the space-efficient DFS needs.
 #[derive(Debug, Clone)]
 pub struct KmerKeyer {
     k: usize,
@@ -35,12 +44,13 @@ pub struct KmerKeyer {
 
 #[derive(Debug, Clone)]
 enum KeyerKind {
-    /// Lexicographic keys: the k-mer is packed into a `u64` in base
-    /// `radix` (requires `radix^k` to fit in 64 bits).
-    LexPacked { radix: u64, lead: u64 },
-    /// Lexicographic comparison for k-mers too long to pack (keys are not
-    /// used; the caller falls back to slice comparison).
-    LexPlain,
+    /// Lexicographic keys: the first `letters` letters of the k-mer packed
+    /// into a `u64` in base `radix`; `lead = radix^(letters − 1)`.
+    Lex {
+        radix: u64,
+        letters: usize,
+        lead: u64,
+    },
     /// Fingerprint keys.
     Hash(KarpRabin),
 }
@@ -58,16 +68,15 @@ impl KmerKeyer {
         let kind = match order {
             KmerOrder::Lexicographic => {
                 let radix = sigma as u64;
-                // Does radix^k fit into u64 (so packed keys order correctly)?
-                let fits = (k as f64) * (radix as f64).log2() <= 63.0;
-                if fits {
-                    let mut lead = 1u64;
-                    for _ in 0..k - 1 {
-                        lead *= radix;
-                    }
-                    KeyerKind::LexPacked { radix, lead }
-                } else {
-                    KeyerKind::LexPlain
+                // The most letters whose packed value radix^p fits in 63
+                // bits; at least one, since radix ≤ 256.
+                let fits = |p: usize| (p as f64) * (radix as f64).log2() <= 63.0;
+                let letters = (1..=k).rev().find(|&p| fits(p)).unwrap_or(1);
+                let lead = radix.pow(letters as u32 - 1);
+                KeyerKind::Lex {
+                    radix,
+                    letters,
+                    lead,
                 }
             }
             KmerOrder::KarpRabin { seed } => KeyerKind::Hash(KarpRabin::new(k, seed)),
@@ -81,14 +90,6 @@ impl KmerKeyer {
         self.k
     }
 
-    /// `true` if [`KmerKeyer::key`] yields keys whose numeric order equals the
-    /// desired k-mer order. When `false` the caller must compare k-mers
-    /// directly (only happens for very long lexicographic k-mers).
-    #[inline]
-    pub fn has_total_keys(&self) -> bool {
-        !matches!(self.kind, KeyerKind::LexPlain)
-    }
-
     /// The key of one k-mer (`kmer.len()` must equal `k`).
     ///
     /// # Panics
@@ -97,14 +98,9 @@ impl KmerKeyer {
     pub fn key(&self, kmer: &[u8]) -> u64 {
         assert_eq!(kmer.len(), self.k, "k-mer length mismatch");
         match &self.kind {
-            KeyerKind::LexPacked { radix, .. } => {
-                let mut v = 0u64;
-                for &c in kmer {
-                    v = v * radix + c as u64;
-                }
-                v
-            }
-            KeyerKind::LexPlain => 0,
+            KeyerKind::Lex { radix, letters, .. } => kmer[..*letters]
+                .iter()
+                .fold(0, |v, &c| v * radix + c as u64),
             KeyerKind::Hash(kr) => kr.fingerprint(kmer),
         }
     }
@@ -129,37 +125,20 @@ impl KmerKeyer {
         }
         let count = text.len() - self.k + 1;
         keys.reserve(count);
-        match &self.kind {
-            KeyerKind::LexPacked { radix, lead } => {
-                let mut v = 0u64;
-                for &c in &text[..self.k] {
-                    v = v * radix + c as u64;
-                }
+        match self.kind {
+            KeyerKind::Lex {
+                radix,
+                letters,
+                lead,
+            } => {
+                let mut v = self.key(&text[..self.k]);
                 keys.push(v);
                 for i in 1..count {
-                    v = (v - text[i - 1] as u64 * lead) * radix + text[i + self.k - 1] as u64;
+                    v = (v - text[i - 1] as u64 * lead) * radix + text[i + letters - 1] as u64;
                     keys.push(v);
                 }
             }
-            KeyerKind::LexPlain => {
-                // Rare fallback: rank the k-mers by sorting suffix slices.
-                let mut idx: Vec<usize> = (0..count).collect();
-                idx.sort_by(|&a, &b| text[a..a + self.k].cmp(&text[b..b + self.k]));
-                let mut rank = vec![0u64; count];
-                let mut current = 0u64;
-                for w in 0..count {
-                    if w > 0 {
-                        let prev = idx[w - 1];
-                        let this = idx[w];
-                        if text[prev..prev + self.k] != text[this..this + self.k] {
-                            current += 1;
-                        }
-                    }
-                    rank[idx[w]] = current;
-                }
-                keys.extend_from_slice(&rank);
-            }
-            KeyerKind::Hash(kr) => {
+            KeyerKind::Hash(ref kr) => {
                 let mut raw = kr.raw(&text[..self.k]);
                 keys.push(kr.finalize(raw));
                 for i in 1..count {
@@ -178,7 +157,6 @@ mod tests {
     #[test]
     fn lexicographic_keys_order_like_slices() {
         let keyer = KmerKeyer::new(KmerOrder::Lexicographic, 3, 4);
-        assert!(keyer.has_total_keys());
         let kmers: Vec<Vec<u8>> = vec![
             vec![0, 0, 0],
             vec![0, 0, 1],
@@ -220,19 +198,26 @@ mod tests {
     }
 
     #[test]
-    fn lex_plain_fallback_ranks_correctly() {
-        // k large enough that sigma^k overflows u64: 91^12 > 2^63.
+    fn lex_keys_past_the_fit_limit_pack_the_first_letters() {
+        // 91^12 > 2^63: a key packs the first 9 letters (9·log₂91 ≈ 58.6,
+        // 10·log₂91 ≈ 65.1), and rolling keys agree with isolated ones.
         let keyer = KmerKeyer::new(KmerOrder::Lexicographic, 12, 91);
-        assert!(!keyer.has_total_keys());
+        let short = KmerKeyer::new(KmerOrder::Lexicographic, 9, 91);
         let text: Vec<u8> = (0..40u32).map(|i| ((i * 37) % 91) as u8).collect();
         let keys = keyer.keys(&text);
-        // The returned ranks must order windows exactly like slice comparison.
-        for i in 0..keys.len() {
-            for j in 0..keys.len() {
-                let slice_cmp = text[i..i + 12].cmp(&text[j..j + 12]);
-                assert_eq!(keys[i].cmp(&keys[j]), slice_cmp, "{i} vs {j}");
-            }
+        assert_eq!(keys.len(), text.len() - 11);
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(key, short.key(&text[i..i + 9]), "i {i}");
+            assert_eq!(key, keyer.key(&text[i..i + 12]), "i {i}");
         }
+        // K-mers that agree on the packed letters tie.
+        let mut a: Vec<u8> = (0..12).collect();
+        let b = a.clone();
+        a[11] = 90;
+        assert_eq!(keyer.key(&a), keyer.key(&b));
+        // σ = 1 packs every letter: all keys are 0.
+        let unary = KmerKeyer::new(KmerOrder::Lexicographic, 100, 1);
+        assert_eq!(unary.keys(&[0; 120]), vec![0; 21]);
     }
 
     #[test]

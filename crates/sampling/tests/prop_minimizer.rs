@@ -83,15 +83,13 @@ fn degenerate_inputs() {
 }
 
 #[test]
-fn lex_fallback_without_total_keys_matches_rescan() {
-    // σ = 91, k = 12 overflows the packed lexicographic keys, forcing the
-    // rank-based fallback; the deque scan must still match the rescan
-    // (regression: raw fallback keys used to collapse to a constant).
+fn long_lex_kmers_scan_matches_rescan() {
+    // σ = 91, k = 12 overflows a packed 12-letter key, so keys pack the
+    // first 9 letters; the deque scan must still match the rescan.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(91);
     let text: Vec<u8> = (0..400).map(|_| rng.gen_range(0..91u8)).collect();
     let scheme = MinimizerScheme::new(16, 12, 91, KmerOrder::Lexicographic);
-    assert!(!scheme.keyer().has_total_keys());
     assert_eq!(
         scheme.minimizers(&text),
         scheme.minimizers_bruteforce(&text)

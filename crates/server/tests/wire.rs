@@ -105,6 +105,32 @@ fn well_formed_traffic_round_trips_and_matches_the_engine() {
 }
 
 #[test]
+fn a_rank_outside_the_alphabet_is_refused_typed_and_the_connection_kept() {
+    let (server, x, index) = start_server(&ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let rank = x.sigma() as u8 + 1;
+    for at in [0, 4, 7] {
+        let mut pattern = vec![0u8; 8];
+        pattern[at] = rank;
+        assert!(index.query(&pattern, &x).is_err(), "the engine refuses it");
+        match client.query(&pattern).expect_err("foreign rank") {
+            ClientError::Server { code, message } => {
+                assert_eq!(code, ErrorCode::Query);
+                assert!(
+                    message.contains("not in the alphabet"),
+                    "unexpected message {message:?}"
+                );
+            }
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+        // The same connection still answers.
+        client.ping().expect("ping after the refusal");
+    }
+    assert_eq!(client.stats().expect("stats").query_errors, 3);
+    server.shutdown();
+}
+
+#[test]
 fn bad_magic_gets_a_typed_error_and_a_close() {
     let (server, _, _) = start_server(&ServerConfig::default());
     let mut frame = Vec::new();

@@ -17,7 +17,6 @@ pub const MAX_ALPHABET_SIZE: usize = 255;
 /// The order in which symbols are supplied defines the rank order used by all
 /// lexicographic comparisons (suffix arrays, minimizer orders, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Alphabet {
     symbols: Vec<u8>,
     /// `rank_of[b]` is `Some(rank)` if byte `b` is in the alphabet.

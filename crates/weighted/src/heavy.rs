@@ -23,7 +23,6 @@ use std::sync::Arc;
 /// whose forward heavy view *is* this string) share the allocation instead
 /// of cloning `n` bytes per consumer; see [`HeavyString::shared_ranks`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HeavyString {
     /// Heavy letters as dense ranks, one per position (shared).
     letters: Arc<Vec<u8>>,

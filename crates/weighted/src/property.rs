@@ -24,7 +24,6 @@ use std::ops::Range;
 
 /// A standard string (of letter ranks) together with a property array.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PropertyString {
     seq: Vec<u8>,
     /// Length of the longest property interval starting at each position,

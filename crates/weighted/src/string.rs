@@ -17,7 +17,6 @@ pub const DISTRIBUTION_SUM_TOLERANCE: f64 = 1e-6;
 /// the same `σ × n` matrix representation used in Example 1 of the paper, just
 /// transposed for cache-friendly per-position access.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeightedString {
     alphabet: Alphabet,
     n: usize,

@@ -28,7 +28,7 @@ fn build_corpus_and_patterns() -> (WeightedString, f64, usize, Vec<Vec<u8>>) {
     let mut sampler = PatternSampler::new(&est, 3);
     let mut patterns = sampler.sample_many(ell, 30);
     patterns.extend(sampler.sample_many(2 * ell, 15));
-    patterns.extend(sampler.sample_random(ell, 15, 99));
+    patterns.extend(sampler.sample_random(ell, 15, x.sigma()));
     assert!(patterns.len() >= 40, "need a real pattern set");
     (x, z, ell, patterns)
 }
