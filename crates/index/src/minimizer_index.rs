@@ -30,7 +30,7 @@ use crate::traits::{validate_pattern, IndexStats, UncertainIndex};
 use ius_arena::narrow::Entry;
 use ius_arena::{with_entries, Arena, ArenaVec};
 use ius_grid::{GridPoint, RankSpaceGrid, Rect};
-use ius_obs::clock;
+use ius_obs::{clock, trace};
 use ius_query::{finalize_into, MatchSink, QueryScratch};
 use ius_sampling::MinimizerScheme;
 use ius_text::trie::CompactedTrie;
@@ -402,13 +402,14 @@ impl MinimizerIndex {
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
         validate_pattern(pattern, self.params.ell, x.sigma())?;
-        // Stage tracing is sampled: only queries that draw a ticket (1 in
-        // `clock::STAGE_SAMPLE_EVERY` per thread, never while the clock is
-        // stubbed) pay for clock stamps. A timed query's stamps are chained
-        // — each boundary is read once and ends one stage while starting
-        // the next, so four stages cost five reads; an untimed query pays
-        // one thread-local tick and leaves the stage fields 0.
-        let timed = clock::stage_ticket();
+        // Stages are stamped iff the request was sampled: the caller armed
+        // a trace on this thread (one request in `clock::STAGE_SAMPLE_EVERY`
+        // per connection, never while the clock is stubbed). A timed
+        // query's stamps are chained — each boundary is read once and ends
+        // one stage while starting the next, so four stages cost five
+        // reads; an untimed query pays one thread-local flag read and
+        // leaves the stage fields 0.
+        let timed = trace::active();
         let stamp = || if timed { clock::now_ns() } else { 0 };
         let t_scan = stamp();
         let mu = self

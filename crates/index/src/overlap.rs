@@ -134,7 +134,8 @@ pub fn query_parts<'a>(
 
 /// Records one part of a traced partitioned query as a duration-only group
 /// (`code`, the part's staged time, its index and its delivered count)
-/// with the sampled stage breakdown nested inside when the part was timed.
+/// with the stage breakdown nested inside when the part was timed (every
+/// engine part of a traced query is).
 pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
     trace::group(code, stats.staged_ns(), index as u64, stats.reported as u64);
     trace_stages(stats);

@@ -45,7 +45,7 @@ pub trait UncertainIndex {
     /// * [`ius_weighted::Error::PatternTooShort`] if the index was built with
     ///   a lower bound `ℓ` and `|pattern| < ℓ`;
     /// * [`ius_weighted::Error::EmptyInput`] for an empty pattern;
-    /// * [`ius_weighted::Error::UnknownSymbol`] for a rank `≥ σ` of `X`.
+    /// * [`ius_weighted::Error::RankOutOfRange`] for a rank `≥ σ` of `X`.
     fn query_into(
         &self,
         pattern: &[u8],
@@ -85,7 +85,7 @@ pub trait UncertainIndex {
 ///
 /// [`Error::EmptyInput`] for an empty pattern,
 /// [`Error::PatternTooShort`] when `|pattern| < lower_bound`,
-/// [`Error::UnknownSymbol`] for the first rank `≥ sigma`.
+/// [`Error::RankOutOfRange`] for the first rank `≥ sigma`.
 pub fn validate_pattern(pattern: &[u8], lower_bound: usize, sigma: usize) -> Result<()> {
     if pattern.is_empty() {
         return Err(Error::EmptyInput("pattern"));
@@ -97,7 +97,7 @@ pub fn validate_pattern(pattern: &[u8], lower_bound: usize, sigma: usize) -> Res
         });
     }
     if let Some(&rank) = pattern.iter().find(|&&rank| usize::from(rank) >= sigma) {
-        return Err(Error::UnknownSymbol(rank));
+        return Err(Error::RankOutOfRange { rank, sigma });
     }
     Ok(())
 }
@@ -121,7 +121,7 @@ mod tests {
         ));
         assert!(matches!(
             validate_pattern(&[0, 2, 1], 1, 2),
-            Err(Error::UnknownSymbol(2))
+            Err(Error::RankOutOfRange { rank: 2, sigma: 2 })
         ));
         assert!(validate_pattern(&[0, 1], 1, 2).is_ok());
         assert!(validate_pattern(&[0, 1], 2, 2).is_ok());

@@ -603,12 +603,15 @@ fn lexicographic_key_ties_past_the_fit_limit_agree_with_naive() {
     }
 }
 
-/// Asserts that `index` refuses `pattern` with `UnknownSymbol(rank)`
-/// through `query` and `query_into`.
+/// Asserts that `index` refuses `pattern` with `RankOutOfRange` naming
+/// `rank` and σ of `x`, through `query` and `query_into`.
 fn assert_refuses_rank(index: &dyn UncertainIndex, pattern: &[u8], x: &WeightedString, rank: u8) {
     let label = index.name();
     assert!(
-        matches!(index.query(pattern, x), Err(Error::UnknownSymbol(r)) if r == rank),
+        matches!(
+            index.query(pattern, x),
+            Err(Error::RankOutOfRange { rank: r, sigma }) if r == rank && sigma == x.sigma()
+        ),
         "{label}: rank {rank} in {pattern:?} must be refused"
     );
     let mut scratch = QueryScratch::new();
@@ -616,7 +619,7 @@ fn assert_refuses_rank(index: &dyn UncertainIndex, pattern: &[u8], x: &WeightedS
     assert!(
         matches!(
             index.query_into(pattern, x, &mut scratch, &mut sink),
-            Err(Error::UnknownSymbol(r)) if r == rank
+            Err(Error::RankOutOfRange { rank: r, sigma }) if r == rank && sigma == x.sigma()
         ),
         "{label}: rank {rank} in {pattern:?} must be refused by query_into"
     );

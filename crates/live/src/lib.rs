@@ -1112,7 +1112,7 @@ impl LiveIndex {
     ///
     /// Pattern-contract errors ([`Error::EmptyInput`],
     /// [`Error::PatternTooShort`], [`Error::PatternTooLong`],
-    /// [`Error::UnknownSymbol`] for a rank outside the alphabet) and query
+    /// [`Error::RankOutOfRange`] for a rank outside the alphabet) and query
     /// errors of the per-segment indexes.
     pub fn query_owned_into(
         &self,
@@ -1141,7 +1141,11 @@ impl LiveIndex {
         let z = self.inner.spec.params.z;
         let memtable = scan_memtable(&state.memtable, sigma, pattern, z, &mut scratch.merged);
         total.accumulate(&memtable);
+        // The segment parts were stamped iff this request is traced; the
+        // memtable scan has no stages, and a memtable-only query is no
+        // less sampled.
         let traced = trace::active();
+        total.timed = traced;
         if traced {
             trace_part(trace::STAGE_MEMTABLE, state.segments.len(), &memtable);
             trace::enter(trace::STAGE_TOMBSTONE_FILTER);

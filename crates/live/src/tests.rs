@@ -246,7 +246,7 @@ fn pattern_contract_is_enforced() {
     bad[3] = 9;
     assert!(matches!(
         live.query_owned(&bad),
-        Err(Error::UnknownSymbol(9))
+        Err(Error::RankOutOfRange { rank: 9, sigma: 2 })
     ));
     assert!(live.query_owned(&[0u8; 16]).is_ok());
 }

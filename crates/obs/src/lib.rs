@@ -11,8 +11,7 @@
 //!   samples, with one text exposition ([`Scrape::to_text`]).
 //! * [`trace`] — request-scoped span tracing: a fixed-depth,
 //!   allocation-free per-thread span buffer recording one request's stage
-//!   tree (sampled with the same ticket discipline as the stage
-//!   histograms).
+//!   tree (sampled once per request, and the stage timings follow it).
 //! * [`clock`] — a process-wide monotonic nanosecond clock that can be
 //!   stubbed out at runtime to measure instrumentation overhead.
 //!
@@ -55,12 +54,16 @@ use std::time::Instant;
 /// subtraction sites.
 pub mod clock {
     use super::*;
-    use std::cell::Cell;
 
     static START: OnceLock<Instant> = OnceLock::new();
     static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    /// One query in [`STAGE_SAMPLE_EVERY`] pays for per-stage tracing.
+    /// One request in `STAGE_SAMPLE_EVERY` on each server connection is
+    /// sampled: the first, then every 16th. That one decision arms the
+    /// request's trace ([`crate::trace`]), feeds its service-time
+    /// histogram and stamps its query stages, which the engines do iff
+    /// [`crate::trace::active`]. A live query times all of its parts or
+    /// none of them.
     ///
     /// A monotonic clock read costs ~30–40 ns on a virtualized host, and a
     /// fully staged query takes five of them plus four histogram records —
@@ -69,29 +72,6 @@ pub mod clock {
     /// on; the stage *breakdown* is statistical, which is all a breakdown
     /// is for.
     pub const STAGE_SAMPLE_EVERY: u32 = 16;
-
-    thread_local! {
-        static STAGE_TICK: Cell<u32> = const { Cell::new(0) };
-    }
-
-    /// Draws a stage-tracing ticket: `true` on the first call on each
-    /// thread and every [`STAGE_SAMPLE_EVERY`]th call after that, always
-    /// `false` while the clock is disabled.
-    ///
-    /// The tick is thread-local, so workers never contend on it and the
-    /// first query a worker serves is always traced (scrapes see per-stage
-    /// data immediately, and single-query tests stay deterministic).
-    #[inline]
-    pub fn stage_ticket() -> bool {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return false;
-        }
-        STAGE_TICK.with(|tick| {
-            let t = tick.get();
-            tick.set(t.wrapping_add(1));
-            t % STAGE_SAMPLE_EVERY == 0
-        })
-    }
 
     /// Nanoseconds since the first call in this process (0 when disabled).
     #[inline]

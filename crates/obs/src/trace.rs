@@ -13,13 +13,14 @@
 //!
 //! ## Recording discipline
 //!
-//! Tracing follows the same sampling rules as the stage histograms:
+//! Tracing and the stage histograms sample the same requests:
 //!
 //! * A trace only arms ([`begin`]) while the [`clock`] is
-//!   enabled, and callers are expected to arm with the same 1-in-N ticket
-//!   discipline they use for [`clock::stage_ticket`](super::clock); the
-//!   un-sampled fast path pays one thread-local flag read per
-//!   instrumentation site ([`active`]).
+//!   enabled. The server arms it for one request in
+//!   [`clock::STAGE_SAMPLE_EVERY`] per connection, and that armed trace is
+//!   the one sampling decision: the query engines stamp their stages iff
+//!   [`active`]. The un-sampled fast path pays one thread-local flag read
+//!   per instrumentation site.
 //! * The buffer is a thread-local with [`MAX_SPANS`] inline slots and a
 //!   [`MAX_DEPTH`] open-span stack. When either limit is hit the trace is
 //!   marked truncated and recording degrades gracefully — enters and exits

@@ -167,15 +167,13 @@ pub struct QueryStats {
     pub verify_ns: u64,
     /// Nanoseconds spent finalizing (sort/dedup/stream into the sink).
     pub report_ns: u64,
-    /// Whether this query drew a stage-tracing ticket
-    /// (`ius_obs::clock::stage_ticket`) and the `*_ns` stage fields were
-    /// actually stamped. Stage tracing is sampled (1 in
-    /// `ius_obs::clock::STAGE_SAMPLE_EVERY` per thread) because five
-    /// clock reads per query are too expensive for the serve hot path;
-    /// consumers must skip the stage fields of untimed queries instead of
-    /// recording zeros. For a partitioned (segment fan-out) query the flag
-    /// is true if *any* part was timed, and the stage sums cover exactly
-    /// the timed parts.
+    /// Whether this request was sampled, so the `*_ns` stage fields were
+    /// stamped. An engine stamps its stages iff the calling thread carries
+    /// an armed request trace (`ius_obs::trace::active`), which a server
+    /// arms for one request in `ius_obs::clock::STAGE_SAMPLE_EVERY` per
+    /// connection: five clock reads per query are too expensive for every
+    /// request. Consumers skip the stage fields of untimed queries instead
+    /// of recording zeros. A fan-out times all of its parts or none.
     pub timed: bool,
 }
 

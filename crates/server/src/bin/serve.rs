@@ -96,8 +96,9 @@ fn print_help() {
          \x20                       histograms, queue-wait/service split, live/WAL\n\
          \x20                       timings) in Prometheus text format to stderr every\n\
          \x20                       <s> seconds\n\
-         \x20 --slow-query-ms <ms>  slow-query log threshold (default 50; 0 logs every\n\
-         \x20                       query)\n"
+         \x20 --slow-query-ms <ms>  queries answered at least this slow go to the\n\
+         \x20                       flight recorder's slow ring, read by TRACE_DUMP\n\
+         \x20                       (default 50; 0 records every query)\n"
     );
 }
 

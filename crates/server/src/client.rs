@@ -10,9 +10,10 @@
 //! conditions; on a transport failure the client reconnects before the
 //! next attempt.
 
+use crate::flight::TraceRecordSnapshot;
 use crate::protocol::{
     decode_response, encode_request, read_frame, ErrorCode, LiveSnapshot, ProtocolError, Request,
-    Response, ResultMode, TraceDump, MAX_RESPONSE_FRAME,
+    Response, ResultMode, MAX_RESPONSE_FRAME,
 };
 use ius_obs::{Scrape, Value};
 use ius_query::QueryStats;
@@ -441,16 +442,15 @@ impl Client {
         StatsSnapshot::from_scrape(&self.scrape()?)
     }
 
-    /// Snapshots the server's events: the flight recorder's most recent
-    /// sampled request traces plus the pinned error traces, as span
-    /// trees, and the slow-query ring. Non-destructive on the server side.
-    /// Idempotent: retried under the configured budget.
+    /// Snapshots the server's flight recorder: its errors, slow and recent
+    /// rings, in that order, each oldest first. Non-destructive on the
+    /// server side. Idempotent: retried under the configured budget.
     ///
     /// # Errors
     ///
     /// Transport, protocol and server-refusal errors;
     /// [`ClientError::RetriesExhausted`] when a retry budget ran dry.
-    pub fn trace_dump(&mut self) -> Result<TraceDump, ClientError> {
+    pub fn trace_dump(&mut self) -> Result<Vec<TraceRecordSnapshot>, ClientError> {
         match self.call_idempotent(&Request::TraceDump)? {
             Response::TraceDump(dump) => Ok(dump),
             _ => Err(ClientError::UnexpectedResponse {

@@ -54,13 +54,13 @@ pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError, QueryOutcome, StatsSnapshot};
 pub use flight::{
-    FlightRecorder, TraceRecordSnapshot, FLIGHT_PINNED_CAPACITY, FLIGHT_RECENT_CAPACITY,
-    TRACE_NO_ERROR,
+    FlightRecorder, FlightRing, RequestFacts, TraceRecordSnapshot, FLIGHT_ERRORS_CAPACITY,
+    FLIGHT_RECENT_CAPACITY, FLIGHT_SLOW_CAPACITY, SLOW_QUERY_PREFIX_LEN, TRACE_NO_ERROR,
 };
 pub use ius_obs::{Scrape, Value};
-pub use metrics::{ServerMetrics, SlowQueryEntry, SlowRing, WorkerObs, SLOW_QUERY_PREFIX_LEN};
+pub use metrics::{ServerMetrics, WorkerObs};
 pub use protocol::{
-    ErrorCode, LiveSnapshot, ProtocolError, Request, Response, ResultMode, TraceDump, WireStats,
+    ErrorCode, LiveSnapshot, ProtocolError, Request, Response, ResultMode, WireStats,
     MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{MetricsHandle, ServedIndex, Server, ServerConfig};

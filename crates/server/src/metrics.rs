@@ -1,7 +1,7 @@
-//! Lock-free server observability: the shared counters ([`ServerMetrics`]),
-//! the per-worker registries ([`WorkerObs`]) and the slow-query ring
-//! ([`SlowRing`]), each read out into the one `ius_obs::Scrape` that `STATS`
-//! answers.
+//! Lock-free server observability: the shared counters ([`ServerMetrics`])
+//! and the per-worker registries ([`WorkerObs`]), each read out into the
+//! one `ius_obs::Scrape` that `STATS` answers (beside the flight
+//! recorder's ring counts, `crate::flight`).
 //!
 //! Recording follows the `ius_obs` rule — a few relaxed atomic adds, no
 //! locks, no allocation, no syscalls on the hot path. Aggregation happens
@@ -9,9 +9,9 @@
 //! workers never contend with each other or with scrapers.
 
 use crate::protocol::{op_name, OP_SERVICE_SLOTS};
-use ius_obs::{clock, Counter, Histogram, HistogramSnapshot, Scrape, Value};
+use ius_obs::{Counter, Histogram, HistogramSnapshot, Scrape, Value};
 use ius_query::QueryStats;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Monotonic counters shared by the acceptor and every worker. All updates
 /// are relaxed atomics — the counters are operational telemetry, not
@@ -123,9 +123,9 @@ impl WorkerObs {
     }
 
     /// Records one answered query: the filter counters on every query,
-    /// the per-stage timings only when the query drew a stage-tracing
-    /// ticket (`stats.timed`) — the untimed majority carry zeroed stage
-    /// fields that must not reach the histograms.
+    /// the per-stage timings only when the request was sampled
+    /// (`stats.timed`) — the unsampled majority carry zeroed stage fields
+    /// that must not reach the histograms.
     #[inline]
     pub fn record_query(&self, stats: &QueryStats) {
         self.candidates.add(stats.candidates as u64);
@@ -141,9 +141,10 @@ impl WorkerObs {
     }
 
     /// Records the service time of one answered frame. The worker loop
-    /// samples calls at the stage-tracing rate (first request on each
-    /// connection always recorded); slow-query detection stays exact
-    /// because the elapsed time is measured for every request regardless.
+    /// calls it for sampled requests only (first request on each
+    /// connection, then one in `clock::STAGE_SAMPLE_EVERY`); slow-query
+    /// detection stays exact because the elapsed time is measured for
+    /// every request regardless.
     #[inline]
     pub fn record_service(&self, op: u8, ns: u64) {
         if (op as usize) < OP_SERVICE_SLOTS {
@@ -229,123 +230,10 @@ impl Default for WorkerObs {
     }
 }
 
-/// Rank bytes of the pattern a slow-query entry retains. Long enough to
-/// re-run a representative prefix query from a dump, short enough to keep
-/// the entry `Copy` and the wire encoding tiny.
-pub const SLOW_QUERY_PREFIX_LEN: usize = 16;
-
-/// One threshold-crossing query in the slow-query log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlowQueryEntry {
-    /// `ius_obs::clock::now_ns` when the query finished.
-    pub ts_ns: u64,
-    /// How long the query took.
-    pub duration_ns: u64,
-    /// Length of the queried pattern.
-    pub pattern_len: u64,
-    /// Distinct positions the query reported.
-    pub reported: u64,
-    /// How many of `prefix`'s bytes are meaningful
-    /// (`min(pattern_len, SLOW_QUERY_PREFIX_LEN)`).
-    pub prefix_len: u8,
-    /// The first [`SLOW_QUERY_PREFIX_LEN`] ranks of the queried pattern,
-    /// so a slow query is reproducible from a dump (trailing bytes zero).
-    pub prefix: [u8; SLOW_QUERY_PREFIX_LEN],
-}
-
-impl SlowQueryEntry {
-    /// The meaningful ranks of the retained pattern prefix.
-    pub fn prefix(&self) -> &[u8] {
-        &self.prefix[..self.prefix_len as usize]
-    }
-}
-
-/// A fixed-capacity ring of [`SlowQueryEntry`]s: the newest `capacity`
-/// slow queries survive, older ones are overwritten.
-///
-/// The ring sits behind a mutex: queries that cross the slow threshold are
-/// — by construction — rare and already tens of milliseconds deep, so a
-/// microsecond of lock hold is invisible. Recording stays allocation-free:
-/// the slots are preallocated and a push is a slot overwrite. The entries
-/// are events, answered by `TRACE_DUMP`; the scrape carries only the
-/// counts.
-#[derive(Debug)]
-pub struct SlowRing {
-    inner: Mutex<SlowRingInner>,
-}
-
-#[derive(Debug)]
-struct SlowRingInner {
-    slots: Box<[SlowQueryEntry]>,
-    next: usize,
-    len: usize,
-    recorded: u64,
-}
-
-impl SlowRing {
-    /// Creates a ring keeping the newest `capacity` entries (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(SlowRingInner {
-                slots: vec![SlowQueryEntry::default(); capacity.max(1)].into_boxed_slice(),
-                next: 0,
-                len: 0,
-                recorded: 0,
-            }),
-        }
-    }
-
-    /// Appends an entry, stamping it with the current clock and retaining
-    /// the first [`SLOW_QUERY_PREFIX_LEN`] bytes of `pattern_prefix`.
-    /// `pattern_len` is the full pattern length (the prefix the caller
-    /// still holds may be shorter than the pattern only by truncation).
-    pub fn record(&self, duration_ns: u64, pattern_len: u64, pattern_prefix: &[u8], reported: u64) {
-        let keep = pattern_prefix.len().min(SLOW_QUERY_PREFIX_LEN);
-        let mut entry = SlowQueryEntry {
-            ts_ns: clock::now_ns(),
-            duration_ns,
-            pattern_len,
-            reported,
-            prefix_len: keep as u8,
-            prefix: [0u8; SLOW_QUERY_PREFIX_LEN],
-        };
-        entry.prefix[..keep].copy_from_slice(&pattern_prefix[..keep]);
-        let mut inner = self.inner.lock().expect("slow ring lock");
-        let next = inner.next;
-        inner.slots[next] = entry;
-        inner.next = (next + 1) % inner.slots.len();
-        inner.len = (inner.len + 1).min(inner.slots.len());
-        inner.recorded += 1;
-    }
-
-    /// Total entries ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("slow ring lock").recorded
-    }
-
-    /// Writes the ring's counts into `scrape`: entries ever recorded,
-    /// occupied slots and capacity.
-    pub fn scrape_into(&self, scrape: &mut Scrape) {
-        let inner = self.inner.lock().expect("slow ring lock");
-        scrape.push("slow_queries", Value::Counter(inner.recorded));
-        scrape.push("slow_ring_len", Value::Gauge(inner.len as u64));
-        scrape.push("slow_ring_capacity", Value::Gauge(inner.slots.len() as u64));
-    }
-
-    /// The surviving entries, oldest first.
-    pub fn snapshot(&self) -> Vec<SlowQueryEntry> {
-        let inner = self.inner.lock().expect("slow ring lock");
-        let cap = inner.slots.len();
-        let start = (inner.next + cap - inner.len) % cap;
-        (0..inner.len)
-            .map(|i| inner.slots[(start + i) % cap])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{FlightRecorder, RequestFacts, TRACE_NO_ERROR};
 
     #[test]
     fn snapshot_reflects_counters_and_context() {
@@ -414,43 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn slow_ring_truncates_prefixes_and_keeps_the_newest() {
-        let ring = SlowRing::new(2);
-        let long: Vec<u8> = (0..40u8).collect();
-        ring.record(1_000, 40, &long, 1);
-        ring.record(2_000, 4, &[9, 8, 7, 6], 2);
-        ring.record(3_000, 2, &[1, 2], 0);
-        assert_eq!(ring.recorded(), 3);
-        let mut scrape = Scrape::new();
-        ring.scrape_into(&mut scrape);
-        assert_eq!(scrape.value("slow_queries"), Some(3));
-        assert_eq!(scrape.value("slow_ring_len"), Some(2));
-        assert_eq!(scrape.value("slow_ring_capacity"), Some(2));
-        let entries = ring.snapshot();
-        assert_eq!(entries.len(), 2, "capacity 2 keeps the newest two");
-        assert_eq!(entries[0].prefix(), &[9, 8, 7, 6]);
-        assert_eq!(entries[1].prefix(), &[1, 2]);
-        // A fresh ring with a long pattern keeps exactly the prefix cap.
-        let ring = SlowRing::new(4);
-        ring.record(1, 40, &long, 0);
-        let entry = ring.snapshot()[0];
-        assert_eq!(entry.prefix_len as usize, SLOW_QUERY_PREFIX_LEN);
-        assert_eq!(entry.prefix(), &long[..SLOW_QUERY_PREFIX_LEN]);
-        assert_eq!(entry.pattern_len, 40);
-    }
-
-    #[test]
     fn dump_renders_every_section() {
         // The text exposition of every server-side source: counters,
-        // merged worker histograms and the ring counts.
+        // merged worker histograms and the flight recorder's ring counts.
         let workers = vec![Arc::new(WorkerObs::new())];
         workers[0].record_service(1, 42_000);
-        let slow_log = SlowRing::new(4);
-        slow_log.record(77_000_000, 8, b"ACGTACGT", 2);
+        let flight = FlightRecorder::new();
+        let slow = RequestFacts::new(1, TRACE_NO_ERROR, 0, 77_000_000).with_query(&[0, 1, 2], 2);
+        flight.record(&slow, true);
         let mut scrape = Scrape::new();
         ServerMetrics::new().scrape_into(&mut scrape);
         WorkerObs::scrape_into(&workers, &mut scrape);
-        slow_log.scrape_into(&mut scrape);
+        flight.scrape_into(&mut scrape);
         let text = scrape.to_text();
         for needle in [
             "# TYPE requests counter\nrequests 0\n",
@@ -460,7 +323,7 @@ mod tests {
             "op_service_ns_query_sum 42000\n",
             "query_candidates 0\n",
             "slow_queries 1\n",
-            "# TYPE slow_ring_len gauge\nslow_ring_len 1\n",
+            "# TYPE flight_slow_len gauge\nflight_slow_len 1\n",
         ] {
             assert!(text.contains(needle), "text missing {needle:?}:\n{text}");
         }

@@ -38,11 +38,22 @@
 //!   lost its own format version and gained the slow-query log (events,
 //!   not metrics). New samples need no version bump: a reader looks
 //!   samples up by name.
+//! * Version 5 made `TRACE_DUMP` one list of flight records: the slow-query
+//!   log became the recorder's slow ring, each record names its ring
+//!   (errors, slow or recent) where it carried a pinned flag, and every
+//!   record carries a QUERY's pattern length, first ranks and reported
+//!   count.
 //!
 //! The `TRACE_DUMP` op ([`Request::TraceDump`] / [`Response::TraceDump`])
-//! answers a non-destructive snapshot of the server's flight recorder —
-//! pinned error traces first, then the recent ring, both oldest first —
-//! followed by the slow-query ring, oldest first.
+//! answers a non-destructive snapshot of the server's flight recorder:
+//! the errors ring, then the slow ring, then the recent ring, each oldest
+//! first. Its body is `u32 count`, then per record
+//!
+//! ```text
+//! u64 trace id · u8 ring · u8 op · u8 error · u8 truncated · u64 started
+//! · u64 total · u64 pattern len · u64 reported · 16 B pattern prefix
+//! · u16 span count · spans (u16 code · u8 depth · u64 start, dur, a, b)
+//! ```
 //!
 //! Requests: [`Request::Ping`], [`Request::Query`] (with a [`ResultMode`]
 //! mapping onto the `ius_query` sinks: collect-all, count-only, first-`k`),
@@ -53,8 +64,7 @@
 //! server sends instead of ever panicking (or hanging up silently) on
 //! untrusted bytes.
 
-use crate::flight::TraceRecordSnapshot;
-use crate::metrics::{SlowQueryEntry, SLOW_QUERY_PREFIX_LEN};
+use crate::flight::{FlightRing, RequestFacts, TraceRecordSnapshot, SLOW_QUERY_PREFIX_LEN};
 use ius_arena::le::{self, Reader, Truncated};
 use ius_obs::trace::Span;
 use ius_obs::{HistogramSnapshot, Scrape, Value};
@@ -66,7 +76,7 @@ use std::io::{self, Read};
 pub const WIRE_MAGIC: [u8; 4] = *b"IUSW";
 
 /// The current wire-protocol version.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Fixed header size inside the payload: magic + version + request id + op.
 pub const HEADER_LEN: usize = 4 + 2 + 8 + 1;
@@ -83,7 +93,7 @@ pub const MAX_RESPONSE_FRAME: usize = 1 << 26;
 
 // Request ops.
 const OP_PING: u8 = 0;
-const OP_QUERY: u8 = 1;
+pub(crate) const OP_QUERY: u8 = 1;
 const OP_STATS: u8 = 2;
 const OP_RELOAD: u8 = 3;
 const OP_SHUTDOWN: u8 = 4;
@@ -207,9 +217,8 @@ pub enum Request {
         /// tiered policy round.
         full: bool,
     },
-    /// Snapshot the server's events: the flight recorder's most recent
-    /// complete request traces plus the pinned error traces, and the
-    /// slow-query ring.
+    /// Snapshot the server's events: the flight recorder's errors, slow
+    /// and recent rings.
     TraceDump,
 }
 
@@ -341,16 +350,6 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// The answer to [`Request::TraceDump`]: the server's recent events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceDump {
-    /// The surviving flight-recorder traces, pinned errors first, then
-    /// recent, both oldest first.
-    pub traces: Vec<TraceRecordSnapshot>,
-    /// The surviving slow-query entries, oldest first.
-    pub slow_queries: Vec<SlowQueryEntry>,
-}
-
 /// A response frame, minus the echoed id (carried alongside).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -382,8 +381,9 @@ pub enum Response {
     ShuttingDown,
     /// Answer to every successful live-corpus mutation.
     Live(LiveSnapshot),
-    /// Answer to [`Request::TraceDump`].
-    TraceDump(TraceDump),
+    /// Answer to [`Request::TraceDump`]: the surviving flight records,
+    /// errors ring first, then slow, then recent, each oldest first.
+    TraceDump(Vec<TraceRecordSnapshot>),
     /// Typed refusal: the server never hangs up silently and never panics on
     /// untrusted bytes.
     Error {
@@ -432,6 +432,8 @@ pub enum ProtocolError {
     InvalidSampleName(String),
     /// A scrape names the same sample twice.
     DuplicateSample(String),
+    /// A flight record names a ring this build does not know.
+    UnknownRing(u8),
 }
 
 impl fmt::Display for ProtocolError {
@@ -465,6 +467,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::DuplicateSample(name) => {
                 write!(f, "scrape names sample {name:?} twice")
             }
+            ProtocolError::UnknownRing(ring) => write!(f, "unknown flight-recorder ring {ring}"),
         }
     }
 }
@@ -641,42 +644,34 @@ pub fn encode_response(id: u64, response: &Response, out: &mut Vec<u8>) {
                 ],
             );
         }
-        Response::TraceDump(dump) => {
+        Response::TraceDump(records) => {
             begin_frame(out, id, ST_TRACE_DUMP);
-            le::put(out, dump.traces.len() as u32);
-            for record in &dump.traces {
+            le::put(out, records.len() as u32);
+            for record in records {
+                let facts = &record.facts;
                 le::put(out, record.trace_id);
-                le::put(out, record.op);
-                le::put(out, record.error);
-                le::put(out, record.started_ns);
-                le::put(out, record.total_ns);
-                le::put(
+                out.extend_from_slice(&[
+                    record.ring as u8,
+                    facts.op,
+                    facts.error,
+                    u8::from(record.truncated),
+                ]);
+                le::put_slice(
                     out,
-                    u8::from(record.truncated) | (u8::from(record.pinned) << 1),
+                    &[
+                        facts.started_ns,
+                        facts.total_ns,
+                        facts.pattern_len,
+                        facts.reported,
+                    ],
                 );
+                out.extend_from_slice(&facts.prefix);
                 le::put(out, record.spans.len() as u16);
                 for span in &record.spans {
                     le::put(out, span.code);
                     le::put(out, span.depth);
-                    le::put(out, span.start_ns);
-                    le::put(out, span.dur_ns);
-                    le::put(out, span.a);
-                    le::put(out, span.b);
+                    le::put_slice(out, &[span.start_ns, span.dur_ns, span.a, span.b]);
                 }
-            }
-            le::put(out, dump.slow_queries.len() as u32);
-            for entry in &dump.slow_queries {
-                le::put_slice(
-                    out,
-                    &[
-                        entry.ts_ns,
-                        entry.duration_ns,
-                        entry.pattern_len,
-                        entry.reported,
-                    ],
-                );
-                le::put(out, entry.prefix_len);
-                out.extend_from_slice(entry.prefix());
             }
         }
         Response::Error { code, message } => {
@@ -906,14 +901,22 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
         }),
         ST_TRACE_DUMP => {
             let count = r.get::<u32>("trace count")? as usize;
-            let mut traces = Vec::with_capacity(count.min(4096));
+            let mut records = Vec::with_capacity(count.min(4096));
             for _ in 0..count {
                 let trace_id = r.get::<u64>("trace id")?;
+                let ring_byte = r.get::<u8>("trace ring")?;
+                let ring = FlightRing::from_byte(ring_byte)
+                    .ok_or(ProtocolError::UnknownRing(ring_byte))?;
                 let op = r.get::<u8>("trace op")?;
                 let error = r.get::<u8>("trace error")?;
-                let started_ns = r.get::<u64>("trace start")?;
-                let total_ns = r.get::<u64>("trace total")?;
-                let flags = r.get::<u8>("trace flags")?;
+                let truncated = r.get::<u8>("trace truncated flag")? != 0;
+                let mut facts =
+                    RequestFacts::new(op, error, r.get("trace start")?, r.get("trace total")?);
+                facts.pattern_len = r.get("trace pattern length")?;
+                facts.reported = r.get("trace reported")?;
+                facts
+                    .prefix
+                    .copy_from_slice(r.bytes(SLOW_QUERY_PREFIX_LEN, "trace pattern prefix")?);
                 let span_count = r.get::<u16>("trace span count")? as usize;
                 let mut spans = Vec::with_capacity(span_count.min(4096));
                 for _ in 0..span_count {
@@ -926,42 +929,15 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
                         b: r.get("span detail b")?,
                     });
                 }
-                traces.push(TraceRecordSnapshot {
+                records.push(TraceRecordSnapshot {
                     trace_id,
-                    op,
-                    error,
-                    started_ns,
-                    total_ns,
-                    truncated: flags & 1 != 0,
-                    pinned: flags & 2 != 0,
+                    ring,
+                    truncated,
+                    facts,
                     spans,
                 });
             }
-            let slow_count = r.get::<u32>("slow-query count")? as usize;
-            let mut slow_queries = Vec::with_capacity(slow_count.min(4096));
-            for _ in 0..slow_count {
-                let mut entry = SlowQueryEntry {
-                    ts_ns: r.get("slow-query ts")?,
-                    duration_ns: r.get("slow-query duration")?,
-                    pattern_len: r.get("slow-query pattern length")?,
-                    reported: r.get("slow-query reported")?,
-                    ..SlowQueryEntry::default()
-                };
-                let prefix_len = r.get::<u8>("slow-query prefix length")? as usize;
-                if prefix_len > SLOW_QUERY_PREFIX_LEN {
-                    return Err(ProtocolError::Truncated {
-                        what: "slow-query prefix",
-                    });
-                }
-                let bytes = r.bytes(prefix_len, "slow-query prefix")?;
-                entry.prefix_len = prefix_len as u8;
-                entry.prefix[..prefix_len].copy_from_slice(bytes);
-                slow_queries.push(entry);
-            }
-            Response::TraceDump(TraceDump {
-                traces,
-                slow_queries,
-            })
+            Response::TraceDump(records)
         }
         ST_ERROR => {
             let code = ErrorCode::from_byte(r.get::<u8>("error code")?)?;
@@ -1168,8 +1144,8 @@ mod tests {
     fn unknown_version_is_rejected() {
         let mut frame = Vec::new();
         encode_request(1, &Request::Ping, &mut frame);
-        // Version 3 is the previous layout; 0xFF a future one.
-        for version in [3u16, 0xFF, WIRE_VERSION + 1] {
+        // Versions 3 and 4 are earlier layouts; 0xFF a future one.
+        for version in [3u16, 4, 0xFF, WIRE_VERSION + 1] {
             frame[8..10].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 decode_request(&frame[4..]),
@@ -1535,87 +1511,68 @@ mod tests {
         }
     }
 
-    /// A populated trace dump: one pinned error trace, one recent trace
-    /// with a nested span tree and non-trivial detail words.
+    /// A populated trace dump: one record from each ring — a sampled
+    /// error with a truncated span tree, an unsampled slow query with its
+    /// pattern prefix, and a sampled recent query with a nested span tree
+    /// and non-trivial detail words.
     fn sample_trace_dump() -> Response {
-        Response::TraceDump(TraceDump {
-            traces: vec![
-                TraceRecordSnapshot {
-                    trace_id: 42,
-                    op: 1,
-                    error: 3,
-                    started_ns: 1_000_000,
-                    total_ns: 90_000,
-                    truncated: true,
-                    pinned: true,
-                    spans: vec![Span {
-                        code: ius_obs::trace::STAGE_FRAME_DECODE,
+        Response::TraceDump(vec![
+            TraceRecordSnapshot {
+                trace_id: 42,
+                ring: FlightRing::Errors,
+                truncated: true,
+                facts: RequestFacts::new(OP_QUERY, 3, 1_000_000, 90_000),
+                spans: vec![Span {
+                    code: ius_obs::trace::STAGE_FRAME_DECODE,
+                    depth: 0,
+                    start_ns: 10,
+                    dur_ns: 500,
+                    a: 0,
+                    b: 0,
+                }],
+            },
+            TraceRecordSnapshot {
+                trace_id: 44,
+                ring: FlightRing::Slow,
+                truncated: false,
+                facts: RequestFacts::new(OP_QUERY, TRACE_NO_ERROR, 1_500_000, 60_000_000)
+                    .with_query(&[7; 32], 4),
+                spans: Vec::new(),
+            },
+            TraceRecordSnapshot {
+                trace_id: 43,
+                ring: FlightRing::Recent,
+                truncated: false,
+                facts: RequestFacts::new(OP_QUERY, TRACE_NO_ERROR, 2_000_000, 45_000)
+                    .with_query(&[0, 1, 2, 3, 3, 2, 1, 0], 7),
+                spans: vec![
+                    Span {
+                        code: ius_obs::trace::STAGE_QUERY,
                         depth: 0,
-                        start_ns: 10,
-                        dur_ns: 500,
+                        start_ns: 600,
+                        dur_ns: 40_000,
                         a: 0,
-                        b: 0,
-                    }],
-                },
-                TraceRecordSnapshot {
-                    trace_id: 43,
-                    op: 1,
-                    error: TRACE_NO_ERROR,
-                    started_ns: 2_000_000,
-                    total_ns: 45_000,
-                    truncated: false,
-                    pinned: false,
-                    spans: vec![
-                        Span {
-                            code: ius_obs::trace::STAGE_QUERY,
-                            depth: 0,
-                            start_ns: 600,
-                            dur_ns: 40_000,
-                            a: 0,
-                            b: 7,
-                        },
-                        Span {
-                            code: ius_obs::trace::STAGE_PART,
-                            depth: 1,
-                            start_ns: 0,
-                            dur_ns: 30_000,
-                            a: 2,
-                            b: 7,
-                        },
-                        Span {
-                            code: ius_obs::trace::STAGE_VERIFY,
-                            depth: 2,
-                            start_ns: 0,
-                            dur_ns: 20_000,
-                            a: 11,
-                            b: 0,
-                        },
-                    ],
-                },
-            ],
-            slow_queries: vec![
-                SlowQueryEntry {
-                    ts_ns: 1_000,
-                    duration_ns: 60_000_000,
-                    pattern_len: 32,
-                    reported: 4,
-                    prefix_len: SLOW_QUERY_PREFIX_LEN as u8,
-                    prefix: [7; SLOW_QUERY_PREFIX_LEN],
-                },
-                SlowQueryEntry {
-                    ts_ns: 2_000,
-                    duration_ns: 51_000_000,
-                    pattern_len: 8,
-                    reported: 0,
-                    prefix_len: 8,
-                    prefix: {
-                        let mut p = [0u8; SLOW_QUERY_PREFIX_LEN];
-                        p[..8].copy_from_slice(&[0, 1, 2, 3, 3, 2, 1, 0]);
-                        p
+                        b: 7,
                     },
-                },
-            ],
-        })
+                    Span {
+                        code: ius_obs::trace::STAGE_PART,
+                        depth: 1,
+                        start_ns: 0,
+                        dur_ns: 30_000,
+                        a: 2,
+                        b: 7,
+                    },
+                    Span {
+                        code: ius_obs::trace::STAGE_VERIFY,
+                        depth: 2,
+                        start_ns: 0,
+                        dur_ns: 20_000,
+                        a: 11,
+                        b: 0,
+                    },
+                ],
+            },
+        ])
     }
 
     #[test]
@@ -1623,7 +1580,7 @@ mod tests {
         round_trip_request(Request::TraceDump);
         round_trip_response(sample_trace_dump());
         // The empty dump (fresh server, nothing sampled yet) round-trips.
-        round_trip_response(Response::TraceDump(TraceDump::default()));
+        round_trip_response(Response::TraceDump(Vec::new()));
     }
 
     #[test]
@@ -1643,6 +1600,23 @@ mod tests {
             decode_response(&long),
             Err(ProtocolError::TrailingBytes(1))
         ));
+    }
+
+    #[test]
+    fn unknown_flight_rings_are_refused_typed() {
+        let mut frame = Vec::new();
+        encode_response(19, &sample_trace_dump(), &mut frame);
+        // The first record's ring byte follows the header, the record
+        // count and its trace id.
+        let at = 4 + HEADER_LEN + 4 + 8;
+        assert_eq!(frame[at], FlightRing::Errors as u8);
+        for ring in [3u8, 255] {
+            frame[at] = ring;
+            assert_eq!(
+                decode_response(&frame[4..]),
+                Err(ProtocolError::UnknownRing(ring))
+            );
+        }
     }
 
     #[test]

@@ -36,25 +36,30 @@
 //! Each worker owns a private [`WorkerObs`] histogram registry; recording
 //! (per-stage query timings, per-op service time, queue wait) is a few
 //! relaxed atomic adds into that registry, so workers never contend with
-//! each other or with scrapers. Per-request elapsed time is measured on
-//! every request (the slow-query log is exact), but histogram feeds —
-//! service time and the per-stage breakdown — are sampled at
-//! 1-in-`clock::STAGE_SAMPLE_EVERY` to keep their cold cache lines off
-//! the per-request path. The filter counters (candidates, verified,
-//! reported, grid work) and `PatternTooShort` refusals are exact. A
-//! `STATS` request — or a local [`MetricsHandle`] — reads the shared
-//! counters, merges every registry and samples the live index and the
-//! diagnostic rings into one [`Scrape`] on the scrape path. All timing
-//! sites are gated on `ius_obs::clock::enabled()`, which is how the
-//! overhead benchmark measures instrumented vs. stubbed serving.
+//! each other or with scrapers. One decision per request samples it: the
+//! first request on each connection and one in
+//! `clock::STAGE_SAMPLE_EVERY` after that. A sampled request arms the
+//! worker's trace, which makes the engine stamp its query stages, and
+//! feeds the service and stage histograms; so the histograms and the trace
+//! trees describe the same requests, and a live query times all of its
+//! parts. Per-request elapsed time is measured on every request, from one
+//! clock stamp at service end, so the slow ring is exact. At service end
+//! the worker hands the request to the [`FlightRecorder`], which keeps it
+//! when it failed, was slow or was sampled. The filter counters
+//! (candidates, verified, reported, grid work) and `PatternTooShort`
+//! refusals are exact. A `STATS` request — or a local [`MetricsHandle`] —
+//! reads the shared counters, merges every registry and samples the live
+//! index and the recorder's rings into one [`Scrape`] on the scrape path.
+//! All timing sites are gated on `ius_obs::clock::enabled()`, which is how
+//! the overhead benchmark measures instrumented vs. stubbed serving.
 
-use crate::flight::{FlightRecorder, TRACE_NO_ERROR};
-use crate::metrics::{ServerMetrics, SlowRing, WorkerObs, SLOW_QUERY_PREFIX_LEN};
+use crate::flight::{FlightRecorder, RequestFacts, TRACE_NO_ERROR};
+use crate::metrics::{ServerMetrics, WorkerObs};
 use crate::pool::AdmissionQueue;
 use crate::protocol::{
     decode_header, decode_query_body, decode_request_body, encode_matches_from_slice,
     encode_response, read_frame, ErrorCode, LiveSnapshot, ProtocolError, Request, Response,
-    ResultMode, TraceDump, MAX_REQUEST_FRAME,
+    ResultMode, MAX_REQUEST_FRAME, OP_QUERY,
 };
 use ius_arena::Arena;
 use ius_exec::WorkerPool;
@@ -261,8 +266,10 @@ pub struct ServerConfig {
     /// the whole pool while admitted connections starve in the queue. Must
     /// be non-zero (`Server::bind` refuses zero).
     pub idle_timeout: Duration,
-    /// Queries at least this slow land in the slow-query ring surfaced by
-    /// `TRACE_DUMP` (`Duration::ZERO` logs every query; handy in tests).
+    /// Queries answered at least this slow land in the flight recorder's
+    /// slow ring, surfaced by `TRACE_DUMP` and counted by `slow_queries`
+    /// (`Duration::ZERO` records every query; handy in tests). A failed
+    /// query goes to the errors ring instead.
     pub slow_query_threshold: Duration,
 }
 
@@ -284,11 +291,9 @@ struct Shared {
     /// One private registry per worker (indexed like the worker threads);
     /// merged only on a scrape.
     worker_obs: Vec<Arc<WorkerObs>>,
-    /// Shared ring of threshold-crossing queries (with pattern prefixes).
-    slow_log: SlowRing,
     slow_query_threshold_ns: u64,
-    /// Rings of sampled complete request traces, drained by `TRACE_DUMP`
-    /// and dumped to stderr by the panic hook.
+    /// The errors, slow and recent rings, answered by `TRACE_DUMP` and
+    /// dumped to stderr by the panic hook.
     flight: Arc<FlightRecorder>,
     queue: AdmissionQueue,
     shutdown: AtomicBool,
@@ -349,7 +354,6 @@ impl Server {
             reload_path,
             metrics: ServerMetrics::new(),
             worker_obs: (0..workers).map(|_| Arc::new(WorkerObs::new())).collect(),
-            slow_log: SlowRing::new(128),
             flight,
             slow_query_threshold_ns: config.slow_query_threshold.as_nanos() as u64,
             queue: AdmissionQueue::new(config.queue_depth),
@@ -469,7 +473,6 @@ fn scrape(shared: &Shared) -> Scrape {
         None => scrape.push("compaction_errors", Value::Counter(0)),
     }
     shared.flight.scrape_into(&mut scrape);
-    shared.slow_log.scrape_into(&mut scrape);
     scrape.push(
         "slow_query_threshold_ns",
         Value::Gauge(shared.slow_query_threshold_ns),
@@ -484,9 +487,10 @@ static HOOKED_FLIGHTS: Mutex<Vec<Weak<FlightRecorder>>> = Mutex::new(Vec::new())
 static FLIGHT_HOOK: Once = Once::new();
 
 /// Registers `flight` with the process-wide panic hook: when any thread
-/// panics, every live recorder dumps its surviving traces to stderr —
-/// the last K requests before the crash, which is the whole point of a
-/// flight recorder. Chains the previously installed hook.
+/// panics, every live recorder dumps its surviving records to stderr —
+/// the last failed, slow and sampled requests before the crash, which is
+/// the whole point of a flight recorder. Chains the previously installed
+/// hook.
 fn register_flight_panic_hook(flight: &Arc<FlightRecorder>) {
     {
         let mut flights = HOOKED_FLIGHTS
@@ -675,17 +679,16 @@ fn handle_connection(
     buffers: &mut WorkerBuffers,
     queue_wait_ns: u64,
 ) {
-    // Per-request timing is always on (the slow-query log must see every
-    // request), but feeding the service histogram is sampled at the same
-    // 1-in-[`clock::STAGE_SAMPLE_EVERY`] rate as stage tracing: under a
-    // large index working set the histogram's cache lines are cold on
-    // every request, so an unconditional record costs a couple of hundred
-    // nanoseconds of misses. The first request on each connection is
-    // always recorded, so scrapes see per-op service data immediately.
-    //
-    // Request tracing rides the same ticket: the requests that feed the
-    // service histogram are exactly the ones that record a span tree into
-    // the flight recorder, so the two views describe the same sample.
+    // Per-request timing is always on (the slow ring must see every
+    // query), but everything else is sampled at 1-in-
+    // [`clock::STAGE_SAMPLE_EVERY`], one decision per request: it arms the
+    // request's trace (so the engine stamps its stages), feeds the service
+    // histogram and keeps the request in the flight recorder's recent
+    // ring. Under a large index working set the histograms' cache lines
+    // are cold on every request, so an unconditional record costs a couple
+    // of hundred nanoseconds of misses. The first request on each
+    // connection is always sampled, so scrapes see per-op service data
+    // immediately.
     let mut service_tick: u32 = 0;
     loop {
         match read_frame(&mut stream, MAX_REQUEST_FRAME, frame) {
@@ -720,12 +723,13 @@ fn handle_connection(
         // Service time covers body decode + answer + send — everything the
         // worker does for this frame after it has arrived.
         let service_start = clock::now_ns();
-        let sampled = clock::enabled() && service_tick.is_multiple_of(clock::STAGE_SAMPLE_EVERY);
-        // Arm the thread-local span buffer for a sampled request. The
-        // queue-wait leaf belongs to the connection's first request only
-        // (pops happen once per connection, not per frame).
-        let armed = sampled && trace::begin(trace::next_trace_id());
-        if armed {
+        // The one sampling decision: arm the thread-local span buffer
+        // (refused while the clock is stubbed). The queue-wait leaf belongs
+        // to the connection's first request only (pops happen once per
+        // connection, not per frame).
+        let sampled = service_tick.is_multiple_of(clock::STAGE_SAMPLE_EVERY)
+            && trace::begin(trace::next_trace_id());
+        if sampled {
             if service_tick == 0 {
                 trace::leaf(trace::STAGE_QUEUE_WAIT, queue_wait_ns, 0, 0);
             }
@@ -762,24 +766,21 @@ fn handle_connection(
                 Err(err) => Decoded::Bad(err),
             },
         };
-        if armed {
+        if sampled {
             trace::exit_with(frame.len() as u64, 0); // frame_decode
         }
         let close_after;
-        // The slow-query probe (pattern length, prefix, reported count) of
-        // a successfully answered query, fed to the slow-query ring if
-        // this request turns out slow. Carried out of the answer path so
-        // the slow check can reuse the service-end clock stamp instead of
-        // reading the clock again.
-        let mut slow_probe = None;
+        // The pattern and reported count of a QUERY, for its flight record.
+        let mut query = None;
         match decoded {
             Decoded::Query(mode, pattern) => {
                 close_after = false;
-                slow_probe = answer_query(shared, obs, id, mode, pattern, buffers);
+                let reported = answer_query(shared, obs, id, mode, pattern, buffers);
+                query = Some((pattern, reported));
             }
             Decoded::Other(request) => {
                 close_after = matches!(request, Request::Shutdown);
-                slow_probe = answer(shared, obs, id, request, buffers);
+                answer(shared, obs, id, request, buffers);
             }
             Decoded::Bad(err) => {
                 // Body-level violations leave the framing intact: answer
@@ -788,79 +789,41 @@ fn handle_connection(
                 body_error(shared, id, &err, &mut buffers.out);
             }
         }
-        if armed {
+        if sampled {
             trace::enter(trace::STAGE_RESPONSE_WRITE);
         }
         let sent = stream.write_all(&buffers.out);
-        if armed {
+        if sampled {
             trace::exit_with(buffers.out.len() as u64, 0);
-            // The trace is complete (write span included): copy it into
-            // the flight recorder. A typed error response pins the trace —
-            // the error code sits at a fixed frame offset, so no error
-            // state needs threading through the answer paths.
-            let total_ns = clock::now_ns().saturating_sub(service_start);
-            let error = match buffers.out.get(FRAME_STATUS_OFFSET) {
-                Some(&255) => buffers
-                    .out
-                    .get(FRAME_STATUS_OFFSET + 1)
-                    .copied()
-                    .unwrap_or(TRACE_NO_ERROR),
-                _ => TRACE_NO_ERROR,
-            };
-            trace::finish(|buf| shared.flight.record(buf, op, error, total_ns));
         }
-        if sent.is_err() {
+        // One stamp at service end feeds the service histogram, the slow
+        // test and the flight record (0 while the clock is stubbed).
+        let elapsed = clock::now_ns().saturating_sub(service_start);
+        if sampled {
+            obs.record_service(op, elapsed);
+        }
+        // A typed error response sits at a fixed frame offset, so no error
+        // state needs threading through the answer paths.
+        let error = match buffers.out.get(FRAME_STATUS_OFFSET) {
+            Some(&255) => buffers
+                .out
+                .get(FRAME_STATUS_OFFSET + 1)
+                .copied()
+                .unwrap_or(TRACE_NO_ERROR),
+            _ => TRACE_NO_ERROR,
+        };
+        let slow = op == OP_QUERY && clock::enabled() && elapsed >= shared.slow_query_threshold_ns;
+        let mut facts = RequestFacts::new(op, error, service_start, elapsed);
+        if let Some((pattern, reported)) = query {
+            facts = facts.with_query(pattern, reported);
+        }
+        // Kept when failed, slow or sampled; the trace (write span
+        // included) is finished into the record.
+        shared.flight.record(&facts, slow);
+        service_tick = service_tick.wrapping_add(1);
+        if sent.is_err() || close_after {
             return;
         }
-        if clock::enabled() {
-            let elapsed = clock::now_ns().saturating_sub(service_start);
-            if sampled {
-                obs.record_service(op, elapsed);
-            }
-            service_tick = service_tick.wrapping_add(1);
-            if elapsed >= shared.slow_query_threshold_ns {
-                if let Some(probe) = slow_probe {
-                    shared.slow_log.record(
-                        elapsed,
-                        probe.pattern_len,
-                        probe.prefix(),
-                        probe.reported,
-                    );
-                }
-            }
-        }
-        if close_after {
-            return;
-        }
-    }
-}
-
-/// What the slow-query ring needs of a successfully answered query,
-/// carried (as a fixed-size copy — the borrowed pattern dies with the
-/// answer path) from the answer to the service-end slow check.
-#[derive(Clone, Copy)]
-struct SlowProbe {
-    pattern_len: u64,
-    reported: u64,
-    prefix_len: u8,
-    prefix: [u8; SLOW_QUERY_PREFIX_LEN],
-}
-
-impl SlowProbe {
-    fn new(pattern: &[u8], reported: u64) -> Self {
-        let n = pattern.len().min(SLOW_QUERY_PREFIX_LEN);
-        let mut prefix = [0u8; SLOW_QUERY_PREFIX_LEN];
-        prefix[..n].copy_from_slice(&pattern[..n]);
-        Self {
-            pattern_len: pattern.len() as u64,
-            reported,
-            prefix_len: n as u8,
-            prefix,
-        }
-    }
-
-    fn prefix(&self) -> &[u8] {
-        &self.prefix[..self.prefix_len as usize]
     }
 }
 
@@ -885,10 +848,8 @@ fn body_error(shared: &Shared, id: u64, err: &ProtocolError, out: &mut Vec<u8>) 
 /// buffer — the hot path. With warmed buffers, collect and count modes
 /// allocate nothing beyond what the engine scratch already owns.
 ///
-/// Returns the [`SlowProbe`] of a successful query so the worker loop can
-/// feed the slow-query ring from the service-time stamp it takes anyway,
-/// and `None` when the query failed (failures answer a typed error and
-/// are not slow-log material).
+/// Returns the number of positions reported (0 when the query failed and
+/// was answered with a typed error).
 fn answer_query(
     shared: &Shared,
     obs: &WorkerObs,
@@ -896,7 +857,7 @@ fn answer_query(
     mode: ResultMode,
     pattern: &[u8],
     buffers: &mut WorkerBuffers,
-) -> Option<SlowProbe> {
+) -> u64 {
     // Snapshot the served index: a reload swapping the Arc while this
     // query runs does not affect it, and the old index stays alive until
     // the last in-flight query drops its clone.
@@ -918,7 +879,7 @@ fn answer_query(
         Ok(stats) => stats,
         Err(err) => {
             query_error(shared, obs, id, &err, &mut buffers.out);
-            return None;
+            return 0;
         }
     };
     let positions: &[usize] = match mode {
@@ -951,23 +912,22 @@ fn answer_query(
     if traced {
         trace::exit_with(buffers.out.len() as u64, 0);
     }
-    Some(SlowProbe::new(pattern, reported))
+    reported
 }
 
 /// Builds the response frame for one well-formed request into
-/// `buffers.out`. Returns the slow-query probe of a successful query
-/// (see [`answer_query`]); every other op answers `None`.
+/// `buffers.out`.
 fn answer(
     shared: &Shared,
     obs: &WorkerObs,
     id: u64,
     request: Request,
     buffers: &mut WorkerBuffers,
-) -> Option<SlowProbe> {
+) {
     match request {
         Request::Ping => encode_response(id, &Response::Pong, &mut buffers.out),
         Request::Query { mode, pattern } => {
-            return answer_query(shared, obs, id, mode, &pattern, buffers)
+            answer_query(shared, obs, id, mode, &pattern, buffers);
         }
         Request::Stats => encode_response(id, &Response::Stats(scrape(shared)), &mut buffers.out),
         Request::Reload { path } => match reload(shared, path.as_deref()) {
@@ -986,13 +946,11 @@ fn answer(
                 );
             }
         },
-        Request::TraceDump => {
-            let dump = TraceDump {
-                traces: shared.flight.snapshot(),
-                slow_queries: shared.slow_log.snapshot(),
-            };
-            encode_response(id, &Response::TraceDump(dump), &mut buffers.out);
-        }
+        Request::TraceDump => encode_response(
+            id,
+            &Response::TraceDump(shared.flight.snapshot()),
+            &mut buffers.out,
+        ),
         Request::Shutdown => {
             trigger_shutdown(shared);
             encode_response(id, &Response::ShuttingDown, &mut buffers.out);
@@ -1002,7 +960,6 @@ fn answer(
         | Request::Flush
         | Request::Compact { .. } => answer_live(shared, id, request, &mut buffers.out),
     }
-    None
 }
 
 /// Answers one live-corpus mutation. A server not serving a live index

@@ -2,8 +2,8 @@
 //! queries and mutations over the wire, scrape `STATS`, and assert every
 //! layer's instrumentation actually recorded — per-stage query histograms,
 //! the queue-wait/service split, live flush/compaction durations and WAL
-//! fsync latency — plus the histogram invariants (stage counts bounded by
-//! the ops driven with at least one traced sample, quantiles monotone),
+//! fsync latency — plus the histogram invariants (stage counts equal to
+//! the sampled query ops, quantiles monotone),
 //! and that the paper's filter counters add up exactly to what the
 //! per-query responses carried. This is the CI smoke step of the metrics
 //! subsystem.
@@ -87,10 +87,10 @@ fn metrics_scrape_covers_every_layer_under_load() {
 
     let scrape = client.scrape().expect("metrics scrape");
 
-    // Query stages: tracing is sampled 1-in-STAGE_SAMPLE_EVERY per
-    // thread with the first query on every thread always traced, so each
-    // stage histogram carries at least one and at most 16 samples;
-    // quantiles must be monotone.
+    // Query stages: requests are sampled 1-in-STAGE_SAMPLE_EVERY per
+    // connection with the first always sampled, so of these 16 query ops
+    // exactly the first feeds each stage histogram (all of its segment
+    // parts summed); quantiles must be monotone.
     for name in [
         "query_scan_ns",
         "query_locate_ns",
@@ -98,11 +98,7 @@ fn metrics_scrape_covers_every_layer_under_load() {
         "query_report_ns",
     ] {
         let stage = hist(&scrape, name);
-        assert!(
-            (1..=16).contains(&stage.count),
-            "{name} must see sampled query ops, got {}",
-            stage.count
-        );
+        assert_eq!(stage.count, 1, "{name} must see the sampled query op");
         assert_monotone_quantiles(name, stage);
     }
     // The scan stage does real work on every traced query; its total time
@@ -113,18 +109,13 @@ fn metrics_scrape_covers_every_layer_under_load() {
     );
 
     // Server split: queue-wait recorded per admitted connection, service
-    // time per op byte. Service records are sampled per connection at the
-    // stage-tracing rate with the first request always recorded, and the
-    // first request here is a QUERY (op 1).
+    // time per op byte for the same sampled requests, and the first
+    // request here is a QUERY (op 1).
     let queue_wait = hist(&scrape, "queue_wait_ns");
     assert!(queue_wait.count >= 1);
     assert_monotone_quantiles("queue_wait_ns", queue_wait);
     let query_service = hist(&scrape, "op_service_ns_query");
-    assert!(
-        (1..=16).contains(&query_service.count),
-        "sampled QUERY service count, got {}",
-        query_service.count
-    );
+    assert_eq!(query_service.count, 1, "sampled QUERY service count");
     assert!(query_service.sum > 0, "service time must be nonzero");
 
     // Live layer: the seeding auto-flushes plus the explicit flush all
@@ -153,8 +144,7 @@ fn metrics_scrape_covers_every_layer_under_load() {
     assert_monotone_quantiles("wal_fsync_ns", fsync);
 
     assert!(value(&scrape, "uptime_ns") > 0);
-    // Under the default 50 ms threshold this tiny corpus logs no slow
-    // queries — the log must stay empty rather than capture everything.
+    // The default 50 ms threshold is advertised beside the slow ring.
     assert_eq!(value(&scrape, "slow_query_threshold_ns"), 50_000_000);
 
     // The text exposition covers every section without panicking.

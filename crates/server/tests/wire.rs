@@ -7,7 +7,7 @@ use ius_datasets::uniform::UniformConfig;
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant, UncertainIndex};
 use ius_server::protocol::{self, read_frame};
 use ius_server::{
-    Client, ClientError, ErrorCode, Request, Response, ResultMode, ServedIndex, Server,
+    Client, ClientError, ErrorCode, FlightRing, Request, Response, ResultMode, ServedIndex, Server,
     ServerConfig, MAX_RESPONSE_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
 use ius_weighted::WeightedString;
@@ -116,10 +116,11 @@ fn a_rank_outside_the_alphabet_is_refused_typed_and_the_connection_kept() {
         match client.query(&pattern).expect_err("foreign rank") {
             ClientError::Server { code, message } => {
                 assert_eq!(code, ErrorCode::Query);
-                assert!(
-                    message.contains("not in the alphabet"),
-                    "unexpected message {message:?}"
+                let expected = format!(
+                    "pattern rank {rank} is outside the alphabet (σ = {})",
+                    x.sigma()
                 );
+                assert_eq!(message, expected);
             }
             other => panic!("expected a typed server error, got {other:?}"),
         }
@@ -151,9 +152,10 @@ fn bad_magic_gets_a_typed_error_and_a_close() {
 #[test]
 fn unknown_version_gets_a_typed_error() {
     let (server, _, _) = start_server(&ServerConfig::default());
-    // A future version, and version 3 — the layout before the one metrics
-    // surface — are both refused typed, naming the version.
-    for version in [WIRE_VERSION + 1, 3] {
+    // A future version, version 4 — the layout before the one-list
+    // TRACE_DUMP — and version 3 — the layout before the one metrics
+    // surface — are all refused typed, naming the version.
+    for version in [WIRE_VERSION + 1, 4, 3] {
         let mut frame = Vec::new();
         protocol::encode_request(5, &Request::Ping, &mut frame);
         frame[8..10].copy_from_slice(&version.to_le_bytes());
@@ -344,8 +346,8 @@ fn client_shutdown_stops_the_server_gracefully() {
 
 #[test]
 fn metrics_scrape_reflects_served_queries() {
-    // Threshold zero: every query lands in the slow-query log, so the log
-    // path is exercised deterministically.
+    // Threshold zero: every query lands in the flight recorder's slow
+    // ring, so the slow path is exercised deterministically.
     let config = ServerConfig {
         slow_query_threshold: std::time::Duration::ZERO,
         ..Default::default()
@@ -359,9 +361,9 @@ fn metrics_scrape_reflects_served_queries() {
     client.query_count(&pattern).expect("count");
 
     let scrape = client.scrape().expect("scrape");
-    // Stage tracing is sampled (1 in STAGE_SAMPLE_EVERY per thread), but
-    // the first query a worker serves always draws a ticket, so every
-    // stage histogram has between 1 and 6 samples here.
+    // Requests are sampled 1 in STAGE_SAMPLE_EVERY per connection, the
+    // first always: of these six queries exactly the first is sampled, and
+    // every stage histogram holds that one sample.
     for name in [
         "query_scan_ns",
         "query_locate_ns",
@@ -369,55 +371,44 @@ fn metrics_scrape_reflects_served_queries() {
         "query_report_ns",
     ] {
         let stage = scrape.histogram(name).expect(name);
-        assert!(
-            (1..=6).contains(&stage.count),
-            "stage {name} must see sampled queries, got {}",
-            stage.count
-        );
+        assert_eq!(stage.count, 1, "stage {name} must see the sampled query");
     }
     // One admitted connection recorded one queue-wait sample.
     assert!(
         scrape.histogram("queue_wait_ns").expect("queue wait").count >= 1,
         "queue-wait must be recorded"
     );
-    // Service time is recorded per op byte, sampled per connection at the
-    // stage-tracing rate with the first request always recorded: QUERY (1)
-    // must be present with 1..=6 samples, STATS (2) not yet (the
-    // in-flight scrape is recorded only after its response is sent).
+    // Service time is recorded per op byte for the same sampled requests:
+    // QUERY (1) holds the one sample, STATS (2) none yet (the in-flight
+    // scrape is recorded only after its response is sent).
     let query_service = scrape
         .histogram("op_service_ns_query")
         .expect("QUERY service histogram");
-    assert!(
-        (1..=6).contains(&query_service.count),
-        "sampled QUERY service count, got {}",
-        query_service.count
-    );
+    assert_eq!(query_service.count, 1, "sampled QUERY service count");
     assert_eq!(scrape.histogram("op_service_ns_stats"), None);
     // Histogram invariant on a real scrape: quantiles are monotone.
     let scan = scrape.histogram("query_scan_ns").expect("scan");
     assert!(scan.p50() <= scan.p99());
-    // The zero threshold put every query into the slow-query log.
+    // The zero threshold put every query into the slow ring.
     assert_eq!(scrape.value("slow_query_threshold_ns"), Some(0));
     assert_eq!(scrape.value("slow_queries"), Some(6));
-    // The entries themselves are events, answered by TRACE_DUMP.
+    // The records themselves are events, answered by TRACE_DUMP: each
+    // query with its pattern length, its retained ranks (the whole 8-rank
+    // pattern, shorter than the 16-rank cap) and its reported count.
     let dump = client.trace_dump().expect("trace dump");
-    assert!(
-        dump.slow_queries.len() >= 6,
-        "all queries must be logged as slow at threshold 0, got {}",
-        dump.slow_queries.len()
-    );
-    assert!(dump.slow_queries.iter().all(|entry| entry.pattern_len == 8));
-    // Every slow entry retains the pattern prefix (the full 8-rank pattern
-    // here, since it is shorter than the 16-byte cap).
-    assert!(dump
-        .slow_queries
+    let slow: Vec<_> = dump.iter().filter(|r| r.ring == FlightRing::Slow).collect();
+    assert_eq!(slow.len(), 6, "all queries are slow at threshold 0");
+    assert!(slow
         .iter()
-        .all(|entry| entry.prefix() == &pattern[..]));
-    // The ring-occupancy gauges reflect the same entries, and advertise
+        .all(|r| r.facts.pattern_len == 8 && r.facts.prefix() == &pattern[..]));
+    assert!(slow
+        .iter()
+        .all(|r| r.facts.reported == slow[0].facts.reported));
+    // The ring-occupancy gauges reflect the same records, and advertise
     // non-trivial capacities.
     let gauge = |name: &str| scrape.value(name).expect(name);
-    assert_eq!(gauge("slow_ring_len"), dump.slow_queries.len() as u64);
-    assert!(gauge("slow_ring_capacity") >= gauge("slow_ring_len"));
+    assert_eq!(gauge("flight_slow_len"), slow.len() as u64);
+    assert!(gauge("flight_slow_capacity") >= gauge("flight_slow_len"));
     assert!(gauge("flight_recent_capacity") > 0);
     assert!(gauge("flight_pinned_capacity") > 0);
     server.shutdown();
@@ -662,13 +653,13 @@ fn trace_dump_round_trips_over_the_wire() {
     // next frame — so a same-connection TRACE_DUMP must see the query.
     let pattern = vec![0u8; 8];
     client.query(&pattern).expect("query");
-    let records = client.trace_dump().expect("trace dump").traces;
+    let records = client.trace_dump().expect("trace dump");
     let query_trace = records
         .iter()
-        .find(|r| r.op == 1 && !r.pinned)
+        .find(|r| r.facts.op == 1 && r.ring == FlightRing::Recent)
         .expect("the sampled QUERY must be in the recent ring");
-    assert_eq!(query_trace.error, ius_server::TRACE_NO_ERROR);
-    assert!(query_trace.total_ns > 0);
+    assert_eq!(query_trace.facts.error, ius_server::TRACE_NO_ERROR);
+    assert!(query_trace.facts.total_ns > 0);
     let codes: Vec<u16> = query_trace.spans.iter().map(|s| s.code).collect();
     for stage in [
         ius_obs::trace::STAGE_QUEUE_WAIT,
@@ -737,10 +728,10 @@ fn live_trace_dump_records_every_segment_then_the_memtable() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     // The first request on a connection always draws a trace ticket.
     client.query(&[0u8; 8]).expect("query");
-    let records = client.trace_dump().expect("trace dump").traces;
+    let records = client.trace_dump().expect("trace dump");
     let query_trace = records
         .iter()
-        .find(|r| r.op == 1 && !r.pinned)
+        .find(|r| r.facts.op == 1 && r.ring == FlightRing::Recent)
         .expect("the sampled QUERY must be in the recent ring");
     let query_span = query_trace
         .spans
@@ -778,13 +769,21 @@ fn error_traces_are_pinned_and_drained_over_the_wire() {
             ..
         }
     ));
-    let records = client.trace_dump().expect("trace dump").traces;
+    let records = client.trace_dump().expect("trace dump");
     let pinned = records
         .iter()
-        .find(|r| r.pinned)
+        .find(|r| r.ring == FlightRing::Errors)
         .expect("the error trace must be pinned");
-    assert_eq!(pinned.op, 1, "the failing op was QUERY");
-    assert_eq!(pinned.error, 3, "the QUERY_ERROR code byte is recorded");
+    assert_eq!(pinned.facts.op, 1, "the failing op was QUERY");
+    assert_eq!(
+        pinned.facts.error, 3,
+        "the QUERY_ERROR code byte is recorded"
+    );
+    assert_eq!(
+        pinned.facts.prefix(),
+        &[0u8; 3],
+        "the refused pattern is kept"
+    );
     assert!(pinned
         .spans
         .iter()
@@ -811,5 +810,179 @@ fn trace_dump_request_with_trailing_bytes_is_refused_typed() {
         }
         other => panic!("expected an error frame, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// The codes of the spans directly below `spans[at]` in a pre-order tree.
+fn children(spans: &[ius_obs::trace::Span], at: usize) -> Vec<u16> {
+    let depth = spans[at].depth;
+    spans[at + 1..]
+        .iter()
+        .take_while(|s| s.depth > depth)
+        .filter(|s| s.depth == depth + 1)
+        .map(|s| s.code)
+        .collect()
+}
+
+const STAGE_LEAVES: [u16; 4] = [
+    ius_obs::trace::STAGE_SCAN,
+    ius_obs::trace::STAGE_LOCATE,
+    ius_obs::trace::STAGE_VERIFY,
+    ius_obs::trace::STAGE_REPORT,
+];
+
+/// Sampling is one decision per request, made per connection: the first
+/// query of a connection is sampled and its trace carries the engine's
+/// stage leaves, whatever the worker thread served before.
+#[test]
+fn a_sampled_query_carries_its_stage_leaves_on_every_connection() {
+    let config = ServerConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let (server, _, _) = start_server(&config);
+    let pattern = vec![0u8; 8];
+    {
+        // Connection A: three queries on the one worker, then close, so
+        // the worker moves on to connection B.
+        let mut a = Client::connect(server.local_addr()).expect("connect A");
+        for _ in 0..3 {
+            a.query(&pattern).expect("query on A");
+        }
+    }
+    let mut b = Client::connect(server.local_addr()).expect("connect B");
+    b.query(&pattern).expect("query on B");
+    let records = b.trace_dump().expect("trace dump");
+    let queries: Vec<_> = records
+        .iter()
+        .filter(|r| r.facts.op == 1 && r.ring == FlightRing::Recent)
+        .collect();
+    assert_eq!(
+        queries.len(),
+        2,
+        "the first query of A and of B are sampled"
+    );
+    let b_trace = queries[1];
+    let query_at = b_trace
+        .spans
+        .iter()
+        .position(|s| s.code == ius_obs::trace::STAGE_QUERY)
+        .expect("query span");
+    assert_eq!(
+        children(&b_trace.spans, query_at),
+        STAGE_LEAVES,
+        "B's sampled query lacks its stage leaves:\n{}",
+        b_trace.render()
+    );
+    server.shutdown();
+}
+
+/// A live query samples all of its parts or none: over 32 queries on one
+/// connection, exactly the two sampled requests feed the stage
+/// histograms, and every part of both traces holds its four stage leaves.
+#[test]
+fn a_sampled_live_query_times_every_part() {
+    let x = test_corpus();
+    let params = IndexParams::new(4.0, 8, x.sigma()).expect("params");
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::Array), params);
+    let config = ius_live::LiveConfig {
+        flush_threshold: 80,
+        auto_compact: false,
+        ..Default::default()
+    };
+    let live = ius_live::LiveIndex::new(x.alphabet().clone(), spec, 16, config).expect("live");
+    live.append(&x).expect("append");
+    let segments = live.live_stats().segments;
+    assert!(segments >= 3, "{segments} segments");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServedIndex::live(Arc::new(live)),
+        None,
+        &ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for i in 0..32u8 {
+        let pattern: Vec<u8> = (0..8).map(|j| (i >> (j % 5)) & 1).collect();
+        client.query(&pattern).expect("query");
+    }
+    let scrape = client.scrape().expect("scrape");
+    for name in [
+        "query_scan_ns",
+        "query_locate_ns",
+        "query_verify_ns",
+        "query_report_ns",
+    ] {
+        let stage = scrape.histogram(name).expect(name);
+        assert_eq!(stage.count, 2, "{name} counts the two sampled queries");
+    }
+    let records = client.trace_dump().expect("trace dump");
+    let sampled: Vec<_> = records
+        .iter()
+        .filter(|r| r.facts.op == 1 && r.ring == FlightRing::Recent)
+        .collect();
+    assert_eq!(sampled.len(), 2, "requests 0 and 16 are sampled");
+    for record in sampled {
+        let parts: Vec<usize> = (0..record.spans.len())
+            .filter(|&i| record.spans[i].code == ius_obs::trace::STAGE_PART)
+            .collect();
+        assert_eq!(parts.len(), segments, "one part span per segment");
+        for at in parts {
+            assert_eq!(
+                children(&record.spans, at),
+                STAGE_LEAVES,
+                "part {} lacks its stage leaves:\n{}",
+                record.spans[at].a,
+                record.render()
+            );
+        }
+    }
+    server.shutdown();
+}
+
+/// At threshold 0 every query is slow: each lands in the slow ring with
+/// its pattern length, first 16 ranks and reported count, exactly as the
+/// engine answers it; the sampled ones carry their span tree and the
+/// rest none.
+#[test]
+fn slow_queries_keep_their_pattern_count_and_sampled_spans() {
+    let config = ServerConfig {
+        slow_query_threshold: std::time::Duration::ZERO,
+        ..Default::default()
+    };
+    let (server, x, index) = start_server(&config);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let patterns: Vec<Vec<u8>> = (0..20u32)
+        .map(|i| (0..20).map(|j| ((i * 7 + j) % 5 == 0) as u8).collect())
+        .collect();
+    for pattern in &patterns {
+        client.query(pattern).expect("query");
+    }
+    let scrape = client.scrape().expect("scrape");
+    assert_eq!(scrape.value("slow_queries"), Some(patterns.len() as u64));
+    let records = client.trace_dump().expect("trace dump");
+    let slow: Vec<_> = records
+        .iter()
+        .filter(|r| r.ring == FlightRing::Slow)
+        .collect();
+    assert_eq!(slow.len(), patterns.len());
+    for (i, (record, pattern)) in slow.iter().zip(&patterns).enumerate() {
+        assert_eq!(record.facts.op, 1);
+        assert_eq!(record.facts.pattern_len, 20);
+        assert_eq!(record.facts.prefix(), &pattern[..16]);
+        let expected = index.query(pattern, &x).expect("engine").len() as u64;
+        assert_eq!(record.facts.reported, expected, "query {i}");
+        let sampled = i % ius_obs::clock::STAGE_SAMPLE_EVERY as usize == 0;
+        assert_eq!(
+            !record.spans.is_empty(),
+            sampled,
+            "query {i}: spans iff sampled"
+        );
+    }
+    // A slow record displays its query facts, as the panic-hook dump
+    // prints them.
+    let text = slow[1].render();
+    assert!(text.contains("ring=slow op=QUERY"), "{text}");
+    assert!(text.contains("pattern_len=20"), "{text}");
     server.shutdown();
 }

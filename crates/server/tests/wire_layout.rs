@@ -6,189 +6,30 @@
 //! layout change that keeps `WIRE_VERSION` fails here: bump the version
 //! when the layout moved, then re-pin.
 
+mod frames;
+
+use frames::{requests, responses, stats};
 use ius_faultio::crc32;
-use ius_obs::trace::Span;
-use ius_obs::HistogramSnapshot;
 use ius_server::protocol::{encode_matches_from_slice, encode_request, encode_response};
-use ius_server::{
-    ErrorCode, LiveSnapshot, Request, Response, ResultMode, Scrape, SlowQueryEntry, TraceDump,
-    TraceRecordSnapshot, Value, WireStats, SLOW_QUERY_PREFIX_LEN, WIRE_VERSION,
-};
+use ius_server::WIRE_VERSION;
 
-const PINNED_VERSION: u16 = 4;
-
-/// One request per op byte (every result mode of QUERY).
-fn requests() -> Vec<(&'static str, Request)> {
-    vec![
-        ("PING", Request::Ping),
-        (
-            "QUERY collect",
-            Request::Query {
-                mode: ResultMode::Collect,
-                pattern: vec![0, 1, 2, 1, 0, 3],
-            },
-        ),
-        (
-            "QUERY count",
-            Request::Query {
-                mode: ResultMode::Count,
-                pattern: vec![2, 2, 1],
-            },
-        ),
-        (
-            "QUERY first-k",
-            Request::Query {
-                mode: ResultMode::FirstK(17),
-                pattern: vec![1, 0, 1, 0, 1, 0, 1, 0],
-            },
-        ),
-        ("STATS", Request::Stats),
-        (
-            "RELOAD",
-            Request::Reload {
-                path: Some("indexes/corpus.iusx".into()),
-            },
-        ),
-        ("SHUTDOWN", Request::Shutdown),
-        (
-            "APPEND",
-            Request::Append {
-                sigma: 2,
-                probs: vec![0.25, 0.75, 1.0, 0.0, 0.5, 0.5],
-            },
-        ),
-        (
-            "DELETE_RANGE",
-            Request::DeleteRange {
-                start: 40,
-                end: 1 << 33,
-            },
-        ),
-        ("FLUSH", Request::Flush),
-        ("COMPACT", Request::Compact { full: true }),
-        ("TRACE_DUMP", Request::TraceDump),
-    ]
-}
-
-fn stats() -> WireStats {
-    WireStats {
-        candidates: 12,
-        verified: 9,
-        reported: 4,
-        grid_nodes: 3,
-    }
-}
-
-/// One response per status byte.
-fn responses() -> Vec<(&'static str, Response)> {
-    let mut scrape = Scrape::new();
-    scrape.push("requests", Value::Counter(1_234));
-    scrape.push("live_segments", Value::Gauge(5));
-    scrape.push(
-        "query_scan_ns",
-        Value::Histogram(HistogramSnapshot {
-            count: 3,
-            sum: 60,
-            min: 10,
-            max: 30,
-            buckets: vec![(10, 1), (20, 1), (30, 1)],
-        }),
-    );
-    scrape.push("index_name", Value::Info("MWSA-G".into()));
-    let mut prefix = [0u8; SLOW_QUERY_PREFIX_LEN];
-    prefix[..5].copy_from_slice(&[3, 1, 4, 1, 5]);
-    let dump = TraceDump {
-        traces: vec![TraceRecordSnapshot {
-            trace_id: 42,
-            op: 1,
-            error: 3,
-            started_ns: 1_000_000,
-            total_ns: 90_000,
-            truncated: true,
-            pinned: true,
-            spans: vec![
-                Span {
-                    code: ius_obs::trace::STAGE_QUERY,
-                    depth: 0,
-                    start_ns: 600,
-                    dur_ns: 40_000,
-                    a: 0,
-                    b: 7,
-                },
-                Span {
-                    code: ius_obs::trace::STAGE_VERIFY,
-                    depth: 1,
-                    start_ns: 0,
-                    dur_ns: 20_000,
-                    a: 11,
-                    b: 0,
-                },
-            ],
-        }],
-        slow_queries: vec![SlowQueryEntry {
-            ts_ns: 2_000,
-            duration_ns: 51_000_000,
-            pattern_len: 5,
-            reported: 2,
-            prefix_len: 5,
-            prefix,
-        }],
-    };
-    vec![
-        ("PONG", Response::Pong),
-        (
-            "MATCHES",
-            Response::Matches {
-                stats: stats(),
-                positions: vec![1, 5, 900, 1 << 40],
-            },
-        ),
-        (
-            "COUNT",
-            Response::Count {
-                stats: stats(),
-                count: 42,
-            },
-        ),
-        ("STATS", Response::Stats(scrape)),
-        ("RELOADED", Response::Reloaded { generation: 3 }),
-        ("SHUTTING_DOWN", Response::ShuttingDown),
-        (
-            "LIVE",
-            Response::Live(LiveSnapshot {
-                corpus_len: 123_456,
-                segments: 7,
-                memtable_rows: 300,
-                tombstones: 2,
-                changed: 512,
-            }),
-        ),
-        ("TRACE_DUMP", Response::TraceDump(dump)),
-        (
-            "ERROR",
-            Response::Error {
-                code: ErrorCode::Live,
-                message: "alphabet mismatch".into(),
-            },
-        ),
-    ]
-}
+const PINNED_VERSION: u16 = 5;
 
 #[test]
 fn every_request_frame_layout_is_pinned() {
     const PINNED: [(&str, u32); 12] = [
-        ("PING", 0xb566ee74),
-        ("QUERY collect", 0xfc490340),
-        ("QUERY count", 0xfc6b9348),
-        ("QUERY first-k", 0x19d8a12f),
-        ("STATS", 0x0684de54),
-        ("RELOAD", 0x8091ac9a),
-        ("SHUTDOWN", 0xc11153e7),
-        ("APPEND", 0x66346ff6),
-        ("DELETE_RANGE", 0x9af2cd71),
-        ("FLUSH", 0x2b618ffd),
-        ("COMPACT", 0x96d44cfd),
-        ("TRACE_DUMP", 0x7b26dbc6),
+        ("PING", 0x74e831b4),
+        ("QUERY collect", 0xeb616780),
+        ("QUERY count", 0x2b891310),
+        ("QUERY first-k", 0xe802a485),
+        ("STATS", 0xc70a0194),
+        ("RELOAD", 0xa413fdac),
+        ("SHUTDOWN", 0x009f8c27),
+        ("APPEND", 0x9a6aa86b),
+        ("DELETE_RANGE", 0xf47ed630),
+        ("FLUSH", 0xeaef503d),
+        ("COMPACT", 0x0d710092),
+        ("TRACE_DUMP", 0xbaa80406),
     ];
     let mut frame = Vec::new();
     let got: Vec<(&str, u32)> = requests()
@@ -213,15 +54,15 @@ fn every_request_frame_layout_is_pinned() {
 #[test]
 fn every_response_frame_layout_is_pinned() {
     const PINNED: [(&str, u32); 9] = [
-        ("PONG", 0x220ccfe0),
-        ("MATCHES", 0xcbf0b850),
-        ("COUNT", 0xe124351a),
-        ("STATS", 0xf93ab249),
-        ("RELOADED", 0x2cf9a58a),
-        ("SHUTTING_DOWN", 0x18f17e20),
-        ("LIVE", 0xdbbc8fa1),
-        ("TRACE_DUMP", 0x6d09509b),
-        ("ERROR", 0x92d4922d),
+        ("PONG", 0xe3821020),
+        ("MATCHES", 0xcd8f6cae),
+        ("COUNT", 0x2b1ac689),
+        ("STATS", 0xecba84b0),
+        ("RELOADED", 0xfb1b25d2),
+        ("SHUTTING_DOWN", 0xd97fa1e0),
+        ("LIVE", 0x11827c32),
+        ("TRACE_DUMP", 0xdec2aa0b),
+        ("ERROR", 0xa42602de),
     ];
     let mut frame = Vec::new();
     let got: Vec<(&str, u32)> = responses()

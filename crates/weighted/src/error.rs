@@ -11,8 +11,15 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// The alphabet is empty, too large, or contains duplicate symbols.
     InvalidAlphabet(String),
-    /// A symbol that is not part of the alphabet was encountered.
+    /// A symbol byte that is not part of the alphabet was encountered.
     UnknownSymbol(u8),
+    /// A pattern holds a letter rank outside the alphabet `0..sigma`.
+    RankOutOfRange {
+        /// The first offending rank.
+        rank: u8,
+        /// Size of the alphabet the pattern was checked against.
+        sigma: usize,
+    },
     /// A per-position probability distribution is malformed (wrong arity,
     /// negative entries, or does not sum to 1 within tolerance).
     InvalidDistribution {
@@ -67,6 +74,9 @@ impl fmt::Display for Error {
             Error::UnknownSymbol(sym) => {
                 write!(f, "symbol {:?} (0x{sym:02x}) is not in the alphabet", *sym as char)
             }
+            Error::RankOutOfRange { rank, sigma } => {
+                write!(f, "pattern rank {rank} is outside the alphabet (σ = {sigma})")
+            }
             Error::InvalidDistribution { position, reason } => {
                 write!(f, "invalid probability distribution at position {position}: {reason}")
             }
@@ -107,6 +117,11 @@ mod tests {
     fn display_is_informative() {
         let e = Error::UnknownSymbol(b'Z');
         assert!(e.to_string().contains('Z'));
+        let e = Error::RankOutOfRange { rank: 3, sigma: 2 };
+        assert_eq!(
+            e.to_string(),
+            "pattern rank 3 is outside the alphabet (σ = 2)"
+        );
         let e = Error::PositionOutOfBounds {
             position: 7,
             length: 3,

@@ -36,6 +36,7 @@ fn weighted_error_messages_are_informative() {
     let samples = [
         WeightedError::InvalidAlphabet("duplicate symbol".into()),
         WeightedError::UnknownSymbol(b'q'),
+        WeightedError::RankOutOfRange { rank: 3, sigma: 2 },
         WeightedError::InvalidDistribution {
             position: 4,
             reason: "sums to 1.2".into(),

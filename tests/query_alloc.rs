@@ -164,22 +164,22 @@ fn live_query_is_allocation_free_after_warmup() {
 /// The serving hot path is `query_into` **plus** metrics recording: the
 /// server's per-worker registry (exact filter counters, sampled stage
 /// timings into log-linear histograms), its shared op counters, and the
-/// slow-query ring. All of it must stay allocation-free in steady state —
-/// the observability layer's core promise.
+/// flight recorder's slow ring. All of it must stay allocation-free in
+/// steady state — the observability layer's core promise.
 #[test]
 fn instrumented_query_recording_is_allocation_free_after_warmup() {
-    use ius_obs::clock;
-    use ius_server::{ServerMetrics, SlowRing, WorkerObs};
+    use ius_obs::{clock, trace};
+    use ius_server::{FlightRecorder, RequestFacts, ServerMetrics, WorkerObs, TRACE_NO_ERROR};
     let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
         MinimizerIndex::build_from_estimation(&x, &est, params, IndexVariant::ArrayGrid).unwrap();
     let mut scratch = QueryScratch::new();
-    // The server's own registries: histograms and the slow ring allocate
-    // once here, never on the recording path.
+    // The server's own registries: histograms and the rings allocate once
+    // here, never on the recording path.
     let obs = WorkerObs::new();
     let metrics = ServerMetrics::new();
-    let slow_log = SlowRing::new(128);
+    let flight = FlightRecorder::new();
     clock::warm_up();
     assert!(clock::enabled(), "timing must be on for this test");
 
@@ -192,28 +192,29 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
     }
 
     // Steady state: query + full metrics recording, zero heap traffic.
-    // Stage recording mirrors the server: only queries that drew a
-    // stage-tracing ticket (1 in `clock::STAGE_SAMPLE_EVERY`) carry
-    // stamped stage fields and reach the stage histograms.
+    // Stage recording mirrors the server: one request in
+    // `clock::STAGE_SAMPLE_EVERY` arms a trace, and exactly those queries
+    // carry stamped stage fields and reach the stage histograms. Every
+    // query is slow (threshold 0), so each lands in the slow ring.
+    let every = clock::STAGE_SAMPLE_EVERY as usize;
     let ((recorded, timed, candidates), mem) = ius_memtrack::measure(|| {
         let mut sink = CountSink::new();
         let (mut timed, mut candidates) = (0u64, 0u64);
-        for pattern in &patterns {
+        for (i, pattern) in patterns.iter().enumerate() {
             let start = clock::now_ns();
+            let sampled = i % every == 0 && trace::begin(trace::next_trace_id());
             let stats = index
                 .query_into(pattern, &x, &mut scratch, &mut sink)
                 .unwrap();
+            assert_eq!(stats.timed, sampled, "stages are stamped iff sampled");
             timed += u64::from(stats.timed);
             candidates += stats.candidates as u64;
             obs.record_query(&stats);
             metrics.queries.inc();
             let elapsed = clock::now_ns().saturating_sub(start);
-            slow_log.record(
-                elapsed,
-                pattern.len() as u64,
-                pattern,
-                stats.reported as u64,
-            );
+            let facts = RequestFacts::new(1, TRACE_NO_ERROR, start, elapsed)
+                .with_query(pattern, stats.reported as u64);
+            flight.record(&facts, true);
         }
         (metrics.queries.get(), timed, candidates)
     });
@@ -225,16 +226,12 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
     );
     assert_eq!(mem.retained_bytes, 0, "instrumentation retained heap");
     assert_eq!(recorded as usize, patterns.len());
-    // 60 patterns at a 1-in-16 ticket guarantee several timed queries on
-    // this thread no matter where the tick starts.
-    assert!(
-        timed >= 1,
-        "sampling must trace some of {} queries",
-        recorded
-    );
+    assert_eq!(timed as usize, patterns.len().div_ceil(every));
     assert_eq!(obs.query_scan.count(), timed);
     assert_eq!(obs.candidates.get(), candidates, "exact, unsampled");
-    assert_eq!(slow_log.recorded(), patterns.len() as u64);
+    let mut scrape = ius_server::Scrape::new();
+    flight.scrape_into(&mut scrape);
+    assert_eq!(scrape.value("slow_queries"), Some(patterns.len() as u64));
     // The stage stamps really measured something on this build.
     assert!(
         obs.query_scan.snapshot().sum > 0,
@@ -243,14 +240,18 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
 }
 
 /// The fully traced serving path — span tree into the thread-local trace
-/// buffer, flight-recorder push, slow-query ring push with its pattern
-/// prefix — must stay allocation-free in steady state, on sampled and
-/// unsampled requests alike. This is the budget behind the <2%
+/// buffer, then one flight-recorder record with its pattern prefix — must
+/// stay allocation-free in steady state, on sampled, unsampled and
+/// unsampled-slow requests alike. This is the budget behind the <2%
 /// instrumentation-overhead acceptance row.
 #[test]
 fn traced_query_path_is_allocation_free_after_warmup() {
+    use ius_index::overlap::trace_stages;
     use ius_obs::{clock, trace};
-    use ius_server::{FlightRecorder, SlowRing, TRACE_NO_ERROR};
+    use ius_server::{
+        FlightRecorder, FlightRing, RequestFacts, FLIGHT_RECENT_CAPACITY, FLIGHT_SLOW_CAPACITY,
+        TRACE_NO_ERROR,
+    };
     let _serial = serialize();
     let (x, est, patterns, params) = workload();
     let index =
@@ -259,17 +260,18 @@ fn traced_query_path_is_allocation_free_after_warmup() {
     // The rings preallocate at construction, exactly like the server's
     // shared state; nothing below may touch the allocator again.
     let flight = FlightRecorder::new();
-    let slow = SlowRing::new(64);
     clock::warm_up();
     assert!(clock::enabled(), "timing must be on for this test");
 
     // Mirrors one served request: arm the trace on sampled requests, wrap
-    // the query in a STAGE_QUERY span with stage leaves, then push the
-    // finished trace into the flight recorder and the timing into the
-    // slow ring.
-    let run_one = |pattern: &Vec<u8>, sampled: bool, scratch: &mut QueryScratch| -> u64 {
+    // the query in a STAGE_QUERY span with its stage leaves, then hand the
+    // request to the flight recorder. Requests cycle through sampled,
+    // unsampled and unsampled-slow.
+    let run_one = |i: usize, pattern: &Vec<u8>, scratch: &mut QueryScratch| -> u64 {
+        let (sampled, slow) = (i.is_multiple_of(3), i % 3 == 2);
         let start = clock::now_ns();
         let armed = sampled && trace::begin(trace::next_trace_id());
+        assert_eq!(armed, sampled, "arming must follow the sampling decision");
         if armed {
             trace::leaf(trace::STAGE_QUEUE_WAIT, 120, 0, 0);
             trace::enter(trace::STAGE_QUERY);
@@ -277,41 +279,27 @@ fn traced_query_path_is_allocation_free_after_warmup() {
         let mut sink = CountSink::new();
         let stats = index.query_into(pattern, &x, scratch, &mut sink).unwrap();
         if armed {
-            if stats.timed {
-                trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                trace::leaf(
-                    trace::STAGE_VERIFY,
-                    stats.verify_ns,
-                    stats.candidates as u64,
-                    0,
-                );
-            }
+            trace_stages(&stats);
             trace::exit_with(stats.candidates as u64, stats.reported as u64);
         }
         let elapsed = clock::now_ns().saturating_sub(start);
-        let recorded = trace::finish(|buf| {
-            flight.record(buf, 1, TRACE_NO_ERROR, elapsed);
-        });
-        assert_eq!(recorded.is_some(), sampled, "arming must follow the ticket");
-        slow.record(
-            elapsed,
-            pattern.len() as u64,
-            pattern,
-            stats.reported as u64,
-        );
+        let facts = RequestFacts::new(1, TRACE_NO_ERROR, start, elapsed)
+            .with_query(pattern, stats.reported as u64);
+        flight.record(&facts, slow);
+        assert!(!trace::active(), "the record finished the trace");
         stats.reported as u64
     };
 
-    // Warm-up pass, alternating sampled and unsampled requests.
+    // Warm-up pass.
     for (i, pattern) in patterns.iter().enumerate() {
-        run_one(pattern, i % 2 == 0, &mut scratch);
+        run_one(i, pattern, &mut scratch);
     }
 
     // Steady state: the whole traced request loop, zero heap traffic.
     let (reported, mem) = ius_memtrack::measure(|| {
         let mut reported = 0u64;
         for (i, pattern) in patterns.iter().enumerate() {
-            reported += run_one(pattern, i % 2 == 0, &mut scratch);
+            reported += run_one(i, pattern, &mut scratch);
         }
         reported
     });
@@ -325,14 +313,25 @@ fn traced_query_path_is_allocation_free_after_warmup() {
     );
     assert_eq!(mem.retained_bytes, 0, "traced path retained heap");
     assert!(reported > 0, "workload found occurrences");
-    // Both rings really absorbed the pushes.
+    // Both rings really absorbed the records: sampled ones with their span
+    // tree and stage leaves, unsampled slow ones with none.
     let snapshot = flight.snapshot();
-    assert!(!snapshot.is_empty(), "flight recorder captured traces");
-    assert_eq!(slow.recorded(), 2 * patterns.len() as u64);
-    // Sampled traces carry the span tree.
-    assert!(snapshot
+    let recent: Vec<_> = snapshot
         .iter()
-        .any(|t| t.spans.iter().any(|s| s.code == trace::STAGE_QUERY)));
+        .filter(|r| r.ring == FlightRing::Recent)
+        .collect();
+    let slow: Vec<_> = snapshot
+        .iter()
+        .filter(|r| r.ring == FlightRing::Slow)
+        .collect();
+    // Two passes over the workload (warm-up and measured).
+    let kept = |class: usize| 2 * (0..patterns.len()).filter(|i| i % 3 == class).count();
+    assert_eq!(recent.len(), kept(0).min(FLIGHT_RECENT_CAPACITY));
+    assert_eq!(slow.len(), kept(2).min(FLIGHT_SLOW_CAPACITY));
+    assert!(recent
+        .iter()
+        .all(|r| r.spans.iter().any(|s| s.code == trace::STAGE_VERIFY)));
+    assert!(slow.iter().all(|r| r.spans.is_empty()));
 }
 
 #[test]
