@@ -74,7 +74,7 @@ struct Config {
     bench_reps: usize,
     bench_patterns: usize,
     bench_threads: Option<Vec<usize>>,
-    bench_workers: Vec<usize>,
+    bench_workers: usize,
     bench_clients: usize,
     bench_batch: usize,
     bench_ops: usize,
@@ -173,7 +173,7 @@ fn main() {
             n: config.bench_n,
             patterns,
             clients: config.bench_clients,
-            workers: config.bench_workers.iter().copied().max().unwrap_or(2),
+            workers: config.bench_workers,
             rates: config.bench_rates.clone(),
             requests_per_rate: (patterns * 10).clamp(40, 4_000),
             ..Default::default()
@@ -345,8 +345,7 @@ fn print_help() {
          \x20                      slo/update at 400)\n\
          \x20 --bench-threads <t,..> thread sweep of --bench-update (0 = all CPUs; default:\n\
          \x20                      1,2,all CPUs)\n\
-         \x20 --bench-workers <w,..> server worker counts for --bench-slo (the largest is\n\
-         \x20                      used; default 1,2,4)\n\
+         \x20 --bench-workers <w>  server worker threads for --bench-slo (default 4)\n\
          \x20 --bench-clients <c>  concurrent sender threads for --bench-slo (default 4)\n\
          \x20 --bench-rates <r,..> arrival rates (req/s) for --bench-slo (default: fractions\n\
          \x20                      of each corpus's measured closed-loop throughput)\n\
@@ -372,7 +371,7 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut bench_reps = 3usize;
     let mut bench_patterns = 400usize;
     let mut bench_threads = None;
-    let mut bench_workers = vec![1usize, 2, 4];
+    let mut bench_workers = 4usize;
     let mut bench_clients = 4usize;
     let mut bench_batch = 2_000usize;
     let mut bench_ops = 400usize;
@@ -443,12 +442,10 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
                 bench_workers = args
                     .get(i + 1)
                     .ok_or("--bench-workers needs a value")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<usize>, _>>()
+                    .parse()
                     .map_err(|e| format!("bad --bench-workers: {e}"))?;
-                if bench_workers.is_empty() || bench_workers.contains(&0) {
-                    return Err("--bench-workers needs positive worker counts".into());
+                if bench_workers == 0 {
+                    return Err("--bench-workers needs a positive worker count".into());
                 }
                 i += 2;
             }

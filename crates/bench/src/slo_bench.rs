@@ -94,12 +94,12 @@ impl SloBenchConfig {
     ///
     /// The serving model dedicates a worker to a connection for the
     /// connection's whole lifetime (the wire protocol is strict
-    /// request→response lockstep — multiplexing is ROADMAP item 4's
-    /// serving half). A sender connection beyond the pool is therefore
-    /// only picked up when an earlier connection *closes*; in an
-    /// open-loop sweep nothing closes until the schedule ends, so such a
-    /// sender's every latency would include the wait for a worker —
-    /// measuring connection starvation, not service under load.
+    /// request→response lockstep — multiplexing is ROADMAP item 11). A
+    /// sender connection beyond the pool is therefore only picked up when
+    /// an earlier connection *closes*; in an open-loop sweep nothing
+    /// closes until the schedule ends, so such a sender's every latency
+    /// would include the wait for a worker — measuring connection
+    /// starvation, not service under load.
     pub fn sender_connections(&self) -> usize {
         self.clients.min(self.workers).max(1)
     }

@@ -1,6 +1,6 @@
 //! Durability I/O primitives shared by the persistence and WAL layers.
 //!
-//! Three pieces, all std-only:
+//! Four pieces, all std-only:
 //!
 //! * a hand-rolled **CRC32** (IEEE 802.3, the polynomial used by zip/png)
 //!   with incremental hashing, so every on-disk format can carry a
@@ -14,10 +14,15 @@
 //!   (ENOSPC), torn writes, device crashes after N bytes, and failing
 //!   fsyncs, each surfaced as the same typed `io::Error` a real kernel
 //!   would return. The bytes that "survived" are inspectable afterwards,
-//!   which is what the crash-recovery property tests replay from.
+//!   which is what the crash-recovery property tests replay from;
+//! * [`mutate`], the seeded mutation sweeps of the corruption suites:
+//!   byte flips and boundary-value word overwrites with every CRC32
+//!   re-sealed, run under one watchdog.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod mutate;
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};

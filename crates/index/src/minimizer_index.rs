@@ -402,13 +402,13 @@ impl MinimizerIndex {
         sink: &mut dyn MatchSink,
     ) -> Result<QueryStats> {
         validate_pattern(pattern, self.params.ell, x.sigma())?;
-        // Stages are stamped iff the request was sampled: the caller armed
+        // Stages are timed iff the request was sampled: the caller armed
         // a trace on this thread (one request in `clock::STAGE_SAMPLE_EVERY`
-        // per connection, never while the clock is stubbed). A timed
-        // query's stamps are chained — each boundary is read once and ends
-        // one stage while starting the next, so four stages cost five
-        // reads; an untimed query pays one thread-local flag read and
-        // leaves the stage fields 0.
+        // per server worker). A timed query's stamps are chained — each
+        // boundary is read once and ends one stage while starting the
+        // next, so four stages cost five reads — and its four stage leaves
+        // go into that trace; an untimed query pays one thread-local flag
+        // read.
         let timed = trace::active();
         let stamp = || if timed { clock::now_ns() } else { 0 };
         let t_scan = stamp();
@@ -422,17 +422,12 @@ impl MinimizerIndex {
             .extend(pattern[..=mu].iter().rev().copied());
 
         let t_locate = stamp();
-        let mut stats = QueryStats {
-            scan_ns: t_locate.saturating_sub(t_scan),
-            timed,
-            ..QueryStats::default()
-        };
+        let mut stats = QueryStats::default();
         scratch.positions.clear();
-        let t_report = if self.variant().has_grid() {
+        let (t_verify, t_report) = if self.variant().has_grid() {
             let fwd_range = self.locate(&self.fwd, self.fwd_trie.as_ref(), suffix_part);
             let bwd_range = self.locate(&self.bwd, self.bwd_trie.as_ref(), &scratch.pattern_rev);
             let t_verify = stamp();
-            stats.locate_ns = t_verify.saturating_sub(t_locate);
             let rect = Rect::new(
                 (fwd_range.0 as u32, fwd_range.1 as u32),
                 (bwd_range.0 as u32, bwd_range.1 as u32),
@@ -457,9 +452,7 @@ impl MinimizerIndex {
             });
             stats.candidates = candidates;
             stats.verified = verified;
-            let t = stamp();
-            stats.verify_ns = t.saturating_sub(t_verify);
-            t
+            (t_verify, stamp())
         } else {
             // Simple query (Section 5): walk the longer of the two parts and
             // verify every leaf below it against X. The reversed prefix part
@@ -477,7 +470,6 @@ impl MinimizerIndex {
                 };
             let (lo, hi) = self.locate(set, trie, part);
             let t_verify = stamp();
-            stats.locate_ns = t_verify.saturating_sub(t_locate);
             for leaf in lo..hi {
                 stats.candidates += 1;
                 let anchor = set.anchor_x(leaf);
@@ -493,12 +485,17 @@ impl MinimizerIndex {
                     scratch.positions.push(start);
                 }
             }
-            let t = stamp();
-            stats.verify_ns = t.saturating_sub(t_verify);
-            t
+            (t_verify, stamp())
         };
         stats.reported = finalize_into(&mut scratch.positions, false, sink);
-        stats.report_ns = stamp().saturating_sub(t_report);
+        if timed {
+            let t_end = stamp();
+            let verify_ns = t_report.saturating_sub(t_verify);
+            trace::leaf(trace::STAGE_SCAN, t_locate.saturating_sub(t_scan), 0, 0);
+            trace::leaf(trace::STAGE_LOCATE, t_verify.saturating_sub(t_locate), 0, 0);
+            trace::leaf(trace::STAGE_VERIFY, verify_ns, stats.candidates as u64, 0);
+            trace::leaf(trace::STAGE_REPORT, t_end.saturating_sub(t_report), 0, 0);
+        }
         Ok(stats)
     }
 

@@ -87,8 +87,10 @@ impl MatchSink for HomeSink<'_> {
 /// finalizes `scratch.merged` into its sink and overwrites `reported` with
 /// what the sink actually received.
 ///
-/// A traced query records one [`trace::STAGE_PART`] group per part (see
-/// [`trace_part`]). The first part error stops the fan-out and is returned.
+/// A traced query wraps each part in a wall-clocked [`trace::STAGE_PART`]
+/// span (`a` the part index, `b` its delivered count), which holds the
+/// part engine's stage leaves. The first part error stops the fan-out and
+/// is returned.
 ///
 /// # Errors
 ///
@@ -103,7 +105,6 @@ pub fn query_parts<'a>(
     // `take` leaves an empty vector behind) and put back afterwards.
     let mut merged = std::mem::take(&mut scratch.merged);
     merged.clear();
-    let traced = trace::active();
     let mut total = QueryStats::default();
     let mut outcome = Ok(());
     for (i, part) in parts.into_iter().enumerate() {
@@ -112,16 +113,14 @@ pub fn query_parts<'a>(
             home_len: part.home_len,
             offset: part.offset,
         };
-        match part
+        trace::enter(trace::STAGE_PART);
+        let result = part
             .index
-            .query_into(pattern, part.chunk, scratch, &mut home)
-        {
-            Ok(stats) => {
-                total.accumulate(&stats);
-                if traced {
-                    trace_part(trace::STAGE_PART, i, &stats);
-                }
-            }
+            .query_into(pattern, part.chunk, scratch, &mut home);
+        let reported = result.as_ref().map_or(0, |stats| stats.reported);
+        trace::exit_with(i as u64, reported as u64);
+        match result {
+            Ok(stats) => total.accumulate(&stats),
             Err(e) => {
                 outcome = Err(e);
                 break;
@@ -130,33 +129,6 @@ pub fn query_parts<'a>(
     }
     scratch.merged = merged;
     outcome.map(|()| total)
-}
-
-/// Records one part of a traced partitioned query as a duration-only group
-/// (`code`, the part's staged time, its index and its delivered count)
-/// with the stage breakdown nested inside when the part was timed (every
-/// engine part of a traced query is).
-pub fn trace_part(code: u16, index: usize, stats: &QueryStats) {
-    trace::group(code, stats.staged_ns(), index as u64, stats.reported as u64);
-    trace_stages(stats);
-    trace::end_group();
-}
-
-/// Records a timed query's scan/locate/verify/report breakdown as four
-/// duration-only leaves under the open span (nothing when the query was
-/// not timed).
-pub fn trace_stages(stats: &QueryStats) {
-    if stats.timed {
-        trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-        trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-        trace::leaf(
-            trace::STAGE_VERIFY,
-            stats.verify_ns,
-            stats.candidates as u64,
-            0,
-        );
-        trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
-    }
 }
 
 #[cfg(test)]

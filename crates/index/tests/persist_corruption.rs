@@ -6,13 +6,21 @@
 //! structurally valid either way, e.g. a probability byte) produce an index
 //! that still answers queries without panicking.
 //!
+//! A plain flip almost always stops at the CRC32 trailer, so a seeded
+//! sweep also mutates each file behind its header, **re-seals** the CRC
+//! and opens the result: the validators behind the checksum must refuse it
+//! typed, or the index must answer queries.
+//!
 //! Runs across **all** families.
 
+use ius_faultio::mutate::{mutations, reseal, sweep};
 use ius_index::{load_index, IndexFamily, IndexParams, IndexSpec, UncertainIndex};
 use ius_weighted::WeightedString;
 use proptest::prelude::*;
 use std::io::ErrorKind;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// `(label, serialized bytes)` for every family over one fixed corpus,
 /// built once for the whole test binary.
@@ -41,6 +49,22 @@ fn corpus() -> WeightedString {
         seed: 0xC0BB,
     }
     .generate()
+}
+
+/// Patterns every loaded index is queried with: two that rarely occur and
+/// two windows of the corpus's most likely letters, which do.
+fn probe_patterns(x: &WeightedString) -> Vec<Vec<u8>> {
+    let heavy = |start: usize, len: usize| -> Vec<u8> {
+        (start..start + len)
+            .map(|p| {
+                x.letters_at(p)
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("a row has a letter")
+                    .0
+            })
+            .collect()
+    };
+    vec![vec![0u8; 8], vec![1u8; 12], heavy(10, 8), heavy(100, 16)]
 }
 
 /// The error kinds a corrupted file may legally fail with.
@@ -135,4 +159,86 @@ fn header_corruptions_fail_with_informative_messages() {
     // Empty file.
     let err = load_index(&mut [].as_slice()).unwrap_err();
     assert!(is_typed_load_error(err.kind()));
+}
+
+/// Bytes of the IUSX envelope header: magic (4) · version (u16) · family
+/// tag (u8) · envelope length (u64).
+const IUSX_HEADER_LEN: usize = 15;
+
+/// The re-sealed sweep: 1,000 seeded mutations per family behind the header
+/// (byte flips and aligned `u32`/`u64` overwrites with boundary values),
+/// each with its CRC32 trailer re-sealed. Every case must load and answer
+/// — as a server would serve it, so a minimizer file recording another
+/// corpus length is refused the way `ServedIndex::load` refuses it — or
+/// fail with a typed error; none may panic or hang. No refusal may be a
+/// checksum mismatch: each case reaches the validators behind the CRC.
+#[test]
+fn resealed_mutations_open_typed_or_answer() {
+    let x = corpus();
+    let patterns = probe_patterns(&x);
+    let mut cases = Vec::new();
+    for (f, (label, bytes)) in family_files().iter().enumerate() {
+        let body = IUSX_HEADER_LEN..bytes.len() - 4;
+        for mutation in mutations(body, CASES_PER_FAMILY, 0x1055_0000 + f as u64) {
+            cases.push(Case {
+                label,
+                bytes,
+                mutation,
+            });
+        }
+    }
+    let total = cases.len();
+    let answered = Arc::new(AtomicUsize::new(0));
+    let answers = answered.clone();
+    let failures = sweep("IUSX", cases, Duration::from_secs(120), move |case| {
+        let mut corrupted = case.bytes.clone();
+        case.mutation.apply(&mut corrupted);
+        let trailer = corrupted.len() - 4;
+        reseal(&mut corrupted, 0..trailer);
+        match load_index(&mut corrupted.as_slice()) {
+            Err(err) if err.to_string().contains("checksum mismatch") => {
+                Err(format!("not re-sealed: {err}"))
+            }
+            Err(err) if is_typed_load_error(err.kind()) => Ok(()),
+            Err(err) => Err(format!("untyped kind {:?}: {err}", err.kind())),
+            Ok(index) if index.corpus_len_hint().is_some_and(|n| n != x.len()) => Ok(()),
+            Ok(index) => {
+                for pattern in &patterns {
+                    let _ = index.query(pattern, &x);
+                }
+                answers.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+    });
+    assert_eq!(total, IndexFamily::all().len() * CASES_PER_FAMILY);
+    assert!(
+        failures.is_empty(),
+        "{} of {total} re-sealed mutations failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    // Payload bytes that stay structurally valid (a probability, a z) open
+    // and answer; the rest is refused by the validators.
+    let answered = answered.load(Ordering::Relaxed);
+    assert!(
+        answered > total / 20 && answered < total,
+        "{answered} of {total} mutated files answered"
+    );
+}
+
+/// Seeded mutations per family in the re-sealed sweep.
+const CASES_PER_FAMILY: usize = 1_000;
+
+/// One case of the re-sealed sweep: a family's file and its mutation.
+struct Case {
+    label: &'static str,
+    bytes: &'static Vec<u8>,
+    mutation: ius_faultio::mutate::Mutation,
+}
+
+impl std::fmt::Display for Case {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.label, self.mutation)
+    }
 }

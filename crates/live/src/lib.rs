@@ -95,7 +95,7 @@ pub use wal::FsyncPolicy;
 use crate::wal::{Wal, WalRecord};
 use ius_exec::{Executor, WorkerPool};
 use ius_faultio::DurableSink;
-use ius_index::overlap::{overlap_len, query_parts, trace_part, Part};
+use ius_index::overlap::{overlap_len, query_parts, Part};
 use ius_index::{validate_pattern, AnyIndex, IndexSpec, IndexStats, UncertainIndex};
 use ius_obs::{clock, trace, Counter, Histogram, Scrape, Value};
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
@@ -342,8 +342,8 @@ pub struct LiveStats {
 
 /// Allocation-free timing registry of the background machinery: flush and
 /// compaction durations, WAL `fsync` latency, replay throughput and
-/// compaction swap races. Recording is a few relaxed atomic adds, gated on
-/// [`ius_obs::clock::enabled`]; [`LiveIndex::scrape_into`] reads it.
+/// compaction swap races. Recording is a few relaxed atomic adds;
+/// [`LiveIndex::scrape_into`] reads it.
 pub(crate) struct LiveObs {
     /// Duration of each memtable flush (plan + build + swap), ns.
     pub(crate) flush: Histogram,
@@ -910,12 +910,10 @@ impl LiveIndex {
             *holder = Arc::new(state);
         }
         self.inner.flushes.fetch_add(1, Ordering::Relaxed);
-        if clock::enabled() {
-            self.inner
-                .obs
-                .flush
-                .record(clock::now_ns().saturating_sub(flush_start));
-        }
+        self.inner
+            .obs
+            .flush
+            .record(clock::now_ns().saturating_sub(flush_start));
         // Wake the background compactor: a flush is what grows the
         // segment list.
         {
@@ -1138,23 +1136,17 @@ impl LiveIndex {
         let mut total = query_parts(parts, pattern, scratch)?;
         // The memtable's data start is its home start: its hits are global
         // already and follow every segment's, so the merge stays sorted.
+        // A traced query times the scan as the last part; it has no stage
+        // leaves.
         let z = self.inner.spec.params.z;
+        trace::enter(trace::STAGE_MEMTABLE);
         let memtable = scan_memtable(&state.memtable, sigma, pattern, z, &mut scratch.merged);
+        trace::exit_with(state.segments.len() as u64, memtable.reported as u64);
         total.accumulate(&memtable);
-        // The segment parts were stamped iff this request is traced; the
-        // memtable scan has no stages, and a memtable-only query is no
-        // less sampled.
-        let traced = trace::active();
-        total.timed = traced;
-        if traced {
-            trace_part(trace::STAGE_MEMTABLE, state.segments.len(), &memtable);
-            trace::enter(trace::STAGE_TOMBSTONE_FILTER);
-        }
+        trace::enter(trace::STAGE_TOMBSTONE_FILTER);
         let before = scratch.merged.len();
         filter_tombstoned_windows(&mut scratch.merged, &state.tombstones, pattern.len());
-        if traced {
-            trace::exit_with(before as u64, scratch.merged.len() as u64);
-        }
+        trace::exit_with(before as u64, scratch.merged.len() as u64);
         total.reported = finalize_into(&mut scratch.merged, true, sink);
         Ok(total)
     }
@@ -1304,6 +1296,9 @@ fn scan_memtable(
         }
         first = next_row(first);
     }
+    // Every hit goes straight to the merge: the scan delivers all it
+    // verifies.
+    stats.reported = stats.verified;
     stats
 }
 
@@ -1409,12 +1404,10 @@ fn compact_round(inner: &Arc<Inner>) -> Result<usize> {
     for (merged, &(start, end)) in built.into_iter().zip(&runs) {
         merges += swap_in_merged(inner, merged?, &snapshot.segments[start..end]);
     }
-    if clock::enabled() {
-        inner
-            .obs
-            .compaction
-            .record(clock::now_ns().saturating_sub(round_start));
-    }
+    inner
+        .obs
+        .compaction
+        .record(clock::now_ns().saturating_sub(round_start));
     Ok(merges)
 }
 

@@ -284,9 +284,9 @@ pub(crate) struct Wal {
     /// so further appends are refused until the log is rotated.
     poisoned: bool,
     buf: Vec<u8>,
-    /// Observability hook: every `fsync` latency (ns) is recorded here
-    /// when the shared clock is enabled. Survives rotations — the owner
-    /// re-attaches the same histogram to the fresh log.
+    /// Observability hook: every `fsync` latency (ns) is recorded here.
+    /// Survives rotations — the owner re-attaches the same histogram to
+    /// the fresh log.
     fsync_hist: Option<Arc<Histogram>>,
 }
 
@@ -370,18 +370,16 @@ impl Wal {
     }
 
     /// One `sync` through the sink, its latency recorded into the attached
-    /// histogram when the shared clock is enabled (failures are not
-    /// recorded — a refused ack is not a latency sample).
+    /// histogram (failures are not recorded — a refused ack is not a
+    /// latency sample).
     fn timed_sync(&mut self) -> io::Result<()> {
-        if let Some(hist) = &self.fsync_hist {
-            if clock::enabled() {
-                let start = clock::now_ns();
-                self.sink.sync()?;
-                hist.record(clock::now_ns().saturating_sub(start));
-                return Ok(());
-            }
-        }
-        self.sink.sync()
+        let Some(hist) = &self.fsync_hist else {
+            return self.sink.sync();
+        };
+        let start = clock::now_ns();
+        self.sink.sync()?;
+        hist.record(clock::now_ns().saturating_sub(start));
+        Ok(())
     }
 }
 

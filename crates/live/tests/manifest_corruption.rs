@@ -10,15 +10,24 @@
 //! intact but whose segment table sums past the address space, and a
 //! write-ahead log whose CRC-valid APPEND claims more rows than σ times
 //! the address space can hold.
+//!
+//! A plain flip almost always stops at a CRC32 trailer, so seeded sweeps
+//! also mutate the manifest, and one segment file, behind their headers
+//! and **re-seal** every CRC — the segment file's own and its embedded
+//! IUSX envelope's — before opening the directory: the validators behind
+//! the checksums must refuse the result typed, or the index must answer.
 
 use ius_faultio::crc32;
+use ius_faultio::mutate::{mutations, reseal, sweep, Mutation};
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::wal::{encode_record, WalRecord, WAL_FILE, WAL_MAGIC, WAL_VERSION};
 use ius_live::{LiveConfig, LiveIndex};
 use proptest::prelude::*;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn config() -> LiveConfig {
     LiveConfig {
@@ -365,4 +374,128 @@ fn forged_wal_append_with_overflowing_rows_fails_typed() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("overflows"), "{err}");
+}
+
+/// Bytes of the IUSL / IUSG file header: magic (4) · version (u16).
+const LIVE_HEADER_LEN: usize = 6;
+
+/// Opens `dir` after one re-sealed mutation: a typed refusal passes, a
+/// checksum refusal means the case was not re-sealed, and an index that
+/// opens must answer every probe without panicking. Returns whether it
+/// opened.
+fn open_typed_or_answer(dir: &Path) -> Result<bool, String> {
+    match LiveIndex::open(dir, config()) {
+        Err(err) if err.to_string().contains("checksum mismatch") => {
+            Err(format!("not re-sealed: {err}"))
+        }
+        Err(err) if is_typed_load_error(err.kind()) => Ok(false),
+        Err(err) => Err(format!("untyped kind {:?}: {err}", err.kind())),
+        Ok(live) => {
+            for pattern in [
+                vec![0u8; 8],
+                vec![1u8; 12],
+                vec![2u8; 16],
+                vec![0, 1, 2, 0, 1, 2, 0, 1],
+            ] {
+                let _ = live.query_owned(&pattern);
+            }
+            Ok(true)
+        }
+    }
+}
+
+/// Runs one re-sealed sweep over `file` of a scratch copy of the saved
+/// directory: each case writes the mutated and re-sealed file, opens the
+/// directory, and puts the original back. Both outcomes must occur: some
+/// cases open and answer, the others are refused by the validators.
+fn resealed_sweep(
+    tag: &str,
+    file: &str,
+    original: &[u8],
+    cases: Vec<Mutation>,
+    seal: fn(&mut [u8]),
+) {
+    let dir = scratch_copy(tag);
+    let target = dir.join(file);
+    let original = original.to_vec();
+    let total = cases.len();
+    let check_dir = dir.clone();
+    let answered = Arc::new(AtomicUsize::new(0));
+    let answers = answered.clone();
+    let failures = sweep(tag, cases, Duration::from_secs(120), move |mutation| {
+        let mut corrupted = original.clone();
+        mutation.apply(&mut corrupted);
+        seal(&mut corrupted);
+        std::fs::write(&target, &corrupted).map_err(|e| e.to_string())?;
+        let outcome = open_typed_or_answer(&check_dir);
+        std::fs::write(&target, &original).map_err(|e| e.to_string())?;
+        answers.fetch_add(usize::from(outcome?), Ordering::Relaxed);
+        Ok(())
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {total} re-sealed mutations failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    let answered = answered.load(Ordering::Relaxed);
+    assert!(
+        answered > 0 && answered < total,
+        "{tag}: {answered} of {total} mutated directories answered"
+    );
+}
+
+/// Re-seals a whole-file CRC32 trailer.
+fn seal_file(bytes: &mut [u8]) {
+    let trailer = bytes.len() - 4;
+    reseal(bytes, 0..trailer);
+}
+
+/// The re-sealed manifest sweep: 1,500 seeded byte flips and boundary-value
+/// `u32`/`u64` overwrites behind the header, the CRC32 re-sealed each
+/// time. Every case opens typed-refused or answers; none panics or hangs.
+#[test]
+fn resealed_manifest_mutations_open_typed_or_answer() {
+    let manifest = &saved().manifest;
+    let cases = mutations(LIVE_HEADER_LEN..manifest.len() - 4, 1_500, 0x1051_0001);
+    resealed_sweep("reseal-manifest", "live.iusl", manifest, cases, seal_file);
+}
+
+/// The re-sealed segment sweep: 1,500 seeded mutations behind the header of
+/// one segment file, re-sealing the embedded IUSX envelope's CRC32 where
+/// its (possibly mutated) length field puts it, and then the segment
+/// file's own.
+#[test]
+fn resealed_segment_mutations_open_typed_or_answer() {
+    let (path, bytes) = &saved().segment_files[0];
+    let name = path
+        .file_name()
+        .expect("name")
+        .to_string_lossy()
+        .into_owned();
+    let cases = mutations(LIVE_HEADER_LEN..bytes.len() - 4, 1_500, 0x1051_0002);
+    resealed_sweep("reseal-segment", &name, bytes, cases, |corrupted| {
+        let base = iusx_base(&saved().segment_files[0].1);
+        // An envelope length that escapes the file is refused by the
+        // reader before any checksum; there is nothing to re-seal.
+        let end = usize::try_from(u64_at(corrupted, base + 7))
+            .ok()
+            .and_then(|len| base.checked_add(len))
+            .filter(|&end| end >= base + 19 && end <= corrupted.len() - 4);
+        if let Some(end) = end {
+            reseal(corrupted, base..end - 4);
+        }
+        seal_file(corrupted);
+    });
+}
+
+/// Offset of the IUSX envelope embedded in a segment file: the first
+/// 8-aligned `IUSX` magic. Its header is magic · version u16 · family tag
+/// u8 · envelope length u64.
+fn iusx_base(segment: &[u8]) -> usize {
+    (0..segment.len() - 4)
+        .step_by(8)
+        .find(|&at| &segment[at..at + 4] == b"IUSX")
+        .expect("a segment file embeds an IUSX envelope")
 }

@@ -13,15 +13,23 @@
 //! * a scripted sink crash (`FaultPlan::crash_at`) makes the in-flight
 //!   mutation fail typed and **not** apply, poisons the log for later
 //!   mutations, and leaves exactly the acked records decodable;
-//! * a full disk (`FaultPlan::disk_capacity`) behaves the same way.
+//! * a full disk (`FaultPlan::disk_capacity`) behaves the same way;
+//! * a seeded sweep of mutations behind the IUSJ header, with every
+//!   record CRC re-sealed, reopens typed-refused or answering, never
+//!   panicking or hanging.
 
-use ius_faultio::{FaultPlan, SimSink};
+use ius_faultio::mutate::{mutations, sweep};
+use ius_faultio::{crc32, FaultPlan, SimSink};
 use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexVariant};
 use ius_live::wal::{encode_record, scan, WalRecord, WAL_FILE, WAL_HEADER_LEN};
 use ius_live::{FsyncPolicy, LiveConfig, LiveIndex};
 use ius_weighted::{Alphabet, Error, WeightedString};
 use proptest::prelude::*;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn config() -> LiveConfig {
     LiveConfig {
@@ -476,4 +484,94 @@ fn reopen_checkpoint_reopen_round_trip() {
         "manifest-only recovery"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Re-seals every record CRC of a WAL image the way the scanner frames
+/// it: from the header on, each record's (possibly mutated) length
+/// decides where its payload ends and the next record starts. A record
+/// whose length escapes the image is the torn tail the scanner stops at.
+fn reseal_wal(bytes: &mut [u8]) {
+    let mut at = WAL_HEADER_LEN;
+    while at + 8 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let Some(end) = (at + 8).checked_add(len).filter(|&end| end <= bytes.len()) else {
+            return;
+        };
+        let crc = crc32(&bytes[at + 8..end]);
+        bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        at = end;
+    }
+}
+
+/// The re-sealed IUSJ sweep: a log of appends and deletes behind a saved
+/// manifest takes 1,500 seeded byte flips and boundary-value `u32`/`u64`
+/// overwrites behind its header, each with every record CRC re-sealed.
+/// Reopening must replay and answer, or fail with a typed error; no case
+/// may panic or hang.
+#[test]
+fn resealed_wal_mutations_reopen_typed_or_answer() {
+    let dir = scratch_dir("reseal-base");
+    {
+        let family = IndexFamily::Minimizer(IndexVariant::Array);
+        let live =
+            LiveIndex::new(alphabet(), spec(family), MAX_PATTERN_LEN, config()).expect("build");
+        live.enable_durability(&dir, FsyncPolicy::Never)
+            .expect("arm durability");
+        for op in &gen_ops(0x1057, 12) {
+            match op {
+                Op::Append(batch) => drop(live.append(batch).expect("append")),
+                Op::Delete(start, end) => live.delete_range(*start, *end).expect("delete"),
+            }
+        }
+    }
+    let wal = std::fs::read(dir.join(WAL_FILE)).expect("read wal");
+    let records = scan(&wal).expect("clean log").len();
+    assert_eq!(records, 12, "every mutation is logged");
+    let cases = mutations(WAL_HEADER_LEN..wal.len(), 1_500, 0x1057_0001);
+    let total = cases.len();
+    let replayed = Arc::new(AtomicUsize::new(0));
+    let replays = replayed.clone();
+    let target = dir.join(WAL_FILE);
+    let check_dir = dir.clone();
+    let failures = sweep("IUSJ", cases, Duration::from_secs(120), move |mutation| {
+        let mut corrupted = wal.clone();
+        mutation.apply(&mut corrupted);
+        reseal_wal(&mut corrupted);
+        std::fs::write(&target, &corrupted).map_err(|e| e.to_string())?;
+        let outcome = match LiveIndex::open(&check_dir, config()) {
+            Err(err)
+                if matches!(
+                    err.kind(),
+                    ErrorKind::InvalidData | ErrorKind::UnexpectedEof
+                ) =>
+            {
+                Ok(())
+            }
+            Err(err) => Err(format!("untyped kind {:?}: {err}", err.kind())),
+            Ok(live) => {
+                for pattern in [vec![0u8; 4], vec![1u8; 5], vec![0, 1, 0, 1, 0, 1]] {
+                    let _ = live.query_owned(&pattern);
+                }
+                replays.fetch_add(
+                    usize::from(live.live_stats().recovered_records > 0),
+                    Ordering::Relaxed,
+                );
+                Ok(())
+            }
+        };
+        std::fs::write(&target, &wal).map_err(|e| e.to_string())?;
+        outcome
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {total} re-sealed mutations failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    let replayed = replayed.load(Ordering::Relaxed);
+    assert!(
+        replayed > 0 && replayed < total,
+        "{replayed} of {total} mutated logs replayed"
+    );
 }

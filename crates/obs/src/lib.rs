@@ -11,9 +11,9 @@
 //!   samples, with one text exposition ([`Scrape::to_text`]).
 //! * [`trace`] — request-scoped span tracing: a fixed-depth,
 //!   allocation-free per-thread span buffer recording one request's stage
-//!   tree (sampled once per request, and the stage timings follow it).
-//! * [`clock`] — a process-wide monotonic nanosecond clock that can be
-//!   stubbed out at runtime to measure instrumentation overhead.
+//!   tree. It is sampled once per request and is the only record of a
+//!   request's stage times.
+//! * [`clock`] — a process-wide monotonic nanosecond clock.
 //!
 //! Everything is designed around one rule: **recording must never lock,
 //! allocate, or enter the kernel**. A histogram record is two relaxed
@@ -40,57 +40,40 @@
 pub mod trace;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The process-wide monotonic nanosecond clock used by every timing site.
 ///
 /// `now_ns` reads a vDSO monotonic clock (no syscall on Linux) relative to
-/// a process-wide base instant; it never allocates. The clock can be
-/// disabled ([`clock::set_enabled`]) so benchmarks can measure the cost of
-/// the instrumentation itself: a disabled clock returns 0 from every call,
-/// turning all recorded durations into zeros without branching at the
-/// subtraction sites.
+/// a process-wide base instant; it never allocates.
 pub mod clock {
     use super::*;
 
     static START: OnceLock<Instant> = OnceLock::new();
-    static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    /// One request in `STAGE_SAMPLE_EVERY` on each server connection is
-    /// sampled: the first, then every 16th. That one decision arms the
-    /// request's trace ([`crate::trace`]), feeds its service-time
-    /// histogram and stamps its query stages, which the engines do iff
-    /// [`crate::trace::active`]. A live query times all of its parts or
-    /// none of them.
+    /// One request in `STAGE_SAMPLE_EVERY` on each server worker is
+    /// sampled: the first the worker serves, then every 16th, counted
+    /// across its connections. That one decision arms the request's trace
+    /// ([`crate::trace`]), feeds its service-time histogram and keeps it
+    /// in the flight recorder's recent ring. The query engines write their
+    /// stage leaves into the armed trace iff [`crate::trace::active`], and
+    /// the stage histograms are read from those leaves, so a live query
+    /// times all of its parts or none of them.
     ///
     /// A monotonic clock read costs ~30–40 ns on a virtualized host, and a
-    /// fully staged query takes five of them plus four histogram records —
-    /// too much to spend on every request when the whole wire round trip is
-    /// ~14 µs. End-to-end timing (one stamp pair per request) stays always
-    /// on; the stage *breakdown* is statistical, which is all a breakdown
-    /// is for.
+    /// fully staged query takes five of them plus four leaves and four
+    /// histogram records — too much to spend on every request when the
+    /// whole wire round trip is ~14 µs. End-to-end timing (one stamp pair
+    /// per request) stays always on; the stage *breakdown* is statistical,
+    /// which is all a breakdown is for.
     pub const STAGE_SAMPLE_EVERY: u32 = 16;
 
-    /// Nanoseconds since the first call in this process (0 when disabled).
+    /// Nanoseconds since the first call in this process.
     #[inline]
     pub fn now_ns() -> u64 {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return 0;
-        }
         START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-
-    /// Enables or disables the clock (used by the overhead benchmark to
-    /// compare instrumented vs. stubbed hot paths).
-    pub fn set_enabled(enabled: bool) {
-        ENABLED.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the clock is currently enabled.
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
     }
 
     /// Forces the base instant to exist so the first timed operation does
@@ -617,19 +600,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(merged_snap, a.snapshot());
         assert_eq!(merged_snap.count, 7);
-    }
-
-    #[test]
-    fn clock_stub_returns_zero() {
-        clock::warm_up();
-        assert!(clock::enabled());
-        let t = clock::now_ns();
-        let t2 = clock::now_ns();
-        assert!(t2 >= t);
-        clock::set_enabled(false);
-        assert_eq!(clock::now_ns(), 0);
-        clock::set_enabled(true);
-        assert!(clock::now_ns() >= t2);
     }
 
     #[test]

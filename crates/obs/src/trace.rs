@@ -13,40 +13,42 @@
 //!
 //! ## Recording discipline
 //!
-//! Tracing and the stage histograms sample the same requests:
+//! The trace is the only record of a request's stage times:
 //!
-//! * A trace only arms ([`begin`]) while the [`clock`] is
-//!   enabled. The server arms it for one request in
-//!   [`clock::STAGE_SAMPLE_EVERY`] per connection, and that armed trace is
-//!   the one sampling decision: the query engines stamp their stages iff
-//!   [`active`]. The un-sampled fast path pays one thread-local flag read
-//!   per instrumentation site.
+//! * The server arms a trace ([`begin`]) for one request in
+//!   [`clock::STAGE_SAMPLE_EVERY`] per worker, and that armed trace is the
+//!   one sampling decision: the query engines write their stage leaves iff
+//!   [`active`], and the server's stage histograms are read back from
+//!   those leaves ([`stage_sums`]) before the trace is finished. The
+//!   un-sampled fast path pays one thread-local flag read per
+//!   instrumentation site.
 //! * The buffer is a thread-local with [`MAX_SPANS`] inline slots and a
 //!   [`MAX_DEPTH`] open-span stack. When either limit is hit the trace is
 //!   marked truncated and recording degrades gracefully — enters and exits
 //!   stay balanced, nothing allocates, nothing panics.
-//! * Wall-clocked spans ([`enter`]/[`exit_with`]) carry a start offset
-//!   relative to the trace's begin time plus a duration. Duration-only
-//!   spans ([`leaf`], [`group`]) carry timings measured elsewhere (queue
-//!   wait measured before the trace armed, per-part stage nanoseconds
-//!   summed inside the query engine); their `start_ns` is 0 because the
-//!   span was recorded after the work it times.
+//! * Every span that has children is wall-clocked ([`enter`]/[`exit_with`]):
+//!   it carries a start offset relative to the trace's begin time plus a
+//!   duration. A fan-out part is such a span, so it shows when the part
+//!   ran as well as how long. Duration-only [`leaf`] spans carry timings
+//!   measured by the recording site (queue wait measured before the trace
+//!   armed, an engine's chained stage stamps); their `start_ns` is 0
+//!   because the leaf is written after the work it times.
 //!
 //! A request is served entirely on one worker thread, so the thread-local
 //! buffer needs no synchronization and no signature changes in the layers
 //! it threads through. That includes a partitioned query's fan-out: its
-//! parts run one after another on the request thread, and each part's
-//! `QueryStats` is recorded as a duration-only child ([`group`] + [`leaf`])
-//! as soon as the part returns.
+//! parts run one after another on the request thread, each under its own
+//! wall-clocked [`STAGE_PART`] span holding the engine's stage leaves.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::clock;
 
-/// Inline span slots per trace. A fully staged live query over a dozen
-/// segments fits (1 query + 12 parts × 5 + filter + frame spans ≈ 50);
-/// deeper fan-outs truncate gracefully and say so.
+/// Inline span slots per trace. A fully staged live query over eleven
+/// segments fits (queue wait, decode, query, 11 parts × 5, memtable,
+/// filter, encode, write = 62); deeper fan-outs truncate gracefully and
+/// say so.
 pub const MAX_SPANS: usize = 64;
 
 /// Maximum nesting depth of open spans (request → query → part → stage is
@@ -59,18 +61,19 @@ pub const STAGE_QUEUE_WAIT: u16 = 1;
 pub const STAGE_FRAME_DECODE: u16 = 2;
 /// Stage code: the whole query execution (fan-out + merge + finalize).
 pub const STAGE_QUERY: u16 = 3;
-/// Stage code: one segment of a fan-out (duration-only group; `a` is
-/// the part index, `b` the part's reported count).
+/// Stage code: one segment of a fan-out (`a` is the part index, `b` the
+/// part's reported count).
 pub const STAGE_PART: u16 = 4;
-/// Stage code: the live index's memtable scan part (duration-only group).
+/// Stage code: the live index's memtable scan part (`a` is its part index,
+/// `b` its reported count).
 pub const STAGE_MEMTABLE: u16 = 5;
-/// Stage code: minimizer selection / pattern staging (`QueryStats::scan_ns`).
+/// Stage code: minimizer selection / pattern staging (leaf).
 pub const STAGE_SCAN: u16 = 6;
-/// Stage code: candidate range location (`QueryStats::locate_ns`).
+/// Stage code: candidate range location (leaf).
 pub const STAGE_LOCATE: u16 = 7;
-/// Stage code: candidate verification (`QueryStats::verify_ns`).
+/// Stage code: candidate verification (leaf; `a` is the candidate count).
 pub const STAGE_VERIFY: u16 = 8;
-/// Stage code: finalize/sort/dedup/stream (`QueryStats::report_ns`).
+/// Stage code: finalize/sort/dedup/stream (leaf).
 pub const STAGE_REPORT: u16 = 9;
 /// Stage code: tombstone-range filtering of merged live results.
 pub const STAGE_TOMBSTONE_FILTER: u16 = 10;
@@ -131,8 +134,8 @@ impl Span {
     };
 }
 
-/// Open-stack sentinel: the matching enter was dropped (buffer full) or
-/// was a pre-closed group, so the matching exit must not stamp anything.
+/// Open-stack sentinel: the matching enter was dropped (buffer full), so
+/// the matching exit must not stamp anything.
 const OPEN_NONE: u16 = u16::MAX;
 
 /// A fixed-capacity span recorder. All storage is inline; recording never
@@ -168,14 +171,8 @@ impl SpanBuffer {
         }
     }
 
-    /// Arms the buffer for a new trace. Returns `false` (and stays
-    /// inactive) while the [`clock`] is disabled, so a stubbed-clock
-    /// overhead run never records spans.
-    pub fn begin(&mut self, trace_id: u64) -> bool {
-        if !clock::enabled() {
-            self.active = false;
-            return false;
-        }
+    /// Arms the buffer for a new trace, dropping any earlier spans.
+    pub fn begin(&mut self, trace_id: u64) {
         self.trace_id = trace_id;
         self.started_ns = clock::now_ns();
         self.active = true;
@@ -183,7 +180,6 @@ impl SpanBuffer {
         self.open_len = 0;
         self.overflow_depth = 0;
         self.skipped = 0;
-        true
     }
 
     /// Whether a trace is currently armed.
@@ -279,44 +275,6 @@ impl SpanBuffer {
         self.len += 1;
     }
 
-    /// Records a completed duration-only span and nests subsequent spans
-    /// under it until the matching [`SpanBuffer::end_group`]. Used for
-    /// fan-out parts whose stage timings the query engine measured.
-    #[inline]
-    pub fn group(&mut self, code: u16, dur_ns: u64, a: u64, b: u64) {
-        if !self.active {
-            return;
-        }
-        if self.open_len == MAX_DEPTH {
-            self.overflow_depth += 1;
-            self.skipped += 1;
-            return;
-        }
-        if self.len < MAX_SPANS {
-            self.spans[self.len] = Span {
-                code,
-                depth: self.open_len as u8,
-                start_ns: 0,
-                dur_ns,
-                a,
-                b,
-            };
-            self.len += 1;
-        } else {
-            self.skipped += 1;
-        }
-        // The group span is already complete: push a sentinel so the
-        // matching end_group pops depth without stamping anything.
-        self.open[self.open_len] = OPEN_NONE;
-        self.open_len += 1;
-    }
-
-    /// Closes the innermost [`SpanBuffer::group`].
-    #[inline]
-    pub fn end_group(&mut self) {
-        self.exit_with(0, 0);
-    }
-
     /// Disarms the buffer without reading it (error paths).
     pub fn abandon(&mut self) {
         self.active = false;
@@ -346,6 +304,20 @@ impl SpanBuffer {
     pub fn skipped(&self) -> u32 {
         self.skipped
     }
+
+    /// The summed durations of the spans of each code in `codes`, or
+    /// `None` when the buffer holds no span of any of them.
+    pub fn stage_sums<const N: usize>(&self, codes: [u16; N]) -> Option<[u64; N]> {
+        let mut sums = [0u64; N];
+        let mut found = false;
+        for span in self.spans() {
+            if let Some(i) = codes.iter().position(|&c| c == span.code) {
+                sums[i] += span.dur_ns;
+                found = true;
+            }
+        }
+        found.then_some(sums)
+    }
 }
 
 impl Default for SpanBuffer {
@@ -366,8 +338,8 @@ thread_local! {
 }
 
 /// Arms this thread's trace buffer (see [`SpanBuffer::begin`]).
-pub fn begin(trace_id: u64) -> bool {
-    TRACE.with_borrow_mut(|t| t.begin(trace_id))
+pub fn begin(trace_id: u64) {
+    TRACE.with_borrow_mut(|t| t.begin(trace_id));
 }
 
 /// Whether this thread has an armed trace. This is the whole cost an
@@ -401,21 +373,23 @@ pub fn leaf(code: u16, dur_ns: u64, a: u64, b: u64) {
     TRACE.with_borrow_mut(|t| t.leaf(code, dur_ns, a, b));
 }
 
-/// Opens a duration-only group span (no-op when inactive).
-#[inline]
-pub fn group(code: u16, dur_ns: u64, a: u64, b: u64) {
-    TRACE.with_borrow_mut(|t| t.group(code, dur_ns, a, b));
-}
-
-/// Closes the innermost group (no-op when inactive).
-#[inline]
-pub fn end_group() {
-    TRACE.with_borrow_mut(|t| t.end_group());
-}
-
 /// Disarms this thread's trace without reading it.
 pub fn abandon() {
     TRACE.with_borrow_mut(|t| t.abandon());
+}
+
+/// The armed trace's summed span durations per code (see
+/// [`SpanBuffer::stage_sums`]); `None` when no trace is armed or it holds
+/// none of the codes. This is how the server feeds its stage histograms
+/// from a sampled request's leaves.
+pub fn stage_sums<const N: usize>(codes: [u16; N]) -> Option<[u64; N]> {
+    TRACE.with_borrow(|t| {
+        if t.is_active() {
+            t.stage_sums(codes)
+        } else {
+            None
+        }
+    })
 }
 
 /// Reads this thread's finished trace and disarms it. Returns `None` if no
@@ -440,13 +414,13 @@ mod tests {
     fn builds_a_nested_tree_with_wall_and_synthetic_spans() {
         let mut buf = SpanBuffer::new();
         assert!(!buf.is_active());
-        assert!(buf.begin(42));
+        buf.begin(42);
         buf.leaf(STAGE_QUEUE_WAIT, 1_000, 0, 0);
         buf.enter(STAGE_QUERY);
-        buf.group(STAGE_PART, 5_000, 0, 17);
+        buf.enter(STAGE_PART);
         buf.leaf(STAGE_SCAN, 1_200, 0, 0);
         buf.leaf(STAGE_VERIFY, 3_800, 0, 0);
-        buf.end_group();
+        buf.exit_with(0, 17);
         buf.exit_with(99, 17);
         assert!(buf.is_active());
         assert!(!buf.truncated());
@@ -466,18 +440,50 @@ mod tests {
             spans.iter().map(|s| s.depth).collect::<Vec<_>>(),
             vec![0, 0, 1, 2, 2]
         );
-        let query = &spans[1];
+        let (query, part) = (&spans[1], &spans[2]);
         assert_eq!((query.a, query.b), (99, 17));
-        let part = &spans[2];
-        assert_eq!(part.dur_ns, 5_000);
-        assert_eq!(part.start_ns, 0, "synthetic spans carry no start offset");
+        assert_eq!((part.a, part.b), (0, 17));
+        assert!(part.start_ns >= query.start_ns, "parts are wall-clocked");
+        assert!(part.start_ns + part.dur_ns <= query.start_ns + query.dur_ns);
+        assert_eq!(spans[0].start_ns, 0, "leaves carry no start offset");
+        assert_eq!(spans[3].dur_ns, 1_200);
         assert_eq!(buf.trace_id(), 42);
+    }
+
+    #[test]
+    fn stage_sums_add_up_each_code_over_the_whole_tree() {
+        let mut buf = SpanBuffer::new();
+        buf.begin(7);
+        assert_eq!(buf.stage_sums([STAGE_SCAN, STAGE_VERIFY]), None);
+        buf.enter(STAGE_QUERY);
+        for (scan, verify) in [(10, 100), (20, 200)] {
+            buf.enter(STAGE_PART);
+            buf.leaf(STAGE_SCAN, scan, 0, 0);
+            buf.leaf(STAGE_VERIFY, verify, 0, 0);
+            buf.exit();
+        }
+        buf.exit();
+        assert_eq!(
+            buf.stage_sums([STAGE_SCAN, STAGE_VERIFY, STAGE_REPORT]),
+            Some([30, 300, 0])
+        );
+        // The thread-local reader sees only an armed trace.
+        assert_eq!(stage_sums([STAGE_SCAN]), None);
+        begin(next_trace_id());
+        leaf(STAGE_SCAN, 5, 0, 0);
+        assert_eq!(stage_sums([STAGE_SCAN, STAGE_LOCATE]), Some([5, 0]));
+        abandon();
+        assert_eq!(
+            stage_sums([STAGE_SCAN]),
+            None,
+            "a finished trace is not read"
+        );
     }
 
     #[test]
     fn depth_overflow_keeps_enters_and_exits_balanced() {
         let mut buf = SpanBuffer::new();
-        assert!(buf.begin(1));
+        buf.begin(1);
         for _ in 0..MAX_DEPTH + 3 {
             buf.enter(STAGE_QUERY);
         }
@@ -497,7 +503,7 @@ mod tests {
     #[test]
     fn span_overflow_truncates_without_losing_balance() {
         let mut buf = SpanBuffer::new();
-        assert!(buf.begin(1));
+        buf.begin(1);
         for _ in 0..MAX_SPANS + 5 {
             buf.leaf(STAGE_SCAN, 1, 0, 0);
         }
@@ -511,24 +517,9 @@ mod tests {
     }
 
     #[test]
-    fn begin_refuses_while_the_clock_is_stubbed() {
-        clock::set_enabled(false);
-        let mut buf = SpanBuffer::new();
-        assert!(!buf.begin(9));
-        assert!(!buf.is_active());
-        buf.enter(STAGE_QUERY);
-        buf.leaf(STAGE_SCAN, 1, 0, 0);
-        buf.exit();
-        assert!(buf.spans().is_empty());
-        clock::set_enabled(true);
-        assert!(buf.begin(9));
-        assert!(buf.is_active());
-    }
-
-    #[test]
     fn thread_local_finish_reads_and_disarms() {
         assert!(!active());
-        assert!(begin(next_trace_id()));
+        begin(next_trace_id());
         assert!(active());
         enter(STAGE_QUERY);
         leaf(STAGE_SCAN, 10, 0, 0);

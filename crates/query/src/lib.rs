@@ -12,7 +12,7 @@
 //!   positions, reversed-prefix staging, k-mer key decode), so
 //!   steady-state queries perform **no heap allocation** once the buffers
 //!   have warmed up;
-//! * [`QueryStats`] — the per-query instrumentation every index family
+//! * [`QueryStats`] — the per-query filter counts every index family
 //!   reports (candidates enumerated, candidates verified, survivors
 //!   delivered, grid work done);
 //! * [`finalize_into`] — the shared sort/dedup/stream step between a raw
@@ -140,7 +140,12 @@ impl QueryScratch {
     }
 }
 
-/// Per-query instrumentation, reported by every index family.
+/// Per-query filter counts, reported by every index family.
+///
+/// These are counts, not times: a query's stage times live only in the
+/// calling thread's armed request trace (`ius_obs::trace`), where the
+/// minimizer engine writes its scan/locate/verify/report leaves when the
+/// request was sampled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Candidate occurrences enumerated before verification.
@@ -155,26 +160,6 @@ pub struct QueryStats {
     /// read by a narrow-side scan. The field keeps its historical name,
     /// which the wire protocol carries.
     pub grid_nodes: usize,
-    /// Nanoseconds spent selecting the pattern's minimizer and staging the
-    /// split pattern (0 for engines without that stage, or when the
-    /// `ius_obs` clock is stubbed out).
-    pub scan_ns: u64,
-    /// Nanoseconds spent locating candidate ranges (`equal_range` over the
-    /// property arrays, or the compacted-trie descent).
-    pub locate_ns: u64,
-    /// Nanoseconds spent in candidate verification (grid reporting plus
-    /// per-candidate probability checks).
-    pub verify_ns: u64,
-    /// Nanoseconds spent finalizing (sort/dedup/stream into the sink).
-    pub report_ns: u64,
-    /// Whether this request was sampled, so the `*_ns` stage fields were
-    /// stamped. An engine stamps its stages iff the calling thread carries
-    /// an armed request trace (`ius_obs::trace::active`), which a server
-    /// arms for one request in `ius_obs::clock::STAGE_SAMPLE_EVERY` per
-    /// connection: five clock reads per query are too expensive for every
-    /// request. Consumers skip the stage fields of untimed queries instead
-    /// of recording zeros. A fan-out times all of its parts or none.
-    pub timed: bool,
 }
 
 impl QueryStats {
@@ -197,16 +182,6 @@ impl QueryStats {
         self.verified += other.verified;
         self.reported += other.reported;
         self.grid_nodes += other.grid_nodes;
-        self.scan_ns += other.scan_ns;
-        self.locate_ns += other.locate_ns;
-        self.verify_ns += other.verify_ns;
-        self.report_ns += other.report_ns;
-        self.timed |= other.timed;
-    }
-
-    /// Total nanoseconds attributed to the per-stage timers.
-    pub fn staged_ns(&self) -> u64 {
-        self.scan_ns + self.locate_ns + self.verify_ns + self.report_ns
     }
 }
 
@@ -296,22 +271,12 @@ mod tests {
             verified: 2,
             reported: 2,
             grid_nodes: 5,
-            scan_ns: 100,
-            locate_ns: 10,
-            verify_ns: 1,
-            report_ns: 7,
-            timed: true,
         });
         total.accumulate(&QueryStats {
             candidates: 1,
             verified: 1,
             reported: 1,
             grid_nodes: 0,
-            scan_ns: 1,
-            locate_ns: 2,
-            verify_ns: 3,
-            report_ns: 4,
-            timed: false,
         });
         assert_eq!(
             total,
@@ -320,14 +285,8 @@ mod tests {
                 verified: 3,
                 reported: 3,
                 grid_nodes: 5,
-                scan_ns: 101,
-                locate_ns: 12,
-                verify_ns: 4,
-                report_ns: 11,
-                timed: true,
             }
         );
-        assert_eq!(total.staged_ns(), 128);
     }
 
     #[test]
@@ -339,11 +298,6 @@ mod tests {
             verified: 5,
             reported: 4,
             grid_nodes: 2,
-            scan_ns: 9,
-            locate_ns: 8,
-            verify_ns: 7,
-            report_ns: 6,
-            timed: true,
         };
         let mut total = sample;
         total.accumulate(&QueryStats::default());

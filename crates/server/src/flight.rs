@@ -13,7 +13,7 @@
 //!   answered at or above `ServerConfig::slow_query_threshold`, sampled or
 //!   not, so the `slow_queries` counter is exact;
 //! * the **recent ring** ([`FLIGHT_RECENT_CAPACITY`] slots) holds the other
-//!   sampled requests (one in `clock::STAGE_SAMPLE_EVERY` per connection),
+//!   sampled requests (one in `clock::STAGE_SAMPLE_EVERY` per worker),
 //!   slow or fast — a flight recorder is for reconstructing *what the
 //!   server was doing*, not only its outliers.
 //!
@@ -407,13 +407,11 @@ impl Default for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ius_obs::clock;
 
     /// Arms this thread's trace with a small span tree, as a sampled
     /// request would have.
     fn arm_sample_trace() {
-        clock::set_enabled(true);
-        assert!(trace::begin(trace::next_trace_id()));
+        trace::begin(trace::next_trace_id());
         trace::leaf(trace::STAGE_QUEUE_WAIT, 500, 0, 0);
         trace::enter(trace::STAGE_QUERY);
         trace::exit_with(3, 2);

@@ -9,6 +9,7 @@
 //! workers never contend with each other or with scrapers.
 
 use crate::protocol::{op_name, OP_SERVICE_SLOTS};
+use ius_obs::trace;
 use ius_obs::{Counter, Histogram, HistogramSnapshot, Scrape, Value};
 use ius_query::QueryStats;
 use std::sync::Arc;
@@ -89,13 +90,16 @@ pub struct WorkerObs {
     pub grid_nodes: Counter,
     /// Queries refused because the pattern is shorter than ℓ (exact).
     pub pattern_too_short: Counter,
-    /// Minimizer-scan stage nanoseconds per query.
+    /// Minimizer-scan stage nanoseconds per sampled query (the sum of its
+    /// trace's scan leaves).
     pub query_scan: Histogram,
-    /// Locate (`equal_range` / trie descent) stage nanoseconds per query.
+    /// Locate (`equal_range` / trie descent) stage nanoseconds per sampled
+    /// query.
     pub query_locate: Histogram,
-    /// Verification (grid report + probability checks) nanoseconds.
+    /// Verification (grid report + probability checks) nanoseconds per
+    /// sampled query.
     pub query_verify: Histogram,
-    /// Reporting (sort/dedup/stream) nanoseconds.
+    /// Reporting (sort/dedup/stream) nanoseconds per sampled query.
     pub query_report: Histogram,
     /// Queue wait: accept-to-worker-pop nanoseconds per connection.
     pub queue_wait: Histogram,
@@ -123,26 +127,40 @@ impl WorkerObs {
     }
 
     /// Records one answered query: the filter counters on every query,
-    /// the per-stage timings only when the request was sampled
-    /// (`stats.timed`) — the unsampled majority carry zeroed stage fields
-    /// that must not reach the histograms.
+    /// and one sample per stage histogram when the calling thread's armed
+    /// trace holds stage leaves — the sum of each stage's leaves, so a
+    /// live query sums its parts. Call it before the trace is finished. An
+    /// unsampled query, and a sampled one whose engine writes no stage
+    /// leaves (WST, WSA, NAIVE, a memtable-only live query), records no
+    /// stage sample.
     #[inline]
     pub fn record_query(&self, stats: &QueryStats) {
         self.candidates.add(stats.candidates as u64);
         self.verified.add(stats.verified as u64);
         self.reported.add(stats.reported as u64);
         self.grid_nodes.add(stats.grid_nodes as u64);
-        if stats.timed {
-            self.query_scan.record(stats.scan_ns);
-            self.query_locate.record(stats.locate_ns);
-            self.query_verify.record(stats.verify_ns);
-            self.query_report.record(stats.report_ns);
+        let stages = [
+            trace::STAGE_SCAN,
+            trace::STAGE_LOCATE,
+            trace::STAGE_VERIFY,
+            trace::STAGE_REPORT,
+        ];
+        if let Some(sums) = trace::stage_sums(stages) {
+            let hists = [
+                &self.query_scan,
+                &self.query_locate,
+                &self.query_verify,
+                &self.query_report,
+            ];
+            for (hist, ns) in hists.into_iter().zip(sums) {
+                hist.record(ns);
+            }
         }
     }
 
     /// Records the service time of one answered frame. The worker loop
-    /// calls it for sampled requests only (first request on each
-    /// connection, then one in `clock::STAGE_SAMPLE_EVERY`); slow-query
+    /// calls it for sampled requests only (the first request a worker
+    /// serves, then one in `clock::STAGE_SAMPLE_EVERY`); slow-query
     /// detection stays exact because the elapsed time is measured for
     /// every request regardless.
     #[inline]
@@ -256,24 +274,39 @@ mod tests {
     #[test]
     fn worker_registries_merge_on_scrape() {
         let workers: Vec<Arc<WorkerObs>> = (0..3).map(|_| Arc::new(WorkerObs::new())).collect();
+        let stats = QueryStats {
+            candidates: 10,
+            verified: 4,
+            reported: 2,
+            grid_nodes: 5,
+        };
         for (i, w) in workers.iter().enumerate() {
+            // A sampled query: its trace holds two parts' stage leaves, and
+            // each stage records their sum once.
+            trace::begin(trace::next_trace_id());
+            for part in 0..2u64 {
+                trace::enter(trace::STAGE_PART);
+                trace::leaf(trace::STAGE_SCAN, 50 * (i as u64 + 1), 0, 0);
+                trace::leaf(trace::STAGE_LOCATE, 5, 0, 0);
+                trace::leaf(trace::STAGE_VERIFY, 10, 0, 0);
+                trace::leaf(trace::STAGE_REPORT, 15, 0, 0);
+                trace::exit_with(part, 1);
+            }
             w.record_query(&QueryStats {
-                candidates: 10,
-                verified: 4,
                 reported: 2 + i,
-                grid_nodes: 5,
-                scan_ns: 100 * (i as u64 + 1),
-                locate_ns: 10,
-                verify_ns: 20,
-                report_ns: 30,
-                timed: true,
+                ..stats
             });
-            // An untimed query feeds the filter counters, not the stages.
+            trace::abandon();
+            // An unsampled query feeds the filter counters, not the stages.
             w.record_query(&QueryStats {
                 candidates: 1,
                 reported: 1,
                 ..QueryStats::default()
             });
+            // So does a sampled one whose engine wrote no stage leaves.
+            trace::begin(trace::next_trace_id());
+            w.record_query(&QueryStats::default());
+            trace::abandon();
             w.record_service(1, 5_000);
             w.record_service(0, 200);
             w.queue_wait.record(1_000);
@@ -291,6 +324,8 @@ mod tests {
         let scan = scrape.histogram("query_scan_ns").expect("scan");
         assert_eq!(scan.count, 3);
         assert_eq!(scan.sum, 100 + 200 + 300);
+        let report = scrape.histogram("query_report_ns").expect("report");
+        assert_eq!((report.count, report.sum), (3, 90));
         assert_eq!(scrape.histogram("queue_wait_ns").expect("wait").count, 3);
         let ops: Vec<&str> = scrape
             .samples()

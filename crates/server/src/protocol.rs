@@ -249,14 +249,11 @@ impl From<QueryStats> for WireStats {
 
 impl From<WireStats> for QueryStats {
     fn from(s: WireStats) -> Self {
-        // Stage timings do not travel on QUERY responses (they are served
-        // aggregated by the STATS scrape), so the projection zeroes them.
         Self {
             candidates: s.candidates as usize,
             verified: s.verified as usize,
             reported: s.reported as usize,
             grid_nodes: s.grid_nodes as usize,
-            ..Self::default()
         }
     }
 }
@@ -1288,7 +1285,6 @@ mod tests {
             verified: 4,
             reported: 2,
             grid_nodes: 1,
-            ..QueryStats::default()
         };
         let wire: WireStats = stats.into();
         let back: QueryStats = wire.into();

@@ -37,21 +37,20 @@
 //! (per-stage query timings, per-op service time, queue wait) is a few
 //! relaxed atomic adds into that registry, so workers never contend with
 //! each other or with scrapers. One decision per request samples it: the
-//! first request on each connection and one in
-//! `clock::STAGE_SAMPLE_EVERY` after that. A sampled request arms the
-//! worker's trace, which makes the engine stamp its query stages, and
-//! feeds the service and stage histograms; so the histograms and the trace
-//! trees describe the same requests, and a live query times all of its
-//! parts. Per-request elapsed time is measured on every request, from one
-//! clock stamp at service end, so the slow ring is exact. At service end
+//! first request a worker serves and one in `clock::STAGE_SAMPLE_EVERY`
+//! after that, counted across the worker's connections. A sampled request
+//! arms the worker's trace, into which the engine writes its query stage
+//! leaves and a fan-out its timed parts; the stage histograms are read
+//! from those leaves, so the histograms and the trace trees describe the
+//! same requests, and a live query times all of its parts. Per-request
+//! elapsed time is measured on every request, from one clock stamp at
+//! service end, so the slow ring is exact. At service end
 //! the worker hands the request to the [`FlightRecorder`], which keeps it
 //! when it failed, was slow or was sampled. The filter counters
 //! (candidates, verified, reported, grid work) and `PatternTooShort`
 //! refusals are exact. A `STATS` request — or a local [`MetricsHandle`] —
 //! reads the shared counters, merges every registry and samples the live
 //! index and the recorder's rings into one [`Scrape`] on the scrape path.
-//! All timing sites are gated on `ius_obs::clock::enabled()`, which is how
-//! the overhead benchmark measures instrumented vs. stubbed serving.
 
 use crate::flight::{FlightRecorder, RequestFacts, TRACE_NO_ERROR};
 use crate::metrics::{ServerMetrics, WorkerObs};
@@ -63,7 +62,6 @@ use crate::protocol::{
 };
 use ius_arena::Arena;
 use ius_exec::WorkerPool;
-use ius_index::overlap::trace_stages;
 use ius_index::{open_index, AnyIndex, UncertainIndex};
 use ius_live::LiveIndex;
 use ius_obs::{clock, trace, Scrape, Value};
@@ -163,10 +161,9 @@ impl ServedIndex {
     /// [`UncertainIndex::query_into`]).
     ///
     /// When the calling thread carries an armed request trace, the whole
-    /// dispatch runs under a `query` span. A live index records its
-    /// per-part stage groups internally (it knows the fan-out);
-    /// single-machine indexes report one flat stage breakdown, recorded
-    /// here from the returned stats.
+    /// dispatch runs under a `query` span, which holds what the engine
+    /// writes: a minimizer index's stage leaves, or a live index's timed
+    /// parts.
     ///
     /// # Errors
     ///
@@ -177,27 +174,17 @@ impl ServedIndex {
         scratch: &mut QueryScratch,
         sink: &mut dyn MatchSink,
     ) -> ius_weighted::Result<ius_query::QueryStats> {
-        let traced = trace::active();
-        if traced {
-            trace::enter(trace::STAGE_QUERY);
-        }
+        trace::enter(trace::STAGE_QUERY);
         let result = match self {
             ServedIndex::Single { index, corpus } => {
                 index.query_into(pattern, corpus, scratch, sink)
             }
             ServedIndex::Live(index) => index.query_owned_into(pattern, scratch, sink),
         };
-        if traced {
-            match &result {
-                Ok(stats) => {
-                    if matches!(self, ServedIndex::Single { .. }) {
-                        trace_stages(stats);
-                    }
-                    trace::exit_with(stats.candidates as u64, stats.reported as u64);
-                }
-                Err(_) => trace::exit_with(0, 0),
-            }
-        }
+        let (candidates, reported) = result
+            .as_ref()
+            .map_or((0, 0), |stats| (stats.candidates, stats.reported));
+        trace::exit_with(candidates as u64, reported as u64);
         result
     }
 
@@ -613,12 +600,13 @@ fn worker_loop(shared: &Shared, worker: usize) {
     // never lost with the buffers.
     let obs = shared.worker_obs[worker].clone();
     let slot = &shared.serving[worker];
+    // The worker's sampling tick, counted across its connections: a client
+    // that opens one connection per request is sampled like one that
+    // keeps a connection open.
+    let mut service_tick: u32 = 0;
     while let Some((stream, accepted_ns)) = shared.queue.pop() {
-        let mut queue_wait_ns = 0;
-        if clock::enabled() {
-            queue_wait_ns = clock::now_ns().saturating_sub(accepted_ns);
-            obs.queue_wait.record(queue_wait_ns);
-        }
+        let queue_wait_ns = clock::now_ns().saturating_sub(accepted_ns);
+        obs.queue_wait.record(queue_wait_ns);
         // Publish the connection for shutdown to wake, then re-check the
         // flag: a shutdown that swept the slots before this publish is
         // not missed. (A failed clone leaves only the idle timeout.)
@@ -636,6 +624,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 stream,
                 &mut frame,
                 &mut buffers,
+                &mut service_tick,
                 queue_wait_ns,
             );
         }));
@@ -677,19 +666,20 @@ fn handle_connection(
     mut stream: TcpStream,
     frame: &mut Vec<u8>,
     buffers: &mut WorkerBuffers,
+    service_tick: &mut u32,
     queue_wait_ns: u64,
 ) {
     // Per-request timing is always on (the slow ring must see every
     // query), but everything else is sampled at 1-in-
-    // [`clock::STAGE_SAMPLE_EVERY`], one decision per request: it arms the
-    // request's trace (so the engine stamps its stages), feeds the service
-    // histogram and keeps the request in the flight recorder's recent
-    // ring. Under a large index working set the histograms' cache lines
-    // are cold on every request, so an unconditional record costs a couple
-    // of hundred nanoseconds of misses. The first request on each
-    // connection is always sampled, so scrapes see per-op service data
-    // immediately.
-    let mut service_tick: u32 = 0;
+    // [`clock::STAGE_SAMPLE_EVERY`] per worker, one decision per request:
+    // it arms the request's trace (so the engine writes its stage leaves,
+    // which feed the stage histograms), feeds the service histogram and
+    // keeps the request in the flight recorder's recent ring. Under a
+    // large index working set the histograms' cache lines are cold on
+    // every request, so an unconditional record costs a couple of hundred
+    // nanoseconds of misses. The first request a worker serves is always
+    // sampled, so scrapes see per-op service data immediately.
+    let mut first_request = true;
     loop {
         match read_frame(&mut stream, MAX_REQUEST_FRAME, frame) {
             Ok(true) => {}
@@ -723,18 +713,19 @@ fn handle_connection(
         // Service time covers body decode + answer + send — everything the
         // worker does for this frame after it has arrived.
         let service_start = clock::now_ns();
-        // The one sampling decision: arm the thread-local span buffer
-        // (refused while the clock is stubbed). The queue-wait leaf belongs
-        // to the connection's first request only (pops happen once per
-        // connection, not per frame).
-        let sampled = service_tick.is_multiple_of(clock::STAGE_SAMPLE_EVERY)
-            && trace::begin(trace::next_trace_id());
+        // The one sampling decision: arm the thread-local span buffer.
+        // The queue-wait leaf belongs to the connection's first request
+        // only (pops happen once per connection, not per frame).
+        let sampled = service_tick.is_multiple_of(clock::STAGE_SAMPLE_EVERY);
+        *service_tick = service_tick.wrapping_add(1);
         if sampled {
-            if service_tick == 0 {
+            trace::begin(trace::next_trace_id());
+            if first_request {
                 trace::leaf(trace::STAGE_QUEUE_WAIT, queue_wait_ns, 0, 0);
             }
             trace::enter(trace::STAGE_FRAME_DECODE);
         }
+        first_request = false;
         let (id, op, body) = match decode_header(frame) {
             Ok(parts) => parts,
             Err(err) => {
@@ -797,7 +788,7 @@ fn handle_connection(
             trace::exit_with(buffers.out.len() as u64, 0);
         }
         // One stamp at service end feeds the service histogram, the slow
-        // test and the flight record (0 while the clock is stubbed).
+        // test and the flight record.
         let elapsed = clock::now_ns().saturating_sub(service_start);
         if sampled {
             obs.record_service(op, elapsed);
@@ -812,7 +803,7 @@ fn handle_connection(
                 .unwrap_or(TRACE_NO_ERROR),
             _ => TRACE_NO_ERROR,
         };
-        let slow = op == OP_QUERY && clock::enabled() && elapsed >= shared.slow_query_threshold_ns;
+        let slow = op == OP_QUERY && elapsed >= shared.slow_query_threshold_ns;
         let mut facts = RequestFacts::new(op, error, service_start, elapsed);
         if let Some((pattern, reported)) = query {
             facts = facts.with_query(pattern, reported);
@@ -820,7 +811,6 @@ fn handle_connection(
         // Kept when failed, slow or sampled; the trace (write span
         // included) is finished into the record.
         shared.flight.record(&facts, slow);
-        service_tick = service_tick.wrapping_add(1);
         if sent.is_err() || close_after {
             return;
         }

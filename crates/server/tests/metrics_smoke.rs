@@ -88,7 +88,7 @@ fn metrics_scrape_covers_every_layer_under_load() {
     let scrape = client.scrape().expect("metrics scrape");
 
     // Query stages: requests are sampled 1-in-STAGE_SAMPLE_EVERY per
-    // connection with the first always sampled, so of these 16 query ops
+    // worker with its first always sampled, so of these 16 query ops
     // exactly the first feeds each stage histogram (all of its segment
     // parts summed); quantiles must be monotone.
     for name in [

@@ -361,9 +361,10 @@ fn metrics_scrape_reflects_served_queries() {
     client.query_count(&pattern).expect("count");
 
     let scrape = client.scrape().expect("scrape");
-    // Requests are sampled 1 in STAGE_SAMPLE_EVERY per connection, the
-    // first always: of these six queries exactly the first is sampled, and
-    // every stage histogram holds that one sample.
+    // Requests are sampled 1 in STAGE_SAMPLE_EVERY per worker, the
+    // worker's first always: of these six queries on a fresh server
+    // exactly the first is sampled, and every stage histogram holds that
+    // one sample, read from its trace's leaves.
     for name in [
         "query_scan_ns",
         "query_locate_ns",
@@ -648,7 +649,7 @@ fn idle_connections_are_closed_after_the_idle_timeout() {
 fn trace_dump_round_trips_over_the_wire() {
     let (server, _, _) = start_server(&ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    // The first request on a connection always draws a trace ticket, and
+    // The first request a fresh server's worker serves is sampled, and
     // the flight push happens before the worker reads this connection's
     // next frame — so a same-connection TRACE_DUMP must see the query.
     let pattern = vec![0u8; 8];
@@ -695,9 +696,11 @@ fn trace_dump_round_trips_over_the_wire() {
     server.shutdown();
 }
 
-/// A traced live query records one `part` group per segment, in segment
-/// order, then one `memtable` group, all directly under the query span —
-/// the span-tree shape `TRACE_DUMP` consumers read the fan-out from.
+/// A traced live query records one wall-clocked `part` span per segment,
+/// in segment order, then one `memtable` span, all directly under the
+/// query span — the span-tree shape `TRACE_DUMP` consumers read the
+/// fan-out from. Each part starts inside the query span and holds its
+/// engine's four stage leaves, and the memtable span times its scan.
 #[test]
 fn live_trace_dump_records_every_segment_then_the_memtable() {
     let x = test_corpus();
@@ -726,7 +729,7 @@ fn live_trace_dump_records_every_segment_then_the_memtable() {
     )
     .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    // The first request on a connection always draws a trace ticket.
+    // The first request a fresh server's worker serves is sampled.
     client.query(&[0u8; 8]).expect("query");
     let records = client.trace_dump().expect("trace dump");
     let query_trace = records
@@ -752,6 +755,35 @@ fn live_trace_dump_records_every_segment_then_the_memtable() {
         .collect();
     expected.push((ius_obs::trace::STAGE_MEMTABLE, segments as u64));
     assert_eq!(fan_out, expected);
+    let spans = &query_trace.spans;
+    for (at, span) in spans.iter().enumerate() {
+        match span.code {
+            ius_obs::trace::STAGE_PART => {
+                assert!(
+                    span.start_ns >= query_span.start_ns,
+                    "part {} starts before its query:\n{}",
+                    span.a,
+                    query_trace.render()
+                );
+                assert_eq!(
+                    children(spans, at),
+                    STAGE_LEAVES,
+                    "part {} lacks its stage leaves:\n{}",
+                    span.a,
+                    query_trace.render()
+                );
+            }
+            ius_obs::trace::STAGE_MEMTABLE => {
+                assert!(span.start_ns >= query_span.start_ns);
+                assert!(
+                    span.dur_ns > 0,
+                    "the memtable scan is timed:\n{}",
+                    query_trace.render()
+                );
+            }
+            _ => {}
+        }
+    }
     server.shutdown();
 }
 
@@ -831,9 +863,10 @@ const STAGE_LEAVES: [u16; 4] = [
     ius_obs::trace::STAGE_REPORT,
 ];
 
-/// Sampling is one decision per request, made per connection: the first
-/// query of a connection is sampled and its trace carries the engine's
-/// stage leaves, whatever the worker thread served before.
+/// Sampling is one decision per request, counted per worker across its
+/// connections: a sampled query carries the engine's stage leaves on
+/// whichever connection it arrives, and the sampled request that opens a
+/// connection also carries that connection's queue wait.
 #[test]
 fn a_sampled_query_carries_its_stage_leaves_on_every_connection() {
     let config = ServerConfig {
@@ -842,11 +875,13 @@ fn a_sampled_query_carries_its_stage_leaves_on_every_connection() {
     };
     let (server, _, _) = start_server(&config);
     let pattern = vec![0u8; 8];
+    let every = ius_obs::clock::STAGE_SAMPLE_EVERY as usize;
     {
-        // Connection A: three queries on the one worker, then close, so
-        // the worker moves on to connection B.
+        // Connection A: one sampling period of queries on the one worker,
+        // then close, so the worker moves on to connection B with its
+        // tick at the next sampled request.
         let mut a = Client::connect(server.local_addr()).expect("connect A");
-        for _ in 0..3 {
+        for _ in 0..every {
             a.query(&pattern).expect("query on A");
         }
     }
@@ -860,9 +895,15 @@ fn a_sampled_query_carries_its_stage_leaves_on_every_connection() {
     assert_eq!(
         queries.len(),
         2,
-        "the first query of A and of B are sampled"
+        "the worker's first query (on A) and its 17th (on B) are sampled"
     );
     let b_trace = queries[1];
+    assert_eq!(
+        b_trace.spans[0].code,
+        ius_obs::trace::STAGE_QUEUE_WAIT,
+        "B's first request carries its queue wait:\n{}",
+        b_trace.render()
+    );
     let query_at = b_trace
         .spans
         .iter()
@@ -873,6 +914,47 @@ fn a_sampled_query_carries_its_stage_leaves_on_every_connection() {
         STAGE_LEAVES,
         "B's sampled query lacks its stage leaves:\n{}",
         b_trace.render()
+    );
+    server.shutdown();
+}
+
+/// A client that opens one connection per request is sampled like one
+/// that keeps its connection: one worker serving 32 one-query connections
+/// samples requests 0 and 16, not every connection's first.
+#[test]
+fn sampling_counts_requests_per_worker_across_connections() {
+    let config = ServerConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let (server, _, _) = start_server(&config);
+    let pattern = vec![0u8; 8];
+    for _ in 0..32 {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.query(&pattern).expect("query");
+    }
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let scrape = client.scrape().expect("scrape");
+    for name in [
+        "query_scan_ns",
+        "query_locate_ns",
+        "query_verify_ns",
+        "query_report_ns",
+    ] {
+        let stage = scrape.histogram(name).expect(name);
+        assert_eq!(stage.count, 2, "{name}: requests 0 and 16 are sampled");
+    }
+    assert_eq!(
+        scrape
+            .histogram("op_service_ns_query")
+            .expect("QUERY service")
+            .count,
+        2
+    );
+    assert_eq!(
+        scrape.histogram("queue_wait_ns").expect("queue wait").count,
+        33,
+        "queue wait is recorded for every connection"
     );
     server.shutdown();
 }
