@@ -17,7 +17,8 @@
 //!   which is what the crash-recovery property tests replay from;
 //! * [`mutate`], the seeded mutation sweeps of the corruption suites:
 //!   byte flips and boundary-value word overwrites with every CRC32
-//!   re-sealed, run under one watchdog.
+//!   re-sealed, or every one of them at every offset of an unchecksummed
+//!   frame, run under one watchdog.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,9 @@
 //!
 //! [`mutations`] draws a seeded list of [`Mutation`]s over a byte range: a
 //! byte XORed with a non-zero mask, or an aligned `u32`/`u64` word
-//! overwritten with one of [`OVERWRITES`]. [`sweep`] runs a check over every
+//! overwritten with one of [`OVERWRITES`]. [`every_offset`] lists them all
+//! instead, at every offset of a range small enough to sweep whole (an
+//! unchecksummed wire frame). [`sweep`] runs a check over every
 //! case on one worker thread under one watchdog, collecting the cases that
 //! failed or panicked and naming the case a hung sweep is stuck on.
 
@@ -35,16 +37,16 @@ pub enum Mutation {
         /// XOR mask (never 0).
         mask: u8,
     },
-    /// The 4-byte-aligned word at the offset overwritten, little-endian.
+    /// The 4-byte word at the offset overwritten, little-endian.
     U32 {
-        /// Byte offset (a multiple of 4).
+        /// Byte offset (a multiple of 4 in a [`mutations`] draw).
         at: usize,
         /// The value written.
         value: u32,
     },
-    /// The 8-byte-aligned word at the offset overwritten, little-endian.
+    /// The 8-byte word at the offset overwritten, little-endian.
     U64 {
-        /// Byte offset (a multiple of 8).
+        /// Byte offset (a multiple of 8 in a [`mutations`] draw).
         at: usize,
         /// The value written.
         value: u64,
@@ -125,6 +127,30 @@ pub fn mutations(range: Range<usize>, count: usize, seed: u64) -> Vec<Mutation> 
             }),
             _ => word(8).map_or(flip, |at| Mutation::U64 { at, value }),
         });
+    }
+    out
+}
+
+/// Every mutation at every offset of `range`, offset by offset: the byte
+/// inverted and XORed with a seeded non-zero mask, then, wherever a 4-byte
+/// (8-byte) window from the offset fits inside `range`, that window
+/// overwritten with each value of [`OVERWRITES`] that fits its width.
+pub fn every_offset(range: Range<usize>, seed: u64) -> Vec<Mutation> {
+    let mut rng = SplitMix(seed);
+    let mut out = Vec::new();
+    for at in range.clone() {
+        let mask = rng.next() as u8 | 1;
+        out.extend([0xFF, mask].map(|mask| Mutation::Flip { at, mask }));
+        for value in OVERWRITES {
+            if let Ok(value) = u32::try_from(value) {
+                if at + 4 <= range.end {
+                    out.push(Mutation::U32 { at, value });
+                }
+            }
+            if at + 8 <= range.end {
+                out.push(Mutation::U64 { at, value });
+            }
+        }
     }
     out
 }
@@ -213,6 +239,33 @@ mod tests {
             });
             assert!(seen, "kind {kind} never drawn");
         }
+    }
+
+    #[test]
+    fn every_offset_lists_each_flip_and_window() {
+        let cases = every_offset(3..15, 7);
+        assert_eq!(cases, every_offset(3..15, 7), "same seed, same sweep");
+        for at in 3..15 {
+            let flips: Vec<u8> = cases
+                .iter()
+                .filter_map(|m| match *m {
+                    Mutation::Flip { at: a, mask } if a == at => Some(mask),
+                    _ => None,
+                })
+                .collect();
+            assert!(flips.len() == 2 && flips[0] == 0xFF && flips[1] & 1 == 1);
+            for value in OVERWRITES {
+                let u32_case = u32::try_from(value).map(|value| Mutation::U32 { at, value });
+                if let Ok(case) = u32_case {
+                    assert_eq!(cases.contains(&case), at + 4 <= 15, "{case}");
+                }
+                let case = Mutation::U64 { at, value };
+                assert_eq!(cases.contains(&case), at + 8 <= 15, "{case}");
+            }
+        }
+        // 12 offsets: two flips each, four u32 values at 9 and five u64
+        // values at 5 of them.
+        assert_eq!(cases.len(), 2 * 12 + 4 * 9 + 5 * 5);
     }
 
     #[test]

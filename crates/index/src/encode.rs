@@ -740,9 +740,13 @@ pub(crate) fn check_u32_positions(n: usize) -> Result<(), Error> {
 ///
 /// Pending factors live in struct-of-arrays pools, with no allocation per
 /// factor: per factor its length and the end of its entries in the
-/// mismatch pools (8 B), per mismatch its depth and letter (5 B).
-/// [`EncodedFactorSetBuilder::finish`] permutes each pool into the set and
-/// frees it before the next. The caller holds the anchors, in push order,
+/// mismatch pools (8 B), per mismatch its depth and letter (5 B). A caller
+/// that knows how many factors come next reserves the per-factor pools
+/// exactly ([`EncodedFactorSetBuilder::reserve_exact`]), so they hold no
+/// growth slack when the sort runs beside them.
+/// [`EncodedFactorSetBuilder::finish`] sorts one first-two-letter bucket
+/// at a time, then permutes each pool into the set and frees it before the
+/// next. The caller holds the anchors, in push order,
 /// and hands them to `finish`: builders whose `i`-th factors share one
 /// anchor (the explicit build's two factors of one occurrence) share one
 /// copy.
@@ -834,6 +838,15 @@ impl EncodedFactorSetBuilder {
         self.lens.is_empty()
     }
 
+    /// Reserves room for exactly `additional` more factors in the
+    /// per-factor pools (lengths and mismatch ends), so a caller that knows
+    /// how many factors it pushes next grows them without slack. The
+    /// mismatch pools still grow by doubling.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.lens.reserve_exact(additional);
+        self.mism_end.reserve_exact(additional);
+    }
+
     /// Hands back the pools' growth slack. [`EncodedFactorSetBuilder::finish`]
     /// does so first; a build that finishes one builder while another is
     /// still full calls this on the other beforehand, so the slack does not
@@ -856,12 +869,18 @@ impl EncodedFactorSetBuilder {
     /// prefix of a dominated factor is a prefix of its survivor, at the
     /// same anchor and with the same letters, so no query needs it.
     ///
-    /// The sort compares packed keys of the factors' first 16 letters, with
+    /// The sort is the first pass of an MSD radix sort, then a comparison
+    /// sort per bucket: the push indices are placed into one `u32`
+    /// permutation by their factors' first two letters (a 65,536-entry
+    /// count table), and each bucket is sorted on its own. Inside a bucket
+    /// the sort compares packed keys of the factors' first 16 letters, with
     /// each factor's anchor and push index held beside them (see
-    /// `packed_keys`). The `O(log z)` LCE comparator runs only between
-    /// factors longer than 16 letters that agree on all 16; the LCE index
-    /// over the heavy view is built only if one of its extensions runs past
-    /// 32 letters. The prefix test between two factors of one anchor reads
+    /// `packed_keys`); the bucket is the keys' top 16 bits, so the order is
+    /// that of one sort of all the factors, and only the widest bucket's
+    /// 24-byte sort entries are ever held. The `O(log z)` LCE comparator
+    /// runs only between factors longer than 16 letters that agree on all
+    /// 16; the LCE index over the heavy view is built only if one of its
+    /// extensions runs past 32 letters. The prefix test between two factors of one anchor reads
     /// their mismatches alone (their heavy letters coincide). Each pending
     /// pool is then permuted into leaf order, without the dominated
     /// factors, and freed: the lengths and mismatch depths straight into
@@ -877,8 +896,8 @@ impl EncodedFactorSetBuilder {
     /// factors.
     pub fn finish(mut self, anchor_x: &[u32]) -> (EncodedFactorSet, Vec<u32>) {
         assert_eq!(anchor_x.len(), self.len(), "one anchor per pushed factor");
-        // The pools grew by doubling; the sort and the permutation below
-        // run beside them, so hand the slack back first.
+        // Pools that grew by doubling hold slack; the sort and the
+        // permutation below run beside them, so hand it back first.
         self.shrink_to_fit();
         let Self {
             direction,
@@ -916,38 +935,74 @@ impl EncodedFactorSetBuilder {
                 letters: &mism_letters[r],
             }
         };
-        let mut entries: Vec<SortEntry> = (0..lens.len())
-            .map(|i| {
+        // First pass of an MSD radix sort: the push indices, bucketed by
+        // their factors' first two letters — the top 16 bits of the sort
+        // key, so the buckets are already in sorted order.
+        let bucket =
+            |i: usize| usize::from(u16::from_be_bytes(packed_letters(pending(i), &heavy_view)));
+        // A bucket's size, then its start, then (once placed) its end.
+        let mut bucket_end = vec![0u32; 1 << 16];
+        for i in 0..lens.len() {
+            bucket_end[bucket(i)] += 1;
+        }
+        let mut placed = 0;
+        for slot in &mut bucket_end {
+            placed += *slot;
+            *slot = placed - *slot;
+        }
+        // Push indices stay below u32::MAX (`push` caps the count there).
+        let mut order = vec![0u32; lens.len()];
+        for i in 0..lens.len() {
+            let slot = &mut bucket_end[bucket(i)];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        // Then each bucket is sorted on its own, so only the widest
+        // bucket's sort entries are ever held.
+        let heavy = HeavyLce::new(&heavy_view);
+        let mut entries: Vec<SortEntry> = Vec::new();
+        let mut start = 0;
+        for end in bucket_end {
+            let members = &mut order[start..end as usize];
+            start = end as usize;
+            if members.len() < 2 {
+                continue;
+            }
+            entries.clear();
+            entries.extend(members.iter().map(|&i| {
+                let i = i as usize;
                 let (key_hi, key_lo) = packed_keys(pending(i), &heavy_view);
                 SortEntry {
                     key_hi,
                     key_lo,
                     tie: u64::from(anchor_x[i]) << 32 | i as u64,
                 }
-            })
-            .collect();
-        let heavy = HeavyLce::new(&heavy_view);
-        entries.sort_unstable_by(|a, b| {
-            (a.key_hi, a.key_lo)
-                .cmp(&(b.key_hi, b.key_lo))
-                .then_with(|| {
-                    // Equal keys ending in a letter: both factors have at
-                    // least 16 letters and agree on them; what follows
-                    // decides. Equal keys ending in padding are equal
-                    // strings.
-                    if a.key_lo & 0xFF == 0 {
-                        return Ordering::Equal;
-                    }
-                    compare_from(
-                        pending(a.push_index()),
-                        pending(b.push_index()),
-                        KEY_LETTERS,
-                        &heavy,
-                    )
-                })
-                .then(a.tie.cmp(&b.tie))
-        });
-        let mut order = push_indices_from_the_top(entries);
+            }));
+            entries.sort_unstable_by(|a, b| {
+                (a.key_hi, a.key_lo)
+                    .cmp(&(b.key_hi, b.key_lo))
+                    .then_with(|| {
+                        // Equal keys ending in a letter: both factors have
+                        // at least 16 letters and agree on them; what
+                        // follows decides. Equal keys ending in padding are
+                        // equal strings.
+                        if a.key_lo & 0xFF == 0 {
+                            return Ordering::Equal;
+                        }
+                        compare_from(
+                            pending(a.push_index()),
+                            pending(b.push_index()),
+                            KEY_LETTERS,
+                            &heavy,
+                        )
+                    })
+                    .then(a.tie.cmp(&b.tie))
+            });
+            for (slot, entry) in members.iter_mut().zip(&entries) {
+                *slot = entry.push_index() as u32;
+            }
+        }
+        drop(entries);
         let survivors = drop_dominated(&mut order, n, anchor_x, &pending, &heavy);
         drop(heavy);
         // Each kept factor's mismatch count, in leaf order; the total is at
@@ -995,31 +1050,13 @@ impl EncodedFactorSetBuilder {
     }
 }
 
-/// The push index at each rank of the sorted `entries`, from the last rank
-/// down — the order [`drop_dominated`] walks. The entries are the largest
-/// buffer of the build, so they are released from the top in chunks as
-/// their push indices are read: the two lists never coexist in full.
-fn push_indices_from_the_top(mut entries: Vec<SortEntry>) -> Vec<u32> {
-    const CHUNK: usize = 1 << 12;
-    let mut order = Vec::new();
-    while !entries.is_empty() {
-        let rest = entries.len().saturating_sub(CHUNK);
-        order.reserve_exact(entries.len() - rest);
-        // Push indices stay below u32::MAX (`push` caps the count there).
-        order.extend(entries[rest..].iter().rev().map(|e| e.push_index() as u32));
-        entries.truncate(rest);
-        entries.shrink_to_fit();
-    }
-    order
-}
-
 /// Removes the prefix-dominated factors from `order` (the push index at
-/// each sorted rank, from the last rank down) and returns, per push index,
-/// the leaf rank of its survivor among the factors kept; `order` is left
-/// holding the survivors in rank order. One pass from the last rank down,
-/// with the push index of the next-ranked factor of each anchor in an
-/// `n`-entry table. The survivors are compacted to the front of `order` as
-/// they are found, never past the entry being read.
+/// each sorted rank) and returns, per push index, the leaf rank of its
+/// survivor among the factors kept; `order` is left holding the survivors
+/// in rank order. One pass from the last rank down, with the push index of
+/// the next-ranked factor of each anchor in an `n`-entry table. The
+/// survivors are compacted to the back of `order` as they are found, never
+/// below the entry being read.
 fn drop_dominated<'a>(
     order: &mut Vec<u32>,
     n: usize,
@@ -1030,11 +1067,11 @@ fn drop_dominated<'a>(
     const NONE: u32 = u32::MAX;
     // Push indices stay below u32::MAX (`push` caps the count there).
     let mut next_of_anchor = vec![NONE; n];
-    // Per push index: the survivor's rank counted from the top, for now.
+    // Per push index: the survivor's slot in `order`, for now.
     let mut survivor = vec![0u32; order.len()];
-    let mut kept = 0u32;
-    for from_top in 0..order.len() {
-        let i = order[from_top] as usize;
+    let mut front = order.len();
+    for rank in (0..order.len()).rev() {
+        let i = order[rank] as usize;
         let next = std::mem::replace(&mut next_of_anchor[anchor_x[i] as usize], i as u32);
         let dominated = next != NONE && {
             let (f, g) = (pending(i), pending(next as usize));
@@ -1043,15 +1080,14 @@ fn drop_dominated<'a>(
         if dominated {
             survivor[i] = survivor[next as usize];
         } else {
-            survivor[i] = kept;
-            order[kept as usize] = i as u32;
-            kept += 1;
+            front -= 1;
+            survivor[i] = front as u32;
+            order[front] = i as u32;
         }
     }
-    order.truncate(kept as usize);
-    order.reverse();
+    order.drain(..front);
     for s in &mut survivor {
-        *s = kept - 1 - *s;
+        *s -= front as u32;
     }
     survivor
 }
@@ -1511,6 +1547,85 @@ mod tests {
             assert_sorted_like_materialised(&heavy, direction, &factors);
             let (heavy, factors) = fast_path_factors(&mut rng, direction);
             assert_sorted_like_materialised(&heavy, direction, &factors);
+        }
+    }
+
+    /// `finish` sorts one first-two-letter bucket at a time; its set and
+    /// survivor ranks must be those of one sort of the whole array, which
+    /// `assert_sorted_like_materialised` makes of the materialised strings.
+    /// The cases are where bucketing could part from it: every factor in
+    /// one bucket, factors whose key bytes are padding, one string at many
+    /// anchors (the tie decides), and factors past 16 letters that agree
+    /// on all 16 (the LCE comparator decides).
+    #[test]
+    fn bucketed_sort_matches_one_whole_array_sort() {
+        let mut rng = StdRng::seed_from_u64(39);
+        for direction in [Direction::Forward, Direction::Backward] {
+            let check = |view: &[u8], factors: &[TestFactor]| {
+                assert_sorted_like_materialised(
+                    &Arc::new(oriented(view, direction)),
+                    direction,
+                    factors,
+                );
+            };
+            // σ = 2 and every factor spelled from "01": one bucket.
+            let view: Vec<u8> = (0..100).map(|_| rng.gen_range(0..2)).collect();
+            let factors: Vec<TestFactor> = (0..300)
+                .map(|_| {
+                    let a = rng.gen_range(0..60);
+                    let mut letters = view[a..a + rng.gen_range(2..=30usize)].to_vec();
+                    letters[..2].copy_from_slice(&[0, 1]);
+                    if letters.len() > 2 && rng.gen_bool(0.5) {
+                        let d = rng.gen_range(2..letters.len());
+                        letters[d] ^= 1;
+                    }
+                    spelling(&view, direction, a, &letters)
+                })
+                .collect();
+            check(&view, &factors);
+            // Factors of 0, 1 and 2 letters, several at each anchor.
+            let view: Vec<u8> = (0..40).map(|_| rng.gen_range(0..3)).collect();
+            let factors: Vec<TestFactor> = (0..120)
+                .map(|_| {
+                    let a = rng.gen_range(0..10);
+                    let mut letters = view[a..a + rng.gen_range(0..=2usize)].to_vec();
+                    if let Some(c) = letters.last_mut().filter(|_| rng.gen_bool(0.3)) {
+                        *c = (*c + 1) % 3;
+                    }
+                    spelling(&view, direction, a, &letters)
+                })
+                .collect();
+            check(&view, &factors);
+            // A period-3 view: each string recurs at every third anchor,
+            // and is spelled through mismatches at the others.
+            let view: Vec<u8> = (0..90).map(|i| (i % 3) as u8).collect();
+            let factors: Vec<TestFactor> = (0..200)
+                .map(|_| {
+                    let (a, phase) = (rng.gen_range(0..60), rng.gen_range(0..3));
+                    let letters: Vec<u8> = (0..rng.gen_range(1..=12))
+                        .map(|d| ((phase + d) % 3) as u8)
+                        .collect();
+                    spelling(&view, direction, a, &letters)
+                })
+                .collect();
+            check(&view, &factors);
+            // A view of eight copies of one 25-letter stretch: factors at
+            // its copies agree on their first 16 letters and on heavy
+            // letters far past 32, and part at a mismatch or an end.
+            let stretch: Vec<u8> = (0..25).map(|_| rng.gen_range(0..4)).collect();
+            let view = stretch.repeat(8);
+            let factors: Vec<TestFactor> = (0..150)
+                .map(|_| {
+                    let a = 25 * rng.gen_range(0..5usize);
+                    let mut letters = view[a..a + rng.gen_range(17..=75usize)].to_vec();
+                    for _ in 0..rng.gen_range(0..=2) {
+                        let d = rng.gen_range(16..letters.len());
+                        letters[d] = (letters[d] + 1) % 4;
+                    }
+                    spelling(&view, direction, a, &letters)
+                })
+                .collect();
+            check(&view, &factors);
         }
     }
 

@@ -180,6 +180,12 @@ impl MinimizerIndex {
             // `&[u32]`.
             with_entries!(strand.lengths(), lens => {
                 let minimizers = scheme.minimizers_respecting(seq, lens);
+                // Per-factor pools grow by exactly this strand's factors:
+                // doubling would leave up to half of them as slack at the
+                // end of the loop, beside the estimation and every pool.
+                anchors.reserve_exact(minimizers.len());
+                fwd_builder.reserve_exact(minimizers.len());
+                bwd_builder.reserve_exact(minimizers.len());
                 for &anchor in &minimizers {
                     let a = anchor as u32;
                     // Forward factor: the longest property-respecting factor
@@ -211,9 +217,9 @@ impl MinimizerIndex {
         }
 
         // Free the strand buffer (up to 8 B per position) before the sorts,
-        // and the backward pools' growth slack before the forward sort.
+        // and the backward mismatch pools' growth slack before the forward
+        // sort.
         drop(deviations);
-        anchors.shrink_to_fit();
         bwd_builder.shrink_to_fit();
         let (fwd, fwd_leaf) = fwd_builder.finish(&anchors);
         let (bwd, bwd_leaf) = bwd_builder.finish(&anchors);

@@ -303,8 +303,8 @@ fn z_estimation_memory_bytes_matches_retained_heap_at_each_width() {
 /// of them sharing their first eight letters with another) the build's
 /// peak heap growth — pending factors, sort keys, the grid's build buffers,
 /// the tries' construction, everything but the z-estimation it reads —
-/// stays within 1.5 × the index's `size_bytes()` for MWSA-G, MWST and
-/// MWST-G.
+/// stays within 1.15 × the index's `size_bytes()` for MWSA-G and 1.25 ×
+/// for MWST and MWST-G, whose tries are built beside the finished sets.
 #[test]
 fn minimizer_build_peak_stays_near_the_index() {
     let _serial = serialize();
@@ -312,10 +312,10 @@ fn minimizer_build_peak_stays_near_the_index() {
     let x = &corpus.x;
     let est = ZEstimation::build(x, corpus.z).unwrap();
     let params = IndexParams::new(corpus.z, corpus.ell, x.sigma()).unwrap();
-    for variant in [
-        IndexVariant::ArrayGrid,
-        IndexVariant::Tree,
-        IndexVariant::TreeGrid,
+    for (variant, bound) in [
+        (IndexVariant::ArrayGrid, 1.15),
+        (IndexVariant::Tree, 1.25),
+        (IndexVariant::TreeGrid, 1.25),
     ] {
         let (index, mem) = ius_memtrack::measure(|| {
             MinimizerIndex::build_from_estimation(x, &est, params, variant).unwrap()
@@ -326,8 +326,9 @@ fn minimizer_build_peak_stays_near_the_index() {
             "the workload must sample several factors per position"
         );
         assert!(
-            mem.peak_bytes as f64 <= 1.5 * size as f64,
-            "{} build peaked at {} bytes of heap growth for a {size}-byte index ({:.2}×)",
+            mem.peak_bytes as f64 <= bound * size as f64,
+            "{} build peaked at {} bytes of heap growth for a {size}-byte index ({:.3}×, \
+             bound {bound}×)",
             variant.name(),
             mem.peak_bytes,
             mem.peak_bytes as f64 / size as f64
